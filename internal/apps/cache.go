@@ -266,7 +266,7 @@ func (c *Cache) Populate() {
 func (c *Cache) Get(k0, k1 uint32) uint32 {
 	c.seq++
 	msg := KVMsg{Op: KVGet, Key0: k0, Key1: k1, Seq: c.seq}
-	payload := BuildUDP(c.selfIP, c.srvIP, 40000, KVPort, msg.Encode())
+	payload := BuildKV(c.selfIP, c.srvIP, 40000, KVPort, &msg)
 	addr, ok := c.bucket(k0, k1)
 	if !ok {
 		_ = c.Client.SendPlain(payload, c.srvMAC)

@@ -44,14 +44,15 @@ const KVMsgSize = 1 + 4 + 4 + 4 + 4
 const KVPort = 9700
 
 // Encode renders the message.
-func (m *KVMsg) Encode() []byte {
-	b := make([]byte, KVMsgSize)
-	b[0] = m.Op
-	binary.BigEndian.PutUint32(b[1:], m.Key0)
-	binary.BigEndian.PutUint32(b[5:], m.Key1)
-	binary.BigEndian.PutUint32(b[9:], m.Value)
-	binary.BigEndian.PutUint32(b[13:], m.Seq)
-	return b
+func (m *KVMsg) Encode() []byte { return m.AppendTo(make([]byte, 0, KVMsgSize)) }
+
+// AppendTo appends the message's wire form to dst.
+func (m *KVMsg) AppendTo(dst []byte) []byte {
+	dst = append(dst, m.Op)
+	dst = binary.BigEndian.AppendUint32(dst, m.Key0)
+	dst = binary.BigEndian.AppendUint32(dst, m.Key1)
+	dst = binary.BigEndian.AppendUint32(dst, m.Value)
+	return binary.BigEndian.AppendUint32(dst, m.Seq)
 }
 
 // DecodeKVMsg parses a message.
@@ -71,15 +72,24 @@ func DecodeKVMsg(b []byte) (KVMsg, bool) {
 // BuildUDP wraps a payload in IPv4+UDP for the simulated network (giving
 // active programs a real 5-tuple to hash).
 func BuildUDP(src, dst netip.Addr, sport, dport uint16, payload []byte) []byte {
-	udp := packet.UDPHeader{SrcPort: sport, DstPort: dport, Length: uint16(packet.UDPHeaderSize + len(payload))}
+	return append(udpHeaders(src, dst, sport, dport, len(payload)), payload...)
+}
+
+// BuildKV is BuildUDP of a KV message, encoded straight into the datagram.
+func BuildKV(src, dst netip.Addr, sport, dport uint16, m *KVMsg) []byte {
+	return m.AppendTo(udpHeaders(src, dst, sport, dport, KVMsgSize))
+}
+
+// udpHeaders returns the IPv4+UDP headers of a datagram with n payload
+// bytes, in a buffer with room for the payload.
+func udpHeaders(src, dst netip.Addr, sport, dport uint16, n int) []byte {
+	udp := packet.UDPHeader{SrcPort: sport, DstPort: dport, Length: uint16(packet.UDPHeaderSize + n)}
 	ip := packet.IPv4Header{
-		TotalLen: uint16(packet.IPv4HeaderSize + packet.UDPHeaderSize + len(payload)),
+		TotalLen: uint16(packet.IPv4HeaderSize + packet.UDPHeaderSize + n),
 		TTL:      64, Protocol: packet.ProtoUDP,
 		Src: src, Dst: dst,
 	}
-	out := ip.Encode(make([]byte, 0, int(ip.TotalLen)))
-	out = udp.Encode(out)
-	return append(out, payload...)
+	return udp.Encode(ip.Encode(make([]byte, 0, int(ip.TotalLen))))
 }
 
 // ParseUDP unwraps an IPv4+UDP payload.
@@ -155,14 +165,13 @@ func (s *KVServer) Receive(frame []byte, port *netsim.Port) {
 	default:
 		return
 	}
-	payload := BuildUDP(s.ip, ip.Src, KVPort, udp.SrcPort, resp.Encode())
-	out := &packet.Frame{
+	out := packet.Frame{
 		Eth:   packet.EthHeader{Dst: f.Eth.Src, Src: s.mac, EtherType: packet.EtherTypeIPv4},
-		Inner: payload,
+		Inner: BuildKV(s.ip, ip.Src, KVPort, udp.SrcPort, &resp),
 	}
-	raw, err := packet.EncodeFrame(out)
+	raw, err := packet.EncodeFrame(&out)
 	if err != nil {
 		return
 	}
-	s.eng.Schedule(s.ServiceTime, func() { s.port.Send(raw) })
+	s.port.SendAfter(s.ServiceTime, raw)
 }

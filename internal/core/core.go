@@ -121,12 +121,13 @@ func grantFor(pl *alloc.Placement) runtime.Grant {
 	return g
 }
 
-// Execute runs one active packet through the pipeline.
+// Execute runs one active packet through the pipeline. The outputs are the
+// runtime's scratch, valid until the next Execute (runtime.ExecuteProgram).
 func (s *System) Execute(d *Deployment, args [4]uint32, flags uint16) []*runtime.Output {
 	a := &packet.Active{
 		Header:  packet.ActiveHeader{FID: d.FID, Flags: flags},
 		Args:    args,
-		Program: d.Program.Clone(),
+		Program: d.Program,
 	}
 	a.Header.SetType(packet.TypeProgram)
 	return s.RT.ExecuteProgram(a)

@@ -66,7 +66,7 @@ func runAblRecirc(cfg RunConfig) (*Result, error) {
 		short := isa.MustAssemble("victim", "NOP\nRETURN")
 		for i := 0; i < 500; i++ {
 			now += time.Millisecond
-			a := &packet.Active{Header: packet.ActiveHeader{FID: 1}, Program: long.Clone()}
+			a := &packet.Active{Header: packet.ActiveHeader{FID: 1}, Program: long}
 			a.Header.SetType(packet.TypeProgram)
 			for _, out := range rt.ExecuteProgram(a) {
 				if out.Dropped {
@@ -76,7 +76,7 @@ func runAblRecirc(cfg RunConfig) (*Result, error) {
 					passes += uint64(out.Passes)
 				}
 			}
-			b := &packet.Active{Header: packet.ActiveHeader{FID: 2}, Program: short.Clone()}
+			b := &packet.Active{Header: packet.ActiveHeader{FID: 2}, Program: short}
 			b.Header.SetType(packet.TypeProgram)
 			rt.ExecuteProgram(b)
 		}

@@ -231,7 +231,7 @@ func (c *CoherentCache) Get(leaf int, k0, k1 uint32) (uint32, error) {
 	}
 	c.seq++
 	msg := apps.KVMsg{Op: apps.KVGet, Key0: k0, Key1: k1, Seq: c.seq}
-	payload := apps.BuildUDP(fr.ip, c.srvIP, 40000, apps.KVPort, msg.Encode())
+	payload := apps.BuildKV(fr.ip, c.srvIP, 40000, apps.KVPort, &msg)
 	addr, ok := c.bucket(k0, k1)
 	if !ok {
 		return 0, fmt.Errorf("fabric: cache has no capacity")
@@ -302,7 +302,7 @@ func (c *CoherentCache) transmitInval(is uint32, pi *pendingInval) {
 		return
 	}
 	msg := apps.KVMsg{Op: apps.KVInval, Key0: pi.w.k0, Key1: pi.w.k1, Seq: is}
-	payload := apps.BuildUDP(fr.ip, fr.ip, 40000, 40000, msg.Encode())
+	payload := apps.BuildKV(fr.ip, fr.ip, 40000, 40000, &msg)
 	_ = fr.cl.SendProgram("populate-fwd",
 		[4]uint32{InvalKey0, InvalKey1, pi.w.addr, 0},
 		packet.FlagPreload, payload, fr.cl.MAC())
@@ -353,7 +353,7 @@ func (c *CoherentCache) transmitCommit(w *pendingWrite) {
 	}
 	_ = c.updateHome(fr, w.k0, w.k1, w.addr, w.value)
 	msg := apps.KVMsg{Op: apps.KVPut, Key0: w.k0, Key1: w.k1, Value: w.value, Seq: w.seq}
-	payload := apps.BuildUDP(fr.ip, c.srvIP, 40000, apps.KVPort, msg.Encode())
+	payload := apps.BuildKV(fr.ip, c.srvIP, 40000, apps.KVPort, &msg)
 	_ = fr.cl.SendProgram("populate-fwd",
 		[4]uint32{w.k0, w.k1, w.addr, w.value},
 		packet.FlagPreload, payload, c.srvMAC)

@@ -140,3 +140,90 @@ func TestCoherenceWriteFromRemoteLeaf(t *testing.T) {
 		t.Fatalf("leaf0 read %d after remote write, want %d", last.value, v2)
 	}
 }
+
+// TestHomeEvictionSparesNeighbourBucket: a writer on the server's own leaf
+// commits without crossing the home spine, so the ack evicts the key's home
+// bucket through the control plane (settleHome). The bucket two above shares
+// word addresses with it in the later access stages; its next home hit must
+// still return its value, not the zero an over-wide scrub leaves behind.
+func TestHomeEvictionSparesNeighbourBucket(t *testing.T) {
+	f, err := fabric.New(fabric.DefaultConfig(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := fabric.NewController(f)
+	srv, srvIP := addServer(t, f, 1)
+	const fid = 9
+	cc, err := fabric.NewCoherentCache(fc, fid, []int{0, 1}, srv.MAC(), srvIP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type resp struct {
+		value uint32
+		hit   bool
+	}
+	got := make(map[uint32]resp)
+	cc.OnResponse = func(leaf int, seq, value uint32, hit bool) { got[seq] = resp{value, hit} }
+
+	objs := testObjects(srv, 512)
+	if err := cc.Warm(0, objs); err != nil {
+		t.Fatal(err)
+	}
+	f.RunFor(50 * time.Millisecond)
+
+	// Learn each key's bucket from the home replica itself: the first access
+	// stage holds key half 0 at the bucket address.
+	home := cc.Home()
+	regions := home.RT.InstalledRegions(fid)
+	first := -1
+	for s := range regions {
+		if first < 0 || s < first {
+			first = s
+		}
+	}
+	words, reg, err := home.RT.Snapshot(fid, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byKey0 := make(map[uint32]apps.KVMsg, len(objs))
+	for _, o := range objs {
+		byKey0[o.Key0] = o
+	}
+	var victim, neighbour apps.KVMsg // neighbour sits two buckets below victim
+	var neighbourAddr uint32
+	found := false
+	for i := 2; i < len(words) && !found; i++ {
+		v, okV := byKey0[words[i]]
+		n, okN := byKey0[words[i-2]]
+		if okV && okN && words[i] != 0 && words[i-2] != 0 {
+			victim, neighbour, neighbourAddr, found = v, n, reg.Lo+uint32(i-2), true
+		}
+	}
+	if !found {
+		t.Fatal("no two warmed keys landed two buckets apart")
+	}
+
+	// The write from the server's leaf bypasses the home: its ack evicts the
+	// victim's home bucket.
+	if _, err := cc.Put(1, victim.Key0, victim.Key1, victim.Value+1); err != nil {
+		t.Fatal(err)
+	}
+	runUntil(t, f, time.Second, "home eviction", func() bool { return cc.HomeEvictions >= 1 })
+
+	// Drop the neighbour's leaf-0 copy so its next read from leaf 0 is
+	// answered by the home replica.
+	if _, ok := f.Leaves[0].Ctrl.ScrubWord(fid, neighbourAddr); !ok {
+		t.Fatal("leaf 0 controller down")
+	}
+	seq, err := cc.Get(0, neighbour.Key0, neighbour.Key1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runUntil(t, f, time.Second, "neighbour GET answered", func() bool {
+		_, ok := got[seq]
+		return ok
+	})
+	if r := got[seq]; !r.hit || r.value != neighbour.Value {
+		t.Fatalf("neighbour read after home eviction = (%d, hit=%v), want (%d, hit)", r.value, r.hit, neighbour.Value)
+	}
+}

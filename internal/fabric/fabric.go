@@ -199,7 +199,7 @@ func New(cfg Config) (*Fabric, error) {
 		} else {
 			n.Name = fmt.Sprintf("spine%d", idx)
 		}
-		n.Switch = switchd.NewSwitch(f.Eng, rt, n.MAC)
+		n.Switch = switchd.NewSwitch(rt, n.MAC)
 		n.Switch.SetRelay(true)
 		n.Ctrl = switchd.NewController(f.Eng, n.Switch, al, cfg.Costs)
 		if !cfg.NoGuard {

@@ -8,11 +8,32 @@ package netsim
 
 import "time"
 
-// event is one scheduled callback.
+// event is one queued event's place in time. What it does sits in the
+// engine's payload table at slot, so the heap's sift moves are three
+// pointer-free words: no write barriers, nothing for the collector to scan.
 type event struct {
-	at  time.Duration
-	seq uint64 // tie-breaker: FIFO among simultaneous events
-	fn  func()
+	at   time.Duration
+	seq  uint64 // tie-breaker: FIFO among simultaneous events
+	slot int32
+	kind eventKind
+}
+
+// eventKind says what an event does when it fires. Frames are most of what a
+// simulation schedules; typing them spares a closure allocation per hop.
+type eventKind uint8
+
+const (
+	eventCall    eventKind = iota // run payload.fn (Schedule, At)
+	eventSend                     // payload.port transmits the frame (Port.SendAfter)
+	eventDeliver                  // payload.port's owner receives the frame (Port.Send)
+)
+
+// payload is what one queued event carries.
+type payload struct {
+	fn    func()
+	port  *Port
+	frame []byte
+	gen   uint64 // eventDeliver: port's down-generation when the frame left
 }
 
 // eventHeap is a hand-rolled binary min-heap over (at, seq). It replaces
@@ -44,14 +65,12 @@ func (h *eventHeap) push(e event) {
 	}
 }
 
-// pop removes and returns the minimum event. The vacated slot is zeroed so
-// the slice does not pin the popped closure.
+// pop removes and returns the minimum event.
 func (h *eventHeap) pop() event {
 	s := *h
 	n := len(s) - 1
 	top := s[0]
 	s[0] = s[n]
-	s[n] = event{}
 	s = s[:n]
 	*h = s
 	// Sift the relocated root down.
@@ -85,6 +104,11 @@ type Engine struct {
 	now    time.Duration
 	seq    uint64
 	events eventHeap
+
+	// payloads holds what the queued events carry; free lists the vacant
+	// slots, so steady-state traffic reuses them without allocating.
+	payloads []payload
+	free     []int32
 }
 
 // NewEngine returns an engine at virtual time zero.
@@ -105,11 +129,26 @@ func (e *Engine) Schedule(delay time.Duration, fn func()) {
 
 // At runs fn at absolute virtual time t (clamped to now).
 func (e *Engine) At(t time.Duration, fn func()) {
+	e.enqueue(t, eventCall, payload{fn: fn})
+}
+
+// enqueue queues an event at absolute virtual time t (clamped to now).
+// Events of every kind share one (at, seq) order.
+func (e *Engine) enqueue(t time.Duration, kind eventKind, p payload) {
 	if t < e.now {
 		t = e.now
 	}
+	var slot int32
+	if n := len(e.free); n > 0 {
+		slot = e.free[n-1]
+		e.free = e.free[:n-1]
+		e.payloads[slot] = p
+	} else {
+		slot = int32(len(e.payloads))
+		e.payloads = append(e.payloads, p)
+	}
 	e.seq++
-	e.events.push(event{at: t, seq: e.seq, fn: fn})
+	e.events.push(event{at: t, seq: e.seq, slot: slot, kind: kind})
 }
 
 // Step executes the next event; it reports false when the queue is empty.
@@ -119,7 +158,17 @@ func (e *Engine) Step() bool {
 	}
 	ev := e.events.pop()
 	e.now = ev.at
-	ev.fn()
+	p := e.payloads[ev.slot]
+	e.payloads[ev.slot] = payload{} // do not pin the closure or the frame
+	e.free = append(e.free, ev.slot)
+	switch ev.kind {
+	case eventCall:
+		p.fn()
+	case eventSend:
+		p.port.Send(p.frame)
+	case eventDeliver:
+		p.port.deliver(p.frame, p.gen)
+	}
 	return true
 }
 

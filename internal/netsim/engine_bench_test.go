@@ -51,3 +51,63 @@ func BenchmarkEngineSchedule(b *testing.B) {
 		e.Step()
 	}
 }
+
+type discard struct{}
+
+func (discard) Receive([]byte, *Port) {}
+
+// TestPortSendZeroAlloc gates the frame-event path: a Send (or a SendAfter)
+// and the Steps that carry it to the peer endpoint allocate nothing once the
+// queue and the frame table have grown to the in-flight depth.
+func TestPortSendZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	a, _ := Connect(e, discard{}, 0, discard{}, 0, 5*time.Microsecond, 40e9)
+	frame := make([]byte, 128)
+	for i := 0; i < 64; i++ { // in-flight depth the runs below never exceed
+		a.Send(frame)
+	}
+	e.Run()
+	if n := testing.AllocsPerRun(1000, func() {
+		a.Send(frame)
+		e.Step()
+	}); n != 0 {
+		t.Errorf("Send+Step: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		a.SendAfter(time.Microsecond, frame)
+		e.Step()
+		e.Step()
+	}); n != 0 {
+		t.Errorf("SendAfter+Step+Step: %v allocs, want 0", n)
+	}
+}
+
+// BenchmarkPortSend is one link hop: a send and the step that delivers it,
+// the unit the system benchmark reports as netsim.event_ns.
+func BenchmarkPortSend(b *testing.B) {
+	e := NewEngine()
+	a, _ := Connect(e, discard{}, 0, discard{}, 0, 5*time.Microsecond, 40e9)
+	frame := make([]byte, 128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.Send(frame)
+		e.Step()
+	}
+}
+
+// BenchmarkPortSendBurst keeps sixteen frames in flight, the burst depth of
+// the system benchmark's workloads, so heap sifts are part of the figure.
+func BenchmarkPortSendBurst(b *testing.B) {
+	e := NewEngine()
+	a, _ := Connect(e, discard{}, 0, discard{}, 0, 5*time.Microsecond, 40e9)
+	frame := make([]byte, 128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += 16 {
+		for j := 0; j < 16; j++ {
+			a.Send(frame)
+		}
+		e.Run()
+	}
+}

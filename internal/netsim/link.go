@@ -140,17 +140,30 @@ func (p *Port) Send(frame []byte) {
 			deliverAt += time.Duration(p.jitterRng.Int63n(int64(p.jitter)))
 		}
 	}
-	peer := p.peer
-	gen := peer.downGen
-	p.eng.At(deliverAt, func() {
-		if peer.down || peer.downGen != gen {
-			peer.DroppedDown++
-			return
-		}
-		peer.RxFrames++
-		peer.RxBytes += uint64(len(frame))
-		peer.owner.Receive(frame, peer)
-	})
+	p.eng.enqueue(deliverAt, eventDeliver, payload{port: p.peer, frame: frame, gen: p.peer.downGen})
+}
+
+// SendAfter transmits the frame after delay (clamped to now for non-positive
+// delays) — Engine.Schedule of a Send, without the closure. Pipeline and
+// service latencies in front of a link use it.
+func (p *Port) SendAfter(delay time.Duration, frame []byte) {
+	if delay < 0 {
+		delay = 0
+	}
+	p.eng.enqueue(p.eng.now+delay, eventSend, payload{port: p, frame: frame})
+}
+
+// deliver hands an arriving frame to the port's owner, unless the port went
+// down (even briefly: gen is its down-generation at send time) while the
+// frame was on the wire.
+func (p *Port) deliver(frame []byte, gen uint64) {
+	if p.down || p.downGen != gen {
+		p.DroppedDown++
+		return
+	}
+	p.RxFrames++
+	p.RxBytes += uint64(len(frame))
+	p.owner.Receive(frame, p)
 }
 
 // Peer returns the other end of the link.

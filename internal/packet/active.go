@@ -322,6 +322,24 @@ type Active struct {
 	ValidState uint8
 }
 
+// headerLen is the wire size of the active headers Encode writes in front of
+// the payload.
+func (a *Active) headerLen() int {
+	switch a.Header.Type() {
+	case TypeProgram:
+		n := InitialHeaderSize + ArgHeaderSize
+		if a.Program != nil {
+			n += (a.Program.Len() + 1) * isa.WireSize // instructions + EOF
+		}
+		return n
+	case TypeAllocReq:
+		return InitialHeaderSize + AllocReqSize
+	case TypeAllocResp:
+		return InitialHeaderSize + AllocRespSize
+	}
+	return InitialHeaderSize
+}
+
 // Encode serializes the active packet (headers followed by payload),
 // appending to dst.
 func (a *Active) Encode(dst []byte) ([]byte, error) {

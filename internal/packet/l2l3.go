@@ -229,9 +229,13 @@ type Frame struct {
 	Inner  []byte  // bytes after the Ethernet (and active) headers
 }
 
-// EncodeFrame serializes a frame.
+// EncodeFrame serializes a frame into a buffer of exactly its wire size.
 func EncodeFrame(f *Frame) ([]byte, error) {
-	out := f.Eth.Encode(make([]byte, 0, 256))
+	n := EthHeaderSize + len(f.Inner)
+	if f.Active != nil {
+		n += f.Active.headerLen()
+	}
+	out := f.Eth.Encode(make([]byte, 0, n))
 	if f.Active != nil {
 		var err error
 		f.Active.Payload = f.Inner

@@ -357,6 +357,38 @@ func TestFrameRoundTripPlain(t *testing.T) {
 	}
 }
 
+// TestEncodeFrameExactSize: the wire buffer is the one allocation a hop
+// makes, so EncodeFrame sizes it from the frame — no slack, no regrowth —
+// for every packet type.
+func TestEncodeFrameExactSize(t *testing.T) {
+	prog := &Active{Program: sampleProgram(t)}
+	prog.Header.SetType(TypeProgram)
+	req := &Active{AllocReq: &AllocRequest{ProgLen: 5, Accesses: []AccessReq{{Index: 2, Demand: 1}}}}
+	req.Header.SetType(TypeAllocReq)
+	resp := &Active{AllocResp: &AllocResponse{}}
+	resp.Header.SetType(TypeAllocResp)
+	ctl := &Active{}
+	ctl.Header.SetType(TypeControl)
+	for _, a := range []*Active{prog, req, resp, ctl, nil} {
+		for _, inner := range [][]byte{nil, bytes.Repeat([]byte{7}, 300)} {
+			f := &Frame{Eth: EthHeader{EtherType: EtherTypeActive}, Active: a, Inner: inner}
+			if a == nil {
+				f.Eth.EtherType = EtherTypeIPv4
+			}
+			wire, err := EncodeFrame(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(wire) != cap(wire) {
+				t.Errorf("active=%v inner=%d: len %d, cap %d", a != nil, len(inner), len(wire), cap(wire))
+			}
+			if n := testing.AllocsPerRun(10, func() { _, _ = EncodeFrame(f) }); n != 1 {
+				t.Errorf("active=%v inner=%d: %v allocs, want 1", a != nil, len(inner), n)
+			}
+		}
+	}
+}
+
 func TestGrantRoundTripProperty(t *testing.T) {
 	f := func(mutant uint32, starts, sizes [NumStages]uint16) bool {
 		resp := &AllocResponse{MutantIndex: mutant}

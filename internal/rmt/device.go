@@ -287,7 +287,9 @@ func (d *Device) run(p *PHV, startIdx, extraSlots int, view *PipeView, st *ExecS
 	p.StagesRun = slots
 	p.Passes = (slots + n - 1) / n
 	p.Latency = time.Duration(int64(slots) * d.cfg.PassLatency.Nanoseconds() / int64(n))
-	st.Lat.Observe(uint64(p.Latency))
+	if d.tel != nil { // the histogram is only ever drained into telemetry
+		st.Lat.Observe(uint64(p.Latency))
+	}
 	if p.Dropped {
 		st.PacketsDropped++
 	}

@@ -133,20 +133,32 @@ func (s *ExecStats) flushTel(d *Device) {
 // FlushLegacyInto drains the sink into the device's legacy counter fields
 // with no telemetry mirror — the merge half for sinks whose telemetry was
 // already flushed mid-stream (lane carry sinks) — and resets it. Exclusive
-// access to the device's counters required.
+// access to the device's counters required. The system path flushes after
+// every capsule, which touched a handful of stages: untouched ones are
+// skipped and only what was drained is zeroed.
 func (s *ExecStats) FlushLegacyInto(d *Device) {
 	d.PacketsIn += s.PacketsIn
 	d.PacketsDropped += s.PacketsDropped
 	d.Recirculations += s.Recirculations
-	for i := range s.StageExecuted {
-		if i >= len(d.stages) {
-			break
+	s.PacketsIn, s.PacketsDropped, s.Recirculations = 0, 0, 0
+	n := min(len(s.StageExecuted), len(d.stages))
+	ex, rd, wr, ft := s.StageExecuted[:n], s.RegReads[:n], s.RegWrites[:n], s.RegFaults[:n]
+	for i, e := range ex {
+		r, w, f := rd[i], wr[i], ft[i]
+		if e|r|w|f == 0 {
+			continue
 		}
 		st := d.stages[i]
-		st.Executed += s.StageExecuted[i]
-		st.Registers.Reads += s.RegReads[i]
-		st.Registers.Writes += s.RegWrites[i]
-		st.Registers.Faults += s.RegFaults[i]
+		st.Executed += e
+		ex[i] = 0
+		if r|w|f != 0 {
+			st.Registers.Reads += r
+			st.Registers.Writes += w
+			st.Registers.Faults += f
+			rd[i], wr[i], ft[i] = 0, 0, 0
+		}
 	}
-	s.Reset()
+	if s.Lat.Count != 0 {
+		s.Lat.Reset()
+	}
 }

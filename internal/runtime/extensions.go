@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"activermt/internal/isa"
 	"activermt/internal/rmt"
 )
 
@@ -124,22 +123,6 @@ func (r *Runtime) SetPrivilege(fid uint16, mask uint8) {
 	r.publish()
 }
 
-// privilegeOf returns the FID's mask; FIDs without an explicit assignment
-// are fully privileged (the paper's deployments assume authenticated edges;
-// privilege levels are the hardening extension). Reads the published
-// control snapshot, like the rest of the packet path.
-func (r *Runtime) privilegeOf(fid uint16) uint8 {
-	v := r.view()
-	if !v.hasPriv {
-		return ^uint8(0)
-	}
-	m, ok := v.privilege[fid]
-	if !ok {
-		return ^uint8(0)
-	}
-	return m
-}
-
 // Mirror sessions: the FORK instruction's operand names a clone session
 // whose egress port the control plane configures — the Tofino clone-session
 // model, used by the mirroring service to steer copies to a collector.
@@ -183,21 +166,4 @@ func ExtendedForwardingConfig(cfg rmt.Config) rmt.Config {
 	}
 	out.PassLatency = cfg.PassLatency * 104 / 100
 	return out
-}
-
-// dropUnprivileged applies privilege gating to a PHV before execution: the
-// forwarding-affecting opcodes are rewritten to NOPs for unprivileged FIDs,
-// exactly as a match-table privilege qualifier would suppress the actions.
-func (r *Runtime) applyPrivilege(fid uint16, p *rmt.PHV) {
-	mask := r.privilegeOf(fid)
-	if mask&PrivForwarding != 0 {
-		return
-	}
-	for i := range p.Instrs {
-		switch p.Instrs[i].Op {
-		case isa.OpSetDst, isa.OpFork, isa.OpDrop:
-			p.Instrs[i].Op = isa.OpNop
-			r.PrivSuppressed++
-		}
-	}
 }

@@ -10,9 +10,10 @@ import (
 	"activermt/internal/telemetry"
 )
 
-// This file is the allocation-free packet hot path. ExecuteCapsule performs
-// the same admission checks, PHV construction, pipeline execution, and
-// output encoding as ExecuteProgram, but:
+// This file is the packet path — the one engine every caller runs. executeOne
+// performs the admission checks, PHV construction, pipeline execution (a
+// compiled plan when one exists, the interpreter otherwise — see
+// specialize.go), and output encoding such that:
 //
 //   - all per-packet state lives in a reusable ExecResult (pooled PHV,
 //     pooled output capsules, reusable device-output buffer), so the
@@ -23,9 +24,10 @@ import (
 //     buffered there, so N lanes can execute concurrently and merge their
 //     accounting under a happens-before edge instead of racing.
 //
-// ExecuteProgram remains the single-threaded compatibility entry point with
-// identical observable behavior; the netsim experiments keep using it so
-// their outputs stay byte-identical.
+// ExecuteProgram is the single-threaded entry point (switchd, and so the
+// testbed, fabric and soak; core; the ablations): executeOne on runtime-owned
+// scratch, drained after every capsule. ExecuteCapsule and ExecuteBatch run
+// the same engine on caller-owned scratch for lanes and harnesses.
 
 // GuardEventKind discriminates buffered guard notifications.
 type GuardEventKind uint8
@@ -73,7 +75,7 @@ func (s *PathStats) FlushInto(r *Runtime) {
 // flushTel mirrors the counters into the shared telemetry counters without
 // resetting them. The counters are sharded atomics, so this half is safe
 // from a lane worker mid-stream; zero deltas are skipped so the per-packet
-// compat flush stays a few atomic adds.
+// ExecuteProgram flush stays a few atomic adds.
 func (s *PathStats) flushTel(t *Telemetry) {
 	if s.ProgramsRun != 0 {
 		t.ProgramsRun.Add(s.ProgramsRun)
@@ -125,8 +127,8 @@ func (s *PathStats) addInto(dst *PathStats) {
 }
 
 // ExecSink is the per-executor accounting context: path counters, a device
-// counter sink, and buffered guard events. Each lane owns one; the compat
-// path owns one and drains it after every packet.
+// counter sink, and buffered guard events. Each lane owns one; the runtime
+// owns one for ExecuteProgram and drains it after every packet.
 type ExecSink struct {
 	Path   PathStats
 	Dev    *rmt.ExecStats
@@ -241,160 +243,208 @@ func (res *ExecResult) slot(i int) *outSlot {
 func (res *ExecResult) addOutput(s *outSlot) { res.Outputs = append(res.Outputs, &s.out) }
 
 // ExecuteCapsule runs one program capsule through the pipeline with all
-// scratch state drawn from res and all accounting routed into sink. It is
-// the allocation-free equivalent of ExecuteProgram: admission checks read
-// the published control snapshot, the PHV and output capsules are reused,
-// and guard notifications are buffered in the sink instead of delivered
-// inline. Admitted programs execute through their compiled plan when one is
-// (or can be) cached for the current snapshot pair; everything else takes
-// the interpreter (see specialize.go).
+// scratch state drawn from res and all accounting routed into sink:
+// admission checks read the published control snapshot, the PHV and output
+// capsules are reused, and guard notifications are buffered in the sink
+// instead of delivered inline. Admitted programs execute through their
+// compiled plan when one is (or can be) cached for the current snapshot pair;
+// everything else takes the interpreter (see specialize.go).
 //
-// Unlike ExecuteProgram, refused packets (revoked/quarantined/throttled) do
-// not mutate the input capsule's flags: the FlagFailed marking is applied to
-// the copied output capsule, which is what goes on the wire. The input may
-// therefore be a pooled buffer reused by the caller.
+// Refused packets (revoked/quarantined/throttled) do not mutate the input
+// capsule's flags: the FlagFailed marking is applied to the copied output
+// capsule, which is what goes on the wire. The input may therefore be a
+// pooled buffer reused by the caller.
 func (r *Runtime) ExecuteCapsule(a *packet.Active, res *ExecResult, sink *ExecSink) {
 	r.executeOne(a, res, sink, r.view(), r.dev.View(), r.planTab.Load())
 }
 
-// executeOne is ExecuteCapsule against explicitly loaded snapshots, shared
-// by the single-packet and batch entry points.
+// ExecuteProgram is the single-threaded entry point the system path uses
+// (switchd, core, the ablations): one capsule through the same engine as
+// ExecuteCapsule on runtime-owned scratch, then the per-packet flush — path
+// and device counters into their exported fields (and telemetry), buffered
+// guard events into the hook — so counters read, and escalations land,
+// between packets exactly as if they had happened inline. It returns the
+// output packets, primary first, then FORK clones.
+//
+// The outputs live in the runtime's scratch: they are valid until the next
+// ExecuteProgram call on this Runtime; callers that retain one must copy it.
+func (r *Runtime) ExecuteProgram(a *packet.Active) []*Output {
+	r.executeOne(a, r.res, r.sink, r.view(), r.dev.View(), r.planTab.Load())
+	r.sink.Path.FlushInto(r)
+	r.sink.Dev.FlushInto(r.dev)
+	r.DeliverEvents(r.sink)
+	return r.res.Outputs
+}
+
+// executeOne is one capsule against explicitly loaded snapshots, shared by
+// the single-packet and batch entry points. Programs whose FID was never
+// admitted pass through unexecuted, exactly as a table miss would behave on
+// the real switch. Programs whose FID was revoked — or is quarantined during
+// a reallocation (FlagMemSync excepted) — hard-drop: a tenant stripped of its
+// grant must not retain pipeline access, and a deactivated tenant's packets
+// must not leak around the snapshot.
 func (r *Runtime) executeOne(a *packet.Active, res *ExecResult, sink *ExecSink, cv *ctrlView, pv *rmt.PipeView, tab *planTable) {
 	res.Outputs = res.Outputs[:0]
 	lat := r.passLat
 	if a.Program == nil {
-		s := res.slot(0)
-		s.out = Output{Active: a, Latency: lat}
-		res.addOutput(s)
+		res.passThrough(a, lat)
 		return
 	}
 	fid := a.Header.FID
-	// Specialized entry: usable only when the plan table matches the loaded
-	// snapshot pair by pointer identity (a publish in between unreaches it).
-	// A cached plan exists only for a FID that passed the admission checks
-	// under this exact control view, so a hit skips the revoked/admitted map
-	// lookups; the quarantine mark is folded into the plan and only the
-	// packet-dependent checks (FlagMemSync, recirculation budget) remain.
+	// The plan table is usable only when it matches the loaded snapshot pair
+	// by pointer identity (a publish in between unreaches it).
 	spec := tab != nil && tab.cv == cv && tab.pv == pv &&
 		!r.specOff.Load() && !r.dev.TraceEnabled()
+	var pl *compiledPlan
 	if spec {
 		// The direct-mapped memo remembers the plan this executor last
 		// resolved for the FID's slot; a hit (validated by table and program
 		// pointer identity) skips the plan map's hash entirely.
 		m := &res.memo[int(fid)&(planMemoSize-1)]
-		pl := m.pl
+		pl = m.pl
 		if m.tab != tab || m.prog != a.Program || m.fid != fid {
 			pl = tab.plans[planKey{prog: a.Program, fid: fid}]
 			if pl != nil {
 				*m = planMemoEntry{tab: tab, prog: a.Program, fid: fid, pl: pl}
 			}
 		}
-		if pl != nil {
-			if pl.rp != nil {
-				if pl.quarantined && a.Header.Flags&packet.FlagMemSync == 0 {
-					sink.Path.QuarantineDrops++
-					sink.flightRefusal(cv, fid, telemetry.VerdictQuarantined)
-					res.hardDrop(a, lat)
-					return
-				}
-				if !r.RecircAllowed(fid, a.Program.Len()) {
-					sink.Events = append(sink.Events, GuardEvent{Kind: GuardEventRecircThrottled, FID: fid})
-					sink.flightRefusal(cv, fid, telemetry.VerdictThrottled)
-					res.hardDrop(a, lat)
-					return
-				}
-				r.execSpecialized(a, pl, res, sink, cv, fid)
-				return
+	}
+
+	// The admission gate. A cached plan (compiled or a cached refusal to
+	// compile) exists only for a FID that passed the identity checks under
+	// this exact control view, so a hit skips the revoked/admitted lookups
+	// and reads the quarantine mark folded into the plan; only the
+	// packet-dependent checks (FlagMemSync, recirculation budget) remain.
+	quarantined := false
+	if pl != nil {
+		quarantined = pl.quarantined
+	} else {
+		if cv.revoked[fid] {
+			sink.Path.RevokedDrops++
+			sink.Events = append(sink.Events, GuardEvent{Kind: GuardEventRevokedDrop, FID: fid})
+			sink.flightRefusal(cv, fid, telemetry.VerdictRevoked)
+			res.hardDrop(a, lat)
+			return
+		}
+		if !cv.admitted[fid] {
+			sink.Path.Passthrough++
+			if fr := sink.FR; fr != nil && fr.ShouldSample() {
+				fr.Record(telemetry.FlightEntry{FID: fid, Verdict: telemetry.VerdictPassthrough})
 			}
-			// Cached negative (FORK or otherwise uncompilable): interpret,
-			// and skip the compile retry below.
-			spec = false
+			res.passThrough(a, lat)
+			return
 		}
+		quarantined = cv.quarantined[fid]
 	}
-	if cv.revoked[fid] {
-		sink.Path.RevokedDrops++
-		sink.Events = append(sink.Events, GuardEvent{Kind: GuardEventRevokedDrop, FID: fid})
-		sink.flightRefusal(cv, fid, telemetry.VerdictRevoked)
-		res.hardDrop(a, lat)
-		return
-	}
-	if !cv.admitted[fid] {
-		sink.Path.Passthrough++
-		if fr := sink.FR; fr != nil && fr.ShouldSample() {
-			fr.Record(telemetry.FlightEntry{FID: fid, Verdict: telemetry.VerdictPassthrough})
-		}
-		s := res.slot(0)
-		s.out = Output{Active: a, Latency: lat}
-		res.addOutput(s)
-		return
-	}
-	if cv.quarantined[fid] && a.Header.Flags&packet.FlagMemSync == 0 {
+	if quarantined && a.Header.Flags&packet.FlagMemSync == 0 {
 		sink.Path.QuarantineDrops++
 		sink.flightRefusal(cv, fid, telemetry.VerdictQuarantined)
 		res.hardDrop(a, lat)
 		return
 	}
 	if !r.RecircAllowed(fid, a.Program.Len()) {
+		// The recirculation fairness controller polices bandwidth inflation
+		// (Section 7.2): over-budget programs are dropped.
 		sink.Events = append(sink.Events, GuardEvent{Kind: GuardEventRecircThrottled, FID: fid})
 		sink.flightRefusal(cv, fid, telemetry.VerdictThrottled)
 		res.hardDrop(a, lat)
 		return
 	}
-	if spec {
+
+	if spec && pl == nil {
 		// First sighting of this program version under the current
-		// snapshots, past all admission checks: compile (cached for every
-		// subsequent packet) and execute the plan when one comes back.
-		pl := r.compilePlan(tab, planKey{prog: a.Program, fid: fid})
-		if pl.rp != nil {
-			r.execSpecialized(a, pl, res, sink, cv, fid)
-			return
-		}
+		// snapshots, past the gate: compile (cached for every subsequent
+		// packet; a FORK program caches its refusal).
+		pl = r.compilePlan(tab, planKey{prog: a.Program, fid: fid})
+	}
+	if pl != nil && pl.rp != nil {
+		r.execSpecialized(a, pl, res, sink, cv, fid)
+		return
 	}
 	sink.Path.ProgramsRun++
 
+	phv := res.fillPHV(a, fid, true)
+	phv.Instrs = append(phv.Instrs[:0], a.Program.Instrs...)
+	sink.Path.PrivSuppressed += maskPrivileged(cv, fid, phv.Instrs)
+
+	res.devOuts = r.dev.ExecInto(phv, res.devOuts[:0], sink.Dev)
+	for i, p := range res.devOuts {
+		noteFault(sink, fid, p)
+		s := res.slot(i)
+		// Shrink executed instruction headers unless the program opted out
+		// (Section 3.1's packet-shrinking optimization).
+		s.prog.Instrs = s.prog.Instrs[:0]
+		noShrink := a.Header.Flags&packet.FlagNoShrink != 0
+		for _, instr := range p.Instrs {
+			if instr.Executed && !noShrink {
+				continue
+			}
+			s.prog.Instrs = append(s.prog.Instrs, instr)
+		}
+		s.finish(a, p)
+		res.addOutput(s)
+	}
+	sink.flightExecuted(cv, fid, res.devOuts[0]) // the primary PHV describes the traversal
+}
+
+// fillPHV resets the pooled PHV and loads the capsule's parsed fields; the
+// payload's 5-tuple only when the program can read it.
+func (res *ExecResult) fillPHV(a *packet.Active, fid uint16, tuple bool) *rmt.PHV {
 	phv := res.phv
 	phv.Reset()
 	phv.FID = fid
 	phv.Data = a.Args
-	phv.Instrs = append(phv.Instrs[:0], a.Program.Instrs...)
 	if a.Header.Flags&packet.FlagPreload != 0 {
 		phv.MAR = a.Args[2]
 		phv.MBR = a.Args[0]
 	}
-	r.applyPrivilegeInto(cv, phv, &sink.Path)
-	if tup, ok := packet.ParseFiveTuple(a.Payload); ok {
-		phv.TupleWords = tup.WordsArray()
+	if tuple {
+		if tup, ok := packet.ParseFiveTuple(a.Payload); ok {
+			phv.TupleWords = tup.WordsArray()
+		}
 	}
+	return phv
+}
 
-	res.devOuts = r.dev.ExecInto(phv, res.devOuts[:0], sink.Dev)
-	for i, p := range res.devOuts {
-		if p.Faulted {
-			sink.Path.Faults++
-			sink.Events = append(sink.Events, GuardEvent{
-				Kind: GuardEventMemFault, FID: fid,
-				Stage: p.FaultStage, Addr: p.FaultAddr,
-				Owner: p.FaultOwner, Owned: p.FaultOwned,
-			})
-		}
-		s := res.slot(i)
-		r.encodeOutputInto(a, p, s)
-		res.addOutput(s)
+// noteFault counts a protection fault and buffers its guard event.
+func noteFault(sink *ExecSink, fid uint16, p *rmt.PHV) {
+	if !p.Faulted {
+		return
 	}
-	if fr := sink.FR; fr != nil {
-		p := res.devOuts[0] // primary PHV describes the capsule's traversal
-		forced := p.Faulted || p.Dropped
-		if fr.ShouldSample() || forced {
-			v := telemetry.VerdictExecuted
-			if p.Dropped {
-				v = telemetry.VerdictDropped
-			}
-			fr.Record(telemetry.FlightEntry{
-				FID: fid, Epoch: cv.epochs[fid], Verdict: v,
-				Stages: uint16(p.StagesRun), Passes: uint8(p.Passes),
-				Faulted: p.Faulted, Addr: p.MAR, FaultAddr: p.FaultAddr,
-			})
-		}
+	sink.Path.Faults++
+	sink.Events = append(sink.Events, GuardEvent{
+		Kind: GuardEventMemFault, FID: fid,
+		Stage: p.FaultStage, Addr: p.FaultAddr,
+		Owner: p.FaultOwner, Owned: p.FaultOwned,
+	})
+}
+
+// flightExecuted samples an executed capsule into the flight recorder;
+// faults and drops force-record.
+func (s *ExecSink) flightExecuted(cv *ctrlView, fid uint16, p *rmt.PHV) {
+	fr := s.FR
+	if fr == nil {
+		return
 	}
+	forced := p.Faulted || p.Dropped
+	if fr.ShouldSample() || forced {
+		v := telemetry.VerdictExecuted
+		if p.Dropped {
+			v = telemetry.VerdictDropped
+		}
+		fr.Record(telemetry.FlightEntry{
+			FID: fid, Epoch: cv.epochs[fid], Verdict: v,
+			Stages: uint16(p.StagesRun), Passes: uint8(p.Passes),
+			Faulted: p.Faulted, Addr: p.MAR, FaultAddr: p.FaultAddr,
+		})
+	}
+}
+
+// passThrough fills slot 0 with the unexecuted capsule itself.
+func (res *ExecResult) passThrough(a *packet.Active, lat time.Duration) {
+	s := res.slot(0)
+	s.out = Output{Active: a, Latency: lat}
+	res.addOutput(s)
 }
 
 // hardDrop fills slot 0 with the dropped-with-FlagFailed output for packets
@@ -410,31 +460,32 @@ func (res *ExecResult) hardDrop(a *packet.Active, lat time.Duration) {
 	res.addOutput(s)
 }
 
-// applyPrivilegeInto is applyPrivilege against an explicit control view and
-// counter sink.
-func (r *Runtime) applyPrivilegeInto(cv *ctrlView, p *rmt.PHV, ps *PathStats) {
-	mask := ^uint8(0)
-	if cv.hasPriv {
-		if m, ok := cv.privilege[p.FID]; ok {
-			mask = m
-		}
+// maskPrivileged applies privilege gating to an instruction image before
+// execution: the forwarding-affecting opcodes are rewritten to NOPs for
+// unprivileged FIDs, exactly as a match-table privilege qualifier would
+// suppress the actions. FIDs without an explicit assignment are fully
+// privileged (the paper's deployments assume authenticated edges; privilege
+// levels are the hardening extension). It returns the number suppressed.
+func maskPrivileged(cv *ctrlView, fid uint16, instrs []isa.Instruction) (suppressed uint64) {
+	if !cv.hasPriv {
+		return 0
 	}
-	if mask&PrivForwarding != 0 {
-		return
+	if m, ok := cv.privilege[fid]; !ok || m&PrivForwarding != 0 {
+		return 0
 	}
-	for i := range p.Instrs {
-		switch p.Instrs[i].Op {
+	for i := range instrs {
+		switch instrs[i].Op {
 		case isa.OpSetDst, isa.OpFork, isa.OpDrop:
-			p.Instrs[i].Op = isa.OpNop
-			ps.PrivSuppressed++
+			instrs[i].Op = isa.OpNop
+			suppressed++
 		}
 	}
+	return suppressed
 }
 
-// encodeOutputInto rebuilds an output capsule from a post-execution PHV into
-// the reusable slot, shrinking executed instruction headers unless the
-// program opted out — the zero-allocation twin of encodeOutput.
-func (r *Runtime) encodeOutputInto(in *packet.Active, p *rmt.PHV, s *outSlot) {
+// finish rebuilds the slot's output capsule from a post-execution PHV around
+// the instruction body the caller has already placed in s.prog.Instrs.
+func (s *outSlot) finish(in *packet.Active, p *rmt.PHV) {
 	hdr := in.Header
 	hdr.Flags |= packet.FlagFromSwch
 	if p.Complete {
@@ -446,24 +497,15 @@ func (r *Runtime) encodeOutputInto(in *packet.Active, p *rmt.PHV, s *outSlot) {
 	if p.Dropped {
 		hdr.Flags |= packet.FlagFailed
 	}
+	hdr.SetType(packet.TypeProgram)
 
 	s.prog.Name = in.Program.Name
-	s.prog.Instrs = s.prog.Instrs[:0]
-	noShrink := in.Header.Flags&packet.FlagNoShrink != 0
-	for _, instr := range p.Instrs {
-		if instr.Executed && !noShrink {
-			continue
-		}
-		s.prog.Instrs = append(s.prog.Instrs, instr)
-	}
-
 	s.act = packet.Active{
 		Header:  hdr,
 		Args:    p.Data,
 		Program: &s.prog,
 		Payload: in.Payload,
 	}
-	s.act.Header.SetType(packet.TypeProgram)
 	s.out = Output{
 		Active:   &s.act,
 		ToSender: p.ToSender,

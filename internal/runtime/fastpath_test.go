@@ -55,14 +55,17 @@ func compareOutputs(t *testing.T, step string, want, got []*Output) {
 	}
 }
 
-// TestExecuteCapsuleMatchesExecuteProgram drives the compat path and the
-// fast path through the same packet sequence on two identical runtimes and
-// requires identical wire outputs, runtime counters, and register state:
-// hit/miss queries, a protection fault, unadmitted passthrough, quarantine
-// drop, and revoked drop.
+// TestExecuteCapsuleMatchesExecuteProgram drives the two entry points —
+// ExecuteProgram with its per-capsule drain, forced onto the interpreter, and
+// ExecuteCapsule on caller-owned scratch with compiled plans — through the
+// same packet sequence on two identical runtimes and requires identical wire
+// outputs, runtime counters, and register state: hit/miss queries, a
+// protection fault, unadmitted passthrough, quarantine drop, and revoked
+// drop.
 func TestExecuteCapsuleMatchesExecuteProgram(t *testing.T) {
 	ra := testRuntime(t)
 	rb := testRuntime(t)
+	ra.SetSpecialization(false)
 	installCacheGrant(t, ra, 1, 0, 1024)
 	installCacheGrant(t, rb, 1, 0, 1024)
 
@@ -172,6 +175,71 @@ func TestExecuteCapsuleZeroAlloc(t *testing.T) {
 				t.Fatal("telemetry enabled but the lane flight recorder saw no samples")
 			}
 		})
+	}
+}
+
+// hookLog records guard notifications in arrival order.
+type hookLog struct{ events []GuardEventKind }
+
+func (h *hookLog) MemFault(uint16, int, uint32, uint16, bool) {
+	h.events = append(h.events, GuardEventMemFault)
+}
+func (h *hookLog) RecircThrottled(uint16) { h.events = append(h.events, GuardEventRecircThrottled) }
+func (h *hookLog) RevokedDrop(uint16)     { h.events = append(h.events, GuardEventRevokedDrop) }
+
+// TestExecuteProgramDrainsPerCapsule pins what callers of the single-threaded
+// entry point rely on: when ExecuteProgram returns, the capsule's counters
+// are in the exported runtime and device fields, its guard events have been
+// delivered, and its outputs stay readable until the next call — all without
+// allocating, with telemetry off and on (where the lane-0 flight recorder
+// must see the capsules).
+func TestExecuteProgramDrainsPerCapsule(t *testing.T) {
+	for _, withTel := range []bool{false, true} {
+		r := testRuntime(t)
+		var reg *telemetry.Registry
+		if withTel {
+			reg = telemetry.NewRegistry()
+			r.AttachTelemetry(reg)
+		}
+		installCacheGrant(t, r, 1, 0, 1024)
+		hook := &hookLog{}
+		r.SetGuardHook(hook)
+		clean := progPacket(1, cacheQuery, [4]uint32{7, 9, 100, 0})
+		clean.Header.Flags |= packet.FlagPreload
+		faulty := progPacket(1, cacheQuery, [4]uint32{7, 9, 4000, 0})
+		faulty.Header.Flags |= packet.FlagPreload
+
+		outs := r.ExecuteProgram(clean)
+		if len(outs) != 1 || !outs[0].Executed || outs[0].Dropped {
+			t.Fatalf("clean capsule: %+v", outs)
+		}
+		if r.ProgramsRun != 1 || r.SpecializedRuns != 1 || r.Device().PacketsIn != 1 || r.Device().Stage(1).Registers.Reads != 1 {
+			t.Fatalf("counters not drained: programs %d specialized %d device packets %d stage-1 reads %d",
+				r.ProgramsRun, r.SpecializedRuns, r.Device().PacketsIn, r.Device().Stage(1).Registers.Reads)
+		}
+		outs = r.ExecuteProgram(faulty)
+		if len(outs) != 1 || !outs[0].Dropped || outs[0].Active.Header.Flags&packet.FlagFailed == 0 {
+			t.Fatalf("faulting capsule: %+v", outs)
+		}
+		if r.Faults != 1 || len(hook.events) != 1 || hook.events[0] != GuardEventMemFault {
+			t.Fatalf("fault not delivered before return: Faults %d, hook saw %v", r.Faults, hook.events)
+		}
+		if faulty.Header.Flags&packet.FlagFailed != 0 {
+			t.Fatal("refusal marked the caller's capsule instead of the output copy")
+		}
+
+		hook.events = make([]GuardEventKind, 0, 1024)
+		if avg := testing.AllocsPerRun(200, func() {
+			r.ExecuteProgram(clean)
+			r.ExecuteProgram(faulty)
+		}); avg != 0 {
+			t.Fatalf("telemetry=%v: ExecuteProgram allocates %.2f per clean+faulting pair, want 0", withTel, avg)
+		}
+		if withTel {
+			if fr := r.sink.FR; fr.Lane() != 0 || fr.Recorded() == 0 || len(reg.Snapshot().Flights) == 0 {
+				t.Fatalf("lane-0 flight recorder: lane %d, %d recorded", fr.Lane(), fr.Recorded())
+			}
+		}
 	}
 }
 

@@ -8,10 +8,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"activermt/internal/isa"
 	"activermt/internal/packet"
 	"activermt/internal/rmt"
-	"activermt/internal/telemetry"
 )
 
 // AccessGrant places one memory access of an admitted program: the logical
@@ -81,11 +79,16 @@ type Runtime struct {
 	specOff      atomic.Bool
 	planCompiles atomic.Uint64
 
-	// Telemetry wiring (nil when disabled; see telemetry.go). flight is
-	// the single-threaded path's capsule recorder; telLanes exposes the
-	// active Lanes instance to the queue-depth gauge.
+	// res and sink are the scratch state and accounting context of the
+	// single-threaded entry point (ExecuteProgram, see fastpath.go): drained
+	// after every capsule, so the exported counters below stay current
+	// between packets.
+	res  *ExecResult
+	sink *ExecSink
+
+	// Telemetry wiring (nil when disabled; see telemetry.go). telLanes
+	// exposes the active Lanes instance to the queue-depth gauge.
 	tel      *Telemetry
-	flight   *telemetry.FlightRecorder
 	telLanes atomic.Pointer[Lanes]
 
 	// Stats for the experiment harness.
@@ -128,7 +131,9 @@ func New(cfg rmt.Config) (*Runtime, error) {
 		epochs:      make(map[uint16]uint8),
 		revoked:     make(map[uint16]bool),
 		passLat:     dev.Config().PassLatency,
+		res:         NewExecResult(),
 	}
+	r.sink = r.NewExecSink() // no telemetry yet: AttachTelemetry gives it the lane-0 recorder
 	r.installActions(dev)
 	r.publish()
 	return r, nil
@@ -354,157 +359,6 @@ type Output struct {
 	Executed bool // false when the program was passed through unexecuted
 	Latency  time.Duration
 	Passes   int
-}
-
-// ExecuteProgram runs a decoded program packet through the pipeline and
-// returns the resulting output packets (primary first, then FORK clones).
-// Programs whose FID was never admitted pass through unexecuted, exactly as
-// a table miss would behave on the real switch. Programs whose FID was
-// revoked — or is quarantined during a reallocation (FlagMemSync excepted) —
-// hard-drop: a tenant stripped of its grant must not retain pipeline access,
-// and a deactivated tenant's packets must not leak around the snapshot.
-func (r *Runtime) ExecuteProgram(a *packet.Active) []*Output {
-	if a.Program == nil {
-		return []*Output{{Active: a, Latency: r.dev.Config().PassLatency}}
-	}
-	fid := a.Header.FID
-	memsync := a.Header.Flags&packet.FlagMemSync != 0
-	if r.Revoked(fid) {
-		r.RevokedDrops++
-		if t := r.tel; t != nil {
-			t.RevokedDrops.Inc()
-		}
-		r.flightRecord(true, telemetry.FlightEntry{FID: fid, Epoch: r.Epoch(fid), Verdict: telemetry.VerdictRevoked})
-		if r.guard != nil {
-			r.guard.RevokedDrop(fid)
-		}
-		return []*Output{r.hardDrop(a)}
-	}
-	if !r.Admitted(fid) {
-		r.Passthrough++
-		if t := r.tel; t != nil {
-			t.Passthrough.Inc()
-		}
-		r.flightRecord(false, telemetry.FlightEntry{FID: fid, Verdict: telemetry.VerdictPassthrough})
-		return []*Output{{Active: a, Latency: r.dev.Config().PassLatency}}
-	}
-	if r.Quarantined(fid) && !memsync {
-		r.QuarantineDrops++
-		if t := r.tel; t != nil {
-			t.QuarantineDrops.Inc()
-		}
-		r.flightRecord(true, telemetry.FlightEntry{FID: fid, Epoch: r.Epoch(fid), Verdict: telemetry.VerdictQuarantined})
-		return []*Output{r.hardDrop(a)}
-	}
-	if !r.RecircAllowed(fid, a.Program.Len()) {
-		// The recirculation fairness controller polices bandwidth
-		// inflation (Section 7.2): over-budget programs are dropped.
-		r.flightRecord(true, telemetry.FlightEntry{FID: fid, Epoch: r.Epoch(fid), Verdict: telemetry.VerdictThrottled})
-		if r.guard != nil {
-			r.guard.RecircThrottled(fid)
-		}
-		return []*Output{r.hardDrop(a)}
-	}
-	r.ProgramsRun++
-	if t := r.tel; t != nil {
-		t.ProgramsRun.Inc()
-	}
-
-	phv := &rmt.PHV{
-		FID:    a.Header.FID,
-		Data:   a.Args,
-		Instrs: append([]isa.Instruction(nil), a.Program.Instrs...),
-	}
-	if a.Header.Flags&packet.FlagPreload != 0 {
-		phv.MAR = a.Args[2]
-		phv.MBR = a.Args[0]
-	}
-	r.applyPrivilege(a.Header.FID, phv)
-	if tup, ok := packet.ParseFiveTuple(a.Payload); ok {
-		w := tup.Words()
-		copy(phv.TupleWords[:], w)
-	}
-
-	outs := r.dev.Exec(phv)
-	results := make([]*Output, 0, len(outs))
-	for _, p := range outs {
-		if p.Faulted {
-			r.Faults++
-			if t := r.tel; t != nil {
-				t.Faults.Inc()
-			}
-			if r.guard != nil {
-				r.guard.MemFault(fid, p.FaultStage, p.FaultAddr, p.FaultOwner, p.FaultOwned)
-			}
-		}
-		results = append(results, r.encodeOutput(a, p))
-	}
-	if r.flight != nil {
-		p := outs[0]
-		v := telemetry.VerdictExecuted
-		if p.Dropped {
-			v = telemetry.VerdictDropped
-		}
-		r.flightRecord(p.Faulted || p.Dropped, telemetry.FlightEntry{
-			FID: fid, Epoch: r.Epoch(fid), Verdict: v,
-			Stages: uint16(p.StagesRun), Passes: uint8(p.Passes),
-			Faulted: p.Faulted, Addr: p.MAR, FaultAddr: p.FaultAddr,
-		})
-	}
-	return results
-}
-
-// hardDrop builds the dropped-with-FlagFailed output for packets refused
-// before execution (revoked, quarantined, or recirc-throttled FIDs).
-func (r *Runtime) hardDrop(a *packet.Active) *Output {
-	out := &Output{Active: a, Dropped: true, Latency: r.dev.Config().PassLatency}
-	out.Active.Header.Flags |= packet.FlagFailed
-	return out
-}
-
-// encodeOutput rebuilds an active packet from a post-execution PHV,
-// shrinking executed instruction headers unless the program opted out
-// (Section 3.1's packet-shrinking optimization).
-func (r *Runtime) encodeOutput(in *packet.Active, p *rmt.PHV) *Output {
-	hdr := in.Header
-	hdr.Flags |= packet.FlagFromSwch
-	if p.Complete {
-		hdr.Flags |= packet.FlagDone
-	}
-	if p.ToSender {
-		hdr.Flags |= packet.FlagRTS
-	}
-	if p.Dropped {
-		hdr.Flags |= packet.FlagFailed
-	}
-
-	prog := &isa.Program{Name: in.Program.Name}
-	noShrink := in.Header.Flags&packet.FlagNoShrink != 0
-	for _, instr := range p.Instrs {
-		if instr.Executed && !noShrink {
-			continue
-		}
-		prog.Instrs = append(prog.Instrs, instr)
-	}
-
-	out := &packet.Active{
-		Header:  hdr,
-		Args:    p.Data,
-		Program: prog,
-		Payload: in.Payload,
-	}
-	out.Header.SetType(packet.TypeProgram)
-	return &Output{
-		Active:   out,
-		ToSender: p.ToSender,
-		DstSet:   p.DstSet,
-		Dst:      p.Dst,
-		Dropped:  p.Dropped,
-		IsClone:  p.IsClone,
-		Executed: true,
-		Latency:  p.Latency,
-		Passes:   p.Passes,
-	}
 }
 
 // RegionFor returns fid's installed region in a physical stage (for tests

@@ -55,6 +55,9 @@ type compiledPlan struct {
 	// after the admission checks), so this is the only per-FID admission
 	// flag the specialized entry still has to consult.
 	quarantined bool
+	// readsTuple notes a HASHDATA_5TUPLE in the image: only then does a
+	// packet's payload need parsing for its transport 5-tuple.
+	readsTuple bool
 	// preMarked notes that the wire image arrived with Executed bits already
 	// set on some headers, forcing the output encoder onto its filtering
 	// slow path to reproduce the interpreter's shrink exactly.
@@ -150,26 +153,10 @@ func (r *Runtime) buildPlan(cv *ctrlView, pv *rmt.PipeView, key planKey) *compil
 		instrs:      append([]isa.Instruction(nil), key.prog.Instrs...),
 		quarantined: cv.quarantined[key.fid],
 	}
-	mask := ^uint8(0)
-	if cv.hasPriv {
-		if m, ok := cv.privilege[key.fid]; ok {
-			mask = m
-		}
-	}
-	if mask&PrivForwarding == 0 {
-		for i := range cp.instrs {
-			switch cp.instrs[i].Op {
-			case isa.OpSetDst, isa.OpFork, isa.OpDrop:
-				cp.instrs[i].Op = isa.OpNop
-				cp.suppressed++
-			}
-		}
-	}
+	cp.suppressed = maskPrivileged(cv, key.fid, cp.instrs)
 	for i := range cp.instrs {
-		if cp.instrs[i].Executed {
-			cp.preMarked = true
-			break
-		}
+		cp.preMarked = cp.preMarked || cp.instrs[i].Executed
+		cp.readsTuple = cp.readsTuple || cp.instrs[i].Op == isa.OpHashdata5Tuple
 	}
 	cp.rp = r.dev.CompilePlan(key.fid, cp.instrs, pv)
 	r.planCompiles.Add(1)
@@ -181,76 +168,24 @@ func (r *Runtime) buildPlan(cv *ctrlView, pv *rmt.PipeView, key planKey) *compil
 
 // execSpecialized runs one admitted capsule through its compiled plan. The
 // caller has performed the admission checks; this mirrors the interpreter
-// tail of executeOne (PHV fill, execution, fault event, output encoding,
-// flight sampling) with the plan executor in place of ExecInto. The
+// tail of executeOne with the plan executor in place of ExecInto. The
 // instruction image never enters the PHV: the plan carries it, and the
-// encoder rebuilds the output body from the image plus the exit index.
+// output body is rebuilt from the image plus the exit index — the
+// interpreter marks exactly the first exit headers Executed, so the shrunk
+// body is the image's tail, one append of a slice instead of a
+// per-instruction filter loop.
 func (r *Runtime) execSpecialized(a *packet.Active, pl *compiledPlan, res *ExecResult, sink *ExecSink, cv *ctrlView, fid uint16) {
-	phv := res.phv
-	phv.Reset()
-	phv.FID = fid
-	phv.Data = a.Args
-	if a.Header.Flags&packet.FlagPreload != 0 {
-		phv.MAR = a.Args[2]
-		phv.MBR = a.Args[0]
-	}
-	if tup, ok := packet.ParseFiveTuple(a.Payload); ok {
-		phv.TupleWords = tup.WordsArray()
-	}
+	phv := res.fillPHV(a, fid, pl.readsTuple)
 	exit := r.dev.ExecPlan(pl.rp, phv, sink.Dev)
 	sink.Path.ProgramsRun++
 	sink.Path.Specialized++
 	sink.Path.PrivSuppressed += pl.suppressed
-	if phv.Faulted {
-		sink.Path.Faults++
-		sink.Events = append(sink.Events, GuardEvent{
-			Kind: GuardEventMemFault, FID: fid,
-			Stage: phv.FaultStage, Addr: phv.FaultAddr,
-			Owner: phv.FaultOwner, Owned: phv.FaultOwned,
-		})
-	}
+	noteFault(sink, fid, phv)
+
 	s := res.slot(0)
-	r.encodePlanOutput(a, phv, pl, exit, s)
-	res.addOutput(s)
-	if fr := sink.FR; fr != nil {
-		forced := phv.Faulted || phv.Dropped
-		if fr.ShouldSample() || forced {
-			v := telemetry.VerdictExecuted
-			if phv.Dropped {
-				v = telemetry.VerdictDropped
-			}
-			fr.Record(telemetry.FlightEntry{
-				FID: fid, Epoch: cv.epochs[fid], Verdict: v,
-				Stages: uint16(phv.StagesRun), Passes: uint8(phv.Passes),
-				Faulted: phv.Faulted, Addr: phv.MAR, FaultAddr: phv.FaultAddr,
-			})
-		}
-	}
-}
-
-// encodePlanOutput rebuilds the output capsule after a plan execution. The
-// plan path never copies the instruction image into the PHV, so the shrink
-// that encodeOutputInto derives from per-slot Executed flags is derived here
-// from the exit index instead: the interpreter marks exactly the first exit
-// headers, so the shrunk body is the image's tail — one append of a slice
-// instead of a per-instruction filter loop.
-func (r *Runtime) encodePlanOutput(in *packet.Active, p *rmt.PHV, pl *compiledPlan, exit int, s *outSlot) {
-	hdr := in.Header
-	hdr.Flags |= packet.FlagFromSwch
-	if p.Complete {
-		hdr.Flags |= packet.FlagDone
-	}
-	if p.ToSender {
-		hdr.Flags |= packet.FlagRTS
-	}
-	if p.Dropped {
-		hdr.Flags |= packet.FlagFailed
-	}
-
-	s.prog.Name = in.Program.Name
 	instrs := pl.instrs
 	switch {
-	case in.Header.Flags&packet.FlagNoShrink != 0:
+	case a.Header.Flags&packet.FlagNoShrink != 0:
 		// Keep every header, the traversed prefix marked Executed; marks
 		// pre-set on the wire image survive the copy, as they survive the
 		// interpreter's per-slot OR.
@@ -271,25 +206,9 @@ func (r *Runtime) encodePlanOutput(in *packet.Active, p *rmt.PHV, pl *compiledPl
 			s.prog.Instrs = append(s.prog.Instrs, instr)
 		}
 	}
-
-	s.act = packet.Active{
-		Header:  hdr,
-		Args:    p.Data,
-		Program: &s.prog,
-		Payload: in.Payload,
-	}
-	s.act.Header.SetType(packet.TypeProgram)
-	s.out = Output{
-		Active:   &s.act,
-		ToSender: p.ToSender,
-		DstSet:   p.DstSet,
-		Dst:      p.Dst,
-		Dropped:  p.Dropped,
-		IsClone:  p.IsClone,
-		Executed: true,
-		Latency:  p.Latency,
-		Passes:   p.Passes,
-	}
+	s.finish(a, phv)
+	res.addOutput(s)
+	sink.flightExecuted(cv, fid, phv)
 }
 
 // DefaultExecBatch is the batch size ExecuteBatch callers should use: large

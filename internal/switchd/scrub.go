@@ -1,5 +1,7 @@
 package switchd
 
+import "sort"
+
 // ScrubFID zeroes every register word inside fid's installed regions, stage
 // by stage, through the control plane. This is the reliable counterpart to
 // a data-plane wipe capsule: a capsule can be lost on a lossy or flapping
@@ -27,23 +29,33 @@ func (c *Controller) ScrubFID(fid uint16) (int, bool) {
 	return words, true
 }
 
-// ScrubWord zeroes the single word at addr in every installed region of fid
-// that contains it — a per-key eviction through the control plane. The
-// coherent cache uses it when a write's acknowledged commit provably
-// bypassed a replica (rerouted around it), so whatever that replica holds
-// for the key is unconfirmed: zeroing turns a possible stale hit into a
-// miss the server refills. Same liveness contract as ScrubFID.
+// ScrubWord evicts the bucket at addr from fid's installed regions — a
+// per-key eviction through the control plane. A bucket spans the access
+// stages diagonally: MEM_READ/MEM_WRITE advance MAR, so its i-th word sits at
+// addr+i in the i-th access stage (in pipeline order), and word addr of a
+// later stage belongs to a neighbouring bucket, which must keep its data. The
+// coherent cache uses it when a write's acknowledged commit provably bypassed
+// a replica (rerouted around it), so whatever that replica holds for the key
+// is unconfirmed: zeroing turns a possible stale hit into a miss the server
+// refills. Same liveness contract as ScrubFID.
 func (c *Controller) ScrubWord(fid uint16, addr uint32) (int, bool) {
 	if !c.alive {
 		return 0, false
 	}
+	regions := c.rt.InstalledRegions(fid)
+	stages := make([]int, 0, len(regions))
+	for s := range regions {
+		stages = append(stages, s)
+	}
+	sort.Ints(stages)
 	words := 0
 	dev := c.rt.Device()
-	for s, reg := range c.rt.InstalledRegions(fid) {
-		if addr < reg.Lo || addr >= reg.Hi {
+	for i, s := range stages {
+		w, reg := addr+uint32(i), regions[s]
+		if w < reg.Lo || w >= reg.Hi {
 			continue
 		}
-		if err := dev.Stage(s).Registers.Zero(addr, addr+1); err != nil {
+		if err := dev.Stage(s).Registers.Zero(w, w+1); err != nil {
 			continue
 		}
 		words++

@@ -18,7 +18,6 @@ import (
 
 // Switch is the netsim endpoint for the ActiveRMT switch data plane.
 type Switch struct {
-	eng   *netsim.Engine
 	rt    *runtime.Runtime
 	ctrl  *Controller
 	guard *guard.Guard
@@ -36,6 +35,13 @@ type Switch struct {
 	// switch behaves exactly as before.
 	relay bool
 
+	// Per-frame scratch of the program-capsule path: the decoded ingress
+	// capsule, the output frame being encoded, and the relay-restored
+	// capsule. Every output is encoded before Receive returns, so nothing
+	// outlives the frame that filled them.
+	inAct, restored packet.Active
+	outFrame        packet.Frame
+
 	// probeSink receives link-health probe replies (FlagProbe|FlagFromSwch
 	// control frames addressed to this switch) — the fabric health monitor
 	// registers one per leaf.
@@ -49,10 +55,9 @@ type Switch struct {
 }
 
 // NewSwitch builds a switch around a runtime. Attach the controller with
-// SetController and wire ports with AddPort.
-func NewSwitch(eng *netsim.Engine, rt *runtime.Runtime, mac packet.MAC) *Switch {
+// SetController and wire ports with AddPort (the ports carry the engine).
+func NewSwitch(rt *runtime.Runtime, mac packet.MAC) *Switch {
 	return &Switch{
-		eng:   eng,
 		rt:    rt,
 		mac:   mac,
 		cache: packet.NewProgCache(0),
@@ -132,28 +137,49 @@ func (s *Switch) SendProbe(pnum int, dst packet.MAC, token uint32) error {
 	return nil
 }
 
-// Receive implements netsim.Endpoint: the switch pipeline entry point.
+// Receive implements netsim.Endpoint: the switch pipeline entry point. The
+// frame is only read: a plain frame is forwarded as the received bytes, and
+// a program capsule is decoded into switch-owned scratch that aliases it.
 func (s *Switch) Receive(frame []byte, port *netsim.Port) {
 	s.FramesIn++
-	// Program capsules decode through the cache: one ISA decode + structural
-	// validation per program version, parse-once for the guard downstream.
-	f, err := packet.DecodeFrameCached(frame, s.cache)
+	eth, rest, err := packet.DecodeEth(frame)
 	if err != nil {
 		s.FramesDropped++
 		return
 	}
-	if f.Active == nil {
+	if eth.EtherType != packet.EtherTypeActive {
 		// Plain traffic: baseline L2 forwarding. A frame hairpinned back
 		// out its ingress port turns around after the ingress pipeline
 		// (half a pass) — the no-processing echo baseline of Figure 8b.
 		lat := s.rt.Device().Config().PassLatency
-		if pnum, ok := s.hosts[f.Eth.Dst]; ok && pnum == port.Num {
+		pnum, ok := s.route(eth.Dst)
+		if !ok {
+			return
+		}
+		if pnum == port.Num {
 			lat /= 2
 		}
-		s.forward(f, lat)
+		if p := s.egress(pnum); p != nil {
+			p.SendAfter(lat, frame)
+		}
 		return
 	}
-	switch f.Active.Header.Type() {
+	// Program capsules decode through the cache: one ISA decode + structural
+	// validation per program version, parse-once for the guard downstream.
+	a := &s.inAct
+	if err := packet.DecodeInto(rest, a, s.cache); err != nil {
+		s.FramesDropped++
+		return
+	}
+	if a.Header.Type() == packet.TypeProgram {
+		s.execute(eth, a, port)
+		return
+	}
+	// Control traffic is rare and its consumers (controller digests, the
+	// probe sink) retain the frame: it gets its own copy.
+	ca := *a
+	f := &packet.Frame{Eth: eth, Active: &ca, Inner: ca.Payload}
+	switch ca.Header.Type() {
 	case packet.TypeAllocReq, packet.TypeControl:
 		// Control traffic reaches the controller as a digest. In a fabric,
 		// only the switch a control frame addresses consumes it; a transit
@@ -187,8 +213,6 @@ func (s *Switch) Receive(frame []byte, port *netsim.Port) {
 		if s.ctrl != nil {
 			s.ctrl.Digest(f, port)
 		}
-	case packet.TypeProgram:
-		s.execute(f, port)
 	case packet.TypeAllocResp:
 		// Allocation responses originate at switches; a standalone switch
 		// drops one arriving on a port, but a fabric transit node carries
@@ -204,39 +228,38 @@ func (s *Switch) Receive(frame []byte, port *netsim.Port) {
 	}
 }
 
-func (s *Switch) execute(f *packet.Frame, in *netsim.Port) {
-	if s.guard != nil && !s.guard.CheckProgram(f.Active, in.Num) {
+// execute runs one program capsule (a, in switch scratch) through the guard
+// and the runtime and emits its outputs.
+func (s *Switch) execute(eth packet.EthHeader, a *packet.Active, in *netsim.Port) {
+	if s.guard != nil && !s.guard.CheckProgram(a, in.Num) {
 		s.FramesDropped++
 		s.GuardDropped++
 		return
 	}
-	outs := s.rt.ExecuteProgram(f.Active)
-	for _, out := range outs {
+	for _, out := range s.rt.ExecuteProgram(a) {
 		if out.Dropped {
 			s.FramesDropped++
 			continue
 		}
-		of := &packet.Frame{Eth: f.Eth, Active: out.Active, Inner: out.Active.Payload}
+		of := &s.outFrame
+		*of = packet.Frame{Eth: eth, Active: out.Active, Inner: out.Active.Payload}
 		lat := out.Latency
-		if s.relay && !out.ToSender && out.Active.Program != nil {
+		if s.relay && !out.ToSender && out.Active.Program != nil && out.Active != a {
 			// Fabric relay: a capsule forwarded onward re-executes from the
 			// top at the next on-path device — PHV state does not cross
 			// switches, so the executed prefix must ride along un-stripped.
 			// The original decoded program is immutable under execution, so
 			// reattaching it restores the capsule to its ingress form.
-			if out.Active != f.Active {
-				restored := *out.Active
-				restored.Program = f.Active.Program
-				restored.ValidState = f.Active.ValidState
-				of.Active = &restored
-				of.Inner = restored.Payload
-				s.RelayedPrograms++
-			}
+			s.restored = *out.Active
+			s.restored.Program = a.Program
+			s.restored.ValidState = a.ValidState
+			of.Active = &s.restored
+			s.RelayedPrograms++
 		}
 		switch {
 		case out.ToSender:
 			// RTS: swap addresses and return via the ingress port.
-			of.Eth.Dst, of.Eth.Src = f.Eth.Src, s.mac
+			of.Eth.Dst, of.Eth.Src = eth.Src, s.mac
 			s.FramesReturned++
 			s.sendOut(in.Num, of, lat)
 		case out.DstSet:
@@ -248,23 +271,40 @@ func (s *Switch) execute(f *packet.Frame, in *netsim.Port) {
 	}
 }
 
-// forward sends a frame toward its destination MAC after the pipeline
-// latency.
-func (s *Switch) forward(f *packet.Frame, latency time.Duration) {
-	pnum, ok := s.hosts[f.Eth.Dst]
+// route resolves the egress port number for a destination MAC, counting the
+// frame as forwarded, or as dropped when the MAC is unknown.
+func (s *Switch) route(dst packet.MAC) (int, bool) {
+	pnum, ok := s.hosts[dst]
 	if !ok {
 		s.UnknownMAC++
 		s.FramesDropped++
-		return
+		return 0, false
 	}
 	s.FramesForwarded++
-	s.sendOut(pnum, f, latency)
+	return pnum, true
 }
 
-func (s *Switch) sendOut(pnum int, f *packet.Frame, latency time.Duration) {
+// egress returns a registered port, counting a drop when there is none.
+func (s *Switch) egress(pnum int) *netsim.Port {
 	p, ok := s.ports[pnum]
 	if !ok {
 		s.FramesDropped++
+		return nil
+	}
+	return p
+}
+
+// forward sends a frame toward its destination MAC after the pipeline
+// latency.
+func (s *Switch) forward(f *packet.Frame, latency time.Duration) {
+	if pnum, ok := s.route(f.Eth.Dst); ok {
+		s.sendOut(pnum, f, latency)
+	}
+}
+
+func (s *Switch) sendOut(pnum int, f *packet.Frame, latency time.Duration) {
+	p := s.egress(pnum)
+	if p == nil {
 		return
 	}
 	raw, err := packet.EncodeFrame(f)
@@ -272,7 +312,7 @@ func (s *Switch) sendOut(pnum int, f *packet.Frame, latency time.Duration) {
 		s.FramesDropped++
 		return
 	}
-	s.eng.Schedule(latency, func() { p.Send(raw) })
+	p.SendAfter(latency, raw)
 }
 
 // SendToHost lets the controller emit a frame toward a host MAC (allocation

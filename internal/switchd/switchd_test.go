@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"activermt/internal/alloc"
+	"activermt/internal/guard"
 	"activermt/internal/isa"
 	"activermt/internal/netsim"
 	"activermt/internal/packet"
@@ -66,7 +67,7 @@ func newRig(t *testing.T) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := NewSwitch(eng, rt, packet.MAC{0xFF})
+	sw := NewSwitch(rt, packet.MAC{0xFF})
 	ctrl := NewController(eng, sw, al, DefaultCosts())
 
 	r := &rig{eng: eng, sw: sw, ctrl: ctrl}
@@ -363,5 +364,110 @@ func TestDefaultCostsShape(t *testing.T) {
 	// counts (Figure 8a's finding).
 	if c.TableOp*100 < c.ComputeBase {
 		t.Error("table updates cannot dominate")
+	}
+}
+
+// TestScrubWordEvictsOneBucket pins the bucket geometry ScrubWord relies on:
+// the bucket at addr is word addr+i of the i-th access stage. Word addr of
+// the later stages belongs to the buckets below — scrubbing it (as ScrubWord
+// once did) wipes a neighbour's value while its key words keep matching.
+func TestScrubWordEvictsOneBucket(t *testing.T) {
+	r := newRig(t)
+	rt := r.sw.Runtime()
+	const fid, lo, hi, addr = 7, 100, 200, 150
+	stages := []int{2, 5, 8}
+	g := runtime.Grant{FID: fid}
+	for _, s := range stages {
+		g.Accesses = append(g.Accesses, runtime.AccessGrant{Logical: s, Lo: lo, Hi: hi})
+	}
+	if _, err := rt.InstallGrant(g); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range stages {
+		for w := uint32(lo); w < hi; w++ {
+			rt.Device().Stage(s).Registers.Write(w, 0xC0DE)
+		}
+	}
+	n, ok := r.ctrl.ScrubWord(fid, addr)
+	if !ok || n != len(stages) {
+		t.Fatalf("ScrubWord = (%d, %v), want (%d, true)", n, ok, len(stages))
+	}
+	for i, s := range stages {
+		for w := uint32(lo); w < hi; w++ {
+			want := uint32(0xC0DE)
+			if w == addr+uint32(i) {
+				want = 0
+			}
+			if got := rt.Device().Stage(s).Registers.Read(w); got != want {
+				t.Errorf("stage %d word %d = %#x, want %#x", s, w, got, want)
+			}
+		}
+	}
+}
+
+type discard struct{}
+
+func (discard) Receive([]byte, *netsim.Port) {}
+
+// TestSwitchReceiveAllocs gates the traversal the system path runs: a program
+// capsule through Receive (cached decode, guard, compiled plan, output
+// encode) and the two steps that put it on the wire and deliver it allocate
+// only the wire buffer; a plain L2 frame is forwarded as received and
+// allocates nothing.
+func TestSwitchReceiveAllocs(t *testing.T) {
+	r := newRig(t)
+	r.sw.SetGuard(guard.New(r.sw.Runtime(), guard.DefaultPolicy(), r.eng.Now))
+	r.a.send(t, allocRequest(5, 2), r.sw.MAC())
+	r.eng.Run()
+	rt := r.sw.Runtime()
+	grant, ok := rt.RegionFor(5, 2)
+	if !ok {
+		t.Fatal("no region installed")
+	}
+	// Re-home both links on endpoints that do not decode what they receive.
+	var in *netsim.Port
+	for i, h := range []*host{r.a, r.b} {
+		swp, _ := netsim.Connect(r.eng, r.sw, i+1, discard{}, 0, time.Microsecond, 0)
+		r.sw.AddPort(swp, h.mac)
+		if h == r.a {
+			in = swp
+		}
+	}
+	encode := func(a *packet.Active, ethType uint16) []byte {
+		f := &packet.Frame{Eth: packet.EthHeader{Dst: r.b.mac, Src: r.a.mac, EtherType: ethType}, Active: a, Inner: []byte("payload")}
+		raw, err := packet.EncodeFrame(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	a := &packet.Active{
+		Header:  packet.ActiveHeader{FID: 5, Opaque: uint32(rt.Epoch(5))},
+		Args:    [4]uint32{0xFEED, 0, grant.Lo, 0},
+		Program: isa.MustAssemble("w", "MBR_LOAD 0\nMAR_LOAD 2\nMEM_WRITE\nRTS\nRETURN"),
+	}
+	a.Header.SetType(packet.TypeProgram)
+	capsule, plain := encode(a, packet.EtherTypeActive), encode(nil, packet.EtherTypeIPv4)
+
+	traverse := func(raw []byte) func() {
+		return func() {
+			r.sw.Receive(raw, in)
+			r.eng.Run()
+		}
+	}
+	returned := r.sw.FramesReturned
+	if n := testing.AllocsPerRun(200, traverse(capsule)); n > 1 {
+		t.Errorf("program capsule: %v allocs per traversal, want <= 1 (the wire buffer)", n)
+	}
+	if r.sw.FramesReturned == returned || rt.SpecializedRuns == 0 || r.sw.GuardDropped != 0 {
+		t.Fatalf("capsule did not take the measured path: returned %d -> %d, specialized %d, guard-dropped %d",
+			returned, r.sw.FramesReturned, rt.SpecializedRuns, r.sw.GuardDropped)
+	}
+	forwarded := r.sw.FramesForwarded
+	if n := testing.AllocsPerRun(200, traverse(plain)); n != 0 {
+		t.Errorf("plain L2 frame: %v allocs per traversal, want 0", n)
+	}
+	if r.sw.FramesForwarded == forwarded {
+		t.Fatal("plain frame was not forwarded")
 	}
 }

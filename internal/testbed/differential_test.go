@@ -1,0 +1,262 @@
+package testbed
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"activermt/internal/apps"
+	"activermt/internal/client"
+	"activermt/internal/fabric"
+	"activermt/internal/guard"
+	"activermt/internal/netsim"
+	"activermt/internal/packet"
+	"activermt/internal/switchd"
+)
+
+// The whole-system differential: the same seeded request stream through a
+// complete system — clients, links, switches, guard, controller — once with
+// compiled plans and once with SetSpecialization(false) forcing the
+// interpreter. Everything an observer outside the runtime can see must be
+// identical: the bytes and arrival time of every frame at every host port,
+// the final virtual clock, and every switch, runtime, device and guard
+// counter except SpecializedRuns itself.
+
+// wire sits between a link and a host and records what the host receives.
+type wire struct {
+	host netsim.Endpoint
+	eng  *netsim.Engine
+	log  bytes.Buffer
+}
+
+func (w *wire) Receive(frame []byte, p *netsim.Port) {
+	fmt.Fprintf(&w.log, "%d %x\n", w.eng.Now(), frame)
+	w.host.Receive(frame, p)
+}
+
+// observed is what one run leaves behind for comparison.
+type observed struct {
+	wires       []*wire // in attach order
+	clock       time.Duration
+	counters    string
+	specialized uint64
+}
+
+// counterLine renders every counter of one switch and what sits under it,
+// SpecializedRuns excepted.
+func counterLine(sw *switchd.Switch, g *guard.Guard) string {
+	rt := sw.Runtime()
+	d := rt.Device()
+	s := fmt.Sprintln("switch", sw.FramesIn, sw.FramesForwarded, sw.FramesReturned, sw.FramesDropped,
+		sw.UnknownMAC, sw.GuardDropped, sw.ControlTransit, sw.RelayedPrograms, sw.ProbesEchoed, sw.ProbeReplies,
+		"runtime", rt.ProgramsRun, rt.Passthrough, rt.Faults, rt.RecircThrottled, rt.PrivSuppressed,
+		rt.QuarantineDrops, rt.RevokedDrops, rt.TableOps,
+		"device", d.PacketsIn, d.PacketsDropped, d.Recirculations)
+	for i := 0; i < d.NumStages(); i++ {
+		st := d.Stage(i)
+		s += fmt.Sprintln("stage", i, st.Executed, st.Registers.Reads, st.Registers.Writes, st.Registers.Faults)
+	}
+	if g != nil {
+		s += fmt.Sprintln("guard", g.Checked(), g.DroppedAtIngress(), g.TenantViolations(), g.PortViolations(), g.RevokedDrops())
+	}
+	return s
+}
+
+func compareRuns(t *testing.T, on, off observed) {
+	t.Helper()
+	if on.specialized == 0 || off.specialized != 0 {
+		t.Fatalf("SpecializedRuns on/off = %d/%d: the two runs did not use different engines", on.specialized, off.specialized)
+	}
+	if on.clock != off.clock {
+		t.Errorf("virtual clock: %v specialized, %v interpreted", on.clock, off.clock)
+	}
+	if on.counters != off.counters {
+		t.Errorf("counters differ:\n-- specialized\n%s-- interpreted\n%s", on.counters, off.counters)
+	}
+	for i := range on.wires {
+		if a, b := on.wires[i].log.Bytes(), off.wires[i].log.Bytes(); !bytes.Equal(a, b) {
+			t.Errorf("host %d: egress frame sequence differs (%d vs %d bytes of log)", i, len(a), len(b))
+		}
+	}
+}
+
+// runTestbedStream drives four cache tenants on the single-switch testbed:
+// populates (the writes), GETs that hit and miss, a tenant arriving
+// mid-stream so a resident one is deactivated, reallocated and repopulated
+// under traffic, and capsules that fault outside their region.
+func runTestbedStream(t *testing.T, specialize bool) observed {
+	t.Helper()
+	tb := newBed(t)
+	tb.RT.SetSpecialization(specialize)
+	var obs observed
+	attach := func(ep netsim.Endpoint, mac packet.MAC) *netsim.Port {
+		w := &wire{host: ep, eng: tb.Eng}
+		obs.wires = append(obs.wires, w)
+		_, p := tb.Attach(w, mac)
+		return p
+	}
+	srv := apps.NewKVServer(tb.Eng, MACFor(200), IPFor(999))
+	srv.Attach(attach(srv, srv.MAC()))
+
+	const keys = 256
+	objs := make([]apps.KVMsg, keys)
+	for i := range objs {
+		objs[i] = apps.KVMsg{Key0: uint32(i + 1), Key1: uint32(i*7 + 3), Value: uint32(1000 + i)}
+		srv.Store[apps.KeyOf(objs[i].Key0, objs[i].Key1)] = objs[i].Value
+	}
+	addTenant := func(fid uint16) (*apps.Cache, *client.Client) {
+		_, mac, ip := tb.NewHostID()
+		c := apps.NewCache(srv.MAC(), ip, IPFor(999))
+		cl := client.New(tb.Eng, fid, mac, tb.Switch.MAC(), apps.CacheService(c))
+		cl.Pipeline = client.Pipeline{NumStages: tb.cfg.RMT.NumStages, NumIngress: tb.cfg.RMT.NumIngress, MaxPasses: tb.cfg.Alloc.MaxPasses}
+		cl.Attach(attach(cl, mac))
+		c.Bind(cl)
+		c.SetHotObjects(objs[:64]) // the rest miss through to the server
+		return c, cl
+	}
+	// Three caches fill the stages disjointly; the fourth, arriving under
+	// traffic, shares with the first, which is reallocated (Figure 9b).
+	const tenants = 4
+	caches := make([]*apps.Cache, tenants)
+	clients := make([]*client.Client, tenants)
+	for i := range caches {
+		caches[i], clients[i] = addTenant(uint16(i + 1))
+	}
+	for i := 0; i < tenants-1; i++ {
+		if err := clients[i].RequestAllocation(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.WaitOperational(clients[i], 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		caches[i].Populate()
+	}
+	tb.RunFor(10 * time.Millisecond)
+
+	rng := rand.New(rand.NewSource(7))
+	for op := 0; op < 4000; op++ {
+		if op == 1000 {
+			// Not waited for: GETs keep arriving through tenant 1's
+			// deactivation, the table update and the epoch change.
+			if err := clients[tenants-1].RequestAllocation(); err != nil {
+				t.Fatal(err)
+			}
+			caches[tenants-1].Populate() // deferred until the grant arrives
+		}
+		i := rng.Intn(tenants)
+		o := objs[rng.Intn(keys)]
+		switch {
+		case op%500 == 499:
+			// An address beyond any region: protection fault, guard event.
+			_ = clients[i].SendProgram("main", [4]uint32{o.Key0, o.Key1, 1 << 30, 0}, 0, nil, srv.MAC())
+		case op%700 == 699:
+			caches[i].Populate()
+		default:
+			caches[i].Get(o.Key0, o.Key1)
+		}
+		if op%8 == 7 {
+			tb.RunFor(time.Millisecond)
+		}
+	}
+	tb.RunFor(time.Second)
+	reallocated := 0
+	for _, rec := range tb.Ctrl.Records {
+		reallocated += rec.Reallocated
+	}
+	if caches[0].Hits == 0 || caches[0].Misses == 0 || caches[tenants-1].Hits == 0 || tb.RT.Faults == 0 || reallocated == 0 {
+		t.Fatalf("stream too tame: hits %d/%d misses %d faults %d reallocated %d",
+			caches[0].Hits, caches[tenants-1].Hits, caches[0].Misses, tb.RT.Faults, reallocated)
+	}
+	obs.clock = tb.Eng.Now()
+	obs.counters = counterLine(tb.Switch, tb.Guard)
+	obs.specialized = tb.RT.SpecializedRuns
+	return obs
+}
+
+func TestDifferentialTestbed(t *testing.T) {
+	compareRuns(t, runTestbedStream(t, true), runTestbedStream(t, false))
+}
+
+// runFabricStream drives a coherent cache replicated on both leaves of a 2x1
+// fabric with a 90/10 GET/PUT mix from both leaves: leaf hits, relays to the
+// home spine, two-phase writes, invalidations and fills.
+func runFabricStream(t *testing.T, specialize bool) observed {
+	t.Helper()
+	cfg := fabric.DefaultConfig(2, 1)
+	f, err := fabric.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range f.Nodes() {
+		n.RT.SetSpecialization(specialize)
+	}
+	var obs observed
+	tap := func(ep netsim.Endpoint) *wire {
+		w := &wire{host: ep, eng: f.Eng}
+		obs.wires = append(obs.wires, w)
+		return w
+	}
+	fc := fabric.NewController(f)
+	mac, ip := f.NewHostID()
+	srv := apps.NewKVServer(f.Eng, mac, ip)
+	sp, err := f.AttachHost(1, tap(srv), mac)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Attach(sp)
+	cc, err := fabric.NewCoherentCache(fc, 9, []int{0, 1}, mac, ip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The cache attached its own frontends: re-home each one's link on a
+	// recording wire, port number and link parameters as built.
+	for _, m := range cc.Set().Members {
+		leaf := f.Leaves[m.Leaf]
+		swPort, hostPort := netsim.Connect(f.Eng, leaf.Switch, m.Client.Port().Peer().Num, tap(m.Client), 0, cfg.HostLinkDelay, cfg.LinkBW)
+		leaf.Switch.AddPort(swPort, m.Client.MAC())
+		m.Client.Attach(hostPort)
+	}
+
+	const keys = 256
+	objs := make([]apps.KVMsg, keys)
+	for i := range objs {
+		objs[i] = apps.KVMsg{Key0: uint32(i + 1), Key1: uint32(i*7 + 3), Value: uint32(1000 + i)}
+		srv.Store[apps.KeyOf(objs[i].Key0, objs[i].Key1)] = objs[i].Value
+	}
+	if err := cc.Warm(0, objs); err != nil {
+		t.Fatal(err)
+	}
+	f.RunFor(50 * time.Millisecond)
+
+	rng := rand.New(rand.NewSource(7))
+	for op := 0; op < 3000; op++ {
+		leaf, o := rng.Intn(2), objs[rng.Intn(keys)]
+		if rng.Intn(10) == 0 {
+			_, err = cc.Put(leaf, o.Key0, o.Key1, uint32(5000+op))
+		} else {
+			_, err = cc.Get(leaf, o.Key0, o.Key1)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if op%8 == 7 {
+			f.RunFor(200 * time.Microsecond)
+		}
+	}
+	f.RunFor(time.Second)
+	if cc.Hits == 0 || cc.Misses == 0 || cc.WriteAcks == 0 || cc.Fills == 0 {
+		t.Fatalf("stream too tame: hits %d misses %d write acks %d fills %d", cc.Hits, cc.Misses, cc.WriteAcks, cc.Fills)
+	}
+	obs.clock = f.Eng.Now()
+	for _, n := range f.Nodes() {
+		obs.counters += n.Name + " " + counterLine(n.Switch, n.Guard)
+		obs.specialized += n.RT.SpecializedRuns
+	}
+	return obs
+}
+
+func TestDifferentialFabric(t *testing.T) {
+	compareRuns(t, runFabricStream(t, true), runFabricStream(t, false))
+}

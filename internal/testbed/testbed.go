@@ -75,7 +75,7 @@ func New(cfg Config) (*Testbed, error) {
 	if err != nil {
 		return nil, err
 	}
-	sw := switchd.NewSwitch(eng, rt, MACFor(0))
+	sw := switchd.NewSwitch(rt, MACFor(0))
 	ctrl := switchd.NewController(eng, sw, al, cfg.Costs)
 	tb := &Testbed{Eng: eng, RT: rt, Switch: sw, Ctrl: ctrl, cfg: cfg, nextPort: 1, nextHost: 1}
 	if !cfg.NoGuard {
