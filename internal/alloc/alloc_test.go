@@ -123,11 +123,11 @@ func TestComputeBoundsInfeasible(t *testing.T) {
 func TestConstraintsValidate(t *testing.T) {
 	bad := []*Constraints{
 		{ProgLen: 0, Accesses: []Access{{Index: 0}}},
-		{ProgLen: 5, Accesses: []Access{{Index: 2}, {Index: 1}}},   // out of order
-		{ProgLen: 5, Accesses: []Access{{Index: 7}}},               // beyond program
+		{ProgLen: 5, Accesses: []Access{{Index: 2}, {Index: 1}}}, // out of order
+		{ProgLen: 5, Accesses: []Access{{Index: 7}}},             // beyond program
 		{ProgLen: 5, IngressIdx: 9, Accesses: []Access{{Index: 1}}},
 		{ProgLen: 5, Accesses: []Access{{Index: 1, Demand: -1}}},
-		{ProgLen: 20, Accesses: make([]Access, 9)},                 // too many slots
+		{ProgLen: 20, Accesses: make([]Access, 9)}, // too many slots
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -244,7 +244,6 @@ func (s *rawSink) Receive(frame []byte, p *netsim.Port) {
 	}
 }
 
-
 func TestMemSyncServiceShape(t *testing.T) {
 	svc := MemSyncService(0)
 	if !svc.Elastic {

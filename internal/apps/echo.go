@@ -55,4 +55,3 @@ func (s *EchoServer) Receive(frame []byte, port *netsim.Port) {
 	s.Echoed++
 	s.port.Send(raw)
 }
-

@@ -58,7 +58,7 @@ type MemSync struct {
 	// RetransmitAfter is the idempotent-retry timeout (virtual time).
 	RetransmitAfter time.Duration
 
-	pending map[uint32]*memOp // keyed by address
+	pending                map[uint32]*memOp // keyed by address
 	Reads, Writes, Retries uint64
 }
 
@@ -161,4 +161,3 @@ func (m *MemSync) handle(cl *client.Client, f *packet.Frame) {
 
 // Outstanding returns the number of unacknowledged operations.
 func (m *MemSync) Outstanding() int { return len(m.pending) }
-

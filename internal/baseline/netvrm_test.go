@@ -6,7 +6,7 @@ import (
 )
 
 func TestNetVRMAllocBasics(t *testing.T) {
-	a := NewNetVRM(368) // usable 184, max page 128
+	a := NewNetVRM(368)       // usable 184, max page 128
 	off, err := a.Alloc(1, 3) // rounds to 4
 	if err != nil {
 		t.Fatal(err)

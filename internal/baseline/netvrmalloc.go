@@ -21,8 +21,8 @@ import (
 //
 // A buddy allocator over the (halved) per-stage pool captures all three.
 type NetVRMAllocator struct {
-	blocks  int // usable blocks per stage (already halved)
-	maxPage int // largest page (power of two)
+	blocks  int           // usable blocks per stage (already halved)
+	maxPage int           // largest page (power of two)
 	free    map[int][]int // page size -> list of offsets
 	apps    map[uint16]netvrmApp
 }

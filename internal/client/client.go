@@ -167,6 +167,18 @@ type Client struct {
 	placement *alloc.Placement
 	progs     map[string]*isa.Program // synthesized per current placement
 
+	// cons is the constraints of the latest allocation request (derived on
+	// first use by a client that never asked), mutants the shared mutant
+	// enumeration per policy bit: every grant and reallocation notice is
+	// read against them, and neither depends on the grant. A service's
+	// demands may change between requests, its templates — all the
+	// enumeration depends on — do not. Pipeline is assigned after New, so
+	// the enumeration remembers the value it was made under (mutantsFor)
+	// and is redone when that changes.
+	cons       *alloc.Constraints
+	mutants    [2][]alloc.Mutant
+	mutantsFor Pipeline
+
 	// grantEpoch is the switch-issued epoch of the current grant, echoed on
 	// every program capsule so the guard can authenticate the FID claim.
 	// pendingEpoch holds the epoch a reallocation notice announced; it
@@ -258,6 +270,7 @@ func (c *Client) RequestAllocation() error {
 	if err != nil {
 		return err
 	}
+	c.cons = cons
 	req, err := cons.ToRequest()
 	if err != nil {
 		return err
@@ -456,7 +469,7 @@ func (c *Client) deliver(f *packet.Frame) {
 // using the shared mutant enumeration (Section 3.3: the response names the
 // mutant by index; grants are per physical stage).
 func (c *Client) placementFromResponse(resp *packet.AllocResponse) (*alloc.Placement, error) {
-	cons, err := c.svc.Constraints()
+	cons, err := c.constraints()
 	if err != nil {
 		return nil, err
 	}
@@ -486,22 +499,42 @@ func (c *Client) placementFromResponse(resp *packet.AllocResponse) (*alloc.Place
 	return pl, nil
 }
 
-// mutantByIndex re-enumerates the feasibility region exactly as the switch
-// does and picks the named mutant. The response's index encodes the policy
-// in its top bit (PolicyBitLC), so both sides enumerate the same order.
+// constraints returns the constraints the current grant answers.
+func (c *Client) constraints() (*alloc.Constraints, error) {
+	if c.cons == nil {
+		cons, err := c.svc.Constraints()
+		if err != nil {
+			return nil, err
+		}
+		c.cons = cons
+	}
+	return c.cons, nil
+}
+
+// mutantByIndex enumerates the feasibility region exactly as the switch
+// does (once per policy and pipeline shape) and picks the named mutant. The
+// response's index encodes the policy in its top bit (PolicyBitLC), so both
+// sides enumerate the same order. Placements share the returned mutant:
+// nothing writes to one.
 func (c *Client) mutantByIndex(cons *alloc.Constraints, idx int) (alloc.Mutant, error) {
-	pol := alloc.MostConstrained
+	pol, memo := alloc.MostConstrained, &c.mutants[0]
 	if uint32(idx)&PolicyBitLC != 0 {
-		pol = alloc.LeastConstrained
+		pol, memo = alloc.LeastConstrained, &c.mutants[1]
 	}
 	// Strip the policy bit and the grant-epoch bits: only the low bits name
 	// the mutant in the shared enumeration order.
 	idx = int(uint32(idx) & packet.MutantIndexMask)
-	b, err := alloc.ComputeBounds(cons, pol, c.Pipeline.NumStages, c.Pipeline.NumIngress, c.Pipeline.MaxPasses)
-	if err != nil {
-		return nil, err
+	if c.mutantsFor != c.Pipeline {
+		c.mutants, c.mutantsFor = [2][]alloc.Mutant{}, c.Pipeline
 	}
-	ms := alloc.EnumerateMutants(b, c.Pipeline.NumStages)
+	if *memo == nil {
+		b, err := alloc.ComputeBounds(cons, pol, c.Pipeline.NumStages, c.Pipeline.NumIngress, c.Pipeline.MaxPasses)
+		if err != nil {
+			return nil, err
+		}
+		*memo = alloc.EnumerateMutants(b, c.Pipeline.NumStages)
+	}
+	ms := *memo
 	if idx >= len(ms) {
 		return nil, fmt.Errorf("client: mutant index %d out of range (%d mutants)", idx, len(ms))
 	}

@@ -589,3 +589,60 @@ func TestReallocTimeoutEscapesStuckWindow(t *testing.T) {
 		t.Fatalf("requests = %d, want re-request after escape", reqs)
 	}
 }
+
+// TestGrantMemoFollowsPipelineAndRequest: the mutant list is enumerated once
+// per (policy bit, Pipeline value) — Pipeline is assigned after New, so a
+// changed value must be re-enumerated, never answered from the old list —
+// and the constraints are re-derived on every request, because a service's
+// demands may change between two requests (fabric placement halves them).
+func TestGrantMemoFollowsPipelineAndRequest(t *testing.T) {
+	svc := cacheService()
+	cl, cap, eng := newTestClient(t, svc)
+	for _, pipe := range []Pipeline{DefaultPipeline(), {NumStages: 20, NumIngress: 12, MaxPasses: 2}, DefaultPipeline()} {
+		cl.Pipeline = pipe
+		for _, policyBit := range []uint32{0, PolicyBitLC, 0} {
+			pol := alloc.MostConstrained
+			if policyBit != 0 {
+				pol = alloc.LeastConstrained
+			}
+			cons, err := svc.Constraints()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := alloc.ComputeBounds(cons, pol, pipe.NumStages, pipe.NumIngress, pipe.MaxPasses)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms := alloc.EnumerateMutants(b, pipe.NumStages)
+			idx := len(ms) - 1 // the end of the list is where the shapes differ
+			want := ms[idx]
+			resp := &packet.AllocResponse{MutantIndex: uint32(idx) | policyBit}
+			for _, logical := range want {
+				resp.Grants[logical%pipe.NumStages] = packet.StageGrant{Start: 0, End: 256}
+			}
+			pl, err := cl.placementFromResponse(resp)
+			if err != nil {
+				t.Fatalf("pipeline %+v policy bit %#x: %v", pipe, policyBit, err)
+			}
+			for i := range want {
+				if pl.Mutant[i] != want[i] || pl.Accesses[i].Logical != want[i] {
+					t.Fatalf("pipeline %+v policy bit %#x: mutant %v, want %v", pipe, policyBit, pl.Mutant, want)
+				}
+			}
+		}
+	}
+
+	for _, demand := range []int{8, 4} {
+		for i := range svc.Specs {
+			svc.Specs[i].Demand = demand
+		}
+		if err := cl.RequestAllocation(); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		req := cap.frames[len(cap.frames)-1].Active.AllocReq
+		if int(req.Accesses[0].Demand) != demand {
+			t.Errorf("request carries demand %d, want %d", req.Accesses[0].Demand, demand)
+		}
+	}
+}

@@ -28,8 +28,8 @@ type RunConfig struct {
 type Result struct {
 	ID      string
 	Title   string
-	CSV     string            // the figure's data series
-	Notes   []string          // shape observations (capacities, convergence)
+	CSV     string             // the figure's data series
+	Notes   []string           // shape observations (capacities, convergence)
 	Metrics map[string]float64 // headline numbers for EXPERIMENTS.md
 }
 

@@ -35,13 +35,13 @@ func init() {
 // caseStudyClient drives Zipf GET traffic through whatever service is
 // currently installed, recording per-bin hit rates.
 type caseStudyClient struct {
-	tb     *testbed.Testbed
-	cache  *apps.Cache
-	hh     *apps.HeavyHitter
+	tb            *testbed.Testbed
+	cache         *apps.Cache
+	hh            *apps.HeavyHitter
 	cacheCl, hhCl *client.Client
-	zipf   *workload.Zipf
-	keys   [][2]uint32
-	values map[uint64]uint32
+	zipf          *workload.Zipf
+	keys          [][2]uint32
+	values        map[uint64]uint32
 
 	reqInterval time.Duration
 	hits        *stats.Series

@@ -2,7 +2,6 @@ package guard
 
 import (
 	"fmt"
-	"sort"
 
 	"activermt/internal/runtime"
 )
@@ -90,21 +89,13 @@ func AuditRuntime(rt *runtime.Runtime) []Finding {
 				}
 			}
 		}
-		xl := st.TranslateEntries()
-		fids := make([]int, 0, len(xl))
-		for fid := range xl {
-			fids = append(fids, int(fid))
-		}
-		sort.Ints(fids) // deterministic finding order
-		for _, f := range fids {
-			fid := uint16(f)
-			tr := xl[fid]
-			if translateContained(rt, fid, tr.Offset, tr.Offset+tr.Mask) {
+		for _, tr := range st.TranslateEntries() { // sorted by FID: deterministic finding order
+			if translateContained(rt, tr.FID, tr.Offset, tr.Offset+tr.Mask) {
 				continue
 			}
 			out = append(out, Finding{
-				Kind: FindingTranslateEscape, Stage: s, FID: fid,
-				Detail: fmt.Sprintf("window [%d,%d] outside every region of fid %d", tr.Offset, tr.Offset+tr.Mask, fid),
+				Kind: FindingTranslateEscape, Stage: s, FID: tr.FID,
+				Detail: fmt.Sprintf("window [%d,%d] outside every region of fid %d", tr.Offset, tr.Offset+tr.Mask, tr.FID),
 			})
 		}
 	}

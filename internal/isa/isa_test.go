@@ -100,10 +100,10 @@ func TestInstructionValidate(t *testing.T) {
 	}{
 		{Instruction{Op: OpNop}, true},
 		{Instruction{Op: OpCJump, Operand: 1}, true},
-		{Instruction{Op: OpCJump}, false},             // branch without label
-		{Instruction{Op: OpNop, Operand: 16}, false},  // operand overflow
-		{Instruction{Op: OpNop, Label: 8}, false},     // label overflow
-		{Instruction{Op: Opcode(0xEE)}, false},        // invalid opcode
+		{Instruction{Op: OpCJump}, false},            // branch without label
+		{Instruction{Op: OpNop, Operand: 16}, false}, // operand overflow
+		{Instruction{Op: OpNop, Label: 8}, false},    // label overflow
+		{Instruction{Op: Opcode(0xEE)}, false},       // invalid opcode
 		{Instruction{Op: OpMbrLoad, Operand: 3}, true},
 	}
 	for i, c := range cases {
@@ -185,16 +185,16 @@ L1: RETURN
 
 func TestAssembleErrors(t *testing.T) {
 	bad := map[string]string{
-		"unknown mnemonic":  "FROBNICATE",
-		"undefined label":   "CJUMP L2\nRETURN",
-		"backward branch":   "L1: NOP\nCJUMP L1",
-		"duplicate label":   "L1: NOP\nL1: NOP",
-		"undefined arg":     "MBR_LOAD $NOPE",
-		"operand overflow":  "MBR_LOAD 99",
-		"bad .arg":          ".arg X\nNOP",
-		"eof in body":       "EOF\nNOP",
-		"label only":        "L1:",
-		"trailing token":    "MBR_LOAD 1 2",
+		"unknown mnemonic": "FROBNICATE",
+		"undefined label":  "CJUMP L2\nRETURN",
+		"backward branch":  "L1: NOP\nCJUMP L1",
+		"duplicate label":  "L1: NOP\nL1: NOP",
+		"undefined arg":    "MBR_LOAD $NOPE",
+		"operand overflow": "MBR_LOAD 99",
+		"bad .arg":         ".arg X\nNOP",
+		"eof in body":      "EOF\nNOP",
+		"label only":       "L1:",
+		"trailing token":   "MBR_LOAD 1 2",
 	}
 	for name, src := range bad {
 		if _, err := Assemble(name, src); err == nil {

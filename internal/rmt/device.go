@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -24,47 +25,76 @@ type Translate struct {
 // instruction set in every stage), while the stage owns its register array,
 // its protection TCAM, and its translation entries.
 //
-// The TCAM and translation map are control-plane builder state: the packet
-// path never reads them directly, only the immutable StageView published
-// from them (see view.go).
+// The TCAM and translation entries are control-plane builder state: the
+// packet path never reads them directly, only the immutable StageView
+// published from them (see view.go).
 type Stage struct {
 	Registers *RegisterArray
 	Prot      *TCAM
-	xlate     map[uint16]Translate
+	xlate     []TranslateEntry // sorted by FID
+	xdirty    bool             // xlate changed since RebuildView last copied it (the TCAM tracks its own)
 
 	// Executed counts instructions executed in this stage.
 	Executed uint64
 }
 
+// TranslateEntry is one row of a stage's translation table.
+type TranslateEntry struct {
+	FID uint16
+	Translate
+}
+
+// findTranslate returns fid's position in entries sorted by FID and whether
+// an entry is there.
+func findTranslate(xs []TranslateEntry, fid uint16) (int, bool) {
+	lo, hi := 0, len(xs)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); xs[m].FID < fid {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(xs) && xs[lo].FID == fid
+}
+
+// translateOf returns fid's entry in a table sorted by FID.
+func translateOf(xs []TranslateEntry, fid uint16) (Translate, bool) {
+	if i, ok := findTranslate(xs, fid); ok {
+		return xs[i].Translate, true
+	}
+	return Translate{}, false
+}
+
 // SetTranslate installs the translation entry for fid in this stage.
-func (s *Stage) SetTranslate(fid uint16, t Translate) { s.xlate[fid] = t }
+func (s *Stage) SetTranslate(fid uint16, t Translate) {
+	if i, ok := findTranslate(s.xlate, fid); ok {
+		s.xlate[i].Translate = t
+	} else {
+		s.xlate = slices.Insert(s.xlate, i, TranslateEntry{fid, t})
+	}
+	s.xdirty = true
+}
 
 // ClearTranslate removes fid's translation entry; it returns 1 if an entry
 // was present (for table-update cost accounting).
 func (s *Stage) ClearTranslate(fid uint16) int {
-	if _, ok := s.xlate[fid]; !ok {
+	i, ok := findTranslate(s.xlate, fid)
+	if !ok {
 		return 0
 	}
-	delete(s.xlate, fid)
+	s.xlate = slices.Delete(s.xlate, i, i+1)
+	s.xdirty = true
 	return 1
 }
 
 // TranslateFor returns fid's translation entry in this stage.
-func (s *Stage) TranslateFor(fid uint16) (Translate, bool) {
-	t, ok := s.xlate[fid]
-	return t, ok
-}
+func (s *Stage) TranslateFor(fid uint16) (Translate, bool) { return translateOf(s.xlate, fid) }
 
-// TranslateEntries returns a copy of this stage's translation table keyed by
-// FID. The isolation auditor walks it to prove every translate window stays
-// inside a region its owner actually holds.
-func (s *Stage) TranslateEntries() map[uint16]Translate {
-	out := make(map[uint16]Translate, len(s.xlate))
-	for f, t := range s.xlate {
-		out[f] = t
-	}
-	return out
-}
+// TranslateEntries returns a copy of this stage's translation table, sorted
+// by FID. The isolation auditor walks it to prove every translate window
+// stays inside a region its owner actually holds.
+func (s *Stage) TranslateEntries() []TranslateEntry { return slices.Clone(s.xlate) }
 
 // Action implements one instruction. Actions are installed by the runtime
 // package (the P4-program analogue); the device only sequences them.
@@ -134,14 +164,13 @@ func New(cfg Config) (*Device, error) {
 		return nil, fmt.Errorf("rmt: bad config %+v", cfg)
 	}
 	d := &Device{cfg: cfg, stages: make([]*Stage, cfg.NumStages)}
+	empty := &PipeView{stages: make([]*StageView, cfg.NumStages)}
 	for i := range d.stages {
-		d.stages[i] = &Stage{
-			Registers: NewRegisterArray(cfg.StageWords),
-			Prot:      NewTCAM(cfg.TCAMEntries),
-			xlate:     make(map[uint16]Translate),
-		}
+		d.stages[i] = &Stage{Registers: NewRegisterArray(cfg.StageWords), Prot: NewTCAM(cfg.TCAMEntries)}
+		empty.stages[i] = &StageView{}
 	}
 	d.stats = NewExecStats(cfg.NumStages)
+	d.view.Store(empty) // RebuildView shares what did not change with its predecessor
 	d.RebuildView()
 	return d, nil
 }

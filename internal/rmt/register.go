@@ -155,9 +155,7 @@ func (r *RegisterArray) Zero(lo, hi uint32) error {
 	if lo > hi || int(hi) > len(r.words) {
 		return fmt.Errorf("rmt: zero range [%d,%d) out of bounds (len %d)", lo, hi, len(r.words))
 	}
-	for i := lo; i < hi; i++ {
-		r.words[i] = 0
-		r.parity[i] = 0
-	}
+	clear(r.words[lo:hi])
+	clear(r.parity[lo:hi])
 	return nil
 }

@@ -1,8 +1,10 @@
 package rmt
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -37,6 +39,65 @@ type Region struct {
 // Cost returns the TCAM entries the region consumes.
 func (r Region) Cost() int { return PrefixCount(r.Lo, r.Hi) }
 
+// regionSet is one stage's protected regions in the two orders they are read
+// in: by FID for the per-access protection lookup and by (Lo, FID) for owner
+// attribution. The TCAM keeps one, sorted incrementally; a published
+// StageView holds a copy. Lookups are binary searches over the compact
+// slices.
+type regionSet struct {
+	byFID []Region
+	byLo  []Region
+}
+
+// find returns fid's position in byFID and whether a region is there.
+func (s regionSet) find(fid uint16) (int, bool) {
+	lo, hi := 0, len(s.byFID)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); s.byFID[m].FID < fid {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(s.byFID) && s.byFID[lo].FID == fid
+}
+
+// Region returns fid's protected region in this stage.
+func (s regionSet) Region(fid uint16) (Region, bool) {
+	if i, ok := s.find(fid); ok {
+		return s.byFID[i], true
+	}
+	return Region{}, false
+}
+
+// Allowed reports whether fid may access addr in this stage.
+func (s regionSet) Allowed(fid uint16, addr uint32) bool {
+	r, ok := s.Region(fid)
+	return ok && addr >= r.Lo && addr < r.Hi
+}
+
+// Owner returns the FID whose region covers addr, if any — the fault
+// attribution lookup.
+func (s regionSet) Owner(addr uint32) (uint16, bool) {
+	i := sort.Search(len(s.byLo), func(i int) bool { return s.byLo[i].Lo > addr })
+	// Regions are disjoint under the allocator's invariants, but the set
+	// tolerates overlap: scan leftward until a covering region is found.
+	for j := i - 1; j >= 0; j-- {
+		if r := s.byLo[j]; addr >= r.Lo && addr < r.Hi {
+			return r.FID, true
+		}
+	}
+	return 0, false
+}
+
+// loIndex returns r's position in byLo (where it is, or where it belongs).
+func (s regionSet) loIndex(r Region) int {
+	i, _ := slices.BinarySearchFunc(s.byLo, r, func(a, b Region) int {
+		return cmp.Or(cmp.Compare(a.Lo, b.Lo), cmp.Compare(a.FID, b.FID))
+	})
+	return i
+}
+
 // TCAM models one stage's ternary match memory as used by ActiveRMT: one
 // protected region per FID, charged at its exact range-to-prefix expansion
 // cost against a fixed entry budget. The paper identifies this budget as the
@@ -44,13 +105,14 @@ func (r Region) Cost() int { return PrefixCount(r.Lo, r.Hi) }
 type TCAM struct {
 	capacity int
 	used     int
-	regions  map[uint16]Region
+	set      regionSet
+	// dirty: changed since Device.RebuildView last copied the set. Install and
+	// Remove set it, so callers that edit the table directly are still seen.
+	dirty bool
 }
 
 // NewTCAM returns a TCAM with the given prefix-entry capacity.
-func NewTCAM(capacity int) *TCAM {
-	return &TCAM{capacity: capacity, regions: make(map[uint16]Region)}
-}
+func NewTCAM(capacity int) *TCAM { return &TCAM{capacity: capacity} }
 
 // ErrTCAMFull is returned when a region's prefix expansion does not fit.
 type ErrTCAMFull struct {
@@ -68,16 +130,20 @@ func (t *TCAM) Install(r Region) error {
 	if r.Lo > r.Hi {
 		return fmt.Errorf("rmt: inverted region [%d,%d)", r.Lo, r.Hi)
 	}
+	i, replace := t.set.find(r.FID)
 	freed := 0
-	if old, ok := t.regions[r.FID]; ok {
-		freed = old.Cost()
+	if replace {
+		freed = t.set.byFID[i].Cost()
 	}
 	need := r.Cost()
 	if t.used-freed+need > t.capacity {
 		return &ErrTCAMFull{Need: need, Free: t.capacity - t.used + freed}
 	}
-	t.used += need - freed
-	t.regions[r.FID] = r
+	t.Remove(r.FID) // frees the old entries; a no-op when there are none
+	t.used += need
+	t.set.byLo = slices.Insert(t.set.byLo, t.set.loIndex(r), r)
+	t.set.byFID = slices.Insert(t.set.byFID, i, r)
+	t.dirty = true
 	return nil
 }
 
@@ -85,47 +151,32 @@ func (t *TCAM) Install(r Region) error {
 // It returns the number of table entries released (for table-update cost
 // accounting).
 func (t *TCAM) Remove(fid uint16) int {
-	r, ok := t.regions[fid]
+	i, ok := t.set.find(fid)
 	if !ok {
 		return 0
 	}
-	t.used -= r.Cost()
-	delete(t.regions, fid)
-	return r.Cost()
+	cost := t.set.byFID[i].Cost()
+	t.used -= cost
+	j := t.set.loIndex(t.set.byFID[i])
+	t.set.byLo = slices.Delete(t.set.byLo, j, j+1)
+	t.set.byFID = slices.Delete(t.set.byFID, i, i+1)
+	t.dirty = true
+	return cost
 }
 
 // Lookup reports whether fid may access address addr in this stage.
-func (t *TCAM) Lookup(fid uint16, addr uint32) bool {
-	r, ok := t.regions[fid]
-	return ok && addr >= r.Lo && addr < r.Hi
-}
+func (t *TCAM) Lookup(fid uint16, addr uint32) bool { return t.set.Allowed(fid, addr) }
 
 // Region returns the installed region for fid.
-func (t *TCAM) Region(fid uint16) (Region, bool) {
-	r, ok := t.regions[fid]
-	return r, ok
-}
+func (t *TCAM) Region(fid uint16) (Region, bool) { return t.set.Region(fid) }
 
-// Regions returns every installed region, sorted by FID — the control-plane
-// table-read path a restarted controller uses to rebuild allocation state.
-func (t *TCAM) Regions() []Region {
-	out := make([]Region, 0, len(t.regions))
-	for _, r := range t.regions {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].FID < out[j].FID })
-	return out
-}
+// Regions returns a copy of every installed region, sorted by FID — the
+// control-plane table-read path a restarted controller uses to rebuild
+// allocation state.
+func (t *TCAM) Regions() []Region { return slices.Clone(t.set.byFID) }
 
 // OwnerOf returns the FID whose region covers addr, if any.
-func (t *TCAM) OwnerOf(addr uint32) (uint16, bool) {
-	for fid, r := range t.regions {
-		if addr >= r.Lo && addr < r.Hi {
-			return fid, true
-		}
-	}
-	return 0, false
-}
+func (t *TCAM) OwnerOf(addr uint32) (uint16, bool) { return t.set.Owner(addr) }
 
 // Used returns the consumed prefix entries.
 func (t *TCAM) Used() int { return t.used }
@@ -134,7 +185,7 @@ func (t *TCAM) Used() int { return t.used }
 func (t *TCAM) Capacity() int { return t.capacity }
 
 // Len returns the number of installed regions.
-func (t *TCAM) Len() int { return len(t.regions) }
+func (t *TCAM) Len() int { return len(t.set.byFID) }
 
 // MaxRegionsHint estimates how many block-aligned regions of the given word
 // size fit in the budget, assuming worst-case alignment. Used by admission

@@ -1,6 +1,6 @@
 package rmt
 
-import "sort"
+import "slices"
 
 // This file implements the data-plane side of the control/data split: an
 // immutable, epoch-published snapshot of every table the per-packet path
@@ -9,54 +9,27 @@ import "sort"
 // separation is a PipeView swapped atomically on every control-plane commit.
 // Packet execution loads the pointer once at pipeline entry, so a packet
 // observes one consistent view for its whole traversal and the control plane
-// can mutate the builder tables (TCAM, translation maps) freely in parallel.
+// can mutate the builder tables (TCAM, translation entries) freely in parallel.
 //
-// The builder state (TCAM, Stage.xlate) stays authoritative for the control
-// plane; RebuildView re-derives the view from it. Views are never mutated
-// after publication.
+// The builder tables (TCAM, Stage translate entries) stay authoritative for
+// the control plane and are edited in place; a view holds copies in the same
+// representation — compact slices sorted by FID, read by binary search — so
+// publishing a stage is a copy, and RebuildView copies only the tables that
+// changed since the previous publication. Views are never mutated after
+// publication. The slices are sorted and searched, not indexed by FID: FIDs
+// are sparse 16-bit names (the soak admits 1 000-60 004), so a dense index
+// would make every publication copy hundreds of kilobytes per stage.
 
 // StageView is the immutable per-stage slice of a PipeView: the protection
-// regions and translation entries of one physical stage, frozen at publish
-// time.
+// regions (Region, Allowed and Owner read them) and translation entries of
+// one physical stage, frozen at publish time.
 type StageView struct {
-	prot  map[uint16]Region
-	xlate map[uint16]Translate
-	// byLo holds the same regions sorted by Lo for owner attribution
-	// (fault reporting binary-searches it instead of iterating a map).
-	byLo []Region
-}
-
-// Allowed reports whether fid may access addr in this stage under the view.
-func (v *StageView) Allowed(fid uint16, addr uint32) bool {
-	r, ok := v.prot[fid]
-	return ok && addr >= r.Lo && addr < r.Hi
-}
-
-// Region returns fid's protected region in this stage under the view.
-func (v *StageView) Region(fid uint16) (Region, bool) {
-	r, ok := v.prot[fid]
-	return r, ok
+	regionSet
+	xlate []TranslateEntry // sorted by FID
 }
 
 // Translate returns fid's translation entry in this stage under the view.
-func (v *StageView) Translate(fid uint16) (Translate, bool) {
-	t, ok := v.xlate[fid]
-	return t, ok
-}
-
-// Owner returns the FID whose region covers addr, if any — the fault
-// attribution lookup.
-func (v *StageView) Owner(addr uint32) (uint16, bool) {
-	i := sort.Search(len(v.byLo), func(i int) bool { return v.byLo[i].Lo > addr })
-	// Regions are disjoint under the allocator's invariants, but the view
-	// tolerates overlap: scan leftward until a covering region is found.
-	for j := i - 1; j >= 0; j-- {
-		if r := v.byLo[j]; addr >= r.Lo && addr < r.Hi {
-			return r.FID, true
-		}
-	}
-	return 0, false
-}
+func (v *StageView) Translate(fid uint16) (Translate, bool) { return translateOf(v.xlate, fid) }
 
 // Regions returns the view's regions sorted by base address. The slice is
 // part of the immutable view: callers must not modify it.
@@ -76,24 +49,27 @@ type PipeView struct {
 // StageView returns the view of physical stage i.
 func (v *PipeView) StageView(i int) *StageView { return v.stages[i] }
 
-// RebuildView derives a fresh immutable view from the current TCAM and
-// translation tables and publishes it. The caller (the runtime's commit
-// path) invokes it once per allocation/eviction commit — never per packet.
+// RebuildView publishes a fresh pipeline view of the current TCAM and
+// translation tables: a stage whose tables changed since the last
+// publication gets a new StageView holding copies of the changed tables;
+// every other stage keeps its previous *StageView. The caller (the runtime's
+// commit path) invokes it once per allocation/eviction commit — never per
+// packet.
 func (d *Device) RebuildView() *PipeView {
+	prev := d.view.Load()
 	v := &PipeView{stages: make([]*StageView, len(d.stages)), Gen: d.viewGen.Add(1)}
 	for i, st := range d.stages {
-		regions := st.Prot.Regions()
-		sv := &StageView{
-			prot:  make(map[uint16]Region, len(regions)),
-			xlate: make(map[uint16]Translate, len(st.xlate)),
-			byLo:  regions,
-		}
-		for _, r := range regions {
-			sv.prot[r.FID] = r
-		}
-		sort.Slice(sv.byLo, func(a, b int) bool { return sv.byLo[a].Lo < sv.byLo[b].Lo })
-		for f, t := range st.xlate {
-			sv.xlate[f] = t
+		sv := prev.stages[i]
+		if st.Prot.dirty || st.xdirty {
+			next := *sv
+			if st.Prot.dirty {
+				next.regionSet = regionSet{slices.Clone(st.Prot.set.byFID), slices.Clone(st.Prot.set.byLo)}
+			}
+			if st.xdirty {
+				next.xlate = slices.Clone(st.xlate)
+			}
+			st.Prot.dirty, st.xdirty = false, false
+			sv = &next
 		}
 		v.stages[i] = sv
 	}

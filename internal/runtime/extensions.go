@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"maps"
 	"math"
 	"sync/atomic"
 	"time"
@@ -115,10 +116,8 @@ const (
 
 // SetPrivilege assigns a FID's privilege mask (counts as one table update).
 func (r *Runtime) SetPrivilege(fid uint16, mask uint8) {
-	if r.privilege == nil {
-		r.privilege = make(map[uint16]uint8)
-	}
-	r.privilege[fid] = mask
+	row := r.row(fid)
+	row.privSet, row.privilege = true, mask
 	r.TableOps++
 	r.publish()
 }
@@ -127,8 +126,11 @@ func (r *Runtime) SetPrivilege(fid uint16, mask uint8) {
 // whose egress port the control plane configures — the Tofino clone-session
 // model, used by the mirroring service to steer copies to a collector.
 
-// SetMirrorSession installs (fid, session) -> egress port.
+// SetMirrorSession installs (fid, session) -> egress port. Published views
+// share the session map by pointer, so the two mutators replace it with an
+// edited copy instead of editing it.
 func (r *Runtime) SetMirrorSession(fid uint16, session uint8, port uint32) {
+	r.mirror = maps.Clone(r.mirror)
 	if r.mirror == nil {
 		r.mirror = make(map[uint32]uint32)
 	}
@@ -139,6 +141,7 @@ func (r *Runtime) SetMirrorSession(fid uint16, session uint8, port uint32) {
 
 // ClearMirrorSession removes a session.
 func (r *Runtime) ClearMirrorSession(fid uint16, session uint8) {
+	r.mirror = maps.Clone(r.mirror)
 	delete(r.mirror, mirrorKey(fid, session))
 	r.TableOps++
 	r.publish()

@@ -19,7 +19,7 @@ import (
 //     pooled output capsules, reusable device-output buffer), so the
 //     steady-state loop performs zero heap allocations;
 //   - control state is read exclusively from the published snapshots
-//     (ctrlView + rmt.PipeView), never from the mutable builder maps;
+//     (ctrlView + rmt.PipeView), never from the mutable builder tables;
 //   - counters accumulate into a caller-owned ExecSink and guard events are
 //     buffered there, so N lanes can execute concurrently and merge their
 //     accounting under a happens-before edge instead of racing.
@@ -184,7 +184,7 @@ func (r *Runtime) DeliverEvents(sink *ExecSink) {
 func (s *ExecSink) flightRefusal(cv *ctrlView, fid uint16, v telemetry.Verdict) {
 	if fr := s.FR; fr != nil {
 		fr.ShouldSample()
-		fr.Record(telemetry.FlightEntry{FID: fid, Epoch: cv.epochs[fid], Verdict: v})
+		fr.Record(telemetry.FlightEntry{FID: fid, Epoch: cv.row(fid).epoch, Verdict: v})
 	}
 }
 
@@ -319,14 +319,15 @@ func (r *Runtime) executeOne(a *packet.Active, res *ExecResult, sink *ExecSink, 
 	if pl != nil {
 		quarantined = pl.quarantined
 	} else {
-		if cv.revoked[fid] {
+		row := cv.row(fid)
+		if row.revoked {
 			sink.Path.RevokedDrops++
 			sink.Events = append(sink.Events, GuardEvent{Kind: GuardEventRevokedDrop, FID: fid})
 			sink.flightRefusal(cv, fid, telemetry.VerdictRevoked)
 			res.hardDrop(a, lat)
 			return
 		}
-		if !cv.admitted[fid] {
+		if !row.admitted {
 			sink.Path.Passthrough++
 			if fr := sink.FR; fr != nil && fr.ShouldSample() {
 				fr.Record(telemetry.FlightEntry{FID: fid, Verdict: telemetry.VerdictPassthrough})
@@ -334,7 +335,7 @@ func (r *Runtime) executeOne(a *packet.Active, res *ExecResult, sink *ExecSink, 
 			res.passThrough(a, lat)
 			return
 		}
-		quarantined = cv.quarantined[fid]
+		quarantined = row.quarantined
 	}
 	if quarantined && a.Header.Flags&packet.FlagMemSync == 0 {
 		sink.Path.QuarantineDrops++
@@ -433,7 +434,7 @@ func (s *ExecSink) flightExecuted(cv *ctrlView, fid uint16, p *rmt.PHV) {
 			v = telemetry.VerdictDropped
 		}
 		fr.Record(telemetry.FlightEntry{
-			FID: fid, Epoch: cv.epochs[fid], Verdict: v,
+			FID: fid, Epoch: cv.row(fid).epoch, Verdict: v,
 			Stages: uint16(p.StagesRun), Passes: uint8(p.Passes),
 			Faulted: p.Faulted, Addr: p.MAR, FaultAddr: p.FaultAddr,
 		})
@@ -467,10 +468,7 @@ func (res *ExecResult) hardDrop(a *packet.Active, lat time.Duration) {
 // privileged (the paper's deployments assume authenticated edges; privilege
 // levels are the hardening extension). It returns the number suppressed.
 func maskPrivileged(cv *ctrlView, fid uint16, instrs []isa.Instruction) (suppressed uint64) {
-	if !cv.hasPriv {
-		return 0
-	}
-	if m, ok := cv.privilege[fid]; !ok || m&PrivForwarding != 0 {
+	if row := cv.row(fid); !row.privSet || row.privilege&PrivForwarding != 0 {
 		return 0
 	}
 	for i := range instrs {

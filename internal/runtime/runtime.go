@@ -3,7 +3,7 @@ package runtime
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,29 +27,15 @@ type Grant struct {
 	Accesses []AccessGrant
 }
 
-// grantRecord remembers what was installed for a FID so it can be removed.
-type grantRecord struct {
-	protStages  []int // physical stages holding a TCAM region
-	xlateStages []int // physical stages holding a translate entry
-}
-
 // Runtime is the ActiveRMT switch runtime: a configured RMT device plus the
 // FID admission, protection, and translation state the shared P4 program
 // maintains.
 type Runtime struct {
 	dev *rmt.Device
 
-	admitted    map[uint16]*grantRecord
-	quarantined map[uint16]bool
-	// epochs is the per-FID grant epoch: bumped on every grant install so
-	// capsules stamped against an older grant are detectably stale. Entries
-	// survive RemoveGrant so a re-admitted FID continues the sequence
-	// rather than reissuing epochs an attacker may have observed.
-	epochs map[uint16]uint8
-	// revoked marks FIDs whose grant was removed: their packets hard-drop
-	// instead of passing through, so revoked tenants cannot keep using the
-	// pipeline as a (stateless) forwarding service.
-	revoked map[uint16]bool
+	// rows is the admission table (see snapshot.go): edited in place here,
+	// read by the packet path from the copy publish() last made.
+	rows []fidRow
 
 	guard GuardHook
 
@@ -58,7 +44,6 @@ type Runtime struct {
 	recircNow    func() time.Duration
 	recircMu     sync.Mutex
 	recirc       map[uint16]*recircState
-	privilege    map[uint16]uint8
 	mirror       map[uint32]uint32
 
 	// snap is the published control-state snapshot the packet path and
@@ -124,15 +109,7 @@ func New(cfg rmt.Config) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Runtime{
-		dev:         dev,
-		admitted:    make(map[uint16]*grantRecord),
-		quarantined: make(map[uint16]bool),
-		epochs:      make(map[uint16]uint8),
-		revoked:     make(map[uint16]bool),
-		passLat:     dev.Config().PassLatency,
-		res:         NewExecResult(),
-	}
+	r := &Runtime{dev: dev, passLat: dev.Config().PassLatency, res: NewExecResult()}
 	r.sink = r.NewExecSink() // no telemetry yet: AttachTelemetry gives it the lane-0 recorder
 	r.installActions(dev)
 	r.publish()
@@ -144,24 +121,24 @@ func (r *Runtime) Device() *rmt.Device { return r.dev }
 
 // Admitted reports whether fid has been admitted, per the published
 // control snapshot (the same state the packet path executes against).
-func (r *Runtime) Admitted(fid uint16) bool { return r.view().admitted[fid] }
+func (r *Runtime) Admitted(fid uint16) bool { return r.view().row(fid).admitted }
 
 // Quarantined reports whether fid's packets are currently deactivated.
-func (r *Runtime) Quarantined(fid uint16) bool { return r.view().quarantined[fid] }
+func (r *Runtime) Quarantined(fid uint16) bool { return r.view().row(fid).quarantined }
 
 // Revoked reports whether fid once held a grant that has been removed (and
 // has not been re-admitted since).
-func (r *Runtime) Revoked(fid uint16) bool { return r.view().revoked[fid] }
+func (r *Runtime) Revoked(fid uint16) bool { return r.view().row(fid).revoked }
 
 // Epoch returns fid's current grant epoch (0: no grant ever installed).
 // Allocation responses carry it to the client, program capsules echo it
 // back, and the guard drops capsules whose echo is stale.
-func (r *Runtime) Epoch(fid uint16) uint8 { return r.view().epochs[fid] }
+func (r *Runtime) Epoch(fid uint16) uint8 { return r.view().row(fid).epoch }
 
 // NextEpoch returns the epoch the next grant installation will assign —
 // what the controller stamps into reallocation notices sent before the
 // install lands.
-func (r *Runtime) NextEpoch(fid uint16) uint8 { return nextEpoch(r.epochs[fid]) }
+func (r *Runtime) NextEpoch(fid uint16) uint8 { return nextEpoch(r.Epoch(fid)) }
 
 // nextEpoch advances a 7-bit epoch, skipping 0 so "no epoch" stays
 // unambiguous.
@@ -172,26 +149,42 @@ func nextEpoch(e uint8) uint8 {
 	return e + 1
 }
 
-func (r *Runtime) bumpEpoch(fid uint16) {
-	r.epochs[fid] = nextEpoch(r.epochs[fid])
-	delete(r.revoked, fid)
+// row returns fid's row in the admission table for editing, adding the zero
+// row on first sight. The pointer is valid until the next call.
+func (r *Runtime) row(fid uint16) *fidRow {
+	i, ok := findRow(r.rows, fid)
+	if !ok {
+		r.rows = slices.Insert(r.rows, i, fidRow{fid: fid})
+	}
+	return &r.rows[i]
+}
+
+// admit opens the admission gate for fid under its next epoch.
+func (r *Runtime) admit(fid uint16) {
+	row := r.row(fid)
+	row.admitted, row.revoked = true, false
+	row.epoch = nextEpoch(row.epoch)
+}
+
+// countOps adds n table operations to TableOps and its telemetry mirror.
+func (r *Runtime) countOps(n int) {
+	r.TableOps += uint64(n)
+	if t := r.tel; t != nil {
+		t.TableOps.Add(uint64(n))
+	}
 }
 
 // Deactivate suspends execution of fid's programs during a reallocation so
 // clients observe a consistent memory snapshot (Section 4.3). Packets still
 // forward, unexecuted.
-func (r *Runtime) Deactivate(fid uint16) {
-	r.quarantined[fid] = true
-	r.TableOps++
-	r.addTableOps(1)
-	r.publish()
-}
+func (r *Runtime) Deactivate(fid uint16) { r.setQuarantined(fid, true) }
 
 // Reactivate resumes execution of fid's programs.
-func (r *Runtime) Reactivate(fid uint16) {
-	delete(r.quarantined, fid)
-	r.TableOps++
-	r.addTableOps(1)
+func (r *Runtime) Reactivate(fid uint16) { r.setQuarantined(fid, false) }
+
+func (r *Runtime) setQuarantined(fid uint16, q bool) {
+	r.row(fid).quarantined = q
+	r.countOps(1)
 	r.publish()
 }
 
@@ -199,40 +192,47 @@ func (r *Runtime) Reactivate(fid uint16) {
 // for a grant, zeroes the granted regions, and admits the FID. It returns
 // the number of table operations performed, the currency of the
 // provisioning-time model (Figure 8a: provisioning is dominated by table
-// updates).
+// updates). A grant that cannot be installed is rolled back: the FID keeps
+// no entries (and, if it was admitted, its old epoch), and the removals and
+// partial installs are counted like any other table operation.
 func (r *Runtime) InstallGrant(g Grant) (int, error) {
-	ops := 0
-	if old, ok := r.admitted[g.FID]; ok {
-		ops += r.removeRecord(g.FID, old)
+	ops := r.clearTables(g.FID) // a reinstall replaces the previous entries
+	n, err := r.fillTables(g)
+	ops += n
+	if err != nil {
+		ops += r.clearTables(g.FID)
+	} else {
+		r.admit(g.FID)
+		ops++ // the admission gate entry
 	}
-	// Every return path below republishes: the TCAM and translation tables
-	// have been touched (install or rollback), and packets must only ever
-	// execute against a fully committed view.
-	defer func() {
-		r.dev.RebuildView()
-		r.publish()
-	}()
-	rec := &grantRecord{}
+	// Every path republishes: the tables have been touched (install or
+	// rollback), and packets must only ever execute against a fully
+	// committed view.
+	r.countOps(ops)
+	r.dev.RebuildView()
+	r.publish()
+	return ops, err
+}
+
+// fillTables installs g's regions (zeroed) and translation entries, stopping
+// at the first access that does not fit; it returns the operations done.
+func (r *Runtime) fillTables(g Grant) (int, error) {
+	ops := 0
 	prevLogical := -1
 	for _, a := range g.Accesses {
 		if a.Lo >= a.Hi {
 			return ops, fmt.Errorf("runtime: empty grant region [%d,%d)", a.Lo, a.Hi)
 		}
-		phys := r.dev.PhysicalStage(a.Logical)
-		st := r.dev.Stage(phys)
+		st := r.dev.Stage(r.dev.PhysicalStage(a.Logical))
 		if !st.Registers.InRange(a.Hi - 1) {
 			return ops, fmt.Errorf("runtime: grant [%d,%d) exceeds stage memory", a.Lo, a.Hi)
 		}
 		region := rmt.Region{FID: g.FID, Lo: a.Lo, Hi: a.Hi}
 		if err := st.Prot.Install(region); err != nil {
-			// Roll back everything installed so far.
-			r.removeRecord(g.FID, rec)
 			return ops, err
 		}
 		ops += region.Cost()
-		rec.protStages = append(rec.protStages, phys)
 		if err := st.Registers.Zero(a.Lo, a.Hi); err != nil {
-			r.removeRecord(g.FID, rec)
 			return ops, err
 		}
 
@@ -242,18 +242,12 @@ func (r *Runtime) InstallGrant(g Grant) (int, error) {
 		// access's region (Section 3.2).
 		tr := translateFor(a)
 		for l := prevLogical + 1; l < a.Logical; l++ {
-			p := r.dev.PhysicalStage(l)
-			r.dev.Stage(p).SetTranslate(g.FID, tr)
-			rec.xlateStages = append(rec.xlateStages, p)
+			r.dev.Stage(r.dev.PhysicalStage(l)).SetTranslate(g.FID, tr)
 			ops++
 		}
 		prevLogical = a.Logical
 	}
-	r.admitted[g.FID] = rec
-	r.bumpEpoch(g.FID)
-	r.TableOps += uint64(ops) + 1 // +1 for the admission gate entry
-	r.addTableOps(uint64(ops) + 1)
-	return ops + 1, nil
+	return ops, nil
 }
 
 // translateFor derives the mask/offset pair for a region: the mask is the
@@ -272,11 +266,9 @@ func translateFor(a AccessGrant) rmt.Translate {
 // AdmitStateless admits a FID with no memory grant — for programs that keep
 // no switch state (e.g. the NOP latency probes of Figure 8b).
 func (r *Runtime) AdmitStateless(fid uint16) {
-	if _, ok := r.admitted[fid]; !ok {
-		r.admitted[fid] = &grantRecord{}
-		r.bumpEpoch(fid)
-		r.TableOps++
-		r.addTableOps(1)
+	if !r.row(fid).admitted {
+		r.admit(fid)
+		r.countOps(1)
 		r.publish()
 	}
 }
@@ -284,31 +276,28 @@ func (r *Runtime) AdmitStateless(fid uint16) {
 // RemoveGrant removes all state for fid and returns the table operations
 // performed.
 func (r *Runtime) RemoveGrant(fid uint16) int {
-	rec, ok := r.admitted[fid]
-	if !ok {
+	i, ok := findRow(r.rows, fid)
+	if !ok || !r.rows[i].admitted {
 		return 0
 	}
-	ops := r.removeRecord(fid, rec) + 1 // +1 for the admission gate entry
-	delete(r.admitted, fid)
-	delete(r.quarantined, fid)
-	r.revoked[fid] = true
-	r.TableOps += uint64(ops)
-	r.addTableOps(uint64(ops))
+	ops := r.clearTables(fid) + 1 // +1 for the admission gate entry
+	row := &r.rows[i]
+	row.admitted, row.quarantined, row.revoked = false, false, true
+	r.countOps(ops)
 	r.dev.RebuildView()
 	r.publish()
 	return ops
 }
 
-func (r *Runtime) removeRecord(fid uint16, rec *grantRecord) int {
+// clearTables removes fid's region and translation entry from every stage —
+// the tables are the record of what a grant installed — and returns the
+// table operations performed.
+func (r *Runtime) clearTables(fid uint16) int {
 	ops := 0
-	for _, p := range rec.protStages {
-		ops += r.dev.Stage(p).Prot.Remove(fid)
+	for s := 0; s < r.dev.NumStages(); s++ {
+		st := r.dev.Stage(s)
+		ops += st.Prot.Remove(fid) + st.ClearTranslate(fid)
 	}
-	for _, p := range rec.xlateStages {
-		ops += r.dev.Stage(p).ClearTranslate(fid)
-	}
-	rec.protStages = rec.protStages[:0]
-	rec.xlateStages = rec.xlateStages[:0]
 	return ops
 }
 
@@ -370,11 +359,12 @@ func (r *Runtime) RegionFor(fid uint16, phys int) (rmt.Region, bool) {
 // AdmittedFIDs returns every admitted FID in ascending order — the
 // control-plane census a restarted controller starts from.
 func (r *Runtime) AdmittedFIDs() []uint16 {
-	out := make([]uint16, 0, len(r.admitted))
-	for fid := range r.admitted {
-		out = append(out, fid)
+	var out []uint16
+	for _, row := range r.rows {
+		if row.admitted {
+			out = append(out, row.fid)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

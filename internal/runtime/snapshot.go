@@ -1,11 +1,13 @@
 package runtime
 
+import "slices"
+
 // This file implements the control side of the control/data split: every
 // piece of admission state the packet path consults — admitted FIDs,
 // quarantine and revocation marks, grant epochs, privilege masks, mirror
 // sessions — is collected into one immutable ctrlView and republished via
 // atomic.Pointer on every control-plane commit. The hot path (and the
-// ingress guard) reads the published view; the mutable maps on Runtime stay
+// ingress guard) reads the published view; the rows on Runtime stay
 // authoritative for the control plane only.
 //
 // Together with rmt.PipeView (protection + translation) this forms the
@@ -13,17 +15,53 @@ package runtime
 // packets exactly when publish() swaps the pointers, never halfway through
 // a multi-table update.
 
+// fidRow is everything the admission gate knows about one FID. Rows live in
+// one slice sorted by fid — edited in place on Runtime, copied into each
+// published ctrlView, found by binary search — and are never deleted: the
+// epoch must survive RemoveGrant so a re-admitted FID continues the
+// sequence rather than reissuing epochs an attacker may have observed.
+type fidRow struct {
+	fid         uint16
+	admitted    bool
+	quarantined bool // execution suspended for a reallocation
+	revoked     bool // grant removed: packets hard-drop instead of passing through
+	// epoch is bumped on every grant install so capsules stamped against
+	// an older grant are detectably stale (0: never granted).
+	epoch uint8
+	// privilege applies once privSet; FIDs without an explicit assignment
+	// are fully privileged.
+	privSet   bool
+	privilege uint8
+}
+
+// findRow returns fid's position in rows and whether a row is there.
+func findRow(rows []fidRow, fid uint16) (int, bool) {
+	lo, hi := 0, len(rows)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); rows[m].fid < fid {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(rows) && rows[lo].fid == fid
+}
+
 // ctrlView is one immutable published snapshot of the runtime's admission
-// state. All maps are copies; readers may share a view across goroutines.
+// state: a copy of the rows, and the mirror-session map (replaced, never
+// edited, by its two mutators, so views share it by pointer).
 type ctrlView struct {
-	admitted    map[uint16]bool
-	quarantined map[uint16]bool
-	revoked     map[uint16]bool
-	epochs      map[uint16]uint8
-	privilege   map[uint16]uint8
-	hasPriv     bool // privilege table enabled at all
-	mirror      map[uint32]uint32
-	gen         uint64
+	rows   []fidRow
+	mirror map[uint32]uint32
+	gen    uint64
+}
+
+// row returns fid's row under the view; a FID never seen has the zero row.
+func (v *ctrlView) row(fid uint16) fidRow {
+	if i, ok := findRow(v.rows, fid); ok {
+		return v.rows[i]
+	}
+	return fidRow{}
 }
 
 var emptyCtrlView = &ctrlView{}
@@ -36,8 +74,8 @@ func (r *Runtime) view() *ctrlView {
 	return emptyCtrlView
 }
 
-// publish rebuilds the control snapshot from the builder maps and swaps it
-// in. Every mutator of admission state must call it (once, after the full
+// publish copies the rows into a fresh control snapshot and swaps it in.
+// Every mutator of admission state must call it (once, after the full
 // mutation) so packets never observe a half-applied commit.
 //
 // With telemetry attached, the pointer swap and every committed-state gauge
@@ -50,38 +88,7 @@ func (r *Runtime) publish() {
 		defer t.reg.EndCommit()
 	}
 	r.snapGen++
-	v := &ctrlView{
-		admitted:    make(map[uint16]bool, len(r.admitted)),
-		quarantined: make(map[uint16]bool, len(r.quarantined)),
-		revoked:     make(map[uint16]bool, len(r.revoked)),
-		epochs:      make(map[uint16]uint8, len(r.epochs)),
-		hasPriv:     r.privilege != nil,
-		gen:         r.snapGen,
-	}
-	for f := range r.admitted {
-		v.admitted[f] = true
-	}
-	for f, q := range r.quarantined {
-		v.quarantined[f] = q
-	}
-	for f, rv := range r.revoked {
-		v.revoked[f] = rv
-	}
-	for f, e := range r.epochs {
-		v.epochs[f] = e
-	}
-	if r.privilege != nil {
-		v.privilege = make(map[uint16]uint8, len(r.privilege))
-		for f, m := range r.privilege {
-			v.privilege[f] = m
-		}
-	}
-	if r.mirror != nil {
-		v.mirror = make(map[uint32]uint32, len(r.mirror))
-		for k, p := range r.mirror {
-			v.mirror[k] = p
-		}
-	}
+	v := &ctrlView{rows: slices.Clone(r.rows), mirror: r.mirror, gen: r.snapGen}
 	r.snap.Store(v)
 	// Invalidate every compiled plan wholesale: plans fold admission,
 	// privilege, protection, and translation state from the snapshot pair

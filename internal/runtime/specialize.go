@@ -93,11 +93,11 @@ type planTable struct {
 // packet through a one-shot plan; they are just not cached.
 const maxPlans = 4096
 
-// resetPlans installs a fresh empty plan table for the current snapshot
-// pair. Called (under planMu) from publish() after every snapshot swap.
+// resetPlans installs a fresh empty plan table (a nil map until the first
+// compile) for the current snapshot pair. Called from publish().
 func (r *Runtime) resetPlans(cv *ctrlView) {
 	r.planMu.Lock()
-	r.planTab.Store(&planTable{cv: cv, pv: r.dev.View(), plans: make(map[planKey]*compiledPlan)})
+	r.planTab.Store(&planTable{cv: cv, pv: r.dev.View()})
 	r.planMu.Unlock()
 }
 
@@ -151,7 +151,7 @@ func (r *Runtime) compilePlan(tab *planTable, key planKey) *compiledPlan {
 func (r *Runtime) buildPlan(cv *ctrlView, pv *rmt.PipeView, key planKey) *compiledPlan {
 	cp := &compiledPlan{
 		instrs:      append([]isa.Instruction(nil), key.prog.Instrs...),
-		quarantined: cv.quarantined[key.fid],
+		quarantined: cv.row(key.fid).quarantined,
 	}
 	cp.suppressed = maskPrivileged(cv, key.fid, cp.instrs)
 	for i := range cp.instrs {

@@ -88,8 +88,8 @@ func (r *Runtime) AttachTelemetry(reg *telemetry.Registry) *Telemetry {
 	// installed grant in the published control view — an atomic load, so
 	// the scrape goroutine may resolve it at snapshot time.
 	reg.SetLiveness(func(fid uint16, epoch uint8) bool {
-		cv := r.view()
-		return cv.admitted[fid] && cv.epochs[fid] == epoch
+		row := r.view().row(fid)
+		return row.admitted && row.epoch == epoch
 	})
 
 	r.sink.FR = telemetry.NewFlightRecorder(0, telemetry.DefaultFlightSize, telemetry.DefaultFlightPeriod)
@@ -107,19 +107,25 @@ func (r *Runtime) Telemetry() *Telemetry { return r.tel }
 // published. Called only from publish(), inside the commit window.
 func (r *Runtime) syncGauges(v *ctrlView) {
 	t := r.tel
-	t.Admitted.Set(int64(len(v.admitted)))
-	t.Quarantined.Set(int64(len(v.quarantined)))
-	t.Revoked.Set(int64(len(v.revoked)))
-	t.SnapshotGen.Set(int64(v.gen))
-	for f, e := range v.epochs {
-		t.Epochs.With(strconv.FormatUint(uint64(f), 10)).Set(int64(e))
+	var admitted, quarantined, revoked int64
+	for _, row := range v.rows {
+		admitted += b2i(row.admitted)
+		quarantined += b2i(row.quarantined)
+		revoked += b2i(row.revoked)
+		if row.epoch != 0 {
+			t.Epochs.With(strconv.FormatUint(uint64(row.fid), 10)).Set(int64(row.epoch))
+		}
 	}
+	t.Admitted.Set(admitted)
+	t.Quarantined.Set(quarantined)
+	t.Revoked.Set(revoked)
+	t.SnapshotGen.Set(int64(v.gen))
 	r.dev.SyncOccupancy()
 }
 
-// addTableOps mirrors a TableOps increment into telemetry.
-func (r *Runtime) addTableOps(n uint64) {
-	if t := r.tel; t != nil {
-		t.TableOps.Add(n)
+func b2i(b bool) int64 {
+	if b {
+		return 1
 	}
+	return 0
 }

@@ -78,8 +78,8 @@ func Percentile(xs []float64, p float64) float64 {
 
 // Summary holds the usual distribution digest.
 type Summary struct {
-	N                    int
-	Min, Max, Mean       float64
+	N                       int
+	Min, Max, Mean          float64
 	P25, P50, P75, P90, P99 float64
 }
 

@@ -1,7 +1,5 @@
 package switchd
 
-import "sort"
-
 // ScrubFID zeroes every register word inside fid's installed regions, stage
 // by stage, through the control plane. This is the reliable counterpart to
 // a data-plane wipe capsule: a capsule can be lost on a lossy or flapping
@@ -42,16 +40,15 @@ func (c *Controller) ScrubWord(fid uint16, addr uint32) (int, bool) {
 	if !c.alive {
 		return 0, false
 	}
-	regions := c.rt.InstalledRegions(fid)
-	stages := make([]int, 0, len(regions))
-	for s := range regions {
-		stages = append(stages, s)
-	}
-	sort.Ints(stages)
-	words := 0
+	words, access := 0, 0
 	dev := c.rt.Device()
-	for i, s := range stages {
-		w, reg := addr+uint32(i), regions[s]
+	for s := 0; s < dev.NumStages(); s++ {
+		reg, ok := c.rt.RegionFor(fid, s)
+		if !ok {
+			continue
+		}
+		w := addr + uint32(access)
+		access++
 		if w < reg.Lo || w >= reg.Hi {
 			continue
 		}
