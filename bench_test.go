@@ -8,8 +8,8 @@
 package main
 
 import (
+	"fmt"
 	"net/netip"
-	gort "runtime"
 	"testing"
 
 	"activermt/internal/alloc"
@@ -142,6 +142,76 @@ RETURN
 	}
 }
 
+// packetPathCacheProg is the paper's cache query (Listing 1): three memory
+// accesses, the workload the BenchmarkPacketPath family executes.
+var packetPathCacheProg = isa.MustAssemble("bench-cache", `
+.arg ADDR 2
+MAR_LOAD $ADDR
+MEM_READ
+MBR_EQUALS_DATA_1
+CRET
+MEM_READ
+MBR_EQUALS_DATA_2
+CRET
+RTS
+MEM_READ
+MBR_STORE
+RETURN
+`)
+
+// buildPacketPathWorkload deploys `tenants` cache tenants and returns the
+// interleaved capsule ring (`perTenant` capsules per tenant) — the shared
+// setup for the BenchmarkPacketPath family. Capsules are fully decoded up
+// front: these benchmarks measure execution, not parsing.
+func buildPacketPathWorkload(tenants, perTenant int) (*core.System, []*packet.Active, error) {
+	sys, err := core.New(core.DefaultConfig())
+	if err != nil {
+		return nil, nil, err
+	}
+	specs := []compiler.AccessSpec{{AlignGroup: 1}, {AlignGroup: 1}, {AlignGroup: 1}}
+	deps := make([]*core.Deployment, tenants)
+	for t := 0; t < tenants; t++ {
+		fid := uint16(t + 1)
+		dep, err := sys.Deploy(fid, packetPathCacheProg, true, specs)
+		if err != nil {
+			return nil, nil, fmt.Errorf("deploy tenant %d: %w", fid, err)
+		}
+		deps[t] = dep
+	}
+	ring := make([]*packet.Active, 0, tenants*perTenant)
+	for t, dep := range deps {
+		fid := uint16(t + 1)
+		// Elastic neighbors shrink as later tenants arrive, so addresses come
+		// from the FINAL placement, after every deployment committed. Bucket
+		// addressing is client-side (Section 3.2): the capsule carries an
+		// absolute address inside the tenant's granted region.
+		pl, ok := sys.AL.PlacementFor(fid)
+		if !ok {
+			return nil, nil, fmt.Errorf("tenant %d lost its placement", fid)
+		}
+		lo := pl.Accesses[0].Range.Lo
+		words := pl.Accesses[0].Range.Hi - lo
+		for k := 0; k < perTenant; k++ {
+			addr := lo + uint32(k*2654435761)%words
+			a := &packet.Active{
+				Header:  packet.ActiveHeader{FID: fid},
+				Args:    [4]uint32{uint32(k), uint32(k) ^ 0x5a5a, addr, 0},
+				Program: dep.Program,
+			}
+			a.Header.SetType(packet.TypeProgram)
+			ring = append(ring, a)
+		}
+	}
+	// Interleave tenants round-robin so consecutive capsules change tenant.
+	mixed := make([]*packet.Active, 0, len(ring))
+	for k := 0; k < perTenant; k++ {
+		for t := 0; t < tenants; t++ {
+			mixed = append(mixed, ring[t*perTenant+k])
+		}
+	}
+	return sys, mixed, nil
+}
+
 // BenchmarkPacketPath measures the allocation-free capsule hot path: one
 // cache-query execution through ExecuteCapsule with pooled scratch state
 // and specialization on (the default), so steady-state iterations run
@@ -149,7 +219,7 @@ RETURN
 // it must be 0 in steady state (TestExecuteCapsuleZeroAlloc enforces it;
 // this benchmark tracks the ns/op trajectory alongside).
 func BenchmarkPacketPath(b *testing.B) {
-	sys, ring, err := experiments.BuildPacketPathWorkload(8, 64)
+	sys, ring, err := buildPacketPathWorkload(8, 64)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -168,9 +238,9 @@ func BenchmarkPacketPath(b *testing.B) {
 // BenchmarkPacketPathInterpreter is BenchmarkPacketPath with specialization
 // forced off: every capsule runs through the interpreter. This is the
 // continuity series for the pre-specialization numbers and the denominator
-// of the specialized speedup gate.
+// of the specialized speedup.
 func BenchmarkPacketPathInterpreter(b *testing.B) {
-	sys, ring, err := experiments.BuildPacketPathWorkload(8, 64)
+	sys, ring, err := buildPacketPathWorkload(8, 64)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -187,39 +257,13 @@ func BenchmarkPacketPathInterpreter(b *testing.B) {
 	}
 }
 
-// BenchmarkPacketPathBatch runs the specialized path through ExecuteBatch
-// (batch size DefaultExecBatch): snapshot and plan-table loads amortized
-// across the batch. Reported per packet.
-func BenchmarkPacketPathBatch(b *testing.B) {
-	sys, ring, err := experiments.BuildPacketPathWorkload(8, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res := runtime.NewExecResult()
-	sink := sys.RT.NewExecSink()
-	bs := runtime.DefaultExecBatch
-	for i := 0; i+bs <= len(ring); i += bs { // warm scratch buffers
-		sys.RT.ExecuteBatch(ring[i:i+bs], res, sink, nil)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	off := 0
-	for i := 0; i < b.N; i += bs {
-		sys.RT.ExecuteBatch(ring[off:off+bs], res, sink, nil)
-		off += bs
-		if off+bs > len(ring) {
-			off = 0
-		}
-	}
-}
-
 // BenchmarkPacketPathTelemetry is BenchmarkPacketPath with the full
 // telemetry registry attached: sampled flight recording plus local histogram
 // and counter accumulation ride along every capsule. The allocs/op gate
 // stays 0; the ns/op delta against BenchmarkPacketPath is the telemetry
-// overhead tracked in BENCH_pipeline.json (must stay within 10%).
+// overhead of the execute loop (a component figure).
 func BenchmarkPacketPathTelemetry(b *testing.B) {
-	sys, ring, err := experiments.BuildPacketPathWorkload(8, 64)
+	sys, ring, err := buildPacketPathWorkload(8, 64)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -234,36 +278,6 @@ func BenchmarkPacketPathTelemetry(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sys.RT.ExecuteCapsule(ring[i%len(ring)], res, sink)
 	}
-}
-
-// BenchmarkPacketPathLanes measures the same workload through the
-// multi-lane dataplane (lane count = GOMAXPROCS, floor 2): dispatch,
-// striped execution, counter merge at Stop.
-func BenchmarkPacketPathLanes(b *testing.B) {
-	sys, ring, err := experiments.BuildPacketPathWorkload(8, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := gort.GOMAXPROCS(0)
-	if n < 2 {
-		n = 2
-	}
-	lanes, err := sys.RT.NewLanes(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < len(ring); i++ { // warm-up
-		lanes.Dispatch(ring[i], uint32(i))
-	}
-	lanes.Quiesce()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lanes.Dispatch(ring[i%len(ring)], uint32(i))
-	}
-	lanes.Quiesce()
-	b.StopTimer()
-	lanes.Stop()
 }
 
 // BenchmarkAllocate measures one contended cache admission (enumeration +

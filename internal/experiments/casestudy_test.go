@@ -124,4 +124,12 @@ func TestFig11Quick(t *testing.T) {
 			}
 		}
 	}
+	// One seed, one CSV: the rows come out in a fixed order, byte for byte.
+	again, err := runFig11(quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.CSV != res.CSV {
+		t.Errorf("two runs of one seed wrote different CSVs:\n%s\n%s", res.CSV, again.CSV)
+	}
 }

@@ -1,0 +1,65 @@
+package experiments
+
+import (
+	"testing"
+	"time"
+
+	"activermt/internal/apps"
+	"activermt/internal/policy"
+	"activermt/internal/testbed"
+)
+
+// TestDefragShape fragments a switch with the canonical churn pattern (four
+// waves of inelastic memsync tenants, alternate waves released) and lets the
+// adaptive policy loop migrate the survivors down. All virtual time, so the
+// shape is exact: the loop must migrate, and fragmentation must fall.
+func TestDefragShape(t *testing.T) {
+	tb, err := testbed.New(testbed.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const waves, perWave, demand = 4, 6, 48
+	var release []func() error
+	fid := uint16(100)
+	for w := 0; w < waves; w++ {
+		for i := 0; i < perWave; i++ {
+			cl := tb.AddClient(fid, apps.MemSyncService(demand))
+			if err := cl.RequestAllocation(); err != nil {
+				t.Fatal(err)
+			}
+			if err := tb.WaitOperational(cl, 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			release = append(release, cl.Release)
+			fid++
+		}
+	}
+	// Release the even waves and sample the gauge BEFORE attaching the
+	// policy loop, so fragBefore reflects the holes rather than the loop's
+	// repair of them.
+	for w := 0; w < waves; w += 2 {
+		for i := 0; i < perWave; i++ {
+			if err := release[w*perWave+i](); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tb.RunFor(200 * time.Millisecond)
+	fragBefore := tb.Ctrl.Allocator().Fragmentation()
+
+	loop := tb.AttachPolicy(&policy.Adaptive{DefragTrigger: 0.02, DefragTarget: 0.005})
+	defer loop.Stop()
+	tb.RunFor(3 * time.Second)
+	fragAfter := tb.Ctrl.Allocator().Fragmentation()
+
+	if tb.Ctrl.DefragMigrations == 0 || tb.Ctrl.DefragBlocksMoved == 0 || tb.Ctrl.DefragWordsRestored == 0 {
+		t.Fatalf("policy loop did not migrate: %d migrations, %d blocks, %d words",
+			tb.Ctrl.DefragMigrations, tb.Ctrl.DefragBlocksMoved, tb.Ctrl.DefragWordsRestored)
+	}
+	if fragAfter >= fragBefore {
+		t.Fatalf("defrag did not reduce fragmentation: %.4f -> %.4f", fragBefore, fragAfter)
+	}
+	t.Logf("frag %.4f -> %.4f, %d migrations, %d blocks, %d words", fragBefore, fragAfter,
+		tb.Ctrl.DefragMigrations, tb.Ctrl.DefragBlocksMoved, tb.Ctrl.DefragWordsRestored)
+}

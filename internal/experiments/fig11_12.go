@@ -100,16 +100,19 @@ func runFig11(cfg RunConfig) (*Result, error) {
 				}
 			}
 		}
-		for metric, vals := range map[string][]float64{
-			"utilization": agg.util,
-			"realloc":     agg.reallocFrac,
-			"fairness":    agg.jain,
-			"failrate":    agg.failRate,
+		for _, row := range []struct {
+			metric string
+			vals   []float64
+		}{
+			{"utilization", agg.util},
+			{"realloc", agg.reallocFrac},
+			{"fairness", agg.jain},
+			{"failrate", agg.failRate},
 		} {
-			s := stats.Summarize(vals)
-			fmt.Fprintf(&b, "%s,%s,%g,%g,%g,%g\n", sc, metric, s.P25, s.P50, s.P75, s.Mean)
-			res.Metrics[fmt.Sprintf("%s_%s_median", sc, metric)] = s.P50
-			res.Metrics[fmt.Sprintf("%s_%s_mean", sc, metric)] = s.Mean
+			s := stats.Summarize(row.vals)
+			fmt.Fprintf(&b, "%s,%s,%g,%g,%g,%g\n", sc, row.metric, s.P25, s.P50, s.P75, s.Mean)
+			res.Metrics[fmt.Sprintf("%s_%s_median", sc, row.metric)] = s.P50
+			res.Metrics[fmt.Sprintf("%s_%s_mean", sc, row.metric)] = s.Mean
 		}
 	}
 	res.CSV = b.String()

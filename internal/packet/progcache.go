@@ -55,8 +55,7 @@ type cacheEntry struct {
 }
 
 // ProgCache is a bounded decoded-program cache. It is safe for concurrent
-// use; in the simulator the ingress path is single-threaded, but the mutex
-// keeps the cache usable from multi-lane harnesses too.
+// use, though in the simulator the ingress path is single-threaded.
 type ProgCache struct {
 	mu  sync.Mutex
 	max int

@@ -104,9 +104,10 @@ type Action func(ctx *Ctx, in isa.Instruction)
 // stage the instruction runs in, the packet's PHV, the published stage view
 // (protection + translation), and the counter sink. Actions must consult
 // View — not the stage's TCAM or translation map — and count through Stats,
-// so that execution reads only immutable snapshots and lanes never race on
-// counters. Ctx values are scratch space owned by the PHV; they are reused
-// across instructions and must not be retained by actions.
+// so that execution reads only immutable snapshots and its counts reach the
+// device in one flush per packet. Ctx values are scratch space owned by the
+// PHV; they are reused across instructions and must not be retained by
+// actions.
 type Ctx struct {
 	Dev      *Device
 	Stage    *Stage
@@ -142,16 +143,16 @@ type Device struct {
 	view    atomic.Pointer[PipeView]
 	viewGen atomic.Uint64
 
-	// stats is the counter sink for the single-threaded compat path
-	// (Exec); it is flushed into the legacy fields after every packet.
+	// stats is Exec's counter sink, flushed into the counter fields after
+	// every packet.
 	stats *ExecStats
 
 	// tel, when attached, receives the flushed counters and the latency
 	// histogram (see telemetry.go); nil keeps the device telemetry-free.
 	tel *Telemetry
 
-	// Counters for the experiment harness. Written only by FlushInto /
-	// lane merges; see ExecStats.
+	// Counters for the experiment harness. Written only by
+	// ExecStats.FlushInto.
 	PacketsIn, PacketsDropped, Recirculations uint64
 }
 
@@ -232,11 +233,9 @@ func FixedHash(seed uint32, words [NumHashWords]uint32) uint32 {
 // packets are still returned (with Dropped set) so callers can account for
 // them. Latency, pass counts, and Executed flags are filled in on return.
 //
-// Exec is the single-threaded compatibility entry point: it counts into the
-// device's private sink and flushes it into the legacy counter fields
-// before returning, so counter reads between packets match the pre-split
-// implementation exactly. Concurrent callers must use ExecInto with
-// per-lane sinks instead.
+// Exec counts into the device's private sink and flushes it into the counter
+// fields before returning, so counters are current between packets. Callers
+// that own a sink use ExecInto.
 //
 // Latency is modeled at stage granularity — PassLatency/NumStages per stage
 // slot traversed — which reproduces the linear growth of Figure 8b; an RTS

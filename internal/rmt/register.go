@@ -69,9 +69,7 @@ func (r *RegisterArray) Fault() { r.Faults++ }
 
 // Get, Set, and Add are the non-counting variants of Read, Write, and
 // Increment. The packet hot path uses them together with an ExecStats sink
-// (see stats.go) so concurrent lanes never race on the shared access
-// counters; two lanes touching the same array always touch disjoint words
-// because tenants are pinned to block-aligned stripes.
+// (see stats.go), which carries the access counts until its owner flushes.
 
 // Get returns the word at addr without counting the access.
 func (r *RegisterArray) Get(addr uint32) uint32 { return r.words[addr] }

@@ -8,10 +8,10 @@ import (
 
 // Telemetry is the device's pre-registered metric handle set. All handles
 // are created at attach time; the packet path never looks anything up by
-// name. Counters are fed exclusively by ExecStats.FlushInto at the existing
-// merge points (compat path per packet, lanes at Stop), so enabling
-// telemetry adds no synchronization to execution itself; the latency
-// histogram accumulates lane-locally in ExecStats.Lat the same way.
+// name. Counters are fed exclusively by ExecStats.FlushInto (after every
+// packet on the system path), so enabling telemetry adds no synchronization
+// to execution itself; the latency histogram accumulates in ExecStats.Lat
+// the same way.
 type Telemetry struct {
 	PacketsIn, PacketsDropped, Recirculations *telemetry.Counter
 

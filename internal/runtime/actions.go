@@ -95,7 +95,7 @@ func (r *Runtime) installActions(d *rmt.Device) {
 		// Memory access: protection first, then the stateful-ALU
 		// micro-program. MEM_READ/MEM_WRITE advance MAR (Section 3.4).
 		// Accesses use the non-counting register accessors and count
-		// through the Ctx sink so lanes never race on the shared counters.
+		// through the Ctx sink.
 		isa.OpMemRead: memAction(func(ctx *rmt.Ctx, in isa.Instruction, addr uint32) {
 			ctx.Stats.RegReads[ctx.StageIdx]++
 			ctx.PHV.MBR = ctx.Stage.Registers.Get(addr)

@@ -329,4 +329,17 @@ func TestInstallGrantFailureCountsTableOps(t *testing.T) {
 	if !r.Admitted(9) || r.Epoch(9) != epoch {
 		t.Errorf("failed reinstall changed admission: admitted %v, epoch %d (was %d)", r.Admitted(9), r.Epoch(9), epoch)
 	}
+
+	// The privilege and mirror-session mutators are one table update each,
+	// counted in both places like every other.
+	before := r.TableOps
+	r.SetPrivilege(9, 0)
+	r.SetMirrorSession(9, 1, 7)
+	r.ClearMirrorSession(9, 1)
+	if got := r.TableOps - before; got != 3 {
+		t.Errorf("privilege set + mirror set/clear = %d table ops, want 3", got)
+	}
+	if got := tel.TableOps.Value(); got != r.TableOps {
+		t.Errorf("after privilege/mirror updates: telemetry table ops = %d, Runtime.TableOps = %d", got, r.TableOps)
+	}
 }

@@ -118,7 +118,7 @@ const (
 func (r *Runtime) SetPrivilege(fid uint16, mask uint8) {
 	row := r.row(fid)
 	row.privSet, row.privilege = true, mask
-	r.TableOps++
+	r.countOps(1)
 	r.publish()
 }
 
@@ -135,7 +135,7 @@ func (r *Runtime) SetMirrorSession(fid uint16, session uint8, port uint32) {
 		r.mirror = make(map[uint32]uint32)
 	}
 	r.mirror[mirrorKey(fid, session)] = port
-	r.TableOps++
+	r.countOps(1)
 	r.publish()
 }
 
@@ -143,7 +143,7 @@ func (r *Runtime) SetMirrorSession(fid uint16, session uint8, port uint32) {
 func (r *Runtime) ClearMirrorSession(fid uint16, session uint8) {
 	r.mirror = maps.Clone(r.mirror)
 	delete(r.mirror, mirrorKey(fid, session))
-	r.TableOps++
+	r.countOps(1)
 	r.publish()
 }
 

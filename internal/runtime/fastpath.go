@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"sync"
 	"time"
 
 	"activermt/internal/isa"
@@ -21,13 +20,13 @@ import (
 //   - control state is read exclusively from the published snapshots
 //     (ctrlView + rmt.PipeView), never from the mutable builder tables;
 //   - counters accumulate into a caller-owned ExecSink and guard events are
-//     buffered there, so N lanes can execute concurrently and merge their
-//     accounting under a happens-before edge instead of racing.
+//     buffered there, so the owner drains both between capsules — after the
+//     capsule has fully executed, before any output leaves.
 //
-// ExecuteProgram is the single-threaded entry point (switchd, and so the
+// ExecuteProgram is the system path's entry point (switchd, and so the
 // testbed, fabric and soak; core; the ablations): executeOne on runtime-owned
-// scratch, drained after every capsule. ExecuteCapsule and ExecuteBatch run
-// the same engine on caller-owned scratch for lanes and harnesses.
+// scratch, drained after every capsule. ExecuteCapsule runs the same engine on
+// caller-owned scratch for tests and microbenchmarks.
 
 // GuardEventKind discriminates buffered guard notifications.
 type GuardEventKind uint8
@@ -39,9 +38,8 @@ const (
 	GuardEventRevokedDrop
 )
 
-// GuardEvent is one buffered GuardHook notification. Lanes deliver their
-// buffers on the dispatch thread (at Flush/Stop) so guard state — which is
-// not thread-safe — is only ever touched from one goroutine.
+// GuardEvent is one buffered GuardHook notification, delivered by
+// DeliverEvents once the capsule that raised it has finished executing.
 type GuardEvent struct {
 	Kind  GuardEventKind
 	FID   uint16
@@ -61,21 +59,26 @@ type PathStats struct {
 	Specialized                      uint64
 }
 
-// FlushInto drains the counters into the runtime's legacy fields (mirroring
-// into telemetry when attached) and resets them. Callers must hold exclusive
-// access to the runtime counters (single mode after each packet, or a lane
-// merge after a quiescent drain or worker join).
+// FlushInto drains the counters into the runtime's exported fields (mirroring
+// into telemetry when attached) and resets them. The caller must be the
+// goroutine that owns the runtime's counters.
 func (s *PathStats) FlushInto(r *Runtime) {
 	if t := r.tel; t != nil {
 		s.flushTel(t)
 	}
-	s.flushLegacy(r)
+	r.ProgramsRun += s.ProgramsRun
+	r.Passthrough += s.Passthrough
+	r.Faults += s.Faults
+	r.PrivSuppressed += s.PrivSuppressed
+	r.QuarantineDrops += s.QuarantineDrops
+	r.RevokedDrops += s.RevokedDrops
+	r.SpecializedRuns += s.Specialized
+	*s = PathStats{}
 }
 
-// flushTel mirrors the counters into the shared telemetry counters without
-// resetting them. The counters are sharded atomics, so this half is safe
-// from a lane worker mid-stream; zero deltas are skipped so the per-packet
-// ExecuteProgram flush stays a few atomic adds.
+// flushTel mirrors the counters into the telemetry counters without
+// resetting them; zero deltas are skipped so the per-packet ExecuteProgram
+// flush stays a few atomic adds.
 func (s *PathStats) flushTel(t *Telemetry) {
 	if s.ProgramsRun != 0 {
 		t.ProgramsRun.Add(s.ProgramsRun)
@@ -100,35 +103,10 @@ func (s *PathStats) flushTel(t *Telemetry) {
 	}
 }
 
-// flushLegacy drains the counters into the runtime's legacy fields and
-// resets them, with no telemetry mirror — the merge half for counts whose
-// telemetry was already mirrored mid-stream (lane carries). Exclusive access
-// to the runtime counters required.
-func (s *PathStats) flushLegacy(r *Runtime) {
-	r.ProgramsRun += s.ProgramsRun
-	r.Passthrough += s.Passthrough
-	r.Faults += s.Faults
-	r.PrivSuppressed += s.PrivSuppressed
-	r.QuarantineDrops += s.QuarantineDrops
-	r.RevokedDrops += s.RevokedDrops
-	r.SpecializedRuns += s.Specialized
-	*s = PathStats{}
-}
-
-// addInto adds the counters into dst without resetting s.
-func (s *PathStats) addInto(dst *PathStats) {
-	dst.ProgramsRun += s.ProgramsRun
-	dst.Passthrough += s.Passthrough
-	dst.Faults += s.Faults
-	dst.PrivSuppressed += s.PrivSuppressed
-	dst.QuarantineDrops += s.QuarantineDrops
-	dst.RevokedDrops += s.RevokedDrops
-	dst.Specialized += s.Specialized
-}
-
 // ExecSink is the per-executor accounting context: path counters, a device
-// counter sink, and buffered guard events. Each lane owns one; the runtime
-// owns one for ExecuteProgram and drains it after every packet.
+// counter sink, and buffered guard events. The runtime owns one for
+// ExecuteProgram and drains it after every packet; ExecuteCapsule callers
+// bring their own.
 type ExecSink struct {
 	Path   PathStats
 	Dev    *rmt.ExecStats
@@ -138,23 +116,16 @@ type ExecSink struct {
 	// Single-writer like the rest of the sink; the scrape goroutine copies
 	// it out under the recorder's own mutex.
 	FR *telemetry.FlightRecorder
-
-	// lat is the bounded per-FID latency recorder (nil when telemetry is
-	// off). Only the batch path records into it — ExecuteBatch observes per
-	// packet and flushes once per batch — so the single-packet path's
-	// telemetry overhead stays unchanged.
-	lat *latVec
 }
 
 // NewExecSink returns a sink sized for the runtime's pipeline. With
 // telemetry attached, the sink carries its own flight recorder under a
-// fresh lane id and a per-FID latency recorder for the batch path.
+// fresh lane id.
 func (r *Runtime) NewExecSink() *ExecSink {
 	s := &ExecSink{Dev: rmt.NewExecStats(r.dev.NumStages())}
 	if t := r.tel; t != nil {
 		s.FR = telemetry.NewFlightRecorder(int(t.laneSeq.Add(1)), telemetry.DefaultFlightSize, telemetry.DefaultFlightPeriod)
 		t.reg.AttachFlight(s.FR)
-		s.lat = newLatVec(t.PacketLatFID)
 	}
 	return s
 }
@@ -218,19 +189,6 @@ func NewExecResult() *ExecResult {
 	return &ExecResult{phv: &rmt.PHV{}}
 }
 
-var execResultPool = sync.Pool{New: func() any { return NewExecResult() }}
-
-// GetExecResult takes an ExecResult from the package pool.
-func GetExecResult() *ExecResult { return execResultPool.Get().(*ExecResult) }
-
-// PutExecResult returns an ExecResult to the pool. The caller must not
-// retain any Output obtained from it.
-func PutExecResult(res *ExecResult) {
-	res.Outputs = res.Outputs[:0]
-	res.memo = [planMemoSize]planMemoEntry{} // drop plan references across owners
-	execResultPool.Put(res)
-}
-
 // slot returns reusable output slot i, growing the slot table on first use.
 func (res *ExecResult) slot(i int) *outSlot {
 	for len(res.slots) <= i {
@@ -277,7 +235,7 @@ func (r *Runtime) ExecuteProgram(a *packet.Active) []*Output {
 }
 
 // executeOne is one capsule against explicitly loaded snapshots, shared by
-// the single-packet and batch entry points. Programs whose FID was never
+// ExecuteProgram and ExecuteCapsule. Programs whose FID was never
 // admitted pass through unexecuted, exactly as a table miss would behave on
 // the real switch. Programs whose FID was revoked — or is quarantined during
 // a reallocation (FlagMemSync excepted) — hard-drop: a tenant stripped of its

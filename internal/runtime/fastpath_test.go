@@ -242,24 +242,3 @@ func TestExecuteProgramDrainsPerCapsule(t *testing.T) {
 		}
 	}
 }
-
-// TestExecResultPoolRoundTrip exercises the package pool discipline.
-func TestExecResultPoolRoundTrip(t *testing.T) {
-	r := testRuntime(t)
-	installCacheGrant(t, r, 1, 0, 1024)
-	sink := r.NewExecSink()
-	a := progPacket(1, cacheQuery, [4]uint32{7, 9, 100, 0})
-	a.Header.Flags |= packet.FlagPreload
-
-	res := GetExecResult()
-	r.ExecuteCapsule(a, res, sink)
-	if len(res.Outputs) == 0 {
-		t.Fatal("no outputs")
-	}
-	PutExecResult(res)
-	res2 := GetExecResult()
-	if len(res2.Outputs) != 0 {
-		t.Fatal("pooled result returned with stale outputs")
-	}
-	PutExecResult(res2)
-}

@@ -71,10 +71,8 @@ type Runtime struct {
 	res  *ExecResult
 	sink *ExecSink
 
-	// Telemetry wiring (nil when disabled; see telemetry.go). telLanes
-	// exposes the active Lanes instance to the queue-depth gauge.
-	tel      *Telemetry
-	telLanes atomic.Pointer[Lanes]
+	// Telemetry wiring (nil when disabled; see telemetry.go).
+	tel *Telemetry
 
 	// Stats for the experiment harness.
 	ProgramsRun, Passthrough, Faults uint64

@@ -9,12 +9,11 @@ import (
 )
 
 // Telemetry is the runtime's pre-registered metric handle set. Counters are
-// fed from PathStats.FlushInto at the merge points (per packet in
-// ExecuteProgram, at Quiesce/Stop for lanes);
-// gauges describing committed control state (admission counts, per-FID
-// epochs, per-stage occupancy) are updated exclusively inside publish()
-// under the registry's commit seqlock, which is what makes a scrape
-// epoch-consistent across a grant commit.
+// fed from PathStats.FlushInto (per packet in ExecuteProgram); gauges
+// describing committed control state (admission counts, per-FID epochs,
+// per-stage occupancy) are updated exclusively inside publish() under the
+// registry's commit seqlock, which is what makes a scrape epoch-consistent
+// across a grant commit.
 type Telemetry struct {
 	reg *telemetry.Registry
 
@@ -24,16 +23,12 @@ type Telemetry struct {
 	Specialized, PlanCompiles        *telemetry.Counter
 	TableOps                         *telemetry.Counter
 
-	// PacketLatFID is the per-FID packet-latency family, fed from the batch
-	// path's bounded per-sink recorders (see latVec in specialize.go).
-	PacketLatFID *telemetry.HistogramVec
-
 	Admitted, Quarantined, Revoked *telemetry.Gauge
 	SnapshotGen                    *telemetry.Gauge
 	Epochs                         *telemetry.GaugeVec
 
 	// laneSeq hands out flight-recorder lane ids: 0 is ExecuteProgram's,
-	// ExecSinks (one per lane worker) take 1, 2, ...
+	// sinks from NewExecSink take 1, 2, ...
 	laneSeq atomic.Int32
 }
 
@@ -59,7 +54,6 @@ func (r *Runtime) AttachTelemetry(reg *telemetry.Registry) *Telemetry {
 		Specialized:     reg.NewCounter("activermt_runtime_specialized_total", "capsules executed through a compiled plan"),
 		PlanCompiles:    reg.NewCounter("activermt_runtime_plan_compiles_total", "program-to-plan compilations performed"),
 		TableOps:        reg.NewCounter("activermt_runtime_table_ops_total", "cumulative control-plane table update operations"),
-		PacketLatFID:    reg.NewHistogramVec("activermt_packet_latency_fid_ns", "modeled packet latency per FID (batch path; bounded cardinality)", "fid"),
 		Admitted:        reg.NewGauge("activermt_runtime_admitted", "currently admitted FIDs"),
 		Quarantined:     reg.NewGauge("activermt_runtime_quarantined", "FIDs currently deactivated for reallocation"),
 		Revoked:         reg.NewGauge("activermt_runtime_revoked", "FIDs whose grant was revoked and not re-admitted"),
@@ -67,22 +61,6 @@ func (r *Runtime) AttachTelemetry(reg *telemetry.Registry) *Telemetry {
 		Epochs:          reg.NewGaugeVec("activermt_grant_epoch", "current grant epoch per FID", "fid"),
 	}
 	r.dev.AttachTelemetry(rmt.NewTelemetry(reg, r.dev.NumStages()))
-
-	// Lane queue depth and lane count read the active Lanes instance (if
-	// any) through an atomic pointer: atomic loads only, as GaugeFunc
-	// requires.
-	reg.NewGaugeFunc("activermt_lane_queue_depth", "capsules dispatched to lanes and not yet processed", func() float64 {
-		if l := r.telLanes.Load(); l != nil {
-			return float64(l.QueueDepth())
-		}
-		return 0
-	})
-	reg.NewGaugeFunc("activermt_lanes", "active execution lanes (0: single-threaded mode)", func() float64 {
-		if l := r.telLanes.Load(); l != nil {
-			return float64(l.n)
-		}
-		return 0
-	})
 
 	// A flight entry is live iff its (FID, epoch) is still the currently
 	// installed grant in the published control view — an atomic load, so

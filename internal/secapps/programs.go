@@ -4,8 +4,7 @@
 // and a probabilistic-recirculation heavy hitter (Ben Basat et al.) that
 // trades recirculation budget for accuracy. Each app is an assembled ISA
 // program plus a client-side driver and a seeded traffic generator with
-// ground truth, wired into the soak harness, activesim scenarios, and the
-// benchdiff gate.
+// ground truth, wired into the soak harness and activesim scenarios.
 package secapps
 
 import (

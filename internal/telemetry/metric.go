@@ -1,15 +1,15 @@
 // Package telemetry is the switch observability layer: a zero-alloc metrics
-// core (sharded counters, gauges, power-of-two latency histograms) recorded
-// through pre-registered handles, a per-lane flight recorder of sampled
-// capsule traces, and epoch-consistent registry snapshots that compose with
-// the runtime's atomic.Pointer publication scheme so a scrape never observes
-// a torn view across a grant commit.
+// core (counters, gauges, power-of-two latency histograms) recorded through
+// pre-registered handles, a per-executor flight recorder of sampled capsule
+// traces, and epoch-consistent registry snapshots that compose with the
+// runtime's atomic.Pointer publication scheme so a scrape never observes a
+// torn view across a grant commit.
 //
 // The recording discipline mirrors rmt.ExecStats: hot-path code accumulates
-// into plain lane-local state (HistLocal, ExecStats fields) and merges into
+// into plain writer-owned state (HistLocal, ExecStats fields) and merges into
 // the shared atomic metrics at existing flush points, so the packet path adds
 // no locks and no allocations. Everything the scrape goroutine reads is
-// atomic-backed or mutex-protected; plain legacy counter fields must never be
+// atomic-backed or mutex-protected; plain counter fields must never be
 // exposed through a GaugeFunc.
 package telemetry
 
@@ -19,7 +19,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
 
 // Kind discriminates metric types for exposition.
@@ -55,20 +54,11 @@ type Metric interface {
 	collect(ms *MetricSnapshot)
 }
 
-const numShards = 8 // power of two
-
-// shard is one cache-line-padded counter cell.
-type shard struct {
-	v atomic.Uint64
-	_ [56]byte
-}
-
-// Counter is a monotonically increasing counter, sharded across padded
-// cache lines so concurrent lanes adding at their flush points do not
-// contend on one word. Add is lock-free and allocation-free.
+// Counter is a monotonically increasing counter: one atomic word, so the
+// writer's Add and the scrape goroutine's Value need no lock.
 type Counter struct {
 	name, help string
-	shards     [numShards]shard
+	v          atomic.Uint64
 }
 
 // NewCounter returns an unregistered counter (register with MustRegister,
@@ -84,25 +74,14 @@ func (c *Counter) Help() string { return c.help }
 // Kind implements Metric.
 func (c *Counter) Kind() Kind { return KindCounter }
 
-// Add increments the counter by n. The shard is picked from the address of
-// the argument slot: goroutine stacks live in distinct pages, so concurrent
-// adders spread across shards without thread-local state.
-func (c *Counter) Add(n uint64) {
-	i := int(uintptr(unsafe.Pointer(&n))>>12) & (numShards - 1)
-	c.shards[i].v.Add(n)
-}
+// Add increments the counter by n.
+func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value returns the current total across shards.
-func (c *Counter) Value() uint64 {
-	var t uint64
-	for i := range c.shards {
-		t += c.shards[i].v.Load()
-	}
-	return t
-}
+// Value returns the current total.
+func (c *Counter) Value() uint64 { return c.v.Load() }
 
 func (c *Counter) collect(ms *MetricSnapshot) {
 	ms.Samples = append(ms.Samples, Sample{Value: float64(c.Value())})
@@ -212,7 +191,7 @@ func bucketIdx(v uint64) int {
 func BucketBound(i int) uint64 { return uint64(1)<<uint(i) - 1 }
 
 // Histogram is a fixed-bucket power-of-two histogram with atomic cells.
-// Observe is lock-free; hot paths should prefer a lane-local HistLocal
+// Observe is lock-free; hot paths should prefer a writer-owned HistLocal
 // flushed in at merge points.
 type Histogram struct {
 	name, help string
@@ -253,7 +232,7 @@ func (h *Histogram) collect(ms *MetricSnapshot) {
 	ms.Samples = append(ms.Samples, Sample{Hist: hs})
 }
 
-// HistLocal is the lane-local twin of Histogram: plain fields, single
+// HistLocal is the writer-owned twin of Histogram: plain fields, single
 // writer, merged into a shared Histogram at flush points exactly like
 // ExecStats counters. The zero value is ready to use.
 type HistLocal struct {
@@ -266,15 +245,6 @@ func (h *HistLocal) Observe(v uint64) {
 	h.Buckets[bucketIdx(v)]++
 	h.Count++
 	h.Sum += v
-}
-
-// Merge adds o into h.
-func (h *HistLocal) Merge(o *HistLocal) {
-	for i, v := range o.Buckets {
-		h.Buckets[i] += v
-	}
-	h.Count += o.Count
-	h.Sum += o.Sum
 }
 
 // Reset zeroes the accumulator.
@@ -399,59 +369,6 @@ func (v *GaugeVec) collect(ms *MetricSnapshot) {
 			Labels: renderLabel(v.label, val),
 			Value:  float64(v.children[val].Value()),
 		})
-	}
-}
-
-// HistogramVec is a family of histograms distinguished by one label, for
-// per-tenant latency distributions. Children are memoized by label value and
-// collected in insertion order; owners enforce their own cardinality bound
-// (the runtime's per-FID latency recorder folds excess tenants into one
-// "other" child) because the vec itself cannot know which labels matter.
-type HistogramVec struct {
-	name, help, label string
-	mu                sync.Mutex
-	children          map[string]*Histogram
-	order             []string
-}
-
-// NewHistogramVec returns an unregistered histogram family keyed by label.
-func NewHistogramVec(name, help, label string) *HistogramVec {
-	return &HistogramVec{name: name, help: help, label: label, children: make(map[string]*Histogram)}
-}
-
-// Name implements Metric.
-func (v *HistogramVec) Name() string { return v.name }
-
-// Help implements Metric.
-func (v *HistogramVec) Help() string { return v.help }
-
-// Kind implements Metric.
-func (v *HistogramVec) Kind() Kind { return KindHistogram }
-
-// With returns the child histogram for the label value, creating it on first
-// use. Callers on hot paths must cache the returned handle.
-func (v *HistogramVec) With(value string) *Histogram {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	h, ok := v.children[value]
-	if !ok {
-		h = NewHistogram(v.name, v.help)
-		v.children[value] = h
-		v.order = append(v.order, value)
-	}
-	return h
-}
-
-func (v *HistogramVec) collect(ms *MetricSnapshot) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for _, val := range v.order {
-		h := v.children[val]
-		hs := &HistSample{Count: h.count.Load(), Sum: h.sum.Load()}
-		for i := range h.buckets {
-			hs.Buckets[i] = h.buckets[i].Load()
-		}
-		ms.Samples = append(ms.Samples, Sample{Labels: renderLabel(v.label, val), Hist: hs})
 	}
 }
 

@@ -105,13 +105,6 @@ func (r *Registry) NewGaugeVec(name, help, label string) *GaugeVec {
 	return v
 }
 
-// NewHistogramVec constructs and registers a histogram family.
-func (r *Registry) NewHistogramVec(name, help, label string) *HistogramVec {
-	v := NewHistogramVec(name, help, label)
-	r.MustRegister(v)
-	return v
-}
-
 // AttachFlight adds a flight recorder to the registry's snapshot set.
 func (r *Registry) AttachFlight(f *FlightRecorder) {
 	r.mu.Lock()
