@@ -79,6 +79,49 @@ func TestKVServerServesAndStores(t *testing.T) {
 	}
 }
 
+type discard struct{}
+
+func (discard) Receive([]byte, *netsim.Port) {}
+
+// TestKVServerReceiveAllocs: serving a request — plain, or a missed query
+// still wrapped in its active headers — allocates the reply's wire buffer and
+// nothing else.
+func TestKVServerReceiveAllocs(t *testing.T) {
+	eng := netsim.NewEngine()
+	srv := NewKVServer(eng, packet.MAC{0xB}, netip.MustParseAddr("10.0.9.9"))
+	_, sp := netsim.Connect(eng, discard{}, 0, srv, 0, 0, 0)
+	srv.Attach(sp)
+	srv.Store[KeyOf(7, 8)] = 99
+
+	get := KVMsg{Op: KVGet, Key0: 7, Key1: 8, Seq: 2}
+	payload := BuildKV(nil, netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.9.9"), 40000, KVPort, &get)
+	missed := &packet.Active{Header: packet.ActiveHeader{FID: 5, Opaque: 1}, Args: [4]uint32{7, 8, 1030, 0}, Program: cacheQueryProg}
+	missed.Header.SetType(packet.TypeProgram)
+	for _, c := range []struct {
+		name string
+		f    packet.Frame
+	}{
+		{"plain GET", packet.Frame{Eth: packet.EthHeader{EtherType: packet.EtherTypeIPv4}, Inner: payload}},
+		{"missed query", packet.Frame{Eth: packet.EthHeader{EtherType: packet.EtherTypeActive}, Active: missed, Inner: payload}},
+	} {
+		c.f.Eth.Dst, c.f.Eth.Src = srv.MAC(), packet.MAC{0xA}
+		raw, err := packet.EncodeFrame(&c.f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := srv.Requests
+		if n := testing.AllocsPerRun(200, func() {
+			srv.Receive(raw, nil)
+			eng.Run()
+		}); n != 1 {
+			t.Errorf("%s: %v allocs, want 1 (the reply buffer)", c.name, n)
+		}
+		if srv.Requests-served != 201 {
+			t.Fatalf("%s: served %d requests of 201", c.name, srv.Requests-served)
+		}
+	}
+}
+
 type frameSink struct {
 	msgs []KVMsg
 }

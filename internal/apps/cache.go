@@ -112,6 +112,7 @@ type Cache struct {
 	// Stats.
 	Hits, Misses, PopAcks uint64
 	seq                   uint32
+	payload               []byte // Get's datagram scratch; the client copies from it
 
 	// OnResponse fires for every completed GET: hit tells whether the
 	// switch served it.
@@ -266,13 +267,13 @@ func (c *Cache) Populate() {
 func (c *Cache) Get(k0, k1 uint32) uint32 {
 	c.seq++
 	msg := KVMsg{Op: KVGet, Key0: k0, Key1: k1, Seq: c.seq}
-	payload := BuildKV(c.selfIP, c.srvIP, 40000, KVPort, &msg)
+	c.payload = BuildKV(c.payload[:0], c.selfIP, c.srvIP, 40000, KVPort, &msg)
 	addr, ok := c.bucket(k0, k1)
 	if !ok {
-		_ = c.Client.SendPlain(payload, c.srvMAC)
+		_ = c.Client.SendPlain(c.payload, c.srvMAC)
 		return c.seq
 	}
-	_ = c.Client.SendProgram("main", [4]uint32{k0, k1, addr, 0}, 0, payload, c.srvMAC)
+	_ = c.Client.SendProgram("main", [4]uint32{k0, k1, addr, 0}, 0, c.payload, c.srvMAC)
 	return c.seq
 }
 

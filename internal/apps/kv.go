@@ -72,24 +72,29 @@ func DecodeKVMsg(b []byte) (KVMsg, bool) {
 // BuildUDP wraps a payload in IPv4+UDP for the simulated network (giving
 // active programs a real 5-tuple to hash).
 func BuildUDP(src, dst netip.Addr, sport, dport uint16, payload []byte) []byte {
-	return append(udpHeaders(src, dst, sport, dport, len(payload)), payload...)
+	n := packet.IPv4HeaderSize + packet.UDPHeaderSize + len(payload)
+	return append(appendUDPHeaders(make([]byte, 0, n), src, dst, sport, dport, len(payload)), payload...)
 }
 
-// BuildKV is BuildUDP of a KV message, encoded straight into the datagram.
-func BuildKV(src, dst netip.Addr, sport, dport uint16, m *KVMsg) []byte {
-	return m.AppendTo(udpHeaders(src, dst, sport, dport, KVMsgSize))
+// kvDatagramSize is the size of the IPv4+UDP datagram carrying a KV message.
+const kvDatagramSize = packet.IPv4HeaderSize + packet.UDPHeaderSize + KVMsgSize
+
+// BuildKV appends the IPv4+UDP datagram of a KV message to buf (a sender's
+// reusable scratch, or the wire buffer itself).
+func BuildKV(buf []byte, src, dst netip.Addr, sport, dport uint16, m *KVMsg) []byte {
+	return m.AppendTo(appendUDPHeaders(buf, src, dst, sport, dport, KVMsgSize))
 }
 
-// udpHeaders returns the IPv4+UDP headers of a datagram with n payload
-// bytes, in a buffer with room for the payload.
-func udpHeaders(src, dst netip.Addr, sport, dport uint16, n int) []byte {
+// appendUDPHeaders appends the IPv4+UDP headers of a datagram with n payload
+// bytes.
+func appendUDPHeaders(buf []byte, src, dst netip.Addr, sport, dport uint16, n int) []byte {
 	udp := packet.UDPHeader{SrcPort: sport, DstPort: dport, Length: uint16(packet.UDPHeaderSize + n)}
 	ip := packet.IPv4Header{
 		TotalLen: uint16(packet.IPv4HeaderSize + packet.UDPHeaderSize + n),
 		TTL:      64, Protocol: packet.ProtoUDP,
 		Src: src, Dst: dst,
 	}
-	return udp.Encode(ip.Encode(make([]byte, 0, int(ip.TotalLen))))
+	return udp.Encode(ip.Encode(buf))
 }
 
 // ParseUDP unwraps an IPv4+UDP payload.
@@ -113,6 +118,11 @@ type KVServer struct {
 	port *netsim.Port
 	mac  packet.MAC
 	ip   netip.Addr
+
+	// Receive decodes into rx and rxAct (fields, not locals: the Frame points
+	// at the Active, which would move a local to the heap per frame).
+	rx    packet.Frame
+	rxAct packet.Active
 
 	Store map[uint64]uint32
 
@@ -141,8 +151,8 @@ func KeyOf(k0, k1 uint32) uint64 { return uint64(k0)<<32 | uint64(k1) }
 // headers are ignored — the server operates on the TCP/IP payload, exactly
 // as the paper prescribes (active programs never touch payloads).
 func (s *KVServer) Receive(frame []byte, port *netsim.Port) {
-	f, err := packet.DecodeFrame(frame)
-	if err != nil {
+	f := &s.rx
+	if packet.DecodeEndpoint(frame, f, &s.rxAct) != nil {
 		return
 	}
 	ip, udp, body, ok := ParseUDP(f.Inner)
@@ -165,13 +175,7 @@ func (s *KVServer) Receive(frame []byte, port *netsim.Port) {
 	default:
 		return
 	}
-	out := packet.Frame{
-		Eth:   packet.EthHeader{Dst: f.Eth.Src, Src: s.mac, EtherType: packet.EtherTypeIPv4},
-		Inner: BuildKV(s.ip, ip.Src, KVPort, udp.SrcPort, &resp),
-	}
-	raw, err := packet.EncodeFrame(&out)
-	if err != nil {
-		return
-	}
-	s.port.SendAfter(s.ServiceTime, raw)
+	eth := packet.EthHeader{Dst: f.Eth.Src, Src: s.mac, EtherType: packet.EtherTypeIPv4}
+	raw := eth.Encode(make([]byte, 0, packet.EthHeaderSize+kvDatagramSize))
+	s.port.SendAfter(s.ServiceTime, BuildKV(raw, s.ip, ip.Src, KVPort, udp.SrcPort, &resp))
 }

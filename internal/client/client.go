@@ -131,6 +131,14 @@ func DefaultPipeline() Pipeline {
 	return Pipeline{NumStages: packet.NumStages, NumIngress: packet.NumStages / 2, MaxPasses: 2}
 }
 
+// mutant is one template synthesized for a placement, and the frame that
+// carries it as packet.EncodeFrame renders it with no payload: SendProgram
+// copies wire and patches what differs per packet.
+type mutant struct {
+	prog *isa.Program
+	wire []byte
+}
+
 // Client is one end-host service instance speaking the ActiveRMT protocol.
 type Client struct {
 	eng       *netsim.Engine
@@ -165,7 +173,12 @@ type Client struct {
 
 	state     State
 	placement *alloc.Placement
-	progs     map[string]*isa.Program // synthesized per current placement
+	progs     map[string]mutant // synthesized per current placement
+
+	// Receive decodes into rx and rxAct; a Handler sees them for the
+	// duration of its call.
+	rx    packet.Frame
+	rxAct packet.Active
 
 	// cons is the constraints of the latest allocation request (derived on
 	// first use by a client that never asked), mutants the shared mutant
@@ -187,7 +200,10 @@ type Client struct {
 	pendingEpoch uint8
 
 	// Handler receives every non-protocol frame addressed to this host
-	// (RTS replies, forwarded traffic). Optional.
+	// (RTS replies, forwarded traffic). Optional. The frame is valid for the
+	// duration of the call: it is the client's decode scratch and its Inner
+	// aliases the delivered bytes, so a handler copies what it keeps. A
+	// program capsule's Active carries no Program.
 	Handler func(c *Client, f *packet.Frame)
 
 	// Counters.
@@ -222,7 +238,7 @@ func New(eng *netsim.Engine, fid uint16, mac, switchMAC packet.MAC, svc *Service
 		fid:       fid,
 		svc:       svc,
 		Pipeline:  DefaultPipeline(),
-		progs:     map[string]*isa.Program{},
+		progs:     map[string]mutant{},
 		// Deterministic per-FID jitter source: same topology, same seed,
 		// same retry trace.
 		rng: rand.New(rand.NewSource(int64(fid)*2654435761 + 1)),
@@ -257,7 +273,7 @@ func (c *Client) Engine() *netsim.Engine { return c.eng }
 func (c *Client) Service() *Service { return c.svc }
 
 // Program returns the synthesized template by name (nil before admission).
-func (c *Client) Program(name string) *isa.Program { return c.progs[name] }
+func (c *Client) Program(name string) *isa.Program { return c.progs[name].prog }
 
 // Epoch returns the grant epoch the client currently stamps on capsules
 // (0 before first admission).
@@ -303,7 +319,7 @@ func (c *Client) RequestAllocation() error {
 				}
 				c.Retries++
 				c.PhaseRetries++
-				_ = c.sendActive(a, c.switchMAC)
+				_ = c.sendControl(a)
 				if next := time.Duration(float64(interval) * factor); next < limit {
 					interval = next
 				} else {
@@ -314,7 +330,7 @@ func (c *Client) RequestAllocation() error {
 		}
 		rearm()
 	}
-	return c.sendActive(a, c.switchMAC)
+	return c.sendControl(a)
 }
 
 // Release relinquishes the allocation.
@@ -322,26 +338,26 @@ func (c *Client) Release() error {
 	a := &packet.Active{Header: packet.ActiveHeader{FID: c.fid, Flags: packet.FlagRelease}}
 	a.Header.SetType(packet.TypeControl)
 	c.state = Negotiating
-	return c.sendActive(a, c.switchMAC)
+	return c.sendControl(a)
 }
 
 // sendSnapDone signals the controller that state extraction finished.
 func (c *Client) sendSnapDone() {
 	a := &packet.Active{Header: packet.ActiveHeader{FID: c.fid, Flags: packet.FlagSnapDone}}
 	a.Header.SetType(packet.TypeControl)
-	_ = c.sendActive(a, c.switchMAC)
+	_ = c.sendControl(a)
 }
 
-func (c *Client) sendActive(a *packet.Active, dst packet.MAC) error {
+// sendControl sends a protocol frame (allocation request, release,
+// snapshot-done) to the switch.
+func (c *Client) sendControl(a *packet.Active) error {
 	if c.port == nil {
 		return fmt.Errorf("client: fid %d not attached", c.fid)
 	}
-	f := &packet.Frame{
-		Eth:    packet.EthHeader{Dst: dst, Src: c.mac, EtherType: packet.EtherTypeActive},
+	raw, err := packet.EncodeFrame(&packet.Frame{
+		Eth:    packet.EthHeader{Dst: c.switchMAC, Src: c.mac, EtherType: packet.EtherTypeActive},
 		Active: a,
-		Inner:  a.Payload,
-	}
-	raw, err := packet.EncodeFrame(f)
+	})
 	if err != nil {
 		return err
 	}
@@ -354,22 +370,28 @@ func (c *Client) sendActive(a *packet.Active, dst packet.MAC) error {
 // toward dst. Outside the operational state the payload is forwarded
 // unactivated (the paper pauses active transmissions while negotiating or
 // managing memory). extraFlags lets callers set FlagMemSync, FlagPreload,
-// or FlagNoShrink.
+// or FlagNoShrink. The payload is copied; the caller may reuse it.
 func (c *Client) SendProgram(name string, args [4]uint32, extraFlags uint16, payload []byte, dst packet.MAC) error {
 	memsync := extraFlags&packet.FlagMemSync != 0
-	if (c.state != Operational && !memsync) || c.progs[name] == nil {
+	wire := c.progs[name].wire
+	if (c.state != Operational && !memsync) || wire == nil {
 		return c.SendPlain(payload, dst)
 	}
-	a := &packet.Active{
-		// The opaque field echoes the grant epoch: the switch guard drops
-		// program capsules whose echo does not match the installed grant.
-		Header:  packet.ActiveHeader{FID: c.fid, Flags: extraFlags, Opaque: uint32(c.grantEpoch)},
-		Args:    args,
-		Program: c.progs[name],
-		Payload: payload,
+	if c.port == nil {
+		return fmt.Errorf("client: fid %d not attached", c.fid)
 	}
-	a.Header.SetType(packet.TypeProgram)
-	return c.sendActive(a, dst)
+	// The opaque field echoes the grant epoch: the switch guard drops
+	// program capsules whose echo does not match the installed grant. It
+	// changes at reactivation, after the templates were rendered.
+	h := packet.ActiveHeader{FID: c.fid, Flags: extraFlags, Opaque: uint32(c.grantEpoch)}
+	h.SetType(packet.TypeProgram)
+	raw := make([]byte, len(wire)+len(payload))
+	copy(raw, wire)
+	copy(raw[len(wire):], payload)
+	packet.PatchProgram(raw, dst, h, &args)
+	c.Sent++
+	c.port.Send(raw)
+	return nil
 }
 
 // SendPlain sends an unactivated frame.
@@ -377,14 +399,8 @@ func (c *Client) SendPlain(payload []byte, dst packet.MAC) error {
 	if c.port == nil {
 		return fmt.Errorf("client: fid %d not attached", c.fid)
 	}
-	f := &packet.Frame{
-		Eth:   packet.EthHeader{Dst: dst, Src: c.mac, EtherType: packet.EtherTypeIPv4},
-		Inner: payload,
-	}
-	raw, err := packet.EncodeFrame(f)
-	if err != nil {
-		return err
-	}
+	eth := packet.EthHeader{Dst: dst, Src: c.mac, EtherType: packet.EtherTypeIPv4}
+	raw := append(eth.Encode(make([]byte, 0, packet.EthHeaderSize+len(payload))), payload...)
 	c.Sent++
 	c.SentUnactivated++
 	c.port.Send(raw)
@@ -394,8 +410,8 @@ func (c *Client) SendPlain(payload []byte, dst packet.MAC) error {
 // Receive implements netsim.Endpoint.
 func (c *Client) Receive(frame []byte, port *netsim.Port) {
 	c.Received++
-	f, err := packet.DecodeFrame(frame)
-	if err != nil {
+	f := &c.rx
+	if packet.DecodeEndpoint(frame, f, &c.rxAct) != nil {
 		return
 	}
 	if f.Active == nil {
@@ -431,7 +447,7 @@ func (c *Client) Receive(frame []byte, port *netsim.Port) {
 	case h.Type() == packet.TypeControl && h.Flags&packet.FlagRelease != 0 && h.Flags&packet.FlagDone != 0:
 		c.state = Idle
 		c.placement = nil
-		c.progs = map[string]*isa.Program{}
+		c.progs = map[string]mutant{}
 		c.grantEpoch, c.pendingEpoch = 0, 0
 	case h.Type() == packet.TypeControl && h.Flags&packet.FlagEvicted != 0:
 		// Guard eviction: the allocation is gone; restart from Idle (after
@@ -439,7 +455,7 @@ func (c *Client) Receive(frame []byte, port *netsim.Port) {
 		c.Evictions++
 		c.state = Idle
 		c.placement = nil
-		c.progs = map[string]*isa.Program{}
+		c.progs = map[string]mutant{}
 		c.grantEpoch, c.pendingEpoch = 0, 0
 		switch {
 		case c.svc.OnEvicted != nil:
@@ -609,9 +625,10 @@ func (c *Client) beginRealloc(resp *packet.AllocResponse) {
 	}
 }
 
-// synthesizeAll builds every template's mutant for the placement.
+// synthesizeAll builds every template's mutant for the placement and renders
+// the frame that carries it.
 func (c *Client) synthesizeAll(pl *alloc.Placement) error {
-	progs := map[string]*isa.Program{}
+	progs := map[string]mutant{}
 	names := make([]string, 0, len(c.svc.Templates))
 	for n := range c.svc.Templates {
 		names = append(names, n)
@@ -625,7 +642,16 @@ func (c *Client) synthesizeAll(pl *alloc.Placement) error {
 		if err := compiler.Verify(p, pl); err != nil {
 			return err
 		}
-		progs[n] = p
+		a := packet.Active{Header: packet.ActiveHeader{FID: c.fid}, Program: p}
+		a.Header.SetType(packet.TypeProgram)
+		wire, err := packet.EncodeFrame(&packet.Frame{
+			Eth:    packet.EthHeader{Src: c.mac, EtherType: packet.EtherTypeActive},
+			Active: &a,
+		})
+		if err != nil {
+			return err
+		}
+		progs[n] = mutant{prog: p, wire: wire}
 	}
 	c.progs = progs
 	return nil

@@ -335,12 +335,21 @@ func TestReleaseFlow(t *testing.T) {
 
 func TestHandlerReceivesDataFrames(t *testing.T) {
 	cl, _, _ := newTestClient(t, cacheService())
-	var got *packet.Frame
-	cl.Handler = func(c *Client, f *packet.Frame) { got = f }
+	// The frame is the handler's for the duration of the call: keep copies.
+	var inner []byte
+	var fid uint16
+	calls := 0
+	cl.Handler = func(c *Client, f *packet.Frame) {
+		calls++
+		inner = append([]byte(nil), f.Inner...)
+		if f.Active != nil {
+			fid = f.Active.Header.FID
+		}
+	}
 	f := &packet.Frame{Eth: packet.EthHeader{Dst: cl.MAC(), EtherType: packet.EtherTypeIPv4}, Inner: []byte{1, 2}}
 	raw, _ := packet.EncodeFrame(f)
 	cl.Receive(raw, nil)
-	if got == nil || len(got.Inner) != 2 {
+	if calls != 1 || len(inner) != 2 {
 		t.Fatal("plain frame not delivered to handler")
 	}
 	// Frames for other FIDs are delivered, not consumed as protocol.
@@ -348,9 +357,8 @@ func TestHandlerReceivesDataFrames(t *testing.T) {
 	a.Header.SetType(packet.TypeProgram)
 	f2 := &packet.Frame{Eth: packet.EthHeader{Dst: cl.MAC(), EtherType: packet.EtherTypeActive}, Active: a}
 	raw2, _ := packet.EncodeFrame(f2)
-	got = nil
 	cl.Receive(raw2, nil)
-	if got == nil {
+	if calls != 2 || fid != cl.FID()+1 {
 		t.Fatal("foreign-FID frame not delivered to handler")
 	}
 }

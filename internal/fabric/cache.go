@@ -112,6 +112,7 @@ type CoherentCache struct {
 	dir     map[uint64]map[int]bool // key -> leaves holding a copy
 	seq     uint32
 	pending map[uint32]pendingOp
+	payload []byte // datagram scratch of the senders; the client copies from it
 
 	// Two-phase write state.
 	writing map[uint64]*pendingWrite // key -> write awaiting acks
@@ -231,13 +232,13 @@ func (c *CoherentCache) Get(leaf int, k0, k1 uint32) (uint32, error) {
 	}
 	c.seq++
 	msg := apps.KVMsg{Op: apps.KVGet, Key0: k0, Key1: k1, Seq: c.seq}
-	payload := apps.BuildKV(fr.ip, c.srvIP, 40000, apps.KVPort, &msg)
+	c.payload = apps.BuildKV(c.payload[:0], fr.ip, c.srvIP, 40000, apps.KVPort, &msg)
 	addr, ok := c.bucket(k0, k1)
 	if !ok {
 		return 0, fmt.Errorf("fabric: cache has no capacity")
 	}
 	c.pending[c.seq] = pendingOp{leaf: leaf, op: apps.KVGet, k0: k0, k1: k1, wgen: c.wgens[apps.KeyOf(k0, k1)]}
-	return c.seq, fr.cl.SendProgram("main", [4]uint32{k0, k1, addr, 0}, 0, payload, c.srvMAC)
+	return c.seq, fr.cl.SendProgram("main", [4]uint32{k0, k1, addr, 0}, 0, c.payload, c.srvMAC)
 }
 
 // Put writes a key from the given leaf, two-phase: phase 1 sends a hairpin
@@ -302,10 +303,10 @@ func (c *CoherentCache) transmitInval(is uint32, pi *pendingInval) {
 		return
 	}
 	msg := apps.KVMsg{Op: apps.KVInval, Key0: pi.w.k0, Key1: pi.w.k1, Seq: is}
-	payload := apps.BuildKV(fr.ip, fr.ip, 40000, 40000, &msg)
+	c.payload = apps.BuildKV(c.payload[:0], fr.ip, fr.ip, 40000, 40000, &msg)
 	_ = fr.cl.SendProgram("populate-fwd",
 		[4]uint32{InvalKey0, InvalKey1, pi.w.addr, 0},
-		packet.FlagPreload, payload, fr.cl.MAC())
+		packet.FlagPreload, c.payload, fr.cl.MAC())
 	c.InvalSent++
 	delay := c.InvalRetry * (1 << uint(minInt(pi.tries, 4)))
 	c.fc.F.Eng.Schedule(delay, func() { c.checkInval(is) })
@@ -353,10 +354,10 @@ func (c *CoherentCache) transmitCommit(w *pendingWrite) {
 	}
 	_ = c.updateHome(fr, w.k0, w.k1, w.addr, w.value)
 	msg := apps.KVMsg{Op: apps.KVPut, Key0: w.k0, Key1: w.k1, Value: w.value, Seq: w.seq}
-	payload := apps.BuildKV(fr.ip, c.srvIP, 40000, apps.KVPort, &msg)
+	c.payload = apps.BuildKV(c.payload[:0], fr.ip, c.srvIP, 40000, apps.KVPort, &msg)
 	_ = fr.cl.SendProgram("populate-fwd",
 		[4]uint32{w.k0, w.k1, w.addr, w.value},
-		packet.FlagPreload, payload, c.srvMAC)
+		packet.FlagPreload, c.payload, c.srvMAC)
 	delay := c.CommitRetry * (1 << uint(minInt(w.commitTries, 4)))
 	c.fc.F.Eng.Schedule(delay, func() { c.checkCommit(w) })
 }

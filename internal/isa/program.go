@@ -121,20 +121,39 @@ func (p *Program) Encode(dst []byte) []byte {
 // the EOF header).
 func DecodeProgram(b []byte) (*Program, int, error) {
 	p := &Program{}
+	n, err := walkProgram(b, p)
+	if err != nil {
+		return nil, n, err
+	}
+	return p, n, nil
+}
+
+// SkipProgram steps over the program at the head of b and returns its wire
+// length (EOF header included). It accepts exactly what DecodeProgram
+// accepts, without building a Program: the decode of an end host, which
+// never reads the instruction headers a reply still carries.
+func SkipProgram(b []byte) (int, error) { return walkProgram(b, nil) }
+
+// walkProgram validates instruction headers up to and including the EOF
+// header and returns the bytes consumed; a non-nil p collects the
+// instructions.
+func walkProgram(b []byte, p *Program) (int, error) {
 	off := 0
 	for {
 		if off+WireSize > len(b) {
-			return nil, off, fmt.Errorf("isa: program truncated at byte %d (no EOF)", off)
+			return off, fmt.Errorf("isa: program truncated at byte %d (no EOF)", off)
 		}
 		in, err := DecodeInstruction(b[off:])
 		if err != nil {
-			return nil, off, fmt.Errorf("isa: at byte %d: %w", off, err)
+			return off, fmt.Errorf("isa: at byte %d: %w", off, err)
 		}
 		off += WireSize
 		if in.Op == OpEOF {
-			return p, off, nil
+			return off, nil
 		}
-		p.Instrs = append(p.Instrs, in)
+		if p != nil {
+			p.Instrs = append(p.Instrs, in)
+		}
 	}
 }
 

@@ -138,6 +138,23 @@ func (h *ActiveHeader) encode(dst []byte) {
 	binary.BigEndian.PutUint32(dst[6:], h.Opaque)
 }
 
+// encodeArgs writes the argument header.
+func encodeArgs(dst []byte, args *[NumDataFields]uint32) {
+	for i, v := range args {
+		binary.BigEndian.PutUint32(dst[4*i:], v)
+	}
+}
+
+// PatchProgram overwrites, in a program frame EncodeFrame rendered, the
+// fields that differ from one send to the next: the destination MAC, the
+// initial header and the argument header. An end host renders each program's
+// frame once per grant and patches a copy per packet.
+func PatchProgram(frame []byte, dst MAC, h ActiveHeader, args *[NumDataFields]uint32) {
+	copy(frame, dst[:])
+	h.encode(frame[EthHeaderSize:])
+	encodeArgs(frame[EthHeaderSize+InitialHeaderSize:], args)
+}
+
 func decodeActiveHeader(b []byte) (ActiveHeader, error) {
 	var h ActiveHeader
 	if len(b) < InitialHeaderSize {
@@ -343,6 +360,16 @@ func (a *Active) headerLen() int {
 // Encode serializes the active packet (headers followed by payload),
 // appending to dst.
 func (a *Active) Encode(dst []byte) ([]byte, error) {
+	dst, err := a.encodeHeaders(dst)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, a.Payload...), nil
+}
+
+// encodeHeaders appends the active headers — everything Encode writes in
+// front of the payload (headerLen bytes).
+func (a *Active) encodeHeaders(dst []byte) ([]byte, error) {
 	h := a.Header
 	switch h.Type() {
 	case TypeProgram:
@@ -351,9 +378,7 @@ func (a *Active) Encode(dst []byte) ([]byte, error) {
 		}
 		var hb [InitialHeaderSize + ArgHeaderSize]byte
 		h.encode(hb[:])
-		for i, v := range a.Args {
-			binary.BigEndian.PutUint32(hb[InitialHeaderSize+4*i:], v)
-		}
+		encodeArgs(hb[InitialHeaderSize:], &a.Args)
 		dst = append(dst, hb[:]...)
 		dst = a.Program.Encode(dst)
 	case TypeAllocReq:
@@ -381,44 +406,65 @@ func (a *Active) Encode(dst []byte) ([]byte, error) {
 		h.encode(hb[:])
 		dst = append(dst, hb[:]...)
 	}
-	return append(dst, a.Payload...), nil
+	return dst, nil
 }
 
-// Decode parses an active packet from b. It returns ErrNotActive when b
-// does not start with the active magic.
+// Decode parses an active packet from b into a fresh Active that owns its
+// payload. It returns ErrNotActive when b does not start with the active
+// magic.
 func Decode(b []byte) (*Active, error) {
-	h, err := decodeActiveHeader(b)
-	if err != nil {
+	a := &Active{}
+	if err := decodeActive(b, a, nil, false); err != nil {
 		return nil, err
 	}
-	a := &Active{Header: h}
+	a.Payload = append([]byte(nil), a.Payload...)
+	return a, nil
+}
+
+// decodeActive parses an active packet from b into a; a.Payload aliases b.
+// The instruction headers of a program capsule are decoded through the
+// cache c when there is one, stepped over (validated, a.Program left nil)
+// when skipProgram is set, and decoded afresh otherwise.
+func decodeActive(b []byte, a *Active, c *ProgCache, skipProgram bool) error {
+	h, err := decodeActiveHeader(b)
+	if err != nil {
+		return err
+	}
+	*a = Active{Header: h}
 	rest := b[InitialHeaderSize:]
 	switch h.Type() {
 	case TypeProgram:
 		if len(rest) < ArgHeaderSize {
-			return nil, fmt.Errorf("packet: short argument header: %d bytes", len(rest))
+			return fmt.Errorf("packet: short argument header: %d bytes", len(rest))
 		}
 		for i := range a.Args {
 			a.Args[i] = binary.BigEndian.Uint32(rest[4*i:])
 		}
 		rest = rest[ArgHeaderSize:]
-		prog, n, err := isa.DecodeProgram(rest)
-		if err != nil {
-			return nil, err
+		var n int
+		switch {
+		case skipProgram:
+			n, err = isa.SkipProgram(rest)
+		case c != nil:
+			a.Program, n, a.ValidState, err = c.lookupOrDecode(h.FID, uint8(h.Opaque)&EpochMax, rest)
+		default:
+			a.Program, n, err = isa.DecodeProgram(rest)
 		}
-		a.Program = prog
+		if err != nil {
+			return err
+		}
 		rest = rest[n:]
 	case TypeAllocReq:
 		req, err := allocRequestFromWire(h.Opaque, rest)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		a.AllocReq = req
 		rest = rest[AllocReqSize:]
 	case TypeAllocResp:
 		resp, err := allocResponseFromWire(h.Opaque, rest)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		a.AllocResp = resp
 		rest = rest[AllocRespSize:]
@@ -426,9 +472,9 @@ func Decode(b []byte) (*Active, error) {
 		// Initial header only.
 	}
 	if len(rest) > 0 {
-		a.Payload = append([]byte(nil), rest...)
+		a.Payload = rest
 	}
-	return a, nil
+	return nil
 }
 
 // IsActive reports whether b begins with the active magic.

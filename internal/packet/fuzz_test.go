@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"activermt/internal/isa"
@@ -104,11 +105,65 @@ func FuzzParseActive(f *testing.F) {
 	})
 }
 
-// FuzzDecodeFrame covers the layer-2 path.
+// FuzzDecodeFrame covers the layer-2 path and holds the end hosts' scratch
+// decode to it: DecodeEndpoint accepts exactly the frames DecodeFrame
+// accepts and reads the same Ethernet header, active headers, data fields,
+// allocation headers and inner bytes out of them.
 func FuzzDecodeFrame(f *testing.F) {
-	eth := EthHeader{EtherType: EtherTypeIPv4}
-	f.Add(append(eth.Encode(nil), 1, 2, 3))
+	plain := EthHeader{EtherType: EtherTypeIPv4}
+	f.Add(append(plain.Encode(nil), 1, 2, 3))
+	eth := EthHeader{Dst: MAC{1}, Src: MAC{2}, EtherType: EtherTypeActive}
+	prog := &Active{
+		Header:  ActiveHeader{FID: 7, Flags: FlagRTS, Opaque: 3},
+		Args:    [NumDataFields]uint32{1, 2, 3, 4},
+		Program: &isa.Program{Instrs: []isa.Instruction{{Op: isa.OpMarLoad, Operand: 2}, {Op: isa.OpMemWrite}}},
+	}
+	prog.Header.SetType(TypeProgram)
+	progWire, _ := EncodeFrame(&Frame{Eth: eth, Active: prog, Inner: []byte("inner")})
+	f.Add(progWire)
+	for cut := 0; cut < len(progWire); cut += 3 { // short headers, truncated program
+		f.Add(progWire[:cut])
+	}
+	noEOF := append([]byte(nil), progWire[:len(progWire)-len("inner")-isa.WireSize]...)
+	f.Add(noEOF)
+	badOp := append([]byte(nil), progWire...)
+	badOp[EthHeaderSize+InitialHeaderSize+ArgHeaderSize] = 0xFF
+	f.Add(badOp)
+	badMagic := append([]byte(nil), progWire...)
+	badMagic[EthHeaderSize] ^= 0xFF
+	f.Add(badMagic)
+	req := &Active{Header: ActiveHeader{FID: 7}, AllocReq: &AllocRequest{ProgLen: 11, IngressIdx: 2, Accesses: []AccessReq{{Index: 1, AlignGroup: 1}}}}
+	req.Header.SetType(TypeAllocReq)
+	resp := &Active{Header: ActiveHeader{FID: 7}, AllocResp: &AllocResponse{MutantIndex: PackEpoch(5, 3)}}
+	resp.Header.SetType(TypeAllocResp)
+	resp.AllocResp.Grants[1] = StageGrant{Start: 128, End: 256}
+	for _, a := range []*Active{req, resp} {
+		w, _ := EncodeFrame(&Frame{Eth: eth, Active: a})
+		f.Add(w)
+		f.Add(w[:len(w)-1]) // short allocation header
+	}
+
 	f.Fuzz(func(t *testing.T, b []byte) {
-		_, _ = DecodeFrame(b)
+		want, wantErr := DecodeFrame(b)
+		var got Frame
+		var act Active
+		gotErr := DecodeEndpoint(b, &got, &act)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("DecodeEndpoint error %v, DecodeFrame error %v", gotErr, wantErr)
+		}
+		if wantErr != nil {
+			return
+		}
+		if got.Eth != want.Eth || !bytes.Equal(got.Inner, want.Inner) || (got.Active == nil) != (want.Active == nil) {
+			t.Fatalf("frame differs: %+v vs %+v", got, want)
+		}
+		if want.Active == nil {
+			return
+		}
+		g, w := got.Active, want.Active
+		if g.Header != w.Header || g.Args != w.Args || g.Program != nil ||
+			!reflect.DeepEqual(g.AllocReq, w.AllocReq) || !reflect.DeepEqual(g.AllocResp, w.AllocResp) {
+			t.Fatalf("active headers differ: %+v vs %+v", g, w)
+		}
 	})
 }

@@ -229,7 +229,9 @@ type Frame struct {
 	Inner  []byte  // bytes after the Ethernet (and active) headers
 }
 
-// EncodeFrame serializes a frame into a buffer of exactly its wire size.
+// EncodeFrame serializes a frame into a buffer of exactly its wire size:
+// Ethernet header, active headers, then Inner. It only reads f — Inner, not
+// Active.Payload, is what follows the headers.
 func EncodeFrame(f *Frame) ([]byte, error) {
 	n := EthHeaderSize + len(f.Inner)
 	if f.Active != nil {
@@ -238,12 +240,9 @@ func EncodeFrame(f *Frame) ([]byte, error) {
 	out := f.Eth.Encode(make([]byte, 0, n))
 	if f.Active != nil {
 		var err error
-		f.Active.Payload = f.Inner
-		out, err = f.Active.Encode(out)
-		if err != nil {
+		if out, err = f.Active.encodeHeaders(out); err != nil {
 			return nil, err
 		}
-		return out, nil
 	}
 	return append(out, f.Inner...), nil
 }
@@ -266,4 +265,25 @@ func DecodeFrame(b []byte) (*Frame, error) {
 	}
 	f.Inner = append([]byte(nil), rest...)
 	return f, nil
+}
+
+// DecodeEndpoint parses a delivered frame into an end host's scratch: f and,
+// for an active frame, a (f.Active points at it). It accepts exactly the
+// frames DecodeFrame accepts and copies nothing: Inner aliases b, which is
+// only read, and the instruction headers of a program capsule are validated
+// but not decoded (Program stays nil — an end host reads flags and data
+// fields, never code). The result is valid until b or the scratch is reused.
+func DecodeEndpoint(b []byte, f *Frame, a *Active) error {
+	eth, rest, err := DecodeEth(b)
+	if err != nil {
+		return err
+	}
+	*f = Frame{Eth: eth, Inner: rest}
+	if eth.EtherType == EtherTypeActive {
+		if err := decodeActive(rest, a, nil, true); err != nil {
+			return err
+		}
+		f.Active, f.Inner = a, a.Payload
+	}
+	return nil
 }

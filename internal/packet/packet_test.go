@@ -357,6 +357,32 @@ func TestFrameRoundTripPlain(t *testing.T) {
 	}
 }
 
+// TestEncodeFrameDoesNotMutate: EncodeFrame only reads its argument. Inner is
+// what follows the active headers; the caller's Active.Payload is neither
+// emitted nor overwritten.
+func TestEncodeFrameDoesNotMutate(t *testing.T) {
+	payload := []byte("kept")
+	a := &Active{Header: ActiveHeader{FID: 5}, Program: sampleProgram(t), Payload: payload}
+	a.Header.SetType(TypeProgram)
+	withInner, err := EncodeFrame(&Frame{Eth: EthHeader{EtherType: EtherTypeActive}, Active: a, Inner: []byte("inner")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noInner, err := EncodeFrame(&Frame{Eth: EthHeader{EtherType: EtherTypeActive}, Active: a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Payload) != len(payload) || &a.Payload[0] != &payload[0] {
+		t.Errorf("EncodeFrame wrote through its argument: payload %q -> %q", payload, a.Payload)
+	}
+	if !bytes.HasSuffix(withInner, []byte("inner")) || !bytes.Equal(withInner[:len(noInner)], noInner) {
+		t.Errorf("frames differ beyond Inner:\n%x\n%x", withInner, noInner)
+	}
+	if len(noInner) != EthHeaderSize+a.headerLen() {
+		t.Errorf("frame without Inner is %d bytes, want the headers' %d", len(noInner), EthHeaderSize+a.headerLen())
+	}
+}
+
 // TestEncodeFrameExactSize: the wire buffer is the one allocation a hop
 // makes, so EncodeFrame sizes it from the frame — no slack, no regrowth —
 // for every packet type.

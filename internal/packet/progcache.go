@@ -1,7 +1,6 @@
 package packet
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"sync"
@@ -201,49 +200,7 @@ func (c *ProgCache) lookupOrDecode(fid uint16, epoch uint8, raw []byte) (*isa.Pr
 // Control traffic (allocation requests/responses) still allocates its
 // decoded structures; it is not on the packet hot path.
 func DecodeInto(b []byte, a *Active, c *ProgCache) error {
-	h, err := decodeActiveHeader(b)
-	if err != nil {
-		return err
-	}
-	*a = Active{Header: h}
-	rest := b[InitialHeaderSize:]
-	switch h.Type() {
-	case TypeProgram:
-		if len(rest) < ArgHeaderSize {
-			return fmt.Errorf("packet: short argument header: %d bytes", len(rest))
-		}
-		for i := range a.Args {
-			a.Args[i] = binary.BigEndian.Uint32(rest[4*i:])
-		}
-		rest = rest[ArgHeaderSize:]
-		epoch := uint8(h.Opaque) & EpochMax
-		prog, n, state, err := c.lookupOrDecode(h.FID, epoch, rest)
-		if err != nil {
-			return err
-		}
-		a.Program = prog
-		a.ValidState = state
-		rest = rest[n:]
-	case TypeAllocReq:
-		req, err := allocRequestFromWire(h.Opaque, rest)
-		if err != nil {
-			return err
-		}
-		a.AllocReq = req
-		rest = rest[AllocReqSize:]
-	case TypeAllocResp:
-		resp, err := allocResponseFromWire(h.Opaque, rest)
-		if err != nil {
-			return err
-		}
-		a.AllocResp = resp
-		rest = rest[AllocRespSize:]
-	case TypeControl:
-	}
-	if len(rest) > 0 {
-		a.Payload = rest
-	}
-	return nil
+	return decodeActive(b, a, c, false)
 }
 
 // DecodeCached is DecodeInto with an allocated Active, for callers that

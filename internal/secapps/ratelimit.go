@@ -125,6 +125,11 @@ type RLSink struct {
 	mac  packet.MAC
 	port *netsim.Port
 
+	// Receive decodes into rx and rxAct (fields, not locals: the Frame points
+	// at the Active, which would move a local to the heap per frame).
+	rx    packet.Frame
+	rxAct packet.Active
+
 	// Delivered counts capsules that survived the limiter, per tenant.
 	Delivered map[uint32]uint64
 	Total     uint64
@@ -143,8 +148,8 @@ func (s *RLSink) Attach(p *netsim.Port) { s.port = p }
 
 // Receive implements netsim.Endpoint.
 func (s *RLSink) Receive(frame []byte, port *netsim.Port) {
-	f, err := packet.DecodeFrame(frame)
-	if err != nil || f.Active == nil {
+	f := &s.rx
+	if packet.DecodeEndpoint(frame, f, &s.rxAct) != nil || f.Active == nil {
 		return
 	}
 	if f.Active.Args[3] != 1 {

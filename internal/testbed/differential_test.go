@@ -25,15 +25,27 @@ import (
 // counter except SpecializedRuns itself.
 
 // wire sits between a link and a host and records what the host receives.
+// A scribbling wire hands the host a private copy of the frame and overwrites
+// it once Receive returns: a frame is the host's only for the duration of the
+// call, so anything a host kept aliasing it reads back as 0xA5.
 type wire struct {
-	host netsim.Endpoint
-	eng  *netsim.Engine
-	log  bytes.Buffer
+	host     netsim.Endpoint
+	eng      *netsim.Engine
+	log      bytes.Buffer
+	scribble bool
 }
 
 func (w *wire) Receive(frame []byte, p *netsim.Port) {
 	fmt.Fprintf(&w.log, "%d %x\n", w.eng.Now(), frame)
-	w.host.Receive(frame, p)
+	if !w.scribble {
+		w.host.Receive(frame, p)
+		return
+	}
+	own := append([]byte(nil), frame...)
+	w.host.Receive(own, p)
+	for i := range own {
+		own[i] = 0xA5
+	}
 }
 
 // observed is what one run leaves behind for comparison.
@@ -41,7 +53,14 @@ type observed struct {
 	wires       []*wire // in attach order
 	clock       time.Duration
 	counters    string
+	hosts       string // every answer in order, then every client, cache and server counter
 	specialized uint64
+}
+
+// clientLine renders a shim client's counters and final state.
+func clientLine(cl *client.Client) string {
+	return fmt.Sprintln("client", cl.FID(), cl.Sent, cl.SentUnactivated, cl.Received, cl.Reallocations,
+		cl.Retries, cl.ReallocTimeouts, cl.Evictions, cl.State(), cl.Epoch())
 }
 
 // counterLine renders every counter of one switch and what sits under it,
@@ -75,6 +94,16 @@ func compareRuns(t *testing.T, on, off observed) {
 	if on.counters != off.counters {
 		t.Errorf("counters differ:\n-- specialized\n%s-- interpreted\n%s", on.counters, off.counters)
 	}
+	compareHosts(t, on, off)
+}
+
+// compareHosts holds two runs to the same answers, host counters and frames
+// delivered to every host.
+func compareHosts(t *testing.T, on, off observed) {
+	t.Helper()
+	if on.hosts != off.hosts {
+		t.Errorf("answers or host counters differ (%d vs %d bytes of log)", len(on.hosts), len(off.hosts))
+	}
 	for i := range on.wires {
 		if a, b := on.wires[i].log.Bytes(), off.wires[i].log.Bytes(); !bytes.Equal(a, b) {
 			t.Errorf("host %d: egress frame sequence differs (%d vs %d bytes of log)", i, len(a), len(b))
@@ -86,13 +115,14 @@ func compareRuns(t *testing.T, on, off observed) {
 // populates (the writes), GETs that hit and miss, a tenant arriving
 // mid-stream so a resident one is deactivated, reallocated and repopulated
 // under traffic, and capsules that fault outside their region.
-func runTestbedStream(t *testing.T, specialize bool) observed {
+func runTestbedStream(t *testing.T, specialize, scribble bool) observed {
 	t.Helper()
 	tb := newBed(t)
 	tb.RT.SetSpecialization(specialize)
 	var obs observed
+	var hosts bytes.Buffer
 	attach := func(ep netsim.Endpoint, mac packet.MAC) *netsim.Port {
-		w := &wire{host: ep, eng: tb.Eng}
+		w := &wire{host: ep, eng: tb.Eng, scribble: scribble}
 		obs.wires = append(obs.wires, w)
 		_, p := tb.Attach(w, mac)
 		return p
@@ -114,6 +144,7 @@ func runTestbedStream(t *testing.T, specialize bool) observed {
 		cl.Attach(attach(cl, mac))
 		c.Bind(cl)
 		c.SetHotObjects(objs[:64]) // the rest miss through to the server
+		c.OnResponse = func(seq, value uint32, hit bool) { fmt.Fprintln(&hosts, "answer", fid, seq, value, hit) }
 		return c, cl
 	}
 	// Three caches fill the stages disjointly; the fourth, arriving under
@@ -169,6 +200,12 @@ func runTestbedStream(t *testing.T, specialize bool) observed {
 		t.Fatalf("stream too tame: hits %d/%d misses %d faults %d reallocated %d",
 			caches[0].Hits, caches[tenants-1].Hits, caches[0].Misses, tb.RT.Faults, reallocated)
 	}
+	for i, c := range caches {
+		hosts.WriteString(clientLine(clients[i]))
+		fmt.Fprintln(&hosts, "cache", c.Hits, c.Misses, c.PopAcks)
+	}
+	fmt.Fprintln(&hosts, "server", srv.Requests, srv.Puts)
+	obs.hosts = hosts.String()
 	obs.clock = tb.Eng.Now()
 	obs.counters = counterLine(tb.Switch, tb.Guard)
 	obs.specialized = tb.RT.SpecializedRuns
@@ -176,13 +213,13 @@ func runTestbedStream(t *testing.T, specialize bool) observed {
 }
 
 func TestDifferentialTestbed(t *testing.T) {
-	compareRuns(t, runTestbedStream(t, true), runTestbedStream(t, false))
+	compareRuns(t, runTestbedStream(t, true, false), runTestbedStream(t, false, false))
 }
 
 // runFabricStream drives a coherent cache replicated on both leaves of a 2x1
 // fabric with a 90/10 GET/PUT mix from both leaves: leaf hits, relays to the
 // home spine, two-phase writes, invalidations and fills.
-func runFabricStream(t *testing.T, specialize bool) observed {
+func runFabricStream(t *testing.T, specialize, scribble bool) observed {
 	t.Helper()
 	cfg := fabric.DefaultConfig(2, 1)
 	f, err := fabric.New(cfg)
@@ -193,8 +230,9 @@ func runFabricStream(t *testing.T, specialize bool) observed {
 		n.RT.SetSpecialization(specialize)
 	}
 	var obs observed
+	var hosts bytes.Buffer
 	tap := func(ep netsim.Endpoint) *wire {
-		w := &wire{host: ep, eng: f.Eng}
+		w := &wire{host: ep, eng: f.Eng, scribble: scribble}
 		obs.wires = append(obs.wires, w)
 		return w
 	}
@@ -210,6 +248,8 @@ func runFabricStream(t *testing.T, specialize bool) observed {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cc.OnResponse = func(leaf int, seq, value uint32, hit bool) { fmt.Fprintln(&hosts, "answer", leaf, seq, value, hit) }
+	cc.OnWriteAck = func(leaf int, seq, value uint32) { fmt.Fprintln(&hosts, "write-ack", leaf, seq, value) }
 	// The cache attached its own frontends: re-home each one's link on a
 	// recording wire, port number and link parameters as built.
 	for _, m := range cc.Set().Members {
@@ -249,6 +289,13 @@ func runFabricStream(t *testing.T, specialize bool) observed {
 	if cc.Hits == 0 || cc.Misses == 0 || cc.WriteAcks == 0 || cc.Fills == 0 {
 		t.Fatalf("stream too tame: hits %d misses %d write acks %d fills %d", cc.Hits, cc.Misses, cc.WriteAcks, cc.Fills)
 	}
+	for _, m := range cc.Set().Members {
+		hosts.WriteString(clientLine(m.Client))
+	}
+	fmt.Fprintln(&hosts, "cache", cc.Hits, cc.Misses, cc.Fills, cc.WriteAcks, cc.PopAcks, cc.InvalSent, cc.InvalDelivered,
+		cc.InvalRetransmits, cc.CommitRetransmits, cc.FillsSuppressed, cc.HomeEvictions)
+	fmt.Fprintln(&hosts, "server", srv.Requests, srv.Puts)
+	obs.hosts = hosts.String()
 	obs.clock = f.Eng.Now()
 	for _, n := range f.Nodes() {
 		obs.counters += n.Name + " " + counterLine(n.Switch, n.Guard)
@@ -258,5 +305,24 @@ func runFabricStream(t *testing.T, specialize bool) observed {
 }
 
 func TestDifferentialFabric(t *testing.T) {
-	compareRuns(t, runFabricStream(t, true), runFabricStream(t, false))
+	compareRuns(t, runFabricStream(t, true, false), runFabricStream(t, false, false))
+}
+
+// TestHostsRetainNoFrameAlias: end hosts decode into scratch that aliases the
+// delivered frame, so nothing may outlive Receive. Both streams — cache hits,
+// misses and a reallocation on the testbed; reads, two-phase writes,
+// invalidations and fills on the fabric — must play out identically when
+// every host's frame is destroyed the moment its Receive returns.
+func TestHostsRetainNoFrameAlias(t *testing.T) {
+	for name, run := range map[string]func(*testing.T, bool, bool) observed{
+		"testbed": runTestbedStream, "fabric": runFabricStream,
+	} {
+		t.Run(name, func(t *testing.T) {
+			kept, scribbled := run(t, true, false), run(t, true, true)
+			if kept.clock != scribbled.clock || kept.counters != scribbled.counters {
+				t.Errorf("switch side differs: clock %v vs %v", kept.clock, scribbled.clock)
+			}
+			compareHosts(t, kept, scribbled)
+		})
+	}
 }
