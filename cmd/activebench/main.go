@@ -74,28 +74,10 @@ func main() {
 			failed++
 			continue
 		}
-		for _, k := range sortedKeys(res.Metrics) {
-			fmt.Printf("   %-40s %g\n", k, res.Metrics[k])
-		}
-		for _, n := range res.Notes {
-			fmt.Printf("   note: %s\n", n)
-		}
+		res.Print(os.Stdout, "   ", 40)
 		fmt.Printf("   data: %s (%.1fs)\n\n", path, time.Since(start).Seconds())
 	}
 	if failed > 0 {
 		os.Exit(1)
 	}
-}
-
-func sortedKeys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

@@ -1,0 +1,134 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// invoke runs the command in-process.
+func invoke(args string) (stdout, stderr string, code int) {
+	var out, errb bytes.Buffer
+	code = run(strings.Fields(args), &out, &errb)
+	return out.String(), errb.String(), code
+}
+
+// The one line of any scenario that is not a function of its arguments: the
+// ephemeral port -telemetry 127.0.0.1:0 was given.
+var ephemeralPort = regexp.MustCompile(`http://127\.0\.0\.1:\d+/`)
+
+// TestSmoke runs every narrative the repo ships: each row's fixed-seed
+// smoke invocations, twice, with stdout compared byte for byte — the
+// simulator is deterministic per seed, so any diff in printed output is a
+// real regression.
+func TestSmoke(t *testing.T) {
+	for _, r := range table {
+		if len(r.smoke) == 0 {
+			t.Errorf("row %s has no smoke invocation", r.name)
+		}
+		for _, args := range r.smoke {
+			t.Run(r.name+"/"+args, func(t *testing.T) {
+				chdir(t, t.TempDir()) // the CSV-writing rows name relative files
+				var first string
+				for pass := 0; pass < 2; pass++ {
+					stdout, stderr, code := invoke(args)
+					if code != 0 {
+						t.Fatalf("activesim %s: exit %d\n%s%s", args, code, stdout, stderr)
+					}
+					stdout = ephemeralPort.ReplaceAllString(stdout, "http://127.0.0.1:PORT/")
+					if stdout == "" {
+						t.Fatalf("activesim %s printed nothing", args)
+					}
+					if pass == 0 {
+						first = stdout
+					} else if stdout != first {
+						t.Errorf("activesim %s: two runs printed different output\n--- first\n%s--- second\n%s", args, first, stdout)
+					}
+				}
+				if r.name == "policy-ab" {
+					checkPolicyABCSV(t, strings.Fields(args)[1])
+				}
+			})
+		}
+	}
+}
+
+// chdir is t.Chdir, which go.mod's go line predates.
+func chdir(t *testing.T, dir string) {
+	old, err := os.Getwd()
+	if err == nil {
+		err = os.Chdir(dir)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = os.Chdir(old) })
+}
+
+// checkPolicyABCSV asserts the A/B CSV's shape: the header's first, middle
+// and last columns, and one data row for a one-scenario run.
+func checkPolicyABCSV(t *testing.T, path string) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	header := regexp.MustCompile(`^scenario,static_final_frag,.*,adaptive_final_frag,.*,winner$`)
+	if !header.MatchString(lines[0]) {
+		t.Errorf("%s: bad header %q", path, lines[0])
+	}
+	if len(lines) != 2 {
+		t.Errorf("%s: %d lines, want a header and 1 data row", path, len(lines))
+	}
+}
+
+// A non-default value for every flag a row can reject.
+var sampleValue = map[string]string{
+	"seed": "2", "policy": "adaptive", "chaos": "flaky-link", "adversary": "", "telemetry": "127.0.0.1:0",
+	"topology": "leafspine:2x1", "switches": "3", "soak": "1m", "soak-csv": "x.csv", "soak-secapps": "",
+	"policy-ab": "x.csv",
+}
+
+// TestFlagMisuse gives every row each flag outside its accept-list: the
+// command must exit 2 naming the row, having run nothing.
+func TestFlagMisuse(t *testing.T) {
+	newFlags(&options{}).VisitAll(func(f *flag.Flag) {
+		if _, ok := sampleValue[f.Name]; !ok && f.Name != "list" && f.Name != "scenario" {
+			t.Errorf("flag -%s has no sample value in this test", f.Name)
+		}
+	})
+	for _, r := range table {
+		base := r.smoke[0]
+		var o options
+		if err := newFlags(&o).Parse(strings.Fields(base)); err != nil {
+			t.Fatal(err)
+		}
+		for name, value := range sampleValue {
+			if slices.Contains(strings.Fields(r.by+" "+r.flags), name) {
+				continue
+			}
+			// A flag that selects another row for this -scenario is that
+			// row's business (-soak overrides -scenario), not misuse of r.
+			if slices.ContainsFunc(table, func(b scenario) bool {
+				return slices.Contains(strings.Fields(b.by), name) && (b.of == "" || b.of == o.scenario)
+			}) {
+				continue
+			}
+			args := strings.TrimSpace(base + " -" + name + " " + value)
+			stdout, stderr, code := invoke(args)
+			if code != 2 || !strings.Contains(stderr, r.name) || !strings.Contains(stderr, "-"+name) || stdout != "" {
+				t.Errorf("activesim %s: exit %d, stdout %q, stderr %q; want exit 2 naming %s and -%s",
+					args, code, stdout, stderr, r.name, name)
+			}
+		}
+	}
+	for _, args := range []string{"-scenario nope", "-policy nope", "-scenario cache -topology ring", "-no-such-flag"} {
+		if stdout, stderr, code := invoke(args); code != 2 || stdout != "" || stderr == "" {
+			t.Errorf("activesim %s: exit %d, stdout %q, stderr %q; want exit 2 and a message", args, code, stdout, stderr)
+		}
+	}
+}

@@ -1,0 +1,291 @@
+package main
+
+import (
+	"bufio"
+	"fmt"
+	"os"
+	"time"
+
+	"activermt/internal/apps"
+	"activermt/internal/chaos"
+	"activermt/internal/client"
+	"activermt/internal/experiments"
+	"activermt/internal/packet"
+	"activermt/internal/soak"
+	"activermt/internal/testbed"
+)
+
+// runSoak drives the internal/soak harness: a leaf-spine fabric under
+// continuous chaos, tenant churn, and a coherent-cache workload, with
+// invariants checked every virtual epoch. Fails on any violation.
+func runSoak(o *options) error {
+	if o.soak < 0 {
+		return usageError(fmt.Sprintf("-soak %v: want a positive duration", o.soak))
+	}
+	cfg := soak.Config{Duration: o.soak, Seed: o.seed, Policy: o.policy, Secapps: o.soakSecapps,
+		Progress: func(format string, args ...any) { o.printf(format+"\n", args...) }}
+	if o.soakCSV != "" {
+		f, err := os.Create(o.soakCSV)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		w := bufio.NewWriter(f)
+		defer w.Flush()
+		cfg.CSV = w
+	}
+	res, err := soak.Run(cfg)
+	if err != nil {
+		return err
+	}
+	o.printf("soak: %d epochs over %v virtual: %d reads (%d lost, %.0f%% hit), %d writes acked, %d tenants placed, %d chaos scenarios, %d reconciles, p99=%v\n",
+		res.Epochs, res.Elapsed, res.ReadsDone, res.Lost, 100*res.HitRate,
+		res.Acked, res.TenantsPlaced, res.ChaosInstalled, res.Reconciles, res.P99)
+	k := res.SpineKill
+	o.printf("soak: spine-kill arc: fired=%v degraded=%v rerouted=%v reconciled=%v recovered=%v\n",
+		k.Fired, k.Degraded, k.Rerouted, k.Reconciled, k.Recovered)
+	if o.policy == "adaptive" {
+		o.printf("soak: adaptive policy: %d defrag passes, %d migrations, max frag %.3f\n",
+			res.DefragPasses, res.DefragMigrations, res.MaxFragmentation)
+	}
+	if o.soakSecapps {
+		o.printf("soak: secapps: syn %d sent / %d alarms, rl %d delivered of %d offered, hh %d observed / %d claims (%d deferred)\n",
+			res.SynSent, res.SynAlarms, res.RLDelivered, res.RLOffered,
+			res.HHObserved, res.HHClaims, res.HHDeferred)
+	}
+	if len(res.Violations) > 0 {
+		for _, v := range res.Violations {
+			fmt.Fprintf(os.Stderr, "soak: invariant violation: %v\n", v)
+			for _, line := range v.Trace {
+				fmt.Fprintf(os.Stderr, "  trace: %s\n", line)
+			}
+		}
+		return fmt.Errorf("%d invariant violation(s)", len(res.Violations))
+	}
+	return nil
+}
+
+// experiment returns the run function of a scenario that is one of the
+// paper's figures at quick scale: its headline metrics and notes.
+func experiment(id string) func(*options) error {
+	return func(o *options) error {
+		spec, _ := experiments.Lookup(id)
+		res, err := spec.Run(experiments.RunConfig{Quick: true, Seed: o.seed})
+		if err != nil {
+			return err
+		}
+		o.printf("scenario %s (%s)\n", id, res.Title)
+		res.Print(o.out, "  ", 32)
+		return nil
+	}
+}
+
+// runPolicyAB runs the static-vs-adaptive comparison and writes the CSV. No
+// -chaos means the whole library.
+func runPolicyAB(o *options) error {
+	scenarios := chaos.Names()
+	if o.chaos != "" {
+		scenarios = []string{o.chaos}
+	}
+	o.printf("policy A/B: %d scenario(s) x {static, adaptive}, seed %d\n", len(scenarios), o.seed)
+	rows, err := experiments.RunPolicyAB(scenarios, o.seed)
+	if err != nil {
+		return err
+	}
+	for _, r := range rows {
+		o.printf("  %-18s static frag %.4f (0 migrations) | adaptive frag %.4f (%d migrations, %d blocks) -> %s\n",
+			r.Scenario, r.Static.FinalFrag, r.Adaptive.FinalFrag,
+			r.Adaptive.DefragMigrations, r.Adaptive.BlocksMoved, r.Winner())
+	}
+	if err := os.WriteFile(o.policyAB, []byte(experiments.PolicyABCSV(rows)), 0o644); err != nil {
+		return err
+	}
+	o.printf("policy A/B: wrote %s (%d rows)\n", o.policyAB, len(rows))
+	return nil
+}
+
+// runDefragDemo makes the closed loop visible: a churn pattern leaves the
+// switch fragmented, and the policy engine either ignores it (static) or
+// live-migrates the survivors down into the holes (adaptive) while the
+// tenants keep serving. State survival is checked by writing a pattern
+// into every surviving tenant before the migration and reading it back
+// after.
+func runDefragDemo(o *options) error {
+	tb, err := testbed.New(testbed.DefaultConfig())
+	if err != nil {
+		return err
+	}
+	loop := tb.AttachPolicy(policyEngine(o.policy))
+	defer loop.Stop()
+	say := o.timeline(tb.Eng)
+	say("policy engine: %s", o.policy)
+
+	// Four waves of inelastic memsync tenants, then waves 1 and 3 released:
+	// the survivors sit above the released waves' holes.
+	const waves, perWave, demand, words = 4, 6, 48, 8
+	type tenant struct {
+		cl *client.Client
+		ms *apps.MemSync
+	}
+	var all []tenant
+	fid := uint16(100)
+	for w := 0; w < waves; w++ {
+		for i := 0; i < perWave; i++ {
+			ms := apps.NewMemSync()
+			cl := tb.AddClient(fid, apps.MemSyncService(demand))
+			ms.Bind(cl)
+			if err := cl.RequestAndWait(10 * time.Second); err != nil {
+				return fmt.Errorf("fid %d: %w", fid, err)
+			}
+			all = append(all, tenant{cl, ms})
+			fid++
+		}
+	}
+	say("admitted %d memsync tenants (%d blocks each), utilization %.3f",
+		len(all), demand, tb.Ctrl.Allocator().Utilization())
+
+	// Survivors get a recognizable pattern in switch SRAM before churn.
+	var survivors []tenant
+	for w := 0; w < waves; w++ {
+		for i := 0; i < perWave; i++ {
+			t := all[w*perWave+i]
+			if w%2 == 0 {
+				continue
+			}
+			for j := 0; j < words; j++ {
+				t.ms.Write(uint32(j), uint32(t.cl.FID())<<16|uint32(j), nil)
+				tb.RunFor(100 * time.Microsecond)
+			}
+			survivors = append(survivors, t)
+		}
+	}
+	tb.RunFor(100 * time.Millisecond)
+	for w := 0; w < waves; w += 2 {
+		for i := 0; i < perWave; i++ {
+			if err := all[w*perWave+i].cl.Release(); err != nil {
+				return err
+			}
+		}
+	}
+	tb.RunFor(200 * time.Millisecond)
+	fragBefore := tb.Ctrl.Allocator().Fragmentation()
+	say("released %d tenants: fragmentation %.4f, utilization %.3f",
+		waves/2*perWave, fragBefore, tb.Ctrl.Allocator().Utilization())
+
+	// The policy loop runs every 100ms; give it a few seconds. Under
+	// adaptive it observes the gauge over the trigger and queues migration
+	// passes; under static nothing happens, by design.
+	tb.RunFor(5 * time.Second)
+	fragAfter := tb.Ctrl.Allocator().Fragmentation()
+	say("after policy window: fragmentation %.4f -> %.4f, %d defrag passes, %d tenants migrated, %d blocks moved, %d words restored",
+		fragBefore, fragAfter, tb.Ctrl.DefragPasses, tb.Ctrl.DefragMigrations,
+		tb.Ctrl.DefragBlocksMoved, tb.Ctrl.DefragWordsRestored)
+
+	// Books and state must survive whichever path ran.
+	bad := 0
+	for _, t := range survivors {
+		for j := 0; j < words; j++ {
+			want := uint32(t.cl.FID())<<16 | uint32(j)
+			got, err := readBack(tb, t.ms, j)
+			if err != nil || got != want {
+				bad++
+			}
+		}
+	}
+	if err := tb.Ctrl.Allocator().AuditBooks(); err != nil {
+		return fmt.Errorf("allocator books: %w", err)
+	}
+	say("audit: books clean, %d/%d survivor words verified (%d bad)",
+		len(survivors)*words-bad, len(survivors)*words, bad)
+	if bad > 0 {
+		return fmt.Errorf("%d survivor words lost across migration", bad)
+	}
+	if o.policy == "adaptive" && tb.Ctrl.DefragMigrations == 0 && fragBefore > 0.02 {
+		return fmt.Errorf("adaptive policy never migrated despite fragmentation %.4f", fragBefore)
+	}
+	return nil
+}
+
+// readBack issues a data-plane read through the tenant's capsule program
+// and spins the engine until the reply lands.
+func readBack(tb *testbed.Testbed, ms *apps.MemSync, index int) (uint32, error) {
+	var got uint32
+	done := false
+	ms.Read(uint32(index), func(v uint32) {
+		got, done = v, true
+	})
+	limit := tb.Eng.Now() + time.Second
+	for !done && tb.Eng.Now() < limit {
+		tb.RunFor(time.Millisecond)
+	}
+	if !done {
+		return 0, fmt.Errorf("read of index %d timed out", index)
+	}
+	return got, nil
+}
+
+// runLB drives Cheetah load balancing (Appendix B.2): a stateful
+// server-selection program on SYNs and a stateless per-packet routing
+// program that recovers the chosen server from hash(5-tuple) XOR cookie.
+func runLB(o *options) error {
+	tb, err := testbed.New(testbed.DefaultConfig())
+	if err != nil {
+		return err
+	}
+	say := o.timeline(tb.Eng)
+	const nsrv = 4
+	servers := make([]*apps.EchoServer, nsrv)
+	ports := make([]uint32, nsrv)
+	for i := range servers {
+		servers[i] = apps.NewEchoServer(tb.Eng, testbed.MACFor(201+i))
+		p, ep := tb.Attach(servers[i], servers[i].MAC())
+		servers[i].Attach(ep)
+		ports[i] = uint32(p)
+	}
+
+	lb := apps.NewCheetah(uint32(o.seed)*0x9E37+1, nsrv)
+	lb.Select = tb.AddClient(21, apps.CheetahSelectService())
+	lb.Route = tb.AddClient(22, apps.CheetahRouteService())
+
+	cookieCh := map[uint64]uint32{}
+	lb.Select.Handler = func(c *client.Client, f *packet.Frame) {
+		if f.Active == nil || f.Active.Args[1] == 0 {
+			return
+		}
+		if tup, ok := packet.ParseFiveTuple(f.Inner); ok {
+			cookieCh[uint64(tup.SrcPort)] = f.Active.Args[1]
+		}
+	}
+	for _, cl := range []*client.Client{lb.Select, lb.Route} {
+		if err := cl.RequestAndWait(10 * time.Second); err != nil {
+			return err
+		}
+	}
+	lb.SetupPool(ports)
+	tb.RunFor(20 * time.Millisecond)
+	say("pool installed: ports %v", ports)
+
+	// 32 flows: SYN then 8 data packets each.
+	for flow := 0; flow < 32; flow++ {
+		tup := packet.FiveTuple{
+			Src: testbed.IPFor(50), Dst: testbed.IPFor(60),
+			SrcPort: uint16(1000 + flow), DstPort: 80, Protocol: packet.ProtoTCP,
+		}
+		payload := apps.BuildUDP(tup.Src, tup.Dst, tup.SrcPort, tup.DstPort, []byte("syn"))
+		lb.ActivateSYN(payload, testbed.MACFor(250))
+		tb.RunFor(2 * time.Millisecond)
+		if ck, ok := cookieCh[uint64(tup.SrcPort)]; ok {
+			lb.LearnCookie(tup, ck)
+		}
+		for i := 0; i < 8; i++ {
+			lb.ActivateData(tup, payload, testbed.MACFor(250))
+			tb.RunFor(500 * time.Microsecond)
+		}
+	}
+	tb.RunFor(10 * time.Millisecond)
+	say("flows routed: %d SYNs, %d data packets", lb.SYNsSent, lb.Routed)
+	for i, s := range servers {
+		o.printf("  server %d (port %d): %d packets\n", i, ports[i], s.Echoed)
+	}
+	return nil
+}

@@ -6,6 +6,7 @@ import (
 
 	"activermt/internal/alloc"
 	"activermt/internal/chaos"
+	"activermt/internal/client"
 	"activermt/internal/guard"
 	"activermt/internal/runtime"
 	"activermt/internal/secapps"
@@ -15,12 +16,12 @@ import (
 // runSynFlood drives the SYN-flood detector end to end: benign sources
 // complete handshakes, attackers only SYN, and the control plane scans the
 // alarm table between rounds. Prints precision/recall against ground truth.
-func runSynFlood(seed int64) error {
+func runSynFlood(o *options) error {
 	tb, err := testbed.New(testbed.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	now := func() float64 { return tb.Eng.Now().Seconds() }
+	say, seed := o.timeline(tb.Eng), o.seed
 	sink := secapps.NewRLSink(testbed.MACFor(200))
 	_, sp := tb.Attach(sink, sink.MAC())
 	sink.Attach(sp)
@@ -29,20 +30,17 @@ func runSynFlood(seed int64) error {
 	cl := tb.AddClient(31, secapps.SynFloodService(d))
 	d.Bind(cl)
 	d.SnapshotFn = tb.SnapshotFn()
-	if err := cl.RequestAllocation(); err != nil {
-		return err
-	}
-	if err := tb.WaitOperational(cl, 5*time.Second); err != nil {
+	if err := cl.RequestAndWait(5 * time.Second); err != nil {
 		return err
 	}
 	pl := cl.Placement()
-	fmt.Printf("[%8.3fs] detector operational: threshold %d, counters %d..%d, mutant %v\n",
-		now(), d.Threshold, pl.Accesses[0].Range.Lo, pl.Accesses[0].Range.Hi, pl.Mutant)
+	say("detector operational: threshold %d, counters %d..%d, mutant %v",
+		d.Threshold, pl.Accesses[0].Range.Lo, pl.Accesses[0].Range.Hi, pl.Mutant)
 
 	slot := func(src uint32) uint32 { s, _ := d.CounterSlot(src); return s }
 	gen := secapps.NewSynFloodGen(seed, 40, 6, slot)
-	fmt.Printf("[%8.3fs] population: %d benign sources, %d attackers (disjoint counter slots)\n",
-		now(), len(gen.Benign), len(gen.Attackers))
+	say("population: %d benign sources, %d attackers (disjoint counter slots)",
+		len(gen.Benign), len(gen.Attackers))
 	for round := 0; round < 4; round++ {
 		gen.Round(d, sink.MAC())
 		tb.RunFor(20 * time.Millisecond)
@@ -50,12 +48,12 @@ func runSynFlood(seed int64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("[%8.3fs] round %d: %d SYNs, %d ACKs sent; scan raised %d new alarms (%d total)\n",
-			now(), round, d.SynsSent, d.AcksSent, len(fresh), len(d.Alarmed))
+		say("round %d: %d SYNs, %d ACKs sent; scan raised %d new alarms (%d total)",
+			round, d.SynsSent, d.AcksSent, len(fresh), len(d.Alarmed))
 	}
 	precision, recall := d.Score(gen.Truth)
-	fmt.Printf("[%8.3fs] detection: precision %.3f, recall %.3f (%d alarmed of %d attackers)\n",
-		now(), precision, recall, len(d.Alarmed), len(gen.Attackers))
+	say("detection: precision %.3f, recall %.3f (%d alarmed of %d attackers)",
+		precision, recall, len(d.Alarmed), len(gen.Attackers))
 	if precision < 0.95 || recall < 0.95 {
 		return fmt.Errorf("detection quality below 0.95: precision=%.3f recall=%.3f", precision, recall)
 	}
@@ -77,20 +75,19 @@ func runSynFlood(seed int64) error {
 			return fmt.Errorf("late flood source %#x never alarmed", src)
 		}
 	}
-	fmt.Printf("[%8.3fs] chaos syn-flood injector: %d late sources flooded and alarmed\n",
-		now(), len(late.Attackers))
+	say("chaos syn-flood injector: %d late sources flooded and alarmed", len(late.Attackers))
 	return nil
 }
 
 // runRateLimit drives the per-tenant token-bucket rate limiter: three
 // tenants offer under / at / triple the window budget over two refill
 // windows, and the sink's delivery counts show the enforcement clamp.
-func runRateLimit(seed int64) error {
+func runRateLimit(o *options) error {
 	tb, err := testbed.New(testbed.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	now := func() float64 { return tb.Eng.Now().Seconds() }
+	say, seed := o.timeline(tb.Eng), o.seed
 	sink := secapps.NewRLSink(testbed.MACFor(201))
 	_, sp := tb.Attach(sink, sink.MAC())
 	sink.Attach(sp)
@@ -100,13 +97,10 @@ func runRateLimit(seed int64) error {
 	cl := tb.AddClient(32, secapps.RateLimitService(rl))
 	rl.Bind(cl)
 	rl.SnapshotFn = tb.SnapshotFn()
-	if err := cl.RequestAllocation(); err != nil {
+	if err := cl.RequestAndWait(5 * time.Second); err != nil {
 		return err
 	}
-	if err := tb.WaitOperational(cl, 5*time.Second); err != nil {
-		return err
-	}
-	fmt.Printf("[%8.3fs] limiter operational: %d capsules per tenant per window\n", now(), limit)
+	say("limiter operational: %d capsules per tenant per window", limit)
 
 	// Tenant identifiers double as labels; offered loads bracket the limit.
 	// The seed shifts the identifiers so bucket slots vary run to run.
@@ -116,28 +110,28 @@ func runRateLimit(seed int64) error {
 		n      int
 	}{{base, limit / 2}, {base + 1, limit}, {base + 2, 3 * limit}}
 	for w := 0; w < 2; w++ {
-		for _, o := range offered {
-			rl.Refill(o.tenant, sink.MAC())
+		for _, of := range offered {
+			rl.Refill(of.tenant, sink.MAC())
 		}
 		tb.RunFor(5 * time.Millisecond)
-		for _, o := range offered {
-			for i := 0; i < o.n; i++ {
-				rl.Send(o.tenant, nil, sink.MAC())
+		for _, of := range offered {
+			for i := 0; i < of.n; i++ {
+				rl.Send(of.tenant, nil, sink.MAC())
 			}
 		}
 		tb.RunFor(20 * time.Millisecond)
-		fmt.Printf("[%8.3fs] window %d closed (%d refills so far)\n", now(), w, rl.Refills)
+		say("window %d closed (%d refills so far)", w, rl.Refills)
 	}
-	for _, o := range offered {
-		got := sink.Delivered[o.tenant]
-		want := uint64(2 * o.n)
-		if o.n > limit {
+	for _, of := range offered {
+		got := sink.Delivered[of.tenant]
+		want := uint64(2 * of.n)
+		if of.n > limit {
 			want = 2 * limit
 		}
-		fmt.Printf("    tenant %#x: offered %d, delivered %d (expected %d)\n",
-			o.tenant, 2*o.n, got, want)
+		o.printf("    tenant %#x: offered %d, delivered %d (expected %d)\n",
+			of.tenant, 2*of.n, got, want)
 		if got != want {
-			return fmt.Errorf("tenant %#x: delivered %d, want %d", o.tenant, got, want)
+			return fmt.Errorf("tenant %#x: delivered %d, want %d", of.tenant, got, want)
 		}
 	}
 	return nil
@@ -148,7 +142,7 @@ func runRateLimit(seed int64) error {
 // sketch, harvested candidates are promoted to the two-pass exact arm, and
 // the driver defers claims the budget cannot cover. Prints spend accounting
 // and the top keys against ground truth.
-func runHHRecirc(seed int64) error {
+func runHHRecirc(o *options) error {
 	// The claim arm is a two-pass program; only the least-constrained policy
 	// admits multi-pass placements.
 	cfg := testbed.DefaultConfig()
@@ -157,7 +151,7 @@ func runHHRecirc(seed int64) error {
 	if err != nil {
 		return err
 	}
-	now := func() float64 { return tb.Eng.Now().Seconds() }
+	say, seed := o.timeline(tb.Eng), o.seed
 	sink := secapps.NewRLSink(testbed.MACFor(202))
 	_, sp := tb.Attach(sink, sink.MAC())
 	sink.Attach(sp)
@@ -168,21 +162,20 @@ func runHHRecirc(seed int64) error {
 	claimCl := tb.AddClient(claimFID, secapps.HXClaimService())
 	hh.Bind(sketchCl, claimCl)
 	hh.SnapshotFn = tb.SnapshotFn()
-	for _, cl := range []interface{ RequestAllocation() error }{sketchCl, claimCl} {
+	for _, cl := range []*client.Client{sketchCl, claimCl} {
 		if err := cl.RequestAllocation(); err != nil {
 			return err
 		}
 	}
-	if err := tb.WaitOperational(sketchCl, 5*time.Second); err != nil {
-		return err
-	}
-	if err := tb.WaitOperational(claimCl, 5*time.Second); err != nil {
-		return err
+	for _, cl := range []*client.Client{sketchCl, claimCl} {
+		if err := cl.WaitOperational(5 * time.Second); err != nil {
+			return err
+		}
 	}
 	tb.RT.EnableRecircLimiter(runtime.RecircPolicy{Budget: 8, Window: 50 * time.Millisecond}, tb.Eng.Now)
 	hh.BudgetFn = func() int { return tb.Guard.RecircBudgetRemaining(claimFID) }
-	fmt.Printf("[%8.3fs] heavy hitter operational: claim arm costs %d extra pass(es), budget 8 per 50ms\n",
-		now(), hh.ClaimExtraPasses())
+	say("heavy hitter operational: claim arm costs %d extra pass(es), budget 8 per 50ms",
+		hh.ClaimExtraPasses())
 
 	gen := secapps.NewHXGen(seed+9, 512, 1.4)
 	for i := 0; i < 8000; i++ {
@@ -194,8 +187,8 @@ func runHHRecirc(seed int64) error {
 			}
 		}
 		if i%2000 == 1999 {
-			fmt.Printf("[%8.3fs] %d observed: %d claimed keys, %d claims (%d deferred), %d recircs spent\n",
-				now(), hh.Updates, len(hh.ClaimedKeys()), hh.Claims, hh.ClaimsDeferred, hh.RecircSpent)
+			say("%d observed: %d claimed keys, %d claims (%d deferred), %d recircs spent",
+				hh.Updates, len(hh.ClaimedKeys()), hh.Claims, hh.ClaimsDeferred, hh.RecircSpent)
 		}
 	}
 	tb.RunFor(10 * time.Millisecond)
@@ -206,20 +199,19 @@ func runHHRecirc(seed int64) error {
 	if led := tb.Guard.Tenant(claimFID); led != nil && led.Count(guard.KindRecircThrottled) != 0 {
 		return fmt.Errorf("guard ledger holds %d recirc-throttled entries", led.Count(guard.KindRecircThrottled))
 	}
-	fmt.Printf("[%8.3fs] budget respected: 0 throttles, device recirculations = %d = claims\n",
-		now(), tb.RT.Device().Recirculations)
+	say("budget respected: 0 throttles, device recirculations = %d = claims", tb.RT.Device().Recirculations)
 
 	hot, err := hh.HotKeys()
 	if err != nil {
 		return err
 	}
 	truth := gen.TopTruth(5)
-	fmt.Printf("[%8.3fs] top exact-counted keys (ground-truth top-5: %x):\n", now(), truth)
+	say("top exact-counted keys (ground-truth top-5: %x):", truth)
 	for i, kc := range hot {
 		if i == 5 {
 			break
 		}
-		fmt.Printf("    #%d key %#x count ~%d (true %d)\n", i+1, kc.Key, kc.Count, gen.Truth[kc.Key])
+		o.printf("    #%d key %#x count ~%d (true %d)\n", i+1, kc.Key, kc.Count, gen.Truth[kc.Key])
 	}
 	if len(hot) == 0 || hot[0].Key != truth[0] {
 		return fmt.Errorf("hottest exact-counted key does not match ground truth")

@@ -1,0 +1,246 @@
+package main
+
+import (
+	"sort"
+	"time"
+
+	"activermt/internal/apps"
+	"activermt/internal/compiler"
+	"activermt/internal/core"
+	"activermt/internal/isa"
+	"activermt/internal/packet"
+	"activermt/internal/testbed"
+	"activermt/internal/workload"
+)
+
+// The guided tour: the three narratives a newcomer reads first. Each runs
+// at fixed seeds and accepts no flags.
+
+// runQuickstart deploys an active program onto a runtime-programmable
+// switch and executes packets against it — no network simulation, just the
+// core admission flow of the paper: write a program, request memory,
+// receive a mutant placement, run at "line rate".
+func runQuickstart(o *options) error {
+	sys, err := core.New(core.DefaultConfig())
+	if err != nil {
+		return err
+	}
+
+	// A tiny stateful service: one counter per packet "color", stored in
+	// switch memory, incremented by every packet that carries the
+	// program. MAR arrives preloaded with data[2] (the counter address).
+	prog := isa.MustAssemble("counter", `
+.arg ADDR 2
+MAR_LOAD $ADDR       // pick the counter
+MEM_INCREMENT        // bump it; new value lands in MBR
+MBR_STORE 0          // report the count back in data[0]
+RTS                  // return the packet to its sender
+RETURN
+`)
+	o.printf("program:\n%s", isa.Disassemble(prog))
+
+	// Deploy: this extracts the constraints (one memory access at
+	// instruction 1), finds a feasible mutant, carves out a region, and
+	// links the program against it.
+	dep, err := sys.Deploy(1, prog, false, []compiler.AccessSpec{{Demand: 1}})
+	if err != nil {
+		return err
+	}
+	grant := dep.Placement.Accesses[0]
+	o.printf("\ndeployed as FID %d: mutant %v, region [%d,%d) in logical stage %d\n",
+		dep.FID, dep.Placement.Mutant, grant.Range.Lo, grant.Range.Hi, grant.Logical)
+
+	// Execute: bump counter #3 five times. The client performs address
+	// translation (region base + index), exactly as the paper's shim does.
+	addr := grant.Range.Lo + 3
+	for i := 0; i < 5; i++ {
+		out := sys.Execute(dep, [4]uint32{0, 0, addr, 0}, 0)[0]
+		o.printf("packet %d: count=%d returned-to-sender=%v latency=%v\n",
+			i+1, out.Active.Args[0], out.ToSender, out.Latency)
+	}
+
+	// Memory protection: an address outside the granted region faults and
+	// the packet is dropped — another tenant cannot touch this counter.
+	outs := sys.Execute(dep, [4]uint32{0, 0, grant.Range.Hi + 10, 0}, 0)
+	o.printf("out-of-region access dropped=%v (flags=%#x)\n",
+		outs[0].Dropped, outs[0].Active.Header.Flags&packet.FlagFailed)
+
+	// A second tenant gets its own disjoint region automatically.
+	dep2, err := sys.Deploy(2, prog, false, []compiler.AccessSpec{{Demand: 1}})
+	if err != nil {
+		return err
+	}
+	g2 := dep2.Placement.Accesses[0]
+	o.printf("second tenant: region [%d,%d) stage %d (utilization now %.4f)\n",
+		g2.Range.Lo, g2.Range.Hi, g2.Logical, sys.Utilization())
+	return nil
+}
+
+// runCaseStudy is the in-network cache end to end, the paper's Section 6.3
+// case study: a client first deploys a frequent-item monitor on its
+// key-value traffic, extracts the hot set, context-switches the switch
+// memory over to a cache, populates it over the data plane, and watches its
+// hit rate stabilize — all without touching the switch image.
+func runCaseStudy(o *options) error {
+	tb, err := testbed.New(testbed.DefaultConfig())
+	if err != nil {
+		return err
+	}
+	say := func(format string, args ...any) {
+		o.printf("[%6.3fs] "+format+"\n", append([]any{tb.Eng.Now().Seconds()}, args...)...)
+	}
+
+	// A plain UDP key-value server: what the cache offloads.
+	srv := apps.NewKVServer(tb.Eng, testbed.MACFor(200), testbed.IPFor(999))
+	_, sp := tb.Attach(srv, srv.MAC())
+	srv.Attach(sp)
+
+	// Workload: 4096 keys, Zipf-distributed requests.
+	const nkeys = 4096
+	zipf := workload.NewZipf(7, 1.25, nkeys)
+	keys := make([][2]uint32, nkeys)
+	for i := range keys {
+		k0, k1 := uint32(i)*2654435761+3, uint32(i)*2246822519+11
+		keys[i] = [2]uint32{k0, k1}
+		srv.Store[apps.KeyOf(k0, k1)] = uint32(0xBEEF0000 + i)
+	}
+
+	// Phase 1: deploy the frequent-item monitor (count-min sketch + hot-key
+	// table, Appendix B.1) and activate requests with it for two seconds.
+	hh := apps.NewHeavyHitter(30)
+	hhCl := tb.AddClient(1001, apps.HeavyHitterService(hh))
+	hh.Bind(hhCl)
+	hh.SnapshotFn = tb.SnapshotFn()
+	if err := hhCl.RequestAndWait(5 * time.Second); err != nil {
+		return err
+	}
+	say("monitor deployed (mutant %v)", hhCl.Placement().Mutant)
+
+	stop := tb.Eng.Now() + 2*time.Second
+	for tb.Eng.Now() < stop {
+		k := keys[zipf.Next()]
+		msg := apps.KVMsg{Op: apps.KVGet, Key0: k[0], Key1: k[1]}
+		payload := apps.BuildUDP(testbed.IPFor(1), testbed.IPFor(999), 40001, apps.KVPort, msg.Encode())
+		hh.Observe(k[0], k[1], payload, srv.MAC())
+		tb.RunFor(100 * time.Microsecond)
+	}
+
+	// Phase 2: memory synchronization — read the hot set out of switch
+	// memory via the control plane.
+	hot, err := hh.HotKeys()
+	if err != nil {
+		return err
+	}
+	say("monitor found %d hot keys", len(hot))
+
+	// Phase 3: context switch — release the monitor, deploy the cache
+	// (Listing 1) in its place. This is the runtime reprogrammability the
+	// paper is about: seconds, not a P4 recompile.
+	start := tb.Eng.Now()
+	if err := hhCl.Release(); err != nil {
+		return err
+	}
+	tb.RunFor(200 * time.Millisecond)
+
+	cache := apps.NewCache(srv.MAC(), testbed.IPFor(1), testbed.IPFor(999))
+	cacheCl := tb.AddClient(1, apps.CacheService(cache))
+	cache.Bind(cacheCl)
+	if err := cacheCl.RequestAndWait(5 * time.Second); err != nil {
+		return err
+	}
+	say("context switch done in %.3fs; cache capacity %d buckets",
+		(tb.Eng.Now() - start).Seconds(), cache.Capacity())
+
+	// Phase 4: populate with the measured hot set and serve.
+	var hotObjs []apps.KVMsg
+	for _, kv := range hot {
+		hotObjs = append(hotObjs, apps.KVMsg{Key0: kv.Key0, Key1: kv.Key1, Value: srv.Store[apps.KeyOf(kv.Key0, kv.Key1)]})
+	}
+	cache.SetHotObjects(hotObjs)
+	cache.Populate()
+	tb.RunFor(20 * time.Millisecond)
+
+	for window := 0; window < 4; window++ {
+		cache.ResetStats()
+		for i := 0; i < 5000; i++ {
+			k := keys[zipf.Next()]
+			cache.Get(k[0], k[1])
+			tb.RunFor(100 * time.Microsecond)
+		}
+		tb.RunFor(5 * time.Millisecond)
+		say("hit rate %.3f (%d hits / %d misses)", cache.HitRate(), cache.Hits, cache.Misses)
+	}
+	return nil
+}
+
+// runHeavyHitter deploys the frequent-item (heavy-hitter) monitor of
+// Appendix B.1 on a traffic mix and identifies the flows that exceed a
+// count threshold — a count-min sketch updated at line rate in switch
+// memory, with hot-key fingerprints recorded in a hash-indexed table.
+func runHeavyHitter(o *options) error {
+	tb, err := testbed.New(testbed.DefaultConfig())
+	if err != nil {
+		return err
+	}
+	sink := apps.NewKVServer(tb.Eng, testbed.MACFor(200), testbed.IPFor(999))
+	_, sp := tb.Attach(sink, sink.MAC())
+	sink.Attach(sp)
+
+	const threshold = 25
+	hh := apps.NewHeavyHitter(threshold)
+	cl := tb.AddClient(1, apps.HeavyHitterService(hh))
+	hh.Bind(cl)
+	hh.SnapshotFn = tb.SnapshotFn()
+	if err := cl.RequestAndWait(5 * time.Second); err != nil {
+		return err
+	}
+	pl := cl.Placement()
+	o.printf("monitor deployed: sketch rows at stages %d/%d (%d counters each), key table at stage %d\n",
+		pl.Accesses[0].Logical, pl.Accesses[1].Logical,
+		pl.Accesses[0].Range.Hi-pl.Accesses[0].Range.Lo, pl.Accesses[2].Logical)
+
+	// Traffic: 512 flows; flow popularity is Zipfian, so a handful of
+	// flows dominate. Ground truth counted client-side for comparison.
+	z := workload.NewZipf(3, 1.3, 512)
+	truth := map[uint32]int{}
+	for i := 0; i < 20000; i++ {
+		flow := uint32(z.Next())
+		k0 := flow*2654435761 + 1
+		truth[k0]++
+		hh.Observe(k0, flow, nil, sink.MAC())
+		tb.RunFor(20 * time.Microsecond)
+	}
+	tb.RunFor(10 * time.Millisecond)
+
+	hot, err := hh.HotKeys()
+	if err != nil {
+		return err
+	}
+	o.printf("switch flagged %d flows above threshold %d\n", len(hot), threshold)
+
+	// Precision/recall against ground truth.
+	trueHot := 0
+	for _, c := range truth {
+		if c > threshold {
+			trueHot++
+		}
+	}
+	hits := 0
+	for _, kv := range hot {
+		if truth[kv.Key0] > threshold {
+			hits++
+		}
+	}
+	o.printf("ground truth: %d hot flows; detected %d of them, missed %d, false-flagged %d\n",
+		trueHot, hits, trueHot-hits, len(hot)-hits)
+
+	// Show the top detections with their true counts.
+	sort.Slice(hot, func(i, j int) bool { return truth[hot[i].Key0] > truth[hot[j].Key0] })
+	for i, kv := range hot {
+		if i >= 8 {
+			break
+		}
+		o.printf("  flow %#x: %d requests\n", kv.Key0, truth[kv.Key0])
+	}
+	return nil
+}

@@ -3,8 +3,6 @@ package alloc
 import (
 	"fmt"
 	"sort"
-
-	"activermt/internal/policy"
 )
 
 // Scheme selects how the allocator ranks feasible mutants (Section 4.2 and
@@ -156,13 +154,6 @@ type Allocator struct {
 	pinned  []*intervalSet // per stage: inelastic intervals (persistent)
 	elastic []*intervalSet // per stage: elastic intervals (recomputed)
 
-	// tuning re-homes the search/waterfill constants behind the policy
-	// layer: MaxCommitAttempts bounds how many ranked candidates Allocate
-	// tries before declaring placement failure (commits rarely fail — the
-	// skyline fallback makes elastic placement robust — so it is a
-	// backstop), and SlackDivisor sizes the per-stage waterfill hold-back.
-	tuning policy.AllocTuning
-
 	// tel mirrors the books into occupancy gauges; it outlives the
 	// allocator (see Telemetry) and resyncs after every public mutation.
 	tel *Telemetry
@@ -182,7 +173,6 @@ func New(cfg Config) (*Allocator, error) {
 		apps:    make(map[uint16]*App),
 		pinned:  make([]*intervalSet, cfg.NumStages),
 		elastic: make([]*intervalSet, cfg.NumStages),
-		tuning:  policy.DefaultDecisions().Alloc,
 	}
 	for i := range a.pinned {
 		a.pinned[i] = &intervalSet{}
@@ -193,20 +183,6 @@ func New(cfg Config) (*Allocator, error) {
 
 // Config returns the allocator configuration.
 func (a *Allocator) Config() Config { return a.cfg }
-
-// Tuning returns the current policy tuning.
-func (a *Allocator) Tuning() policy.AllocTuning { return a.tuning }
-
-// SetTuning applies policy tuning; zero or negative fields keep the
-// defaults (a half-set decision must not wedge the search).
-func (a *Allocator) SetTuning(t policy.AllocTuning) {
-	if t.MaxCommitAttempts > 0 {
-		a.tuning.MaxCommitAttempts = t.MaxCommitAttempts
-	}
-	if t.SlackDivisor > 0 {
-		a.tuning.SlackDivisor = t.SlackDivisor
-	}
-}
 
 // NumApps returns the number of resident applications.
 func (a *Allocator) NumApps() int { return len(a.apps) }
@@ -473,8 +449,11 @@ func (a *Allocator) Allocate(fid uint16, cons *Constraints) (*Result, error) {
 	// Bound the commit walk, but keep it diverse: consecutive candidates
 	// under a tied cost share nearly identical stage sets and fail the
 	// same way, so after the best few, sample the remainder evenly.
+	// Commits rarely fail — the skyline fallback makes elastic placement
+	// robust — so the bound is a backstop.
+	const maxTry = 32
 	try := cands
-	if maxTry := a.tuning.MaxCommitAttempts; len(cands) > maxTry {
+	if len(cands) > maxTry {
 		try = try[:0:0]
 		head := maxTry / 4
 		try = append(try, cands[:head]...)
@@ -611,7 +590,7 @@ func (a *Allocator) recomputeElastic() {
 	// slack is why steady-state utilization converges below 1.0 (the
 	// paper's Figure 7a converges to ~0.75 for the same structural
 	// reason).
-	slack := a.blocks / a.tuning.SlackDivisor
+	slack := a.blocks / 16
 	remaining := make([]int, a.cfg.NumStages)
 	for s := range remaining {
 		remaining[s] = a.blocks - a.pinned[s].used() - slack

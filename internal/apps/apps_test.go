@@ -1,6 +1,9 @@
 package apps
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math/rand"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -147,6 +150,42 @@ func sendTo(t *testing.T, eng *netsim.Engine, srv *KVServer, m KVMsg, from packe
 		t.Fatal(err)
 	}
 	srv.Receive(raw, nil)
+}
+
+// TestBucketMatchesFNV pins the key -> bucket core to hash/fnv bit for bit
+// (every hit ratio in the repo depends on the layout) and to zero
+// allocations (Cache.Get is on get_hit's path).
+func TestBucketMatchesFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for i := 0; i < 10000; i++ {
+		k0, k1 := rng.Uint32(), rng.Uint32()
+		lo := uint32(rng.Intn(1 << 16))
+		width := uint32(rng.Intn(4096))
+		pl := &alloc.Placement{Accesses: []alloc.AccessPlacement{{Range: alloc.WordRange{Lo: lo, Hi: lo + width}}}}
+
+		h := fnv.New32a()
+		h.Write(binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(nil, k0), k1))
+		if got := KeyHash(k0, k1); got != h.Sum32() {
+			t.Fatalf("KeyHash(%#x, %#x) = %#x, hash/fnv says %#x", k0, k1, got, h.Sum32())
+		}
+		addr, ok := Bucket(pl, k0, k1)
+		if width < 3 {
+			if ok || Buckets(pl) != 0 {
+				t.Fatalf("width %d: want no buckets, got %d (ok=%v)", width, Buckets(pl), ok)
+			}
+			continue
+		}
+		if want := lo + h.Sum32()%(width-2); !ok || addr != want || Buckets(pl) != int(width-2) {
+			t.Fatalf("Bucket over [%d,%d) = %d (ok=%v), want %d", lo, lo+width, addr, ok, want)
+		}
+	}
+	if _, ok := Bucket(nil, 1, 2); ok || Buckets(&alloc.Placement{}) != 0 {
+		t.Fatal("no placement must mean no buckets")
+	}
+	pl := &alloc.Placement{Accesses: []alloc.AccessPlacement{{Range: alloc.WordRange{Lo: 64, Hi: 1024}}}}
+	if n := testing.AllocsPerRun(100, func() { Bucket(pl, 7, 9) }); n != 0 {
+		t.Fatalf("Bucket allocates %v times per call, want 0", n)
+	}
 }
 
 func TestServiceSkeletonsConsistent(t *testing.T) {

@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"hash/fnv"
 	"net/netip"
 
 	"activermt/internal/alloc"
@@ -196,10 +195,22 @@ func (c *Cache) Bind(cl *client.Client) {
 	cl.Handler = c.handle
 }
 
-// Capacity returns the number of buckets the current allocation holds (the
-// region minus the two-word bucket overhang).
-func (c *Cache) Capacity() int {
-	pl := c.Client.Placement()
+// KeyHash is the hash every cache client places keys with: FNV-1a over the
+// key's eight bytes, k0 then k1, each big-endian (hash/fnv's New32a over
+// the same bytes, without the allocation).
+func KeyHash(k0, k1 uint32) uint32 {
+	h := uint32(2166136261)
+	for _, w := range [2]uint32{k0, k1} {
+		for shift := 24; shift >= 0; shift -= 8 {
+			h = (h ^ w>>shift&0xff) * 16777619
+		}
+	}
+	return h
+}
+
+// Buckets returns how many cache buckets a placement's region holds: its
+// width minus the two-word bucket overhang, 0 without a usable region.
+func Buckets(pl *alloc.Placement) int {
 	if pl == nil || len(pl.Accesses) == 0 {
 		return 0
 	}
@@ -210,23 +221,20 @@ func (c *Cache) Capacity() int {
 	return w - 2
 }
 
-// bucket computes the client-side hash placement of a key: the address
-// translation the paper performs at the client (Section 3.2).
-func (c *Cache) bucket(k0, k1 uint32) (uint32, bool) {
-	pl := c.Client.Placement()
-	cap := c.Capacity()
-	if cap <= 0 {
+// Bucket computes the client-side hash placement of a key in a placement's
+// region: the address translation the paper performs at the client
+// (Section 3.2). Every cache client — Cache, fabric.CoherentCache, the
+// shards of fabric.ShardedCache — lays keys out with it.
+func Bucket(pl *alloc.Placement, k0, k1 uint32) (uint32, bool) {
+	n := Buckets(pl)
+	if n == 0 {
 		return 0, false
 	}
-	h := fnv.New32a()
-	var b [8]byte
-	for i := 0; i < 4; i++ {
-		b[i] = byte(k0 >> (24 - 8*i))
-		b[4+i] = byte(k1 >> (24 - 8*i))
-	}
-	h.Write(b[:])
-	return pl.Accesses[0].Range.Lo + h.Sum32()%uint32(cap), true
+	return pl.Accesses[0].Range.Lo + KeyHash(k0, k1)%uint32(n), true
 }
+
+// Capacity returns the number of buckets the current allocation holds.
+func (c *Cache) Capacity() int { return Buckets(c.Client.Placement()) }
 
 // SetHotObjects replaces the client-side object table (most frequent
 // first).
@@ -252,7 +260,7 @@ func (c *Cache) Populate() {
 	}
 	for i := n - 1; i >= 0; i-- { // least frequent first, hottest last
 		o := c.hot[i]
-		addr, ok := c.bucket(o.Key0, o.Key1)
+		addr, ok := Bucket(c.Client.Placement(), o.Key0, o.Key1)
 		if !ok {
 			return
 		}
@@ -268,7 +276,7 @@ func (c *Cache) Get(k0, k1 uint32) uint32 {
 	c.seq++
 	msg := KVMsg{Op: KVGet, Key0: k0, Key1: k1, Seq: c.seq}
 	c.payload = BuildKV(c.payload[:0], c.selfIP, c.srvIP, 40000, KVPort, &msg)
-	addr, ok := c.bucket(k0, k1)
+	addr, ok := Bucket(c.Client.Placement(), k0, k1)
 	if !ok {
 		_ = c.Client.SendPlain(c.payload, c.srvMAC)
 		return c.seq
@@ -292,21 +300,12 @@ func (c *Cache) handle(cl *client.Client, f *packet.Frame) {
 		// Cache hit: the value rode back in data[0] (Listing 1 line 10).
 		c.Hits++
 		if c.OnResponse != nil {
-			seq := uint32(0)
-			if _, _, body, ok := ParseUDP(f.Inner); ok {
-				if msg, ok := DecodeKVMsg(body); ok {
-					seq = msg.Seq
-				}
-			}
-			c.OnResponse(seq, f.Active.Args[0], true)
+			msg, _ := ReplyKV(f)
+			c.OnResponse(msg.Seq, f.Active.Args[0], true)
 		}
 		return
 	}
-	_, _, body, ok := ParseUDP(f.Inner)
-	if !ok {
-		return
-	}
-	msg, ok := DecodeKVMsg(body)
+	msg, ok := ReplyKV(f)
 	if !ok || msg.Op != KVResp {
 		return
 	}

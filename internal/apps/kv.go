@@ -110,6 +110,17 @@ func ParseUDP(b []byte) (packet.IPv4Header, packet.UDPHeader, []byte, bool) {
 	return ip, udp, body, true
 }
 
+// ReplyKV decodes the KV message a frame's UDP payload carries (a server
+// response, or the request riding back under a switch reply); ok is false
+// and the message zero when there is none.
+func ReplyKV(f *packet.Frame) (KVMsg, bool) {
+	_, _, body, ok := ParseUDP(f.Inner)
+	if !ok {
+		return KVMsg{}, false
+	}
+	return DecodeKVMsg(body)
+}
+
 // KVServer is a plain UDP key-value server: the backend the in-network
 // cache offloads. It answers GETs from its object store and acknowledges
 // PUTs.

@@ -208,7 +208,7 @@ func (b AdversaryBurst) Apply(sys *System) {
 		addr  uint32
 	}
 	var probes []probe
-	if b.Kind == "oob" && sys.RT != nil {
+	if b.Kind == "oob" && sys.Node != nil {
 		regions := sys.RT.InstalledRegions(b.VictimFID)
 		stages := make([]int, 0, len(regions))
 		for s := range regions {
@@ -236,7 +236,7 @@ func (b AdversaryBurst) Apply(sys *System) {
 				// Past the device's recirculation ceiling: the guard (or
 				// the recirc limiter) must refuse it.
 				bomb := 2*packet.NumStages + 4
-				if sys.RT != nil {
+				if sys.Node != nil {
 					cfg := sys.RT.Device().Config()
 					bomb = cfg.MaxPasses*cfg.NumStages + 4
 				}

@@ -15,22 +15,20 @@ import (
 	"math/rand"
 	"time"
 
-	"activermt/internal/guard"
 	"activermt/internal/netsim"
-	"activermt/internal/runtime"
 	"activermt/internal/switchd"
 	"activermt/internal/telemetry"
 )
 
-// System bundles the simulated components a scenario acts on. The testbed
-// package exposes one via (*Testbed).System().
+// System bundles what a scenario acts on: the engine it is scheduled on
+// and, for faults aimed at a device (controller stall/crash, digest drops,
+// memory corruption), that switch — promoted Switch, Ctrl, RT, Guard. The
+// testbed package exposes one via (*Testbed).System(); link-only scenarios
+// need no Node.
 type System struct {
-	Eng    *netsim.Engine
-	Switch *switchd.Switch
-	Ctrl   *switchd.Controller
-	RT     *runtime.Runtime
-	Guard  *guard.Guard // nil when the capsule guard is disabled
-	Tel    *Telemetry   // nil when telemetry is disabled
+	Eng *netsim.Engine
+	*switchd.Node
+	Tel *Telemetry // nil when telemetry is disabled
 }
 
 // Telemetry counts injected fault events by name, so a scrape can correlate

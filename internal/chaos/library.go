@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"activermt/internal/netsim"
-	"activermt/internal/policy"
 	"activermt/internal/switchd"
 )
 
@@ -25,9 +24,7 @@ func Names() []string {
 // duplex links faults apply to (any end of each link); scenarios that only
 // touch the controller or switch memory ignore them.
 func Build(name string, links []*netsim.Port, seed int64) (*Scenario, error) {
-	// The fault schedule is re-homed in internal/policy: the library keeps
-	// the shapes, the policy layer keeps the historical timings.
-	t := policy.DefaultChaosTimings()
+	const ms = time.Millisecond
 	switch name {
 	case "flaky-link":
 		return FlakyLink(links, seed), nil
@@ -35,26 +32,26 @@ func Build(name string, links []*netsim.Port, seed int64) (*Scenario, error) {
 		if len(links) == 0 {
 			return nil, fmt.Errorf("chaos: %s needs at least one link", name)
 		}
-		return FlappingPort(links[0], t.FlapPeriod, 5, seed), nil
+		return FlappingPort(links[0], 300*ms, 5, seed), nil
 	case "controller-outage":
-		return ControllerOutage(t.OutageAt, t.OutageFor, seed), nil
+		return ControllerOutage(40*ms, 400*ms, seed), nil
 	case "corrupted-memory":
-		return CorruptedMemory(0, 24, t.CorruptAt, t.SweepAt, seed), nil
+		return CorruptedMemory(0, 24, 200*ms, 400*ms, seed), nil
 	case "link-outage":
 		if len(links) == 0 {
 			return nil, fmt.Errorf("chaos: %s needs at least one link", name)
 		}
-		return LinkOutageScenario(links[0], t.LinkOutageAt, t.LinkOutageFor, seed), nil
+		return LinkOutageScenario(links[0], 100*ms, 500*ms, seed), nil
 	case "link-flap":
 		if len(links) == 0 {
 			return nil, fmt.Errorf("chaos: %s needs at least one link", name)
 		}
-		return LinkFlapScenario(links[0], t.LinkFlapPeriod, 6, seed), nil
+		return LinkFlapScenario(links[0], 200*ms, 6, seed), nil
 	case "partition":
 		if len(links) == 0 {
 			return nil, fmt.Errorf("chaos: %s needs at least one link", name)
 		}
-		return PartitionScenario(links, t.PartitionAt, t.PartitionFor, seed), nil
+		return PartitionScenario(links, 100*ms, 500*ms, seed), nil
 	default:
 		return nil, fmt.Errorf("chaos: unknown scenario %q (have %v)", name, Names())
 	}
@@ -67,15 +64,18 @@ func Build(name string, links []*netsim.Port, seed int64) (*Scenario, error) {
 func FlakyLink(links []*netsim.Port, seed int64) *Scenario {
 	s := NewScenario("flaky-link", seed)
 	rng := s.Rand("burst-rates")
-	t := policy.DefaultChaosTimings()
-	const bursts = 6
+	const (
+		bursts     = 6
+		burstEvery = 400 * time.Millisecond
+		burstLen   = 200 * time.Millisecond
+	)
 	for i := 0; i < bursts; i++ {
 		rate := 0.2 + 0.4*rng.Float64()
-		at := time.Duration(i) * t.FlakyBurstEvery
+		at := time.Duration(i) * burstEvery
 		for j, l := range links {
 			inj := LinkLoss{Link: l, Rate: rate, Seed: seed + int64(i*31+j)}
 			s.Apply(at, inj)
-			s.Revert(at+t.FlakyBurstLen, inj)
+			s.Revert(at+burstLen, inj)
 		}
 	}
 	return s

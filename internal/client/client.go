@@ -333,6 +333,26 @@ func (c *Client) RequestAllocation() error {
 	return c.sendControl(a)
 }
 
+// WaitOperational runs the simulation until the client is operational or
+// deadline of virtual time passes.
+func (c *Client) WaitOperational(deadline time.Duration) error {
+	c.eng.StepUntil(c.eng.Now()+deadline, c.Operational)
+	if !c.Operational() {
+		return fmt.Errorf("client: fid %d stuck in %v", c.fid, c.state)
+	}
+	return nil
+}
+
+// RequestAndWait is RequestAllocation followed by WaitOperational: the
+// whole admission handshake as one synchronous call, for drivers that own
+// the engine loop.
+func (c *Client) RequestAndWait(deadline time.Duration) error {
+	if err := c.RequestAllocation(); err != nil {
+		return err
+	}
+	return c.WaitOperational(deadline)
+}
+
 // Release relinquishes the allocation.
 func (c *Client) Release() error {
 	a := &packet.Active{Header: packet.ActiveHeader{FID: c.fid, Flags: packet.FlagRelease}}

@@ -8,6 +8,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"time"
 
@@ -31,6 +32,23 @@ type Result struct {
 	CSV     string             // the figure's data series
 	Notes   []string           // shape observations (capacities, convergence)
 	Metrics map[string]float64 // headline numbers for EXPERIMENTS.md
+}
+
+// Print writes the headline metrics in key order, then the notes: the one
+// rendering of a result, so a rerun's output diffs clean. Every line starts
+// with indent; metric names are padded to width.
+func (r *Result) Print(w io.Writer, indent string, width int) {
+	keys := make([]string, 0, len(r.Metrics))
+	for k := range r.Metrics {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(w, "%s%-*s %g\n", indent, width, k, r.Metrics[k])
+	}
+	for _, n := range r.Notes {
+		fmt.Fprintf(w, "%snote: %s\n", indent, n)
+	}
 }
 
 // Spec registers an experiment.

@@ -125,10 +125,7 @@ func runFig8b(cfg RunConfig) (*Result, error) {
 		}
 		svc := &client.Service{Name: "probe", Main: "main", Templates: map[string]*isa.Program{"main": prog}}
 		cl := tb.AddClient(1, svc)
-		if err := cl.RequestAllocation(); err != nil {
-			return nil, err
-		}
-		if err := tb.WaitOperational(cl, 5*time.Second); err != nil {
+		if err := cl.RequestAndWait(5 * time.Second); err != nil {
 			return nil, err
 		}
 

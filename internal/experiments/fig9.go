@@ -133,8 +133,7 @@ func runFig9a(cfg RunConfig) (*Result, error) {
 
 	// Phase 1 (T=0): deploy the frequent-item monitor and activate object
 	// requests with it for two seconds.
-	_ = cs.hhCl.RequestAllocation()
-	if err := tb.WaitOperational(cs.hhCl, 5*time.Second); err != nil {
+	if err := cs.hhCl.RequestAndWait(5 * time.Second); err != nil {
 		return nil, err
 	}
 	monitorUntil := tb.Eng.Now() + 2*time.Second
@@ -165,8 +164,7 @@ func runFig9a(cfg RunConfig) (*Result, error) {
 	switchStart := tb.Eng.Now()
 	_ = cs.hhCl.Release()
 	tb.RunFor(100 * time.Millisecond)
-	_ = cs.cacheCl.RequestAllocation()
-	if err := tb.WaitOperational(cs.cacheCl, 5*time.Second); err != nil {
+	if err := cs.cacheCl.RequestAndWait(5 * time.Second); err != nil {
 		return nil, err
 	}
 	switchDur := tb.Eng.Now() - switchStart

@@ -107,10 +107,7 @@ func policyABRun(scenario, mode string, seed int64) (*PolicyABCell, error) {
 	cache := apps.NewCache(srv.MAC(), selfIP, testbed.IPFor(999))
 	cl := tb.AddClient(1, apps.CacheService(cache))
 	cache.Bind(cl)
-	if err := cl.RequestAllocation(); err != nil {
-		return nil, err
-	}
-	if err := tb.WaitOperational(cl, 10*time.Second); err != nil {
+	if err := cl.RequestAndWait(10 * time.Second); err != nil {
 		return nil, err
 	}
 	cl.RetryAfter = 50 * time.Millisecond
@@ -126,10 +123,7 @@ func policyABRun(scenario, mode string, seed int64) (*PolicyABCell, error) {
 	for w := 0; w < waves; w++ {
 		for i := 0; i < perWave; i++ {
 			c := tb.AddClient(fid, apps.MemSyncService(demand))
-			if err := c.RequestAllocation(); err != nil {
-				return nil, err
-			}
-			if err := tb.WaitOperational(c, 10*time.Second); err != nil {
+			if err := c.RequestAndWait(10 * time.Second); err != nil {
 				return nil, fmt.Errorf("churn fid %d: %w", fid, err)
 			}
 			churn = append(churn, c)

@@ -44,7 +44,6 @@ package fabric
 
 import (
 	"fmt"
-	"hash/fnv"
 	"net/netip"
 	"time"
 
@@ -58,6 +57,13 @@ import (
 const (
 	InvalKey0 = ^uint32(0)
 	InvalKey1 = ^uint32(0)
+)
+
+// Retransmit intervals of the two write phases, each backing off x2 up to
+// 16x: the hairpin invalidation and the commit capsule.
+const (
+	invalRetry  = 200 * time.Microsecond
+	commitRetry = 2 * time.Millisecond
 )
 
 // front is a coherent cache's per-leaf frontend: the replica client that
@@ -125,12 +131,6 @@ type CoherentCache struct {
 	recovering bool            // degraded-exit poller active
 	homeStale  map[uint64]bool // keys whose home copy may be stale
 
-	// InvalRetry is the hairpin invalidation retransmit interval (default
-	// 200us, backing off x2 up to 16x); CommitRetry likewise for the commit
-	// capsule (default 2ms).
-	InvalRetry  time.Duration
-	CommitRetry time.Duration
-
 	// Stats.
 	Hits, Misses, Fills, WriteAcks uint64
 	PopAcks                        uint64
@@ -159,21 +159,19 @@ func NewCoherentCache(fc *Controller, fid uint16, leaves []int, srvMAC packet.MA
 		return nil, err
 	}
 	c := &CoherentCache{
-		fc:          fc,
-		set:         set,
-		srvMAC:      srvMAC,
-		srvIP:       srvIP,
-		home:        fc.F.spineForMAC(srvMAC),
-		svc:         apps.CoherentCacheService,
-		fronts:      make(map[int]*front),
-		dir:         make(map[uint64]map[int]bool),
-		pending:     make(map[uint32]pendingOp),
-		writing:     make(map[uint64]*pendingWrite),
-		wgens:       make(map[uint64]uint32),
-		invals:      make(map[uint32]*pendingInval),
-		homeStale:   make(map[uint64]bool),
-		InvalRetry:  200 * time.Microsecond,
-		CommitRetry: 2 * time.Millisecond,
+		fc:        fc,
+		set:       set,
+		srvMAC:    srvMAC,
+		srvIP:     srvIP,
+		home:      fc.F.spineForMAC(srvMAC),
+		svc:       apps.CoherentCacheService,
+		fronts:    make(map[int]*front),
+		dir:       make(map[uint64]map[int]bool),
+		pending:   make(map[uint32]pendingOp),
+		writing:   make(map[uint64]*pendingWrite),
+		wgens:     make(map[uint64]uint32),
+		invals:    make(map[uint32]*pendingInval),
+		homeStale: make(map[uint64]bool),
 	}
 	for _, m := range set.Members {
 		if !m.Node.Leaf {
@@ -193,33 +191,12 @@ func (c *CoherentCache) Set() *ReplicaSet { return c.set }
 func (c *CoherentCache) Home() *Node { return c.fc.F.SpineFor(c.srvMAC) }
 
 // Capacity returns the bucket count of the shared replica region.
-func (c *CoherentCache) Capacity() int {
-	pl := c.set.Placement
-	if pl == nil || len(pl.Accesses) == 0 {
-		return 0
-	}
-	w := int(pl.Accesses[0].Range.Hi - pl.Accesses[0].Range.Lo)
-	if w < 3 {
-		return 0
-	}
-	return w - 2
-}
+func (c *CoherentCache) Capacity() int { return apps.Buckets(c.set.Placement) }
 
 // bucket hashes a key into the shared region — valid on every replica
 // because the placements are identical.
 func (c *CoherentCache) bucket(k0, k1 uint32) (uint32, bool) {
-	cap := c.Capacity()
-	if cap <= 0 {
-		return 0, false
-	}
-	h := fnv.New32a()
-	var b [8]byte
-	for i := 0; i < 4; i++ {
-		b[i] = byte(k0 >> (24 - 8*i))
-		b[4+i] = byte(k1 >> (24 - 8*i))
-	}
-	h.Write(b[:])
-	return c.set.Placement.Accesses[0].Range.Lo + h.Sum32()%uint32(cap), true
+	return apps.Bucket(c.set.Placement, k0, k1)
 }
 
 // Get issues a GET from the given leaf's frontend: the query executes at
@@ -308,7 +285,7 @@ func (c *CoherentCache) transmitInval(is uint32, pi *pendingInval) {
 		[4]uint32{InvalKey0, InvalKey1, pi.w.addr, 0},
 		packet.FlagPreload, c.payload, fr.cl.MAC())
 	c.InvalSent++
-	delay := c.InvalRetry * (1 << uint(minInt(pi.tries, 4)))
+	delay := invalRetry * (1 << uint(minInt(pi.tries, 4)))
 	c.fc.F.Eng.Schedule(delay, func() { c.checkInval(is) })
 }
 
@@ -358,7 +335,7 @@ func (c *CoherentCache) transmitCommit(w *pendingWrite) {
 	_ = fr.cl.SendProgram("populate-fwd",
 		[4]uint32{w.k0, w.k1, w.addr, w.value},
 		packet.FlagPreload, c.payload, c.srvMAC)
-	delay := c.CommitRetry * (1 << uint(minInt(w.commitTries, 4)))
+	delay := commitRetry * (1 << uint(minInt(w.commitTries, 4)))
 	c.fc.F.Eng.Schedule(delay, func() { c.checkCommit(w) })
 }
 
@@ -448,10 +425,8 @@ func (c *CoherentCache) handlerFor(fr *front) func(*client.Client, *packet.Frame
 				// return completes the hairpin and acknowledges the
 				// eviction.
 				c.InvalDelivered++
-				if _, _, body, ok := apps.ParseUDP(f.Inner); ok {
-					if msg, ok := apps.DecodeKVMsg(body); ok && msg.Op == apps.KVInval {
-						c.ackInval(msg.Seq)
-					}
+				if msg, ok := apps.ReplyKV(f); ok && msg.Op == apps.KVInval {
+					c.ackInval(msg.Seq)
 				}
 				return
 			}
@@ -461,19 +436,15 @@ func (c *CoherentCache) handlerFor(fr *front) func(*client.Client, *packet.Frame
 			}
 			// Query hit: served by this leaf's replica or the home spine.
 			c.Hits++
-			c.recordCopy(keyFromPayload(f), fr.leaf)
-			seq := seqFromPayload(f)
-			delete(c.pending, seq)
+			msg, _ := apps.ReplyKV(f) // the query rode back under the reply
+			c.recordCopy(apps.KeyOf(msg.Key0, msg.Key1), fr.leaf)
+			delete(c.pending, msg.Seq)
 			if c.OnResponse != nil {
-				c.OnResponse(fr.leaf, seq, f.Active.Args[0], true)
+				c.OnResponse(fr.leaf, msg.Seq, f.Active.Args[0], true)
 			}
 			return
 		}
-		_, _, body, ok := apps.ParseUDP(f.Inner)
-		if !ok {
-			return
-		}
-		msg, ok := apps.DecodeKVMsg(body)
+		msg, ok := apps.ReplyKV(f)
 		if !ok || msg.Op != apps.KVResp {
 			return
 		}
@@ -572,26 +543,6 @@ func (c *CoherentCache) HitRate() float64 {
 	return float64(c.Hits) / float64(total)
 }
 
-// keyFromPayload extracts the KV key of a query reply.
-func keyFromPayload(f *packet.Frame) uint64 {
-	if _, _, body, ok := apps.ParseUDP(f.Inner); ok {
-		if msg, ok := apps.DecodeKVMsg(body); ok {
-			return apps.KeyOf(msg.Key0, msg.Key1)
-		}
-	}
-	return 0
-}
-
-// seqFromPayload extracts the sequence number of a query reply.
-func seqFromPayload(f *packet.Frame) uint32 {
-	if _, _, body, ok := apps.ParseUDP(f.Inner); ok {
-		if msg, ok := apps.DecodeKVMsg(body); ok {
-			return msg.Seq
-		}
-	}
-	return 0
-}
-
 // ShardedCache is the spill tier of the fabric cache exemplar: a tenant
 // whose demand exceeds one pipeline holds key-partitioned shards on the
 // devices of its traffic path, each shard a standard single-switch cache
@@ -636,14 +587,7 @@ func NewShardedCache(fc *Controller, baseFID uint16, leaf int, srvMAC packet.MAC
 
 // shardFor picks the shard owning a key.
 func (sc *ShardedCache) shardFor(k0, k1 uint32) int {
-	h := fnv.New32a()
-	var b [8]byte
-	for i := 0; i < 4; i++ {
-		b[i] = byte(k0 >> (24 - 8*i))
-		b[4+i] = byte(k1 >> (24 - 8*i))
-	}
-	h.Write(b[:])
-	return int(h.Sum32() % uint32(len(sc.Caches)))
+	return int(apps.KeyHash(k0, k1) % uint32(len(sc.Caches)))
 }
 
 // Get routes a GET to the owning shard.

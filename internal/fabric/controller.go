@@ -169,13 +169,7 @@ func (c *Controller) placeOn(node *Node, leaf int, fid uint16, want int, newServ
 		if err := cl.RequestAllocation(); err != nil {
 			return nil, err
 		}
-		limit := c.F.Eng.Now() + admitDeadline
-		for c.F.Eng.Now() < limit && !failed && cl.State() != client.Operational {
-			if c.F.Eng.Pending() == 0 {
-				break
-			}
-			c.F.Eng.Step()
-		}
+		c.F.Eng.StepUntil(c.F.Eng.Now()+admitDeadline, func() bool { return failed || cl.Operational() })
 		if cl.Operational() {
 			return &Shard{Node: node, Client: cl, FID: fid, Blocks: ask}, nil
 		}
@@ -384,13 +378,7 @@ func (c *Controller) PlaceReplicas(fid uint16, leaves []int, server packet.MAC, 
 			if err := cl.RequestAllocation(); err != nil {
 				return fmt.Errorf("fabric: replica on %s: %w", node.Name, err)
 			}
-			limit := c.F.Eng.Now() + admitDeadline
-			for c.F.Eng.Now() < limit && !failed && cl.State() != client.Operational {
-				if c.F.Eng.Pending() == 0 {
-					break
-				}
-				c.F.Eng.Step()
-			}
+			c.F.Eng.StepUntil(c.F.Eng.Now()+admitDeadline, func() bool { return failed || cl.Operational() })
 			if cl.Operational() {
 				break
 			}
@@ -464,15 +452,6 @@ func samePlacement(a, b *alloc.Placement) bool {
 		}
 	}
 	return true
-}
-
-// WaitOperationalAfterRequest issues the allocation request and runs the
-// simulation until the client is operational.
-func (f *Fabric) WaitOperationalAfterRequest(cl *client.Client, deadline time.Duration) error {
-	if err := cl.RequestAllocation(); err != nil {
-		return err
-	}
-	return f.WaitOperational(cl, deadline)
 }
 
 // fabricTelemetry holds the controller's registered metric handles.

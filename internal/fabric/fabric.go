@@ -37,13 +37,9 @@ import (
 	"sort"
 	"time"
 
-	"activermt/internal/alloc"
 	"activermt/internal/client"
-	"activermt/internal/guard"
 	"activermt/internal/netsim"
 	"activermt/internal/packet"
-	"activermt/internal/rmt"
-	"activermt/internal/runtime"
 	"activermt/internal/switchd"
 )
 
@@ -54,11 +50,7 @@ type Config struct {
 	Leaves int
 	Spines int
 
-	RMT     rmt.Config
-	Alloc   alloc.Config
-	Costs   switchd.Costs
-	Guard   guard.Policy
-	NoGuard bool
+	switchd.NodeConfig // every device's pipeline and allocator (promoted RMT, Alloc)
 
 	HostLinkDelay   time.Duration // host <-> leaf propagation delay
 	FabricLinkDelay time.Duration // leaf <-> spine propagation delay
@@ -72,27 +64,22 @@ func DefaultConfig(leaves, spines int) Config {
 	return Config{
 		Leaves:          leaves,
 		Spines:          spines,
-		RMT:             rmt.DefaultConfig(),
-		Alloc:           alloc.DefaultConfig(),
-		Costs:           switchd.DefaultCosts(),
-		Guard:           guard.DefaultPolicy(),
+		NodeConfig:      switchd.DefaultNodeConfig(),
 		HostLinkDelay:   5 * time.Microsecond,
 		FabricLinkDelay: 10 * time.Microsecond,
 		LinkBW:          40e9,
 	}
 }
 
-// Node is one fully assembled fabric switch.
+// Node is one fabric switch: a switchd.Node (promoted RT, Switch, Ctrl,
+// Guard) with its place in the topology.
 type Node struct {
 	Name  string
 	Leaf  bool
 	Index int // index within its tier
 	MAC   packet.MAC
 
-	RT     *runtime.Runtime
-	Switch *switchd.Switch
-	Ctrl   *switchd.Controller
-	Guard  *guard.Guard // nil when Config.NoGuard
+	*switchd.Node
 
 	nextPort int
 	// up maps spine index -> local port (on leaves); down maps leaf
@@ -158,9 +145,9 @@ type Fabric struct {
 	OnReroute func(changed int)
 }
 
-// New builds the fabric: every switch assembled like the single-switch
-// testbed (runtime, allocator, controller, guard), every leaf linked to
-// every spine, and all switches in relay mode.
+// New builds the fabric: every switch a switchd.Node like the single-switch
+// testbed's, every leaf linked to every spine, and all switches in relay
+// mode.
 func New(cfg Config) (*Fabric, error) {
 	if cfg.Leaves < 1 || cfg.Spines < 1 {
 		return nil, fmt.Errorf("fabric: need at least 1 leaf and 1 spine, got %dx%d", cfg.Leaves, cfg.Spines)
@@ -176,43 +163,18 @@ func New(cfg Config) (*Fabric, error) {
 		f.route = append(f.route, make(map[packet.MAC]int))
 	}
 	build := func(leaf bool, idx int) (*Node, error) {
-		rt, err := runtime.New(cfg.RMT)
+		mac := SwitchMAC(leaf, idx)
+		sn, err := switchd.NewNode(f.Eng, cfg.NodeConfig, mac)
 		if err != nil {
 			return nil, err
 		}
-		al, err := alloc.New(cfg.Alloc)
-		if err != nil {
-			return nil, err
-		}
-		n := &Node{
-			Leaf:  leaf,
-			Index: idx,
-			MAC:   SwitchMAC(leaf, idx),
-			RT:    rt,
-
-			nextPort: 1,
-			up:       make(map[int]int),
-			down:     make(map[int]int),
-		}
+		sn.Switch.SetRelay(true)
+		name := fmt.Sprintf("spine%d", idx)
 		if leaf {
-			n.Name = fmt.Sprintf("leaf%d", idx)
-		} else {
-			n.Name = fmt.Sprintf("spine%d", idx)
+			name = fmt.Sprintf("leaf%d", idx)
 		}
-		n.Switch = switchd.NewSwitch(rt, n.MAC)
-		n.Switch.SetRelay(true)
-		n.Ctrl = switchd.NewController(f.Eng, n.Switch, al, cfg.Costs)
-		if !cfg.NoGuard {
-			pol := cfg.Guard
-			if pol == (guard.Policy{}) {
-				pol = guard.DefaultPolicy()
-			}
-			n.Guard = guard.New(rt, pol, f.Eng.Now)
-			n.Switch.SetGuard(n.Guard)
-			rt.SetGuardHook(n.Guard)
-			n.Ctrl.AttachGuard(n.Guard)
-		}
-		return n, nil
+		return &Node{Name: name, Leaf: leaf, Index: idx, MAC: mac, Node: sn,
+			nextPort: 1, up: make(map[int]int), down: make(map[int]int)}, nil
 	}
 	for i := 0; i < cfg.Leaves; i++ {
 		n, err := build(true, i)
@@ -521,19 +483,3 @@ func (f *Fabric) AddClient(leaf int, fid uint16, target *Node, svc *client.Servi
 
 // RunFor advances virtual time by d.
 func (f *Fabric) RunFor(d time.Duration) { f.Eng.RunUntil(f.Eng.Now() + d) }
-
-// WaitOperational runs the simulation until the client is operational or the
-// deadline passes.
-func (f *Fabric) WaitOperational(cl *client.Client, deadline time.Duration) error {
-	limit := f.Eng.Now() + deadline
-	for f.Eng.Now() < limit && cl.State() != client.Operational {
-		if f.Eng.Pending() == 0 {
-			break
-		}
-		f.Eng.Step()
-	}
-	if cl.State() != client.Operational {
-		return fmt.Errorf("fabric: fid %d stuck in %v", cl.FID(), cl.State())
-	}
-	return nil
-}

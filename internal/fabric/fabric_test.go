@@ -152,7 +152,7 @@ func TestControlTransit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f.WaitOperationalAfterRequest(cl, 5*time.Second); err != nil {
+		if err := cl.RequestAndWait(5 * time.Second); err != nil {
 			t.Fatalf("negotiating with %s: %v", target.Name, err)
 		}
 		if !target.RT.Admitted(cl.FID()) {

@@ -67,14 +67,13 @@ type linkHealth struct {
 }
 
 // NewHealth builds a monitor over the fabric with default thresholds (the
-// numbers live in internal/policy so an engine can re-decide them).
+// timers live in internal/policy so an engine can re-decide them).
 func NewHealth(f *Fabric) *Health {
-	t := policy.DefaultDecisions().Fabric
 	h := &Health{
 		F:             f,
-		ProbeInterval: t.ProbeInterval,
-		MissThreshold: t.MissThreshold,
-		RestoreDelay:  t.RestoreDelay,
+		ProbeInterval: policy.DefaultProbeInterval,
+		MissThreshold: 3,
+		RestoreDelay:  policy.DefaultRestoreDelay,
 		byMAC:         make(map[packet.MAC]int),
 		confirm:       make(map[uint32]func(bool)),
 	}
@@ -93,9 +92,6 @@ func NewHealth(f *Fabric) *Health {
 func (h *Health) ApplyTimers(t policy.FabricTimers) {
 	if t.ProbeInterval > 0 {
 		h.ProbeInterval = t.ProbeInterval
-	}
-	if t.MissThreshold > 0 {
-		h.MissThreshold = t.MissThreshold
 	}
 	if t.RestoreDelay > 0 {
 		h.RestoreDelay = t.RestoreDelay

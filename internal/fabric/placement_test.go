@@ -145,7 +145,7 @@ func TestPlacementSurvivesSwitchRestart(t *testing.T) {
 
 	// The client's retransmitted request upgrades the recovered entry via
 	// Readmit and is answered idempotently: same placement, same epoch.
-	if err := f.WaitOperationalAfterRequest(shard.Client, 5*time.Second); err != nil {
+	if err := shard.Client.RequestAndWait(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	postPl, ok := node.Ctrl.Allocator().PlacementFor(shard.FID)

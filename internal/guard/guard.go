@@ -55,25 +55,22 @@ type Policy struct {
 
 // DefaultPolicy returns thresholds tuned for the simulated testbed: a burst
 // of a handful of faults warns, sustained abuse quarantines within tens of
-// packets, and eviction needs roughly twice that again. The numbers live in
-// internal/policy so a policy engine can re-decide them at runtime.
+// packets, and eviction needs roughly twice that again. The rungs above the
+// warning live in internal/policy so a policy engine can re-decide them at
+// runtime; epoch authentication is on.
 func DefaultPolicy() Policy {
-	return PolicyFrom(policy.DefaultDecisions().Guard)
+	p := Policy{Window: 500 * time.Millisecond, WarnAt: policy.DefaultWarnAt, RequireEpoch: true}
+	p.setThresholds(policy.DefaultDecisions().Guard)
+	return p
 }
 
-// PolicyFrom builds a guard policy from policy-engine thresholds, with
-// epoch authentication on (the engine decides severity, not the
-// authentication model).
-func PolicyFrom(t policy.GuardThresholds) Policy {
-	return Policy{
-		Window:        t.Window,
-		WarnAt:        t.WarnAt,
-		RateLimitAt:   t.RateLimitAt,
-		QuarantineAt:  t.QuarantineAt,
-		EvictAt:       t.EvictAt,
-		RateLimitPass: t.RateLimitPass,
-		RequireEpoch:  true,
-	}
+// setThresholds takes the rungs a policy engine decides; the window, the
+// warn rung and the authentication model are not its to move.
+func (p *Policy) setThresholds(t policy.GuardThresholds) {
+	p.RateLimitAt = t.RateLimitAt
+	p.QuarantineAt = t.QuarantineAt
+	p.EvictAt = t.EvictAt
+	p.RateLimitPass = max(t.RateLimitPass, 1)
 }
 
 // stateFor maps a window score to the highest rung it reaches.
@@ -204,19 +201,11 @@ func New(rt *runtime.Runtime, pol Policy, now func() time.Duration) *Guard {
 func (g *Guard) Policy() Policy { return g.pol }
 
 // ApplyThresholds swaps the escalation thresholds in place from a policy
-// decision, preserving the authentication model (RequireEpoch,
-// MaxProgramLen). Existing ledger scores are re-interpreted against the
-// new ladder on their next event; already-escalated tenants are never
-// retroactively demoted.
-func (g *Guard) ApplyThresholds(t policy.GuardThresholds) {
-	p := PolicyFrom(t)
-	p.RequireEpoch = g.pol.RequireEpoch
-	p.MaxProgramLen = g.pol.MaxProgramLen
-	if p.RateLimitPass < 1 {
-		p.RateLimitPass = 1
-	}
-	g.pol = p
-}
+// decision, preserving the window, the warn rung and the authentication
+// model (RequireEpoch, MaxProgramLen). Existing ledger scores are
+// re-interpreted against the new ladder on their next event;
+// already-escalated tenants are never retroactively demoted.
+func (g *Guard) ApplyThresholds(t policy.GuardThresholds) { g.pol.setThresholds(t) }
 
 // SetEscalator installs the control-plane sink for quarantine/evict
 // decisions (nil: record-only mode).

@@ -189,5 +189,13 @@ func (e *Engine) RunUntil(t time.Duration) {
 	}
 }
 
+// StepUntil executes events until done reports true, the clock reaches
+// limit, or the queue drains. Unlike RunUntil it never moves the clock past
+// the last event it ran: a wait that ends early costs no virtual time.
+func (e *Engine) StepUntil(limit time.Duration, done func() bool) {
+	for e.now < limit && !done() && e.Step() {
+	}
+}
+
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int { return len(e.events) }

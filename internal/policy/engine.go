@@ -28,9 +28,6 @@ func (Static) Decide(Observation) Decisions { return DefaultDecisions() }
 // All state is deterministic in the observation sequence, so runs replay
 // per seed exactly like the static system.
 type Adaptive struct {
-	// tunables; zero values mean the defaults below.
-	BurstRate float64 // violations/sec that counts as an attack burst
-	CalmRate  float64 // rate below which the ladder relaxes
 	// DefragTrigger/DefragTarget override the migration hysteresis band
 	// (defaults DefaultDefragTrigger/DefaultDefragTarget). A deployment
 	// whose fragmentation gauge is structurally diluted — many stages its
@@ -52,12 +49,12 @@ type Adaptive struct {
 }
 
 const (
-	quietDecides   = 20  // evaluations of calm before relaxing a tightened knob
-	maxSnapScale   = 4.0 // snapshot window never grows past 4x default
-	adaptiveBurst  = 20.0
-	adaptiveCalm   = 2.0
-	fastProbeDiv   = 2 // probe interval divisor under link flaps
-	flapCooldownX  = 4 // restore-delay multiplier under link flaps
+	quietDecides   = 20   // evaluations of calm before relaxing a tightened knob
+	maxSnapScale   = 4.0  // snapshot window never grows past 4x default
+	adaptiveBurst  = 20.0 // violations/sec that counts as an attack burst
+	adaptiveCalm   = 2.0  // rate below which the ladder relaxes
+	fastProbeDiv   = 2    // probe interval divisor under link flaps
+	flapCooldownX  = 4    // restore-delay multiplier under link flaps
 	severeFrag     = 0.7
 	severeMaxMoves = 8
 )
@@ -68,13 +65,6 @@ func (a *Adaptive) Decide(obs Observation) Decisions {
 	d := DefaultDecisions()
 	if a.snapScale == 0 {
 		a.snapScale = 1.0
-	}
-	burst, calm := a.BurstRate, a.CalmRate
-	if burst == 0 {
-		burst = adaptiveBurst
-	}
-	if calm == 0 {
-		calm = adaptiveCalm
 	}
 
 	// Defragmentation: always armed; the trigger/target hysteresis band
@@ -100,10 +90,10 @@ func (a *Adaptive) Decide(obs Observation) Decisions {
 	// Guard ladder: tighten under a violation burst, relax after sustained
 	// calm. Tightening halves every escalation rung (floors keep the
 	// ladder ordered) and doubles the rate-limit severity.
-	if obs.ViolationRate >= burst {
+	if obs.ViolationRate >= adaptiveBurst {
 		a.guardTight, a.guardQuiet = true, 0
 	} else if a.guardTight {
-		if obs.ViolationRate <= calm {
+		if obs.ViolationRate <= adaptiveCalm {
 			a.guardQuiet++
 			if a.guardQuiet >= quietDecides {
 				a.guardTight = false
@@ -114,10 +104,10 @@ func (a *Adaptive) Decide(obs Observation) Decisions {
 	}
 	if a.guardTight {
 		g := &d.Guard
-		g.RateLimitAt = maxInt(g.WarnAt+1, g.RateLimitAt/2)
-		g.QuarantineAt = maxInt(g.RateLimitAt+1, g.QuarantineAt/2)
-		g.EvictAt = maxInt(g.QuarantineAt+1, g.EvictAt/2)
-		g.RateLimitPass = maxInt(2, g.RateLimitPass*2)
+		g.RateLimitAt = max(DefaultWarnAt+1, g.RateLimitAt/2)
+		g.QuarantineAt = max(g.RateLimitAt+1, g.QuarantineAt/2)
+		g.EvictAt = max(g.QuarantineAt+1, g.EvictAt/2)
+		g.RateLimitPass = max(2, g.RateLimitPass*2)
 	}
 
 	// Snapshot window: timeouts mean clients are missing the window —
@@ -126,13 +116,13 @@ func (a *Adaptive) Decide(obs Observation) Decisions {
 	if a.seen {
 		switch {
 		case obs.SnapshotTimeouts > a.prev.SnapshotTimeouts:
-			a.snapScale, a.snapQuiet = minFloat(maxSnapScale, a.snapScale*1.5), 0
+			a.snapScale, a.snapQuiet = min(maxSnapScale, a.snapScale*1.5), 0
 		case obs.SnapshotEscalations > a.prev.SnapshotEscalations:
-			a.snapScale, a.snapQuiet = minFloat(maxSnapScale, a.snapScale*1.25), 0
+			a.snapScale, a.snapQuiet = min(maxSnapScale, a.snapScale*1.25), 0
 		default:
 			a.snapQuiet++
 			if a.snapQuiet >= quietDecides && a.snapScale > 1.0 {
-				a.snapScale = maxFloat(1.0, a.snapScale*0.8)
+				a.snapScale = max(1.0, a.snapScale*0.8)
 				a.snapQuiet = 0
 			}
 		}
@@ -175,24 +165,3 @@ func (a *Adaptive) Decide(obs Observation) Decisions {
 // migration (fragmentation crossed the trigger and has not yet fallen
 // below the target).
 func (a *Adaptive) DefragWanted() bool { return a.defragActive }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minFloat(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -14,7 +14,6 @@ import (
 type Loop struct {
 	Engine   Engine
 	Registry *telemetry.Registry
-	Every    time.Duration                // evaluation cadence; 0 = DefaultEvalInterval
 	Schedule func(time.Duration, func())  // e.g. engine.Schedule
 	Now      func() time.Duration         // e.g. engine.Now
 	Apply    func(Observation, Decisions) // pushes decisions into the layers
@@ -71,19 +70,12 @@ func (l *Loop) Last() Decisions {
 	return l.last
 }
 
-func (l *Loop) every() time.Duration {
-	if l.Every > 0 {
-		return l.Every
-	}
-	return DefaultEvalInterval
-}
-
 func (l *Loop) tick() {
 	if l.stopped {
 		return
 	}
 	l.evaluate()
-	l.Schedule(l.every(), l.tick)
+	l.Schedule(evalInterval, l.tick)
 }
 
 func (l *Loop) evaluate() {

@@ -1,10 +1,10 @@
-// Package policy centralizes every tunable control-plane decision behind one
-// typed interface. Historically each layer hard-coded its own constants —
-// the controller's snapshot window in switchd, guard escalation thresholds
-// in guard, probe timers in fabric, fault timings in chaos, placement
-// tuning in alloc. Those constants now live here as the Default* values,
-// and every layer derives its defaults from this package, so a policy
-// Engine can re-decide any of them at runtime from telemetry observations.
+// Package policy centralizes every control-plane setting an engine
+// re-decides at runtime behind one typed interface: the controller's
+// snapshot window, the guard's escalation rungs, the fabric's probe timers,
+// the periodic corruption sweep and online defragmentation. Their defaults
+// live here as the Default* values and the owning layers derive their own
+// defaults from them, so a policy Engine can re-decide any of them from
+// telemetry observations.
 //
 // The contract that keeps the refactor safe: Static{} emits exactly the
 // defaults on every Decide call, so a system driven by the static engine is
@@ -13,18 +13,18 @@ package policy
 
 import "time"
 
-// Re-homed constants. Each names the package and behavior it used to be
-// hard-coded in; changing one here changes the system-wide default.
+// Re-homed constants: the defaults of every setting an engine can re-decide.
+// Each names the package and behavior it used to be hard-coded in; changing
+// one here changes the system-wide default. Settings no engine varies (the
+// controller's table-op and compute costs, the guard's window and warn
+// rung, the probe miss threshold, the allocator's search tuning, the chaos
+// library's schedule) are plain constants beside their use.
 const (
-	// Controller provisioning costs (was switchd.DefaultCosts).
-	DefaultTableOp         = 2 * time.Millisecond
-	DefaultDigestLatency   = 100 * time.Microsecond
-	DefaultComputeBase     = 5 * time.Millisecond
-	DefaultComputePerMut   = 30 * time.Microsecond
+	// Realloc snapshot window (was switchd.DefaultCosts).
 	DefaultSnapshotTimeout = 500 * time.Millisecond
 
-	// Guard escalation ladder (was guard.DefaultPolicy).
-	DefaultGuardWindow   = 500 * time.Millisecond
+	// Guard escalation ladder (was guard.DefaultPolicy). The warn rung is
+	// the floor the tightened ladder stays above; no engine moves it.
 	DefaultWarnAt        = 3
 	DefaultRateLimitAt   = 8
 	DefaultQuarantineAt  = 16
@@ -33,16 +33,7 @@ const (
 
 	// Fabric health probing (was fabric.NewHealth).
 	DefaultProbeInterval = 10 * time.Millisecond
-	DefaultMissThreshold = 3
 	DefaultRestoreDelay  = 2 * time.Millisecond
-
-	// Allocator tuning (was alloc's maxCommitAttempts const and the
-	// blocks/16 elastic hold-back).
-	DefaultMaxCommitAttempts = 32
-	DefaultSlackDivisor      = 16
-
-	// Soak/background chaos cadence (was soak.Config's ChaosEvery default).
-	DefaultChaosEvery = 5 * time.Second
 
 	// Online defragmentation. Disabled by default: the static system never
 	// migrates on its own. TriggerFrag/TargetFrag form a hysteresis band on
@@ -52,25 +43,19 @@ const (
 	DefaultDefragTarget  = 0.15
 	DefaultDefragMoves   = 4
 
-	// Cadence at which a Loop re-observes the registry and re-decides.
-	DefaultEvalInterval = 100 * time.Millisecond
+	// evalInterval is the cadence at which a Loop re-observes the registry
+	// and re-decides.
+	evalInterval = 100 * time.Millisecond
 )
 
-// ControllerTiming is the switchd controller's cost model and realloc
-// snapshot window.
+// ControllerTiming is the switchd controller's realloc snapshot window.
 type ControllerTiming struct {
-	TableOp         time.Duration // per table operation
-	DigestLatency   time.Duration // digest delivery to the controller
-	ComputeBase     time.Duration // fixed provisioning compute
-	ComputePerMut   time.Duration // per enumerated mutant
 	SnapshotTimeout time.Duration // client snapshot window before forced reactivation
 }
 
-// GuardThresholds mirrors guard.Policy's escalation knobs in plain types
+// GuardThresholds mirrors guard.Policy's escalation rungs in plain types
 // (guard depends on policy, not the other way around).
 type GuardThresholds struct {
-	Window        time.Duration // decay window for violation scores
-	WarnAt        int
 	RateLimitAt   int
 	QuarantineAt  int
 	EvictAt       int
@@ -80,14 +65,7 @@ type GuardThresholds struct {
 // FabricTimers drives the health prober.
 type FabricTimers struct {
 	ProbeInterval time.Duration
-	MissThreshold int
 	RestoreDelay  time.Duration
-}
-
-// AllocTuning is the allocator's search/waterfill tuning.
-type AllocTuning struct {
-	MaxCommitAttempts int // candidate placements tried per admission
-	SlackDivisor      int // per-stage waterfill hold-back = blocks/SlackDivisor
 }
 
 // DefragDecision controls telemetry-driven online defragmentation.
@@ -104,9 +82,7 @@ type Decisions struct {
 	Controller ControllerTiming
 	Guard      GuardThresholds
 	Fabric     FabricTimers
-	Alloc      AllocTuning
 	SweepEvery time.Duration // >0 arms a periodic corruption sweep
-	ChaosEvery time.Duration // soak background-scenario cadence
 	Defrag     DefragDecision
 }
 
@@ -115,16 +91,8 @@ type Decisions struct {
 // hard-coded them before this package existed.
 func DefaultDecisions() Decisions {
 	return Decisions{
-		Controller: ControllerTiming{
-			TableOp:         DefaultTableOp,
-			DigestLatency:   DefaultDigestLatency,
-			ComputeBase:     DefaultComputeBase,
-			ComputePerMut:   DefaultComputePerMut,
-			SnapshotTimeout: DefaultSnapshotTimeout,
-		},
+		Controller: ControllerTiming{SnapshotTimeout: DefaultSnapshotTimeout},
 		Guard: GuardThresholds{
-			Window:        DefaultGuardWindow,
-			WarnAt:        DefaultWarnAt,
 			RateLimitAt:   DefaultRateLimitAt,
 			QuarantineAt:  DefaultQuarantineAt,
 			EvictAt:       DefaultEvictAt,
@@ -132,57 +100,13 @@ func DefaultDecisions() Decisions {
 		},
 		Fabric: FabricTimers{
 			ProbeInterval: DefaultProbeInterval,
-			MissThreshold: DefaultMissThreshold,
 			RestoreDelay:  DefaultRestoreDelay,
 		},
-		Alloc: AllocTuning{
-			MaxCommitAttempts: DefaultMaxCommitAttempts,
-			SlackDivisor:      DefaultSlackDivisor,
-		},
-		SweepEvery: 0,
-		ChaosEvery: DefaultChaosEvery,
 		Defrag: DefragDecision{
-			Enabled:     false,
 			TriggerFrag: DefaultDefragTrigger,
 			TargetFrag:  DefaultDefragTarget,
 			MaxMoves:    DefaultDefragMoves,
 		},
-	}
-}
-
-// ChaosTimings re-homes the chaos scenario library's fault schedule. The
-// library builds its scenarios from these so that a policy layer (or a
-// test) can compress or stretch the whole fault arc uniformly.
-type ChaosTimings struct {
-	FlakyBurstEvery time.Duration // gap between loss bursts
-	FlakyBurstLen   time.Duration // length of one loss burst
-	FlapPeriod      time.Duration // flapping-port half-period
-	OutageAt        time.Duration // controller crash time
-	OutageFor       time.Duration // controller downtime
-	CorruptAt       time.Duration // memory corruption time
-	SweepAt         time.Duration // repair sweep time
-	LinkOutageAt    time.Duration // link cut time
-	LinkOutageFor   time.Duration // link downtime
-	LinkFlapPeriod  time.Duration // link flap half-period
-	PartitionAt     time.Duration // partition start
-	PartitionFor    time.Duration // partition length
-}
-
-// DefaultChaosTimings returns the library's historical schedule.
-func DefaultChaosTimings() ChaosTimings {
-	return ChaosTimings{
-		FlakyBurstEvery: 400 * time.Millisecond,
-		FlakyBurstLen:   200 * time.Millisecond,
-		FlapPeriod:      300 * time.Millisecond,
-		OutageAt:        40 * time.Millisecond,
-		OutageFor:       400 * time.Millisecond,
-		CorruptAt:       200 * time.Millisecond,
-		SweepAt:         400 * time.Millisecond,
-		LinkOutageAt:    100 * time.Millisecond,
-		LinkOutageFor:   500 * time.Millisecond,
-		LinkFlapPeriod:  200 * time.Millisecond,
-		PartitionAt:     100 * time.Millisecond,
-		PartitionFor:    500 * time.Millisecond,
 	}
 }
 

@@ -37,14 +37,11 @@ func TestDefaultDecisionsMatchHistoricalConstants(t *testing.T) {
 	if d.Controller.SnapshotTimeout != 500*time.Millisecond {
 		t.Fatalf("snapshot window %v", d.Controller.SnapshotTimeout)
 	}
-	if d.Guard.WarnAt != 3 || d.Guard.RateLimitAt != 8 || d.Guard.QuarantineAt != 16 || d.Guard.EvictAt != 32 {
+	if d.Guard.RateLimitAt != 8 || d.Guard.QuarantineAt != 16 || d.Guard.EvictAt != 32 {
 		t.Fatalf("guard ladder %+v", d.Guard)
 	}
-	if d.Fabric.ProbeInterval != 10*time.Millisecond || d.Fabric.MissThreshold != 3 {
+	if d.Fabric.ProbeInterval != 10*time.Millisecond {
 		t.Fatalf("fabric timers %+v", d.Fabric)
-	}
-	if d.Alloc.MaxCommitAttempts != 32 || d.Alloc.SlackDivisor != 16 {
-		t.Fatalf("alloc tuning %+v", d.Alloc)
 	}
 }
 
@@ -100,7 +97,7 @@ func TestAdaptiveGuardTightenAndRelax(t *testing.T) {
 	if g.RateLimitAt >= def.RateLimitAt || g.QuarantineAt >= def.QuarantineAt || g.EvictAt >= def.EvictAt {
 		t.Fatalf("burst did not tighten the ladder: %+v", g)
 	}
-	if !(g.WarnAt < g.RateLimitAt && g.RateLimitAt < g.QuarantineAt && g.QuarantineAt < g.EvictAt) {
+	if !(DefaultWarnAt < g.RateLimitAt && g.RateLimitAt < g.QuarantineAt && g.QuarantineAt < g.EvictAt) {
 		t.Fatalf("tightened ladder out of order: %+v", g)
 	}
 	// One calm decide is not enough to relax.
@@ -268,7 +265,6 @@ func TestLoopEvaluatesAndApplies(t *testing.T) {
 	loop := &Loop{
 		Engine:   &Adaptive{},
 		Registry: reg,
-		Every:    100 * time.Millisecond,
 		Schedule: clk.schedule,
 		Now:      func() time.Duration { return clk.now },
 		Apply: func(obs Observation, d Decisions) {

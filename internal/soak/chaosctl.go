@@ -10,7 +10,7 @@ import (
 	"activermt/internal/policy"
 )
 
-// The seeded chaos schedule. Every ChaosEvery interval the driver installs
+// The seeded chaos schedule. Every chaosEvery interval the driver installs
 // one scenario from the library against a randomly drawn target — a fabric
 // uplink for the link faults, a whole spine for partitions, a switch
 // controller for crash/restart, a stage's SRAM for corruption. Targets are
@@ -29,27 +29,31 @@ var scenarioNames = []string{
 	"partition", "switch-outage", "corrupted-memory",
 }
 
+// chaosEvery is the background scenario cadence; spineKillFor how long the
+// mid-soak home-spine kill lasts.
+const (
+	chaosEvery   = 5 * time.Second
+	spineKillFor = 2 * time.Second
+)
+
 func (h *harness) maybeChaos() {
-	if h.cfg.ChaosEvery < 0 {
-		return
-	}
 	now := h.f.Eng.Now()
 	if now < h.nextChaos {
 		return
 	}
-	h.nextChaos = now + h.cfg.ChaosEvery
+	h.nextChaos = now + chaosEvery
 	name := scenarioNames[h.rng.Intn(len(scenarioNames))]
 	seed := h.rng.Int63()
 	var (
 		sc  *chaos.Scenario
-		sys = &chaos.System{Eng: h.f.Eng, Tel: h.tel}
+		sys = &chaos.System{Eng: h.f.Eng, Tel: h.tel} // link faults need no device
 		err error
 	)
 	switch name {
 	case "flaky-link", "flapping-port", "link-outage", "link-flap":
 		sc, err = chaos.Build(name, h.randomUplinks(2), seed)
 	case "partition":
-		spine := h.rng.Intn(h.cfg.Spines)
+		spine := h.rng.Intn(numSpines)
 		sc = chaos.PartitionScenario(h.f.SpinePorts(spine), 100*time.Millisecond, 500*time.Millisecond, seed)
 		name = name + nodeSuffix(h.f.Spines[spine])
 	case "switch-outage":
@@ -63,7 +67,7 @@ func (h *harness) maybeChaos() {
 		}
 		stage := h.rng.Intn(n.RT.Device().NumStages())
 		sc = chaos.CorruptedMemory(stage, 24, 100*time.Millisecond, 400*time.Millisecond, seed)
-		sys = &chaos.System{Eng: h.f.Eng, Switch: n.Switch, Ctrl: n.Ctrl, RT: n.RT, Guard: n.Guard, Tel: h.tel}
+		sys.Node = n.Node
 		name = name + ":" + n.Name
 	}
 	if err != nil || sc == nil {
@@ -97,7 +101,7 @@ func (h *harness) randomUplinks(n int) []*netsim.Port {
 	seen := make(map[[2]int]bool)
 	var out []*netsim.Port
 	for try := 0; try < 4*n && len(out) < n; try++ {
-		l, s := h.rng.Intn(h.cfg.Leaves), h.rng.Intn(h.cfg.Spines)
+		l, s := h.rng.Intn(numLeaves), h.rng.Intn(numSpines)
 		if seen[[2]int{l, s}] {
 			continue
 		}
@@ -153,14 +157,14 @@ func (h *harness) maybeSpineKill() {
 	sc := chaos.NewScenario("spine-kill:"+node.Name, h.cfg.Seed)
 	sc.Apply(0, part)
 	sc.At(10*time.Millisecond, "crash:"+node.Name, func(*chaos.System) { node.Ctrl.Crash() })
-	sc.At(h.cfg.SpineKillFor, "restart:"+node.Name, func(*chaos.System) { node.Ctrl.Restart() })
-	sc.Revert(h.cfg.SpineKillFor, part)
+	sc.At(spineKillFor, "restart:"+node.Name, func(*chaos.System) { node.Ctrl.Restart() })
+	sc.Revert(spineKillFor, part)
 	if err := sc.Install(&chaos.System{Eng: h.f.Eng, Tel: h.tel}); err != nil {
 		return
 	}
 	h.res.SpineKill.Fired = true
 	h.res.ChaosInstalled++
-	h.ring.note(h.f.Eng.Now(), "spine-kill fired against %s for %v", node.Name, h.cfg.SpineKillFor)
+	h.ring.note(h.f.Eng.Now(), "spine-kill fired against %s for %v", node.Name, spineKillFor)
 }
 
 // observeKillProgress samples the recovery arc at epoch boundaries.
@@ -217,7 +221,7 @@ func (h *harness) reconcileDeadSpines() {
 }
 
 func (h *harness) spineDead(s int) bool {
-	for l := 0; l < h.cfg.Leaves; l++ {
+	for l := 0; l < numLeaves; l++ {
 		if !h.hm.LinkDown(l, s) {
 			return false
 		}

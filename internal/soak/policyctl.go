@@ -9,8 +9,8 @@ import (
 // own policy.Adaptive engine; once per epoch the driver (never an engine
 // callback — control actions step the engine internally) folds that node's
 // books and controller counters into an Observation, asks the engine to
-// decide, and pushes the decisions back into the node's controller, guard,
-// and allocator. Fabric probe timers follow leaf 0's decisions. When a
+// decide, and pushes the decisions back into the node (its controller and
+// guard). Fabric probe timers follow leaf 0's decisions. When a
 // node's engine calls for migration, a defragmentation pass is queued on
 // that node. Static mode keeps the map nil and this file inert: the run is
 // bit-identical to a policy-free soak.
@@ -42,11 +42,7 @@ func (h *harness) applyPolicy() {
 		}
 		obs := h.observeNode(n)
 		d := eng.Decide(obs)
-		n.Ctrl.ApplyPolicy(d)
-		n.Ctrl.Allocator().SetTuning(d.Alloc)
-		if n.Guard != nil {
-			n.Guard.ApplyThresholds(d.Guard)
-		}
+		n.ApplyPolicy(d)
 		if i == 0 {
 			h.hm.ApplyTimers(d.Fabric)
 		}
@@ -57,24 +53,28 @@ func (h *harness) applyPolicy() {
 	}
 }
 
+// The bounded-fragmentation invariant: no node may hold fragmentation above
+// fragBound for fragEpochs consecutive epochs.
+const (
+	fragBound  = 0.98
+	fragEpochs = 5
+)
+
 // fragSweep runs the bounded-fragmentation invariant: every node's
-// fragmentation must not stay above FragBound for FragEpochs consecutive
+// fragmentation must not stay above fragBound for fragEpochs consecutive
 // epochs. A transient spike right after a release wave is legal — the bound
 // is on sustained saturation, which adaptive mode must defragment away and
 // static mode must not plausibly reach. Returns the worst node and its
 // fragmentation when the invariant is breached.
 func (h *harness) fragSweep() (string, float64, bool) {
-	if h.cfg.FragBound < 0 {
-		return "", 0, false
-	}
 	for _, n := range h.f.Nodes() {
 		f := n.Ctrl.Allocator().Fragmentation()
 		if f > h.res.MaxFragmentation {
 			h.res.MaxFragmentation = f
 		}
-		if f > h.cfg.FragBound {
+		if f > fragBound {
 			h.fragOver[n.Name]++
-			if h.fragOver[n.Name] >= h.cfg.FragEpochs {
+			if h.fragOver[n.Name] >= fragEpochs {
 				return n.Name, f, true
 			}
 		} else {

@@ -18,7 +18,7 @@ package soak
 //     tenant never exceed windows x limit — loss under-delivers, nothing
 //     may over-deliver ("ratelimit-enforce").
 //   - The recirculating heavy hitter on the server leaf, with the runtime's
-//     recirculation limiter armed at RecircBudget extra passes per epoch.
+//     recirculation limiter armed at recircBudget extra passes per epoch.
 //     The driver polls the guard's remaining-budget accessor and defers
 //     claims that would not fit, so the invariant is cooperative spending:
 //     zero runtime throttles and zero recirc-throttled guard ledger entries
@@ -83,14 +83,11 @@ type secState struct {
 	rng *rand.Rand // secapps-only stream; the baseline soak PRNG is untouched
 }
 
-// nodeSnapshot adapts one fabric node's register read API to the secapps
-// drivers' snapshot shape.
-func nodeSnapshot(n *fabric.Node) func(fid uint16, phys int) ([]uint32, error) {
-	return func(fid uint16, phys int) ([]uint32, error) {
-		words, _, err := n.RT.Snapshot(fid, phys)
-		return words, err
-	}
-}
+const (
+	synThreshold = 16 // SYN-flood alarm backlog
+	rlLimit      = 16 // rate-limit window budget per tenant
+	recircBudget = 4  // heavy-hitter recirculations per epoch window
+)
 
 func (h *harness) initSecapps() error {
 	cfg := h.cfg
@@ -106,7 +103,7 @@ func (h *harness) initSecapps() error {
 	// rate limiter, plain destination for everything else.
 	sinkMAC, _ := f.NewHostID()
 	s.sink = secapps.NewRLSink(sinkMAC)
-	sp, err := f.AttachHost(cfg.Leaves-1, s.sink, sinkMAC)
+	sp, err := f.AttachHost(numLeaves-1, s.sink, sinkMAC)
 	if err != nil {
 		return err
 	}
@@ -117,7 +114,7 @@ func (h *harness) initSecapps() error {
 	// fabric placement path (plus the home spine, per the replica-set
 	// contract). All members share one placement, so the bound client
 	// mirrors counter slots for every copy.
-	s.det = secapps.NewSynDetector(cfg.SynThreshold)
+	s.det = secapps.NewSynDetector(synThreshold)
 	s.det.WireTelemetry(h.reg)
 	set, err := h.fc.PlaceReplicas(synFID, []int{0, 1}, h.srv.MAC(), func() *client.Service {
 		return secapps.SynFloodService(s.det)
@@ -129,39 +126,36 @@ func (h *harness) initSecapps() error {
 	s.det.Bind(set.Members[0].Client)
 
 	// Rate limiter on leaf 0.
-	s.rl = secapps.NewRateLimiter(cfg.RLLimit)
+	s.rl = secapps.NewRateLimiter(rlLimit)
 	s.rl.WireTelemetry(h.reg)
 	rlCl, err := f.AddClient(0, rlFID, f.Leaves[0], secapps.RateLimitService(s.rl))
 	if err != nil {
 		return err
 	}
 	s.rl.Bind(rlCl)
-	s.rl.SnapshotFn = nodeSnapshot(f.Leaves[0])
+	s.rl.SnapshotFn = f.Leaves[0].SnapshotFn()
 
 	// Heavy hitter on the server leaf: no cache replica lives there, so the
 	// recirculation limiter polices only the claim arm's traffic.
-	s.hhNode = f.Leaves[cfg.Leaves-1]
+	s.hhNode = f.Leaves[numLeaves-1]
 	s.hh = secapps.NewRecircHH(cfg.Seed^0x48581, 12, 1)
 	s.hh.WireTelemetry(h.reg)
-	sketchCl, err := f.AddClient(cfg.Leaves-1, hxSketchFID, s.hhNode, secapps.HXSketchService())
+	sketchCl, err := f.AddClient(numLeaves-1, hxSketchFID, s.hhNode, secapps.HXSketchService())
 	if err != nil {
 		return err
 	}
-	claimCl, err := f.AddClient(cfg.Leaves-1, hxClaimFID, s.hhNode, secapps.HXClaimService())
+	claimCl, err := f.AddClient(numLeaves-1, hxClaimFID, s.hhNode, secapps.HXClaimService())
 	if err != nil {
 		return err
 	}
 	s.hh.Bind(sketchCl, claimCl)
-	s.hh.SnapshotFn = nodeSnapshot(s.hhNode)
+	s.hh.SnapshotFn = s.hhNode.SnapshotFn()
 	s.hxGen = secapps.NewHXGen(cfg.Seed^0x2e9c, 64, 1.2)
 
 	// Allocations are serialized: concurrent handshakes against one
 	// controller interleave their reallocation windows.
 	for _, cl := range []*client.Client{rlCl, sketchCl, claimCl} {
-		if err := cl.RequestAllocation(); err != nil {
-			return err
-		}
-		if err := f.WaitOperational(cl, 5*time.Second); err != nil {
+		if err := cl.RequestAndWait(5 * time.Second); err != nil {
 			return err
 		}
 	}
@@ -169,8 +163,8 @@ func (h *harness) initSecapps() error {
 	// Arm the recirculation limiter on the heavy hitter's node and point
 	// the driver's backoff at the guard's budget accessor.
 	s.hhNode.RT.EnableRecircLimiter(runtime.RecircPolicy{
-		Budget: cfg.RecircBudget,
-		Window: cfg.Epoch,
+		Budget: recircBudget,
+		Window: epoch,
 	}, f.Eng.Now)
 	s.hh.BudgetFn = func() int { return s.hhNode.Guard.RecircBudgetRemaining(hxClaimFID) }
 
@@ -199,7 +193,7 @@ func (h *harness) initSecapps() error {
 	// threshold's 2x margin like any chaos drop.
 
 	s.rlTenants = []uint32{0xA1, 0xB2, 0xC3}
-	s.rlOffer = []int{int(cfg.RLLimit) / 2, int(cfg.RLLimit), 3 * int(cfg.RLLimit)}
+	s.rlOffer = []int{rlLimit / 2, rlLimit, 3 * rlLimit}
 	for i, n := range s.rlOffer {
 		for k := 0; k < n; k++ {
 			s.rlSched = append(s.rlSched, i)
@@ -236,7 +230,7 @@ func (h *harness) startSecappsPumps() {
 		eng.Schedule(gap, tick)
 	}
 
-	pump(h.cfg.Epoch/time.Duration(len(s.synSchedule)), func() {
+	pump(epoch/time.Duration(len(s.synSchedule)), func() {
 		ev := s.synSchedule[s.synNext%len(s.synSchedule)]
 		s.synNext++
 		cl := s.detSet.Members[ev.member].Client
@@ -250,14 +244,14 @@ func (h *harness) startSecappsPumps() {
 		}
 	})
 
-	pump(h.cfg.Epoch/time.Duration(len(s.rlSched)), func() {
+	pump(epoch/time.Duration(len(s.rlSched)), func() {
 		ti := s.rlSched[s.rlNext%len(s.rlSched)]
 		s.rlNext++
 		s.rl.Send(s.rlTenants[ti], nil, s.sinkMAC)
 	})
 
 	const observesPerEpoch = 30
-	pump(h.cfg.Epoch/observesPerEpoch, func() {
+	pump(epoch/observesPerEpoch, func() {
 		s.hh.Observe(s.hxGen.Next(), nil, s.sinkMAC)
 	})
 }
@@ -280,7 +274,7 @@ func (h *harness) secappsEpoch() {
 		return
 	}
 	for _, m := range s.detSet.Members {
-		if fresh, err := s.det.ScanAlarmsVia(nodeSnapshot(m.Node)); err == nil {
+		if fresh, err := s.det.ScanAlarmsVia(m.Node.SnapshotFn()); err == nil {
 			for _, src := range fresh {
 				h.ring.note(h.f.Eng.Now(), "syn-flood alarm: source %#x on %s", src, m.Node.Name)
 			}
@@ -350,7 +344,7 @@ func (h *harness) secappsInvariants() (kind, detail string, bad bool) {
 	if n := s.hhNode.RT.RecircThrottled; n != 0 {
 		return "recirc-budget", fmt.Sprintf(
 			"%s throttled %d recirculating capsules (claims=%d deferred=%d budget=%d/epoch)",
-			s.hhNode.Name, n, s.hh.Claims, s.hh.ClaimsDeferred, h.cfg.RecircBudget), true
+			s.hhNode.Name, n, s.hh.Claims, s.hh.ClaimsDeferred, recircBudget), true
 	}
 	if led := s.hhNode.Guard.Tenant(hxClaimFID); led != nil {
 		if n := led.Count(guard.KindRecircThrottled); n != 0 {

@@ -42,41 +42,20 @@ import (
 )
 
 // Config parameterizes one soak run. Zero values take the defaults noted on
-// each field; the zero Config is a valid one-minute smoke soak.
+// each field; the zero Config is a valid one-minute smoke soak. Everything
+// else about the run — topology, rates, bounds — is a constant beside its
+// use.
 type Config struct {
-	Leaves int // default 3 (cache replicas on leaves 0 and 1)
-	Spines int // default 2
-
 	Duration time.Duration // virtual run length (default 1m)
-	Epoch    time.Duration // invariant-check interval (default 1s)
 	Seed     int64         // chaos + workload PRNG seed
 
-	Keys      int     // hot keyspace size (default 24)
-	ReadRate  float64 // cache reads per virtual second (default 200)
-	WriteRate float64 // cache writes per virtual second (default 20)
-
-	TenantRate      float64       // tenant arrivals per virtual second (default 1)
-	TenantLife      time.Duration // mean tenant lifetime (default 20s)
-	TenantDemandMin int           // blocks per access, lower bound (default 20)
-	TenantDemandMax int           // blocks per access, upper bound (default 120)
-
-	ChaosEvery   time.Duration // background scenario cadence (default 5s; <0 disables)
-	SpineKillAt  time.Duration // home-spine kill milestone (default Duration/2; <0 disables)
-	SpineKillFor time.Duration // kill duration (default 2s)
+	SpineKillAt time.Duration // home-spine kill milestone (default Duration/2; <0 disables)
 
 	// Policy selects the control engine: "static" (default) replays the
 	// historical constants and never migrates; "adaptive" runs a per-node
 	// policy.Adaptive engine each epoch, including telemetry-driven online
 	// defragmentation.
 	Policy string
-	// FragBound is the bounded-fragmentation invariant's ceiling: no node
-	// may hold fragmentation above it for FragEpochs consecutive epochs
-	// (default 0.98; <0 disables the invariant).
-	FragBound  float64
-	FragEpochs int // consecutive epochs over FragBound that violate (default 5)
-
-	ReadTimeout time.Duration // reads older than this count as lost (default 1s)
-	P99Bound    time.Duration // read-latency p99 ceiling (default 10ms)
 
 	// Secapps enables the three security-app workload families from
 	// internal/secapps — SYN-flood detection (replicated on the two ingress
@@ -86,64 +65,35 @@ type Config struct {
 	// it also switches the fabric allocators to the least-constrained
 	// policy, the only one whose bounds admit the heavy hitter's two-pass
 	// claim program.
-	Secapps      bool
-	SynThreshold uint32 // SYN-flood alarm backlog (default 16)
-	RLLimit      uint32 // rate-limit window budget per tenant (default 16)
-	RecircBudget int    // heavy-hitter recirculations per epoch window (default 4)
+	Secapps bool
 
 	CSV      io.Writer                        // optional per-epoch CSV rows
 	Progress func(format string, args ...any) // optional progress sink
 }
 
 func (cfg Config) withDefaults() Config {
-	def := func(v *int, d int) {
-		if *v == 0 {
-			*v = d
-		}
+	if cfg.Duration == 0 {
+		cfg.Duration = time.Minute
 	}
-	defD := func(v *time.Duration, d time.Duration) {
-		if *v == 0 {
-			*v = d
-		}
+	if cfg.SpineKillAt == 0 {
+		cfg.SpineKillAt = cfg.Duration / 2
 	}
-	defF := func(v *float64, d float64) {
-		if *v == 0 {
-			*v = d
-		}
-	}
-	def(&cfg.Leaves, 3)
-	def(&cfg.Spines, 2)
-	defD(&cfg.Duration, time.Minute)
-	defD(&cfg.Epoch, time.Second)
-	def(&cfg.Keys, 24)
-	defF(&cfg.ReadRate, 200)
-	defF(&cfg.WriteRate, 20)
-	defF(&cfg.TenantRate, 1)
-	defD(&cfg.TenantLife, 20*time.Second)
-	def(&cfg.TenantDemandMin, 20)
-	def(&cfg.TenantDemandMax, 120)
-	defD(&cfg.ChaosEvery, 5*time.Second)
-	defD(&cfg.SpineKillAt, cfg.Duration/2)
-	defD(&cfg.SpineKillFor, 2*time.Second)
-	defD(&cfg.ReadTimeout, time.Second)
-	defD(&cfg.P99Bound, 10*time.Millisecond)
 	if cfg.Policy == "" {
 		cfg.Policy = "static"
 	}
-	defF(&cfg.FragBound, 0.98)
-	def(&cfg.FragEpochs, 5)
-	if cfg.SynThreshold == 0 {
-		cfg.SynThreshold = 16
-	}
-	if cfg.RLLimit == 0 {
-		cfg.RLLimit = 16
-	}
-	def(&cfg.RecircBudget, 4)
 	if cfg.Progress == nil {
 		cfg.Progress = func(string, ...any) {}
 	}
 	return cfg
 }
+
+// The run's fixed shape.
+const (
+	numLeaves = 3 // cache replicas on leaves 0 and 1, server on the last
+	numSpines = 2
+	epoch     = time.Second           // invariant-check interval
+	p99Bound  = 10 * time.Millisecond // read-latency p99 ceiling
+)
 
 // Violation is one invariant breach, with the flight-recorder context
 // captured at detection time.
@@ -212,9 +162,6 @@ type Result struct {
 // in Result.Violations, never as errors.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Leaves < 2 || cfg.Spines < 2 {
-		return nil, fmt.Errorf("soak: need >=2 leaves and >=2 spines, have %dx%d", cfg.Leaves, cfg.Spines)
-	}
 	if cfg.Policy != "static" && cfg.Policy != "adaptive" {
 		return nil, fmt.Errorf("soak: unknown policy %q (want static or adaptive)", cfg.Policy)
 	}
@@ -259,7 +206,7 @@ type harness struct {
 	csv       *csvWriter
 
 	engines  map[string]*policy.Adaptive // per-node engines; nil in static mode
-	fragOver map[string]int              // consecutive epochs over FragBound, per node
+	fragOver map[string]int              // consecutive epochs over fragBound, per node
 
 	sec *secState // security-app families; nil unless Config.Secapps
 }
@@ -273,7 +220,7 @@ const (
 )
 
 func newHarness(cfg Config) (*harness, error) {
-	fcfg := fabric.DefaultConfig(cfg.Leaves, cfg.Spines)
+	fcfg := fabric.DefaultConfig(numLeaves, numSpines)
 	// Shrink the stages so tenant churn creates genuine capacity pressure
 	// (spills, rejections, RetryUnplaced work) at soak-sized demands.
 	fcfg.RMT.StageWords = 96 * 256
@@ -299,7 +246,7 @@ func newHarness(cfg Config) (*harness, error) {
 		pendingPuts:  make(map[uint32]putState),
 		nextSlab:     tenantFIDBase,
 		repairFID:    repairFIDBase,
-		nextChaos:    cfg.ChaosEvery,
+		nextChaos:    chaosEvery,
 		fragOver:     make(map[string]int),
 	}
 	if cfg.Policy == "adaptive" {
@@ -318,7 +265,7 @@ func newHarness(cfg Config) (*harness, error) {
 	// Server on the last leaf, cache replicas on leaves 0 and 1.
 	mac, ip := f.NewHostID()
 	h.srv = apps.NewKVServer(f.Eng, mac, ip)
-	port, err := f.AttachHost(cfg.Leaves-1, h.srv, mac)
+	port, err := f.AttachHost(numLeaves-1, h.srv, mac)
 	if err != nil {
 		return nil, err
 	}
@@ -368,7 +315,7 @@ func (h *harness) run() (*Result, error) {
 	end := eng.Now() + h.cfg.Duration
 
 	for eng.Now() < end && h.failed == nil {
-		h.f.RunFor(h.cfg.Epoch)
+		h.f.RunFor(epoch)
 		h.res.Epochs++
 
 		// Control actions run from the driver, outside engine callbacks:
@@ -424,15 +371,15 @@ func (h *harness) checkInvariants() {
 	}
 	if name, frag, bad := h.fragSweep(); bad {
 		fail("frag-bound", fmt.Sprintf("%s: fragmentation %.3f above %.3f for %d consecutive epochs",
-			name, frag, h.cfg.FragBound, h.cfg.FragEpochs))
+			name, frag, fragBound, fragEpochs))
 		return
 	}
 	if kind, detail, bad := h.secappsInvariants(); bad {
 		fail(kind, detail)
 		return
 	}
-	if p99, n := h.readP99(); n >= 100 && p99 > h.cfg.P99Bound {
-		fail("latency-p99", fmt.Sprintf("read p99 %v exceeds bound %v over %d reads", p99, h.cfg.P99Bound, n))
+	if p99, n := h.readP99(); n >= 100 && p99 > p99Bound {
+		fail("latency-p99", fmt.Sprintf("read p99 %v exceeds bound %v over %d reads", p99, p99Bound, n))
 	}
 }
 

@@ -18,6 +18,18 @@ import (
 // had already superseded before the read began. That is the no-stale-read
 // invariant, checked on every single completed read.
 
+const (
+	numKeys     = 24          // hot keyspace size
+	readRate    = 200.0       // cache reads per virtual second
+	writeRate   = 20.0        // cache writes per virtual second
+	readTimeout = time.Second // reads older than this count as lost
+
+	tenantRate      = 1.0              // tenant arrivals per virtual second
+	tenantLife      = 20 * time.Second // mean tenant lifetime
+	tenantDemandMin = 20               // blocks per access, lower bound
+	tenantDemandMax = 120              // blocks per access, upper bound
+)
+
 type keyState struct {
 	k0, k1 uint32
 	floor  uint32 // largest acknowledged write value
@@ -36,8 +48,8 @@ type putState struct {
 }
 
 func (h *harness) warmKeys() error {
-	h.keys = make([]keyState, h.cfg.Keys)
-	objs := make([]apps.KVMsg, 0, h.cfg.Keys)
+	h.keys = make([]keyState, numKeys)
+	objs := make([]apps.KVMsg, 0, numKeys)
 	for i := range h.keys {
 		h.nextVal++
 		h.keys[i] = keyState{k0: uint32(0x5000 + i), k1: uint32(0x9000 + i), floor: h.nextVal}
@@ -58,8 +70,8 @@ func (h *harness) warmKeys() error {
 func (h *harness) startPumps() {
 	eng := h.f.Eng
 	end := eng.Now() + h.cfg.Duration
-	readGap := time.Duration(float64(time.Second) / h.cfg.ReadRate)
-	writeGap := time.Duration(float64(time.Second) / h.cfg.WriteRate)
+	readGap := time.Duration(float64(time.Second) / readRate)
+	writeGap := time.Duration(float64(time.Second) / writeRate)
 
 	var readPump, writePump func()
 	readPump = func() {
@@ -155,7 +167,7 @@ func (h *harness) onReadResponse(leaf int, seq, value uint32, hit bool) {
 // expireReads counts reads chaos ate. A lost read is availability damage,
 // not a safety violation — it is reported, not failed on.
 func (h *harness) expireReads() {
-	cut := h.f.Eng.Now() - h.cfg.ReadTimeout
+	cut := h.f.Eng.Now() - readTimeout
 	for seq, rd := range h.pendingReads {
 		if rd.at <= cut {
 			delete(h.pendingReads, seq)
@@ -172,7 +184,7 @@ type liveTenant struct {
 	orphans []*fabric.Shard // shards stranded by a reconcile, released at death
 }
 
-// churnTenants advances the tenant population: arrivals at TenantRate,
+// churnTenants advances the tenant population: arrivals at tenantRate,
 // departures past their lifetime, and one RetryUnplaced pass per epoch for
 // a tenant carrying unplaced demand.
 func (h *harness) churnTenants() {
@@ -196,14 +208,14 @@ func (h *harness) churnTenants() {
 	}
 	h.tenants = kept
 
-	h.arrivalCr += h.cfg.TenantRate * h.cfg.Epoch.Seconds()
+	h.arrivalCr += tenantRate * epoch.Seconds()
 	for ; h.arrivalCr >= 1; h.arrivalCr-- {
 		slab, ok := h.takeSlab()
 		if !ok {
 			break
 		}
-		leaf := h.rng.Intn(h.cfg.Leaves)
-		demand := h.cfg.TenantDemandMin + h.rng.Intn(h.cfg.TenantDemandMax-h.cfg.TenantDemandMin+1)
+		leaf := h.rng.Intn(numLeaves)
+		demand := tenantDemandMin + h.rng.Intn(tenantDemandMax-tenantDemandMin+1)
 		t, err := h.fc.PlaceTenant(slab, leaf, h.srv.MAC(), demand, apps.CoherentCacheService)
 		if err != nil {
 			h.res.PlaceErrors++
@@ -211,7 +223,7 @@ func (h *harness) churnTenants() {
 			continue
 		}
 		h.res.TenantsPlaced++
-		life := time.Duration(float64(h.cfg.TenantLife) * (0.5 + h.rng.Float64()))
+		life := time.Duration(float64(tenantLife) * (0.5 + h.rng.Float64()))
 		h.tenants = append(h.tenants, &liveTenant{t: t, slab: slab, dies: now + life})
 	}
 

@@ -26,21 +26,16 @@ type Costs struct {
 }
 
 // DefaultCosts is calibrated so a contended admission lands at one-to-two
-// seconds, matching Figure 8a's shape (table updates dominate). The numbers
-// live in internal/policy so a policy engine can re-decide them at runtime.
+// seconds, matching Figure 8a's shape (table updates dominate). The snapshot
+// window's default lives in internal/policy: it is the one cost a policy
+// engine re-decides at runtime.
 func DefaultCosts() Costs {
-	return CostsFrom(policy.DefaultDecisions().Controller)
-}
-
-// CostsFrom converts a policy timing decision into the controller's cost
-// model.
-func CostsFrom(t policy.ControllerTiming) Costs {
 	return Costs{
-		TableOp:         t.TableOp,
-		DigestLatency:   t.DigestLatency,
-		ComputeBase:     t.ComputeBase,
-		ComputePerMut:   t.ComputePerMut,
-		SnapshotTimeout: t.SnapshotTimeout,
+		TableOp:         2 * time.Millisecond,
+		DigestLatency:   100 * time.Microsecond,
+		ComputeBase:     5 * time.Millisecond,
+		ComputePerMut:   30 * time.Microsecond,
+		SnapshotTimeout: policy.DefaultSnapshotTimeout,
 	}
 }
 
@@ -247,10 +242,8 @@ func (c *Controller) Crash() {
 	c.clients = make(map[uint16]packet.MAC)
 	if fresh, err := alloc.New(c.al.Config()); err == nil {
 		// The occupancy gauges outlive the books: hand them to the fresh
-		// allocator so a restart resyncs instead of re-registering. The
-		// policy tuning survives the crash for the same reason.
+		// allocator so a restart resyncs instead of re-registering.
 		fresh.SetTelemetry(c.al.Telemetry())
-		fresh.SetTuning(c.al.Tuning())
 		c.al = fresh
 	}
 	c.Crashes++

@@ -21,11 +21,11 @@ import (
 // exactly as they observe any neighbor-driven reallocation (new grants, a
 // bumped epoch) — never a torn or stale region.
 
-// ApplyPolicy pushes a policy decision set into the controller: the cost
-// model / snapshot window, the defragmentation budget, and the periodic
-// sweep cadence. Safe to call on every policy evaluation.
+// ApplyPolicy pushes a policy decision set into the controller: the
+// snapshot window (the configured costs are otherwise left alone) and the
+// periodic sweep cadence. Safe to call on every policy evaluation.
 func (c *Controller) ApplyPolicy(d policy.Decisions) {
-	c.costs = CostsFrom(d.Controller)
+	c.costs.SnapshotTimeout = d.Controller.SnapshotTimeout
 	c.sweepEvery = d.SweepEvery
 	c.armSweep()
 }

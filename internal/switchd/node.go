@@ -1,0 +1,91 @@
+package switchd
+
+import (
+	"activermt/internal/alloc"
+	"activermt/internal/guard"
+	"activermt/internal/netsim"
+	"activermt/internal/packet"
+	"activermt/internal/policy"
+	"activermt/internal/rmt"
+	"activermt/internal/runtime"
+	"activermt/internal/telemetry"
+)
+
+// NodeConfig is what one switch is built from: the pipeline and the
+// allocator over it. Controller costs and guard thresholds are the package
+// defaults (DefaultCosts, guard.DefaultPolicy); a policy engine re-decides
+// the parts that vary at runtime.
+type NodeConfig struct {
+	RMT   rmt.Config
+	Alloc alloc.Config
+}
+
+// DefaultNodeConfig mirrors the paper's switch: 20 stages, 1 KB blocks,
+// worst-fit most-constrained allocation.
+func DefaultNodeConfig() NodeConfig {
+	return NodeConfig{RMT: rmt.DefaultConfig(), Alloc: alloc.DefaultConfig()}
+}
+
+// Node is one fully assembled switch — the paper's single shared runtime
+// image with its control plane: pipeline runtime, allocator, data-plane
+// switch, controller and capsule guard, wired together in NewNode and
+// nowhere else. The testbed, every fabric device and the chaos layer's
+// System embed it.
+type Node struct {
+	RT     *runtime.Runtime
+	Switch *Switch
+	Ctrl   *Controller
+	Guard  *guard.Guard
+}
+
+// NewNode assembles a switch on eng. There is no guard-less variant:
+// isolation is a property of the shared pipeline, not an opt-in.
+func NewNode(eng *netsim.Engine, cfg NodeConfig, mac packet.MAC) (*Node, error) {
+	rt, err := runtime.New(cfg.RMT)
+	if err != nil {
+		return nil, err
+	}
+	al, err := alloc.New(cfg.Alloc)
+	if err != nil {
+		return nil, err
+	}
+	sw := NewSwitch(rt, mac)
+	n := &Node{
+		RT:     rt,
+		Switch: sw,
+		Ctrl:   NewController(eng, sw, al, DefaultCosts()),
+		Guard:  guard.New(rt, guard.DefaultPolicy(), eng.Now),
+	}
+	sw.SetGuard(n.Guard)
+	rt.SetGuardHook(n.Guard)
+	n.Ctrl.AttachGuard(n.Guard)
+	return n, nil
+}
+
+// AttachTelemetry instruments every layer of the switch with reg: runtime +
+// device (packet counters, latency histogram, per-stage occupancy), guard
+// (violation counters, tenant-state gauges), controller + allocator
+// (provisioning histograms, per-tenant block gauges) and the program cache
+// (hit ratio). Metric names are registry-global: one node per registry.
+func (n *Node) AttachTelemetry(reg *telemetry.Registry) {
+	n.RT.AttachTelemetry(reg)
+	n.Guard.AttachTelemetry(reg)
+	n.Ctrl.AttachTelemetry(reg)
+	n.Switch.ProgCache().AttachTelemetry(reg)
+}
+
+// ApplyPolicy pushes one decision set into the layers this switch owns: the
+// controller's snapshot window and sweep cadence, the guard's ladder.
+func (n *Node) ApplyPolicy(d policy.Decisions) {
+	n.Ctrl.ApplyPolicy(d)
+	n.Guard.ApplyThresholds(d.Guard)
+}
+
+// SnapshotFn exposes the controller-side register read API for apps that
+// extract state via the control plane.
+func (n *Node) SnapshotFn() func(fid uint16, phys int) ([]uint32, error) {
+	return func(fid uint16, phys int) ([]uint32, error) {
+		words, _, err := n.RT.Snapshot(fid, phys)
+		return words, err
+	}
+}

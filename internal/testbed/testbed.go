@@ -6,30 +6,22 @@
 package testbed
 
 import (
-	"fmt"
 	"net/netip"
 	"time"
 
-	"activermt/internal/alloc"
 	"activermt/internal/chaos"
 	"activermt/internal/client"
-	"activermt/internal/guard"
 	"activermt/internal/netsim"
 	"activermt/internal/packet"
 	"activermt/internal/policy"
-	"activermt/internal/rmt"
-	"activermt/internal/runtime"
 	"activermt/internal/switchd"
 	"activermt/internal/telemetry"
 )
 
-// Config selects the testbed's parameters.
+// Config selects the testbed's parameters: the switch (promoted RMT and
+// Alloc) and the host links.
 type Config struct {
-	RMT       rmt.Config
-	Alloc     alloc.Config
-	Costs     switchd.Costs
-	Guard     guard.Policy
-	NoGuard   bool // disable the capsule guard entirely
+	switchd.NodeConfig
 	LinkDelay time.Duration
 	LinkBW    float64 // bits per second; 0 = infinite
 }
@@ -38,22 +30,17 @@ type Config struct {
 // worst-fit most-constrained allocation, 40 Gbps links.
 func DefaultConfig() Config {
 	return Config{
-		RMT:       rmt.DefaultConfig(),
-		Alloc:     alloc.DefaultConfig(),
-		Costs:     switchd.DefaultCosts(),
-		Guard:     guard.DefaultPolicy(),
-		LinkDelay: 5 * time.Microsecond,
-		LinkBW:    40e9,
+		NodeConfig: switchd.DefaultNodeConfig(),
+		LinkDelay:  5 * time.Microsecond,
+		LinkBW:     40e9,
 	}
 }
 
-// Testbed is one assembled system.
+// Testbed is one assembled system: a switchd.Node (promoted RT, Switch,
+// Ctrl, Guard) on its own engine, with hosts on a star of links.
 type Testbed struct {
-	Eng    *netsim.Engine
-	RT     *runtime.Runtime
-	Switch *switchd.Switch
-	Ctrl   *switchd.Controller
-	Guard  *guard.Guard // nil when Config.NoGuard
+	Eng *netsim.Engine
+	*switchd.Node
 
 	// Tel is the telemetry registry, non-nil after EnableTelemetry.
 	Tel      *telemetry.Registry
@@ -67,28 +54,11 @@ type Testbed struct {
 // New builds an empty testbed (switch only).
 func New(cfg Config) (*Testbed, error) {
 	eng := netsim.NewEngine()
-	rt, err := runtime.New(cfg.RMT)
+	node, err := switchd.NewNode(eng, cfg.NodeConfig, MACFor(0))
 	if err != nil {
 		return nil, err
 	}
-	al, err := alloc.New(cfg.Alloc)
-	if err != nil {
-		return nil, err
-	}
-	sw := switchd.NewSwitch(rt, MACFor(0))
-	ctrl := switchd.NewController(eng, sw, al, cfg.Costs)
-	tb := &Testbed{Eng: eng, RT: rt, Switch: sw, Ctrl: ctrl, cfg: cfg, nextPort: 1, nextHost: 1}
-	if !cfg.NoGuard {
-		pol := cfg.Guard
-		if pol == (guard.Policy{}) {
-			pol = guard.DefaultPolicy()
-		}
-		tb.Guard = guard.New(rt, pol, eng.Now)
-		sw.SetGuard(tb.Guard)
-		rt.SetGuardHook(tb.Guard)
-		ctrl.AttachGuard(tb.Guard)
-	}
-	return tb, nil
+	return &Testbed{Eng: eng, Node: node, cfg: cfg, nextPort: 1, nextHost: 1}, nil
 }
 
 // MACFor returns the deterministic MAC of host n (0 is the switch).
@@ -134,33 +104,23 @@ func (tb *Testbed) AddClient(fid uint16, svc *client.Service) *client.Client {
 }
 
 // EnableTelemetry builds one registry and instruments every layer of the
-// testbed with it: runtime + device (packet counters, latency histogram,
-// per-stage occupancy), guard (violation counters, tenant-state gauges),
-// controller + allocator (provisioning histograms, per-tenant block gauges),
-// the program cache (hit ratio), and — via System() — the chaos event
-// counter. Idempotent: repeated calls return the same registry.
+// switch with it (Node.AttachTelemetry) plus — via System() — the chaos
+// event counter. Idempotent: repeated calls return the same registry.
 func (tb *Testbed) EnableTelemetry() *telemetry.Registry {
-	if tb.Tel != nil {
-		return tb.Tel
+	if tb.Tel == nil {
+		tb.Tel = telemetry.NewRegistry()
+		tb.AttachTelemetry(tb.Tel)
+		tb.chaosTel = chaos.NewTelemetry(tb.Tel)
 	}
-	reg := telemetry.NewRegistry()
-	tb.RT.AttachTelemetry(reg)
-	if tb.Guard != nil {
-		tb.Guard.AttachTelemetry(reg)
-	}
-	tb.Ctrl.AttachTelemetry(reg)
-	tb.Switch.ProgCache().AttachTelemetry(reg)
-	tb.chaosTel = chaos.NewTelemetry(reg)
-	tb.Tel = reg
-	return reg
+	return tb.Tel
 }
 
 // AttachPolicy wires a policy engine over the testbed: a policy.Loop on
 // the simulation clock observes the telemetry registry (enabling telemetry
-// if needed) and applies each decision set to the controller and guard.
-// When the decisions enable defragmentation and the observed fragmentation
-// crosses the trigger, a defrag pass is queued on the controller. Returns
-// the loop (already started); call loop.Stop() to detach.
+// if needed) and applies each decision set to the switch. When the
+// decisions enable defragmentation and the observed fragmentation crosses
+// the trigger, a defrag pass is queued on the controller. Returns the loop
+// (already started); call loop.Stop() to detach.
 func (tb *Testbed) AttachPolicy(eng policy.Engine) *policy.Loop {
 	reg := tb.EnableTelemetry()
 	loop := &policy.Loop{
@@ -169,11 +129,7 @@ func (tb *Testbed) AttachPolicy(eng policy.Engine) *policy.Loop {
 		Schedule: tb.Eng.Schedule,
 		Now:      tb.Eng.Now,
 		Apply: func(obs policy.Observation, d policy.Decisions) {
-			tb.Ctrl.ApplyPolicy(d)
-			tb.Ctrl.Allocator().SetTuning(d.Alloc)
-			if tb.Guard != nil {
-				tb.Guard.ApplyThresholds(d.Guard)
-			}
+			tb.ApplyPolicy(d)
 			if d.Defrag.Enabled && obs.Fragmentation >= d.Defrag.TriggerFrag {
 				tb.Ctrl.Defragment(d.Defrag.MaxMoves)
 			}
@@ -185,19 +141,10 @@ func (tb *Testbed) AttachPolicy(eng policy.Engine) *policy.Loop {
 }
 
 // System exposes the assembled components to the chaos fault-injection
-// layer: scenarios built against this system act on the testbed's engine,
-// switch, controller, and runtime.
+// layer: scenarios built against this system act on the testbed's engine
+// and switch.
 func (tb *Testbed) System() *chaos.System {
-	return &chaos.System{Eng: tb.Eng, Switch: tb.Switch, Ctrl: tb.Ctrl, RT: tb.RT, Guard: tb.Guard, Tel: tb.chaosTel}
-}
-
-// SnapshotFn exposes the controller-side register read API for apps that
-// extract state via the control plane.
-func (tb *Testbed) SnapshotFn() func(fid uint16, phys int) ([]uint32, error) {
-	return func(fid uint16, phys int) ([]uint32, error) {
-		words, _, err := tb.RT.Snapshot(fid, phys)
-		return words, err
-	}
+	return &chaos.System{Eng: tb.Eng, Node: tb.Node, Tel: tb.chaosTel}
 }
 
 // RunFor advances virtual time by d.
@@ -206,15 +153,5 @@ func (tb *Testbed) RunFor(d time.Duration) { tb.Eng.RunUntil(tb.Eng.Now() + d) }
 // WaitOperational runs the simulation until the client is operational or
 // the deadline passes.
 func (tb *Testbed) WaitOperational(cl *client.Client, deadline time.Duration) error {
-	limit := tb.Eng.Now() + deadline
-	for tb.Eng.Now() < limit && cl.State() != client.Operational {
-		if tb.Eng.Pending() == 0 {
-			break
-		}
-		tb.Eng.Step()
-	}
-	if cl.State() != client.Operational {
-		return fmt.Errorf("testbed: fid %d stuck in %v", cl.FID(), cl.State())
-	}
-	return nil
+	return cl.WaitOperational(deadline)
 }
