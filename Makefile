@@ -1,7 +1,8 @@
 # ActiveRMT simulator — build, test, and microbenchmark targets.
 #
-# The performance record is the system-path benchmark (`bash bench/run.sh`,
-# declared in BENCHMARK.json); `make bench` prints component figures only.
+# The one harness with a performance record is the system-path benchmark
+# (`bash bench/run.sh`, declared in BENCHMARK.json); `make bench` prints
+# component figures of the execute loop and nothing gates on them.
 
 GO ?= go
 

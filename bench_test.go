@@ -4,7 +4,7 @@
 //
 //	go test -bench=. -benchmem
 //
-// For the full-scale figure data, use cmd/activebench.
+// For the full-scale figure data, use activesim -scenario paper.
 package main
 
 import (

@@ -12,6 +12,7 @@
 //	activesim -scenario cache -topology leafspine:3x2   # the coherent cache on a fabric
 //	activesim -soak 5m -seed 7 -soak-csv soak.csv       # the long-soak invariant harness
 //	activesim -policy-ab results/policy_ab.csv -seed 11 # static vs adaptive policy A/B
+//	activesim -scenario paper -quick fig5a fig8b        # the paper's figures, CSV into results/
 package main
 
 import (
@@ -45,6 +46,9 @@ type options struct {
 	soakCSV     string
 	soakSecapps bool
 	policyAB    string
+	quick       bool
+	outDir      string
+	args        []string // positional arguments, for the row that takes them
 
 	out io.Writer
 }
@@ -67,6 +71,7 @@ type scenario struct {
 	// restricts that to one -scenario value.
 	by, of string
 	flags  string // space-separated flags the row accepts besides -scenario and by
+	args   string // what the row's positional arguments are; "" when it takes none
 	run    func(o *options) error
 	smoke  []string // fixed-seed invocations, run by TestSmoke
 }
@@ -82,12 +87,8 @@ var table = []scenario{
 	{name: "fabric", by: "topology switches", of: "cache", flags: "seed", run: runFabricCache,
 		summary: "the coherent replicated cache across a leaf-spine fabric (leafspine:LxS, or N switches as (N-1)x1)",
 		smoke:   []string{"-scenario cache -topology leafspine:3x2 -seed 3", "-scenario cache -switches 4 -seed 3"}},
-	{name: "multi", flags: "seed", run: experiment("fig9b"),
-		summary: "four staggered cache tenants (Fig 9b)", smoke: []string{"-scenario multi -seed 3"}},
 	{name: "lb", flags: "seed", run: runLB,
 		summary: "Cheetah load balancing across 4 servers", smoke: []string{"-scenario lb -seed 3"}},
-	{name: "churn", flags: "seed", run: experiment("fig8a"),
-		summary: "Poisson arrivals/departures (Fig 8a)", smoke: []string{"-scenario churn -seed 3"}},
 	{name: "defrag", flags: "seed policy", run: runDefragDemo,
 		summary: "tenant churn, then telemetry-driven live migration (static leaves the gauge high, adaptive recovers it)",
 		smoke:   []string{"-scenario defrag -policy static -seed 3", "-scenario defrag -policy adaptive -seed 3"}},
@@ -100,12 +101,15 @@ var table = []scenario{
 	{name: "quickstart", run: runQuickstart,
 		summary: "deploy, execute, memory protection, a second tenant — no network simulation",
 		smoke:   []string{"-scenario quickstart"}},
-	{name: "casestudy", run: runCaseStudy,
-		summary: "Section 6.3: frequent-item monitor -> state extraction -> context switch -> cache",
-		smoke:   []string{"-scenario casestudy"}},
 	{name: "heavyhitter", run: runHeavyHitter,
 		summary: "count-min sketch + hot-key table vs ground truth (Appendix B.1)",
 		smoke:   []string{"-scenario heavyhitter"}},
+	{name: "paper", flags: "seed quick out", args: "id ... | all", run: runPaper,
+		summary: "the paper's evaluation (Section 6): list the experiments, or run the named ones and write DIR/<id>.csv",
+		smoke: []string{"-scenario paper", "-scenario paper -quick -seed 3 -out csv fig8b",
+			// The timelines that were rows of their own: churn, case study, multi-tenant.
+			"-scenario paper -quick -seed 3 -out csv fig8a", "-scenario paper -quick -seed 3 -out csv fig9a",
+			"-scenario paper -quick -seed 3 -out csv fig9b"}},
 	{name: "soak", by: "soak", flags: "seed policy soak-csv soak-secapps", run: runSoak,
 		summary: "long-soak invariant harness: leaf-spine fabric under chaos, churn and a spine kill",
 		smoke:   []string{"-soak 1m -seed 7 -soak-secapps", "-soak 1m -seed 7 -policy adaptive"}},
@@ -127,12 +131,16 @@ func (r scenario) selector() string {
 	return sel
 }
 
-// accepts renders the flags the row takes on top of its selector.
+// accepts renders the flags and arguments the row takes on top of its selector.
 func (r scenario) accepts() string {
 	if r.flags == "" {
 		return "no flags"
 	}
-	return "-" + strings.Join(strings.Fields(r.flags), " -")
+	acc := "-" + strings.Join(strings.Fields(r.flags), " -")
+	if r.args != "" {
+		acc += " [" + r.args + "]"
+	}
+	return acc
 }
 
 // usageError is a run function's way to reject its own flag values: exit 2.
@@ -165,6 +173,8 @@ func newFlags(o *options) *flag.FlagSet {
 	fs.DurationVar(&o.soak, "soak", 0, "run the long-soak invariant harness for this much virtual time (overrides -scenario)")
 	fs.StringVar(&o.soakCSV, "soak-csv", "", "with -soak: write per-epoch metrics CSV to this file")
 	fs.BoolVar(&o.soakSecapps, "soak-secapps", false, "with -soak: run the three security-app workload families alongside the cache load")
+	fs.BoolVar(&o.quick, "quick", false, "with -scenario paper: reduced trials/epochs")
+	fs.StringVar(&o.outDir, "out", "results", "with -scenario paper: output directory for CSV series")
 	return fs
 }
 
@@ -175,7 +185,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := newFlags(o)
 	fs.SetOutput(stderr)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "Usage: activesim [-scenario NAME] [flags]\n\n")
+		fmt.Fprintf(stderr, "Usage: activesim [-scenario NAME] [flags] [arguments]\n\n")
 		printTable(stderr)
 		fmt.Fprintf(stderr, "\nFlags:\n")
 		fs.PrintDefaults()
@@ -221,6 +231,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if !slices.Contains(strings.Fields(r.by+" "+r.flags), f) {
 			return fail(2, "-%s does not apply to %s (%s), which accepts %s", f, r.name, r.selector(), r.accepts())
 		}
+	}
+	if o.args = fs.Args(); len(o.args) > 0 && r.args == "" {
+		return fail(2, "arguments %q do not apply to %s (%s), which accepts %s", o.args, r.name, r.selector(), r.accepts())
 	}
 	if err := r.run(o); err != nil {
 		if errors.As(err, new(usageError)) {

@@ -8,6 +8,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"activermt/internal/experiments"
 )
 
 // invoke runs the command in-process.
@@ -49,8 +51,11 @@ func TestSmoke(t *testing.T) {
 						t.Errorf("activesim %s: two runs printed different output\n--- first\n%s--- second\n%s", args, first, stdout)
 					}
 				}
-				if r.name == "policy-ab" {
+				switch ids := flagArgs(t, args); {
+				case r.name == "policy-ab":
 					checkPolicyABCSV(t, strings.Fields(args)[1])
+				case r.name == "paper" && len(ids) > 0:
+					checkPaperCSVs(t, ids)
 				}
 			})
 		}
@@ -67,6 +72,34 @@ func chdir(t *testing.T, dir string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = os.Chdir(old) })
+}
+
+// flagArgs returns the positional arguments of an invocation.
+func flagArgs(t *testing.T, args string) []string {
+	fs := newFlags(&options{})
+	if err := fs.Parse(strings.Fields(args)); err != nil {
+		t.Fatal(err)
+	}
+	return fs.Args()
+}
+
+// checkPaperCSVs asserts that the paper row wrote, for each id, exactly the
+// series the experiment produces in-process at the smoke scale and seed.
+func checkPaperCSVs(t *testing.T, ids []string) {
+	for _, id := range ids {
+		spec, _ := experiments.Lookup(id)
+		want, err := spec.Run(experiments.RunConfig{Quick: true, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile("csv/" + id + ".csv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want.CSV {
+			t.Errorf("csv/%s.csv differs from the in-process %s result", id, id)
+		}
+	}
 }
 
 // checkPolicyABCSV asserts the A/B CSV's shape: the header's first, middle
@@ -90,7 +123,7 @@ func checkPolicyABCSV(t *testing.T, path string) {
 var sampleValue = map[string]string{
 	"seed": "2", "policy": "adaptive", "chaos": "flaky-link", "adversary": "", "telemetry": "127.0.0.1:0",
 	"topology": "leafspine:2x1", "switches": "3", "soak": "1m", "soak-csv": "x.csv", "soak-secapps": "",
-	"policy-ab": "x.csv",
+	"policy-ab": "x.csv", "quick": "", "out": "x",
 }
 
 // TestFlagMisuse gives every row each flag outside its accept-list: the
@@ -125,6 +158,19 @@ func TestFlagMisuse(t *testing.T) {
 					args, code, stdout, stderr, r.name, name)
 			}
 		}
+	}
+	// Positional arguments belong to the paper row alone.
+	for _, r := range table {
+		if r.args != "" {
+			continue
+		}
+		args := r.smoke[0] + " fig8b"
+		if stdout, stderr, code := invoke(args); code != 2 || !strings.Contains(stderr, r.name) || stdout != "" {
+			t.Errorf("activesim %s: exit %d, stdout %q, stderr %q; want exit 2 naming %s", args, code, stdout, stderr, r.name)
+		}
+	}
+	if _, stderr, code := invoke("-scenario paper -quick -out " + t.TempDir() + " nope"); code != 1 || !strings.Contains(stderr, `"nope"`) {
+		t.Errorf("activesim -scenario paper nope: exit %d, stderr %q; want exit 1 naming the id", code, stderr)
 	}
 	for _, args := range []string{"-scenario nope", "-policy nope", "-scenario cache -topology ring", "-no-such-flag"} {
 		if stdout, stderr, code := invoke(args); code != 2 || stdout != "" || stderr == "" {

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
 	"activermt/internal/apps"
@@ -65,19 +67,48 @@ func runSoak(o *options) error {
 	return nil
 }
 
-// experiment returns the run function of a scenario that is one of the
-// paper's figures at quick scale: its headline metrics and notes.
-func experiment(id string) func(*options) error {
-	return func(o *options) error {
-		spec, _ := experiments.Lookup(id)
-		res, err := spec.Run(experiments.RunConfig{Quick: true, Seed: o.seed})
-		if err != nil {
-			return err
+// runPaper regenerates the paper's evaluation (Section 6). With no ids it
+// lists the registry; each named experiment ("all" is every one) prints its
+// headline metrics and notes and writes -out/<id>.csv. An id that fails or
+// does not exist is reported after the others have run.
+func runPaper(o *options) error {
+	ids := o.args
+	if len(ids) == 0 {
+		for _, s := range experiments.Registry {
+			o.printf("%-8s %s\n         paper: %s\n", s.ID, s.Title, s.Paper)
 		}
-		o.printf("scenario %s (%s)\n", id, res.Title)
-		res.Print(o.out, "  ", 32)
 		return nil
 	}
+	if len(ids) == 1 && ids[0] == "all" {
+		ids = nil
+		for _, s := range experiments.Registry {
+			ids = append(ids, s.ID)
+		}
+	}
+	if err := os.MkdirAll(o.outDir, 0o755); err != nil {
+		return err
+	}
+	var failed []error
+	for _, id := range ids {
+		spec, ok := experiments.Lookup(id)
+		if !ok {
+			failed = append(failed, fmt.Errorf("unknown experiment %q", id))
+			continue
+		}
+		o.printf("== %s: %s\n   paper: %s\n", spec.ID, spec.Title, spec.Paper)
+		path := filepath.Join(o.outDir, spec.ID+".csv")
+		res, err := spec.Run(experiments.RunConfig{Quick: o.quick, Seed: o.seed})
+		if err == nil {
+			err = os.WriteFile(path, []byte(res.CSV), 0o644)
+		}
+		if err != nil {
+			failed = append(failed, fmt.Errorf("%s: %w", id, err))
+			continue
+		}
+		res.Print(o.out, "   ", 40)
+		o.printf("   data: %s\n\n", path)
+	}
+	return errors.Join(failed...)
 }
 
 // runPolicyAB runs the static-vs-adaptive comparison and writes the CSV. No

@@ -96,7 +96,6 @@ func runRateLimit(o *options) error {
 	rl := secapps.NewRateLimiter(limit)
 	cl := tb.AddClient(32, secapps.RateLimitService(rl))
 	rl.Bind(cl)
-	rl.SnapshotFn = tb.SnapshotFn()
 	if err := cl.RequestAndWait(5 * time.Second); err != nil {
 		return err
 	}

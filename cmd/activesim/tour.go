@@ -13,8 +13,8 @@ import (
 	"activermt/internal/workload"
 )
 
-// The guided tour: the three narratives a newcomer reads first. Each runs
-// at fixed seeds and accepts no flags.
+// The guided tour: the two narratives a newcomer reads first. Each runs at
+// fixed seeds and accepts no flags.
 
 // runQuickstart deploys an active program onto a runtime-programmable
 // switch and executes packets against it — no network simulation, just the
@@ -73,103 +73,6 @@ RETURN
 	g2 := dep2.Placement.Accesses[0]
 	o.printf("second tenant: region [%d,%d) stage %d (utilization now %.4f)\n",
 		g2.Range.Lo, g2.Range.Hi, g2.Logical, sys.Utilization())
-	return nil
-}
-
-// runCaseStudy is the in-network cache end to end, the paper's Section 6.3
-// case study: a client first deploys a frequent-item monitor on its
-// key-value traffic, extracts the hot set, context-switches the switch
-// memory over to a cache, populates it over the data plane, and watches its
-// hit rate stabilize — all without touching the switch image.
-func runCaseStudy(o *options) error {
-	tb, err := testbed.New(testbed.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	say := func(format string, args ...any) {
-		o.printf("[%6.3fs] "+format+"\n", append([]any{tb.Eng.Now().Seconds()}, args...)...)
-	}
-
-	// A plain UDP key-value server: what the cache offloads.
-	srv := apps.NewKVServer(tb.Eng, testbed.MACFor(200), testbed.IPFor(999))
-	_, sp := tb.Attach(srv, srv.MAC())
-	srv.Attach(sp)
-
-	// Workload: 4096 keys, Zipf-distributed requests.
-	const nkeys = 4096
-	zipf := workload.NewZipf(7, 1.25, nkeys)
-	keys := make([][2]uint32, nkeys)
-	for i := range keys {
-		k0, k1 := uint32(i)*2654435761+3, uint32(i)*2246822519+11
-		keys[i] = [2]uint32{k0, k1}
-		srv.Store[apps.KeyOf(k0, k1)] = uint32(0xBEEF0000 + i)
-	}
-
-	// Phase 1: deploy the frequent-item monitor (count-min sketch + hot-key
-	// table, Appendix B.1) and activate requests with it for two seconds.
-	hh := apps.NewHeavyHitter(30)
-	hhCl := tb.AddClient(1001, apps.HeavyHitterService(hh))
-	hh.Bind(hhCl)
-	hh.SnapshotFn = tb.SnapshotFn()
-	if err := hhCl.RequestAndWait(5 * time.Second); err != nil {
-		return err
-	}
-	say("monitor deployed (mutant %v)", hhCl.Placement().Mutant)
-
-	stop := tb.Eng.Now() + 2*time.Second
-	for tb.Eng.Now() < stop {
-		k := keys[zipf.Next()]
-		msg := apps.KVMsg{Op: apps.KVGet, Key0: k[0], Key1: k[1]}
-		payload := apps.BuildUDP(testbed.IPFor(1), testbed.IPFor(999), 40001, apps.KVPort, msg.Encode())
-		hh.Observe(k[0], k[1], payload, srv.MAC())
-		tb.RunFor(100 * time.Microsecond)
-	}
-
-	// Phase 2: memory synchronization — read the hot set out of switch
-	// memory via the control plane.
-	hot, err := hh.HotKeys()
-	if err != nil {
-		return err
-	}
-	say("monitor found %d hot keys", len(hot))
-
-	// Phase 3: context switch — release the monitor, deploy the cache
-	// (Listing 1) in its place. This is the runtime reprogrammability the
-	// paper is about: seconds, not a P4 recompile.
-	start := tb.Eng.Now()
-	if err := hhCl.Release(); err != nil {
-		return err
-	}
-	tb.RunFor(200 * time.Millisecond)
-
-	cache := apps.NewCache(srv.MAC(), testbed.IPFor(1), testbed.IPFor(999))
-	cacheCl := tb.AddClient(1, apps.CacheService(cache))
-	cache.Bind(cacheCl)
-	if err := cacheCl.RequestAndWait(5 * time.Second); err != nil {
-		return err
-	}
-	say("context switch done in %.3fs; cache capacity %d buckets",
-		(tb.Eng.Now() - start).Seconds(), cache.Capacity())
-
-	// Phase 4: populate with the measured hot set and serve.
-	var hotObjs []apps.KVMsg
-	for _, kv := range hot {
-		hotObjs = append(hotObjs, apps.KVMsg{Key0: kv.Key0, Key1: kv.Key1, Value: srv.Store[apps.KeyOf(kv.Key0, kv.Key1)]})
-	}
-	cache.SetHotObjects(hotObjs)
-	cache.Populate()
-	tb.RunFor(20 * time.Millisecond)
-
-	for window := 0; window < 4; window++ {
-		cache.ResetStats()
-		for i := 0; i < 5000; i++ {
-			k := keys[zipf.Next()]
-			cache.Get(k[0], k[1])
-			tb.RunFor(100 * time.Microsecond)
-		}
-		tb.RunFor(5 * time.Millisecond)
-		say("hit rate %.3f (%d hits / %d misses)", cache.HitRate(), cache.Hits, cache.Misses)
-	}
 	return nil
 }
 

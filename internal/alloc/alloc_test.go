@@ -202,20 +202,6 @@ func TestEnumerateMutantsPhysicalCollision(t *testing.T) {
 	}
 }
 
-func TestMutantPasses(t *testing.T) {
-	m := Mutant{1, 4, 8}
-	if p := m.Passes(11, []int{1, 4, 8}, 20); p != 1 {
-		t.Errorf("compact passes = %d", p)
-	}
-	m2 := Mutant{1, 4, 25}
-	if p := m2.Passes(11, []int{1, 4, 8}, 20); p != 2 {
-		t.Errorf("stretched passes = %d", p)
-	}
-	if p := (Mutant{}).Passes(3, nil, 20); p != 1 {
-		t.Errorf("empty mutant passes = %d", p)
-	}
-}
-
 func TestAllocateSingleElastic(t *testing.T) {
 	a := newAllocator(t, testConfig())
 	res, err := a.Allocate(1, cacheCons())

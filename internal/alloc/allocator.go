@@ -69,6 +69,20 @@ func DefaultConfig() Config {
 	}
 }
 
+// CheckPipeline rejects a configuration whose pipeline shape differs from the
+// device's: the allocator would grant stages or words the device lacks.
+func (c Config) CheckPipeline(numStages, numIngress, stageWords int) error {
+	for _, f := range []struct {
+		name       string
+		alloc, dev int
+	}{{"NumStages", c.NumStages, numStages}, {"NumIngress", c.NumIngress, numIngress}, {"StageWords", c.StageWords, stageWords}} {
+		if f.alloc != f.dev {
+			return fmt.Errorf("alloc: %s is %d but the pipeline's is %d", f.name, f.alloc, f.dev)
+		}
+	}
+	return nil
+}
+
 // BlocksPerStage returns the block pool size of each stage.
 func (c Config) BlocksPerStage() int { return c.StageWords / c.BlockWords }
 
@@ -549,14 +563,10 @@ func (a *Allocator) Release(fid uint16) ([]*Placement, error) {
 	return a.changedPlacements(before, fid), nil
 }
 
-// DebugRecomputes counts elastic-layout recomputations (test telemetry).
-var DebugRecomputes int
-
 // recomputeElastic rebuilds the elastic layout: progressive-filling shares
 // (approximate max-min fairness, Section 4.2) followed by deterministic
 // placement, largest shares first.
 func (a *Allocator) recomputeElastic() {
-	DebugRecomputes++
 	for _, s := range a.elastic {
 		s.ivs = s.ivs[:0]
 	}

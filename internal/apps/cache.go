@@ -117,13 +117,6 @@ type Cache struct {
 	// switch served it.
 	OnResponse func(seq uint32, value uint32, hit bool)
 
-	// PopulateVia, when set, addresses population capsules to that MAC
-	// instead of back to the client itself. A single-switch cache
-	// self-addresses (the RTS ack hairpins at its switch); a cache whose
-	// region lives on a remote fabric device must aim the capsule THROUGH
-	// the fabric so it reaches the device that executes it.
-	PopulateVia packet.MAC
-
 	repopulateOnResume bool
 }
 
@@ -223,8 +216,8 @@ func Buckets(pl *alloc.Placement) int {
 
 // Bucket computes the client-side hash placement of a key in a placement's
 // region: the address translation the paper performs at the client
-// (Section 3.2). Every cache client — Cache, fabric.CoherentCache, the
-// shards of fabric.ShardedCache — lays keys out with it.
+// (Section 3.2). Every cache client — Cache, fabric.CoherentCache — lays
+// keys out with it.
 func Bucket(pl *alloc.Placement, k0, k1 uint32) (uint32, bool) {
 	n := Buckets(pl)
 	if n == 0 {
@@ -254,10 +247,6 @@ func (c *Cache) Populate() {
 	if cap := c.Capacity(); n > cap {
 		n = cap
 	}
-	dst := c.Client.MAC() // self-addressed: the RTS ack returns here
-	if c.PopulateVia != (packet.MAC{}) {
-		dst = c.PopulateVia
-	}
 	for i := n - 1; i >= 0; i-- { // least frequent first, hottest last
 		o := c.hot[i]
 		addr, ok := Bucket(c.Client.Placement(), o.Key0, o.Key1)
@@ -266,7 +255,7 @@ func (c *Cache) Populate() {
 		}
 		_ = c.Client.SendProgram("populate",
 			[4]uint32{o.Key0, o.Key1, addr, o.Value},
-			packet.FlagPreload, nil, dst)
+			packet.FlagPreload, nil, c.Client.MAC()) // self-addressed: the RTS ack returns here
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"activermt/internal/compiler"
 	"activermt/internal/isa"
 	"activermt/internal/packet"
-	"activermt/internal/rmt"
 )
 
 // The Cheetah load balancer (Appendix B.2) splits into two active
@@ -205,17 +204,6 @@ func (c *Cheetah) ActivateData(tuple packet.FiveTuple, payload []byte, dst packe
 	_ = c.Route.SendProgram("main",
 		[4]uint32{0, cookie, c.Salt, 0},
 		0, payload, dst)
-}
-
-// ExpectedPort predicts the switch's routing decision for a flow+cookie
-// (used by tests and by clients synthesizing cookies themselves). Both LB
-// programs use fixed hash unit 1, so the result is stage-independent.
-func (c *Cheetah) ExpectedPort(tuple packet.FiveTuple, cookie uint32) uint32 {
-	var words [rmt.NumHashWords]uint32
-	tw := tuple.Words()
-	copy(words[:], tw)
-	words[2] = c.Salt // COPY_HASHDATA_MBR 2 overwrites slot 2 with the salt
-	return rmt.FixedHash(1, words) ^ cookie
 }
 
 func flowKey(t packet.FiveTuple) uint64 {

@@ -167,7 +167,6 @@ func Programs() []*isa.Program {
 		cacheQueryProg, cachePopulateProg, cachePopulateFwdProg, cacheReadbackProg,
 		lbSelectProg, lbSetupProg, lbRouteProg,
 		memReadProg, memWriteProg,
-		mirrorProg,
 		hhMonitorProg,
 	}
 }

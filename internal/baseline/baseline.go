@@ -59,8 +59,3 @@ func MonolithicCacheInstances(logicalStages, stagesPerInstance int) int {
 	base := logicalStages / stagesPerInstance
 	return base*aluPacking + base/5
 }
-
-// TheoreticalInstancesPerMutant is the number of minimal (one-word)
-// allocations one mutant's stages could host (Section 6.1: "up to 94K
-// instances of each mutant in theory").
-func TheoreticalInstancesPerMutant(stageWords int) int { return stageWords }

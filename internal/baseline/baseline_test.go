@@ -34,10 +34,3 @@ func TestMonolithicCapacity(t *testing.T) {
 		t.Error("capacity not monotone in stages")
 	}
 }
-
-func TestTheoreticalInstances(t *testing.T) {
-	// "Up to 94K instances of each mutant in theory" (Section 6.1).
-	if got := TheoreticalInstancesPerMutant(94208); got != 94208 {
-		t.Errorf("theoretical instances = %d", got)
-	}
-}

@@ -23,8 +23,8 @@ func TestNetVRMAllocBasics(t *testing.T) {
 	if _, err := a.Alloc(2, 0); err != nil {
 		t.Fatal(err) // elastic: smallest page
 	}
-	if a.NumApps() != 2 {
-		t.Errorf("apps = %d", a.NumApps())
+	if len(a.apps) != 2 {
+		t.Errorf("apps = %d", len(a.apps))
 	}
 	if err := a.Release(1); err != nil {
 		t.Fatal(err)

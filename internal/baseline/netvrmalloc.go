@@ -130,6 +130,3 @@ func (a *NetVRMAllocator) UsedBlocks() int {
 func (a *NetVRMAllocator) Utilization(rawBlocks int) float64 {
 	return float64(a.UsedBlocks()) / float64(rawBlocks)
 }
-
-// NumApps returns the resident count.
-func (a *NetVRMAllocator) NumApps() int { return len(a.apps) }

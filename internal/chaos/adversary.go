@@ -49,9 +49,6 @@ func (a *Adversary) Arm(fid uint16, epoch uint8) {
 	a.epoch = epoch
 }
 
-// FID returns the armed identity (0 when unarmed).
-func (a *Adversary) FID() uint16 { return a.fid }
-
 // Receive implements netsim.Endpoint; the adversary only counts replies.
 func (a *Adversary) Receive(frame []byte, port *netsim.Port) { a.Replies++ }
 

@@ -523,9 +523,10 @@ func (c *Client) placementFromResponse(resp *packet.AllocResponse) (*alloc.Place
 	pl.Mutant = mutant
 	for i := range cons.Accesses {
 		logical := mutant[i]
-		g := resp.Grants[logical%c.Pipeline.NumStages]
+		phys := logical % c.Pipeline.NumStages
+		g := resp.Grants[phys]
 		if g.Empty() {
-			return nil, fmt.Errorf("client: empty grant for access %d (stage %d)", i, logical%packet.NumStages)
+			return nil, fmt.Errorf("client: empty grant for access %d (stage %d)", i, phys)
 		}
 		pl.Accesses = append(pl.Accesses, alloc.AccessPlacement{
 			Logical: logical,

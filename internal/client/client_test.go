@@ -1,6 +1,8 @@
 package client
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -195,6 +197,32 @@ func TestAllocationResponseSynthesizesMutant(t *testing.T) {
 		if qa[i] != wa[i] || qa[i] != pl.Mutant[i] {
 			t.Errorf("access %d: query %d write %d mutant %d", i, qa[i], wa[i], pl.Mutant[i])
 		}
+	}
+}
+
+// TestEmptyGrantNamesPipelineStage: on the 19-stage merged-L2 pipeline
+// (runtime.ExtendedForwardingConfig) a second-pass access's physical stage is
+// logical mod 19; the empty-grant error must name that stage, not mod 20.
+func TestEmptyGrantNamesPipelineStage(t *testing.T) {
+	cl, _, _ := newTestClient(t, cacheService())
+	cl.Pipeline = Pipeline{NumStages: 19, NumIngress: 9, MaxPasses: 2}
+	cons, err := cl.constraints()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for idx := uint32(0); ; idx++ {
+		m, err := cl.mutantByIndex(cons, int(idx|PolicyBitLC))
+		if err != nil {
+			t.Fatalf("no second-pass mutant in the 19-stage enumeration: %v", err)
+		}
+		if m[0] < 19 {
+			continue
+		}
+		_, err = cl.placementFromResponse(&packet.AllocResponse{MutantIndex: idx | PolicyBitLC})
+		if want := fmt.Sprintf("access 0 (stage %d)", m[0]%19); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("mutant %v: err = %v, want it to name %q", m, err, want)
+		}
+		return
 	}
 }
 

@@ -203,7 +203,8 @@ func TestSendProgramMatchesEncodeFrame(t *testing.T) {
 		{apps.CheetahSelectService(), nil},
 		{apps.CheetahRouteService(), nil},
 		{apps.MemSyncService(0), nil},
-		{apps.MirrorService(), nil},
+		{&client.Service{Name: "mirror", Main: "main", Templates: map[string]*isa.Program{
+			"main": isa.MustAssemble("mirror", "FORK 1\nRETURN\n")}}, nil},
 		{secapps.SynFloodService(nil), nil},
 		{secapps.RateLimitService(nil), nil},
 		{secapps.HXSketchService(), nil},

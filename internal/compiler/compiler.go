@@ -10,8 +10,6 @@ package compiler
 import (
 	"fmt"
 
-	"activermt/internal/packet"
-
 	"activermt/internal/alloc"
 	"activermt/internal/isa"
 )
@@ -90,27 +88,6 @@ func SynthesizeForPlacement(p *isa.Program, pl *alloc.Placement) (*isa.Program, 
 	return Synthesize(p, pl.Mutant)
 }
 
-// Passes returns the pipeline passes a synthesized program consumes on an
-// n-stage pipeline.
-func Passes(p *isa.Program, numStages int) int {
-	if p.Len() == 0 {
-		return 1
-	}
-	return (p.Len() + numStages - 1) / numStages
-}
-
-// FitsIngress reports whether every ingress-only instruction of the program
-// executes in the ingress pipeline of its pass (no port-change
-// recirculation).
-func FitsIngress(p *isa.Program, numStages, numIngress int) bool {
-	for _, idx := range p.IngressOnlyIndices() {
-		if idx%numStages >= numIngress {
-			return false
-		}
-	}
-	return true
-}
-
 // Verify cross-checks a synthesized mutant against its placement: every
 // access sits on the granted logical stage and every granted region is
 // non-empty. Clients run this before activating traffic; a mismatch means a
@@ -131,40 +108,4 @@ func Verify(p *isa.Program, pl *alloc.Placement) error {
 		}
 	}
 	return nil
-}
-
-// OptimizePreload applies the paper's Appendix C "preloading" trick: a
-// program that begins by loading MAR from data[2] (and, for writes, MBR
-// from data[0]) can have those loads performed by the parser instead,
-// freeing the leading stages — which is what makes the first logical
-// stage's memory addressable. It returns the shortened program and the
-// header flags (packet.FlagPreload) the client must set; programs that
-// don't match the pattern come back unchanged with zero flags.
-func OptimizePreload(p *isa.Program) (*isa.Program, uint16) {
-	out := p.Clone()
-	var flags uint16
-	// The preload covers MAR <- data[2] and MBR <- data[0]; strip leading
-	// instructions matching either, in any order.
-	for len(out.Instrs) > 0 {
-		in := out.Instrs[0]
-		if in.Label != 0 {
-			break // a branch target must stay in the body
-		}
-		if in.Op == isa.OpMarLoad && in.Operand == 2 {
-			out.Instrs = out.Instrs[1:]
-			flags |= packet.FlagPreload
-			continue
-		}
-		if in.Op == isa.OpMbrLoad && in.Operand == 0 {
-			out.Instrs = out.Instrs[1:]
-			flags |= packet.FlagPreload
-			continue
-		}
-		break
-	}
-	if flags == 0 {
-		return p, 0
-	}
-	out.Name = p.Name + "+preload"
-	return out, flags
 }

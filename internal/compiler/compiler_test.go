@@ -146,32 +146,6 @@ func TestSynthesizeProperty(t *testing.T) {
 	}
 }
 
-func TestPassesAndFitsIngress(t *testing.T) {
-	if Passes(listing1, 20) != 1 {
-		t.Error("listing1 needs one pass")
-	}
-	long, _ := Synthesize(listing1, alloc.Mutant{1, 4, 25})
-	if Passes(long, 20) != 2 {
-		t.Errorf("stretched mutant passes = %d", Passes(long, 20))
-	}
-	if !FitsIngress(listing1, 20, 10) {
-		t.Error("listing1 RTS (idx 7) fits ingress")
-	}
-	pushed, _ := Synthesize(listing1, alloc.Mutant{1, 6, 12})
-	// RTS shifted past stage 9?
-	ing := pushed.IngressOnlyIndices()[0]
-	if ing < 10 && !FitsIngress(pushed, 20, 10) {
-		t.Error("FitsIngress wrong for ingress RTS")
-	}
-	if ing >= 10 && FitsIngress(pushed, 20, 10) {
-		t.Error("FitsIngress wrong for egress RTS")
-	}
-	empty := &isa.Program{}
-	if Passes(empty, 20) != 1 {
-		t.Error("empty program passes")
-	}
-}
-
 func TestVerify(t *testing.T) {
 	pl := &alloc.Placement{
 		Mutant: alloc.Mutant{1, 4, 8},
@@ -205,56 +179,5 @@ func TestVerify(t *testing.T) {
 	// Arity.
 	if err := Verify(prog, &alloc.Placement{}); err == nil {
 		t.Error("arity mismatch accepted")
-	}
-}
-
-func TestOptimizePreload(t *testing.T) {
-	// The memory-write pattern of Listing 6: MBR and MAR loads first.
-	w := isa.MustAssemble("w", "MBR_LOAD 0\nMAR_LOAD 2\nMEM_WRITE\nRTS\nRETURN")
-	opt, flags := OptimizePreload(w)
-	if flags == 0 {
-		t.Fatal("no preload flags")
-	}
-	if opt.Len() != 3 {
-		t.Fatalf("optimized length = %d, want 3", opt.Len())
-	}
-	// The access moved to instruction 0: first-stage memory is reachable.
-	if idx := opt.MemoryAccessIndices(); idx[0] != 0 {
-		t.Errorf("access at %d, want 0", idx[0])
-	}
-	// Non-matching programs come back unchanged.
-	r := isa.MustAssemble("r", "NOP\nMAR_LOAD 2\nMEM_READ\nRETURN")
-	same, f2 := OptimizePreload(r)
-	if f2 != 0 || same.Len() != r.Len() {
-		t.Error("non-leading load optimized")
-	}
-	// MAR_LOAD from a different field is not preloadable.
-	o := isa.MustAssemble("o", "MAR_LOAD 1\nMEM_READ\nRETURN")
-	_, f3 := OptimizePreload(o)
-	if f3 != 0 {
-		t.Error("wrong-field load optimized")
-	}
-	// A labeled first instruction must not be stripped.
-	l := &isa.Program{Instrs: []isa.Instruction{
-		{Op: isa.OpMarLoad, Operand: 2, Label: 1},
-		{Op: isa.OpMemRead},
-	}}
-	_, f4 := OptimizePreload(l)
-	if f4 != 0 {
-		t.Error("branch target stripped")
-	}
-}
-
-func TestOptimizePreloadExecutes(t *testing.T) {
-	// End-to-end: the optimized write program must behave identically when
-	// executed with the preload flag (verified in the runtime package via
-	// the core facade in core_test.go; here we check structural validity).
-	w := isa.MustAssemble("w", "MBR_LOAD 0\nMAR_LOAD 2\nMEM_WRITE\nRTS\nRETURN")
-	opt, _ := OptimizePreload(w)
-	if err := opt.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if opt.Instrs[0].Op != isa.OpMemWrite {
-		t.Errorf("first instruction = %v", opt.Instrs[0].Op)
 	}
 }

@@ -39,6 +39,9 @@ func DefaultConfig() Config {
 
 // New builds a system.
 func New(cfg Config) (*System, error) {
+	if err := cfg.Alloc.CheckPipeline(cfg.RMT.NumStages, cfg.RMT.NumIngress, cfg.RMT.StageWords); err != nil {
+		return nil, err
+	}
 	rt, err := runtime.New(cfg.RMT)
 	if err != nil {
 		return nil, err
@@ -92,25 +95,6 @@ func (s *System) Deploy(fid uint16, prog *isa.Program, elastic bool, specs []com
 		return nil, err
 	}
 	return &Deployment{FID: fid, Placement: res.New, Program: mut}, nil
-}
-
-// Undeploy releases a service and expands elastic neighbors.
-func (s *System) Undeploy(fid uint16) error {
-	changed, err := s.AL.Release(fid)
-	if err != nil {
-		if s.RT.Admitted(fid) { // stateless
-			s.RT.RemoveGrant(fid)
-			return nil
-		}
-		return err
-	}
-	s.RT.RemoveGrant(fid)
-	for _, pl := range changed {
-		if _, err := s.RT.InstallGrant(grantFor(pl)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func grantFor(pl *alloc.Placement) runtime.Grant {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"activermt/internal/compiler"
@@ -46,9 +47,11 @@ func TestDeployExecuteUndeploy(t *testing.T) {
 	if sys.Utilization() <= 0 {
 		t.Error("utilization zero after deployment")
 	}
-	if err := sys.Undeploy(1); err != nil {
+	// Undeploy as the controller does: release the books, remove the grant.
+	if _, err := sys.AL.Release(1); err != nil {
 		t.Fatal(err)
 	}
+	sys.RT.RemoveGrant(1)
 	if sys.Utilization() != 0 {
 		t.Error("utilization nonzero after undeploy")
 	}
@@ -113,12 +116,6 @@ func TestDeployStateless(t *testing.T) {
 	if !outs[0].Executed {
 		t.Error("stateless program did not execute")
 	}
-	if err := sys.Undeploy(3); err != nil {
-		t.Fatal(err)
-	}
-	if sys.RT.Admitted(3) {
-		t.Error("stateless fid still admitted")
-	}
 }
 
 func TestDeployFailure(t *testing.T) {
@@ -143,9 +140,6 @@ func TestDeployFailure(t *testing.T) {
 	if lastErr == nil {
 		t.Fatal("no allocation failure after exhaustion")
 	}
-	if err := sys.Undeploy(999); err == nil {
-		t.Error("undeploy of unknown fid accepted")
-	}
 }
 
 func TestNewRejectsBadConfig(t *testing.T) {
@@ -158,5 +152,25 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	cfg.Alloc.BlockWords = 0
 	if _, err := New(cfg); err == nil {
 		t.Error("bad alloc config accepted")
+	}
+}
+
+// TestNewRejectsPipelineMismatch: the pipeline shape is declared in both
+// configurations; New refuses a pair that disagrees, naming both values.
+func TestNewRejectsPipelineMismatch(t *testing.T) {
+	for _, c := range []struct {
+		field  string
+		mutate func(*Config)
+		want   string
+	}{
+		{"NumStages", func(c *Config) { c.Alloc.NumStages = 19 }, "NumStages is 19 but the pipeline's is 20"},
+		{"NumIngress", func(c *Config) { c.RMT.NumIngress = 8 }, "NumIngress is 10 but the pipeline's is 8"},
+		{"StageWords", func(c *Config) { c.Alloc.StageWords = 96 * 256 }, "StageWords is 24576 but the pipeline's is 94208"},
+	} {
+		cfg := DefaultConfig()
+		c.mutate(&cfg)
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s mismatch: err = %v, want it to say %q", c.field, err, c.want)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 6). Each experiment produces CSV series plus headline
-// metrics; cmd/activebench prints them and bench_test.go wraps each in a
+// metrics; activesim's paper row prints them and bench_test.go wraps each in a
 // testing.B benchmark. Absolute times differ from the paper's switch CPU —
 // the reproduction criteria are the shapes: who wins, where capacity
 // exhausts, what converges to what.
@@ -116,13 +116,3 @@ func fseconds(d time.Duration) float64 { return d.Seconds() }
 
 // fmtF trims float formatting in notes.
 func fmtF(v float64) string { return fmt.Sprintf("%.3g", v) }
-
-// sortedKeys returns map keys in order (deterministic notes).
-func sortedKeys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -43,60 +43,15 @@ func runFig11(cfg RunConfig) (*Result, error) {
 	for _, sc := range schemes {
 		agg := schemeStats{}
 		for trial := 0; trial < trials; trial++ {
-			cfgA := alloc.DefaultConfig()
-			cfgA.Scheme = sc
-			a, err := alloc.New(cfgA)
-			if err != nil {
-				return nil, err
-			}
-			seq := workload.NewSequence(cfg.Seed + int64(trial)*29)
-			kinds := map[uint16]workload.AppKind{}
-			for epoch := 0; epoch < epochs; epoch++ {
-				arrivals, fails := 0, 0
-				reallocated := map[uint16]bool{}
-				for _, ev := range seq.PoissonEpoch(epoch, 2, 1) {
-					if !ev.Arrive {
-						delete(kinds, ev.FID)
-						if changed, err := a.Release(ev.FID); err == nil {
-							for _, pl := range changed {
-								reallocated[pl.FID] = true
-							}
-						}
-						continue
-					}
-					arrivals++
-					r, err := a.Allocate(ev.FID, serviceConstraints(ev.Kind))
-					if err != nil || r.Failed {
-						fails++
-						seq.Drop(ev.FID)
-						continue
-					}
-					kinds[ev.FID] = ev.Kind
-					for _, pl := range r.Reallocated {
-						reallocated[pl.FID] = true
-					}
+			tr := runOnline(alloc.MostConstrained, sc, cfg.Seed+int64(trial)*29, epochs)
+			agg.util = append(agg.util, tr.util...)
+			agg.jain = append(agg.jain, tr.jain...)
+			for e, n := range tr.arrivals {
+				if tr.caches[e] > 0 {
+					agg.reallocFrac = append(agg.reallocFrac, tr.reallocFrac[e])
 				}
-				cacheCount, cacheRealloc := 0, 0
-				var totals []float64
-				for fid, k := range kinds {
-					if k != workload.KindCache {
-						continue
-					}
-					cacheCount++
-					if reallocated[fid] {
-						cacheRealloc++
-					}
-					if app, ok := a.App(fid); ok {
-						totals = append(totals, float64(app.TotalBlocks()))
-					}
-				}
-				agg.util = append(agg.util, a.Utilization())
-				if cacheCount > 0 {
-					agg.reallocFrac = append(agg.reallocFrac, float64(cacheRealloc)/float64(cacheCount))
-				}
-				agg.jain = append(agg.jain, stats.JainIndex(totals))
-				if arrivals > 0 {
-					agg.failRate = append(agg.failRate, float64(fails)/float64(arrivals))
+				if n > 0 {
+					agg.failRate = append(agg.failRate, float64(tr.fails[e])/float64(n))
 				}
 			}
 		}

@@ -112,14 +112,7 @@ func runFig5b(cfg RunConfig) (*Result, error) {
 		s := stats.NewSeries(shortPol(pol))
 		e := stats.NewEWMA(0.1)
 		for i, vals := range perEpoch {
-			mean := 0.0
-			for _, v := range vals {
-				mean += v
-			}
-			if len(vals) > 0 {
-				mean /= float64(len(vals))
-			}
-			s.AddStep(i+1, e.Add(mean))
+			s.AddStep(i+1, e.Add(stats.Summarize(vals).Mean))
 		}
 		series = append(series, s)
 		res.Metrics["final_ewma_ms_"+shortPol(pol)] = s.Points[len(s.Points)-1].V

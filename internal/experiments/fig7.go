@@ -35,22 +35,22 @@ func init() {
 	})
 }
 
-// onlineTrace is one trial's per-epoch measurements.
+// onlineTrace is one trial's measurements, one entry per epoch.
 type onlineTrace struct {
 	util, resident, reallocFrac, jain []float64
-	placed, arrivals                  int
+	caches, arrivals, fails           []int // resident cache instances; arrivals and how many of them failed
 }
 
 // runOnline simulates the Section 6.1 online workload on a bare allocator.
-func runOnline(pol alloc.Policy, seed int64, epochs int) *onlineTrace {
-	a := allocatorWith(pol, alloc.WorstFit, 0)
+func runOnline(pol alloc.Policy, scheme alloc.Scheme, seed int64, epochs int) *onlineTrace {
+	a := allocatorWith(pol, scheme, 0)
 	seq := workload.NewSequence(seed)
 	kinds := map[uint16]workload.AppKind{}
 	tr := &onlineTrace{}
 	for epoch := 0; epoch < epochs; epoch++ {
-		events := seq.PoissonEpoch(epoch, 2, 1)
+		arrivals, fails := 0, 0
 		reallocated := map[uint16]bool{}
-		for _, ev := range events {
+		for _, ev := range seq.PoissonEpoch(epoch, 2, 1) {
 			if !ev.Arrive {
 				delete(kinds, ev.FID)
 				changed, err := a.Release(ev.FID)
@@ -62,13 +62,13 @@ func runOnline(pol alloc.Policy, seed int64, epochs int) *onlineTrace {
 				}
 				continue
 			}
-			tr.arrivals++
+			arrivals++
 			res, err := a.Allocate(ev.FID, serviceConstraints(ev.Kind))
 			if err != nil || res.Failed {
+				fails++
 				seq.Drop(ev.FID)
 				continue
 			}
-			tr.placed++
 			kinds[ev.FID] = ev.Kind
 			for _, pl := range res.Reallocated {
 				reallocated[pl.FID] = true
@@ -97,6 +97,9 @@ func runOnline(pol alloc.Policy, seed int64, epochs int) *onlineTrace {
 		tr.resident = append(tr.resident, float64(a.NumApps()))
 		tr.reallocFrac = append(tr.reallocFrac, frac)
 		tr.jain = append(tr.jain, stats.JainIndex(cacheTotals))
+		tr.caches = append(tr.caches, cacheCount)
+		tr.arrivals = append(tr.arrivals, arrivals)
+		tr.fails = append(tr.fails, fails)
 	}
 	return tr
 }
@@ -116,7 +119,7 @@ func fig7Traces(cfg RunConfig, pol alloc.Policy) []*onlineTrace {
 	}
 	out := make([]*onlineTrace, trials)
 	for t := 0; t < trials; t++ {
-		out[t] = runOnline(pol, cfg.Seed+int64(t)*131, epochs)
+		out[t] = runOnline(pol, alloc.WorstFit, cfg.Seed+int64(t)*131, epochs)
 	}
 	fig7Cache[key] = out
 	return out
@@ -185,8 +188,10 @@ func runFig7(cfg RunConfig, id string) (*Result, error) {
 			ss = aggregate(traces, func(t *onlineTrace) []float64 { return t.resident }, "resident_"+tag, 0)
 			var placed, arrivals int
 			for _, t := range traces {
-				placed += t.placed
-				arrivals += t.arrivals
+				for e, n := range t.arrivals {
+					placed += n - t.fails[e]
+					arrivals += n
+				}
 			}
 			res.Metrics["placement_ratio_"+tag] = float64(placed) / float64(arrivals)
 		case "fig7c":

@@ -131,11 +131,9 @@ func runFig8b(cfg RunConfig) (*Result, error) {
 
 		var rtts []float64
 		var sentAt time.Duration
-		done := make(chan struct{}, 1)
 		cl.Handler = func(c *client.Client, f *packet.Frame) {
 			rtts = append(rtts, float64(tb.Eng.Now()-sentAt)/1e3) // us
 		}
-		_ = done
 		for i := 0; i < 10; i++ {
 			sentAt = tb.Eng.Now()
 			payload := make([]byte, 256-n*2) // ~256-byte packets as in the paper
@@ -145,11 +143,7 @@ func runFig8b(cfg RunConfig) (*Result, error) {
 		if len(rtts) == 0 {
 			return nil, fmt.Errorf("fig8b: no replies for %d-instruction probe", n)
 		}
-		mean := 0.0
-		for _, r := range rtts {
-			mean += r
-		}
-		mean /= float64(len(rtts))
+		mean := stats.Summarize(rtts).Mean
 		s.AddStep(n, mean)
 		res.Metrics[fmt.Sprintf("rtt_us_%d", n)] = mean
 	}
@@ -174,13 +168,7 @@ func runFig8b(cfg RunConfig) (*Result, error) {
 			_ = cl.SendPlain(make([]byte, 256), cl.MAC())
 			tb.RunFor(time.Millisecond)
 		}
-		mean := 0.0
-		for _, r := range rtts {
-			mean += r
-		}
-		if len(rtts) > 0 {
-			mean /= float64(len(rtts))
-		}
+		mean := stats.Summarize(rtts).Mean
 		for _, n := range lengths {
 			base.AddStep(n, mean)
 		}

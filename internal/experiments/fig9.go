@@ -185,14 +185,7 @@ func runFig9a(cfg RunConfig) (*Result, error) {
 	res.CSV = cs.hits.CSV()
 	// Steady-state hit rate: mean of the last quarter.
 	vals := cs.hits.Values()
-	tail := vals[3*len(vals)/4:]
-	steady := 0.0
-	for _, v := range tail {
-		steady += v
-	}
-	if len(tail) > 0 {
-		steady /= float64(len(tail))
-	}
+	steady := stats.Summarize(vals[3*len(vals)/4:]).Mean
 	res.Metrics["steady_hit_rate"] = steady
 	res.Metrics["context_switch_s"] = switchDur.Seconds()
 	res.Metrics["hot_keys_extracted"] = float64(len(hotObjs))
@@ -283,13 +276,7 @@ func runFig9b(cfg RunConfig, fine bool) (*Result, error) {
 		series = append(series, css[i].hits)
 		vals := css[i].hits.Values()
 		if len(vals) > 4 {
-			t4 := vals[3*len(vals)/4:]
-			steady := 0.0
-			for _, v := range t4 {
-				steady += v
-			}
-			steady /= float64(len(t4))
-			res.Metrics[fmt.Sprintf("steady_hit_rate_%d", i+1)] = steady
+			res.Metrics[fmt.Sprintf("steady_hit_rate_%d", i+1)] = stats.Summarize(vals[3*len(vals)/4:]).Mean
 		}
 		res.Metrics[fmt.Sprintf("reallocations_%d", i+1)] = float64(css[i].cacheCl.Reallocations)
 	}

@@ -285,7 +285,7 @@ func (c *CoherentCache) transmitInval(is uint32, pi *pendingInval) {
 		[4]uint32{InvalKey0, InvalKey1, pi.w.addr, 0},
 		packet.FlagPreload, c.payload, fr.cl.MAC())
 	c.InvalSent++
-	delay := invalRetry * (1 << uint(minInt(pi.tries, 4)))
+	delay := invalRetry * (1 << uint(min(pi.tries, 4)))
 	c.fc.F.Eng.Schedule(delay, func() { c.checkInval(is) })
 }
 
@@ -335,7 +335,7 @@ func (c *CoherentCache) transmitCommit(w *pendingWrite) {
 	_ = fr.cl.SendProgram("populate-fwd",
 		[4]uint32{w.k0, w.k1, w.addr, w.value},
 		packet.FlagPreload, c.payload, c.srvMAC)
-	delay := commitRetry * (1 << uint(minInt(w.commitTries, 4)))
+	delay := commitRetry * (1 << uint(min(w.commitTries, 4)))
 	c.fc.F.Eng.Schedule(delay, func() { c.checkCommit(w) })
 }
 
@@ -369,13 +369,6 @@ func (c *CoherentCache) updateHome(fr *front, k0, k1, addr, value uint32) error 
 	return fr.cl.SendProgram("populate-fwd",
 		[4]uint32{k0, k1, addr, value},
 		packet.FlagPreload, nil, c.Home().MAC)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Warm pre-populates objects from one leaf (each install writes the leaf
@@ -541,96 +534,4 @@ func (c *CoherentCache) HitRate() float64 {
 		return 0
 	}
 	return float64(c.Hits) / float64(total)
-}
-
-// ShardedCache is the spill tier of the fabric cache exemplar: a tenant
-// whose demand exceeds one pipeline holds key-partitioned shards on the
-// devices of its traffic path, each shard a standard single-switch cache
-// (apps.Cache) whose FID is admitted on exactly one device. Queries transit
-// non-owning devices unexecuted and hit (or miss through) the owning one.
-type ShardedCache struct {
-	Tenant *Tenant
-	Caches []*apps.Cache // aligned with Tenant.Shards
-}
-
-// NewShardedCache places demand blocks (per access) for baseFID across the
-// leaf->server path and binds one cache frontend per shard.
-func NewShardedCache(fc *Controller, baseFID uint16, leaf int, srvMAC packet.MAC, srvIP netip.Addr, demand int) (*ShardedCache, error) {
-	byService := make(map[*client.Service]*apps.Cache)
-	idx := 0
-	mk := func() *client.Service {
-		selfIP := netip.AddrFrom4([4]byte{10, 3, 0, byte(idx)})
-		idx++
-		cache := apps.NewCache(srvMAC, selfIP, srvIP)
-		// Population capsules must traverse the fabric to the shard's
-		// device; self-addressed ones would hairpin at the ingress leaf.
-		cache.PopulateVia = srvMAC
-		svc := apps.CacheService(cache)
-		byService[svc] = cache
-		return svc
-	}
-	t, err := fc.PlaceTenant(baseFID, leaf, srvMAC, demand, mk)
-	if err != nil {
-		return nil, err
-	}
-	sc := &ShardedCache{Tenant: t}
-	for _, sh := range t.Shards {
-		cache := byService[sh.Client.Service()]
-		if cache == nil {
-			return nil, fmt.Errorf("fabric: shard fid %d has no cache frontend", sh.FID)
-		}
-		cache.Bind(sh.Client)
-		sc.Caches = append(sc.Caches, cache)
-	}
-	return sc, nil
-}
-
-// shardFor picks the shard owning a key.
-func (sc *ShardedCache) shardFor(k0, k1 uint32) int {
-	return int(apps.KeyHash(k0, k1) % uint32(len(sc.Caches)))
-}
-
-// Get routes a GET to the owning shard.
-func (sc *ShardedCache) Get(k0, k1 uint32) uint32 {
-	return sc.Caches[sc.shardFor(k0, k1)].Get(k0, k1)
-}
-
-// SetHotObjects partitions the hot set across shards and populates each.
-func (sc *ShardedCache) SetHotObjects(objs []apps.KVMsg) {
-	parts := make([][]apps.KVMsg, len(sc.Caches))
-	for _, o := range objs {
-		i := sc.shardFor(o.Key0, o.Key1)
-		parts[i] = append(parts[i], o)
-	}
-	for i, cache := range sc.Caches {
-		cache.SetHotObjects(parts[i])
-		cache.Populate()
-	}
-}
-
-// Hits sums shard hits.
-func (sc *ShardedCache) Hits() uint64 {
-	var t uint64
-	for _, c := range sc.Caches {
-		t += c.Hits
-	}
-	return t
-}
-
-// Misses sums shard misses.
-func (sc *ShardedCache) Misses() uint64 {
-	var t uint64
-	for _, c := range sc.Caches {
-		t += c.Misses
-	}
-	return t
-}
-
-// HitRate aggregates across shards.
-func (sc *ShardedCache) HitRate() float64 {
-	h, m := sc.Hits(), sc.Misses()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
 }

@@ -47,15 +47,6 @@ type Tenant struct {
 	Unplaced int
 }
 
-// FIDs returns every FID the tenant holds across its shards.
-func (t *Tenant) FIDs() []uint16 {
-	out := make([]uint16, 0, len(t.Shards))
-	for _, s := range t.Shards {
-		out = append(out, s.FID)
-	}
-	return out
-}
-
 // Replica is one device executing a replicated tenant's FID.
 type Replica struct {
 	Node   *Node

@@ -424,12 +424,6 @@ func (f *Fabric) NewHostID() (packet.MAC, netip.Addr) {
 	return HostMAC(f.nextHost), HostIP(f.nextHost)
 }
 
-// LeafOf returns the leaf index a host MAC is attached to.
-func (f *Fabric) LeafOf(mac packet.MAC) (int, bool) {
-	l, ok := f.hostLeaf[mac]
-	return l, ok
-}
-
 // PathBetween returns the switches a frame from a host on srcLeaf traverses
 // toward dst, in traversal order: source leaf, then (for remote
 // destinations) the destination's spine and the destination leaf.

@@ -125,16 +125,6 @@ func (h *Health) LinkDown(leaf, spine int) bool {
 	return h.link(leaf, spine).down
 }
 
-// SpineReachable reports whether any probed link still reaches the spine.
-func (h *Health) SpineReachable(spine int) bool {
-	for i := range h.F.Leaves {
-		if !h.link(i, spine).down {
-			return true
-		}
-	}
-	return false
-}
-
 func (h *Health) link(leaf, spine int) *linkHealth {
 	return h.links[leaf*len(h.F.Spines)+spine]
 }

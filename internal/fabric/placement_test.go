@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"activermt/internal/alloc"
+	"activermt/internal/apps"
 	"activermt/internal/chaos"
 	"activermt/internal/client"
 	"activermt/internal/fabric"
@@ -30,16 +31,14 @@ func TestPlacementSpillsAcrossPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	fc := fabric.NewController(f)
-	srv, srvIP := addServer(t, f, 1)
-	objs := testObjects(srv, 24)
+	srv, _ := addServer(t, f, 1)
 
 	// 150 blocks per access vs a 96-block stage: no single device can hold
 	// it, so the placement must engage at least two on-path switches.
-	sc, err := fabric.NewShardedCache(fc, 100, 0, srv.MAC(), srvIP, 150)
+	ten, err := fc.PlaceTenant(100, 0, srv.MAC(), 150, apps.CoherentCacheService)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ten := sc.Tenant
 	if len(ten.Shards) < 2 {
 		t.Fatalf("demand of 150 blocks placed on %d device(s), want >= 2 (spill)", len(ten.Shards))
 	}
@@ -62,7 +61,8 @@ func TestPlacementSpillsAcrossPath(t *testing.T) {
 			continue
 		}
 		offPath++
-		for _, fid := range ten.FIDs() {
+		for _, sh := range ten.Shards {
+			fid := sh.FID
 			if _, ok := n.Ctrl.Allocator().App(fid); ok {
 				t.Fatalf("off-path switch %s holds fid %d in its allocator", n.Name, fid)
 			}
@@ -77,27 +77,13 @@ func TestPlacementSpillsAcrossPath(t *testing.T) {
 
 	// A second spilled tenant from another leaf shares the path's spine and
 	// far leaf; the guard's isolation auditor must stay clean per switch.
-	if _, err := fabric.NewShardedCache(fc, 200, 2, srv.MAC(), srvIP, 150); err != nil {
+	if _, err := fc.PlaceTenant(200, 2, srv.MAC(), 150, apps.CoherentCacheService); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range f.Nodes() {
 		if findings := guard.AuditRuntime(n.RT); len(findings) > 0 {
 			t.Fatalf("isolation audit on %s: %v", n.Name, findings)
 		}
-	}
-
-	// The spilled cache serves traffic end to end: populate, then query
-	// every object.
-	sc.SetHotObjects(objs)
-	f.RunFor(100 * time.Millisecond)
-	for _, o := range objs {
-		sc.Get(o.Key0, o.Key1)
-	}
-	runUntil(t, f, time.Second, "sharded GETs answered", func() bool {
-		return sc.Hits()+sc.Misses() == uint64(len(objs))
-	})
-	if sc.Hits() == 0 {
-		t.Fatalf("sharded cache served no hits (misses=%d)", sc.Misses())
 	}
 }
 
@@ -111,16 +97,16 @@ func TestPlacementSurvivesSwitchRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	fc := fabric.NewController(f)
-	srv, srvIP := addServer(t, f, 1)
+	srv, _ := addServer(t, f, 1)
 
-	sc, err := fabric.NewShardedCache(fc, 300, 0, srv.MAC(), srvIP, 150)
+	ten, err := fc.PlaceTenant(300, 0, srv.MAC(), 150, apps.CoherentCacheService)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sc.Tenant.Shards) < 2 {
-		t.Fatalf("placed on %d device(s), want spill across >= 2", len(sc.Tenant.Shards))
+	if len(ten.Shards) < 2 {
+		t.Fatalf("placed on %d device(s), want spill across >= 2", len(ten.Shards))
 	}
-	shard := sc.Tenant.Shards[0]
+	shard := ten.Shards[0]
 	node := shard.Node
 	prePl, ok := node.Ctrl.Allocator().PlacementFor(shard.FID)
 	if !ok {
@@ -171,10 +157,7 @@ func TestPlacementSurvivesSwitchRestart(t *testing.T) {
 			t.Fatalf("isolation audit on %s after restart: %v", n.Name, findings)
 		}
 	}
-	// The recovered shard still serves capsules: a populate+query round
-	// trip through its device succeeds.
-	cache := sc.Caches[0]
-	if cl := cache.Client; cl.State() != client.Operational {
+	if cl := shard.Client; cl.State() != client.Operational {
 		t.Fatalf("shard client in %v after readmission", cl.State())
 	}
 }

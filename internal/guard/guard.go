@@ -22,7 +22,6 @@
 package guard
 
 import (
-	"sort"
 	"time"
 
 	"activermt/internal/packet"
@@ -175,12 +174,6 @@ func (g *Guard) PortViolations() uint64 { return g.m.portViolations.Value() }
 // RevokedDrops returns the execute-path revoked-FID drop total.
 func (g *Guard) RevokedDrops() uint64 { return g.m.revokedDrops.Value() }
 
-// AuditsRun returns the number of isolation audits run.
-func (g *Guard) AuditsRun() uint64 { return g.m.auditsRun.Value() }
-
-// FindingsTotal returns the cumulative audit finding count.
-func (g *Guard) FindingsTotal() uint64 { return g.m.findingsTotal.Value() }
-
 // New builds a guard over the runtime. now is the virtual-clock source; it
 // must be the same clock the escalator's controller runs on.
 func New(rt *runtime.Runtime, pol Policy, now func() time.Duration) *Guard {
@@ -214,16 +207,6 @@ func (g *Guard) SetEscalator(e Escalator) { g.esc = e }
 // Tenant returns fid's ledger, or nil if the guard has never recorded
 // anything for it.
 func (g *Guard) Tenant(fid uint16) *Ledger { return g.tenants[fid] }
-
-// Tenants returns every tenant ledger in FID order.
-func (g *Guard) Tenants() []*Ledger {
-	out := make([]*Ledger, 0, len(g.tenants))
-	for _, l := range g.tenants {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].FID < out[j].FID })
-	return out
-}
 
 // Port returns the ingress port's violation ledger, or nil.
 func (g *Guard) Port(port int) *PortLedger { return g.ports[port] }

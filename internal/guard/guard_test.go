@@ -346,8 +346,8 @@ func TestAuditorFindsOverlapOrphanAndEscape(t *testing.T) {
 	if found[FindingTranslateEscape] == 0 {
 		t.Error("translate escape not found")
 	}
-	if g.AuditsRun() != 2 || g.FindingsTotal() != uint64(len(fs)) {
-		t.Errorf("audit counters: runs %d findings %d", g.AuditsRun(), g.FindingsTotal())
+	if runs, found := g.m.auditsRun.Value(), g.m.findingsTotal.Value(); runs != 2 || found != uint64(len(fs)) {
+		t.Errorf("audit counters: runs %d findings %d", runs, found)
 	}
 }
 

@@ -58,12 +58,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// PortAttributed reports whether violations of this kind are charged to the
-// ingress port rather than the claimed FID.
-func (k Kind) PortAttributed() bool {
-	return k == KindMalformed || k == KindBadEpoch || k == KindRevoked
-}
-
 // TenantState is a tenant's position on the escalation ladder.
 type TenantState int
 

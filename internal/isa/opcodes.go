@@ -92,42 +92,9 @@ const (
 // invalid on the wire.
 const NumOpcodes = int(numOpcodes)
 
-// Category classifies an opcode following the grouping in Appendix A.
-type Category uint8
-
-// Opcode categories.
-const (
-	CatSpecial Category = iota
-	CatCopy
-	CatArith
-	CatControl
-	CatMemory
-	CatForward
-)
-
-// String returns the category name.
-func (c Category) String() string {
-	switch c {
-	case CatSpecial:
-		return "special"
-	case CatCopy:
-		return "copy"
-	case CatArith:
-		return "arith"
-	case CatControl:
-		return "control"
-	case CatMemory:
-		return "memory"
-	case CatForward:
-		return "forward"
-	}
-	return fmt.Sprintf("category(%d)", uint8(c))
-}
-
 // opInfo is static metadata about one opcode.
 type opInfo struct {
 	name       string
-	cat        Category
 	memory     bool // accesses stage register memory
 	branch     bool // operand is a branch-target label
 	ingress    bool // must execute in the ingress pipeline to avoid recirculation
@@ -135,58 +102,58 @@ type opInfo struct {
 }
 
 var opTable = [numOpcodes]opInfo{
-	OpNop: {name: "NOP", cat: CatSpecial},
-	OpEOF: {name: "EOF", cat: CatSpecial},
+	OpNop: {name: "NOP"},
+	OpEOF: {name: "EOF"},
 
-	OpMbrLoad:          {name: "MBR_LOAD", cat: CatCopy, hasOperand: true},
-	OpMbrStore:         {name: "MBR_STORE", cat: CatCopy, hasOperand: true},
-	OpMbr2Load:         {name: "MBR2_LOAD", cat: CatCopy, hasOperand: true},
-	OpMarLoad:          {name: "MAR_LOAD", cat: CatCopy, hasOperand: true},
-	OpCopyMbr2Mbr:      {name: "COPY_MBR2_MBR", cat: CatCopy},
-	OpCopyMbrMbr2:      {name: "COPY_MBR_MBR2", cat: CatCopy},
-	OpCopyMarMbr:       {name: "COPY_MAR_MBR", cat: CatCopy},
-	OpCopyMbrMar:       {name: "COPY_MBR_MAR", cat: CatCopy},
-	OpCopyHashdataMbr:  {name: "COPY_HASHDATA_MBR", cat: CatCopy, hasOperand: true},
-	OpCopyHashdataMbr2: {name: "COPY_HASHDATA_MBR2", cat: CatCopy, hasOperand: true},
-	OpHashdata5Tuple:   {name: "COPY_HASHDATA_5TUPLE", cat: CatCopy},
+	OpMbrLoad:          {name: "MBR_LOAD", hasOperand: true},
+	OpMbrStore:         {name: "MBR_STORE", hasOperand: true},
+	OpMbr2Load:         {name: "MBR2_LOAD", hasOperand: true},
+	OpMarLoad:          {name: "MAR_LOAD", hasOperand: true},
+	OpCopyMbr2Mbr:      {name: "COPY_MBR2_MBR"},
+	OpCopyMbrMbr2:      {name: "COPY_MBR_MBR2"},
+	OpCopyMarMbr:       {name: "COPY_MAR_MBR"},
+	OpCopyMbrMar:       {name: "COPY_MBR_MAR"},
+	OpCopyHashdataMbr:  {name: "COPY_HASHDATA_MBR", hasOperand: true},
+	OpCopyHashdataMbr2: {name: "COPY_HASHDATA_MBR2", hasOperand: true},
+	OpHashdata5Tuple:   {name: "COPY_HASHDATA_5TUPLE"},
 
-	OpMbrAddMbr2:    {name: "MBR_ADD_MBR2", cat: CatArith},
-	OpMarAddMbr:     {name: "MAR_ADD_MBR", cat: CatArith},
-	OpMarAddMbr2:    {name: "MAR_ADD_MBR2", cat: CatArith},
-	OpMarMbrAddMbr2: {name: "MAR_MBR_ADD_MBR2", cat: CatArith},
-	OpMbrSubMbr2:    {name: "MBR_SUBTRACT_MBR2", cat: CatArith},
-	OpBitAndMarMbr:  {name: "BIT_AND_MAR_MBR", cat: CatArith},
-	OpBitOrMbrMbr2:  {name: "BIT_OR_MBR_MBR2", cat: CatArith},
-	OpMbrEqualsMbr2: {name: "MBR_EQUALS_MBR2", cat: CatArith},
-	OpMbrEqualsData: {name: "MBR_EQUALS_DATA", cat: CatArith, hasOperand: true},
-	OpMax:           {name: "MAX", cat: CatArith},
-	OpMin:           {name: "MIN", cat: CatArith},
-	OpRevMin:        {name: "REVMIN", cat: CatArith},
-	OpSwapMbrMbr2:   {name: "SWAP_MBR_MBR2", cat: CatArith},
-	OpMbrNot:        {name: "MBR_NOT", cat: CatArith},
+	OpMbrAddMbr2:    {name: "MBR_ADD_MBR2"},
+	OpMarAddMbr:     {name: "MAR_ADD_MBR"},
+	OpMarAddMbr2:    {name: "MAR_ADD_MBR2"},
+	OpMarMbrAddMbr2: {name: "MAR_MBR_ADD_MBR2"},
+	OpMbrSubMbr2:    {name: "MBR_SUBTRACT_MBR2"},
+	OpBitAndMarMbr:  {name: "BIT_AND_MAR_MBR"},
+	OpBitOrMbrMbr2:  {name: "BIT_OR_MBR_MBR2"},
+	OpMbrEqualsMbr2: {name: "MBR_EQUALS_MBR2"},
+	OpMbrEqualsData: {name: "MBR_EQUALS_DATA", hasOperand: true},
+	OpMax:           {name: "MAX"},
+	OpMin:           {name: "MIN"},
+	OpRevMin:        {name: "REVMIN"},
+	OpSwapMbrMbr2:   {name: "SWAP_MBR_MBR2"},
+	OpMbrNot:        {name: "MBR_NOT"},
 
-	OpReturn: {name: "RETURN", cat: CatControl},
-	OpCRet:   {name: "CRET", cat: CatControl},
-	OpCRetI:  {name: "CRETI", cat: CatControl},
-	OpCJump:  {name: "CJUMP", cat: CatControl, branch: true, hasOperand: true},
-	OpCJumpI: {name: "CJUMPI", cat: CatControl, branch: true, hasOperand: true},
-	OpUJump:  {name: "UJUMP", cat: CatControl, branch: true, hasOperand: true},
+	OpReturn: {name: "RETURN"},
+	OpCRet:   {name: "CRET"},
+	OpCRetI:  {name: "CRETI"},
+	OpCJump:  {name: "CJUMP", branch: true, hasOperand: true},
+	OpCJumpI: {name: "CJUMPI", branch: true, hasOperand: true},
+	OpUJump:  {name: "UJUMP", branch: true, hasOperand: true},
 
-	OpMemWrite:      {name: "MEM_WRITE", cat: CatMemory, memory: true},
-	OpMemRead:       {name: "MEM_READ", cat: CatMemory, memory: true},
-	OpMemIncrement:  {name: "MEM_INCREMENT", cat: CatMemory, memory: true, hasOperand: true},
-	OpMemMinRead:    {name: "MEM_MINREAD", cat: CatMemory, memory: true},
-	OpMemMinReadInc: {name: "MEM_MINREADINC", cat: CatMemory, memory: true},
+	OpMemWrite:      {name: "MEM_WRITE", memory: true},
+	OpMemRead:       {name: "MEM_READ", memory: true},
+	OpMemIncrement:  {name: "MEM_INCREMENT", memory: true, hasOperand: true},
+	OpMemMinRead:    {name: "MEM_MINREAD", memory: true},
+	OpMemMinReadInc: {name: "MEM_MINREADINC", memory: true},
 
-	OpDrop:   {name: "DROP", cat: CatForward},
-	OpFork:   {name: "FORK", cat: CatForward},
-	OpSetDst: {name: "SET_DST", cat: CatForward, ingress: true},
-	OpRts:    {name: "RTS", cat: CatForward, ingress: true},
-	OpCRts:   {name: "CRTS", cat: CatForward, ingress: true},
+	OpDrop:   {name: "DROP"},
+	OpFork:   {name: "FORK"},
+	OpSetDst: {name: "SET_DST", ingress: true},
+	OpRts:    {name: "RTS", ingress: true},
+	OpCRts:   {name: "CRTS", ingress: true},
 
-	OpAddrMask:   {name: "ADDR_MASK", cat: CatSpecial},
-	OpAddrOffset: {name: "ADDR_OFFSET", cat: CatSpecial},
-	OpHash:       {name: "HASH", cat: CatSpecial},
+	OpAddrMask:   {name: "ADDR_MASK"},
+	OpAddrOffset: {name: "ADDR_OFFSET"},
+	OpHash:       {name: "HASH"},
 }
 
 // Valid reports whether op is a defined opcode.
@@ -198,14 +165,6 @@ func (op Opcode) String() string {
 		return fmt.Sprintf("OP(%d)", uint8(op))
 	}
 	return opTable[op].name
-}
-
-// Category returns the Appendix A grouping of the opcode.
-func (op Opcode) Category() Category {
-	if !op.Valid() {
-		return CatSpecial
-	}
-	return opTable[op].cat
 }
 
 // AccessesMemory reports whether the opcode reads or writes stage register

@@ -168,6 +168,3 @@ func (p *Port) deliver(frame []byte, gen uint64) {
 
 // Peer returns the other end of the link.
 func (p *Port) Peer() *Port { return p.peer }
-
-// Engine returns the engine the port schedules on.
-func (p *Port) Engine() *Engine { return p.eng }

@@ -134,8 +134,8 @@ func TestLinkInfiniteBandwidth(t *testing.T) {
 	if pa.TxFrames != 1 || pa.RxFrames != 1 || pb.TxFrames != 1 {
 		t.Errorf("counters: %d/%d/%d", pa.TxFrames, pa.RxFrames, pb.TxFrames)
 	}
-	if pa.Peer() != pb || pa.Engine() != e {
-		t.Error("peer/engine accessors wrong")
+	if pa.Peer() != pb {
+		t.Error("peer accessor wrong")
 	}
 }
 

@@ -285,9 +285,6 @@ type StageGrant struct {
 // Empty reports whether the grant is empty.
 func (g StageGrant) Empty() bool { return g.Start == g.End }
 
-// Words returns the region size in 32-bit words.
-func (g StageGrant) Words() uint32 { return g.End - g.Start }
-
 // AllocResponse communicates the outcome of an allocation: the granted
 // region in each of the 20 stages, and (in the initial header's opaque
 // field) the index of the mutant the switch selected from the shared,
@@ -475,9 +472,4 @@ func decodeActive(b []byte, a *Active, c *ProgCache, skipProgram bool) error {
 		a.Payload = rest
 	}
 	return nil
-}
-
-// IsActive reports whether b begins with the active magic.
-func IsActive(b []byte) bool {
-	return len(b) >= 2 && binary.BigEndian.Uint16(b) == Magic
 }

@@ -61,15 +61,6 @@ func (l *Loop) Start() {
 // no-op.
 func (l *Loop) Stop() { l.stopped = true }
 
-// Last returns the most recently applied decisions (defaults before the
-// first evaluation).
-func (l *Loop) Last() Decisions {
-	if !l.decided {
-		return DefaultDecisions()
-	}
-	return l.last
-}
-
 func (l *Loop) tick() {
 	if l.stopped {
 		return

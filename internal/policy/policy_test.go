@@ -276,9 +276,6 @@ func TestLoopEvaluatesAndApplies(t *testing.T) {
 		},
 	}
 	loop.AttachTelemetry(reg)
-	if loop.Last() != DefaultDecisions() {
-		t.Fatal("Last before Start must be the defaults")
-	}
 	loop.Start()
 	clk.runUntil(time.Second)
 	if loop.Evals < 10 || applied != int(loop.Evals) {

@@ -62,7 +62,6 @@ type planOp struct {
 // Plan is a compiled straight-line execution plan for one (FID, program
 // version) under one published PipeView. Immutable after compilation.
 type Plan struct {
-	fid       uint16
 	ops       []planOp
 	numStages int
 	maxSlots  int
@@ -71,9 +70,6 @@ type Plan struct {
 
 // Len returns the number of instruction slots in the plan.
 func (pl *Plan) Len() int { return len(pl.ops) }
-
-// FID returns the tenant the plan was compiled for.
-func (pl *Plan) FID() uint16 { return pl.fid }
 
 // TraceEnabled reports whether a per-instruction trace hook is installed.
 // Specialized execution does not emit trace events, so callers must fall
@@ -91,7 +87,6 @@ func (d *Device) CompilePlan(fid uint16, instrs []isa.Instruction, view *PipeVie
 	}
 	n := d.cfg.NumStages
 	pl := &Plan{
-		fid:       fid,
 		ops:       make([]planOp, len(instrs)),
 		numStages: n,
 		maxSlots:  d.cfg.MaxPasses * n,

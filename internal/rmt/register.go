@@ -56,17 +56,6 @@ func (r *RegisterArray) Write(addr uint32, v uint32) {
 	r.parity[addr] = parityOf(v)
 }
 
-// Increment adds delta to the word at addr and returns the new value.
-func (r *RegisterArray) Increment(addr uint32, delta uint32) uint32 {
-	r.Writes++
-	r.words[addr] += delta
-	r.parity[addr] = parityOf(r.words[addr])
-	return r.words[addr]
-}
-
-// Fault records a protection or bounds fault.
-func (r *RegisterArray) Fault() { r.Faults++ }
-
 // Get, Set, and Add are the non-counting variants of Read, Write, and
 // Increment. The packet hot path uses them together with an ExecStats sink
 // (see stats.go), which carries the access counts until its owner flushes.

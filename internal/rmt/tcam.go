@@ -3,7 +3,6 @@ package rmt
 import (
 	"cmp"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 )
@@ -181,24 +180,5 @@ func (t *TCAM) OwnerOf(addr uint32) (uint16, bool) { return t.set.Owner(addr) }
 // Used returns the consumed prefix entries.
 func (t *TCAM) Used() int { return t.used }
 
-// Capacity returns the total prefix-entry budget.
-func (t *TCAM) Capacity() int { return t.capacity }
-
 // Len returns the number of installed regions.
 func (t *TCAM) Len() int { return len(t.set.byFID) }
-
-// MaxRegionsHint estimates how many block-aligned regions of the given word
-// size fit in the budget, assuming worst-case alignment. Used by admission
-// control to reject allocations that would exhaust protection resources.
-func (t *TCAM) MaxRegionsHint(regionWords uint32) int {
-	if regionWords == 0 {
-		return 0
-	}
-	// Worst case cost of a length-L range is about 2*ceil(log2 L).
-	w := bits.Len32(regionWords)
-	cost := 2 * w
-	if cost == 0 {
-		cost = 1
-	}
-	return t.capacity / cost
-}

@@ -56,9 +56,6 @@ func NewTelemetry(reg *telemetry.Registry, numStages int) *Telemetry {
 // occupancy syncs feed them. Attach before traffic starts.
 func (d *Device) AttachTelemetry(t *Telemetry) { d.tel = t }
 
-// Telemetry returns the attached handle set (nil when disabled).
-func (d *Device) Telemetry() *Telemetry { return d.tel }
-
 // SyncOccupancy recomputes the per-stage occupancy gauges from the published
 // pipeline view. The runtime calls it inside its commit window so a scrape
 // never sees occupancy from one grant commit and admission state from

@@ -236,8 +236,8 @@ func TestExecuteProgramDrainsPerCapsule(t *testing.T) {
 			t.Fatalf("telemetry=%v: ExecuteProgram allocates %.2f per clean+faulting pair, want 0", withTel, avg)
 		}
 		if withTel {
-			if fr := r.sink.FR; fr.Lane() != 0 || fr.Recorded() == 0 || len(reg.Snapshot().Flights) == 0 {
-				t.Fatalf("lane-0 flight recorder: lane %d, %d recorded", fr.Lane(), fr.Recorded())
+			if fl := reg.Snapshot().Flights; r.sink.FR.Recorded() == 0 || len(fl) == 0 || fl[0].Lane != 0 {
+				t.Fatalf("lane-0 flight recorder: %d recorded, snapshot %+v", r.sink.FR.Recorded(), fl)
 			}
 		}
 	}

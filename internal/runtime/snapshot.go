@@ -100,8 +100,3 @@ func (r *Runtime) publish() {
 		r.syncGauges(v)
 	}
 }
-
-// SnapshotGen returns the generation of the current published control view
-// (0 before the first publication) — used by tests to prove publication
-// ordering.
-func (r *Runtime) SnapshotGen() uint64 { return r.view().gen }

@@ -103,9 +103,6 @@ func (r *Runtime) resetPlans(cv *ctrlView) {
 // honest baseline for benchmarks and differential tests.
 func (r *Runtime) SetSpecialization(on bool) { r.specOff.Store(!on) }
 
-// SpecializationEnabled reports whether compiled-plan execution is enabled.
-func (r *Runtime) SpecializationEnabled() bool { return !r.specOff.Load() }
-
 // PlanCompiles returns the number of plan compilations performed.
 func (r *Runtime) PlanCompiles() uint64 { return r.planCompiles.Load() }
 

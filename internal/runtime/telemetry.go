@@ -32,9 +32,6 @@ type Telemetry struct {
 	laneSeq atomic.Int32
 }
 
-// Registry returns the registry the runtime metrics live in.
-func (t *Telemetry) Registry() *telemetry.Registry { return t.reg }
-
 // AttachTelemetry registers the runtime's and its device's metric set in
 // reg and returns the handle set. It also installs the grant-liveness
 // resolver for flight-recorder entries and the lane-0 flight recorder of
@@ -77,9 +74,6 @@ func (r *Runtime) AttachTelemetry(reg *telemetry.Registry) *Telemetry {
 	r.publish() // populate the gauges under a first commit
 	return t
 }
-
-// Telemetry returns the attached handle set (nil when disabled).
-func (r *Runtime) Telemetry() *Telemetry { return r.tel }
 
 // syncGauges updates every committed-control-state gauge from the view just
 // published. Called only from publish(), inside the commit window.

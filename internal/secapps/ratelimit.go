@@ -4,7 +4,6 @@ import (
 	"activermt/internal/client"
 	"activermt/internal/netsim"
 	"activermt/internal/packet"
-	"activermt/internal/rmt"
 	"activermt/internal/telemetry"
 )
 
@@ -22,10 +21,6 @@ type RateLimiter struct {
 
 	// Limit is the per-window packet budget carried in every check capsule.
 	Limit uint32
-
-	// SnapshotFn reads this FID's region in a physical stage via the switch
-	// control plane.
-	SnapshotFn func(fid uint16, physStage int) ([]uint32, error)
 
 	// Offered counts packets offered per tenant since construction;
 	// OfferedWindow since that tenant's last refill.
@@ -80,42 +75,6 @@ func (r *RateLimiter) Refill(tenant uint32, dst [6]byte) {
 		r.telRefills.Inc()
 	}
 	_ = r.Client.SendProgram("refill", [4]uint32{tenant, 0, 0, 0}, 0, nil, dst)
-}
-
-// rlHashIdx is the HASH index in both templates (before the access, so
-// synthesis never moves it).
-const rlHashIdx = 3
-
-// BucketSlot mirrors the switch's bucket slot for a tenant, so harnesses
-// can pick tenant identifiers with distinct buckets.
-func (r *RateLimiter) BucketSlot(tenant uint32) (uint32, bool) {
-	pl := r.Client.Placement()
-	if pl == nil {
-		return 0, false
-	}
-	n := r.Client.Pipeline.NumStages
-	h := rmt.StageHash(rlHashIdx%n, [rmt.NumHashWords]uint32{tenant})
-	size := int(pl.Accesses[0].Range.Hi - pl.Accesses[0].Range.Lo)
-	return h & maskFor(size), true
-}
-
-// SpentInWindow reads the tenant's current bucket spend via the control
-// plane.
-func (r *RateLimiter) SpentInWindow(tenant uint32) (uint32, error) {
-	pl := r.Client.Placement()
-	if pl == nil || r.SnapshotFn == nil {
-		return 0, nil
-	}
-	n := r.Client.Pipeline.NumStages
-	words, err := r.SnapshotFn(r.Client.FID(), pl.Accesses[0].Logical%n)
-	if err != nil {
-		return 0, err
-	}
-	slot, _ := r.BucketSlot(tenant)
-	if int(slot) >= len(words) {
-		return 0, nil
-	}
-	return words[slot], nil
 }
 
 // RLSink is the delivery-side ground truth for enforcement scoring: a

@@ -126,7 +126,6 @@ func TestRateLimitEnforcementEndToEnd(t *testing.T) {
 	rl := NewRateLimiter(20)
 	cl := tb.AddClient(32, RateLimitService(rl))
 	rl.Bind(cl)
-	rl.SnapshotFn = tb.SnapshotFn()
 	if err := cl.RequestAllocation(); err != nil {
 		t.Fatal(err)
 	}

@@ -133,7 +133,6 @@ func (h *harness) initSecapps() error {
 		return err
 	}
 	s.rl.Bind(rlCl)
-	s.rl.SnapshotFn = f.Leaves[0].SnapshotFn()
 
 	// Heavy hitter on the server leaf: no cache replica lives there, so the
 	// recirculation limiter polices only the claim arm's traffic.

@@ -410,16 +410,3 @@ func (h *harness) finish() {
 		h.res.DefragMigrations += n.Ctrl.DefragMigrations
 	}
 }
-
-// auditAll is exported for tests: one full invariant sweep over every node.
-func AuditFabric(f *fabric.Fabric) error {
-	for _, n := range f.Nodes() {
-		if fs := guard.AuditRuntime(n.RT); len(fs) > 0 {
-			return fmt.Errorf("%s: %v", n.Name, fs[0])
-		}
-		if err := n.Ctrl.Allocator().AuditBooks(); err != nil {
-			return fmt.Errorf("%s: %w", n.Name, err)
-		}
-	}
-	return nil
-}

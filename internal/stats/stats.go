@@ -34,9 +34,6 @@ func (e *EWMA) Add(x float64) float64 {
 	return e.value
 }
 
-// Value returns the current average (zero before any observation).
-func (e *EWMA) Value() float64 { return e.value }
-
 // JainIndex computes Jain's fairness index over the allocations xs:
 // (sum x)^2 / (n * sum x^2). It is 1 for perfectly equal shares and 1/n in
 // the most unfair case; an empty population yields 1 by convention.
@@ -139,16 +136,6 @@ func (s *Series) Values() []float64 {
 	out := make([]float64, len(s.Points))
 	for i, p := range s.Points {
 		out[i] = p.V
-	}
-	return out
-}
-
-// Smoothed returns a copy smoothed with an EWMA of the given alpha.
-func (s *Series) Smoothed(alpha float64) *Series {
-	out := NewSeries(s.Name + "-ewma")
-	e := NewEWMA(alpha)
-	for _, p := range s.Points {
-		out.Add(p.T, e.Add(p.V))
 	}
 	return out
 }

@@ -41,6 +41,9 @@ type Node struct {
 // NewNode assembles a switch on eng. There is no guard-less variant:
 // isolation is a property of the shared pipeline, not an opt-in.
 func NewNode(eng *netsim.Engine, cfg NodeConfig, mac packet.MAC) (*Node, error) {
+	if err := cfg.Alloc.CheckPipeline(cfg.RMT.NumStages, cfg.RMT.NumIngress, cfg.RMT.StageWords); err != nil {
+		return nil, err
+	}
 	rt, err := runtime.New(cfg.RMT)
 	if err != nil {
 		return nil, err

@@ -72,9 +72,6 @@ func (s *Switch) SetController(c *Controller) { s.ctrl = c }
 // SetGuard installs the ingress capsule guard (nil disables it).
 func (s *Switch) SetGuard(g *guard.Guard) { s.guard = g }
 
-// Guard returns the installed guard, if any.
-func (s *Switch) Guard() *guard.Guard { return s.guard }
-
 // ProgCache returns the switch's decoded-program cache. The controller
 // invalidates a tenant's entries when its grant changes; epoch keying already
 // orphans stale versions, so invalidation is memory hygiene.

@@ -1,6 +1,7 @@
 package switchd
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -469,5 +470,26 @@ func TestSwitchReceiveAllocs(t *testing.T) {
 	}
 	if r.sw.FramesForwarded == forwarded {
 		t.Fatal("plain frame was not forwarded")
+	}
+}
+
+// TestNewNodeRejectsPipelineMismatch: an allocator configured for another
+// pipeline than the device's would grant stages or words the device lacks;
+// assembly refuses the pair, naming both values.
+func TestNewNodeRejectsPipelineMismatch(t *testing.T) {
+	for _, c := range []struct {
+		field  string
+		mutate func(*NodeConfig)
+		want   string
+	}{
+		{"NumStages", func(c *NodeConfig) { c.RMT.NumStages = 19 }, "NumStages is 20 but the pipeline's is 19"},
+		{"NumIngress", func(c *NodeConfig) { c.Alloc.NumIngress = 9 }, "NumIngress is 9 but the pipeline's is 10"},
+		{"StageWords", func(c *NodeConfig) { c.RMT.StageWords = 96 * 256 }, "StageWords is 94208 but the pipeline's is 24576"},
+	} {
+		cfg := DefaultNodeConfig()
+		c.mutate(&cfg)
+		if _, err := NewNode(netsim.NewEngine(), cfg, packet.MAC{2}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s mismatch: err = %v, want it to say %q", c.field, err, c.want)
+		}
 	}
 }

@@ -108,9 +108,6 @@ func NewFlightRecorder(lane, size int, period uint64) *FlightRecorder {
 	return &FlightRecorder{lane: lane, period: period, ring: make([]FlightEntry, size)}
 }
 
-// Lane returns the owning lane id.
-func (f *FlightRecorder) Lane() int { return f.lane }
-
 // ShouldSample advances the sampling clock and reports whether this capsule
 // is due for recording. Only the owning lane may call it.
 func (f *FlightRecorder) ShouldSample() bool {

@@ -16,7 +16,6 @@ package telemetry
 import (
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -349,16 +348,6 @@ func (v *GaugeVec) With(value string) *Gauge {
 		v.order = append(v.order, value)
 	}
 	return g
-}
-
-// Labels returns the label values with live children, sorted — used by
-// owners that zero out children for departed tenants.
-func (v *GaugeVec) Labels() []string {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := append([]string(nil), v.order...)
-	sort.Strings(out)
-	return out
 }
 
 func (v *GaugeVec) collect(ms *MetricSnapshot) {

@@ -69,13 +69,6 @@ func (r *Registry) NewGauge(name, help string) *Gauge {
 	return g
 }
 
-// NewFloatGauge constructs and registers a float gauge.
-func (r *Registry) NewFloatGauge(name, help string) *FloatGauge {
-	g := NewFloatGauge(name, help)
-	r.MustRegister(g)
-	return g
-}
-
 // NewGaugeFunc constructs and registers a callback gauge. See GaugeFunc for
 // the atomic-reads-only constraint on fn.
 func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) *GaugeFunc {
@@ -133,9 +126,6 @@ func (r *Registry) EndCommit() {
 	r.seq.Add(1) // now even: commit complete
 	r.commitMu.Unlock()
 }
-
-// Commits returns the number of completed commits.
-func (r *Registry) Commits() uint64 { return r.seq.Load() / 2 }
 
 // Sample is one exposition sample of a metric (one child for vecs).
 type Sample struct {

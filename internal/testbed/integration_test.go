@@ -6,6 +6,7 @@ import (
 
 	"activermt/internal/apps"
 	"activermt/internal/client"
+	"activermt/internal/isa"
 	"activermt/internal/netsim"
 	"activermt/internal/packet"
 	"activermt/internal/workload"
@@ -496,6 +497,9 @@ type frameCounter struct{ frames int }
 
 func (f *frameCounter) Receive(frame []byte, p *netsim.Port) { f.frames++ }
 
+// TestMirrorService covers FORK end to end: a stateless program clones every
+// activated packet through mirror session 1, whose collector port is
+// control-plane state, while the original continues to its destination.
 func TestMirrorService(t *testing.T) {
 	tb := newBed(t)
 	// Destination server and a collector host.
@@ -505,9 +509,9 @@ func TestMirrorService(t *testing.T) {
 	collector := &frameCounter{}
 	colPort, _ := tb.Attach(collector, MACFor(201))
 
-	m := apps.NewMirror()
-	cl := tb.AddClient(5, apps.MirrorService())
-	m.Bind(cl)
+	const session = 1
+	cl := tb.AddClient(5, &client.Service{Name: "mirror", Main: "main", Templates: map[string]*isa.Program{
+		"main": isa.MustAssemble("mirror", "FORK 1\nRETURN\n")}})
 	if err := cl.RequestAllocation(); err != nil {
 		t.Fatal(err)
 	}
@@ -515,14 +519,16 @@ func TestMirrorService(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The controller installs the clone session's collector port.
-	tb.RT.SetMirrorSession(cl.FID(), apps.MirrorSessionID, uint32(colPort))
+	tb.RT.SetMirrorSession(cl.FID(), session, uint32(colPort))
 
 	// Ten activated packets toward the server: the server sees the
 	// originals, the collector sees the clones.
 	for i := 0; i < 10; i++ {
 		msg := apps.KVMsg{Op: apps.KVGet, Key0: uint32(i), Key1: 1}
 		payload := apps.BuildUDP(IPFor(5), IPFor(999), 40000, apps.KVPort, msg.Encode())
-		m.Activate(payload, srv.MAC())
+		if err := cl.SendProgram("main", [4]uint32{}, 0, payload, srv.MAC()); err != nil {
+			t.Fatal(err)
+		}
 		tb.RunFor(time.Millisecond)
 	}
 	tb.RunFor(10 * time.Millisecond)

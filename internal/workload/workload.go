@@ -6,7 +6,6 @@
 package workload
 
 import (
-	"encoding/binary"
 	"math"
 	"math/rand"
 )
@@ -27,25 +26,6 @@ func NewZipf(seed int64, s float64, n uint64) *Zipf {
 
 // Next draws a key index.
 func (z *Zipf) Next() uint64 { return z.zipf.Uint64() }
-
-// Key draws a key and renders it as the 8-byte key the cache examples use
-// (two 32-bit halves).
-func (z *Zipf) Key() (hi, lo uint32) {
-	k := z.Next()
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], k^0x9E3779B97F4A7C15) // decorrelate from the index
-	return binary.BigEndian.Uint32(b[0:]), binary.BigEndian.Uint32(b[4:])
-}
-
-// TopKeys returns the m most probable keys (0..m-1 under rand.Zipf's
-// construction, which is monotone in probability).
-func (z *Zipf) TopKeys(m int) []uint64 {
-	out := make([]uint64, m)
-	for i := range out {
-		out[i] = uint64(i)
-	}
-	return out
-}
 
 // Poisson draws from a Poisson distribution with the given mean, using
 // Knuth's method (fine for the small means the evaluation uses).
