@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -166,7 +167,14 @@ type Allocator struct {
 
 	apps    map[uint16]*App
 	pinned  []*intervalSet // per stage: inelastic intervals (persistent)
-	elastic []*intervalSet // per stage: elastic intervals (recomputed)
+	elastic []*intervalSet // per stage: elastic intervals (mirror the elastic apps' regions)
+
+	// relayouts counts recomputeElastic's outcomes — realised in place, full
+	// re-lay taken — and relayoutsTold what syncTel has exported of them.
+	// relayOnly makes every one a full re-lay: the reference the
+	// refuse-no-more regression test asks the same books again as.
+	relayouts, relayoutsTold [2]uint64
+	relayOnly                bool
 
 	// tel mirrors the books into occupancy gauges; it outlives the
 	// allocator (see Telemetry) and resyncs after every public mutation.
@@ -486,7 +494,7 @@ func (a *Allocator) Allocate(fid uint16, cons *Constraints) (*Result, error) {
 			regions:   map[int]BlockRange{},
 		}
 		app.groups = buildGroups(cons, app.Mut, a.cfg.NumStages)
-		if a.tryCommit(app) {
+		if a.tryCommit(app, before) {
 			res.New = a.placementFor(app)
 			res.Reallocated = a.changedPlacements(before, fid)
 			return res, nil
@@ -498,15 +506,15 @@ func (a *Allocator) Allocate(fid uint16, cons *Constraints) (*Result, error) {
 }
 
 // tryCommit attempts to install the app; on any failure the allocator state
-// is restored exactly.
-func (a *Allocator) tryCommit(app *App) bool {
+// is restored exactly, the elastic layout from the copy in before.
+func (a *Allocator) tryCommit(app *App, before map[uint16]map[int]BlockRange) bool {
 	var added []int // stages where pinned intervals were inserted
 	rollback := func() {
 		for _, s := range added {
 			a.pinned[s].removeOwner(app.FID)
 		}
 		delete(a.apps, app.FID)
-		a.recomputeElastic()
+		a.restoreElastic(before)
 	}
 
 	if !app.Elastic {
@@ -530,21 +538,29 @@ func (a *Allocator) tryCommit(app *App) bool {
 	}
 	a.apps[app.FID] = app
 	a.recomputeElastic()
-	// Verify every elastic group everywhere received at least one block.
-	for _, other := range a.apps {
-		if !other.Elastic {
+	if a.starved() {
+		rollback()
+		return false
+	}
+	return true
+}
+
+// starved reports whether some elastic group holds no block in one of its
+// stages: the layout squeezed a tenant out.
+func (a *Allocator) starved() bool {
+	for _, app := range a.apps {
+		if !app.Elastic {
 			continue
 		}
-		for _, g := range other.groups {
+		for _, g := range app.groups {
 			for _, s := range g.stages {
-				if other.regions[s].Size() < 1 {
-					rollback()
-					return false
+				if app.regions[s].Size() < 1 {
+					return true
 				}
 			}
 		}
 	}
-	return true
+	return false
 }
 
 // Release removes fid and lets elastic neighbors expand into the freed
@@ -559,36 +575,72 @@ func (a *Allocator) Release(fid uint16) ([]*Placement, error) {
 		s.removeOwner(fid)
 	}
 	delete(a.apps, fid)
-	a.recomputeElastic()
+	a.recomputeFreed(before)
 	return a.changedPlacements(before, fid), nil
 }
 
-// recomputeElastic rebuilds the elastic layout: progressive-filling shares
-// (approximate max-min fairness, Section 4.2) followed by deterministic
-// placement, largest shares first.
+// recomputeFreed is recomputeElastic after a tenant left: a re-lay that
+// squeezes a neighbor out is no way to use the freed space, so everyone then
+// stays where before has them.
+func (a *Allocator) recomputeFreed(before map[uint16]map[int]BlockRange) {
+	if a.recomputeElastic(); a.starved() {
+		a.restoreElastic(before)
+	}
+}
+
+// egroup is one alignment group of a resident elastic app with the fair
+// share the waterfill computed for it.
+type egroup struct {
+	app   *App
+	g     *appGroup
+	share int
+}
+
+// region returns the range the group holds now: its stages share one range
+// by construction (accesses of an app land in distinct physical stages).
+func (eg egroup) region() BlockRange { return eg.app.regions[eg.g.stages[0]] }
+
+// recomputeElastic brings the elastic layout up to date after any mutation
+// of the books: progressive-filling shares (approximate max-min fairness,
+// Section 4.2), realised against the current layout where that is possible
+// (realiseInPlace) and by a full re-lay, largest shares first, where it is
+// not. The layout is therefore history-dependent: a caller that must undo a
+// mutation restores a saved copy (restoreElastic) instead of recomputing.
 func (a *Allocator) recomputeElastic() {
+	groups := a.elasticGroups()
+	a.fairShares(groups)
+	if !a.relayOnly && a.realiseInPlace(groups) {
+		a.relayouts[0]++
+		return
+	}
+	a.relayouts[1]++
+	a.relay(groups)
+}
+
+// elasticGroups lists the alignment groups of the resident elastic apps, by
+// FID and group, shares not yet computed.
+func (a *Allocator) elasticGroups() []egroup {
+	var groups []egroup
+	for _, fid := range a.FIDs() {
+		if app := a.apps[fid]; app.Elastic {
+			for gi := range app.groups {
+				groups = append(groups, egroup{app: app, g: &app.groups[gi]})
+			}
+		}
+	}
+	return groups
+}
+
+// clearElastic empties the elastic interval sets, for a caller about to
+// rebuild them from regions.
+func (a *Allocator) clearElastic() {
 	for _, s := range a.elastic {
 		s.ivs = s.ivs[:0]
 	}
-	type eg struct {
-		app *App
-		gi  int
-	}
-	var groups []eg
-	for _, fid := range a.FIDs() {
-		app := a.apps[fid]
-		if !app.Elastic {
-			continue
-		}
-		app.regions = map[int]BlockRange{}
-		for gi := range app.groups {
-			groups = append(groups, eg{app: app, gi: gi})
-		}
-	}
-	if len(groups) == 0 {
-		return
-	}
+}
 
+// fairShares fills in every group's share by progressive filling.
+func (a *Allocator) fairShares(groups []egroup) {
 	// Progressive filling: grant blocks round-robin to every group that can
 	// still grow in all of its stages. Rounds grant a uniform step sized by
 	// the most-contended stage, so the loop converges in O(log blocks)
@@ -600,31 +652,24 @@ func (a *Allocator) recomputeElastic() {
 	// slack is why steady-state utilization converges below 1.0 (the
 	// paper's Figure 7a converges to ~0.75 for the same structural
 	// reason).
-	slack := a.blocks / 16
 	remaining := make([]int, a.cfg.NumStages)
 	for s := range remaining {
-		remaining[s] = a.blocks - a.pinned[s].used() - slack
-		if remaining[s] < 0 {
-			remaining[s] = 0
-		}
+		remaining[s] = max(a.blocks-a.pinned[s].used()-a.slack(), 0)
 	}
-	shares := make([]int, len(groups))
 	active := make([]bool, len(groups))
 	for i := range active {
 		active[i] = true
 	}
 	activeIn := make([]int, a.cfg.NumStages)
 	for {
-		for s := range activeIn {
-			activeIn[s] = 0
-		}
+		clear(activeIn)
 		anyActive := false
-		for i, g := range groups {
+		for i, eg := range groups {
 			if !active[i] {
 				continue
 			}
 			anyActive = true
-			for _, s := range g.app.groups[g.gi].stages {
+			for _, s := range eg.g.stages {
 				activeIn[s]++
 			}
 		}
@@ -637,26 +682,23 @@ func (a *Allocator) recomputeElastic() {
 				step = remaining[s] / n
 			}
 		}
-		if step < 1 {
-			step = 1
-		}
+		step = max(step, 1)
 		progressed := false
-		for i, g := range groups {
+		for i := range groups {
 			if !active[i] {
 				continue
 			}
+			eg := &groups[i]
 			can := step
-			for _, s := range g.app.groups[g.gi].stages {
-				if remaining[s] < can {
-					can = remaining[s]
-				}
+			for _, s := range eg.g.stages {
+				can = min(can, remaining[s])
 			}
 			if can < 1 {
 				active[i] = false
 				continue
 			}
-			shares[i] += can
-			for _, s := range g.app.groups[g.gi].stages {
+			eg.share += can
+			for _, s := range eg.g.stages {
 				remaining[s] -= can
 			}
 			progressed = true
@@ -665,55 +707,139 @@ func (a *Allocator) recomputeElastic() {
 			break
 		}
 	}
+}
 
-	// Placement: largest first; aligned groups need one common offset
-	// across all their stages. A group that cannot be placed at its share
-	// shrinks until it fits.
-	order := make([]int, len(groups))
-	for i := range order {
-		order[i] = i
-	}
-	sig := func(i int) string {
-		st := groups[i].app.groups[groups[i].gi].stages
-		b := make([]byte, 0, len(st))
-		for _, s := range st {
-			b = append(b, byte(s))
-		}
-		return string(b)
-	}
-	sort.Slice(order, func(x, y int) bool {
-		i, j := order[x], order[y]
-		// Identical stage sets stack consecutively (their common offsets
-		// chain without stranding); larger shares go first within a set.
-		if si, sj := sig(i), sig(j); si != sj {
+// slack is the sliver of every stage the waterfill holds back.
+func (a *Allocator) slack() int { return a.blocks / 16 }
+
+// layOrder is the order groups are laid into free space: identical stage
+// sets consecutively (their common offsets chain without stranding), larger
+// shares first within a set, then FID and group.
+func layOrder(groups []egroup) []egroup {
+	order := slices.Clone(groups)
+	sort.SliceStable(order, func(i, j int) bool {
+		if si, sj := groupSig(order[i].g.stages), groupSig(order[j].g.stages); si != sj {
 			return si < sj
 		}
-		if shares[i] != shares[j] {
-			return shares[i] > shares[j]
-		}
-		if groups[i].app.FID != groups[j].app.FID {
-			return groups[i].app.FID < groups[j].app.FID
-		}
-		return groups[i].gi < groups[j].gi
+		return order[i].share > order[j].share
 	})
-	for _, i := range order {
-		g := groups[i]
-		grp := g.app.groups[g.gi]
-		sets := make([]*intervalSet, 0, 2*len(grp.stages))
-		for _, s := range grp.stages {
-			sets = append(sets, a.pinned[s], a.elastic[s])
+	return order
+}
+
+// sets returns the interval sets a placement of g must avoid.
+func (a *Allocator) sets(g *appGroup) []*intervalSet {
+	sets := make([]*intervalSet, 0, 2*len(g.stages))
+	for _, s := range g.stages {
+		sets = append(sets, a.pinned[s], a.elastic[s])
+	}
+	return sets
+}
+
+// setRegion moves the group to r in every one of its stages.
+func (a *Allocator) setRegion(eg egroup, r BlockRange) {
+	for _, s := range eg.g.stages {
+		a.elastic[s].removeOwner(eg.app.FID)
+		a.elastic[s].insert(interval{BlockRange: r, fid: eg.app.FID, group: eg.g.id})
+		eg.app.regions[s] = r
+	}
+}
+
+// room returns the free blocks directly below and above r that are common to
+// all of g's stages, counting nothing at or beyond limit.
+func (a *Allocator) room(g *appGroup, r BlockRange, limit int) (below, above int) {
+	below, above = r.Lo, max(limit-r.Hi, 0)
+	for _, set := range a.sets(g) {
+		b, t := set.room(r, limit)
+		below, above = min(below, b), min(above, t)
+	}
+	return below, above
+}
+
+// realiseInPlace realises the shares against the current layout, touching
+// only what has to change: a resident group keeps its region, cut at the
+// edge that borders the larger free hole when it is above its share; a
+// newcomer takes the lowest common offset that holds its share; a group
+// below its share grows into the free space next to it, never into the slack
+// at the top of a stage. It reports false — leaving a half-edited layout for
+// relay to overwrite — when a resident collides with a pinned interval, a
+// newcomer cannot get its share, or some stage is left with more unrealised
+// share than the slack the waterfill already holds back.
+func (a *Allocator) realiseInPlace(groups []egroup) bool {
+	a.clearElastic()
+	var newcomers []egroup
+	for _, eg := range groups {
+		r := eg.region()
+		if r.Size() < 1 {
+			newcomers = append(newcomers, eg)
+			continue
 		}
+		if eg.share < 1 {
+			return false
+		}
+		for _, set := range a.sets(eg.g) {
+			if _, clash := set.conflict(r); clash {
+				return false
+			}
+		}
+		a.setRegion(eg, r)
+	}
+	for _, eg := range groups {
+		r := eg.region()
+		if over := r.Size() - eg.share; over > 0 {
+			if below, above := a.room(eg.g, r, a.blocks); below > above {
+				r.Lo += over
+			} else {
+				r.Hi -= over
+			}
+			a.setRegion(eg, r)
+		}
+	}
+	for _, eg := range layOrder(newcomers) {
+		off, ok := lowestCommonOffset(a.sets(eg.g), eg.share, a.blocks)
+		if !ok {
+			return false
+		}
+		a.setRegion(eg, BlockRange{Lo: off, Hi: off + eg.share})
+	}
+	unrealised := make([]int, a.cfg.NumStages)
+	for _, eg := range groups {
+		r := eg.region()
+		if want := eg.share - r.Size(); want > 0 {
+			below, above := a.room(eg.g, r, a.blocks-a.slack())
+			up := min(want, above)
+			down := min(want-up, below)
+			r = BlockRange{Lo: r.Lo - down, Hi: r.Hi + up}
+			a.setRegion(eg, r)
+			for _, s := range eg.g.stages {
+				if unrealised[s] += eg.share - r.Size(); unrealised[s] > a.slack() {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// relay lays the whole elastic set out afresh, in layOrder; aligned groups
+// need one common offset across all their stages, and a group that cannot be
+// placed at its share shrinks until it fits.
+func (a *Allocator) relay(groups []egroup) {
+	a.clearElastic()
+	for _, eg := range groups {
+		clear(eg.app.regions)
+	}
+	for _, eg := range layOrder(groups) {
+		sets := a.sets(eg.g)
 		// Fit the largest placeable size <= the fair share. Placeability
 		// is monotone in size, so binary-search instead of shrinking one
 		// block at a time.
-		place := func(size int) (int, bool) { return lowestCommonOffset(sets, size, a.blocks) }
-		size := shares[i]
-		off, ok := place(size)
+		size := eg.share
+		off, ok := lowestCommonOffset(sets, size, a.blocks)
 		if !ok {
 			lo, hi := 1, size-1 // largest feasible size in [lo, hi], if any
 			for lo <= hi {
 				mid := (lo + hi + 1) / 2
-				if o, k := place(mid); k {
+				if o, k := lowestCommonOffset(sets, mid, a.blocks); k {
 					off, ok, size = o, true, mid
 					lo = mid + 1
 				} else {
@@ -730,24 +856,14 @@ func (a *Allocator) recomputeElastic() {
 			off = 0
 			for _, set := range sets {
 				if n := len(set.ivs); n > 0 {
-					if top := set.ivs[n-1].Hi; top > off {
-						off = top
-					}
+					off = max(off, set.ivs[n-1].Hi)
 				}
 			}
-			if off < a.blocks {
-				ok = true
-				if size = shares[i]; off+size > a.blocks {
-					size = a.blocks - off
-				}
-			}
+			size = min(eg.share, a.blocks-off)
+			ok = size > 0
 		}
 		if ok {
-			r := BlockRange{Lo: off, Hi: off + size}
-			for _, s := range grp.stages {
-				a.elastic[s].insert(interval{BlockRange: r, fid: g.app.FID, group: grp.id})
-				g.app.regions[s] = r
-			}
+			a.setRegion(eg, BlockRange{Lo: off, Hi: off + size})
 		}
 	}
 }
@@ -762,6 +878,25 @@ func (a *Allocator) snapshotElasticRegions() map[uint16]map[int]BlockRange {
 		}
 	}
 	return out
+}
+
+// restoreElastic puts the elastic layout back to a snapshot: the regions of
+// every elastic app still resident and the interval sets that mirror them.
+func (a *Allocator) restoreElastic(saved map[uint16]map[int]BlockRange) {
+	a.clearElastic()
+	for fid, regions := range saved {
+		app, ok := a.apps[fid]
+		if !ok {
+			continue
+		}
+		app.regions = map[int]BlockRange{}
+		for gi := range app.groups {
+			g := &app.groups[gi]
+			if r := regions[g.stages[0]]; r.Size() > 0 {
+				a.setRegion(egroup{app: app, g: g}, r)
+			}
+		}
+	}
 }
 
 // changedPlacements lists apps whose regions differ from the snapshot,

@@ -5,9 +5,9 @@ import "sort"
 // Online-defragmentation support: compaction re-places an inelastic app's
 // alignment groups at the lowest feasible offsets, sliding them down into
 // holes left by departed neighbors. Elastic apps never need compaction —
-// the waterfill re-places them on every mutation — so the candidates are
-// exactly the pinned tenants whose positions the books otherwise never
-// revisit.
+// every mutation resizes them, and re-lays them when they stand in the way —
+// so the candidates are exactly the pinned tenants whose positions the books
+// otherwise never revisit.
 
 // Fragmentation computes the activermt_alloc_fragmentation gauge value
 // directly from the books: the fraction of free blocks outside each
@@ -143,10 +143,10 @@ type CompactResult struct {
 
 // CompactApp re-places fid's groups at the lowest feasible offsets. It
 // commits only a strict improvement (every group at or below its current
-// offset, at least one strictly below); otherwise the books are untouched
-// and ok is false. The caller owns the data-plane half of the migration:
-// snapshotting the old regions and restoring into the new ones around the
-// reallocation protocol.
+// offset, at least one strictly below, no elastic neighbor left without a
+// block); otherwise the books are untouched and ok is false. The caller owns
+// the data-plane half of the migration: snapshotting the old regions and
+// restoring into the new ones around the reallocation protocol.
 func (a *Allocator) CompactApp(fid uint16) (res *CompactResult, ok bool) {
 	app, resident := a.apps[fid]
 	if !resident || app.Elastic || app.Cons == nil || len(app.groups) == 0 {
@@ -159,22 +159,37 @@ func (a *Allocator) CompactApp(fid uint16) (res *CompactResult, ok bool) {
 	defer a.syncTel()
 	before := a.snapshotElasticRegions()
 
-	for _, s := range a.pinned {
-		s.removeOwner(fid)
+	// place puts the app's groups at the planned offsets, or back.
+	place := func(planned bool) {
+		for _, s := range a.pinned {
+			s.removeOwner(fid)
+		}
+		app.regions = map[int]BlockRange{}
+		for _, mv := range moves {
+			r, g := mv.from, app.groups[mv.gi]
+			if planned {
+				r = mv.to
+			}
+			for _, s := range g.stages {
+				a.pinned[s].insert(interval{BlockRange: r, fid: fid, group: g.id})
+				app.regions[s] = r
+			}
+		}
 	}
-	app.regions = map[int]BlockRange{}
+	place(true)
+	a.recomputeElastic()
+	if a.starved() {
+		// Sliding down squeezed an elastic neighbor out: no improvement.
+		place(false)
+		a.restoreElastic(before)
+		return nil, false
+	}
 	blocksMoved := 0
 	for _, mv := range moves {
-		g := app.groups[mv.gi]
-		for _, s := range g.stages {
-			a.pinned[s].insert(interval{BlockRange: mv.to, fid: fid, group: g.id})
-			app.regions[s] = mv.to
-		}
 		if mv.to.Lo < mv.from.Lo {
-			blocksMoved += mv.to.Size() * len(g.stages)
+			blocksMoved += mv.to.Size() * len(app.groups[mv.gi].stages)
 		}
 	}
-	a.recomputeElastic()
 	return &CompactResult{
 		Placement:   a.placementFor(app),
 		Reallocated: a.changedPlacements(before, fid),

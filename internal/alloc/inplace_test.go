@@ -1,0 +1,160 @@
+package alloc
+
+import (
+	"math/rand"
+	"testing"
+
+	"activermt/internal/telemetry"
+)
+
+// selectCons is an elastic app whose two accesses need no common offset.
+func selectCons() *Constraints {
+	return &Constraints{Name: "select", ProgLen: 6, IngressIdx: -1, Elastic: true, Accesses: []Access{{Index: 1}, {Index: 3}}}
+}
+
+// TestInPlaceAdmissionShrinksVictimsWhereTheyStand: an admission realised in
+// place moves nobody — every victim's new region lies inside its old one —
+// and some admissions are realised that way.
+func TestInPlaceAdmissionShrinksVictimsWhereTheyStand(t *testing.T) {
+	a := newAllocator(t, testConfig())
+	for fid := uint16(1); fid <= 40; fid++ {
+		old := a.snapshotElasticRegions()
+		was := a.relayouts
+		res, err := a.Allocate(fid, cacheCons())
+		if err != nil || res.Failed {
+			t.Fatalf("fid %d: %v %+v", fid, err, res)
+		}
+		if a.relayouts[1] != was[1] {
+			continue // a full re-lay may move anyone
+		}
+		for _, pl := range res.Reallocated {
+			for s, r := range a.apps[pl.FID].regions {
+				if o := old[pl.FID][s]; r.Lo < o.Lo || r.Hi > o.Hi {
+					t.Fatalf("admitting %d in place moved fid %d in stage %d: %+v -> %+v", fid, pl.FID, s, o, r)
+				}
+			}
+		}
+	}
+	if a.relayouts[0] == 0 {
+		t.Errorf("40 stacked caches: %d layouts in place, %d full re-lays; want some in place", a.relayouts[0], a.relayouts[1])
+	}
+	assertNoOverlap(t, a)
+}
+
+// TestReleaseInPlaceGrowsOnlyNeighbors: a departure from a deep stack leaves
+// a hole that only groups next to free space grow into, where they stand;
+// nobody else's region changes.
+func TestReleaseInPlaceGrowsOnlyNeighbors(t *testing.T) {
+	a := newAllocator(t, testConfig())
+	for fid := uint16(1); fid <= 96; fid++ {
+		if res, err := a.Allocate(fid, cacheCons()); err != nil || res.Failed {
+			t.Fatalf("fid %d: %v %+v", fid, err, res)
+		}
+	}
+	old := a.snapshotElasticRegions()
+	was := a.relayouts
+	changed, err := a.Release(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.relayouts != [2]uint64{was[0] + 1, was[1]} {
+		t.Fatalf("release was not realised in place: %v -> %v", was, a.relayouts)
+	}
+	if len(changed) == 0 || 4*len(changed) > a.NumApps() {
+		t.Errorf("release of one stacked cache changed %d of %d neighbors, want a few", len(changed), a.NumApps())
+	}
+	for _, pl := range changed {
+		for s, r := range a.apps[pl.FID].regions {
+			if o := old[pl.FID][s]; r.Lo > o.Lo || r.Hi < o.Hi {
+				t.Errorf("fid %d stage %d: %+v -> %+v does not contain the old region", pl.FID, s, o, r)
+			}
+		}
+	}
+	if err := a.AuditBooks(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInPlaceNeverRefusesWhatRelayAdmits: the in-place layout is fragmented
+// by its history, and a newcomer that does not fit it must get the full
+// re-lay before it is refused. Arrival / departure sequences run at
+// capacity under every scheme; whenever an arrival is refused, the same
+// books are asked again as the full-re-lay-only reference, which must refuse
+// it too.
+func TestInPlaceNeverRefusesWhatRelayAdmits(t *testing.T) {
+	mix := []func() *Constraints{cacheCons, hhCons, lbCons, selectCons}
+	for _, scheme := range []Scheme{WorstFit, BestFit, FirstFit, MinRealloc} {
+		for _, blocks := range []int{368, 48} {
+			for seed := int64(1); seed <= 2; seed++ {
+				cfg := testConfig()
+				cfg.Scheme = scheme
+				cfg.StageWords = cfg.BlockWords * blocks
+				a := newAllocator(t, cfg)
+				rng := rand.New(rand.NewSource(seed))
+				refused := 0
+				for fid := uint16(1); fid <= 240; fid++ {
+					if fids := a.FIDs(); len(fids) > 0 && rng.Intn(3) == 0 {
+						if _, err := a.Release(fids[rng.Intn(len(fids))]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					cons := mix[rng.Intn(len(mix))]()
+					res, err := a.Allocate(fid, cons)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !res.Failed {
+						continue
+					}
+					refused++
+					a.relayOnly = true
+					ref, err := a.Allocate(fid, cons)
+					a.relayOnly = false
+					if err != nil || !ref.Failed {
+						t.Fatalf("%v/%d/seed %d: fid %d (%s) refused (%s), the full re-lay admits it (%v)", scheme, blocks, seed, fid, cons.Name, res.Reason, err)
+					}
+				}
+				if refused == 0 && blocks < 368 {
+					t.Errorf("%v/%d/seed %d: nothing refused: the sequence never reached capacity", scheme, blocks, seed)
+				}
+				if a.relayouts[0] == 0 || a.relayouts[1] == 0 {
+					t.Errorf("%v/%d/seed %d: layouts %v, want both kinds exercised", scheme, blocks, seed, a.relayouts)
+				}
+				if err := a.AuditBooks(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// TestRelayoutsCounterFollowsBooks: activermt_alloc_relayouts_total{kind}
+// reads what the allocator observed, across a handover of the gauge set to a
+// replacement allocator.
+func TestRelayoutsCounterFollowsBooks(t *testing.T) {
+	tel := NewTelemetry(telemetry.NewRegistry())
+	a := newAllocator(t, testConfig())
+	a.SetTelemetry(tel)
+	for fid := uint16(1); fid <= 60; fid++ {
+		if _, err := a.Allocate(fid, cacheCons()); err != nil {
+			t.Fatal(err)
+		}
+		if fid%3 == 0 {
+			if _, err := a.Release(fid - 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	inplace, full := tel.Relayouts.With("inplace").Value(), tel.Relayouts.With("full").Value()
+	if [2]uint64{inplace, full} != a.relayouts || inplace == 0 || full == 0 {
+		t.Fatalf("scrape reads inplace %d full %d, the allocator observed %v (want both kinds)", inplace, full, a.relayouts)
+	}
+	b := newAllocator(t, testConfig())
+	b.SetTelemetry(tel)
+	if _, err := b.Allocate(1, cacheCons()); err != nil {
+		t.Fatal(err)
+	}
+	if got := tel.Relayouts.With("inplace").Value() + tel.Relayouts.With("full").Value(); got != inplace+full+1 {
+		t.Errorf("after a handover and one more layout the counter reads %d, want %d", got, inplace+full+1)
+	}
+}

@@ -70,6 +70,19 @@ func (s *intervalSet) conflict(r BlockRange) (interval, bool) {
 	return interval{}, false
 }
 
+// room returns the free blocks directly below and above r, which may itself
+// be in the set, counting nothing at or beyond limit.
+func (s *intervalSet) room(r BlockRange, limit int) (below, above int) {
+	below = r.Lo
+	if i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].Hi > r.Lo }); i > 0 {
+		below -= s.ivs[i-1].Hi
+	}
+	if j := sort.Search(len(s.ivs), func(j int) bool { return s.ivs[j].Lo >= r.Hi }); j < len(s.ivs) {
+		limit = min(limit, s.ivs[j].Lo)
+	}
+	return below, max(limit-r.Hi, 0)
+}
+
 // lowestCommonOffset finds the smallest offset x such that [x, x+size) is
 // free in every one of the given interval sets and x+size <= limit. The
 // second result is false when no such offset exists.

@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -87,13 +88,11 @@ func (a *Allocator) Readmit(fid uint16, cons *Constraints) (*Result, error) {
 		// Stateless request against a stateful recovered entry: the tables
 		// lied or the client changed programs; start over.
 		evict()
-		a.recomputeElastic()
 		return nil, fmt.Errorf("alloc: fid %d readmitted stateless against recovered regions", fid)
 	}
 	bounds, err := ComputeBounds(cons, a.cfg.Policy, a.cfg.NumStages, a.cfg.NumIngress, a.cfg.MaxPasses)
 	if err != nil {
 		evict()
-		a.recomputeElastic()
 		return &Result{Failed: true, Reason: "infeasible-constraints"}, nil
 	}
 	mutants := EnumerateMutants(bounds, a.cfg.NumStages)
@@ -102,7 +101,6 @@ func (a *Allocator) Readmit(fid uint16, cons *Constraints) (*Result, error) {
 		// No mutant projects onto the installed stages: re-place from
 		// scratch (the recovered regions are freed first).
 		evict()
-		a.recomputeElastic()
 		return a.Allocate(fid, cons)
 	}
 
@@ -114,25 +112,22 @@ func (a *Allocator) Readmit(fid uint16, cons *Constraints) (*Result, error) {
 	res := &Result{MutantsTotal: len(mutants), MutantsFeasible: 1}
 	if cons.Elastic {
 		// Restore elasticity: drop the pinned placeholder and let the
-		// shared waterfill re-place the app (its regions may move — the
-		// normal reallocation protocol informs the client).
+		// shared waterfill resize the app where it stands (its regions may
+		// still move — the normal reallocation protocol informs the client).
 		before := a.snapshotElasticRegions()
 		for _, s := range a.pinned {
 			s.removeOwner(fid)
 		}
 		a.recomputeElastic()
-		for _, g := range app.groups {
-			for _, s := range g.stages {
-				if app.regions[s].Size() < 1 {
-					// Could not re-place elastically (quarantine or new
-					// tenants squeezed it out); evict and report failure.
-					evict()
-					a.recomputeElastic()
-					res.Failed = true
-					res.Reason = "readmit-placement-failed"
-					return res, nil
-				}
-			}
+		if a.starved() {
+			// Could not re-place elastically (quarantine or new tenants
+			// squeezed it out); evict and report failure, the neighbors
+			// back where the tables have them.
+			evict()
+			a.restoreElastic(before)
+			res.Failed = true
+			res.Reason = "readmit-placement-failed"
+			return res, nil
 		}
 		res.New = a.placementFor(app)
 		res.Reallocated = a.changedPlacements(before, fid)
@@ -179,8 +174,9 @@ func (a *Allocator) matchMutant(cons *Constraints, mutants []Mutant, regions map
 
 // Quarantine fences off the blocks of r in stage under the reserved owner
 // so no future placement uses them. The blocks must not be pinned to a
-// resident app (evacuate the owner first); elastic neighbors are re-placed
-// around the fence and their changed placements returned.
+// resident app (evacuate the owner first); elastic neighbors make room for
+// the fence and their changed placements are returned. A fence that would
+// leave an elastic tenant without a block is refused, the books untouched.
 func (a *Allocator) Quarantine(stage int, r BlockRange) ([]*Placement, error) {
 	if stage < 0 || stage >= a.cfg.NumStages || r.Lo < 0 || r.Hi > a.blocks || r.Size() < 1 {
 		return nil, fmt.Errorf("alloc: quarantine %+v at stage %d out of range", r, stage)
@@ -193,8 +189,14 @@ func (a *Allocator) Quarantine(stage int, r BlockRange) ([]*Placement, error) {
 	}
 	defer a.syncTel()
 	before := a.snapshotElasticRegions()
-	a.pinned[stage].insert(interval{BlockRange: r, fid: QuarantineFID})
+	fence := interval{BlockRange: r, fid: QuarantineFID}
+	a.pinned[stage].insert(fence)
 	a.recomputeElastic()
+	if a.starved() {
+		a.pinned[stage].ivs = slices.DeleteFunc(a.pinned[stage].ivs, func(iv interval) bool { return iv == fence })
+		a.restoreElastic(before)
+		return nil, fmt.Errorf("alloc: quarantine %+v at stage %d leaves an elastic tenant no block (evacuate one first)", r, stage)
+	}
 	return a.changedPlacements(before, QuarantineFID), nil
 }
 
@@ -226,7 +228,8 @@ func (a *Allocator) QuarantinedBlocks() int {
 // constraints. The result's Reallocated list covers every app whose regions
 // moved (including elastic neighbors). If the app cannot be re-placed — or
 // was only in recovered form, with no constraints to re-place from — it is
-// evicted and the result marked failed.
+// evicted and the result marked failed; Reallocated still lists the
+// neighbors that took its space.
 func (a *Allocator) Evacuate(fid uint16, quar map[int][]BlockRange) (*Result, error) {
 	app, ok := a.apps[fid]
 	if !ok {
@@ -253,9 +256,9 @@ func (a *Allocator) Evacuate(fid uint16, quar map[int][]BlockRange) (*Result, er
 			a.pinned[s].insert(interval{BlockRange: r, fid: QuarantineFID})
 		}
 	}
-	a.recomputeElastic()
+	a.recomputeFreed(before)
 	if cons == nil {
-		return &Result{Failed: true, Reason: "recovered-app-evicted"}, nil
+		return &Result{Failed: true, Reason: "recovered-app-evicted", Reallocated: a.changedPlacements(before, fid)}, nil
 	}
 	res, err := a.Allocate(fid, cons)
 	if err != nil {

@@ -29,6 +29,9 @@ type Telemetry struct {
 	Fragmentation     *telemetry.FloatGauge
 	TenantBlocks      *telemetry.GaugeVec // label: fid
 	StageBlocks       *telemetry.GaugeVec // label: stage
+	// Relayouts counts elastic re-layouts by how they were realised: in
+	// place, or by the full re-lay the in-place path fell back to.
+	Relayouts *telemetry.CounterVec // label: kind
 
 	// Durations of allocator entry points, observed by the controller
 	// (virtual-time nanoseconds for protocol phases, wall-clock for compute).
@@ -36,6 +39,9 @@ type Telemetry struct {
 
 	seen map[uint16]bool // fids ever exported, so departures zero out
 }
+
+// relayoutKinds labels Allocator.relayouts.
+var relayoutKinds = [2]string{"inplace", "full"}
 
 // NewTelemetry builds the allocator metric set and registers it.
 func NewTelemetry(reg *telemetry.Registry) *Telemetry {
@@ -48,11 +54,12 @@ func NewTelemetry(reg *telemetry.Registry) *Telemetry {
 		Fragmentation:     telemetry.NewFloatGauge("activermt_alloc_fragmentation", "Fraction of free blocks outside each stage's largest free hole."),
 		TenantBlocks:      telemetry.NewGaugeVec("activermt_alloc_tenant_blocks", "Blocks held per tenant across all stages.", "fid"),
 		StageBlocks:       telemetry.NewGaugeVec("activermt_alloc_stage_blocks_used", "Allocated blocks per stage.", "stage"),
+		Relayouts:         telemetry.NewCounterVec("activermt_alloc_relayouts_total", "Elastic re-layouts, by kind: inplace (residents kept their regions) or full (everything re-laid).", "kind"),
 		reallocs:          telemetry.NewCounter("activermt_alloc_syncs_total", "Allocator mutations reflected into the gauges."),
 		seen:              map[uint16]bool{},
 	}
 	reg.MustRegister(t.BlocksUsed, t.BlocksQuarantined, t.Tenants, t.Utilization,
-		t.Fragmentation, t.TenantBlocks, t.StageBlocks, t.reallocs)
+		t.Fragmentation, t.TenantBlocks, t.StageBlocks, t.Relayouts, t.reallocs)
 	return t
 }
 
@@ -78,6 +85,10 @@ func (a *Allocator) syncTel() {
 	t.reg.BeginCommit()
 	defer t.reg.EndCommit()
 	t.reallocs.Inc()
+	for i, kind := range relayoutKinds {
+		t.Relayouts.With(kind).Add(a.relayouts[i] - a.relayoutsTold[i])
+	}
+	a.relayoutsTold = a.relayouts
 
 	used, quarantined := 0, 0
 	totalFree, largestHoles := 0, 0

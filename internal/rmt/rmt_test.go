@@ -46,6 +46,30 @@ func TestPrefixCountProperties(t *testing.T) {
 	}
 }
 
+func TestPrefixDiff(t *testing.T) {
+	cases := []struct {
+		a, b Region
+		want int
+	}{
+		{Region{}, Region{}, 0},
+		{Region{Lo: 5, Hi: 21}, Region{FID: 9, Lo: 5, Hi: 21}, 0}, // the owner is not compared
+		{Region{}, Region{Lo: 5, Hi: 21}, 5},                      // a fresh install costs the expansion
+		{Region{Lo: 0, Hi: 256}, Region{Lo: 0, Hi: 128}, 2},       // one entry out, one in
+		{Region{Lo: 0, Hi: 256}, Region{Lo: 0, Hi: 384}, 1},       // [256,384) added, [0,256) shared
+		{Region{Lo: 5, Hi: 21}, Region{Lo: 5, Hi: 20}, 1},         // 20-21 dropped
+		{Region{Lo: 5, Hi: 21}, Region{Lo: 6, Hi: 21}, 1},         // 5-6 dropped
+		{Region{Lo: 0, Hi: 16}, Region{Lo: 16, Hi: 32}, 2},        // a move shares nothing
+	}
+	for _, c := range cases {
+		if got := PrefixDiff(c.a, c.b); got != c.want {
+			t.Errorf("PrefixDiff(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+		if got := PrefixDiff(c.b, c.a); got != c.want {
+			t.Errorf("PrefixDiff(%v, %v) = %d, want %d (symmetric)", c.b, c.a, got, c.want)
+		}
+	}
+}
+
 func TestTCAMInstallLookupRemove(t *testing.T) {
 	tc := NewTCAM(64)
 	if err := tc.Install(Region{FID: 1, Lo: 0, Hi: 256}); err != nil {

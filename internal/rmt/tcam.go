@@ -7,22 +7,50 @@ import (
 	"sort"
 )
 
+// prefixSize returns the size of the first entry of [lo, hi)'s range-to-
+// prefix expansion: the largest aligned power-of-two block starting at lo.
+func prefixSize(lo, hi uint32) uint32 {
+	size := lo & -lo
+	if size == 0 { // lo == 0
+		size = 1 << 31
+	}
+	for size > hi-lo {
+		size >>= 1
+	}
+	return size
+}
+
 // PrefixCount returns the number of ternary (prefix) entries required to
 // exactly cover the half-open address range [lo, hi) — the standard
 // range-to-prefix expansion cost of installing a range match in TCAM.
 func PrefixCount(lo, hi uint32) int {
 	n := 0
-	for lo < hi {
-		// Largest aligned power-of-two block starting at lo.
-		size := lo & -lo
-		if size == 0 { // lo == 0
-			size = 1 << 31
-		}
-		for size > hi-lo {
-			size >>= 1
-		}
+	for ; lo < hi; lo += prefixSize(lo, hi) {
 		n++
-		lo += size
+	}
+	return n
+}
+
+// PrefixDiff returns the number of prefix entries that are in exactly one of
+// the two regions' expansions: the entries to delete plus the entries to add
+// when b replaces a in place (the owner is not compared).
+func PrefixDiff(a, b Region) int {
+	n := 0
+	for a.Lo < a.Hi || b.Lo < b.Hi {
+		switch {
+		case b.Lo >= b.Hi || (a.Lo < a.Hi && a.Lo < b.Lo):
+			a.Lo += prefixSize(a.Lo, a.Hi)
+			n++
+		case a.Lo >= a.Hi || b.Lo < a.Lo:
+			b.Lo += prefixSize(b.Lo, b.Hi)
+			n++
+		default: // one base: the same entry if the sizes agree
+			as, bs := prefixSize(a.Lo, a.Hi), prefixSize(b.Lo, b.Hi)
+			if as != bs {
+				n += 2
+			}
+			a.Lo, b.Lo = a.Lo+as, b.Lo+bs
+		}
 	}
 	return n
 }

@@ -285,9 +285,9 @@ func TestCommitCostIndependentOfResidents(t *testing.T) {
 }
 
 // TestInstallGrantFailureCountsTableOps: a grant whose second access does
-// not fit the TCAM is rolled back, and every operation on the way — removing
-// the old grant, the partial install, the rollback — is in the returned
-// count, in Runtime.TableOps and in the telemetry counter alike.
+// not fit the TCAM is rolled back, and every operation on the way — the
+// partial install, the rollback — is in the returned count, in
+// Runtime.TableOps and in the telemetry counter alike.
 func TestInstallGrantFailureCountsTableOps(t *testing.T) {
 	cfg := rmt.DefaultConfig()
 	cfg.StageWords = 4096
@@ -313,8 +313,9 @@ func TestInstallGrantFailureCountsTableOps(t *testing.T) {
 	if err == nil {
 		t.Fatal("oversized region installed")
 	}
-	// Old grant out (6), first access in (1 region + 2 translate), rolled back (3).
-	if want := 6 + 3 + 3; failed != want {
+	// First access moved in place (1 prefix out, 1 in), then everything the
+	// FID holds rolled back (2 regions, 4 translate entries).
+	if want := 2 + 6; failed != want {
 		t.Errorf("failed install = %d ops, want %d", failed, want)
 	}
 	if got, want := r.TableOps, uint64(installed+failed); got != want {

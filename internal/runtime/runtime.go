@@ -186,17 +186,18 @@ func (r *Runtime) setQuarantined(fid uint16, q bool) {
 	r.publish()
 }
 
-// InstallGrant installs (or replaces) the protection and translation entries
-// for a grant, zeroes the granted regions, and admits the FID. It returns
-// the number of table operations performed, the currency of the
-// provisioning-time model (Figure 8a: provisioning is dominated by table
-// updates). A grant that cannot be installed is rolled back: the FID keeps
-// no entries (and, if it was admitted, its old epoch), and the removals and
-// partial installs are counted like any other table operation.
+// InstallGrant brings the protection and translation entries of g's FID to
+// what the grant describes, zeroes the granted regions, and admits the FID
+// under its next epoch. Only entries that differ from what is installed are
+// touched, and the tables end up exactly as a removal followed by a fresh
+// install would leave them. It returns the number of table operations
+// performed, the currency of the provisioning-time model (Figure 8a:
+// provisioning is dominated by table updates). A grant that cannot be
+// installed is rolled back: the FID keeps no entries (and, if it was
+// admitted, its old epoch), and the partial install and the removals are
+// counted like any other table operation.
 func (r *Runtime) InstallGrant(g Grant) (int, error) {
-	ops := r.clearTables(g.FID) // a reinstall replaces the previous entries
-	n, err := r.fillTables(g)
-	ops += n
+	ops, err := r.fillTables(g)
 	if err != nil {
 		ops += r.clearTables(g.FID)
 	} else {
@@ -212,24 +213,36 @@ func (r *Runtime) InstallGrant(g Grant) (int, error) {
 	return ops, err
 }
 
-// fillTables installs g's regions (zeroed) and translation entries, stopping
-// at the first access that does not fit; it returns the operations done.
+// fillTables edits the FID's entries into g's regions (zeroed) and
+// translation entries, stopping at the first access that does not fit; it
+// returns the operations done. A region costs the prefixes its range-to-
+// prefix expansion does not share with the installed one; a translation
+// entry costs one write if it is new or differs, one delete if it is stale.
 func (r *Runtime) fillTables(g Grant) (int, error) {
+	// What the grant wants in each physical stage; the rest is stale.
+	wants := make([]struct {
+		region, xlate bool
+		tr            rmt.Translate
+	}, r.dev.NumStages())
 	ops := 0
 	prevLogical := -1
 	for _, a := range g.Accesses {
 		if a.Lo >= a.Hi {
 			return ops, fmt.Errorf("runtime: empty grant region [%d,%d)", a.Lo, a.Hi)
 		}
-		st := r.dev.Stage(r.dev.PhysicalStage(a.Logical))
+		phys := r.dev.PhysicalStage(a.Logical)
+		st := r.dev.Stage(phys)
 		if !st.Registers.InRange(a.Hi - 1) {
 			return ops, fmt.Errorf("runtime: grant [%d,%d) exceeds stage memory", a.Lo, a.Hi)
 		}
 		region := rmt.Region{FID: g.FID, Lo: a.Lo, Hi: a.Hi}
-		if err := st.Prot.Install(region); err != nil {
-			return ops, err
+		if old, _ := st.Prot.Region(g.FID); old != region {
+			if err := st.Prot.Install(region); err != nil {
+				return ops, err
+			}
+			ops += rmt.PrefixDiff(old, region)
 		}
-		ops += region.Cost()
+		wants[phys].region = true
 		if err := st.Registers.Zero(a.Lo, a.Hi); err != nil {
 			return ops, err
 		}
@@ -238,12 +251,23 @@ func (r *Runtime) fillTables(g Grant) (int, error) {
 		// between the previous access and this one, so any
 		// ADDR_MASK/ADDR_OFFSET the program executes there targets this
 		// access's region (Section 3.2).
-		tr := translateFor(a)
 		for l := prevLogical + 1; l < a.Logical; l++ {
-			r.dev.Stage(r.dev.PhysicalStage(l)).SetTranslate(g.FID, tr)
-			ops++
+			w := &wants[r.dev.PhysicalStage(l)]
+			w.xlate, w.tr = true, translateFor(a)
 		}
 		prevLogical = a.Logical
+	}
+	for s, w := range wants {
+		st := r.dev.Stage(s)
+		if !w.region {
+			ops += st.Prot.Remove(g.FID)
+		}
+		if cur, ok := st.TranslateFor(g.FID); !w.xlate {
+			ops += st.ClearTranslate(g.FID)
+		} else if !ok || cur != w.tr {
+			st.SetTranslate(g.FID, w.tr)
+			ops++
+		}
 	}
 	return ops, nil
 }

@@ -624,11 +624,13 @@ func (c *Controller) runSweep() {
 			rec.TableOps += c.rt.RemoveGrant(fid)
 			c.sw.cache.Invalidate(fid)
 			evicted = append(evicted, fid)
-			continue
+		} else {
+			affected[fid] = true
 		}
-		affected[fid] = true
-		for _, pl := range res.Reallocated {
-			affected[pl.FID] = true
+		if res != nil { // neighbors move into an evicted victim's space too
+			for _, pl := range res.Reallocated {
+				affected[pl.FID] = true
+			}
 		}
 	}
 	for _, q := range unowned {

@@ -48,7 +48,6 @@ var reachAllow = map[string]string{
 	// Observation accessors read by tests other than their own unit test.
 	"internal/runtime.Runtime.PlanCompiles":      "accessor: runtime and guard tests count plan compilations",
 	"internal/rmt.RegisterArray.Read":            "accessor: rmt, runtime and switchd tests read switch memory",
-	"internal/rmt.Stage.TranslateFor":            "accessor: rmt and runtime tests read translate entries",
 	"internal/rmt.TCAM.Lookup":                   "accessor: rmt and runtime tests probe protection ranges",
 	"internal/rmt.TCAM.Used":                     "accessor: rmt and runtime tests balance TCAM accounting",
 	"internal/telemetry.FlightRecorder.Recorded": "accessor: runtime and telemetry tests",
