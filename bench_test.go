@@ -321,7 +321,7 @@ func BenchmarkMutantEnumeration(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if alloc.CountMutants(bounds, 20) == 0 {
+		if len(alloc.EnumerateMutants(bounds, 20)) == 0 {
 			b.Fatal("no mutants")
 		}
 	}

@@ -57,12 +57,11 @@ func main() {
 		cons, err := compiler.Extract(p, *elastic, nil)
 		die(err)
 		for _, pol := range []alloc.Policy{alloc.MostConstrained, alloc.LeastConstrained} {
-			b, err := alloc.ComputeBounds(cons, pol, 20, 10, 2)
+			ms, _, err := alloc.DefaultShape().Mutants(cons, pol)
 			if err != nil {
 				fmt.Printf("%s: infeasible (%v)\n", pol, err)
 				continue
 			}
-			ms := alloc.EnumerateMutants(b, 20)
 			fmt.Printf("%s: %d mutants\n", pol, len(ms))
 			for i, m := range ms {
 				if i >= *n {
@@ -149,13 +148,13 @@ func printInfo(p *isa.Program, elastic bool) {
 	cons, err := compiler.Extract(p, elastic, nil)
 	die(err)
 	for _, pol := range []alloc.Policy{alloc.MostConstrained, alloc.LeastConstrained} {
-		b, err := alloc.ComputeBounds(cons, pol, 20, 10, 2)
+		ms, b, err := alloc.DefaultShape().Mutants(cons, pol)
 		if err != nil {
 			fmt.Printf("%-18s infeasible: %v\n", pol.String()+":", err)
 			continue
 		}
 		fmt.Printf("%-18s LB=%v UB=%v gaps=%v mutants=%d\n",
-			pol.String()+":", b.LB, b.UB, b.Gap, alloc.CountMutants(b, 20))
+			pol.String()+":", b.LB, b.UB, b.Gap, len(ms))
 	}
 }
 

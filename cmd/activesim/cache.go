@@ -90,7 +90,7 @@ func runCache(o *options) error {
 		if o.chaos == "corrupted-memory" {
 			// Target the stage the cache actually lives in, so the bit
 			// flips land on live application state.
-			stage := pl.Accesses[0].Logical % 20
+			stage := pl.Accesses[0].Physical
 			sc = chaos.CorruptedMemory(stage, 24, 100*time.Millisecond, 300*time.Millisecond, o.seed)
 		} else if sc, err = chaos.Build(o.chaos, []*netsim.Port{cl.Port()}, o.seed); err != nil {
 			return err

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -179,16 +180,15 @@ func TestEnumerateMutantsCacheMostConstrained(t *testing.T) {
 			t.Errorf("invalid mutant %v", m)
 		}
 	}
-	if CountMutants(b, 20) != 10 {
-		t.Error("CountMutants disagrees")
+	if viaShape, _, err := DefaultShape().Mutants(cacheCons(), MostConstrained); err != nil || !reflect.DeepEqual(viaShape, ms) {
+		t.Errorf("Shape.Mutants disagrees: %v, %v", viaShape, err)
 	}
 }
 
 func TestEnumerateMutantsLCLargerThanMC(t *testing.T) {
-	bMC, _ := ComputeBounds(cacheCons(), MostConstrained, 20, 10, 2)
-	bLC, _ := ComputeBounds(cacheCons(), LeastConstrained, 20, 10, 2)
-	nMC := CountMutants(bMC, 20)
-	nLC := CountMutants(bLC, 20)
+	mc, _, _ := DefaultShape().Mutants(cacheCons(), MostConstrained)
+	lc, _, _ := DefaultShape().Mutants(cacheCons(), LeastConstrained)
+	nMC, nLC := len(mc), len(lc)
 	if nLC <= nMC*10 {
 		t.Errorf("LC mutants (%d) should vastly exceed MC (%d)", nLC, nMC)
 	}
@@ -197,7 +197,7 @@ func TestEnumerateMutantsLCLargerThanMC(t *testing.T) {
 func TestEnumerateMutantsPhysicalCollision(t *testing.T) {
 	// Two accesses 20 logical stages apart would share a physical stage.
 	b := &Bounds{LB: []int{0, 20}, UB: []int{0, 20}, Gap: []int{1, 20}, MaxStages: 40}
-	if got := CountMutants(b, 20); got != 0 {
+	if got := len(EnumerateMutants(b, 20)); got != 0 {
 		t.Errorf("colliding mutants = %d, want 0", got)
 	}
 }
@@ -657,8 +657,8 @@ func TestPlacementForMissing(t *testing.T) {
 func TestNewRejectsBadConfig(t *testing.T) {
 	for _, cfg := range []Config{
 		{},
-		{NumStages: 20, StageWords: 10, BlockWords: 0},
-		{NumStages: 20, StageWords: 10, BlockWords: 100},
+		{Shape: DefaultShape(), StageWords: 10, BlockWords: 0},
+		{Shape: DefaultShape(), StageWords: 10, BlockWords: 100},
 	} {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("bad config accepted: %+v", cfg)

@@ -42,11 +42,9 @@ func (s Scheme) String() string {
 
 // Config parametrizes an Allocator.
 type Config struct {
-	NumStages  int
-	NumIngress int
+	Shape
 	StageWords int // register words per stage
 	BlockWords int // words per allocation block (granularity)
-	MaxPasses  int // pass budget under the least-constrained policy
 	// MaxRegionsPerStage caps the protected regions per stage, modeling
 	// the TCAM bottleneck; 0 disables the cap.
 	MaxRegionsPerStage int
@@ -59,11 +57,9 @@ type Config struct {
 // most-constrained.
 func DefaultConfig() Config {
 	return Config{
-		NumStages:          20,
-		NumIngress:         10,
+		Shape:              DefaultShape(),
 		StageWords:         94208,
 		BlockWords:         256,
-		MaxPasses:          2,
 		MaxRegionsPerStage: 192,
 		Policy:             MostConstrained,
 		Scheme:             WorstFit,
@@ -90,10 +86,9 @@ func (c Config) BlocksPerStage() int { return c.StageWords / c.BlockWords }
 // appGroup is a set of accesses that must receive identical block ranges
 // (alignment group), placed across a set of distinct physical stages.
 type appGroup struct {
-	id      int
-	demand  int   // blocks; 0 = elastic
-	stages  []int // physical stages, access order
-	logical []int // logical stages, access order
+	id     int
+	demand int   // blocks; 0 = elastic
+	stages []int // physical stages, access order
 }
 
 // App is one admitted application instance.
@@ -131,16 +126,20 @@ type WordRange struct {
 	Lo, Hi uint32
 }
 
-// AccessPlacement locates one access: its logical stage and word region.
+// AccessPlacement locates one access: its logical stage, the physical stage
+// that maps to under the pipeline shape (Shape.Physical), and its word region.
 type AccessPlacement struct {
-	Logical int
-	Range   WordRange
+	Logical  int
+	Physical int
+	Range    WordRange
 }
 
 // Placement is the materialized allocation of one application: what an
-// allocation-response packet carries.
+// allocation-response packet carries. MutantIdx indexes Policy's enumeration
+// (Shape.Mutants).
 type Placement struct {
 	FID       uint16
+	Policy    Policy
 	MutantIdx int
 	Mutant    Mutant
 	Accesses  []AccessPlacement
@@ -244,7 +243,6 @@ func buildGroups(cons *Constraints, mut Mutant, numStages int) []appGroup {
 			g.demand = acc.Demand
 		}
 		g.stages = append(g.stages, mut[i]%numStages)
-		g.logical = append(g.logical, mut[i])
 	}
 	out := make([]appGroup, 0, len(order))
 	for _, id := range order {
@@ -434,11 +432,10 @@ func (a *Allocator) Allocate(fid uint16, cons *Constraints) (*Result, error) {
 			}
 		}
 	}
-	bounds, err := ComputeBounds(cons, a.cfg.Policy, a.cfg.NumStages, a.cfg.NumIngress, a.cfg.MaxPasses)
+	mutants, _, err := a.cfg.Mutants(cons, a.cfg.Policy)
 	if err != nil {
 		return &Result{Failed: true, Reason: "infeasible-constraints"}, nil
 	}
-	mutants := EnumerateMutants(bounds, a.cfg.NumStages)
 	st := a.census()
 
 	sigs := a.elasticSignatures()
@@ -937,13 +934,13 @@ func regionsEqual(x map[int]BlockRange, y map[int]BlockRange) bool {
 
 // placementFor materializes an app's word-level placement.
 func (a *Allocator) placementFor(app *App) *Placement {
-	p := &Placement{FID: app.FID, MutantIdx: app.MutantIdx, Mutant: app.Mut.clone()}
-	for i := range app.Cons.Accesses {
-		logical := app.Mut[i]
-		s := logical % a.cfg.NumStages
+	p := &Placement{FID: app.FID, Policy: a.cfg.Policy, MutantIdx: app.MutantIdx, Mutant: app.Mut.clone()}
+	for _, logical := range app.Mut {
+		s := a.cfg.Physical(logical)
 		r := app.regions[s]
 		p.Accesses = append(p.Accesses, AccessPlacement{
-			Logical: logical,
+			Logical:  logical,
+			Physical: s,
 			Range: WordRange{
 				Lo: uint32(r.Lo * a.cfg.BlockWords),
 				Hi: uint32(r.Hi * a.cfg.BlockWords),

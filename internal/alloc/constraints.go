@@ -83,46 +83,6 @@ func (c *Constraints) Validate() error {
 	return nil
 }
 
-// ToRequest converts the constraints to the wire request format.
-func (c *Constraints) ToRequest() (*packet.AllocRequest, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	r := &packet.AllocRequest{
-		ProgLen:    uint8(c.ProgLen),
-		IngressIdx: int8(c.IngressIdx),
-		Elastic:    c.Elastic,
-	}
-	for _, a := range c.Accesses {
-		r.Accesses = append(r.Accesses, packet.AccessReq{
-			Index:      uint8(a.Index),
-			Demand:     uint8(a.Demand),
-			AlignGroup: uint8(a.AlignGroup),
-		})
-	}
-	return r, nil
-}
-
-// FromRequest reconstructs constraints from a wire request.
-func FromRequest(r *packet.AllocRequest) (*Constraints, error) {
-	c := &Constraints{
-		ProgLen:    int(r.ProgLen),
-		IngressIdx: int(r.IngressIdx),
-		Elastic:    r.Elastic,
-	}
-	for _, a := range r.Accesses {
-		c.Accesses = append(c.Accesses, Access{
-			Index:      int(a.Index),
-			Demand:     int(a.Demand),
-			AlignGroup: int(a.AlignGroup),
-		})
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // Bounds computes the feasibility-region bounds of Section 4.2: for each
 // access, the lower bound LB (an access can only move to a later stage), the
 // minimum gap to the previous access (gaps can only grow), and the upper
@@ -186,13 +146,6 @@ func ComputeBounds(c *Constraints, pol Policy, numStages, numIngress, maxPasses 
 	for i := last - 1; i >= 0; i-- {
 		if ub := b.UB[i+1] - b.Gap[i+1]; ub < b.UB[i] {
 			b.UB[i] = ub
-		}
-	}
-	// Forward-propagate lower bounds (defensive; LB is already monotone
-	// for well-formed constraints).
-	for i := 1; i < m; i++ {
-		if lb := b.LB[i-1] + b.Gap[i]; lb > b.LB[i] {
-			b.LB[i] = lb
 		}
 	}
 	for i := range b.LB {

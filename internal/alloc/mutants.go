@@ -1,5 +1,37 @@
 package alloc
 
+import "activermt/internal/packet"
+
+// Shape is the pipeline shape of the switch↔client contract (Section 3.3):
+// both sides enumerate the same mutants in the same order only over the same
+// shape, so the allocator's Config embeds it and a client compiles against a
+// copy.
+type Shape struct {
+	NumStages  int
+	NumIngress int
+	MaxPasses  int // pass budget under the least-constrained policy
+}
+
+// DefaultShape is the paper's switch: 20 stages, 10 ingress, one recirculation.
+func DefaultShape() Shape {
+	return Shape{NumStages: packet.NumStages, NumIngress: packet.NumStages / 2, MaxPasses: 2}
+}
+
+// Physical maps a logical stage (or instruction slot) to the physical stage
+// it executes in: passes wrap around the pipeline.
+func (s Shape) Physical(logical int) int { return logical % s.NumStages }
+
+// Mutants is the shared enumeration — the feasibility region of c under pol,
+// in the order allocation responses index — and the bounds it was made from.
+// Allocator, client and tools all enumerate here.
+func (s Shape) Mutants(c *Constraints, pol Policy) ([]Mutant, *Bounds, error) {
+	b, err := ComputeBounds(c, pol, s.NumStages, s.NumIngress, s.MaxPasses)
+	if err != nil {
+		return nil, nil, err
+	}
+	return EnumerateMutants(b, s.NumStages), b, nil
+}
+
 // Mutant is one placement of a program's memory accesses: the logical stage
 // each access executes in. Mutants are semantically identical programs that
 // differ only in inserted NOPs (Section 4.1, Figure 4).
@@ -65,10 +97,4 @@ func collides(prefix []int, v, numStages int) bool {
 		}
 	}
 	return false
-}
-
-// CountMutants returns the size of the feasibility region (the paper quotes
-// these counts in Section 6.1).
-func CountMutants(b *Bounds, numStages int) int {
-	return len(EnumerateMutants(b, numStages))
 }

@@ -90,12 +90,11 @@ func (a *Allocator) Readmit(fid uint16, cons *Constraints) (*Result, error) {
 		evict()
 		return nil, fmt.Errorf("alloc: fid %d readmitted stateless against recovered regions", fid)
 	}
-	bounds, err := ComputeBounds(cons, a.cfg.Policy, a.cfg.NumStages, a.cfg.NumIngress, a.cfg.MaxPasses)
+	mutants, _, err := a.cfg.Mutants(cons, a.cfg.Policy)
 	if err != nil {
 		evict()
 		return &Result{Failed: true, Reason: "infeasible-constraints"}, nil
 	}
-	mutants := EnumerateMutants(bounds, a.cfg.NumStages)
 	match := a.matchMutant(cons, mutants, app.regions)
 	if match < 0 {
 		// No mutant projects onto the installed stages: re-place from

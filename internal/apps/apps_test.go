@@ -227,11 +227,11 @@ func TestHHExactlyOneMCMutant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := alloc.ComputeBounds(cons, alloc.MostConstrained, 20, 10, 2)
+	ms, _, err := alloc.DefaultShape().Mutants(cons, alloc.MostConstrained)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := alloc.CountMutants(b, 20); n != 1 {
+	if n := len(ms); n != 1 {
 		t.Errorf("hh mc mutants = %d, want 1 (as the paper reports)", n)
 	}
 }

@@ -114,8 +114,7 @@ func (h *HeavyHitter) HotKeys() ([]KVMsg, error) {
 	if pl == nil || h.SnapshotFn == nil {
 		return nil, nil
 	}
-	n := h.Client.Pipeline.NumStages
-	keyStage := pl.Accesses[2].Logical % n
+	keyStage := pl.Accesses[2].Physical
 	words, err := h.SnapshotFn(h.Client.FID(), keyStage)
 	if err != nil {
 		return nil, err
@@ -132,7 +131,7 @@ func (h *HeavyHitter) HotKeys() ([]KVMsg, error) {
 		}
 	}
 	// Rank by the row-1 sketch count.
-	row1Stage := pl.Accesses[0].Logical % n
+	row1Stage := pl.Accesses[0].Physical
 	row1, err := h.SnapshotFn(h.Client.FID(), row1Stage)
 	if err == nil {
 		mask := maskFor(len(row1))

@@ -11,7 +11,7 @@ package client
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"activermt/internal/alloc"
@@ -77,7 +77,9 @@ type Service struct {
 }
 
 // Constraints derives the service's allocation constraints from its main
-// template and verifies all templates share the access skeleton.
+// template and verifies all templates share the access skeleton. A client
+// does this once (New); what may change between two of its requests is
+// re-read by demands.
 func (s *Service) Constraints() (*alloc.Constraints, error) {
 	main, ok := s.Templates[s.Main]
 	if !ok {
@@ -92,44 +94,33 @@ func (s *Service) Constraints() (*alloc.Constraints, error) {
 	for n := range s.Templates {
 		names = append(names, n)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	for _, n := range names {
 		p := s.Templates[n]
-		got := p.MemoryAccessIndices()
-		if len(got) != len(want) {
-			return nil, fmt.Errorf("client: template %q has %d accesses, main has %d", n, len(got), len(want))
+		if got := p.MemoryAccessIndices(); !slices.Equal(got, want) {
+			return nil, fmt.Errorf("client: template %q accesses at %v, main's at %v", n, got, want)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				return nil, fmt.Errorf("client: template %q access %d at %d, main at %d", n, i, got[i], want[i])
-			}
-		}
-		if p.Len() > cons.ProgLen {
-			cons.ProgLen = p.Len()
-		}
-		if ing := p.IngressOnlyIndices(); len(ing) > 0 && ing[len(ing)-1] > cons.IngressIdx {
-			cons.IngressIdx = ing[len(ing)-1]
+		cons.ProgLen = max(cons.ProgLen, p.Len())
+		if ing := p.IngressOnlyIndices(); len(ing) > 0 {
+			cons.IngressIdx = max(cons.IngressIdx, ing[len(ing)-1])
 		}
 	}
 	return cons, nil
 }
 
-// PolicyBitLC aliases the wire-format policy bit (Section 3.3).
-const PolicyBitLC = packet.PolicyBitLC
-
-// Pipeline describes the switch pipeline shape the client compiles against;
-// it must match the switch configuration for the shared mutant enumeration
-// to agree.
-type Pipeline struct {
-	NumStages  int
-	NumIngress int
-	MaxPasses  int
+// demands re-reads into cons what a service may change between two requests
+// — elasticity and the per-access demands (fabric placement halves its ask on
+// rejection); the templates, and so the skeleton, do not change.
+func (s *Service) demands(cons *alloc.Constraints) {
+	cons.Elastic = s.Elastic
+	for i, sp := range s.Specs {
+		cons.Accesses[i].Demand, cons.Accesses[i].AlignGroup = sp.Demand, sp.AlignGroup
+	}
 }
 
-// DefaultPipeline matches the paper's 20-stage switch.
-func DefaultPipeline() Pipeline {
-	return Pipeline{NumStages: packet.NumStages, NumIngress: packet.NumStages / 2, MaxPasses: 2}
-}
+// Pipeline is the switch pipeline shape the client compiles against; it must
+// equal the switch's for the shared mutant enumeration to agree.
+type Pipeline = alloc.Shape
 
 // mutant is one template synthesized for a placement, and the frame that
 // carries it as packet.EncodeFrame renders it with no payload: SendProgram
@@ -153,14 +144,8 @@ type Client struct {
 
 	// RetryAfter is the initial interval for rearming unanswered allocation
 	// requests (the shim polls the controller; requests and responses can
-	// be lost). Zero disables retries.
+	// be lost); it doubles after each retry up to 16x. Zero disables retries.
 	RetryAfter time.Duration
-	// RetryBackoff multiplies the interval after each retry; values < 1
-	// (including the zero value) fall back to the default factor of 2.
-	// Set to exactly 1 for fixed-interval retries.
-	RetryBackoff float64
-	// RetryCap bounds the backed-off interval; zero means 16x RetryAfter.
-	RetryCap time.Duration
 	// ReallocTimeout bounds the memory-management window: a client stuck
 	// waiting for the reactivation notice (lost notice, crashed controller)
 	// re-enters negotiation after this long. Re-requesting is safe — the
@@ -180,17 +165,15 @@ type Client struct {
 	rx    packet.Frame
 	rxAct packet.Active
 
-	// cons is the constraints of the latest allocation request (derived on
-	// first use by a client that never asked), mutants the shared mutant
-	// enumeration per policy bit: every grant and reallocation notice is
-	// read against them, and neither depends on the grant. A service's
-	// demands may change between requests, its templates — all the
-	// enumeration depends on — do not. Pipeline is assigned after New, so
-	// the enumeration remembers the value it was made under (mutantsFor)
-	// and is redone when that changes.
-	cons       *alloc.Constraints
-	mutants    [2][]alloc.Mutant
-	mutantsFor Pipeline
+	// cons is the service's constraints — skeleton checked and extracted
+	// once by New (consErr if that failed), demands as of the latest
+	// request — and mutants the shared enumeration, memoised per policy and
+	// Pipeline value (Pipeline is assigned after New): every grant and
+	// reallocation notice is read against them, and the enumeration depends
+	// on nothing a request or grant changes.
+	cons    *alloc.Constraints
+	consErr error
+	mutants map[enumKey][]alloc.Mutant
 
 	// grantEpoch is the switch-issued epoch of the current grant, echoed on
 	// every program capsule so the guard can authenticate the FID claim.
@@ -222,27 +205,41 @@ type Client struct {
 	rng      *rand.Rand
 }
 
-// retryJitterFrac randomizes each retry interval by +/-10% so clients that
-// start together do not retry in lockstep.
-const retryJitterFrac = 0.1
+// enumKey names one shared enumeration of a client's skeleton.
+type enumKey struct {
+	shape  Pipeline
+	policy alloc.Policy
+}
+
+// Retry policy: the interval doubles after each retry up to 16x RetryAfter,
+// each randomized by +/-10% so clients that start together do not retry in
+// lockstep.
+const (
+	retryBackoff    = 2
+	retryCapFactor  = 16
+	retryJitterFrac = 0.1
+)
 
 // New builds a client for fid running svc.
 func New(eng *netsim.Engine, fid uint16, mac, switchMAC packet.MAC, svc *Service) *Client {
 	if svc.Main == "" {
 		svc.Main = "main"
 	}
-	return &Client{
+	c := &Client{
 		eng:       eng,
 		mac:       mac,
 		switchMAC: switchMAC,
 		fid:       fid,
 		svc:       svc,
-		Pipeline:  DefaultPipeline(),
+		Pipeline:  alloc.DefaultShape(),
 		progs:     map[string]mutant{},
+		mutants:   map[enumKey][]alloc.Mutant{},
 		// Deterministic per-FID jitter source: same topology, same seed,
 		// same retry trace.
 		rng: rand.New(rand.NewSource(int64(fid)*2654435761 + 1)),
 	}
+	c.cons, c.consErr = svc.Constraints()
+	return c
 }
 
 // Attach wires the client's NIC port.
@@ -282,12 +279,11 @@ func (c *Client) Epoch() uint8 { return c.grantEpoch }
 // RequestAllocation sends the allocation request derived from the service's
 // constraints, retrying while unanswered if RetryAfter is set.
 func (c *Client) RequestAllocation() error {
-	cons, err := c.svc.Constraints()
-	if err != nil {
-		return err
+	if c.consErr != nil {
+		return c.consErr
 	}
-	c.cons = cons
-	req, err := cons.ToRequest()
+	c.svc.demands(c.cons)
+	req, err := c.cons.ToRequest()
 	if err != nil {
 		return err
 	}
@@ -298,14 +294,6 @@ func (c *Client) RequestAllocation() error {
 	c.PhaseRetries = 0
 	if c.RetryAfter > 0 {
 		epoch := c.reqEpoch
-		factor := c.RetryBackoff
-		if factor < 1 {
-			factor = 2
-		}
-		limit := c.RetryCap
-		if limit <= 0 {
-			limit = 16 * c.RetryAfter
-		}
 		interval := c.RetryAfter
 		var rearm func()
 		rearm = func() {
@@ -320,11 +308,7 @@ func (c *Client) RequestAllocation() error {
 				c.Retries++
 				c.PhaseRetries++
 				_ = c.sendControl(a)
-				if next := time.Duration(float64(interval) * factor); next < limit {
-					interval = next
-				} else {
-					interval = limit
-				}
+				interval = min(retryBackoff*interval, retryCapFactor*c.RetryAfter)
 				rearm()
 			})
 		}
@@ -501,93 +485,30 @@ func (c *Client) deliver(f *packet.Frame) {
 	}
 }
 
-// placementFromResponse reconstructs the placement from the wire response
-// using the shared mutant enumeration (Section 3.3: the response names the
-// mutant by index; grants are per physical stage).
-func (c *Client) placementFromResponse(resp *packet.AllocResponse) (*alloc.Placement, error) {
-	cons, err := c.constraints()
-	if err != nil {
-		return nil, err
+// decode reads an allocation response or reallocation notice against the
+// client's side of the contract (alloc.FromResponse): its constraints, its
+// pipeline shape and the shared enumeration, made exactly as the switch makes
+// it, once per policy and shape.
+func (c *Client) decode(resp *packet.AllocResponse) (*alloc.Placement, uint8, error) {
+	if c.consErr != nil {
+		return nil, 0, c.consErr
 	}
-	// Stages with non-empty grants, ascending, are the access stages of
-	// the selected mutant's physical projection; logical stages come from
-	// re-enumerating the shared order.
-	pl := &alloc.Placement{FID: c.fid, MutantIdx: int(resp.MutantIndex & packet.MutantIndexMask)}
-	if len(cons.Accesses) == 0 {
-		return pl, nil // stateless service: nothing granted, nothing to map
-	}
-	mutant, err := c.mutantByIndex(cons, int(resp.MutantIndex))
-	if err != nil {
-		return nil, err
-	}
-	pl.Mutant = mutant
-	for i := range cons.Accesses {
-		logical := mutant[i]
-		phys := logical % c.Pipeline.NumStages
-		g := resp.Grants[phys]
-		if g.Empty() {
-			return nil, fmt.Errorf("client: empty grant for access %d (stage %d)", i, phys)
+	return alloc.FromResponse(c.fid, resp, c.cons, c.Pipeline, func(pol alloc.Policy) (ms []alloc.Mutant, err error) {
+		key := enumKey{c.Pipeline, pol}
+		if ms = c.mutants[key]; ms == nil {
+			ms, _, err = c.Pipeline.Mutants(c.cons, pol)
+			c.mutants[key] = ms
 		}
-		pl.Accesses = append(pl.Accesses, alloc.AccessPlacement{
-			Logical: logical,
-			Range:   alloc.WordRange{Lo: g.Start, Hi: g.End},
-		})
-	}
-	return pl, nil
-}
-
-// constraints returns the constraints the current grant answers.
-func (c *Client) constraints() (*alloc.Constraints, error) {
-	if c.cons == nil {
-		cons, err := c.svc.Constraints()
-		if err != nil {
-			return nil, err
-		}
-		c.cons = cons
-	}
-	return c.cons, nil
-}
-
-// mutantByIndex enumerates the feasibility region exactly as the switch
-// does (once per policy and pipeline shape) and picks the named mutant. The
-// response's index encodes the policy in its top bit (PolicyBitLC), so both
-// sides enumerate the same order. Placements share the returned mutant:
-// nothing writes to one.
-func (c *Client) mutantByIndex(cons *alloc.Constraints, idx int) (alloc.Mutant, error) {
-	pol, memo := alloc.MostConstrained, &c.mutants[0]
-	if uint32(idx)&PolicyBitLC != 0 {
-		pol, memo = alloc.LeastConstrained, &c.mutants[1]
-	}
-	// Strip the policy bit and the grant-epoch bits: only the low bits name
-	// the mutant in the shared enumeration order.
-	idx = int(uint32(idx) & packet.MutantIndexMask)
-	if c.mutantsFor != c.Pipeline {
-		c.mutants, c.mutantsFor = [2][]alloc.Mutant{}, c.Pipeline
-	}
-	if *memo == nil {
-		b, err := alloc.ComputeBounds(cons, pol, c.Pipeline.NumStages, c.Pipeline.NumIngress, c.Pipeline.MaxPasses)
-		if err != nil {
-			return nil, err
-		}
-		*memo = alloc.EnumerateMutants(b, c.Pipeline.NumStages)
-	}
-	ms := *memo
-	if idx >= len(ms) {
-		return nil, fmt.Errorf("client: mutant index %d out of range (%d mutants)", idx, len(ms))
-	}
-	return ms[idx], nil
+		return ms, err
+	})
 }
 
 func (c *Client) applyAllocation(resp *packet.AllocResponse) {
-	pl, err := c.placementFromResponse(resp)
-	if err != nil {
-		c.state = Idle
-		if c.svc.OnFailed != nil {
-			c.svc.OnFailed(c)
-		}
-		return
+	pl, epoch, err := c.decode(resp)
+	if err == nil {
+		err = c.link(pl)
 	}
-	if err := c.synthesizeAll(pl); err != nil {
+	if err != nil {
 		c.state = Idle
 		if c.svc.OnFailed != nil {
 			c.svc.OnFailed(c)
@@ -595,7 +516,7 @@ func (c *Client) applyAllocation(resp *packet.AllocResponse) {
 		return
 	}
 	c.placement = pl
-	c.grantEpoch = packet.EpochOf(resp.MutantIndex)
+	c.grantEpoch = epoch
 	c.pendingEpoch = 0
 	c.state = Operational
 	if c.svc.OnOperational != nil {
@@ -607,10 +528,11 @@ func (c *Client) beginRealloc(resp *packet.AllocResponse) {
 	c.Reallocations++
 	c.state = MemMgmt
 	c.mmEpoch++
+	newPl, announced, err := c.decode(resp)
 	// The notice precedes the table update: keep stamping the old epoch
 	// (FlagMemSync extraction runs against the old grant) and switch when
 	// the reactivation notice arrives.
-	c.pendingEpoch = packet.EpochOf(resp.MutantIndex)
+	c.pendingEpoch = announced
 	if c.ReallocTimeout > 0 {
 		epoch := c.mmEpoch
 		c.eng.Schedule(c.ReallocTimeout, func() {
@@ -624,7 +546,6 @@ func (c *Client) beginRealloc(resp *packet.AllocResponse) {
 			_ = c.RequestAllocation()
 		})
 	}
-	newPl, err := c.placementFromResponse(resp)
 	if err != nil {
 		// Cannot interpret the new placement: release the switch anyway.
 		c.sendSnapDone()
@@ -634,7 +555,7 @@ func (c *Client) beginRealloc(resp *packet.AllocResponse) {
 	finish := func() {
 		// Regions move but the mutant is unchanged; re-link programs for
 		// the new regions and signal the controller.
-		if err := c.synthesizeAll(newPl); err == nil {
+		if err := c.link(newPl); err == nil {
 			c.placement = newPl
 		}
 		c.sendSnapDone()
@@ -646,23 +567,15 @@ func (c *Client) beginRealloc(resp *packet.AllocResponse) {
 	}
 }
 
-// synthesizeAll builds every template's mutant for the placement and renders
-// the frame that carries it.
-func (c *Client) synthesizeAll(pl *alloc.Placement) error {
-	progs := map[string]mutant{}
-	names := make([]string, 0, len(c.svc.Templates))
-	for n := range c.svc.Templates {
-		names = append(names, n)
+// link synthesizes every template's mutant for the placement and renders the
+// frame that carries it.
+func (c *Client) link(pl *alloc.Placement) error {
+	linked, err := compiler.Link(c.svc.Templates, pl)
+	if err != nil {
+		return err
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		p, err := compiler.SynthesizeForPlacement(c.svc.Templates[n], pl)
-		if err != nil {
-			return err
-		}
-		if err := compiler.Verify(p, pl); err != nil {
-			return err
-		}
+	progs := make(map[string]mutant, len(linked))
+	for n, p := range linked {
 		a := packet.Active{Header: packet.ActiveHeader{FID: c.fid}, Program: p}
 		a.Header.SetType(packet.TypeProgram)
 		wire, err := packet.EncodeFrame(&packet.Frame{

@@ -1,8 +1,6 @@
 package client
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -149,11 +147,10 @@ func respond(t *testing.T, cl *Client, eng *netsim.Engine, cap *capture, mutantI
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := alloc.ComputeBounds(cons, alloc.MostConstrained, 20, 10, 2)
+	ms, _, err := alloc.DefaultShape().Mutants(cons, alloc.MostConstrained)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := alloc.EnumerateMutants(b, 20)
 	resp := &packet.AllocResponse{MutantIndex: uint32(mutantIdx)}
 	for _, logical := range ms[mutantIdx] {
 		resp.Grants[logical%20] = packet.StageGrant{Start: lo, End: hi}
@@ -197,32 +194,6 @@ func TestAllocationResponseSynthesizesMutant(t *testing.T) {
 		if qa[i] != wa[i] || qa[i] != pl.Mutant[i] {
 			t.Errorf("access %d: query %d write %d mutant %d", i, qa[i], wa[i], pl.Mutant[i])
 		}
-	}
-}
-
-// TestEmptyGrantNamesPipelineStage: on the 19-stage merged-L2 pipeline
-// (runtime.ExtendedForwardingConfig) a second-pass access's physical stage is
-// logical mod 19; the empty-grant error must name that stage, not mod 20.
-func TestEmptyGrantNamesPipelineStage(t *testing.T) {
-	cl, _, _ := newTestClient(t, cacheService())
-	cl.Pipeline = Pipeline{NumStages: 19, NumIngress: 9, MaxPasses: 2}
-	cons, err := cl.constraints()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for idx := uint32(0); ; idx++ {
-		m, err := cl.mutantByIndex(cons, int(idx|PolicyBitLC))
-		if err != nil {
-			t.Fatalf("no second-pass mutant in the 19-stage enumeration: %v", err)
-		}
-		if m[0] < 19 {
-			continue
-		}
-		_, err = cl.placementFromResponse(&packet.AllocResponse{MutantIndex: idx | PolicyBitLC})
-		if want := fmt.Sprintf("access 0 (stage %d)", m[0]%19); err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("mutant %v: err = %v, want it to name %q", m, err, want)
-		}
-		return
 	}
 }
 
@@ -527,16 +498,14 @@ func TestRetryBackoffGrowsAndCaps(t *testing.T) {
 	_, cp := netsim.Connect(eng, tc, 0, cl, 0, 0, 0)
 	cl.Attach(cp)
 	cl.RetryAfter = 10 * time.Millisecond
-	cl.RetryBackoff = 2
-	cl.RetryCap = 40 * time.Millisecond
 	if err := cl.RequestAllocation(); err != nil {
 		t.Fatal(err)
 	}
-	eng.RunUntil(500 * time.Millisecond)
-	if len(tc.times) < 4 {
+	eng.RunUntil(1200 * time.Millisecond)
+	if len(tc.times) < 8 {
 		t.Fatalf("requests = %d, want retries", len(tc.times))
 	}
-	// Gaps grow geometrically (10, 20, 40) then cap at 40ms; jitter is
+	// Gaps double (10, 20, 40, 80) then cap at 16x = 160ms; jitter is
 	// +/-10%, so bound each gap loosely.
 	gaps := make([]time.Duration, 0, len(tc.times)-1)
 	for i := 1; i < len(tc.times); i++ {
@@ -547,12 +516,13 @@ func TestRetryBackoffGrowsAndCaps(t *testing.T) {
 		hi := want + want/5
 		return g >= lo && g <= hi
 	}
-	if !within(gaps[0], 10*time.Millisecond) || !within(gaps[1], 20*time.Millisecond) {
-		t.Errorf("early gaps = %v, want ~10ms then ~20ms", gaps[:2])
-	}
-	for i, g := range gaps[2:] {
-		if !within(g, 40*time.Millisecond) {
-			t.Errorf("gap %d = %v, want capped at ~40ms", i+2, g)
+	for i, g := range gaps {
+		want := 160 * time.Millisecond
+		if i < 4 {
+			want = 10 * time.Millisecond << i
+		}
+		if !within(g, want) {
+			t.Errorf("gap %d = %v, want ~%v (x2 growth, capped at 16x)", i, g, want)
 		}
 	}
 	if cl.PhaseRetries != cl.Retries {
@@ -585,11 +555,10 @@ func TestReallocTimeoutEscapesStuckWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := alloc.ComputeBounds(cons, alloc.MostConstrained, 20, 10, 2)
+	ms, _, err := alloc.DefaultShape().Mutants(cons, alloc.MostConstrained)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := alloc.EnumerateMutants(b, 20)
 	resp := &packet.AllocResponse{MutantIndex: 0}
 	for _, logical := range ms[0] {
 		resp.Grants[logical%20] = packet.StageGrant{Start: 512, End: 1024}
@@ -629,14 +598,14 @@ func TestReallocTimeoutEscapesStuckWindow(t *testing.T) {
 // TestGrantMemoFollowsPipelineAndRequest: the mutant list is enumerated once
 // per (policy bit, Pipeline value) — Pipeline is assigned after New, so a
 // changed value must be re-enumerated, never answered from the old list —
-// and the constraints are re-derived on every request, because a service's
-// demands may change between two requests (fabric placement halves them).
+// and the demands are re-read on every request, because a service's may
+// change between two requests (fabric placement halves them).
 func TestGrantMemoFollowsPipelineAndRequest(t *testing.T) {
 	svc := cacheService()
 	cl, cap, eng := newTestClient(t, svc)
-	for _, pipe := range []Pipeline{DefaultPipeline(), {NumStages: 20, NumIngress: 12, MaxPasses: 2}, DefaultPipeline()} {
+	for _, pipe := range []Pipeline{alloc.DefaultShape(), {NumStages: 20, NumIngress: 12, MaxPasses: 2}, alloc.DefaultShape()} {
 		cl.Pipeline = pipe
-		for _, policyBit := range []uint32{0, PolicyBitLC, 0} {
+		for _, policyBit := range []uint32{0, packet.PolicyBitLC, 0} {
 			pol := alloc.MostConstrained
 			if policyBit != 0 {
 				pol = alloc.LeastConstrained
@@ -645,18 +614,17 @@ func TestGrantMemoFollowsPipelineAndRequest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := alloc.ComputeBounds(cons, pol, pipe.NumStages, pipe.NumIngress, pipe.MaxPasses)
+			ms, _, err := pipe.Mutants(cons, pol)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ms := alloc.EnumerateMutants(b, pipe.NumStages)
 			idx := len(ms) - 1 // the end of the list is where the shapes differ
 			want := ms[idx]
 			resp := &packet.AllocResponse{MutantIndex: uint32(idx) | policyBit}
 			for _, logical := range want {
 				resp.Grants[logical%pipe.NumStages] = packet.StageGrant{Start: 0, End: 256}
 			}
-			pl, err := cl.placementFromResponse(resp)
+			pl, _, err := cl.decode(resp)
 			if err != nil {
 				t.Fatalf("pipeline %+v policy bit %#x: %v", pipe, policyBit, err)
 			}

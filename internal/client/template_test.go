@@ -52,15 +52,13 @@ func newTemplateRig(t *testing.T, svc *client.Service, bind func(*client.Client)
 	if len(cons.Accesses) == 0 {
 		return r // stateless: the grant names no mutant
 	}
-	p := r.cl.Pipeline
-	b, err := alloc.ComputeBounds(cons, alloc.MostConstrained, p.NumStages, p.NumIngress, p.MaxPasses)
-	if err != nil {
+	if r.mutants, _, err = r.cl.Pipeline.Mutants(cons, alloc.MostConstrained); err != nil {
 		r.lc = true
-		if b, err = alloc.ComputeBounds(cons, alloc.LeastConstrained, p.NumStages, p.NumIngress, p.MaxPasses); err != nil {
+		if r.mutants, _, err = r.cl.Pipeline.Mutants(cons, alloc.LeastConstrained); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if r.mutants = alloc.EnumerateMutants(b, p.NumStages); len(r.mutants) == 0 {
+	if len(r.mutants) == 0 {
 		t.Fatal("no mutants")
 	}
 	return r

@@ -1,7 +1,7 @@
 // Package compiler implements ActiveRMT's client-side compiler (Section 5):
-// it extracts allocation constraints from a program, synthesizes the mutant
-// selected by the switch (NOP insertion, Section 4.1), and verifies the
-// result against the granted placement. Address translation for
+// it extracts allocation constraints from a program and links a service's
+// templates against a granted placement — synthesizing the mutant the switch
+// selected (NOP insertion, Section 4.1). Address translation for
 // direct-addressed programs is the application's concern (it knows its
 // memory layout); the compiler supplies the placement arithmetic apps build
 // on.
@@ -82,30 +82,33 @@ func Synthesize(p *isa.Program, mutant alloc.Mutant) (*isa.Program, error) {
 	return out, nil
 }
 
-// SynthesizeForPlacement is the path clients take on receipt of an
-// allocation response: rebuild the exact mutant the switch selected.
-func SynthesizeForPlacement(p *isa.Program, pl *alloc.Placement) (*isa.Program, error) {
-	return Synthesize(p, pl.Mutant)
-}
-
-// Verify cross-checks a synthesized mutant against its placement: every
-// access sits on the granted logical stage and every granted region is
-// non-empty. Clients run this before activating traffic; a mismatch means a
+// Link is the step clients take on receipt of an allocation response:
+// rebuild, for every template of a service, the exact mutant the switch
+// selected. The templates share one access skeleton (client.New checks it),
+// so the placement is checked once — every access on its mutant's logical
+// stage, every granted region non-empty — and Synthesize's post-condition
+// then puts each template's accesses exactly there. A mismatch means a
 // desynchronized mutant enumeration, which would translate into protection
 // faults on the wire.
-func Verify(p *isa.Program, pl *alloc.Placement) error {
-	accIdx := p.MemoryAccessIndices()
-	if len(accIdx) != len(pl.Accesses) {
-		return fmt.Errorf("compiler: %d accesses vs %d grants", len(accIdx), len(pl.Accesses))
+func Link(templates map[string]*isa.Program, pl *alloc.Placement) (map[string]*isa.Program, error) {
+	if len(pl.Accesses) != len(pl.Mutant) {
+		return nil, fmt.Errorf("compiler: %d accesses vs %d grants", len(pl.Mutant), len(pl.Accesses))
 	}
-	for i, idx := range accIdx {
-		g := pl.Accesses[i]
-		if idx != g.Logical {
-			return fmt.Errorf("compiler: access %d at %d, granted stage %d", i, idx, g.Logical)
+	for i, g := range pl.Accesses {
+		if g.Logical != pl.Mutant[i] {
+			return nil, fmt.Errorf("compiler: access %d at %d, granted stage %d", i, pl.Mutant[i], g.Logical)
 		}
 		if g.Range.Lo >= g.Range.Hi {
-			return fmt.Errorf("compiler: access %d has empty grant", i)
+			return nil, fmt.Errorf("compiler: access %d has empty grant", i)
 		}
 	}
-	return nil
+	out := make(map[string]*isa.Program, len(templates))
+	for name, p := range templates {
+		m, err := Synthesize(p, pl.Mutant)
+		if err != nil {
+			return nil, err // the templates share a skeleton: they fail alike
+		}
+		out[name] = m
+	}
+	return out, nil
 }

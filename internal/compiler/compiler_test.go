@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -146,7 +147,9 @@ func TestSynthesizeProperty(t *testing.T) {
 	}
 }
 
+// TestVerify: Link checks the placement before it synthesizes against it.
 func TestVerify(t *testing.T) {
+	tmpl := map[string]*isa.Program{"main": listing1}
 	pl := &alloc.Placement{
 		Mutant: alloc.Mutant{1, 4, 8},
 		Accesses: []alloc.AccessPlacement{
@@ -155,29 +158,29 @@ func TestVerify(t *testing.T) {
 			{Logical: 8, Range: alloc.WordRange{Lo: 0, Hi: 256}},
 		},
 	}
-	prog, err := SynthesizeForPlacement(listing1, pl)
+	linked, err := Link(tmpl, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(prog, pl); err != nil {
-		t.Fatal(err)
+	if got := linked["main"].MemoryAccessIndices(); !reflect.DeepEqual(got, []int(pl.Mutant)) {
+		t.Fatalf("linked accesses at %v, mutant %v", got, pl.Mutant)
 	}
 	// Wrong stage.
 	pl2 := *pl
 	pl2.Accesses = append([]alloc.AccessPlacement(nil), pl.Accesses...)
 	pl2.Accesses[1].Logical = 5
-	if err := Verify(prog, &pl2); err == nil {
+	if _, err := Link(tmpl, &pl2); err == nil {
 		t.Error("stage mismatch accepted")
 	}
 	// Empty grant.
 	pl3 := *pl
 	pl3.Accesses = append([]alloc.AccessPlacement(nil), pl.Accesses...)
 	pl3.Accesses[2].Range = alloc.WordRange{}
-	if err := Verify(prog, &pl3); err == nil {
+	if _, err := Link(tmpl, &pl3); err == nil {
 		t.Error("empty grant accepted")
 	}
 	// Arity.
-	if err := Verify(prog, &alloc.Placement{}); err == nil {
+	if _, err := Link(tmpl, &alloc.Placement{}); err == nil {
 		t.Error("arity mismatch accepted")
 	}
 }

@@ -82,27 +82,19 @@ func (s *System) Deploy(fid uint16, prog *isa.Program, elastic bool, specs []com
 	}
 	// Apply reallocations of displaced apps, then the new grant.
 	for _, pl := range res.Reallocated {
-		if _, err := s.RT.InstallGrant(grantFor(pl)); err != nil {
+		if _, err := s.RT.InstallGrant(runtime.GrantOf(pl)); err != nil {
 			return nil, err
 		}
 	}
-	if _, err := s.RT.InstallGrant(grantFor(res.New)); err != nil {
+	if _, err := s.RT.InstallGrant(runtime.GrantOf(res.New)); err != nil {
 		_, _ = s.AL.Release(fid)
 		return nil, err
 	}
-	mut, err := compiler.SynthesizeForPlacement(prog, res.New)
+	mut, err := compiler.Synthesize(prog, res.New.Mutant)
 	if err != nil {
 		return nil, err
 	}
 	return &Deployment{FID: fid, Placement: res.New, Program: mut}, nil
-}
-
-func grantFor(pl *alloc.Placement) runtime.Grant {
-	g := runtime.Grant{FID: pl.FID}
-	for _, ap := range pl.Accesses {
-		g.Accesses = append(g.Accesses, runtime.AccessGrant{Logical: ap.Logical, Lo: ap.Range.Lo, Hi: ap.Range.Hi})
-	}
-	return g
 }
 
 // Execute runs one active packet through the pipeline. The outputs are the

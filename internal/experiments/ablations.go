@@ -113,15 +113,13 @@ func runAblL2(cfg RunConfig) (*Result, error) {
 		c    rmt.Config
 	}{{"baseline", base}, {"extended", ext}} {
 		cons := serviceConstraints(workload.KindCache)
-		mutants := 0
-		if bd, err := alloc.ComputeBounds(cons, alloc.MostConstrained, row.c.NumStages, row.c.NumIngress, 2); err == nil {
-			mutants = alloc.CountMutants(bd, row.c.NumStages)
-		}
 		// Capacity: admit caches until failure on an allocator shaped like
 		// this runtime.
 		acfg := alloc.DefaultConfig()
 		acfg.NumStages = row.c.NumStages
 		acfg.NumIngress = row.c.NumIngress
+		ms, _, _ := acfg.Mutants(cons, alloc.MostConstrained) // infeasible counts as 0
+		mutants := len(ms)
 		a, err := alloc.New(acfg)
 		if err != nil {
 			return nil, err

@@ -53,11 +53,11 @@ func TestServiceConstraintsMatchPaperShapes(t *testing.T) {
 	}
 	// The paper's headline mutant structure: HH has exactly one
 	// most-constrained mutant.
-	b, err := alloc.ComputeBounds(hh, alloc.MostConstrained, 20, 10, 2)
+	ms, _, err := alloc.DefaultShape().Mutants(hh, alloc.MostConstrained)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := alloc.CountMutants(b, 20); n != 1 {
+	if n := len(ms); n != 1 {
 		t.Errorf("hh mc mutants = %d, want 1 (paper)", n)
 	}
 }

@@ -143,7 +143,7 @@ func policyABRun(scenario, mode string, seed int64) (*PolicyABCell, error) {
 	// way activesim -chaos arms it.
 	var sc *chaos.Scenario
 	if scenario == "corrupted-memory" {
-		stage := cl.Placement().Accesses[0].Logical % 20
+		stage := cl.Placement().Accesses[0].Physical
 		sc = chaos.CorruptedMemory(stage, 24, 100*time.Millisecond, 300*time.Millisecond, seed)
 	} else if sc, err = chaos.Build(scenario, []*netsim.Port{cl.Port()}, seed); err != nil {
 		return nil, err

@@ -58,10 +58,8 @@ func runSec61(cfg RunConfig) (*Result, error) {
 	for _, k := range []workload.AppKind{workload.KindCache, workload.KindHeavyHitter, workload.KindLoadBalancer} {
 		cons := serviceConstraints(k)
 		for _, pol := range []alloc.Policy{alloc.MostConstrained, alloc.LeastConstrained} {
-			n := 0
-			if bd, err := alloc.ComputeBounds(cons, pol, 20, 10, 2); err == nil {
-				n = alloc.CountMutants(bd, 20)
-			}
+			ms, _, _ := alloc.DefaultShape().Mutants(cons, pol) // infeasible counts as 0
+			n := len(ms)
 			fmt.Fprintf(&b, "%s,%s,%d\n", k, shortPol(pol), n)
 			res.Metrics[fmt.Sprintf("mutants_%s_%s", k, shortPol(pol))] = float64(n)
 		}

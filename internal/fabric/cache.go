@@ -95,6 +95,7 @@ type pendingWrite struct {
 	waiting     map[uint32]int // invalidation seq -> target leaf
 	committed   bool
 	commitTries int
+	next        *pendingWrite // the write to this key queued behind this one
 }
 
 // pendingInval is one unacknowledged hairpin invalidation.
@@ -222,8 +223,10 @@ func (c *CoherentCache) Get(leaf int, k0, k1 uint32) (uint32, error) {
 // invalidation to every OTHER leaf holding a copy and waits for all acks;
 // phase 2 (commit) installs the new value at the writer's leaf and the home
 // spine and writes it through to the server. The directory then records the
-// writer as the only leaf copy. Returns the write's sequence number — the
-// KVResp carrying it (WriteAck) is the write's linearization point.
+// writer as the only leaf copy. Writes to one key are serialised: a Put that
+// finds one in flight queues behind it and starts when that write's ack
+// lands. Returns the write's sequence number — the KVResp carrying it
+// (WriteAck) is the write's linearization point.
 func (c *CoherentCache) Put(leaf int, k0, k1, value uint32) (uint32, error) {
 	if _, ok := c.fronts[leaf]; !ok {
 		return 0, fmt.Errorf("fabric: no cache frontend on leaf %d", leaf)
@@ -232,17 +235,33 @@ func (c *CoherentCache) Put(leaf int, k0, k1, value uint32) (uint32, error) {
 	if !ok {
 		return 0, fmt.Errorf("fabric: cache has no capacity")
 	}
-	key := apps.KeyOf(k0, k1)
-	c.wgens[key]++ // suppress fills issued before this write
 	c.seq++
 	w := &pendingWrite{
 		leaf: leaf, k0: k0, k1: k1, addr: addr, value: value,
 		seq: c.seq, waiting: make(map[uint32]int),
 	}
-	c.writing[key] = w
 	c.pending[w.seq] = pendingOp{leaf: leaf, op: apps.KVPut, k0: k0, k1: k1}
+	if last := c.writing[apps.KeyOf(k0, k1)]; last != nil {
+		for last.next != nil {
+			last = last.next
+		}
+		last.next = w
+	} else {
+		c.startWrite(w)
+	}
+	return w.seq, nil
+}
+
+// startWrite makes w the key's write in flight and runs its phase 1. Starting
+// a write over an uncommitted one would invalidate that writer before its
+// commit is sent and drop it from the directory, so its commit would install
+// a copy nothing ever invalidates again.
+func (c *CoherentCache) startWrite(w *pendingWrite) {
+	key := apps.KeyOf(w.k0, w.k1)
+	c.wgens[key]++ // suppress fills issued before this write
+	c.writing[key] = w
 	for l := range c.dir[key] {
-		if l == leaf {
+		if l == w.leaf {
 			continue
 		}
 		if _, ok := c.fronts[l]; !ok {
@@ -250,11 +269,10 @@ func (c *CoherentCache) Put(leaf int, k0, k1, value uint32) (uint32, error) {
 		}
 		c.sendInval(w, l)
 	}
-	c.dir[key] = map[int]bool{leaf: true}
+	c.dir[key] = map[int]bool{w.leaf: true}
 	if len(w.waiting) == 0 {
 		c.commit(w)
 	}
-	return w.seq, nil
 }
 
 // sendInval arms one hairpin invalidation toward a stale leaf.
@@ -467,6 +485,9 @@ func (c *CoherentCache) handlerFor(fr *front) func(*client.Client, *packet.Frame
 			if w := c.writing[key]; w != nil && w.seq == msg.Seq {
 				delete(c.writing, key)
 				c.settleHome(p.leaf, p.k0, p.k1)
+				if w.next != nil {
+					c.startWrite(w.next)
+				}
 			}
 			if c.OnWriteAck != nil {
 				c.OnWriteAck(p.leaf, msg.Seq, msg.Value)

@@ -1,6 +1,7 @@
 package fabric_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -225,5 +226,85 @@ func TestHomeEvictionSparesNeighbourBucket(t *testing.T) {
 	})
 	if r := got[seq]; !r.hit || r.value != neighbour.Value {
 		t.Fatalf("neighbour read after home eviction = (%d, hit=%v), want (%d, hit)", r.value, r.hit, neighbour.Value)
+	}
+}
+
+// TestConcurrentWritersSerialisePerKey: two leaves Put one key back to back —
+// no simulation step in between — while a third leaf holds a copy. The second
+// write must queue behind the first instead of replacing it: afterwards every
+// leaf reads the last-acknowledged value, and after one more write so does
+// every leaf again (a first writer whose commit installed a copy the
+// directory had forgotten would serve its stale value here forever).
+func TestConcurrentWritersSerialisePerKey(t *testing.T) {
+	f, err := fabric.New(fabric.DefaultConfig(3, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := fabric.NewController(f)
+	srv, srvIP := addServer(t, f, 2)
+
+	const k0, k1 = 0x5A, 0xC3
+	srv.Store[apps.KeyOf(k0, k1)] = 1
+	leaves := []int{0, 1, 2}
+	cc, err := fabric.NewCoherentCache(fc, 9, leaves, srv.MAC(), srvIP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[uint32]uint32)
+	cc.OnResponse = func(leaf int, seq, value uint32, hit bool) { got[seq] = value }
+	acked := make(map[uint32]bool)
+	var lastAcked uint32
+	cc.OnWriteAck = func(leaf int, seq, value uint32) { acked[seq], lastAcked = true, value }
+
+	read := func(leaf int) uint32 {
+		t.Helper()
+		seq, err := cc.Get(leaf, k0, k1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runUntil(t, f, time.Second, "GET answered", func() bool { _, ok := got[seq]; return ok })
+		return got[seq]
+	}
+	everyLeafReads := func(when string, want uint32) {
+		t.Helper()
+		for round := 0; round < 2; round++ { // the second round reads what the first one filled
+			for _, leaf := range leaves {
+				if v := read(leaf); v != want {
+					t.Errorf("%s: leaf %d read %d, want the last-acknowledged %d (round %d)", when, leaf, v, want, round)
+				}
+			}
+		}
+	}
+
+	if err := cc.Warm(2, []apps.KVMsg{{Key0: k0, Key1: k1, Value: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	f.RunFor(50 * time.Millisecond)
+	everyLeafReads("warm", 1) // every leaf now holds a copy
+
+	first, err := cc.Put(0, k0, k1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := cc.Put(1, k0, k1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runUntil(t, f, time.Second, "both write acks", func() bool { return acked[first] && acked[second] })
+	if lastAcked != 3 || srv.Store[apps.KeyOf(k0, k1)] != 3 {
+		t.Fatalf("last acknowledged %d, server holds %d; want the second write's 3", lastAcked, srv.Store[apps.KeyOf(k0, k1)])
+	}
+	f.RunFor(50 * time.Millisecond)
+	everyLeafReads("after back-to-back writes", 3)
+
+	for _, writer := range leaves {
+		want := uint32(10 + writer)
+		seq, err := cc.Put(writer, k0, k1, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runUntil(t, f, time.Second, "single write ack", func() bool { return acked[seq] })
+		f.RunFor(50 * time.Millisecond)
+		everyLeafReads(fmt.Sprintf("after a single write from leaf %d", writer), want)
 	}
 }

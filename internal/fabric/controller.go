@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"activermt/internal/alloc"
@@ -434,15 +435,7 @@ func samePlacement(a, b *alloc.Placement) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	if a.MutantIdx != b.MutantIdx || len(a.Accesses) != len(b.Accesses) {
-		return false
-	}
-	for i := range a.Accesses {
-		if a.Accesses[i].Logical != b.Accesses[i].Logical || a.Accesses[i].Range != b.Accesses[i].Range {
-			return false
-		}
-	}
-	return true
+	return a.MutantIdx == b.MutantIdx && slices.Equal(a.Accesses, b.Accesses)
 }
 
 // fabricTelemetry holds the controller's registered metric handles.

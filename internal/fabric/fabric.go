@@ -460,11 +460,7 @@ const (
 func (f *Fabric) AddClient(leaf int, fid uint16, target *Node, svc *client.Service) (*client.Client, error) {
 	mac, _ := f.NewHostID()
 	cl := client.New(f.Eng, fid, mac, target.MAC, svc)
-	cl.Pipeline = client.Pipeline{
-		NumStages:  f.cfg.RMT.NumStages,
-		NumIngress: f.cfg.RMT.NumIngress,
-		MaxPasses:  f.cfg.Alloc.MaxPasses,
-	}
+	cl.Pipeline = f.cfg.Alloc.Shape
 	cl.RetryAfter = DefaultRetryAfter
 	cl.ReallocTimeout = DefaultReallocTimeout
 	p, err := f.AttachHost(leaf, cl, mac)

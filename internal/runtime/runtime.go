@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"activermt/internal/alloc"
 	"activermt/internal/packet"
 	"activermt/internal/rmt"
 )
@@ -25,6 +26,15 @@ type AccessGrant struct {
 type Grant struct {
 	FID      uint16
 	Accesses []AccessGrant
+}
+
+// GrantOf converts an allocator placement to the install form.
+func GrantOf(pl *alloc.Placement) Grant {
+	g := Grant{FID: pl.FID}
+	for _, ap := range pl.Accesses {
+		g.Accesses = append(g.Accesses, AccessGrant{Logical: ap.Logical, Lo: ap.Range.Lo, Hi: ap.Range.Hi})
+	}
+	return g
 }
 
 // Runtime is the ActiveRMT switch runtime: a configured RMT device plus the

@@ -148,8 +148,7 @@ func (h *RecircHH) Harvest() (int, error) {
 	if pl == nil || h.SnapshotFn == nil {
 		return 0, nil
 	}
-	n := h.Sketch.Pipeline.NumStages
-	words, err := h.SnapshotFn(h.Sketch.FID(), pl.Accesses[1].Logical%n)
+	words, err := h.SnapshotFn(h.Sketch.FID(), pl.Accesses[1].Physical)
 	if err != nil {
 		return 0, err
 	}
@@ -191,12 +190,11 @@ func (h *RecircHH) HotKeys() ([]KeyCount, error) {
 	if pl == nil || h.SnapshotFn == nil {
 		return nil, nil
 	}
-	n := h.Claim.Pipeline.NumStages
-	words, err := h.SnapshotFn(h.Claim.FID(), pl.Accesses[0].Logical%n)
+	words, err := h.SnapshotFn(h.Claim.FID(), pl.Accesses[0].Physical)
 	if err != nil {
 		return nil, err
 	}
-	hashStage := hxClaim2ndHashIdx % n
+	hashStage := h.Claim.Pipeline.Physical(hxClaim2ndHashIdx)
 	mask := maskFor(len(words))
 	var out []KeyCount
 	for key := range h.claimed {

@@ -99,8 +99,7 @@ func (d *SynDetector) ScanAlarmsVia(snap func(fid uint16, physStage int) ([]uint
 	if pl == nil || snap == nil {
 		return nil, nil
 	}
-	n := d.Client.Pipeline.NumStages
-	words, err := snap(d.Client.FID(), pl.Accesses[1].Logical%n)
+	words, err := snap(d.Client.FID(), pl.Accesses[1].Physical)
 	if err != nil {
 		return nil, err
 	}
@@ -132,8 +131,7 @@ func (d *SynDetector) CounterSlot(src uint32) (uint32, bool) {
 	if pl == nil {
 		return 0, false
 	}
-	n := d.Client.Pipeline.NumStages
-	h := rmt.StageHash(sfHashIdx%n, [rmt.NumHashWords]uint32{src})
+	h := rmt.StageHash(d.Client.Pipeline.Physical(sfHashIdx), [rmt.NumHashWords]uint32{src})
 	size := int(pl.Accesses[0].Range.Hi - pl.Accesses[0].Range.Lo)
 	return h & maskFor(size), true
 }

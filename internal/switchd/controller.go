@@ -395,42 +395,24 @@ func (c *Controller) runEviction(fid uint16) {
 	c.reallocPhase(rec, nil, changed, false)
 }
 
-// responseFor converts a placement into the wire response. The mutant index
-// carries the policy bit so the client re-enumerates the same order, and the
-// grant epoch the client must echo on its capsules. Reallocation notices go
-// out before the table update lands, so they carry the epoch the pending
-// install will assign.
+// responseFor frames a placement's wire response (alloc.Placement.ToResponse)
+// with the grant epoch the client must echo on its capsules. Reallocation
+// notices go out before the table update lands, so they carry the epoch the
+// pending install will assign.
 func (c *Controller) responseFor(pl *alloc.Placement, realloc bool) *packet.Active {
 	epoch := c.rt.Epoch(pl.FID)
 	if realloc {
 		epoch = c.rt.NextEpoch(pl.FID)
 	}
-	resp := &packet.AllocResponse{MutantIndex: packet.PackEpoch(uint32(pl.MutantIdx), epoch)}
-	if c.al.Config().Policy == alloc.LeastConstrained {
-		resp.MutantIndex |= packet.PolicyBitLC
-	}
-	n := c.rt.Device().NumStages()
-	for _, ap := range pl.Accesses {
-		resp.Grants[ap.Logical%n] = packet.StageGrant{Start: ap.Range.Lo, End: ap.Range.Hi}
-	}
 	a := &packet.Active{
 		Header:    packet.ActiveHeader{FID: pl.FID, Flags: packet.FlagFromSwch},
-		AllocResp: resp,
+		AllocResp: pl.ToResponse(epoch),
 	}
 	if realloc {
 		a.Header.Flags |= packet.FlagRealloc
 	}
 	a.Header.SetType(packet.TypeAllocResp)
 	return a
-}
-
-// grantFor converts a placement to the runtime install form.
-func grantFor(pl *alloc.Placement) runtime.Grant {
-	g := runtime.Grant{FID: pl.FID}
-	for _, ap := range pl.Accesses {
-		g.Accesses = append(g.Accesses, runtime.AccessGrant{Logical: ap.Logical, Lo: ap.Range.Lo, Hi: ap.Range.Hi})
-	}
-	return g
 }
 
 // admit runs the full admission protocol for fid.
@@ -444,12 +426,11 @@ func (c *Controller) admit(fid uint16, req *packet.AllocRequest) {
 		return
 	}
 	// A FID resident in recovered form is a pre-crash tenant whose client
-	// is re-negotiating: rebuild its full allocation state from the
-	// request's constraints and the installed tables.
-	if c.al.Recovered(fid) {
-		c.readmit(fid, req, rec)
-		return
-	}
+	// is re-negotiating: Readmit rebuilds its full allocation state from the
+	// request's constraints and the installed tables, answering with the
+	// installed placement when the tables still match (and re-placing it
+	// when they don't).
+	rec.Readmit = c.al.Recovered(fid)
 	cons, err := alloc.FromRequest(req)
 	if err != nil {
 		rec.Failed = true
@@ -460,7 +441,7 @@ func (c *Controller) admit(fid uint16, req *packet.AllocRequest) {
 
 	// Stateless services (no memory accesses) bypass the allocator: admit
 	// the FID and answer immediately.
-	if len(cons.Accesses) == 0 {
+	if len(cons.Accesses) == 0 && !rec.Readmit {
 		c.rt.AdmitStateless(fid)
 		if c.guard != nil {
 			c.guard.Reinstate(fid)
@@ -468,12 +449,7 @@ func (c *Controller) admit(fid uint16, req *packet.AllocRequest) {
 		rec.TableOps = 1
 		rec.TableTime = c.costs.TableOp
 		c.after(c.costs.ComputeBase+rec.TableTime, func() {
-			resp := &packet.Active{
-				Header:    packet.ActiveHeader{FID: fid, Flags: packet.FlagFromSwch},
-				AllocResp: &packet.AllocResponse{MutantIndex: packet.PackEpoch(0, c.rt.Epoch(fid))},
-			}
-			resp.Header.SetType(packet.TypeAllocResp)
-			_ = c.sw.SendToHost(c.clients[fid], resp)
+			_ = c.sw.SendToHost(c.clients[fid], c.responseFor(&alloc.Placement{FID: fid}, false))
 			rec.End = c.eng.Now()
 			c.record(rec)
 			c.finish()
@@ -481,8 +457,12 @@ func (c *Controller) admit(fid uint16, req *packet.AllocRequest) {
 		return
 	}
 
+	allocate := c.al.Allocate
+	if rec.Readmit {
+		allocate = c.al.Readmit
+	}
 	wall := c.Clock()
-	res, err := c.al.Allocate(fid, cons)
+	res, err := allocate(fid, cons)
 	rec.ComputeWall = c.Clock().Sub(wall)
 	if err != nil || res.Failed {
 		rec.Failed = true
@@ -493,42 +473,13 @@ func (c *Controller) admit(fid uint16, req *packet.AllocRequest) {
 		c.after(rec.Compute, func() { c.concludeFailed(rec) })
 		return
 	}
+	if rec.Readmit {
+		c.Readmissions++
+		c.telInc(func(t *ctrlTelemetry) *telemetry.Counter { return t.readmissions })
+	}
 	rec.Compute = c.costs.ComputeBase + time.Duration(res.MutantsTotal)*c.costs.ComputePerMut
 	rec.Reallocated = len(res.Reallocated)
 
-	c.after(rec.Compute, func() {
-		c.reallocPhase(rec, res.New, res.Reallocated, false)
-	})
-}
-
-// readmit restores a recovered tenant's full allocation state from its
-// retransmitted request, answering with the installed placement when the
-// tables still match (and re-placing it when they don't).
-func (c *Controller) readmit(fid uint16, req *packet.AllocRequest, rec ProvisionRecord) {
-	rec.Readmit = true
-	cons, err := alloc.FromRequest(req)
-	if err != nil {
-		rec.Failed = true
-		c.concludeFailed(rec)
-		return
-	}
-	cons.Name = "fid"
-	wall := c.Clock()
-	res, err := c.al.Readmit(fid, cons)
-	rec.ComputeWall = c.Clock().Sub(wall)
-	if err != nil || res.Failed {
-		rec.Failed = true
-		rec.Compute = c.costs.ComputeBase
-		if res != nil {
-			rec.Compute += time.Duration(res.MutantsTotal) * c.costs.ComputePerMut
-		}
-		c.after(rec.Compute, func() { c.concludeFailed(rec) })
-		return
-	}
-	c.Readmissions++
-	c.telInc(func(t *ctrlTelemetry) *telemetry.Counter { return t.readmissions })
-	rec.Compute = c.costs.ComputeBase + time.Duration(res.MutantsTotal)*c.costs.ComputePerMut
-	rec.Reallocated = len(res.Reallocated)
 	c.after(rec.Compute, func() {
 		c.reallocPhase(rec, res.New, res.Reallocated, false)
 	})
@@ -735,7 +686,7 @@ func (c *Controller) reallocPhase(rec ProvisionRecord, newPl *alloc.Placement, c
 func (c *Controller) applyPhase(rec ProvisionRecord, newPl *alloc.Placement, changed []*alloc.Placement, release bool) {
 	ops := rec.TableOps
 	for _, pl := range changed {
-		n, err := c.rt.InstallGrant(grantFor(pl))
+		n, err := c.rt.InstallGrant(runtime.GrantOf(pl))
 		ops += n
 		c.sw.cache.Invalidate(pl.FID)
 		if err != nil {
@@ -760,7 +711,7 @@ func (c *Controller) applyPhase(rec ProvisionRecord, newPl *alloc.Placement, cha
 	}
 	var installErr error
 	if newPl != nil {
-		n, err := c.rt.InstallGrant(grantFor(newPl))
+		n, err := c.rt.InstallGrant(runtime.GrantOf(newPl))
 		ops += n
 		installErr = err
 		c.sw.cache.Invalidate(newPl.FID)

@@ -93,11 +93,7 @@ func (tb *Testbed) NewHostID() (int, packet.MAC, netip.Addr) {
 func (tb *Testbed) AddClient(fid uint16, svc *client.Service) *client.Client {
 	_, mac, _ := tb.NewHostID()
 	cl := client.New(tb.Eng, fid, mac, tb.Switch.MAC(), svc)
-	cl.Pipeline = client.Pipeline{
-		NumStages:  tb.cfg.RMT.NumStages,
-		NumIngress: tb.cfg.RMT.NumIngress,
-		MaxPasses:  tb.cfg.Alloc.MaxPasses,
-	}
+	cl.Pipeline = tb.cfg.Alloc.Shape
 	_, p := tb.Attach(cl, mac)
 	cl.Attach(p)
 	return cl
