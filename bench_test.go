@@ -19,7 +19,6 @@ import (
 	"activermt/internal/experiments"
 	"activermt/internal/isa"
 	"activermt/internal/packet"
-	"activermt/internal/runtime"
 	"activermt/internal/telemetry"
 	"activermt/internal/workload"
 )
@@ -213,25 +212,23 @@ func buildPacketPathWorkload(tenants, perTenant int) (*core.System, []*packet.Ac
 }
 
 // BenchmarkPacketPath measures the allocation-free capsule hot path: one
-// cache-query execution through ExecuteCapsule with pooled scratch state
+// cache-query execution through ExecuteProgram with pooled scratch state
 // and specialization on (the default), so steady-state iterations run
 // through the compiled plan. The allocs/op figure is the regression gate —
-// it must be 0 in steady state (TestExecuteCapsuleZeroAlloc enforces it;
+// it must be 0 in steady state (TestExecuteProgramZeroAlloc enforces it;
 // this benchmark tracks the ns/op trajectory alongside).
 func BenchmarkPacketPath(b *testing.B) {
 	sys, ring, err := buildPacketPathWorkload(8, 64)
 	if err != nil {
 		b.Fatal(err)
 	}
-	res := runtime.NewExecResult()
-	sink := sys.RT.NewExecSink()
 	for i := 0; i < len(ring); i++ { // warm scratch buffers
-		sys.RT.ExecuteCapsule(ring[i], res, sink)
+		sys.RT.ExecuteProgram(ring[i])
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys.RT.ExecuteCapsule(ring[i%len(ring)], res, sink)
+		sys.RT.ExecuteProgram(ring[i%len(ring)])
 	}
 }
 
@@ -245,21 +242,19 @@ func BenchmarkPacketPathInterpreter(b *testing.B) {
 		b.Fatal(err)
 	}
 	sys.RT.SetSpecialization(false)
-	res := runtime.NewExecResult()
-	sink := sys.RT.NewExecSink()
 	for i := 0; i < len(ring); i++ { // warm scratch buffers
-		sys.RT.ExecuteCapsule(ring[i], res, sink)
+		sys.RT.ExecuteProgram(ring[i])
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys.RT.ExecuteCapsule(ring[i%len(ring)], res, sink)
+		sys.RT.ExecuteProgram(ring[i%len(ring)])
 	}
 }
 
 // BenchmarkPacketPathTelemetry is BenchmarkPacketPath with the full
-// telemetry registry attached: sampled flight recording plus local histogram
-// and counter accumulation ride along every capsule. The allocs/op gate
+// telemetry registry attached: sampled flight recording, the latency
+// histogram and the per-capsule counter publish ride along every capsule. The allocs/op gate
 // stays 0; the ns/op delta against BenchmarkPacketPath is the telemetry
 // overhead of the execute loop (a component figure).
 func BenchmarkPacketPathTelemetry(b *testing.B) {
@@ -268,15 +263,13 @@ func BenchmarkPacketPathTelemetry(b *testing.B) {
 		b.Fatal(err)
 	}
 	sys.RT.AttachTelemetry(telemetry.NewRegistry())
-	res := runtime.NewExecResult()
-	sink := sys.RT.NewExecSink()
 	for i := 0; i < len(ring); i++ { // warm scratch buffers
-		sys.RT.ExecuteCapsule(ring[i], res, sink)
+		sys.RT.ExecuteProgram(ring[i])
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys.RT.ExecuteCapsule(ring[i%len(ring)], res, sink)
+		sys.RT.ExecuteProgram(ring[i%len(ring)])
 	}
 }
 

@@ -45,13 +45,16 @@ func runCache(o *options) error {
 		return err
 	}
 	say := o.timeline(tb.Eng)
+	if o.telemetry != "" {
+		tb.EnableTelemetry() // before the loop, which registers its own metrics when telemetry is on
+	}
 	loop := tb.AttachPolicy(policyEngine(o.policy))
 	defer loop.Stop()
 	say("policy engine: %s", o.policy)
 	var telSrv *telemetry.Server
 	var midPackets uint64
 	if o.telemetry != "" {
-		if telSrv, err = telemetry.Serve(tb.EnableTelemetry(), o.telemetry); err != nil {
+		if telSrv, err = telemetry.Serve(tb.Tel, o.telemetry); err != nil {
 			return err
 		}
 		defer telSrv.Close()

@@ -124,7 +124,7 @@ func TestRelayLossyRetransmission(t *testing.T) {
 	valAcc := pl.Accesses[len(pl.Accesses)-1]
 	for _, m := range set.Members {
 		dev := m.Node.RT.Device()
-		v := dev.Stage(dev.PhysicalStage(valAcc.Logical)).Registers.Get(addr)
+		v := dev.Stage(dev.PhysicalStage(valAcc.Logical)).Registers.Read(addr)
 		if v != 0 && v != final {
 			t.Fatalf("%s value word = %d after retransmit storm, want %d or 0", m.Node.Name, v, final)
 		}

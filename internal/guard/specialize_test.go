@@ -5,7 +5,6 @@ import (
 
 	"activermt/internal/isa"
 	"activermt/internal/packet"
-	"activermt/internal/runtime"
 )
 
 // These tests pin the guard's position relative to the specialization layer:
@@ -36,17 +35,14 @@ func TestGuardDropsStaleEpochBeforeSpecializedExecution(t *testing.T) {
 	installGrant(t, rt, fid, 0, 64)
 	oldEpoch := rt.Epoch(fid)
 
-	res := runtime.NewExecResult()
-	sink := rt.NewExecSink()
-
 	// Fresh capsule executes and compiles the program's plan.
 	a := memCapsule(fid, oldEpoch, 3)
 	if !g.CheckProgram(a, 1) {
 		t.Fatal("fresh-epoch capsule refused")
 	}
-	rt.ExecuteCapsule(a, res, sink)
-	if sink.Path.Specialized != 1 {
-		t.Fatalf("Specialized = %d, want 1", sink.Path.Specialized)
+	rt.ExecuteProgram(a)
+	if rt.SpecializedRuns != 1 {
+		t.Fatalf("SpecializedRuns = %d, want 1", rt.SpecializedRuns)
 	}
 	compiles := rt.PlanCompiles()
 	if compiles == 0 {
@@ -72,31 +68,27 @@ func TestGuardDropsStaleEpochBeforeSpecializedExecution(t *testing.T) {
 	// The re-granted capsule (fresh epoch echo) passes and executes against
 	// a plan recompiled under the new snapshot: address 3 is outside the
 	// moved region [64,128) and must now fault.
-	sink.Path = runtime.PathStats{}
 	fresh := memCapsule(fid, rt.Epoch(fid), 3)
 	if !g.CheckProgram(fresh, 1) {
 		t.Fatal("fresh-epoch capsule refused after re-grant")
 	}
-	rt.ExecuteCapsule(fresh, res, sink)
-	rt.DeliverEvents(sink)
-	if sink.Path.Specialized != 1 {
+	outs := rt.ExecuteProgram(fresh)
+	if rt.SpecializedRuns != 2 {
 		t.Fatal("re-granted capsule did not run specialized")
 	}
 	if rt.PlanCompiles() <= compiles {
 		t.Fatal("re-granted capsule did not recompile its plan")
 	}
-	if sink.Path.Faults != 1 || !res.Outputs[0].Dropped {
+	if rt.Faults != 1 || !outs[0].Dropped {
 		t.Fatal("recompiled plan kept the pre-reallocation bounds")
 	}
 
 	// And an in-range address under the new grant succeeds specialized.
-	sink.Path = runtime.PathStats{}
 	ok := memCapsule(fid, rt.Epoch(fid), 70)
 	if !g.CheckProgram(ok, 1) {
 		t.Fatal("in-range capsule refused")
 	}
-	rt.ExecuteCapsule(ok, res, sink)
-	if sink.Path.Specialized != 1 || res.Outputs[0].Dropped {
+	if outs = rt.ExecuteProgram(ok); rt.SpecializedRuns != 3 || outs[0].Dropped {
 		t.Fatal("in-range capsule failed under the recompiled plan")
 	}
 }

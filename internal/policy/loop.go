@@ -6,16 +6,15 @@ import (
 	"activermt/internal/telemetry"
 )
 
-// Loop periodically snapshots a telemetry registry, folds the snapshot
-// into an Observation, asks the Engine to Decide, and hands the result to
-// an Apply sink. Scheduling is injected so the loop runs on whatever clock
-// the deployment uses (the netsim engine in simulation); it never spawns
-// goroutines of its own.
+// Loop periodically takes an Observation of the switch, derives the rate
+// signals against the previous one, asks the Engine to Decide, and hands the
+// result to an Apply sink. Scheduling is injected so the loop runs on
+// whatever clock the deployment uses (the netsim engine in simulation); it
+// never spawns goroutines of its own.
 type Loop struct {
 	Engine   Engine
-	Registry *telemetry.Registry
+	Observe  func() Observation           // e.g. switchd.Node.Observe
 	Schedule func(time.Duration, func())  // e.g. engine.Schedule
-	Now      func() time.Duration         // e.g. engine.Now
 	Apply    func(Observation, Decisions) // pushes decisions into the layers
 
 	Evals   uint64 // evaluations run
@@ -70,20 +69,19 @@ func (l *Loop) tick() {
 }
 
 func (l *Loop) evaluate() {
-	now := l.Now()
-	var prev *Observation
-	if l.seen {
-		prev = &l.prev
+	obs := l.Observe()
+	if l.seen && obs.At > l.prev.At && obs.Violations >= l.prev.Violations {
+		dt := (obs.At - l.prev.At).Seconds()
+		obs.ViolationRate = float64(obs.Violations-l.prev.Violations) / dt
 	}
-	obs := Observe(now, l.Registry.Snapshot(), prev)
 	l.prev, l.seen = obs, true
 
 	d := l.Engine.Decide(obs)
 	l.Evals++
-	if !l.decided || d != l.last {
+	changed := !l.decided || d != l.last
+	if changed {
 		l.Changes++
 	}
-	changed := !l.decided || d != l.last
 	l.last, l.decided = d, true
 
 	if l.tel != nil {

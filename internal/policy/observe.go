@@ -1,95 +1,32 @@
 package policy
 
-import (
-	"time"
+import "time"
 
-	"activermt/internal/telemetry"
-)
-
-// Observation digests one epoch-consistent registry snapshot into the
-// signals engines decide on. Cumulative counters are carried as totals;
-// rates are derived against the previous observation so engines stay
+// Observation is what one switch reports of itself at one instant — the
+// signals engines decide on, built by switchd.Node.Observe from the books
+// and counters themselves. Cumulative counters are carried as totals; rates
+// are derived against the previous observation (by the Loop) so engines stay
 // stateless where possible.
 type Observation struct {
 	At time.Duration // virtual time of the observation
 
-	// Allocator state (activermt_alloc_*).
+	// Allocator state (exported as activermt_alloc_*).
 	Fragmentation     float64
 	Utilization       float64
 	Tenants           int
 	QuarantinedBlocks int
 
-	// Guard pressure (activermt_guard_*_violations_total, both
+	// Guard pressure (exported as activermt_guard_*_violations_total, both
 	// attributions summed).
 	Violations    uint64
 	ViolationRate float64 // violations/sec since the previous observation
 
-	// Controller realloc health (activermt_ctrl_*).
+	// Controller realloc health (exported as activermt_ctrl_*).
 	SnapshotTimeouts    uint64
 	SnapshotEscalations uint64
 	CorruptQuarantines  uint64 // blocks quarantined by corruption sweeps
 
-	// Fabric link health (activermt_fabric_link_flaps_total).
+	// Fabric link health (exported as activermt_fabric_link_flaps_total);
+	// zero on a single switch.
 	LinkFlaps uint64
-}
-
-// metric names read by Observe; kept in one place so a rename in the
-// producing layer fails loudly in the policy tests.
-const (
-	metricFragmentation = "activermt_alloc_fragmentation"
-	metricUtilization   = "activermt_alloc_utilization"
-	metricTenants       = "activermt_alloc_tenants"
-	metricQuarBlocks    = "activermt_alloc_blocks_quarantined"
-	metricTenantViol    = "activermt_guard_tenant_violations_total"
-	metricPortViol      = "activermt_guard_port_violations_total"
-	metricSnapTimeouts  = "activermt_ctrl_snapshot_timeouts_total"
-	metricSnapEscal     = "activermt_ctrl_snapshot_escalations_total"
-	metricCtrlQuar      = "activermt_ctrl_quarantined_blocks_total"
-	metricLinkFlaps     = "activermt_fabric_link_flaps_total"
-)
-
-// Observe extracts an Observation from a registry snapshot taken at
-// virtual time now. prev supplies the baseline for rate signals; pass nil
-// for the first observation. Metrics a deployment does not register (e.g.
-// fabric counters on a single switch) simply read as zero.
-func Observe(now time.Duration, snap *telemetry.Snapshot, prev *Observation) Observation {
-	obs := Observation{At: now}
-	if snap == nil {
-		return obs
-	}
-	first := func(m telemetry.MetricSnapshot) float64 {
-		if len(m.Samples) == 0 {
-			return 0
-		}
-		return m.Samples[0].Value
-	}
-	for _, m := range snap.Metrics {
-		switch m.Name {
-		case metricFragmentation:
-			obs.Fragmentation = first(m)
-		case metricUtilization:
-			obs.Utilization = first(m)
-		case metricTenants:
-			obs.Tenants = int(first(m))
-		case metricQuarBlocks:
-			obs.QuarantinedBlocks = int(first(m))
-		case metricTenantViol:
-			obs.Violations += uint64(first(m))
-		case metricPortViol:
-			obs.Violations += uint64(first(m))
-		case metricSnapTimeouts:
-			obs.SnapshotTimeouts = uint64(first(m))
-		case metricSnapEscal:
-			obs.SnapshotEscalations = uint64(first(m))
-		case metricCtrlQuar:
-			obs.CorruptQuarantines = uint64(first(m))
-		case metricLinkFlaps:
-			obs.LinkFlaps = uint64(first(m))
-		}
-	}
-	if prev != nil && now > prev.At && obs.Violations >= prev.Violations {
-		dt := (now - prev.At).Seconds()
-		obs.ViolationRate = float64(obs.Violations-prev.Violations) / dt
-	}
-	return obs
 }

@@ -43,7 +43,7 @@ const (
 	DefaultDefragTarget  = 0.15
 	DefaultDefragMoves   = 4
 
-	// evalInterval is the cadence at which a Loop re-observes the registry
+	// evalInterval is the cadence at which a Loop re-observes the switch
 	// and re-decides.
 	evalInterval = 100 * time.Millisecond
 )

@@ -173,52 +173,6 @@ func TestAdaptiveSweepAndProbeSignals(t *testing.T) {
 	}
 }
 
-func TestObserveExtractsRegistryMetrics(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	frag := telemetry.NewFloatGauge(metricFragmentation, "t")
-	util := telemetry.NewFloatGauge(metricUtilization, "t")
-	tenants := telemetry.NewGauge(metricTenants, "t")
-	quar := telemetry.NewGauge(metricQuarBlocks, "t")
-	tviol := telemetry.NewCounter(metricTenantViol, "t")
-	pviol := telemetry.NewCounter(metricPortViol, "t")
-	snapTO := telemetry.NewCounter(metricSnapTimeouts, "t")
-	snapEsc := telemetry.NewCounter(metricSnapEscal, "t")
-	ctrlQuar := telemetry.NewCounter(metricCtrlQuar, "t")
-	flaps := telemetry.NewCounter(metricLinkFlaps, "t")
-	reg.MustRegister(frag, util, tenants, quar, tviol, pviol, snapTO, snapEsc, ctrlQuar, flaps)
-
-	frag.Set(0.5)
-	util.Set(0.25)
-	tenants.Set(7)
-	quar.Set(3)
-	tviol.Add(4)
-	pviol.Add(6)
-	snapTO.Add(2)
-	snapEsc.Add(5)
-	ctrlQuar.Add(1)
-	flaps.Add(9)
-
-	obs := Observe(time.Second, reg.Snapshot(), nil)
-	if obs.Fragmentation != 0.5 || obs.Utilization != 0.25 || obs.Tenants != 7 || obs.QuarantinedBlocks != 3 {
-		t.Fatalf("alloc signals wrong: %+v", obs)
-	}
-	if obs.Violations != 10 {
-		t.Fatalf("violations = %d, want tenant+port = 10", obs.Violations)
-	}
-	if obs.SnapshotTimeouts != 2 || obs.SnapshotEscalations != 5 || obs.CorruptQuarantines != 1 || obs.LinkFlaps != 9 {
-		t.Fatalf("controller/fabric signals wrong: %+v", obs)
-	}
-	if obs.ViolationRate != 0 {
-		t.Fatal("rate without a baseline")
-	}
-
-	tviol.Add(10)
-	next := Observe(2*time.Second, reg.Snapshot(), &obs)
-	if next.ViolationRate != 10 {
-		t.Fatalf("rate = %v violations/sec, want 10", next.ViolationRate)
-	}
-}
-
 // fakeClock is a minimal deterministic scheduler for driving a Loop.
 type fakeClock struct {
 	now   time.Duration
@@ -255,20 +209,27 @@ func (c *fakeClock) runUntil(t time.Duration) {
 
 func TestLoopEvaluatesAndApplies(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	frag := telemetry.NewFloatGauge(metricFragmentation, "t")
-	reg.MustRegister(frag)
-	frag.Set(0.9)
-
 	clk := &fakeClock{}
 	applied := 0
+	violations := uint64(0)
 	var lastObs Observation
 	loop := &Loop{
-		Engine:   &Adaptive{},
-		Registry: reg,
+		Engine: &Adaptive{},
+		// A switch whose guard charges one violation per evaluation interval.
+		Observe: func() Observation {
+			violations++
+			return Observation{At: clk.now, Fragmentation: 0.9, Violations: violations}
+		},
 		Schedule: clk.schedule,
-		Now:      func() time.Duration { return clk.now },
 		Apply: func(obs Observation, d Decisions) {
 			applied++
+			want := 0.0 // no rate without a baseline
+			if applied > 1 {
+				want = 1 / evalInterval.Seconds()
+			}
+			if obs.ViolationRate != want {
+				t.Fatalf("eval %d: violation rate %v/s, want %v", applied, obs.ViolationRate, want)
+			}
 			lastObs = obs
 			if !d.Defrag.Enabled {
 				t.Fatal("adaptive decisions must arm defrag")

@@ -101,20 +101,17 @@ func (s *Stage) TranslateEntries() []TranslateEntry { return slices.Clone(s.xlat
 type Action func(ctx *Ctx, in isa.Instruction)
 
 // Ctx is the execution context passed to actions: the device, the physical
-// stage the instruction runs in, the packet's PHV, the published stage view
-// (protection + translation), and the counter sink. Actions must consult
-// View — not the stage's TCAM or translation map — and count through Stats,
-// so that execution reads only immutable snapshots and its counts reach the
-// device in one flush per packet. Ctx values are scratch space owned by the
-// PHV; they are reused across instructions and must not be retained by
-// actions.
+// stage the instruction runs in, the packet's PHV, and the published stage
+// view (protection + translation). Actions must consult View — not the stage's
+// TCAM or translation map — so that execution reads only immutable
+// snapshots. Ctx values are scratch space owned by the PHV; they are reused
+// across instructions and must not be retained by actions.
 type Ctx struct {
 	Dev      *Device
 	Stage    *Stage
 	StageIdx int // physical stage index
 	PHV      *PHV
 	View     *StageView
-	Stats    *ExecStats
 }
 
 // TraceEvent describes one instruction slot as it executes (or is skipped
@@ -143,16 +140,12 @@ type Device struct {
 	view    atomic.Pointer[PipeView]
 	viewGen atomic.Uint64
 
-	// stats is Exec's counter sink, flushed into the counter fields after
-	// every packet.
-	stats *ExecStats
-
-	// tel, when attached, receives the flushed counters and the latency
+	// tel, when attached, mirrors the counters and holds the latency
 	// histogram (see telemetry.go); nil keeps the device telemetry-free.
 	tel *Telemetry
 
-	// Counters for the experiment harness. Written only by
-	// ExecStats.FlushInto.
+	// Counters for the experiment harness, counted in place by the one
+	// goroutine that executes packets.
 	PacketsIn, PacketsDropped, Recirculations uint64
 }
 
@@ -170,7 +163,6 @@ func New(cfg Config) (*Device, error) {
 		d.stages[i] = &Stage{Registers: NewRegisterArray(cfg.StageWords), Prot: NewTCAM(cfg.TCAMEntries)}
 		empty.stages[i] = &StageView{}
 	}
-	d.stats = NewExecStats(cfg.NumStages)
 	d.view.Store(empty) // RebuildView shares what did not change with its predecessor
 	d.RebuildView()
 	return d, nil
@@ -233,34 +225,25 @@ func FixedHash(seed uint32, words [NumHashWords]uint32) uint32 {
 // packets are still returned (with Dropped set) so callers can account for
 // them. Latency, pass counts, and Executed flags are filled in on return.
 //
-// Exec counts into the device's private sink and flushes it into the counter
-// fields before returning, so counters are current between packets. Callers
-// that own a sink use ExecInto.
-//
 // Latency is modeled at stage granularity — PassLatency/NumStages per stage
 // slot traversed — which reproduces the linear growth of Figure 8b; an RTS
 // executed at egress charges one extra full pass (the recirculation needed
 // to change ports, Section 3.1).
-func (d *Device) Exec(p *PHV) []*PHV {
-	outs := d.ExecInto(p, make([]*PHV, 0, 1), d.stats)
-	d.stats.FlushInto(d)
-	return outs
-}
+func (d *Device) Exec(p *PHV) []*PHV { return d.ExecInto(p, make([]*PHV, 0, 1)) }
 
 // ExecInto is the allocation-free execution entry point: it appends the
-// primary PHV and any FORK clones to outs (reusing its backing array) and
-// counts into the caller-owned sink st. The pipeline view is loaded once at
-// entry, so the whole packet executes against one published snapshot.
-func (d *Device) ExecInto(p *PHV, outs []*PHV, st *ExecStats) []*PHV {
-	st.ensure(d.cfg.NumStages)
-	st.PacketsIn++
-	return d.run(p, 0, 0, d.view.Load(), st, outs)
+// primary PHV and any FORK clones to outs (reusing its backing array). The
+// pipeline view is loaded once at entry, so the whole packet executes against
+// one published snapshot.
+func (d *Device) ExecInto(p *PHV, outs []*PHV) []*PHV {
+	d.PacketsIn++
+	return d.run(p, 0, 0, d.view.Load(), outs)
 }
 
 // run executes from logical instruction index startIdx with extraSlots
 // stage slots already charged (clone recirculation). Clone outputs are
 // appended recursively.
-func (d *Device) run(p *PHV, startIdx, extraSlots int, view *PipeView, st *ExecStats, outs []*PHV) []*PHV {
+func (d *Device) run(p *PHV, startIdx, extraSlots int, view *PipeView, outs []*PHV) []*PHV {
 	n := d.cfg.NumStages
 	maxSlots := d.cfg.MaxPasses * n
 	outs = append(outs, p)
@@ -285,12 +268,12 @@ func (d *Device) run(p *PHV, startIdx, extraSlots int, view *PipeView, st *ExecS
 			// Skipping an untaken branch arm; resume at the label.
 			if in.Label == p.DisabledUntil {
 				p.DisabledUntil = 0
-				outs = d.execute(s, p, in, idx, outs, view, st)
+				outs = d.execute(s, p, in, idx, outs, view)
 			} else {
 				skipped = true
 			}
 		} else {
-			outs = d.execute(s, p, in, idx, outs, view, st)
+			outs = d.execute(s, p, in, idx, outs, view)
 		}
 		if d.trace != nil {
 			d.trace(TraceEvent{Logical: idx, Stage: s, In: in, Skipped: skipped,
@@ -298,7 +281,7 @@ func (d *Device) run(p *PHV, startIdx, extraSlots int, view *PipeView, st *ExecS
 		}
 		idx++
 		if idx%n == 0 && idx < len(p.Instrs) && idx < maxSlots && !p.Complete && !p.Dropped {
-			st.Recirculations++
+			d.Recirculations++
 		}
 	}
 
@@ -309,17 +292,17 @@ func (d *Device) run(p *PHV, startIdx, extraSlots int, view *PipeView, st *ExecS
 	if p.rtsAtEgress && !p.Dropped {
 		// Ports cannot change at egress: one extra pass to apply RTS.
 		slots += n
-		st.Recirculations++
+		d.Recirculations++
 	}
 	slots += extraSlots
 	p.StagesRun = slots
 	p.Passes = (slots + n - 1) / n
 	p.Latency = time.Duration(int64(slots) * d.cfg.PassLatency.Nanoseconds() / int64(n))
-	if d.tel != nil { // the histogram is only ever drained into telemetry
-		st.Lat.Observe(uint64(p.Latency))
+	if d.tel != nil {
+		d.tel.Latency.Observe(uint64(p.Latency))
 	}
 	if p.Dropped {
-		st.PacketsDropped++
+		d.PacketsDropped++
 	}
 	return outs
 }
@@ -327,20 +310,19 @@ func (d *Device) run(p *PHV, startIdx, extraSlots int, view *PipeView, st *ExecS
 // execute dispatches one instruction to its installed action and handles a
 // resulting FORK. The action context is the PHV's scratch Ctx, refilled per
 // instruction — no per-instruction allocation.
-func (d *Device) execute(stageIdx int, p *PHV, in isa.Instruction, idx int, outs []*PHV, view *PipeView, st *ExecStats) []*PHV {
+func (d *Device) execute(stageIdx int, p *PHV, in isa.Instruction, idx int, outs []*PHV, view *PipeView) []*PHV {
 	fn := d.actions[in.Op]
 	if fn == nil {
 		// Uninstalled opcode: table miss, no action.
 		return outs
 	}
-	st.StageExecuted[stageIdx]++
 	ctx := &p.ctx
 	ctx.Dev = d
 	ctx.Stage = d.stages[stageIdx]
+	ctx.Stage.Executed++
 	ctx.StageIdx = stageIdx
 	ctx.PHV = p
 	ctx.View = view.StageView(stageIdx)
-	ctx.Stats = st
 	fn(ctx, in)
 	if p.forkRequested {
 		p.forkRequested = false
@@ -356,8 +338,8 @@ func (d *Device) execute(stageIdx int, p *PHV, in isa.Instruction, idx int, outs
 		// The clone resumes at the next logical stage after a
 		// recirculation (Section 3.1: instructions that clone packets
 		// require recirculation), charged as one extra pass.
-		st.Recirculations++
-		outs = d.run(c, idx+1, d.cfg.NumStages, view, st, outs)
+		d.Recirculations++
+		outs = d.run(c, idx+1, d.cfg.NumStages, view, outs)
 	}
 	return outs
 }

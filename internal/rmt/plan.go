@@ -33,7 +33,7 @@ type planKind uint8
 const (
 	// pkOp dispatches on the resolved opcode with folded fields.
 	pkOp planKind = iota
-	// pkCount counts StageExecuted and does nothing else: NOP slots and
+	// pkCount counts Stage.Executed and does nothing else: NOP slots and
 	// translation ops whose FID has no entry in the slot's stage (the
 	// interpreter's action runs and finds no entry; the count still lands).
 	pkCount
@@ -55,8 +55,9 @@ type planOp struct {
 	lo, hi  uint32 // memory ops: folded protection ∩ array bounds; empty ⇒ always fault
 	mask    uint32 // ADDR_MASK folded translation mask
 	off     uint32 // ADDR_OFFSET folded translation offset
-	regs    *RegisterArray
-	view    *StageView // fault-attribution lookup (rare path only)
+	// st is the slot's physical stage: its Executed count and register array.
+	st   *Stage
+	view *StageView // fault-attribution lookup (rare path only)
 }
 
 // Plan is a compiled straight-line execution plan for one (FID, program
@@ -102,6 +103,7 @@ func (d *Device) CompilePlan(fid uint16, instrs []isa.Instruction, view *PipeVie
 		o.op = in.Op
 		o.label = in.Label
 		o.stage = uint16(stage)
+		o.st = d.stages[stage]
 		o.egress = stage >= d.cfg.NumIngress
 		if d.actions[in.Op] == nil {
 			o.kind = pkMiss
@@ -125,15 +127,13 @@ func (d *Device) CompilePlan(fid uint16, instrs []isa.Instruction, view *PipeVie
 		case isa.OpCJump, isa.OpCJumpI, isa.OpUJump:
 			o.operand = in.Operand
 		case isa.OpMemRead, isa.OpMemWrite, isa.OpMemIncrement, isa.OpMemMinRead, isa.OpMemMinReadInc:
-			st := d.stages[stage]
-			o.regs = st.Registers
 			o.view = sv
 			if reg, ok := sv.Region(fid); ok {
 				// The grant installer validated Hi-1 against the array, but a
 				// directly installed TCAM region may overhang it: clamp so the
 				// folded bounds compare equals Allowed() ∧ InRange() exactly.
 				o.lo, o.hi = reg.Lo, reg.Hi
-				if max := uint32(st.Registers.Len()); o.hi > max {
+				if max := uint32(o.st.Registers.Len()); o.hi > max {
 					o.hi = max
 				}
 			}
@@ -182,9 +182,8 @@ func (d *Device) CompilePlan(fid uint16, instrs []isa.Instruction, view *PipeVie
 //
 // Plans are compiled only for FORK-free programs, so execution produces
 // exactly one output: the PHV itself.
-func (d *Device) ExecPlan(pl *Plan, p *PHV, st *ExecStats) int {
-	st.ensure(d.cfg.NumStages)
-	st.PacketsIn++
+func (d *Device) ExecPlan(pl *Plan, p *PHV) int {
+	d.PacketsIn++
 	n := pl.numStages
 	maxSlots := pl.maxSlots
 	nOps := len(pl.ops)
@@ -202,14 +201,14 @@ func (d *Device) ExecPlan(pl *Plan, p *PHV, st *ExecStats) int {
 		if p.DisabledUntil != 0 {
 			if o.label == p.DisabledUntil {
 				p.DisabledUntil = 0
-				execPlanOp(o, p, st)
+				execPlanOp(o, p)
 			}
 		} else {
-			execPlanOp(o, p, st)
+			execPlanOp(o, p)
 		}
 		idx++
 		if idx%n == 0 && idx < nOps && idx < maxSlots && !p.Complete && !p.Dropped {
-			st.Recirculations++
+			d.Recirculations++
 		}
 	}
 
@@ -220,16 +219,16 @@ func (d *Device) ExecPlan(pl *Plan, p *PHV, st *ExecStats) int {
 	}
 	if p.rtsAtEgress && !p.Dropped {
 		slots += n
-		st.Recirculations++
+		d.Recirculations++
 	}
 	p.StagesRun = slots
 	p.Passes = (slots + n - 1) / n
 	p.Latency = time.Duration(int64(slots) * pl.passLatNs / int64(n))
-	if d.tel != nil { // the histogram is only ever drained into telemetry
-		st.Lat.Observe(uint64(p.Latency))
+	if d.tel != nil {
+		d.tel.Latency.Observe(uint64(p.Latency))
 	}
 	if p.Dropped {
-		st.PacketsDropped++
+		d.PacketsDropped++
 	}
 	return exit
 }
@@ -237,15 +236,14 @@ func (d *Device) ExecPlan(pl *Plan, p *PHV, st *ExecStats) int {
 // execPlanOp executes one resolved slot. The switch mirrors the action
 // closures in the runtime's instruction set, with every control-plane lookup
 // replaced by the fields folded at compile time.
-func execPlanOp(o *planOp, p *PHV, st *ExecStats) {
-	switch o.kind {
-	case pkMiss:
-		return
-	case pkCount:
-		st.StageExecuted[o.stage]++
+func execPlanOp(o *planOp, p *PHV) {
+	if o.kind == pkMiss {
 		return
 	}
-	st.StageExecuted[o.stage]++
+	o.st.Executed++
+	if o.kind == pkCount {
+		return
+	}
 	switch o.op {
 	case isa.OpMbrLoad:
 		p.MBR = p.Data[o.operand]
@@ -326,47 +324,42 @@ func execPlanOp(o *planOp, p *PHV, st *ExecStats) {
 	case isa.OpMemRead:
 		addr := p.MAR
 		if addr < o.lo || addr >= o.hi {
-			planFault(o, p, st, addr)
+			planFault(o, p, addr)
 			return
 		}
-		st.RegReads[o.stage]++
-		p.MBR = o.regs.Get(addr)
+		p.MBR = o.st.Registers.Read(addr)
 		p.MAR++
 	case isa.OpMemWrite:
 		addr := p.MAR
 		if addr < o.lo || addr >= o.hi {
-			planFault(o, p, st, addr)
+			planFault(o, p, addr)
 			return
 		}
-		st.RegWrites[o.stage]++
-		o.regs.Set(addr, p.MBR)
+		o.st.Registers.Write(addr, p.MBR)
 		p.MAR++
 	case isa.OpMemIncrement:
 		addr := p.MAR
 		if addr < o.lo || addr >= o.hi {
-			planFault(o, p, st, addr)
+			planFault(o, p, addr)
 			return
 		}
-		st.RegWrites[o.stage]++
-		p.MBR = o.regs.Add(addr, o.inc)
+		p.MBR = o.st.Registers.Add(addr, o.inc)
 	case isa.OpMemMinRead:
 		addr := p.MAR
 		if addr < o.lo || addr >= o.hi {
-			planFault(o, p, st, addr)
+			planFault(o, p, addr)
 			return
 		}
-		st.RegReads[o.stage]++
-		if v := o.regs.Get(addr); v < p.MBR {
+		if v := o.st.Registers.Read(addr); v < p.MBR {
 			p.MBR = v
 		}
 	case isa.OpMemMinReadInc:
 		addr := p.MAR
 		if addr < o.lo || addr >= o.hi {
-			planFault(o, p, st, addr)
+			planFault(o, p, addr)
 			return
 		}
-		st.RegWrites[o.stage]++
-		p.MBR = o.regs.Add(addr, 1)
+		p.MBR = o.st.Registers.Add(addr, 1)
 		if p.MBR < p.MBR2 {
 			p.MBR2 = p.MBR
 		}
@@ -401,8 +394,8 @@ func execPlanOp(o *planOp, p *PHV, st *ExecStats) {
 
 // planFault applies the memory-protection fault semantics: drop, attribute,
 // count — identical to the interpreter's memAction wrapper.
-func planFault(o *planOp, p *PHV, st *ExecStats, addr uint32) {
-	st.RegFaults[o.stage]++
+func planFault(o *planOp, p *PHV, addr uint32) {
+	o.st.Registers.Faults++
 	p.Dropped = true
 	p.Faulted = true
 	p.FaultAddr = addr

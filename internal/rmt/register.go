@@ -24,7 +24,8 @@ type RegisterArray struct {
 	words  []uint32
 	parity []uint8 // one parity bit per word, maintained on writes
 
-	// Access counters (data-plane operations only).
+	// Access counters (data-plane operations only); Faults is counted by the
+	// protection check in front of the array.
 	Reads, Writes, Faults uint64
 	// CorruptionsInjected counts CorruptBit calls (fault-injection audit).
 	CorruptionsInjected uint64
@@ -56,22 +57,11 @@ func (r *RegisterArray) Write(addr uint32, v uint32) {
 	r.parity[addr] = parityOf(v)
 }
 
-// Get, Set, and Add are the non-counting variants of Read, Write, and
-// Increment. The packet hot path uses them together with an ExecStats sink
-// (see stats.go), which carries the access counts until its owner flushes.
-
-// Get returns the word at addr without counting the access.
-func (r *RegisterArray) Get(addr uint32) uint32 { return r.words[addr] }
-
-// Set stores v at addr without counting the access.
-func (r *RegisterArray) Set(addr uint32, v uint32) {
-	r.words[addr] = v
-	r.parity[addr] = parityOf(v)
-}
-
-// Add adds delta to the word at addr and returns the new value, without
-// counting the access.
+// Add adds delta to the word at addr and returns the new value — the
+// read-modify-write the stateful ALU performs in one access, counted as a
+// write.
 func (r *RegisterArray) Add(addr uint32, delta uint32) uint32 {
+	r.Writes++
 	r.words[addr] += delta
 	r.parity[addr] = parityOf(r.words[addr])
 	return r.words[addr]

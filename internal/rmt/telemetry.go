@@ -8,10 +8,9 @@ import (
 
 // Telemetry is the device's pre-registered metric handle set. All handles
 // are created at attach time; the packet path never looks anything up by
-// name. Counters are fed exclusively by ExecStats.FlushInto (after every
-// packet on the system path), so enabling telemetry adds no synchronization
-// to execution itself; the latency histogram accumulates in ExecStats.Lat
-// the same way.
+// name. The counters mirror the device's own fields: PublishTelemetry stores
+// the fields into them between packets, so execution itself counts without
+// synchronization; the latency histogram is observed once per packet.
 type Telemetry struct {
 	PacketsIn, PacketsDropped, Recirculations *telemetry.Counter
 
@@ -52,9 +51,27 @@ func NewTelemetry(reg *telemetry.Registry, numStages int) *Telemetry {
 	return t
 }
 
-// AttachTelemetry installs the metric handles; subsequent stat flushes and
+// AttachTelemetry installs the metric handles; subsequent publishes and
 // occupancy syncs feed them. Attach before traffic starts.
 func (d *Device) AttachTelemetry(t *Telemetry) { d.tel = t }
+
+// PublishTelemetry stores the device, stage and register-array counters into
+// the metrics AttachTelemetry installed. The caller is the goroutine that
+// executes packets (the runtime, once per capsule, when it has telemetry
+// itself): a capsule touched a handful of stages, and Counter.Set skips the
+// ones that did not move.
+func (d *Device) PublishTelemetry() {
+	t := d.tel
+	t.PacketsIn.Set(d.PacketsIn)
+	t.PacketsDropped.Set(d.PacketsDropped)
+	t.Recirculations.Set(d.Recirculations)
+	for i, st := range d.stages {
+		t.StageExecuted[i].Set(st.Executed)
+		t.RegReads[i].Set(st.Registers.Reads)
+		t.RegWrites[i].Set(st.Registers.Writes)
+		t.RegFaults[i].Set(st.Registers.Faults)
+	}
+}
 
 // SyncOccupancy recomputes the per-stage occupancy gauges from the published
 // pipeline view. The runtime calls it inside its commit window so a scrape

@@ -94,16 +94,12 @@ func (r *Runtime) installActions(d *rmt.Device) {
 
 		// Memory access: protection first, then the stateful-ALU
 		// micro-program. MEM_READ/MEM_WRITE advance MAR (Section 3.4).
-		// Accesses use the non-counting register accessors and count
-		// through the Ctx sink.
 		isa.OpMemRead: memAction(func(ctx *rmt.Ctx, in isa.Instruction, addr uint32) {
-			ctx.Stats.RegReads[ctx.StageIdx]++
-			ctx.PHV.MBR = ctx.Stage.Registers.Get(addr)
+			ctx.PHV.MBR = ctx.Stage.Registers.Read(addr)
 			ctx.PHV.MAR++
 		}),
 		isa.OpMemWrite: memAction(func(ctx *rmt.Ctx, in isa.Instruction, addr uint32) {
-			ctx.Stats.RegWrites[ctx.StageIdx]++
-			ctx.Stage.Registers.Set(addr, ctx.PHV.MBR)
+			ctx.Stage.Registers.Write(addr, ctx.PHV.MBR)
 			ctx.PHV.MAR++
 		}),
 		isa.OpMemIncrement: memAction(func(ctx *rmt.Ctx, in isa.Instruction, addr uint32) {
@@ -111,18 +107,15 @@ func (r *Runtime) installActions(d *rmt.Device) {
 			if inc == 0 {
 				inc = 1
 			}
-			ctx.Stats.RegWrites[ctx.StageIdx]++
 			ctx.PHV.MBR = ctx.Stage.Registers.Add(addr, inc)
 		}),
 		isa.OpMemMinRead: memAction(func(ctx *rmt.Ctx, in isa.Instruction, addr uint32) {
-			ctx.Stats.RegReads[ctx.StageIdx]++
-			v := ctx.Stage.Registers.Get(addr)
+			v := ctx.Stage.Registers.Read(addr)
 			if v < ctx.PHV.MBR {
 				ctx.PHV.MBR = v
 			}
 		}),
 		isa.OpMemMinReadInc: memAction(func(ctx *rmt.Ctx, in isa.Instruction, addr uint32) {
-			ctx.Stats.RegWrites[ctx.StageIdx]++
 			ctx.PHV.MBR = ctx.Stage.Registers.Add(addr, 1)
 			if ctx.PHV.MBR < ctx.PHV.MBR2 {
 				ctx.PHV.MBR2 = ctx.PHV.MBR
@@ -198,7 +191,7 @@ func memAction(body func(ctx *rmt.Ctx, in isa.Instruction, addr uint32)) rmt.Act
 	return func(ctx *rmt.Ctx, in isa.Instruction) {
 		addr := ctx.PHV.MAR
 		if !ctx.View.Allowed(ctx.PHV.FID, addr) || !ctx.Stage.Registers.InRange(addr) {
-			ctx.Stats.RegFaults[ctx.StageIdx]++
+			ctx.Stage.Registers.Faults++
 			ctx.PHV.Dropped = true
 			ctx.PHV.Faulted = true
 			ctx.PHV.FaultAddr = addr

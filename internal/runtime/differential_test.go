@@ -276,8 +276,6 @@ func TestDifferentialSpecializedVsInterpreter(t *testing.T) {
 	rs := testRuntime(t) // specialized
 	ri.SetSpecialization(false)
 
-	resI, resS := NewExecResult(), NewExecResult()
-	sinkI, sinkS := ri.NewExecSink(), rs.NewExecSink()
 	rng := rand.New(rand.NewSource(0xA11CE))
 
 	grant := func(fid uint16, lo, hi uint32) {
@@ -342,8 +340,8 @@ func TestDifferentialSpecializedVsInterpreter(t *testing.T) {
 			as := progPacket(fid, p, args)
 			ai.Header.Flags |= flags
 			as.Header.Flags |= flags
-			want := execFast(ri, ai, resI, sinkI)
-			got := execFast(rs, as, resS, sinkS)
+			want := ri.ExecuteProgram(ai)
+			got := rs.ExecuteProgram(as)
 			compareOutputs(t, fmt.Sprintf("trial %d rep %d", trial, rep), want, got)
 		}
 	}
@@ -390,8 +388,6 @@ func TestDifferentialRegisteredApps(t *testing.T) {
 	rs := testRuntime(t) // specialized
 	ri.SetSpecialization(false)
 
-	resI, resS := NewExecResult(), NewExecResult()
-	sinkI, sinkS := ri.NewExecSink(), rs.NewExecSink()
 	rng := rand.New(rand.NewSource(0x5ECA))
 
 	progs := append(apps.Programs(), secapps.Programs()...)
@@ -428,8 +424,8 @@ func TestDifferentialRegisteredApps(t *testing.T) {
 				as := progPacket(fid, tmpl.Clone(), args)
 				ai.Header.Flags |= flags
 				as.Header.Flags |= flags
-				want := execFast(ri, ai, resI, sinkI)
-				got := execFast(rs, as, resS, sinkS)
+				want := ri.ExecuteProgram(ai)
+				got := rs.ExecuteProgram(as)
 				compareOutputs(t, fmt.Sprintf("%s trial %d rep %d", tmpl.Name, trial, rep), want, got)
 			}
 		}

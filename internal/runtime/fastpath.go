@@ -9,24 +9,22 @@ import (
 	"activermt/internal/telemetry"
 )
 
-// This file is the packet path — the one engine every caller runs. executeOne
-// performs the admission checks, PHV construction, pipeline execution (a
-// compiled plan when one exists, the interpreter otherwise — see
-// specialize.go), and output encoding such that:
+// This file is the packet path — the one engine every caller runs, through
+// the one entry ExecuteProgram (switchd, and so the testbed, fabric and soak;
+// core; the ablations; tests and microbenchmarks). executeOne performs the
+// admission checks, PHV construction, pipeline execution (a compiled plan when
+// one exists, the interpreter otherwise — see specialize.go), and output
+// encoding such that:
 //
-//   - all per-packet state lives in a reusable ExecResult (pooled PHV,
-//     pooled output capsules, reusable device-output buffer), so the
+//   - all per-packet state lives in the runtime's reusable scratch (pooled
+//     PHV, pooled output capsules, reusable device-output buffer), so the
 //     steady-state loop performs zero heap allocations;
 //   - control state is read exclusively from the published snapshots
 //     (ctrlView + rmt.PipeView), never from the mutable builder tables;
-//   - counters accumulate into a caller-owned ExecSink and guard events are
-//     buffered there, so the owner drains both between capsules — after the
-//     capsule has fully executed, before any output leaves.
-//
-// ExecuteProgram is the system path's entry point (switchd, and so the
-// testbed, fabric and soak; core; the ablations): executeOne on runtime-owned
-// scratch, drained after every capsule. ExecuteCapsule runs the same engine on
-// caller-owned scratch for tests and microbenchmarks.
+//   - counters are the exported fields of the Runtime and its Device, counted
+//     in place by the one goroutine that executes capsules, and guard events
+//     are buffered — ExecuteProgram delivers them after the capsule has fully
+//     executed, before any output leaves.
 
 // GuardEventKind discriminates buffered guard notifications.
 type GuardEventKind uint8
@@ -38,8 +36,8 @@ const (
 	GuardEventRevokedDrop
 )
 
-// GuardEvent is one buffered GuardHook notification, delivered by
-// DeliverEvents once the capsule that raised it has finished executing.
+// GuardEvent is one buffered GuardHook notification, delivered once the
+// capsule that raised it has finished executing.
 type GuardEvent struct {
 	Kind  GuardEventKind
 	FID   uint16
@@ -49,92 +47,11 @@ type GuardEvent struct {
 	Owned bool
 }
 
-// PathStats mirrors the Runtime's execution counters; the hot path counts
-// here and the owner flushes into the Runtime fields under exclusion.
-// RecircThrottled is absent: RecircAllowed already updates it atomically.
-type PathStats struct {
-	ProgramsRun, Passthrough, Faults uint64
-	PrivSuppressed                   uint64
-	QuarantineDrops, RevokedDrops    uint64
-	Specialized                      uint64
-}
-
-// FlushInto drains the counters into the runtime's exported fields (mirroring
-// into telemetry when attached) and resets them. The caller must be the
-// goroutine that owns the runtime's counters.
-func (s *PathStats) FlushInto(r *Runtime) {
-	if t := r.tel; t != nil {
-		s.flushTel(t)
-	}
-	r.ProgramsRun += s.ProgramsRun
-	r.Passthrough += s.Passthrough
-	r.Faults += s.Faults
-	r.PrivSuppressed += s.PrivSuppressed
-	r.QuarantineDrops += s.QuarantineDrops
-	r.RevokedDrops += s.RevokedDrops
-	r.SpecializedRuns += s.Specialized
-	*s = PathStats{}
-}
-
-// flushTel mirrors the counters into the telemetry counters without
-// resetting them; zero deltas are skipped so the per-packet ExecuteProgram
-// flush stays a few atomic adds.
-func (s *PathStats) flushTel(t *Telemetry) {
-	if s.ProgramsRun != 0 {
-		t.ProgramsRun.Add(s.ProgramsRun)
-	}
-	if s.Passthrough != 0 {
-		t.Passthrough.Add(s.Passthrough)
-	}
-	if s.Faults != 0 {
-		t.Faults.Add(s.Faults)
-	}
-	if s.PrivSuppressed != 0 {
-		t.PrivSuppressed.Add(s.PrivSuppressed)
-	}
-	if s.QuarantineDrops != 0 {
-		t.QuarantineDrops.Add(s.QuarantineDrops)
-	}
-	if s.RevokedDrops != 0 {
-		t.RevokedDrops.Add(s.RevokedDrops)
-	}
-	if s.Specialized != 0 {
-		t.Specialized.Add(s.Specialized)
-	}
-}
-
-// ExecSink is the per-executor accounting context: path counters, a device
-// counter sink, and buffered guard events. The runtime owns one for
-// ExecuteProgram and drains it after every packet; ExecuteCapsule callers
-// bring their own.
-type ExecSink struct {
-	Path   PathStats
-	Dev    *rmt.ExecStats
-	Events []GuardEvent
-
-	// FR is the executor's flight recorder (nil when telemetry is off).
-	// Single-writer like the rest of the sink; the scrape goroutine copies
-	// it out under the recorder's own mutex.
-	FR *telemetry.FlightRecorder
-}
-
-// NewExecSink returns a sink sized for the runtime's pipeline. With
-// telemetry attached, the sink carries its own flight recorder under a
-// fresh lane id.
-func (r *Runtime) NewExecSink() *ExecSink {
-	s := &ExecSink{Dev: rmt.NewExecStats(r.dev.NumStages())}
-	if t := r.tel; t != nil {
-		s.FR = telemetry.NewFlightRecorder(int(t.laneSeq.Add(1)), telemetry.DefaultFlightSize, telemetry.DefaultFlightPeriod)
-		t.reg.AttachFlight(s.FR)
-	}
-	return s
-}
-
-// DeliverEvents replays the buffered guard events into the installed
-// GuardHook (single-threaded callers only) and clears the buffer.
-func (r *Runtime) DeliverEvents(sink *ExecSink) {
+// deliverEvents replays the buffered guard events into the installed
+// GuardHook and clears the buffer.
+func (r *Runtime) deliverEvents() {
 	if r.guard != nil {
-		for _, ev := range sink.Events {
+		for _, ev := range r.events {
 			switch ev.Kind {
 			case GuardEventMemFault:
 				r.guard.MemFault(ev.FID, ev.Stage, ev.Addr, ev.Owner, ev.Owned)
@@ -145,15 +62,15 @@ func (r *Runtime) DeliverEvents(sink *ExecSink) {
 			}
 		}
 	}
-	sink.Events = sink.Events[:0]
+	r.events = r.events[:0]
 }
 
-// flightRefusal force-records a refused capsule into the sink's flight
-// recorder (refusals always record; the sampling clock still advances so
+// flightRefusal force-records a refused capsule into the flight recorder
+// (refusals always record; the sampling clock still advances so
 // executed-capsule sampling stays uniform). The epoch lookup only happens
 // on refusal paths, never per clean packet.
-func (s *ExecSink) flightRefusal(cv *ctrlView, fid uint16, v telemetry.Verdict) {
-	if fr := s.FR; fr != nil {
+func (r *Runtime) flightRefusal(cv *ctrlView, fid uint16, v telemetry.Verdict) {
+	if fr := r.fr; fr != nil {
 		fr.ShouldSample()
 		fr.Record(telemetry.FlightEntry{FID: fid, Epoch: cv.row(fid).epoch, Verdict: v})
 	}
@@ -167,12 +84,12 @@ type outSlot struct {
 	prog isa.Program
 }
 
-// ExecResult holds every piece of per-packet scratch state the fast path
-// needs: a pooled PHV, the device output buffer, and reusable output
-// capsules. Outputs are valid until the next ExecuteCapsule call with the
-// same ExecResult; callers that need to retain an output must copy it.
-type ExecResult struct {
-	Outputs []*Output
+// scratch holds every piece of per-packet state the packet path needs: a
+// pooled PHV, the device output buffer, and reusable output capsules. Outputs
+// are valid until the next ExecuteProgram call; callers that need to retain an
+// output must copy it.
+type scratch struct {
+	outputs []*Output
 
 	phv     *rmt.PHV
 	devOuts []*rmt.PHV
@@ -184,13 +101,8 @@ type ExecResult struct {
 	memo [planMemoSize]planMemoEntry
 }
 
-// NewExecResult returns an ExecResult ready for ExecuteCapsule.
-func NewExecResult() *ExecResult {
-	return &ExecResult{phv: &rmt.PHV{}}
-}
-
 // slot returns reusable output slot i, growing the slot table on first use.
-func (res *ExecResult) slot(i int) *outSlot {
+func (res *scratch) slot(i int) *outSlot {
 	for len(res.slots) <= i {
 		res.slots = append(res.slots, &outSlot{})
 	}
@@ -198,51 +110,45 @@ func (res *ExecResult) slot(i int) *outSlot {
 }
 
 // addOutput appends a prepared slot's Output.
-func (res *ExecResult) addOutput(s *outSlot) { res.Outputs = append(res.Outputs, &s.out) }
+func (res *scratch) addOutput(s *outSlot) { res.outputs = append(res.outputs, &s.out) }
 
-// ExecuteCapsule runs one program capsule through the pipeline with all
-// scratch state drawn from res and all accounting routed into sink:
-// admission checks read the published control snapshot, the PHV and output
-// capsules are reused, and guard notifications are buffered in the sink
-// instead of delivered inline. Admitted programs execute through their
-// compiled plan when one is (or can be) cached for the current snapshot pair;
-// everything else takes the interpreter (see specialize.go).
+// ExecuteProgram runs one program capsule through the pipeline — the only
+// entry point, for the system path (switchd, core, the ablations), tests and
+// microbenchmarks alike. Admission checks read the published control
+// snapshot, the PHV and output capsules are reused, and admitted programs
+// execute through their compiled plan when one is (or can be) cached for the
+// current snapshot pair; everything else takes the interpreter (see
+// specialize.go). When it returns, the capsule's counts are in the exported
+// runtime and device fields (and published to telemetry when attached) and
+// its buffered guard events have been delivered to the hook — counters read,
+// and escalations land, between capsules. It returns the output packets,
+// primary first, then FORK clones.
 //
 // Refused packets (revoked/quarantined/throttled) do not mutate the input
 // capsule's flags: the FlagFailed marking is applied to the copied output
 // capsule, which is what goes on the wire. The input may therefore be a
 // pooled buffer reused by the caller.
-func (r *Runtime) ExecuteCapsule(a *packet.Active, res *ExecResult, sink *ExecSink) {
-	r.executeOne(a, res, sink, r.view(), r.dev.View(), r.planTab.Load())
-}
-
-// ExecuteProgram is the single-threaded entry point the system path uses
-// (switchd, core, the ablations): one capsule through the same engine as
-// ExecuteCapsule on runtime-owned scratch, then the per-packet flush — path
-// and device counters into their exported fields (and telemetry), buffered
-// guard events into the hook — so counters read, and escalations land,
-// between packets exactly as if they had happened inline. It returns the
-// output packets, primary first, then FORK clones.
 //
 // The outputs live in the runtime's scratch: they are valid until the next
 // ExecuteProgram call on this Runtime; callers that retain one must copy it.
 func (r *Runtime) ExecuteProgram(a *packet.Active) []*Output {
-	r.executeOne(a, r.res, r.sink, r.view(), r.dev.View(), r.planTab.Load())
-	r.sink.Path.FlushInto(r)
-	r.sink.Dev.FlushInto(r.dev)
-	r.DeliverEvents(r.sink)
-	return r.res.Outputs
+	r.executeOne(a)
+	if r.tel != nil {
+		r.publishTelemetry()
+	}
+	r.deliverEvents()
+	return r.res.outputs
 }
 
-// executeOne is one capsule against explicitly loaded snapshots, shared by
-// ExecuteProgram and ExecuteCapsule. Programs whose FID was never
-// admitted pass through unexecuted, exactly as a table miss would behave on
-// the real switch. Programs whose FID was revoked — or is quarantined during
-// a reallocation (FlagMemSync excepted) — hard-drop: a tenant stripped of its
-// grant must not retain pipeline access, and a deactivated tenant's packets
-// must not leak around the snapshot.
-func (r *Runtime) executeOne(a *packet.Active, res *ExecResult, sink *ExecSink, cv *ctrlView, pv *rmt.PipeView, tab *planTable) {
-	res.Outputs = res.Outputs[:0]
+// executeOne is one capsule against one load of the published snapshots.
+// Programs whose FID was never admitted pass through unexecuted, exactly as a
+// table miss would behave on the real switch. Programs whose FID was revoked
+// — or is quarantined during a reallocation (FlagMemSync excepted) —
+// hard-drop: a tenant stripped of its grant must not retain pipeline access,
+// and a deactivated tenant's packets must not leak around the snapshot.
+func (r *Runtime) executeOne(a *packet.Active) {
+	res, cv, pv, tab := r.res, r.view(), r.dev.View(), r.planTab.Load()
+	res.outputs = res.outputs[:0]
 	lat := r.passLat
 	if a.Program == nil {
 		res.passThrough(a, lat)
@@ -255,9 +161,9 @@ func (r *Runtime) executeOne(a *packet.Active, res *ExecResult, sink *ExecSink, 
 		!r.specOff.Load() && !r.dev.TraceEnabled()
 	var pl *compiledPlan
 	if spec {
-		// The direct-mapped memo remembers the plan this executor last
-		// resolved for the FID's slot; a hit (validated by table and program
-		// pointer identity) skips the plan map's hash entirely.
+		// The direct-mapped memo remembers the plan last resolved for the
+		// FID's slot; a hit (validated by table and program pointer identity)
+		// skips the plan map's hash entirely.
 		m := &res.memo[int(fid)&(planMemoSize-1)]
 		pl = m.pl
 		if m.tab != tab || m.prog != a.Program || m.fid != fid {
@@ -279,15 +185,15 @@ func (r *Runtime) executeOne(a *packet.Active, res *ExecResult, sink *ExecSink, 
 	} else {
 		row := cv.row(fid)
 		if row.revoked {
-			sink.Path.RevokedDrops++
-			sink.Events = append(sink.Events, GuardEvent{Kind: GuardEventRevokedDrop, FID: fid})
-			sink.flightRefusal(cv, fid, telemetry.VerdictRevoked)
+			r.RevokedDrops++
+			r.events = append(r.events, GuardEvent{Kind: GuardEventRevokedDrop, FID: fid})
+			r.flightRefusal(cv, fid, telemetry.VerdictRevoked)
 			res.hardDrop(a, lat)
 			return
 		}
 		if !row.admitted {
-			sink.Path.Passthrough++
-			if fr := sink.FR; fr != nil && fr.ShouldSample() {
+			r.Passthrough++
+			if fr := r.fr; fr != nil && fr.ShouldSample() {
 				fr.Record(telemetry.FlightEntry{FID: fid, Verdict: telemetry.VerdictPassthrough})
 			}
 			res.passThrough(a, lat)
@@ -296,16 +202,16 @@ func (r *Runtime) executeOne(a *packet.Active, res *ExecResult, sink *ExecSink, 
 		quarantined = row.quarantined
 	}
 	if quarantined && a.Header.Flags&packet.FlagMemSync == 0 {
-		sink.Path.QuarantineDrops++
-		sink.flightRefusal(cv, fid, telemetry.VerdictQuarantined)
+		r.QuarantineDrops++
+		r.flightRefusal(cv, fid, telemetry.VerdictQuarantined)
 		res.hardDrop(a, lat)
 		return
 	}
 	if !r.RecircAllowed(fid, a.Program.Len()) {
 		// The recirculation fairness controller polices bandwidth inflation
 		// (Section 7.2): over-budget programs are dropped.
-		sink.Events = append(sink.Events, GuardEvent{Kind: GuardEventRecircThrottled, FID: fid})
-		sink.flightRefusal(cv, fid, telemetry.VerdictThrottled)
+		r.events = append(r.events, GuardEvent{Kind: GuardEventRecircThrottled, FID: fid})
+		r.flightRefusal(cv, fid, telemetry.VerdictThrottled)
 		res.hardDrop(a, lat)
 		return
 	}
@@ -317,18 +223,18 @@ func (r *Runtime) executeOne(a *packet.Active, res *ExecResult, sink *ExecSink, 
 		pl = r.compilePlan(tab, planKey{prog: a.Program, fid: fid})
 	}
 	if pl != nil && pl.rp != nil {
-		r.execSpecialized(a, pl, res, sink, cv, fid)
+		r.execSpecialized(a, pl, cv, fid)
 		return
 	}
-	sink.Path.ProgramsRun++
+	r.ProgramsRun++
 
 	phv := res.fillPHV(a, fid, true)
 	phv.Instrs = append(phv.Instrs[:0], a.Program.Instrs...)
-	sink.Path.PrivSuppressed += maskPrivileged(cv, fid, phv.Instrs)
+	r.PrivSuppressed += maskPrivileged(cv, fid, phv.Instrs)
 
-	res.devOuts = r.dev.ExecInto(phv, res.devOuts[:0], sink.Dev)
+	res.devOuts = r.dev.ExecInto(phv, res.devOuts[:0])
 	for i, p := range res.devOuts {
-		noteFault(sink, fid, p)
+		r.noteFault(fid, p)
 		s := res.slot(i)
 		// Shrink executed instruction headers unless the program opted out
 		// (Section 3.1's packet-shrinking optimization).
@@ -343,12 +249,12 @@ func (r *Runtime) executeOne(a *packet.Active, res *ExecResult, sink *ExecSink, 
 		s.finish(a, p)
 		res.addOutput(s)
 	}
-	sink.flightExecuted(cv, fid, res.devOuts[0]) // the primary PHV describes the traversal
+	r.flightExecuted(cv, fid, res.devOuts[0]) // the primary PHV describes the traversal
 }
 
 // fillPHV resets the pooled PHV and loads the capsule's parsed fields; the
 // payload's 5-tuple only when the program can read it.
-func (res *ExecResult) fillPHV(a *packet.Active, fid uint16, tuple bool) *rmt.PHV {
+func (res *scratch) fillPHV(a *packet.Active, fid uint16, tuple bool) *rmt.PHV {
 	phv := res.phv
 	phv.Reset()
 	phv.FID = fid
@@ -366,12 +272,12 @@ func (res *ExecResult) fillPHV(a *packet.Active, fid uint16, tuple bool) *rmt.PH
 }
 
 // noteFault counts a protection fault and buffers its guard event.
-func noteFault(sink *ExecSink, fid uint16, p *rmt.PHV) {
+func (r *Runtime) noteFault(fid uint16, p *rmt.PHV) {
 	if !p.Faulted {
 		return
 	}
-	sink.Path.Faults++
-	sink.Events = append(sink.Events, GuardEvent{
+	r.Faults++
+	r.events = append(r.events, GuardEvent{
 		Kind: GuardEventMemFault, FID: fid,
 		Stage: p.FaultStage, Addr: p.FaultAddr,
 		Owner: p.FaultOwner, Owned: p.FaultOwned,
@@ -380,8 +286,8 @@ func noteFault(sink *ExecSink, fid uint16, p *rmt.PHV) {
 
 // flightExecuted samples an executed capsule into the flight recorder;
 // faults and drops force-record.
-func (s *ExecSink) flightExecuted(cv *ctrlView, fid uint16, p *rmt.PHV) {
-	fr := s.FR
+func (r *Runtime) flightExecuted(cv *ctrlView, fid uint16, p *rmt.PHV) {
+	fr := r.fr
 	if fr == nil {
 		return
 	}
@@ -400,7 +306,7 @@ func (s *ExecSink) flightExecuted(cv *ctrlView, fid uint16, p *rmt.PHV) {
 }
 
 // passThrough fills slot 0 with the unexecuted capsule itself.
-func (res *ExecResult) passThrough(a *packet.Active, lat time.Duration) {
+func (res *scratch) passThrough(a *packet.Active, lat time.Duration) {
 	s := res.slot(0)
 	s.out = Output{Active: a, Latency: lat}
 	res.addOutput(s)
@@ -410,8 +316,8 @@ func (res *ExecResult) passThrough(a *packet.Active, lat time.Duration) {
 // refused before execution. The input capsule is shallow-copied into the
 // slot and the failure flag set on the copy, so pooled inputs are never
 // mutated; the copy shares the input's Program and Payload, which is fine
-// for an output that is only read until the next ExecuteCapsule call.
-func (res *ExecResult) hardDrop(a *packet.Active, lat time.Duration) {
+// for an output that is only read until the next ExecuteProgram call.
+func (res *scratch) hardDrop(a *packet.Active, lat time.Duration) {
 	s := res.slot(0)
 	s.act = *a
 	s.act.Header.Flags |= packet.FlagFailed

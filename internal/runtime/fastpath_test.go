@@ -7,16 +7,6 @@ import (
 	"activermt/internal/telemetry"
 )
 
-// execFast runs one capsule through the fast path and flushes the sink, so
-// counter state is comparable with the compat path after every packet.
-func execFast(r *Runtime, a *packet.Active, res *ExecResult, sink *ExecSink) []*Output {
-	r.ExecuteCapsule(a, res, sink)
-	sink.Path.FlushInto(r)
-	sink.Dev.FlushInto(r.Device())
-	r.DeliverEvents(sink)
-	return res.Outputs
-}
-
 // compareOutputs asserts the observable wire content of two output sets is
 // identical: flags, args, surviving instructions, and routing verdicts.
 func compareOutputs(t *testing.T, step string, want, got []*Output) {
@@ -55,85 +45,14 @@ func compareOutputs(t *testing.T, step string, want, got []*Output) {
 	}
 }
 
-// TestExecuteCapsuleMatchesExecuteProgram drives the two entry points —
-// ExecuteProgram with its per-capsule drain, forced onto the interpreter, and
-// ExecuteCapsule on caller-owned scratch with compiled plans — through the
-// same packet sequence on two identical runtimes and requires identical wire
-// outputs, runtime counters, and register state: hit/miss queries, a
-// protection fault, unadmitted passthrough, quarantine drop, and revoked
-// drop.
-func TestExecuteCapsuleMatchesExecuteProgram(t *testing.T) {
-	ra := testRuntime(t)
-	rb := testRuntime(t)
-	ra.SetSpecialization(false)
-	installCacheGrant(t, ra, 1, 0, 1024)
-	installCacheGrant(t, rb, 1, 0, 1024)
-
-	res := NewExecResult()
-	sink := rb.NewExecSink()
-	capsule := func(fid uint16, flags uint16, args [4]uint32) (*packet.Active, *packet.Active) {
-		a := progPacket(fid, cacheQuery, args)
-		b := progPacket(fid, cacheQuery.Clone(), args)
-		a.Header.Flags |= flags
-		b.Header.Flags |= flags
-		return a, b
-	}
-
-	step := func(name string, fid uint16, flags uint16, args [4]uint32) {
-		t.Helper()
-		a, b := capsule(fid, flags, args)
-		compareOutputs(t, name, ra.ExecuteProgram(a), execFast(rb, b, res, sink))
-	}
-
-	step("miss", 1, packet.FlagPreload, [4]uint32{7, 9, 100, 0})
-	step("repeat", 1, packet.FlagPreload, [4]uint32{7, 9, 100, 0})
-	step("fault", 1, packet.FlagPreload, [4]uint32{1, 2, 4000, 0}) // outside [0,1024)
-	step("unadmitted", 9, 0, [4]uint32{})
-
-	ra.Deactivate(1)
-	rb.Deactivate(1)
-	step("quarantined", 1, packet.FlagPreload, [4]uint32{1, 2, 100, 0})
-	ra.Reactivate(1)
-	rb.Reactivate(1)
-	step("reactivated", 1, packet.FlagPreload, [4]uint32{7, 9, 100, 0})
-
-	ra.RemoveGrant(1)
-	rb.RemoveGrant(1)
-	step("revoked", 1, packet.FlagPreload, [4]uint32{1, 2, 100, 0})
-
-	// Counter and device state must agree exactly.
-	if ra.ProgramsRun != rb.ProgramsRun || ra.Passthrough != rb.Passthrough ||
-		ra.Faults != rb.Faults || ra.QuarantineDrops != rb.QuarantineDrops ||
-		ra.RevokedDrops != rb.RevokedDrops {
-		t.Fatalf("runtime counters diverged:\ncompat %d/%d/%d/%d/%d\nfast   %d/%d/%d/%d/%d",
-			ra.ProgramsRun, ra.Passthrough, ra.Faults, ra.QuarantineDrops, ra.RevokedDrops,
-			rb.ProgramsRun, rb.Passthrough, rb.Faults, rb.QuarantineDrops, rb.RevokedDrops)
-	}
-	da, db := ra.Device(), rb.Device()
-	if da.PacketsIn != db.PacketsIn || da.PacketsDropped != db.PacketsDropped || da.Recirculations != db.Recirculations {
-		t.Fatalf("device counters diverged: %d/%d/%d vs %d/%d/%d",
-			da.PacketsIn, da.PacketsDropped, da.Recirculations,
-			db.PacketsIn, db.PacketsDropped, db.Recirculations)
-	}
-	for s := 0; s < da.NumStages(); s++ {
-		sa, sb := da.Stage(s), db.Stage(s)
-		if sa.Executed != sb.Executed {
-			t.Fatalf("stage %d executed %d vs %d", s, sa.Executed, sb.Executed)
-		}
-		if sa.Registers.Reads != sb.Registers.Reads || sa.Registers.Writes != sb.Registers.Writes ||
-			sa.Registers.Faults != sb.Registers.Faults {
-			t.Fatalf("stage %d register counters diverged", s)
-		}
-	}
-}
-
-// TestExecuteCapsuleZeroAlloc is the allocation gate for the packet hot
-// path: once scratch buffers are warm, ExecuteCapsule must not allocate —
-// on the clean path and on the fault path (buffered events reuse their
-// capacity after delivery). The gate holds with telemetry both disabled and
-// enabled: sharded counter adds, local-histogram observes, and flight-ring
-// records are all allocation-free by construction.
-func TestExecuteCapsuleZeroAlloc(t *testing.T) {
+// TestExecuteProgramZeroAlloc is the allocation gate for the packet hot
+// path: once scratch buffers are warm, ExecuteProgram must not allocate — on
+// the clean path and on the fault path (buffered events reuse their capacity
+// after delivery), through a compiled plan and through the interpreter. The
+// gate holds with telemetry both disabled and enabled: the per-capsule
+// counter publish, histogram observes, and flight-ring records are all
+// allocation-free by construction.
+func TestExecuteProgramZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		telemetry bool
@@ -142,37 +61,39 @@ func TestExecuteCapsuleZeroAlloc(t *testing.T) {
 		{name: "telemetry", telemetry: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := testRuntime(t)
-			if tc.telemetry {
-				r.AttachTelemetry(telemetry.NewRegistry())
-			}
-			installCacheGrant(t, r, 1, 0, 1024)
-			res := NewExecResult()
-			sink := r.NewExecSink()
+			for _, specialized := range []bool{true, false} {
+				r := testRuntime(t)
+				r.SetSpecialization(specialized)
+				if tc.telemetry {
+					r.AttachTelemetry(telemetry.NewRegistry())
+				}
+				installCacheGrant(t, r, 1, 0, 1024)
 
-			clean := progPacket(1, cacheQuery, [4]uint32{7, 9, 100, 0})
-			clean.Header.Flags |= packet.FlagPreload
-			faulty := progPacket(1, cacheQuery, [4]uint32{7, 9, 4000, 0})
-			faulty.Header.Flags |= packet.FlagPreload
+				clean := progPacket(1, cacheQuery, [4]uint32{7, 9, 100, 0})
+				clean.Header.Flags |= packet.FlagPreload
+				faulty := progPacket(1, cacheQuery, [4]uint32{7, 9, 4000, 0})
+				faulty.Header.Flags |= packet.FlagPreload
 
-			for i := 0; i < 64; i++ { // warm scratch buffers and event capacity
-				r.ExecuteCapsule(clean, res, sink)
-				r.ExecuteCapsule(faulty, res, sink)
-				r.DeliverEvents(sink)
-			}
-			if avg := testing.AllocsPerRun(200, func() {
-				r.ExecuteCapsule(clean, res, sink)
-			}); avg != 0 {
-				t.Fatalf("clean path allocates %.2f/op, want 0", avg)
-			}
-			if avg := testing.AllocsPerRun(200, func() {
-				r.ExecuteCapsule(faulty, res, sink)
-				r.DeliverEvents(sink)
-			}); avg != 0 {
-				t.Fatalf("fault path allocates %.2f/op, want 0", avg)
-			}
-			if tc.telemetry && sink.FR != nil && sink.FR.Recorded() == 0 {
-				t.Fatal("telemetry enabled but the lane flight recorder saw no samples")
+				for i := 0; i < 64; i++ { // warm scratch buffers and event capacity
+					r.ExecuteProgram(clean)
+					r.ExecuteProgram(faulty)
+				}
+				if avg := testing.AllocsPerRun(200, func() {
+					r.ExecuteProgram(clean)
+				}); avg != 0 {
+					t.Fatalf("specialized=%v: clean path allocates %.2f/op, want 0", specialized, avg)
+				}
+				if avg := testing.AllocsPerRun(200, func() {
+					r.ExecuteProgram(faulty)
+				}); avg != 0 {
+					t.Fatalf("specialized=%v: fault path allocates %.2f/op, want 0", specialized, avg)
+				}
+				if specialized != (r.SpecializedRuns != 0) {
+					t.Fatalf("specialized=%v but %d of %d capsules ran a compiled plan", specialized, r.SpecializedRuns, r.ProgramsRun)
+				}
+				if tc.telemetry && r.fr.Recorded() == 0 {
+					t.Fatal("telemetry enabled but the flight recorder saw no samples")
+				}
 			}
 		})
 	}
@@ -187,19 +108,41 @@ func (h *hookLog) MemFault(uint16, int, uint32, uint16, bool) {
 func (h *hookLog) RecircThrottled(uint16) { h.events = append(h.events, GuardEventRecircThrottled) }
 func (h *hookLog) RevokedDrop(uint16)     { h.events = append(h.events, GuardEventRevokedDrop) }
 
-// TestExecuteProgramDrainsPerCapsule pins what callers of the single-threaded
-// entry point rely on: when ExecuteProgram returns, the capsule's counters
-// are in the exported runtime and device fields, its guard events have been
-// delivered, and its outputs stay readable until the next call — all without
-// allocating, with telemetry off and on (where the lane-0 flight recorder
-// must see the capsules).
+// TestExecuteProgramDrainsPerCapsule pins what callers of the entry point
+// rely on: when ExecuteProgram returns, the capsule's counters are in the
+// exported runtime and device fields — and, with telemetry on, in the metrics
+// a scrape reads — its guard events have been delivered, and its outputs stay
+// readable until the next call; all without allocating, with telemetry off
+// and on (where the flight recorder must see the capsules).
 func TestExecuteProgramDrainsPerCapsule(t *testing.T) {
 	for _, withTel := range []bool{false, true} {
 		r := testRuntime(t)
 		var reg *telemetry.Registry
+		published := func(step string) {} // telemetry ≡ fields, checked after each call
 		if withTel {
 			reg = telemetry.NewRegistry()
 			r.AttachTelemetry(reg)
+			published = func(step string) {
+				t.Helper()
+				snap, d := reg.Snapshot(), r.Device()
+				for _, c := range []struct {
+					name, labels string
+					field        uint64
+				}{
+					{"activermt_runtime_programs_run_total", "", r.ProgramsRun},
+					{"activermt_runtime_specialized_total", "", r.SpecializedRuns},
+					{"activermt_runtime_faults_total", "", r.Faults},
+					{"activermt_device_packets_total", "", d.PacketsIn},
+					{"activermt_device_packets_dropped_total", "", d.PacketsDropped},
+					{"activermt_stage_executed_total", `stage="1"`, d.Stage(1).Executed},
+					{"activermt_stage_register_reads_total", `stage="1"`, d.Stage(1).Registers.Reads},
+					{"activermt_stage_register_faults_total", `stage="1"`, d.Stage(1).Registers.Faults},
+				} {
+					if v, ok := snapGauge(snap, c.name, c.labels); !ok || uint64(v) != c.field {
+						t.Fatalf("%s: scrape reads %s{%s} = %v, the field is %d", step, c.name, c.labels, v, c.field)
+					}
+				}
+			}
 		}
 		installCacheGrant(t, r, 1, 0, 1024)
 		hook := &hookLog{}
@@ -217,13 +160,15 @@ func TestExecuteProgramDrainsPerCapsule(t *testing.T) {
 			t.Fatalf("counters not drained: programs %d specialized %d device packets %d stage-1 reads %d",
 				r.ProgramsRun, r.SpecializedRuns, r.Device().PacketsIn, r.Device().Stage(1).Registers.Reads)
 		}
+		published("clean")
 		outs = r.ExecuteProgram(faulty)
 		if len(outs) != 1 || !outs[0].Dropped || outs[0].Active.Header.Flags&packet.FlagFailed == 0 {
 			t.Fatalf("faulting capsule: %+v", outs)
 		}
-		if r.Faults != 1 || len(hook.events) != 1 || hook.events[0] != GuardEventMemFault {
+		if r.Faults != 1 || r.Device().Stage(1).Registers.Faults != 1 || len(hook.events) != 1 || hook.events[0] != GuardEventMemFault {
 			t.Fatalf("fault not delivered before return: Faults %d, hook saw %v", r.Faults, hook.events)
 		}
+		published("faulting")
 		if faulty.Header.Flags&packet.FlagFailed != 0 {
 			t.Fatal("refusal marked the caller's capsule instead of the output copy")
 		}
@@ -235,9 +180,10 @@ func TestExecuteProgramDrainsPerCapsule(t *testing.T) {
 		}); avg != 0 {
 			t.Fatalf("telemetry=%v: ExecuteProgram allocates %.2f per clean+faulting pair, want 0", withTel, avg)
 		}
+		published("steady state")
 		if withTel {
-			if fl := reg.Snapshot().Flights; r.sink.FR.Recorded() == 0 || len(fl) == 0 || fl[0].Lane != 0 {
-				t.Fatalf("lane-0 flight recorder: %d recorded, snapshot %+v", r.sink.FR.Recorded(), fl)
+			if fl := reg.Snapshot().Flights; r.fr.Recorded() == 0 || len(fl) == 0 || fl[0].Lane != 0 {
+				t.Fatalf("flight recorder: %d recorded, snapshot %+v", r.fr.Recorded(), fl)
 			}
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"activermt/internal/alloc"
 	"activermt/internal/packet"
 	"activermt/internal/rmt"
+	"activermt/internal/telemetry"
 )
 
 // AccessGrant places one memory access of an admitted program: the logical
@@ -74,17 +75,21 @@ type Runtime struct {
 	specOff      atomic.Bool
 	planCompiles atomic.Uint64
 
-	// res and sink are the scratch state and accounting context of the
-	// single-threaded entry point (ExecuteProgram, see fastpath.go): drained
-	// after every capsule, so the exported counters below stay current
-	// between packets.
-	res  *ExecResult
-	sink *ExecSink
+	// res is ExecuteProgram's scratch state and events its guard-event
+	// buffer (see fastpath.go): events raised by a capsule are delivered to
+	// the hook after it has finished executing, before its outputs leave.
+	res    *scratch
+	events []GuardEvent
 
-	// Telemetry wiring (nil when disabled; see telemetry.go).
+	// Telemetry wiring (nil when disabled; see telemetry.go): the metric
+	// handles ExecuteProgram publishes the counters below into after every
+	// capsule, and the flight recorder.
 	tel *Telemetry
+	fr  *telemetry.FlightRecorder
 
-	// Stats for the experiment harness.
+	// Stats for the experiment harness, counted in place by the one
+	// goroutine that executes capsules (RecircThrottled and TableOps by
+	// whoever polices or commits).
 	ProgramsRun, Passthrough, Faults uint64
 	RecircThrottled, PrivSuppressed  uint64
 	QuarantineDrops, RevokedDrops    uint64
@@ -117,8 +122,7 @@ func New(cfg rmt.Config) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Runtime{dev: dev, passLat: dev.Config().PassLatency, res: NewExecResult()}
-	r.sink = r.NewExecSink() // no telemetry yet: AttachTelemetry gives it the lane-0 recorder
+	r := &Runtime{dev: dev, passLat: dev.Config().PassLatency, res: &scratch{phv: &rmt.PHV{}}}
 	r.installActions(dev)
 	r.publish()
 	return r, nil

@@ -61,9 +61,9 @@ type compiledPlan struct {
 	preMarked bool
 }
 
-// planMemoSize is the per-ExecResult direct-mapped plan memo size (a power
-// of two). The memo short-circuits the plan-table map hash for the FIDs an
-// executor is actively serving; a collision or a table swap just falls back
+// planMemoSize is the direct-mapped plan memo size (a power of two). The
+// memo short-circuits the plan-table map hash for the FIDs the packet path
+// is actively serving; a collision or a table swap just falls back
 // to the map lookup.
 const planMemoSize = 16
 
@@ -168,13 +168,14 @@ func (r *Runtime) buildPlan(cv *ctrlView, pv *rmt.PipeView, key planKey) *compil
 // interpreter marks exactly the first exit headers Executed, so the shrunk
 // body is the image's tail, one append of a slice instead of a
 // per-instruction filter loop.
-func (r *Runtime) execSpecialized(a *packet.Active, pl *compiledPlan, res *ExecResult, sink *ExecSink, cv *ctrlView, fid uint16) {
+func (r *Runtime) execSpecialized(a *packet.Active, pl *compiledPlan, cv *ctrlView, fid uint16) {
+	res := r.res
 	phv := res.fillPHV(a, fid, pl.readsTuple)
-	exit := r.dev.ExecPlan(pl.rp, phv, sink.Dev)
-	sink.Path.ProgramsRun++
-	sink.Path.Specialized++
-	sink.Path.PrivSuppressed += pl.suppressed
-	noteFault(sink, fid, phv)
+	exit := r.dev.ExecPlan(pl.rp, phv)
+	r.ProgramsRun++
+	r.SpecializedRuns++
+	r.PrivSuppressed += pl.suppressed
+	r.noteFault(fid, phv)
 
 	s := res.slot(0)
 	instrs := pl.instrs
@@ -202,5 +203,5 @@ func (r *Runtime) execSpecialized(a *packet.Active, pl *compiledPlan, res *ExecR
 	}
 	s.finish(a, phv)
 	res.addOutput(s)
-	sink.flightExecuted(cv, fid, phv)
+	r.flightExecuted(cv, fid, phv)
 }

@@ -15,16 +15,14 @@ import (
 func TestPlanInvalidationOnGrantCommit(t *testing.T) {
 	r := testRuntime(t)
 	installCacheGrant(t, r, 1, 0, 1024)
-	res := NewExecResult()
-	sink := r.NewExecSink()
 	a := progPacket(1, cacheQuery, [4]uint32{7, 9, 100, 0})
 	a.Header.Flags |= packet.FlagPreload
 
-	r.ExecuteCapsule(a, res, sink)
-	if sink.Path.Specialized != 1 {
-		t.Fatalf("first capsule: Specialized = %d, want 1", sink.Path.Specialized)
+	outs := r.ExecuteProgram(a)
+	if r.SpecializedRuns != 1 {
+		t.Fatalf("first capsule: SpecializedRuns = %d, want 1", r.SpecializedRuns)
 	}
-	if res.Outputs[0].Dropped {
+	if outs[0].Dropped {
 		t.Fatal("in-grant query dropped")
 	}
 	if got := r.PlanCompiles(); got != 1 {
@@ -49,35 +47,35 @@ func TestPlanInvalidationOnGrantCommit(t *testing.T) {
 		t.Fatal("fresh plan table not keyed to the published snapshots")
 	}
 
-	// Executing against the superseded table must not use its stale plan:
-	// the pointer-identity check fails and the packet interprets. The stale
-	// table itself stays untouched.
-	sink.Path = PathStats{}
-	res2 := NewExecResult() // fresh memo: prove the table check alone suffices
-	r.executeOne(a, res2, sink, r.view(), r.dev.View(), tab1)
-	if sink.Path.Specialized != 0 {
+	// Executing against the superseded table — put back as a capsule that
+	// loaded it just before the commit would hold it — must not use its stale
+	// plan: the pointer-identity check fails and the packet interprets (the
+	// memo, which still remembers the stale plan, is not consulted either).
+	// The stale table itself stays untouched.
+	r.planTab.Store(tab1)
+	r.ExecuteProgram(a)
+	if r.SpecializedRuns != 1 {
 		t.Fatal("stale plan table executed a specialized packet")
 	}
 	if len(tab1.plans) != 1 {
 		t.Fatal("stale table mutated after supersession")
 	}
-	r.DeliverEvents(sink)
+	r.planTab.Store(tab2)
 
-	// The next packet through the normal entry recompiles under the new
-	// snapshots, and the recompiled plan carries the new bounds: address 100
-	// is outside the moved grant and must fault.
-	sink.Path = PathStats{}
-	r.ExecuteCapsule(a, res, sink)
-	if sink.Path.Specialized != 1 {
+	// The next packet recompiles under the new snapshots, and the recompiled
+	// plan carries the new bounds: address 100 is outside the moved grant and
+	// must fault.
+	faults := r.Faults
+	outs = r.ExecuteProgram(a)
+	if r.SpecializedRuns != 2 {
 		t.Fatal("no specialized execution after recompilation")
 	}
 	if r.PlanCompiles() < 2 {
 		t.Fatalf("PlanCompiles = %d, want >= 2", r.PlanCompiles())
 	}
-	if !res.Outputs[0].Dropped || sink.Path.Faults != 1 {
+	if !outs[0].Dropped || r.Faults != faults+1 {
 		t.Fatal("recompiled plan kept the stale grant bounds")
 	}
-	r.DeliverEvents(sink)
 }
 
 // TestPlanInvalidationOnQuarantineAndPrivilege pins the other two commit
@@ -86,11 +84,9 @@ func TestPlanInvalidationOnGrantCommit(t *testing.T) {
 func TestPlanInvalidationOnQuarantineAndPrivilege(t *testing.T) {
 	r := testRuntime(t)
 	installCacheGrant(t, r, 1, 0, 1024)
-	res := NewExecResult()
-	sink := r.NewExecSink()
 	a := progPacket(1, cacheQuery, [4]uint32{7, 9, 100, 0})
 	a.Header.Flags |= packet.FlagPreload
-	r.ExecuteCapsule(a, res, sink)
+	r.ExecuteProgram(a)
 
 	tab := r.planTab.Load()
 	r.Deactivate(1)
@@ -112,24 +108,22 @@ func TestPlanInvalidationOnQuarantineAndPrivilege(t *testing.T) {
 func TestSpecializationToggle(t *testing.T) {
 	r := testRuntime(t)
 	installCacheGrant(t, r, 1, 0, 1024)
-	res := NewExecResult()
-	sink := r.NewExecSink()
 	a := progPacket(1, cacheQuery, [4]uint32{7, 9, 100, 0})
 	a.Header.Flags |= packet.FlagPreload
 
-	r.ExecuteCapsule(a, res, sink)
-	if sink.Path.Specialized != 1 {
+	r.ExecuteProgram(a)
+	if r.SpecializedRuns != 1 {
 		t.Fatal("specialization not on by default")
 	}
 	r.SetSpecialization(false)
-	r.ExecuteCapsule(a, res, sink)
-	if sink.Path.Specialized != 1 {
+	r.ExecuteProgram(a)
+	if r.SpecializedRuns != 1 {
 		t.Fatal("disabled specialization still ran a plan")
 	}
 	r.SetSpecialization(true)
 	compiles := r.PlanCompiles()
-	r.ExecuteCapsule(a, res, sink)
-	if sink.Path.Specialized != 2 {
+	r.ExecuteProgram(a)
+	if r.SpecializedRuns != 2 {
 		t.Fatal("re-enabled specialization did not run the cached plan")
 	}
 	if r.PlanCompiles() != compiles {

@@ -2,18 +2,17 @@ package runtime
 
 import (
 	"strconv"
-	"sync/atomic"
 
 	"activermt/internal/rmt"
 	"activermt/internal/telemetry"
 )
 
-// Telemetry is the runtime's pre-registered metric handle set. Counters are
-// fed from PathStats.FlushInto (per packet in ExecuteProgram); gauges
-// describing committed control state (admission counts, per-FID epochs,
-// per-stage occupancy) are updated exclusively inside publish() under the
-// registry's commit seqlock, which is what makes a scrape epoch-consistent
-// across a grant commit.
+// Telemetry is the runtime's pre-registered metric handle set. The packet
+// path's counters mirror the Runtime's exported fields (publishTelemetry,
+// per capsule in ExecuteProgram); gauges describing committed control state
+// (admission counts, per-FID epochs, per-stage occupancy) are updated
+// exclusively inside publish() under the registry's commit seqlock, which is
+// what makes a scrape epoch-consistent across a grant commit.
 type Telemetry struct {
 	reg *telemetry.Registry
 
@@ -26,18 +25,13 @@ type Telemetry struct {
 	Admitted, Quarantined, Revoked *telemetry.Gauge
 	SnapshotGen                    *telemetry.Gauge
 	Epochs                         *telemetry.GaugeVec
-
-	// laneSeq hands out flight-recorder lane ids: 0 is ExecuteProgram's,
-	// sinks from NewExecSink take 1, 2, ...
-	laneSeq atomic.Int32
 }
 
 // AttachTelemetry registers the runtime's and its device's metric set in
 // reg and returns the handle set. It also installs the grant-liveness
-// resolver for flight-recorder entries and the lane-0 flight recorder of
-// the single-threaded entry point's sink, and republishes the control
-// snapshot so every gauge starts populated. Attach once, before traffic
-// starts.
+// resolver for flight-recorder entries and the packet path's flight
+// recorder, and republishes the control snapshot so every gauge starts
+// populated. Attach once, before traffic starts.
 func (r *Runtime) AttachTelemetry(reg *telemetry.Registry) *Telemetry {
 	t := &Telemetry{
 		reg:             reg,
@@ -67,12 +61,29 @@ func (r *Runtime) AttachTelemetry(reg *telemetry.Registry) *Telemetry {
 		return row.admitted && row.epoch == epoch
 	})
 
-	r.sink.FR = telemetry.NewFlightRecorder(0, telemetry.DefaultFlightSize, telemetry.DefaultFlightPeriod)
-	reg.AttachFlight(r.sink.FR)
+	r.fr = telemetry.NewFlightRecorder(0, telemetry.DefaultFlightSize, telemetry.DefaultFlightPeriod)
+	reg.AttachFlight(r.fr)
 
 	r.tel = t
 	r.publish() // populate the gauges under a first commit
 	return t
+}
+
+// publishTelemetry stores the packet path's counters — the runtime's and,
+// through it, the device's — into their metrics. ExecuteProgram calls it
+// after every capsule, so a scrape lags the fields by at most the capsule in
+// flight. RecircThrottled, PlanCompiles and TableOps are added to where they
+// are counted: a commit on another goroutine may count them.
+func (r *Runtime) publishTelemetry() {
+	t := r.tel
+	t.ProgramsRun.Set(r.ProgramsRun)
+	t.Passthrough.Set(r.Passthrough)
+	t.Faults.Set(r.Faults)
+	t.PrivSuppressed.Set(r.PrivSuppressed)
+	t.QuarantineDrops.Set(r.QuarantineDrops)
+	t.RevokedDrops.Set(r.RevokedDrops)
+	t.Specialized.Set(r.SpecializedRuns)
+	r.dev.PublishTelemetry()
 }
 
 // syncGauges updates every committed-control-state gauge from the view just

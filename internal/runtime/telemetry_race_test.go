@@ -38,11 +38,12 @@ func snapGauge(s *telemetry.Snapshot, name, labels string) (float64, bool) {
 // TestTelemetryScrapeRacesGrantCommit is the consistency gate for the
 // snapshot seqlock: scrapes run concurrently with a control plane that
 // repeatedly installs and evicts a tenant's grant (and quarantines another)
-// while the dataplane executes capsules for both. Every snapshot must be
-// commit-atomic — the admission gauges set together inside one publish()
-// must never be observed half-updated — and a flight-recorder entry may
-// resolve Live only when the snapshot's own view still holds that exact
-// (FID, epoch) grant. Run under -race this also proves the scrape path
+// while one goroutine — the dataplane — executes capsules for both through
+// ExecuteProgram, counting in place and publishing per capsule. Every
+// snapshot must be commit-atomic — the admission gauges set together inside
+// one publish() must never be observed half-updated — and a flight-recorder
+// entry may resolve Live only when the snapshot's own view still holds that
+// exact (FID, epoch) grant. Run under -race this also proves the scrape path
 // shares no unsynchronized state with commits or the executor.
 func TestTelemetryScrapeRacesGrantCommit(t *testing.T) {
 	r := testRuntime(t)
@@ -86,29 +87,24 @@ func TestTelemetryScrapeRacesGrantCommit(t *testing.T) {
 		}
 	}()
 
-	// Dataplane: one executor lane running both tenants' capsules against
-	// whatever view is published. The toggled tenant's capsules land as
-	// executed, passthrough, or revoked drops depending on commit timing —
-	// refusals force-record into the lane flight recorder.
+	// Dataplane: the one goroutine that executes, running both tenants'
+	// capsules against whatever view is published. The toggled tenant's
+	// capsules land as executed, passthrough, or revoked drops depending on
+	// commit timing — refusals force-record into the flight recorder.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		res := NewExecResult()
-		sink := r.NewExecSink()
 		cache := progPacket(1, cacheQuery, [4]uint32{7, 9, 100, 0})
 		cache.Header.Flags |= packet.FlagPreload
 		probe := progPacket(toggled, nopProbe, [4]uint32{})
 		for {
 			select {
 			case <-done:
-				sink.Path.FlushInto(r)
-				sink.Dev.FlushInto(r.Device())
 				return
 			default:
 			}
-			r.ExecuteCapsule(cache, res, sink)
-			r.ExecuteCapsule(probe, res, sink)
-			r.DeliverEvents(sink)
+			r.ExecuteProgram(cache)
+			r.ExecuteProgram(probe)
 			execs.Add(1)
 			gort.Gosched()
 		}

@@ -1,34 +1,16 @@
 package soak
 
-import (
-	"activermt/internal/fabric"
-	"activermt/internal/policy"
-)
+import "activermt/internal/policy"
 
 // The soak's closed control loop. In adaptive mode every node carries its
 // own policy.Adaptive engine; once per epoch the driver (never an engine
-// callback — control actions step the engine internally) folds that node's
-// books and controller counters into an Observation, asks the engine to
+// callback — control actions step the engine internally) takes that node's
+// Observation (Node.Observe, plus the fabric's link flaps), asks the engine to
 // decide, and pushes the decisions back into the node (its controller and
 // guard). Fabric probe timers follow leaf 0's decisions. When a
 // node's engine calls for migration, a defragmentation pass is queued on
 // that node. Static mode keeps the map nil and this file inert: the run is
 // bit-identical to a policy-free soak.
-
-// observeNode builds one node's Observation from direct reads — the soak
-// registry only carries one runtime's metrics, so per-node signals come
-// from the books and the controller counters themselves.
-func (h *harness) observeNode(n *fabric.Node) policy.Observation {
-	return policy.Observation{
-		At:                  h.f.Eng.Now(),
-		Fragmentation:       n.Ctrl.Allocator().Fragmentation(),
-		Utilization:         n.Ctrl.Allocator().Utilization(),
-		SnapshotTimeouts:    n.Ctrl.SnapshotTimeouts,
-		SnapshotEscalations: n.Ctrl.SnapshotEscalations,
-		CorruptQuarantines:  n.Ctrl.QuarantinedBlockCount,
-		LinkFlaps:           h.hm.FlapsObserved,
-	}
-}
 
 func (h *harness) applyPolicy() {
 	if h.engines == nil {
@@ -40,7 +22,8 @@ func (h *harness) applyPolicy() {
 			eng = &policy.Adaptive{}
 			h.engines[n.Name] = eng
 		}
-		obs := h.observeNode(n)
+		obs := n.Observe()
+		obs.LinkFlaps = h.hm.FlapsObserved // the fabric's signal, not one node's
 		d := eng.Decide(obs)
 		n.ApplyPolicy(d)
 		if i == 0 {

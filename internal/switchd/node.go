@@ -77,6 +77,26 @@ func (n *Node) AttachTelemetry(reg *telemetry.Registry) {
 	n.Switch.ProgCache().AttachTelemetry(reg)
 }
 
+// Observe reports the signals a policy engine decides on, each read where it
+// lives: the allocator's books, the guard's and the controller's counters —
+// the values the alert rules in docs/telemetry.md scrape as gauges. Two
+// fields are others' to fill: LinkFlaps by a fabric, which sees links, and
+// ViolationRate by whoever holds the previous observation (policy.Loop).
+func (n *Node) Observe() policy.Observation {
+	al := n.Ctrl.Allocator()
+	return policy.Observation{
+		At:                  n.Ctrl.eng.Now(),
+		Fragmentation:       al.Fragmentation(),
+		Utilization:         al.Utilization(),
+		Tenants:             al.NumApps(),
+		QuarantinedBlocks:   al.QuarantinedBlocks(),
+		Violations:          n.Guard.TenantViolations() + n.Guard.PortViolations(),
+		SnapshotTimeouts:    n.Ctrl.SnapshotTimeouts,
+		SnapshotEscalations: n.Ctrl.SnapshotEscalations,
+		CorruptQuarantines:  n.Ctrl.QuarantinedBlockCount,
+	}
+}
+
 // ApplyPolicy pushes one decision set into the layers this switch owns: the
 // controller's snapshot window and sweep cadence, the guard's ladder.
 func (n *Node) ApplyPolicy(d policy.Decisions) {

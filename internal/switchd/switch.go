@@ -157,6 +157,7 @@ func (s *Switch) Receive(frame []byte, port *netsim.Port) {
 			lat /= 2
 		}
 		if p := s.egress(pnum); p != nil {
+			s.FramesForwarded++
 			p.SendAfter(lat, frame)
 		}
 		return
@@ -257,28 +258,28 @@ func (s *Switch) execute(eth packet.EthHeader, a *packet.Active, in *netsim.Port
 		case out.ToSender:
 			// RTS: swap addresses and return via the ingress port.
 			of.Eth.Dst, of.Eth.Src = eth.Src, s.mac
-			s.FramesReturned++
-			s.sendOut(in.Num, of, lat)
+			if s.sendOut(in.Num, of, lat) {
+				s.FramesReturned++
+			}
 		case out.DstSet:
-			s.sendOut(int(out.Dst), of, lat)
-			s.FramesForwarded++
+			if s.sendOut(int(out.Dst), of, lat) {
+				s.FramesForwarded++
+			}
 		default:
 			s.forward(of, lat)
 		}
 	}
 }
 
-// route resolves the egress port number for a destination MAC, counting the
-// frame as forwarded, or as dropped when the MAC is unknown.
+// route resolves the egress port number for a destination MAC, counting a
+// drop when the MAC is unknown.
 func (s *Switch) route(dst packet.MAC) (int, bool) {
 	pnum, ok := s.hosts[dst]
 	if !ok {
 		s.UnknownMAC++
 		s.FramesDropped++
-		return 0, false
 	}
-	s.FramesForwarded++
-	return pnum, true
+	return pnum, ok
 }
 
 // egress returns a registered port, counting a drop when there is none.
@@ -294,22 +295,27 @@ func (s *Switch) egress(pnum int) *netsim.Port {
 // forward sends a frame toward its destination MAC after the pipeline
 // latency.
 func (s *Switch) forward(f *packet.Frame, latency time.Duration) {
-	if pnum, ok := s.route(f.Eth.Dst); ok {
-		s.sendOut(pnum, f, latency)
+	if pnum, ok := s.route(f.Eth.Dst); ok && s.sendOut(pnum, f, latency) {
+		s.FramesForwarded++
 	}
 }
 
-func (s *Switch) sendOut(pnum int, f *packet.Frame, latency time.Duration) {
+// sendOut encodes f and hands it to port pnum. A frame has one fate: true
+// means the port took it and the caller counts it forwarded or returned;
+// false means it was counted dropped here (no such port, or it does not
+// encode).
+func (s *Switch) sendOut(pnum int, f *packet.Frame, latency time.Duration) bool {
 	p := s.egress(pnum)
 	if p == nil {
-		return
+		return false
 	}
 	raw, err := packet.EncodeFrame(f)
 	if err != nil {
 		s.FramesDropped++
-		return
+		return false
 	}
 	p.SendAfter(latency, raw)
+	return true
 }
 
 // SendToHost lets the controller emit a frame toward a host MAC (allocation

@@ -336,6 +336,31 @@ func TestFaultingProgramDropped(t *testing.T) {
 	}
 }
 
+// TestFrameHasOneFate: a capsule whose SET_DST names a port the switch does
+// not have is dropped at egress — counted dropped once, and neither forwarded
+// nor returned.
+func TestFrameHasOneFate(t *testing.T) {
+	r := newRig(t)
+	r.a.send(t, allocRequest(5, 2), r.sw.MAC())
+	r.eng.Run()
+	a := &packet.Active{
+		Header:  packet.ActiveHeader{FID: 5},
+		Args:    [4]uint32{99, 0, 0, 0}, // no port 99
+		Program: isa.MustAssemble("d", "MBR_LOAD 0\nSET_DST\nRETURN"),
+	}
+	a.Header.SetType(packet.TypeProgram)
+	dropped, forwarded, returned := r.sw.FramesDropped, r.sw.FramesForwarded, r.sw.FramesReturned
+	r.a.send(t, a, r.b.mac)
+	r.eng.Run()
+	if r.sw.FramesDropped != dropped+1 || r.sw.FramesForwarded != forwarded || r.sw.FramesReturned != returned {
+		t.Errorf("dropped +%d forwarded +%d returned +%d, want +1 +0 +0",
+			r.sw.FramesDropped-dropped, r.sw.FramesForwarded-forwarded, r.sw.FramesReturned-returned)
+	}
+	if len(r.b.frames) != 0 {
+		t.Error("frame for a missing port reached host b")
+	}
+}
+
 func TestBogusAllocRespFromHostDropped(t *testing.T) {
 	r := newRig(t)
 	a := &packet.Active{Header: packet.ActiveHeader{FID: 1}, AllocResp: &packet.AllocResponse{}}

@@ -5,10 +5,10 @@
 // runtime's atomic.Pointer publication scheme so a scrape never observes a
 // torn view across a grant commit.
 //
-// The recording discipline mirrors rmt.ExecStats: hot-path code accumulates
-// into plain writer-owned state (HistLocal, ExecStats fields) and merges into
-// the shared atomic metrics at existing flush points, so the packet path adds
-// no locks and no allocations. Everything the scrape goroutine reads is
+// The recording discipline: the single-threaded packet path counts in plain
+// fields it owns (rmt.Device, runtime.Runtime) and publishes them into the
+// shared atomic metrics once per capsule (Counter.Set), so execution adds no
+// locks and no allocations. Everything the scrape goroutine reads is
 // atomic-backed or mutex-protected; plain counter fields must never be
 // exposed through a GaugeFunc.
 package telemetry
@@ -78,6 +78,15 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
+
+// Set publishes total, a count its single writer keeps in a plain field of
+// its own. An unchanged total is not stored again, so publishing a whole
+// component after every capsule writes only what the capsule moved.
+func (c *Counter) Set(total uint64) {
+	if c.v.Load() != total {
+		c.v.Store(total)
+	}
+}
 
 // Value returns the current total.
 func (c *Counter) Value() uint64 { return c.v.Load() }
@@ -190,8 +199,7 @@ func bucketIdx(v uint64) int {
 func BucketBound(i int) uint64 { return uint64(1)<<uint(i) - 1 }
 
 // Histogram is a fixed-bucket power-of-two histogram with atomic cells.
-// Observe is lock-free; hot paths should prefer a writer-owned HistLocal
-// flushed in at merge points.
+// Observe is lock-free.
 type Histogram struct {
 	name, help string
 	buckets    [NumBuckets]atomic.Uint64
@@ -229,41 +237,6 @@ func (h *Histogram) collect(ms *MetricSnapshot) {
 		hs.Buckets[i] = h.buckets[i].Load()
 	}
 	ms.Samples = append(ms.Samples, Sample{Hist: hs})
-}
-
-// HistLocal is the writer-owned twin of Histogram: plain fields, single
-// writer, merged into a shared Histogram at flush points exactly like
-// ExecStats counters. The zero value is ready to use.
-type HistLocal struct {
-	Buckets    [NumBuckets]uint64
-	Count, Sum uint64
-}
-
-// Observe records one value (single-writer).
-func (h *HistLocal) Observe(v uint64) {
-	h.Buckets[bucketIdx(v)]++
-	h.Count++
-	h.Sum += v
-}
-
-// Reset zeroes the accumulator.
-func (h *HistLocal) Reset() { *h = HistLocal{} }
-
-// FlushInto adds the accumulated observations into dst and resets h. Only
-// non-empty buckets touch shared state, so a flush after a single packet
-// costs a handful of atomic adds.
-func (h *HistLocal) FlushInto(dst *Histogram) {
-	if h.Count == 0 {
-		return
-	}
-	for i, v := range h.Buckets {
-		if v != 0 {
-			dst.buckets[i].Add(v)
-		}
-	}
-	dst.count.Add(h.Count)
-	dst.sum.Add(h.Sum)
-	h.Reset()
 }
 
 // CounterVec is a family of counters distinguished by one label. Children

@@ -30,13 +30,11 @@ func TestCounterZeroAlloc(t *testing.T) {
 	c := NewCounter("x_total", "")
 	g := NewGauge("g", "")
 	h := NewHistogram("h", "")
-	var hl HistLocal
 	if avg := testing.AllocsPerRun(100, func() {
 		c.Add(3)
+		c.Set(c.Value() + 1)
 		g.Set(7)
 		h.Observe(123)
-		hl.Observe(456)
-		hl.FlushInto(h)
 	}); avg != 0 {
 		t.Fatalf("metric ops allocate %.2f/op, want 0", avg)
 	}
@@ -63,23 +61,6 @@ func TestHistogramBuckets(t *testing.T) {
 	h.collect(&ms)
 	if ms.Samples[1].Hist.Buckets[NumBuckets-1] != 1 {
 		t.Fatal("overflow value not clamped into top bucket")
-	}
-}
-
-func TestHistLocalMergeFlush(t *testing.T) {
-	var a HistLocal
-	a.Observe(5)
-	a.Observe(100)
-	if a.Count != 2 || a.Sum != 105 {
-		t.Fatalf("observe: count/sum = %d/%d", a.Count, a.Sum)
-	}
-	h := NewHistogram("h", "")
-	a.FlushInto(h)
-	if h.Count() != 2 || h.Sum() != 105 {
-		t.Fatalf("flush: count/sum = %d/%d", h.Count(), h.Sum())
-	}
-	if a.Count != 0 {
-		t.Fatal("flush did not reset the local accumulator")
 	}
 }
 

@@ -393,7 +393,7 @@ func TestEvictionSnapshotOrdering(t *testing.T) {
 	// arrive via FlagPreload (MAR=args[2]=addr, MBR=args[0]=value).
 	writer := isa.MustAssemble("evict-writer",
 		strings.Repeat("NOP\n", stage)+"MEM_WRITE\nRETURN")
-	word := func() uint32 { return dev.Stage(stage).Registers.Get(addr) }
+	word := func() uint32 { return dev.Stage(stage).Registers.Read(addr) }
 
 	type obs struct {
 		gen     uint64 // view generation the capsule executed under

@@ -112,18 +112,17 @@ func (tb *Testbed) EnableTelemetry() *telemetry.Registry {
 }
 
 // AttachPolicy wires a policy engine over the testbed: a policy.Loop on
-// the simulation clock observes the telemetry registry (enabling telemetry
-// if needed) and applies each decision set to the switch. When the
-// decisions enable defragmentation and the observed fragmentation crosses
-// the trigger, a defrag pass is queued on the controller. Returns the loop
-// (already started); call loop.Stop() to detach.
+// the simulation clock observes the switch (Node.Observe) and applies each
+// decision set to it. When the decisions enable defragmentation and the
+// observed fragmentation crosses the trigger, a defrag pass is queued on the
+// controller. The loop's own metrics are registered when telemetry is
+// already enabled. Returns the loop (already started); call loop.Stop() to
+// detach.
 func (tb *Testbed) AttachPolicy(eng policy.Engine) *policy.Loop {
-	reg := tb.EnableTelemetry()
 	loop := &policy.Loop{
 		Engine:   eng,
-		Registry: reg,
+		Observe:  tb.Observe,
 		Schedule: tb.Eng.Schedule,
-		Now:      tb.Eng.Now,
 		Apply: func(obs policy.Observation, d policy.Decisions) {
 			tb.ApplyPolicy(d)
 			if d.Defrag.Enabled && obs.Fragmentation >= d.Defrag.TriggerFrag {
@@ -131,7 +130,9 @@ func (tb *Testbed) AttachPolicy(eng policy.Engine) *policy.Loop {
 			}
 		},
 	}
-	loop.AttachTelemetry(reg)
+	if tb.Tel != nil {
+		loop.AttachTelemetry(tb.Tel)
+	}
 	loop.Start()
 	return loop
 }

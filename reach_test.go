@@ -32,7 +32,6 @@ import (
 var reachAllow = map[string]string{
 	// Reference implementations, the switches that select them, and test oracles.
 	"internal/runtime.Runtime.SetSpecialization": "reference switch: forces the interpreter the differentials compare the compiled plan against",
-	"internal/runtime.Runtime.ExecuteCapsule":    "reference entry: caller-owned result/sink execution, compared with ExecuteProgram by runtime and guard tests and timed by the root microbenchmarks",
 	"internal/rmt.Device.Exec":                   "reference implementation: the allocating interpreter that rmt and runtime tests pin instruction semantics with (incl. FORK)",
 	"internal/apps.Programs":                     "reference catalogue: TestDifferentialRegisteredApps runs every shipped template through interpreter and plan",
 	"internal/secapps.Programs":                  "reference catalogue: TestDifferentialRegisteredApps and TestProgramShapes",
@@ -47,7 +46,6 @@ var reachAllow = map[string]string{
 
 	// Observation accessors read by tests other than their own unit test.
 	"internal/runtime.Runtime.PlanCompiles":      "accessor: runtime and guard tests count plan compilations",
-	"internal/rmt.RegisterArray.Read":            "accessor: rmt, runtime and switchd tests read switch memory",
 	"internal/rmt.TCAM.Lookup":                   "accessor: rmt and runtime tests probe protection ranges",
 	"internal/rmt.TCAM.Used":                     "accessor: rmt and runtime tests balance TCAM accounting",
 	"internal/telemetry.FlightRecorder.Recorded": "accessor: runtime and telemetry tests",
