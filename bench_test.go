@@ -253,8 +253,9 @@ func BenchmarkPacketPathInterpreter(b *testing.B) {
 }
 
 // BenchmarkPacketPathTelemetry is BenchmarkPacketPath with the full
-// telemetry registry attached: sampled flight recording, the latency
-// histogram and the per-capsule counter publish ride along every capsule. The allocs/op gate
+// telemetry registry attached: sampled flight recording and the latency
+// histogram ride along every capsule; the registry reads the counter fields
+// only when it collects. The allocs/op gate
 // stays 0; the ns/op delta against BenchmarkPacketPath is the telemetry
 // overhead of the execute loop (a component figure).
 func BenchmarkPacketPathTelemetry(b *testing.B) {

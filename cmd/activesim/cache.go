@@ -38,7 +38,8 @@ func zipfObjects(srv *apps.KVServer, n int) (keys [][2]uint32, hot []apps.KVMsg)
 // runCache drives one cache tenant over Zipf traffic on the single-switch
 // testbed, under a policy engine, optionally with a library fault schedule
 // (-chaos), an adversarial co-tenant (-adversary) and a live self-scraped
-// telemetry endpoint (-telemetry).
+// telemetry endpoint (-telemetry), which serves the snapshot published after
+// every measurement window.
 func runCache(o *options) error {
 	tb, err := testbed.New(testbed.DefaultConfig())
 	if err != nil {
@@ -146,6 +147,9 @@ func runCache(o *options) error {
 		rates = append(rates, cache.HitRate())
 		say("window %d: hit rate %.3f (%d hits, %d misses, server saw %d)",
 			window, cache.HitRate(), cache.Hits, cache.Misses, srv.Requests)
+		if telSrv != nil {
+			tb.Tel.Publish() // the endpoint serves what the simulation published
+		}
 		if telSrv != nil && window == 2 {
 			families, packets, err := scrapeMetrics(telSrv.Addr())
 			if err != nil {
@@ -194,6 +198,7 @@ func runCache(o *options) error {
 			tb.Ctrl.DigestsDropped, tb.Ctrl.Allocator().QuarantinedBlocks())
 	}
 	if telSrv != nil {
+		tb.Tel.Publish()
 		families, packets, err := scrapeMetrics(telSrv.Addr())
 		if err != nil {
 			return fmt.Errorf("final telemetry scrape: %w", err)

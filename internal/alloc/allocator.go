@@ -169,15 +169,11 @@ type Allocator struct {
 	elastic []*intervalSet // per stage: elastic intervals (mirror the elastic apps' regions)
 
 	// relayouts counts recomputeElastic's outcomes — realised in place, full
-	// re-lay taken — and relayoutsTold what syncTel has exported of them.
-	// relayOnly makes every one a full re-lay: the reference the
-	// refuse-no-more regression test asks the same books again as.
-	relayouts, relayoutsTold [2]uint64
-	relayOnly                bool
-
-	// tel mirrors the books into occupancy gauges; it outlives the
-	// allocator (see Telemetry) and resyncs after every public mutation.
-	tel *Telemetry
+	// re-lay taken (see Relayouts). relayOnly makes every one a full re-lay:
+	// the reference the refuse-no-more regression test asks the same books
+	// again as.
+	relayouts [2]uint64
+	relayOnly bool
 }
 
 // New returns an empty allocator.
@@ -415,7 +411,6 @@ func lessCost(x, y [5]int) bool {
 // Result.Failed set means the request was well-formed but could not be
 // placed (the paper's "failed allocation" — a fast path).
 func (a *Allocator) Allocate(fid uint16, cons *Constraints) (*Result, error) {
-	defer a.syncTel()
 	if _, dup := a.apps[fid]; dup {
 		return nil, fmt.Errorf("alloc: fid %d already resident", fid)
 	}
@@ -566,7 +561,6 @@ func (a *Allocator) Release(fid uint16) ([]*Placement, error) {
 	if _, ok := a.apps[fid]; !ok {
 		return nil, fmt.Errorf("alloc: fid %d not resident", fid)
 	}
-	defer a.syncTel()
 	before := a.snapshotElasticRegions()
 	for _, s := range a.pinned {
 		s.removeOwner(fid)
@@ -983,7 +977,11 @@ func (a *Allocator) ElasticTotals() map[uint16]int {
 	return out
 }
 
-// StageUsed returns the allocated blocks in one stage (tests/inspection).
+// Relayouts returns how many elastic re-layouts this allocator realised in
+// place and how many took the full re-lay.
+func (a *Allocator) Relayouts() (inplace, full uint64) { return a.relayouts[0], a.relayouts[1] }
+
+// StageUsed returns the allocated blocks in one stage.
 func (a *Allocator) StageUsed(s int) int {
 	return a.pinned[s].used() + a.elastic[s].used()
 }

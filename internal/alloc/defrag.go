@@ -26,6 +26,40 @@ func (a *Allocator) Fragmentation() float64 {
 	return 1 - float64(largestHoles)/float64(totalFree)
 }
 
+// stageHoles returns the free blocks of one stage and the size of its
+// largest contiguous free hole, merging the pinned and elastic interval sets.
+func stageHoles(pinned, elastic *intervalSet, blocks int) (free, largest int) {
+	ivs := make([]BlockRange, 0, len(pinned.ivs)+len(elastic.ivs))
+	for _, iv := range pinned.ivs {
+		ivs = append(ivs, iv.BlockRange)
+	}
+	for _, iv := range elastic.ivs {
+		ivs = append(ivs, iv.BlockRange)
+	}
+	sort.Slice(ivs, func(i, j int) bool { return ivs[i].Lo < ivs[j].Lo })
+	at := 0
+	for _, r := range ivs {
+		if r.Lo > at {
+			hole := r.Lo - at
+			free += hole
+			if hole > largest {
+				largest = hole
+			}
+		}
+		if r.Hi > at {
+			at = r.Hi
+		}
+	}
+	if blocks > at {
+		hole := blocks - at
+		free += hole
+		if hole > largest {
+			largest = hole
+		}
+	}
+	return free, largest
+}
+
 // groupMove is one planned group relocation.
 type groupMove struct {
 	gi       int // index into app.groups
@@ -156,7 +190,6 @@ func (a *Allocator) CompactApp(fid uint16) (res *CompactResult, ok bool) {
 	if !ok {
 		return nil, false
 	}
-	defer a.syncTel()
 	before := a.snapshotElasticRegions()
 
 	// place puts the app's groups at the planned offsets, or back.

@@ -3,8 +3,6 @@ package alloc
 import (
 	"math/rand"
 	"testing"
-
-	"activermt/internal/telemetry"
 )
 
 // selectCons is an elastic app whose two accesses need no common offset.
@@ -128,13 +126,14 @@ func TestInPlaceNeverRefusesWhatRelayAdmits(t *testing.T) {
 	}
 }
 
-// TestRelayoutsCounterFollowsBooks: activermt_alloc_relayouts_total{kind}
-// reads what the allocator observed, across a handover of the gauge set to a
-// replacement allocator.
+// TestRelayoutsCounterFollowsBooks: Relayouts, which the
+// activermt_alloc_relayouts_total{kind} family reads, reports what the
+// allocator observed — both kinds under churn — and a fresh allocator (the
+// books a controller crash leaves) starts from zero and counts its own; the
+// controller carries the dead books' counts (switchd's
+// TestAllocFamiliesFollowTheLiveBooks).
 func TestRelayoutsCounterFollowsBooks(t *testing.T) {
-	tel := NewTelemetry(telemetry.NewRegistry())
 	a := newAllocator(t, testConfig())
-	a.SetTelemetry(tel)
 	for fid := uint16(1); fid <= 60; fid++ {
 		if _, err := a.Allocate(fid, cacheCons()); err != nil {
 			t.Fatal(err)
@@ -145,16 +144,15 @@ func TestRelayoutsCounterFollowsBooks(t *testing.T) {
 			}
 		}
 	}
-	inplace, full := tel.Relayouts.With("inplace").Value(), tel.Relayouts.With("full").Value()
+	inplace, full := a.Relayouts()
 	if [2]uint64{inplace, full} != a.relayouts || inplace == 0 || full == 0 {
-		t.Fatalf("scrape reads inplace %d full %d, the allocator observed %v (want both kinds)", inplace, full, a.relayouts)
+		t.Fatalf("Relayouts reads inplace %d full %d, the allocator observed %v (want both kinds)", inplace, full, a.relayouts)
 	}
 	b := newAllocator(t, testConfig())
-	b.SetTelemetry(tel)
 	if _, err := b.Allocate(1, cacheCons()); err != nil {
 		t.Fatal(err)
 	}
-	if got := tel.Relayouts.With("inplace").Value() + tel.Relayouts.With("full").Value(); got != inplace+full+1 {
-		t.Errorf("after a handover and one more layout the counter reads %d, want %d", got, inplace+full+1)
+	if i, f := b.Relayouts(); i+f != 1 {
+		t.Errorf("a fresh allocator after one admission reads %d in place + %d full, want 1 layout", i, f)
 	}
 }

@@ -33,7 +33,6 @@ func (a *Allocator) Recover(fid uint16, regions map[int]BlockRange) error {
 	if _, dup := a.apps[fid]; dup {
 		return fmt.Errorf("alloc: fid %d already resident", fid)
 	}
-	defer a.syncTel()
 	app := &App{FID: fid, regions: map[int]BlockRange{}}
 	stages := make([]int, 0, len(regions))
 	for s := range regions {
@@ -74,7 +73,6 @@ func (a *Allocator) Readmit(fid uint16, cons *Constraints) (*Result, error) {
 	if !ok || app.Cons != nil {
 		return nil, fmt.Errorf("alloc: fid %d not in recovered state", fid)
 	}
-	defer a.syncTel()
 	if err := cons.Validate(); err != nil {
 		return nil, err
 	}
@@ -186,7 +184,6 @@ func (a *Allocator) Quarantine(stage int, r BlockRange) ([]*Placement, error) {
 		}
 		return nil, fmt.Errorf("alloc: quarantine %+v at stage %d overlaps pinned fid %d", r, stage, iv.fid)
 	}
-	defer a.syncTel()
 	before := a.snapshotElasticRegions()
 	fence := interval{BlockRange: r, fid: QuarantineFID}
 	a.pinned[stage].insert(fence)
@@ -234,7 +231,6 @@ func (a *Allocator) Evacuate(fid uint16, quar map[int][]BlockRange) (*Result, er
 	if !ok {
 		return nil, fmt.Errorf("alloc: fid %d not resident", fid)
 	}
-	defer a.syncTel()
 	before := a.snapshotElasticRegions()
 	delete(before, fid) // the victim always gets a fresh placement
 	cons := app.Cons

@@ -31,18 +31,24 @@ type System struct {
 	Tel *Telemetry // nil when telemetry is disabled
 }
 
-// Telemetry counts injected fault events by name, so a scrape can correlate
-// data-plane metric movement with the chaos schedule that caused it.
+// Telemetry counts injected fault events by name across every scenario
+// installed with it, so a scrape can correlate data-plane metric movement
+// with the chaos schedule that caused it.
 type Telemetry struct {
-	Events *telemetry.CounterVec
+	names  []string // in first-fired order
+	counts map[string]uint64
 }
 
-// NewTelemetry registers the chaos event counter.
+// NewTelemetry registers the chaos event counter family.
 func NewTelemetry(reg *telemetry.Registry) *Telemetry {
-	return &Telemetry{
-		Events: reg.NewCounterVec("activermt_chaos_events_total",
-			"Chaos scenario events fired, by event name.", "event"),
-	}
+	t := &Telemetry{counts: map[string]uint64{}}
+	reg.Vec("activermt_chaos_events_total", "Chaos scenario events fired, by event name.", telemetry.KindCounter, "event",
+		func(add func(string, float64)) {
+			for _, name := range t.names {
+				add(name, float64(t.counts[name]))
+			}
+		})
+	return t
 }
 
 // Injector is one composable fault: Apply arms it, Revert disarms it.
@@ -126,8 +132,10 @@ func (s *Scenario) Install(sys *System) error {
 		ev := ev
 		sys.Eng.Schedule(ev.off, func() {
 			s.trace = append(s.trace, TraceEntry{At: sys.Eng.Now(), Name: ev.name})
-			if sys.Tel != nil {
-				sys.Tel.Events.With(ev.name).Inc()
+			if t := sys.Tel; t != nil {
+				if t.counts[ev.name]++; t.counts[ev.name] == 1 {
+					t.names = append(t.names, ev.name)
+				}
 			}
 			ev.action(sys)
 		})

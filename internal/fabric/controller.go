@@ -84,7 +84,11 @@ type Controller struct {
 	DegradedExits   uint64 // coherent caches leaving degraded mode
 	RePlacements    uint64 // orphaned placements re-placed on surviving devices
 
-	tel *fabricTelemetry
+	// Counts only AttachTelemetry exposes.
+	unplacedBlocks  uint64              // demand blocks no on-path device could hold
+	recoveredBlocks uint64              // unplaced blocks a later retry placed
+	reroutes        uint64              // spine-hashed routes repointed
+	stretch         telemetry.Histogram // devices engaged per placement
 }
 
 // NewController builds the fabric controller.
@@ -196,9 +200,7 @@ func (c *Controller) RetryUnplaced(t *Tenant, newService func() *client.Service)
 			fid++
 		}
 	}
-	if placed > 0 && c.tel != nil {
-		c.tel.recovered.Add(uint64(placed))
-	}
+	c.recoveredBlocks += uint64(placed)
 	return placed, nil
 }
 
@@ -251,12 +253,7 @@ func (c *Controller) ReconcileTenant(t *Tenant, dead *Node, newService func() *c
 	}
 	t.Unplaced += remaining
 	c.RePlacements++
-	if c.tel != nil {
-		c.tel.rePlacements.Inc()
-		if remaining > 0 {
-			c.tel.unplaced.Add(uint64(remaining))
-		}
-	}
+	c.unplacedBlocks += uint64(remaining)
 	return placed, nil
 }
 
@@ -267,43 +264,14 @@ func (c *Controller) ObserveFailures(h *Health) {
 	h.Subscribe(func(ev LinkEvent) {
 		if ev.Down {
 			c.LinkFlaps++
-			if c.tel != nil {
-				c.tel.linkFlaps.Inc()
-			}
 		}
 	})
 	prev := c.F.OnReroute
 	c.F.OnReroute = func(changed int) {
-		if c.tel != nil {
-			c.tel.reroutes.Add(uint64(changed))
-		}
+		c.reroutes += uint64(changed)
 		if prev != nil {
 			prev(changed)
 		}
-	}
-}
-
-// noteDegraded records a coherent cache entering or leaving degraded mode.
-func (c *Controller) noteDegraded(entered bool) {
-	if entered {
-		c.DegradedEntries++
-		if c.tel != nil {
-			c.tel.degradedIn.Inc()
-		}
-		return
-	}
-	c.DegradedExits++
-	if c.tel != nil {
-		c.tel.degradedOut.Inc()
-	}
-}
-
-// noteReplacement records a replica-set repair (re-placement under a fresh
-// FID).
-func (c *Controller) noteReplacement() {
-	c.RePlacements++
-	if c.tel != nil {
-		c.tel.rePlacements.Inc()
 	}
 }
 
@@ -321,9 +289,8 @@ func (c *Controller) recordPlacement(t *Tenant) {
 		c.Spills++
 		c.SpillDevices += uint64(len(t.Shards) - 1)
 	}
-	if c.tel != nil {
-		c.tel.record(t)
-	}
+	c.unplacedBlocks += uint64(t.Unplaced)
+	c.stretch.Observe(uint64(len(t.Shards)))
 }
 
 // PlaceReplicas admits one FID on the local leaf of every listed leaf index
@@ -412,9 +379,7 @@ func (c *Controller) PlaceReplicas(fid uint16, leaves []int, server packet.MAC, 
 				m.Node.Name, ref.Node.Name)
 		}
 	}
-	if c.tel != nil {
-		c.tel.recordReplicas(set)
-	}
+	c.stretch.Observe(uint64(len(set.Members))) // every member is one engaged device
 	return set, nil
 }
 
@@ -438,89 +403,27 @@ func samePlacement(a, b *alloc.Placement) bool {
 	return a.MutantIdx == b.MutantIdx && slices.Equal(a.Accesses, b.Accesses)
 }
 
-// fabricTelemetry holds the controller's registered metric handles.
-type fabricTelemetry struct {
-	occupancy *telemetry.GaugeVec
-	spills    *telemetry.Counter
-	spillDevs *telemetry.Counter
-	mismatch  *telemetry.Counter
-	unplaced  *telemetry.Counter
-	stretch   *telemetry.Histogram
-
-	// Failure-domain metrics.
-	linkFlaps    *telemetry.Counter
-	reroutes     *telemetry.Counter
-	degradedIn   *telemetry.Counter
-	degradedOut  *telemetry.Counter
-	rePlacements *telemetry.Counter
-	recovered    *telemetry.Counter
-}
-
-// AttachTelemetry registers fabric-level metrics on the registry: per-switch
-// occupancy (blocks), placement spill counters, and the path-stretch
-// histogram (devices engaged per placement). Call RefreshTelemetry after
-// placements change to republish occupancy gauges.
+// AttachTelemetry registers fabric-level metrics on the registry, read from
+// the controller's counters and the member switches' allocators: per-switch
+// occupancy (blocks), placement spill counters, the failure-domain counters
+// and the path-stretch histogram (devices engaged per placement).
 func (c *Controller) AttachTelemetry(reg *telemetry.Registry) {
-	if c.tel != nil {
-		return
-	}
-	t := &fabricTelemetry{
-		occupancy: reg.NewGaugeVec("activermt_fabric_switch_occupancy_blocks",
-			"allocated blocks per fabric switch", "switch"),
-		spills: reg.NewCounter("activermt_fabric_placement_spills_total",
-			"tenant placements that engaged more than one on-path device"),
-		spillDevs: reg.NewCounter("activermt_fabric_placement_spill_devices_total",
-			"extra on-path devices engaged beyond the first, summed over placements"),
-		mismatch: reg.NewCounter("activermt_fabric_replica_mismatch_total",
-			"replica admissions torn down for placement or epoch skew"),
-		unplaced: reg.NewCounter("activermt_fabric_placement_unplaced_blocks_total",
-			"demand blocks no on-path device could hold"),
-		stretch: reg.NewHistogram("activermt_fabric_path_stretch_devices",
-			"devices engaged per tenant placement (1 = no stretch)"),
-		linkFlaps: reg.NewCounter("activermt_fabric_link_flaps_total",
-			"leaf-spine link down-transitions declared by the health monitor"),
-		reroutes: reg.NewCounter("activermt_fabric_reroutes_total",
-			"spine-hashed routes repointed around dead links or drained spines"),
-		degradedIn: reg.NewCounter("activermt_fabric_cache_degraded_entries_total",
-			"coherent caches entering degraded (home-drained) mode"),
-		degradedOut: reg.NewCounter("activermt_fabric_cache_degraded_exits_total",
-			"coherent caches leaving degraded mode after home resync"),
-		rePlacements: reg.NewCounter("activermt_fabric_replacements_total",
-			"orphaned placements re-placed on surviving devices"),
-		recovered: reg.NewCounter("activermt_fabric_placement_recovered_blocks_total",
-			"previously unplaced demand blocks placed by a later retry"),
-	}
-	c.tel = t
-	c.RefreshTelemetry()
-}
-
-// record publishes one placement's spill accounting.
-func (t *fabricTelemetry) record(ten *Tenant) {
-	if len(ten.Shards) > 1 {
-		t.spills.Inc()
-		t.spillDevs.Add(uint64(len(ten.Shards) - 1))
-	}
-	if ten.Unplaced > 0 {
-		t.unplaced.Add(uint64(ten.Unplaced))
-	}
-	if len(ten.Shards) > 0 {
-		t.stretch.Observe(uint64(len(ten.Shards)))
-	}
-}
-
-// recordReplicas publishes a replica set's stretch (every member is one
-// engaged device).
-func (t *fabricTelemetry) recordReplicas(set *ReplicaSet) {
-	t.stretch.Observe(uint64(len(set.Members)))
-}
-
-// RefreshTelemetry republishes the per-switch occupancy gauges from the
-// allocators' current state.
-func (c *Controller) RefreshTelemetry() {
-	if c.tel == nil {
-		return
-	}
-	for _, n := range c.F.Nodes() {
-		c.tel.occupancy.With(n.Name).Set(int64(n.OccupiedBlocks()))
-	}
+	reg.Vec("activermt_fabric_switch_occupancy_blocks", "allocated blocks per fabric switch", telemetry.KindGauge, "switch",
+		func(add func(string, float64)) {
+			for _, n := range c.F.Nodes() {
+				add(n.Name, float64(n.OccupiedBlocks()))
+			}
+		})
+	reg.Counter("activermt_fabric_placement_spills_total", "tenant placements that engaged more than one on-path device", &c.Spills)
+	reg.Counter("activermt_fabric_placement_spill_devices_total", "extra on-path devices engaged beyond the first, summed over placements", &c.SpillDevices)
+	reg.Counter("activermt_fabric_replica_mismatch_total", "replica admissions torn down for placement or epoch skew", &c.ReplicaMismatch)
+	reg.Counter("activermt_fabric_placement_unplaced_blocks_total", "demand blocks no on-path device could hold", &c.unplacedBlocks)
+	reg.Histogram("activermt_fabric_path_stretch_devices", "devices engaged per tenant placement (1 = no stretch)",
+		func() *telemetry.Histogram { return &c.stretch })
+	reg.Counter("activermt_fabric_link_flaps_total", "leaf-spine link down-transitions declared by the health monitor", &c.LinkFlaps)
+	reg.Counter("activermt_fabric_reroutes_total", "spine-hashed routes repointed around dead links or drained spines", &c.reroutes)
+	reg.Counter("activermt_fabric_cache_degraded_entries_total", "coherent caches entering degraded (home-drained) mode", &c.DegradedEntries)
+	reg.Counter("activermt_fabric_cache_degraded_exits_total", "coherent caches leaving degraded mode after home resync", &c.DegradedExits)
+	reg.Counter("activermt_fabric_replacements_total", "orphaned placements re-placed on surviving devices", &c.RePlacements)
+	reg.Counter("activermt_fabric_placement_recovered_blocks_total", "previously unplaced demand blocks placed by a later retry", &c.recoveredBlocks)
 }

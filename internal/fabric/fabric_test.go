@@ -122,9 +122,9 @@ func TestFabricCacheEndToEnd(t *testing.T) {
 		t.Fatalf("hit rate %.2f, want >= 0.9 (hits=%d misses=%d)", hr, cc.Hits, cc.Misses)
 	}
 
-	// Fabric telemetry: occupancy gauges exist per switch and the replica
-	// placement registered a stretch observation.
-	fc.RefreshTelemetry()
+	// Fabric telemetry: occupancy gauges exist per switch, read from the
+	// allocators at collection, and the replica placement registered a
+	// stretch observation.
 	var buf bytes.Buffer
 	telemetry.WritePrometheus(&buf, reg.Snapshot())
 	text := buf.String()

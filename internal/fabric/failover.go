@@ -83,7 +83,7 @@ func (c *CoherentCache) onLinkEvent(ev LinkEvent) {
 		if !c.degraded {
 			c.degraded = true
 			c.DegradedEntries++
-			c.fc.noteDegraded(true)
+			c.fc.DegradedEntries++
 			c.fc.F.SetSpineDrain(c.home, true)
 		}
 		return
@@ -128,7 +128,7 @@ func (c *CoherentCache) stepRecovery(leaf int) {
 		if c.degraded {
 			c.degraded = false
 			c.DegradedExits++
-			c.fc.noteDegraded(false)
+			c.fc.DegradedExits++
 		}
 		c.fc.F.Eng.Schedule(c.health.RestoreDelay, c.tryUndrain)
 	})
@@ -220,7 +220,7 @@ func (c *CoherentCache) VerifyAndRepair(newFID uint16) (bool, error) {
 	}
 	c.WipeAll()
 	c.Repairs++
-	c.fc.noteReplacement()
+	c.fc.RePlacements++
 	return true, nil
 }
 

@@ -106,73 +106,57 @@ type Guard struct {
 	tenants map[uint16]*Ledger
 	ports   map[int]*PortLedger
 
-	// m holds the guard's counters and gauges as telemetry metrics from
-	// birth (atomic, so a scrape goroutine may read them live); the legacy
-	// accessor methods below are thin reads over them.
-	m guardMetrics
+	// Counters: Checked, DroppedAtIngress, TenantViolations, PortViolations
+	// and RevokedDrops read them, and so does a registry (AttachTelemetry).
+	checked, ingressDrops            uint64
+	tenantViolations, portViolations uint64
+	revokedDrops                     uint64
+	auditsRun, findingsTotal         uint64
+	byKind                           [numKinds]uint64 // violations per Kind
 }
 
-// guardMetrics is the guard's metric handle set. The metrics exist whether
-// or not a registry is attached; AttachTelemetry only exposes them.
-type guardMetrics struct {
-	checked          *telemetry.Counter
-	ingressDrops     *telemetry.Counter
-	tenantViolations *telemetry.Counter
-	portViolations   *telemetry.Counter
-	revokedDrops     *telemetry.Counter
-	auditsRun        *telemetry.Counter
-	findingsTotal    *telemetry.Counter
-
-	byKind *telemetry.CounterVec
-	kind   [numKinds]*telemetry.Counter // cached byKind children, indexed by Kind
-
-	byState *telemetry.GaugeVec
-	state   [int(Evicted) + 1]*telemetry.Gauge // ledgers per escalation state
-}
-
-func newGuardMetrics() guardMetrics {
-	m := guardMetrics{
-		checked:          telemetry.NewCounter("activermt_guard_checked_total", "program capsules inspected at ingress"),
-		ingressDrops:     telemetry.NewCounter("activermt_guard_ingress_drops_total", "capsules refused by the ingress gate"),
-		tenantViolations: telemetry.NewCounter("activermt_guard_tenant_violations_total", "authenticated violations charged to tenants"),
-		portViolations:   telemetry.NewCounter("activermt_guard_port_violations_total", "unauthenticated violations charged to ingress ports"),
-		revokedDrops:     telemetry.NewCounter("activermt_guard_revoked_drops_total", "execute-path drops of revoked FIDs"),
-		auditsRun:        telemetry.NewCounter("activermt_guard_audits_total", "isolation audits run"),
-		findingsTotal:    telemetry.NewCounter("activermt_guard_findings_total", "isolation audit findings"),
-		byKind:           telemetry.NewCounterVec("activermt_guard_violations_total", "violations by class (port- and tenant-attributed)", "kind"),
-		byState:          telemetry.NewGaugeVec("activermt_guard_tenants", "tenant ledgers per escalation state", "state"),
-	}
-	for k := Kind(0); int(k) < numKinds; k++ {
-		m.kind[int(k)] = m.byKind.With(k.String())
-	}
-	for s := Healthy; s <= Evicted; s++ {
-		m.state[int(s)] = m.byState.With(s.String())
-	}
-	return m
-}
-
-// AttachTelemetry registers the guard's metric set in reg. The counters are
-// live from construction, so attaching late loses nothing.
+// AttachTelemetry registers the guard's metric families in reg, reading the
+// counters above and, for the tenant-state gauge, the ledgers themselves.
 func (g *Guard) AttachTelemetry(reg *telemetry.Registry) {
-	reg.MustRegister(g.m.checked, g.m.ingressDrops, g.m.tenantViolations,
-		g.m.portViolations, g.m.revokedDrops, g.m.auditsRun, g.m.findingsTotal,
-		g.m.byKind, g.m.byState)
+	reg.Counter("activermt_guard_checked_total", "program capsules inspected at ingress", &g.checked)
+	reg.Counter("activermt_guard_ingress_drops_total", "capsules refused by the ingress gate", &g.ingressDrops)
+	reg.Counter("activermt_guard_tenant_violations_total", "authenticated violations charged to tenants", &g.tenantViolations)
+	reg.Counter("activermt_guard_port_violations_total", "unauthenticated violations charged to ingress ports", &g.portViolations)
+	reg.Counter("activermt_guard_revoked_drops_total", "execute-path drops of revoked FIDs", &g.revokedDrops)
+	reg.Counter("activermt_guard_audits_total", "isolation audits run", &g.auditsRun)
+	reg.Counter("activermt_guard_findings_total", "isolation audit findings", &g.findingsTotal)
+	reg.Vec("activermt_guard_violations_total", "violations by class (port- and tenant-attributed)",
+		telemetry.KindCounter, "kind", func(add func(string, float64)) {
+			for k := Kind(0); int(k) < numKinds; k++ {
+				add(k.String(), float64(g.byKind[k]))
+			}
+		})
+	reg.Vec("activermt_guard_tenants", "tenant ledgers per escalation state",
+		telemetry.KindGauge, "state", func(add func(string, float64)) {
+			var n [int(Evicted) + 1]int
+			for _, led := range g.tenants {
+				n[led.state]++
+			}
+			for st := Healthy; st <= Evicted; st++ {
+				add(st.String(), float64(n[st]))
+			}
+		})
 }
 
 // Checked returns the capsules inspected at ingress.
-func (g *Guard) Checked() uint64 { return g.m.checked.Value() }
+func (g *Guard) Checked() uint64 { return g.checked }
 
 // DroppedAtIngress returns the capsules refused by CheckProgram.
-func (g *Guard) DroppedAtIngress() uint64 { return g.m.ingressDrops.Value() }
+func (g *Guard) DroppedAtIngress() uint64 { return g.ingressDrops }
 
 // TenantViolations returns the authenticated violation total.
-func (g *Guard) TenantViolations() uint64 { return g.m.tenantViolations.Value() }
+func (g *Guard) TenantViolations() uint64 { return g.tenantViolations }
 
 // PortViolations returns the unauthenticated violation total.
-func (g *Guard) PortViolations() uint64 { return g.m.portViolations.Value() }
+func (g *Guard) PortViolations() uint64 { return g.portViolations }
 
 // RevokedDrops returns the execute-path revoked-FID drop total.
-func (g *Guard) RevokedDrops() uint64 { return g.m.revokedDrops.Value() }
+func (g *Guard) RevokedDrops() uint64 { return g.revokedDrops }
 
 // New builds a guard over the runtime. now is the virtual-clock source; it
 // must be the same clock the escalator's controller runs on.
@@ -186,7 +170,6 @@ func New(rt *runtime.Runtime, pol Policy, now func() time.Duration) *Guard {
 		now:     now,
 		tenants: make(map[uint16]*Ledger),
 		ports:   make(map[int]*PortLedger),
-		m:       newGuardMetrics(),
 	}
 }
 
@@ -228,7 +211,7 @@ func (g *Guard) CheckProgram(a *packet.Active, port int) bool {
 	if a == nil || a.Header.Type() != packet.TypeProgram {
 		return true
 	}
-	g.m.checked.Inc()
+	g.checked++
 	fid := a.Header.FID
 
 	// Structural sanity. Decoding already rejected truncated capsules;
@@ -287,7 +270,7 @@ func (g *Guard) CheckProgram(a *packet.Active, port int) bool {
 		case RateLimited:
 			led.rlSeq++
 			if g.pol.RateLimitPass > 1 && led.rlSeq%uint64(g.pol.RateLimitPass) != 0 {
-				g.m.ingressDrops.Inc()
+				g.ingressDrops++
 				return false // shed, but not itself a violation
 			}
 		}
@@ -335,7 +318,7 @@ func (g *Guard) RecircBudgetRemaining(fid uint16) int {
 // gate already charges revoked traffic to its port when the guard is wired
 // into the switch.
 func (g *Guard) RevokedDrop(fid uint16) {
-	g.m.revokedDrops.Inc()
+	g.revokedDrops++
 	if led, ok := g.tenants[fid]; ok {
 		led.counts[int(KindRevoked)]++
 	}
@@ -351,16 +334,16 @@ func (g *Guard) denyPort(port int, k Kind) bool {
 	}
 	pl.counts[int(k)]++
 	pl.Total++
-	g.m.portViolations.Inc()
-	g.m.ingressDrops.Inc()
-	g.m.kind[int(k)].Inc()
+	g.portViolations++
+	g.ingressDrops++
+	g.byKind[k]++
 	return false
 }
 
 // denyTenant records an authenticated violation and refuses the capsule.
 func (g *Guard) denyTenant(fid uint16, k Kind) bool {
 	g.recordTenant(fid, k)
-	g.m.ingressDrops.Inc()
+	g.ingressDrops++
 	return false
 }
 
@@ -370,7 +353,6 @@ func (g *Guard) tenant(fid uint16) *Ledger {
 	if !ok {
 		led = &Ledger{FID: fid}
 		g.tenants[fid] = led
-		g.m.state[int(Healthy)].Add(1)
 	}
 	return led
 }
@@ -384,8 +366,8 @@ func (g *Guard) recordTenant(fid uint16, k Kind) {
 	led := g.tenant(fid)
 	led.counts[int(k)]++
 	led.total++
-	g.m.tenantViolations.Inc()
-	g.m.kind[int(k)].Inc()
+	g.tenantViolations++
+	g.byKind[k]++
 	now := g.now()
 	led.prune(now, g.pol.Window)
 	led.events = append(led.events, now)
@@ -398,8 +380,6 @@ func (g *Guard) recordTenant(fid uint16, k Kind) {
 // escalator on the quarantine and evict rungs.
 func (g *Guard) transition(led *Ledger, to TenantState, k Kind, score int, now time.Duration) {
 	led.History = append(led.History, Transition{At: now, From: led.state, To: to, Trigger: k, Score: score})
-	g.m.state[int(led.state)].Add(-1)
-	g.m.state[int(to)].Add(1)
 	led.state = to
 	switch to {
 	case Quarantined:

@@ -346,7 +346,7 @@ func TestAuditorFindsOverlapOrphanAndEscape(t *testing.T) {
 	if found[FindingTranslateEscape] == 0 {
 		t.Error("translate escape not found")
 	}
-	if runs, found := g.m.auditsRun.Value(), g.m.findingsTotal.Value(); runs != 2 || found != uint64(len(fs)) {
+	if runs, found := g.auditsRun, g.findingsTotal; runs != 2 || found != uint64(len(fs)) {
 		t.Errorf("audit counters: runs %d findings %d", runs, found)
 	}
 }

@@ -60,10 +60,9 @@ type ProgCache struct {
 	max int
 	m   map[ProgKey]*cacheEntry
 
-	// Always-present telemetry counters (registered on demand by
-	// AttachTelemetry); Stats() is a thin read over them, so a registry
-	// snapshot and the legacy accessor can never disagree.
-	hits, misses, invalidations *telemetry.Counter
+	// Counters, guarded by mu like the map; Stats() reads them, and so does
+	// a registry snapshot (AttachTelemetry).
+	hits, misses, invalidations uint64
 }
 
 // DefaultProgCacheSize bounds the cache: large enough for every (tenant,
@@ -77,35 +76,32 @@ func NewProgCache(max int) *ProgCache {
 	if max <= 0 {
 		max = DefaultProgCacheSize
 	}
-	return &ProgCache{
-		max:           max,
-		m:             make(map[ProgKey]*cacheEntry),
-		hits:          telemetry.NewCounter("activermt_progcache_hits_total", "Program-capsule decodes served from the cache."),
-		misses:        telemetry.NewCounter("activermt_progcache_misses_total", "Program-capsule decodes that ran the full ISA decode."),
-		invalidations: telemetry.NewCounter("activermt_progcache_invalidations_total", "Cached program versions dropped by grant-change invalidation."),
-	}
+	return &ProgCache{max: max, m: make(map[ProgKey]*cacheEntry)}
 }
 
 // AttachTelemetry registers the cache counters plus a derived hit-ratio
-// gauge. The ratio reads only the atomic counters, so it is safe to evaluate
-// from a concurrent scrape.
+// gauge, each read through Stats.
 func (c *ProgCache) AttachTelemetry(reg *telemetry.Registry) {
-	reg.MustRegister(c.hits, c.misses, c.invalidations)
-	hits, misses := c.hits, c.misses
-	reg.NewGaugeFunc("activermt_progcache_hit_ratio",
-		"Fraction of program decodes served from the cache.",
-		func() float64 {
-			h, m := hits.Value(), misses.Value()
-			if h+m == 0 {
-				return 0
-			}
-			return float64(h) / float64(h+m)
-		})
+	reg.CounterFunc("activermt_progcache_hits_total", "Program-capsule decodes served from the cache.",
+		func() uint64 { h, _, _ := c.Stats(); return h })
+	reg.CounterFunc("activermt_progcache_misses_total", "Program-capsule decodes that ran the full ISA decode.",
+		func() uint64 { _, m, _ := c.Stats(); return m })
+	reg.CounterFunc("activermt_progcache_invalidations_total", "Cached program versions dropped by grant-change invalidation.",
+		func() uint64 { _, _, inv := c.Stats(); return inv })
+	reg.Gauge("activermt_progcache_hit_ratio", "Fraction of program decodes served from the cache.", func() float64 {
+		h, m, _ := c.Stats()
+		if h+m == 0 {
+			return 0
+		}
+		return float64(h) / float64(h+m)
+	})
 }
 
 // Stats returns (hits, misses, invalidations).
 func (c *ProgCache) Stats() (hits, misses, invalidations uint64) {
-	return c.hits.Value(), c.misses.Value(), c.invalidations.Value()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits, c.misses, c.invalidations
 }
 
 // Len returns the number of cached program versions.
@@ -134,7 +130,7 @@ func (c *ProgCache) Invalidate(fid uint16) {
 	for k := range c.m {
 		if k.FID == fid {
 			delete(c.m, k)
-			c.invalidations.Inc()
+			c.invalidations++
 		}
 	}
 }
@@ -162,7 +158,7 @@ func (c *ProgCache) lookupOrDecode(fid uint16, epoch uint8, raw []byte) (*isa.Pr
 	key := ProgKey{FID: fid, Epoch: epoch, Len: uint16(n), Hash: crc32.ChecksumIEEE(raw[:n])}
 	c.mu.Lock()
 	if e, ok := c.m[key]; ok {
-		c.hits.Inc()
+		c.hits++
 		c.mu.Unlock()
 		state := ProgInvalid
 		if e.valid {
@@ -170,7 +166,7 @@ func (c *ProgCache) lookupOrDecode(fid uint16, epoch uint8, raw []byte) (*isa.Pr
 		}
 		return e.prog, n, state, nil
 	}
-	c.misses.Inc()
+	c.misses++
 	c.mu.Unlock()
 
 	prog, dn, err := isa.DecodeProgram(raw)

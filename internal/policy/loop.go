@@ -25,29 +25,23 @@ type Loop struct {
 	prev    Observation
 	seen    bool
 	stopped bool
-	tel     *loopTelemetry
 }
 
-type loopTelemetry struct {
-	evals    *telemetry.Counter
-	changes  *telemetry.Counter
-	snapWin  *telemetry.Gauge
-	frag     *telemetry.FloatGauge
-	defragOn *telemetry.Gauge
-}
-
-// AttachTelemetry registers the loop's own metrics. Optional; call before
-// Start.
+// AttachTelemetry registers the loop's own metrics, read from its counters,
+// its last decision set and its last observation. Optional.
 func (l *Loop) AttachTelemetry(reg *telemetry.Registry) {
-	t := &loopTelemetry{
-		evals:    telemetry.NewCounter("activermt_policy_evals_total", "policy engine evaluations"),
-		changes:  telemetry.NewCounter("activermt_policy_changes_total", "evaluations that changed at least one decision"),
-		snapWin:  telemetry.NewGauge("activermt_policy_snapshot_window_ns", "currently decided realloc snapshot window"),
-		frag:     telemetry.NewFloatGauge("activermt_policy_observed_fragmentation", "fragmentation as last observed by the policy loop"),
-		defragOn: telemetry.NewGauge("activermt_policy_defrag_enabled", "1 when the current decisions enable defragmentation"),
-	}
-	reg.MustRegister(t.evals, t.changes, t.snapWin, t.frag, t.defragOn)
-	l.tel = t
+	reg.Counter("activermt_policy_evals_total", "policy engine evaluations", &l.Evals)
+	reg.Counter("activermt_policy_changes_total", "evaluations that changed at least one decision", &l.Changes)
+	reg.Gauge("activermt_policy_snapshot_window_ns", "currently decided realloc snapshot window",
+		func() float64 { return float64(l.last.Controller.SnapshotTimeout) })
+	reg.Gauge("activermt_policy_observed_fragmentation", "fragmentation as last observed by the policy loop",
+		func() float64 { return l.prev.Fragmentation })
+	reg.Gauge("activermt_policy_defrag_enabled", "1 when the current decisions enable defragmentation", func() float64 {
+		if l.last.Defrag.Enabled {
+			return 1
+		}
+		return 0
+	})
 }
 
 // Start runs the first evaluation immediately and schedules the rest.
@@ -78,25 +72,10 @@ func (l *Loop) evaluate() {
 
 	d := l.Engine.Decide(obs)
 	l.Evals++
-	changed := !l.decided || d != l.last
-	if changed {
+	if !l.decided || d != l.last {
 		l.Changes++
 	}
 	l.last, l.decided = d, true
-
-	if l.tel != nil {
-		l.tel.evals.Inc()
-		if changed {
-			l.tel.changes.Inc()
-		}
-		l.tel.snapWin.Set(int64(d.Controller.SnapshotTimeout))
-		l.tel.frag.Set(obs.Fragmentation)
-		if d.Defrag.Enabled {
-			l.tel.defragOn.Set(1)
-		} else {
-			l.tel.defragOn.Set(0)
-		}
-	}
 	if l.Apply != nil {
 		l.Apply(obs, d)
 	}

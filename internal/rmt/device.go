@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"activermt/internal/isa"
+	"activermt/internal/telemetry"
 )
 
 // Translate is a per-(FID, stage) address-translation entry backing the
@@ -140,9 +141,9 @@ type Device struct {
 	view    atomic.Pointer[PipeView]
 	viewGen atomic.Uint64
 
-	// tel, when attached, mirrors the counters and holds the latency
-	// histogram (see telemetry.go); nil keeps the device telemetry-free.
-	tel *Telemetry
+	// lat is the per-packet latency histogram, observed once telemetry is
+	// attached (see telemetry.go); nil keeps the device telemetry-free.
+	lat *telemetry.Histogram
 
 	// Counters for the experiment harness, counted in place by the one
 	// goroutine that executes packets.
@@ -298,8 +299,8 @@ func (d *Device) run(p *PHV, startIdx, extraSlots int, view *PipeView, outs []*P
 	p.StagesRun = slots
 	p.Passes = (slots + n - 1) / n
 	p.Latency = time.Duration(int64(slots) * d.cfg.PassLatency.Nanoseconds() / int64(n))
-	if d.tel != nil {
-		d.tel.Latency.Observe(uint64(p.Latency))
+	if d.lat != nil {
+		d.lat.Observe(uint64(p.Latency))
 	}
 	if p.Dropped {
 		d.PacketsDropped++

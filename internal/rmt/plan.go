@@ -224,8 +224,8 @@ func (d *Device) ExecPlan(pl *Plan, p *PHV) int {
 	p.StagesRun = slots
 	p.Passes = (slots + n - 1) / n
 	p.Latency = time.Duration(int64(slots) * pl.passLatNs / int64(n))
-	if d.tel != nil {
-		d.tel.Latency.Observe(uint64(p.Latency))
+	if d.lat != nil {
+		d.lat.Observe(uint64(p.Latency))
 	}
 	if p.Dropped {
 		d.PacketsDropped++

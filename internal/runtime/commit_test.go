@@ -296,7 +296,12 @@ func TestInstallGrantFailureCountsTableOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tel := r.AttachTelemetry(telemetry.NewRegistry())
+	reg := telemetry.NewRegistry()
+	r.AttachTelemetry(reg)
+	scraped := func() uint64 {
+		v, _ := snapGauge(reg.Snapshot(), "activermt_runtime_table_ops_total", "")
+		return uint64(v)
+	}
 	fits := Grant{FID: 9, Accesses: []AccessGrant{{Logical: 2, Lo: 0, Hi: 64}, {Logical: 5, Lo: 0, Hi: 64}}}
 	installed, err := r.InstallGrant(fits)
 	if err != nil {
@@ -321,7 +326,7 @@ func TestInstallGrantFailureCountsTableOps(t *testing.T) {
 	if got, want := r.TableOps, uint64(installed+failed); got != want {
 		t.Errorf("Runtime.TableOps = %d, want %d (the sum of the returned counts)", got, want)
 	}
-	if got := tel.TableOps.Value(); got != r.TableOps {
+	if got := scraped(); got != r.TableOps {
 		t.Errorf("telemetry table ops = %d, Runtime.TableOps = %d", got, r.TableOps)
 	}
 	if len(r.InstalledRegions(9)) != 0 || len(r.Device().Stage(0).TranslateEntries()) != 0 {
@@ -340,7 +345,7 @@ func TestInstallGrantFailureCountsTableOps(t *testing.T) {
 	if got := r.TableOps - before; got != 3 {
 		t.Errorf("privilege set + mirror set/clear = %d table ops, want 3", got)
 	}
-	if got := tel.TableOps.Value(); got != r.TableOps {
+	if got := scraped(); got != r.TableOps {
 		t.Errorf("after privilege/mirror updates: telemetry table ops = %d, Runtime.TableOps = %d", got, r.TableOps)
 	}
 }

@@ -74,9 +74,6 @@ func (r *Runtime) RecircAllowed(fid uint16, progLen int) bool {
 	if st.tokens < extra {
 		r.recircMu.Unlock()
 		atomic.AddUint64(&r.RecircThrottled, 1)
-		if t := r.tel; t != nil {
-			t.RecircThrottled.Inc()
-		}
 		return false
 	}
 	st.tokens -= extra
@@ -118,7 +115,7 @@ const (
 func (r *Runtime) SetPrivilege(fid uint16, mask uint8) {
 	row := r.row(fid)
 	row.privSet, row.privilege = true, mask
-	r.countOps(1)
+	r.TableOps++
 	r.publish()
 }
 
@@ -135,7 +132,7 @@ func (r *Runtime) SetMirrorSession(fid uint16, session uint8, port uint32) {
 		r.mirror = make(map[uint32]uint32)
 	}
 	r.mirror[mirrorKey(fid, session)] = port
-	r.countOps(1)
+	r.TableOps++
 	r.publish()
 }
 
@@ -143,7 +140,7 @@ func (r *Runtime) SetMirrorSession(fid uint16, session uint8, port uint32) {
 func (r *Runtime) ClearMirrorSession(fid uint16, session uint8) {
 	r.mirror = maps.Clone(r.mirror)
 	delete(r.mirror, mirrorKey(fid, session))
-	r.countOps(1)
+	r.TableOps++
 	r.publish()
 }
 

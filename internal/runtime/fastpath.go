@@ -119,9 +119,9 @@ func (res *scratch) addOutput(s *outSlot) { res.outputs = append(res.outputs, &s
 // execute through their compiled plan when one is (or can be) cached for the
 // current snapshot pair; everything else takes the interpreter (see
 // specialize.go). When it returns, the capsule's counts are in the exported
-// runtime and device fields (and published to telemetry when attached) and
-// its buffered guard events have been delivered to the hook — counters read,
-// and escalations land, between capsules. It returns the output packets,
+// runtime and device fields — where telemetry reads them — and its buffered
+// guard events have been delivered to the hook: counters read, and
+// escalations land, between capsules. It returns the output packets,
 // primary first, then FORK clones.
 //
 // Refused packets (revoked/quarantined/throttled) do not mutate the input
@@ -133,9 +133,6 @@ func (res *scratch) addOutput(s *outSlot) { res.outputs = append(res.outputs, &s
 // ExecuteProgram call on this Runtime; callers that retain one must copy it.
 func (r *Runtime) ExecuteProgram(a *packet.Active) []*Output {
 	r.executeOne(a)
-	if r.tel != nil {
-		r.publishTelemetry()
-	}
 	r.deliverEvents()
 	return r.res.outputs
 }

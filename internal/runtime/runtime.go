@@ -81,15 +81,13 @@ type Runtime struct {
 	res    *scratch
 	events []GuardEvent
 
-	// Telemetry wiring (nil when disabled; see telemetry.go): the metric
-	// handles ExecuteProgram publishes the counters below into after every
-	// capsule, and the flight recorder.
-	tel *Telemetry
-	fr  *telemetry.FlightRecorder
+	// fr is the flight recorder (nil until AttachTelemetry; see
+	// telemetry.go).
+	fr *telemetry.FlightRecorder
 
-	// Stats for the experiment harness, counted in place by the one
-	// goroutine that executes capsules (RecircThrottled and TableOps by
-	// whoever polices or commits).
+	// Stats for the experiment harness and telemetry, counted in place by
+	// the one goroutine that executes capsules (RecircThrottled and TableOps
+	// by whoever polices or commits).
 	ProgramsRun, Passthrough, Faults uint64
 	RecircThrottled, PrivSuppressed  uint64
 	QuarantineDrops, RevokedDrops    uint64
@@ -178,14 +176,6 @@ func (r *Runtime) admit(fid uint16) {
 	row.epoch = nextEpoch(row.epoch)
 }
 
-// countOps adds n table operations to TableOps and its telemetry mirror.
-func (r *Runtime) countOps(n int) {
-	r.TableOps += uint64(n)
-	if t := r.tel; t != nil {
-		t.TableOps.Add(uint64(n))
-	}
-}
-
 // Deactivate suspends execution of fid's programs during a reallocation so
 // clients observe a consistent memory snapshot (Section 4.3). Packets still
 // forward, unexecuted.
@@ -196,7 +186,7 @@ func (r *Runtime) Reactivate(fid uint16) { r.setQuarantined(fid, false) }
 
 func (r *Runtime) setQuarantined(fid uint16, q bool) {
 	r.row(fid).quarantined = q
-	r.countOps(1)
+	r.TableOps++
 	r.publish()
 }
 
@@ -221,7 +211,7 @@ func (r *Runtime) InstallGrant(g Grant) (int, error) {
 	// Every path republishes: the tables have been touched (install or
 	// rollback), and packets must only ever execute against a fully
 	// committed view.
-	r.countOps(ops)
+	r.TableOps += uint64(ops)
 	r.dev.RebuildView()
 	r.publish()
 	return ops, err
@@ -304,7 +294,7 @@ func translateFor(a AccessGrant) rmt.Translate {
 func (r *Runtime) AdmitStateless(fid uint16) {
 	if !r.row(fid).admitted {
 		r.admit(fid)
-		r.countOps(1)
+		r.TableOps++
 		r.publish()
 	}
 }
@@ -319,7 +309,7 @@ func (r *Runtime) RemoveGrant(fid uint16) int {
 	ops := r.clearTables(fid) + 1 // +1 for the admission gate entry
 	row := &r.rows[i]
 	row.admitted, row.quarantined, row.revoked = false, false, true
-	r.countOps(ops)
+	r.TableOps += uint64(ops)
 	r.dev.RebuildView()
 	r.publish()
 	return ops

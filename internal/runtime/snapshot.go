@@ -76,17 +76,9 @@ func (r *Runtime) view() *ctrlView {
 
 // publish copies the rows into a fresh control snapshot and swaps it in.
 // Every mutator of admission state must call it (once, after the full
-// mutation) so packets never observe a half-applied commit.
-//
-// With telemetry attached, the pointer swap and every committed-state gauge
-// update (admission counts, per-FID epochs, per-stage occupancy) happen
-// inside one registry commit window, so a concurrent scrape observes either
-// all of this commit's telemetry or none of it.
+// mutation) so packets — and the telemetry gauges computed from the view —
+// never observe a half-applied commit.
 func (r *Runtime) publish() {
-	if t := r.tel; t != nil {
-		t.reg.BeginCommit()
-		defer t.reg.EndCommit()
-	}
 	r.snapGen++
 	v := &ctrlView{rows: slices.Clone(r.rows), mirror: r.mirror, gen: r.snapGen}
 	r.snap.Store(v)
@@ -96,7 +88,4 @@ func (r *Runtime) publish() {
 	// The fresh table is keyed to the new pair, so packets recompile (once
 	// per program version) against the state just published.
 	r.resetPlans(v)
-	if r.tel != nil {
-		r.syncGauges(v)
-	}
 }

@@ -154,9 +154,6 @@ func (r *Runtime) buildPlan(cv *ctrlView, pv *rmt.PipeView, key planKey) *compil
 	}
 	cp.rp = r.dev.CompilePlan(key.fid, cp.instrs, pv)
 	r.planCompiles.Add(1)
-	if t := r.tel; t != nil {
-		t.PlanCompiles.Inc()
-	}
 	return cp
 }
 

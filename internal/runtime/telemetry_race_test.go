@@ -1,6 +1,9 @@
 package runtime
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	gort "runtime"
 	"sync"
 	"sync/atomic"
@@ -35,91 +38,35 @@ func snapGauge(s *telemetry.Snapshot, name, labels string) (float64, bool) {
 	return 0, false
 }
 
-// TestTelemetryScrapeRacesGrantCommit is the consistency gate for the
-// snapshot seqlock: scrapes run concurrently with a control plane that
-// repeatedly installs and evicts a tenant's grant (and quarantines another)
-// while one goroutine — the dataplane — executes capsules for both through
-// ExecuteProgram, counting in place and publishing per capsule. Every
-// snapshot must be commit-atomic — the admission gauges set together inside
-// one publish() must never be observed half-updated — and a flight-recorder
-// entry may resolve Live only when the snapshot's own view still holds that
-// exact (FID, epoch) grant. Run under -race this also proves the scrape path
-// shares no unsynchronized state with commits or the executor.
+// TestTelemetryScrapeRacesGrantCommit is the consistency gate for scrapes:
+// the simulation goroutine repeatedly installs and evicts a tenant's grant
+// (and quarantines another), executes capsules for both through
+// ExecuteProgram and publishes a snapshot between steps, while HTTP scrapers
+// on other goroutines read /metrics.json. Every snapshot they decode must be
+// commit-atomic — the admission gauges computed from one published control
+// view never show half a commit — and a flight-recorder entry may resolve
+// Live only when the snapshot's own view still holds that exact (FID, epoch)
+// grant. Run under -race this also proves the scrape path shares no state
+// with the simulation but the published snapshot.
 func TestTelemetryScrapeRacesGrantCommit(t *testing.T) {
 	r := testRuntime(t)
 	reg := telemetry.NewRegistry()
 	r.AttachTelemetry(reg)
 	installCacheGrant(t, r, 1, 0, 1024) // permanent tenant: exercises memory
+	web := httptest.NewServer(telemetry.Handler(reg))
+	defer web.Close()
 
 	const toggled = uint16(2)
-	const cycles = 200
+	const cycles = 100
 	done := make(chan struct{})
-	var execs atomic.Uint64 // executor loop iterations, for interleaving
+	var scrapes atomic.Uint64
 	var wg sync.WaitGroup
 
-	// Control plane: install/evict the toggled tenant's (memoryless) grant,
-	// with a quarantine round-trip on the permanent tenant mixed in. Between
-	// commits it waits for the executor to run a couple of capsules, so both
-	// tenants execute against every admission state even at GOMAXPROCS=1.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(done)
-		progress := func(prev uint64) uint64 {
-			for execs.Load() < prev+2 {
-				gort.Gosched()
-			}
-			return execs.Load()
-		}
-		p := uint64(0)
-		for i := 0; i < cycles; i++ {
-			if _, err := r.InstallGrant(Grant{FID: toggled}); err != nil {
-				t.Errorf("install cycle %d: %v", i, err)
-				return
-			}
-			p = progress(p)
-			if i%8 == 0 {
-				r.Deactivate(1)
-				r.Reactivate(1)
-			}
-			r.RemoveGrant(toggled)
-			p = progress(p)
-		}
-	}()
-
-	// Dataplane: the one goroutine that executes, running both tenants'
-	// capsules against whatever view is published. The toggled tenant's
-	// capsules land as executed, passthrough, or revoked drops depending on
-	// commit timing — refusals force-record into the flight recorder.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		cache := progPacket(1, cacheQuery, [4]uint32{7, 9, 100, 0})
-		cache.Header.Flags |= packet.FlagPreload
-		probe := progPacket(toggled, nopProbe, [4]uint32{})
-		for {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			r.ExecuteProgram(cache)
-			r.ExecuteProgram(probe)
-			execs.Add(1)
-			gort.Gosched()
-		}
-	}()
-
-	// Scrapers: validate commit atomicity on every snapshot. The admitted
-	// and revoked gauges are written in the same commit window and — once
-	// the toggled tenant has been granted at least once — always sum to 2
-	// (fid 1 admitted, fid 2 either admitted or revoked). A torn read of a
-	// commit yields 1 or 3.
-	scrape := func(snap *telemetry.Snapshot) {
-		if !snap.Consistent {
-			t.Error("snapshot reported inconsistent")
-			return
-		}
+	// Scrapers: validate commit atomicity on every snapshot they are served.
+	// Once the toggled tenant has been granted at least once, fid 1 is
+	// admitted and fid 2 either admitted or revoked, so the two gauges sum
+	// to 2; a torn read of a commit yields 1 or 3.
+	check := func(snap *telemetry.Snapshot) {
 		admitted, _ := snapGauge(snap, "activermt_runtime_admitted", "")
 		revoked, _ := snapGauge(snap, "activermt_runtime_revoked", "")
 		epoch2, seen := snapGauge(snap, "activermt_grant_epoch", `fid="2"`)
@@ -147,16 +94,63 @@ func TestTelemetryScrapeRacesGrantCommit(t *testing.T) {
 				case <-done:
 					return
 				default:
-					scrape(reg.Snapshot())
-					gort.Gosched()
 				}
+				resp, err := http.Get(web.URL + "/metrics.json")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var snap telemetry.Snapshot
+				err = json.NewDecoder(resp.Body).Decode(&snap)
+				resp.Body.Close()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				check(&snap)
+				scrapes.Add(1)
 			}
 		}()
 	}
-	wg.Wait()
 
-	// Terminal state: the toggler's last act was an eviction, so no flight
-	// entry for the toggled tenant may survive as live.
+	// The simulation: commits, capsules of both tenants against whatever
+	// view is current — the toggled tenant's land as executed, passthrough,
+	// or revoked drops, and refusals force-record into the flight recorder —
+	// and a publish after each step, waiting for a scrape in between so the
+	// scrapers see every admission state even at GOMAXPROCS=1.
+	cache := progPacket(1, cacheQuery, [4]uint32{7, 9, 100, 0})
+	cache.Header.Flags |= packet.FlagPreload
+	probe := progPacket(toggled, nopProbe, [4]uint32{})
+	step := func() {
+		for i := 0; i < 4; i++ {
+			r.ExecuteProgram(cache)
+			r.ExecuteProgram(probe)
+		}
+		reg.Publish()
+		check(reg.Published())
+		for seen := scrapes.Load(); scrapes.Load() == seen && !t.Failed(); {
+			gort.Gosched()
+		}
+	}
+	for i := 0; i < cycles && !t.Failed(); i++ {
+		if _, err := r.InstallGrant(Grant{FID: toggled}); err != nil {
+			t.Fatalf("install cycle %d: %v", i, err)
+		}
+		step()
+		if i%8 == 0 {
+			r.Deactivate(1)
+			step()
+			r.Reactivate(1)
+		}
+		r.RemoveGrant(toggled)
+		step()
+	}
+	close(done)
+	wg.Wait()
+	t.Logf("%d HTTP scrapes against %d cycles", scrapes.Load(), cycles)
+
+	// Terminal state: the last act was an eviction, so no flight entry for
+	// the toggled tenant may survive as live.
 	final := reg.Snapshot()
 	sawToggled := false
 	for _, e := range final.Flights {
@@ -173,5 +167,84 @@ func TestTelemetryScrapeRacesGrantCommit(t *testing.T) {
 	}
 	if g, _ := snapGauge(final, "activermt_runtime_revoked", ""); g != 1 {
 		t.Fatalf("final revoked gauge %v, want 1", g)
+	}
+}
+
+// TestGrantCommitRacesExecution pins the runtime's control/data split: a
+// control plane on one goroutine installs and evicts a tenant's grant (and
+// quarantines another) while the dataplane on another executes capsules for
+// both against whatever view is published. Every capsule meets exactly one
+// fate — executed, passed through, or refused — consistent with some
+// committed state, and under -race the two goroutines share nothing but the
+// published snapshots.
+func TestGrantCommitRacesExecution(t *testing.T) {
+	r := testRuntime(t)
+	installCacheGrant(t, r, 1, 0, 1024)
+	const toggled = uint16(2)
+	done := make(chan struct{})
+	var execs atomic.Uint64
+	var wg sync.WaitGroup
+
+	wg.Add(1)
+	go func() { // control plane
+		defer wg.Done()
+		defer close(done)
+		progress := func() {
+			for prev := execs.Load(); execs.Load() < prev+2; {
+				gort.Gosched()
+			}
+		}
+		for i := 0; i < 200; i++ {
+			if _, err := r.InstallGrant(Grant{FID: toggled}); err != nil {
+				t.Errorf("install cycle %d: %v", i, err)
+				return
+			}
+			progress()
+			if i%8 == 0 {
+				r.Deactivate(1)
+				r.Reactivate(1)
+			}
+			r.RemoveGrant(toggled)
+			progress()
+		}
+	}()
+
+	cache := progPacket(1, cacheQuery, [4]uint32{7, 9, 100, 0})
+	cache.Header.Flags |= packet.FlagPreload
+	probe := progPacket(toggled, nopProbe, [4]uint32{})
+	capsules := uint64(0)
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		for _, a := range []*packet.Active{cache, probe} {
+			outs := r.ExecuteProgram(a)
+			capsules++
+			if len(outs) != 1 {
+				t.Fatalf("fid %d: %d outputs", a.Header.FID, len(outs))
+			}
+			o := outs[0]
+			failed := o.Active.Header.Flags&packet.FlagFailed != 0
+			switch {
+			case o.Executed && !o.Dropped: // executed under an admitted grant
+			case !o.Executed && o.Dropped && failed: // refused: revoked or quarantined
+			case !o.Executed && !o.Dropped && a.Header.FID == toggled: // never admitted yet: passthrough
+			default:
+				t.Fatalf("fid %d: impossible fate %+v", a.Header.FID, o)
+			}
+		}
+		execs.Add(1)
+		gort.Gosched()
+	}
+	wg.Wait()
+	if fates := r.ProgramsRun + r.Passthrough + r.QuarantineDrops + r.RevokedDrops; fates != capsules {
+		t.Fatalf("%d capsules met %d fates (run %d, passthrough %d, quarantined %d, revoked %d)",
+			capsules, fates, r.ProgramsRun, r.Passthrough, r.QuarantineDrops, r.RevokedDrops)
+	}
+	if !r.Revoked(toggled) || r.QuarantineDrops == 0 && r.RevokedDrops == 0 {
+		t.Fatalf("the race never refused a capsule: revoked %v, quarantine drops %d, revoked drops %d",
+			r.Revoked(toggled), r.QuarantineDrops, r.RevokedDrops)
 	}
 }

@@ -54,10 +54,6 @@ type RecircHH struct {
 	RecircSpent uint64
 
 	rng *rand.Rand
-
-	telClaims   *telemetry.Counter
-	telDeferred *telemetry.Counter
-	telRecircs  *telemetry.Counter
 }
 
 // NewRecircHH returns a driver with seeded claim sampling.
@@ -79,14 +75,12 @@ func (h *RecircHH) Bind(sketch, claim *client.Client) {
 	h.Sketch, h.Claim = sketch, claim
 }
 
-// WireTelemetry registers the heavy hitter's spend counters.
+// WireTelemetry registers the heavy hitter's spend counters, read from
+// Claims, ClaimsDeferred and RecircSpent.
 func (h *RecircHH) WireTelemetry(reg *telemetry.Registry) {
-	h.telClaims = reg.NewCounter("activermt_secapps_hx_claims_total",
-		"Heavy-hitter claim capsules issued (each recirculates)")
-	h.telDeferred = reg.NewCounter("activermt_secapps_hx_claims_deferred_total",
-		"Heavy-hitter claims deferred for lack of recirculation budget")
-	h.telRecircs = reg.NewCounter("activermt_secapps_hx_recircs_spent_total",
-		"Extra pipeline passes spent by claim capsules")
+	reg.Counter("activermt_secapps_hx_claims_total", "Heavy-hitter claim capsules issued (each recirculates)", &h.Claims)
+	reg.Counter("activermt_secapps_hx_claims_deferred_total", "Heavy-hitter claims deferred for lack of recirculation budget", &h.ClaimsDeferred)
+	reg.Counter("activermt_secapps_hx_recircs_spent_total", "Extra pipeline passes spent by claim capsules", &h.RecircSpent)
 }
 
 // Compact program geometry the driver mirrors client-side: the sketch hashes
@@ -125,17 +119,10 @@ func (h *RecircHH) Observe(key uint32, payload []byte, dst [6]byte) {
 		if h.BudgetFn == nil || h.BudgetFn() >= extra {
 			h.Claims++
 			h.RecircSpent += uint64(extra)
-			if h.telClaims != nil {
-				h.telClaims.Inc()
-				h.telRecircs.Add(uint64(extra))
-			}
 			_ = h.Claim.SendProgram("main", [4]uint32{key, 0, 0, 0}, 0, payload, dst)
 			return
 		}
 		h.ClaimsDeferred++
-		if h.telDeferred != nil {
-			h.telDeferred.Inc()
-		}
 		// Fall through to the sketch: the occurrence still counts there.
 	}
 	_ = h.Sketch.SendProgram("main", [4]uint32{key, 0, h.CandThreshold, 0}, 0, payload, dst)

@@ -28,9 +28,6 @@ type RateLimiter struct {
 	OfferedWindow map[uint32]uint64
 
 	Refills uint64
-
-	telOffered *telemetry.Counter
-	telRefills *telemetry.Counter
 }
 
 // NewRateLimiter returns a limiter enforcing the given per-window budget.
@@ -45,12 +42,16 @@ func NewRateLimiter(limit uint32) *RateLimiter {
 // Bind attaches the shim client.
 func (r *RateLimiter) Bind(cl *client.Client) { r.Client = cl }
 
-// WireTelemetry registers the limiter's counters.
+// WireTelemetry registers the limiter's counters, read from Offered and
+// Refills.
 func (r *RateLimiter) WireTelemetry(reg *telemetry.Registry) {
-	r.telOffered = reg.NewCounter("activermt_secapps_rl_offered_total",
-		"Packets offered through the rate limiter")
-	r.telRefills = reg.NewCounter("activermt_secapps_rl_refills_total",
-		"Rate-limiter window refills issued")
+	reg.CounterFunc("activermt_secapps_rl_offered_total", "Packets offered through the rate limiter", func() (n uint64) {
+		for _, v := range r.Offered {
+			n += v
+		}
+		return n
+	})
+	reg.Counter("activermt_secapps_rl_refills_total", "Rate-limiter window refills issued", &r.Refills)
 }
 
 // Send offers one packet for the tenant; the switch forwards it to dst only
@@ -58,9 +59,6 @@ func (r *RateLimiter) WireTelemetry(reg *telemetry.Registry) {
 func (r *RateLimiter) Send(tenant uint32, payload []byte, dst [6]byte) {
 	r.Offered[tenant]++
 	r.OfferedWindow[tenant]++
-	if r.telOffered != nil {
-		r.telOffered.Inc()
-	}
 	// data[3]=1 marks a data capsule, so delivery sinks can tell admitted
 	// traffic from fire-and-forget refills arriving at the same port.
 	_ = r.Client.SendProgram("check", [4]uint32{tenant, 0, r.Limit, 1}, 0, payload, dst)
@@ -71,9 +69,6 @@ func (r *RateLimiter) Send(tenant uint32, payload []byte, dst [6]byte) {
 func (r *RateLimiter) Refill(tenant uint32, dst [6]byte) {
 	r.Refills++
 	r.OfferedWindow[tenant] = 0
-	if r.telRefills != nil {
-		r.telRefills.Inc()
-	}
 	_ = r.Client.SendProgram("refill", [4]uint32{tenant, 0, 0, 0}, 0, nil, dst)
 }
 

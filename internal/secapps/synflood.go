@@ -34,8 +34,6 @@ type SynDetector struct {
 	Alarmed map[uint32]bool
 
 	SynsSent, AcksSent, AlarmsRaised uint64
-
-	telAlarms *telemetry.Counter
 }
 
 // NewSynDetector returns a detector with the given backlog threshold.
@@ -50,10 +48,10 @@ func NewSynDetector(threshold uint32) *SynDetector {
 // Bind attaches the shim client.
 func (d *SynDetector) Bind(cl *client.Client) { d.Client = cl }
 
-// WireTelemetry registers the detector's alarm counter.
+// WireTelemetry registers the detector's alarm counter, read from
+// AlarmsRaised.
 func (d *SynDetector) WireTelemetry(reg *telemetry.Registry) {
-	d.telAlarms = reg.NewCounter("activermt_secapps_syn_alarms_total",
-		"Sticky SYN-flood alarms raised (distinct sources)")
+	reg.Counter("activermt_secapps_syn_alarms_total", "Sticky SYN-flood alarms raised (distinct sources)", &d.AlarmsRaised)
 }
 
 // Syn activates one SYN through the detector (src must be non-zero: a zero
@@ -110,9 +108,6 @@ func (d *SynDetector) ScanAlarmsVia(snap func(fid uint16, physStage int) ([]uint
 		}
 		d.Alarmed[fp] = true
 		d.AlarmsRaised++
-		if d.telAlarms != nil {
-			d.telAlarms.Inc()
-		}
 		fresh = append(fresh, fp)
 	}
 	return fresh, nil

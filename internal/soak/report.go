@@ -49,13 +49,13 @@ func (r *flightRing) dump(reg *telemetry.Registry) []string {
 	return out
 }
 
-// histQuantile reads the q-quantile out of a power-of-two bucket snapshot:
+// histQuantile reads the q-quantile out of a power-of-two histogram:
 // the inclusive upper bound of the bucket where the cumulative count
 // crosses the target rank. Resolution is a factor of two — good enough to
 // catch a tail-latency regression, which moves the p99 by orders of
 // magnitude, not percent.
-func histQuantile(hs *telemetry.HistSample, q float64) uint64 {
-	if hs == nil || hs.Count == 0 {
+func histQuantile(hs *telemetry.Histogram, q float64) uint64 {
+	if hs.Count == 0 {
 		return 0
 	}
 	target := uint64(math.Ceil(q * float64(hs.Count)))

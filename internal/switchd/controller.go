@@ -10,7 +10,6 @@ import (
 	"activermt/internal/packet"
 	"activermt/internal/policy"
 	"activermt/internal/runtime"
-	"activermt/internal/telemetry"
 )
 
 // Costs models the control-plane latencies of the paper's testbed
@@ -115,7 +114,8 @@ type Controller struct {
 	// the injection point for digest-loss fault scenarios.
 	DigestFilter func(f *packet.Frame) bool
 
-	// Records for the harness.
+	// Records for the harness — and telemetry, which reads the job, failure
+	// and phase-time families from them.
 	Records []ProvisionRecord
 	// Clock measures wall time of allocation computation; overridable for
 	// deterministic tests.
@@ -125,9 +125,10 @@ type Controller struct {
 	// fresh allocations; the controller is its Escalator.
 	guard *guard.Guard
 
-	// tel, when attached, mirrors provisioning records and fault counters
-	// into the telemetry registry (see telemetry.go).
-	tel *ctrlTelemetry
+	// relayoutsLost carries the elastic re-layouts counted by the books
+	// crashes discarded, so activermt_alloc_relayouts_total stays monotone
+	// (see telemetry.go).
+	relayoutsLost [2]uint64
 
 	// Fault/recovery counters.
 	Crashes, Restarts     uint64
@@ -195,7 +196,6 @@ func (c *Controller) GuardQuarantine(fid uint16) {
 	}
 	c.rt.Deactivate(fid)
 	c.GuardQuarantines++
-	c.telInc(func(t *ctrlTelemetry) *telemetry.Counter { return t.guardQuar })
 }
 
 // GuardEvict implements guard.Escalator: tear the tenant down through the
@@ -241,13 +241,12 @@ func (c *Controller) Crash() {
 	c.sweepArmed = false
 	c.clients = make(map[uint16]packet.MAC)
 	if fresh, err := alloc.New(c.al.Config()); err == nil {
-		// The occupancy gauges outlive the books: hand them to the fresh
-		// allocator so a restart resyncs instead of re-registering.
-		fresh.SetTelemetry(c.al.Telemetry())
+		inplace, full := c.al.Relayouts()
+		c.relayoutsLost[0] += inplace
+		c.relayoutsLost[1] += full
 		c.al = fresh
 	}
 	c.Crashes++
-	c.telInc(func(t *ctrlTelemetry) *telemetry.Counter { return t.crashes })
 }
 
 // Restart brings the control plane back up and rebuilds the allocation
@@ -263,7 +262,6 @@ func (c *Controller) Restart() {
 	}
 	c.alive = true
 	c.Restarts++
-	c.telInc(func(t *ctrlTelemetry) *telemetry.Counter { return t.restarts })
 	bw := c.al.Config().BlockWords
 	for _, fid := range c.rt.AdmittedFIDs() {
 		regions := c.rt.InstalledRegions(fid)
@@ -298,7 +296,6 @@ func (c *Controller) Stalled() bool { return c.stalled }
 func (c *Controller) Digest(f *packet.Frame, port *netsim.Port) {
 	if !c.alive || (c.DigestFilter != nil && c.DigestFilter(f)) {
 		c.DigestsDropped++
-		c.telInc(func(t *ctrlTelemetry) *telemetry.Counter { return t.digestsDropped })
 		return
 	}
 	pnum := port.Num
@@ -382,7 +379,6 @@ func (c *Controller) runEviction(fid uint16) {
 	rec.TableOps += c.rt.RemoveGrant(fid)
 	c.sw.cache.Invalidate(fid)
 	c.GuardEvictions++
-	c.telInc(func(t *ctrlTelemetry) *telemetry.Counter { return t.guardEvict })
 	if mac, ok := c.clients[fid]; ok {
 		notice := &packet.Active{Header: packet.ActiveHeader{
 			FID:   fid,
@@ -451,7 +447,7 @@ func (c *Controller) admit(fid uint16, req *packet.AllocRequest) {
 		c.after(c.costs.ComputeBase+rec.TableTime, func() {
 			_ = c.sw.SendToHost(c.clients[fid], c.responseFor(&alloc.Placement{FID: fid}, false))
 			rec.End = c.eng.Now()
-			c.record(rec)
+			c.Records = append(c.Records, rec)
 			c.finish()
 		})
 		return
@@ -475,7 +471,6 @@ func (c *Controller) admit(fid uint16, req *packet.AllocRequest) {
 	}
 	if rec.Readmit {
 		c.Readmissions++
-		c.telInc(func(t *ctrlTelemetry) *telemetry.Counter { return t.readmissions })
 	}
 	rec.Compute = c.costs.ComputeBase + time.Duration(res.MutantsTotal)*c.costs.ComputePerMut
 	rec.Reallocated = len(res.Reallocated)
@@ -550,11 +545,10 @@ func (c *Controller) runSweep() {
 			unowned = append(unowned, sb{rep.Stage, block})
 		}
 		c.QuarantinedBlockCount++
-		c.telInc(func(t *ctrlTelemetry) *telemetry.Counter { return t.quarBlocks })
 	}
 	if len(perFID) == 0 && len(unowned) == 0 {
 		rec.End = c.eng.Now()
-		c.record(rec)
+		c.Records = append(c.Records, rec)
 		c.finish()
 		return
 	}
@@ -568,7 +562,6 @@ func (c *Controller) runSweep() {
 	for _, fid := range victims {
 		res, err := c.al.Evacuate(fid, perFID[fid])
 		c.Evacuations++
-		c.telInc(func(t *ctrlTelemetry) *telemetry.Counter { return t.evacuations })
 		if err != nil || res.Failed {
 			// Cannot re-place around the damage: evict the app entirely
 			// and tell the client, which restarts its lifecycle.
@@ -668,7 +661,6 @@ func (c *Controller) reallocPhase(rec ProvisionRecord, newPl *alloc.Placement, c
 				_ = c.sw.SendToHost(mac, c.responseFor(plByFID[fid], true))
 				rec.Escalations++
 				c.SnapshotEscalations++
-				c.telInc(func(t *ctrlTelemetry) *telemetry.Counter { return t.escalations })
 			}
 		}
 	})
@@ -676,7 +668,6 @@ func (c *Controller) reallocPhase(rec ProvisionRecord, newPl *alloc.Placement, c
 		if !done && len(pending) > 0 {
 			rec.TimedOut = true
 			c.SnapshotTimeouts++
-			c.telInc(func(t *ctrlTelemetry) *telemetry.Counter { return t.timeouts })
 		}
 		proceed()
 	})
@@ -701,9 +692,6 @@ func (c *Controller) applyPhase(rec ProvisionRecord, newPl *alloc.Placement, cha
 			for stage, words := range save {
 				if n, err := c.rt.RestoreRegion(pl.FID, stage, words); err == nil {
 					c.DefragWordsRestored += uint64(n)
-					if c.tel != nil {
-						c.tel.defragWords.Add(uint64(n))
-					}
 				}
 			}
 			delete(c.restorePlan, pl.FID)
@@ -761,7 +749,7 @@ func (c *Controller) applyPhase(rec ProvisionRecord, newPl *alloc.Placement, cha
 			}
 		}
 		rec.End = c.eng.Now()
-		c.record(rec)
+		c.Records = append(c.Records, rec)
 		c.finish()
 	})
 }
@@ -769,7 +757,7 @@ func (c *Controller) applyPhase(rec ProvisionRecord, newPl *alloc.Placement, cha
 func (c *Controller) concludeFailed(rec ProvisionRecord) {
 	rec.Failed = true
 	rec.End = c.eng.Now()
-	c.record(rec)
+	c.Records = append(c.Records, rec)
 	if !rec.Release {
 		c.respondFailure(rec.FID)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"activermt/internal/alloc"
 	"activermt/internal/policy"
-	"activermt/internal/telemetry"
 )
 
 // Online defragmentation: live migration of a tenant's blocks to lower
@@ -94,10 +93,6 @@ func (c *Controller) runDefrag(maxMoves int) {
 		moved++
 		c.DefragMigrations++
 		c.DefragBlocksMoved += uint64(res.BlocksMoved)
-		if c.tel != nil {
-			c.tel.defragMoves.Inc()
-			c.tel.defragBlocks.Add(uint64(res.BlocksMoved))
-		}
 		if c.restorePlan == nil {
 			c.restorePlan = make(map[uint16]map[int][]uint32)
 		}
@@ -107,10 +102,9 @@ func (c *Controller) runDefrag(maxMoves int) {
 			affected[pl.FID] = true
 		}
 	}
-	c.telInc(func(t *ctrlTelemetry) *telemetry.Counter { return t.defragPasses })
 	if moved == 0 {
 		rec.End = c.eng.Now()
-		c.record(rec)
+		c.Records = append(c.Records, rec)
 		c.finish()
 		return
 	}

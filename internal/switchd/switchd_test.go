@@ -12,6 +12,7 @@ import (
 	"activermt/internal/packet"
 	"activermt/internal/rmt"
 	"activermt/internal/runtime"
+	"activermt/internal/telemetry"
 )
 
 // host is a scriptable endpoint that records what it receives.
@@ -516,5 +517,59 @@ func TestNewNodeRejectsPipelineMismatch(t *testing.T) {
 		if _, err := NewNode(netsim.NewEngine(), cfg, packet.MAC{2}); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s mismatch: err = %v, want it to say %q", c.field, err, c.want)
 		}
+	}
+}
+
+// TestAllocFamiliesFollowTheLiveBooks: the allocator families the
+// controller registers read whichever books are current — a crash's fresh
+// allocator, then the books Restart recovers from the tables — while the
+// re-layout counter stays monotone across the crash and a departed tenant's
+// block gauge reads 0 instead of vanishing.
+func TestAllocFamiliesFollowTheLiveBooks(t *testing.T) {
+	r := newRig(t)
+	reg := telemetry.NewRegistry()
+	r.ctrl.AttachTelemetry(reg)
+	scrape := func(name, labels string) float64 {
+		t.Helper()
+		for _, m := range reg.Snapshot().Metrics {
+			for _, smp := range m.Samples {
+				if m.Name == name && smp.Labels == labels {
+					return smp.Value
+				}
+			}
+		}
+		t.Fatalf("no sample %s{%s}", name, labels)
+		return 0
+	}
+	relayouts := func() float64 {
+		return scrape("activermt_alloc_relayouts_total", `kind="inplace"`) + scrape("activermt_alloc_relayouts_total", `kind="full"`)
+	}
+	for _, fid := range []uint16{5, 6} {
+		r.a.send(t, allocRequest(fid, 2), r.sw.MAC())
+		r.eng.Run()
+	}
+	app, ok := r.ctrl.Allocator().App(5)
+	if !ok || scrape("activermt_alloc_tenants", "") != 2 || scrape("activermt_alloc_tenant_blocks", `fid="5"`) != float64(app.TotalBlocks()) {
+		t.Fatalf("admissions not read from the books (resident %v)", ok)
+	}
+	if scrape("activermt_ctrl_jobs_total", `kind="admit"`) != 2 {
+		t.Fatalf("jobs family does not count the two admission records")
+	}
+	inplace, full := r.ctrl.Allocator().Relayouts()
+	before := relayouts()
+	if before == 0 || before != float64(inplace+full) {
+		t.Fatalf("relayouts family reads %v, the books counted %d", before, inplace+full)
+	}
+
+	r.ctrl.Crash()
+	if scrape("activermt_alloc_tenants", "") != 0 || scrape("activermt_alloc_tenant_blocks", `fid="5"`) != 0 {
+		t.Fatal("after a crash the families still read the dead books")
+	}
+	if relayouts() != before || scrape("activermt_ctrl_crashes_total", "") != 1 {
+		t.Fatalf("across the crash: relayouts %v (was %v), crashes %v", relayouts(), before, scrape("activermt_ctrl_crashes_total", ""))
+	}
+	r.ctrl.Restart()
+	if scrape("activermt_alloc_tenants", "") != 2 || scrape("activermt_alloc_tenant_blocks", `fid="5"`) != float64(app.TotalBlocks()) {
+		t.Fatal("recovered books not read after the restart")
 	}
 }

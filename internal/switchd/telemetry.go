@@ -1,104 +1,127 @@
 package switchd
 
 import (
-	"activermt/internal/alloc"
+	"slices"
+	"strconv"
+
 	"activermt/internal/telemetry"
 )
 
-// ctrlTelemetry instruments the control plane: one histogram per protocol
-// phase of the provisioning breakdown (Figure 8a — compute, snapshot window,
-// table updates) plus job and fault counters. All values are virtual-time
-// nanoseconds, matching the simulation clock the records are measured in.
-type ctrlTelemetry struct {
-	jobs         *telemetry.CounterVec // label: kind (admit/readmit/release/sweep/evict)
-	failures     *telemetry.Counter
-	provisionDur *telemetry.Histogram
-	snapshotWait *telemetry.Histogram
-	tableTime    *telemetry.Histogram
-
-	crashes        *telemetry.Counter
-	restarts       *telemetry.Counter
-	digestsDropped *telemetry.Counter
-	escalations    *telemetry.Counter
-	timeouts       *telemetry.Counter
-	evacuations    *telemetry.Counter
-	quarBlocks     *telemetry.Counter
-	guardQuar      *telemetry.Counter
-	guardEvict     *telemetry.Counter
-	readmissions   *telemetry.Counter
-
-	defragPasses *telemetry.Counter
-	defragMoves  *telemetry.Counter
-	defragBlocks *telemetry.Counter
-	defragWords  *telemetry.Counter
-}
-
-// AttachTelemetry registers the controller's metrics and wires the allocator
-// occupancy gauges. The alloc.Telemetry object deliberately outlives the
-// allocator: Crash replaces the books with a fresh instance and hands the
-// same gauge set over, so a restart resyncs instead of re-registering.
+// AttachTelemetry registers the controller's metric families and the
+// allocator's, each read where the number lives: the provisioning records
+// (Figure 8a's breakdown — compute, snapshot window, table updates — in
+// virtual-time nanoseconds), the fault and defragmentation counters, and the
+// books of whichever allocator is current — a crash replaces them, so every
+// read goes through c.al at collection.
 func (c *Controller) AttachTelemetry(reg *telemetry.Registry) {
-	t := &ctrlTelemetry{
-		jobs:           reg.NewCounterVec("activermt_ctrl_jobs_total", "Control-plane jobs completed, by kind.", "kind"),
-		failures:       reg.NewCounter("activermt_ctrl_failures_total", "Control-plane jobs that concluded in failure."),
-		provisionDur:   reg.NewHistogram("activermt_ctrl_provision_duration_ns", "End-to-end provisioning time per job (virtual ns)."),
-		snapshotWait:   reg.NewHistogram("activermt_ctrl_snapshot_wait_ns", "Snapshot-window wait per reallocation (virtual ns)."),
-		tableTime:      reg.NewHistogram("activermt_ctrl_table_time_ns", "Table-update time per job (virtual ns)."),
-		crashes:        reg.NewCounter("activermt_ctrl_crashes_total", "Control-plane crashes injected."),
-		restarts:       reg.NewCounter("activermt_ctrl_restarts_total", "Control-plane restarts (table read-back recoveries)."),
-		digestsDropped: reg.NewCounter("activermt_ctrl_digests_dropped_total", "Digests dropped by a dead controller or the digest filter."),
-		escalations:    reg.NewCounter("activermt_ctrl_snapshot_escalations_total", "Realloc notices re-sent to laggard clients."),
-		timeouts:       reg.NewCounter("activermt_ctrl_snapshot_timeouts_total", "Snapshot windows ended by timeout."),
-		evacuations:    reg.NewCounter("activermt_ctrl_evacuations_total", "Applications re-placed around quarantined blocks."),
-		quarBlocks:     reg.NewCounter("activermt_ctrl_quarantined_blocks_total", "Blocks fenced off by sweep-and-repair."),
-		guardQuar:      reg.NewCounter("activermt_ctrl_guard_quarantines_total", "Guard-escalated tenant quarantines applied."),
-		guardEvict:     reg.NewCounter("activermt_ctrl_guard_evictions_total", "Guard-escalated tenant evictions applied."),
-		readmissions:   reg.NewCounter("activermt_ctrl_readmissions_total", "Recovered tenants re-admitted after a controller restart."),
-		defragPasses:   reg.NewCounter("activermt_ctrl_defrag_passes_total", "Online defragmentation passes run."),
-		defragMoves:    reg.NewCounter("activermt_ctrl_defrag_migrations_total", "Tenants live-migrated by defragmentation."),
-		defragBlocks:   reg.NewCounter("activermt_ctrl_defrag_blocks_moved_total", "Blocks re-homed by defragmentation migrations."),
-		defragWords:    reg.NewCounter("activermt_ctrl_defrag_words_restored_total", "Register words copied via snapshot->restore during migration."),
+	reg.Vec("activermt_ctrl_jobs_total", "Control-plane jobs completed, by kind.", telemetry.KindCounter, "kind",
+		func(add func(string, float64)) {
+			var kinds []string
+			n := map[string]int{}
+			for _, rec := range c.Records {
+				k := rec.kind()
+				if n[k]++; n[k] == 1 {
+					kinds = append(kinds, k)
+				}
+			}
+			for _, k := range kinds {
+				add(k, float64(n[k]))
+			}
+		})
+	reg.CounterFunc("activermt_ctrl_failures_total", "Control-plane jobs that concluded in failure.", func() uint64 {
+		var n uint64
+		for _, rec := range c.Records {
+			if rec.Failed {
+				n++
+			}
+		}
+		return n
+	})
+	recordHist := func(name, help string, v func(ProvisionRecord) (uint64, bool)) {
+		reg.Histogram(name, help, func() *telemetry.Histogram {
+			h := &telemetry.Histogram{}
+			for _, rec := range c.Records {
+				if x, ok := v(rec); ok {
+					h.Observe(x)
+				}
+			}
+			return h
+		})
 	}
-	c.tel = t
-	c.al.SetTelemetry(alloc.NewTelemetry(reg))
+	recordHist("activermt_ctrl_provision_duration_ns", "End-to-end provisioning time per job (virtual ns).",
+		func(rec ProvisionRecord) (uint64, bool) { return uint64(rec.End - rec.Start), true })
+	recordHist("activermt_ctrl_snapshot_wait_ns", "Snapshot-window wait per reallocation (virtual ns).",
+		func(rec ProvisionRecord) (uint64, bool) { return uint64(rec.SnapshotWait), rec.SnapshotWait > 0 })
+	recordHist("activermt_ctrl_table_time_ns", "Table-update time per job (virtual ns).",
+		func(rec ProvisionRecord) (uint64, bool) { return uint64(rec.TableTime), rec.TableTime > 0 })
+	reg.Counter("activermt_ctrl_crashes_total", "Control-plane crashes injected.", &c.Crashes)
+	reg.Counter("activermt_ctrl_restarts_total", "Control-plane restarts (table read-back recoveries).", &c.Restarts)
+	reg.Counter("activermt_ctrl_digests_dropped_total", "Digests dropped by a dead controller or the digest filter.", &c.DigestsDropped)
+	reg.Counter("activermt_ctrl_snapshot_escalations_total", "Realloc notices re-sent to laggard clients.", &c.SnapshotEscalations)
+	reg.Counter("activermt_ctrl_snapshot_timeouts_total", "Snapshot windows ended by timeout.", &c.SnapshotTimeouts)
+	reg.Counter("activermt_ctrl_evacuations_total", "Applications re-placed around quarantined blocks.", &c.Evacuations)
+	reg.Counter("activermt_ctrl_quarantined_blocks_total", "Blocks fenced off by sweep-and-repair.", &c.QuarantinedBlockCount)
+	reg.Counter("activermt_ctrl_guard_quarantines_total", "Guard-escalated tenant quarantines applied.", &c.GuardQuarantines)
+	reg.Counter("activermt_ctrl_guard_evictions_total", "Guard-escalated tenant evictions applied.", &c.GuardEvictions)
+	reg.Counter("activermt_ctrl_readmissions_total", "Recovered tenants re-admitted after a controller restart.", &c.Readmissions)
+	reg.Counter("activermt_ctrl_defrag_passes_total", "Online defragmentation passes run.", &c.DefragPasses)
+	reg.Counter("activermt_ctrl_defrag_migrations_total", "Tenants live-migrated by defragmentation.", &c.DefragMigrations)
+	reg.Counter("activermt_ctrl_defrag_blocks_moved_total", "Blocks re-homed by defragmentation migrations.", &c.DefragBlocksMoved)
+	reg.Counter("activermt_ctrl_defrag_words_restored_total", "Register words copied via snapshot->restore during migration.", &c.DefragWordsRestored)
+
+	stages := c.al.Config().NumStages
+	used := func() (n int) {
+		for s := 0; s < stages; s++ {
+			n += c.al.StageUsed(s)
+		}
+		return n
+	}
+	reg.Gauge("activermt_alloc_blocks_used", "Allocated blocks across all stages (pinned + elastic).", func() float64 { return float64(used()) })
+	reg.Gauge("activermt_alloc_blocks_quarantined", "Blocks fenced off under the reserved quarantine owner.",
+		func() float64 { return float64(c.al.QuarantinedBlocks()) })
+	reg.Gauge("activermt_alloc_tenants", "Resident applications in the allocation books.", func() float64 { return float64(c.al.NumApps()) })
+	reg.Gauge("activermt_alloc_utilization", "Fraction of total register memory allocated (Figure 7a).", func() float64 { return c.al.Utilization() })
+	reg.Gauge("activermt_alloc_fragmentation", "Fraction of free blocks outside each stage's largest free hole.",
+		func() float64 { return c.al.Fragmentation() })
+	var seen []uint16 // FIDs a collection has exposed, so departed tenants read 0
+	reg.Vec("activermt_alloc_tenant_blocks", "Blocks held per tenant across all stages.", telemetry.KindGauge, "fid",
+		func(add func(string, float64)) {
+			for _, fid := range c.al.FIDs() {
+				if i, ok := slices.BinarySearch(seen, fid); !ok {
+					seen = slices.Insert(seen, i, fid)
+				}
+			}
+			for _, fid := range seen {
+				blocks := 0
+				if app, ok := c.al.App(fid); ok {
+					blocks = app.TotalBlocks()
+				}
+				add(strconv.Itoa(int(fid)), float64(blocks))
+			}
+		})
+	reg.StageVec("activermt_alloc_stage_blocks_used", "Allocated blocks per stage.", telemetry.KindGauge, stages,
+		func(s int) float64 { return float64(c.al.StageUsed(s)) })
+	reg.Vec("activermt_alloc_relayouts_total", "Elastic re-layouts, by kind: inplace (residents kept their regions) or full (everything re-laid).",
+		telemetry.KindCounter, "kind", func(add func(string, float64)) {
+			inplace, full := c.al.Relayouts()
+			add("inplace", float64(c.relayoutsLost[0]+inplace))
+			add("full", float64(c.relayoutsLost[1]+full))
+		})
 }
 
-// record appends a provisioning record and mirrors it into the histograms.
-func (c *Controller) record(rec ProvisionRecord) {
-	c.Records = append(c.Records, rec)
-	t := c.tel
-	if t == nil {
-		return
-	}
-	kind := "admit"
+// kind names the job a record describes, for activermt_ctrl_jobs_total.
+func (rec ProvisionRecord) kind() string {
 	switch {
 	case rec.Evict:
-		kind = "evict"
+		return "evict"
 	case rec.Defrag:
-		kind = "defrag"
+		return "defrag"
 	case rec.Sweep:
-		kind = "sweep"
+		return "sweep"
 	case rec.Release:
-		kind = "release"
+		return "release"
 	case rec.Readmit:
-		kind = "readmit"
+		return "readmit"
 	}
-	t.jobs.With(kind).Inc()
-	if rec.Failed {
-		t.failures.Inc()
-	}
-	t.provisionDur.Observe(uint64(rec.End - rec.Start))
-	if rec.SnapshotWait > 0 {
-		t.snapshotWait.Observe(uint64(rec.SnapshotWait))
-	}
-	if rec.TableTime > 0 {
-		t.tableTime.Observe(uint64(rec.TableTime))
-	}
-}
-
-// telInc increments one mirrored fault counter when telemetry is attached.
-func (c *Controller) telInc(pick func(*ctrlTelemetry) *telemetry.Counter) {
-	if t := c.tel; t != nil {
-		pick(t).Inc()
-	}
+	return "admit"
 }

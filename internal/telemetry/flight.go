@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Verdict is the final disposition of a recorded capsule.
 type Verdict uint8
@@ -57,7 +54,7 @@ func (v *Verdict) UnmarshalText(b []byte) error {
 // or a guard escalation after the fact.
 type FlightEntry struct {
 	Seq       uint64  `json:"seq"`  // recorder-local sequence number
-	Lane      int     `json:"lane"` // execution lane (0 = single-threaded path)
+	Lane      int     `json:"lane"` // always 0: the one execution path (kept for JSON consumers)
 	FID       uint16  `json:"fid"`
 	Epoch     uint8   `json:"epoch"` // grant epoch the capsule executed against
 	Verdict   Verdict `json:"verdict"`
@@ -74,83 +71,55 @@ type FlightEntry struct {
 
 // Flight-recorder defaults: one entry per DefaultFlightPeriod executed
 // capsules is recorded (refusals are always recorded), into a ring of
-// DefaultFlightSize entries per lane.
+// DefaultFlightSize entries.
 const (
 	DefaultFlightSize   = 256
 	DefaultFlightPeriod = 32
 )
 
-// FlightRecorder is a fixed-size ring of sampled capsule traces. Each lane
-// owns one: the sampling clock is a plain single-writer field, and the ring
-// itself is mutex-protected so the scrape goroutine can copy it out without
-// racing the writer. Record never allocates.
+// FlightRecorder is a fixed-size ring of sampled capsule traces, written by
+// the runtime that executes capsules and read by Registry.Snapshot — both on
+// the simulation goroutine, so it needs no lock. Record never allocates.
 type FlightRecorder struct {
-	lane   int
 	period uint64
-	tick   uint64 // sampling clock; touched only by the owning lane
-
-	mu    sync.Mutex
-	ring  []FlightEntry
-	next  int
-	total uint64
+	tick   uint64 // sampling clock
+	ring   []FlightEntry
+	next   int
+	total  uint64
 }
 
-// NewFlightRecorder returns a recorder for the given lane with a ring of
-// size entries, sampling one in period executed capsules. size and period
-// are clamped to at least 1.
-func NewFlightRecorder(lane, size int, period uint64) *FlightRecorder {
-	if size < 1 {
-		size = 1
-	}
-	if period < 1 {
-		period = 1
-	}
-	return &FlightRecorder{lane: lane, period: period, ring: make([]FlightEntry, size)}
+// NewFlightRecorder returns a recorder with a ring of size entries, sampling
+// one in period executed capsules. size and period are clamped to at least 1.
+func NewFlightRecorder(size int, period uint64) *FlightRecorder {
+	return &FlightRecorder{period: max(period, 1), ring: make([]FlightEntry, max(size, 1))}
 }
 
 // ShouldSample advances the sampling clock and reports whether this capsule
-// is due for recording. Only the owning lane may call it.
+// is due for recording.
 func (f *FlightRecorder) ShouldSample() bool {
 	f.tick++
 	return f.tick%f.period == 0
 }
 
-// Record stores one entry, overwriting the oldest when the ring is full.
-// Seq and Lane are filled in by the recorder.
+// Record stores one entry, overwriting the oldest when the ring is full. Seq
+// is filled in by the recorder.
 func (f *FlightRecorder) Record(e FlightEntry) {
-	f.mu.Lock()
 	f.total++
 	e.Seq = f.total
-	e.Lane = f.lane
 	f.ring[f.next] = e
 	f.next++
 	if f.next == len(f.ring) {
 		f.next = 0
 	}
-	f.mu.Unlock()
 }
 
 // Recorded returns the total entries ever recorded (including overwritten).
-func (f *FlightRecorder) Recorded() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.total
-}
+func (f *FlightRecorder) Recorded() uint64 { return f.total }
 
-// Entries returns the ring contents, oldest first.
+// Entries returns a copy of the ring contents, oldest first.
 func (f *FlightRecorder) Entries() []FlightEntry {
-	return f.appendEntries(nil)
-}
-
-// appendEntries appends the ring contents, oldest first, to dst.
-func (f *FlightRecorder) appendEntries(dst []FlightEntry) []FlightEntry {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := len(f.ring)
-	if f.total < uint64(n) {
-		n = int(f.total)
-		return append(dst, f.ring[:n]...)
+	if f.total < uint64(len(f.ring)) {
+		return append([]FlightEntry(nil), f.ring[:f.total]...)
 	}
-	dst = append(dst, f.ring[f.next:]...)
-	return append(dst, f.ring[:f.next]...)
+	return append(append([]FlightEntry(nil), f.ring[f.next:]...), f.ring[:f.next]...)
 }

@@ -8,32 +8,69 @@ import (
 	"testing"
 )
 
+// famOf returns the named family of a snapshot (the zero family if absent).
+func famOf(s *Snapshot, name string) MetricSnapshot {
+	for _, m := range s.Metrics {
+		if m.Name == name {
+			return m
+		}
+	}
+	return MetricSnapshot{Samples: []Sample{{Value: -1, Hist: &Histogram{}}}}
+}
+
+// TestCounterConcurrent: a counter lives in its owner's plain field and is
+// read where it lives, on the owner's goroutine; other goroutines read it
+// only through published snapshots, which under -race must share nothing
+// with the writer — and every one they see is a total the writer reached.
 func TestCounterConcurrent(t *testing.T) {
-	c := NewCounter("x_total", "")
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
+	reg := NewRegistry()
+	var pkts uint64
+	reg.Counter("x_total", "", &pkts)
+	reg.Publish()
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
 		go func() {
-			defer wg.Done()
-			for i := 0; i < 10000; i++ {
-				c.Inc()
+			defer readers.Done()
+			last := -1.0
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v := famOf(reg.Published(), "x_total").Samples[0].Value
+				if v < last || int(v)%100 != 0 {
+					t.Errorf("published total %v after %v: not a published step", v, last)
+					return
+				}
+				last = v
 			}
 		}()
 	}
-	wg.Wait()
-	if got := c.Value(); got != 80000 {
-		t.Fatalf("counter = %d, want 80000", got)
+	for i := 0; i < 500; i++ {
+		for j := 0; j < 100; j++ {
+			pkts++
+		}
+		reg.Publish()
+	}
+	close(stop)
+	readers.Wait()
+	if got := famOf(reg.Published(), "x_total").Samples[0].Value; got != 50000 {
+		t.Fatalf("final published total = %v, want 50000", got)
 	}
 }
 
+// TestCounterZeroAlloc: what the packet path does per capsule with
+// telemetry on — bump a plain counter, observe the latency histogram —
+// allocates nothing.
 func TestCounterZeroAlloc(t *testing.T) {
-	c := NewCounter("x_total", "")
-	g := NewGauge("g", "")
-	h := NewHistogram("h", "")
+	var c uint64
+	h := &Histogram{}
 	if avg := testing.AllocsPerRun(100, func() {
-		c.Add(3)
-		c.Set(c.Value() + 1)
-		g.Set(7)
+		c++
 		h.Observe(123)
 	}); avg != 0 {
 		t.Fatalf("metric ops allocate %.2f/op, want 0", avg)
@@ -41,122 +78,110 @@ func TestCounterZeroAlloc(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram("lat_ns", "")
+	reg := NewRegistry()
+	h := &Histogram{}
+	reg.Histogram("lat_ns", "", func() *Histogram { return h })
 	h.Observe(0)   // bucket 0
 	h.Observe(1)   // bucket 1
 	h.Observe(2)   // bucket 2
 	h.Observe(3)   // bucket 2
 	h.Observe(900) // bucket 10 (512..1023)
-	if h.Count() != 5 || h.Sum() != 906 {
-		t.Fatalf("count/sum = %d/%d", h.Count(), h.Sum())
+	if h.Count != 5 || h.Sum != 906 {
+		t.Fatalf("count/sum = %d/%d", h.Count, h.Sum)
 	}
-	var ms MetricSnapshot
-	h.collect(&ms)
-	b := ms.Samples[0].Hist.Buckets
+	got := famOf(reg.Snapshot(), "lat_ns").Samples[0].Hist
+	b := got.Buckets
 	if b[0] != 1 || b[1] != 1 || b[2] != 2 || b[10] != 1 {
 		t.Fatalf("bucket layout wrong: %v", b[:12])
 	}
-	// Clamp: a huge value lands in the top bucket, not out of range.
+	// Clamp: a huge value lands in the top bucket, not out of range; the
+	// snapshot taken before it is a copy and does not move.
 	h.Observe(1 << 62)
-	h.collect(&ms)
-	if ms.Samples[1].Hist.Buckets[NumBuckets-1] != 1 {
-		t.Fatal("overflow value not clamped into top bucket")
+	if got.Count != 5 || famOf(reg.Snapshot(), "lat_ns").Samples[0].Hist.Buckets[NumBuckets-1] != 1 {
+		t.Fatal("overflow value not clamped into top bucket, or the earlier snapshot aliased the histogram")
 	}
 }
 
 func TestVecChildren(t *testing.T) {
 	reg := NewRegistry()
-	cv := reg.NewCounterVec("stage_exec_total", "", "stage")
-	cv.With("0").Add(5)
-	cv.With("1").Add(7)
-	cv.With("0").Add(1)
-	gv := reg.NewGaugeVec("tenant_blocks", "", "fid")
-	gv.With("3").Set(12)
+	exec := []uint64{6, 7}
+	reg.StageVec("stage_exec_total", "", KindCounter, len(exec), func(s int) float64 { return float64(exec[s]) })
+	reg.Vec("tenant_blocks", "", KindGauge, "fid", func(add func(string, float64)) { add("3", 12) })
 
 	snap := reg.Snapshot()
 	if len(snap.Metrics) != 2 {
 		t.Fatalf("%d metrics", len(snap.Metrics))
 	}
 	cs := snap.Metrics[0]
-	if cs.Samples[0].Labels != `stage="0"` || cs.Samples[0].Value != 6 {
-		t.Fatalf("child 0: %+v", cs.Samples[0])
+	if cs.Type != "counter" || cs.Samples[0].Labels != `stage="0"` || cs.Samples[0].Value != 6 {
+		t.Fatalf("child 0: %+v", cs)
 	}
 	if cs.Samples[1].Labels != `stage="1"` || cs.Samples[1].Value != 7 {
 		t.Fatalf("child 1: %+v", cs.Samples[1])
+	}
+	if g := snap.Metrics[1]; g.Type != "gauge" || g.Samples[0].Labels != `fid="3"` || g.Samples[0].Value != 12 {
+		t.Fatalf("gauge vec: %+v", g)
+	}
+	exec[1]++ // read where it lives: the next snapshot sees it
+	if v := famOf(reg.Snapshot(), "stage_exec_total").Samples[1].Value; v != 8 {
+		t.Fatalf("stage 1 after an increment = %v, want 8", v)
 	}
 }
 
 func TestRegistryDuplicatePanics(t *testing.T) {
 	reg := NewRegistry()
-	reg.NewCounter("dup", "")
+	var v uint64
+	reg.Counter("dup", "", &v)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	reg.NewCounter("dup", "")
+	reg.Gauge("dup", "", func() float64 { return 0 })
 }
 
-// TestSnapshotNeverTorn hammers commits that move two gauges in lockstep
-// while scrapers snapshot concurrently: every snapshot must observe the
-// invariant a == b, i.e. no snapshot lands inside a commit window.
+// TestSnapshotNeverTorn: the simulation goroutine commits two gauges in
+// lockstep and publishes between commits — the only place a snapshot is
+// taken — while scrapers read the published snapshot concurrently: every one
+// they see holds a == b, i.e. no snapshot lands inside a commit.
 func TestSnapshotNeverTorn(t *testing.T) {
 	reg := NewRegistry()
-	a := reg.NewGauge("a", "")
-	b := reg.NewGauge("b", "")
+	var a, b int
+	reg.Gauge("a", "", func() float64 { return float64(a) })
+	reg.Gauge("b", "", func() float64 { return float64(b) })
+	reg.Publish()
 
 	stop := make(chan struct{})
-	var committer sync.WaitGroup
-	committer.Add(1)
-	go func() {
-		defer committer.Done()
-		for i := int64(1); ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			reg.BeginCommit()
-			a.Set(i)
-			b.Set(i)
-			reg.EndCommit()
-		}
-	}()
-
 	var scrapers sync.WaitGroup
 	for s := 0; s < 4; s++ {
 		scrapers.Add(1)
 		go func() {
 			defer scrapers.Done()
-			for i := 0; i < 2000; i++ {
-				snap := reg.Snapshot()
-				if !snap.Consistent {
-					t.Error("inconsistent snapshot")
+			for {
+				select {
+				case <-stop:
 					return
+				default:
 				}
-				var va, vb float64
-				for _, m := range snap.Metrics {
-					switch m.Name {
-					case "a":
-						va = m.Samples[0].Value
-					case "b":
-						vb = m.Samples[0].Value
-					}
-				}
-				if va != vb {
+				snap := reg.Published()
+				if va, vb := famOf(snap, "a").Samples[0].Value, famOf(snap, "b").Samples[0].Value; va != vb {
 					t.Errorf("torn snapshot: a=%v b=%v", va, vb)
 					return
 				}
 			}
 		}()
 	}
-	scrapers.Wait()
+	for i := 1; i <= 2000; i++ {
+		a = i // a commit: both gauges move before anything is published
+		b = i
+		reg.Publish()
+	}
 	close(stop)
-	committer.Wait()
+	scrapers.Wait()
 }
 
 func TestFlightRecorderRing(t *testing.T) {
-	f := NewFlightRecorder(2, 4, 1)
+	f := NewFlightRecorder(4, 1)
 	for i := uint16(1); i <= 6; i++ {
 		f.Record(FlightEntry{FID: i, Verdict: VerdictExecuted})
 	}
@@ -164,9 +189,9 @@ func TestFlightRecorderRing(t *testing.T) {
 	if len(got) != 4 {
 		t.Fatalf("%d entries, want 4 (ring size)", len(got))
 	}
-	// Oldest-first: FIDs 3,4,5,6 with sequence numbers 3..6 and the lane id.
+	// Oldest-first: FIDs 3,4,5,6 with sequence numbers 3..6, lane 0.
 	for i, e := range got {
-		if e.FID != uint16(3+i) || e.Seq != uint64(3+i) || e.Lane != 2 {
+		if e.FID != uint16(3+i) || e.Seq != uint64(3+i) || e.Lane != 0 {
 			t.Fatalf("entry %d: %+v", i, e)
 		}
 	}
@@ -176,7 +201,7 @@ func TestFlightRecorderRing(t *testing.T) {
 }
 
 func TestFlightSampling(t *testing.T) {
-	f := NewFlightRecorder(0, 8, 4)
+	f := NewFlightRecorder(8, 4)
 	hits := 0
 	for i := 0; i < 32; i++ {
 		if f.ShouldSample() {
@@ -190,9 +215,8 @@ func TestFlightSampling(t *testing.T) {
 
 func TestFlightLiveness(t *testing.T) {
 	reg := NewRegistry()
-	f := NewFlightRecorder(0, 8, 1)
-	reg.AttachFlight(f)
-	reg.SetLiveness(func(fid uint16, epoch uint8) bool { return fid == 1 && epoch == 2 })
+	f := NewFlightRecorder(8, 1)
+	reg.AttachFlight(f, func(fid uint16, epoch uint8) bool { return fid == 1 && epoch == 2 })
 	f.Record(FlightEntry{FID: 1, Epoch: 2})
 	f.Record(FlightEntry{FID: 1, Epoch: 1}) // stale epoch
 	f.Record(FlightEntry{FID: 9, Epoch: 2}) // revoked tenant
@@ -207,9 +231,10 @@ func TestFlightLiveness(t *testing.T) {
 
 func TestPrometheusExposition(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.NewCounter("pkts_total", "packets seen")
-	c.Add(3)
-	h := reg.NewHistogram("lat_ns", "latency")
+	pkts := uint64(3)
+	reg.Counter("pkts_total", "packets seen", &pkts)
+	h := &Histogram{}
+	reg.Histogram("lat_ns", "latency", func() *Histogram { return h })
 	h.Observe(1)
 	h.Observe(600)
 	var sb strings.Builder
@@ -234,11 +259,14 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
+// TestHTTPEndpoints: the endpoints serve the published snapshot — not the
+// live fields — until the simulation publishes again.
 func TestHTTPEndpoints(t *testing.T) {
 	reg := NewRegistry()
-	reg.NewCounter("x_total", "").Add(9)
-	f := NewFlightRecorder(0, 4, 1)
-	reg.AttachFlight(f)
+	x := uint64(9)
+	reg.Counter("x_total", "", &x)
+	f := NewFlightRecorder(4, 1)
+	reg.AttachFlight(f, func(uint16, uint8) bool { return true })
 	f.Record(FlightEntry{FID: 7})
 	mux := Handler(reg)
 
@@ -250,6 +278,11 @@ func TestHTTPEndpoints(t *testing.T) {
 		}
 		return rec
 	}
+	if body := get("/metrics").Body.String(); body != "" {
+		t.Fatalf("/metrics before the first publish: %q", body)
+	}
+	reg.Publish()
+	x = 10 // not yet published
 	if body := get("/metrics").Body.String(); !strings.Contains(body, "x_total 9") {
 		t.Fatalf("/metrics: %s", body)
 	}
@@ -264,8 +297,12 @@ func TestHTTPEndpoints(t *testing.T) {
 	if err := json.Unmarshal(get("/flight").Body.Bytes(), &fl); err != nil {
 		t.Fatalf("/flight: %v", err)
 	}
-	if len(fl.Flights) != 1 || fl.Flights[0].FID != 7 {
+	if len(fl.Flights) != 1 || fl.Flights[0].FID != 7 || !fl.Flights[0].Live {
 		t.Fatalf("flight snapshot: %+v", fl)
+	}
+	reg.Publish()
+	if body := get("/metrics").Body.String(); !strings.Contains(body, "x_total 10") {
+		t.Fatalf("/metrics after the second publish: %s", body)
 	}
 	if body := get("/debug/pprof/cmdline").Body.String(); body == "" {
 		t.Fatal("pprof not wired")

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"activermt/internal/client"
 	"activermt/internal/guard"
 	"activermt/internal/policy"
+	"activermt/internal/telemetry"
 )
 
 // defragBed admits n inelastic memsync tenants (demand blocks each), writes
@@ -114,12 +116,12 @@ func TestDefragLiveMigration(t *testing.T) {
 }
 
 // TestDefragAuditsDuringMigration schedules the allocator book audit and
-// the runtime isolation audit at points straddling an in-flight migration,
-// while a separate goroutine hammers the telemetry registry's seqlock
-// snapshot. Run under -race this checks that (a) the audits hold at every
-// engine-consistent point mid-migration, not just at quiescence, and (b)
-// the registry snapshot path is safe against the single-threaded engine
-// mutating gauges mid-read.
+// the runtime isolation audit at points straddling an in-flight migration —
+// each also publishing a telemetry snapshot from inside the engine — while a
+// separate goroutine renders whatever snapshot is published. Run under -race
+// this checks that (a) the audits hold at every engine-consistent point
+// mid-migration, not just at quiescence, and (b) the published-snapshot path
+// shares nothing with the single-threaded engine mutating the books.
 func TestDefragAuditsDuringMigration(t *testing.T) {
 	const n, nRelease, demand, words = 30, 12, 16, 2
 	tb, _ := defragBed(t, n, nRelease, demand, words)
@@ -136,7 +138,7 @@ func TestDefragAuditsDuringMigration(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				reg.Snapshot()
+				telemetry.WritePrometheus(io.Discard, reg.Published())
 			}
 		}
 	}()
@@ -144,6 +146,7 @@ func TestDefragAuditsDuringMigration(t *testing.T) {
 	audits := 0
 	audit := func() {
 		audits++
+		reg.Publish()
 		if err := al.AuditBooks(); err != nil {
 			t.Errorf("mid-migration books: %v", err)
 		}

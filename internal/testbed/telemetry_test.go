@@ -84,12 +84,13 @@ func familyTotal(snap *telemetry.Snapshot, name string) (float64, bool) {
 }
 
 // TestTelemetrySmokeScrapeDuringChaos is the end-to-end observability smoke
-// test: a fully instrumented testbed serves its registry over HTTP while the
-// canned adversarial-tenant scenario runs; a scrape taken before the attack
-// and one after it must both be well-formed, expose every acceptance-floor
-// family, and show a monotone packet counter — and the JSON exposition must
-// decode to a consistent snapshot whose guard and chaos counters saw the
-// attack and whose flight recorder sampled real capsules.
+// test: a fully instrumented testbed serves its published snapshots over
+// HTTP while the canned adversarial-tenant scenario runs; a scrape of the
+// snapshot published before the attack and one of the snapshot published
+// after it must both be well-formed, expose every acceptance-floor family,
+// and show a monotone packet counter — and the JSON exposition must decode
+// to a snapshot whose guard and chaos counters saw the attack and whose
+// flight recorder sampled real capsules.
 func TestTelemetrySmokeScrapeDuringChaos(t *testing.T) {
 	tb := newBed(t)
 	reg := tb.EnableTelemetry()
@@ -120,6 +121,7 @@ func TestTelemetrySmokeScrapeDuringChaos(t *testing.T) {
 	if rate := victimWorkload(t, tb, srv, cache); rate <= 0 {
 		t.Fatalf("victim hit rate = %v before the attack", rate)
 	}
+	reg.Publish()
 	famMid, pktMid := scrapeProm(t, web.URL+"/metrics")
 	for _, f := range requiredFamilies {
 		if !famMid[f] {
@@ -145,6 +147,7 @@ func TestTelemetrySmokeScrapeDuringChaos(t *testing.T) {
 		t.Fatalf("scenario fired %d/5 events:\n%s", got, chaos.TraceString(sc.Trace()))
 	}
 
+	reg.Publish()
 	famFin, pktFin := scrapeProm(t, web.URL+"/metrics")
 	for _, f := range requiredFamilies {
 		if !famFin[f] {
@@ -155,7 +158,7 @@ func TestTelemetrySmokeScrapeDuringChaos(t *testing.T) {
 		t.Fatalf("packet counter went backwards across the attack: %v -> %v", pktMid, pktFin)
 	}
 
-	// JSON exposition: one consistent snapshot in which the attack is
+	// JSON exposition: the same published snapshot, in which the attack is
 	// visible to the guard and the chaos event counter, and the flight
 	// recorder sampled the run.
 	resp, err := http.Get(web.URL + "/metrics.json")
@@ -166,9 +169,6 @@ func TestTelemetrySmokeScrapeDuringChaos(t *testing.T) {
 	var snap telemetry.Snapshot
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatalf("JSON exposition does not decode: %v", err)
-	}
-	if !snap.Consistent {
-		t.Error("JSON snapshot reported inconsistent")
 	}
 	if v, ok := familyTotal(&snap, "activermt_guard_violations_total"); !ok || v == 0 {
 		t.Errorf("guard violation total = %v (present=%v), want > 0 after the attack", v, ok)

@@ -45,13 +45,9 @@ var reachAllow = map[string]string{
 	"internal/runtime.Runtime.SetPrivilege":       "hardening: per-FID privilege mask over forwarding opcodes (runtime tests)",
 
 	// Observation accessors read by tests other than their own unit test.
-	"internal/runtime.Runtime.PlanCompiles":      "accessor: runtime and guard tests count plan compilations",
 	"internal/rmt.TCAM.Lookup":                   "accessor: rmt and runtime tests probe protection ranges",
 	"internal/rmt.TCAM.Used":                     "accessor: rmt and runtime tests balance TCAM accounting",
 	"internal/telemetry.FlightRecorder.Recorded": "accessor: runtime and telemetry tests",
-	"internal/telemetry.FlightRecorder.Entries":  "accessor: the recorder's ring, read back by TestFlightRecorderRing",
-	"internal/telemetry.Histogram.Count":         "accessor: histogram merge and bucket tests",
-	"internal/telemetry.Histogram.Sum":           "accessor: histogram merge and bucket tests",
 	"internal/chaos.TraceString":                 "accessor: chaos and testbed tests compare fired-event traces",
 	"internal/guard.Guard.Audit":                 "accessor: guard and testbed tests run the isolation audit through the guard's counters",
 	"internal/guard.Guard.Policy":                "accessor: testbed adversary test reads the thresholds it drives against",
