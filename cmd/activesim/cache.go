@@ -36,10 +36,10 @@ func zipfObjects(srv *apps.KVServer, n int) (keys [][2]uint32, hot []apps.KVMsg)
 }
 
 // runCache drives one cache tenant over Zipf traffic on the single-switch
-// testbed, under a policy engine, optionally with a library fault schedule
-// (-chaos), an adversarial co-tenant (-adversary) and a live self-scraped
-// telemetry endpoint (-telemetry), which serves the snapshot published after
-// every measurement window.
+// testbed, under the policy loop with -policy adaptive, optionally with a
+// library fault schedule (-chaos), an adversarial co-tenant (-adversary) and
+// a live self-scraped telemetry endpoint (-telemetry), which serves the
+// snapshot published after every measurement window.
 func runCache(o *options) error {
 	tb, err := testbed.New(testbed.DefaultConfig())
 	if err != nil {
@@ -49,8 +49,10 @@ func runCache(o *options) error {
 	if o.telemetry != "" {
 		tb.EnableTelemetry() // before the loop, which registers its own metrics when telemetry is on
 	}
-	loop := tb.AttachPolicy(policyEngine(o.policy))
-	defer loop.Stop()
+	var loop *policy.Loop
+	if o.policy == "adaptive" {
+		loop = tb.AttachPolicy()
+	}
 	say("policy engine: %s", o.policy)
 	var telSrv *telemetry.Server
 	var midPackets uint64
@@ -209,20 +211,11 @@ func runCache(o *options) error {
 		say("telemetry: final scrape ok (%d families, packets mid=%d final=%d, monotone)",
 			families, midPackets, packets)
 	}
-	say("policy loop: %d evals, %d decision changes, %d defrag passes (%d migrations)",
-		loop.Evals, loop.Changes, tb.Ctrl.DefragPasses, tb.Ctrl.DefragMigrations)
-	return nil
-}
-
-// policyEngine resolves the -policy flag; values are validated in run.
-func policyEngine(mode string) policy.Engine {
-	if mode == "adaptive" {
-		// The single-switch fragmentation gauge is diluted by the many
-		// stages the workload tenants never occupy, so the interactive
-		// scenarios use the same low trigger band as the A/B harness.
-		return &policy.Adaptive{DefragTrigger: 0.02, DefragTarget: 0.005}
+	if loop != nil {
+		say("policy loop: %d evals, %d decision changes, %d defrag passes (%d migrations)",
+			loop.Evals, loop.Changes, tb.Ctrl.DefragPasses, tb.Ctrl.DefragMigrations)
 	}
-	return policy.Static{}
+	return nil
 }
 
 // parseTopology resolves the fabric row's -topology/-switches to a leaf and

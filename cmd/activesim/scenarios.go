@@ -136,18 +136,19 @@ func runPolicyAB(o *options) error {
 }
 
 // runDefragDemo makes the closed loop visible: a churn pattern leaves the
-// switch fragmented, and the policy engine either ignores it (static) or
-// live-migrates the survivors down into the holes (adaptive) while the
-// tenants keep serving. State survival is checked by writing a pattern
-// into every surviving tenant before the migration and reading it back
-// after.
+// switch fragmented, and either nothing reacts (static: no loop) or the
+// policy loop live-migrates the survivors down into the holes (adaptive)
+// while the tenants keep serving. State survival is checked by writing a
+// pattern into every surviving tenant before the migration and reading it
+// back after.
 func runDefragDemo(o *options) error {
 	tb, err := testbed.New(testbed.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	loop := tb.AttachPolicy(policyEngine(o.policy))
-	defer loop.Stop()
+	if o.policy == "adaptive" {
+		tb.AttachPolicy()
+	}
 	say := o.timeline(tb.Eng)
 	say("policy engine: %s", o.policy)
 
@@ -205,7 +206,7 @@ func runDefragDemo(o *options) error {
 
 	// The policy loop runs every 100ms; give it a few seconds. Under
 	// adaptive it observes the gauge over the trigger and queues migration
-	// passes; under static nothing happens, by design.
+	// passes; under static there is no loop, and nothing happens.
 	tb.RunFor(5 * time.Second)
 	fragAfter := tb.Ctrl.Allocator().Fragmentation()
 	say("after policy window: fragmentation %.4f -> %.4f, %d defrag passes, %d tenants migrated, %d blocks moved, %d words restored",

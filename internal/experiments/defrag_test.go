@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"activermt/internal/apps"
-	"activermt/internal/policy"
 	"activermt/internal/testbed"
 )
 
@@ -48,8 +47,7 @@ func TestDefragShape(t *testing.T) {
 	tb.RunFor(200 * time.Millisecond)
 	fragBefore := tb.Ctrl.Allocator().Fragmentation()
 
-	loop := tb.AttachPolicy(&policy.Adaptive{DefragTrigger: 0.02, DefragTarget: 0.005})
-	defer loop.Stop()
+	tb.AttachPolicy()
 	tb.RunFor(3 * time.Second)
 	fragAfter := tb.Ctrl.Allocator().Fragmentation()
 

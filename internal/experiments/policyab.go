@@ -10,19 +10,18 @@ import (
 	"activermt/internal/client"
 	"activermt/internal/guard"
 	"activermt/internal/netsim"
-	"activermt/internal/policy"
 	"activermt/internal/testbed"
 	"activermt/internal/workload"
 )
 
 // The policy A/B harness: the same seeded workload — a cache tenant under
 // Zipf traffic plus a churning population of inelastic memsync tenants —
-// is run once per chaos scenario under the static engine and once under
-// the adaptive engine, and the end states are compared side by side. The
-// interesting column is fragmentation: churn strands the surviving
+// is run once per chaos scenario with no policy loop (static) and once
+// under the loop (adaptive), and the end states are compared side by side.
+// The interesting column is fragmentation: churn strands the surviving
 // tenants above holes, static never migrates, adaptive defragments.
 
-// PolicyABCell is one (scenario, engine) run's end state.
+// PolicyABCell is one (scenario, mode) run's end state.
 type PolicyABCell struct {
 	FinalFrag        float64
 	DefragPasses     uint64
@@ -42,7 +41,7 @@ type PolicyABRow struct {
 
 // Winner scores the row: adaptive wins when it ends less fragmented with
 // clean audits and at least one migration; a dirty audit on either side is
-// a failure ("none"); otherwise the engines tied.
+// a failure ("none"); otherwise the modes tied.
 func (r PolicyABRow) Winner() string {
 	if !r.Static.AuditClean || !r.Adaptive.AuditClean {
 		return "none"
@@ -53,16 +52,7 @@ func (r PolicyABRow) Winner() string {
 	return "tie"
 }
 
-// abTrigger is the adaptive band used by the harness. The single-switch
-// workload can only fragment the handful of stages its tenants are
-// placeable in, so the global gauge is structurally diluted; the band is
-// set low enough that any real fragmentation calls for migration.
-const (
-	abTrigger = 0.02
-	abTarget  = 0.005
-)
-
-// RunPolicyAB runs every named chaos scenario under both engines with the
+// RunPolicyAB runs every named chaos scenario in both modes with the
 // same seed. Empty scenarios means the full chaos library.
 func RunPolicyAB(scenarios []string, seed int64) ([]PolicyABRow, error) {
 	if len(scenarios) == 0 {
@@ -83,21 +73,18 @@ func RunPolicyAB(scenarios []string, seed int64) ([]PolicyABRow, error) {
 	return rows, nil
 }
 
-// policyABRun executes one cell: build the testbed, attach the policy
-// loop, admit the cache + the churn population, release the interleaved
-// waves, arm the chaos scenario, drive traffic, and read back the end
-// state.
+// policyABRun executes one cell: build the testbed, attach the policy loop
+// (adaptive only), admit the cache + the churn population, release the
+// interleaved waves, arm the chaos scenario, drive traffic, and read back
+// the end state.
 func policyABRun(scenario, mode string, seed int64) (*PolicyABCell, error) {
 	tb, err := testbed.New(testbed.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
-	var eng policy.Engine = policy.Static{}
 	if mode == "adaptive" {
-		eng = &policy.Adaptive{DefragTrigger: abTrigger, DefragTarget: abTarget}
+		tb.AttachPolicy()
 	}
-	loop := tb.AttachPolicy(eng)
-	defer loop.Stop()
 
 	// Cache tenant: hit rate is the service-quality column of the A/B.
 	srv := apps.NewKVServer(tb.Eng, testbed.MACFor(200), testbed.IPFor(999))

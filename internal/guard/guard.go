@@ -31,45 +31,23 @@ import (
 )
 
 // Policy fixes the guard's thresholds. Counts are violations inside Window;
-// the ladder requires WarnAt <= RateLimitAt <= QuarantineAt <= EvictAt.
+// reaching each score moves the tenant to the corresponding rung, and the
+// ladder requires WarnAt <= RateLimitAt <= QuarantineAt <= EvictAt. The rungs
+// above the warning (and RateLimitPass, which admits one in every
+// RateLimitPass packets from a rate-limited tenant; 0 or 1 admits all) are
+// the policy loop's to re-decide; the window and the warn rung are not.
 type Policy struct {
-	// Window is the decay horizon for violation events.
-	Window time.Duration
-	// Escalation thresholds: reaching each score moves the tenant to the
-	// corresponding rung.
-	WarnAt       int
-	RateLimitAt  int
-	QuarantineAt int
-	EvictAt      int
-	// RateLimitPass admits one in every RateLimitPass packets from a
-	// rate-limited tenant (minimum 1: admit all).
-	RateLimitPass int
-	// RequireEpoch enables grant-epoch authentication: program capsules
-	// from admitted FIDs must echo the epoch of the current grant.
-	RequireEpoch bool
-	// MaxProgramLen caps capsule instruction count; 0 derives the cap from
-	// the device's recirculation ceiling (MaxPasses * NumStages).
-	MaxProgramLen int
+	Window time.Duration // decay horizon for violation events
+	WarnAt int
+	policy.GuardThresholds
 }
 
 // DefaultPolicy returns thresholds tuned for the simulated testbed: a burst
 // of a handful of faults warns, sustained abuse quarantines within tens of
-// packets, and eviction needs roughly twice that again. The rungs above the
-// warning live in internal/policy so a policy engine can re-decide them at
-// runtime; epoch authentication is on.
+// packets, and eviction needs roughly twice that again.
 func DefaultPolicy() Policy {
-	p := Policy{Window: 500 * time.Millisecond, WarnAt: policy.DefaultWarnAt, RequireEpoch: true}
-	p.setThresholds(policy.DefaultDecisions().Guard)
-	return p
-}
-
-// setThresholds takes the rungs a policy engine decides; the window, the
-// warn rung and the authentication model are not its to move.
-func (p *Policy) setThresholds(t policy.GuardThresholds) {
-	p.RateLimitAt = t.RateLimitAt
-	p.QuarantineAt = t.QuarantineAt
-	p.EvictAt = t.EvictAt
-	p.RateLimitPass = max(t.RateLimitPass, 1)
+	return Policy{Window: 500 * time.Millisecond, WarnAt: policy.DefaultWarnAt,
+		GuardThresholds: policy.DefaultDecisions().Guard}
 }
 
 // stateFor maps a window score to the highest rung it reaches.
@@ -106,11 +84,10 @@ type Guard struct {
 	tenants map[uint16]*Ledger
 	ports   map[int]*PortLedger
 
-	// Counters: Checked, DroppedAtIngress, TenantViolations, PortViolations
-	// and RevokedDrops read them, and so does a registry (AttachTelemetry).
+	// Counters: Checked, DroppedAtIngress, TenantViolations and
+	// PortViolations read them, and so does a registry (AttachTelemetry).
 	checked, ingressDrops            uint64
 	tenantViolations, portViolations uint64
-	revokedDrops                     uint64
 	auditsRun, findingsTotal         uint64
 	byKind                           [numKinds]uint64 // violations per Kind
 }
@@ -122,7 +99,6 @@ func (g *Guard) AttachTelemetry(reg *telemetry.Registry) {
 	reg.Counter("activermt_guard_ingress_drops_total", "capsules refused by the ingress gate", &g.ingressDrops)
 	reg.Counter("activermt_guard_tenant_violations_total", "authenticated violations charged to tenants", &g.tenantViolations)
 	reg.Counter("activermt_guard_port_violations_total", "unauthenticated violations charged to ingress ports", &g.portViolations)
-	reg.Counter("activermt_guard_revoked_drops_total", "execute-path drops of revoked FIDs", &g.revokedDrops)
 	reg.Counter("activermt_guard_audits_total", "isolation audits run", &g.auditsRun)
 	reg.Counter("activermt_guard_findings_total", "isolation audit findings", &g.findingsTotal)
 	reg.Vec("activermt_guard_violations_total", "violations by class (port- and tenant-attributed)",
@@ -155,15 +131,9 @@ func (g *Guard) TenantViolations() uint64 { return g.tenantViolations }
 // PortViolations returns the unauthenticated violation total.
 func (g *Guard) PortViolations() uint64 { return g.portViolations }
 
-// RevokedDrops returns the execute-path revoked-FID drop total.
-func (g *Guard) RevokedDrops() uint64 { return g.revokedDrops }
-
 // New builds a guard over the runtime. now is the virtual-clock source; it
 // must be the same clock the escalator's controller runs on.
 func New(rt *runtime.Runtime, pol Policy, now func() time.Duration) *Guard {
-	if pol.RateLimitPass < 1 {
-		pol.RateLimitPass = 1
-	}
 	return &Guard{
 		rt:      rt,
 		pol:     pol,
@@ -177,11 +147,10 @@ func New(rt *runtime.Runtime, pol Policy, now func() time.Duration) *Guard {
 func (g *Guard) Policy() Policy { return g.pol }
 
 // ApplyThresholds swaps the escalation thresholds in place from a policy
-// decision, preserving the window, the warn rung and the authentication
-// model (RequireEpoch, MaxProgramLen). Existing ledger scores are
-// re-interpreted against the new ladder on their next event;
+// decision, preserving the window and the warn rung. Existing ledger scores
+// are re-interpreted against the new ladder on their next event;
 // already-escalated tenants are never retroactively demoted.
-func (g *Guard) ApplyThresholds(t policy.GuardThresholds) { g.pol.setThresholds(t) }
+func (g *Guard) ApplyThresholds(t policy.GuardThresholds) { g.pol.GuardThresholds = t }
 
 // SetEscalator installs the control-plane sink for quarantine/evict
 // decisions (nil: record-only mode).
@@ -194,11 +163,9 @@ func (g *Guard) Tenant(fid uint16) *Ledger { return g.tenants[fid] }
 // Port returns the ingress port's violation ledger, or nil.
 func (g *Guard) Port(port int) *PortLedger { return g.ports[port] }
 
-// maxProgramLen resolves the instruction budget.
+// maxProgramLen is the instruction budget: the device's recirculation
+// ceiling (MaxPasses * NumStages).
 func (g *Guard) maxProgramLen() int {
-	if g.pol.MaxProgramLen > 0 {
-		return g.pol.MaxProgramLen
-	}
 	cfg := g.rt.Device().Config()
 	return cfg.MaxPasses * cfg.NumStages
 }
@@ -246,10 +213,10 @@ func (g *Guard) CheckProgram(a *packet.Active, port int) bool {
 	if !g.rt.Admitted(fid) {
 		return true
 	}
-	if g.pol.RequireEpoch {
-		if echo := uint8(a.Header.Opaque) & packet.EpochMax; echo != g.rt.Epoch(fid) {
-			return g.denyPort(port, KindBadEpoch)
-		}
+	// Grant-epoch authentication: the capsule must echo the epoch of the
+	// current grant.
+	if echo := uint8(a.Header.Opaque) & packet.EpochMax; echo != g.rt.Epoch(fid) {
+		return g.denyPort(port, KindBadEpoch)
 	}
 
 	// The capsule authenticated: from here violations are the tenant's.
@@ -312,16 +279,6 @@ func (g *Guard) RecircThrottled(fid uint16) {
 // escalate — cooperative consumers should never accrue them).
 func (g *Guard) RecircBudgetRemaining(fid uint16) int {
 	return g.rt.RecircBudgetRemaining(fid)
-}
-
-// RevokedDrop implements runtime.GuardHook: counted only, since the ingress
-// gate already charges revoked traffic to its port when the guard is wired
-// into the switch.
-func (g *Guard) RevokedDrop(fid uint16) {
-	g.revokedDrops++
-	if led, ok := g.tenants[fid]; ok {
-		led.counts[int(KindRevoked)]++
-	}
 }
 
 // denyPort records an unauthenticated violation against the ingress port and

@@ -6,6 +6,7 @@ import (
 
 	"activermt/internal/isa"
 	"activermt/internal/packet"
+	"activermt/internal/policy"
 	"activermt/internal/rmt"
 	"activermt/internal/runtime"
 )
@@ -26,13 +27,14 @@ func (e *fakeEscalator) GuardEvict(fid uint16)      { e.evicted = append(e.evict
 
 func testPolicy() Policy {
 	return Policy{
-		Window:        100 * time.Millisecond,
-		WarnAt:        2,
-		RateLimitAt:   4,
-		QuarantineAt:  6,
-		EvictAt:       8,
-		RateLimitPass: 3,
-		RequireEpoch:  true,
+		Window: 100 * time.Millisecond,
+		WarnAt: 2,
+		GuardThresholds: policy.GuardThresholds{
+			RateLimitAt:   4,
+			QuarantineAt:  6,
+			EvictAt:       8,
+			RateLimitPass: 3,
+		},
 	}
 }
 

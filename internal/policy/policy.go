@@ -1,22 +1,21 @@
-// Package policy centralizes every control-plane setting an engine
-// re-decides at runtime behind one typed interface: the controller's
-// snapshot window, the guard's escalation rungs, the fabric's probe timers,
-// the periodic corruption sweep and online defragmentation. Their defaults
-// live here as the Default* values and the owning layers derive their own
-// defaults from them, so a policy Engine can re-decide any of them from
-// telemetry observations.
+// Package policy centralizes every control-plane setting the closed loop
+// re-decides at runtime: the controller's snapshot window, the guard's
+// escalation rungs, the fabric's probe timers, the periodic corruption sweep
+// and online defragmentation. Their defaults live here as the Default*
+// values and the owning layers derive their own defaults from them, so the
+// one Loop can re-decide any of them from observations of the switch.
 //
-// The contract that keeps the refactor safe: Static{} emits exactly the
-// defaults on every Decide call, so a system driven by the static engine is
-// bit-identical to one with no engine at all.
+// The contract that keeps the loop optional: with no Loop attached every
+// layer runs DefaultDecisions, the historical constants, exactly as the code
+// hard-wired them before this package existed.
 package policy
 
 import "time"
 
-// Re-homed constants: the defaults of every setting an engine can re-decide.
+// Re-homed constants: the defaults of every setting the loop can re-decide.
 // Each names the package and behavior it used to be hard-coded in; changing
-// one here changes the system-wide default. Settings no engine varies (the
-// controller's table-op and compute costs, the guard's window and warn
+// one here changes the system-wide default. Settings the loop never varies
+// (the controller's table-op and compute costs, the guard's window and warn
 // rung, the probe miss threshold, the allocator's search tuning, the chaos
 // library's schedule) are plain constants beside their use.
 const (
@@ -24,7 +23,7 @@ const (
 	DefaultSnapshotTimeout = 500 * time.Millisecond
 
 	// Guard escalation ladder (was guard.DefaultPolicy). The warn rung is
-	// the floor the tightened ladder stays above; no engine moves it.
+	// the floor the tightened ladder stays above; the loop never moves it.
 	DefaultWarnAt        = 3
 	DefaultRateLimitAt   = 8
 	DefaultQuarantineAt  = 16
@@ -35,26 +34,18 @@ const (
 	DefaultProbeInterval = 10 * time.Millisecond
 	DefaultRestoreDelay  = 2 * time.Millisecond
 
-	// Online defragmentation. Disabled by default: the static system never
-	// migrates on its own. TriggerFrag/TargetFrag form a hysteresis band on
+	// Online defragmentation. Without a loop nothing migrates on its own.
+	// Trigger/Target form the loop's hysteresis band on
 	// activermt_alloc_fragmentation; MaxMoves bounds migrations per pass so
 	// one pass cannot monopolize the control plane.
 	DefaultDefragTrigger = 0.40
 	DefaultDefragTarget  = 0.15
 	DefaultDefragMoves   = 4
-
-	// evalInterval is the cadence at which a Loop re-observes the switch
-	// and re-decides.
-	evalInterval = 100 * time.Millisecond
 )
 
-// ControllerTiming is the switchd controller's realloc snapshot window.
-type ControllerTiming struct {
-	SnapshotTimeout time.Duration // client snapshot window before forced reactivation
-}
-
-// GuardThresholds mirrors guard.Policy's escalation rungs in plain types
-// (guard depends on policy, not the other way around).
+// GuardThresholds are the escalation rungs of guard.Policy that the loop
+// re-decides (guard embeds this type; guard depends on policy, not the
+// other way around).
 type GuardThresholds struct {
 	RateLimitAt   int
 	QuarantineAt  int
@@ -68,30 +59,29 @@ type FabricTimers struct {
 	RestoreDelay  time.Duration
 }
 
-// DefragDecision controls telemetry-driven online defragmentation.
+// DefragDecision is the online-defragmentation verdict.
 type DefragDecision struct {
-	Enabled     bool
-	TriggerFrag float64 // start migrating when fragmentation >= this
-	TargetFrag  float64 // hysteresis: stop once fragmentation < this
-	MaxMoves    int     // tenant migrations per defrag pass
+	Migrate  bool // the band's hysteresis state: queue a migration pass
+	MaxMoves int  // tenant migrations per defrag pass
 }
 
-// Decisions is one complete set of control-plane settings. An Engine emits
-// a full set every Decide; appliers push the parts they own.
+// Decisions is one complete set of control-plane settings. The loop emits a
+// full set every Decide; switchd.Node.ApplyPolicy pushes the parts a switch
+// owns.
 type Decisions struct {
-	Controller ControllerTiming
-	Guard      GuardThresholds
-	Fabric     FabricTimers
-	SweepEvery time.Duration // >0 arms a periodic corruption sweep
-	Defrag     DefragDecision
+	SnapshotTimeout time.Duration // client snapshot window before forced reactivation
+	Guard           GuardThresholds
+	Fabric          FabricTimers
+	SweepEvery      time.Duration // >0 arms a periodic corruption sweep
+	Defrag          DefragDecision
 }
 
 // DefaultDecisions returns the exact historical constants: periodic sweeps
-// off, defragmentation off, every timer and threshold as the layers
-// hard-coded them before this package existed.
+// off, no migration, every timer and threshold as the layers hard-coded them
+// before this package existed.
 func DefaultDecisions() Decisions {
 	return Decisions{
-		Controller: ControllerTiming{SnapshotTimeout: DefaultSnapshotTimeout},
+		SnapshotTimeout: DefaultSnapshotTimeout,
 		Guard: GuardThresholds{
 			RateLimitAt:   DefaultRateLimitAt,
 			QuarantineAt:  DefaultQuarantineAt,
@@ -102,18 +92,31 @@ func DefaultDecisions() Decisions {
 			ProbeInterval: DefaultProbeInterval,
 			RestoreDelay:  DefaultRestoreDelay,
 		},
-		Defrag: DefragDecision{
-			TriggerFrag: DefaultDefragTrigger,
-			TargetFrag:  DefaultDefragTarget,
-			MaxMoves:    DefaultDefragMoves,
-		},
+		Defrag: DefragDecision{MaxMoves: DefaultDefragMoves},
 	}
 }
 
-// Engine decides control-plane settings from telemetry observations.
-// Decide must be deterministic in its inputs: the loop is driven from
-// virtual time and the whole system replays per seed.
-type Engine interface {
-	Name() string
-	Decide(obs Observation) Decisions
+// Observation is what one switch reports of itself at one instant — the
+// signals the loop decides on, built by switchd.Node.Observe from the books
+// and counters themselves. Cumulative counters are carried as totals; the
+// loop derives rates and deltas against its previous observation.
+type Observation struct {
+	At time.Duration // virtual time of the observation
+
+	// Allocator fragmentation (exported as activermt_alloc_fragmentation).
+	Fragmentation float64
+
+	// Guard pressure (exported as activermt_guard_*_violations_total, both
+	// attributions summed).
+	Violations    uint64
+	ViolationRate float64 // violations/sec since the previous observation
+
+	// Controller realloc health (exported as activermt_ctrl_*).
+	SnapshotTimeouts    uint64
+	SnapshotEscalations uint64
+	CorruptQuarantines  uint64 // blocks quarantined by corruption sweeps
+
+	// Fabric link health (exported as activermt_fabric_link_flaps_total);
+	// zero on a single switch.
+	LinkFlaps uint64
 }

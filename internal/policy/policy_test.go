@@ -7,35 +7,10 @@ import (
 	"activermt/internal/telemetry"
 )
 
-func TestStaticIsBitIdenticalToDefaults(t *testing.T) {
-	want := DefaultDecisions()
-	var eng Static
-	if eng.Name() != "static" {
-		t.Fatalf("name %q", eng.Name())
-	}
-	// Static must ignore the observation entirely, including extreme ones.
-	observations := []Observation{
-		{},
-		{Fragmentation: 1.0, ViolationRate: 1e6, SnapshotTimeouts: 1 << 40},
-		{At: time.Hour, Utilization: 0.99, Tenants: 4096, LinkFlaps: 1e9},
-	}
-	for i, obs := range observations {
-		if got := eng.Decide(obs); got != want {
-			t.Fatalf("obs %d: Static decided %+v, want defaults %+v", i, got, want)
-		}
-	}
-	if DefaultDecisions().Defrag.Enabled {
-		t.Fatal("defaults must not enable defragmentation")
-	}
-	if DefaultDecisions().SweepEvery != 0 {
-		t.Fatal("defaults must not arm a background sweep")
-	}
-}
-
 func TestDefaultDecisionsMatchHistoricalConstants(t *testing.T) {
 	d := DefaultDecisions()
-	if d.Controller.SnapshotTimeout != 500*time.Millisecond {
-		t.Fatalf("snapshot window %v", d.Controller.SnapshotTimeout)
+	if d.SnapshotTimeout != 500*time.Millisecond {
+		t.Fatalf("snapshot window %v", d.SnapshotTimeout)
 	}
 	if d.Guard.RateLimitAt != 8 || d.Guard.QuarantineAt != 16 || d.Guard.EvictAt != 32 {
 		t.Fatalf("guard ladder %+v", d.Guard)
@@ -43,54 +18,56 @@ func TestDefaultDecisionsMatchHistoricalConstants(t *testing.T) {
 	if d.Fabric.ProbeInterval != 10*time.Millisecond {
 		t.Fatalf("fabric timers %+v", d.Fabric)
 	}
+	// With no loop nothing is armed: no migration, no background sweep.
+	if d.Defrag.Migrate {
+		t.Fatal("defaults must not migrate")
+	}
+	if d.SweepEvery != 0 {
+		t.Fatal("defaults must not arm a background sweep")
+	}
 }
 
 func TestAdaptiveDefragHysteresis(t *testing.T) {
-	var a Adaptive
-	d := a.Decide(Observation{Fragmentation: 0.1})
-	if !d.Defrag.Enabled {
-		t.Fatal("adaptive must arm defrag")
-	}
-	if a.DefragWanted() {
+	var a Loop
+	if d := a.Decide(Observation{Fragmentation: 0.1}); d.Defrag.Migrate {
 		t.Fatal("below trigger: migration should not be wanted")
 	}
-	a.Decide(Observation{Fragmentation: DefaultDefragTrigger + 0.01})
-	if !a.DefragWanted() {
+	if d := a.Decide(Observation{Fragmentation: DefaultDefragTrigger + 0.01}); !d.Defrag.Migrate {
 		t.Fatal("above trigger: migration wanted")
 	}
 	// In the hysteresis band the wish persists.
-	a.Decide(Observation{Fragmentation: (DefaultDefragTrigger + DefaultDefragTarget) / 2})
-	if !a.DefragWanted() {
+	if d := a.Decide(Observation{Fragmentation: (DefaultDefragTrigger + DefaultDefragTarget) / 2}); !d.Defrag.Migrate {
 		t.Fatal("inside band: migration must persist")
 	}
-	a.Decide(Observation{Fragmentation: DefaultDefragTarget - 0.01})
-	if a.DefragWanted() {
+	if d := a.Decide(Observation{Fragmentation: DefaultDefragTarget - 0.01}); d.Defrag.Migrate {
 		t.Fatal("below target: migration must stop")
 	}
 	// Severe fragmentation buys a bigger per-pass budget.
-	d = a.Decide(Observation{Fragmentation: severeFrag + 0.05})
+	d := a.Decide(Observation{Fragmentation: severeFrag + 0.05})
 	if d.Defrag.MaxMoves != severeMaxMoves {
 		t.Fatalf("severe budget %d, want %d", d.Defrag.MaxMoves, severeMaxMoves)
 	}
 }
 
 func TestAdaptiveDefragBandOverride(t *testing.T) {
-	a := Adaptive{DefragTrigger: 0.05, DefragTarget: 0.02}
-	d := a.Decide(Observation{Fragmentation: 0.06})
-	if d.Defrag.TriggerFrag != 0.05 || d.Defrag.TargetFrag != 0.02 {
-		t.Fatalf("band override not emitted: %+v", d.Defrag)
+	var def Loop
+	if d := def.Decide(Observation{Fragmentation: 0.06}); d.Defrag.Migrate {
+		t.Fatal("0.06 is below the default trigger")
 	}
-	if !a.DefragWanted() {
+	a := Loop{DefragTrigger: 0.05, DefragTarget: 0.02}
+	if d := a.Decide(Observation{Fragmentation: 0.06}); !d.Defrag.Migrate {
 		t.Fatal("fragmentation above the overridden trigger must want migration")
 	}
-	a.Decide(Observation{Fragmentation: 0.01})
-	if a.DefragWanted() {
+	if d := a.Decide(Observation{Fragmentation: 0.03}); !d.Defrag.Migrate {
+		t.Fatal("inside the overridden band migration must persist")
+	}
+	if d := a.Decide(Observation{Fragmentation: 0.01}); d.Defrag.Migrate {
 		t.Fatal("below the overridden target must stop migration")
 	}
 }
 
 func TestAdaptiveGuardTightenAndRelax(t *testing.T) {
-	var a Adaptive
+	var a Loop
 	def := DefaultDecisions().Guard
 	d := a.Decide(Observation{ViolationRate: adaptiveBurst * 2})
 	g := d.Guard
@@ -115,41 +92,41 @@ func TestAdaptiveGuardTightenAndRelax(t *testing.T) {
 }
 
 func TestAdaptiveSnapshotWindowScaling(t *testing.T) {
-	var a Adaptive
+	var a Loop
 	a.Decide(Observation{At: 0})
 	d := a.Decide(Observation{At: time.Second, SnapshotTimeouts: 1})
-	if d.Controller.SnapshotTimeout <= DefaultSnapshotTimeout {
-		t.Fatalf("timeout did not widen the window: %v", d.Controller.SnapshotTimeout)
+	if d.SnapshotTimeout <= DefaultSnapshotTimeout {
+		t.Fatalf("timeout did not widen the window: %v", d.SnapshotTimeout)
 	}
-	widened := d.Controller.SnapshotTimeout
+	widened := d.SnapshotTimeout
 	// Escalations widen more gently than timeouts.
-	var b Adaptive
+	var b Loop
 	b.Decide(Observation{At: 0})
 	d = b.Decide(Observation{At: time.Second, SnapshotEscalations: 1})
-	if d.Controller.SnapshotTimeout <= DefaultSnapshotTimeout || d.Controller.SnapshotTimeout >= widened {
-		t.Fatalf("escalation widening %v out of (default, %v)", d.Controller.SnapshotTimeout, widened)
+	if d.SnapshotTimeout <= DefaultSnapshotTimeout || d.SnapshotTimeout >= widened {
+		t.Fatalf("escalation widening %v out of (default, %v)", d.SnapshotTimeout, widened)
 	}
 	// The window is capped.
-	var c Adaptive
+	var c Loop
 	c.Decide(Observation{At: 0})
 	for i := 1; i <= 40; i++ {
 		d = c.Decide(Observation{At: time.Duration(i) * time.Second, SnapshotTimeouts: uint64(i)})
 	}
-	if d.Controller.SnapshotTimeout > time.Duration(maxSnapScale*float64(DefaultSnapshotTimeout)) {
-		t.Fatalf("window exceeded the cap: %v", d.Controller.SnapshotTimeout)
+	if d.SnapshotTimeout > time.Duration(maxSnapScale*float64(DefaultSnapshotTimeout)) {
+		t.Fatalf("window exceeded the cap: %v", d.SnapshotTimeout)
 	}
 	// Quiet decides decay it back to the default eventually.
-	last := d.Controller.SnapshotTimeout
+	last := d.SnapshotTimeout
 	for i := 41; i < 41+30*quietDecides; i++ {
 		d = c.Decide(Observation{At: time.Duration(i) * time.Second, SnapshotTimeouts: 40})
 	}
-	if d.Controller.SnapshotTimeout >= last {
-		t.Fatalf("window never decayed: %v", d.Controller.SnapshotTimeout)
+	if d.SnapshotTimeout >= last {
+		t.Fatalf("window never decayed: %v", d.SnapshotTimeout)
 	}
 }
 
 func TestAdaptiveSweepAndProbeSignals(t *testing.T) {
-	var a Adaptive
+	var a Loop
 	d := a.Decide(Observation{})
 	if d.SweepEvery != 0 {
 		t.Fatal("sweep armed with no corruption")
@@ -173,83 +150,46 @@ func TestAdaptiveSweepAndProbeSignals(t *testing.T) {
 	}
 }
 
-// fakeClock is a minimal deterministic scheduler for driving a Loop.
-type fakeClock struct {
-	now   time.Duration
-	queue []fakeEvent
-}
-
-type fakeEvent struct {
-	at time.Duration
-	fn func()
-}
-
-func (c *fakeClock) schedule(d time.Duration, fn func()) {
-	c.queue = append(c.queue, fakeEvent{at: c.now + d, fn: fn})
-}
-
-func (c *fakeClock) runUntil(t time.Duration) {
-	for {
-		best := -1
-		for i, ev := range c.queue {
-			if ev.at <= t && (best == -1 || ev.at < c.queue[best].at) {
-				best = i
-			}
-		}
-		if best == -1 {
-			c.now = t
-			return
-		}
-		ev := c.queue[best]
-		c.queue = append(c.queue[:best], c.queue[best+1:]...)
-		c.now = ev.at
-		ev.fn()
-	}
-}
-
+// TestLoopEvaluatesAndApplies steps a Loop over a switch whose guard charges
+// one violation per 100 ms: every Step applies, the rate is derived against
+// the previous observation, and the loop's metrics read its own state.
 func TestLoopEvaluatesAndApplies(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	clk := &fakeClock{}
-	applied := 0
+	const interval = 100 * time.Millisecond
+	var now time.Duration
 	violations := uint64(0)
-	var lastObs Observation
+	applied := 0
+	var last Decisions
 	loop := &Loop{
-		Engine: &Adaptive{},
-		// A switch whose guard charges one violation per evaluation interval.
 		Observe: func() Observation {
 			violations++
-			return Observation{At: clk.now, Fragmentation: 0.9, Violations: violations}
+			return Observation{At: now, Fragmentation: 0.9, Violations: violations}
 		},
-		Schedule: clk.schedule,
-		Apply: func(obs Observation, d Decisions) {
-			applied++
-			want := 0.0 // no rate without a baseline
-			if applied > 1 {
-				want = 1 / evalInterval.Seconds()
-			}
-			if obs.ViolationRate != want {
-				t.Fatalf("eval %d: violation rate %v/s, want %v", applied, obs.ViolationRate, want)
-			}
-			lastObs = obs
-			if !d.Defrag.Enabled {
-				t.Fatal("adaptive decisions must arm defrag")
-			}
-		},
+		Apply: func(d Decisions) { applied++; last = d },
 	}
 	loop.AttachTelemetry(reg)
-	loop.Start()
-	clk.runUntil(time.Second)
-	if loop.Evals < 10 || applied != int(loop.Evals) {
+	for i := 0; i < 10; i++ {
+		loop.Step()
+		want := 0.0 // no rate without a baseline
+		if i > 0 {
+			want = 1 / interval.Seconds()
+		}
+		if loop.prev.ViolationRate != want {
+			t.Fatalf("eval %d: violation rate %v/s, want %v", i, loop.prev.ViolationRate, want)
+		}
+		now += interval
+	}
+	if loop.Evals != 10 || applied != 10 {
 		t.Fatalf("evals=%d applied=%d", loop.Evals, applied)
 	}
-	if lastObs.Fragmentation != 0.9 {
-		t.Fatalf("observed fragmentation %v", lastObs.Fragmentation)
+	if !last.Defrag.Migrate || last.Defrag.MaxMoves != severeMaxMoves {
+		t.Fatalf("fragmentation 0.9 must migrate with the severe budget: %+v", last.Defrag)
 	}
 	if loop.Changes == 0 || loop.Changes == loop.Evals {
 		t.Fatalf("changes=%d of %d evals: first eval changes, steady state must not", loop.Changes, loop.Evals)
 	}
 	// The loop's own metrics are visible in the registry.
-	var sawEvals, sawFrag bool
+	var sawEvals, sawFrag, sawMigrate bool
 	snap := reg.Snapshot()
 	for _, m := range snap.Metrics {
 		switch m.Name {
@@ -257,15 +197,11 @@ func TestLoopEvaluatesAndApplies(t *testing.T) {
 			sawEvals = len(m.Samples) == 1 && m.Samples[0].Value == float64(loop.Evals)
 		case "activermt_policy_observed_fragmentation":
 			sawFrag = len(m.Samples) == 1 && m.Samples[0].Value == 0.9
+		case "activermt_policy_defrag_enabled":
+			sawMigrate = len(m.Samples) == 1 && m.Samples[0].Value == 1
 		}
 	}
-	if !sawEvals || !sawFrag {
-		t.Fatalf("loop telemetry missing: evals=%v frag=%v", sawEvals, sawFrag)
-	}
-	evals := loop.Evals
-	loop.Stop()
-	clk.runUntil(2 * time.Second)
-	if loop.Evals != evals {
-		t.Fatal("loop kept evaluating after Stop")
+	if !sawEvals || !sawFrag || !sawMigrate {
+		t.Fatalf("loop telemetry missing: evals=%v frag=%v migrate=%v", sawEvals, sawFrag, sawMigrate)
 	}
 }

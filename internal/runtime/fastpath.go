@@ -33,7 +33,6 @@ type GuardEventKind uint8
 const (
 	GuardEventMemFault GuardEventKind = iota
 	GuardEventRecircThrottled
-	GuardEventRevokedDrop
 )
 
 // GuardEvent is one buffered GuardHook notification, delivered once the
@@ -57,8 +56,6 @@ func (r *Runtime) deliverEvents() {
 				r.guard.MemFault(ev.FID, ev.Stage, ev.Addr, ev.Owner, ev.Owned)
 			case GuardEventRecircThrottled:
 				r.guard.RecircThrottled(ev.FID)
-			case GuardEventRevokedDrop:
-				r.guard.RevokedDrop(ev.FID)
 			}
 		}
 	}
@@ -183,7 +180,6 @@ func (r *Runtime) executeOne(a *packet.Active) {
 		row := cv.row(fid)
 		if row.revoked {
 			r.RevokedDrops++
-			r.events = append(r.events, GuardEvent{Kind: GuardEventRevokedDrop, FID: fid})
 			r.flightRefusal(cv, fid, telemetry.VerdictRevoked)
 			res.hardDrop(a, lat)
 			return

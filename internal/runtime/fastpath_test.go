@@ -106,7 +106,6 @@ func (h *hookLog) MemFault(uint16, int, uint32, uint16, bool) {
 	h.events = append(h.events, GuardEventMemFault)
 }
 func (h *hookLog) RecircThrottled(uint16) { h.events = append(h.events, GuardEventRecircThrottled) }
-func (h *hookLog) RevokedDrop(uint16)     { h.events = append(h.events, GuardEventRevokedDrop) }
 
 // TestExecuteProgramDrainsPerCapsule pins what callers of the entry point
 // rely on: when ExecuteProgram returns, the capsule's counters are in the

@@ -106,9 +106,6 @@ type GuardHook interface {
 	// RecircThrottled reports a packet dropped by the recirculation
 	// fairness controller.
 	RecircThrottled(fid uint16)
-	// RevokedDrop reports a packet dropped because its FID's grant was
-	// revoked.
-	RevokedDrop(fid uint16)
 }
 
 // SetGuardHook installs the isolation-event sink (nil disables reporting).

@@ -3,36 +3,40 @@ package soak
 import "activermt/internal/policy"
 
 // The soak's closed control loop. In adaptive mode every node carries its
-// own policy.Adaptive engine; once per epoch the driver (never an engine
-// callback — control actions step the engine internally) takes that node's
-// Observation (Node.Observe, plus the fabric's link flaps), asks the engine to
-// decide, and pushes the decisions back into the node (its controller and
-// guard). Fabric probe timers follow leaf 0's decisions. When a
-// node's engine calls for migration, a defragmentation pass is queued on
-// that node. Static mode keeps the map nil and this file inert: the run is
+// own policy.Loop, stepped once per epoch by the driver (never from an engine
+// callback — control actions step the engine internally). Each loop observes
+// its node (Node.Observe) and applies through Node.ApplyPolicy, which also
+// queues the node's defrag passes; the hooks add only what the fabric owns:
+// its link-flap count to every observation, and leaf 0's decided probe
+// timers to the health monitor (plus a flight-recorder line per queued
+// pass). Static mode builds no loops and this file is inert: the run is
 // bit-identical to a policy-free soak.
 
-func (h *harness) applyPolicy() {
-	if h.engines == nil {
-		return
-	}
+func (h *harness) attachPolicy() {
 	for i, n := range h.f.Nodes() {
-		eng := h.engines[n.Name]
-		if eng == nil {
-			eng = &policy.Adaptive{}
-			h.engines[n.Name] = eng
-		}
-		obs := n.Observe()
-		obs.LinkFlaps = h.hm.FlapsObserved // the fabric's signal, not one node's
-		d := eng.Decide(obs)
-		n.ApplyPolicy(d)
-		if i == 0 {
-			h.hm.ApplyTimers(d.Fabric)
-		}
-		if eng.DefragWanted() {
-			h.ring.note(obs.At, "policy: defrag %s (frag %.3f)", n.Name, obs.Fragmentation)
-			n.Ctrl.Defragment(d.Defrag.MaxMoves)
-		}
+		h.loops = append(h.loops, &policy.Loop{
+			Observe: func() policy.Observation {
+				obs := n.Observe()
+				obs.LinkFlaps = h.hm.FlapsObserved // the fabric's signal, not one node's
+				return obs
+			},
+			Apply: func(d policy.Decisions) {
+				if d.Defrag.Migrate {
+					h.ring.note(h.f.Eng.Now(), "policy: defrag %s (frag %.3f)", n.Name, n.Ctrl.Allocator().Fragmentation())
+				}
+				n.ApplyPolicy(d)
+				if i == 0 {
+					h.hm.ApplyTimers(d.Fabric)
+				}
+			},
+		})
+	}
+}
+
+// stepPolicy runs one evaluation of every node's loop.
+func (h *harness) stepPolicy() {
+	for _, l := range h.loops {
+		l.Step()
 	}
 }
 

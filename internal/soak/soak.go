@@ -51,10 +51,10 @@ type Config struct {
 
 	SpineKillAt time.Duration // home-spine kill milestone (default Duration/2; <0 disables)
 
-	// Policy selects the control engine: "static" (default) replays the
-	// historical constants and never migrates; "adaptive" runs a per-node
-	// policy.Adaptive engine each epoch, including telemetry-driven online
-	// defragmentation.
+	// Policy selects the control mode: "static" (default) runs no loop, so
+	// every node keeps the historical constants and never migrates on its
+	// own; "adaptive" steps a per-node policy.Loop each epoch, including
+	// telemetry-driven online defragmentation.
 	Policy string
 
 	// Secapps enables the three security-app workload families from
@@ -205,8 +205,8 @@ type harness struct {
 	failed    *Violation // set by callbacks, harvested by the driver
 	csv       *csvWriter
 
-	engines  map[string]*policy.Adaptive // per-node engines; nil in static mode
-	fragOver map[string]int              // consecutive epochs over fragBound, per node
+	loops    []*policy.Loop // one per node, in Nodes() order; nil in static mode
+	fragOver map[string]int // consecutive epochs over fragBound, per node
 
 	sec *secState // security-app families; nil unless Config.Secapps
 }
@@ -250,7 +250,7 @@ func newHarness(cfg Config) (*harness, error) {
 		fragOver:     make(map[string]int),
 	}
 	if cfg.Policy == "adaptive" {
-		h.engines = make(map[string]*policy.Adaptive)
+		h.attachPolicy()
 	}
 
 	// Telemetry: the fabric controller, ONE switch runtime (leaf 0 — metric
@@ -326,7 +326,7 @@ func (h *harness) run() (*Result, error) {
 		h.maybeSpineKill()
 		h.reconcileDeadSpines()
 		h.maybeRepair()
-		h.applyPolicy()
+		h.stepPolicy()
 		h.secappsEpoch()
 
 		h.expireReads()

@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"activermt/internal/packet"
+	"activermt/internal/policy"
 )
 
 // TestSoakSmoke runs a short (30 s virtual) soak with the full chaos
@@ -274,5 +277,34 @@ func TestSoakSpecializationDifferential(t *testing.T) {
 			}
 		}
 		t.Fatalf("per-epoch CSV differs in length: %d vs %d rows", len(a), len(b))
+	}
+}
+
+// TestSoakAdaptiveDerivesViolationRate checks that the soak's loops see the
+// guard-tightening signal: violations charged to one node's guard between
+// two epochs arrive as a violation rate, and that node's escalation ladder
+// tightens while every other node keeps the default.
+func TestSoakAdaptiveDerivesViolationRate(t *testing.T) {
+	h, err := newHarness(Config{Seed: 7, Policy: "adaptive"}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.stepPolicy() // the baseline observation
+	h.f.RunFor(epoch)
+	target := h.f.Nodes()[1]
+	malformed := &packet.Active{} // a program capsule with no program: charged to its port
+	malformed.Header.SetType(packet.TypeProgram)
+	for i := 0; i < 40; i++ {
+		target.Guard.CheckProgram(malformed, 1)
+	}
+	h.stepPolicy()
+	for _, n := range h.f.Nodes() {
+		got := n.Guard.Policy().RateLimitAt
+		switch {
+		case n == target && got >= policy.DefaultRateLimitAt:
+			t.Errorf("%s: 40 violations in %v left the ladder at rate-limit %d, want it tightened", n.Name, epoch, got)
+		case n != target && got != policy.DefaultRateLimitAt:
+			t.Errorf("%s: no violations, yet rate-limit rung %d", n.Name, got)
+		}
 	}
 }

@@ -26,8 +26,8 @@ type Costs struct {
 
 // DefaultCosts is calibrated so a contended admission lands at one-to-two
 // seconds, matching Figure 8a's shape (table updates dominate). The snapshot
-// window's default lives in internal/policy: it is the one cost a policy
-// engine re-decides at runtime.
+// window's default lives in internal/policy: it is the one cost the policy
+// loop re-decides at runtime.
 func DefaultCosts() Costs {
 	return Costs{
 		TableOp:         2 * time.Millisecond,
@@ -106,7 +106,7 @@ type Controller struct {
 	noMigrate map[uint16]bool
 
 	// sweepEvery, when >0, re-arms a periodic SweepAndRepair job; set by
-	// ApplyPolicy from the policy engine's SweepEvery decision.
+	// Node.ApplyPolicy from the policy loop's SweepEvery decision.
 	sweepEvery time.Duration
 	sweepArmed bool
 
@@ -331,6 +331,43 @@ func (c *Controller) finish() {
 	c.pump()
 }
 
+// conclude ends a job: stamp its end, record it, and let the queue move on.
+func (c *Controller) conclude(rec ProvisionRecord) {
+	rec.End = c.eng.Now()
+	c.Records = append(c.Records, rec)
+	c.finish()
+}
+
+// notify sends fid's client, when the controller knows it, a control notice:
+// an eviction, or a reallocation or release done.
+func (c *Controller) notify(fid uint16, flags uint16) {
+	mac, ok := c.clients[fid]
+	if !ok {
+		return
+	}
+	a := &packet.Active{Header: packet.ActiveHeader{FID: fid, Flags: packet.FlagFromSwch | flags}}
+	a.Header.SetType(packet.TypeControl)
+	_ = c.sw.SendToHost(mac, a)
+}
+
+// placementsOf returns the current placement of every FID in affected, in
+// FID order: the victims a sweep or defrag pass hands the reallocation
+// protocol.
+func (c *Controller) placementsOf(affected map[uint16]bool) []*alloc.Placement {
+	fids := make([]uint16, 0, len(affected))
+	for fid := range affected {
+		fids = append(fids, fid)
+	}
+	sort.Slice(fids, func(i, j int) bool { return fids[i] < fids[j] })
+	var changed []*alloc.Placement
+	for _, fid := range fids {
+		if pl, ok := c.al.PlacementFor(fid); ok {
+			changed = append(changed, pl)
+		}
+	}
+	return changed
+}
+
 func (c *Controller) dispatch(q queued) {
 	if q.sweep {
 		c.runSweep()
@@ -379,14 +416,7 @@ func (c *Controller) runEviction(fid uint16) {
 	rec.TableOps += c.rt.RemoveGrant(fid)
 	c.sw.cache.Invalidate(fid)
 	c.GuardEvictions++
-	if mac, ok := c.clients[fid]; ok {
-		notice := &packet.Active{Header: packet.ActiveHeader{
-			FID:   fid,
-			Flags: packet.FlagFromSwch | packet.FlagFailed | packet.FlagEvicted,
-		}}
-		notice.Header.SetType(packet.TypeControl)
-		_ = c.sw.SendToHost(mac, notice)
-	}
+	c.notify(fid, packet.FlagFailed|packet.FlagEvicted)
 	rec.Reallocated = len(changed)
 	c.reallocPhase(rec, nil, changed, false)
 }
@@ -430,7 +460,8 @@ func (c *Controller) admit(fid uint16, req *packet.AllocRequest) {
 	cons, err := alloc.FromRequest(req)
 	if err != nil {
 		rec.Failed = true
-		c.concludeFailed(rec)
+		c.respondFailure(fid)
+		c.conclude(rec)
 		return
 	}
 	cons.Name = "fid"
@@ -446,9 +477,7 @@ func (c *Controller) admit(fid uint16, req *packet.AllocRequest) {
 		rec.TableTime = c.costs.TableOp
 		c.after(c.costs.ComputeBase+rec.TableTime, func() {
 			_ = c.sw.SendToHost(c.clients[fid], c.responseFor(&alloc.Placement{FID: fid}, false))
-			rec.End = c.eng.Now()
-			c.Records = append(c.Records, rec)
-			c.finish()
+			c.conclude(rec)
 		})
 		return
 	}
@@ -466,7 +495,10 @@ func (c *Controller) admit(fid uint16, req *packet.AllocRequest) {
 		if res != nil {
 			rec.Compute += time.Duration(res.MutantsTotal) * c.costs.ComputePerMut
 		}
-		c.after(rec.Compute, func() { c.concludeFailed(rec) })
+		c.after(rec.Compute, func() {
+			c.respondFailure(fid)
+			c.conclude(rec)
+		})
 		return
 	}
 	if rec.Readmit {
@@ -492,7 +524,7 @@ func (c *Controller) release(fid uint16) {
 			return
 		}
 		rec.Failed = true
-		c.concludeFailed(rec)
+		c.conclude(rec)
 		return
 	}
 	rec.TableOps += c.rt.RemoveGrant(fid)
@@ -547,9 +579,7 @@ func (c *Controller) runSweep() {
 		c.QuarantinedBlockCount++
 	}
 	if len(perFID) == 0 && len(unowned) == 0 {
-		rec.End = c.eng.Now()
-		c.Records = append(c.Records, rec)
-		c.finish()
+		c.conclude(rec)
 		return
 	}
 
@@ -590,17 +620,7 @@ func (c *Controller) runSweep() {
 
 	// Everyone whose regions moved goes through the reallocation protocol
 	// with their final placement.
-	fids := make([]uint16, 0, len(affected))
-	for fid := range affected {
-		fids = append(fids, fid)
-	}
-	sort.Slice(fids, func(i, j int) bool { return fids[i] < fids[j] })
-	var changed []*alloc.Placement
-	for _, fid := range fids {
-		if pl, ok := c.al.PlacementFor(fid); ok {
-			changed = append(changed, pl)
-		}
-	}
+	changed := c.placementsOf(affected)
 	rec.Reallocated = len(changed)
 	c.reallocPhase(rec, nil, changed, false)
 }
@@ -710,14 +730,7 @@ func (c *Controller) applyPhase(rec ProvisionRecord, newPl *alloc.Placement, cha
 	c.after(rec.TableTime, func() {
 		for _, pl := range changed {
 			c.rt.Reactivate(pl.FID)
-			if mac, ok := c.clients[pl.FID]; ok {
-				ack := &packet.Active{Header: packet.ActiveHeader{
-					FID:   pl.FID,
-					Flags: packet.FlagFromSwch | packet.FlagDone | packet.FlagRealloc,
-				}}
-				ack.Header.SetType(packet.TypeControl)
-				_ = c.sw.SendToHost(mac, ack)
-			}
+			c.notify(pl.FID, packet.FlagDone|packet.FlagRealloc)
 		}
 		switch {
 		case newPl != nil && installErr != nil:
@@ -738,28 +751,9 @@ func (c *Controller) applyPhase(rec ProvisionRecord, newPl *alloc.Placement, cha
 			}
 			_ = c.sw.SendToHost(c.clients[newPl.FID], c.responseFor(newPl, false))
 		case release:
-			if mac, ok := c.clients[rec.FID]; ok {
-				ack := &packet.Active{Header: packet.ActiveHeader{
-					FID:   rec.FID,
-					Flags: packet.FlagFromSwch | packet.FlagDone | packet.FlagRelease,
-				}}
-				ack.Header.SetType(packet.TypeControl)
-				_ = c.sw.SendToHost(mac, ack)
-				delete(c.clients, rec.FID)
-			}
+			c.notify(rec.FID, packet.FlagDone|packet.FlagRelease)
+			delete(c.clients, rec.FID)
 		}
-		rec.End = c.eng.Now()
-		c.Records = append(c.Records, rec)
-		c.finish()
+		c.conclude(rec)
 	})
-}
-
-func (c *Controller) concludeFailed(rec ProvisionRecord) {
-	rec.Failed = true
-	rec.End = c.eng.Now()
-	c.Records = append(c.Records, rec)
-	if !rec.Release {
-		c.respondFailure(rec.FID)
-	}
-	c.finish()
 }

@@ -1,12 +1,5 @@
 package switchd
 
-import (
-	"sort"
-
-	"activermt/internal/alloc"
-	"activermt/internal/policy"
-)
-
 // Online defragmentation: live migration of a tenant's blocks to lower
 // offsets using the paper's memsync snapshot->restore protocol. A defrag
 // pass is an ordinary serialized control-plane job:
@@ -20,19 +13,10 @@ import (
 // exactly as they observe any neighbor-driven reallocation (new grants, a
 // bumped epoch) — never a torn or stale region.
 
-// ApplyPolicy pushes a policy decision set into the controller: the
-// snapshot window (the configured costs are otherwise left alone) and the
-// periodic sweep cadence. Safe to call on every policy evaluation.
-func (c *Controller) ApplyPolicy(d policy.Decisions) {
-	c.costs.SnapshotTimeout = d.Controller.SnapshotTimeout
-	c.sweepEvery = d.SweepEvery
-	c.armSweep()
-}
-
 // armSweep schedules the next periodic sweep if the policy asks for one
 // and none is pending. The continuation dies with the controller (after
 // keys it by life), and Crash clears sweepArmed, so a restarted controller
-// stays quiet until the next ApplyPolicy.
+// stays quiet until the next Node.ApplyPolicy.
 func (c *Controller) armSweep() {
 	if c.sweepEvery <= 0 || c.sweepArmed || !c.alive {
 		return
@@ -103,23 +87,11 @@ func (c *Controller) runDefrag(maxMoves int) {
 		}
 	}
 	if moved == 0 {
-		rec.End = c.eng.Now()
-		c.Records = append(c.Records, rec)
-		c.finish()
+		c.conclude(rec)
 		return
 	}
 
-	fids := make([]uint16, 0, len(affected))
-	for fid := range affected {
-		fids = append(fids, fid)
-	}
-	sort.Slice(fids, func(i, j int) bool { return fids[i] < fids[j] })
-	var changed []*alloc.Placement
-	for _, fid := range fids {
-		if pl, ok := c.al.PlacementFor(fid); ok {
-			changed = append(changed, pl)
-		}
-	}
+	changed := c.placementsOf(affected)
 	rec.Reallocated = len(changed)
 	c.reallocPhase(rec, nil, changed, false)
 }

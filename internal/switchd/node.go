@@ -13,7 +13,7 @@ import (
 
 // NodeConfig is what one switch is built from: the pipeline and the
 // allocator over it. Controller costs and guard thresholds are the package
-// defaults (DefaultCosts, guard.DefaultPolicy); a policy engine re-decides
+// defaults (DefaultCosts, guard.DefaultPolicy); the policy loop re-decides
 // the parts that vary at runtime.
 type NodeConfig struct {
 	RMT   rmt.Config
@@ -77,19 +77,15 @@ func (n *Node) AttachTelemetry(reg *telemetry.Registry) {
 	n.Switch.ProgCache().AttachTelemetry(reg)
 }
 
-// Observe reports the signals a policy engine decides on, each read where it
+// Observe reports the signals the policy loop decides on, each read where it
 // lives: the allocator's books, the guard's and the controller's counters —
 // the values the alert rules in docs/telemetry.md scrape as gauges. Two
 // fields are others' to fill: LinkFlaps by a fabric, which sees links, and
-// ViolationRate by whoever holds the previous observation (policy.Loop).
+// ViolationRate by the loop, which holds the previous observation.
 func (n *Node) Observe() policy.Observation {
-	al := n.Ctrl.Allocator()
 	return policy.Observation{
 		At:                  n.Ctrl.eng.Now(),
-		Fragmentation:       al.Fragmentation(),
-		Utilization:         al.Utilization(),
-		Tenants:             al.NumApps(),
-		QuarantinedBlocks:   al.QuarantinedBlocks(),
+		Fragmentation:       n.Ctrl.Allocator().Fragmentation(),
 		Violations:          n.Guard.TenantViolations() + n.Guard.PortViolations(),
 		SnapshotTimeouts:    n.Ctrl.SnapshotTimeouts,
 		SnapshotEscalations: n.Ctrl.SnapshotEscalations,
@@ -97,11 +93,20 @@ func (n *Node) Observe() policy.Observation {
 	}
 }
 
-// ApplyPolicy pushes one decision set into the layers this switch owns: the
-// controller's snapshot window and sweep cadence, the guard's ladder.
+// ApplyPolicy pushes one decision set into the layers this switch owns — the
+// controller's snapshot window and sweep cadence, the guard's ladder — and,
+// while the migration band calls for it, queues a defragmentation pass. It
+// is the one place a policy decision becomes a controller job; safe to call
+// on every evaluation.
 func (n *Node) ApplyPolicy(d policy.Decisions) {
-	n.Ctrl.ApplyPolicy(d)
+	c := n.Ctrl
+	c.costs.SnapshotTimeout = d.SnapshotTimeout
+	c.sweepEvery = d.SweepEvery
+	c.armSweep()
 	n.Guard.ApplyThresholds(d.Guard)
+	if d.Defrag.Migrate {
+		c.Defragment(d.Defrag.MaxMoves)
+	}
 }
 
 // SnapshotFn exposes the controller-side register read API for apps that

@@ -173,3 +173,32 @@ func TestDefragAuditsDuringMigration(t *testing.T) {
 	}
 	audit()
 }
+
+// TestAttachPolicyMigratesUntilTarget pins the testbed loop's migration band:
+// once fragmentation has crossed the trigger, a pass is queued on every
+// evaluation while it sits inside [target, trigger), until it falls below
+// the target. Here the first pass leaves it inside the band, so only the
+// band's hysteresis queues the passes that finish the job.
+func TestAttachPolicyMigratesUntilTarget(t *testing.T) {
+	tb, _ := defragBed(t, 30, 12, 16, 1)
+	al := tb.Ctrl.Allocator()
+	if f := al.Fragmentation(); f < defragTrigger {
+		t.Fatalf("churn left fragmentation %.4f, below the %.3f trigger", f, defragTrigger)
+	}
+	// The first evaluation runs now; its pass compacts the books at once.
+	tb.AttachPolicy()
+	if f := al.Fragmentation(); tb.Ctrl.DefragPasses != 1 || f < defragTarget || f >= defragTrigger {
+		t.Fatalf("after the first evaluation: %d passes, fragmentation %.4f; want 1 pass leaving it inside [%.3f, %.3f)",
+			tb.Ctrl.DefragPasses, f, defragTarget, defragTrigger)
+	}
+	tb.RunFor(time.Second)
+	if tb.Ctrl.DefragPasses < 2 {
+		t.Fatalf("no further pass queued while fragmentation %.4f sat inside the band", al.Fragmentation())
+	}
+	if f := al.Fragmentation(); f >= defragTarget {
+		t.Fatalf("fragmentation %.4f after %d passes, want below the %.3f target", f, tb.Ctrl.DefragPasses, defragTarget)
+	}
+	if err := al.AuditBooks(); err != nil {
+		t.Fatalf("books after migration: %v", err)
+	}
+}

@@ -78,7 +78,7 @@ func counterLine(sw *switchd.Switch, g *guard.Guard) string {
 		s += fmt.Sprintln("stage", i, st.Executed, st.Registers.Reads, st.Registers.Writes, st.Registers.Faults)
 	}
 	if g != nil {
-		s += fmt.Sprintln("guard", g.Checked(), g.DroppedAtIngress(), g.TenantViolations(), g.PortViolations(), g.RevokedDrops())
+		s += fmt.Sprintln("guard", g.Checked(), g.DroppedAtIngress(), g.TenantViolations(), g.PortViolations())
 	}
 	return s
 }

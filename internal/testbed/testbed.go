@@ -111,29 +111,39 @@ func (tb *Testbed) EnableTelemetry() *telemetry.Registry {
 	return tb.Tel
 }
 
-// AttachPolicy wires a policy engine over the testbed: a policy.Loop on
-// the simulation clock observes the switch (Node.Observe) and applies each
-// decision set to it. When the decisions enable defragmentation and the
-// observed fragmentation crosses the trigger, a defrag pass is queued on the
-// controller. The loop's own metrics are registered when telemetry is
-// already enabled. Returns the loop (already started); call loop.Stop() to
-// detach.
-func (tb *Testbed) AttachPolicy(eng policy.Engine) *policy.Loop {
+// The single switch's migration band and evaluation cadence. The global
+// fragmentation gauge averages over every stage, including the many the
+// testbed's tenants can never occupy, so single-switch churn tops out near
+// 0.1 — under the default 0.40 trigger meant for fleet-level saturation. The
+// band is set low enough that any real fragmentation calls for migration.
+const (
+	defragTrigger = 0.02
+	defragTarget  = 0.005
+	evalInterval  = 100 * time.Millisecond
+)
+
+// AttachPolicy closes the policy loop over the testbed: every evalInterval
+// of virtual time the loop observes the switch (Node.Observe) and applies
+// its decisions (Node.ApplyPolicy, which queues a defrag pass while the
+// migration band calls for one). The loop's own metrics are registered when
+// telemetry is already enabled. The first evaluation runs now; the loop
+// runs for the life of the testbed.
+func (tb *Testbed) AttachPolicy() *policy.Loop {
 	loop := &policy.Loop{
-		Engine:   eng,
-		Observe:  tb.Observe,
-		Schedule: tb.Eng.Schedule,
-		Apply: func(obs policy.Observation, d policy.Decisions) {
-			tb.ApplyPolicy(d)
-			if d.Defrag.Enabled && obs.Fragmentation >= d.Defrag.TriggerFrag {
-				tb.Ctrl.Defragment(d.Defrag.MaxMoves)
-			}
-		},
+		DefragTrigger: defragTrigger,
+		DefragTarget:  defragTarget,
+		Observe:       tb.Observe,
+		Apply:         tb.ApplyPolicy,
 	}
 	if tb.Tel != nil {
 		loop.AttachTelemetry(tb.Tel)
 	}
-	loop.Start()
+	var tick func()
+	tick = func() {
+		loop.Step()
+		tb.Eng.Schedule(evalInterval, tick)
+	}
+	tick()
 	return loop
 }
 

@@ -53,7 +53,6 @@ var reachAllow = map[string]string{
 	"internal/guard.Guard.Policy":                "accessor: testbed adversary test reads the thresholds it drives against",
 	"internal/guard.Guard.Port":                  "accessor: guard tests read port-attributed ledgers",
 	"internal/guard.PortLedger.Count":            "accessor: guard tests read port-attributed ledgers",
-	"internal/guard.Guard.RevokedDrops":          "accessor: testbed differential prints it in its counter line",
 	"internal/netsim.Port.Down":                  "accessor: chaos and netsim tests",
 	"internal/netsim.Port.DownTransitions":       "accessor: fabric health test counts link flaps",
 	"internal/fabric.Fabric.LinkUp":              "accessor: fabric health tests read the routing verdict",
