@@ -479,7 +479,7 @@ func assertNoOverlap(t *testing.T, a *Allocator) {
 	perStage := map[int][]owned{}
 	for _, fid := range a.FIDs() {
 		app, _ := a.App(fid)
-		for s, r := range app.Regions() {
+		for s, r := range app.regions {
 			if r.Lo < 0 || r.Hi > a.Config().BlocksPerStage() || r.Lo >= r.Hi {
 				t.Fatalf("fid %d stage %d bad range %+v", fid, s, r)
 			}
@@ -541,7 +541,7 @@ func TestNoOverlapProperty(t *testing.T) {
 			if app.Elastic && app.TotalBlocks() == 0 {
 				return false
 			}
-			for s, r := range app.Regions() {
+			for s, r := range app.regions {
 				for _, o := range seen[s] {
 					if r.overlaps(o) {
 						return false
@@ -636,7 +636,7 @@ func TestMaxRegionsPerStageCap(t *testing.T) {
 	counts := map[int]int{}
 	for _, fid := range a.FIDs() {
 		app, _ := a.App(fid)
-		for s := range app.Regions() {
+		for s := range app.regions {
 			counts[s]++
 		}
 	}
@@ -854,5 +854,39 @@ func TestAllocationDeterminism(t *testing.T) {
 				t.Fatalf("fid %d access %d: %+v vs %+v", fid, i, ax[i], ay[i])
 			}
 		}
+	}
+}
+
+// TestAllocatorChurnAllocs: a departure and an arrival among 40 residents —
+// elastic caches and inelastic heavy hitters — allocate what they return
+// (the Result, its placements, the admitted App) and the mutant enumeration,
+// and no per-call books: no census maps, no snapshot maps, no groups built
+// per candidate mutant.
+func TestAllocatorChurnAllocs(t *testing.T) {
+	a := newAllocator(t, testConfig())
+	cons := map[uint16]*Constraints{}
+	for fid := uint16(1); fid <= 40; fid++ {
+		cons[fid] = cacheCons()
+		if fid%4 == 0 {
+			cons[fid] = hhCons()
+		}
+		if res, err := a.Allocate(fid, cons[fid]); err != nil || res.Failed {
+			t.Fatalf("fid %d: %v %+v", fid, err, res)
+		}
+	}
+	fid := uint16(0)
+	n := testing.AllocsPerRun(200, func() {
+		fid = fid%40 + 1
+		if _, err := a.Release(fid); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := a.Allocate(fid, cons[fid]); err != nil || res.Failed {
+			t.Fatalf("fid %d: %v %+v", fid, err, res)
+		}
+	})
+	// The pair allocates 85 (87 under -race): the ceiling leaves room for
+	// the runtime's map and slice growth, not for books rebuilt per call.
+	if n > 90 {
+		t.Errorf("%.0f allocations per Release + Allocate, want <= 90: the books allocate per call again", n)
 	}
 }

@@ -1,9 +1,11 @@
 package alloc
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
+
+	"activermt/internal/packet"
 )
 
 // Scheme selects how the allocator ranks feasible mutants (Section 4.2 and
@@ -103,15 +105,6 @@ type App struct {
 	regions map[int]BlockRange // physical stage -> granted blocks
 }
 
-// Regions returns the app's current per-stage block grants (copy).
-func (a *App) Regions() map[int]BlockRange {
-	out := make(map[int]BlockRange, len(a.regions))
-	for s, r := range a.regions {
-		out[s] = r
-	}
-	return out
-}
-
 // TotalBlocks returns the blocks held across all stages.
 func (a *App) TotalBlocks() int {
 	t := 0
@@ -174,6 +167,18 @@ type Allocator struct {
 	// again as.
 	relayouts [2]uint64
 	relayOnly bool
+
+	// Working storage of one mutation, kept between calls so that a mutation
+	// allocates only what it returns; nothing in it outlives the call that
+	// fills it.
+	stats    []stageStats      // census
+	sigs     map[stageSet]bool // elasticSignatures
+	cands    []cand            // Allocate's feasible mutants
+	groups   []appGroup        // one candidate mutant's alignment groups
+	egroups  []egroup          // elasticGroups
+	order    []egroup          // a lay order
+	setBuf   []*intervalSet    // sets
+	perStage [2][]int          // fairShares' room and contention, then realiseInPlace's unrealised share
 }
 
 // New returns an empty allocator.
@@ -190,6 +195,11 @@ func New(cfg Config) (*Allocator, error) {
 		apps:    make(map[uint16]*App),
 		pinned:  make([]*intervalSet, cfg.NumStages),
 		elastic: make([]*intervalSet, cfg.NumStages),
+		stats:   make([]stageStats, cfg.NumStages),
+		sigs:    map[stageSet]bool{},
+	}
+	for i := range a.perStage {
+		a.perStage[i] = make([]int, cfg.NumStages)
 	}
 	for i := range a.pinned {
 		a.pinned[i] = &intervalSet{}
@@ -216,35 +226,32 @@ func (a *Allocator) FIDs() []uint16 {
 	for fid := range a.apps {
 		out = append(out, fid)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
-// buildGroups derives the app's alignment groups for a mutant placement.
-func buildGroups(cons *Constraints, mut Mutant, numStages int) []appGroup {
-	byID := map[int]*appGroup{}
-	var order []int
+// buildGroups derives the app's alignment groups for a mutant placement, in
+// order of first access, reusing dst's storage (nil for groups an App keeps).
+func buildGroups(dst []appGroup, cons *Constraints, mut Mutant, numStages int) []appGroup {
+	dst = dst[:0]
 	for i, acc := range cons.Accesses {
 		id := acc.AlignGroup
 		if id == 0 {
 			id = -(i + 1) // ungrouped accesses get private groups
 		}
-		g, ok := byID[id]
-		if !ok {
-			g = &appGroup{id: id}
-			byID[id] = g
-			order = append(order, id)
+		gi := 0
+		for gi < len(dst) && dst[gi].id != id {
+			gi++
 		}
-		if acc.Demand > g.demand {
-			g.demand = acc.Demand
+		if gi == len(dst) {
+			dst = slices.Grow(dst, 1)[:gi+1]
+			dst[gi] = appGroup{id: id, stages: dst[gi].stages[:0]}
 		}
+		g := &dst[gi]
+		g.demand = max(g.demand, acc.Demand)
 		g.stages = append(g.stages, mut[i]%numStages)
 	}
-	out := make([]appGroup, 0, len(order))
-	for _, id := range order {
-		out = append(out, *byID[id])
-	}
-	return out
+	return dst
 }
 
 // stageStats is a per-stage census used for feasibility and cost.
@@ -252,14 +259,13 @@ type stageStats struct {
 	pinnedUsed    int
 	elasticGroups int
 	regionApps    int
-	elasticFIDs   map[uint16]bool
 }
 
+// census counts every stage's occupancy into storage the next call reuses.
 func (a *Allocator) census() []stageStats {
-	st := make([]stageStats, a.cfg.NumStages)
+	st := a.stats
 	for s := range st {
-		st[s].pinnedUsed = a.pinned[s].used()
-		st[s].elasticFIDs = map[uint16]bool{}
+		st[s] = stageStats{pinnedUsed: a.pinned[s].used()}
 	}
 	for _, app := range a.apps {
 		for s := range app.regions {
@@ -271,7 +277,6 @@ func (a *Allocator) census() []stageStats {
 		for _, g := range app.groups {
 			for _, s := range g.stages {
 				st[s].elasticGroups++
-				st[s].elasticFIDs[app.FID] = true
 			}
 		}
 	}
@@ -304,7 +309,7 @@ func (a *Allocator) feasible(groups []appGroup, elastic bool, st []stageStats) b
 // that existing elastic groups already use is preferred (fourth component):
 // identical sets stack at common offsets without fragmenting one another,
 // which keeps aligned placement feasible at high occupancy.
-func (a *Allocator) cost(groups []appGroup, st []stageStats, sigs map[string]bool) [5]int {
+func (a *Allocator) cost(groups []appGroup, st []stageStats, sigs map[stageSet]bool) [5]int {
 	var c [5]int
 	sigBonus := 0
 	overlap := 0
@@ -325,15 +330,7 @@ func (a *Allocator) cost(groups []appGroup, st []stageStats, sigs map[string]boo
 	case FirstFit:
 		return c // enumeration order decides
 	case MinRealloc:
-		disturbed := map[uint16]bool{}
-		for _, g := range groups {
-			for _, s := range g.stages {
-				for fid := range st[s].elasticFIDs {
-					disturbed[fid] = true
-				}
-			}
-		}
-		c[0] = len(disturbed)
+		c[0] = a.disturbed(groups)
 		// Tie-break like worst fit.
 		c[1] = sigBonus
 		for _, g := range groups {
@@ -373,37 +370,64 @@ func (a *Allocator) cost(groups []appGroup, st []stageStats, sigs map[string]boo
 	return c
 }
 
-// groupSig is a stage-set signature used for placement-affinity ranking.
-func groupSig(stages []int) string {
-	b := make([]byte, len(stages))
-	for i, s := range stages {
-		b[i] = byte(s)
+// disturbed counts the resident elastic apps holding a group in a stage one
+// of groups would occupy: the apps an admission there may move.
+func (a *Allocator) disturbed(groups []appGroup) int {
+	n := 0
+	for _, app := range a.apps {
+		if app.Elastic && shareStage(app.groups, groups) {
+			n++
+		}
 	}
-	return string(b)
+	return n
+}
+
+// shareStage reports whether two sets of groups occupy a common stage.
+func shareStage(x, y []appGroup) bool {
+	for _, gx := range x {
+		for _, gy := range y {
+			for _, s := range gx.stages {
+				if slices.Contains(gy.stages, s) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// stageSet is a stage-set signature used for placement-affinity ranking: a
+// group's stages, each plus one, zero-padded (a group has at most one stage
+// per access).
+type stageSet [packet.MaxAccesses]uint16
+
+func groupSig(stages []int) stageSet {
+	var k stageSet
+	for i, s := range stages {
+		k[i] = uint16(s + 1)
+	}
+	return k
 }
 
 // elasticSignatures collects the stage-set signatures of resident elastic
-// groups.
-func (a *Allocator) elasticSignatures() map[string]bool {
-	out := map[string]bool{}
+// groups, into a set the next call reuses.
+func (a *Allocator) elasticSignatures() map[stageSet]bool {
+	clear(a.sigs)
 	for _, app := range a.apps {
 		if !app.Elastic {
 			continue
 		}
 		for _, g := range app.groups {
-			out[groupSig(g.stages)] = true
+			a.sigs[groupSig(g.stages)] = true
 		}
 	}
-	return out
+	return a.sigs
 }
 
-func lessCost(x, y [5]int) bool {
-	for i := 0; i < 4; i++ {
-		if x[i] != y[i] {
-			return x[i] < y[i]
-		}
-	}
-	return x[4] < y[4]
+// cand is a feasible mutant of an Allocate and its cost.
+type cand struct {
+	idx  int
+	cost [5]int
 }
 
 // Allocate admits fid with the given constraints, choosing the best feasible
@@ -432,46 +456,39 @@ func (a *Allocator) Allocate(fid uint16, cons *Constraints) (*Result, error) {
 		return &Result{Failed: true, Reason: "infeasible-constraints"}, nil
 	}
 	st := a.census()
-
 	sigs := a.elasticSignatures()
-	type cand struct {
-		idx  int
-		cost [5]int
-	}
-	var cands []cand
+	cands := a.cands[:0]
 	for idx, x := range mutants {
-		groups := buildGroups(cons, x, a.cfg.NumStages)
-		if !a.feasible(groups, cons.Elastic, st) {
+		a.groups = buildGroups(a.groups, cons, x, a.cfg.NumStages)
+		if !a.feasible(a.groups, cons.Elastic, st) {
 			continue
 		}
-		cands = append(cands, cand{idx: idx, cost: a.cost(groups, st, sigs)})
+		cands = append(cands, cand{idx: idx, cost: a.cost(a.groups, st, sigs)})
 	}
+	a.cands = cands
 	res := &Result{MutantsTotal: len(mutants), MutantsFeasible: len(cands)}
 	if len(cands) == 0 {
 		res.Failed = true
 		res.Reason = "no-feasible-mutant"
 		return res, nil
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].cost != cands[j].cost {
-			return lessCost(cands[i].cost, cands[j].cost)
-		}
-		return cands[i].idx < cands[j].idx
+	slices.SortFunc(cands, func(x, y cand) int {
+		return cmp.Or(slices.Compare(x.cost[:], y.cost[:]), cmp.Compare(x.idx, y.idx))
 	})
 
 	before := a.snapshotElasticRegions()
 	// Bound the commit walk, but keep it diverse: consecutive candidates
 	// under a tied cost share nearly identical stage sets and fail the
-	// same way, so after the best few, sample the remainder evenly.
+	// same way, so after the best few, sample the remainder evenly (in
+	// place: the sample keeps the candidates' order).
 	// Commits rarely fail — the skyline fallback makes elastic placement
 	// robust — so the bound is a backstop.
 	const maxTry = 32
 	try := cands
 	if len(cands) > maxTry {
-		try = try[:0:0]
 		head := maxTry / 4
-		try = append(try, cands[:head]...)
 		stride := (len(cands) - head) / (maxTry - head)
+		try = cands[:head]
 		for i := head; i < len(cands); i += stride {
 			try = append(try, cands[i])
 		}
@@ -485,7 +502,7 @@ func (a *Allocator) Allocate(fid uint16, cons *Constraints) (*Result, error) {
 			Elastic:   cons.Elastic,
 			regions:   map[int]BlockRange{},
 		}
-		app.groups = buildGroups(cons, app.Mut, a.cfg.NumStages)
+		app.groups = buildGroups(nil, cons, app.Mut, a.cfg.NumStages)
 		if a.tryCommit(app, before) {
 			res.New = a.placementFor(app)
 			res.Reallocated = a.changedPlacements(before, fid)
@@ -499,23 +516,21 @@ func (a *Allocator) Allocate(fid uint16, cons *Constraints) (*Result, error) {
 
 // tryCommit attempts to install the app; on any failure the allocator state
 // is restored exactly, the elastic layout from the copy in before.
-func (a *Allocator) tryCommit(app *App, before map[uint16]map[int]BlockRange) bool {
-	var added []int // stages where pinned intervals were inserted
+func (a *Allocator) tryCommit(app *App, before []heldRegion) bool {
 	rollback := func() {
-		for _, s := range added {
-			a.pinned[s].removeOwner(app.FID)
+		if !app.Elastic {
+			for s := range app.regions {
+				a.pinned[s].removeOwner(app.FID) // the intervals inserted so far
+			}
 		}
 		delete(a.apps, app.FID)
 		a.restoreElastic(before)
 	}
 
 	if !app.Elastic {
-		for _, g := range app.groups {
-			sets := make([]*intervalSet, len(g.stages))
-			for i, s := range g.stages {
-				sets[i] = a.pinned[s]
-			}
-			off, ok := lowestCommonOffset(sets, g.demand, a.blocks)
+		for gi := range app.groups {
+			g := &app.groups[gi]
+			off, ok := lowestCommonOffset(a.sets(g, false), g.demand, a.blocks)
 			if !ok {
 				rollback()
 				return false
@@ -524,7 +539,6 @@ func (a *Allocator) tryCommit(app *App, before map[uint16]map[int]BlockRange) bo
 			for _, s := range g.stages {
 				a.pinned[s].insert(interval{BlockRange: r, fid: app.FID, group: g.id})
 				app.regions[s] = r
-				added = append(added, s)
 			}
 		}
 	}
@@ -573,7 +587,7 @@ func (a *Allocator) Release(fid uint16) ([]*Placement, error) {
 // recomputeFreed is recomputeElastic after a tenant left: a re-lay that
 // squeezes a neighbor out is no way to use the freed space, so everyone then
 // stays where before has them.
-func (a *Allocator) recomputeFreed(before map[uint16]map[int]BlockRange) {
+func (a *Allocator) recomputeFreed(before []heldRegion) {
 	if a.recomputeElastic(); a.starved() {
 		a.restoreElastic(before)
 	}
@@ -585,6 +599,7 @@ type egroup struct {
 	app   *App
 	g     *appGroup
 	share int
+	full  bool // the waterfill can grow it no more
 }
 
 // region returns the range the group holds now: its stages share one range
@@ -609,16 +624,19 @@ func (a *Allocator) recomputeElastic() {
 }
 
 // elasticGroups lists the alignment groups of the resident elastic apps, by
-// FID and group, shares not yet computed.
+// FID and group, shares not yet computed, in storage the next call reuses.
 func (a *Allocator) elasticGroups() []egroup {
-	var groups []egroup
-	for _, fid := range a.FIDs() {
-		if app := a.apps[fid]; app.Elastic {
+	groups := a.egroups[:0]
+	for _, app := range a.apps {
+		if app.Elastic {
 			for gi := range app.groups {
 				groups = append(groups, egroup{app: app, g: &app.groups[gi]})
 			}
 		}
 	}
+	// Stable: an app's groups stay in order.
+	slices.SortStableFunc(groups, func(x, y egroup) int { return cmp.Compare(x.app.FID, y.app.FID) })
+	a.egroups = groups
 	return groups
 }
 
@@ -643,20 +661,15 @@ func (a *Allocator) fairShares(groups []egroup) {
 	// slack is why steady-state utilization converges below 1.0 (the
 	// paper's Figure 7a converges to ~0.75 for the same structural
 	// reason).
-	remaining := make([]int, a.cfg.NumStages)
+	remaining, activeIn := a.perStage[0], a.perStage[1]
 	for s := range remaining {
 		remaining[s] = max(a.blocks-a.pinned[s].used()-a.slack(), 0)
 	}
-	active := make([]bool, len(groups))
-	for i := range active {
-		active[i] = true
-	}
-	activeIn := make([]int, a.cfg.NumStages)
 	for {
 		clear(activeIn)
 		anyActive := false
-		for i, eg := range groups {
-			if !active[i] {
+		for _, eg := range groups {
+			if eg.full {
 				continue
 			}
 			anyActive = true
@@ -676,16 +689,16 @@ func (a *Allocator) fairShares(groups []egroup) {
 		step = max(step, 1)
 		progressed := false
 		for i := range groups {
-			if !active[i] {
+			eg := &groups[i]
+			if eg.full {
 				continue
 			}
-			eg := &groups[i]
 			can := step
 			for _, s := range eg.g.stages {
 				can = min(can, remaining[s])
 			}
 			if can < 1 {
-				active[i] = false
+				eg.full = true
 				continue
 			}
 			eg.share += can
@@ -703,26 +716,28 @@ func (a *Allocator) fairShares(groups []egroup) {
 // slack is the sliver of every stage the waterfill holds back.
 func (a *Allocator) slack() int { return a.blocks / 16 }
 
-// layOrder is the order groups are laid into free space: identical stage
-// sets consecutively (their common offsets chain without stranding), larger
-// shares first within a set, then FID and group.
-func layOrder(groups []egroup) []egroup {
-	order := slices.Clone(groups)
-	sort.SliceStable(order, func(i, j int) bool {
-		if si, sj := groupSig(order[i].g.stages), groupSig(order[j].g.stages); si != sj {
-			return si < sj
-		}
-		return order[i].share > order[j].share
+// layOrder sorts groups into the order they are laid into free space:
+// identical stage sets consecutively (their common offsets chain without
+// stranding), larger shares first within a set, then as given (FID and
+// group).
+func layOrder(groups []egroup) {
+	slices.SortStableFunc(groups, func(x, y egroup) int {
+		return cmp.Or(slices.Compare(x.g.stages, y.g.stages), cmp.Compare(y.share, x.share))
 	})
-	return order
 }
 
-// sets returns the interval sets a placement of g must avoid.
-func (a *Allocator) sets(g *appGroup) []*intervalSet {
-	sets := make([]*intervalSet, 0, 2*len(g.stages))
+// sets returns the interval sets a placement of g must avoid — the pinned
+// sets of its stages and, for an elastic group, their elastic sets — in
+// storage the next call reuses.
+func (a *Allocator) sets(g *appGroup, elastic bool) []*intervalSet {
+	sets := a.setBuf[:0]
 	for _, s := range g.stages {
-		sets = append(sets, a.pinned[s], a.elastic[s])
+		sets = append(sets, a.pinned[s])
+		if elastic {
+			sets = append(sets, a.elastic[s])
+		}
 	}
+	a.setBuf = sets
 	return sets
 }
 
@@ -739,7 +754,7 @@ func (a *Allocator) setRegion(eg egroup, r BlockRange) {
 // all of g's stages, counting nothing at or beyond limit.
 func (a *Allocator) room(g *appGroup, r BlockRange, limit int) (below, above int) {
 	below, above = r.Lo, max(limit-r.Hi, 0)
-	for _, set := range a.sets(g) {
+	for _, set := range a.sets(g, true) {
 		b, t := set.room(r, limit)
 		below, above = min(below, b), min(above, t)
 	}
@@ -757,7 +772,7 @@ func (a *Allocator) room(g *appGroup, r BlockRange, limit int) (below, above int
 // share than the slack the waterfill already holds back.
 func (a *Allocator) realiseInPlace(groups []egroup) bool {
 	a.clearElastic()
-	var newcomers []egroup
+	newcomers := a.order[:0]
 	for _, eg := range groups {
 		r := eg.region()
 		if r.Size() < 1 {
@@ -767,7 +782,7 @@ func (a *Allocator) realiseInPlace(groups []egroup) bool {
 		if eg.share < 1 {
 			return false
 		}
-		for _, set := range a.sets(eg.g) {
+		for _, set := range a.sets(eg.g, true) {
 			if _, clash := set.conflict(r); clash {
 				return false
 			}
@@ -785,14 +800,17 @@ func (a *Allocator) realiseInPlace(groups []egroup) bool {
 			a.setRegion(eg, r)
 		}
 	}
-	for _, eg := range layOrder(newcomers) {
-		off, ok := lowestCommonOffset(a.sets(eg.g), eg.share, a.blocks)
+	a.order = newcomers
+	layOrder(newcomers)
+	for _, eg := range newcomers {
+		off, ok := lowestCommonOffset(a.sets(eg.g, true), eg.share, a.blocks)
 		if !ok {
 			return false
 		}
 		a.setRegion(eg, BlockRange{Lo: off, Hi: off + eg.share})
 	}
-	unrealised := make([]int, a.cfg.NumStages)
+	unrealised := a.perStage[0]
+	clear(unrealised)
 	for _, eg := range groups {
 		r := eg.region()
 		if want := eg.share - r.Size(); want > 0 {
@@ -819,8 +837,11 @@ func (a *Allocator) relay(groups []egroup) {
 	for _, eg := range groups {
 		clear(eg.app.regions)
 	}
-	for _, eg := range layOrder(groups) {
-		sets := a.sets(eg.g)
+	order := append(a.order[:0], groups...)
+	a.order = order
+	layOrder(order)
+	for _, eg := range order {
+		sets := a.sets(eg.g, true)
 		// Fit the largest placeable size <= the fair share. Placeability
 		// is monotone in size, so binary-search instead of shrinking one
 		// block at a time.
@@ -859,76 +880,80 @@ func (a *Allocator) relay(groups []egroup) {
 	}
 }
 
-// snapshotElasticRegions captures elastic apps' regions for change
-// detection.
-func (a *Allocator) snapshotElasticRegions() map[uint16]map[int]BlockRange {
-	out := map[uint16]map[int]BlockRange{}
-	for fid, app := range a.apps {
+// heldRegion is what one alignment group of an elastic app holds: an empty
+// range means nothing.
+type heldRegion struct {
+	app *App
+	gi  int // index into app.groups
+	BlockRange
+}
+
+// snapshotElasticRegions captures the elastic apps' regions, by FID and
+// group, for change detection and rollback: a flat slice of its own per call,
+// since Evacuate allocates while its snapshot is live.
+func (a *Allocator) snapshotElasticRegions() []heldRegion {
+	n := 0
+	for _, app := range a.apps {
 		if app.Elastic {
-			out[fid] = app.Regions()
+			n += len(app.groups)
 		}
 	}
+	out := make([]heldRegion, 0, n)
+	for _, app := range a.apps {
+		if app.Elastic {
+			for gi, g := range app.groups {
+				out = append(out, heldRegion{app: app, gi: gi, BlockRange: app.regions[g.stages[0]]})
+			}
+		}
+	}
+	slices.SortFunc(out, func(x, y heldRegion) int {
+		return cmp.Or(cmp.Compare(x.app.FID, y.app.FID), cmp.Compare(x.gi, y.gi))
+	})
 	return out
 }
 
 // restoreElastic puts the elastic layout back to a snapshot: the regions of
 // every elastic app still resident and the interval sets that mirror them.
-func (a *Allocator) restoreElastic(saved map[uint16]map[int]BlockRange) {
+func (a *Allocator) restoreElastic(saved []heldRegion) {
 	a.clearElastic()
-	for fid, regions := range saved {
-		app, ok := a.apps[fid]
-		if !ok {
-			continue
+	for _, h := range saved {
+		if a.apps[h.app.FID] != h.app {
+			continue // gone (or replaced) since the snapshot
 		}
-		app.regions = map[int]BlockRange{}
-		for gi := range app.groups {
-			g := &app.groups[gi]
-			if r := regions[g.stages[0]]; r.Size() > 0 {
-				a.setRegion(egroup{app: app, g: g}, r)
-			}
+		if h.gi == 0 {
+			clear(h.app.regions)
+		}
+		if h.Size() > 0 {
+			a.setRegion(egroup{app: h.app, g: &h.app.groups[h.gi]}, h.BlockRange)
 		}
 	}
 }
 
-// changedPlacements lists apps whose regions differ from the snapshot,
-// excluding skip (the newly admitted or released fid).
-func (a *Allocator) changedPlacements(before map[uint16]map[int]BlockRange, skip uint16) []*Placement {
+// changedPlacements lists, by FID, the apps of the snapshot still resident
+// whose regions differ from it, excluding skip (the newly admitted or
+// released fid).
+func (a *Allocator) changedPlacements(before []heldRegion, skip uint16) []*Placement {
 	var out []*Placement
-	for _, fid := range a.FIDs() {
-		if fid == skip {
-			continue
+	for i := 0; i < len(before); {
+		app, moved := before[i].app, false
+		for ; i < len(before) && before[i].app == app; i++ {
+			for _, s := range app.groups[before[i].gi].stages {
+				if app.regions[s] != before[i].BlockRange {
+					moved = true
+				}
+			}
 		}
-		app := a.apps[fid]
-		if !app.Elastic {
-			continue
+		if moved && app.FID != skip && a.apps[app.FID] == app {
+			out = append(out, a.placementFor(app))
 		}
-		old, had := before[fid]
-		if !had {
-			continue
-		}
-		if regionsEqual(old, app.regions) {
-			continue
-		}
-		out = append(out, a.placementFor(app))
 	}
 	return out
 }
 
-func regionsEqual(x map[int]BlockRange, y map[int]BlockRange) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for s, r := range x {
-		if y[s] != r {
-			return false
-		}
-	}
-	return true
-}
-
 // placementFor materializes an app's word-level placement.
 func (a *Allocator) placementFor(app *App) *Placement {
-	p := &Placement{FID: app.FID, Policy: a.cfg.Policy, MutantIdx: app.MutantIdx, Mutant: app.Mut.clone()}
+	p := &Placement{FID: app.FID, Policy: a.cfg.Policy, MutantIdx: app.MutantIdx, Mutant: app.Mut.clone(),
+		Accesses: make([]AccessPlacement, 0, len(app.Mut))}
 	for _, logical := range app.Mut {
 		s := a.cfg.Physical(logical)
 		r := app.regions[s]

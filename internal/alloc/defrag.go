@@ -1,6 +1,9 @@
 package alloc
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Online-defragmentation support: compaction re-places an inelastic app's
 // alignment groups at the lowest feasible offsets, sliding them down into
@@ -27,36 +30,28 @@ func (a *Allocator) Fragmentation() float64 {
 }
 
 // stageHoles returns the free blocks of one stage and the size of its
-// largest contiguous free hole, merging the pinned and elastic interval sets.
+// largest contiguous free hole, walking the pinned and elastic interval sets
+// (each sorted by Lo) merged.
 func stageHoles(pinned, elastic *intervalSet, blocks int) (free, largest int) {
-	ivs := make([]BlockRange, 0, len(pinned.ivs)+len(elastic.ivs))
-	for _, iv := range pinned.ivs {
-		ivs = append(ivs, iv.BlockRange)
-	}
-	for _, iv := range elastic.ivs {
-		ivs = append(ivs, iv.BlockRange)
-	}
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].Lo < ivs[j].Lo })
+	p, e := pinned.ivs, elastic.ivs
 	at := 0
-	for _, r := range ivs {
-		if r.Lo > at {
-			hole := r.Lo - at
-			free += hole
-			if hole > largest {
-				largest = hole
-			}
-		}
-		if r.Hi > at {
-			at = r.Hi
+	hole := func(upTo int) {
+		if upTo > at {
+			free += upTo - at
+			largest = max(largest, upTo-at)
 		}
 	}
-	if blocks > at {
-		hole := blocks - at
-		free += hole
-		if hole > largest {
-			largest = hole
+	for len(p) > 0 || len(e) > 0 {
+		var r BlockRange
+		if len(e) == 0 || len(p) > 0 && p[0].Lo < e[0].Lo {
+			r, p = p[0].BlockRange, p[1:]
+		} else {
+			r, e = e[0].BlockRange, e[1:]
 		}
+		hole(r.Lo)
+		at = max(at, r.Hi)
 	}
+	hole(blocks)
 	return free, largest
 }
 
@@ -107,11 +102,7 @@ func (a *Allocator) compactPlan(app *App) (moves []groupMove, gain int, ok bool)
 	ok = true
 	improved := false
 	for gi, g := range app.groups {
-		sets := make([]*intervalSet, len(g.stages))
-		for i, s := range g.stages {
-			sets[i] = a.pinned[s]
-		}
-		off, found := lowestCommonOffset(sets, g.demand, a.blocks)
+		off, found := lowestCommonOffset(a.sets(&app.groups[gi], false), g.demand, a.blocks)
 		if !found || off > old[gi].Lo {
 			ok = false
 			break
@@ -155,11 +146,8 @@ func (a *Allocator) CompactionCandidates(eligible func(uint16) bool) []uint16 {
 			cands = append(cands, cand{fid: fid, gain: gain})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].gain != cands[j].gain {
-			return cands[i].gain > cands[j].gain
-		}
-		return cands[i].fid < cands[j].fid
+	slices.SortFunc(cands, func(x, y cand) int {
+		return cmp.Or(cmp.Compare(y.gain, x.gain), cmp.Compare(x.fid, y.fid))
 	})
 	out := make([]uint16, len(cands))
 	for i, c := range cands {
@@ -197,7 +185,7 @@ func (a *Allocator) CompactApp(fid uint16) (res *CompactResult, ok bool) {
 		for _, s := range a.pinned {
 			s.removeOwner(fid)
 		}
-		app.regions = map[int]BlockRange{}
+		clear(app.regions)
 		for _, mv := range moves {
 			r, g := mv.from, app.groups[mv.gi]
 			if planned {

@@ -3,6 +3,7 @@ package alloc
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -243,10 +244,10 @@ func (m *opsModel) check(op byte) {
 	}
 	rec := m.recovered()
 	for fid, regions := range m.tables {
-		if !regionsEqual(a.apps[fid].regions, regions) {
+		if !maps.Equal(a.apps[fid].regions, regions) {
 			fail("fid %d: books %v, tables %v (a move went unreported)", fid, a.apps[fid].regions, regions)
 		}
-		if !regionsEqual(rec.apps[fid].regions, regions) {
+		if !maps.Equal(rec.apps[fid].regions, regions) {
 			fail("fid %d: recovered books %v, tables %v", fid, rec.apps[fid].regions, regions)
 		}
 	}

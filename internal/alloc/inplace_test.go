@@ -1,9 +1,19 @@
 package alloc
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 )
+
+// regionsNow copies every resident app's regions, by FID.
+func regionsNow(a *Allocator) map[uint16]map[int]BlockRange {
+	out := map[uint16]map[int]BlockRange{}
+	for fid, app := range a.apps {
+		out[fid] = maps.Clone(app.regions)
+	}
+	return out
+}
 
 // selectCons is an elastic app whose two accesses need no common offset.
 func selectCons() *Constraints {
@@ -16,7 +26,7 @@ func selectCons() *Constraints {
 func TestInPlaceAdmissionShrinksVictimsWhereTheyStand(t *testing.T) {
 	a := newAllocator(t, testConfig())
 	for fid := uint16(1); fid <= 40; fid++ {
-		old := a.snapshotElasticRegions()
+		old := regionsNow(a)
 		was := a.relayouts
 		res, err := a.Allocate(fid, cacheCons())
 		if err != nil || res.Failed {
@@ -49,7 +59,7 @@ func TestReleaseInPlaceGrowsOnlyNeighbors(t *testing.T) {
 			t.Fatalf("fid %d: %v %+v", fid, err, res)
 		}
 	}
-	old := a.snapshotElasticRegions()
+	old := regionsNow(a)
 	was := a.relayouts
 	changed, err := a.Release(7)
 	if err != nil {

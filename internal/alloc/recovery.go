@@ -3,7 +3,6 @@ package alloc
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Controller crash-recovery and memory-quarantine support. The switch
@@ -38,7 +37,7 @@ func (a *Allocator) Recover(fid uint16, regions map[int]BlockRange) error {
 	for s := range regions {
 		stages = append(stages, s)
 	}
-	sort.Ints(stages)
+	slices.Sort(stages)
 	for _, s := range stages {
 		r := regions[s]
 		if s < 0 || s >= a.cfg.NumStages || r.Lo < 0 || r.Hi > a.blocks || r.Size() < 1 {
@@ -105,7 +104,7 @@ func (a *Allocator) Readmit(fid uint16, cons *Constraints) (*Result, error) {
 	app.Mut = mutants[match]
 	app.MutantIdx = match
 	app.Elastic = cons.Elastic
-	app.groups = buildGroups(cons, app.Mut, a.cfg.NumStages)
+	app.groups = buildGroups(nil, cons, app.Mut, a.cfg.NumStages)
 	res := &Result{MutantsTotal: len(mutants), MutantsFeasible: 1}
 	if cons.Elastic {
 		// Restore elasticity: drop the pinned placeholder and let the
@@ -136,13 +135,14 @@ func (a *Allocator) Readmit(fid uint16, cons *Constraints) (*Result, error) {
 
 // matchMutant returns the index of the first mutant whose physical stage
 // projection and alignment structure are consistent with the installed
-// regions, or -1.
+// regions, or -1. A mutant's accesses land in distinct physical stages, so
+// one whose every access finds its region matches when it has one access
+// per installed region.
 func (a *Allocator) matchMutant(cons *Constraints, mutants []Mutant, regions map[int]BlockRange) int {
 	for idx, m := range mutants {
-		groups := buildGroups(cons, m, a.cfg.NumStages)
-		stagesSeen := map[int]bool{}
+		a.groups = buildGroups(a.groups, cons, m, a.cfg.NumStages)
 		ok := true
-		for _, g := range groups {
+		for _, g := range a.groups {
 			var common BlockRange
 			for i, s := range g.stages {
 				r, has := regions[s]
@@ -156,13 +156,12 @@ func (a *Allocator) matchMutant(cons *Constraints, mutants []Mutant, regions map
 					ok = false // aligned accesses must share one range
 					break
 				}
-				stagesSeen[s] = true
 			}
 			if !ok {
 				break
 			}
 		}
-		if ok && len(stagesSeen) == len(regions) {
+		if ok && len(m) == len(regions) {
 			return idx
 		}
 	}
@@ -232,7 +231,6 @@ func (a *Allocator) Evacuate(fid uint16, quar map[int][]BlockRange) (*Result, er
 		return nil, fmt.Errorf("alloc: fid %d not resident", fid)
 	}
 	before := a.snapshotElasticRegions()
-	delete(before, fid) // the victim always gets a fresh placement
 	cons := app.Cons
 	for _, s := range a.pinned {
 		s.removeOwner(fid)
@@ -242,7 +240,7 @@ func (a *Allocator) Evacuate(fid uint16, quar map[int][]BlockRange) (*Result, er
 	for s := range quar {
 		stages = append(stages, s)
 	}
-	sort.Ints(stages)
+	slices.Sort(stages)
 	for _, s := range stages {
 		for _, r := range quar[s] {
 			if _, clash := a.pinned[s].conflict(r); clash {

@@ -158,7 +158,7 @@ type Client struct {
 
 	state     State
 	placement *alloc.Placement
-	progs     map[string]mutant // synthesized per current placement
+	progs     map[string]mutant // synthesized for the current placement's mutant
 
 	// Receive decodes into rx and rxAct; a Handler sees them for the
 	// duration of its call.
@@ -553,8 +553,9 @@ func (c *Client) beginRealloc(resp *packet.AllocResponse) {
 	}
 	old := c.placement
 	finish := func() {
-		// Regions move but the mutant is unchanged; re-link programs for
-		// the new regions and signal the controller.
+		// Regions move, the mutant normally does not: link checks the new
+		// placement (re-linking only a changed mutant); then signal the
+		// controller.
 		if err := c.link(newPl); err == nil {
 			c.placement = newPl
 		}
@@ -567,9 +568,16 @@ func (c *Client) beginRealloc(resp *packet.AllocResponse) {
 	}
 }
 
-// link synthesizes every template's mutant for the placement and renders the
-// frame that carries it.
+// link checks the placement and, unless the current placement already has its
+// policy and mutant, synthesizes every template's mutant and renders the frame
+// that carries it. Programs and frames depend on the templates, the mutant,
+// the FID and the MAC, never on the ranges: a reallocation that only moved
+// regions keeps them. c.placement is set only after link succeeds, so it
+// names the mutant c.progs holds.
 func (c *Client) link(pl *alloc.Placement) error {
+	if cur := c.placement; cur != nil && cur.Policy == pl.Policy && slices.Equal(cur.Mutant, pl.Mutant) {
+		return compiler.CheckPlacement(pl)
+	}
 	linked, err := compiler.Link(c.svc.Templates, pl)
 	if err != nil {
 		return err

@@ -1,6 +1,8 @@
 package client
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -303,6 +305,70 @@ func TestReallocationFlow(t *testing.T) {
 	}
 	if cl.Reallocations != 1 {
 		t.Errorf("Reallocations = %d", cl.Reallocations)
+	}
+}
+
+// control delivers a switch control frame with the given flags to cl.
+func control(t *testing.T, cl *Client, flags uint16) {
+	t.Helper()
+	a := &packet.Active{Header: packet.ActiveHeader{FID: cl.FID(), Flags: packet.FlagFromSwch | flags}}
+	a.Header.SetType(packet.TypeControl)
+	raw, err := packet.EncodeFrame(&packet.Frame{Eth: packet.EthHeader{Dst: cl.MAC(), Src: packet.MAC{0xFF}, EtherType: packet.EtherTypeActive}, Active: a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Receive(raw, nil)
+}
+
+// TestReallocKeepsLinkedProgramsWhenMutantUnchanged: a reallocation notice
+// that moves the regions under the same mutant keeps the synthesized programs
+// and their rendered frames — only the placement is new; a notice with an
+// empty grant is still refused, the placement kept and the switch released;
+// a release followed by a re-admission synthesizes afresh.
+func TestReallocKeepsLinkedProgramsWhenMutantUnchanged(t *testing.T) {
+	cl, cap, eng := newTestClient(t, cacheService())
+	_ = cl.RequestAllocation()
+	respond(t, cl, eng, cap, 2, 0, 512, 0)
+	prog, wire := cl.Program("main"), slices.Clone(cl.progs["write"].wire)
+	snapDones := func() (n int) {
+		for _, f := range cap.frames {
+			if f.Active != nil && f.Active.Header.Flags&packet.FlagSnapDone != 0 {
+				n++
+			}
+		}
+		return n
+	}
+
+	respond(t, cl, eng, cap, 2, 512, 1024, packet.FlagRealloc)
+	if cl.Program("main") != prog || !bytes.Equal(cl.progs["write"].wire, wire) {
+		t.Error("a notice that moved only regions re-synthesized the programs")
+	}
+	pl := cl.Placement()
+	if pl.MutantIdx != 2 || pl.Accesses[0].Range != (alloc.WordRange{Lo: 512, Hi: 1024}) {
+		t.Fatalf("placement after the notice: %+v", pl)
+	}
+	if snapDones() != 1 {
+		t.Fatalf("%d snapshot-done frames after one notice", snapDones())
+	}
+	control(t, cl, packet.FlagDone|packet.FlagRealloc)
+
+	respond(t, cl, eng, cap, 2, 1024, 1024, packet.FlagRealloc)
+	if cl.Placement() != pl || cl.Program("main") != prog {
+		t.Errorf("a notice with an empty grant was applied: %+v", cl.Placement())
+	}
+	if snapDones() != 2 {
+		t.Errorf("a refused notice did not release the switch (%d snapshot-done frames)", snapDones())
+	}
+	control(t, cl, packet.FlagDone|packet.FlagRealloc)
+
+	if err := cl.Release(); err != nil {
+		t.Fatal(err)
+	}
+	control(t, cl, packet.FlagDone|packet.FlagRelease)
+	_ = cl.RequestAllocation()
+	respond(t, cl, eng, cap, 2, 0, 512, 0)
+	if !cl.Operational() || cl.Program("main") == prog {
+		t.Errorf("re-admission after a release kept the old programs (state %v)", cl.State())
 	}
 }
 

@@ -54,24 +54,32 @@ func Extract(p *isa.Program, elastic bool, specs []AccessSpec) (*alloc.Constrain
 
 // Synthesize builds the program mutant whose memory accesses land on the
 // given logical stages, by inserting NOPs immediately before access
-// instructions (Figure 4). The mutant must dominate the program's compact
+// instructions (Figure 4), in one pass into one new instruction slice; the
+// template is never written. The mutant must dominate the program's compact
 // placement: mutant[i] >= access index i, gaps non-decreasing.
 func Synthesize(p *isa.Program, mutant alloc.Mutant) (*isa.Program, error) {
 	accIdx := p.MemoryAccessIndices()
 	if len(mutant) != len(accIdx) {
 		return nil, fmt.Errorf("compiler: mutant arity %d != %d accesses", len(mutant), len(accIdx))
 	}
-	out := p.Clone()
-	shift := 0
+	grow := 0
+	if n := len(mutant); n > 0 {
+		grow = max(mutant[n-1]-accIdx[n-1], 0)
+	}
+	out := &isa.Program{Name: p.Name, Instrs: make([]isa.Instruction, 0, p.Len()+grow)}
+	from := 0
 	for i, target := range mutant {
-		cur := accIdx[i] + shift
-		need := target - cur
-		if need < 0 {
+		out.Instrs = append(out.Instrs, p.Instrs[from:accIdx[i]]...)
+		cur := len(out.Instrs)
+		if target < cur {
 			return nil, fmt.Errorf("compiler: access %d cannot move backward (%d -> %d)", i, cur, target)
 		}
-		out = out.InsertNops(cur, need)
-		shift += need
+		for range target - cur {
+			out.Instrs = append(out.Instrs, isa.Instruction{Op: isa.OpNop})
+		}
+		from = accIdx[i]
 	}
+	out.Instrs = append(out.Instrs, p.Instrs[from:]...)
 	// Post-condition: the mutant's accesses are exactly where asked.
 	got := out.MemoryAccessIndices()
 	for i, target := range mutant {
@@ -82,25 +90,34 @@ func Synthesize(p *isa.Program, mutant alloc.Mutant) (*isa.Program, error) {
 	return out, nil
 }
 
-// Link is the step clients take on receipt of an allocation response:
-// rebuild, for every template of a service, the exact mutant the switch
-// selected. The templates share one access skeleton (client.New checks it),
-// so the placement is checked once — every access on its mutant's logical
-// stage, every granted region non-empty — and Synthesize's post-condition
-// then puts each template's accesses exactly there. A mismatch means a
-// desynchronized mutant enumeration, which would translate into protection
-// faults on the wire.
-func Link(templates map[string]*isa.Program, pl *alloc.Placement) (map[string]*isa.Program, error) {
+// CheckPlacement is the check a client makes of every allocation response
+// and reallocation notice: every access on its mutant's logical stage, every
+// granted region non-empty. A mismatch means a desynchronized mutant
+// enumeration, which would translate into protection faults on the wire.
+func CheckPlacement(pl *alloc.Placement) error {
 	if len(pl.Accesses) != len(pl.Mutant) {
-		return nil, fmt.Errorf("compiler: %d accesses vs %d grants", len(pl.Mutant), len(pl.Accesses))
+		return fmt.Errorf("compiler: %d accesses vs %d grants", len(pl.Mutant), len(pl.Accesses))
 	}
 	for i, g := range pl.Accesses {
 		if g.Logical != pl.Mutant[i] {
-			return nil, fmt.Errorf("compiler: access %d at %d, granted stage %d", i, pl.Mutant[i], g.Logical)
+			return fmt.Errorf("compiler: access %d at %d, granted stage %d", i, pl.Mutant[i], g.Logical)
 		}
 		if g.Range.Lo >= g.Range.Hi {
-			return nil, fmt.Errorf("compiler: access %d has empty grant", i)
+			return fmt.Errorf("compiler: access %d has empty grant", i)
 		}
+	}
+	return nil
+}
+
+// Link is the step clients take on receipt of an allocation response whose
+// mutant they have not linked yet: rebuild, for every template of a service,
+// the exact mutant the switch selected. The templates share one access
+// skeleton (client.New checks it), so the placement is checked once
+// (CheckPlacement) and Synthesize's post-condition then puts each template's
+// accesses exactly there.
+func Link(templates map[string]*isa.Program, pl *alloc.Placement) (map[string]*isa.Program, error) {
+	if err := CheckPlacement(pl); err != nil {
+		return nil, err
 	}
 	out := make(map[string]*isa.Program, len(templates))
 	for name, p := range templates {

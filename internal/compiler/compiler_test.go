@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -107,6 +108,35 @@ func TestSynthesizeShifts(t *testing.T) {
 	}
 	if err := out.Validate(); err != nil {
 		t.Errorf("mutant invalid: %v", err)
+	}
+}
+
+// TestSynthesizeNeverWritesTemplate: a mutant is a new program — the NOPs go
+// in before the access they shift, the template keeps every instruction, and
+// the zero-NOP mutant keeps the template's length without sharing its
+// instructions.
+func TestSynthesizeNeverWritesTemplate(t *testing.T) {
+	before := slices.Clone(listing1.Instrs)
+	out, err := Synthesize(listing1, alloc.Mutant{3, 6, 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Instrs[1].Op != isa.OpNop || out.Instrs[2].Op != isa.OpNop || out.Instrs[3].Op != isa.OpMemRead {
+		t.Errorf("mutant starts %v, want two NOPs before the first MEM_READ", out.Instrs[:4])
+	}
+	if !slices.Equal(listing1.Instrs, before) {
+		t.Fatal("Synthesize wrote the template")
+	}
+	same, err := Synthesize(listing1, alloc.Mutant{1, 4, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(same.Instrs, before) {
+		t.Fatalf("zero-NOP mutant %v, want the template", same.Instrs)
+	}
+	same.Instrs[0] = isa.Instruction{Op: isa.OpNop}
+	if !slices.Equal(listing1.Instrs, before) {
+		t.Error("zero-NOP mutant shares the template's instructions")
 	}
 }
 

@@ -254,36 +254,6 @@ func TestDecodeProgramTruncated(t *testing.T) {
 	}
 }
 
-func TestInsertNops(t *testing.T) {
-	p := MustAssemble("cache-query", listing1)
-	q := p.InsertNops(1, 2)
-	if q.Len() != p.Len()+2 {
-		t.Fatalf("Len = %d, want %d", q.Len(), p.Len()+2)
-	}
-	if q.Instrs[1].Op != OpNop || q.Instrs[2].Op != OpNop {
-		t.Error("NOPs not at insertion point")
-	}
-	if q.Instrs[3].Op != OpMemRead {
-		t.Errorf("shifted instruction = %v, want MEM_READ", q.Instrs[3].Op)
-	}
-	// Memory accesses shift by 2.
-	got := q.MemoryAccessIndices()
-	want := []int{3, 6, 10}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("MemoryAccessIndices = %v, want %v", got, want)
-		}
-	}
-	// Original untouched.
-	if p.Len() != 11 {
-		t.Error("InsertNops mutated the receiver")
-	}
-	// n <= 0 is a clone.
-	if r := p.InsertNops(3, 0); r.Len() != p.Len() {
-		t.Error("InsertNops(_, 0) changed length")
-	}
-}
-
 func TestValidateRejectsEOFAndBackwardBranch(t *testing.T) {
 	p := &Program{Instrs: []Instruction{{Op: OpEOF}}}
 	if err := p.Validate(); err == nil {

@@ -50,23 +50,6 @@ func (p *Program) IngressOnlyIndices() []int {
 	return idx
 }
 
-// InsertNops returns a copy of the program with n NOP instructions inserted
-// immediately before instruction index pos. This is the primitive used to
-// synthesize mutants: shifting later instructions to later pipeline stages
-// without altering program semantics.
-func (p *Program) InsertNops(pos, n int) *Program {
-	if n <= 0 {
-		return p.Clone()
-	}
-	q := &Program{Name: p.Name, Instrs: make([]Instruction, 0, len(p.Instrs)+n)}
-	q.Instrs = append(q.Instrs, p.Instrs[:pos]...)
-	for i := 0; i < n; i++ {
-		q.Instrs = append(q.Instrs, Instruction{Op: OpNop})
-	}
-	q.Instrs = append(q.Instrs, p.Instrs[pos:]...)
-	return q
-}
-
 // Validate checks structural well-formedness: all instructions valid, every
 // branch target defined strictly after the branch (execution is
 // stage-sequential, so backward jumps are impossible), and no duplicate
