@@ -11,15 +11,17 @@ import (
 	"fmt"
 	"net/netip"
 	"testing"
+	"time"
 
 	"activermt/internal/alloc"
 	"activermt/internal/apps"
+	"activermt/internal/client"
 	"activermt/internal/compiler"
-	"activermt/internal/core"
 	"activermt/internal/experiments"
 	"activermt/internal/isa"
 	"activermt/internal/packet"
 	"activermt/internal/telemetry"
+	"activermt/internal/testbed"
 	"activermt/internal/workload"
 )
 
@@ -120,25 +122,48 @@ func BenchmarkSec62CompileComparison(b *testing.B) {
 // BenchmarkPipelineExec measures one cache-query execution through the full
 // 20-stage interpreter (the per-packet dataplane cost of the simulator).
 func BenchmarkPipelineExec(b *testing.B) {
-	sys, err := core.New(core.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
 	prog := isa.MustAssemble("bench-counter", `
 MAR_LOAD 2
 MEM_INCREMENT
 RTS
 RETURN
 `)
-	dep, err := sys.Deploy(1, prog, false, []compiler.AccessSpec{{Demand: 1}})
+	tb, cls, err := admitTenants(1, prog, false, []compiler.AccessSpec{{Demand: 1}})
 	if err != nil {
 		b.Fatal(err)
 	}
-	addr := dep.Placement.Accesses[0].Range.Lo
+	a := capsule(cls[0], [4]uint32{0, 0, cls[0].Placement().Accesses[0].Range.Lo, 0})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys.Execute(dep, [4]uint32{0, 0, addr, 0}, 0)
+		tb.RT.ExecuteProgram(a)
 	}
+}
+
+// admitTenants stands up a testbed switch and admits n tenants (FIDs 1..n)
+// running prog through the controller, then lets every reallocation the
+// admissions triggered finish, so each client holds its final placement.
+func admitTenants(n int, prog *isa.Program, elastic bool, specs []compiler.AccessSpec) (*testbed.Testbed, []*client.Client, error) {
+	tb, err := testbed.New(testbed.DefaultConfig())
+	if err != nil {
+		return nil, nil, err
+	}
+	cls := make([]*client.Client, n)
+	for i := range cls {
+		svc := &client.Service{Name: prog.Name, Templates: map[string]*isa.Program{"main": prog}, Specs: specs, Elastic: elastic}
+		cls[i] = tb.AddClient(uint16(i+1), svc)
+		if err := cls[i].RequestAndWait(5 * time.Second); err != nil {
+			return nil, nil, fmt.Errorf("admit tenant %d: %w", i+1, err)
+		}
+	}
+	tb.RunFor(time.Second)
+	return tb, cls, nil
+}
+
+// capsule is a decoded program capsule carrying cl's linked program.
+func capsule(cl *client.Client, args [4]uint32) *packet.Active {
+	a := &packet.Active{Header: packet.ActiveHeader{FID: cl.FID()}, Args: args, Program: cl.Program("main")}
+	a.Header.SetType(packet.TypeProgram)
+	return a
 }
 
 // packetPathCacheProg is the paper's cache query (Listing 1): three memory
@@ -162,43 +187,23 @@ RETURN
 // interleaved capsule ring (`perTenant` capsules per tenant) — the shared
 // setup for the BenchmarkPacketPath family. Capsules are fully decoded up
 // front: these benchmarks measure execution, not parsing.
-func buildPacketPathWorkload(tenants, perTenant int) (*core.System, []*packet.Active, error) {
-	sys, err := core.New(core.DefaultConfig())
+func buildPacketPathWorkload(tenants, perTenant int) (*testbed.Testbed, []*packet.Active, error) {
+	specs := []compiler.AccessSpec{{AlignGroup: 1}, {AlignGroup: 1}, {AlignGroup: 1}}
+	tb, cls, err := admitTenants(tenants, packetPathCacheProg, true, specs)
 	if err != nil {
 		return nil, nil, err
 	}
-	specs := []compiler.AccessSpec{{AlignGroup: 1}, {AlignGroup: 1}, {AlignGroup: 1}}
-	deps := make([]*core.Deployment, tenants)
-	for t := 0; t < tenants; t++ {
-		fid := uint16(t + 1)
-		dep, err := sys.Deploy(fid, packetPathCacheProg, true, specs)
-		if err != nil {
-			return nil, nil, fmt.Errorf("deploy tenant %d: %w", fid, err)
-		}
-		deps[t] = dep
-	}
 	ring := make([]*packet.Active, 0, tenants*perTenant)
-	for t, dep := range deps {
-		fid := uint16(t + 1)
+	for _, cl := range cls {
 		// Elastic neighbors shrink as later tenants arrive, so addresses come
-		// from the FINAL placement, after every deployment committed. Bucket
+		// from the FINAL placement, after every reallocation completed. Bucket
 		// addressing is client-side (Section 3.2): the capsule carries an
 		// absolute address inside the tenant's granted region.
-		pl, ok := sys.AL.PlacementFor(fid)
-		if !ok {
-			return nil, nil, fmt.Errorf("tenant %d lost its placement", fid)
-		}
-		lo := pl.Accesses[0].Range.Lo
-		words := pl.Accesses[0].Range.Hi - lo
+		lo := cl.Placement().Accesses[0].Range.Lo
+		words := cl.Placement().Accesses[0].Range.Hi - lo
 		for k := 0; k < perTenant; k++ {
 			addr := lo + uint32(k*2654435761)%words
-			a := &packet.Active{
-				Header:  packet.ActiveHeader{FID: fid},
-				Args:    [4]uint32{uint32(k), uint32(k) ^ 0x5a5a, addr, 0},
-				Program: dep.Program,
-			}
-			a.Header.SetType(packet.TypeProgram)
-			ring = append(ring, a)
+			ring = append(ring, capsule(cl, [4]uint32{uint32(k), uint32(k) ^ 0x5a5a, addr, 0}))
 		}
 	}
 	// Interleave tenants round-robin so consecutive capsules change tenant.
@@ -208,7 +213,7 @@ func buildPacketPathWorkload(tenants, perTenant int) (*core.System, []*packet.Ac
 			mixed = append(mixed, ring[t*perTenant+k])
 		}
 	}
-	return sys, mixed, nil
+	return tb, mixed, nil
 }
 
 // BenchmarkPacketPath measures the allocation-free capsule hot path: one
@@ -218,17 +223,17 @@ func buildPacketPathWorkload(tenants, perTenant int) (*core.System, []*packet.Ac
 // it must be 0 in steady state (TestExecuteProgramZeroAlloc enforces it;
 // this benchmark tracks the ns/op trajectory alongside).
 func BenchmarkPacketPath(b *testing.B) {
-	sys, ring, err := buildPacketPathWorkload(8, 64)
+	tb, ring, err := buildPacketPathWorkload(8, 64)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < len(ring); i++ { // warm scratch buffers
-		sys.RT.ExecuteProgram(ring[i])
+		tb.RT.ExecuteProgram(ring[i])
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys.RT.ExecuteProgram(ring[i%len(ring)])
+		tb.RT.ExecuteProgram(ring[i%len(ring)])
 	}
 }
 
@@ -237,18 +242,18 @@ func BenchmarkPacketPath(b *testing.B) {
 // continuity series for the pre-specialization numbers and the denominator
 // of the specialized speedup.
 func BenchmarkPacketPathInterpreter(b *testing.B) {
-	sys, ring, err := buildPacketPathWorkload(8, 64)
+	tb, ring, err := buildPacketPathWorkload(8, 64)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys.RT.SetSpecialization(false)
+	tb.RT.SetSpecialization(false)
 	for i := 0; i < len(ring); i++ { // warm scratch buffers
-		sys.RT.ExecuteProgram(ring[i])
+		tb.RT.ExecuteProgram(ring[i])
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys.RT.ExecuteProgram(ring[i%len(ring)])
+		tb.RT.ExecuteProgram(ring[i%len(ring)])
 	}
 }
 
@@ -259,18 +264,18 @@ func BenchmarkPacketPathInterpreter(b *testing.B) {
 // stays 0; the ns/op delta against BenchmarkPacketPath is the telemetry
 // overhead of the execute loop (a component figure).
 func BenchmarkPacketPathTelemetry(b *testing.B) {
-	sys, ring, err := buildPacketPathWorkload(8, 64)
+	tb, ring, err := buildPacketPathWorkload(8, 64)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys.RT.AttachTelemetry(telemetry.NewRegistry())
+	tb.RT.AttachTelemetry(telemetry.NewRegistry())
 	for i := 0; i < len(ring); i++ { // warm scratch buffers
-		sys.RT.ExecuteProgram(ring[i])
+		tb.RT.ExecuteProgram(ring[i])
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys.RT.ExecuteProgram(ring[i%len(ring)])
+		tb.RT.ExecuteProgram(ring[i%len(ring)])
 	}
 }
 

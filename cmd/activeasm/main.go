@@ -20,12 +20,15 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"activermt/internal/alloc"
+	"activermt/internal/client"
 	"activermt/internal/compiler"
-	"activermt/internal/core"
 	"activermt/internal/isa"
+	"activermt/internal/packet"
 	"activermt/internal/rmt"
+	"activermt/internal/testbed"
 )
 
 func main() {
@@ -80,21 +83,23 @@ func main() {
 	}
 }
 
-// runTrace deploys the program on a scratch switch (memory demands default
-// to one block per access) and prints each stage slot as it executes.
+// runTrace admits the program on a scratch switch through its controller
+// (memory demands default to one block per access unless elastic) and
+// prints each stage slot as the linked mutant executes.
 func runTrace(p *isa.Program, argsCSV string, elastic bool) {
-	sys, err := core.New(core.DefaultConfig())
+	tb, err := testbed.New(testbed.DefaultConfig())
 	die(err)
-	var specs []compiler.AccessSpec
+	svc := &client.Service{Name: p.Name, Templates: map[string]*isa.Program{"main": p}, Elastic: elastic}
 	if !elastic {
 		for range p.MemoryAccessIndices() {
-			specs = append(specs, compiler.AccessSpec{Demand: 1})
+			svc.Specs = append(svc.Specs, compiler.AccessSpec{Demand: 1})
 		}
 	}
-	dep, err := sys.Deploy(1, p, elastic, specs)
-	die(err)
-	fmt.Printf("deployed: mutant %v\n", dep.Placement.Mutant)
-	for i, ap := range dep.Placement.Accesses {
+	cl := tb.AddClient(1, svc)
+	die(cl.RequestAndWait(5 * time.Second))
+	pl := cl.Placement()
+	fmt.Printf("deployed: mutant %v\n", pl.Mutant)
+	for i, ap := range pl.Accesses {
 		fmt.Printf("  access %d: logical stage %d, region [%d,%d)\n", i, ap.Logical, ap.Range.Lo, ap.Range.Hi)
 	}
 
@@ -106,13 +111,13 @@ func runTrace(p *isa.Program, argsCSV string, elastic bool) {
 	}
 	// Client-side translation convention: if data[2] indexes the first
 	// access's region, offset it like the example apps do.
-	if len(dep.Placement.Accesses) > 0 {
-		args[2] += dep.Placement.Accesses[0].Range.Lo
+	if len(pl.Accesses) > 0 {
+		args[2] += pl.Accesses[0].Range.Lo
 	}
 
 	fmt.Printf("\nexecuting with data=%v\n", args)
 	fmt.Println(" slot stage  instruction            MAR        MBR        MBR2   state")
-	sys.RT.Device().SetTrace(func(ev rmt.TraceEvent) {
+	tb.RT.Device().SetTrace(func(ev rmt.TraceEvent) {
 		state := ""
 		if ev.Skipped {
 			state = "skipped"
@@ -126,8 +131,9 @@ func runTrace(p *isa.Program, argsCSV string, elastic bool) {
 		fmt.Printf("  %3d   %2d   %-20s %10d %10d %10d   %s\n",
 			ev.Logical, ev.Stage, ev.In.String(), ev.MAR, ev.MBR, ev.MBR2, state)
 	})
-	outs := sys.Execute(dep, args, 0)
-	for i, out := range outs {
+	a := &packet.Active{Header: packet.ActiveHeader{FID: cl.FID()}, Args: args, Program: cl.Program("main")}
+	a.Header.SetType(packet.TypeProgram)
+	for i, out := range tb.RT.ExecuteProgram(a) {
 		fmt.Printf("\noutput %d: data=%v to-sender=%v dropped=%v latency=%v passes=%d\n",
 			i, out.Active.Args, out.ToSender, out.Dropped, out.Latency, out.Passes)
 	}

@@ -93,12 +93,9 @@ func runCache(o *options) error {
 		// escape a stuck reallocation window.
 		cl.RetryAfter = 50 * time.Millisecond
 		cl.ReallocTimeout = 250 * time.Millisecond
-		if o.chaos == "corrupted-memory" {
-			// Target the stage the cache actually lives in, so the bit
-			// flips land on live application state.
-			stage := pl.Accesses[0].Physical
-			sc = chaos.CorruptedMemory(stage, 24, 100*time.Millisecond, 300*time.Millisecond, o.seed)
-		} else if sc, err = chaos.Build(o.chaos, []*netsim.Port{cl.Port()}, o.seed); err != nil {
+		// Aimed at the cache's link and at the stage it lives in, so bit
+		// flips land on live application state.
+		if sc, err = chaos.Build(o.chaos, []*netsim.Port{cl.Port()}, pl.Accesses[0].Physical, o.seed); err != nil {
 			return err
 		}
 		if err := sc.Install(tb.System()); err != nil {

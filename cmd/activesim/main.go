@@ -99,7 +99,7 @@ var table = []scenario{
 	{name: "hhrecirc", flags: "seed", run: runHHRecirc,
 		summary: "heavy hitter paying recirculation under a budget", smoke: []string{"-scenario hhrecirc -seed 3"}},
 	{name: "quickstart", run: runQuickstart,
-		summary: "deploy, execute, memory protection, a second tenant — no network simulation",
+		summary: "admit a counter through the controller, send it packets, memory protection, a second tenant",
 		smoke:   []string{"-scenario quickstart"}},
 	{name: "heavyhitter", run: runHeavyHitter,
 		summary: "count-min sketch + hot-key table vs ground truth (Appendix B.1)",

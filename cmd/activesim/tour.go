@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"activermt/internal/apps"
+	"activermt/internal/client"
 	"activermt/internal/compiler"
-	"activermt/internal/core"
 	"activermt/internal/isa"
 	"activermt/internal/packet"
 	"activermt/internal/testbed"
@@ -16,12 +16,13 @@ import (
 // The guided tour: the two narratives a newcomer reads first. Each runs at
 // fixed seeds and accepts no flags.
 
-// runQuickstart deploys an active program onto a runtime-programmable
-// switch and executes packets against it — no network simulation, just the
-// core admission flow of the paper: write a program, request memory,
-// receive a mutant placement, run at "line rate".
+// runQuickstart stands up a runtime-programmable switch and admits a tiny
+// stateful service the one way every tenant is admitted (Section 4.3): the
+// client requests memory, the controller grants a mutant placement, the
+// client links its program against it and sends active packets through the
+// switch.
 func runQuickstart(o *options) error {
-	sys, err := core.New(core.DefaultConfig())
+	tb, err := testbed.New(testbed.DefaultConfig())
 	if err != nil {
 		return err
 	}
@@ -39,40 +40,66 @@ RETURN
 `)
 	o.printf("program:\n%s", isa.Disassemble(prog))
 
-	// Deploy: this extracts the constraints (one memory access at
-	// instruction 1), finds a feasible mutant, carves out a region, and
-	// links the program against it.
-	dep, err := sys.Deploy(1, prog, false, []compiler.AccessSpec{{Demand: 1}})
-	if err != nil {
+	// Admission: the client extracts the constraints (one memory access at
+	// instruction 1) and asks for one block; the controller finds a feasible
+	// mutant and carves out a region; the client links the program against
+	// the granted mutant.
+	svc := &client.Service{Name: "counter", Templates: map[string]*isa.Program{"main": prog},
+		Specs: []compiler.AccessSpec{{Demand: 1}}}
+	cl := tb.AddClient(1, svc)
+	var (
+		sentAt, latency   time.Duration
+		replied, toSender bool
+		count             uint32
+	)
+	cl.Handler = func(_ *client.Client, f *packet.Frame) {
+		if f.Active != nil {
+			replied, toSender, count = true, f.Eth.Src == tb.Switch.MAC(), f.Active.Args[0]
+			latency = tb.Eng.Now() - sentAt
+		}
+	}
+	if err := cl.RequestAndWait(5 * time.Second); err != nil {
 		return err
 	}
-	grant := dep.Placement.Accesses[0]
+	pl := cl.Placement()
+	grant := pl.Accesses[0]
 	o.printf("\ndeployed as FID %d: mutant %v, region [%d,%d) in logical stage %d\n",
-		dep.FID, dep.Placement.Mutant, grant.Range.Lo, grant.Range.Hi, grant.Logical)
+		cl.FID(), pl.Mutant, grant.Range.Lo, grant.Range.Hi, grant.Logical)
+
+	// send carries the program to the switch with data[2] = addr and runs the
+	// network long enough for the reply, if any, to come back.
+	send := func(addr uint32) error {
+		replied, sentAt = false, tb.Eng.Now()
+		err := cl.SendProgram("main", [4]uint32{0, 0, addr, 0}, 0, nil, cl.MAC())
+		tb.RunFor(time.Millisecond)
+		return err
+	}
 
 	// Execute: bump counter #3 five times. The client performs address
 	// translation (region base + index), exactly as the paper's shim does.
 	addr := grant.Range.Lo + 3
 	for i := 0; i < 5; i++ {
-		out := sys.Execute(dep, [4]uint32{0, 0, addr, 0}, 0)[0]
-		o.printf("packet %d: count=%d returned-to-sender=%v latency=%v\n",
-			i+1, out.Active.Args[0], out.ToSender, out.Latency)
+		if err := send(addr); err != nil {
+			return err
+		}
+		o.printf("packet %d: count=%d returned-to-sender=%v latency=%v\n", i+1, count, toSender, latency)
 	}
 
 	// Memory protection: an address outside the granted region faults and
 	// the packet is dropped — another tenant cannot touch this counter.
-	outs := sys.Execute(dep, [4]uint32{0, 0, grant.Range.Hi + 10, 0}, 0)
-	o.printf("out-of-region access dropped=%v (flags=%#x)\n",
-		outs[0].Dropped, outs[0].Active.Header.Flags&packet.FlagFailed)
-
-	// A second tenant gets its own disjoint region automatically.
-	dep2, err := sys.Deploy(2, prog, false, []compiler.AccessSpec{{Demand: 1}})
-	if err != nil {
+	if err := send(grant.Range.Hi + 10); err != nil {
 		return err
 	}
-	g2 := dep2.Placement.Accesses[0]
+	o.printf("out-of-region access dropped=%v (switch drops=%d)\n", !replied, tb.Switch.FramesDropped)
+
+	// A second tenant gets its own disjoint region automatically.
+	cl2 := tb.AddClient(2, svc)
+	if err := cl2.RequestAndWait(5 * time.Second); err != nil {
+		return err
+	}
+	g2 := cl2.Placement().Accesses[0]
 	o.printf("second tenant: region [%d,%d) stage %d (utilization now %.4f)\n",
-		g2.Range.Lo, g2.Range.Hi, g2.Logical, sys.Utilization())
+		g2.Range.Lo, g2.Range.Hi, g2.Logical, tb.Ctrl.Allocator().Utilization())
 	return nil
 }
 

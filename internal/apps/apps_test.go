@@ -286,7 +286,7 @@ func TestEchoServerReflects(t *testing.T) {
 	echo.Attach(ep)
 
 	a := &packet.Active{Header: packet.ActiveHeader{FID: 3}, Args: [4]uint32{0, 0xC00C1E, 0, 0},
-		Program: lbRouteProg.Clone(), Payload: []byte("p")}
+		Program: lbRouteProg, Payload: []byte("p")}
 	a.Header.SetType(packet.TypeProgram)
 	f := &packet.Frame{Eth: packet.EthHeader{Dst: echo.MAC(), Src: packet.MAC{0xA}, EtherType: packet.EtherTypeActive}, Active: a}
 	raw, _ := packet.EncodeFrame(f)

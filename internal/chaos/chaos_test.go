@@ -25,7 +25,7 @@ func TestLibraryBuild(t *testing.T) {
 	a, b := &sink{}, &sink{}
 	pa, _ := netsim.Connect(eng, a, 0, b, 0, 0, 0)
 	for _, name := range Names() {
-		sc, err := Build(name, []*netsim.Port{pa}, 1)
+		sc, err := Build(name, []*netsim.Port{pa}, 3, 1)
 		if err != nil {
 			t.Errorf("Build(%q): %v", name, err)
 			continue
@@ -36,11 +36,14 @@ func TestLibraryBuild(t *testing.T) {
 		if len(sc.events) == 0 {
 			t.Errorf("scenario %q has no events", name)
 		}
+		if name == "corrupted-memory" && sc.events[0].name != "apply:corrupt(stage3,24b)" {
+			t.Errorf("corrupted-memory fires %q first, want the corruption of the given stage 3", sc.events[0].name)
+		}
 	}
-	if _, err := Build("nope", nil, 1); err == nil {
+	if _, err := Build("nope", nil, 0, 1); err == nil {
 		t.Error("unknown scenario accepted")
 	}
-	if _, err := Build("flapping-port", nil, 1); err == nil {
+	if _, err := Build("flapping-port", nil, 0, 1); err == nil {
 		t.Error("flapping-port without links accepted")
 	}
 }

@@ -21,9 +21,10 @@ func Names() []string {
 }
 
 // Build constructs a library scenario by name. links are the client-side
-// duplex links faults apply to (any end of each link); scenarios that only
-// touch the controller or switch memory ignore them.
-func Build(name string, links []*netsim.Port, seed int64) (*Scenario, error) {
+// duplex links the link faults apply to (any end of each link); stage is the
+// register stage corrupted-memory flips bits in. A scenario ignores the
+// target it does not use.
+func Build(name string, links []*netsim.Port, stage int, seed int64) (*Scenario, error) {
 	const ms = time.Millisecond
 	switch name {
 	case "flaky-link":
@@ -36,7 +37,7 @@ func Build(name string, links []*netsim.Port, seed int64) (*Scenario, error) {
 	case "controller-outage":
 		return ControllerOutage(40*ms, 400*ms, seed), nil
 	case "corrupted-memory":
-		return CorruptedMemory(0, 24, 200*ms, 400*ms, seed), nil
+		return CorruptedMemory(stage, 24, 100*ms, 300*ms, seed), nil
 	case "link-outage":
 		if len(links) == 0 {
 			return nil, fmt.Errorf("chaos: %s needs at least one link", name)

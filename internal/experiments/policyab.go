@@ -128,11 +128,8 @@ func policyABRun(scenario, mode string, seed int64) (*PolicyABCell, error) {
 
 	// Chaos scenario, aimed at the cache tenant's link / stage, the same
 	// way activesim -chaos arms it.
-	var sc *chaos.Scenario
-	if scenario == "corrupted-memory" {
-		stage := cl.Placement().Accesses[0].Physical
-		sc = chaos.CorruptedMemory(stage, 24, 100*time.Millisecond, 300*time.Millisecond, seed)
-	} else if sc, err = chaos.Build(scenario, []*netsim.Port{cl.Port()}, seed); err != nil {
+	sc, err := chaos.Build(scenario, []*netsim.Port{cl.Port()}, cl.Placement().Accesses[0].Physical, seed)
+	if err != nil {
 		return nil, err
 	}
 	if err := sc.Install(tb.System()); err != nil {

@@ -110,23 +110,11 @@ func (c *Controller) PlaceTenant(baseFID uint16, leaf int, server packet.MAC, de
 		return nil, err
 	}
 	t := &Tenant{BaseFID: baseFID, Leaf: leaf, Path: path}
-	remaining := demand
-	fid := baseFID
-	for _, node := range path {
-		if remaining <= 0 {
-			break
-		}
-		sh, err := c.placeOn(node, leaf, fid, remaining, newService)
-		if err != nil {
-			return t, err
-		}
-		if sh != nil {
-			t.Shards = append(t.Shards, sh)
-			remaining -= sh.Blocks
-			fid++
-		}
+	placed, err := c.walk(t, nil, baseFID, demand, newService)
+	if err != nil {
+		return t, err
 	}
-	t.Unplaced = remaining
+	t.Unplaced = demand - placed
 	c.recordPlacement(t)
 	if len(t.Shards) == 0 {
 		return t, fmt.Errorf("fabric: tenant %d: no on-path device admitted any demand", baseFID)
@@ -134,15 +122,38 @@ func (c *Controller) PlaceTenant(baseFID uint16, leaf int, server packet.MAC, de
 	return t, nil
 }
 
-// placeOn runs one device's admission loop: ask for up to `want` blocks per
-// access, halving the ask on rejection. Returns the won shard, or nil if
-// the device admitted nothing (a full pipeline is not an error — the demand
-// spills onward). Must be called from outside engine callbacks.
-func (c *Controller) placeOn(node *Node, leaf int, fid uint16, want int, newService func() *client.Service) (*Shard, error) {
-	ask := want
-	if ask > maxAskBlocks {
-		ask = maxAskBlocks
+// walk places up to want blocks per access along t's path in order, skipping
+// the skip device (nil skips none). Each device that admits anything becomes
+// a shard appended to t, under the next FID counting from fid. Returns the
+// blocks placed. Must be called from outside engine callbacks.
+func (c *Controller) walk(t *Tenant, skip *Node, fid uint16, want int, newService func() *client.Service) (int, error) {
+	placed := 0
+	for _, node := range t.Path {
+		if placed >= want {
+			break
+		}
+		if node == skip {
+			continue
+		}
+		cl, won, err := c.admit(node, t.Leaf, fid, min(want-placed, maxAskBlocks), 1, newService)
+		if err != nil {
+			return placed, err
+		}
+		if won > 0 {
+			t.Shards = append(t.Shards, &Shard{Node: node, Client: cl, FID: fid, Blocks: won})
+			placed += won
+			fid++
+		}
 	}
+	return placed, nil
+}
+
+// admit runs one device's admission loop for fid: a client on leaf asks node
+// for ask blocks per access (inelastic), halving the ask on each rejection
+// until it would fall below floor. Returns the client and the ask it won —
+// 0 if the device admitted nothing, which is not an error: a full pipeline
+// spills onward. Must be called from outside engine callbacks.
+func (c *Controller) admit(node *Node, leaf int, fid uint16, ask, floor int, newService func() *client.Service) (*client.Client, int, error) {
 	svc := newService()
 	svc.Elastic = false
 	failed := false
@@ -155,23 +166,22 @@ func (c *Controller) placeOn(node *Node, leaf int, fid uint16, want int, newServ
 	}
 	cl, err := c.F.AddClient(leaf, fid, node, svc)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	for ask >= 1 {
+	for ; ask >= floor; ask /= 2 {
 		for i := range svc.Specs {
 			svc.Specs[i].Demand = ask
 		}
 		failed = false
 		if err := cl.RequestAllocation(); err != nil {
-			return nil, err
+			return cl, 0, err
 		}
 		c.F.Eng.StepUntil(c.F.Eng.Now()+admitDeadline, func() bool { return failed || cl.Operational() })
 		if cl.Operational() {
-			return &Shard{Node: node, Client: cl, FID: fid, Blocks: ask}, nil
+			return cl, ask, nil
 		}
-		ask /= 2
 	}
-	return nil, nil
+	return cl, 0, nil
 }
 
 // RetryUnplaced retries a tenant's unplaced remainder against its path —
@@ -183,22 +193,10 @@ func (c *Controller) RetryUnplaced(t *Tenant, newService func() *client.Service)
 	if t.Unplaced <= 0 {
 		return 0, nil
 	}
-	fid := t.BaseFID + uint16(len(t.Shards))
-	placed := 0
-	for _, node := range t.Path {
-		if t.Unplaced <= 0 {
-			break
-		}
-		sh, err := c.placeOn(node, t.Leaf, fid, t.Unplaced, newService)
-		if err != nil {
-			return placed, err
-		}
-		if sh != nil {
-			t.Shards = append(t.Shards, sh)
-			t.Unplaced -= sh.Blocks
-			placed += sh.Blocks
-			fid++
-		}
+	placed, err := c.walk(t, nil, t.BaseFID+uint16(len(t.Shards)), t.Unplaced, newService)
+	t.Unplaced -= placed
+	if err != nil {
+		return placed, err
 	}
 	c.recoveredBlocks += uint64(placed)
 	return placed, nil
@@ -230,30 +228,13 @@ func (c *Controller) ReconcileTenant(t *Tenant, dead *Node, newService func() *c
 		return 0, nil
 	}
 	t.Shards = keep
-	fid := maxFID
-	placed := 0
-	remaining := stranded
-	for _, node := range t.Path {
-		if remaining <= 0 {
-			break
-		}
-		if node == dead {
-			continue
-		}
-		sh, err := c.placeOn(node, t.Leaf, fid, remaining, newService)
-		if err != nil {
-			return placed, err
-		}
-		if sh != nil {
-			t.Shards = append(t.Shards, sh)
-			remaining -= sh.Blocks
-			placed += sh.Blocks
-			fid++
-		}
+	placed, err := c.walk(t, dead, maxFID, stranded, newService)
+	if err != nil {
+		return placed, err
 	}
-	t.Unplaced += remaining
+	t.Unplaced += stranded - placed
 	c.RePlacements++
-	c.unplacedBlocks += uint64(remaining)
+	c.unplacedBlocks += uint64(stranded - placed)
 	return placed, nil
 }
 
@@ -303,7 +284,14 @@ func (c *Controller) PlaceReplicas(fid uint16, leaves []int, server packet.MAC, 
 	if len(leaves) == 0 {
 		return nil, fmt.Errorf("fabric: replica set needs at least one leaf")
 	}
-	home := c.F.SpineFor(server)
+	nodes := make([]*Node, 0, len(leaves)+1)
+	for _, leaf := range leaves {
+		if leaf < 0 || leaf >= len(c.F.Leaves) {
+			return nil, fmt.Errorf("fabric: leaf %d out of range", leaf)
+		}
+		nodes = append(nodes, c.F.Leaves[leaf])
+	}
+	nodes = append(nodes, c.F.SpineFor(server))
 	set := &ReplicaSet{FID: fid}
 	// Replica members must be PINNED: the set's validity rests on every
 	// member sharing one placement, and an elastic member any single device
@@ -313,59 +301,26 @@ func (c *Controller) PlaceReplicas(fid uint16, leaves []int, server packet.MAC, 
 	// explicit demand: the first member may halve its ask to fit, but every
 	// later member must admit at the set's exact ask or the placements
 	// cannot match.
-	ask := replicaAskBlocks
-	admit := func(leaf int, node *Node) error {
-		svc := newService()
-		svc.Elastic = false
-		failed := false
-		prevFailed := svc.OnFailed
-		svc.OnFailed = func(cl *client.Client) {
-			failed = true
-			if prevFailed != nil {
-				prevFailed(cl)
-			}
+	ask, floor := replicaAskBlocks, 1
+	for i, node := range nodes {
+		leaf := leaves[0]
+		if i < len(leaves) {
+			leaf = leaves[i]
 		}
-		cl, err := c.F.AddClient(leaf, fid, node, svc)
+		cl, won, err := c.admit(node, leaf, fid, ask, floor, newService)
+		if err == nil && won == 0 {
+			err = fmt.Errorf("no capacity for %d pinned blocks (state %v)", floor, cl.State())
+		}
 		if err != nil {
-			return err
+			c.releaseSet(set)
+			return nil, fmt.Errorf("fabric: replica on %s: %w", node.Name, err)
 		}
-		for {
-			for i := range svc.Specs {
-				svc.Specs[i].Demand = ask
-			}
-			failed = false
-			if err := cl.RequestAllocation(); err != nil {
-				return fmt.Errorf("fabric: replica on %s: %w", node.Name, err)
-			}
-			c.F.Eng.StepUntil(c.F.Eng.Now()+admitDeadline, func() bool { return failed || cl.Operational() })
-			if cl.Operational() {
-				break
-			}
-			if len(set.Members) > 0 || ask <= 1 {
-				return fmt.Errorf("fabric: replica on %s: no capacity for %d pinned blocks (state %v)",
-					node.Name, ask, cl.State())
-			}
-			ask /= 2
-		}
+		ask, floor = won, won
 		// Pin the member against local defragmentation for the same reason
 		// it is inelastic: a migration on one device would skew the set's
 		// shared placement.
 		node.Ctrl.PinPlacement(fid)
 		set.Members = append(set.Members, &Replica{Node: node, Leaf: leaf, Client: cl})
-		return nil
-	}
-	for _, leaf := range leaves {
-		if leaf < 0 || leaf >= len(c.F.Leaves) {
-			return nil, fmt.Errorf("fabric: leaf %d out of range", leaf)
-		}
-		if err := admit(leaf, c.F.Leaves[leaf]); err != nil {
-			c.releaseSet(set)
-			return nil, err
-		}
-	}
-	if err := admit(leaves[0], home); err != nil {
-		c.releaseSet(set)
-		return nil, err
 	}
 
 	ref := set.Members[0]

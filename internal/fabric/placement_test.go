@@ -185,3 +185,25 @@ func sameRanges(a, b [][3]uint32) bool {
 	}
 	return true
 }
+
+// TestPlaceReplicasRejectsBadLeafBeforeAdmitting lists a leaf the fabric does
+// not have after a valid one: the call fails, and no member was admitted on
+// the valid leaf first — its allocator holds nothing for the FID.
+func TestPlaceReplicasRejectsBadLeafBeforeAdmitting(t *testing.T) {
+	f, err := fabric.New(fabric.DefaultConfig(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := fabric.NewController(f)
+	srv, _ := addServer(t, f, 1)
+
+	const fid = 400
+	if _, err := fc.PlaceReplicas(fid, []int{0, 99}, srv.MAC(), apps.CoherentCacheService); err == nil {
+		t.Fatal("replica set over leaf 99 placed")
+	}
+	for _, n := range f.Nodes() {
+		if pl, ok := n.Ctrl.Allocator().PlacementFor(fid); ok {
+			t.Fatalf("%s still holds fid %d at mutant %v", n.Name, fid, pl.Mutant)
+		}
+	}
+}

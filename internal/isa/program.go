@@ -18,13 +18,6 @@ type Program struct {
 // Len returns the number of instructions, excluding the EOF terminator.
 func (p *Program) Len() int { return len(p.Instrs) }
 
-// Clone returns a deep copy of the program.
-func (p *Program) Clone() *Program {
-	q := &Program{Name: p.Name, Instrs: make([]Instruction, len(p.Instrs))}
-	copy(q.Instrs, p.Instrs)
-	return q
-}
-
 // MemoryAccessIndices returns the zero-based instruction indices that access
 // stage register memory, in program order. These are the positions the
 // allocator's constraint vectors (LB/UB/min-gap) are derived from.

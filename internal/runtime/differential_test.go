@@ -197,7 +197,7 @@ func TestDifferentialInterpreter(t *testing.T) {
 		}
 
 		// Pipeline execution.
-		a := &packet.Active{Header: packet.ActiveHeader{FID: 1}, Args: args, Program: p.Clone()}
+		a := &packet.Active{Header: packet.ActiveHeader{FID: 1}, Args: args, Program: p}
 		a.Header.SetType(packet.TypeProgram)
 		a.Header.Flags |= packet.FlagNoShrink
 		outs := r.ExecuteProgram(a)
@@ -420,8 +420,8 @@ func TestDifferentialRegisteredApps(t *testing.T) {
 			// Each capsule runs twice so both the compile-inline and the
 			// cached-plan entries are exercised.
 			for rep := 0; rep < 2; rep++ {
-				ai := progPacket(fid, tmpl.Clone(), args)
-				as := progPacket(fid, tmpl.Clone(), args)
+				ai := progPacket(fid, tmpl, args)
+				as := progPacket(fid, tmpl, args)
 				ai.Header.Flags |= flags
 				as.Header.Flags |= flags
 				want := ri.ExecuteProgram(ai)
@@ -497,7 +497,7 @@ func TestDifferentialBranchDense(t *testing.T) {
 				break
 			}
 		}
-		a := &packet.Active{Header: packet.ActiveHeader{FID: 1}, Args: args, Program: p.Clone()}
+		a := &packet.Active{Header: packet.ActiveHeader{FID: 1}, Args: args, Program: p}
 		a.Header.SetType(packet.TypeProgram)
 		out := r.ExecuteProgram(a)[0]
 		if out.Active.Args != ref.data {

@@ -18,7 +18,7 @@ func TestRevokedFIDHardDrops(t *testing.T) {
 	installCacheGrant(t, r, fid, 0, 64)
 	r.RemoveGrant(fid)
 
-	outs := r.ExecuteProgram(progPacket(fid, cacheQuery.Clone(), [4]uint32{1, 2, 10, 0}))
+	outs := r.ExecuteProgram(progPacket(fid, cacheQuery, [4]uint32{1, 2, 10, 0}))
 	if len(outs) != 1 {
 		t.Fatalf("outputs = %d", len(outs))
 	}
@@ -37,7 +37,7 @@ func TestRevokedFIDHardDrops(t *testing.T) {
 
 	// A fresh grant clears revocation: the FID executes again.
 	installCacheGrant(t, r, fid, 0, 64)
-	outs = r.ExecuteProgram(progPacket(fid, cacheQuery.Clone(), [4]uint32{1, 2, 10, 0}))
+	outs = r.ExecuteProgram(progPacket(fid, cacheQuery, [4]uint32{1, 2, 10, 0}))
 	if outs[0].Dropped {
 		t.Error("re-admitted FID must execute")
 	}
@@ -52,7 +52,7 @@ func TestQuarantineHardDropAndMemSync(t *testing.T) {
 	installCacheGrant(t, r, fid, 0, 64)
 	r.Deactivate(fid)
 
-	outs := r.ExecuteProgram(progPacket(fid, cacheQuery.Clone(), [4]uint32{1, 2, 10, 0}))
+	outs := r.ExecuteProgram(progPacket(fid, cacheQuery, [4]uint32{1, 2, 10, 0}))
 	if !outs[0].Dropped {
 		t.Fatal("quarantined FID's normal traffic must drop")
 	}
@@ -64,7 +64,7 @@ func TestQuarantineHardDropAndMemSync(t *testing.T) {
 	}
 
 	// Extraction traffic still runs against the frozen snapshot.
-	ms := progPacket(fid, cacheQuery.Clone(), [4]uint32{1, 2, 10, 0})
+	ms := progPacket(fid, cacheQuery, [4]uint32{1, 2, 10, 0})
 	ms.Header.Flags |= packet.FlagMemSync
 	outs = r.ExecuteProgram(ms)
 	if outs[0].Dropped {
@@ -72,7 +72,7 @@ func TestQuarantineHardDropAndMemSync(t *testing.T) {
 	}
 
 	r.Reactivate(fid)
-	outs = r.ExecuteProgram(progPacket(fid, cacheQuery.Clone(), [4]uint32{1, 2, 10, 0}))
+	outs = r.ExecuteProgram(progPacket(fid, cacheQuery, [4]uint32{1, 2, 10, 0}))
 	if outs[0].Dropped {
 		t.Error("reactivated FID must execute")
 	}

@@ -51,7 +51,7 @@ func (h *harness) maybeChaos() {
 	)
 	switch name {
 	case "flaky-link", "flapping-port", "link-outage", "link-flap":
-		sc, err = chaos.Build(name, h.randomUplinks(2), seed)
+		sc, err = chaos.Build(name, h.randomUplinks(2), 0, seed)
 	case "partition":
 		spine := h.rng.Intn(numSpines)
 		sc = chaos.PartitionScenario(h.f.SpinePorts(spine), 100*time.Millisecond, 500*time.Millisecond, seed)

@@ -44,7 +44,6 @@ type ProvisionRecord struct {
 	FID          uint16
 	Start, End   time.Duration // virtual time
 	Compute      time.Duration // modeled allocation-computation time
-	ComputeWall  time.Duration // measured wall-clock of the allocator call
 	SnapshotWait time.Duration // waiting for reallocated clients
 	TableTime    time.Duration // table-update time
 	TableOps     int
@@ -117,9 +116,6 @@ type Controller struct {
 	// Records for the harness — and telemetry, which reads the job, failure
 	// and phase-time families from them.
 	Records []ProvisionRecord
-	// Clock measures wall time of allocation computation; overridable for
-	// deterministic tests.
-	Clock func() time.Time
 
 	// guard, when attached, receives Reinstate calls as tenants are granted
 	// fresh allocations; the controller is its Escalator.
@@ -169,7 +165,6 @@ func NewController(eng *netsim.Engine, sw *Switch, al *alloc.Allocator, costs Co
 		clients:   make(map[uint16]packet.MAC),
 		noMigrate: make(map[uint16]bool),
 		alive:     true,
-		Clock:     time.Now,
 	}
 	sw.SetController(c)
 	return c
@@ -486,9 +481,7 @@ func (c *Controller) admit(fid uint16, req *packet.AllocRequest) {
 	if rec.Readmit {
 		allocate = c.al.Readmit
 	}
-	wall := c.Clock()
 	res, err := allocate(fid, cons)
-	rec.ComputeWall = c.Clock().Sub(wall)
 	if err != nil || res.Failed {
 		rec.Failed = true
 		rec.Compute = c.costs.ComputeBase

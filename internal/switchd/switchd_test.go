@@ -501,7 +501,8 @@ func TestSwitchReceiveAllocs(t *testing.T) {
 
 // TestNewNodeRejectsPipelineMismatch: an allocator configured for another
 // pipeline than the device's would grant stages or words the device lacks;
-// assembly refuses the pair, naming both values.
+// assembly refuses the pair, naming both values. A configuration one
+// component rejects on its own is refused with that component's error.
 func TestNewNodeRejectsPipelineMismatch(t *testing.T) {
 	for _, c := range []struct {
 		field  string
@@ -511,11 +512,12 @@ func TestNewNodeRejectsPipelineMismatch(t *testing.T) {
 		{"NumStages", func(c *NodeConfig) { c.RMT.NumStages = 19 }, "NumStages is 20 but the pipeline's is 19"},
 		{"NumIngress", func(c *NodeConfig) { c.Alloc.NumIngress = 9 }, "NumIngress is 9 but the pipeline's is 10"},
 		{"StageWords", func(c *NodeConfig) { c.RMT.StageWords = 96 * 256 }, "StageWords is 94208 but the pipeline's is 24576"},
+		{"BlockWords", func(c *NodeConfig) { c.Alloc.BlockWords = 0 }, "alloc: bad config"},
 	} {
 		cfg := DefaultNodeConfig()
 		c.mutate(&cfg)
 		if _, err := NewNode(netsim.NewEngine(), cfg, packet.MAC{2}); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s mismatch: err = %v, want it to say %q", c.field, err, c.want)
+			t.Errorf("%s: err = %v, want it to say %q", c.field, err, c.want)
 		}
 	}
 }

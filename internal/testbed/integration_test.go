@@ -420,6 +420,15 @@ func TestStatelessAdmission(t *testing.T) {
 	if tb.Ctrl.Allocator().NumApps() != 0 {
 		t.Error("stateless fid consumed allocator state")
 	}
+	// The admitted program executes at the switch with no memory granted.
+	ran := tb.RT.ProgramsRun
+	if err := cl.SendProgram("main", [4]uint32{}, 0, nil, cl.MAC()); err != nil {
+		t.Fatal(err)
+	}
+	tb.RunFor(time.Millisecond)
+	if got := tb.RT.ProgramsRun - ran; got != 1 {
+		t.Errorf("stateless capsule executed %d times, want 1", got)
+	}
 }
 
 func TestAllocationFailureNotifiesClient(t *testing.T) {

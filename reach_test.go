@@ -56,7 +56,6 @@ var reachAllow = map[string]string{
 	"internal/netsim.Port.Down":                  "accessor: chaos and netsim tests",
 	"internal/netsim.Port.DownTransitions":       "accessor: fabric health test counts link flaps",
 	"internal/fabric.Fabric.LinkUp":              "accessor: fabric health tests read the routing verdict",
-	"internal/client.Client.Program":             "accessor: client and testbed tests read the synthesized mutant",
 	"internal/apps.MemSync.Outstanding":          "accessor: testbed memsync tests wait on it",
 	"internal/switchd.Controller.Alive":          "accessor: fabric restart-recovery test",
 	"internal/switchd.Controller.Stalled":        "accessor: chaos controller-stall test",
