@@ -44,7 +44,7 @@ func TestGuardDropsStaleEpochBeforeSpecializedExecution(t *testing.T) {
 	if rt.SpecializedRuns != 1 {
 		t.Fatalf("SpecializedRuns = %d, want 1", rt.SpecializedRuns)
 	}
-	compiles := rt.PlanCompiles()
+	compiles := rt.PlanCompiles
 	if compiles == 0 {
 		t.Fatal("no plan compiled for the admitted capsule")
 	}
@@ -61,7 +61,7 @@ func TestGuardDropsStaleEpochBeforeSpecializedExecution(t *testing.T) {
 	if g.CheckProgram(stale, 1) {
 		t.Fatal("stale-epoch capsule passed the ingress guard")
 	}
-	if rt.PlanCompiles() != compiles {
+	if rt.PlanCompiles != compiles {
 		t.Fatal("guard-rejected capsule triggered a plan compile")
 	}
 
@@ -76,7 +76,7 @@ func TestGuardDropsStaleEpochBeforeSpecializedExecution(t *testing.T) {
 	if rt.SpecializedRuns != 2 {
 		t.Fatal("re-granted capsule did not run specialized")
 	}
-	if rt.PlanCompiles() <= compiles {
+	if rt.PlanCompiles <= compiles {
 		t.Fatal("re-granted capsule did not recompile its plan")
 	}
 	if rt.Faults != 1 || !outs[0].Dropped {

@@ -3,7 +3,6 @@ package packet
 import (
 	"fmt"
 	"hash/crc32"
-	"sync"
 
 	"activermt/internal/isa"
 	"activermt/internal/telemetry"
@@ -25,8 +24,8 @@ import (
 // (see internal/runtime/specialize.go), which is what lets a plan lookup be
 // one map probe instead of a re-hash of the program bytes. Eviction (cache
 // flush or Invalidate) only breaks the mapping for *future* decodes: a new
-// pointer simply compiles to a new plan, while the old plan dies with its
-// snapshot pair. Nothing may mutate a cached program through the pointer.
+// pointer simply compiles to a new plan, while the old plan is dropped at the
+// next commit. Nothing may mutate a cached program through the pointer.
 //
 // A tenant can only collide CRC32 within its own (FID, epoch) keyspace, so
 // a crafted collision can corrupt nobody's programs but its own.
@@ -53,15 +52,14 @@ type cacheEntry struct {
 	valid bool // Validate() == nil, memoized
 }
 
-// ProgCache is a bounded decoded-program cache. It is safe for concurrent
-// use, though in the simulator the ingress path is single-threaded.
+// ProgCache is a bounded decoded-program cache. Like the switch whose ingress
+// it serves, it is driven by one goroutine and takes no lock.
 type ProgCache struct {
-	mu  sync.Mutex
 	max int
 	m   map[ProgKey]*cacheEntry
 
-	// Counters, guarded by mu like the map; Stats() reads them, and so does
-	// a registry snapshot (AttachTelemetry).
+	// Counters; Stats() reads them, and so does a registry snapshot
+	// (AttachTelemetry).
 	hits, misses, invalidations uint64
 }
 
@@ -99,24 +97,16 @@ func (c *ProgCache) AttachTelemetry(reg *telemetry.Registry) {
 
 // Stats returns (hits, misses, invalidations).
 func (c *ProgCache) Stats() (hits, misses, invalidations uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.hits, c.misses, c.invalidations
 }
 
 // Len returns the number of cached program versions.
-func (c *ProgCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
+func (c *ProgCache) Len() int { return len(c.m) }
 
 // Contains reports whether a program version is currently cached — used by
 // tests and operators to check invalidation without touching hit/miss
 // counters or side-effecting a decode.
 func (c *ProgCache) Contains(k ProgKey) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	_, ok := c.m[k]
 	return ok
 }
@@ -125,8 +115,6 @@ func (c *ProgCache) Contains(k ProgKey) bool {
 // it on grant commits and evictions; epoch keying already makes stale
 // entries unreachable, so this is memory hygiene, not correctness.
 func (c *ProgCache) Invalidate(fid uint16) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for k := range c.m {
 		if k.FID == fid {
 			delete(c.m, k)
@@ -156,10 +144,8 @@ func (c *ProgCache) lookupOrDecode(fid uint16, epoch uint8, raw []byte) (*isa.Pr
 		return nil, 0, ProgUnknown, fmt.Errorf("isa: program truncated at byte %d (no EOF)", len(raw)-len(raw)%isa.WireSize)
 	}
 	key := ProgKey{FID: fid, Epoch: epoch, Len: uint16(n), Hash: crc32.ChecksumIEEE(raw[:n])}
-	c.mu.Lock()
 	if e, ok := c.m[key]; ok {
 		c.hits++
-		c.mu.Unlock()
 		state := ProgInvalid
 		if e.valid {
 			state = ProgValid
@@ -167,19 +153,16 @@ func (c *ProgCache) lookupOrDecode(fid uint16, epoch uint8, raw []byte) (*isa.Pr
 		return e.prog, n, state, nil
 	}
 	c.misses++
-	c.mu.Unlock()
 
 	prog, dn, err := isa.DecodeProgram(raw)
 	if err != nil {
 		return nil, 0, ProgUnknown, err
 	}
 	e := &cacheEntry{prog: prog, valid: prog.Validate() == nil}
-	c.mu.Lock()
 	if len(c.m) >= c.max {
 		c.m = make(map[ProgKey]*cacheEntry)
 	}
 	c.m[key] = e
-	c.mu.Unlock()
 	state := ProgInvalid
 	if e.valid {
 		state = ProgValid

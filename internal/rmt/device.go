@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"activermt/internal/isa"
@@ -26,14 +25,14 @@ type Translate struct {
 // instruction set in every stage), while the stage owns its register array,
 // its protection TCAM, and its translation entries.
 //
-// The TCAM and translation entries are control-plane builder state: the
-// packet path never reads them directly, only the immutable StageView
-// published from them (see view.go).
+// The packet path reads the TCAM and translation entries the control plane
+// edits: every edit bumps the device generation (Device.Gen), which is how a
+// compiled plan learns it was folded from tables that have since changed.
 type Stage struct {
 	Registers *RegisterArray
 	Prot      *TCAM
 	xlate     []TranslateEntry // sorted by FID
-	xdirty    bool             // xlate changed since RebuildView last copied it (the TCAM tracks its own)
+	gen       *uint64          // the device generation
 
 	// Executed counts instructions executed in this stage.
 	Executed uint64
@@ -74,7 +73,7 @@ func (s *Stage) SetTranslate(fid uint16, t Translate) {
 	} else {
 		s.xlate = slices.Insert(s.xlate, i, TranslateEntry{fid, t})
 	}
-	s.xdirty = true
+	*s.gen++
 }
 
 // ClearTranslate removes fid's translation entry; it returns 1 if an entry
@@ -85,7 +84,7 @@ func (s *Stage) ClearTranslate(fid uint16) int {
 		return 0
 	}
 	s.xlate = slices.Delete(s.xlate, i, i+1)
-	s.xdirty = true
+	*s.gen++
 	return 1
 }
 
@@ -102,17 +101,15 @@ func (s *Stage) TranslateEntries() []TranslateEntry { return slices.Clone(s.xlat
 type Action func(ctx *Ctx, in isa.Instruction)
 
 // Ctx is the execution context passed to actions: the device, the physical
-// stage the instruction runs in, the packet's PHV, and the published stage
-// view (protection + translation). Actions must consult View — not the stage's
-// TCAM or translation map — so that execution reads only immutable
-// snapshots. Ctx values are scratch space owned by the PHV; they are reused
-// across instructions and must not be retained by actions.
+// stage the instruction runs in (its registers, protection TCAM and
+// translation entries), and the packet's PHV. Ctx values are scratch space
+// owned by the PHV; they are reused across instructions and must not be
+// retained by actions.
 type Ctx struct {
 	Dev      *Device
 	Stage    *Stage
 	StageIdx int // physical stage index
 	PHV      *PHV
-	View     *StageView
 }
 
 // TraceEvent describes one instruction slot as it executes (or is skipped
@@ -136,10 +133,9 @@ type Device struct {
 	actions [isa.NumOpcodes]Action
 	trace   func(TraceEvent)
 
-	// view is the published pipeline snapshot the packet path executes
-	// against; viewGen numbers publications.
-	view    atomic.Pointer[PipeView]
-	viewGen atomic.Uint64
+	// gen counts table edits: every TCAM install or removal and every
+	// translation write or delete in any stage bumps it.
+	gen uint64
 
 	// lat is the per-packet latency histogram, observed once telemetry is
 	// attached (see telemetry.go); nil keeps the device telemetry-free.
@@ -159,15 +155,19 @@ func New(cfg Config) (*Device, error) {
 		return nil, fmt.Errorf("rmt: bad config %+v", cfg)
 	}
 	d := &Device{cfg: cfg, stages: make([]*Stage, cfg.NumStages)}
-	empty := &PipeView{stages: make([]*StageView, cfg.NumStages)}
 	for i := range d.stages {
-		d.stages[i] = &Stage{Registers: NewRegisterArray(cfg.StageWords), Prot: NewTCAM(cfg.TCAMEntries)}
-		empty.stages[i] = &StageView{}
+		d.stages[i] = &Stage{
+			Registers: NewRegisterArray(cfg.StageWords),
+			Prot:      &TCAM{capacity: cfg.TCAMEntries, gen: &d.gen},
+			gen:       &d.gen,
+		}
 	}
-	d.view.Store(empty) // RebuildView shares what did not change with its predecessor
-	d.RebuildView()
 	return d, nil
 }
+
+// Gen returns the table generation: it changes whenever any stage's TCAM or
+// translation entries change, however they were edited.
+func (d *Device) Gen() uint64 { return d.gen }
 
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
@@ -233,18 +233,16 @@ func FixedHash(seed uint32, words [NumHashWords]uint32) uint32 {
 func (d *Device) Exec(p *PHV) []*PHV { return d.ExecInto(p, make([]*PHV, 0, 1)) }
 
 // ExecInto is the allocation-free execution entry point: it appends the
-// primary PHV and any FORK clones to outs (reusing its backing array). The
-// pipeline view is loaded once at entry, so the whole packet executes against
-// one published snapshot.
+// primary PHV and any FORK clones to outs (reusing its backing array).
 func (d *Device) ExecInto(p *PHV, outs []*PHV) []*PHV {
 	d.PacketsIn++
-	return d.run(p, 0, 0, d.view.Load(), outs)
+	return d.run(p, 0, 0, outs)
 }
 
 // run executes from logical instruction index startIdx with extraSlots
 // stage slots already charged (clone recirculation). Clone outputs are
 // appended recursively.
-func (d *Device) run(p *PHV, startIdx, extraSlots int, view *PipeView, outs []*PHV) []*PHV {
+func (d *Device) run(p *PHV, startIdx, extraSlots int, outs []*PHV) []*PHV {
 	n := d.cfg.NumStages
 	maxSlots := d.cfg.MaxPasses * n
 	outs = append(outs, p)
@@ -269,12 +267,12 @@ func (d *Device) run(p *PHV, startIdx, extraSlots int, view *PipeView, outs []*P
 			// Skipping an untaken branch arm; resume at the label.
 			if in.Label == p.DisabledUntil {
 				p.DisabledUntil = 0
-				outs = d.execute(s, p, in, idx, outs, view)
+				outs = d.execute(s, p, in, idx, outs)
 			} else {
 				skipped = true
 			}
 		} else {
-			outs = d.execute(s, p, in, idx, outs, view)
+			outs = d.execute(s, p, in, idx, outs)
 		}
 		if d.trace != nil {
 			d.trace(TraceEvent{Logical: idx, Stage: s, In: in, Skipped: skipped,
@@ -311,7 +309,7 @@ func (d *Device) run(p *PHV, startIdx, extraSlots int, view *PipeView, outs []*P
 // execute dispatches one instruction to its installed action and handles a
 // resulting FORK. The action context is the PHV's scratch Ctx, refilled per
 // instruction — no per-instruction allocation.
-func (d *Device) execute(stageIdx int, p *PHV, in isa.Instruction, idx int, outs []*PHV, view *PipeView) []*PHV {
+func (d *Device) execute(stageIdx int, p *PHV, in isa.Instruction, idx int, outs []*PHV) []*PHV {
 	fn := d.actions[in.Op]
 	if fn == nil {
 		// Uninstalled opcode: table miss, no action.
@@ -323,7 +321,6 @@ func (d *Device) execute(stageIdx int, p *PHV, in isa.Instruction, idx int, outs
 	ctx.Stage.Executed++
 	ctx.StageIdx = stageIdx
 	ctx.PHV = p
-	ctx.View = view.StageView(stageIdx)
 	fn(ctx, in)
 	if p.forkRequested {
 		p.forkRequested = false
@@ -340,7 +337,7 @@ func (d *Device) execute(stageIdx int, p *PHV, in isa.Instruction, idx int, outs
 		// recirculation (Section 3.1: instructions that clone packets
 		// require recirculation), charged as one extra pass.
 		d.Recirculations++
-		outs = d.run(c, idx+1, d.cfg.NumStages, view, outs)
+		outs = d.run(c, idx+1, d.cfg.NumStages, outs)
 	}
 	return outs
 }

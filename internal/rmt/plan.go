@@ -7,10 +7,10 @@ import (
 )
 
 // This file implements specialized capsule execution: a program admitted by
-// the decoded-program cache is compiled once — against one immutable
-// PipeView — into a flattened straight-line plan of resolved operations, so
-// the per-packet loop no longer pays for stage dispatch through action
-// closures, per-instruction Ctx refills, or map lookups for protection and
+// the decoded-program cache is compiled once — against the tables as they
+// stand — into a flattened straight-line plan of resolved operations, so the
+// per-packet loop no longer pays for stage dispatch through action closures,
+// per-instruction Ctx refills, or table searches for protection and
 // translation state. Everything the interpreter resolves per packet from
 // control-plane state (physical stage, register array, grant bounds,
 // translation mask/offset, hash seed, ingress/egress position, NOP padding)
@@ -18,11 +18,11 @@ import (
 // ops, hashes, branch predication, recirculation accounting — runs per
 // packet.
 //
-// A Plan is immutable after CompilePlan returns and is only valid for the
-// exact PipeView it was compiled against: the owner (the runtime's plan
-// table) keys plans by snapshot identity and discards them wholesale when a
-// control-plane commit publishes a new view, so a stale plan is unreachable
-// by construction. The interpreter (Device.run) remains the always-correct
+// A Plan is immutable after CompilePlan returns and is only valid while the
+// tables it folded are unchanged: the owner (the runtime's plan table)
+// remembers the device generation (Device.Gen) it compiled under and
+// discards every plan when the generation moves, so a stale plan never
+// executes. The interpreter (Device.run) remains the always-correct
 // fallback; ExecPlan reproduces its observable semantics bit for bit —
 // identical Executed marking, branch skipping, recirculation counts, latency
 // model, fault attribution, and per-stage counters.
@@ -55,13 +55,13 @@ type planOp struct {
 	lo, hi  uint32 // memory ops: folded protection ∩ array bounds; empty ⇒ always fault
 	mask    uint32 // ADDR_MASK folded translation mask
 	off     uint32 // ADDR_OFFSET folded translation offset
-	// st is the slot's physical stage: its Executed count and register array.
-	st   *Stage
-	view *StageView // fault-attribution lookup (rare path only)
+	// st is the slot's physical stage: its Executed count, register array and
+	// (for fault attribution only) its TCAM.
+	st *Stage
 }
 
 // Plan is a compiled straight-line execution plan for one (FID, program
-// version) under one published PipeView. Immutable after compilation.
+// version) under one device generation. Immutable after compilation.
 type Plan struct {
 	ops       []planOp
 	numStages int
@@ -78,14 +78,11 @@ func (pl *Plan) Len() int { return len(pl.ops) }
 func (d *Device) TraceEnabled() bool { return d.trace != nil }
 
 // CompilePlan compiles instrs (already privilege-rewritten by the caller)
-// for fid against the given published pipeline view. It returns nil when the
-// program cannot be specialized — a FORK (clone recursion needs the
-// interpreter) or an opcode outside the defined set — in which case the
-// caller executes through the interpreter instead.
-func (d *Device) CompilePlan(fid uint16, instrs []isa.Instruction, view *PipeView) *Plan {
-	if view == nil {
-		return nil
-	}
+// for fid against the current tables. It returns nil when the program cannot
+// be specialized — a FORK (clone recursion needs the interpreter) or an
+// opcode outside the defined set — in which case the caller executes through
+// the interpreter instead.
+func (d *Device) CompilePlan(fid uint16, instrs []isa.Instruction) *Plan {
 	n := d.cfg.NumStages
 	pl := &Plan{
 		ops:       make([]planOp, len(instrs)),
@@ -98,7 +95,6 @@ func (d *Device) CompilePlan(fid uint16, instrs []isa.Instruction, view *PipeVie
 			return nil
 		}
 		stage := idx % n
-		sv := view.StageView(stage)
 		o := &pl.ops[idx]
 		o.op = in.Op
 		o.label = in.Label
@@ -127,8 +123,7 @@ func (d *Device) CompilePlan(fid uint16, instrs []isa.Instruction, view *PipeVie
 		case isa.OpCJump, isa.OpCJumpI, isa.OpUJump:
 			o.operand = in.Operand
 		case isa.OpMemRead, isa.OpMemWrite, isa.OpMemIncrement, isa.OpMemMinRead, isa.OpMemMinReadInc:
-			o.view = sv
-			if reg, ok := sv.Region(fid); ok {
+			if reg, ok := o.st.Prot.Region(fid); ok {
 				// The grant installer validated Hi-1 against the array, but a
 				// directly installed TCAM region may overhang it: clamp so the
 				// folded bounds compare equals Allowed() ∧ InRange() exactly.
@@ -144,13 +139,13 @@ func (d *Device) CompilePlan(fid uint16, instrs []isa.Instruction, view *PipeVie
 				}
 			}
 		case isa.OpAddrMask:
-			if t, ok := sv.Translate(fid); ok {
+			if t, ok := o.st.TranslateFor(fid); ok {
 				o.mask = t.Mask
 			} else {
 				o.kind = pkCount
 			}
 		case isa.OpAddrOffset:
-			if t, ok := sv.Translate(fid); ok {
+			if t, ok := o.st.TranslateFor(fid); ok {
 				o.off = t.Offset
 			} else {
 				o.kind = pkCount
@@ -400,5 +395,5 @@ func planFault(o *planOp, p *PHV, addr uint32) {
 	p.Faulted = true
 	p.FaultAddr = addr
 	p.FaultStage = int(o.stage)
-	p.FaultOwner, p.FaultOwned = o.view.Owner(addr)
+	p.FaultOwner, p.FaultOwned = o.st.Prot.OwnerOf(addr)
 }

@@ -71,7 +71,7 @@ func TestPrefixDiff(t *testing.T) {
 }
 
 func TestTCAMInstallLookupRemove(t *testing.T) {
-	tc := NewTCAM(64)
+	tc := &TCAM{capacity: 64, gen: new(uint64)}
 	if err := tc.Install(Region{FID: 1, Lo: 0, Hi: 256}); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestTCAMInstallLookupRemove(t *testing.T) {
 }
 
 func TestTCAMCapacity(t *testing.T) {
-	tc := NewTCAM(4)
+	tc := &TCAM{capacity: 4, gen: new(uint64)}
 	// [5,21) costs 5 entries > capacity 4.
 	err := tc.Install(Region{FID: 1, Lo: 5, Hi: 21})
 	if err == nil {

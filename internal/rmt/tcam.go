@@ -68,9 +68,10 @@ func (r Region) Cost() int { return PrefixCount(r.Lo, r.Hi) }
 
 // regionSet is one stage's protected regions in the two orders they are read
 // in: by FID for the per-access protection lookup and by (Lo, FID) for owner
-// attribution. The TCAM keeps one, sorted incrementally; a published
-// StageView holds a copy. Lookups are binary searches over the compact
-// slices.
+// attribution. The TCAM keeps one, sorted incrementally. Lookups are binary
+// searches over the compact slices: FIDs are sparse 16-bit names (the soak
+// admits 1 000-60 004), so a dense index would cost hundreds of kilobytes
+// per stage.
 type regionSet struct {
 	byFID []Region
 	byLo  []Region
@@ -133,13 +134,10 @@ type TCAM struct {
 	capacity int
 	used     int
 	set      regionSet
-	// dirty: changed since Device.RebuildView last copied the set. Install and
-	// Remove set it, so callers that edit the table directly are still seen.
-	dirty bool
+	// gen is the device generation (Device.Gen), bumped by Install and
+	// Remove, so compiled plans see even an edit made directly on the table.
+	gen *uint64
 }
-
-// NewTCAM returns a TCAM with the given prefix-entry capacity.
-func NewTCAM(capacity int) *TCAM { return &TCAM{capacity: capacity} }
 
 // ErrTCAMFull is returned when a region's prefix expansion does not fit.
 type ErrTCAMFull struct {
@@ -170,7 +168,7 @@ func (t *TCAM) Install(r Region) error {
 	t.used += need
 	t.set.byLo = slices.Insert(t.set.byLo, t.set.loIndex(r), r)
 	t.set.byFID = slices.Insert(t.set.byFID, i, r)
-	t.dirty = true
+	*t.gen++
 	return nil
 }
 
@@ -187,7 +185,7 @@ func (t *TCAM) Remove(fid uint16) int {
 	j := t.set.loIndex(t.set.byFID[i])
 	t.set.byLo = slices.Delete(t.set.byLo, j, j+1)
 	t.set.byFID = slices.Delete(t.set.byFID, i, i+1)
-	t.dirty = true
+	*t.gen++
 	return cost
 }
 

@@ -4,7 +4,7 @@ import "activermt/internal/telemetry"
 
 // AttachTelemetry registers the device's metric families in reg — each reads
 // the count where the device, a stage or its register array keeps it, and
-// per-stage occupancy from the published pipeline view — and starts the
+// per-stage occupancy from the stage's TCAM — and starts the
 // per-packet latency histogram, the one number the device keeps only when
 // telemetry asks for it. Attach before traffic starts.
 func (d *Device) AttachTelemetry(reg *telemetry.Registry) {
@@ -23,7 +23,7 @@ func (d *Device) AttachTelemetry(reg *telemetry.Registry) {
 	reg.StageVec("activermt_stage_occupancy_words", "register words covered by installed grants per physical stage",
 		telemetry.KindGauge, len(d.stages), func(s int) float64 {
 			var words uint32
-			for _, r := range d.View().StageView(s).Regions() {
+			for _, r := range d.stages[s].Prot.set.byFID {
 				words += r.Hi - r.Lo
 			}
 			return float64(words)

@@ -148,15 +148,14 @@ func (r *Runtime) installActions(d *rmt.Device) {
 			}
 		},
 
-		// Address translation and hashing. Translation entries come from
-		// the published stage view, never the mutable builder map.
+		// Address translation and hashing.
 		isa.OpAddrMask: func(ctx *rmt.Ctx, in isa.Instruction) {
-			if t, ok := ctx.View.Translate(ctx.PHV.FID); ok {
+			if t, ok := ctx.Stage.TranslateFor(ctx.PHV.FID); ok {
 				ctx.PHV.MAR &= t.Mask
 			}
 		},
 		isa.OpAddrOffset: func(ctx *rmt.Ctx, in isa.Instruction) {
-			if t, ok := ctx.View.Translate(ctx.PHV.FID); ok {
+			if t, ok := ctx.Stage.TranslateFor(ctx.PHV.FID); ok {
 				ctx.PHV.MAR += t.Offset
 			}
 		},
@@ -184,19 +183,17 @@ func rts(ctx *rmt.Ctx) {
 // memAction wraps a register micro-program with TCAM protection: a memory
 // access whose MAR falls outside the FID's installed region in this stage is
 // a fault, and the packet is dropped ("packets that fail execution are
-// dropped", Section 4.3). The protection check and fault attribution read
-// the published stage view, so the packet sees one consistent protection
-// state for its whole traversal even while the controller mutates tables.
+// dropped", Section 4.3).
 func memAction(body func(ctx *rmt.Ctx, in isa.Instruction, addr uint32)) rmt.Action {
 	return func(ctx *rmt.Ctx, in isa.Instruction) {
 		addr := ctx.PHV.MAR
-		if !ctx.View.Allowed(ctx.PHV.FID, addr) || !ctx.Stage.Registers.InRange(addr) {
+		if !ctx.Stage.Prot.Lookup(ctx.PHV.FID, addr) || !ctx.Stage.Registers.InRange(addr) {
 			ctx.Stage.Registers.Faults++
 			ctx.PHV.Dropped = true
 			ctx.PHV.Faulted = true
 			ctx.PHV.FaultAddr = addr
 			ctx.PHV.FaultStage = ctx.StageIdx
-			ctx.PHV.FaultOwner, ctx.PHV.FaultOwned = ctx.View.Owner(addr)
+			ctx.PHV.FaultOwner, ctx.PHV.FaultOwned = ctx.Stage.Prot.OwnerOf(addr)
 			return
 		}
 		body(ctx, in, addr)

@@ -1,9 +1,7 @@
 package runtime
 
 import (
-	"maps"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"activermt/internal/rmt"
@@ -50,11 +48,7 @@ func (r *Runtime) EnableRecircLimiter(p RecircPolicy, now func() time.Duration) 
 }
 
 // RecircAllowed charges the extra passes a program will consume and reports
-// whether the packet may enter the pipeline. Unlike the rest of the runtime
-// (which the single-threaded simulation engine serializes), the limiter is
-// safe to call from concurrent goroutines: bucket state is mutex-guarded
-// and the throttle counter is updated atomically, modeling the per-pipe
-// hardware meters that are consulted without control-plane coordination.
+// whether the packet may enter the pipeline.
 func (r *Runtime) RecircAllowed(fid uint16, progLen int) bool {
 	if r.recirc == nil {
 		return true
@@ -65,19 +59,16 @@ func (r *Runtime) RecircAllowed(fid uint16, progLen int) bool {
 		return true
 	}
 	now := r.recircNow()
-	r.recircMu.Lock()
 	st, ok := r.recirc[fid]
 	if !ok || now-st.windowStart >= r.recircPolicy.Window {
 		st = &recircState{tokens: r.recircPolicy.Budget, windowStart: now}
 		r.recirc[fid] = st
 	}
 	if st.tokens < extra {
-		r.recircMu.Unlock()
-		atomic.AddUint64(&r.RecircThrottled, 1)
+		r.RecircThrottled++
 		return false
 	}
 	st.tokens -= extra
-	r.recircMu.Unlock()
 	return true
 }
 
@@ -95,8 +86,6 @@ func (r *Runtime) RecircBudgetRemaining(fid uint16) int {
 		return math.MaxInt
 	}
 	now := r.recircNow()
-	r.recircMu.Lock()
-	defer r.recircMu.Unlock()
 	st, ok := r.recirc[fid]
 	if !ok || now-st.windowStart >= r.recircPolicy.Window {
 		return r.recircPolicy.Budget
@@ -116,38 +105,34 @@ func (r *Runtime) SetPrivilege(fid uint16, mask uint8) {
 	row := r.row(fid)
 	row.privSet, row.privilege = true, mask
 	r.TableOps++
-	r.publish()
+	r.commit()
 }
 
 // Mirror sessions: the FORK instruction's operand names a clone session
 // whose egress port the control plane configures — the Tofino clone-session
 // model, used by the mirroring service to steer copies to a collector.
 
-// SetMirrorSession installs (fid, session) -> egress port. Published views
-// share the session map by pointer, so the two mutators replace it with an
-// edited copy instead of editing it.
+// SetMirrorSession installs (fid, session) -> egress port.
 func (r *Runtime) SetMirrorSession(fid uint16, session uint8, port uint32) {
-	r.mirror = maps.Clone(r.mirror)
 	if r.mirror == nil {
 		r.mirror = make(map[uint32]uint32)
 	}
 	r.mirror[mirrorKey(fid, session)] = port
 	r.TableOps++
-	r.publish()
+	r.commit()
 }
 
 // ClearMirrorSession removes a session.
 func (r *Runtime) ClearMirrorSession(fid uint16, session uint8) {
-	r.mirror = maps.Clone(r.mirror)
 	delete(r.mirror, mirrorKey(fid, session))
 	r.TableOps++
-	r.publish()
+	r.commit()
 }
 
-// MirrorSession looks up a session's egress port in the published control
-// snapshot (consulted by the FORK action on the packet path).
+// MirrorSession looks up a session's egress port (consulted by the FORK
+// action on the packet path).
 func (r *Runtime) MirrorSession(fid uint16, session uint8) (uint32, bool) {
-	p, ok := r.view().mirror[mirrorKey(fid, session)]
+	p, ok := r.mirror[mirrorKey(fid, session)]
 	return p, ok
 }
 

@@ -11,7 +11,7 @@ import (
 
 // This file is the packet path — the one engine every caller runs, through
 // the one entry ExecuteProgram (switchd, and so the testbed, fabric and soak;
-// core; the ablations; tests and microbenchmarks). executeOne performs the
+// the ablations; tests and microbenchmarks). executeOne performs the
 // admission checks, PHV construction, pipeline execution (a compiled plan when
 // one exists, the interpreter otherwise — see specialize.go), and output
 // encoding such that:
@@ -19,8 +19,9 @@ import (
 //   - all per-packet state lives in the runtime's reusable scratch (pooled
 //     PHV, pooled output capsules, reusable device-output buffer), so the
 //     steady-state loop performs zero heap allocations;
-//   - control state is read exclusively from the published snapshots
-//     (ctrlView + rmt.PipeView), never from the mutable builder tables;
+//   - control state is read where the control plane keeps it — the
+//     admission rows and the device tables — and compiled plans are checked
+//     against their generations (see specialize.go);
 //   - counters are the exported fields of the Runtime and its Device, counted
 //     in place by the one goroutine that executes capsules, and guard events
 //     are buffered — ExecuteProgram delivers them after the capsule has fully
@@ -66,10 +67,10 @@ func (r *Runtime) deliverEvents() {
 // (refusals always record; the sampling clock still advances so
 // executed-capsule sampling stays uniform). The epoch lookup only happens
 // on refusal paths, never per clean packet.
-func (r *Runtime) flightRefusal(cv *ctrlView, fid uint16, v telemetry.Verdict) {
+func (r *Runtime) flightRefusal(fid uint16, v telemetry.Verdict) {
 	if fr := r.fr; fr != nil {
 		fr.ShouldSample()
-		fr.Record(telemetry.FlightEntry{FID: fid, Epoch: cv.row(fid).epoch, Verdict: v})
+		fr.Record(telemetry.FlightEntry{FID: fid, Epoch: r.rowOf(fid).epoch, Verdict: v})
 	}
 }
 
@@ -92,9 +93,7 @@ type scratch struct {
 	devOuts []*rmt.PHV
 	slots   []*outSlot
 
-	// memo is the direct-mapped plan memo (see specialize.go): single-writer
-	// like the rest of the scratch state, validated per hit by plan-table and
-	// program pointer identity.
+	// memo is the direct-mapped plan memo (see specialize.go).
 	memo [planMemoSize]planMemoEntry
 }
 
@@ -110,16 +109,16 @@ func (res *scratch) slot(i int) *outSlot {
 func (res *scratch) addOutput(s *outSlot) { res.outputs = append(res.outputs, &s.out) }
 
 // ExecuteProgram runs one program capsule through the pipeline — the only
-// entry point, for the system path (switchd, core, the ablations), tests and
-// microbenchmarks alike. Admission checks read the published control
-// snapshot, the PHV and output capsules are reused, and admitted programs
-// execute through their compiled plan when one is (or can be) cached for the
-// current snapshot pair; everything else takes the interpreter (see
-// specialize.go). When it returns, the capsule's counts are in the exported
-// runtime and device fields — where telemetry reads them — and its buffered
-// guard events have been delivered to the hook: counters read, and
-// escalations land, between capsules. It returns the output packets,
-// primary first, then FORK clones.
+// entry point, for the system path (switchd, the ablations), tests and
+// microbenchmarks alike. Admission checks read the admission rows, the PHV
+// and output capsules are reused, and admitted programs execute through
+// their compiled plan when one is (or can be) cached under the current
+// generations; everything else takes the interpreter (see specialize.go).
+// When it returns, the capsule's counts are in the exported runtime and
+// device fields — where telemetry reads them — and its buffered guard events
+// have been delivered to the hook: counters read, and escalations land,
+// between capsules. It returns the output packets, primary first, then FORK
+// clones.
 //
 // Refused packets (revoked/quarantined/throttled) do not mutate the input
 // capsule's flags: the FlagFailed marking is applied to the copied output
@@ -134,14 +133,14 @@ func (r *Runtime) ExecuteProgram(a *packet.Active) []*Output {
 	return r.res.outputs
 }
 
-// executeOne is one capsule against one load of the published snapshots.
-// Programs whose FID was never admitted pass through unexecuted, exactly as a
-// table miss would behave on the real switch. Programs whose FID was revoked
-// — or is quarantined during a reallocation (FlagMemSync excepted) —
-// hard-drop: a tenant stripped of its grant must not retain pipeline access,
-// and a deactivated tenant's packets must not leak around the snapshot.
+// executeOne is one capsule against the current state. Programs whose FID
+// was never admitted pass through unexecuted, exactly as a table miss would
+// behave on the real switch. Programs whose FID was revoked — or is
+// quarantined during a reallocation (FlagMemSync excepted) — hard-drop: a
+// tenant stripped of its grant must not retain pipeline access, and a
+// deactivated tenant's packets must not leak around the snapshot.
 func (r *Runtime) executeOne(a *packet.Active) {
-	res, cv, pv, tab := r.res, r.view(), r.dev.View(), r.planTab.Load()
+	res := r.res
 	res.outputs = res.outputs[:0]
 	lat := r.passLat
 	if a.Program == nil {
@@ -149,38 +148,36 @@ func (r *Runtime) executeOne(a *packet.Active) {
 		return
 	}
 	fid := a.Header.FID
-	// The plan table is usable only when it matches the loaded snapshot pair
-	// by pointer identity (a publish in between unreaches it).
-	spec := tab != nil && tab.cv == cv && tab.pv == pv &&
-		!r.specOff.Load() && !r.dev.TraceEnabled()
+	spec := !r.specOff && !r.dev.TraceEnabled()
 	var pl *compiledPlan
 	if spec {
 		// The direct-mapped memo remembers the plan last resolved for the
-		// FID's slot; a hit (validated by table and program pointer identity)
-		// skips the plan map's hash entirely.
+		// FID's slot; a hit (same program pointer and FID) skips the plan
+		// map's hash entirely.
+		tab := r.currentPlans()
 		m := &res.memo[int(fid)&(planMemoSize-1)]
 		pl = m.pl
-		if m.tab != tab || m.prog != a.Program || m.fid != fid {
+		if m.prog != a.Program || m.fid != fid {
 			pl = tab.plans[planKey{prog: a.Program, fid: fid}]
 			if pl != nil {
-				*m = planMemoEntry{tab: tab, prog: a.Program, fid: fid, pl: pl}
+				*m = planMemoEntry{prog: a.Program, fid: fid, pl: pl}
 			}
 		}
 	}
 
 	// The admission gate. A cached plan (compiled or a cached refusal to
-	// compile) exists only for a FID that passed the identity checks under
-	// this exact control view, so a hit skips the revoked/admitted lookups
-	// and reads the quarantine mark folded into the plan; only the
-	// packet-dependent checks (FlagMemSync, recirculation budget) remain.
+	// compile) exists only for a FID that passed the identity checks since
+	// the last commit, so a hit skips the revoked/admitted lookups and reads
+	// the quarantine mark folded into the plan; only the packet-dependent
+	// checks (FlagMemSync, recirculation budget) remain.
 	quarantined := false
 	if pl != nil {
 		quarantined = pl.quarantined
 	} else {
-		row := cv.row(fid)
+		row := r.rowOf(fid)
 		if row.revoked {
 			r.RevokedDrops++
-			r.flightRefusal(cv, fid, telemetry.VerdictRevoked)
+			r.flightRefusal(fid, telemetry.VerdictRevoked)
 			res.hardDrop(a, lat)
 			return
 		}
@@ -196,7 +193,7 @@ func (r *Runtime) executeOne(a *packet.Active) {
 	}
 	if quarantined && a.Header.Flags&packet.FlagMemSync == 0 {
 		r.QuarantineDrops++
-		r.flightRefusal(cv, fid, telemetry.VerdictQuarantined)
+		r.flightRefusal(fid, telemetry.VerdictQuarantined)
 		res.hardDrop(a, lat)
 		return
 	}
@@ -204,26 +201,26 @@ func (r *Runtime) executeOne(a *packet.Active) {
 		// The recirculation fairness controller polices bandwidth inflation
 		// (Section 7.2): over-budget programs are dropped.
 		r.events = append(r.events, GuardEvent{Kind: GuardEventRecircThrottled, FID: fid})
-		r.flightRefusal(cv, fid, telemetry.VerdictThrottled)
+		r.flightRefusal(fid, telemetry.VerdictThrottled)
 		res.hardDrop(a, lat)
 		return
 	}
 
 	if spec && pl == nil {
-		// First sighting of this program version under the current
-		// snapshots, past the gate: compile (cached for every subsequent
-		// packet; a FORK program caches its refusal).
-		pl = r.compilePlan(tab, planKey{prog: a.Program, fid: fid})
+		// First sighting of this program version since the last commit,
+		// past the gate: compile (cached for every subsequent packet; a FORK
+		// program caches its refusal).
+		pl = r.compilePlan(planKey{prog: a.Program, fid: fid})
 	}
 	if pl != nil && pl.rp != nil {
-		r.execSpecialized(a, pl, cv, fid)
+		r.execSpecialized(a, pl, fid)
 		return
 	}
 	r.ProgramsRun++
 
 	phv := res.fillPHV(a, fid, true)
 	phv.Instrs = append(phv.Instrs[:0], a.Program.Instrs...)
-	r.PrivSuppressed += maskPrivileged(cv, fid, phv.Instrs)
+	r.PrivSuppressed += maskPrivileged(r.rowOf(fid), phv.Instrs)
 
 	res.devOuts = r.dev.ExecInto(phv, res.devOuts[:0])
 	for i, p := range res.devOuts {
@@ -242,7 +239,7 @@ func (r *Runtime) executeOne(a *packet.Active) {
 		s.finish(a, p)
 		res.addOutput(s)
 	}
-	r.flightExecuted(cv, fid, res.devOuts[0]) // the primary PHV describes the traversal
+	r.flightExecuted(fid, res.devOuts[0]) // the primary PHV describes the traversal
 }
 
 // fillPHV resets the pooled PHV and loads the capsule's parsed fields; the
@@ -279,7 +276,7 @@ func (r *Runtime) noteFault(fid uint16, p *rmt.PHV) {
 
 // flightExecuted samples an executed capsule into the flight recorder;
 // faults and drops force-record.
-func (r *Runtime) flightExecuted(cv *ctrlView, fid uint16, p *rmt.PHV) {
+func (r *Runtime) flightExecuted(fid uint16, p *rmt.PHV) {
 	fr := r.fr
 	if fr == nil {
 		return
@@ -291,7 +288,7 @@ func (r *Runtime) flightExecuted(cv *ctrlView, fid uint16, p *rmt.PHV) {
 			v = telemetry.VerdictDropped
 		}
 		fr.Record(telemetry.FlightEntry{
-			FID: fid, Epoch: cv.row(fid).epoch, Verdict: v,
+			FID: fid, Epoch: r.rowOf(fid).epoch, Verdict: v,
 			Stages: uint16(p.StagesRun), Passes: uint8(p.Passes),
 			Faulted: p.Faulted, Addr: p.MAR, FaultAddr: p.FaultAddr,
 		})
@@ -323,9 +320,10 @@ func (res *scratch) hardDrop(a *packet.Active, lat time.Duration) {
 // unprivileged FIDs, exactly as a match-table privilege qualifier would
 // suppress the actions. FIDs without an explicit assignment are fully
 // privileged (the paper's deployments assume authenticated edges; privilege
-// levels are the hardening extension). It returns the number suppressed.
-func maskPrivileged(cv *ctrlView, fid uint16, instrs []isa.Instruction) (suppressed uint64) {
-	if row := cv.row(fid); !row.privSet || row.privilege&PrivForwarding != 0 {
+// levels are the hardening extension). row is the FID's admission row. It
+// returns the number suppressed.
+func maskPrivileged(row fidRow, instrs []isa.Instruction) (suppressed uint64) {
+	if !row.privSet || row.privilege&PrivForwarding != 0 {
 		return 0
 	}
 	for i := range instrs {

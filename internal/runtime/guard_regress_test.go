@@ -1,9 +1,7 @@
 package runtime
 
 import (
-	"sync"
 	"testing"
-	"time"
 
 	"activermt/internal/packet"
 )
@@ -78,51 +76,6 @@ func TestQuarantineHardDropAndMemSync(t *testing.T) {
 	}
 	if r.QuarantineDrops != 1 {
 		t.Errorf("QuarantineDrops = %d after reactivation, want still 1", r.QuarantineDrops)
-	}
-}
-
-// The recirculation limiter must be safe under concurrent multi-FID load:
-// per-pipe meters are consulted without control-plane serialization. Run
-// with -race; the assertions check token-bucket conservation per FID.
-func TestRecircAllowedConcurrent(t *testing.T) {
-	r := testRuntime(t)
-	const budget = 8
-	r.EnableRecircLimiter(RecircPolicy{Budget: budget, Window: time.Hour}, func() time.Duration { return 0 })
-
-	n := r.Device().Config().NumStages
-	twoPass := n + 1 // costs one token per call
-
-	const fids = 8
-	const callsPerFID = 64
-	var wg sync.WaitGroup
-	allowed := make([]uint64, fids)
-	for i := 0; i < fids; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := 0; c < callsPerFID; c++ {
-				if r.RecircAllowed(uint16(100+i), twoPass) {
-					allowed[i]++
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	for i, got := range allowed {
-		if got != budget {
-			t.Errorf("fid %d: %d passes allowed, want exactly %d", 100+i, got, budget)
-		}
-	}
-	wantThrottled := uint64(fids * (callsPerFID - budget))
-	if r.RecircThrottled != wantThrottled {
-		t.Errorf("RecircThrottled = %d, want %d", r.RecircThrottled, wantThrottled)
-	}
-
-	// Single-pass programs are never charged, even with the bucket empty.
-	if !r.RecircAllowed(100, n) {
-		t.Error("single-pass program throttled")
 	}
 }
 

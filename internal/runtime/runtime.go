@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"activermt/internal/alloc"
@@ -41,39 +39,38 @@ func GrantOf(pl *alloc.Placement) Grant {
 // Runtime is the ActiveRMT switch runtime: a configured RMT device plus the
 // FID admission, protection, and translation state the shared P4 program
 // maintains.
+//
+// One goroutine drives a Runtime — the simulation's — and runs its
+// control-plane mutators and its packet path in turn. A commit edits the
+// tables in place and is seen by the next capsule; nothing is copied for it.
 type Runtime struct {
 	dev *rmt.Device
 
-	// rows is the admission table (see snapshot.go): edited in place here,
-	// read by the packet path from the copy publish() last made.
+	// rows is the admission table: edited in place by the mutators, read in
+	// place by the packet path, the guard and telemetry.
 	rows []fidRow
+	// gen counts admission-state commits (see commit).
+	gen uint64
 
 	guard GuardHook
 
 	// Section 7 extensions (see extensions.go).
 	recircPolicy RecircPolicy
 	recircNow    func() time.Duration
-	recircMu     sync.Mutex
 	recirc       map[uint16]*recircState
 	mirror       map[uint32]uint32
-
-	// snap is the published control-state snapshot the packet path and
-	// ingress guard read (see snapshot.go); snapGen numbers publications.
-	snap    atomic.Pointer[ctrlView]
-	snapGen uint64
 
 	// passLat caches the device's per-pass latency so the hot path does not
 	// copy the whole Config struct per packet. Immutable after New.
 	passLat time.Duration
 
-	// Specialization state (see specialize.go): planTab is the published
-	// compiled-plan table for the current snapshot pair, planMu serializes
-	// plan inserts against table resets, specOff disables the specialized
-	// path, and planCompiles counts compilations.
-	planTab      atomic.Pointer[planTable]
-	planMu       sync.Mutex
-	specOff      atomic.Bool
-	planCompiles atomic.Uint64
+	// Specialization state (see specialize.go): plans is the compiled-plan
+	// table and specOff disables the specialized path.
+	plans   planTable
+	specOff bool
+
+	// wants is fillTables' per-stage scratch.
+	wants []stageWant
 
 	// res is ExecuteProgram's scratch state and events its guard-event
 	// buffer (see fastpath.go): events raised by a capsule are delivered to
@@ -85,15 +82,59 @@ type Runtime struct {
 	// telemetry.go).
 	fr *telemetry.FlightRecorder
 
-	// Stats for the experiment harness and telemetry, counted in place by
-	// the one goroutine that executes capsules (RecircThrottled and TableOps
-	// by whoever polices or commits).
+	// Stats for the experiment harness and telemetry, counted in place.
 	ProgramsRun, Passthrough, Faults uint64
 	RecircThrottled, PrivSuppressed  uint64
 	QuarantineDrops, RevokedDrops    uint64
 	SpecializedRuns                  uint64 // capsules executed through a compiled plan
+	PlanCompiles                     uint64 // program-to-plan compilations performed
 	TableOps                         uint64 // cumulative table update operations
 }
+
+// fidRow is everything the admission gate knows about one FID. Rows live in
+// one slice sorted by fid, found by binary search, and are never deleted:
+// the epoch must survive RemoveGrant so a re-admitted FID continues the
+// sequence rather than reissuing epochs an attacker may have observed.
+type fidRow struct {
+	fid         uint16
+	admitted    bool
+	quarantined bool // execution suspended for a reallocation
+	revoked     bool // grant removed: packets hard-drop instead of passing through
+	// epoch is bumped on every grant install so capsules stamped against
+	// an older grant are detectably stale (0: never granted).
+	epoch uint8
+	// privilege applies once privSet; FIDs without an explicit assignment
+	// are fully privileged.
+	privSet   bool
+	privilege uint8
+}
+
+// findRow returns fid's position in rows and whether a row is there.
+func findRow(rows []fidRow, fid uint16) (int, bool) {
+	lo, hi := 0, len(rows)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); rows[m].fid < fid {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(rows) && rows[lo].fid == fid
+}
+
+// rowOf returns fid's row; a FID never seen has the zero row.
+func (r *Runtime) rowOf(fid uint16) fidRow {
+	if i, ok := findRow(r.rows, fid); ok {
+		return r.rows[i]
+	}
+	return fidRow{}
+}
+
+// commit ends one control-plane edit of admission state: every mutator calls
+// it once, after its full edit. The generation it bumps empties the plan
+// table before the next capsule, because plans fold admission, privilege,
+// protection and translation state (see specialize.go).
+func (r *Runtime) commit() { r.gen++ }
 
 // GuardHook receives data-plane isolation events as they happen. The runtime
 // deliberately depends only on this narrow interface (internal/guard
@@ -117,30 +158,30 @@ func New(cfg rmt.Config) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Runtime{dev: dev, passLat: dev.Config().PassLatency, res: &scratch{phv: &rmt.PHV{}}}
+	r := &Runtime{dev: dev, passLat: dev.Config().PassLatency, res: &scratch{phv: &rmt.PHV{}},
+		wants: make([]stageWant, dev.NumStages())}
 	r.installActions(dev)
-	r.publish()
+	r.commit()
 	return r, nil
 }
 
 // Device exposes the underlying device (for controllers and tests).
 func (r *Runtime) Device() *rmt.Device { return r.dev }
 
-// Admitted reports whether fid has been admitted, per the published
-// control snapshot (the same state the packet path executes against).
-func (r *Runtime) Admitted(fid uint16) bool { return r.view().row(fid).admitted }
+// Admitted reports whether fid has been admitted.
+func (r *Runtime) Admitted(fid uint16) bool { return r.rowOf(fid).admitted }
 
 // Quarantined reports whether fid's packets are currently deactivated.
-func (r *Runtime) Quarantined(fid uint16) bool { return r.view().row(fid).quarantined }
+func (r *Runtime) Quarantined(fid uint16) bool { return r.rowOf(fid).quarantined }
 
 // Revoked reports whether fid once held a grant that has been removed (and
 // has not been re-admitted since).
-func (r *Runtime) Revoked(fid uint16) bool { return r.view().row(fid).revoked }
+func (r *Runtime) Revoked(fid uint16) bool { return r.rowOf(fid).revoked }
 
 // Epoch returns fid's current grant epoch (0: no grant ever installed).
 // Allocation responses carry it to the client, program capsules echo it
 // back, and the guard drops capsules whose echo is stale.
-func (r *Runtime) Epoch(fid uint16) uint8 { return r.view().row(fid).epoch }
+func (r *Runtime) Epoch(fid uint16) uint8 { return r.rowOf(fid).epoch }
 
 // NextEpoch returns the epoch the next grant installation will assign —
 // what the controller stamps into reallocation notices sent before the
@@ -184,7 +225,7 @@ func (r *Runtime) Reactivate(fid uint16) { r.setQuarantined(fid, false) }
 func (r *Runtime) setQuarantined(fid uint16, q bool) {
 	r.row(fid).quarantined = q
 	r.TableOps++
-	r.publish()
+	r.commit()
 }
 
 // InstallGrant brings the protection and translation entries of g's FID to
@@ -205,12 +246,10 @@ func (r *Runtime) InstallGrant(g Grant) (int, error) {
 		r.admit(g.FID)
 		ops++ // the admission gate entry
 	}
-	// Every path republishes: the tables have been touched (install or
-	// rollback), and packets must only ever execute against a fully
-	// committed view.
+	// Every path commits: the tables have been touched (install or
+	// rollback).
 	r.TableOps += uint64(ops)
-	r.dev.RebuildView()
-	r.publish()
+	r.commit()
 	return ops, err
 }
 
@@ -220,11 +259,8 @@ func (r *Runtime) InstallGrant(g Grant) (int, error) {
 // prefix expansion does not share with the installed one; a translation
 // entry costs one write if it is new or differs, one delete if it is stale.
 func (r *Runtime) fillTables(g Grant) (int, error) {
-	// What the grant wants in each physical stage; the rest is stale.
-	wants := make([]struct {
-		region, xlate bool
-		tr            rmt.Translate
-	}, r.dev.NumStages())
+	wants := r.wants
+	clear(wants)
 	ops := 0
 	prevLogical := -1
 	for _, a := range g.Accesses {
@@ -273,6 +309,12 @@ func (r *Runtime) fillTables(g Grant) (int, error) {
 	return ops, nil
 }
 
+// stageWant is what a grant wants in one physical stage; the rest is stale.
+type stageWant struct {
+	region, xlate bool
+	tr            rmt.Translate
+}
+
 // translateFor derives the mask/offset pair for a region: the mask is the
 // largest power-of-two window that fits the region (mask-based translation
 // needs power-of-two windows; arbitrary-size regions use the floor), the
@@ -292,7 +334,7 @@ func (r *Runtime) AdmitStateless(fid uint16) {
 	if !r.row(fid).admitted {
 		r.admit(fid)
 		r.TableOps++
-		r.publish()
+		r.commit()
 	}
 }
 
@@ -307,8 +349,7 @@ func (r *Runtime) RemoveGrant(fid uint16) int {
 	row := &r.rows[i]
 	row.admitted, row.quarantined, row.revoked = false, false, true
 	r.TableOps += uint64(ops)
-	r.dev.RebuildView()
-	r.publish()
+	r.commit()
 	return ops
 }
 

@@ -10,22 +10,20 @@ import (
 // program cache already canonicalizes programs per (FID, epoch, len, CRC32):
 // every capsule carrying the same program version under the same grant epoch
 // resolves to one shared *isa.Program. The runtime exploits that identity to
-// compile each admitted program version once — against the exact published
-// snapshot pair (ctrlView, rmt.PipeView) — into a straight-line rmt.Plan,
-// then executes packets through the plan instead of the interpreter.
+// compile each admitted program version once — against the admission rows
+// and device tables as they stand — into a straight-line rmt.Plan, then
+// executes packets through the plan instead of the interpreter.
 //
-// Validity is pointer identity, never comparison: a plan table remembers the
-// snapshot pair it was built against, publish() installs a fresh empty table
-// after every snapshot swap, and the hot path uses a table only when its
-// snapshot pointers equal the ones just loaded. A grant install, epoch bump,
-// quarantine flip, privilege change, or revocation all funnel through
-// publish(), so every one of them unreaches the previous table wholesale; a
-// stale plan cannot execute because nothing can reach it.
+// Validity is two generation counters: the plan table remembers the runtime
+// generation (bumped by every commit) and the device generation (bumped by
+// every TCAM or translation edit) its plans were compiled under, and the
+// packet path empties it the first time either has moved. A grant install, epoch bump, quarantine flip, privilege change,
+// revocation, or a table edited directly all move one of them, so a stale
+// plan never executes.
 //
 // The interpreter remains the always-correct fallback: unknown or unadmitted
-// FIDs, programs the compiler refuses (FORK), trace-hook sessions, a full
-// plan table, and the window between a publish and the first recompile all
-// run through the unchanged interpreter path.
+// FIDs, programs the compiler refuses (FORK), trace-hook sessions, and a full
+// plan table all run through the unchanged interpreter path.
 
 // planKey identifies one compiled plan: the canonical decoded-program
 // pointer (which already encodes FID, grant epoch, length, and CRC32 — see
@@ -47,10 +45,10 @@ type compiledPlan struct {
 	// at compile time; the interpreter counts suppressions per packet, so
 	// the specialized path adds the same amount for every packet executed.
 	suppressed uint64
-	// quarantined snapshots the FID's quarantine mark under the compile
-	// view: plans exist only for admitted, unrevoked FIDs (compilation runs
-	// after the admission checks), so this is the only per-FID admission
-	// flag the specialized entry still has to consult.
+	// quarantined is the FID's quarantine mark at compile time: plans exist
+	// only for admitted, unrevoked FIDs (compilation runs after the
+	// admission checks), so this is the only per-FID admission flag the
+	// specialized entry still has to consult.
 	quarantined bool
 	// readsTuple notes a HASHDATA_5TUPLE in the image: only then does a
 	// packet's payload need parsing for its transport 5-tuple.
@@ -63,97 +61,67 @@ type compiledPlan struct {
 
 // planMemoSize is the direct-mapped plan memo size (a power of two). The
 // memo short-circuits the plan-table map hash for the FIDs the packet path
-// is actively serving; a collision or a table swap just falls back
-// to the map lookup.
+// is actively serving; a collision just falls back to the map lookup.
 const planMemoSize = 16
 
-// planMemoEntry caches one resolved plan, validated by table pointer (which
-// pins the snapshot pair) and canonical program pointer.
+// planMemoEntry caches one resolved plan of the current table, keyed by
+// canonical program pointer and FID. Emptying the table zeroes the memo.
 type planMemoEntry struct {
-	tab  *planTable
 	prog *isa.Program
 	fid  uint16
 	pl   *compiledPlan
 }
 
-// planTable maps program versions to compiled plans under one snapshot pair.
-// Tables are copy-on-write: lookups walk the map lock-free while inserts
-// (rare — once per program version per publish) build a new table under
-// planMu and republish the pointer.
+// planTable maps program versions to compiled plans under one pair of
+// generations.
 type planTable struct {
-	cv    *ctrlView
-	pv    *rmt.PipeView
-	plans map[planKey]*compiledPlan
+	gen, devGen uint64 // the runtime and device generations the plans were compiled under
+	plans       map[planKey]*compiledPlan
 }
 
 // maxPlans bounds a plan table. Overflowing compiles still execute their
 // packet through a one-shot plan; they are just not cached.
 const maxPlans = 4096
 
-// resetPlans installs a fresh empty plan table (a nil map until the first
-// compile) for the current snapshot pair. Called from publish().
-func (r *Runtime) resetPlans(cv *ctrlView) {
-	r.planMu.Lock()
-	r.planTab.Store(&planTable{cv: cv, pv: r.dev.View()})
-	r.planMu.Unlock()
+// currentPlans returns the plan table, emptied first (with the memo) if a
+// commit or a table edit has happened since its plans were compiled.
+func (r *Runtime) currentPlans() *planTable {
+	t := &r.plans
+	if t.gen != r.gen || t.devGen != r.dev.Gen() {
+		clear(t.plans)
+		t.gen, t.devGen = r.gen, r.dev.Gen()
+		r.res.memo = [planMemoSize]planMemoEntry{}
+	}
+	return t
 }
 
 // SetSpecialization enables or disables compiled-plan execution (enabled by
 // default). Disabling it forces every packet through the interpreter — the
 // honest baseline for benchmarks and differential tests.
-func (r *Runtime) SetSpecialization(on bool) { r.specOff.Store(!on) }
+func (r *Runtime) SetSpecialization(on bool) { r.specOff = !on }
 
-// PlanCompiles returns the number of plan compilations performed.
-func (r *Runtime) PlanCompiles() uint64 { return r.planCompiles.Load() }
-
-// compilePlan compiles key's program under tab's snapshot pair and caches
-// the result in a republished copy-on-write table. The caller has already
-// passed the admission checks for key.fid under tab.cv. If a control commit
-// republished the snapshots since the caller loaded tab, the plan is built
-// against the caller's (still consistent) pair but not cached — the
-// superseded table must not be resurrected over the fresh one.
-func (r *Runtime) compilePlan(tab *planTable, key planKey) *compiledPlan {
-	r.planMu.Lock()
-	defer r.planMu.Unlock()
-	cur := r.planTab.Load()
-	if cur != tab {
-		if pl, ok := cur.plans[key]; ok && cur.cv == tab.cv && cur.pv == tab.pv {
-			return pl
-		}
-		if cur.cv != tab.cv || cur.pv != tab.pv {
-			return r.buildPlan(tab.cv, tab.pv, key)
-		}
-		tab = cur
-	}
-	if pl, ok := tab.plans[key]; ok {
-		return pl
-	}
-	pl := r.buildPlan(tab.cv, tab.pv, key)
-	if len(tab.plans) < maxPlans {
-		next := &planTable{cv: tab.cv, pv: tab.pv, plans: make(map[planKey]*compiledPlan, len(tab.plans)+1)}
-		for k, v := range tab.plans {
-			next.plans[k] = v
-		}
-		next.plans[key] = pl
-		r.planTab.Store(next)
-	}
-	return pl
-}
-
-// buildPlan folds privilege and compiles the device plan for one program
-// version under an explicit snapshot pair.
-func (r *Runtime) buildPlan(cv *ctrlView, pv *rmt.PipeView, key planKey) *compiledPlan {
+// compilePlan folds privilege into key's program, compiles the device plan
+// under the current state and caches it in the plan table (the caller has
+// passed the admission checks for key.fid).
+func (r *Runtime) compilePlan(key planKey) *compiledPlan {
+	row := r.rowOf(key.fid)
 	cp := &compiledPlan{
 		instrs:      append([]isa.Instruction(nil), key.prog.Instrs...),
-		quarantined: cv.row(key.fid).quarantined,
+		quarantined: row.quarantined,
 	}
-	cp.suppressed = maskPrivileged(cv, key.fid, cp.instrs)
+	cp.suppressed = maskPrivileged(row, cp.instrs)
 	for i := range cp.instrs {
 		cp.preMarked = cp.preMarked || cp.instrs[i].Executed
 		cp.readsTuple = cp.readsTuple || cp.instrs[i].Op == isa.OpHashdata5Tuple
 	}
-	cp.rp = r.dev.CompilePlan(key.fid, cp.instrs, pv)
-	r.planCompiles.Add(1)
+	cp.rp = r.dev.CompilePlan(key.fid, cp.instrs)
+	r.PlanCompiles++
+	if t := &r.plans; len(t.plans) < maxPlans {
+		if t.plans == nil {
+			t.plans = make(map[planKey]*compiledPlan)
+		}
+		t.plans[key] = cp
+	}
 	return cp
 }
 
@@ -165,7 +133,7 @@ func (r *Runtime) buildPlan(cv *ctrlView, pv *rmt.PipeView, key planKey) *compil
 // interpreter marks exactly the first exit headers Executed, so the shrunk
 // body is the image's tail, one append of a slice instead of a
 // per-instruction filter loop.
-func (r *Runtime) execSpecialized(a *packet.Active, pl *compiledPlan, cv *ctrlView, fid uint16) {
+func (r *Runtime) execSpecialized(a *packet.Active, pl *compiledPlan, fid uint16) {
 	res := r.res
 	phv := res.fillPHV(a, fid, pl.readsTuple)
 	exit := r.dev.ExecPlan(pl.rp, phv)
@@ -200,5 +168,5 @@ func (r *Runtime) execSpecialized(a *packet.Active, pl *compiledPlan, cv *ctrlVi
 	}
 	s.finish(a, phv)
 	res.addOutput(s)
-	r.flightExecuted(cv, fid, phv)
+	r.flightExecuted(fid, phv)
 }

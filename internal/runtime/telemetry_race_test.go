@@ -43,11 +43,11 @@ func snapGauge(s *telemetry.Snapshot, name, labels string) (float64, bool) {
 // (and quarantines another), executes capsules for both through
 // ExecuteProgram and publishes a snapshot between steps, while HTTP scrapers
 // on other goroutines read /metrics.json. Every snapshot they decode must be
-// commit-atomic — the admission gauges computed from one published control
-// view never show half a commit — and a flight-recorder entry may resolve
-// Live only when the snapshot's own view still holds that exact (FID, epoch)
-// grant. Run under -race this also proves the scrape path shares no state
-// with the simulation but the published snapshot.
+// commit-atomic — the admission gauges, computed on the simulation goroutine
+// between commits, never show half a commit — and a flight-recorder entry may
+// resolve Live only when the snapshot's own admission state still holds that
+// exact (FID, epoch) grant. Run under -race this also proves the scrape path
+// shares no state with the simulation but the published snapshot.
 func TestTelemetryScrapeRacesGrantCommit(t *testing.T) {
 	r := testRuntime(t)
 	reg := telemetry.NewRegistry()
@@ -114,7 +114,7 @@ func TestTelemetryScrapeRacesGrantCommit(t *testing.T) {
 	}
 
 	// The simulation: commits, capsules of both tenants against whatever
-	// view is current — the toggled tenant's land as executed, passthrough,
+	// state is current — the toggled tenant's land as executed, passthrough,
 	// or revoked drops, and refusals force-record into the flight recorder —
 	// and a publish after each step, waiting for a scrape in between so the
 	// scrapers see every admission state even at GOMAXPROCS=1.
@@ -170,81 +170,79 @@ func TestTelemetryScrapeRacesGrantCommit(t *testing.T) {
 	}
 }
 
-// TestGrantCommitRacesExecution pins the runtime's control/data split: a
-// control plane on one goroutine installs and evicts a tenant's grant (and
-// quarantines another) while the dataplane on another executes capsules for
-// both against whatever view is published. Every capsule meets exactly one
-// fate — executed, passed through, or refused — consistent with some
-// committed state, and under -race the two goroutines share nothing but the
-// published snapshots.
+// TestGrantCommitRacesExecution pins the runtime's control/data interleaving:
+// the control plane installs and evicts a tenant's grant (and quarantines
+// another) between capsules of both tenants, all on the one simulation
+// goroutine the runtime is built for. Every capsule meets exactly one fate,
+// and it is the fate the state committed just before it dictates — executed
+// while admitted, passed through before the first admission, refused while
+// quarantined or revoked — so no capsule ever runs against a superseded
+// grant.
 func TestGrantCommitRacesExecution(t *testing.T) {
 	r := testRuntime(t)
 	installCacheGrant(t, r, 1, 0, 1024)
 	const toggled = uint16(2)
-	done := make(chan struct{})
-	var execs atomic.Uint64
-	var wg sync.WaitGroup
-
-	wg.Add(1)
-	go func() { // control plane
-		defer wg.Done()
-		defer close(done)
-		progress := func() {
-			for prev := execs.Load(); execs.Load() < prev+2; {
-				gort.Gosched()
-			}
-		}
-		for i := 0; i < 200; i++ {
-			if _, err := r.InstallGrant(Grant{FID: toggled}); err != nil {
-				t.Errorf("install cycle %d: %v", i, err)
-				return
-			}
-			progress()
-			if i%8 == 0 {
-				r.Deactivate(1)
-				r.Reactivate(1)
-			}
-			r.RemoveGrant(toggled)
-			progress()
-		}
-	}()
-
 	cache := progPacket(1, cacheQuery, [4]uint32{7, 9, 100, 0})
 	cache.Header.Flags |= packet.FlagPreload
 	probe := progPacket(toggled, nopProbe, [4]uint32{})
+
+	type fate int
+	const (
+		executed fate = iota
+		passthrough
+		refused
+	)
 	capsules := uint64(0)
-	for running := true; running; {
-		select {
-		case <-done:
-			running = false
+	send := func(a *packet.Active, want fate) {
+		outs := r.ExecuteProgram(a)
+		capsules++
+		if len(outs) != 1 {
+			t.Fatalf("fid %d: %d outputs", a.Header.FID, len(outs))
+		}
+		o := outs[0]
+		failed := o.Active.Header.Flags&packet.FlagFailed != 0
+		var got fate
+		switch {
+		case o.Executed && !o.Dropped:
+			got = executed
+		case !o.Executed && !o.Dropped && !failed:
+			got = passthrough
+		case !o.Executed && o.Dropped && failed:
+			got = refused
 		default:
+			t.Fatalf("fid %d: impossible fate %+v", a.Header.FID, o)
 		}
-		for _, a := range []*packet.Active{cache, probe} {
-			outs := r.ExecuteProgram(a)
-			capsules++
-			if len(outs) != 1 {
-				t.Fatalf("fid %d: %d outputs", a.Header.FID, len(outs))
-			}
-			o := outs[0]
-			failed := o.Active.Header.Flags&packet.FlagFailed != 0
-			switch {
-			case o.Executed && !o.Dropped: // executed under an admitted grant
-			case !o.Executed && o.Dropped && failed: // refused: revoked or quarantined
-			case !o.Executed && !o.Dropped && a.Header.FID == toggled: // never admitted yet: passthrough
-			default:
-				t.Fatalf("fid %d: impossible fate %+v", a.Header.FID, o)
-			}
+		if got != want {
+			t.Fatalf("fid %d (capsule %d): fate %d, want %d (0 executed, 1 passthrough, 2 refused)", a.Header.FID, capsules, got, want)
 		}
-		execs.Add(1)
-		gort.Gosched()
 	}
-	wg.Wait()
+	step := func(cacheFate, probeFate fate) {
+		for i := 0; i < 2; i++ {
+			send(cache, cacheFate)
+			send(probe, probeFate)
+		}
+	}
+
+	step(executed, passthrough) // the toggled tenant was never admitted
+	for i := 0; i < 200; i++ {
+		if _, err := r.InstallGrant(Grant{FID: toggled}); err != nil {
+			t.Fatalf("install cycle %d: %v", i, err)
+		}
+		step(executed, executed)
+		if i%8 == 0 {
+			r.Deactivate(1)
+			step(refused, executed)
+			r.Reactivate(1)
+		}
+		r.RemoveGrant(toggled)
+		step(executed, refused)
+	}
 	if fates := r.ProgramsRun + r.Passthrough + r.QuarantineDrops + r.RevokedDrops; fates != capsules {
 		t.Fatalf("%d capsules met %d fates (run %d, passthrough %d, quarantined %d, revoked %d)",
 			capsules, fates, r.ProgramsRun, r.Passthrough, r.QuarantineDrops, r.RevokedDrops)
 	}
-	if !r.Revoked(toggled) || r.QuarantineDrops == 0 && r.RevokedDrops == 0 {
-		t.Fatalf("the race never refused a capsule: revoked %v, quarantine drops %d, revoked drops %d",
+	if !r.Revoked(toggled) || r.QuarantineDrops == 0 || r.RevokedDrops == 0 {
+		t.Fatalf("no capsule was refused: revoked %v, quarantine drops %d, revoked drops %d",
 			r.Revoked(toggled), r.QuarantineDrops, r.RevokedDrops)
 	}
 }

@@ -63,7 +63,7 @@ type FlightEntry struct {
 	Faulted   bool    `json:"faulted,omitempty"`
 	Addr      uint32  `json:"addr"`                 // final memory address register
 	FaultAddr uint32  `json:"fault_addr,omitempty"` // faulting address, when Faulted
-	// Live is resolved at snapshot time against the published control view:
+	// Live is resolved at snapshot time against the runtime's admission rows:
 	// true iff (FID, Epoch) is still the currently installed grant. A
 	// revoked or superseded grant's entries are therefore never live.
 	Live bool `json:"live"`

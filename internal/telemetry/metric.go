@@ -1,6 +1,6 @@
 // Package telemetry is the switch observability layer: a registry of metric
 // families that read each number where its owner keeps it — an exported
-// counter field, the allocator's books, the published control view, a
+// counter field, the allocator's books, the runtime's admission rows, a
 // power-of-two histogram the owner observes into — plus a flight recorder of
 // sampled capsule traces.
 //

@@ -65,8 +65,8 @@ type MetricSnapshot struct {
 }
 
 // Snapshot is one view of every registered family and the flight-recorder
-// contents, with grant liveness resolved against the control view current at
-// collection time.
+// contents, with grant liveness resolved against the admission state current
+// at collection time.
 type Snapshot struct {
 	Metrics []MetricSnapshot `json:"metrics"`
 	Flights []FlightEntry    `json:"flights,omitempty"`

@@ -348,13 +348,13 @@ func TestAdversarialTenantScenario(t *testing.T) {
 	}
 }
 
-// TestEvictionSnapshotOrdering is the snapshot-publication-ordering test for
-// the control/data split: a tenant evicted in the middle of a packet burst
-// must never have a packet served by a stale translation. Every capsule
-// records which published pipeline view it executed under; a capsule may
-// write its word if and only if that view still contained the tenant's
-// region — and once a view without the tenant is published, no later capsule
-// writes again.
+// TestEvictionSnapshotOrdering is the commit-ordering test for the control
+// and data planes: a tenant evicted in the middle of a packet burst must
+// never have a packet served by a stale grant. Every capsule records the
+// table generation it executed under and whether the live tables then held
+// the tenant's region; a capsule may write its word if and only if they did
+// — and once the eviction has removed the region, no later capsule writes
+// again.
 func TestEvictionSnapshotOrdering(t *testing.T) {
 	tb, srv, _, victimCl := setupVictim(t)
 	_, attCl := addCache(t, tb, 2, srv, [4]byte{})
@@ -384,10 +384,10 @@ func TestEvictionSnapshotOrdering(t *testing.T) {
 		}
 	}
 	addr := lo + 3
-	if _, ok := dev.View().StageView(stage).Region(2); !ok {
-		t.Fatal("published view lacks tenant 2's region pre-eviction")
+	if _, ok := dev.Stage(stage).Prot.Region(2); !ok {
+		t.Fatal("tables lack tenant 2's region pre-eviction")
 	}
-	genBefore := dev.View().Gen
+	genBefore := dev.Gen()
 
 	// A raw write capsule landing MEM_WRITE exactly on `stage`: MAR and MBR
 	// arrive via FlagPreload (MAR=args[2]=addr, MBR=args[0]=value).
@@ -396,9 +396,9 @@ func TestEvictionSnapshotOrdering(t *testing.T) {
 	word := func() uint32 { return dev.Stage(stage).Registers.Read(addr) }
 
 	type obs struct {
-		gen     uint64 // view generation the capsule executed under
-		viewHas bool   // that view still contained tenant 2's region
-		wrote   bool
+		gen      uint64 // table generation the capsule executed under
+		tableHas bool   // the tables then still held tenant 2's region
+		wrote    bool
 	}
 	var burst []obs
 	sendAt := func(at time.Duration, v uint32) {
@@ -410,10 +410,10 @@ func TestEvictionSnapshotOrdering(t *testing.T) {
 				Program: writer,
 			}
 			a.Header.SetType(packet.TypeProgram)
-			view := dev.View()
-			_, viewHas := view.StageView(stage).Region(2)
+			gen := dev.Gen()
+			_, tableHas := dev.Stage(stage).Prot.Region(2)
 			tb.RT.ExecuteProgram(a)
-			burst = append(burst, obs{gen: view.Gen, viewHas: viewHas, wrote: word() != before})
+			burst = append(burst, obs{gen: gen, tableHas: tableHas, wrote: word() != before})
 		})
 	}
 	base := tb.Eng.Now()
@@ -430,26 +430,26 @@ func TestEvictionSnapshotOrdering(t *testing.T) {
 	if !tb.RT.Revoked(2) {
 		t.Fatal("tenant 2 not revoked after eviction")
 	}
-	if gen := dev.View().Gen; gen <= genBefore {
-		t.Fatalf("view generation did not advance across eviction: %d -> %d", genBefore, gen)
+	if gen := dev.Gen(); gen <= genBefore {
+		t.Fatalf("table generation did not advance across eviction: %d -> %d", genBefore, gen)
 	}
-	if _, ok := dev.View().StageView(stage).Region(2); ok {
-		t.Fatal("published view still contains the evicted tenant's region")
+	if _, ok := dev.Stage(stage).Prot.Region(2); ok {
+		t.Fatal("tables still hold the evicted tenant's region")
 	}
 
 	pre, post, retracted := 0, 0, false
 	for i, o := range burst {
-		// The ordering invariant: a capsule writes iff the view it executed
-		// under still held the tenant. A write without the region would be a
-		// stale translation serving a packet; a refusal with the region
-		// would be publication racing ahead of the commit.
-		if o.wrote != o.viewHas {
-			t.Fatalf("capsule %d: wrote=%v but view(gen %d) has region=%v", i, o.wrote, o.gen, o.viewHas)
+		// The ordering invariant: a capsule writes iff the tables it executed
+		// against still held the tenant. A write without the region would be
+		// a stale grant serving a packet; a refusal with the region would be
+		// the refusal racing ahead of the commit.
+		if o.wrote != o.tableHas {
+			t.Fatalf("capsule %d: wrote=%v but tables (gen %d) have region=%v", i, o.wrote, o.gen, o.tableHas)
 		}
-		if retracted && o.viewHas {
-			t.Fatalf("capsule %d executed under a resurrected stale view (gen %d)", i, o.gen)
+		if retracted && o.tableHas {
+			t.Fatalf("capsule %d executed under a resurrected region (gen %d)", i, o.gen)
 		}
-		if !o.viewHas {
+		if !o.tableHas {
 			retracted = true
 			post++
 		} else {

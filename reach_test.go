@@ -45,7 +45,6 @@ var reachAllow = map[string]string{
 	"internal/runtime.Runtime.SetPrivilege":       "hardening: per-FID privilege mask over forwarding opcodes (runtime tests)",
 
 	// Observation accessors read by tests other than their own unit test.
-	"internal/rmt.TCAM.Lookup":                   "accessor: rmt and runtime tests probe protection ranges",
 	"internal/rmt.TCAM.Used":                     "accessor: rmt and runtime tests balance TCAM accounting",
 	"internal/telemetry.FlightRecorder.Recorded": "accessor: runtime and telemetry tests",
 	"internal/chaos.TraceString":                 "accessor: chaos and testbed tests compare fired-event traces",
