@@ -172,7 +172,7 @@ func runHHRecirc(o *options) error {
 		}
 	}
 	tb.RT.EnableRecircLimiter(runtime.RecircPolicy{Budget: 8, Window: 50 * time.Millisecond}, tb.Eng.Now)
-	hh.BudgetFn = func() int { return tb.Guard.RecircBudgetRemaining(claimFID) }
+	hh.BudgetFn = func() int { return tb.RT.RecircBudgetRemaining(claimFID) }
 	say("heavy hitter operational: claim arm costs %d extra pass(es), budget 8 per 50ms",
 		hh.ClaimExtraPasses())
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"activermt/internal/netsim"
-	"activermt/internal/packet"
 )
 
 // seedSkew decorrelates the two directions of a duplex link without needing
@@ -98,19 +97,6 @@ func (p Partition) Revert(*System) {
 	}
 }
 
-// ControllerStall wedges the controller CPU: digests keep queueing but
-// nothing is processed until Revert.
-type ControllerStall struct{}
-
-// Name implements Injector.
-func (ControllerStall) Name() string { return "controller-stall" }
-
-// Apply implements Injector.
-func (ControllerStall) Apply(sys *System) { sys.Ctrl.Stall() }
-
-// Revert implements Injector.
-func (ControllerStall) Revert(sys *System) { sys.Ctrl.Resume() }
-
 // ControllerCrash kills the control plane (losing its queue, client
 // directory, and allocation books; the data plane keeps running). Revert
 // restarts it, rebuilding allocation state from the switch tables.
@@ -124,26 +110,6 @@ func (ControllerCrash) Apply(sys *System) { sys.Ctrl.Crash() }
 
 // Revert implements Injector.
 func (ControllerCrash) Revert(sys *System) { sys.Ctrl.Restart() }
-
-// DigestDrop discards a fraction of data-plane-to-controller digests (the
-// switch CPU path is itself lossy under load).
-type DigestDrop struct {
-	Rate float64
-	Seed int64
-}
-
-// Name implements Injector.
-func (d DigestDrop) Name() string { return fmt.Sprintf("digest-drop(%.0f%%)", d.Rate*100) }
-
-// Apply implements Injector.
-func (d DigestDrop) Apply(sys *System) {
-	rng := rand.New(rand.NewSource(d.Seed))
-	rate := d.Rate
-	sys.Ctrl.DigestFilter = func(f *packet.Frame) bool { return rng.Float64() < rate }
-}
-
-// Revert implements Injector.
-func (DigestDrop) Revert(sys *System) { sys.Ctrl.DigestFilter = nil }
 
 // RegisterCorruption flips Bits random bits in one stage's register SRAM
 // (soft errors). The parity kept by the write path is left stale, so the

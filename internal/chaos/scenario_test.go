@@ -200,54 +200,6 @@ func TestCorruptedMemoryQuarantineAndRealloc(t *testing.T) {
 	}
 }
 
-func TestControllerStallQueuesThenDrains(t *testing.T) {
-	tb := newBed(t)
-	srv := addServer(t, tb)
-	_, cl := addCache(t, tb, 1, srv)
-
-	sc := chaos.NewScenario("stall", 1)
-	sc.Apply(0, chaos.ControllerStall{})
-	sc.Revert(150*time.Millisecond, chaos.ControllerStall{})
-	if err := sc.Install(tb.System()); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.RequestAllocation(); err != nil {
-		t.Fatal(err)
-	}
-	tb.RunFor(100 * time.Millisecond)
-	if cl.State() == client.Operational {
-		t.Fatal("admitted while controller stalled")
-	}
-	if !tb.Ctrl.Stalled() {
-		t.Fatal("controller not stalled")
-	}
-	waitAll(t, tb, 5*time.Second, cl)
-}
-
-func TestDigestDropForcesClientRetries(t *testing.T) {
-	tb := newBed(t)
-	srv := addServer(t, tb)
-	_, cl := addCache(t, tb, 1, srv)
-
-	sc := chaos.NewScenario("digest-drop", 3)
-	inj := chaos.DigestDrop{Rate: 1.0, Seed: 3}
-	sc.Apply(0, inj)
-	sc.Revert(200*time.Millisecond, inj)
-	if err := sc.Install(tb.System()); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.RequestAllocation(); err != nil {
-		t.Fatal(err)
-	}
-	waitAll(t, tb, 5*time.Second, cl)
-	if tb.Ctrl.DigestsDropped == 0 {
-		t.Error("digest-drop injector inert")
-	}
-	if cl.Retries == 0 {
-		t.Error("client never retried while digests were dropped")
-	}
-}
-
 func TestFlappingPortClientRidesThrough(t *testing.T) {
 	tb := newBed(t)
 	srv := addServer(t, tb)

@@ -134,7 +134,7 @@ func RunSecappsBench(seed int64) (SecappsStat, error) {
 		return st, err
 	}
 	tb.RT.EnableRecircLimiter(runtime.RecircPolicy{Budget: 8, Window: 50 * time.Millisecond}, tb.Eng.Now)
-	hh.BudgetFn = func() int { return tb.Guard.RecircBudgetRemaining(claimFID) }
+	hh.BudgetFn = func() int { return tb.RT.RecircBudgetRemaining(claimFID) }
 	hxGen := secapps.NewHXGen(seed+9, 256, 1.4)
 	for i := 0; i < 4000; i++ {
 		hh.Observe(hxGen.Next(), nil, sink.MAC())

@@ -87,7 +87,6 @@ type Controller struct {
 	// Counts only AttachTelemetry exposes.
 	unplacedBlocks  uint64              // demand blocks no on-path device could hold
 	recoveredBlocks uint64              // unplaced blocks a later retry placed
-	reroutes        uint64              // spine-hashed routes repointed
 	stretch         telemetry.Histogram // devices engaged per placement
 }
 
@@ -238,22 +237,14 @@ func (c *Controller) ReconcileTenant(t *Tenant, dead *Node, newService func() *c
 	return placed, nil
 }
 
-// ObserveFailures bridges the health monitor and routing layer into the
-// controller's failure-domain counters: link flaps declared, routes
-// repointed. Call once after NewHealth.
+// ObserveFailures bridges the health monitor into the controller's
+// failure-domain counters: link flaps declared. Call once after NewHealth.
 func (c *Controller) ObserveFailures(h *Health) {
 	h.Subscribe(func(ev LinkEvent) {
 		if ev.Down {
 			c.LinkFlaps++
 		}
 	})
-	prev := c.F.OnReroute
-	c.F.OnReroute = func(changed int) {
-		c.reroutes += uint64(changed)
-		if prev != nil {
-			prev(changed)
-		}
-	}
 }
 
 // recordPlacement updates the spill/stretch accounting for one placement.
@@ -376,7 +367,7 @@ func (c *Controller) AttachTelemetry(reg *telemetry.Registry) {
 	reg.Histogram("activermt_fabric_path_stretch_devices", "devices engaged per tenant placement (1 = no stretch)",
 		func() *telemetry.Histogram { return &c.stretch })
 	reg.Counter("activermt_fabric_link_flaps_total", "leaf-spine link down-transitions declared by the health monitor", &c.LinkFlaps)
-	reg.Counter("activermt_fabric_reroutes_total", "spine-hashed routes repointed around dead links or drained spines", &c.reroutes)
+	reg.Counter("activermt_fabric_reroutes_total", "spine-hashed routes repointed around dead links or drained spines", &c.F.Reroutes)
 	reg.Counter("activermt_fabric_cache_degraded_entries_total", "coherent caches entering degraded (home-drained) mode", &c.DegradedEntries)
 	reg.Counter("activermt_fabric_cache_degraded_exits_total", "coherent caches leaving degraded mode after home resync", &c.DegradedExits)
 	reg.Counter("activermt_fabric_replacements_total", "orphaned placements re-placed on surviving devices", &c.RePlacements)

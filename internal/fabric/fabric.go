@@ -138,11 +138,9 @@ type Fabric struct {
 	drained  []bool
 	route    []map[packet.MAC]int
 
-	// Reroutes counts route repoints performed by recomputeRoutes.
+	// Reroutes counts route repoints performed by recomputeRoutes; the fabric
+	// controller's telemetry and the soak read it.
 	Reroutes uint64
-	// OnReroute, when set, observes each batch of route repoints (the
-	// fabric controller bridges it to telemetry).
-	OnReroute func(changed int)
 }
 
 // New builds the fabric: every switch a switchd.Node like the single-switch
@@ -352,12 +350,7 @@ func (f *Fabric) recomputeRoutes() {
 			changed++
 		}
 	}
-	if changed > 0 {
-		f.Reroutes += uint64(changed)
-		if f.OnReroute != nil {
-			f.OnReroute(changed)
-		}
-	}
+	f.Reroutes += uint64(changed)
 }
 
 // UplinkPort returns the leaf-side port of the leaf<->spine link (the

@@ -259,26 +259,12 @@ func (g *Guard) Reinstate(fid uint16) {
 }
 
 // MemFault implements runtime.GuardHook: a protection fault by an admitted
-// (authenticated at ingress) tenant.
-func (g *Guard) MemFault(fid uint16, stage int, addr uint32, owner uint16, owned bool) {
-	_ = stage
-	_ = addr
-	_ = owner
-	_ = owned
-	g.recordTenant(fid, KindMemFault)
-}
+// (authenticated at ingress) tenant, charged to its ledger.
+func (g *Guard) MemFault(fid uint16) { g.recordTenant(fid, KindMemFault) }
 
 // RecircThrottled implements runtime.GuardHook.
 func (g *Guard) RecircThrottled(fid uint16) {
 	g.recordTenant(fid, KindRecircThrottled)
-}
-
-// RecircBudgetRemaining exposes the runtime's remaining recirculation
-// tokens for a FID, so legitimate multi-pass apps can back off before
-// tripping the limiter (a throttle is a ledger entry, and ledger entries
-// escalate — cooperative consumers should never accrue them).
-func (g *Guard) RecircBudgetRemaining(fid uint16) int {
-	return g.rt.RecircBudgetRemaining(fid)
 }
 
 // denyPort records an unauthenticated violation against the ingress port and

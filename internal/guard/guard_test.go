@@ -87,7 +87,7 @@ func TestEscalationLadderAndCallbacks(t *testing.T) {
 		{5, RateLimited}, {6, Quarantined}, {7, Quarantined}, {8, Evicted},
 	}
 	for _, w := range want {
-		g.MemFault(fid, 1, 9999, 0, false)
+		g.MemFault(fid)
 		if got := g.Tenant(fid).State(); got != w.state {
 			t.Fatalf("after %d violations: state = %v, want %v", w.after, got, w.state)
 		}
@@ -126,7 +126,7 @@ func TestHysteresisOneStrayNeverEscalates(t *testing.T) {
 	// One violation per 2 windows: the window never holds more than one
 	// event, so the tenant stays Healthy forever.
 	for i := 0; i < 20; i++ {
-		g.MemFault(fid, 1, 9999, 0, false)
+		g.MemFault(fid)
 		clk.now += 200 * time.Millisecond
 	}
 	if got := g.Tenant(fid).State(); got != Healthy {
@@ -143,8 +143,8 @@ func TestWarnAutoHealsWhenWindowDrains(t *testing.T) {
 	installGrant(t, rt, fid, 0, 64)
 	epoch := rt.Epoch(fid)
 
-	g.MemFault(fid, 1, 9999, 0, false)
-	g.MemFault(fid, 1, 9999, 0, false)
+	g.MemFault(fid)
+	g.MemFault(fid)
 	if g.Tenant(fid).State() != Warned {
 		t.Fatalf("state = %v, want Warned", g.Tenant(fid).State())
 	}
@@ -169,7 +169,7 @@ func TestRateLimitShedsButQuarantineSticks(t *testing.T) {
 	epoch := rt.Epoch(fid)
 
 	for i := 0; i < 4; i++ {
-		g.MemFault(fid, 1, 9999, 0, false)
+		g.MemFault(fid)
 	}
 	if g.Tenant(fid).State() != RateLimited {
 		t.Fatalf("state = %v, want RateLimited", g.Tenant(fid).State())
@@ -190,8 +190,8 @@ func TestRateLimitShedsButQuarantineSticks(t *testing.T) {
 
 	// Two more faults quarantine; then every capsule is refused and counts
 	// as a fresh violation.
-	g.MemFault(fid, 1, 9999, 0, false)
-	g.MemFault(fid, 1, 9999, 0, false)
+	g.MemFault(fid)
+	g.MemFault(fid)
 	if g.Tenant(fid).State() != Quarantined {
 		t.Fatalf("state = %v, want Quarantined", g.Tenant(fid).State())
 	}
@@ -292,7 +292,7 @@ func TestReinstateResetsLadder(t *testing.T) {
 	installGrant(t, rt, fid, 0, 64)
 
 	for i := 0; i < 6; i++ {
-		g.MemFault(fid, 1, 9999, 0, false)
+		g.MemFault(fid)
 	}
 	if g.Tenant(fid).State() != Quarantined {
 		t.Fatalf("state = %v, want Quarantined", g.Tenant(fid).State())

@@ -443,7 +443,7 @@ func decodeActive(b []byte, a *Active, c *ProgCache, skipProgram bool) error {
 		case skipProgram:
 			n, err = isa.SkipProgram(rest)
 		case c != nil:
-			a.Program, n, a.ValidState, err = c.lookupOrDecode(h.FID, uint8(h.Opaque)&EpochMax, rest)
+			a.Program, n, a.ValidState, err = c.lookupOrDecode(rest)
 		default:
 			a.Program, n, err = isa.DecodeProgram(rest)
 		}

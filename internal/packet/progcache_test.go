@@ -1,7 +1,6 @@
 package packet
 
 import (
-	"hash/crc32"
 	"testing"
 
 	"activermt/internal/isa"
@@ -24,6 +23,16 @@ func capsuleWire(t *testing.T, fid uint16, epoch uint8, prog *isa.Program) []byt
 	return wire
 }
 
+// decodeCached decodes wire through c into a fresh Active.
+func decodeCached(t *testing.T, wire []byte, c *ProgCache) *Active {
+	t.Helper()
+	a := &Active{}
+	if err := DecodeInto(wire, a, c); err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 var cacheTestProg = isa.MustAssemble("pc-test", `
 MAR_LOAD 2
 MEM_READ
@@ -39,17 +48,11 @@ var invalidTestProg = &isa.Program{Name: "pc-bad", Instrs: []isa.Instruction{
 }}
 
 func TestProgCacheHitAndMiss(t *testing.T) {
-	c := NewProgCache(0)
+	c := NewProgCache()
 	wire := capsuleWire(t, 1, 3, cacheTestProg)
 
-	a1, err := DecodeCached(wire, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := DecodeCached(wire, c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a1 := decodeCached(t, wire, c)
+	a2 := decodeCached(t, wire, c)
 	if hits, misses, _ := c.Stats(); hits != 1 || misses != 1 {
 		t.Fatalf("hits/misses = %d/%d, want 1/1", hits, misses)
 	}
@@ -75,14 +78,10 @@ func TestProgCacheMemoizesInvalidity(t *testing.T) {
 	if invalidTestProg.Validate() == nil {
 		t.Fatal("test program unexpectedly valid")
 	}
-	c := NewProgCache(0)
+	c := NewProgCache()
 	wire := capsuleWire(t, 1, 1, invalidTestProg)
 	for i := 0; i < 3; i++ {
-		a, err := DecodeCached(wire, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.ValidState != ProgInvalid {
+		if a := decodeCached(t, wire, c); a.ValidState != ProgInvalid {
 			t.Fatalf("round %d: valid state = %d, want ProgInvalid", i, a.ValidState)
 		}
 	}
@@ -92,154 +91,96 @@ func TestProgCacheMemoizesInvalidity(t *testing.T) {
 	}
 }
 
-// TestProgCacheEpochKeying: the same program bytes under a new grant epoch
-// are a different version — a reallocation orphans stale entries without
-// any explicit invalidation.
-func TestProgCacheEpochKeying(t *testing.T) {
-	c := NewProgCache(0)
-	if _, err := DecodeCached(capsuleWire(t, 1, 1, cacheTestProg), c); err != nil {
-		t.Fatal(err)
+// TestProgCacheSharesAcrossFIDsAndEpochs: decoding and validation depend only
+// on the program bytes, so the same bytes under two FIDs and two grant epochs
+// are one entry with one canonical pointer.
+func TestProgCacheSharesAcrossFIDsAndEpochs(t *testing.T) {
+	c := NewProgCache()
+	first := decodeCached(t, capsuleWire(t, 1, 1, cacheTestProg), c).Program
+	for _, v := range []struct {
+		fid   uint16
+		epoch uint8
+	}{{1, 2}, {2, 1}, {2, 2}} {
+		if got := decodeCached(t, capsuleWire(t, v.fid, v.epoch, cacheTestProg), c).Program; got != first {
+			t.Fatalf("fid %d epoch %d decoded to a different pointer", v.fid, v.epoch)
+		}
 	}
-	if _, err := DecodeCached(capsuleWire(t, 1, 2, cacheTestProg), c); err != nil {
-		t.Fatal(err)
+	if hits, misses, _ := c.Stats(); hits != 3 || misses != 1 {
+		t.Fatalf("hits/misses = %d/%d, want 3/1", hits, misses)
 	}
-	// Distinct FIDs are distinct versions too.
-	if _, err := DecodeCached(capsuleWire(t, 2, 1, cacheTestProg), c); err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses, _ := c.Stats(); hits != 0 || misses != 3 {
-		t.Fatalf("hits/misses = %d/%d, want 0/3", hits, misses)
-	}
-	if c.Len() != 3 {
-		t.Fatalf("cache len = %d, want 3", c.Len())
+	if c.Len() != 1 {
+		t.Fatalf("cache len = %d, want 1", c.Len())
 	}
 }
 
-func TestProgCacheInvalidate(t *testing.T) {
-	c := NewProgCache(0)
-	if _, err := DecodeCached(capsuleWire(t, 1, 1, cacheTestProg), c); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeCached(capsuleWire(t, 2, 1, cacheTestProg), c); err != nil {
-		t.Fatal(err)
-	}
-	c.Invalidate(1)
-	if c.Len() != 1 {
-		t.Fatalf("cache len = %d after invalidate, want 1", c.Len())
-	}
-	if _, _, inv := c.Stats(); inv != 1 {
-		t.Fatalf("invalidations = %d, want 1", inv)
-	}
-	// The invalidated tenant re-decodes; the survivor still hits.
-	if _, err := DecodeCached(capsuleWire(t, 1, 1, cacheTestProg), c); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeCached(capsuleWire(t, 2, 1, cacheTestProg), c); err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses, _ := c.Stats(); hits != 1 || misses != 3 {
-		t.Fatalf("hits/misses = %d/%d, want 1/3", hits, misses)
-	}
+// distinctProg returns program i of a family whose wire bytes all differ
+// (for i < 4096): i's three hex digits are the operands of three loads.
+func distinctProg(i int) *isa.Program {
+	return &isa.Program{Instrs: []isa.Instruction{
+		{Op: isa.OpMbrLoad, Operand: uint8(i & 0xF)},
+		{Op: isa.OpMbrLoad, Operand: uint8(i >> 4 & 0xF)},
+		{Op: isa.OpMbrLoad, Operand: uint8(i >> 8 & 0xF)},
+		{Op: isa.OpReturn},
+	}}
 }
 
 // TestProgCacheFlushOnFull: a full cache is flushed wholesale rather than
-// tracked per-entry; inserts keep succeeding afterwards.
+// tracked per-entry, the flush counts the entries it drops, and inserts keep
+// succeeding afterwards — so distinct programs cannot grow it past the bound.
 func TestProgCacheFlushOnFull(t *testing.T) {
-	c := NewProgCache(2)
-	for fid := uint16(1); fid <= 5; fid++ {
-		if _, err := DecodeCached(capsuleWire(t, fid, 1, cacheTestProg), c); err != nil {
-			t.Fatal(err)
-		}
+	c := NewProgCache()
+	for i := 0; i <= progCacheSize; i++ {
+		decodeCached(t, capsuleWire(t, 1, 1, distinctProg(i)), c)
 	}
-	if c.Len() > 2 {
-		t.Fatalf("cache len = %d, exceeds max 2", c.Len())
+	if c.Len() != 1 {
+		t.Fatalf("cache len = %d after %d distinct programs, want 1 (flushed at %d)", c.Len(), progCacheSize+1, progCacheSize)
+	}
+	if _, misses, inv := c.Stats(); misses != progCacheSize+1 || inv != progCacheSize {
+		t.Fatalf("misses/invalidations = %d/%d, want %d/%d", misses, inv, progCacheSize+1, progCacheSize)
 	}
 	// The last insert must be live.
-	if _, err := DecodeCached(capsuleWire(t, 5, 1, cacheTestProg), c); err != nil {
-		t.Fatal(err)
-	}
+	decodeCached(t, capsuleWire(t, 1, 1, distinctProg(progCacheSize)), c)
 	if hits, _, _ := c.Stats(); hits != 1 {
 		t.Fatalf("hits = %d, want 1 (last insert live after flush)", hits)
 	}
 }
 
-// progKeyOf computes the cache key a capsule's program bytes hash to —
-// mirroring lookupOrDecode so tests can probe Contains without a decode.
-func progKeyOf(t *testing.T, wire []byte, fid uint16, epoch uint8) ProgKey {
-	t.Helper()
-	raw := wire[InitialHeaderSize+ArgHeaderSize:]
-	n, ok := progWireLen(raw)
-	if !ok {
-		t.Fatal("no EOF in program bytes")
-	}
-	return ProgKey{FID: fid, Epoch: epoch, Len: uint16(n), Hash: crc32.ChecksumIEEE(raw[:n])}
-}
-
 // TestProgCacheCanonicalPointer pins the canonical-pointer contract the
-// runtime's plan table depends on: while a version stays cached, every decode
-// of the same (FID, epoch, bytes) aliases the SAME *isa.Program, a different
-// epoch is a different pointer, and Contains tracks exactly the liveness of
-// that mapping across Invalidate.
+// runtime's plan table depends on: while an entry stays cached, every decode
+// of the same bytes aliases the SAME *isa.Program, different bytes are a
+// different pointer, and a flush affects future decodes only.
 func TestProgCacheCanonicalPointer(t *testing.T) {
-	c := NewProgCache(0)
+	c := NewProgCache()
 	wire := capsuleWire(t, 1, 3, cacheTestProg)
-	key := progKeyOf(t, wire, 1, 3)
-	if c.Contains(key) {
-		t.Fatal("empty cache claims to contain the key")
+	a1 := decodeCached(t, wire, c)
+	if a2 := decodeCached(t, wire, c); a2.Program != a1.Program {
+		t.Fatal("same bytes decoded to distinct program pointers")
+	}
+	other := decodeCached(t, capsuleWire(t, 1, 3, distinctProg(7)), c)
+	if other.Program == a1.Program {
+		t.Fatal("different bytes share a program pointer")
 	}
 
-	a1, err := DecodeCached(wire, c)
-	if err != nil {
-		t.Fatal(err)
+	// A flush breaks the mapping for future decodes only: the next decode of
+	// the same bytes is a fresh miss with a fresh pointer, while holders of
+	// the old pointer (compiled plans) keep an intact program.
+	for i := 0; i < progCacheSize; i++ {
+		decodeCached(t, capsuleWire(t, 1, 3, distinctProg(1000+i)), c)
 	}
-	if !c.Contains(key) {
-		t.Fatal("decoded version not reported by Contains")
-	}
-	a2, err := DecodeCached(wire, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1.Program != a2.Program {
-		t.Fatal("same version decoded to distinct program pointers")
-	}
-
-	// Same bytes under a bumped epoch: a distinct version, distinct pointer.
-	wire2 := capsuleWire(t, 1, 4, cacheTestProg)
-	a3, err := DecodeCached(wire2, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a3.Program == a1.Program {
-		t.Fatal("epoch bump reused the stale program pointer")
-	}
-	if !c.Contains(progKeyOf(t, wire2, 1, 4)) {
-		t.Fatal("new-epoch version not reported by Contains")
-	}
-
-	// Invalidate breaks the mapping for future decodes only: the next decode
-	// of the same bytes is a fresh miss with a fresh pointer, while holders of
-	// the old pointer (compiled plans) are unaffected by construction.
-	c.Invalidate(1)
-	if c.Contains(key) {
-		t.Fatal("Contains reports an invalidated version")
-	}
-	a4, err := DecodeCached(wire, c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a4 := decodeCached(t, wire, c)
 	if a4.Program == a1.Program {
-		t.Fatal("post-invalidation decode reused the evicted pointer")
+		t.Fatal("post-flush decode reused the dropped pointer")
 	}
-	if !c.Contains(key) {
-		t.Fatal("re-decoded version not reported by Contains")
+	if len(a1.Program.Instrs) != len(cacheTestProg.Instrs) || a1.Program.Instrs[1].Op != isa.OpMemRead {
+		t.Fatalf("flush disturbed a held program: %v", a1.Program.Instrs)
 	}
 }
 
 func TestProgCacheTruncatedProgram(t *testing.T) {
-	c := NewProgCache(0)
+	c := NewProgCache()
 	wire := capsuleWire(t, 1, 1, cacheTestProg)
 	// Chop the capsule before the program's EOF marker.
-	if _, err := DecodeCached(wire[:len(wire)-isa.WireSize], c); err == nil {
+	if err := DecodeInto(wire[:len(wire)-isa.WireSize], &Active{}, c); err == nil {
 		t.Fatal("truncated program decoded without error")
 	}
 	if c.Len() != 0 {

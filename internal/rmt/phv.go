@@ -47,12 +47,6 @@ type PHV struct {
 	IsClone   bool   // created by FORK
 	FaultAddr uint32 // address of a protection fault, if Dropped by one
 	Faulted   bool
-	// Fault attribution, filled alongside FaultAddr: the physical stage
-	// where the protection check failed, and — when the faulting address
-	// falls inside another tenant's installed region — that tenant's FID.
-	FaultStage int
-	FaultOwner uint16
-	FaultOwned bool
 
 	// Accounting.
 	Passes    int           // pipeline passes consumed (>= 1 once executed)

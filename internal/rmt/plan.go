@@ -25,7 +25,7 @@ import (
 // executes. The interpreter (Device.run) remains the always-correct
 // fallback; ExecPlan reproduces its observable semantics bit for bit —
 // identical Executed marking, branch skipping, recirculation counts, latency
-// model, fault attribution, and per-stage counters.
+// model, fault address, and per-stage counters.
 
 // planKind discriminates the three dispatch shapes of a compiled slot.
 type planKind uint8
@@ -46,17 +46,15 @@ const (
 type planOp struct {
 	kind    planKind
 	op      isa.Opcode
-	operand uint8 // folded operand (already reduced mod its field width)
-	label   uint8 // branch-target label carried by this slot
-	egress  bool  // physical stage is in the egress pipeline
-	stage   uint16
+	operand uint8  // folded operand (already reduced mod its field width)
+	label   uint8  // branch-target label carried by this slot
+	egress  bool   // physical stage is in the egress pipeline
 	inc     uint32 // MEM_INCREMENT delta, max(operand,1) folded
 	seed    uint32 // HASH seed (selector or stage seed) folded
 	lo, hi  uint32 // memory ops: folded protection ∩ array bounds; empty ⇒ always fault
 	mask    uint32 // ADDR_MASK folded translation mask
 	off     uint32 // ADDR_OFFSET folded translation offset
-	// st is the slot's physical stage: its Executed count, register array and
-	// (for fault attribution only) its TCAM.
+	// st is the slot's physical stage: its Executed count and register array.
 	st *Stage
 }
 
@@ -98,7 +96,6 @@ func (d *Device) CompilePlan(fid uint16, instrs []isa.Instruction) *Plan {
 		o := &pl.ops[idx]
 		o.op = in.Op
 		o.label = in.Label
-		o.stage = uint16(stage)
 		o.st = d.stages[stage]
 		o.egress = stage >= d.cfg.NumIngress
 		if d.actions[in.Op] == nil {
@@ -387,13 +384,11 @@ func execPlanOp(o *planOp, p *PHV) {
 	}
 }
 
-// planFault applies the memory-protection fault semantics: drop, attribute,
-// count — identical to the interpreter's memAction wrapper.
+// planFault applies the memory-protection fault semantics: drop, record the
+// address, count — identical to the interpreter's memAction wrapper.
 func planFault(o *planOp, p *PHV, addr uint32) {
 	o.st.Registers.Faults++
 	p.Dropped = true
 	p.Faulted = true
 	p.FaultAddr = addr
-	p.FaultStage = int(o.stage)
-	p.FaultOwner, p.FaultOwned = o.st.Prot.OwnerOf(addr)
 }

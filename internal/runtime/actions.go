@@ -192,8 +192,6 @@ func memAction(body func(ctx *rmt.Ctx, in isa.Instruction, addr uint32)) rmt.Act
 			ctx.PHV.Dropped = true
 			ctx.PHV.Faulted = true
 			ctx.PHV.FaultAddr = addr
-			ctx.PHV.FaultStage = ctx.StageIdx
-			ctx.PHV.FaultOwner, ctx.PHV.FaultOwned = ctx.Stage.Prot.OwnerOf(addr)
 			return
 		}
 		body(ctx, in, addr)

@@ -39,12 +39,8 @@ const (
 // GuardEvent is one buffered GuardHook notification, delivered once the
 // capsule that raised it has finished executing.
 type GuardEvent struct {
-	Kind  GuardEventKind
-	FID   uint16
-	Stage int
-	Addr  uint32
-	Owner uint16
-	Owned bool
+	Kind GuardEventKind
+	FID  uint16
 }
 
 // deliverEvents replays the buffered guard events into the installed
@@ -54,7 +50,7 @@ func (r *Runtime) deliverEvents() {
 		for _, ev := range r.events {
 			switch ev.Kind {
 			case GuardEventMemFault:
-				r.guard.MemFault(ev.FID, ev.Stage, ev.Addr, ev.Owner, ev.Owned)
+				r.guard.MemFault(ev.FID)
 			case GuardEventRecircThrottled:
 				r.guard.RecircThrottled(ev.FID)
 			}
@@ -92,9 +88,6 @@ type scratch struct {
 	phv     *rmt.PHV
 	devOuts []*rmt.PHV
 	slots   []*outSlot
-
-	// memo is the direct-mapped plan memo (see specialize.go).
-	memo [planMemoSize]planMemoEntry
 }
 
 // slot returns reusable output slot i, growing the slot table on first use.
@@ -151,18 +144,7 @@ func (r *Runtime) executeOne(a *packet.Active) {
 	spec := !r.specOff && !r.dev.TraceEnabled()
 	var pl *compiledPlan
 	if spec {
-		// The direct-mapped memo remembers the plan last resolved for the
-		// FID's slot; a hit (same program pointer and FID) skips the plan
-		// map's hash entirely.
-		tab := r.currentPlans()
-		m := &res.memo[int(fid)&(planMemoSize-1)]
-		pl = m.pl
-		if m.prog != a.Program || m.fid != fid {
-			pl = tab.plans[planKey{prog: a.Program, fid: fid}]
-			if pl != nil {
-				*m = planMemoEntry{prog: a.Program, fid: fid, pl: pl}
-			}
-		}
+		pl = r.currentPlans().plans[planKey{prog: a.Program, fid: fid}]
 	}
 
 	// The admission gate. A cached plan (compiled or a cached refusal to
@@ -267,11 +249,7 @@ func (r *Runtime) noteFault(fid uint16, p *rmt.PHV) {
 		return
 	}
 	r.Faults++
-	r.events = append(r.events, GuardEvent{
-		Kind: GuardEventMemFault, FID: fid,
-		Stage: p.FaultStage, Addr: p.FaultAddr,
-		Owner: p.FaultOwner, Owned: p.FaultOwned,
-	})
+	r.events = append(r.events, GuardEvent{Kind: GuardEventMemFault, FID: fid})
 }
 
 // flightExecuted samples an executed capsule into the flight recorder;

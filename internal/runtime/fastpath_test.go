@@ -102,7 +102,7 @@ func TestExecuteProgramZeroAlloc(t *testing.T) {
 // hookLog records guard notifications in arrival order.
 type hookLog struct{ events []GuardEventKind }
 
-func (h *hookLog) MemFault(uint16, int, uint32, uint16, bool) {
+func (h *hookLog) MemFault(uint16) {
 	h.events = append(h.events, GuardEventMemFault)
 }
 func (h *hookLog) RecircThrottled(uint16) { h.events = append(h.events, GuardEventRecircThrottled) }

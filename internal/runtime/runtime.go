@@ -140,10 +140,9 @@ func (r *Runtime) commit() { r.gen++ }
 // deliberately depends only on this narrow interface (internal/guard
 // implements it) so the execute path stays free of policy.
 type GuardHook interface {
-	// MemFault reports a protection fault: fid touched addr in the given
-	// physical stage; owner/owned identify the tenant whose installed
-	// region contains addr, when there is one.
-	MemFault(fid uint16, stage int, addr uint32, owner uint16, owned bool)
+	// MemFault reports a protection fault by fid, the sender the fault is
+	// charged to (the flight recorder keeps the faulting address).
+	MemFault(fid uint16)
 	// RecircThrottled reports a packet dropped by the recirculation
 	// fairness controller.
 	RecircThrottled(fid uint16)

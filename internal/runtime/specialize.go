@@ -7,12 +7,12 @@ import (
 )
 
 // This file is the specialization layer of the packet hot path. The decoded-
-// program cache already canonicalizes programs per (FID, epoch, len, CRC32):
-// every capsule carrying the same program version under the same grant epoch
-// resolves to one shared *isa.Program. The runtime exploits that identity to
-// compile each admitted program version once — against the admission rows
-// and device tables as they stand — into a straight-line rmt.Plan, then
-// executes packets through the plan instead of the interpreter.
+// program cache already canonicalizes programs by their bytes: every capsule
+// carrying the same program resolves to one shared *isa.Program, whichever
+// tenant sent it. The runtime exploits that identity to compile each
+// (program, FID) pair once — against that FID's admission row and device
+// table entries as they stand — into a straight-line rmt.Plan, then executes
+// packets through the plan instead of the interpreter.
 //
 // Validity is two generation counters: the plan table remembers the runtime
 // generation (bumped by every commit) and the device generation (bumped by
@@ -26,9 +26,9 @@ import (
 // plan table all run through the unchanged interpreter path.
 
 // planKey identifies one compiled plan: the canonical decoded-program
-// pointer (which already encodes FID, grant epoch, length, and CRC32 — see
-// packet.ProgCache) plus the executing FID, so a capsule replaying another
-// tenant's cached program body still gets its own bounds folded in.
+// pointer (one per distinct program bytes — see packet.ProgCache) plus the
+// executing FID, so tenants sending byte-identical programs each get their
+// own grant folded in.
 type planKey struct {
 	prog *isa.Program
 	fid  uint16
@@ -59,19 +59,6 @@ type compiledPlan struct {
 	preMarked bool
 }
 
-// planMemoSize is the direct-mapped plan memo size (a power of two). The
-// memo short-circuits the plan-table map hash for the FIDs the packet path
-// is actively serving; a collision just falls back to the map lookup.
-const planMemoSize = 16
-
-// planMemoEntry caches one resolved plan of the current table, keyed by
-// canonical program pointer and FID. Emptying the table zeroes the memo.
-type planMemoEntry struct {
-	prog *isa.Program
-	fid  uint16
-	pl   *compiledPlan
-}
-
 // planTable maps program versions to compiled plans under one pair of
 // generations.
 type planTable struct {
@@ -83,14 +70,13 @@ type planTable struct {
 // packet through a one-shot plan; they are just not cached.
 const maxPlans = 4096
 
-// currentPlans returns the plan table, emptied first (with the memo) if a
-// commit or a table edit has happened since its plans were compiled.
+// currentPlans returns the plan table, emptied first if a commit or a table
+// edit has happened since its plans were compiled.
 func (r *Runtime) currentPlans() *planTable {
 	t := &r.plans
 	if t.gen != r.gen || t.devGen != r.dev.Gen() {
 		clear(t.plans)
 		t.gen, t.devGen = r.gen, r.dev.Gen()
-		r.res.memo = [planMemoSize]planMemoEntry{}
 	}
 	return t
 }

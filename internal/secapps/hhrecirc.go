@@ -35,7 +35,7 @@ type RecircHH struct {
 	SampleEvery int
 
 	// BudgetFn reports the claim FID's remaining recirculation tokens
-	// (runtime.RecircBudgetRemaining via the guard); nil disables backoff.
+	// (runtime.RecircBudgetRemaining); nil disables backoff.
 	BudgetFn func() int
 
 	// SnapshotFn reads a FID's region in a physical stage via the switch

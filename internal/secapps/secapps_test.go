@@ -202,7 +202,7 @@ func TestRecircHHBudgetEndToEnd(t *testing.T) {
 	// A small recirculation budget the driver must respect: 8 extra passes
 	// per 50ms window.
 	tb.RT.EnableRecircLimiter(runtime.RecircPolicy{Budget: 8, Window: 50 * time.Millisecond}, tb.Eng.Now)
-	hh.BudgetFn = func() int { return tb.Guard.RecircBudgetRemaining(claimFID) }
+	hh.BudgetFn = func() int { return tb.RT.RecircBudgetRemaining(claimFID) }
 
 	if extra := hh.ClaimExtraPasses(); extra != 1 {
 		t.Fatalf("claim extra passes = %d, want 1", extra)

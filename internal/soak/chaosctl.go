@@ -176,7 +176,7 @@ func (h *harness) observeKillProgress() {
 	if h.cc.Degraded() {
 		k.Degraded = true
 	}
-	if h.res.Reroutes > 0 {
+	if h.f.Reroutes > 0 {
 		k.Rerouted = true
 	}
 	home := h.cc.Home().Index

@@ -116,7 +116,7 @@ func (c *csvWriter) row(h *harness) {
 		h.res.Epochs, h.f.Eng.Now().Milliseconds(),
 		h.res.ReadsDone, h.res.Acked, h.res.Hits, h.res.Lost,
 		p99.Nanoseconds(), degraded, len(h.tenants),
-		h.res.Reroutes, h.res.ChaosInstalled, h.res.Reconciles,
+		h.f.Reroutes, h.res.ChaosInstalled, h.res.Reconciles,
 		len(h.res.Violations), frag, migrations)
 	if c.secapps {
 		fmt.Fprintf(c.w, ",%d,%d,%d,%d,%d,%d,%d",

@@ -165,7 +165,7 @@ func (h *harness) initSecapps() error {
 		Budget: recircBudget,
 		Window: epoch,
 	}, f.Eng.Now)
-	s.hh.BudgetFn = func() int { return s.hhNode.Guard.RecircBudgetRemaining(hxClaimFID) }
+	s.hh.BudgetFn = func() int { return s.hhNode.RT.RecircBudgetRemaining(hxClaimFID) }
 
 	// Populations. Sources are rejection-sampled onto distinct counter
 	// slots so a benign ACK can never silently reset an attacker's backlog

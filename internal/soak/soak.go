@@ -283,13 +283,6 @@ func newHarness(cfg Config) (*harness, error) {
 	h.hm.Subscribe(func(ev fabric.LinkEvent) {
 		h.ring.note(f.Eng.Now(), "link leaf%d<->spine%d down=%v", ev.Leaf, ev.Spine, ev.Down)
 	})
-	prev := f.OnReroute
-	f.OnReroute = func(changed int) {
-		h.res.Reroutes += uint64(changed)
-		if prev != nil {
-			prev(changed)
-		}
-	}
 
 	cc.OnResponse = h.onReadResponse
 	cc.OnWriteAck = h.onWriteAck
@@ -392,6 +385,7 @@ func (h *harness) readP99() (time.Duration, uint64) {
 func (h *harness) finish() {
 	h.res.Elapsed = h.f.Eng.Now()
 	h.res.Repairs = h.cc.Repairs
+	h.res.Reroutes = h.f.Reroutes
 	h.res.P99, _ = h.readP99()
 	h.res.HitRate = h.cc.HitRate()
 	for _, n := range h.f.Nodes() {

@@ -12,31 +12,19 @@ import (
 	"activermt/internal/runtime"
 )
 
-// Costs models the control-plane latencies of the paper's testbed
-// (Section 6.2): provisioning time is dominated by BFRT table updates, the
-// digest path adds a small fixed delay, and allocation computation scales
-// with the mutant search.
-type Costs struct {
-	TableOp         time.Duration // per table entry installed or removed
-	DigestLatency   time.Duration // data plane -> controller digest
-	ComputeBase     time.Duration // fixed allocation-computation overhead
-	ComputePerMut   time.Duration // per mutant considered
-	SnapshotTimeout time.Duration // unresponsive clients are timed out
-}
-
-// DefaultCosts is calibrated so a contended admission lands at one-to-two
-// seconds, matching Figure 8a's shape (table updates dominate). The snapshot
-// window's default lives in internal/policy: it is the one cost the policy
-// loop re-decides at runtime.
-func DefaultCosts() Costs {
-	return Costs{
-		TableOp:         2 * time.Millisecond,
-		DigestLatency:   100 * time.Microsecond,
-		ComputeBase:     5 * time.Millisecond,
-		ComputePerMut:   30 * time.Microsecond,
-		SnapshotTimeout: policy.DefaultSnapshotTimeout,
-	}
-}
+// Control-plane latencies of the paper's testbed (Section 6.2): provisioning
+// time is dominated by BFRT table updates, the digest path adds a small fixed
+// delay, and allocation computation scales with the mutant search. They are
+// calibrated so a contended admission lands at one-to-two seconds, matching
+// Figure 8a's shape (table updates dominate). The snapshot window is not
+// among them: it is the one cost the policy loop re-decides at runtime (see
+// Controller.snapshotTimeout).
+const (
+	tableOpCost   = 2 * time.Millisecond   // per table entry installed or removed
+	digestLatency = 100 * time.Microsecond // data plane -> controller digest
+	computeBase   = 5 * time.Millisecond   // fixed allocation-computation overhead
+	computePerMut = 30 * time.Microsecond  // per mutant considered
+)
 
 // ProvisionRecord documents one admission/release for the experiment
 // harness (Figure 8a's breakdown).
@@ -70,22 +58,23 @@ type ProvisionRecord struct {
 // restarted controller are re-admitted idempotently at their installed
 // placements.
 type Controller struct {
-	eng   *netsim.Engine
-	sw    *Switch
-	rt    *runtime.Runtime
-	al    *alloc.Allocator
-	costs Costs
+	eng *netsim.Engine
+	sw  *Switch
+	rt  *runtime.Runtime
+	al  *alloc.Allocator
+
+	// snapshotTimeout bounds a reallocation's snapshot window: unresponsive
+	// clients are timed out. Node.ApplyPolicy sets it from the policy loop.
+	snapshotTimeout time.Duration
 
 	clients map[uint16]packet.MAC // fid -> client MAC
 	busy    bool
 	queue   []queued
 
-	// alive/stalled model control-plane failure: a dead controller drops
-	// digests (and its in-flight protocol continuations die with it, keyed
-	// by life); a stalled one queues them without processing.
-	alive   bool
-	stalled bool
-	life    uint64
+	// alive models control-plane failure: a dead controller drops digests,
+	// and its in-flight protocol continuations die with it (keyed by life).
+	alive bool
+	life  uint64
 
 	// snapWaiter consumes FlagSnapDone notifications during the realloc
 	// window of the admission in progress.
@@ -108,10 +97,6 @@ type Controller struct {
 	// Node.ApplyPolicy from the policy loop's SweepEvery decision.
 	sweepEvery time.Duration
 	sweepArmed bool
-
-	// DigestFilter, when set, drops digests for which it returns true —
-	// the injection point for digest-loss fault scenarios.
-	DigestFilter func(f *packet.Frame) bool
 
 	// Records for the harness — and telemetry, which reads the job, failure
 	// and phase-time families from them.
@@ -146,7 +131,6 @@ type Controller struct {
 
 type queued struct {
 	f      *packet.Frame
-	port   int
 	sweep  bool
 	evict  uint16 // FID to evict (guard escalation)
 	doEv   bool
@@ -155,16 +139,16 @@ type queued struct {
 }
 
 // NewController wires a controller to its switch, runtime, and allocator.
-func NewController(eng *netsim.Engine, sw *Switch, al *alloc.Allocator, costs Costs) *Controller {
+func NewController(eng *netsim.Engine, sw *Switch, al *alloc.Allocator) *Controller {
 	c := &Controller{
-		eng:       eng,
-		sw:        sw,
-		rt:        sw.Runtime(),
-		al:        al,
-		costs:     costs,
-		clients:   make(map[uint16]packet.MAC),
-		noMigrate: make(map[uint16]bool),
-		alive:     true,
+		eng:             eng,
+		sw:              sw,
+		rt:              sw.Runtime(),
+		al:              al,
+		snapshotTimeout: policy.DefaultSnapshotTimeout,
+		clients:         make(map[uint16]packet.MAC),
+		noMigrate:       make(map[uint16]bool),
+		alive:           true,
 	}
 	sw.SetController(c)
 	return c
@@ -273,28 +257,14 @@ func (c *Controller) Restart() {
 	}
 }
 
-// Stall suspends request processing (digests still queue); Resume drains
-// the backlog. Models a busy or wedged controller CPU.
-func (c *Controller) Stall() { c.stalled = true }
-
-// Resume ends a stall.
-func (c *Controller) Resume() {
-	c.stalled = false
-	c.pump()
-}
-
-// Stalled reports whether the controller is stalled.
-func (c *Controller) Stalled() bool { return c.stalled }
-
 // Digest delivers a control packet from the data plane after the digest
 // latency (the switch CPU path).
-func (c *Controller) Digest(f *packet.Frame, port *netsim.Port) {
-	if !c.alive || (c.DigestFilter != nil && c.DigestFilter(f)) {
+func (c *Controller) Digest(f *packet.Frame) {
+	if !c.alive {
 		c.DigestsDropped++
 		return
 	}
-	pnum := port.Num
-	c.after(c.costs.DigestLatency, func() {
+	c.after(digestLatency, func() {
 		h := f.Active.Header
 		if h.Type() == packet.TypeControl && h.Flags&packet.FlagSnapDone != 0 {
 			// Snapshot completions bypass the admission queue: the
@@ -304,7 +274,7 @@ func (c *Controller) Digest(f *packet.Frame, port *netsim.Port) {
 			}
 			return
 		}
-		c.queue = append(c.queue, queued{f: f, port: pnum})
+		c.queue = append(c.queue, queued{f: f})
 		c.pump()
 	})
 }
@@ -312,7 +282,7 @@ func (c *Controller) Digest(f *packet.Frame, port *netsim.Port) {
 // pump serializes request processing: applications are admitted one at a
 // time (Section 4.3).
 func (c *Controller) pump() {
-	if c.busy || c.stalled || !c.alive || len(c.queue) == 0 {
+	if c.busy || !c.alive || len(c.queue) == 0 {
 		return
 	}
 	q := c.queue[0]
@@ -409,7 +379,6 @@ func (c *Controller) runEviction(fid uint16) {
 		changed = nil // stateless or unknown to the books: nothing to expand
 	}
 	rec.TableOps += c.rt.RemoveGrant(fid)
-	c.sw.cache.Invalidate(fid)
 	c.GuardEvictions++
 	c.notify(fid, packet.FlagFailed|packet.FlagEvicted)
 	rec.Reallocated = len(changed)
@@ -469,8 +438,8 @@ func (c *Controller) admit(fid uint16, req *packet.AllocRequest) {
 			c.guard.Reinstate(fid)
 		}
 		rec.TableOps = 1
-		rec.TableTime = c.costs.TableOp
-		c.after(c.costs.ComputeBase+rec.TableTime, func() {
+		rec.TableTime = tableOpCost
+		c.after(computeBase+rec.TableTime, func() {
 			_ = c.sw.SendToHost(c.clients[fid], c.responseFor(&alloc.Placement{FID: fid}, false))
 			c.conclude(rec)
 		})
@@ -484,9 +453,9 @@ func (c *Controller) admit(fid uint16, req *packet.AllocRequest) {
 	res, err := allocate(fid, cons)
 	if err != nil || res.Failed {
 		rec.Failed = true
-		rec.Compute = c.costs.ComputeBase
+		rec.Compute = computeBase
 		if res != nil {
-			rec.Compute += time.Duration(res.MutantsTotal) * c.costs.ComputePerMut
+			rec.Compute += time.Duration(res.MutantsTotal) * computePerMut
 		}
 		c.after(rec.Compute, func() {
 			c.respondFailure(fid)
@@ -497,7 +466,7 @@ func (c *Controller) admit(fid uint16, req *packet.AllocRequest) {
 	if rec.Readmit {
 		c.Readmissions++
 	}
-	rec.Compute = c.costs.ComputeBase + time.Duration(res.MutantsTotal)*c.costs.ComputePerMut
+	rec.Compute = computeBase + time.Duration(res.MutantsTotal)*computePerMut
 	rec.Reallocated = len(res.Reallocated)
 
 	c.after(rec.Compute, func() {
@@ -512,7 +481,6 @@ func (c *Controller) release(fid uint16) {
 	if err != nil {
 		if c.rt.Admitted(fid) { // stateless service: nothing allocated
 			rec.TableOps += c.rt.RemoveGrant(fid)
-			c.sw.cache.Invalidate(fid)
 			c.reallocPhase(rec, nil, nil, true)
 			return
 		}
@@ -521,7 +489,6 @@ func (c *Controller) release(fid uint16) {
 		return
 	}
 	rec.TableOps += c.rt.RemoveGrant(fid)
-	c.sw.cache.Invalidate(fid)
 	rec.Reallocated = len(changed)
 	c.reallocPhase(rec, nil, changed, true)
 }
@@ -589,7 +556,6 @@ func (c *Controller) runSweep() {
 			// Cannot re-place around the damage: evict the app entirely
 			// and tell the client, which restarts its lifecycle.
 			rec.TableOps += c.rt.RemoveGrant(fid)
-			c.sw.cache.Invalidate(fid)
 			evicted = append(evicted, fid)
 		} else {
 			affected[fid] = true
@@ -660,7 +626,7 @@ func (c *Controller) reallocPhase(rec ProvisionRecord, newPl *alloc.Placement, c
 		}
 	}
 	// Escalation: re-send the realloc notice to laggards at half-window.
-	c.after(c.costs.SnapshotTimeout/2, func() {
+	c.after(c.snapshotTimeout/2, func() {
 		if done || len(pending) == 0 {
 			return
 		}
@@ -677,7 +643,7 @@ func (c *Controller) reallocPhase(rec ProvisionRecord, newPl *alloc.Placement, c
 			}
 		}
 	})
-	c.after(c.costs.SnapshotTimeout, func() {
+	c.after(c.snapshotTimeout, func() {
 		if !done && len(pending) > 0 {
 			rec.TimedOut = true
 			c.SnapshotTimeouts++
@@ -692,7 +658,6 @@ func (c *Controller) applyPhase(rec ProvisionRecord, newPl *alloc.Placement, cha
 	for _, pl := range changed {
 		n, err := c.rt.InstallGrant(runtime.GrantOf(pl))
 		ops += n
-		c.sw.cache.Invalidate(pl.FID)
 		if err != nil {
 			// TCAM exhaustion mid-update: surface as failure for the
 			// newcomer but keep existing apps running.
@@ -715,10 +680,9 @@ func (c *Controller) applyPhase(rec ProvisionRecord, newPl *alloc.Placement, cha
 		n, err := c.rt.InstallGrant(runtime.GrantOf(newPl))
 		ops += n
 		installErr = err
-		c.sw.cache.Invalidate(newPl.FID)
 	}
 	rec.TableOps = ops
-	rec.TableTime = time.Duration(ops) * c.costs.TableOp
+	rec.TableTime = time.Duration(ops) * tableOpCost
 
 	c.after(rec.TableTime, func() {
 		for _, pl := range changed {

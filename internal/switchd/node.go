@@ -13,8 +13,8 @@ import (
 
 // NodeConfig is what one switch is built from: the pipeline and the
 // allocator over it. Controller costs and guard thresholds are the package
-// defaults (DefaultCosts, guard.DefaultPolicy); the policy loop re-decides
-// the parts that vary at runtime.
+// constants and guard.DefaultPolicy; the policy loop re-decides the parts
+// that vary at runtime.
 type NodeConfig struct {
 	RMT   rmt.Config
 	Alloc alloc.Config
@@ -56,7 +56,7 @@ func NewNode(eng *netsim.Engine, cfg NodeConfig, mac packet.MAC) (*Node, error) 
 	n := &Node{
 		RT:     rt,
 		Switch: sw,
-		Ctrl:   NewController(eng, sw, al, DefaultCosts()),
+		Ctrl:   NewController(eng, sw, al),
 		Guard:  guard.New(rt, guard.DefaultPolicy(), eng.Now),
 	}
 	sw.SetGuard(n.Guard)
@@ -100,7 +100,7 @@ func (n *Node) Observe() policy.Observation {
 // on every evaluation.
 func (n *Node) ApplyPolicy(d policy.Decisions) {
 	c := n.Ctrl
-	c.costs.SnapshotTimeout = d.SnapshotTimeout
+	c.snapshotTimeout = d.SnapshotTimeout
 	c.sweepEvery = d.SweepEvery
 	c.armSweep()
 	n.Guard.ApplyThresholds(d.Guard)

@@ -60,7 +60,7 @@ func NewSwitch(rt *runtime.Runtime, mac packet.MAC) *Switch {
 	return &Switch{
 		rt:    rt,
 		mac:   mac,
-		cache: packet.NewProgCache(0),
+		cache: packet.NewProgCache(),
 		ports: make(map[int]*netsim.Port),
 		hosts: make(map[packet.MAC]int),
 	}
@@ -72,9 +72,9 @@ func (s *Switch) SetController(c *Controller) { s.ctrl = c }
 // SetGuard installs the ingress capsule guard (nil disables it).
 func (s *Switch) SetGuard(g *guard.Guard) { s.guard = g }
 
-// ProgCache returns the switch's decoded-program cache. The controller
-// invalidates a tenant's entries when its grant changes; epoch keying already
-// orphans stale versions, so invalidation is memory hygiene.
+// ProgCache returns the switch's decoded-program cache, keyed by program
+// bytes: a grant change needs no invalidation, because the runtime drops its
+// compiled per-FID plans on every commit.
 func (s *Switch) ProgCache() *packet.ProgCache { return s.cache }
 
 // Runtime exposes the data-plane runtime.
@@ -209,7 +209,7 @@ func (s *Switch) Receive(frame []byte, port *netsim.Port) {
 			return
 		}
 		if s.ctrl != nil {
-			s.ctrl.Digest(f, port)
+			s.ctrl.Digest(f)
 		}
 	case packet.TypeAllocResp:
 		// Allocation responses originate at switches; a standalone switch

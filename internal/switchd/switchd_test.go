@@ -10,6 +10,7 @@ import (
 	"activermt/internal/isa"
 	"activermt/internal/netsim"
 	"activermt/internal/packet"
+	"activermt/internal/policy"
 	"activermt/internal/rmt"
 	"activermt/internal/runtime"
 	"activermt/internal/telemetry"
@@ -70,7 +71,7 @@ func newRig(t *testing.T) *rig {
 		t.Fatal(err)
 	}
 	sw := NewSwitch(rt, packet.MAC{0xFF})
-	ctrl := NewController(eng, sw, al, DefaultCosts())
+	ctrl := NewController(eng, sw, al)
 
 	r := &rig{eng: eng, sw: sw, ctrl: ctrl}
 	r.a = &host{mac: packet.MAC{0xA}}
@@ -269,7 +270,7 @@ func TestSnapshotTimeoutUnblocksAdmission(t *testing.T) {
 		t.Skip("allocator found disjoint stages; nothing to time out")
 	}
 	// The snapshot wait hit the timeout rather than hanging forever.
-	if rec.SnapshotWait < DefaultCosts().SnapshotTimeout {
+	if rec.SnapshotWait < policy.DefaultSnapshotTimeout {
 		t.Errorf("snapshot wait %v below timeout", rec.SnapshotWait)
 	}
 	if !r.sw.Runtime().Admitted(2) {
@@ -383,13 +384,16 @@ func TestSendToHostUnknownMAC(t *testing.T) {
 }
 
 func TestDefaultCostsShape(t *testing.T) {
-	c := DefaultCosts()
-	if c.TableOp <= 0 || c.DigestLatency <= 0 || c.SnapshotTimeout <= 0 {
-		t.Errorf("costs: %+v", c)
+	if tableOpCost <= 0 || digestLatency <= 0 || computeBase <= 0 || computePerMut <= 0 {
+		t.Errorf("costs: table op %v, digest %v, compute %v + %v per mutant",
+			tableOpCost, digestLatency, computeBase, computePerMut)
+	}
+	if c := newRig(t).ctrl; c.snapshotTimeout != policy.DefaultSnapshotTimeout {
+		t.Errorf("snapshot window %v, want the policy default %v", c.snapshotTimeout, policy.DefaultSnapshotTimeout)
 	}
 	// Table updates must be able to dominate compute for realistic op
 	// counts (Figure 8a's finding).
-	if c.TableOp*100 < c.ComputeBase {
+	if tableOpCost*100 < computeBase {
 		t.Error("table updates cannot dominate")
 	}
 }

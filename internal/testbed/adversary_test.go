@@ -278,7 +278,7 @@ func TestEvictedTenantCanReadmit(t *testing.T) {
 		if i > 100 {
 			t.Fatal("not evicted")
 		}
-		tb.Guard.MemFault(2, 1, 1<<20, 0, false)
+		tb.Guard.MemFault(2)
 	}
 	tb.RunFor(3 * time.Second) // eviction, then scheduled re-admission
 

@@ -1,11 +1,14 @@
 package testbed
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"activermt/internal/apps"
 	"activermt/internal/client"
+	"activermt/internal/compiler"
+	"activermt/internal/guard"
 	"activermt/internal/isa"
 	"activermt/internal/netsim"
 	"activermt/internal/packet"
@@ -428,6 +431,120 @@ func TestStatelessAdmission(t *testing.T) {
 	tb.RunFor(time.Millisecond)
 	if got := tb.RT.ProgramsRun - ran; got != 1 {
 		t.Errorf("stateless capsule executed %d times, want 1", got)
+	}
+}
+
+// sharedCounterProg increments the word at ADDR and returns the new count.
+// Its RTS sits at the last ingress stage, which pins the access to logical
+// stage 2: the program has exactly one mutant, so every tenant that runs it
+// links byte-identical instructions.
+var sharedCounterProg = isa.MustAssemble("shared-counter", `
+.arg ADDR 2
+NOP
+MAR_LOAD $ADDR
+MEM_INCREMENT
+MBR_STORE 0
+NOP
+NOP
+NOP
+NOP
+NOP
+RTS
+RETURN
+`)
+
+// TestTenantsSharingProgramBytesKeepOwnGrants: two tenants whose linked
+// programs are byte-identical share one decoded-program cache entry, yet each
+// capsule runs against its own grant — one plan per tenant, each reading and
+// writing only its own region — and an address in the neighbour's region
+// faults and is charged to the sender.
+func TestTenantsSharingProgramBytesKeepOwnGrants(t *testing.T) {
+	tb := newBed(t)
+	replies := map[uint16][]uint32{}
+	var cls []*client.Client
+	for _, fid := range []uint16{7, 8} {
+		cl := tb.AddClient(fid, &client.Service{
+			Name:      "shared-counter",
+			Main:      "main",
+			Templates: map[string]*isa.Program{"main": sharedCounterProg},
+			Specs:     []compiler.AccessSpec{{Demand: 2}},
+		})
+		cl.Handler = func(c *client.Client, f *packet.Frame) {
+			if f.Active != nil && f.Active.Header.Flags&packet.FlagRTS != 0 {
+				replies[c.FID()] = append(replies[c.FID()], f.Active.Args[0])
+			}
+		}
+		if err := cl.RequestAllocation(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.WaitOperational(cl, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		cls = append(cls, cl)
+	}
+	a, b := cls[0], cls[1]
+	pa, pb := a.Placement(), b.Placement()
+	if !slices.Equal(pa.Mutant, pb.Mutant) {
+		t.Fatalf("mutants differ: %v vs %v", pa.Mutant, pb.Mutant)
+	}
+	if !slices.Equal(a.Program("main").Instrs, b.Program("main").Instrs) {
+		t.Fatal("same mutant linked different programs")
+	}
+	stage := pa.Accesses[0].Logical % tb.cfg.RMT.NumStages
+	ra, rb := pa.Accesses[0].Range, pb.Accesses[0].Range
+	if ra.Lo < rb.Hi && rb.Lo < ra.Hi {
+		t.Fatalf("grants overlap: %v and %v", ra, rb)
+	}
+
+	cache, compiles := tb.Switch.ProgCache(), tb.RT.PlanCompiles
+	send := func(cl *client.Client, addr uint32) {
+		t.Helper()
+		if err := cl.SendProgram("main", [4]uint32{0, 0, addr, 0}, 0, nil, cl.MAC()); err != nil {
+			t.Fatal(err)
+		}
+		tb.RunFor(time.Millisecond)
+	}
+	send(a, ra.Lo+1)
+	send(a, ra.Lo+1)
+	send(b, rb.Lo+1)
+	if _, misses, _ := cache.Stats(); cache.Len() != 1 || misses != 1 {
+		t.Fatalf("program cache holds %d entries after %d misses, want 1 and 1", cache.Len(), misses)
+	}
+	if got := tb.RT.PlanCompiles - compiles; got != 2 {
+		t.Fatalf("%d plans compiled, want one per tenant (2)", got)
+	}
+	if !slices.Equal(replies[7], []uint32{1, 2}) || !slices.Equal(replies[8], []uint32{1}) {
+		t.Fatalf("replies = %v, want fid 7 [1 2], fid 8 [1]", replies)
+	}
+	regs := tb.RT.Device().Stage(stage).Registers
+	for addr := min(ra.Lo, rb.Lo); addr < max(ra.Hi, rb.Hi); addr++ {
+		want := uint32(0)
+		switch addr {
+		case ra.Lo + 1:
+			want = 2
+		case rb.Lo + 1:
+			want = 1
+		}
+		if got := regs.Read(addr); got != want {
+			t.Fatalf("stage %d word %d = %d, want %d", stage, addr, got, want)
+		}
+	}
+
+	// Fid 7 aims at fid 8's word through the shared program: it faults, the
+	// word stays put, and the violation lands on fid 7's ledger only.
+	faults := tb.RT.Faults
+	send(a, rb.Lo+1)
+	if tb.RT.Faults != faults+1 || len(replies[7]) != 2 {
+		t.Fatalf("neighbour access: faults +%d, fid 7 replies %v", tb.RT.Faults-faults, replies[7])
+	}
+	if got := regs.Read(rb.Lo + 1); got != 1 {
+		t.Fatalf("neighbour's word = %d after the faulting capsule, want 1", got)
+	}
+	if led := tb.Guard.Tenant(7); led == nil || led.Count(guard.KindMemFault) != 1 {
+		t.Fatalf("fid 7 ledger = %+v, want one mem fault", led)
+	}
+	if led := tb.Guard.Tenant(8); led != nil && led.Count(guard.KindMemFault) != 0 {
+		t.Fatalf("fid 8 charged %d mem faults for fid 7's capsule", led.Count(guard.KindMemFault))
 	}
 }
 
