@@ -95,9 +95,10 @@ func TestControllerCrashRestartDuringReallocation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Crash the controller while the fourth admission is mid-protocol
-	// (compute / snapshot window / table updates all land within the first
-	// tens of milliseconds) and restart it 300ms later.
+	// Crash the controller 15ms into the fourth admission and restart it
+	// 300ms later. The crash always lands in the table time, which begins at
+	// about 6ms, once the compute time and the snapshot window are over;
+	// TestCrashAtEveryPhase (internal/switchd) crashes in every phase.
 	sc := chaos.ControllerOutage(15*time.Millisecond, 300*time.Millisecond, 42)
 	if err := sc.Install(tb.System()); err != nil {
 		t.Fatal(err)

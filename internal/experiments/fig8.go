@@ -9,6 +9,7 @@ import (
 	"activermt/internal/isa"
 	"activermt/internal/packet"
 	"activermt/internal/stats"
+	"activermt/internal/switchd"
 	"activermt/internal/testbed"
 	"activermt/internal/workload"
 )
@@ -81,7 +82,7 @@ func runFig8a(cfg RunConfig) (*Result, error) {
 	var okDur []float64
 	i := 0
 	for _, r := range tb.Ctrl.Records {
-		if r.Release || r.Failed {
+		if r.Kind == switchd.JobRelease || r.Failed {
 			continue
 		}
 		i++

@@ -122,8 +122,8 @@ func TestPlacementSurvivesSwitchRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.RunFor(200 * time.Millisecond)
-	if !node.Ctrl.Alive() {
-		t.Fatal("controller did not restart")
+	if node.Ctrl.Crashes != 1 || node.Ctrl.Restarts != 1 {
+		t.Fatalf("controller crashed %d and restarted %d times, want once each", node.Ctrl.Crashes, node.Ctrl.Restarts)
 	}
 	if !node.Ctrl.Allocator().Recovered(shard.FID) {
 		t.Fatalf("fid %d not recovered after restart", shard.FID)

@@ -26,10 +26,25 @@ const (
 	computePerMut = 30 * time.Microsecond  // per mutant considered
 )
 
-// ProvisionRecord documents one admission/release for the experiment
+// JobKind names a control-plane job. Its values are the kind labels of
+// activermt_ctrl_jobs_total.
+type JobKind string
+
+// Job kinds.
+const (
+	JobAdmit   JobKind = "admit"
+	JobReadmit JobKind = "readmit" // idempotent re-admission after a controller restart
+	JobRelease JobKind = "release"
+	JobSweep   JobKind = "sweep"  // corruption sweep-and-repair run
+	JobEvict   JobKind = "evict"  // guard-driven eviction of a violating tenant
+	JobDefrag  JobKind = "defrag" // online defragmentation pass
+)
+
+// ProvisionRecord documents one control-plane job for the experiment
 // harness (Figure 8a's breakdown).
 type ProvisionRecord struct {
 	FID          uint16
+	Kind         JobKind
 	Start, End   time.Duration // virtual time
 	Compute      time.Duration // modeled allocation-computation time
 	SnapshotWait time.Duration // waiting for reallocated clients
@@ -37,19 +52,52 @@ type ProvisionRecord struct {
 	TableOps     int
 	Failed       bool
 	Reallocated  int
-	Release      bool
-	Readmit      bool // idempotent re-admission after a controller restart
-	Sweep        bool // corruption sweep-and-repair run
-	Evict        bool // guard-driven eviction of a violating tenant
-	Defrag       bool // online defragmentation pass
-	Escalations  int  // realloc notices re-sent during the snapshot window
-	TimedOut     bool // snapshot window ended by timeout, not completion
+	// Release repeats Kind == JobRelease; only bench/churn.go reads it.
+	Release bool
+}
+
+// phase names the step a job takes next. pump starts a job in phaseAllocate,
+// which runs at once; between two engine events the job in progress waits in
+// one of the other three: for its compute time (phaseOpen), inside the
+// snapshot window (phaseInstall), or for its table time (phaseFinish).
+type phase uint8
+
+const (
+	phaseAllocate phase = iota // the kind's allocator work
+	phaseOpen                  // deactivate the moved tenants, send their realloc notices
+	phaseInstall               // install the grants, restoring migrated register images
+	phaseFinish                // reactivate, answer and record
+)
+
+// atOnce asks next to run a phase without an engine event.
+const atOnce time.Duration = -1
+
+// job is one serialized control-plane job and everything its phases hand
+// each other.
+type job struct {
+	rec   ProvisionRecord // FID, Kind and the Figure 8a breakdown
+	phase phase
+	req   *packet.AllocRequest // admit: the request
+	mac   packet.MAC           // admit, release: the sender
+	moves int                  // defrag: the migration budget
+
+	grant     *alloc.Placement   // admit: the newcomer's placement
+	moved     []*alloc.Placement // residents whose regions changed, in FID order
+	pending   map[uint16]bool    // moved tenants whose snapshot ack is outstanding
+	escalated bool               // the half-window re-send has run
+
+	// images are the register images a defrag migration captured, fid ->
+	// stage -> words, written back right after InstallGrant zeroes the new
+	// regions. They die with the job: a crash before the install loses them
+	// while the old regions are still installed, so recovery reads
+	// consistent, unmigrated tables.
+	images map[uint16]map[int][]uint32
 }
 
 // Controller is the switch control plane: admission control and dynamic
-// memory allocation (Section 4.3). Requests are serialized; each admission
-// runs the deactivate -> snapshot -> update -> reactivate protocol for any
-// reallocated applications.
+// memory allocation (Section 4.3). Jobs are serialized; each runs the
+// deactivate -> snapshot -> update -> reactivate protocol for any
+// reallocated applications, one phase per step.
 //
 // The controller is crash-restartable: Crash drops all in-memory state
 // (queue, client directory, allocation books) and Restart rebuilds the
@@ -68,25 +116,13 @@ type Controller struct {
 	snapshotTimeout time.Duration
 
 	clients map[uint16]packet.MAC // fid -> client MAC
-	busy    bool
-	queue   []queued
+	queue   []*job
+	cur     *job // the job in progress
 
 	// alive models control-plane failure: a dead controller drops digests,
 	// and its in-flight protocol continuations die with it (keyed by life).
 	alive bool
 	life  uint64
-
-	// snapWaiter consumes FlagSnapDone notifications during the realloc
-	// window of the admission in progress.
-	snapWaiter func(fid uint16)
-
-	// restorePlan carries register images captured by an in-flight
-	// defragmentation migration: fid -> stage -> words. applyPhase writes
-	// them back right after InstallGrant zeroes the granted regions, so a
-	// migrated tenant reactivates with its pre-migration state at the new
-	// offsets. Lost on Crash — the old regions are still installed then, so
-	// recovery sees consistent (unmigrated) state.
-	restorePlan map[uint16]map[int][]uint32
 
 	// noMigrate pins FIDs against defragmentation. Fabric replica sets
 	// require bit-identical placements on every member device; migrating
@@ -127,15 +163,6 @@ type Controller struct {
 	DefragMigrations    uint64 // tenants live-migrated
 	DefragBlocksMoved   uint64 // blocks re-homed by those migrations
 	DefragWordsRestored uint64 // register words copied via snapshot->restore
-}
-
-type queued struct {
-	f      *packet.Frame
-	sweep  bool
-	evict  uint16 // FID to evict (guard escalation)
-	doEv   bool
-	defrag bool
-	moves  int // migration budget for a defrag pass
 }
 
 // NewController wires a controller to its switch, runtime, and allocator.
@@ -186,12 +213,8 @@ func (c *Controller) GuardEvict(fid uint16) {
 	if !c.alive {
 		return
 	}
-	c.queue = append(c.queue, queued{evict: fid, doEv: true})
-	c.pump()
+	c.enqueue(&job{rec: ProvisionRecord{FID: fid, Kind: JobEvict}})
 }
-
-// Alive reports whether the control plane is up.
-func (c *Controller) Alive() bool { return c.alive }
 
 // after schedules fn on the engine, cancelled implicitly if the controller
 // crashes in the meantime (a dead controller's protocol continuations must
@@ -206,17 +229,15 @@ func (c *Controller) after(d time.Duration, fn func()) {
 	})
 }
 
-// Crash kills the control plane: the admission queue, the client directory,
-// and the allocation books are lost, and every in-flight protocol
-// continuation dies. The data plane (switch tables, register state) is
-// untouched and keeps executing admitted programs.
+// Crash kills the control plane: the job queue, the client directory, and
+// the allocation books are lost, and every in-flight protocol continuation
+// dies. The data plane (switch tables, register state) is untouched and
+// keeps executing admitted programs.
 func (c *Controller) Crash() {
 	c.alive = false
 	c.life++
-	c.busy = false
+	c.cur = nil
 	c.queue = nil
-	c.snapWaiter = nil
-	c.restorePlan = nil
 	c.sweepArmed = false
 	c.clients = make(map[uint16]packet.MAC)
 	if fresh, err := alloc.New(c.al.Config()); err == nil {
@@ -231,10 +252,9 @@ func (c *Controller) Crash() {
 // Restart brings the control plane back up and rebuilds the allocation
 // state from the switch tables: every admitted FID is re-registered at its
 // installed regions (constraints are recovered later, from the client's
-// retransmitted request — see the re-admission path in admit). FIDs left
-// deactivated by an interrupted reallocation window are reactivated; their
-// clients escape the stuck window via their own realloc timeout and
-// re-negotiate.
+// retransmitted request — see the readmit job). FIDs left deactivated by an
+// interrupted reallocation window are reactivated; their clients escape the
+// stuck window via their own realloc timeout and re-negotiate.
 func (c *Controller) Restart() {
 	if c.alive {
 		return
@@ -258,7 +278,8 @@ func (c *Controller) Restart() {
 }
 
 // Digest delivers a control packet from the data plane after the digest
-// latency (the switch CPU path).
+// latency (the switch CPU path): an allocation request or a release becomes
+// a job, and a snapshot completion goes to the job whose window is open.
 func (c *Controller) Digest(f *packet.Frame) {
 	if !c.alive {
 		c.DigestsDropped++
@@ -266,41 +287,80 @@ func (c *Controller) Digest(f *packet.Frame) {
 	}
 	c.after(digestLatency, func() {
 		h := f.Active.Header
-		if h.Type() == packet.TypeControl && h.Flags&packet.FlagSnapDone != 0 {
-			// Snapshot completions bypass the admission queue: the
-			// in-progress admission is waiting on them.
-			if c.snapWaiter != nil {
-				c.snapWaiter(h.FID)
+		switch {
+		case h.Type() == packet.TypeControl && h.Flags&packet.FlagSnapDone != 0:
+			if j := c.cur; j != nil && j.phase == phaseInstall && j.pending[h.FID] {
+				delete(j.pending, h.FID)
+				if len(j.pending) == 0 {
+					c.step(j)
+				}
 			}
-			return
+		case h.Type() == packet.TypeAllocReq:
+			c.enqueue(&job{rec: ProvisionRecord{FID: h.FID, Kind: JobAdmit}, req: f.Active.AllocReq, mac: f.Eth.Src})
+		case h.Type() == packet.TypeControl && h.Flags&packet.FlagRelease != 0:
+			c.enqueue(&job{rec: ProvisionRecord{FID: h.FID, Kind: JobRelease}, mac: f.Eth.Src})
 		}
-		c.queue = append(c.queue, queued{f: f})
-		c.pump()
 	})
 }
 
-// pump serializes request processing: applications are admitted one at a
-// time (Section 4.3).
-func (c *Controller) pump() {
-	if c.busy || !c.alive || len(c.queue) == 0 {
-		return
-	}
-	q := c.queue[0]
-	c.queue = c.queue[1:]
-	c.busy = true
-	c.dispatch(q)
-}
-
-func (c *Controller) finish() {
-	c.busy = false
+// enqueue adds a job to the queue. Jobs run one at a time (Section 4.3).
+func (c *Controller) enqueue(j *job) {
+	c.queue = append(c.queue, j)
 	c.pump()
 }
 
-// conclude ends a job: stamp its end, record it, and let the queue move on.
-func (c *Controller) conclude(rec ProvisionRecord) {
-	rec.End = c.eng.Now()
-	c.Records = append(c.Records, rec)
-	c.finish()
+// pump starts the next queued job when none is in progress.
+func (c *Controller) pump() {
+	if c.cur != nil || !c.alive || len(c.queue) == 0 {
+		return
+	}
+	j := c.queue[0]
+	c.queue = c.queue[1:]
+	c.cur = j
+	j.rec.Start = c.eng.Now()
+	c.step(j)
+}
+
+// step runs the phase j is in. Each phase ends by handing j to next, or by
+// concluding it.
+func (c *Controller) step(j *job) {
+	switch j.phase {
+	case phaseAllocate:
+		c.allocate(j)
+	case phaseOpen:
+		c.open(j)
+	case phaseInstall:
+		c.install(j)
+	case phaseFinish:
+		c.finish(j)
+	}
+}
+
+// next moves j to phase p and steps it after d, or at once when d is
+// atOnce. A step that finds its job over or moved on does nothing.
+func (c *Controller) next(j *job, p phase, d time.Duration) {
+	j.phase = p
+	if d == atOnce {
+		c.step(j)
+		return
+	}
+	c.after(d, func() {
+		if c.cur == j && j.phase == p {
+			c.step(j)
+		}
+	})
+}
+
+// conclude ends the job in progress — recorded unless it was a retransmitted
+// request answered from the books — and lets the queue move on.
+func (c *Controller) conclude(j *job, record bool) {
+	if record {
+		j.rec.End = c.eng.Now()
+		j.rec.Release = j.rec.Kind == JobRelease
+		c.Records = append(c.Records, j.rec)
+	}
+	c.cur = nil
+	c.pump()
 }
 
 // notify sends fid's client, when the controller knows it, a control notice:
@@ -333,32 +393,6 @@ func (c *Controller) placementsOf(affected map[uint16]bool) []*alloc.Placement {
 	return changed
 }
 
-func (c *Controller) dispatch(q queued) {
-	if q.sweep {
-		c.runSweep()
-		return
-	}
-	if q.doEv {
-		c.runEviction(q.evict)
-		return
-	}
-	if q.defrag {
-		c.runDefrag(q.moves)
-		return
-	}
-	h := q.f.Active.Header
-	switch {
-	case h.Type() == packet.TypeAllocReq:
-		c.clients[h.FID] = q.f.Eth.Src
-		c.admit(h.FID, q.f.Active.AllocReq)
-	case h.Type() == packet.TypeControl && h.Flags&packet.FlagRelease != 0:
-		c.clients[h.FID] = q.f.Eth.Src
-		c.release(h.FID)
-	default:
-		c.finish()
-	}
-}
-
 func (c *Controller) respondFailure(fid uint16) {
 	resp := &packet.Active{
 		Header:    packet.ActiveHeader{FID: fid, Flags: packet.FlagFromSwch | packet.FlagFailed},
@@ -366,23 +400,6 @@ func (c *Controller) respondFailure(fid uint16) {
 	}
 	resp.Header.SetType(packet.TypeAllocResp)
 	_ = c.sw.SendToHost(c.clients[fid], resp)
-}
-
-// runEviction tears down a tenant the guard escalated to eviction: release
-// its allocation (expanding elastic neighbors through the normal
-// reallocation protocol), strip its tables, and send the client an eviction
-// notice so it restarts its lifecycle from Idle.
-func (c *Controller) runEviction(fid uint16) {
-	rec := ProvisionRecord{FID: fid, Start: c.eng.Now(), Evict: true}
-	changed, err := c.al.Release(fid)
-	if err != nil {
-		changed = nil // stateless or unknown to the books: nothing to expand
-	}
-	rec.TableOps += c.rt.RemoveGrant(fid)
-	c.GuardEvictions++
-	c.notify(fid, packet.FlagFailed|packet.FlagEvicted)
-	rec.Reallocated = len(changed)
-	c.reallocPhase(rec, nil, changed, false)
 }
 
 // responseFor frames a placement's wire response (alloc.Placement.ToResponse)
@@ -405,14 +422,57 @@ func (c *Controller) responseFor(pl *alloc.Placement, realloc bool) *packet.Acti
 	return a
 }
 
-// admit runs the full admission protocol for fid.
-func (c *Controller) admit(fid uint16, req *packet.AllocRequest) {
-	rec := ProvisionRecord{FID: fid, Start: c.eng.Now()}
+// allocate runs the kind's allocator work and hands the job to the snapshot
+// window — an admission after its compute time — or straight to its answer.
+func (c *Controller) allocate(j *job) {
+	fid := j.rec.FID
+	switch j.rec.Kind {
+	case JobAdmit:
+		c.clients[fid] = j.mac
+		c.admit(j)
+		return
+	case JobRelease, JobEvict:
+		if j.rec.Kind == JobRelease {
+			c.clients[fid] = j.mac
+		}
+		changed, err := c.al.Release(fid)
+		if err != nil {
+			// Unknown to the books: a stateless service is still torn down.
+			if j.rec.Kind == JobRelease && !c.rt.Admitted(fid) {
+				j.rec.Failed = true
+				c.conclude(j, true)
+				return
+			}
+			changed = nil
+		}
+		j.rec.TableOps += c.rt.RemoveGrant(fid)
+		if j.rec.Kind == JobEvict {
+			// The client restarts its lifecycle from Idle.
+			c.GuardEvictions++
+			c.notify(fid, packet.FlagFailed|packet.FlagEvicted)
+		}
+		j.moved = changed
+	case JobSweep, JobDefrag:
+		pass := c.sweep
+		if j.rec.Kind == JobDefrag {
+			pass = c.defrag
+		}
+		if !pass(j) {
+			c.conclude(j, true) // nothing to fence or to move
+			return
+		}
+	}
+	c.next(j, phaseOpen, atOnce)
+}
+
+// admit runs the allocation for an admission request.
+func (c *Controller) admit(j *job) {
+	fid := j.rec.FID
 	// Retransmitted requests are answered idempotently with the existing
 	// placement (allocation requests are retried over a lossy data plane).
 	if pl, ok := c.al.PlacementFor(fid); ok {
 		_ = c.sw.SendToHost(c.clients[fid], c.responseFor(pl, false))
-		c.finish()
+		c.conclude(j, false)
 		return
 	}
 	// A FID resident in recovered form is a pre-crash tenant whose client
@@ -420,77 +480,149 @@ func (c *Controller) admit(fid uint16, req *packet.AllocRequest) {
 	// request's constraints and the installed tables, answering with the
 	// installed placement when the tables still match (and re-placing it
 	// when they don't).
-	rec.Readmit = c.al.Recovered(fid)
-	cons, err := alloc.FromRequest(req)
+	allocate := c.al.Allocate
+	if c.al.Recovered(fid) {
+		j.rec.Kind, allocate = JobReadmit, c.al.Readmit
+	}
+	cons, err := alloc.FromRequest(j.req)
 	if err != nil {
-		rec.Failed = true
-		c.respondFailure(fid)
-		c.conclude(rec)
+		j.rec.Failed = true
+		c.next(j, phaseFinish, atOnce)
 		return
 	}
 	cons.Name = "fid"
 
 	// Stateless services (no memory accesses) bypass the allocator: admit
-	// the FID and answer immediately.
-	if len(cons.Accesses) == 0 && !rec.Readmit {
+	// the FID and answer after the compute time and its one table write.
+	if len(cons.Accesses) == 0 && j.rec.Kind == JobAdmit {
 		c.rt.AdmitStateless(fid)
 		if c.guard != nil {
 			c.guard.Reinstate(fid)
 		}
-		rec.TableOps = 1
-		rec.TableTime = tableOpCost
-		c.after(computeBase+rec.TableTime, func() {
-			_ = c.sw.SendToHost(c.clients[fid], c.responseFor(&alloc.Placement{FID: fid}, false))
-			c.conclude(rec)
-		})
+		j.rec.TableOps = 1
+		j.rec.TableTime = tableOpCost
+		c.next(j, phaseFinish, computeBase+j.rec.TableTime)
 		return
 	}
 
-	allocate := c.al.Allocate
-	if rec.Readmit {
-		allocate = c.al.Readmit
-	}
 	res, err := allocate(fid, cons)
+	j.rec.Compute = computeBase
+	if res != nil {
+		j.rec.Compute += time.Duration(res.MutantsTotal) * computePerMut
+	}
 	if err != nil || res.Failed {
-		rec.Failed = true
-		rec.Compute = computeBase
-		if res != nil {
-			rec.Compute += time.Duration(res.MutantsTotal) * computePerMut
-		}
-		c.after(rec.Compute, func() {
-			c.respondFailure(fid)
-			c.conclude(rec)
-		})
+		j.rec.Failed = true
+		c.next(j, phaseFinish, j.rec.Compute)
 		return
 	}
-	if rec.Readmit {
+	if j.rec.Kind == JobReadmit {
 		c.Readmissions++
 	}
-	rec.Compute = computeBase + time.Duration(res.MutantsTotal)*computePerMut
-	rec.Reallocated = len(res.Reallocated)
-
-	c.after(rec.Compute, func() {
-		c.reallocPhase(rec, res.New, res.Reallocated, false)
-	})
+	j.grant, j.moved = res.New, res.Reallocated
+	c.next(j, phaseOpen, j.rec.Compute)
 }
 
-// release handles a client departure, expanding elastic neighbors.
-func (c *Controller) release(fid uint16) {
-	rec := ProvisionRecord{FID: fid, Start: c.eng.Now(), Release: true}
-	changed, err := c.al.Release(fid)
-	if err != nil {
-		if c.rt.Admitted(fid) { // stateless service: nothing allocated
-			rec.TableOps += c.rt.RemoveGrant(fid)
-			c.reallocPhase(rec, nil, nil, true)
-			return
+// open deactivates the moved tenants, sends each client its realloc notice
+// and opens the snapshot window, which closes when the last ack arrives.
+// Halfway through it, still-pending clients get their notice re-sent (the
+// first copy crosses a lossy data plane); at its end it times out.
+func (c *Controller) open(j *job) {
+	j.rec.Reallocated = len(j.moved)
+	j.pending = make(map[uint16]bool, len(j.moved))
+	for _, pl := range j.moved {
+		c.rt.Deactivate(pl.FID)
+		j.rec.TableOps++
+		if mac, ok := c.clients[pl.FID]; ok {
+			_ = c.sw.SendToHost(mac, c.responseFor(pl, true))
+			j.pending[pl.FID] = true
 		}
-		rec.Failed = true
-		c.conclude(rec)
+	}
+	if len(j.pending) == 0 {
+		c.next(j, phaseInstall, atOnce)
 		return
 	}
-	rec.TableOps += c.rt.RemoveGrant(fid)
-	rec.Reallocated = len(changed)
-	c.reallocPhase(rec, nil, changed, true)
+	c.next(j, phaseInstall, c.snapshotTimeout/2)
+	c.next(j, phaseInstall, c.snapshotTimeout)
+}
+
+// install closes the snapshot window — or, at half-window, re-sends the
+// laggards' notices and keeps it open — then installs the moved tenants'
+// grants, restoring any migrated register image, and the newcomer's.
+func (c *Controller) install(j *job) {
+	if len(j.pending) > 0 {
+		if !j.escalated {
+			j.escalated = true
+			for _, pl := range j.moved {
+				if j.pending[pl.FID] {
+					_ = c.sw.SendToHost(c.clients[pl.FID], c.responseFor(pl, true))
+					c.SnapshotEscalations++
+				}
+			}
+			return
+		}
+		c.SnapshotTimeouts++
+	}
+	// The window opened once the compute time had passed.
+	j.rec.SnapshotWait = c.eng.Now() - j.rec.Start - j.rec.Compute
+	ops := j.rec.TableOps
+	for _, pl := range j.moved {
+		n, err := c.rt.InstallGrant(runtime.GrantOf(pl))
+		ops += n
+		if err != nil {
+			// TCAM exhaustion mid-update: surface as failure for the
+			// newcomer but keep existing apps running.
+			continue
+		}
+		for stage, words := range j.images[pl.FID] {
+			if n, err := c.rt.RestoreRegion(pl.FID, stage, words); err == nil {
+				c.DefragWordsRestored += uint64(n)
+			}
+		}
+	}
+	if j.grant != nil {
+		n, err := c.rt.InstallGrant(runtime.GrantOf(j.grant))
+		ops += n
+		j.rec.Failed = err != nil
+	}
+	j.rec.TableOps = ops
+	j.rec.TableTime = time.Duration(ops) * tableOpCost
+	c.next(j, phaseFinish, j.rec.TableTime)
+}
+
+// finish reactivates the moved tenants, answers the job's own client and
+// records the job.
+func (c *Controller) finish(j *job) {
+	for _, pl := range j.moved {
+		c.rt.Reactivate(pl.FID)
+		c.notify(pl.FID, packet.FlagDone|packet.FlagRealloc)
+	}
+	fid := j.rec.FID
+	switch {
+	case j.rec.Failed:
+		if j.grant != nil {
+			// Roll the allocation back so state stays consistent.
+			_, _ = c.al.Release(fid)
+		}
+		c.respondFailure(fid)
+	case j.grant != nil:
+		// A readmitted tenant may still be deactivated from the pre-crash
+		// reallocation window; clear it before answering.
+		if c.rt.Quarantined(fid) {
+			c.rt.Reactivate(fid)
+		}
+		// A fresh grant wipes any guard history: re-admission after an
+		// eviction starts a clean escalation ladder.
+		if c.guard != nil {
+			c.guard.Reinstate(fid)
+		}
+		_ = c.sw.SendToHost(c.clients[fid], c.responseFor(j.grant, false))
+	case j.rec.Kind == JobRelease:
+		c.notify(fid, packet.FlagDone|packet.FlagRelease)
+		delete(c.clients, fid)
+	case j.rec.Kind == JobAdmit: // a stateless service, admitted by allocate
+		_ = c.sw.SendToHost(c.clients[fid], c.responseFor(&alloc.Placement{FID: fid}, false))
+	}
+	c.conclude(j, true)
 }
 
 // SweepAndRepair schedules a corruption sweep over every stage's register
@@ -503,13 +635,12 @@ func (c *Controller) SweepAndRepair() {
 	if !c.alive {
 		return
 	}
-	c.queue = append(c.queue, queued{sweep: true})
-	c.pump()
+	c.enqueue(&job{rec: ProvisionRecord{Kind: JobSweep}})
 }
 
-// runSweep executes one sweep-and-repair pass (called from the queue).
-func (c *Controller) runSweep() {
-	rec := ProvisionRecord{Start: c.eng.Now(), Sweep: true}
+// sweep runs one sweep-and-repair pass, handing j the placements it moved;
+// it reports false when it found nothing to fence.
+func (c *Controller) sweep(j *job) bool {
 	reports := c.rt.SweepCorruption()
 	bw := c.al.Config().BlockWords
 
@@ -539,8 +670,7 @@ func (c *Controller) runSweep() {
 		c.QuarantinedBlockCount++
 	}
 	if len(perFID) == 0 && len(unowned) == 0 {
-		c.conclude(rec)
-		return
+		return false
 	}
 
 	victims := make([]uint16, 0, len(perFID))
@@ -555,7 +685,7 @@ func (c *Controller) runSweep() {
 		if err != nil || res.Failed {
 			// Cannot re-place around the damage: evict the app entirely
 			// and tell the client, which restarts its lifecycle.
-			rec.TableOps += c.rt.RemoveGrant(fid)
+			j.rec.TableOps += c.rt.RemoveGrant(fid)
 			evicted = append(evicted, fid)
 		} else {
 			affected[fid] = true
@@ -579,138 +709,6 @@ func (c *Controller) runSweep() {
 
 	// Everyone whose regions moved goes through the reallocation protocol
 	// with their final placement.
-	changed := c.placementsOf(affected)
-	rec.Reallocated = len(changed)
-	c.reallocPhase(rec, nil, changed, false)
-}
-
-// reallocPhase notifies and quarantines reallocated applications, waits for
-// their snapshot completions (or the timeout), then applies table updates
-// and reactivates everyone. Halfway through the window, still-pending
-// clients get their realloc notice re-sent (the first copy crosses a lossy
-// data plane); a window that still times out is recorded as an escalation.
-func (c *Controller) reallocPhase(rec ProvisionRecord, newPl *alloc.Placement, changed []*alloc.Placement, release bool) {
-	waitStart := c.eng.Now()
-	pending := map[uint16]bool{}
-	plByFID := map[uint16]*alloc.Placement{}
-	for _, pl := range changed {
-		pending[pl.FID] = true
-		plByFID[pl.FID] = pl
-		c.rt.Deactivate(pl.FID)
-		rec.TableOps++
-		if mac, ok := c.clients[pl.FID]; ok {
-			_ = c.sw.SendToHost(mac, c.responseFor(pl, true))
-		} else {
-			delete(pending, pl.FID) // no client to wait for
-		}
-	}
-
-	done := false
-	proceed := func() {
-		if done {
-			return
-		}
-		done = true
-		c.snapWaiter = nil
-		rec.SnapshotWait = c.eng.Now() - waitStart
-		c.applyPhase(rec, newPl, changed, release)
-	}
-	if len(pending) == 0 {
-		proceed()
-		return
-	}
-	c.snapWaiter = func(fid uint16) {
-		delete(pending, fid)
-		if len(pending) == 0 {
-			proceed()
-		}
-	}
-	// Escalation: re-send the realloc notice to laggards at half-window.
-	c.after(c.snapshotTimeout/2, func() {
-		if done || len(pending) == 0 {
-			return
-		}
-		laggards := make([]uint16, 0, len(pending))
-		for fid := range pending {
-			laggards = append(laggards, fid)
-		}
-		sort.Slice(laggards, func(i, j int) bool { return laggards[i] < laggards[j] })
-		for _, fid := range laggards {
-			if mac, ok := c.clients[fid]; ok {
-				_ = c.sw.SendToHost(mac, c.responseFor(plByFID[fid], true))
-				rec.Escalations++
-				c.SnapshotEscalations++
-			}
-		}
-	})
-	c.after(c.snapshotTimeout, func() {
-		if !done && len(pending) > 0 {
-			rec.TimedOut = true
-			c.SnapshotTimeouts++
-		}
-		proceed()
-	})
-}
-
-// applyPhase installs the new table state and reactivates applications.
-func (c *Controller) applyPhase(rec ProvisionRecord, newPl *alloc.Placement, changed []*alloc.Placement, release bool) {
-	ops := rec.TableOps
-	for _, pl := range changed {
-		n, err := c.rt.InstallGrant(runtime.GrantOf(pl))
-		ops += n
-		if err != nil {
-			// TCAM exhaustion mid-update: surface as failure for the
-			// newcomer but keep existing apps running.
-			continue
-		}
-		// A defrag migration restores the tenant's captured register image
-		// into the freshly granted (and zeroed) regions before reactivation,
-		// so the client never observes lost state at the new offsets.
-		if save, ok := c.restorePlan[pl.FID]; ok {
-			for stage, words := range save {
-				if n, err := c.rt.RestoreRegion(pl.FID, stage, words); err == nil {
-					c.DefragWordsRestored += uint64(n)
-				}
-			}
-			delete(c.restorePlan, pl.FID)
-		}
-	}
-	var installErr error
-	if newPl != nil {
-		n, err := c.rt.InstallGrant(runtime.GrantOf(newPl))
-		ops += n
-		installErr = err
-	}
-	rec.TableOps = ops
-	rec.TableTime = time.Duration(ops) * tableOpCost
-
-	c.after(rec.TableTime, func() {
-		for _, pl := range changed {
-			c.rt.Reactivate(pl.FID)
-			c.notify(pl.FID, packet.FlagDone|packet.FlagRealloc)
-		}
-		switch {
-		case newPl != nil && installErr != nil:
-			// Roll the allocation back so state stays consistent.
-			_, _ = c.al.Release(newPl.FID)
-			rec.Failed = true
-			c.respondFailure(newPl.FID)
-		case newPl != nil:
-			// A readmitted tenant may still be deactivated from the
-			// pre-crash reallocation window; clear it before answering.
-			if c.rt.Quarantined(newPl.FID) {
-				c.rt.Reactivate(newPl.FID)
-			}
-			// A fresh grant wipes any guard history: re-admission after an
-			// eviction starts a clean escalation ladder.
-			if c.guard != nil {
-				c.guard.Reinstate(newPl.FID)
-			}
-			_ = c.sw.SendToHost(c.clients[newPl.FID], c.responseFor(newPl, false))
-		case release:
-			c.notify(rec.FID, packet.FlagDone|packet.FlagRelease)
-			delete(c.clients, rec.FID)
-		}
-		c.conclude(rec)
-	})
+	j.moved = c.placementsOf(affected)
+	return true
 }

@@ -44,26 +44,25 @@ func (c *Controller) Defragment(maxMoves int) {
 	if !c.alive || maxMoves <= 0 {
 		return
 	}
-	c.queue = append(c.queue, queued{defrag: true, moves: maxMoves})
-	c.pump()
+	c.enqueue(&job{rec: ProvisionRecord{Kind: JobDefrag}, moves: maxMoves})
 }
 
-// runDefrag executes one pass (called from the queue).
-func (c *Controller) runDefrag(maxMoves int) {
-	rec := ProvisionRecord{Start: c.eng.Now(), Defrag: true}
+// defrag runs one pass's allocator work, handing j the placements it moved
+// and the register images to restore; it reports false when nobody moved.
+func (c *Controller) defrag(j *job) bool {
 	c.DefragPasses++
 
 	cands := c.al.CompactionCandidates(func(fid uint16) bool { return !c.noMigrate[fid] })
 	affected := map[uint16]bool{}
-	moved := 0
+	j.images = map[uint16]map[int][]uint32{}
 	for _, fid := range cands {
-		if moved >= maxMoves {
+		if len(j.images) >= j.moves {
 			break
 		}
 		// Capture the victim's live register image region by region before
-		// the books move. The runtime install is untouched until applyPhase,
-		// so this reads the authoritative pre-migration state (the same
-		// state-extraction path FlagMemSync capsules use).
+		// the books move. The runtime install is untouched until the install
+		// phase, so this reads the authoritative pre-migration state (the
+		// same state-extraction path FlagMemSync capsules use).
 		save := map[int][]uint32{}
 		for stage := range c.rt.InstalledRegions(fid) {
 			if words, _, err := c.rt.Snapshot(fid, stage); err == nil {
@@ -74,24 +73,17 @@ func (c *Controller) runDefrag(maxMoves int) {
 		if !ok {
 			continue
 		}
-		moved++
 		c.DefragMigrations++
 		c.DefragBlocksMoved += uint64(res.BlocksMoved)
-		if c.restorePlan == nil {
-			c.restorePlan = make(map[uint16]map[int][]uint32)
-		}
-		c.restorePlan[fid] = save
+		j.images[fid] = save
 		affected[fid] = true
 		for _, pl := range res.Reallocated {
 			affected[pl.FID] = true
 		}
 	}
-	if moved == 0 {
-		c.conclude(rec)
-		return
+	if len(j.images) == 0 {
+		return false
 	}
-
-	changed := c.placementsOf(affected)
-	rec.Reallocated = len(changed)
-	c.reallocPhase(rec, nil, changed, false)
+	j.moved = c.placementsOf(affected)
+	return true
 }

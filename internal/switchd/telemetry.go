@@ -16,16 +16,15 @@ import (
 func (c *Controller) AttachTelemetry(reg *telemetry.Registry) {
 	reg.Vec("activermt_ctrl_jobs_total", "Control-plane jobs completed, by kind.", telemetry.KindCounter, "kind",
 		func(add func(string, float64)) {
-			var kinds []string
-			n := map[string]int{}
+			var kinds []JobKind
+			n := map[JobKind]int{}
 			for _, rec := range c.Records {
-				k := rec.kind()
-				if n[k]++; n[k] == 1 {
-					kinds = append(kinds, k)
+				if n[rec.Kind]++; n[rec.Kind] == 1 {
+					kinds = append(kinds, rec.Kind)
 				}
 			}
 			for _, k := range kinds {
-				add(k, float64(n[k]))
+				add(string(k), float64(n[k]))
 			}
 		})
 	reg.CounterFunc("activermt_ctrl_failures_total", "Control-plane jobs that concluded in failure.", func() uint64 {
@@ -107,21 +106,4 @@ func (c *Controller) AttachTelemetry(reg *telemetry.Registry) {
 			add("inplace", float64(c.relayoutsLost[0]+inplace))
 			add("full", float64(c.relayoutsLost[1]+full))
 		})
-}
-
-// kind names the job a record describes, for activermt_ctrl_jobs_total.
-func (rec ProvisionRecord) kind() string {
-	switch {
-	case rec.Evict:
-		return "evict"
-	case rec.Defrag:
-		return "defrag"
-	case rec.Sweep:
-		return "sweep"
-	case rec.Release:
-		return "release"
-	case rec.Readmit:
-		return "readmit"
-	}
-	return "admit"
 }

@@ -66,7 +66,6 @@ var reachAllow = map[string]string{
 	"internal/netsim.Port.DownTransitions":       "accessor: fabric health test counts link flaps",
 	"internal/fabric.Fabric.LinkUp":              "accessor: fabric health tests read the routing verdict",
 	"internal/apps.MemSync.Outstanding":          "accessor: testbed memsync tests wait on it",
-	"internal/switchd.Controller.Alive":          "accessor: fabric restart-recovery test",
 	"internal/baseline.NetVRMAllocator.Release":  "accessor: the page model's free path, exercised by its no-overlap and coalescing properties",
 	"internal/alloc.Allocator.ElasticTotals":     "accessor: the fairness population, read by TestElasticSharingAndFairness and TestReleaseExpandsNeighbors",
 	"internal/workload.Sequence.Resident":        "accessor: workload arrival/departure and Poisson-epoch tests",
