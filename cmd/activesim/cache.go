@@ -20,21 +20,6 @@ import (
 	"activermt/internal/workload"
 )
 
-// zipfObjects seeds srv with n objects under deterministic keys and returns
-// the keys with the hotter half as populate-ready objects.
-func zipfObjects(srv *apps.KVServer, n int) (keys [][2]uint32, hot []apps.KVMsg) {
-	keys = make([][2]uint32, n)
-	for i := range keys {
-		k0, k1, v := uint32(i)*2654435761, uint32(i)*2246822519+7, uint32(0xC0DE+i)
-		keys[i] = [2]uint32{k0, k1}
-		srv.Store[apps.KeyOf(k0, k1)] = v
-		if i < n/2 {
-			hot = append(hot, apps.KVMsg{Key0: k0, Key1: k1, Value: v})
-		}
-	}
-	return keys, hot
-}
-
 // runCache drives one cache tenant over Zipf traffic on the single-switch
 // testbed, under the policy loop with -policy adaptive, optionally with a
 // library fault schedule (-chaos), an adversarial co-tenant (-adversary) and
@@ -63,14 +48,8 @@ func runCache(o *options) error {
 		defer telSrv.Close()
 		say("telemetry: serving http://%s/metrics", telSrv.Addr())
 	}
-	srv := apps.NewKVServer(tb.Eng, testbed.MACFor(200), testbed.IPFor(999))
-	_, sp := tb.Attach(srv, srv.MAC())
-	srv.Attach(sp)
-
-	_, _, selfIP := tb.NewHostID()
-	cache := apps.NewCache(srv.MAC(), selfIP, testbed.IPFor(999))
-	cl := tb.AddClient(1, apps.CacheService(cache))
-	cache.Bind(cl)
+	srv := tb.AddKVServer()
+	cache, cl := tb.AddCache(1, srv)
 
 	say("requesting allocation")
 	if err := cl.RequestAndWait(10 * time.Second); err != nil {
@@ -81,7 +60,7 @@ func runCache(o *options) error {
 
 	// Seed server + hot set, then drive Zipf traffic.
 	z := workload.NewZipf(o.seed, 1.25, 4096)
-	keys, hot := zipfObjects(srv, 4096)
+	keys, hot := srv.SeedObjects(4096)
 	cache.SetHotObjects(hot)
 	cache.Populate()
 	tb.RunFor(50 * time.Millisecond)
@@ -112,10 +91,7 @@ func runCache(o *options) error {
 	var attCl *client.Client
 	var advSc *chaos.Scenario
 	if o.adversary {
-		_, _, attIP := tb.NewHostID()
-		attCache := apps.NewCache(srv.MAC(), attIP, testbed.IPFor(999))
-		attCl = tb.AddClient(attackerFID, apps.CacheService(attCache))
-		attCache.Bind(attCl)
+		_, attCl = tb.AddCache(attackerFID, srv)
 		if err := attCl.RequestAndWait(10 * time.Second); err != nil {
 			return err
 		}
@@ -127,8 +103,7 @@ func runCache(o *options) error {
 		if o.adversary && window == 2 {
 			_, advMAC, _ := tb.NewHostID()
 			adv := chaos.NewAdversary(tb.Eng, advMAC, tb.Switch.MAC())
-			_, ap := tb.Attach(adv, advMAC)
-			adv.Attach(ap)
+			tb.AddHost(adv)
 			adv.Arm(attackerFID, attCl.Epoch())
 			advSc = chaos.AdversarialTenant(adv, 1, o.seed)
 			if err := advSc.Install(tb.System()); err != nil {
@@ -281,7 +256,7 @@ func runFabricCache(o *options) error {
 		len(cc.Set().Members), cc.Home().Name, cc.Set().Epoch, cc.Capacity())
 
 	z := workload.NewZipf(o.seed, 1.25, 2048)
-	keys, hot := zipfObjects(srv, 2048)
+	keys, hot := srv.SeedObjects(2048)
 	if err := cc.Warm(0, hot); err != nil {
 		return err
 	}

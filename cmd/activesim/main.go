@@ -93,11 +93,14 @@ var table = []scenario{
 		summary: "tenant churn, then telemetry-driven live migration (static leaves the gauge high, adaptive recovers it)",
 		smoke:   []string{"-scenario defrag -policy static -seed 3", "-scenario defrag -policy adaptive -seed 3"}},
 	{name: "synflood", flags: "seed", run: runSynFlood,
-		summary: "SYN-flood detector: half-open counters + alarm scans", smoke: []string{"-scenario synflood -seed 3"}},
+		summary: "SYN-flood detector: half-open counters + alarm scans",
+		smoke:   []string{"-scenario synflood -seed 3", "-scenario synflood -seed 11"}},
 	{name: "ratelimit", flags: "seed", run: runRateLimit,
-		summary: "per-tenant token-bucket enforcement", smoke: []string{"-scenario ratelimit -seed 3"}},
+		summary: "per-tenant token-bucket enforcement",
+		smoke:   []string{"-scenario ratelimit -seed 3", "-scenario ratelimit -seed 1"}},
 	{name: "hhrecirc", flags: "seed", run: runHHRecirc,
-		summary: "heavy hitter paying recirculation under a budget", smoke: []string{"-scenario hhrecirc -seed 3"}},
+		summary: "heavy hitter paying recirculation under a budget",
+		smoke:   []string{"-scenario hhrecirc -seed 3", "-scenario hhrecirc -seed 5"}},
 	{name: "quickstart", run: runQuickstart,
 		summary: "admit a counter through the controller, send it packets, memory protection, a second tenant",
 		smoke:   []string{"-scenario quickstart"}},

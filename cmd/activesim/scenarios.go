@@ -155,21 +155,15 @@ func runDefragDemo(o *options) error {
 	// Four waves of inelastic memsync tenants, then waves 1 and 3 released:
 	// the survivors sit above the released waves' holes.
 	const waves, perWave, demand, words = 4, 6, 48, 8
-	type tenant struct {
-		cl *client.Client
-		ms *apps.MemSync
-	}
-	var all []tenant
+	var all []*apps.MemSync
 	fid := uint16(100)
 	for w := 0; w < waves; w++ {
 		for i := 0; i < perWave; i++ {
-			ms := apps.NewMemSync()
-			cl := tb.AddClient(fid, apps.MemSyncService(demand))
-			ms.Bind(cl)
+			ms, cl := tb.AddMemSync(fid, demand)
 			if err := cl.RequestAndWait(10 * time.Second); err != nil {
 				return fmt.Errorf("fid %d: %w", fid, err)
 			}
-			all = append(all, tenant{cl, ms})
+			all = append(all, ms)
 			fid++
 		}
 	}
@@ -177,24 +171,20 @@ func runDefragDemo(o *options) error {
 		len(all), demand, tb.Ctrl.Allocator().Utilization())
 
 	// Survivors get a recognizable pattern in switch SRAM before churn.
-	var survivors []tenant
-	for w := 0; w < waves; w++ {
-		for i := 0; i < perWave; i++ {
-			t := all[w*perWave+i]
-			if w%2 == 0 {
-				continue
-			}
+	var survivors []*apps.MemSync
+	for w := 1; w < waves; w += 2 {
+		for _, ms := range all[w*perWave : (w+1)*perWave] {
 			for j := 0; j < words; j++ {
-				t.ms.Write(uint32(j), uint32(t.cl.FID())<<16|uint32(j), nil)
+				ms.Write(uint32(j), uint32(ms.Client.FID())<<16|uint32(j), nil)
 				tb.RunFor(100 * time.Microsecond)
 			}
-			survivors = append(survivors, t)
+			survivors = append(survivors, ms)
 		}
 	}
 	tb.RunFor(100 * time.Millisecond)
 	for w := 0; w < waves; w += 2 {
-		for i := 0; i < perWave; i++ {
-			if err := all[w*perWave+i].cl.Release(); err != nil {
+		for _, ms := range all[w*perWave : (w+1)*perWave] {
+			if err := ms.Client.Release(); err != nil {
 				return err
 			}
 		}
@@ -215,10 +205,10 @@ func runDefragDemo(o *options) error {
 
 	// Books and state must survive whichever path ran.
 	bad := 0
-	for _, t := range survivors {
+	for _, ms := range survivors {
 		for j := 0; j < words; j++ {
-			want := uint32(t.cl.FID())<<16 | uint32(j)
-			got, err := readBack(tb, t.ms, j)
+			want := uint32(ms.Client.FID())<<16 | uint32(j)
+			got, err := readBack(tb, ms, j)
 			if err != nil || got != want {
 				bad++
 			}
@@ -270,9 +260,7 @@ func runLB(o *options) error {
 	ports := make([]uint32, nsrv)
 	for i := range servers {
 		servers[i] = apps.NewEchoServer(tb.Eng, testbed.MACFor(201+i))
-		p, ep := tb.Attach(servers[i], servers[i].MAC())
-		servers[i].Attach(ep)
-		ports[i] = uint32(p)
+		ports[i] = uint32(tb.AddHost(servers[i]))
 	}
 
 	lb := apps.NewCheetah(uint32(o.seed)*0x9E37+1, nsrv)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"activermt/internal/alloc"
@@ -23,8 +24,7 @@ func runSynFlood(o *options) error {
 	}
 	say, seed := o.timeline(tb.Eng), o.seed
 	sink := secapps.NewRLSink(testbed.MACFor(200))
-	_, sp := tb.Attach(sink, sink.MAC())
-	sink.Attach(sp)
+	tb.AddHost(sink)
 
 	d := secapps.NewSynDetector(16)
 	cl := tb.AddClient(31, secapps.SynFloodService(d))
@@ -54,8 +54,8 @@ func runSynFlood(o *options) error {
 	precision, recall := d.Score(gen.Truth)
 	say("detection: precision %.3f, recall %.3f (%d alarmed of %d attackers)",
 		precision, recall, len(d.Alarmed), len(gen.Attackers))
-	if precision < 0.95 || recall < 0.95 {
-		return fmt.Errorf("detection quality below 0.95: precision=%.3f recall=%.3f", precision, recall)
+	if precision != 1 || recall < 0.95 {
+		return fmt.Errorf("detection quality: precision=%.3f (want 1) recall=%.3f (want >= 0.95)", precision, recall)
 	}
 
 	// Late-arriving flood through the chaos library's injector: two fresh
@@ -89,8 +89,7 @@ func runRateLimit(o *options) error {
 	}
 	say, seed := o.timeline(tb.Eng), o.seed
 	sink := secapps.NewRLSink(testbed.MACFor(201))
-	_, sp := tb.Attach(sink, sink.MAC())
-	sink.Attach(sp)
+	tb.AddHost(sink)
 
 	const limit = 20
 	rl := secapps.NewRateLimiter(limit)
@@ -120,6 +119,9 @@ func runRateLimit(o *options) error {
 		}
 		tb.RunFor(20 * time.Millisecond)
 		say("window %d closed (%d refills so far)", w, rl.Refills)
+	}
+	if want := uint64(2 * len(offered)); rl.Refills != want {
+		return fmt.Errorf("refills = %d, want %d", rl.Refills, want)
 	}
 	for _, of := range offered {
 		got := sink.Delivered[of.tenant]
@@ -152,8 +154,7 @@ func runHHRecirc(o *options) error {
 	}
 	say, seed := o.timeline(tb.Eng), o.seed
 	sink := secapps.NewRLSink(testbed.MACFor(202))
-	_, sp := tb.Attach(sink, sink.MAC())
-	sink.Attach(sp)
+	tb.AddHost(sink)
 
 	const claimFID = 34
 	hh := secapps.NewRecircHH(seed, 32, 4)
@@ -173,8 +174,11 @@ func runHHRecirc(o *options) error {
 	}
 	tb.RT.EnableRecircLimiter(runtime.RecircPolicy{Budget: 8, Window: 50 * time.Millisecond}, tb.Eng.Now)
 	hh.BudgetFn = func() int { return tb.RT.RecircBudgetRemaining(claimFID) }
-	say("heavy hitter operational: claim arm costs %d extra pass(es), budget 8 per 50ms",
-		hh.ClaimExtraPasses())
+	extra := hh.ClaimExtraPasses()
+	say("heavy hitter operational: claim arm costs %d extra pass(es), budget 8 per 50ms", extra)
+	if extra != 1 {
+		return fmt.Errorf("claim arm costs %d extra passes, want 1", extra)
+	}
 
 	gen := secapps.NewHXGen(seed+9, 512, 1.4)
 	for i := 0; i < 8000; i++ {
@@ -198,7 +202,14 @@ func runHHRecirc(o *options) error {
 	if led := tb.Guard.Tenant(claimFID); led != nil && led.Count(guard.KindRecircThrottled) != 0 {
 		return fmt.Errorf("guard ledger holds %d recirc-throttled entries", led.Count(guard.KindRecircThrottled))
 	}
-	say("budget respected: 0 throttles, device recirculations = %d = claims", tb.RT.Device().Recirculations)
+	if hh.ClaimsDeferred == 0 {
+		return fmt.Errorf("budget never binding: %d claims, 0 deferred", hh.Claims)
+	}
+	recircs := tb.RT.Device().Recirculations
+	if recircs != hh.Claims || hh.RecircSpent != hh.Claims {
+		return fmt.Errorf("spend accounting: device recirculations %d, claims %d, recircs spent %d", recircs, hh.Claims, hh.RecircSpent)
+	}
+	say("budget respected: 0 throttles, device recirculations = %d = claims", recircs)
 
 	hot, err := hh.HotKeys()
 	if err != nil {
@@ -214,6 +225,12 @@ func runHHRecirc(o *options) error {
 	}
 	if len(hot) == 0 || hot[0].Key != truth[0] {
 		return fmt.Errorf("hottest exact-counted key does not match ground truth")
+	}
+	claimed := hh.ClaimedKeys()
+	for _, k := range truth[:3] {
+		if !slices.Contains(claimed, k) {
+			return fmt.Errorf("ground-truth top key %#x never promoted to the claimed set", k)
+		}
 	}
 	return nil
 }

@@ -112,9 +112,7 @@ func runHeavyHitter(o *options) error {
 	if err != nil {
 		return err
 	}
-	sink := apps.NewKVServer(tb.Eng, testbed.MACFor(200), testbed.IPFor(999))
-	_, sp := tb.Attach(sink, sink.MAC())
-	sink.Attach(sp)
+	sink := tb.AddKVServer()
 
 	const threshold = 25
 	hh := apps.NewHeavyHitter(threshold)

@@ -154,6 +154,21 @@ func (s *KVServer) Attach(p *netsim.Port) { s.port = p }
 // MAC returns the server's address.
 func (s *KVServer) MAC() packet.MAC { return s.mac }
 
+// SeedObjects stores n objects under deterministic keys and returns the keys,
+// and the first half of them as populate-ready hot objects.
+func (s *KVServer) SeedObjects(n int) (keys [][2]uint32, hot []KVMsg) {
+	keys = make([][2]uint32, n)
+	for i := range keys {
+		k0, k1, v := uint32(i)*2654435761, uint32(i)*2246822519+7, uint32(0xC0DE+i)
+		keys[i] = [2]uint32{k0, k1}
+		s.Store[KeyOf(k0, k1)] = v
+		if i < n/2 {
+			hot = append(hot, KVMsg{Key0: k0, Key1: k1, Value: v})
+		}
+	}
+	return keys, hot
+}
+
 // KeyOf packs a key pair.
 func KeyOf(k0, k1 uint32) uint64 { return uint64(k0)<<32 | uint64(k1) }
 

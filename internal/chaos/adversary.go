@@ -42,6 +42,9 @@ func NewAdversary(eng *netsim.Engine, mac, swMAC packet.MAC) *Adversary {
 // Attach wires the adversary's switch-facing port.
 func (a *Adversary) Attach(p *netsim.Port) { a.port = p }
 
+// MAC returns the adversary's host address.
+func (a *Adversary) MAC() packet.MAC { return a.mac }
+
 // Arm gives the adversary a tenant identity: subsequent authenticated sends
 // claim this FID and echo this grant epoch.
 func (a *Adversary) Arm(fid uint16, epoch uint8) {

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"activermt/internal/apps"
 	"activermt/internal/chaos"
 	"activermt/internal/client"
 	"activermt/internal/netsim"
@@ -27,25 +26,13 @@ func newBed(t *testing.T) *testbed.Testbed {
 	return tb
 }
 
-// addCache spins up one cache client+app, configured for fault tolerance
-// (retries with backoff, realloc-window escape).
-func addCache(t *testing.T, tb *testbed.Testbed, fid uint16, srv *apps.KVServer) (*apps.Cache, *client.Client) {
-	t.Helper()
-	_, _, selfIP := tb.NewHostID()
-	c := apps.NewCache(srv.MAC(), selfIP, testbed.IPFor(999))
-	cl := tb.AddClient(fid, apps.CacheService(c))
-	c.Bind(cl)
-	cl.RetryAfter = 50 * time.Millisecond
-	cl.ReallocTimeout = 250 * time.Millisecond
-	return c, cl
-}
-
-func addServer(t *testing.T, tb *testbed.Testbed) *apps.KVServer {
-	t.Helper()
-	srv := apps.NewKVServer(tb.Eng, testbed.MACFor(200), testbed.IPFor(999))
-	_, sp := tb.Attach(srv, srv.MAC())
-	srv.Attach(sp)
-	return srv
+// faultTolerant arms a client's escapes from a faulty network or controller:
+// retries with backoff, and a bounded reallocation window.
+func faultTolerant(cls ...*client.Client) {
+	for _, cl := range cls {
+		cl.RetryAfter = 50 * time.Millisecond
+		cl.ReallocTimeout = 250 * time.Millisecond
+	}
 }
 
 // waitAll steps the simulation until every client is operational (or the
@@ -76,20 +63,22 @@ func waitAll(t *testing.T, tb *testbed.Testbed, deadline time.Duration, cls ...*
 
 func TestControllerCrashRestartDuringReallocation(t *testing.T) {
 	tb := newBed(t)
-	srv := addServer(t, tb)
+	srv := tb.AddKVServer()
 
 	// Three caches fill the cache-reachable stages; the fourth arrival
 	// forces a reallocation (same pressure as the Figure 9b experiment).
 	clients := make([]*client.Client, 0, 4)
 	for fid := uint16(1); fid <= 3; fid++ {
-		_, cl := addCache(t, tb, fid, srv)
+		_, cl := tb.AddCache(fid, srv)
+		faultTolerant(cl)
 		clients = append(clients, cl)
 		if err := cl.RequestAllocation(); err != nil {
 			t.Fatal(err)
 		}
 		waitAll(t, tb, 10*time.Second, cl)
 	}
-	_, cl4 := addCache(t, tb, 4, srv)
+	_, cl4 := tb.AddCache(4, srv)
+	faultTolerant(cl4)
 	clients = append(clients, cl4)
 	if err := cl4.RequestAllocation(); err != nil {
 		t.Fatal(err)
@@ -137,11 +126,8 @@ func TestControllerCrashRestartDuringReallocation(t *testing.T) {
 
 func TestCorruptedMemoryQuarantineAndRealloc(t *testing.T) {
 	tb := newBed(t)
-	ms := apps.NewMemSync()
-	cl := tb.AddClient(1, apps.MemSyncService(0)) // elastic single-region app
-	ms.Bind(cl)
-	cl.RetryAfter = 50 * time.Millisecond
-	cl.ReallocTimeout = 250 * time.Millisecond
+	ms, cl := tb.AddMemSync(1, 0) // elastic single-region app
+	faultTolerant(cl)
 	if err := cl.RequestAllocation(); err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +189,8 @@ func TestCorruptedMemoryQuarantineAndRealloc(t *testing.T) {
 
 func TestFlappingPortClientRidesThrough(t *testing.T) {
 	tb := newBed(t)
-	srv := addServer(t, tb)
-	_, cl := addCache(t, tb, 1, srv)
+	_, cl := tb.AddCache(1, tb.AddKVServer())
+	faultTolerant(cl)
 	cl.RetryAfter = 30 * time.Millisecond
 
 	sc := chaos.FlappingPort(cl.Port(), 100*time.Millisecond, 3, 9)
@@ -235,9 +221,10 @@ func TestFlappingPortClientRidesThrough(t *testing.T) {
 func TestFlakyLinkScenarioDeterministic(t *testing.T) {
 	run := func() (string, [6]uint64, int) {
 		tb := newBed(t)
-		srv := addServer(t, tb)
-		_, cl1 := addCache(t, tb, 1, srv)
-		_, cl2 := addCache(t, tb, 2, srv)
+		srv := tb.AddKVServer()
+		_, cl1 := tb.AddCache(1, srv)
+		_, cl2 := tb.AddCache(2, srv)
+		faultTolerant(cl1, cl2)
 		sc := chaos.FlakyLink([]*netsim.Port{cl1.Port(), cl2.Port()}, 99)
 		if err := sc.Install(tb.System()); err != nil {
 			t.Fatal(err)

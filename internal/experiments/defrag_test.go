@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"activermt/internal/apps"
 	"activermt/internal/testbed"
 )
 
@@ -23,11 +22,8 @@ func TestDefragShape(t *testing.T) {
 	fid := uint16(100)
 	for w := 0; w < waves; w++ {
 		for i := 0; i < perWave; i++ {
-			cl := tb.AddClient(fid, apps.MemSyncService(demand))
-			if err := cl.RequestAllocation(); err != nil {
-				t.Fatal(err)
-			}
-			if err := tb.WaitOperational(cl, 10*time.Second); err != nil {
+			_, cl := tb.AddMemSync(fid, demand)
+			if err := cl.RequestAndWait(10 * time.Second); err != nil {
 				t.Fatal(err)
 			}
 			release = append(release, cl.Release)

@@ -13,8 +13,6 @@ import (
 	"time"
 
 	"activermt/internal/alloc"
-	"activermt/internal/apps"
-	"activermt/internal/client"
 	"activermt/internal/workload"
 )
 
@@ -75,18 +73,11 @@ func Lookup(id string) (Spec, bool) {
 }
 
 // serviceConstraints returns the allocation constraints of the three
-// exemplar applications, extracted from their real program templates so the
-// allocator-level experiments and the data-plane services stay in lockstep.
+// exemplar applications, read off the services fig8a admits (svcFor) — they
+// depend on the program templates only — so the allocator-level experiments
+// and the data-plane services stay in lockstep.
 func serviceConstraints(kind workload.AppKind) *alloc.Constraints {
-	var svc *client.Service
-	switch kind {
-	case workload.KindCache:
-		svc = apps.CacheService(&apps.Cache{})
-	case workload.KindHeavyHitter:
-		svc = apps.HeavyHitterService(apps.NewHeavyHitter(0))
-	default:
-		svc = apps.CheetahSelectService()
-	}
+	svc, _ := svcFor(kind, 0)
 	cons, err := svc.Constraints()
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %s constraints: %v", kind, err))

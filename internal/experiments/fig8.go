@@ -29,12 +29,12 @@ func init() {
 	})
 }
 
-// svcFor builds a fresh service definition for a kind; bind wires the
-// backing app once the shim client exists.
-func svcFor(kind workload.AppKind, hostIdx int, srvMAC packet.MAC) (svc *client.Service, bind func(*client.Client)) {
+// svcFor builds a fresh service definition for a kind (a cache has host fid's
+// IP); bind wires the backing app once the shim client exists.
+func svcFor(kind workload.AppKind, fid uint16) (svc *client.Service, bind func(*client.Client)) {
 	switch kind {
 	case workload.KindCache:
-		c := apps.NewCache(srvMAC, testbed.IPFor(hostIdx), testbed.IPFor(999))
+		c := apps.NewCache(testbed.MACFor(200), testbed.IPFor(int(fid)), testbed.IPFor(999))
 		return apps.CacheService(c), c.Bind
 	case workload.KindHeavyHitter:
 		h := apps.NewHeavyHitter(50)
@@ -59,7 +59,7 @@ func runFig8a(cfg RunConfig) (*Result, error) {
 	for epoch := 0; epoch < epochs; epoch++ {
 		for _, ev := range seq.PoissonEpoch(epoch, 2, 1) {
 			if ev.Arrive {
-				svc, bind := svcFor(ev.Kind, int(ev.FID), testbed.MACFor(200))
+				svc, bind := svcFor(ev.Kind, ev.FID)
 				cl := tb.AddClient(ev.FID, svc)
 				bind(cl)
 				clients[ev.FID] = cl

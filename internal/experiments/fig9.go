@@ -35,13 +35,11 @@ func init() {
 // caseStudyClient drives Zipf GET traffic through whatever service is
 // currently installed, recording per-bin hit rates.
 type caseStudyClient struct {
-	tb            *testbed.Testbed
 	cache         *apps.Cache
 	hh            *apps.HeavyHitter
 	cacheCl, hhCl *client.Client
 	zipf          *workload.Zipf
 	keys          [][2]uint32
-	values        map[uint64]uint32
 
 	reqInterval time.Duration
 	hits        *stats.Series
@@ -53,9 +51,7 @@ type caseStudyClient struct {
 // testbed and server.
 func newCaseStudy(tb *testbed.Testbed, srv *apps.KVServer, baseFID uint16, seed int64, nkeys int) *caseStudyClient {
 	cs := &caseStudyClient{
-		tb:          tb,
 		zipf:        workload.NewZipf(seed, 1.15, uint64(nkeys)),
-		values:      map[uint64]uint32{},
 		reqInterval: 100 * time.Microsecond,
 		hits:        stats.NewSeries(fmt.Sprintf("hit_rate_%d", baseFID)),
 	}
@@ -63,15 +59,10 @@ func newCaseStudy(tb *testbed.Testbed, srv *apps.KVServer, baseFID uint16, seed 
 	for i := range cs.keys {
 		k0, k1 := uint32(0x10000+i)*2654435761, uint32(0x20000+i)*2246822519
 		cs.keys[i] = [2]uint32{k0, k1}
-		v := uint32(0xC0DE0000 + i)
-		srv.Store[apps.KeyOf(k0, k1)] = v
-		cs.values[apps.KeyOf(k0, k1)] = v
+		srv.Store[apps.KeyOf(k0, k1)] = uint32(0xC0DE0000 + i)
 	}
 
-	_, _, selfIP := tb.NewHostID()
-	cs.cache = apps.NewCache(srv.MAC(), selfIP, testbed.IPFor(999))
-	cs.cacheCl = tb.AddClient(baseFID, apps.CacheService(cs.cache))
-	cs.cache.Bind(cs.cacheCl)
+	cs.cache, cs.cacheCl = tb.AddCache(baseFID, srv)
 	cs.cache.OnResponse = func(seq, value uint32, hit bool) {
 		cs.binTotal++
 		if hit {
@@ -99,7 +90,7 @@ func (cs *caseStudyClient) sendViaCache() {
 }
 
 // sendViaMonitor issues one GET activated with the monitor program.
-func (cs *caseStudyClient) sendViaMonitor(srv *apps.KVServer, selfIP, srvIP int) {
+func (cs *caseStudyClient) sendViaMonitor(srv *apps.KVServer, selfIP int) {
 	k0, k1 := cs.drawKey()
 	msg := apps.KVMsg{Op: apps.KVGet, Key0: k0, Key1: k1}
 	payload := apps.BuildUDP(testbed.IPFor(selfIP), testbed.IPFor(999), 40001, apps.KVPort, msg.Encode())
@@ -125,9 +116,7 @@ func runFig9a(cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := apps.NewKVServer(tb.Eng, testbed.MACFor(200), testbed.IPFor(999))
-	_, sp := tb.Attach(srv, srv.MAC())
-	srv.Attach(sp)
+	srv := tb.AddKVServer()
 
 	cs := newCaseStudy(tb, srv, 1, cfg.Seed+9, 4096)
 
@@ -141,7 +130,7 @@ func runFig9a(cfg RunConfig) (*Result, error) {
 	nextBin := tb.Eng.Now() + bin
 
 	for tb.Eng.Now() < monitorUntil {
-		cs.sendViaMonitor(srv, 1, 999)
+		cs.sendViaMonitor(srv, 1)
 		tb.RunFor(cs.reqInterval)
 		if tb.Eng.Now() >= nextBin {
 			cs.recordBin(tb.Eng.Now())
@@ -157,7 +146,7 @@ func runFig9a(cfg RunConfig) (*Result, error) {
 	var hotObjs []apps.KVMsg
 	for _, kv := range hot {
 		hotObjs = append(hotObjs, apps.KVMsg{Key0: kv.Key0, Key1: kv.Key1,
-			Value: cs.values[apps.KeyOf(kv.Key0, kv.Key1)]})
+			Value: srv.Store[apps.KeyOf(kv.Key0, kv.Key1)]})
 	}
 
 	// Phase 3: context switch — release the monitor, allocate the cache.
@@ -212,9 +201,7 @@ func runFig9b(cfg RunConfig, fine bool) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := apps.NewKVServer(tb.Eng, testbed.MACFor(200), testbed.IPFor(999))
-	_, sp := tb.Attach(srv, srv.MAC())
-	srv.Attach(sp)
+	srv := tb.AddKVServer()
 
 	// The keyspace must exceed a half-pool cache's capacity so that the
 	// two sharing tenants settle at a visibly lower hit rate than the
@@ -229,9 +216,8 @@ func runFig9b(cfg RunConfig, fine bool) (*Result, error) {
 		css[i] = newCaseStudy(tb, srv, uint16(i+1), cfg.Seed+int64(i)*17, nkeys)
 		// Figure 9b omits the monitor: populate from known patterns.
 		var hot []apps.KVMsg
-		for j := 0; j < nkeys; j++ {
-			k := css[i].keys[j]
-			hot = append(hot, apps.KVMsg{Key0: k[0], Key1: k[1], Value: css[i].values[apps.KeyOf(k[0], k[1])]})
+		for _, k := range css[i].keys {
+			hot = append(hot, apps.KVMsg{Key0: k[0], Key1: k[1], Value: srv.Store[apps.KeyOf(k[0], k[1])]})
 		}
 		css[i].cache.SetHotObjects(hot)
 	}

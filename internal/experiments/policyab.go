@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"activermt/internal/apps"
 	"activermt/internal/chaos"
 	"activermt/internal/client"
 	"activermt/internal/guard"
@@ -87,13 +86,8 @@ func policyABRun(scenario, mode string, seed int64) (*PolicyABCell, error) {
 	}
 
 	// Cache tenant: hit rate is the service-quality column of the A/B.
-	srv := apps.NewKVServer(tb.Eng, testbed.MACFor(200), testbed.IPFor(999))
-	_, sp := tb.Attach(srv, srv.MAC())
-	srv.Attach(sp)
-	_, _, selfIP := tb.NewHostID()
-	cache := apps.NewCache(srv.MAC(), selfIP, testbed.IPFor(999))
-	cl := tb.AddClient(1, apps.CacheService(cache))
-	cache.Bind(cl)
+	srv := tb.AddKVServer()
+	cache, cl := tb.AddCache(1, srv)
 	if err := cl.RequestAndWait(10 * time.Second); err != nil {
 		return nil, err
 	}
@@ -109,7 +103,7 @@ func policyABRun(scenario, mode string, seed int64) (*PolicyABCell, error) {
 	fid := uint16(100)
 	for w := 0; w < waves; w++ {
 		for i := 0; i < perWave; i++ {
-			c := tb.AddClient(fid, apps.MemSyncService(demand))
+			_, c := tb.AddMemSync(fid, demand)
 			if err := c.RequestAndWait(10 * time.Second); err != nil {
 				return nil, fmt.Errorf("churn fid %d: %w", fid, err)
 			}
@@ -138,16 +132,7 @@ func policyABRun(scenario, mode string, seed int64) (*PolicyABCell, error) {
 
 	// Seeded Zipf traffic across the chaos window.
 	z := workload.NewZipf(seed, 1.25, 2048)
-	keys := make([][2]uint32, 2048)
-	var hot []apps.KVMsg
-	for i := range keys {
-		k0, k1, v := uint32(i)*2654435761, uint32(i)*2246822519+7, uint32(0xC0DE+i)
-		keys[i] = [2]uint32{k0, k1}
-		srv.Store[apps.KeyOf(k0, k1)] = v
-		if i < 1024 {
-			hot = append(hot, apps.KVMsg{Key0: k0, Key1: k1, Value: v})
-		}
-	}
+	keys, hot := srv.SeedObjects(2048)
 	cache.SetHotObjects(hot)
 	cache.Populate()
 	tb.RunFor(50 * time.Millisecond)

@@ -19,7 +19,7 @@ package soak
 //     may over-deliver ("ratelimit-enforce").
 //   - The recirculating heavy hitter on the server leaf, with the runtime's
 //     recirculation limiter armed at recircBudget extra passes per epoch.
-//     The driver polls the guard's remaining-budget accessor and defers
+//     The driver polls the runtime's remaining-budget accessor and defers
 //     claims that would not fit, so the invariant is cooperative spending:
 //     zero runtime throttles and zero recirc-throttled guard ledger entries
 //     ("recirc-budget").
@@ -160,7 +160,7 @@ func (h *harness) initSecapps() error {
 	}
 
 	// Arm the recirculation limiter on the heavy hitter's node and point
-	// the driver's backoff at the guard's budget accessor.
+	// the driver's backoff at the runtime's budget accessor.
 	s.hhNode.RT.EnableRecircLimiter(runtime.RecircPolicy{
 		Budget: recircBudget,
 		Window: epoch,

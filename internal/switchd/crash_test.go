@@ -51,15 +51,10 @@ func cacheCase() crashCase {
 		phases: []switchd.Phase{switchd.PhaseOpen, switchd.PhaseInstall, switchd.PhaseFinish},
 		build: func(t *testing.T) (*testbed.Testbed, []*client.Client, func()) {
 			tb := newBed(t)
-			srv := apps.NewKVServer(tb.Eng, testbed.MACFor(200), testbed.IPFor(999))
-			_, sp := tb.Attach(srv, srv.MAC())
-			srv.Attach(sp)
+			srv := tb.AddKVServer()
 			var cls []*client.Client
 			for fid := uint16(1); fid <= 4; fid++ {
-				_, _, ip := tb.NewHostID()
-				c := apps.NewCache(srv.MAC(), ip, testbed.IPFor(999))
-				cl := tb.AddClient(fid, apps.CacheService(c))
-				c.Bind(cl)
+				_, cl := tb.AddCache(fid, srv)
 				faultTolerant(cl)
 				cls = append(cls, cl)
 				if fid < 4 {
@@ -94,9 +89,7 @@ func defragCase() crashCase {
 			clear(drivers)
 			var cls []*client.Client
 			for fid := uint16(1); fid <= n; fid++ {
-				ms := apps.NewMemSync()
-				cl := tb.AddClient(fid, apps.MemSyncService(demand))
-				ms.Bind(cl)
+				ms, cl := tb.AddMemSync(fid, demand)
 				if err := cl.RequestAndWait(10 * time.Second); err != nil {
 					t.Fatalf("fid %d: %v", fid, err)
 				}

@@ -59,14 +59,9 @@ func snapshotVictim(t *testing.T, tb *Testbed, fid uint16) map[int][]uint32 {
 func setupVictim(t *testing.T) (*Testbed, *apps.KVServer, *apps.Cache, *client.Client) {
 	t.Helper()
 	tb := newBed(t)
-	srv := apps.NewKVServer(tb.Eng, MACFor(200), IPFor(999))
-	_, sp := tb.Attach(srv, srv.MAC())
-	srv.Attach(sp)
-	cache, cl := addCache(t, tb, 1, srv, [4]byte{})
-	if err := cl.RequestAllocation(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.WaitOperational(cl, 5*time.Second); err != nil {
+	srv := tb.AddKVServer()
+	cache, cl := tb.AddCache(1, srv)
+	if err := cl.RequestAndWait(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	return tb, srv, cache, cl
@@ -80,7 +75,6 @@ func setupVictim(t *testing.T) (*Testbed, *apps.KVServer, *apps.Cache, *client.C
 func TestAdversaryQuarantinedThenEvicted(t *testing.T) {
 	// Attacker-free baseline.
 	tbBase, srvBase, cacheBase, _ := setupVictim(t)
-	_ = tbBase
 	baseRate := victimWorkload(t, tbBase, srvBase, cacheBase)
 	if baseRate <= 0 {
 		t.Fatalf("baseline hit rate = %v", baseRate)
@@ -88,16 +82,12 @@ func TestAdversaryQuarantinedThenEvicted(t *testing.T) {
 
 	// Attack run at the same seed: victim plus an admitted attacker tenant.
 	tb, srv, cache, victimCl := setupVictim(t)
-	attCache, attCl := addCache(t, tb, 2, srv, [4]byte{})
-	_ = attCache
+	_, attCl := tb.AddCache(2, srv)
 	attCl.ReadmitAfter = 0 // stay evicted; re-admission tested separately
 	evictedNotices := 0
 	attSvc := attCl.Service()
 	attSvc.OnEvicted = func(c *client.Client) { evictedNotices++ }
-	if err := attCl.RequestAllocation(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.WaitOperational(attCl, 10*time.Second); err != nil {
+	if err := attCl.RequestAndWait(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if victimCl.State() != client.Operational {
@@ -110,8 +100,7 @@ func TestAdversaryQuarantinedThenEvicted(t *testing.T) {
 	// adversary endpoint on a separate port.
 	_, advMAC, _ := tb.NewHostID()
 	adv := chaos.NewAdversary(tb.Eng, advMAC, tb.Switch.MAC())
-	_, ap := tb.Attach(adv, advMAC)
-	adv.Attach(ap)
+	tb.AddHost(adv)
 	adv.Arm(2, attCl.Epoch())
 
 	// Phase 0: unauthenticated garbage — malformed capsules and epoch
@@ -261,14 +250,9 @@ func TestAdversaryQuarantinedThenEvicted(t *testing.T) {
 // reinstates its ledger, and the new grant epoch authenticates.
 func TestEvictedTenantCanReadmit(t *testing.T) {
 	tb, srv, _, _ := setupVictim(t)
-	_ = srv
-	attCache, attCl := addCache(t, tb, 2, srv, [4]byte{})
-	_ = attCache
+	_, attCl := tb.AddCache(2, srv)
 	attCl.ReadmitAfter = 500 * time.Millisecond
-	if err := attCl.RequestAllocation(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.WaitOperational(attCl, 10*time.Second); err != nil {
+	if err := attCl.RequestAndWait(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	oldEpoch := attCl.Epoch()
@@ -305,23 +289,16 @@ func TestEvictedTenantCanReadmit(t *testing.T) {
 // checks the deterministic trace plus the end state: the attacker at least
 // quarantined, the victim untouched.
 func TestAdversarialTenantScenario(t *testing.T) {
-	tb, srv, cache, victimCl := setupVictim(t)
-	_ = cache
-	_ = victimCl
-	attCache, attCl := addCache(t, tb, 2, srv, [4]byte{})
-	_ = attCache
+	tb, srv, _, _ := setupVictim(t)
+	_, attCl := tb.AddCache(2, srv)
 	attCl.ReadmitAfter = 0
-	if err := attCl.RequestAllocation(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.WaitOperational(attCl, 10*time.Second); err != nil {
+	if err := attCl.RequestAndWait(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 
 	_, advMAC, _ := tb.NewHostID()
 	adv := chaos.NewAdversary(tb.Eng, advMAC, tb.Switch.MAC())
-	_, ap := tb.Attach(adv, advMAC)
-	adv.Attach(ap)
+	tb.AddHost(adv)
 	adv.Arm(2, attCl.Epoch())
 
 	sc := chaos.AdversarialTenant(adv, 1, 42)
@@ -357,12 +334,9 @@ func TestAdversarialTenantScenario(t *testing.T) {
 // again.
 func TestEvictionSnapshotOrdering(t *testing.T) {
 	tb, srv, _, victimCl := setupVictim(t)
-	_, attCl := addCache(t, tb, 2, srv, [4]byte{})
+	_, attCl := tb.AddCache(2, srv)
 	attCl.ReadmitAfter = 0 // stay evicted for the rest of the run
-	if err := attCl.RequestAllocation(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.WaitOperational(attCl, 10*time.Second); err != nil {
+	if err := attCl.RequestAndWait(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if victimCl.State() != client.Operational {

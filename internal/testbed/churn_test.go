@@ -23,6 +23,7 @@ func TestChurnStress(t *testing.T) {
 		t.Skip("long full-stack churn")
 	}
 	tb := newBed(t)
+	srv := tb.AddKVServer()
 	seq := workload.NewSequence(99)
 	clients := map[uint16]*client.Client{}
 
@@ -41,9 +42,7 @@ func TestChurnStress(t *testing.T) {
 					var cl *client.Client
 					switch ev.Kind {
 					case workload.KindCache:
-						c := apps.NewCache(MACFor(200), IPFor(int(ev.FID)), IPFor(999))
-						cl = tb.AddClient(ev.FID, apps.CacheService(c))
-						c.Bind(cl)
+						_, cl = tb.AddCache(ev.FID, srv)
 					case workload.KindHeavyHitter:
 						h := apps.NewHeavyHitter(10)
 						cl = tb.AddClient(ev.FID, apps.HeavyHitterService(h))

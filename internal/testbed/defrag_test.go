@@ -25,9 +25,7 @@ func defragBed(t *testing.T, n, nRelease, demand, words int) (*Testbed, map[uint
 	drivers := map[uint16]*apps.MemSync{}
 	clients := map[uint16]*client.Client{}
 	for fid := uint16(1); fid <= uint16(n); fid++ {
-		ms := apps.NewMemSync()
-		cl := tb.AddClient(fid, apps.MemSyncService(demand))
-		ms.Bind(cl)
+		ms, cl := tb.AddMemSync(fid, demand)
 		if err := cl.RequestAllocation(); err != nil {
 			t.Fatalf("fid %d request: %v", fid, err)
 		}

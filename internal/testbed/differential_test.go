@@ -12,7 +12,6 @@ import (
 	"activermt/internal/fabric"
 	"activermt/internal/guard"
 	"activermt/internal/netsim"
-	"activermt/internal/packet"
 	"activermt/internal/switchd"
 )
 
@@ -121,14 +120,17 @@ func runTestbedStream(t *testing.T, specialize, scribble bool) observed {
 	tb.RT.SetSpecialization(specialize)
 	var obs observed
 	var hosts bytes.Buffer
-	attach := func(ep netsim.Endpoint, mac packet.MAC) *netsim.Port {
-		w := &wire{host: ep, eng: tb.Eng, scribble: scribble}
+	// tap re-homes the link of the host behind switch port pnum on a
+	// recording wire, port number and link parameters as built.
+	tap := func(pnum int, h Host) {
+		w := &wire{host: h, eng: tb.Eng, scribble: scribble}
 		obs.wires = append(obs.wires, w)
-		_, p := tb.Attach(w, mac)
-		return p
+		swPort, hostPort := netsim.Connect(tb.Eng, tb.Switch, pnum, w, 0, tb.cfg.LinkDelay, tb.cfg.LinkBW)
+		tb.Switch.AddPort(swPort, h.MAC())
+		h.Attach(hostPort)
 	}
-	srv := apps.NewKVServer(tb.Eng, MACFor(200), IPFor(999))
-	srv.Attach(attach(srv, srv.MAC()))
+	srv := tb.AddKVServer()
+	tap(1, srv) // the first host attached
 
 	const keys = 256
 	objs := make([]apps.KVMsg, keys)
@@ -137,12 +139,8 @@ func runTestbedStream(t *testing.T, specialize, scribble bool) observed {
 		srv.Store[apps.KeyOf(objs[i].Key0, objs[i].Key1)] = objs[i].Value
 	}
 	addTenant := func(fid uint16) (*apps.Cache, *client.Client) {
-		_, mac, ip := tb.NewHostID()
-		c := apps.NewCache(srv.MAC(), ip, IPFor(999))
-		cl := client.New(tb.Eng, fid, mac, tb.Switch.MAC(), apps.CacheService(c))
-		cl.Pipeline = client.Pipeline{NumStages: tb.cfg.RMT.NumStages, NumIngress: tb.cfg.RMT.NumIngress, MaxPasses: tb.cfg.Alloc.MaxPasses}
-		cl.Attach(attach(cl, mac))
-		c.Bind(cl)
+		c, cl := tb.AddCache(fid, srv)
+		tap(cl.Port().Peer().Num, cl)
 		c.SetHotObjects(objs[:64]) // the rest miss through to the server
 		c.OnResponse = func(seq, value uint32, hit bool) { fmt.Fprintln(&hosts, "answer", fid, seq, value, hit) }
 		return c, cl
@@ -156,10 +154,7 @@ func runTestbedStream(t *testing.T, specialize, scribble bool) observed {
 		caches[i], clients[i] = addTenant(uint16(i + 1))
 	}
 	for i := 0; i < tenants-1; i++ {
-		if err := clients[i].RequestAllocation(); err != nil {
-			t.Fatal(err)
-		}
-		if err := tb.WaitOperational(clients[i], 5*time.Second); err != nil {
+		if err := clients[i].RequestAndWait(5 * time.Second); err != nil {
 			t.Fatal(err)
 		}
 		caches[i].Populate()

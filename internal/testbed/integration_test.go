@@ -24,29 +24,10 @@ func newBed(t *testing.T) *Testbed {
 	return tb
 }
 
-// addCache spins up one cache client+app against the given server.
-func addCache(t *testing.T, tb *Testbed, fid uint16, srv *apps.KVServer, srvIP [4]byte) (*apps.Cache, *client.Client) {
-	t.Helper()
-	_, _, selfIP := tb.NewHostID()
-	c := apps.NewCache(srv.MAC(), selfIP, IPFor(999))
-	svc := apps.CacheService(c)
-	cl := tb.AddClient(fid, svc)
-	c.Bind(cl)
-	return c, cl
-}
-
 func TestAllocationHandshake(t *testing.T) {
 	tb := newBed(t)
-	srv := apps.NewKVServer(tb.Eng, MACFor(200), IPFor(999))
-	_, sp := tb.Attach(srv, srv.MAC())
-	srv.Attach(sp)
-
-	cache, cl := addCache(t, tb, 1, srv, [4]byte{})
-	_ = cache
-	if err := cl.RequestAllocation(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.WaitOperational(cl, 5*time.Second); err != nil {
+	_, cl := tb.AddCache(1, tb.AddKVServer())
+	if err := cl.RequestAndWait(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	pl := cl.Placement()
@@ -67,15 +48,9 @@ func TestAllocationHandshake(t *testing.T) {
 
 func TestCacheEndToEnd(t *testing.T) {
 	tb := newBed(t)
-	srv := apps.NewKVServer(tb.Eng, MACFor(200), IPFor(999))
-	_, sp := tb.Attach(srv, srv.MAC())
-	srv.Attach(sp)
-
-	cache, cl := addCache(t, tb, 1, srv, [4]byte{})
-	if err := cl.RequestAllocation(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.WaitOperational(cl, 5*time.Second); err != nil {
+	srv := tb.AddKVServer()
+	cache, cl := tb.AddCache(1, srv)
+	if err := cl.RequestAndWait(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 
@@ -137,11 +112,8 @@ func TestCacheEndToEnd(t *testing.T) {
 
 func TestCacheMissBeforeAllocation(t *testing.T) {
 	tb := newBed(t)
-	srv := apps.NewKVServer(tb.Eng, MACFor(200), IPFor(999))
-	_, sp := tb.Attach(srv, srv.MAC())
-	srv.Attach(sp)
-
-	cache, _ := addCache(t, tb, 1, srv, [4]byte{})
+	srv := tb.AddKVServer()
+	cache, _ := tb.AddCache(1, srv)
 	srv.Store[apps.KeyOf(1, 2)] = 42
 	got := uint32(0)
 	cache.OnResponse = func(seq, value uint32, hit bool) {
@@ -159,25 +131,18 @@ func TestCacheMissBeforeAllocation(t *testing.T) {
 
 func TestReallocationProtocol(t *testing.T) {
 	tb := newBed(t)
-	srv := apps.NewKVServer(tb.Eng, MACFor(200), IPFor(999))
-	_, sp := tb.Attach(srv, srv.MAC())
-	srv.Attach(sp)
+	srv := tb.AddKVServer()
 
 	// Fill the cache-reachable stages with four caches; under worst-fit
 	// the fourth shares stages with an earlier one (Figure 9b).
-	caches := make([]*apps.Cache, 0, 4)
 	clients := make([]*client.Client, 0, 4)
 	for i := 0; i < 4; i++ {
-		c, cl := addCache(t, tb, uint16(i+1), srv, [4]byte{})
-		caches = append(caches, c)
+		_, cl := tb.AddCache(uint16(i+1), srv)
 		clients = append(clients, cl)
 	}
 	realloc := 0
 	for i := 0; i < 4; i++ {
-		if err := clients[i].RequestAllocation(); err != nil {
-			t.Fatal(err)
-		}
-		if err := tb.WaitOperational(clients[i], 10*time.Second); err != nil {
+		if err := clients[i].RequestAndWait(10 * time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -208,17 +173,13 @@ func TestReallocationProtocol(t *testing.T) {
 
 func TestReleaseExpandsAndAcks(t *testing.T) {
 	tb := newBed(t)
+	srv := tb.AddKVServer()
 	var cls []*client.Client
 	// Force sharing: many caches into the same stage range.
 	for i := 0; i < 6; i++ {
-		c := apps.NewCache(MACFor(200), IPFor(300+i), IPFor(999))
-		cl := tb.AddClient(uint16(i+1), apps.CacheService(c))
-		c.Bind(cl)
+		_, cl := tb.AddCache(uint16(i+1), srv)
 		cls = append(cls, cl)
-		if err := cl.RequestAllocation(); err != nil {
-			t.Fatal(err)
-		}
-		if err := tb.WaitOperational(cl, 10*time.Second); err != nil {
+		if err := cl.RequestAndWait(10 * time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -245,18 +206,13 @@ func TestReleaseExpandsAndAcks(t *testing.T) {
 
 func TestHeavyHitterEndToEnd(t *testing.T) {
 	tb := newBed(t)
-	srv := apps.NewKVServer(tb.Eng, MACFor(200), IPFor(999))
-	_, sp := tb.Attach(srv, srv.MAC())
-	srv.Attach(sp)
+	srv := tb.AddKVServer()
 
 	hh := apps.NewHeavyHitter(20)
 	cl := tb.AddClient(7, apps.HeavyHitterService(hh))
 	hh.Bind(cl)
 	hh.SnapshotFn = tb.SnapshotFn()
-	if err := cl.RequestAllocation(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.WaitOperational(cl, 5*time.Second); err != nil {
+	if err := cl.RequestAndWait(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	// Send a skewed stream: key 0xHOT dominates.
@@ -298,12 +254,8 @@ func TestHeavyHitterEndToEnd(t *testing.T) {
 func TestCheetahEndToEnd(t *testing.T) {
 	tb := newBed(t)
 	// Two backend echo servers.
-	s1 := apps.NewEchoServer(tb.Eng, MACFor(201))
-	p1, pp1 := tb.Attach(s1, s1.MAC())
-	s1.Attach(pp1)
-	s2 := apps.NewEchoServer(tb.Eng, MACFor(202))
-	p2, pp2 := tb.Attach(s2, s2.MAC())
-	s2.Attach(pp2)
+	s1, s2 := apps.NewEchoServer(tb.Eng, MACFor(201)), apps.NewEchoServer(tb.Eng, MACFor(202))
+	p1, p2 := tb.AddHost(s1), tb.AddHost(s2)
 
 	lb := apps.NewCheetah(0x5EED, 2)
 	selCl := tb.AddClient(21, apps.CheetahSelectService())
@@ -319,16 +271,10 @@ func TestCheetahEndToEnd(t *testing.T) {
 			gotCookie = true
 		}
 	}
-	if err := selCl.RequestAllocation(); err != nil {
+	if err := selCl.RequestAndWait(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.WaitOperational(selCl, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := routeCl.RequestAllocation(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.WaitOperational(routeCl, 5*time.Second); err != nil {
+	if err := routeCl.RequestAndWait(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 
@@ -374,13 +320,8 @@ func TestCheetahEndToEnd(t *testing.T) {
 
 func TestMemSyncReadWrite(t *testing.T) {
 	tb := newBed(t)
-	ms := apps.NewMemSync()
-	cl := tb.AddClient(31, apps.MemSyncService(4))
-	ms.Bind(cl)
-	if err := cl.RequestAllocation(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.WaitOperational(cl, 5*time.Second); err != nil {
+	ms, cl := tb.AddMemSync(31, 4)
+	if err := cl.RequestAndWait(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	lo, hi, ok := ms.Region()
@@ -411,10 +352,7 @@ func TestMemSyncReadWrite(t *testing.T) {
 func TestStatelessAdmission(t *testing.T) {
 	tb := newBed(t)
 	cl := tb.AddClient(41, apps.CheetahRouteService())
-	if err := cl.RequestAllocation(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.WaitOperational(cl, 5*time.Second); err != nil {
+	if err := cl.RequestAndWait(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if !tb.RT.Admitted(41) {
@@ -474,10 +412,7 @@ func TestTenantsSharingProgramBytesKeepOwnGrants(t *testing.T) {
 				replies[c.FID()] = append(replies[c.FID()], f.Active.Args[0])
 			}
 		}
-		if err := cl.RequestAllocation(); err != nil {
-			t.Fatal(err)
-		}
-		if err := tb.WaitOperational(cl, 5*time.Second); err != nil {
+		if err := cl.RequestAndWait(5 * time.Second); err != nil {
 			t.Fatal(err)
 		}
 		cls = append(cls, cl)
@@ -589,12 +524,10 @@ func TestAllocationFailureNotifiesClient(t *testing.T) {
 
 func TestProvisioningRecordsBreakdown(t *testing.T) {
 	tb := newBed(t)
+	srv := tb.AddKVServer()
 	for i := 0; i < 5; i++ {
-		c := apps.NewCache(MACFor(200), IPFor(300+i), IPFor(999))
-		cl := tb.AddClient(uint16(i+1), apps.CacheService(c))
-		c.Bind(cl)
-		cl.RequestAllocation()
-		if err := tb.WaitOperational(cl, 10*time.Second); err != nil {
+		_, cl := tb.AddCache(uint16(i+1), srv)
+		if err := cl.RequestAndWait(10 * time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -618,10 +551,13 @@ func TestProvisioningRecordsBreakdown(t *testing.T) {
 	}
 }
 
-// frameCounter counts frames delivered to a host.
+// frameCounter is a collector host, host 201, that counts the frames
+// delivered to it.
 type frameCounter struct{ frames int }
 
 func (f *frameCounter) Receive(frame []byte, p *netsim.Port) { f.frames++ }
+func (f *frameCounter) MAC() packet.MAC                      { return MACFor(201) }
+func (f *frameCounter) Attach(*netsim.Port)                  {}
 
 // TestMirrorService covers FORK end to end: a stateless program clones every
 // activated packet through mirror session 1, whose collector port is
@@ -629,19 +565,14 @@ func (f *frameCounter) Receive(frame []byte, p *netsim.Port) { f.frames++ }
 func TestMirrorService(t *testing.T) {
 	tb := newBed(t)
 	// Destination server and a collector host.
-	srv := apps.NewKVServer(tb.Eng, MACFor(200), IPFor(999))
-	_, sp := tb.Attach(srv, srv.MAC())
-	srv.Attach(sp)
+	srv := tb.AddKVServer()
 	collector := &frameCounter{}
-	colPort, _ := tb.Attach(collector, MACFor(201))
+	colPort := tb.AddHost(collector)
 
 	const session = 1
 	cl := tb.AddClient(5, &client.Service{Name: "mirror", Main: "main", Templates: map[string]*isa.Program{
 		"main": isa.MustAssemble("mirror", "FORK 1\nRETURN\n")}})
-	if err := cl.RequestAllocation(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.WaitOperational(cl, 5*time.Second); err != nil {
+	if err := cl.RequestAndWait(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	// The controller installs the clone session's collector port.

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"activermt/internal/apps"
 	"activermt/internal/chaos"
 )
 
@@ -15,18 +14,13 @@ import (
 
 func TestAllocationSurvivesLoss(t *testing.T) {
 	tb := newBed(t)
-	ms := apps.NewMemSync()
-	cl := tb.AddClient(1, apps.MemSyncService(2))
-	ms.Bind(cl)
+	_, cl := tb.AddMemSync(1, 2)
 	cl.RetryAfter = 50 * time.Millisecond
 
 	// 30% loss in both directions on the client's link.
 	chaos.LinkLoss{Link: cl.Port(), Rate: 0.3, Seed: 7}.Apply(tb.System())
 
-	if err := cl.RequestAllocation(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.WaitOperational(cl, 30*time.Second); err != nil {
+	if err := cl.RequestAndWait(30 * time.Second); err != nil {
 		t.Fatalf("never became operational under loss: %v (retries=%d)", err, cl.Retries)
 	}
 	if cl.Placement() == nil {
@@ -36,14 +30,9 @@ func TestAllocationSurvivesLoss(t *testing.T) {
 
 func TestMemSyncRetransmitsUnderLoss(t *testing.T) {
 	tb := newBed(t)
-	ms := apps.NewMemSync()
-	cl := tb.AddClient(1, apps.MemSyncService(2))
-	ms.Bind(cl)
+	ms, cl := tb.AddMemSync(1, 2)
 	cl.RetryAfter = 50 * time.Millisecond
-	if err := cl.RequestAllocation(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.WaitOperational(cl, 10*time.Second); err != nil {
+	if err := cl.RequestAndWait(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 
@@ -84,23 +73,15 @@ func TestMemSyncRetransmitsUnderLoss(t *testing.T) {
 
 func TestDuplicateAllocationRequestIdempotent(t *testing.T) {
 	tb := newBed(t)
-	c := apps.NewCache(MACFor(200), IPFor(300), IPFor(999))
-	cl := tb.AddClient(1, apps.CacheService(c))
-	c.Bind(cl)
-	if err := cl.RequestAllocation(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.WaitOperational(cl, 10*time.Second); err != nil {
+	_, cl := tb.AddCache(1, tb.AddKVServer())
+	if err := cl.RequestAndWait(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	first := cl.Placement().Accesses[0]
 
 	// A duplicate request (as a retransmission would produce) must return
 	// the same placement, not fail or double-allocate.
-	if err := cl.RequestAllocation(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.WaitOperational(cl, 10*time.Second); err != nil {
+	if err := cl.RequestAndWait(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if got := cl.Placement().Accesses[0]; got != first {

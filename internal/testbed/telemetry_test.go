@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"activermt/internal/apps"
 	"activermt/internal/chaos"
 	"activermt/internal/client"
 	"activermt/internal/policy"
@@ -97,22 +96,14 @@ func TestTelemetrySmokeScrapeDuringChaos(t *testing.T) {
 	web := httptest.NewServer(telemetry.Handler(reg))
 	defer web.Close()
 
-	srv := apps.NewKVServer(tb.Eng, MACFor(200), IPFor(999))
-	_, sp := tb.Attach(srv, srv.MAC())
-	srv.Attach(sp)
-	cache, victimCl := addCache(t, tb, 1, srv, [4]byte{})
-	if err := victimCl.RequestAllocation(); err != nil {
+	srv := tb.AddKVServer()
+	cache, victimCl := tb.AddCache(1, srv)
+	if err := victimCl.RequestAndWait(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.WaitOperational(victimCl, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	_, attCl := addCache(t, tb, 2, srv, [4]byte{})
+	_, attCl := tb.AddCache(2, srv)
 	attCl.ReadmitAfter = 0
-	if err := attCl.RequestAllocation(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.WaitOperational(attCl, 10*time.Second); err != nil {
+	if err := attCl.RequestAndWait(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 
@@ -135,8 +126,7 @@ func TestTelemetrySmokeScrapeDuringChaos(t *testing.T) {
 	// The canned adversarial-tenant arc runs underneath the live endpoint.
 	_, advMAC, _ := tb.NewHostID()
 	adv := chaos.NewAdversary(tb.Eng, advMAC, tb.Switch.MAC())
-	_, ap := tb.Attach(adv, advMAC)
-	adv.Attach(ap)
+	tb.AddHost(adv)
 	adv.Arm(2, attCl.Epoch())
 	sc := chaos.AdversarialTenant(adv, 1, 42)
 	if err := sc.Install(tb.System()); err != nil {
@@ -226,12 +216,10 @@ func TestObserveMatchesExposition(t *testing.T) {
 	// Admissions: three elastic cache tenants, which fill the cache-reachable
 	// stages. Hosts attach in order: the server is on switch port 1, the
 	// tenants' clients on ports 2 to 4.
-	srv := apps.NewKVServer(tb.Eng, MACFor(200), IPFor(999))
-	_, sp := tb.Attach(srv, srv.MAC())
-	srv.Attach(sp)
+	srv := tb.AddKVServer()
 	admit := func(fid uint16) *client.Client {
 		t.Helper()
-		_, cl := addCache(t, tb, fid, srv, [4]byte{})
+		_, cl := tb.AddCache(fid, srv)
 		if err := cl.RequestAndWait(10 * time.Second); err != nil {
 			t.Fatalf("fid %d: %v", fid, err)
 		}
@@ -249,8 +237,7 @@ func TestObserveMatchesExposition(t *testing.T) {
 	// out-of-bounds writes under tenant 2's identity to the tenant.
 	_, advMAC, _ := tb.NewHostID()
 	adv := chaos.NewAdversary(tb.Eng, advMAC, tb.Switch.MAC())
-	_, ap := tb.Attach(adv, advMAC)
-	adv.Attach(ap)
+	tb.AddHost(adv)
 	adv.Arm(2, cl2.Epoch())
 	for i := 0; i < 4; i++ {
 		adv.SendMalformed()

@@ -88,17 +88,6 @@ func (tb *Testbed) NewHostID() (int, packet.MAC, netip.Addr) {
 	return n, MACFor(n), IPFor(n)
 }
 
-// AddClient builds a shim client for a service, attaches it, and returns
-// it. The client's pipeline view matches the testbed switch.
-func (tb *Testbed) AddClient(fid uint16, svc *client.Service) *client.Client {
-	_, mac, _ := tb.NewHostID()
-	cl := client.New(tb.Eng, fid, mac, tb.Switch.MAC(), svc)
-	cl.Pipeline = tb.cfg.Alloc.Shape
-	_, p := tb.Attach(cl, mac)
-	cl.Attach(p)
-	return cl
-}
-
 // EnableTelemetry builds one registry and instruments every layer of the
 // switch with it (Node.AttachTelemetry) plus — via System() — the chaos
 // event counter. Idempotent: repeated calls return the same registry.
