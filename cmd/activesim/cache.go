@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"activermt/internal/apps"
 	"activermt/internal/chaos"
 	"activermt/internal/client"
 	"activermt/internal/fabric"
@@ -234,21 +233,17 @@ func runFabricCache(o *options) error {
 	say := o.timeline(f.Eng)
 	say("leaf-spine fabric up: %d leaves x %d spines (%d switches)", leaves, spines, len(f.Nodes()))
 
-	srvLeaf := leaves - 1
-	srvMAC, srvIP := f.NewHostID()
-	srv := apps.NewKVServer(f.Eng, srvMAC, srvIP)
-	sp, err := f.AttachHost(srvLeaf, srv, srvMAC)
+	srv, err := f.AddKVServer(leaves - 1)
 	if err != nil {
 		return err
 	}
-	srv.Attach(sp)
 
 	// Readers on every leaf; with a single leaf it doubles as the server's.
 	readers := make([]int, leaves)
 	for i := range readers {
 		readers[i] = i
 	}
-	cc, err := fabric.NewCoherentCache(fc, 1, readers, srvMAC, srvIP)
+	cc, err := fabric.NewCoherentCache(fc, 1, readers, srv.MAC(), srv.IP())
 	if err != nil {
 		return err
 	}

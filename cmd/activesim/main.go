@@ -90,7 +90,7 @@ var table = []scenario{
 	{name: "lb", flags: "seed", run: runLB,
 		summary: "Cheetah load balancing across 4 servers", smoke: []string{"-scenario lb -seed 3"}},
 	{name: "defrag", flags: "seed policy", run: runDefragDemo,
-		summary: "tenant churn, then telemetry-driven live migration (static leaves the gauge high, adaptive recovers it)",
+		summary: "tenant churn, then allocator-driven live migration (static leaves the gauge high, adaptive recovers it)",
 		smoke:   []string{"-scenario defrag -policy static -seed 3", "-scenario defrag -policy adaptive -seed 3"}},
 	{name: "synflood", flags: "seed", run: runSynFlood,
 		summary: "SYN-flood detector: half-open counters + alarm scans",

@@ -135,10 +135,11 @@ func runPolicyAB(o *options) error {
 	return nil
 }
 
-// runDefragDemo makes the closed loop visible: a churn pattern leaves the
-// switch fragmented, and either nothing reacts (static: no loop) or the
-// policy loop live-migrates the survivors down into the holes (adaptive)
-// while the tenants keep serving. State survival is checked by writing a
+// runDefragDemo makes online defragmentation visible: a churn pattern leaves
+// the switch fragmented, and either nothing reacts (static: no loop) or, on
+// each policy evaluation, the controller live-migrates the survivors the
+// allocator can move down into the holes (adaptive) while the tenants keep
+// serving. State survival is checked by writing a
 // pattern into every surviving tenant before the migration and reading it
 // back after.
 func runDefragDemo(o *options) error {
@@ -195,8 +196,9 @@ func runDefragDemo(o *options) error {
 		waves/2*perWave, fragBefore, tb.Ctrl.Allocator().Utilization())
 
 	// The policy loop runs every 100ms; give it a few seconds. Under
-	// adaptive it observes the gauge over the trigger and queues migration
-	// passes; under static there is no loop, and nothing happens.
+	// adaptive each evaluation queues a migration pass while the allocator
+	// has a tenant to move; under static there is no loop, and nothing
+	// happens.
 	tb.RunFor(5 * time.Second)
 	fragAfter := tb.Ctrl.Allocator().Fragmentation()
 	say("after policy window: fragmentation %.4f -> %.4f, %d defrag passes, %d tenants migrated, %d blocks moved, %d words restored",
@@ -222,8 +224,8 @@ func runDefragDemo(o *options) error {
 	if bad > 0 {
 		return fmt.Errorf("%d survivor words lost across migration", bad)
 	}
-	if o.policy == "adaptive" && tb.Ctrl.DefragMigrations == 0 && fragBefore > 0.02 {
-		return fmt.Errorf("adaptive policy never migrated despite fragmentation %.4f", fragBefore)
+	if left := tb.Ctrl.Allocator().CompactionCandidates(nil); o.policy == "adaptive" && len(left) > 0 {
+		return fmt.Errorf("adaptive policy left %d movable tenants unmigrated", len(left))
 	}
 	return nil
 }

@@ -10,7 +10,6 @@ package apps
 import (
 	"encoding/binary"
 	"net/netip"
-	"time"
 
 	"activermt/internal/netsim"
 	"activermt/internal/packet"
@@ -139,8 +138,6 @@ type KVServer struct {
 
 	// Requests counts GETs served (cache misses reaching the server).
 	Requests, Puts uint64
-	// ServiceTime models server-side processing before the reply.
-	ServiceTime time.Duration
 }
 
 // NewKVServer returns a server with an empty store.
@@ -153,6 +150,9 @@ func (s *KVServer) Attach(p *netsim.Port) { s.port = p }
 
 // MAC returns the server's address.
 func (s *KVServer) MAC() packet.MAC { return s.mac }
+
+// IP returns the server's IP address.
+func (s *KVServer) IP() netip.Addr { return s.ip }
 
 // SeedObjects stores n objects under deterministic keys and returns the keys,
 // and the first half of them as populate-ready hot objects.
@@ -203,5 +203,7 @@ func (s *KVServer) Receive(frame []byte, port *netsim.Port) {
 	}
 	eth := packet.EthHeader{Dst: f.Eth.Src, Src: s.mac, EtherType: packet.EtherTypeIPv4}
 	raw := eth.Encode(make([]byte, 0, packet.EthHeaderSize+kvDatagramSize))
-	s.port.SendAfter(s.ServiceTime, BuildKV(raw, s.ip, ip.Src, KVPort, udp.SrcPort, &resp))
+	// The reply is an engine event even with no service time: event order
+	// depends on it.
+	s.port.SendAfter(0, BuildKV(raw, s.ip, ip.Src, KVPort, udp.SrcPort, &resp))
 }

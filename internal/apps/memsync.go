@@ -51,12 +51,12 @@ func MemSyncService(demand int) *client.Service {
 	}
 }
 
+// memRetransmitAfter is MemSync's idempotent-retry timeout (virtual time).
+const memRetransmitAfter = 2 * time.Millisecond
+
 // MemSync drives the Appendix C primitives with timeout-based retransmit.
 type MemSync struct {
 	Client *client.Client
-
-	// RetransmitAfter is the idempotent-retry timeout (virtual time).
-	RetransmitAfter time.Duration
 
 	pending                map[uint32]*memOp // keyed by address
 	Reads, Writes, Retries uint64
@@ -71,7 +71,7 @@ type memOp struct {
 
 // NewMemSync wires the driver; Bind must be called with the shim client.
 func NewMemSync() *MemSync {
-	return &MemSync{RetransmitAfter: 2 * time.Millisecond, pending: make(map[uint32]*memOp)}
+	return &MemSync{pending: make(map[uint32]*memOp)}
 }
 
 // Bind attaches the shim client.
@@ -133,7 +133,7 @@ func (m *MemSync) send(addr uint32) {
 
 func (m *MemSync) scheduleRetry(addr uint32) {
 	eng := m.Client.Engine()
-	eng.Schedule(m.RetransmitAfter, func() {
+	eng.Schedule(memRetransmitAfter, func() {
 		if op, ok := m.pending[addr]; ok && !op.acked {
 			m.Retries++
 			m.send(addr)

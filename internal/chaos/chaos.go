@@ -1,7 +1,7 @@
 // Package chaos is a deterministic fault-injection and scenario-orchestration
 // layer over the netsim virtual-time simulator. It provides composable
-// injectors (link loss/delay/jitter, partitions, port flaps, controller
-// stall/crash, digest drops, register-memory corruption) and a Scenario
+// injectors (link loss/delay/jitter, port downs, link outages and flaps,
+// partitions, controller crash, register-memory corruption) and a Scenario
 // schedule that arms them at virtual-time offsets. Everything is driven by
 // seeded PRNGs and the single-threaded event engine, so a scenario replayed
 // with the same seed produces the same event trace, the same packet drops,
@@ -21,8 +21,8 @@ import (
 )
 
 // System bundles what a scenario acts on: the engine it is scheduled on
-// and, for faults aimed at a device (controller stall/crash, digest drops,
-// memory corruption), that switch — promoted Switch, Ctrl, RT, Guard. The
+// and, for faults aimed at a device (controller crash, memory corruption),
+// that switch — promoted Switch, Ctrl, RT, Guard. The
 // testbed package exposes one via (*Testbed).System(); link-only scenarios
 // need no Node.
 type System struct {

@@ -23,7 +23,6 @@ import (
 // PolicyABCell is one (scenario, mode) run's end state.
 type PolicyABCell struct {
 	FinalFrag        float64
-	DefragPasses     uint64
 	DefragMigrations uint64
 	BlocksMoved      uint64
 	HitRate          float64
@@ -145,7 +144,6 @@ func policyABRun(scenario, mode string, seed int64) (*PolicyABCell, error) {
 
 	cell := &PolicyABCell{
 		FinalFrag:        tb.Ctrl.Allocator().Fragmentation(),
-		DefragPasses:     tb.Ctrl.DefragPasses,
 		DefragMigrations: tb.Ctrl.DefragMigrations,
 		BlocksMoved:      tb.Ctrl.DefragBlocksMoved,
 		HitRate:          cache.HitRate(),

@@ -37,6 +37,7 @@ import (
 	"sort"
 	"time"
 
+	"activermt/internal/apps"
 	"activermt/internal/client"
 	"activermt/internal/netsim"
 	"activermt/internal/packet"
@@ -417,6 +418,24 @@ func (f *Fabric) NewHostID() (packet.MAC, netip.Addr) {
 	return HostMAC(f.nextHost), HostIP(f.nextHost)
 }
 
+// AddHost attaches h to a leaf (AttachHost) and hands it its end of the
+// link.
+func (f *Fabric) AddHost(leaf int, h switchd.Host) error {
+	p, err := f.AttachHost(leaf, h, h.MAC())
+	if err != nil {
+		return err
+	}
+	h.Attach(p)
+	return nil
+}
+
+// AddKVServer attaches a KV server on a fresh host identity to a leaf.
+func (f *Fabric) AddKVServer(leaf int) (*apps.KVServer, error) {
+	mac, ip := f.NewHostID()
+	srv := apps.NewKVServer(f.Eng, mac, ip)
+	return srv, f.AddHost(leaf, srv)
+}
+
 // PathBetween returns the switches a frame from a host on srcLeaf traverses
 // toward dst, in traversal order: source leaf, then (for remote
 // destinations) the destination's spine and the destination leaf.
@@ -456,11 +475,9 @@ func (f *Fabric) AddClient(leaf int, fid uint16, target *Node, svc *client.Servi
 	cl.Pipeline = f.cfg.Alloc.Shape
 	cl.RetryAfter = DefaultRetryAfter
 	cl.ReallocTimeout = DefaultReallocTimeout
-	p, err := f.AttachHost(leaf, cl, mac)
-	if err != nil {
+	if err := f.AddHost(leaf, cl); err != nil {
 		return nil, err
 	}
-	cl.Attach(p)
 	return cl, nil
 }
 

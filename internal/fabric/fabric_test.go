@@ -15,14 +15,11 @@ import (
 // addServer attaches a KV server to a leaf and returns it.
 func addServer(t *testing.T, f *fabric.Fabric, leaf int) (*apps.KVServer, netip.Addr) {
 	t.Helper()
-	mac, ip := f.NewHostID()
-	srv := apps.NewKVServer(f.Eng, mac, ip)
-	p, err := f.AttachHost(leaf, srv, mac)
+	srv, err := f.AddKVServer(leaf)
 	if err != nil {
 		t.Fatalf("attach server: %v", err)
 	}
-	srv.Attach(p)
-	return srv, ip
+	return srv, srv.IP()
 }
 
 // runUntil steps the simulation until cond holds or the deadline passes.

@@ -11,8 +11,6 @@ import (
 // a full set of Decisions and hands it to Apply. Each signal adjusts exactly
 // one family of decisions, with hysteresis so settings do not oscillate:
 //
-//   - fragmentation at or above the trigger turns migration on, and it stays
-//     on until fragmentation falls below the target;
 //   - a guard-violation burst tightens the escalation ladder until the
 //     rate subsides for quietDecides evaluations;
 //   - realloc snapshot timeouts widen the snapshot window (laggy clients
@@ -22,17 +20,13 @@ import (
 //   - link flaps speed up health probing and lengthen the re-trust
 //     cooldown.
 //
+// Defragmentation is not among them: whether a pass can move anyone is the
+// allocator's answer (Controller.Defragment), not a threshold on a gauge.
+//
 // The driver owns the clock: the testbed steps the loop on the simulation
 // engine, the soak once per epoch. All state is deterministic in the
 // observation sequence, so runs replay per seed.
 type Loop struct {
-	// DefragTrigger/DefragTarget override the migration hysteresis band
-	// (defaults DefaultDefragTrigger/DefaultDefragTarget). A deployment
-	// whose fragmentation gauge is structurally diluted — many stages its
-	// tenants can never occupy — wants a lower band.
-	DefragTrigger float64
-	DefragTarget  float64
-
 	Observe func() Observation // e.g. switchd.Node.Observe
 	Apply   func(Decisions)    // e.g. switchd.Node.ApplyPolicy
 
@@ -43,7 +37,6 @@ type Loop struct {
 	prev Observation
 	seen bool
 
-	migrate    bool
 	guardTight bool
 	guardQuiet int
 	snapScale  float64 // multiplier on the default snapshot window
@@ -55,31 +48,21 @@ type Loop struct {
 }
 
 const (
-	quietDecides   = 20   // evaluations of calm before relaxing a tightened knob
-	maxSnapScale   = 4.0  // snapshot window never grows past 4x default
-	adaptiveBurst  = 20.0 // violations/sec that counts as an attack burst
-	adaptiveCalm   = 2.0  // rate below which the ladder relaxes
-	fastProbeDiv   = 2    // probe interval divisor under link flaps
-	flapCooldownX  = 4    // restore-delay multiplier under link flaps
-	severeFrag     = 0.7
-	severeMaxMoves = 8
+	quietDecides  = 20   // evaluations of calm before relaxing a tightened knob
+	maxSnapScale  = 4.0  // snapshot window never grows past 4x default
+	adaptiveBurst = 20.0 // violations/sec that counts as an attack burst
+	adaptiveCalm  = 2.0  // rate below which the ladder relaxes
+	fastProbeDiv  = 2    // probe interval divisor under link flaps
+	flapCooldownX = 4    // restore-delay multiplier under link flaps
 )
 
-// AttachTelemetry registers the loop's own metrics, read from its counters,
-// its last decision set and its last observation. Optional.
+// AttachTelemetry registers the loop's own metrics, read from its counters
+// and its last decision set. Optional.
 func (l *Loop) AttachTelemetry(reg *telemetry.Registry) {
 	reg.Counter("activermt_policy_evals_total", "policy loop evaluations", &l.Evals)
 	reg.Counter("activermt_policy_changes_total", "evaluations that changed at least one decision", &l.Changes)
 	reg.Gauge("activermt_policy_snapshot_window_ns", "currently decided realloc snapshot window",
 		func() float64 { return float64(l.last.SnapshotTimeout) })
-	reg.Gauge("activermt_policy_observed_fragmentation", "fragmentation as last observed by the policy loop",
-		func() float64 { return l.prev.Fragmentation })
-	reg.Gauge("activermt_policy_defrag_enabled", "1 while the migration band calls for defragmentation", func() float64 {
-		if l.last.Defrag.Migrate {
-			return 1
-		}
-		return 0
-	})
 }
 
 // Step runs one evaluation: observe, derive the violation rate, decide,
@@ -106,26 +89,6 @@ func (l *Loop) Decide(obs Observation) Decisions {
 	d := DefaultDecisions()
 	if l.snapScale == 0 {
 		l.snapScale = 1.0
-	}
-
-	// Defragmentation: the trigger/target hysteresis band decides when to
-	// migrate. Severe fragmentation buys a bigger per-pass budget.
-	trigger, target := DefaultDefragTrigger, DefaultDefragTarget
-	if l.DefragTrigger > 0 {
-		trigger = l.DefragTrigger
-	}
-	if l.DefragTarget > 0 {
-		target = l.DefragTarget
-	}
-	switch {
-	case obs.Fragmentation >= trigger:
-		l.migrate = true
-	case obs.Fragmentation < target:
-		l.migrate = false
-	}
-	d.Defrag.Migrate = l.migrate
-	if obs.Fragmentation >= severeFrag {
-		d.Defrag.MaxMoves = severeMaxMoves
 	}
 
 	// Guard ladder: tighten under a violation burst, relax after sustained

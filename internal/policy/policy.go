@@ -1,7 +1,7 @@
 // Package policy centralizes every control-plane setting the closed loop
 // re-decides at runtime: the controller's snapshot window, the guard's
-// escalation rungs, the fabric's probe timers, the periodic corruption sweep
-// and online defragmentation. Their defaults live here as the Default*
+// escalation rungs, the fabric's probe timers and the periodic corruption
+// sweep. Their defaults live here as the Default*
 // values and the owning layers derive their own defaults from them, so the
 // one Loop can re-decide any of them from observations of the switch.
 //
@@ -33,14 +33,6 @@ const (
 	// Fabric health probing (was fabric.NewHealth).
 	DefaultProbeInterval = 10 * time.Millisecond
 	DefaultRestoreDelay  = 2 * time.Millisecond
-
-	// Online defragmentation. Without a loop nothing migrates on its own.
-	// Trigger/Target form the loop's hysteresis band on
-	// activermt_alloc_fragmentation; MaxMoves bounds migrations per pass so
-	// one pass cannot monopolize the control plane.
-	DefaultDefragTrigger = 0.40
-	DefaultDefragTarget  = 0.15
-	DefaultDefragMoves   = 4
 )
 
 // GuardThresholds are the escalation rungs of guard.Policy that the loop
@@ -59,12 +51,6 @@ type FabricTimers struct {
 	RestoreDelay  time.Duration
 }
 
-// DefragDecision is the online-defragmentation verdict.
-type DefragDecision struct {
-	Migrate  bool // the band's hysteresis state: queue a migration pass
-	MaxMoves int  // tenant migrations per defrag pass
-}
-
 // Decisions is one complete set of control-plane settings. The loop emits a
 // full set every Decide; switchd.Node.ApplyPolicy pushes the parts a switch
 // owns.
@@ -73,11 +59,10 @@ type Decisions struct {
 	Guard           GuardThresholds
 	Fabric          FabricTimers
 	SweepEvery      time.Duration // >0 arms a periodic corruption sweep
-	Defrag          DefragDecision
 }
 
 // DefaultDecisions returns the exact historical constants: periodic sweeps
-// off, no migration, every timer and threshold as the layers hard-coded them
+// off, every timer and threshold as the layers hard-coded them
 // before this package existed.
 func DefaultDecisions() Decisions {
 	return Decisions{
@@ -92,7 +77,6 @@ func DefaultDecisions() Decisions {
 			ProbeInterval: DefaultProbeInterval,
 			RestoreDelay:  DefaultRestoreDelay,
 		},
-		Defrag: DefragDecision{MaxMoves: DefaultDefragMoves},
 	}
 }
 
@@ -102,9 +86,6 @@ func DefaultDecisions() Decisions {
 // loop derives rates and deltas against its previous observation.
 type Observation struct {
 	At time.Duration // virtual time of the observation
-
-	// Allocator fragmentation (exported as activermt_alloc_fragmentation).
-	Fragmentation float64
 
 	// Guard pressure (exported as activermt_guard_*_violations_total, both
 	// attributions summed).

@@ -18,51 +18,9 @@ func TestDefaultDecisionsMatchHistoricalConstants(t *testing.T) {
 	if d.Fabric.ProbeInterval != 10*time.Millisecond {
 		t.Fatalf("fabric timers %+v", d.Fabric)
 	}
-	// With no loop nothing is armed: no migration, no background sweep.
-	if d.Defrag.Migrate {
-		t.Fatal("defaults must not migrate")
-	}
+	// With no loop nothing is armed: no background sweep.
 	if d.SweepEvery != 0 {
 		t.Fatal("defaults must not arm a background sweep")
-	}
-}
-
-func TestAdaptiveDefragHysteresis(t *testing.T) {
-	var a Loop
-	if d := a.Decide(Observation{Fragmentation: 0.1}); d.Defrag.Migrate {
-		t.Fatal("below trigger: migration should not be wanted")
-	}
-	if d := a.Decide(Observation{Fragmentation: DefaultDefragTrigger + 0.01}); !d.Defrag.Migrate {
-		t.Fatal("above trigger: migration wanted")
-	}
-	// In the hysteresis band the wish persists.
-	if d := a.Decide(Observation{Fragmentation: (DefaultDefragTrigger + DefaultDefragTarget) / 2}); !d.Defrag.Migrate {
-		t.Fatal("inside band: migration must persist")
-	}
-	if d := a.Decide(Observation{Fragmentation: DefaultDefragTarget - 0.01}); d.Defrag.Migrate {
-		t.Fatal("below target: migration must stop")
-	}
-	// Severe fragmentation buys a bigger per-pass budget.
-	d := a.Decide(Observation{Fragmentation: severeFrag + 0.05})
-	if d.Defrag.MaxMoves != severeMaxMoves {
-		t.Fatalf("severe budget %d, want %d", d.Defrag.MaxMoves, severeMaxMoves)
-	}
-}
-
-func TestAdaptiveDefragBandOverride(t *testing.T) {
-	var def Loop
-	if d := def.Decide(Observation{Fragmentation: 0.06}); d.Defrag.Migrate {
-		t.Fatal("0.06 is below the default trigger")
-	}
-	a := Loop{DefragTrigger: 0.05, DefragTarget: 0.02}
-	if d := a.Decide(Observation{Fragmentation: 0.06}); !d.Defrag.Migrate {
-		t.Fatal("fragmentation above the overridden trigger must want migration")
-	}
-	if d := a.Decide(Observation{Fragmentation: 0.03}); !d.Defrag.Migrate {
-		t.Fatal("inside the overridden band migration must persist")
-	}
-	if d := a.Decide(Observation{Fragmentation: 0.01}); d.Defrag.Migrate {
-		t.Fatal("below the overridden target must stop migration")
 	}
 }
 
@@ -163,7 +121,7 @@ func TestLoopEvaluatesAndApplies(t *testing.T) {
 	loop := &Loop{
 		Observe: func() Observation {
 			violations++
-			return Observation{At: now, Fragmentation: 0.9, Violations: violations}
+			return Observation{At: now, Violations: violations}
 		},
 		Apply: func(d Decisions) { applied++; last = d },
 	}
@@ -182,26 +140,24 @@ func TestLoopEvaluatesAndApplies(t *testing.T) {
 	if loop.Evals != 10 || applied != 10 {
 		t.Fatalf("evals=%d applied=%d", loop.Evals, applied)
 	}
-	if !last.Defrag.Migrate || last.Defrag.MaxMoves != severeMaxMoves {
-		t.Fatalf("fragmentation 0.9 must migrate with the severe budget: %+v", last.Defrag)
+	if last != DefaultDecisions() {
+		t.Fatalf("10 violations/s is below the burst rate, yet decisions %+v", last)
 	}
 	if loop.Changes == 0 || loop.Changes == loop.Evals {
 		t.Fatalf("changes=%d of %d evals: first eval changes, steady state must not", loop.Changes, loop.Evals)
 	}
 	// The loop's own metrics are visible in the registry.
-	var sawEvals, sawFrag, sawMigrate bool
+	var sawEvals, sawWindow bool
 	snap := reg.Snapshot()
 	for _, m := range snap.Metrics {
 		switch m.Name {
 		case "activermt_policy_evals_total":
 			sawEvals = len(m.Samples) == 1 && m.Samples[0].Value == float64(loop.Evals)
-		case "activermt_policy_observed_fragmentation":
-			sawFrag = len(m.Samples) == 1 && m.Samples[0].Value == 0.9
-		case "activermt_policy_defrag_enabled":
-			sawMigrate = len(m.Samples) == 1 && m.Samples[0].Value == 1
+		case "activermt_policy_snapshot_window_ns":
+			sawWindow = len(m.Samples) == 1 && m.Samples[0].Value == float64(DefaultSnapshotTimeout)
 		}
 	}
-	if !sawEvals || !sawFrag || !sawMigrate {
-		t.Fatalf("loop telemetry missing: evals=%v frag=%v migrate=%v", sawEvals, sawFrag, sawMigrate)
+	if !sawEvals || !sawWindow {
+		t.Fatalf("loop telemetry missing: evals=%v window=%v", sawEvals, sawWindow)
 	}
 }

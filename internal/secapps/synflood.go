@@ -164,12 +164,13 @@ type SynFloodGen struct {
 	Benign    []uint32
 	Attackers []uint32
 	Truth     map[uint32]bool
-
-	// BenignHandshakes and AttackSYNs set the per-source volume of one
-	// Round.
-	BenignHandshakes int
-	AttackSYNs       int
 }
+
+// The per-source volume of one SynFloodGen.Round.
+const (
+	benignHandshakes = 4
+	attackSYNs       = 8
+)
 
 // NewSynFloodGen draws distinct non-zero source identifiers for the given
 // population. slot, when non-nil, maps a source to its switch counter slot;
@@ -178,10 +179,8 @@ type SynFloodGen struct {
 // attacker's backlog — the sketch's documented false-negative mode).
 func NewSynFloodGen(seed int64, benign, attackers int, slot func(uint32) uint32) *SynFloodGen {
 	g := &SynFloodGen{
-		rng:              rand.New(rand.NewSource(seed)),
-		Truth:            make(map[uint32]bool),
-		BenignHandshakes: 4,
-		AttackSYNs:       8,
+		rng:   rand.New(rand.NewSource(seed)),
+		Truth: make(map[uint32]bool),
 	}
 	seen := make(map[uint32]bool)
 	slots := make(map[uint32]bool)
@@ -214,7 +213,7 @@ func NewSynFloodGen(seed int64, benign, attackers int, slot func(uint32) uint32)
 }
 
 // Round plays one traffic round through the detector: every benign source
-// completes BenignHandshakes handshakes, every attacker fires AttackSYNs
+// completes benignHandshakes handshakes, every attacker fires attackSYNs
 // bare SYNs, in a seeded interleaving.
 func (g *SynFloodGen) Round(d *SynDetector, dst [6]byte) {
 	type ev struct {
@@ -223,18 +222,18 @@ func (g *SynFloodGen) Round(d *SynDetector, dst [6]byte) {
 	}
 	var evs []ev
 	for _, src := range g.Benign {
-		for i := 0; i < g.BenignHandshakes; i++ {
+		for i := 0; i < benignHandshakes; i++ {
 			evs = append(evs, ev{src, false}, ev{src, true})
 		}
 	}
 	for _, src := range g.Attackers {
-		for i := 0; i < g.AttackSYNs; i++ {
+		for i := 0; i < attackSYNs; i++ {
 			evs = append(evs, ev{src, false})
 		}
 	}
 	// An arbitrary interleaving is safe: every ACK resets its source to
 	// zero, so a benign backlog never exceeds the per-round handshake count
-	// — the detector threshold just has to sit above 2*BenignHandshakes
+	// — the detector threshold just has to sit above 2*benignHandshakes
 	// (trailing SYNs of one round plus leading SYNs of the next).
 	g.rng.Shuffle(len(evs), func(i, j int) {
 		evs[i], evs[j] = evs[j], evs[i]

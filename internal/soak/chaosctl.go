@@ -7,7 +7,6 @@ import (
 	"activermt/internal/chaos"
 	"activermt/internal/fabric"
 	"activermt/internal/netsim"
-	"activermt/internal/policy"
 )
 
 // The seeded chaos schedule. Every chaosEvery interval the driver installs
@@ -79,18 +78,18 @@ func (h *harness) maybeChaos() {
 	h.res.ChaosInstalled++
 	h.ring.note(now, "chaos installed: %s (seed %d)", name, seed)
 
-	// Defrag rider: every third installed scenario also queues a mid-run
-	// defragmentation pass on a node derived from the scenario's own seed
-	// (no extra PRNG draw, so the fault schedule is unchanged). Live
-	// migration rides the same realloc protocol the faults target, so the
-	// pass runs concurrently with the injected chaos in both policy modes —
-	// static just never triggers one on its own.
+	// Defrag rider: every third installed scenario also asks a node derived
+	// from the scenario's own seed (no extra PRNG draw, so the fault schedule
+	// is unchanged) for a mid-run defragmentation pass, which it queues when
+	// a tenant can move. Live migration rides the same realloc protocol the
+	// faults target, so the pass runs concurrently with the injected chaos in
+	// both policy modes; it is the soak's only source of migrations.
 	if h.res.ChaosInstalled%3 == 0 {
 		nodes := h.f.Nodes()
 		n := nodes[int((uint64(seed)>>8)%uint64(len(nodes)))]
 		ctrl := n.Ctrl
 		h.f.Eng.Schedule(10*time.Millisecond, func() {
-			ctrl.Defragment(policy.DefaultDefragMoves)
+			ctrl.Defragment()
 		})
 		h.ring.note(now, "chaos rider: defrag %s", n.Name)
 	}

@@ -5,12 +5,12 @@ import "activermt/internal/policy"
 // The soak's closed control loop. In adaptive mode every node carries its
 // own policy.Loop, stepped once per epoch by the driver (never from an engine
 // callback — control actions step the engine internally). Each loop observes
-// its node (Node.Observe) and applies through Node.ApplyPolicy, which also
-// queues the node's defrag passes; the hooks add only what the fabric owns:
-// its link-flap count to every observation, and leaf 0's decided probe
-// timers to the health monitor (plus a flight-recorder line per queued
-// pass). Static mode builds no loops and this file is inert: the run is
-// bit-identical to a policy-free soak.
+// its node (Node.Observe) and applies through Node.ApplyPolicy; the hooks add
+// only what the fabric owns: its link-flap count to every observation, and
+// leaf 0's decided probe timers to the health monitor. The loops never ask
+// for defragmentation: the soak's migrations are the chaos rider's
+// (chaosctl.go), in both modes. Static mode builds no loops and this file is
+// inert: the run is bit-identical to a policy-free soak.
 
 func (h *harness) attachPolicy() {
 	for i, n := range h.f.Nodes() {
@@ -21,9 +21,6 @@ func (h *harness) attachPolicy() {
 				return obs
 			},
 			Apply: func(d policy.Decisions) {
-				if d.Defrag.Migrate {
-					h.ring.note(h.f.Eng.Now(), "policy: defrag %s (frag %.3f)", n.Name, n.Ctrl.Allocator().Fragmentation())
-				}
 				n.ApplyPolicy(d)
 				if i == 0 {
 					h.hm.ApplyTimers(d.Fabric)
@@ -50,9 +47,9 @@ const (
 // fragSweep runs the bounded-fragmentation invariant: every node's
 // fragmentation must not stay above fragBound for fragEpochs consecutive
 // epochs. A transient spike right after a release wave is legal — the bound
-// is on sustained saturation, which adaptive mode must defragment away and
-// static mode must not plausibly reach. Returns the worst node and its
-// fragmentation when the invariant is breached.
+// is on sustained saturation, which neither mode may plausibly reach.
+// Returns the worst node and its fragmentation when the invariant is
+// breached.
 func (h *harness) fragSweep() (string, float64, bool) {
 	for _, n := range h.f.Nodes() {
 		f := n.Ctrl.Allocator().Fragmentation()

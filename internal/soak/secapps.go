@@ -103,11 +103,9 @@ func (h *harness) initSecapps() error {
 	// rate limiter, plain destination for everything else.
 	sinkMAC, _ := f.NewHostID()
 	s.sink = secapps.NewRLSink(sinkMAC)
-	sp, err := f.AttachHost(numLeaves-1, s.sink, sinkMAC)
-	if err != nil {
+	if err := f.AddHost(numLeaves-1, s.sink); err != nil {
 		return err
 	}
-	s.sink.Attach(sp)
 	s.sinkMAC = sinkMAC
 
 	// SYN-flood detector, replicated on the two ingress leaves via the

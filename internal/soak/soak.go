@@ -52,9 +52,10 @@ type Config struct {
 	SpineKillAt time.Duration // home-spine kill milestone (default Duration/2; <0 disables)
 
 	// Policy selects the control mode: "static" (default) runs no loop, so
-	// every node keeps the historical constants and never migrates on its
-	// own; "adaptive" steps a per-node policy.Loop each epoch, including
-	// telemetry-driven online defragmentation.
+	// every node keeps the historical constants; "adaptive" steps a per-node
+	// policy.Loop each epoch (snapshot window, guard ladder, sweep cadence,
+	// probe timers). The loops do not defragment: in both modes, migrations
+	// come from the chaos rider's passes.
 	Policy string
 
 	// Secapps enables the three security-app workload families from
@@ -138,7 +139,7 @@ type Result struct {
 	Reroutes       uint64
 	SpineKill      SpineKillReport
 
-	DefragPasses     uint64  // defragmentation passes run across all nodes
+	DefragPasses     uint64  // defragmentation passes that migrated a tenant, across all nodes
 	DefragMigrations uint64  // tenants live-migrated by those passes
 	MaxFragmentation float64 // worst per-node fragmentation seen at an epoch edge
 
@@ -263,15 +264,10 @@ func newHarness(cfg Config) (*harness, error) {
 		func() *telemetry.Histogram { return &h.hist })
 
 	// Server on the last leaf, cache replicas on leaves 0 and 1.
-	mac, ip := f.NewHostID()
-	h.srv = apps.NewKVServer(f.Eng, mac, ip)
-	port, err := f.AttachHost(numLeaves-1, h.srv, mac)
-	if err != nil {
+	if h.srv, err = f.AddKVServer(numLeaves - 1); err != nil {
 		return nil, err
 	}
-	h.srv.Attach(port)
-
-	cc, err := fabric.NewCoherentCache(h.fc, cacheFID, []int{0, 1}, h.srv.MAC(), ip)
+	cc, err := fabric.NewCoherentCache(h.fc, cacheFID, []int{0, 1}, h.srv.MAC(), h.srv.IP())
 	if err != nil {
 		return nil, err
 	}

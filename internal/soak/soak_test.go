@@ -9,6 +9,7 @@ import (
 
 	"activermt/internal/packet"
 	"activermt/internal/policy"
+	"activermt/internal/switchd"
 )
 
 // TestSoakSmoke runs a short (30 s virtual) soak with the full chaos
@@ -60,19 +61,25 @@ func TestSoakSmoke(t *testing.T) {
 		res.TenantsPlaced, res.ChaosInstalled, res.P99)
 }
 
-// TestSoakAdaptivePolicy runs the smoke soak under the adaptive policy
-// engine: per-node closed-loop control with telemetry-driven online
-// defragmentation. The run must stay invariant-clean — migration under
-// chaos must never produce a stale read, an isolation finding, or a book
-// leak — and the defrag machinery must actually have engaged (the chaos
-// rider alone guarantees passes once a few scenarios have fired).
+// TestSoakAdaptivePolicy runs a one-minute soak under the adaptive policy
+// engine: per-node closed-loop control, with the chaos rider's live
+// migrations riding the same realloc protocol as the faults. The run must
+// stay invariant-clean — migration under chaos must never produce a stale
+// read, an isolation finding, or a book leak — and every defrag pass a node
+// recorded must have migrated a tenant: a pass with nobody to move is never
+// queued, or leaves no trace. In seed 7's minute the rider asks for passes
+// that can move someone and for passes that cannot.
 func TestSoakAdaptivePolicy(t *testing.T) {
-	res, err := Run(Config{
-		Duration: 30 * time.Second,
+	h, err := newHarness(Config{
+		Duration: time.Minute,
 		Seed:     7,
 		Policy:   "adaptive",
 		Progress: t.Logf,
-	})
+	}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := h.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +92,20 @@ func TestSoakAdaptivePolicy(t *testing.T) {
 	if res.ReadsDone == 0 || res.Acked == 0 {
 		t.Fatalf("workload did not run: %d reads, %d acked writes", res.ReadsDone, res.Acked)
 	}
-	if res.ChaosInstalled >= 3 && res.DefragPasses == 0 {
-		t.Fatalf("no defrag passes despite %d chaos scenarios", res.ChaosInstalled)
+	var passes uint64
+	for _, n := range h.f.Nodes() {
+		for _, rec := range n.Ctrl.Records {
+			if rec.Kind != switchd.JobDefrag {
+				continue
+			}
+			passes++
+			if rec.Reallocated == 0 {
+				t.Errorf("%s: the defrag pass at %v migrated nobody", n.Name, rec.Start)
+			}
+		}
+	}
+	if passes == 0 || passes != res.DefragPasses || res.DefragMigrations < passes {
+		t.Fatalf("%d defrag passes recorded, %d counted, %d migrations", passes, res.DefragPasses, res.DefragMigrations)
 	}
 	if res.MaxFragmentation < 0 || res.MaxFragmentation > 1 {
 		t.Fatalf("max fragmentation %v out of range", res.MaxFragmentation)

@@ -79,7 +79,6 @@ type job struct {
 	phase phase
 	req   *packet.AllocRequest // admit: the request
 	mac   packet.MAC           // admit, release: the sender
-	moves int                  // defrag: the migration budget
 
 	grant     *alloc.Placement   // admit: the newcomer's placement
 	moved     []*alloc.Placement // residents whose regions changed, in FID order
@@ -159,7 +158,7 @@ type Controller struct {
 	GuardEvictions        uint64
 
 	// Defragmentation counters.
-	DefragPasses        uint64 // passes run (including no-op passes)
+	DefragPasses        uint64 // passes that migrated at least one tenant
 	DefragMigrations    uint64 // tenants live-migrated
 	DefragBlocksMoved   uint64 // blocks re-homed by those migrations
 	DefragWordsRestored uint64 // register words copied via snapshot->restore
@@ -458,7 +457,9 @@ func (c *Controller) allocate(j *job) {
 			pass = c.defrag
 		}
 		if !pass(j) {
-			c.conclude(j, true) // nothing to fence or to move
+			// A sweep that fenced nothing still scanned; a pass that moved
+			// nobody did nothing at all.
+			c.conclude(j, j.rec.Kind == JobSweep)
 			return
 		}
 	}

@@ -78,7 +78,7 @@ func cacheCase() crashCase {
 
 // defragCase: the defragBed population of internal/testbed — 30 inelastic
 // memsync tenants, a pattern in the 18 survivors, the first 12 released —
-// and one defrag pass migrating up to 8 survivors down into the holes.
+// and one defrag pass migrating up to 4 survivors down into the holes.
 func defragCase() crashCase {
 	const n, nRelease, demand, words = 30, 12, 16, 4
 	drivers := map[uint16]*apps.MemSync{}
@@ -112,7 +112,7 @@ func defragCase() crashCase {
 			for _, cl := range cls {
 				faultTolerant(cl)
 			}
-			return tb, cls, func() { tb.Ctrl.Defragment(8) }
+			return tb, cls, tb.Ctrl.Defragment
 		},
 		loss: func(tb *testbed.Testbed, _ time.Duration) string {
 			zeroed, tenants := 0, map[uint16]bool{}

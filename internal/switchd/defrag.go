@@ -38,25 +38,35 @@ func (c *Controller) PinPlacement(fid uint16) { c.noMigrate[fid] = true }
 // down).
 func (c *Controller) UnpinPlacement(fid uint16) { delete(c.noMigrate, fid) }
 
-// Defragment queues one defragmentation pass migrating at most maxMoves
-// tenants, serialized with admissions like every other allocation job.
-func (c *Controller) Defragment(maxMoves int) {
-	if !c.alive || maxMoves <= 0 {
-		return
+// defragMoves bounds the tenants one defrag pass migrates, so one pass
+// cannot monopolize the control plane.
+const defragMoves = 4
+
+// Defragment queues one defragmentation pass, serialized with admissions like
+// every other allocation job, when the allocator has a tenant it could move
+// now. The fragmentation gauge is no guide: quarantine fences raise it with
+// nothing to move. Safe to call on every policy evaluation.
+func (c *Controller) Defragment() {
+	if c.alive && len(c.compactionCandidates()) > 0 {
+		c.enqueue(&job{rec: ProvisionRecord{Kind: JobDefrag}})
 	}
-	c.enqueue(&job{rec: ProvisionRecord{Kind: JobDefrag}, moves: maxMoves})
+}
+
+// compactionCandidates are the tenants a pass could move, pinned ones
+// excluded.
+func (c *Controller) compactionCandidates() []uint16 {
+	return c.al.CompactionCandidates(func(fid uint16) bool { return !c.noMigrate[fid] })
 }
 
 // defrag runs one pass's allocator work, handing j the placements it moved
-// and the register images to restore; it reports false when nobody moved.
+// and the register images to restore; it reports false when nobody moved. A
+// pass queued behind another job can find the books already compact: it
+// counts only when it moves someone.
 func (c *Controller) defrag(j *job) bool {
-	c.DefragPasses++
-
-	cands := c.al.CompactionCandidates(func(fid uint16) bool { return !c.noMigrate[fid] })
 	affected := map[uint16]bool{}
 	j.images = map[uint16]map[int][]uint32{}
-	for _, fid := range cands {
-		if len(j.images) >= j.moves {
+	for _, fid := range c.compactionCandidates() {
+		if len(j.images) >= defragMoves {
 			break
 		}
 		// Capture the victim's live register image region by region before
@@ -84,6 +94,7 @@ func (c *Controller) defrag(j *job) bool {
 	if len(j.images) == 0 {
 		return false
 	}
+	c.DefragPasses++
 	j.moved = c.placementsOf(affected)
 	return true
 }

@@ -11,6 +11,14 @@ import (
 	"activermt/internal/telemetry"
 )
 
+// Host is an endpoint a switch port serves: it knows its own MAC and takes
+// its end of the link. The testbed and the fabric attach hosts of this shape.
+type Host interface {
+	netsim.Endpoint
+	MAC() packet.MAC
+	Attach(p *netsim.Port)
+}
+
 // NodeConfig is what one switch is built from: the pipeline and the
 // allocator over it. Controller costs and guard thresholds are the package
 // constants and guard.DefaultPolicy; the policy loop re-decides the parts
@@ -78,14 +86,13 @@ func (n *Node) AttachTelemetry(reg *telemetry.Registry) {
 }
 
 // Observe reports the signals the policy loop decides on, each read where it
-// lives: the allocator's books, the guard's and the controller's counters —
-// the values the alert rules in docs/telemetry.md scrape as gauges. Two
-// fields are others' to fill: LinkFlaps by a fabric, which sees links, and
-// ViolationRate by the loop, which holds the previous observation.
+// lives: the guard's and the controller's counters, the values a scrape
+// reads. Two fields are others' to fill: LinkFlaps by a fabric, which sees
+// links, and ViolationRate by the loop, which holds the previous
+// observation.
 func (n *Node) Observe() policy.Observation {
 	return policy.Observation{
 		At:                  n.Ctrl.eng.Now(),
-		Fragmentation:       n.Ctrl.Allocator().Fragmentation(),
 		Violations:          n.Guard.TenantViolations() + n.Guard.PortViolations(),
 		SnapshotTimeouts:    n.Ctrl.SnapshotTimeouts,
 		SnapshotEscalations: n.Ctrl.SnapshotEscalations,
@@ -93,20 +100,15 @@ func (n *Node) Observe() policy.Observation {
 	}
 }
 
-// ApplyPolicy pushes one decision set into the layers this switch owns — the
-// controller's snapshot window and sweep cadence, the guard's ladder — and,
-// while the migration band calls for it, queues a defragmentation pass. It
-// is the one place a policy decision becomes a controller job; safe to call
-// on every evaluation.
+// ApplyPolicy pushes one decision set into the layers this switch owns: the
+// controller's snapshot window and sweep cadence, and the guard's ladder.
+// Safe to call on every evaluation.
 func (n *Node) ApplyPolicy(d policy.Decisions) {
 	c := n.Ctrl
 	c.snapshotTimeout = d.SnapshotTimeout
 	c.sweepEvery = d.SweepEvery
 	c.armSweep()
 	n.Guard.ApplyThresholds(d.Guard)
-	if d.Defrag.Migrate {
-		c.Defragment(d.Defrag.MaxMoves)
-	}
 }
 
 // SnapshotFn exposes the controller-side register read API for apps that

@@ -55,7 +55,7 @@ func (c *Controller) AttachTelemetry(reg *telemetry.Registry) {
 		func(rec ProvisionRecord) (uint64, bool) { return uint64(rec.TableTime), rec.TableTime > 0 })
 	reg.Counter("activermt_ctrl_crashes_total", "Control-plane crashes injected.", &c.Crashes)
 	reg.Counter("activermt_ctrl_restarts_total", "Control-plane restarts (table read-back recoveries).", &c.Restarts)
-	reg.Counter("activermt_ctrl_digests_dropped_total", "Digests dropped by a dead controller or the digest filter.", &c.DigestsDropped)
+	reg.Counter("activermt_ctrl_digests_dropped_total", "Digests dropped by a dead controller.", &c.DigestsDropped)
 	reg.Counter("activermt_ctrl_snapshot_escalations_total", "Realloc notices re-sent to laggard clients.", &c.SnapshotEscalations)
 	reg.Counter("activermt_ctrl_snapshot_timeouts_total", "Snapshot windows ended by timeout.", &c.SnapshotTimeouts)
 	reg.Counter("activermt_ctrl_evacuations_total", "Applications re-placed around quarantined blocks.", &c.Evacuations)
@@ -63,7 +63,7 @@ func (c *Controller) AttachTelemetry(reg *telemetry.Registry) {
 	reg.Counter("activermt_ctrl_guard_quarantines_total", "Guard-escalated tenant quarantines applied.", &c.GuardQuarantines)
 	reg.Counter("activermt_ctrl_guard_evictions_total", "Guard-escalated tenant evictions applied.", &c.GuardEvictions)
 	reg.Counter("activermt_ctrl_readmissions_total", "Recovered tenants re-admitted after a controller restart.", &c.Readmissions)
-	reg.Counter("activermt_ctrl_defrag_passes_total", "Online defragmentation passes run.", &c.DefragPasses)
+	reg.Counter("activermt_ctrl_defrag_passes_total", "Online defragmentation passes that migrated a tenant.", &c.DefragPasses)
 	reg.Counter("activermt_ctrl_defrag_migrations_total", "Tenants live-migrated by defragmentation.", &c.DefragMigrations)
 	reg.Counter("activermt_ctrl_defrag_blocks_moved_total", "Blocks re-homed by defragmentation migrations.", &c.DefragBlocksMoved)
 	reg.Counter("activermt_ctrl_defrag_words_restored_total", "Register words copied via snapshot->restore during migration.", &c.DefragWordsRestored)

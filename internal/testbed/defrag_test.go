@@ -7,9 +7,10 @@ import (
 	"time"
 
 	"activermt/internal/apps"
+	"activermt/internal/chaos"
 	"activermt/internal/client"
 	"activermt/internal/guard"
-	"activermt/internal/policy"
+	"activermt/internal/switchd"
 	"activermt/internal/telemetry"
 )
 
@@ -71,7 +72,9 @@ func TestDefragLiveMigration(t *testing.T) {
 	if fragBefore <= 0 {
 		t.Fatalf("churn left fragmentation %v, want > 0", fragBefore)
 	}
-	tb.Ctrl.Defragment(policy.DefaultDefragMoves * 4)
+	for i := 0; i < 4; i++ { // each pass queued while the books still hold a candidate
+		tb.Ctrl.Defragment()
+	}
 	tb.RunFor(5 * time.Second)
 
 	if tb.Ctrl.DefragPasses == 0 || tb.Ctrl.DefragMigrations == 0 {
@@ -155,7 +158,8 @@ func TestDefragAuditsDuringMigration(t *testing.T) {
 	// Straddle the deactivate/snapshot/update/reactivate window: the defrag
 	// pass is queued now, and the audits fire from inside the engine at
 	// sub-window offsets while it runs.
-	tb.Ctrl.Defragment(8)
+	tb.Ctrl.Defragment()
+	tb.Ctrl.Defragment()
 	for off := 100 * time.Microsecond; off < 50*time.Millisecond; off *= 2 {
 		tb.Eng.Schedule(off, audit)
 	}
@@ -172,31 +176,70 @@ func TestDefragAuditsDuringMigration(t *testing.T) {
 	audit()
 }
 
-// TestAttachPolicyMigratesUntilTarget pins the testbed loop's migration band:
-// once fragmentation has crossed the trigger, a pass is queued on every
-// evaluation while it sits inside [target, trigger), until it falls below
-// the target. Here the first pass leaves it inside the band, so only the
-// band's hysteresis queues the passes that finish the job.
-func TestAttachPolicyMigratesUntilTarget(t *testing.T) {
-	tb, _ := defragBed(t, 30, 12, 16, 1)
-	al := tb.Ctrl.Allocator()
-	if f := al.Fragmentation(); f < defragTrigger {
-		t.Fatalf("churn left fragmentation %.4f, below the %.3f trigger", f, defragTrigger)
+// TestAttachPolicyDefragmentsOnlyWhatCanMove pins who decides a defrag pass
+// under the testbed's policy loop: the allocator. A switch fragmented only by
+// quarantined blocks — the corrupted-memory shape, where the one tenant is
+// elastic and fenced around the damage — has nobody to move, so however high
+// the fragmentation gauge reads, no pass is queued or recorded. The
+// defragBed population, which has inelastic tenants floating above holes, is
+// compacted until the allocator has no candidate left, and every recorded
+// pass moved someone.
+func TestAttachPolicyDefragmentsOnlyWhatCanMove(t *testing.T) {
+	candidates := func(tb *Testbed) []uint16 { return tb.Ctrl.Allocator().CompactionCandidates(nil) }
+	defragRecords := func(t *testing.T, tb *Testbed) (n int) {
+		for _, rec := range tb.Ctrl.Records {
+			if rec.Kind == switchd.JobDefrag {
+				n++
+				if rec.Reallocated == 0 {
+					t.Errorf("a defrag pass at %v moved nobody", rec.Start)
+				}
+			}
+		}
+		return n
 	}
-	// The first evaluation runs now; its pass compacts the books at once.
-	tb.AttachPolicy()
-	if f := al.Fragmentation(); tb.Ctrl.DefragPasses != 1 || f < defragTarget || f >= defragTrigger {
-		t.Fatalf("after the first evaluation: %d passes, fragmentation %.4f; want 1 pass leaving it inside [%.3f, %.3f)",
-			tb.Ctrl.DefragPasses, f, defragTarget, defragTrigger)
-	}
-	tb.RunFor(time.Second)
-	if tb.Ctrl.DefragPasses < 2 {
-		t.Fatalf("no further pass queued while fragmentation %.4f sat inside the band", al.Fragmentation())
-	}
-	if f := al.Fragmentation(); f >= defragTarget {
-		t.Fatalf("fragmentation %.4f after %d passes, want below the %.3f target", f, tb.Ctrl.DefragPasses, defragTarget)
-	}
-	if err := al.AuditBooks(); err != nil {
-		t.Fatalf("books after migration: %v", err)
-	}
+
+	t.Run("quarantine-fenced", func(t *testing.T) {
+		tb := newBed(t)
+		srv := tb.AddKVServer()
+		_, cl := tb.AddCache(1, srv)
+		if err := cl.RequestAndWait(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		stage := cl.Placement().Accesses[0].Physical
+		chaos.RegisterCorruption{Stage: stage, Bits: 24, Seed: 3, PreferOwned: true}.Apply(tb.System())
+		tb.Ctrl.SweepAndRepair()
+		tb.RunFor(time.Second)
+		al := tb.Ctrl.Allocator()
+		// Above 0.02: a fragmentation threshold tuned for one switch would
+		// call for migration here.
+		if f := al.Fragmentation(); al.QuarantinedBlocks() == 0 || f < 0.02 {
+			t.Fatalf("sweep left %d quarantined blocks, fragmentation %.4f; want a fenced, fragmented switch", al.QuarantinedBlocks(), f)
+		}
+		if c := candidates(tb); len(c) > 0 {
+			t.Fatalf("compaction candidates %v on a switch holding only an elastic tenant", c)
+		}
+		tb.AttachPolicy()
+		tb.RunFor(2 * time.Second)
+		if n := defragRecords(t, tb); n != 0 || tb.Ctrl.DefragPasses != 0 {
+			t.Fatalf("%d defrag records, %d passes with nothing to move", n, tb.Ctrl.DefragPasses)
+		}
+	})
+
+	t.Run("defragBed", func(t *testing.T) {
+		tb, _ := defragBed(t, 30, 12, 16, 1)
+		if len(candidates(tb)) == 0 {
+			t.Fatal("churn left no compaction candidate")
+		}
+		tb.AttachPolicy()
+		tb.RunFor(2 * time.Second)
+		if c := candidates(tb); len(c) > 0 {
+			t.Fatalf("candidates %v left after %d passes", c, tb.Ctrl.DefragPasses)
+		}
+		if n := defragRecords(t, tb); n == 0 || uint64(n) != tb.Ctrl.DefragPasses {
+			t.Fatalf("%d defrag records, %d passes counted", n, tb.Ctrl.DefragPasses)
+		}
+		if err := tb.Ctrl.Allocator().AuditBooks(); err != nil {
+			t.Fatalf("books after migration: %v", err)
+		}
+	})
 }

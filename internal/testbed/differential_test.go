@@ -122,7 +122,7 @@ func runTestbedStream(t *testing.T, specialize, scribble bool) observed {
 	var hosts bytes.Buffer
 	// tap re-homes the link of the host behind switch port pnum on a
 	// recording wire, port number and link parameters as built.
-	tap := func(pnum int, h Host) {
+	tap := func(pnum int, h switchd.Host) {
 		w := &wire{host: h, eng: tb.Eng, scribble: scribble}
 		obs.wires = append(obs.wires, w)
 		swPort, hostPort := netsim.Connect(tb.Eng, tb.Switch, pnum, w, 0, tb.cfg.LinkDelay, tb.cfg.LinkBW)

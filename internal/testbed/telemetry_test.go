@@ -172,8 +172,8 @@ func TestTelemetrySmokeScrapeDuringChaos(t *testing.T) {
 }
 
 // TestObserveMatchesExposition pins the property the policy loop's old
-// by-name parser only assumed: what Node.Observe reads from the books, the
-// guard and the controller is, field for field, what a scrape reads from the
+// by-name parser only assumed: what Node.Observe reads from the guard and
+// the controller is, field for field, what a scrape reads from the
 // gauges and counters the alert rules in docs/telemetry.md name — after
 // admissions, a guard violation burst, a snapshot timeout and a corruption
 // sweep.
@@ -191,7 +191,6 @@ func TestObserveMatchesExposition(t *testing.T) {
 			got    float64
 			metric []string // summed
 		}{
-			{"Fragmentation", obs.Fragmentation, []string{"activermt_alloc_fragmentation"}},
 			{"Violations", float64(obs.Violations), []string{"activermt_guard_tenant_violations_total", "activermt_guard_port_violations_total"}},
 			{"SnapshotTimeouts", float64(obs.SnapshotTimeouts), []string{"activermt_ctrl_snapshot_timeouts_total"}},
 			{"SnapshotEscalations", float64(obs.SnapshotEscalations), []string{"activermt_ctrl_snapshot_escalations_total"}},

@@ -3,21 +3,12 @@ package testbed
 import (
 	"activermt/internal/apps"
 	"activermt/internal/client"
-	"activermt/internal/netsim"
-	"activermt/internal/packet"
+	"activermt/internal/switchd"
 )
-
-// Host is an endpoint the testbed can attach: it knows its own MAC and takes
-// its end of the link.
-type Host interface {
-	netsim.Endpoint
-	MAC() packet.MAC
-	Attach(p *netsim.Port)
-}
 
 // AddHost connects h to the next switch port, hands it its end of the link
 // and returns the switch port number.
-func (tb *Testbed) AddHost(h Host) int {
+func (tb *Testbed) AddHost(h switchd.Host) int {
 	pnum, p := tb.Attach(h, h.MAC())
 	h.Attach(p)
 	return pnum

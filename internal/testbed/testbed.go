@@ -100,36 +100,25 @@ func (tb *Testbed) EnableTelemetry() *telemetry.Registry {
 	return tb.Tel
 }
 
-// The single switch's migration band and evaluation cadence. The global
-// fragmentation gauge averages over every stage, including the many the
-// testbed's tenants can never occupy, so single-switch churn tops out near
-// 0.1 — under the default 0.40 trigger meant for fleet-level saturation. The
-// band is set low enough that any real fragmentation calls for migration.
-const (
-	defragTrigger = 0.02
-	defragTarget  = 0.005
-	evalInterval  = 100 * time.Millisecond
-)
+// evalInterval is the single switch's policy evaluation cadence.
+const evalInterval = 100 * time.Millisecond
 
 // AttachPolicy closes the policy loop over the testbed: every evalInterval
 // of virtual time the loop observes the switch (Node.Observe) and applies
-// its decisions (Node.ApplyPolicy, which queues a defrag pass while the
-// migration band calls for one). The loop's own metrics are registered when
-// telemetry is already enabled. The first evaluation runs now; the loop
+// its decisions (Node.ApplyPolicy), and the controller is asked to
+// defragment (Controller.Defragment, which queues a pass only when the
+// allocator has a tenant to move). The loop's own metrics are registered
+// when telemetry is already enabled. The first evaluation runs now; the loop
 // runs for the life of the testbed.
 func (tb *Testbed) AttachPolicy() *policy.Loop {
-	loop := &policy.Loop{
-		DefragTrigger: defragTrigger,
-		DefragTarget:  defragTarget,
-		Observe:       tb.Observe,
-		Apply:         tb.ApplyPolicy,
-	}
+	loop := &policy.Loop{Observe: tb.Observe, Apply: tb.ApplyPolicy}
 	if tb.Tel != nil {
 		loop.AttachTelemetry(tb.Tel)
 	}
 	var tick func()
 	tick = func() {
 		loop.Step()
+		tb.Ctrl.Defragment()
 		tb.Eng.Schedule(evalInterval, tick)
 	}
 	tick()
