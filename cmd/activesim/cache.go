@@ -13,34 +13,26 @@ import (
 	"activermt/internal/client"
 	"activermt/internal/fabric"
 	"activermt/internal/netsim"
-	"activermt/internal/policy"
 	"activermt/internal/telemetry"
 	"activermt/internal/testbed"
 	"activermt/internal/workload"
 )
 
 // runCache drives one cache tenant over Zipf traffic on the single-switch
-// testbed, under the policy loop with -policy adaptive, optionally with a
-// library fault schedule (-chaos), an adversarial co-tenant (-adversary) and
-// a live self-scraped telemetry endpoint (-telemetry), which serves the
-// snapshot published after every measurement window.
+// testbed, optionally with a library fault schedule (-chaos), an adversarial
+// co-tenant (-adversary) and a live self-scraped telemetry endpoint
+// (-telemetry), which serves the snapshot published after every measurement
+// window.
 func runCache(o *options) error {
 	tb, err := testbed.New(testbed.DefaultConfig())
 	if err != nil {
 		return err
 	}
 	say := o.timeline(tb.Eng)
-	if o.telemetry != "" {
-		tb.EnableTelemetry() // before the loop, which registers its own metrics when telemetry is on
-	}
-	var loop *policy.Loop
-	if o.policy == "adaptive" {
-		loop = tb.AttachPolicy()
-	}
-	say("policy engine: %s", o.policy)
 	var telSrv *telemetry.Server
 	var midPackets uint64
 	if o.telemetry != "" {
+		tb.EnableTelemetry()
 		if telSrv, err = telemetry.Serve(tb.Tel, o.telemetry); err != nil {
 			return err
 		}
@@ -181,10 +173,6 @@ func runCache(o *options) error {
 		}
 		say("telemetry: final scrape ok (%d families, packets mid=%d final=%d, monotone)",
 			families, midPackets, packets)
-	}
-	if loop != nil {
-		say("policy loop: %d evals, %d decision changes, %d defrag passes (%d migrations)",
-			loop.Evals, loop.Changes, tb.Ctrl.DefragPasses, tb.Ctrl.DefragMigrations)
 	}
 	return nil
 }

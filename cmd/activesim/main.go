@@ -11,7 +11,6 @@
 //	activesim -scenario cache -chaos flaky-link -seed 3 # cache under a fault schedule
 //	activesim -scenario cache -topology leafspine:3x2   # the coherent cache on a fabric
 //	activesim -soak 5m -seed 7 -soak-csv soak.csv       # the long-soak invariant harness
-//	activesim -policy-ab results/policy_ab.csv -seed 11 # static vs adaptive policy A/B
 //	activesim -scenario paper -quick fig5a fig8b        # the paper's figures, CSV into results/
 package main
 
@@ -36,7 +35,6 @@ type options struct {
 	list        bool
 	scenario    string
 	seed        int64
-	policy      string
 	chaos       string
 	adversary   bool
 	telemetry   string
@@ -45,7 +43,6 @@ type options struct {
 	soak        time.Duration
 	soakCSV     string
 	soakSecapps bool
-	policyAB    string
 	quick       bool
 	outDir      string
 	args        []string // positional arguments, for the row that takes them
@@ -77,7 +74,7 @@ type scenario struct {
 }
 
 var table = []scenario{
-	{name: "cache", flags: "seed policy chaos adversary telemetry", run: runCache,
+	{name: "cache", flags: "seed chaos adversary telemetry", run: runCache,
 		summary: "one cache client over Zipf traffic; -chaos, -adversary and -telemetry ride along",
 		smoke: []string{"-scenario cache -chaos flaky-link -seed 3", "-scenario cache -chaos flapping-port -seed 3",
 			"-scenario cache -chaos controller-outage -seed 3", "-scenario cache -chaos corrupted-memory -seed 3",
@@ -89,9 +86,9 @@ var table = []scenario{
 		smoke:   []string{"-scenario cache -topology leafspine:3x2 -seed 3", "-scenario cache -switches 4 -seed 3"}},
 	{name: "lb", flags: "seed", run: runLB,
 		summary: "Cheetah load balancing across 4 servers", smoke: []string{"-scenario lb -seed 3"}},
-	{name: "defrag", flags: "seed policy", run: runDefragDemo,
-		summary: "tenant churn, then allocator-driven live migration (static leaves the gauge high, adaptive recovers it)",
-		smoke:   []string{"-scenario defrag -policy static -seed 3", "-scenario defrag -policy adaptive -seed 3"}},
+	{name: "defrag", flags: "seed", run: runDefragDemo,
+		summary: "tenant churn leaves holes until a pass is asked for, then allocator-driven live migration",
+		smoke:   []string{"-scenario defrag -seed 3"}},
 	{name: "synflood", flags: "seed", run: runSynFlood,
 		summary: "SYN-flood detector: half-open counters + alarm scans",
 		smoke:   []string{"-scenario synflood -seed 3", "-scenario synflood -seed 11"}},
@@ -113,13 +110,9 @@ var table = []scenario{
 			// The timelines that were rows of their own: churn, case study, multi-tenant.
 			"-scenario paper -quick -seed 3 -out csv fig8a", "-scenario paper -quick -seed 3 -out csv fig9a",
 			"-scenario paper -quick -seed 3 -out csv fig9b"}},
-	{name: "soak", by: "soak", flags: "seed policy soak-csv soak-secapps", run: runSoak,
+	{name: "soak", by: "soak", flags: "seed soak-csv soak-secapps", run: runSoak,
 		summary: "long-soak invariant harness: leaf-spine fabric under chaos, churn and a spine kill",
-		smoke:   []string{"-soak 1m -seed 7 -soak-secapps", "-soak 1m -seed 7 -policy adaptive"}},
-	{name: "policy-ab", by: "policy-ab", flags: "seed chaos", run: runPolicyAB,
-		summary: "static vs adaptive policy over the chaos library, one CSV row per scenario",
-		smoke: []string{"-policy-ab ab-flaky.csv -chaos flaky-link -seed 11",
-			"-policy-ab ab-outage.csv -chaos controller-outage -seed 11"}},
+		smoke:   []string{"-soak 1m -seed 7 -soak-secapps", "-soak 1m -seed 7"}},
 }
 
 // selector renders how the command line picks the row.
@@ -166,8 +159,6 @@ func newFlags(o *options) *flag.FlagSet {
 	fs.BoolVar(&o.list, "list", false, "print the scenario table and exit")
 	fs.StringVar(&o.scenario, "scenario", "cache", strings.Join(names, " | "))
 	fs.Int64Var(&o.seed, "seed", 1, "workload seed")
-	fs.StringVar(&o.policy, "policy", "static", "control policy engine: static | adaptive")
-	fs.StringVar(&o.policyAB, "policy-ab", "", "run the static-vs-adaptive A/B over the chaos library and write CSV here (restrict with -chaos)")
 	fs.StringVar(&o.chaos, "chaos", "", "fault scenario: "+strings.Join(chaos.Names(), " | "))
 	fs.BoolVar(&o.adversary, "adversary", false, "co-schedule an adversarial tenant attacking the cache")
 	fs.StringVar(&o.telemetry, "telemetry", "", "serve Prometheus/JSON telemetry on this address during the run (e.g. 127.0.0.1:9464)")
@@ -207,10 +198,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "activesim: "+format+"\n", a...)
 		return code
 	}
-	if o.policy != "static" && o.policy != "adaptive" {
-		return fail(2, "-policy %q: want static or adaptive", o.policy)
-	}
-
 	// A flag counts as used when it differs from its default; the row is the
 	// one whose by-flag is used, else the one -scenario names.
 	var used []string

@@ -51,10 +51,7 @@ func TestSmoke(t *testing.T) {
 						t.Errorf("activesim %s: two runs printed different output\n--- first\n%s--- second\n%s", args, first, stdout)
 					}
 				}
-				switch ids := flagArgs(t, args); {
-				case r.name == "policy-ab":
-					checkPolicyABCSV(t, strings.Fields(args)[1])
-				case r.name == "paper" && len(ids) > 0:
+				if ids := flagArgs(t, args); r.name == "paper" && len(ids) > 0 {
 					checkPaperCSVs(t, ids)
 				}
 			})
@@ -102,28 +99,11 @@ func checkPaperCSVs(t *testing.T, ids []string) {
 	}
 }
 
-// checkPolicyABCSV asserts the A/B CSV's shape: the header's first, middle
-// and last columns, and one data row for a one-scenario run.
-func checkPolicyABCSV(t *testing.T, path string) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	header := regexp.MustCompile(`^scenario,static_final_frag,.*,adaptive_final_frag,.*,winner$`)
-	if !header.MatchString(lines[0]) {
-		t.Errorf("%s: bad header %q", path, lines[0])
-	}
-	if len(lines) != 2 {
-		t.Errorf("%s: %d lines, want a header and 1 data row", path, len(lines))
-	}
-}
-
 // A non-default value for every flag a row can reject.
 var sampleValue = map[string]string{
-	"seed": "2", "policy": "adaptive", "chaos": "flaky-link", "adversary": "", "telemetry": "127.0.0.1:0",
+	"seed": "2", "chaos": "flaky-link", "adversary": "", "telemetry": "127.0.0.1:0",
 	"topology": "leafspine:2x1", "switches": "3", "soak": "1m", "soak-csv": "x.csv", "soak-secapps": "",
-	"policy-ab": "x.csv", "quick": "", "out": "x",
+	"quick": "", "out": "x",
 }
 
 // TestFlagMisuse gives every row each flag outside its accept-list: the
@@ -172,7 +152,7 @@ func TestFlagMisuse(t *testing.T) {
 	if _, stderr, code := invoke("-scenario paper -quick -out " + t.TempDir() + " nope"); code != 1 || !strings.Contains(stderr, `"nope"`) {
 		t.Errorf("activesim -scenario paper nope: exit %d, stderr %q; want exit 1 naming the id", code, stderr)
 	}
-	for _, args := range []string{"-scenario nope", "-policy nope", "-scenario cache -topology ring", "-no-such-flag"} {
+	for _, args := range []string{"-scenario nope", "-scenario cache -topology ring", "-no-such-flag"} {
 		if stdout, stderr, code := invoke(args); code != 2 || stdout != "" || stderr == "" {
 			t.Errorf("activesim %s: exit %d, stdout %q, stderr %q; want exit 2 and a message", args, code, stdout, stderr)
 		}

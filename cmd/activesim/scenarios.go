@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"activermt/internal/apps"
-	"activermt/internal/chaos"
 	"activermt/internal/client"
 	"activermt/internal/experiments"
 	"activermt/internal/packet"
@@ -24,7 +23,7 @@ func runSoak(o *options) error {
 	if o.soak < 0 {
 		return usageError(fmt.Sprintf("-soak %v: want a positive duration", o.soak))
 	}
-	cfg := soak.Config{Duration: o.soak, Seed: o.seed, Policy: o.policy, Secapps: o.soakSecapps,
+	cfg := soak.Config{Duration: o.soak, Seed: o.seed, Secapps: o.soakSecapps,
 		Progress: func(format string, args ...any) { o.printf(format+"\n", args...) }}
 	if o.soakCSV != "" {
 		f, err := os.Create(o.soakCSV)
@@ -46,10 +45,8 @@ func runSoak(o *options) error {
 	k := res.SpineKill
 	o.printf("soak: spine-kill arc: fired=%v degraded=%v rerouted=%v reconciled=%v recovered=%v\n",
 		k.Fired, k.Degraded, k.Rerouted, k.Reconciled, k.Recovered)
-	if o.policy == "adaptive" {
-		o.printf("soak: adaptive policy: %d defrag passes, %d migrations, max frag %.3f\n",
-			res.DefragPasses, res.DefragMigrations, res.MaxFragmentation)
-	}
+	o.printf("soak: defrag: %d passes, %d migrations, max frag %.3f\n",
+		res.DefragPasses, res.DefragMigrations, res.MaxFragmentation)
 	if o.soakSecapps {
 		o.printf("soak: secapps: syn %d sent / %d alarms, rl %d delivered of %d offered, hh %d observed / %d claims (%d deferred)\n",
 			res.SynSent, res.SynAlarms, res.RLDelivered, res.RLOffered,
@@ -111,47 +108,19 @@ func runPaper(o *options) error {
 	return errors.Join(failed...)
 }
 
-// runPolicyAB runs the static-vs-adaptive comparison and writes the CSV. No
-// -chaos means the whole library.
-func runPolicyAB(o *options) error {
-	scenarios := chaos.Names()
-	if o.chaos != "" {
-		scenarios = []string{o.chaos}
-	}
-	o.printf("policy A/B: %d scenario(s) x {static, adaptive}, seed %d\n", len(scenarios), o.seed)
-	rows, err := experiments.RunPolicyAB(scenarios, o.seed)
-	if err != nil {
-		return err
-	}
-	for _, r := range rows {
-		o.printf("  %-18s static frag %.4f (0 migrations) | adaptive frag %.4f (%d migrations, %d blocks) -> %s\n",
-			r.Scenario, r.Static.FinalFrag, r.Adaptive.FinalFrag,
-			r.Adaptive.DefragMigrations, r.Adaptive.BlocksMoved, r.Winner())
-	}
-	if err := os.WriteFile(o.policyAB, []byte(experiments.PolicyABCSV(rows)), 0o644); err != nil {
-		return err
-	}
-	o.printf("policy A/B: wrote %s (%d rows)\n", o.policyAB, len(rows))
-	return nil
-}
-
 // runDefragDemo makes online defragmentation visible: a churn pattern leaves
-// the switch fragmented, and either nothing reacts (static: no loop) or, on
-// each policy evaluation, the controller live-migrates the survivors the
-// allocator can move down into the holes (adaptive) while the tenants keep
-// serving. State survival is checked by writing a
-// pattern into every surviving tenant before the migration and reading it
-// back after.
+// the switch fragmented, and nothing reacts until a pass is asked for. Then
+// a request every 100 ms has the controller live-migrate the survivors the
+// allocator can move down into the holes while the tenants keep serving.
+// State survival is checked by writing a pattern into every surviving tenant
+// before the migration and reading it back after.
 func runDefragDemo(o *options) error {
 	tb, err := testbed.New(testbed.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	if o.policy == "adaptive" {
-		tb.AttachPolicy()
-	}
 	say := o.timeline(tb.Eng)
-	say("policy engine: %s", o.policy)
+	al := tb.Ctrl.Allocator()
 
 	// Four waves of inelastic memsync tenants, then waves 1 and 3 released:
 	// the survivors sit above the released waves' holes.
@@ -169,7 +138,7 @@ func runDefragDemo(o *options) error {
 		}
 	}
 	say("admitted %d memsync tenants (%d blocks each), utilization %.3f",
-		len(all), demand, tb.Ctrl.Allocator().Utilization())
+		len(all), demand, al.Utilization())
 
 	// Survivors get a recognizable pattern in switch SRAM before churn.
 	var survivors []*apps.MemSync
@@ -191,21 +160,31 @@ func runDefragDemo(o *options) error {
 		}
 	}
 	tb.RunFor(200 * time.Millisecond)
-	fragBefore := tb.Ctrl.Allocator().Fragmentation()
+	fragBefore := al.Fragmentation()
 	say("released %d tenants: fragmentation %.4f, utilization %.3f",
-		waves/2*perWave, fragBefore, tb.Ctrl.Allocator().Utilization())
+		waves/2*perWave, fragBefore, al.Utilization())
 
-	// The policy loop runs every 100ms; give it a few seconds. Under
-	// adaptive each evaluation queues a migration pass while the allocator
-	// has a tenant to move; under static there is no loop, and nothing
-	// happens.
-	tb.RunFor(5 * time.Second)
-	fragAfter := tb.Ctrl.Allocator().Fragmentation()
-	say("after policy window: fragmentation %.4f -> %.4f, %d defrag passes, %d tenants migrated, %d blocks moved, %d words restored",
-		fragBefore, fragAfter, tb.Ctrl.DefragPasses, tb.Ctrl.DefragMigrations,
+	// Nobody has asked for a pass, so the holes stay where churn left them.
+	tb.RunFor(time.Second)
+	say("no pass requested: fragmentation %.4f, %d defrag passes, %d movable tenants",
+		al.Fragmentation(), tb.Ctrl.DefragPasses, len(al.CompactionCandidates(nil)))
+	if al.Fragmentation() != fragBefore || tb.Ctrl.DefragPasses != 0 {
+		return fmt.Errorf("fragmentation moved %.4f -> %.4f with no pass requested", fragBefore, al.Fragmentation())
+	}
+
+	// Ask for a pass every 100 ms until the allocator has nobody left to
+	// move, or 5 s pass; then let the last pass finish its restore.
+	requests := 0
+	for end := tb.Eng.Now() + 5*time.Second; len(al.CompactionCandidates(nil)) > 0 && tb.Eng.Now() < end; requests++ {
+		tb.Ctrl.Defragment()
+		tb.RunFor(100 * time.Millisecond)
+	}
+	tb.RunFor(time.Second)
+	say("after %d pass requests: fragmentation %.4f -> %.4f, %d defrag passes, %d tenants migrated, %d blocks moved, %d words restored",
+		requests, fragBefore, al.Fragmentation(), tb.Ctrl.DefragPasses, tb.Ctrl.DefragMigrations,
 		tb.Ctrl.DefragBlocksMoved, tb.Ctrl.DefragWordsRestored)
 
-	// Books and state must survive whichever path ran.
+	// Books and state must survive the migrations.
 	bad := 0
 	for _, ms := range survivors {
 		for j := 0; j < words; j++ {
@@ -216,7 +195,7 @@ func runDefragDemo(o *options) error {
 			}
 		}
 	}
-	if err := tb.Ctrl.Allocator().AuditBooks(); err != nil {
+	if err := al.AuditBooks(); err != nil {
 		return fmt.Errorf("allocator books: %w", err)
 	}
 	say("audit: books clean, %d/%d survivor words verified (%d bad)",
@@ -224,8 +203,8 @@ func runDefragDemo(o *options) error {
 	if bad > 0 {
 		return fmt.Errorf("%d survivor words lost across migration", bad)
 	}
-	if left := tb.Ctrl.Allocator().CompactionCandidates(nil); o.policy == "adaptive" && len(left) > 0 {
-		return fmt.Errorf("adaptive policy left %d movable tenants unmigrated", len(left))
+	if left := al.CompactionCandidates(nil); len(left) > 0 {
+		return fmt.Errorf("%d movable tenants left unmigrated after %d pass requests", len(left), requests)
 	}
 	return nil
 }

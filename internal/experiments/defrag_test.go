@@ -8,9 +8,10 @@ import (
 )
 
 // TestDefragShape fragments a switch with the canonical churn pattern (four
-// waves of inelastic memsync tenants, alternate waves released) and lets the
-// adaptive policy loop migrate the survivors down. All virtual time, so the
-// shape is exact: the loop must migrate, and fragmentation must fall.
+// waves of inelastic memsync tenants, alternate waves released), then asks
+// the controller for a defragmentation pass every 100 ms, which migrates the
+// survivors down. All virtual time, so the shape is exact: the passes must
+// migrate, and fragmentation must fall.
 func TestDefragShape(t *testing.T) {
 	tb, err := testbed.New(testbed.DefaultConfig())
 	if err != nil {
@@ -30,9 +31,8 @@ func TestDefragShape(t *testing.T) {
 			fid++
 		}
 	}
-	// Release the even waves and sample the gauge BEFORE attaching the
-	// policy loop, so fragBefore reflects the holes rather than the loop's
-	// repair of them.
+	// Release the even waves and sample the gauge before asking for a pass,
+	// so fragBefore reflects the holes rather than their repair.
 	for w := 0; w < waves; w += 2 {
 		for i := 0; i < perWave; i++ {
 			if err := release[w*perWave+i](); err != nil {
@@ -43,12 +43,14 @@ func TestDefragShape(t *testing.T) {
 	tb.RunFor(200 * time.Millisecond)
 	fragBefore := tb.Ctrl.Allocator().Fragmentation()
 
-	tb.AttachPolicy()
-	tb.RunFor(3 * time.Second)
+	for i := 0; i < 30; i++ {
+		tb.Ctrl.Defragment()
+		tb.RunFor(100 * time.Millisecond)
+	}
 	fragAfter := tb.Ctrl.Allocator().Fragmentation()
 
 	if tb.Ctrl.DefragMigrations == 0 || tb.Ctrl.DefragBlocksMoved == 0 || tb.Ctrl.DefragWordsRestored == 0 {
-		t.Fatalf("policy loop did not migrate: %d migrations, %d blocks, %d words",
+		t.Fatalf("defrag passes did not migrate: %d migrations, %d blocks, %d words",
 			tb.Ctrl.DefragMigrations, tb.Ctrl.DefragBlocksMoved, tb.Ctrl.DefragWordsRestored)
 	}
 	if fragAfter >= fragBefore {

@@ -9,9 +9,11 @@ import (
 )
 
 // TestHealthDetectsOutageAndReroutes kills one leaf<->spine link and checks
-// the monitor's full arc: probes miss, the link is declared dead within the
-// detection deadline, the affected routes repoint to the surviving spine,
-// and on revert the link is declared alive and the routes restore.
+// the monitor's full arc: probes miss, the link is declared dead within
+// 20 ms of the cut (the default timers detect in 3 × 5 ms), the affected
+// routes repoint to the surviving spine, and on revert the link is declared
+// alive at the first echo while its routes stay away for the 8 ms re-trust
+// delay before they restore.
 func TestHealthDetectsOutageAndReroutes(t *testing.T) {
 	f, err := fabric.New(fabric.DefaultConfig(3, 2))
 	if err != nil {
@@ -40,12 +42,15 @@ func TestHealthDetectsOutageAndReroutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := chaos.LinkOutage{Link: link}
+	cut := f.Eng.Now()
 	out.Apply(nil)
 
-	deadline := time.Duration(h.MissThreshold+2) * h.ProbeInterval
-	runUntil(t, f, deadline+50*time.Millisecond, "link declared down", func() bool {
+	runUntil(t, f, 100*time.Millisecond, "link declared down", func() bool {
 		return h.LinkDown(0, 0)
 	})
+	if took := f.Eng.Now() - cut; took > 20*time.Millisecond {
+		t.Fatalf("cut link declared down %v after the cut, want within 20ms", took)
+	}
 	if len(events) == 0 || !events[0].Down || events[0].Leaf != 0 || events[0].Spine != 0 {
 		t.Fatalf("unexpected first event: %+v", events)
 	}
@@ -66,12 +71,16 @@ func TestHealthDetectsOutageAndReroutes(t *testing.T) {
 	}
 
 	// Revert: the next answered probe declares the link alive, and the
-	// routes restore after the sync window.
+	// routes restore after the sync window, not before.
 	out.Revert(nil)
 	runUntil(t, f, 100*time.Millisecond, "link declared up", func() bool {
 		return !h.LinkDown(0, 0)
 	})
-	f.RunFor(h.RestoreDelay + time.Millisecond)
+	f.RunFor(8*time.Millisecond - time.Microsecond)
+	if f.LinkUp(0, 0) {
+		t.Fatal("routes restored less than 8ms after the first echo")
+	}
+	f.RunFor(2 * time.Millisecond)
 	if !f.LinkUp(0, 0) {
 		t.Fatal("routing state not restored after recovery")
 	}

@@ -25,29 +25,28 @@ import (
 	"time"
 
 	"activermt/internal/packet"
-	"activermt/internal/policy"
 	"activermt/internal/runtime"
 	"activermt/internal/telemetry"
 )
 
 // Policy fixes the guard's thresholds. Counts are violations inside Window;
 // reaching each score moves the tenant to the corresponding rung, and the
-// ladder requires WarnAt <= RateLimitAt <= QuarantineAt <= EvictAt. The rungs
-// above the warning (and RateLimitPass, which admits one in every
-// RateLimitPass packets from a rate-limited tenant; 0 or 1 admits all) are
-// the policy loop's to re-decide; the window and the warn rung are not.
+// ladder requires WarnAt <= RateLimitAt <= QuarantineAt <= EvictAt.
 type Policy struct {
-	Window time.Duration // decay horizon for violation events
-	WarnAt int
-	policy.GuardThresholds
+	Window        time.Duration // decay horizon for violation events
+	WarnAt        int
+	RateLimitAt   int
+	QuarantineAt  int
+	EvictAt       int
+	RateLimitPass int // 1-in-N pass rate while rate-limited; 0 or 1 admits all
 }
 
 // DefaultPolicy returns thresholds tuned for the simulated testbed: a burst
 // of a handful of faults warns, sustained abuse quarantines within tens of
 // packets, and eviction needs roughly twice that again.
 func DefaultPolicy() Policy {
-	return Policy{Window: 500 * time.Millisecond, WarnAt: policy.DefaultWarnAt,
-		GuardThresholds: policy.DefaultDecisions().Guard}
+	return Policy{Window: 500 * time.Millisecond, WarnAt: 3, RateLimitAt: 8,
+		QuarantineAt: 16, EvictAt: 32, RateLimitPass: 4}
 }
 
 // stateFor maps a window score to the highest rung it reaches.
@@ -145,12 +144,6 @@ func New(rt *runtime.Runtime, pol Policy, now func() time.Duration) *Guard {
 
 // Policy returns the active policy.
 func (g *Guard) Policy() Policy { return g.pol }
-
-// ApplyThresholds swaps the escalation thresholds in place from a policy
-// decision, preserving the window and the warn rung. Existing ledger scores
-// are re-interpreted against the new ladder on their next event;
-// already-escalated tenants are never retroactively demoted.
-func (g *Guard) ApplyThresholds(t policy.GuardThresholds) { g.pol.GuardThresholds = t }
 
 // SetEscalator installs the control-plane sink for quarantine/evict
 // decisions (nil: record-only mode).

@@ -6,7 +6,6 @@ import (
 
 	"activermt/internal/isa"
 	"activermt/internal/packet"
-	"activermt/internal/policy"
 	"activermt/internal/rmt"
 	"activermt/internal/runtime"
 )
@@ -27,14 +26,12 @@ func (e *fakeEscalator) GuardEvict(fid uint16)      { e.evicted = append(e.evict
 
 func testPolicy() Policy {
 	return Policy{
-		Window: 100 * time.Millisecond,
-		WarnAt: 2,
-		GuardThresholds: policy.GuardThresholds{
-			RateLimitAt:   4,
-			QuarantineAt:  6,
-			EvictAt:       8,
-			RateLimitPass: 3,
-		},
+		Window:        100 * time.Millisecond,
+		WarnAt:        2,
+		RateLimitAt:   4,
+		QuarantineAt:  6,
+		EvictAt:       8,
+		RateLimitPass: 3,
 	}
 }
 

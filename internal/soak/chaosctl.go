@@ -82,8 +82,8 @@ func (h *harness) maybeChaos() {
 	// from the scenario's own seed (no extra PRNG draw, so the fault schedule
 	// is unchanged) for a mid-run defragmentation pass, which it queues when
 	// a tenant can move. Live migration rides the same realloc protocol the
-	// faults target, so the pass runs concurrently with the injected chaos in
-	// both policy modes; it is the soak's only source of migrations.
+	// faults target, so the pass runs concurrently with the injected chaos; it
+	// is the soak's only source of migrations.
 	if h.res.ChaosInstalled%3 == 0 {
 		nodes := h.f.Nodes()
 		n := nodes[int((uint64(seed)>>8)%uint64(len(nodes)))]

@@ -37,7 +37,6 @@ import (
 	"activermt/internal/chaos"
 	"activermt/internal/fabric"
 	"activermt/internal/guard"
-	"activermt/internal/policy"
 	"activermt/internal/telemetry"
 )
 
@@ -50,13 +49,6 @@ type Config struct {
 	Seed     int64         // chaos + workload PRNG seed
 
 	SpineKillAt time.Duration // home-spine kill milestone (default Duration/2; <0 disables)
-
-	// Policy selects the control mode: "static" (default) runs no loop, so
-	// every node keeps the historical constants; "adaptive" steps a per-node
-	// policy.Loop each epoch (snapshot window, guard ladder, sweep cadence,
-	// probe timers). The loops do not defragment: in both modes, migrations
-	// come from the chaos rider's passes.
-	Policy string
 
 	// Secapps enables the three security-app workload families from
 	// internal/secapps — SYN-flood detection (replicated on the two ingress
@@ -78,9 +70,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.SpineKillAt == 0 {
 		cfg.SpineKillAt = cfg.Duration / 2
-	}
-	if cfg.Policy == "" {
-		cfg.Policy = "static"
 	}
 	if cfg.Progress == nil {
 		cfg.Progress = func(string, ...any) {}
@@ -162,11 +151,7 @@ type Result struct {
 // return covers harness construction only — invariant breaches are reported
 // in Result.Violations, never as errors.
 func Run(cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Policy != "static" && cfg.Policy != "adaptive" {
-		return nil, fmt.Errorf("soak: unknown policy %q (want static or adaptive)", cfg.Policy)
-	}
-	h, err := newHarness(cfg)
+	h, err := newHarness(cfg.withDefaults())
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +191,6 @@ type harness struct {
 	failed    *Violation // set by callbacks, harvested by the driver
 	csv       *csvWriter
 
-	loops    []*policy.Loop // one per node, in Nodes() order; nil in static mode
 	fragOver map[string]int // consecutive epochs over fragBound, per node
 
 	sec *secState // security-app families; nil unless Config.Secapps
@@ -249,9 +233,6 @@ func newHarness(cfg Config) (*harness, error) {
 		repairFID:    repairFIDBase,
 		nextChaos:    chaosEvery,
 		fragOver:     make(map[string]int),
-	}
-	if cfg.Policy == "adaptive" {
-		h.attachPolicy()
 	}
 
 	// Telemetry: the fabric controller, ONE switch runtime (leaf 0 — metric
@@ -315,7 +296,6 @@ func (h *harness) run() (*Result, error) {
 		h.maybeSpineKill()
 		h.reconcileDeadSpines()
 		h.maybeRepair()
-		h.stepPolicy()
 		h.secappsEpoch()
 
 		h.expireReads()
@@ -370,6 +350,35 @@ func (h *harness) checkInvariants() {
 	if p99, n := h.readP99(); n >= 100 && p99 > p99Bound {
 		fail("latency-p99", fmt.Sprintf("read p99 %v exceeds bound %v over %d reads", p99, p99Bound, n))
 	}
+}
+
+// The bounded-fragmentation invariant: no node may hold fragmentation above
+// fragBound for fragEpochs consecutive epochs.
+const (
+	fragBound  = 0.98
+	fragEpochs = 5
+)
+
+// fragSweep runs the bounded-fragmentation invariant. A transient spike
+// right after a release wave is legal — the bound is on sustained
+// saturation. Returns the breaching node and its fragmentation when the
+// invariant is breached.
+func (h *harness) fragSweep() (string, float64, bool) {
+	for _, n := range h.f.Nodes() {
+		f := n.Ctrl.Allocator().Fragmentation()
+		if f > h.res.MaxFragmentation {
+			h.res.MaxFragmentation = f
+		}
+		if f > fragBound {
+			h.fragOver[n.Name]++
+			if h.fragOver[n.Name] >= fragEpochs {
+				return n.Name, f, true
+			}
+		} else {
+			h.fragOver[n.Name] = 0
+		}
+	}
+	return "", 0, false
 }
 
 // readP99 computes the p99 of completed reads from the histogram the

@@ -8,7 +8,6 @@ import (
 	"activermt/internal/guard"
 	"activermt/internal/netsim"
 	"activermt/internal/packet"
-	"activermt/internal/policy"
 	"activermt/internal/runtime"
 )
 
@@ -16,14 +15,15 @@ import (
 // time is dominated by BFRT table updates, the digest path adds a small fixed
 // delay, and allocation computation scales with the mutant search. They are
 // calibrated so a contended admission lands at one-to-two seconds, matching
-// Figure 8a's shape (table updates dominate). The snapshot window is not
-// among them: it is the one cost the policy loop re-decides at runtime (see
-// Controller.snapshotTimeout).
+// Figure 8a's shape (table updates dominate). The snapshot window bounds how
+// long a reallocation waits for its moved clients' acks before it times the
+// laggards out.
 const (
-	tableOpCost   = 2 * time.Millisecond   // per table entry installed or removed
-	digestLatency = 100 * time.Microsecond // data plane -> controller digest
-	computeBase   = 5 * time.Millisecond   // fixed allocation-computation overhead
-	computePerMut = 30 * time.Microsecond  // per mutant considered
+	tableOpCost     = 2 * time.Millisecond   // per table entry installed or removed
+	digestLatency   = 100 * time.Microsecond // data plane -> controller digest
+	computeBase     = 5 * time.Millisecond   // fixed allocation-computation overhead
+	computePerMut   = 30 * time.Microsecond  // per mutant considered
+	snapshotTimeout = 500 * time.Millisecond // snapshot window before forced reactivation
 )
 
 // JobKind names a control-plane job. Its values are the kind labels of
@@ -110,10 +110,6 @@ type Controller struct {
 	rt  *runtime.Runtime
 	al  *alloc.Allocator
 
-	// snapshotTimeout bounds a reallocation's snapshot window: unresponsive
-	// clients are timed out. Node.ApplyPolicy sets it from the policy loop.
-	snapshotTimeout time.Duration
-
 	clients map[uint16]packet.MAC // fid -> client MAC
 	queue   []*job
 	cur     *job // the job in progress
@@ -127,11 +123,6 @@ type Controller struct {
 	// require bit-identical placements on every member device; migrating
 	// one member locally would skew the set, so the fabric pins them here.
 	noMigrate map[uint16]bool
-
-	// sweepEvery, when >0, re-arms a periodic SweepAndRepair job; set by
-	// Node.ApplyPolicy from the policy loop's SweepEvery decision.
-	sweepEvery time.Duration
-	sweepArmed bool
 
 	// Records for the harness — and telemetry, which reads the job, failure
 	// and phase-time families from them.
@@ -167,14 +158,13 @@ type Controller struct {
 // NewController wires a controller to its switch, runtime, and allocator.
 func NewController(eng *netsim.Engine, sw *Switch, al *alloc.Allocator) *Controller {
 	c := &Controller{
-		eng:             eng,
-		sw:              sw,
-		rt:              sw.Runtime(),
-		al:              al,
-		snapshotTimeout: policy.DefaultSnapshotTimeout,
-		clients:         make(map[uint16]packet.MAC),
-		noMigrate:       make(map[uint16]bool),
-		alive:           true,
+		eng:       eng,
+		sw:        sw,
+		rt:        sw.Runtime(),
+		al:        al,
+		clients:   make(map[uint16]packet.MAC),
+		noMigrate: make(map[uint16]bool),
+		alive:     true,
 	}
 	sw.SetController(c)
 	return c
@@ -237,7 +227,6 @@ func (c *Controller) Crash() {
 	c.life++
 	c.cur = nil
 	c.queue = nil
-	c.sweepArmed = false
 	c.clients = make(map[uint16]packet.MAC)
 	if fresh, err := alloc.New(c.al.Config()); err == nil {
 		inplace, full := c.al.Relayouts()
@@ -542,8 +531,8 @@ func (c *Controller) open(j *job) {
 		c.next(j, phaseInstall, atOnce)
 		return
 	}
-	c.next(j, phaseInstall, c.snapshotTimeout/2)
-	c.next(j, phaseInstall, c.snapshotTimeout)
+	c.next(j, phaseInstall, snapshotTimeout/2)
+	c.next(j, phaseInstall, snapshotTimeout)
 }
 
 // install closes the snapshot window — or, at half-window, re-sends the

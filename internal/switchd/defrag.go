@@ -13,22 +13,6 @@ package switchd
 // exactly as they observe any neighbor-driven reallocation (new grants, a
 // bumped epoch) — never a torn or stale region.
 
-// armSweep schedules the next periodic sweep if the policy asks for one
-// and none is pending. The continuation dies with the controller (after
-// keys it by life), and Crash clears sweepArmed, so a restarted controller
-// stays quiet until the next Node.ApplyPolicy.
-func (c *Controller) armSweep() {
-	if c.sweepEvery <= 0 || c.sweepArmed || !c.alive {
-		return
-	}
-	c.sweepArmed = true
-	c.after(c.sweepEvery, func() {
-		c.sweepArmed = false
-		c.SweepAndRepair()
-		c.armSweep()
-	})
-}
-
 // PinPlacement excludes fid from defragmentation migration. Fabric replica
 // sets pin their members: a replica's placement must stay bit-identical on
 // every member device, and a local migration would skew it.
@@ -45,7 +29,7 @@ const defragMoves = 4
 // Defragment queues one defragmentation pass, serialized with admissions like
 // every other allocation job, when the allocator has a tenant it could move
 // now. The fragmentation gauge is no guide: quarantine fences raise it with
-// nothing to move. Safe to call on every policy evaluation.
+// nothing to move. Safe to call as often as the caller likes.
 func (c *Controller) Defragment() {
 	if c.alive && len(c.compactionCandidates()) > 0 {
 		c.enqueue(&job{rec: ProvisionRecord{Kind: JobDefrag}})

@@ -5,7 +5,6 @@ import (
 	"activermt/internal/guard"
 	"activermt/internal/netsim"
 	"activermt/internal/packet"
-	"activermt/internal/policy"
 	"activermt/internal/rmt"
 	"activermt/internal/runtime"
 	"activermt/internal/telemetry"
@@ -21,8 +20,7 @@ type Host interface {
 
 // NodeConfig is what one switch is built from: the pipeline and the
 // allocator over it. Controller costs and guard thresholds are the package
-// constants and guard.DefaultPolicy; the policy loop re-decides the parts
-// that vary at runtime.
+// constants and guard.DefaultPolicy.
 type NodeConfig struct {
 	RMT   rmt.Config
 	Alloc alloc.Config
@@ -83,32 +81,6 @@ func (n *Node) AttachTelemetry(reg *telemetry.Registry) {
 	n.Guard.AttachTelemetry(reg)
 	n.Ctrl.AttachTelemetry(reg)
 	n.Switch.ProgCache().AttachTelemetry(reg)
-}
-
-// Observe reports the signals the policy loop decides on, each read where it
-// lives: the guard's and the controller's counters, the values a scrape
-// reads. Two fields are others' to fill: LinkFlaps by a fabric, which sees
-// links, and ViolationRate by the loop, which holds the previous
-// observation.
-func (n *Node) Observe() policy.Observation {
-	return policy.Observation{
-		At:                  n.Ctrl.eng.Now(),
-		Violations:          n.Guard.TenantViolations() + n.Guard.PortViolations(),
-		SnapshotTimeouts:    n.Ctrl.SnapshotTimeouts,
-		SnapshotEscalations: n.Ctrl.SnapshotEscalations,
-		CorruptQuarantines:  n.Ctrl.QuarantinedBlockCount,
-	}
-}
-
-// ApplyPolicy pushes one decision set into the layers this switch owns: the
-// controller's snapshot window and sweep cadence, and the guard's ladder.
-// Safe to call on every evaluation.
-func (n *Node) ApplyPolicy(d policy.Decisions) {
-	c := n.Ctrl
-	c.snapshotTimeout = d.SnapshotTimeout
-	c.sweepEvery = d.SweepEvery
-	c.armSweep()
-	n.Guard.ApplyThresholds(d.Guard)
 }
 
 // SnapshotFn exposes the controller-side register read API for apps that

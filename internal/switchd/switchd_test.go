@@ -10,7 +10,6 @@ import (
 	"activermt/internal/isa"
 	"activermt/internal/netsim"
 	"activermt/internal/packet"
-	"activermt/internal/policy"
 	"activermt/internal/rmt"
 	"activermt/internal/runtime"
 	"activermt/internal/telemetry"
@@ -270,7 +269,7 @@ func TestSnapshotTimeoutUnblocksAdmission(t *testing.T) {
 		t.Skip("allocator found disjoint stages; nothing to time out")
 	}
 	// The snapshot wait hit the timeout rather than hanging forever.
-	if rec.SnapshotWait < policy.DefaultSnapshotTimeout {
+	if rec.SnapshotWait < snapshotTimeout {
 		t.Errorf("snapshot wait %v below timeout", rec.SnapshotWait)
 	}
 	if !r.sw.Runtime().Admitted(2) {
@@ -388,8 +387,10 @@ func TestDefaultCostsShape(t *testing.T) {
 		t.Errorf("costs: table op %v, digest %v, compute %v + %v per mutant",
 			tableOpCost, digestLatency, computeBase, computePerMut)
 	}
-	if c := newRig(t).ctrl; c.snapshotTimeout != policy.DefaultSnapshotTimeout {
-		t.Errorf("snapshot window %v, want the policy default %v", c.snapshotTimeout, policy.DefaultSnapshotTimeout)
+	// The half-window re-send must leave a client time to answer the
+	// re-sent notice before the window times it out.
+	if snapshotTimeout/2 <= digestLatency {
+		t.Errorf("snapshot window %v leaves no time after its half-window re-send", snapshotTimeout)
 	}
 	// Table updates must be able to dominate compute for realistic op
 	// counts (Figure 8a's finding).

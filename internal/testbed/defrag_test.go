@@ -176,16 +176,23 @@ func TestDefragAuditsDuringMigration(t *testing.T) {
 	audit()
 }
 
-// TestAttachPolicyDefragmentsOnlyWhatCanMove pins who decides a defrag pass
-// under the testbed's policy loop: the allocator. A switch fragmented only by
-// quarantined blocks — the corrupted-memory shape, where the one tenant is
-// elastic and fenced around the damage — has nobody to move, so however high
-// the fragmentation gauge reads, no pass is queued or recorded. The
-// defragBed population, which has inelastic tenants floating above holes, is
-// compacted until the allocator has no candidate left, and every recorded
-// pass moved someone.
+// TestAttachPolicyDefragmentsOnlyWhatCanMove pins who decides whether a
+// requested defrag pass runs: the allocator. The test asks the controller for
+// a pass (Controller.Defragment) every 100 ms for two seconds. A switch
+// fragmented only by quarantined blocks — the corrupted-memory shape, where
+// the one tenant is elastic and fenced around the damage — has nobody to
+// move, so however high the fragmentation gauge reads, no pass is queued or
+// recorded. The defragBed population, which has inelastic tenants floating
+// above holes, is compacted until the allocator has no candidate left, and
+// every recorded pass moved someone.
 func TestAttachPolicyDefragmentsOnlyWhatCanMove(t *testing.T) {
 	candidates := func(tb *Testbed) []uint16 { return tb.Ctrl.Allocator().CompactionCandidates(nil) }
+	requestPasses := func(tb *Testbed) {
+		for i := 0; i < 20; i++ {
+			tb.Ctrl.Defragment()
+			tb.RunFor(100 * time.Millisecond)
+		}
+	}
 	defragRecords := func(t *testing.T, tb *Testbed) (n int) {
 		for _, rec := range tb.Ctrl.Records {
 			if rec.Kind == switchd.JobDefrag {
@@ -218,8 +225,7 @@ func TestAttachPolicyDefragmentsOnlyWhatCanMove(t *testing.T) {
 		if c := candidates(tb); len(c) > 0 {
 			t.Fatalf("compaction candidates %v on a switch holding only an elastic tenant", c)
 		}
-		tb.AttachPolicy()
-		tb.RunFor(2 * time.Second)
+		requestPasses(tb)
 		if n := defragRecords(t, tb); n != 0 || tb.Ctrl.DefragPasses != 0 {
 			t.Fatalf("%d defrag records, %d passes with nothing to move", n, tb.Ctrl.DefragPasses)
 		}
@@ -230,8 +236,7 @@ func TestAttachPolicyDefragmentsOnlyWhatCanMove(t *testing.T) {
 		if len(candidates(tb)) == 0 {
 			t.Fatal("churn left no compaction candidate")
 		}
-		tb.AttachPolicy()
-		tb.RunFor(2 * time.Second)
+		requestPasses(tb)
 		if c := candidates(tb); len(c) > 0 {
 			t.Fatalf("candidates %v left after %d passes", c, tb.Ctrl.DefragPasses)
 		}

@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"activermt/internal/chaos"
-	"activermt/internal/client"
-	"activermt/internal/policy"
 	"activermt/internal/telemetry"
 )
 
@@ -168,110 +166,5 @@ func TestTelemetrySmokeScrapeDuringChaos(t *testing.T) {
 	}
 	if len(snap.Flights) == 0 {
 		t.Error("flight recorder empty after hundreds of capsules")
-	}
-}
-
-// TestObserveMatchesExposition pins the property the policy loop's old
-// by-name parser only assumed: what Node.Observe reads from the guard and
-// the controller is, field for field, what a scrape reads from the
-// gauges and counters the alert rules in docs/telemetry.md name — after
-// admissions, a guard violation burst, a snapshot timeout and a corruption
-// sweep.
-func TestObserveMatchesExposition(t *testing.T) {
-	tb := newBed(t)
-	reg := tb.EnableTelemetry()
-	check := func(step string) policy.Observation {
-		t.Helper()
-		obs, snap := tb.Observe(), reg.Snapshot()
-		if obs.At != tb.Eng.Now() {
-			t.Errorf("%s: observation stamped %v at %v", step, obs.At, tb.Eng.Now())
-		}
-		for _, c := range []struct {
-			field  string
-			got    float64
-			metric []string // summed
-		}{
-			{"Violations", float64(obs.Violations), []string{"activermt_guard_tenant_violations_total", "activermt_guard_port_violations_total"}},
-			{"SnapshotTimeouts", float64(obs.SnapshotTimeouts), []string{"activermt_ctrl_snapshot_timeouts_total"}},
-			{"SnapshotEscalations", float64(obs.SnapshotEscalations), []string{"activermt_ctrl_snapshot_escalations_total"}},
-			{"CorruptQuarantines", float64(obs.CorruptQuarantines), []string{"activermt_ctrl_quarantined_blocks_total"}},
-		} {
-			want := 0.0
-			for _, m := range c.metric {
-				v, ok := familyTotal(snap, m)
-				if !ok {
-					t.Fatalf("%s: family %s not exposed", step, m)
-				}
-				want += v
-			}
-			if c.got != want {
-				t.Errorf("%s: Observe().%s = %v, the scrape reads %v", step, c.field, c.got, want)
-			}
-		}
-		return obs
-	}
-	check("empty switch")
-
-	// Admissions: three elastic cache tenants, which fill the cache-reachable
-	// stages. Hosts attach in order: the server is on switch port 1, the
-	// tenants' clients on ports 2 to 4.
-	srv := tb.AddKVServer()
-	admit := func(fid uint16) *client.Client {
-		t.Helper()
-		_, cl := tb.AddCache(fid, srv)
-		if err := cl.RequestAndWait(10 * time.Second); err != nil {
-			t.Fatalf("fid %d: %v", fid, err)
-		}
-		return cl
-	}
-	admit(1)
-	cl2 := admit(2)
-	admit(3)
-	check("admissions")
-	if n := tb.Ctrl.Allocator().NumApps(); n != 3 {
-		t.Fatalf("admissions not made: %d tenants", n)
-	}
-
-	// Guard violation burst: unauthenticated garbage is charged to the port,
-	// out-of-bounds writes under tenant 2's identity to the tenant.
-	_, advMAC, _ := tb.NewHostID()
-	adv := chaos.NewAdversary(tb.Eng, advMAC, tb.Switch.MAC())
-	tb.AddHost(adv)
-	adv.Arm(2, cl2.Epoch())
-	for i := 0; i < 4; i++ {
-		adv.SendMalformed()
-		adv.SendOOBWrite(5, 1<<20, 0xDEAD)
-	}
-	tb.RunFor(10 * time.Millisecond)
-	if obs := check("violation burst"); tb.Guard.PortViolations() == 0 || tb.Guard.TenantViolations() == 0 || obs.Violations == 0 {
-		t.Fatalf("burst not charged to both a port and a tenant: port %d tenant %d", tb.Guard.PortViolations(), tb.Guard.TenantViolations())
-	}
-
-	// Snapshot timeout: a fourth cache has to share stages with a resident
-	// (Figure 9b), and no resident can hear its reallocation notice, so the
-	// snapshot window escalates, then times out.
-	setDown := func(down bool) {
-		for pnum := 2; pnum <= 4; pnum++ {
-			p, ok := tb.Switch.Port(pnum)
-			if !ok {
-				t.Fatalf("tenant port %d missing", pnum)
-			}
-			p.SetDown(down)
-		}
-	}
-	setDown(true)
-	admit(4)
-	setDown(false)
-	if obs := check("snapshot timeout"); obs.SnapshotTimeouts == 0 || obs.SnapshotEscalations == 0 {
-		t.Fatalf("unreachable tenant did not time its window out: %+v", obs)
-	}
-
-	// Corruption sweep: flipped bits in owned memory are found, their blocks
-	// fenced off.
-	chaos.RegisterCorruption{Stage: 5, Bits: 3, Seed: 9, PreferOwned: true}.Apply(tb.System())
-	tb.Ctrl.SweepAndRepair()
-	tb.RunFor(3 * time.Second)
-	if obs := check("corruption sweep"); obs.CorruptQuarantines == 0 || tb.Ctrl.Allocator().QuarantinedBlocks() == 0 {
-		t.Fatalf("sweep quarantined nothing: %+v", obs)
 	}
 }

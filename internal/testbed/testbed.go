@@ -13,7 +13,6 @@ import (
 	"activermt/internal/client"
 	"activermt/internal/netsim"
 	"activermt/internal/packet"
-	"activermt/internal/policy"
 	"activermt/internal/switchd"
 	"activermt/internal/telemetry"
 )
@@ -98,31 +97,6 @@ func (tb *Testbed) EnableTelemetry() *telemetry.Registry {
 		tb.chaosTel = chaos.NewTelemetry(tb.Tel)
 	}
 	return tb.Tel
-}
-
-// evalInterval is the single switch's policy evaluation cadence.
-const evalInterval = 100 * time.Millisecond
-
-// AttachPolicy closes the policy loop over the testbed: every evalInterval
-// of virtual time the loop observes the switch (Node.Observe) and applies
-// its decisions (Node.ApplyPolicy), and the controller is asked to
-// defragment (Controller.Defragment, which queues a pass only when the
-// allocator has a tenant to move). The loop's own metrics are registered
-// when telemetry is already enabled. The first evaluation runs now; the loop
-// runs for the life of the testbed.
-func (tb *Testbed) AttachPolicy() *policy.Loop {
-	loop := &policy.Loop{Observe: tb.Observe, Apply: tb.ApplyPolicy}
-	if tb.Tel != nil {
-		loop.AttachTelemetry(tb.Tel)
-	}
-	var tick func()
-	tick = func() {
-		loop.Step()
-		tb.Ctrl.Defragment()
-		tb.Eng.Schedule(evalInterval, tick)
-	}
-	tick()
-	return loop
 }
 
 // System exposes the assembled components to the chaos fault-injection
