@@ -78,6 +78,8 @@ var table = []scenario{
 		summary: "one cache client over Zipf traffic; -chaos, -adversary and -telemetry ride along",
 		smoke: []string{"-scenario cache -chaos flaky-link -seed 3", "-scenario cache -chaos flapping-port -seed 3",
 			"-scenario cache -chaos controller-outage -seed 3", "-scenario cache -chaos corrupted-memory -seed 3",
+			"-scenario cache -chaos link-outage -seed 3", "-scenario cache -chaos link-flap -seed 3",
+			"-scenario cache -chaos partition -seed 3",
 			"-scenario cache -adversary -seed 3",
 			"-scenario cache -chaos controller-outage -telemetry 127.0.0.1:0 -seed 3",
 			"-scenario cache -adversary -telemetry 127.0.0.1:0 -seed 3"}},

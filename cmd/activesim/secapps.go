@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"activermt/internal/alloc"
 	"activermt/internal/chaos"
 	"activermt/internal/client"
 	"activermt/internal/guard"
@@ -144,11 +143,9 @@ func runRateLimit(o *options) error {
 // the driver defers claims the budget cannot cover. Prints spend accounting
 // and the top keys against ground truth.
 func runHHRecirc(o *options) error {
-	// The claim arm is a two-pass program; only the least-constrained policy
-	// admits multi-pass placements.
-	cfg := testbed.DefaultConfig()
-	cfg.Alloc.Policy = alloc.LeastConstrained
-	tb, err := testbed.New(cfg)
+	// The claim arm is a two-pass program: the allocator places it under the
+	// least-constrained policy, the sketch under the default most-constrained.
+	tb, err := testbed.New(testbed.DefaultConfig())
 	if err != nil {
 		return err
 	}

@@ -97,6 +97,7 @@ type appGroup struct {
 type App struct {
 	FID       uint16
 	Cons      *Constraints
+	Policy    Policy // the enumeration Mut and MutantIdx come from
 	Mut       Mutant
 	MutantIdx int
 	Elastic   bool
@@ -430,9 +431,24 @@ type cand struct {
 	cost [5]int
 }
 
+// mutants enumerates cons under the configured policy. A program that policy
+// admits no mutant for at all — one longer than a pass under
+// MostConstrained — is enumerated under LeastConstrained instead, so a
+// multi-pass program recirculates while every program that fits in one pass
+// keeps the configured policy's placements.
+func (a *Allocator) mutants(cons *Constraints) ([]Mutant, Policy, error) {
+	pol := a.cfg.Policy
+	ms, _, err := a.cfg.Mutants(cons, pol)
+	if (err != nil || len(ms) == 0) && pol != LeastConstrained {
+		pol = LeastConstrained
+		ms, _, err = a.cfg.Mutants(cons, pol)
+	}
+	return ms, pol, err
+}
+
 // Allocate admits fid with the given constraints, choosing the best feasible
-// mutant under the configured policy and scheme. A nil error with
-// Result.Failed set means the request was well-formed but could not be
+// mutant under the configured policy (see mutants) and scheme. A nil error
+// with Result.Failed set means the request was well-formed but could not be
 // placed (the paper's "failed allocation" — a fast path).
 func (a *Allocator) Allocate(fid uint16, cons *Constraints) (*Result, error) {
 	if _, dup := a.apps[fid]; dup {
@@ -451,7 +467,7 @@ func (a *Allocator) Allocate(fid uint16, cons *Constraints) (*Result, error) {
 			}
 		}
 	}
-	mutants, _, err := a.cfg.Mutants(cons, a.cfg.Policy)
+	mutants, pol, err := a.mutants(cons)
 	if err != nil {
 		return &Result{Failed: true, Reason: "infeasible-constraints"}, nil
 	}
@@ -497,6 +513,7 @@ func (a *Allocator) Allocate(fid uint16, cons *Constraints) (*Result, error) {
 		app := &App{
 			FID:       fid,
 			Cons:      cons,
+			Policy:    pol,
 			Mut:       mutants[c.idx],
 			MutantIdx: c.idx,
 			Elastic:   cons.Elastic,
@@ -952,7 +969,7 @@ func (a *Allocator) changedPlacements(before []heldRegion, skip uint16) []*Place
 
 // placementFor materializes an app's word-level placement.
 func (a *Allocator) placementFor(app *App) *Placement {
-	p := &Placement{FID: app.FID, Policy: a.cfg.Policy, MutantIdx: app.MutantIdx, Mutant: app.Mut.clone(),
+	p := &Placement{FID: app.FID, Policy: app.Policy, MutantIdx: app.MutantIdx, Mutant: app.Mut.clone(),
 		Accesses: make([]AccessPlacement, 0, len(app.Mut))}
 	for _, logical := range app.Mut {
 		s := a.cfg.Physical(logical)

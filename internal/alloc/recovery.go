@@ -87,7 +87,7 @@ func (a *Allocator) Readmit(fid uint16, cons *Constraints) (*Result, error) {
 		evict()
 		return nil, fmt.Errorf("alloc: fid %d readmitted stateless against recovered regions", fid)
 	}
-	mutants, _, err := a.cfg.Mutants(cons, a.cfg.Policy)
+	mutants, pol, err := a.mutants(cons)
 	if err != nil {
 		evict()
 		return &Result{Failed: true, Reason: "infeasible-constraints"}, nil
@@ -101,6 +101,7 @@ func (a *Allocator) Readmit(fid uint16, cons *Constraints) (*Result, error) {
 	}
 
 	app.Cons = cons
+	app.Policy = pol
 	app.Mut = mutants[match]
 	app.MutantIdx = match
 	app.Elastic = cons.Elastic

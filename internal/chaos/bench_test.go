@@ -41,7 +41,7 @@ func BenchmarkPortSend(b *testing.B) {
 			armed := []Injector{
 				LinkLoss{Link: link, Rate: 0.5, Seed: 1},
 				LinkDelay{Link: link, Extra: time.Millisecond, Jitter: time.Millisecond, Seed: 2},
-				PortDown{Port: link},
+				Partition{Ports: []*netsim.Port{link}},
 			}
 			for _, inj := range armed {
 				inj.Apply(sys)

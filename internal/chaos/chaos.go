@@ -1,8 +1,9 @@
 // Package chaos is a deterministic fault-injection and scenario-orchestration
-// layer over the netsim virtual-time simulator. It provides composable
-// injectors (link loss/delay/jitter, port downs, link outages and flaps,
-// partitions, controller crash, register-memory corruption) and a Scenario
-// schedule that arms them at virtual-time offsets. Everything is driven by
+// layer over the netsim virtual-time simulator. It provides one composable
+// injector per fault (link loss, delay/jitter, Partition for any set of
+// downed ports, ControllerCrash, register-memory corruption), a Scenario
+// schedule that arms them at virtual-time offsets, and two shared schedules
+// (Outage: one window; Flap: repeated half-period windows). Everything is driven by
 // seeded PRNGs and the single-threaded event engine, so a scenario replayed
 // with the same seed produces the same event trace, the same packet drops,
 // and the same final state — failures found under chaos are reproducible by

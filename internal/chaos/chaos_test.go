@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"activermt/internal/netsim"
+	"activermt/internal/packet"
+	"activermt/internal/switchd"
 )
 
 type sink struct{ got int }
@@ -20,11 +22,18 @@ func bareLink(t *testing.T) (*netsim.Engine, *netsim.Port, *sink) {
 	return eng, pa, b
 }
 
+// TestLibraryBuild installs every verb on a bare link, with a switch behind
+// the system for the device faults, runs past its last event, and checks the
+// link is whole again: every event fired, both ports up, nothing lost.
 func TestLibraryBuild(t *testing.T) {
-	eng := netsim.NewEngine()
-	a, b := &sink{}, &sink{}
-	pa, _ := netsim.Connect(eng, a, 0, b, 0, 0, 0)
 	for _, name := range Names() {
+		eng := netsim.NewEngine()
+		a, b := &sink{}, &sink{}
+		pa, pb := netsim.Connect(eng, a, 0, b, 0, 0, 0)
+		node, err := switchd.NewNode(eng, switchd.DefaultNodeConfig(), packet.MAC{2})
+		if err != nil {
+			t.Fatal(err)
+		}
 		sc, err := Build(name, []*netsim.Port{pa}, 3, 1)
 		if err != nil {
 			t.Errorf("Build(%q): %v", name, err)
@@ -35,9 +44,33 @@ func TestLibraryBuild(t *testing.T) {
 		}
 		if len(sc.events) == 0 {
 			t.Errorf("scenario %q has no events", name)
+			continue
 		}
 		if name == "corrupted-memory" && sc.events[0].name != "apply:corrupt(stage3,24b)" {
 			t.Errorf("corrupted-memory fires %q first, want the corruption of the given stage 3", sc.events[0].name)
+		}
+		var last time.Duration
+		for _, ev := range sc.events {
+			last = max(last, ev.off)
+		}
+		if err := sc.Install(&System{Eng: eng, Node: node}); err != nil {
+			t.Fatal(err)
+		}
+		eng.RunUntil(last + time.Millisecond)
+		if len(sc.Trace()) != len(sc.events) {
+			t.Errorf("%s fired %d of %d events", name, len(sc.Trace()), len(sc.events))
+		}
+		if pa.Down() || pb.Down() {
+			t.Errorf("%s left a port down", name)
+		}
+		a.got, b.got = 0, 0
+		for i := 0; i < 100; i++ {
+			pa.Send([]byte{1})
+			pb.Send([]byte{2})
+		}
+		eng.RunUntil(eng.Now() + time.Millisecond)
+		if a.got != 100 || b.got != 100 {
+			t.Errorf("%s: delivered %d and %d of 100 each way after its last event", name, b.got, a.got)
 		}
 	}
 	if _, err := Build("nope", nil, 0, 1); err == nil {
@@ -45,6 +78,34 @@ func TestLibraryBuild(t *testing.T) {
 	}
 	if _, err := Build("flapping-port", nil, 0, 1); err == nil {
 		t.Error("flapping-port without links accepted")
+	}
+}
+
+// TestOutageAndFlapTraces pins the two shared schedules: Outage is one
+// apply/revert pair, Flap one pair per period, down for its first half.
+func TestOutageAndFlapTraces(t *testing.T) {
+	const ms = time.Millisecond
+	eng, pa, _ := bareLink(t)
+	inj := Partition{Ports: []*netsim.Port{pa}}
+	out := Outage("out", inj, 10*ms, 50*ms, 1)
+	flap := Flap("flap", inj, 100*ms, 40*ms, 3, 1)
+	for _, sc := range []*Scenario{out, flap} {
+		if err := sc.Install(&System{Eng: eng}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Run()
+	if got, want := TraceString(out.Trace()), "apply:partition(1)@10ms\nrevert:partition(1)@60ms\n"; got != want {
+		t.Errorf("Outage trace = %q, want %q", got, want)
+	}
+	want := "apply:partition(1)@100ms\nrevert:partition(1)@120ms\n" +
+		"apply:partition(1)@140ms\nrevert:partition(1)@160ms\n" +
+		"apply:partition(1)@180ms\nrevert:partition(1)@200ms\n"
+	if got := TraceString(flap.Trace()); got != want {
+		t.Errorf("Flap trace = %q, want %q", got, want)
+	}
+	if n := pa.DownTransitions(); n != 4 {
+		t.Errorf("down transitions = %d, want 4", n)
 	}
 }
 

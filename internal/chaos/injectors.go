@@ -59,23 +59,11 @@ func (l LinkDelay) Revert(*System) {
 	l.Link.Peer().SetExtraDelay(0, 0, 0)
 }
 
-// PortDown takes one port administratively down, killing both directions of
-// its link (its sends are dropped at the port; frames in flight toward it
-// are dropped on delivery). Revert brings it back up.
-type PortDown struct {
-	Port *netsim.Port
-}
-
-// Name implements Injector.
-func (PortDown) Name() string { return "port-down" }
-
-// Apply implements Injector.
-func (p PortDown) Apply(*System) { p.Port.SetDown(true) }
-
-// Revert implements Injector.
-func (p PortDown) Revert(*System) { p.Port.SetDown(false) }
-
-// Partition isolates a set of ports (e.g. every port on one side of a cut).
+// Partition takes a set of ports administratively down: one port, both ends
+// of a duplex link ({l, l.Peer()}), or every port on one side of a cut (e.g.
+// fabric.SpinePorts, the spine kill). A one-sided down kills both directions
+// of its link: sends from the port are dropped at the port, frames in flight
+// toward it on delivery. Revert brings every port back up.
 type Partition struct {
 	Ports []*netsim.Port
 }
@@ -97,9 +85,10 @@ func (p Partition) Revert(*System) {
 	}
 }
 
-// ControllerCrash kills the control plane (losing its queue, client
-// directory, and allocation books; the data plane keeps running). Revert
-// restarts it, rebuilding allocation state from the switch tables.
+// ControllerCrash kills the control plane of the system's switch (losing its
+// queue, client directory, and allocation books; the data plane keeps
+// running). Revert restarts it, rebuilding allocation state from the switch
+// tables. A fabric caller aims it at one device by setting System.Node.
 type ControllerCrash struct{}
 
 // Name implements Injector.

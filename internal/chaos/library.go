@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"activermt/internal/netsim"
-	"activermt/internal/switchd"
 )
 
 // The scenario library: named, parameterized fault schedules covering the
@@ -23,39 +22,62 @@ func Names() []string {
 // Build constructs a library scenario by name. links are the client-side
 // duplex links the link faults apply to (any end of each link); stage is the
 // register stage corrupted-memory flips bits in. A scenario ignores the
-// target it does not use.
+// target it does not use. Every verb is one injector under Outage or Flap,
+// except flaky-link and corrupted-memory, which draw their own schedules.
 func Build(name string, links []*netsim.Port, stage int, seed int64) (*Scenario, error) {
 	const ms = time.Millisecond
 	switch name {
 	case "flaky-link":
 		return FlakyLink(links, seed), nil
-	case "flapping-port":
-		if len(links) == 0 {
-			return nil, fmt.Errorf("chaos: %s needs at least one link", name)
-		}
-		return FlappingPort(links[0], 300*ms, 5, seed), nil
 	case "controller-outage":
-		return ControllerOutage(40*ms, 400*ms, seed), nil
+		return Outage(name, ControllerCrash{}, 40*ms, 400*ms, seed), nil
 	case "corrupted-memory":
 		return CorruptedMemory(stage, 24, 100*ms, 300*ms, seed), nil
-	case "link-outage":
-		if len(links) == 0 {
-			return nil, fmt.Errorf("chaos: %s needs at least one link", name)
-		}
-		return LinkOutageScenario(links[0], 100*ms, 500*ms, seed), nil
-	case "link-flap":
-		if len(links) == 0 {
-			return nil, fmt.Errorf("chaos: %s needs at least one link", name)
-		}
-		return LinkFlapScenario(links[0], 200*ms, 6, seed), nil
-	case "partition":
-		if len(links) == 0 {
-			return nil, fmt.Errorf("chaos: %s needs at least one link", name)
-		}
-		return PartitionScenario(links, 100*ms, 500*ms, seed), nil
+	case "flapping-port", "link-outage", "link-flap", "partition":
 	default:
 		return nil, fmt.Errorf("chaos: unknown scenario %q (have %v)", name, Names())
 	}
+	if len(links) == 0 {
+		return nil, fmt.Errorf("chaos: %s needs at least one link", name)
+	}
+	port := links[0]
+	link := Partition{Ports: []*netsim.Port{port, port.Peer()}}
+	switch name {
+	case "flapping-port":
+		return Flap(name, Partition{Ports: []*netsim.Port{port}}, 0, 300*ms, 5, seed), nil
+	case "link-outage":
+		return Outage(name, link, 100*ms, 500*ms, seed), nil
+	case "link-flap":
+		return Flap(name, link, 100*ms, 200*ms, 6, seed), nil
+	}
+	return Outage(name, Partition{Ports: links}, 100*ms, 500*ms, seed), nil
+}
+
+// Outage applies inj at at and reverts it downFor later: one fault window.
+// With Partition it is a clean cut (one port, both ends of a link, or every
+// port of one failure domain) that a health monitor must detect and route
+// around; with ControllerCrash it is a control-plane outage, the paper's
+// worst case when timed into a reallocation's deactivate/snapshot/update
+// window.
+func Outage(name string, inj Injector, at, downFor time.Duration, seed int64) *Scenario {
+	s := NewScenario(name, seed)
+	s.Apply(at, inj)
+	s.Revert(at+downFor, inj)
+	return s
+}
+
+// Flap applies inj flaps times, one period apart from start, each time for
+// the first half of its period. A flapping link is the adversarial case for
+// failure detection: each down kills the frames on the wire, each up tempts
+// a monitor to trust the link again. Every pair is scheduled at install.
+func Flap(name string, inj Injector, start, period time.Duration, flaps int, seed int64) *Scenario {
+	s := NewScenario(name, seed)
+	for k := 0; k < flaps; k++ {
+		at := start + time.Duration(k)*period
+		s.Apply(at, inj)
+		s.Revert(at+period/2, inj)
+	}
+	return s
 }
 
 // FlakyLink alternates bursts of heavy loss with quiet periods on every
@@ -79,88 +101,6 @@ func FlakyLink(links []*netsim.Port, seed int64) *Scenario {
 			s.Revert(at+burstLen, inj)
 		}
 	}
-	return s
-}
-
-// FlappingPort takes one port down and up repeatedly (half the period down,
-// half up). In-flight frames die on every down transition; the client rides
-// through on retries and resumes on re-up.
-func FlappingPort(p *netsim.Port, period time.Duration, flaps int, seed int64) *Scenario {
-	s := NewScenario("flapping-port", seed)
-	inj := PortDown{Port: p}
-	for k := 0; k < flaps; k++ {
-		at := time.Duration(k) * period
-		s.Apply(at, inj)
-		s.Revert(at+period/2, inj)
-	}
-	return s
-}
-
-// ControllerOutage crashes the control plane at crashAt and restarts it
-// downFor later. Everything in controller memory — admission queue, client
-// directory, allocation books — is lost; the restarted controller rebuilds
-// from the switch tables and re-admits clients idempotently as their
-// retransmitted requests arrive. Timed against an admission that forces
-// reallocations, this is the paper's worst case: a crash in the middle of
-// the deactivate/snapshot/update window.
-func ControllerOutage(crashAt, downFor time.Duration, seed int64) *Scenario {
-	s := NewScenario("controller-outage", seed)
-	inj := ControllerCrash{}
-	s.Apply(crashAt, inj)
-	s.Revert(crashAt+downFor, inj)
-	return s
-}
-
-// SwitchOutage crashes one specific device's controller at crashAt and
-// restarts it downFor later. Unlike ControllerOutage it captures its target
-// explicitly, so a multi-switch fabric (internal/fabric) can aim the
-// failure at any of its nodes; recovery rides the same Crash/Restart path
-// (allocation books rebuilt from the surviving switch tables via
-// alloc.Recover, clients re-admitted idempotently at their old placement
-// and epoch) on that one device while the rest of the fabric keeps
-// forwarding.
-func SwitchOutage(name string, ctrl *switchd.Controller, crashAt, downFor time.Duration, seed int64) *Scenario {
-	s := NewScenario("switch-outage:"+name, seed)
-	s.At(crashAt, "crash:"+name, func(*System) { ctrl.Crash() })
-	s.At(crashAt+downFor, "restart:"+name, func(*System) { ctrl.Restart() })
-	return s
-}
-
-// LinkOutageScenario kills one duplex link outright at outageAt and restores
-// it downFor later: the clean-cut fabric failure a health monitor must
-// detect (probes stop coming back), route around, and recover from.
-func LinkOutageScenario(link *netsim.Port, outageAt, downFor time.Duration, seed int64) *Scenario {
-	s := NewScenario("link-outage", seed)
-	inj := LinkOutage{Link: link}
-	s.Apply(outageAt, inj)
-	s.Revert(outageAt+downFor, inj)
-	return s
-}
-
-// LinkFlapScenario oscillates one duplex link (period/2 down, period/2 up)
-// for the given number of flaps starting at 100 ms, then restores it. The
-// flapping link is the adversarial case for failure detection: each down
-// kills in-flight frames, each up tempts the monitor to trust the link
-// again.
-func LinkFlapScenario(link *netsim.Port, period time.Duration, flaps int, seed int64) *Scenario {
-	s := NewScenario("link-flap", seed)
-	inj := &LinkFlap{Link: link, Period: period, Flaps: flaps}
-	s.Apply(100*time.Millisecond, inj)
-	s.Revert(100*time.Millisecond+time.Duration(flaps+1)*period, inj)
-	return s
-}
-
-// PartitionScenario downs every given port at partitionAt and restores them
-// all downFor later: the clean isolation of one device (or one failure
-// domain) from the rest of the fabric — e.g. every spine-side port of one
-// spine (fabric.SpinePorts), the "spine kill". A one-sided down kills both
-// directions: sends from the port are dropped at the port, sends toward it
-// at delivery.
-func PartitionScenario(ports []*netsim.Port, partitionAt, downFor time.Duration, seed int64) *Scenario {
-	s := NewScenario("partition", seed)
-	inj := Partition{Ports: ports}
-	s.Apply(partitionAt, inj)
-	s.Revert(partitionAt+downFor, inj)
 	return s
 }
 

@@ -88,7 +88,7 @@ func TestControllerCrashRestartDuringReallocation(t *testing.T) {
 	// 300ms later. The crash always lands in the table time, which begins at
 	// about 6ms, once the compute time and the snapshot window are over;
 	// TestCrashAtEveryPhase (internal/switchd) crashes in every phase.
-	sc := chaos.ControllerOutage(15*time.Millisecond, 300*time.Millisecond, 42)
+	sc := chaos.Outage("controller-outage", chaos.ControllerCrash{}, 15*time.Millisecond, 300*time.Millisecond, 42)
 	if err := sc.Install(tb.System()); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestFlappingPortClientRidesThrough(t *testing.T) {
 	faultTolerant(cl)
 	cl.RetryAfter = 30 * time.Millisecond
 
-	sc := chaos.FlappingPort(cl.Port(), 100*time.Millisecond, 3, 9)
+	sc := chaos.Flap("flapping-port", chaos.Partition{Ports: []*netsim.Port{cl.Port()}}, 0, 100*time.Millisecond, 3, 9)
 	if err := sc.Install(tb.System()); err != nil {
 		t.Fatal(err)
 	}

@@ -152,9 +152,6 @@ type Client struct {
 	// controller answers retransmitted requests idempotently. Zero disables
 	// the escape.
 	ReallocTimeout time.Duration
-	// ReadmitAfter, when nonzero, schedules a fresh allocation request that
-	// long after an eviction notice — the re-admission penalty box.
-	ReadmitAfter time.Duration
 
 	state     State
 	placement *alloc.Placement
@@ -454,8 +451,8 @@ func (c *Client) Receive(frame []byte, port *netsim.Port) {
 		c.progs = map[string]mutant{}
 		c.grantEpoch, c.pendingEpoch = 0, 0
 	case h.Type() == packet.TypeControl && h.Flags&packet.FlagEvicted != 0:
-		// Guard eviction: the allocation is gone; restart from Idle (after
-		// the optional penalty interval).
+		// Guard eviction: the allocation is gone; restart from Idle. A
+		// service that wants back in requests again from OnEvicted.
 		c.Evictions++
 		c.state = Idle
 		c.placement = nil
@@ -466,13 +463,6 @@ func (c *Client) Receive(frame []byte, port *netsim.Port) {
 			c.svc.OnEvicted(c)
 		case c.svc.OnFailed != nil:
 			c.svc.OnFailed(c)
-		}
-		if c.ReadmitAfter > 0 {
-			c.eng.Schedule(c.ReadmitAfter, func() {
-				if c.state == Idle {
-					_ = c.RequestAllocation()
-				}
-			})
 		}
 	default:
 		c.deliver(f)

@@ -6,6 +6,7 @@ import (
 
 	"activermt/internal/chaos"
 	"activermt/internal/fabric"
+	"activermt/internal/netsim"
 )
 
 // TestHealthDetectsOutageAndReroutes kills one leaf<->spine link and checks
@@ -41,7 +42,7 @@ func TestHealthDetectsOutageAndReroutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := chaos.LinkOutage{Link: link}
+	out := chaos.Partition{Ports: []*netsim.Port{link, link.Peer()}}
 	cut := f.Eng.Now()
 	out.Apply(nil)
 
@@ -126,11 +127,11 @@ func TestHealthLinkFlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := &chaos.System{Eng: f.Eng}
-	flap := &chaos.LinkFlap{Link: link, Period: 80 * time.Millisecond, Flaps: 4}
-	flap.Apply(sys)
+	flap := chaos.Flap("link-flap", chaos.Partition{Ports: []*netsim.Port{link, link.Peer()}}, 0, 80*time.Millisecond, 4, 1)
+	if err := flap.Install(&chaos.System{Eng: f.Eng}); err != nil {
+		t.Fatal(err)
+	}
 	f.RunFor(600 * time.Millisecond)
-	flap.Revert(sys)
 	if link.DownTransitions() < 4 {
 		t.Fatalf("flap injector produced %d down transitions, want >= 4", link.DownTransitions())
 	}

@@ -117,8 +117,8 @@ func TestPlacementSurvivesSwitchRestart(t *testing.T) {
 		t.Fatal("shard has no grant epoch before crash")
 	}
 
-	scen := chaos.SwitchOutage(node.Name, node.Ctrl, 10*time.Millisecond, 50*time.Millisecond, 1)
-	if err := scen.Install(&chaos.System{Eng: f.Eng}); err != nil {
+	scen := chaos.Outage("switch-outage", chaos.ControllerCrash{}, 10*time.Millisecond, 50*time.Millisecond, 1)
+	if err := scen.Install(&chaos.System{Eng: f.Eng, Node: node.Node}); err != nil {
 		t.Fatal(err)
 	}
 	f.RunFor(200 * time.Millisecond)

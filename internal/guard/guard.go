@@ -29,36 +29,31 @@ import (
 	"activermt/internal/telemetry"
 )
 
-// Policy fixes the guard's thresholds. Counts are violations inside Window;
-// reaching each score moves the tenant to the corresponding rung, and the
-// ladder requires WarnAt <= RateLimitAt <= QuarantineAt <= EvictAt.
-type Policy struct {
-	Window        time.Duration // decay horizon for violation events
-	WarnAt        int
-	RateLimitAt   int
-	QuarantineAt  int
-	EvictAt       int
-	RateLimitPass int // 1-in-N pass rate while rate-limited; 0 or 1 admits all
-}
+// The escalation ladder, tuned for the simulated testbed: a burst of a
+// handful of faults warns, sustained abuse quarantines within tens of
+// packets, and eviction needs roughly twice that again. Counts are
+// violations inside EscalationWindow; reaching each moves the tenant to the
+// corresponding rung.
+const (
+	EscalationWindow = 500 * time.Millisecond // decay horizon for violation events
 
-// DefaultPolicy returns thresholds tuned for the simulated testbed: a burst
-// of a handful of faults warns, sustained abuse quarantines within tens of
-// packets, and eviction needs roughly twice that again.
-func DefaultPolicy() Policy {
-	return Policy{Window: 500 * time.Millisecond, WarnAt: 3, RateLimitAt: 8,
-		QuarantineAt: 16, EvictAt: 32, RateLimitPass: 4}
-}
+	warnAt        = 3
+	rateLimitAt   = 8
+	quarantineAt  = 16
+	evictAt       = 32
+	rateLimitPass = 4 // 1-in-N capsules pass while rate-limited
+)
 
 // stateFor maps a window score to the highest rung it reaches.
-func (p Policy) stateFor(score int) TenantState {
+func stateFor(score int) TenantState {
 	switch {
-	case score >= p.EvictAt:
+	case score >= evictAt:
 		return Evicted
-	case score >= p.QuarantineAt:
+	case score >= quarantineAt:
 		return Quarantined
-	case score >= p.RateLimitAt:
+	case score >= rateLimitAt:
 		return RateLimited
-	case score >= p.WarnAt:
+	case score >= warnAt:
 		return Warned
 	}
 	return Healthy
@@ -72,11 +67,10 @@ type Escalator interface {
 	GuardEvict(fid uint16)
 }
 
-// Guard holds the ledgers and enforces Policy. Like the rest of the switch
-// it is single-threaded under the simulation engine.
+// Guard holds the ledgers and climbs the escalation ladder. Like the rest of
+// the switch it is single-threaded under the simulation engine.
 type Guard struct {
 	rt  *runtime.Runtime
-	pol Policy
 	now func() time.Duration
 	esc Escalator
 
@@ -132,18 +126,14 @@ func (g *Guard) PortViolations() uint64 { return g.portViolations }
 
 // New builds a guard over the runtime. now is the virtual-clock source; it
 // must be the same clock the escalator's controller runs on.
-func New(rt *runtime.Runtime, pol Policy, now func() time.Duration) *Guard {
+func New(rt *runtime.Runtime, now func() time.Duration) *Guard {
 	return &Guard{
 		rt:      rt,
-		pol:     pol,
 		now:     now,
 		tenants: make(map[uint16]*Ledger),
 		ports:   make(map[int]*PortLedger),
 	}
 }
-
-// Policy returns the active policy.
-func (g *Guard) Policy() Policy { return g.pol }
 
 // SetEscalator installs the control-plane sink for quarantine/evict
 // decisions (nil: record-only mode).
@@ -218,7 +208,7 @@ func (g *Guard) CheckProgram(a *packet.Active, port int) bool {
 	}
 	if led != nil {
 		now := g.now()
-		led.prune(now, g.pol.Window)
+		led.prune(now)
 		if len(led.events) == 0 && (led.state == Warned || led.state == RateLimited) {
 			// The window drained: the warn/rate-limit rungs heal.
 			g.transition(led, Healthy, KindRecovered, 0, now)
@@ -229,7 +219,7 @@ func (g *Guard) CheckProgram(a *packet.Active, port int) bool {
 			return g.denyTenant(fid, KindQuarTraffic)
 		case RateLimited:
 			led.rlSeq++
-			if g.pol.RateLimitPass > 1 && led.rlSeq%uint64(g.pol.RateLimitPass) != 0 {
+			if led.rlSeq%rateLimitPass != 0 {
 				g.ingressDrops++
 				return false // shed, but not itself a violation
 			}
@@ -305,9 +295,9 @@ func (g *Guard) recordTenant(fid uint16, k Kind) {
 	g.tenantViolations++
 	g.byKind[k]++
 	now := g.now()
-	led.prune(now, g.pol.Window)
+	led.prune(now)
 	led.events = append(led.events, now)
-	if target := g.pol.stateFor(len(led.events)); target > led.state {
+	if target := stateFor(len(led.events)); target > led.state {
 		g.transition(led, target, k, len(led.events), now)
 	}
 }

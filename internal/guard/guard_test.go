@@ -24,18 +24,7 @@ type fakeEscalator struct {
 func (e *fakeEscalator) GuardQuarantine(fid uint16) { e.quarantined = append(e.quarantined, fid) }
 func (e *fakeEscalator) GuardEvict(fid uint16)      { e.evicted = append(e.evicted, fid) }
 
-func testPolicy() Policy {
-	return Policy{
-		Window:        100 * time.Millisecond,
-		WarnAt:        2,
-		RateLimitAt:   4,
-		QuarantineAt:  6,
-		EvictAt:       8,
-		RateLimitPass: 3,
-	}
-}
-
-func newTestGuard(t *testing.T, pol Policy) (*Guard, *runtime.Runtime, *fakeClock, *fakeEscalator) {
+func newTestGuard(t *testing.T) (*Guard, *runtime.Runtime, *fakeClock, *fakeEscalator) {
 	t.Helper()
 	cfg := rmt.DefaultConfig()
 	cfg.StageWords = 4096
@@ -45,7 +34,7 @@ func newTestGuard(t *testing.T, pol Policy) (*Guard, *runtime.Runtime, *fakeCloc
 	}
 	clk := &fakeClock{}
 	esc := &fakeEscalator{}
-	g := New(rt, pol, clk.Now)
+	g := New(rt, clk.Now)
 	g.SetEscalator(esc)
 	return g, rt, clk, esc
 }
@@ -72,21 +61,26 @@ func capsule(fid uint16, epoch uint8, instrs ...isa.Instruction) *packet.Active 
 }
 
 func TestEscalationLadderAndCallbacks(t *testing.T) {
-	g, rt, _, esc := newTestGuard(t, testPolicy())
+	g, rt, _, esc := newTestGuard(t)
 	const fid = 5
 	installGrant(t, rt, fid, 0, 64)
 
-	want := []struct {
-		after int // total violations recorded
+	// The rung each score reaches: 3 warns, 8 rate-limits, 16 quarantines,
+	// 32 evicts.
+	rungs := []struct {
+		at    int
 		state TenantState
-	}{
-		{1, Healthy}, {2, Warned}, {3, Warned}, {4, RateLimited},
-		{5, RateLimited}, {6, Quarantined}, {7, Quarantined}, {8, Evicted},
-	}
-	for _, w := range want {
+	}{{0, Healthy}, {3, Warned}, {8, RateLimited}, {16, Quarantined}, {32, Evicted}}
+	for n := 1; n <= 32; n++ {
 		g.MemFault(fid)
-		if got := g.Tenant(fid).State(); got != w.state {
-			t.Fatalf("after %d violations: state = %v, want %v", w.after, got, w.state)
+		want := Healthy
+		for _, r := range rungs {
+			if n >= r.at {
+				want = r.state
+			}
+		}
+		if got := g.Tenant(fid).State(); got != want {
+			t.Fatalf("after %d violations: state = %v, want %v", n, got, want)
 		}
 	}
 	if len(esc.quarantined) != 1 || esc.quarantined[0] != fid {
@@ -110,13 +104,13 @@ func TestEscalationLadderAndCallbacks(t *testing.T) {
 			t.Fatalf("history = %v, want %v", states, wantHist)
 		}
 	}
-	if led.Count(KindMemFault) != 8 {
-		t.Errorf("mem-fault count = %d, want 8", led.Count(KindMemFault))
+	if led.Count(KindMemFault) != 32 {
+		t.Errorf("mem-fault count = %d, want 32", led.Count(KindMemFault))
 	}
 }
 
 func TestHysteresisOneStrayNeverEscalates(t *testing.T) {
-	g, rt, clk, esc := newTestGuard(t, testPolicy())
+	g, rt, clk, esc := newTestGuard(t)
 	const fid = 6
 	installGrant(t, rt, fid, 0, 64)
 
@@ -124,7 +118,7 @@ func TestHysteresisOneStrayNeverEscalates(t *testing.T) {
 	// event, so the tenant stays Healthy forever.
 	for i := 0; i < 20; i++ {
 		g.MemFault(fid)
-		clk.now += 200 * time.Millisecond
+		clk.now += 2 * EscalationWindow
 	}
 	if got := g.Tenant(fid).State(); got != Healthy {
 		t.Errorf("state after slow drip = %v, want Healthy", got)
@@ -135,18 +129,19 @@ func TestHysteresisOneStrayNeverEscalates(t *testing.T) {
 }
 
 func TestWarnAutoHealsWhenWindowDrains(t *testing.T) {
-	g, rt, clk, _ := newTestGuard(t, testPolicy())
+	g, rt, clk, _ := newTestGuard(t)
 	const fid = 7
 	installGrant(t, rt, fid, 0, 64)
 	epoch := rt.Epoch(fid)
 
-	g.MemFault(fid)
-	g.MemFault(fid)
+	for i := 0; i < warnAt; i++ {
+		g.MemFault(fid)
+	}
 	if g.Tenant(fid).State() != Warned {
 		t.Fatalf("state = %v, want Warned", g.Tenant(fid).State())
 	}
 	// Window drains; the next authenticated capsule heals the tenant.
-	clk.now += 150 * time.Millisecond
+	clk.now += EscalationWindow + time.Millisecond
 	if !g.CheckProgram(capsule(fid, epoch), 1) {
 		t.Fatal("clean capsule refused")
 	}
@@ -160,35 +155,36 @@ func TestWarnAutoHealsWhenWindowDrains(t *testing.T) {
 }
 
 func TestRateLimitShedsButQuarantineSticks(t *testing.T) {
-	g, rt, _, _ := newTestGuard(t, testPolicy())
+	g, rt, _, _ := newTestGuard(t)
 	const fid = 8
 	installGrant(t, rt, fid, 0, 64)
 	epoch := rt.Epoch(fid)
 
-	for i := 0; i < 4; i++ {
+	for i := 0; i < rateLimitAt; i++ {
 		g.MemFault(fid)
 	}
 	if g.Tenant(fid).State() != RateLimited {
 		t.Fatalf("state = %v, want RateLimited", g.Tenant(fid).State())
 	}
-	// 1-in-RateLimitPass capsules pass; sheds are not violations.
+	// One capsule in four passes; sheds are not violations.
 	passed := 0
-	for i := 0; i < 9; i++ {
+	for i := 0; i < 12; i++ {
 		if g.CheckProgram(capsule(fid, epoch), 1) {
 			passed++
 		}
 	}
 	if passed != 3 {
-		t.Errorf("passed = %d of 9 at pass rate 1/3, want 3", passed)
+		t.Errorf("passed = %d of 12 at pass rate 1/4, want 3", passed)
 	}
-	if g.Tenant(fid).Score() != 4 {
-		t.Errorf("score = %d, want 4 (sheds are not violations)", g.Tenant(fid).Score())
+	if g.Tenant(fid).Score() != rateLimitAt {
+		t.Errorf("score = %d, want %d (sheds are not violations)", g.Tenant(fid).Score(), rateLimitAt)
 	}
 
-	// Two more faults quarantine; then every capsule is refused and counts
+	// Eight more faults quarantine; then every capsule is refused and counts
 	// as a fresh violation.
-	g.MemFault(fid)
-	g.MemFault(fid)
+	for i := rateLimitAt; i < quarantineAt; i++ {
+		g.MemFault(fid)
+	}
 	if g.Tenant(fid).State() != Quarantined {
 		t.Fatalf("state = %v, want Quarantined", g.Tenant(fid).State())
 	}
@@ -201,7 +197,7 @@ func TestRateLimitShedsButQuarantineSticks(t *testing.T) {
 }
 
 func TestPortAttributionForUnauthenticatedViolations(t *testing.T) {
-	g, rt, _, _ := newTestGuard(t, testPolicy())
+	g, rt, _, _ := newTestGuard(t)
 	const victim = 9
 	const port = 3
 	installGrant(t, rt, victim, 0, 64)
@@ -242,7 +238,7 @@ func TestPortAttributionForUnauthenticatedViolations(t *testing.T) {
 }
 
 func TestOverBudgetProgramIsTenantAttributed(t *testing.T) {
-	g, rt, _, _ := newTestGuard(t, testPolicy())
+	g, rt, _, _ := newTestGuard(t)
 	const fid = 10
 	installGrant(t, rt, fid, 0, 64)
 
@@ -264,7 +260,7 @@ func TestOverBudgetProgramIsTenantAttributed(t *testing.T) {
 }
 
 func TestRevokedAndNeverAdmitted(t *testing.T) {
-	g, rt, _, _ := newTestGuard(t, testPolicy())
+	g, rt, _, _ := newTestGuard(t)
 	const fid = 11
 	installGrant(t, rt, fid, 0, 64)
 	epoch := rt.Epoch(fid)
@@ -284,11 +280,11 @@ func TestRevokedAndNeverAdmitted(t *testing.T) {
 }
 
 func TestReinstateResetsLadder(t *testing.T) {
-	g, rt, _, esc := newTestGuard(t, testPolicy())
+	g, rt, _, esc := newTestGuard(t)
 	const fid = 12
 	installGrant(t, rt, fid, 0, 64)
 
-	for i := 0; i < 6; i++ {
+	for i := 0; i < quarantineAt; i++ {
 		g.MemFault(fid)
 	}
 	if g.Tenant(fid).State() != Quarantined {
@@ -303,14 +299,14 @@ func TestReinstateResetsLadder(t *testing.T) {
 		t.Errorf("reinstate trigger = %v, want readmitted", last.Trigger)
 	}
 	// The all-time record survives.
-	if led.Count(KindMemFault) != 6 {
-		t.Errorf("mem-fault count = %d, want 6", led.Count(KindMemFault))
+	if led.Count(KindMemFault) != quarantineAt {
+		t.Errorf("mem-fault count = %d, want %d", led.Count(KindMemFault), quarantineAt)
 	}
 	_ = esc
 }
 
 func TestAuditorFindsOverlapOrphanAndEscape(t *testing.T) {
-	g, rt, _, _ := newTestGuard(t, testPolicy())
+	g, rt, _, _ := newTestGuard(t)
 	installGrant(t, rt, 20, 0, 64)
 	installGrant(t, rt, 21, 64, 128)
 
@@ -351,7 +347,7 @@ func TestAuditorFindsOverlapOrphanAndEscape(t *testing.T) {
 }
 
 func TestNonProgramCapsulesBypassTheGuard(t *testing.T) {
-	g, _, _, _ := newTestGuard(t, testPolicy())
+	g, _, _, _ := newTestGuard(t)
 	a := &packet.Active{Header: packet.ActiveHeader{FID: 50}}
 	a.Header.SetType(packet.TypeControl)
 	if !g.CheckProgram(a, 1) {

@@ -132,10 +132,10 @@ func (l *Ledger) Total() uint64 { return l.total }
 // Score returns the number of violations currently inside the decay window.
 func (l *Ledger) Score() int { return len(l.events) }
 
-// prune drops events older than window before now.
-func (l *Ledger) prune(now, window time.Duration) {
+// prune drops events older than EscalationWindow before now.
+func (l *Ledger) prune(now time.Duration) {
 	i := 0
-	for i < len(l.events) && now-l.events[i] >= window {
+	for i < len(l.events) && now-l.events[i] >= EscalationWindow {
 		i++
 	}
 	if i > 0 {

@@ -30,7 +30,7 @@ func memCapsule(fid uint16, epoch uint8, addr uint32) *packet.Active {
 // bumps the tenant's epoch, a capsule echoing the old epoch is refused at
 // ingress — the runtime compiles and executes nothing for it.
 func TestGuardDropsStaleEpochBeforeSpecializedExecution(t *testing.T) {
-	g, rt, _, _ := newTestGuard(t, testPolicy())
+	g, rt, _, _ := newTestGuard(t)
 	const fid = 5
 	installGrant(t, rt, fid, 0, 64)
 	oldEpoch := rt.Epoch(fid)

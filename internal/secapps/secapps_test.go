@@ -50,3 +50,38 @@ func TestProgramShapes(t *testing.T) {
 		t.Errorf("registry size = %d, want 6", n)
 	}
 }
+
+// TestAllocatorPolicyPerProgram pins the policy a default (most-constrained)
+// allocator places each heavy-hitter arm under: the one-pass sketch keeps
+// it, and the 25-instruction claim arm, which no one-pass mutant fits, is
+// enumerated under the least-constrained policy.
+func TestAllocatorPolicyPerProgram(t *testing.T) {
+	al, err := alloc.New(alloc.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range []struct {
+		svc interface {
+			Constraints() (*alloc.Constraints, error)
+		}
+		want alloc.Policy
+	}{
+		{HXSketchService(), alloc.MostConstrained},
+		{HXClaimService(), alloc.LeastConstrained},
+	} {
+		cons, err := c.svc.Constraints()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := al.Allocate(uint16(i+1), cons)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Failed {
+			t.Fatalf("%s refused: %s", cons.Name, res.Reason)
+		}
+		if res.New.Policy != c.want {
+			t.Errorf("%s placed under %v, want %v", cons.Name, res.New.Policy, c.want)
+		}
+	}
+}

@@ -45,7 +45,7 @@ func (h *harness) maybeChaos() {
 	seed := h.rng.Int63()
 	var (
 		sc  *chaos.Scenario
-		sys = &chaos.System{Eng: h.f.Eng, Tel: h.tel} // link faults need no device
+		sys = &chaos.System{Eng: h.f.Eng, Tel: h.tel} // device faults set sys.Node
 		err error
 	)
 	switch name {
@@ -53,11 +53,12 @@ func (h *harness) maybeChaos() {
 		sc, err = chaos.Build(name, h.randomUplinks(2), 0, seed)
 	case "partition":
 		spine := h.rng.Intn(numSpines)
-		sc = chaos.PartitionScenario(h.f.SpinePorts(spine), 100*time.Millisecond, 500*time.Millisecond, seed)
-		name = name + nodeSuffix(h.f.Spines[spine])
+		sc = chaos.Outage(name, chaos.Partition{Ports: h.f.SpinePorts(spine)}, 100*time.Millisecond, 500*time.Millisecond, seed)
+		name = name + ":" + h.f.Spines[spine].Name
 	case "switch-outage":
 		n := h.randomNode()
-		sc = chaos.SwitchOutage(n.Name, n.Ctrl, 50*time.Millisecond, 400*time.Millisecond, seed)
+		sc = chaos.Outage(name, chaos.ControllerCrash{}, 50*time.Millisecond, 400*time.Millisecond, seed)
+		sys.Node = n.Node
 		name = name + ":" + n.Name
 	case "corrupted-memory":
 		n := h.corruptibleNode()
@@ -112,8 +113,6 @@ func (h *harness) randomUplinks(n int) []*netsim.Port {
 	return out
 }
 
-func nodeSuffix(n *fabric.Node) string { return ":" + n.Name }
-
 func (h *harness) randomNode() *fabric.Node {
 	nodes := h.f.Nodes()
 	return nodes[h.rng.Intn(len(nodes))]
@@ -152,13 +151,11 @@ func (h *harness) maybeSpineKill() {
 	h.killed = true
 	home := h.cc.Home().Index
 	node := h.f.Spines[home]
-	part := chaos.Partition{Ports: h.f.SpinePorts(home)}
-	sc := chaos.NewScenario("spine-kill:"+node.Name, h.cfg.Seed)
-	sc.Apply(0, part)
-	sc.At(10*time.Millisecond, "crash:"+node.Name, func(*chaos.System) { node.Ctrl.Crash() })
-	sc.At(spineKillFor, "restart:"+node.Name, func(*chaos.System) { node.Ctrl.Restart() })
-	sc.Revert(spineKillFor, part)
-	if err := sc.Install(&chaos.System{Eng: h.f.Eng, Tel: h.tel}); err != nil {
+	part, crash := chaos.Partition{Ports: h.f.SpinePorts(home)}, chaos.ControllerCrash{}
+	sc := chaos.NewScenario("spine-kill:"+node.Name, h.cfg.Seed).
+		Apply(0, part).Apply(10*time.Millisecond, crash).
+		Revert(spineKillFor, crash).Revert(spineKillFor, part)
+	if err := sc.Install(&chaos.System{Eng: h.f.Eng, Node: node.Node, Tel: h.tel}); err != nil {
 		return
 	}
 	h.res.SpineKill.Fired = true

@@ -32,7 +32,6 @@ import (
 	"math/rand"
 	"time"
 
-	"activermt/internal/alloc"
 	"activermt/internal/apps"
 	"activermt/internal/chaos"
 	"activermt/internal/fabric"
@@ -210,11 +209,6 @@ func newHarness(cfg Config) (*harness, error) {
 	// (spills, rejections, RetryUnplaced work) at soak-sized demands.
 	fcfg.RMT.StageWords = 96 * 256
 	fcfg.Alloc.StageWords = 96 * 256
-	if cfg.Secapps {
-		// The heavy hitter's claim arm is a two-pass program; only the
-		// least-constrained policy's bounds admit multi-pass placements.
-		fcfg.Alloc.Policy = alloc.LeastConstrained
-	}
 	f, err := fabric.New(fcfg)
 	if err != nil {
 		return nil, err

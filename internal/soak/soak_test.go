@@ -166,6 +166,30 @@ func TestSoakSecapps(t *testing.T) {
 		res.HHObserved, res.HHClaims, res.HHDeferred)
 }
 
+// TestSoakSecappsRecircBudget runs the secapps soak for five minutes at
+// seeds 1 and 4. Both trip the recirc-budget invariant when the heavy
+// hitter's one-pass sketch is given a recirculating mutant, as it is when
+// every allocator runs the least-constrained policy: the sketch's extra
+// passes spend budget that no claim deferral accounts for. Under the
+// default policy only the two-pass claim arm recirculates.
+func TestSoakSecappsRecircBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two 5-minute virtual soaks")
+	}
+	for _, seed := range []int64{1, 4} {
+		res, err := Run(Config{Duration: 5 * time.Minute, Seed: seed, Secapps: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range res.Violations {
+			t.Errorf("seed %d: invariant violation: %v", seed, v)
+		}
+		if res.HHClaims == 0 || res.HHDeferred == 0 {
+			t.Errorf("seed %d: heavy hitter claims=%d deferred=%d, want both > 0", seed, res.HHClaims, res.HHDeferred)
+		}
+	}
+}
+
 // TestSoakBaselineCSVUnchanged pins the baseline CSV schema: with Secapps
 // off, the header must not carry the security-app columns.
 func TestSoakBaselineCSVUnchanged(t *testing.T) {

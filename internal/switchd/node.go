@@ -19,8 +19,8 @@ type Host interface {
 }
 
 // NodeConfig is what one switch is built from: the pipeline and the
-// allocator over it. Controller costs and guard thresholds are the package
-// constants and guard.DefaultPolicy.
+// allocator over it. Controller costs and guard thresholds are package
+// constants (the guard's escalation ladder is guard's).
 type NodeConfig struct {
 	RMT   rmt.Config
 	Alloc alloc.Config
@@ -63,7 +63,7 @@ func NewNode(eng *netsim.Engine, cfg NodeConfig, mac packet.MAC) (*Node, error) 
 		RT:     rt,
 		Switch: sw,
 		Ctrl:   NewController(eng, sw, al),
-		Guard:  guard.New(rt, guard.DefaultPolicy(), eng.Now),
+		Guard:  guard.New(rt, eng.Now),
 	}
 	sw.SetGuard(n.Guard)
 	rt.SetGuardHook(n.Guard)

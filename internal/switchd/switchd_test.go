@@ -448,7 +448,7 @@ func (discard) Receive([]byte, *netsim.Port) {}
 // allocates nothing.
 func TestSwitchReceiveAllocs(t *testing.T) {
 	r := newRig(t)
-	r.sw.SetGuard(guard.New(r.sw.Runtime(), guard.DefaultPolicy(), r.eng.Now))
+	r.sw.SetGuard(guard.New(r.sw.Runtime(), r.eng.Now))
 	r.a.send(t, allocRequest(5, 2), r.sw.MAC())
 	r.eng.Run()
 	rt := r.sw.Runtime()

@@ -83,7 +83,6 @@ func TestAdversaryQuarantinedThenEvicted(t *testing.T) {
 	// Attack run at the same seed: victim plus an admitted attacker tenant.
 	tb, srv, cache, victimCl := setupVictim(t)
 	_, attCl := tb.AddCache(2, srv)
-	attCl.ReadmitAfter = 0 // stay evicted; re-admission tested separately
 	evictedNotices := 0
 	attSvc := attCl.Service()
 	attSvc.OnEvicted = func(c *client.Client) { evictedNotices++ }
@@ -150,8 +149,8 @@ func TestAdversaryQuarantinedThenEvicted(t *testing.T) {
 		i++
 	}
 	quarantineDelay := tb.Eng.Now() - start
-	if quarantineDelay > tb.Guard.Policy().Window {
-		t.Errorf("quarantine took %v, beyond the %v escalation window", quarantineDelay, tb.Guard.Policy().Window)
+	if quarantineDelay > guard.EscalationWindow {
+		t.Errorf("quarantine took %v, beyond the %v escalation window", quarantineDelay, guard.EscalationWindow)
 	}
 	if tb.Ctrl.GuardQuarantines != 1 {
 		t.Errorf("controller quarantines = %d, want 1", tb.Ctrl.GuardQuarantines)
@@ -246,12 +245,15 @@ func TestAdversaryQuarantinedThenEvicted(t *testing.T) {
 }
 
 // TestEvictedTenantCanReadmit checks the recovery arc: an evicted tenant
-// with ReadmitAfter set requests a fresh allocation, the controller
-// reinstates its ledger, and the new grant epoch authenticates.
+// whose service requests a fresh allocation 500 ms after the eviction
+// notice is re-admitted, the controller reinstates its ledger, and the new
+// grant epoch authenticates.
 func TestEvictedTenantCanReadmit(t *testing.T) {
 	tb, srv, _, _ := setupVictim(t)
 	_, attCl := tb.AddCache(2, srv)
-	attCl.ReadmitAfter = 500 * time.Millisecond
+	attCl.Service().OnEvicted = func(c *client.Client) {
+		tb.Eng.Schedule(500*time.Millisecond, func() { _ = c.RequestAllocation() })
+	}
 	if err := attCl.RequestAndWait(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +293,6 @@ func TestEvictedTenantCanReadmit(t *testing.T) {
 func TestAdversarialTenantScenario(t *testing.T) {
 	tb, srv, _, _ := setupVictim(t)
 	_, attCl := tb.AddCache(2, srv)
-	attCl.ReadmitAfter = 0
 	if err := attCl.RequestAndWait(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,6 @@ func TestAdversarialTenantScenario(t *testing.T) {
 func TestEvictionSnapshotOrdering(t *testing.T) {
 	tb, srv, _, victimCl := setupVictim(t)
 	_, attCl := tb.AddCache(2, srv)
-	attCl.ReadmitAfter = 0 // stay evicted for the rest of the run
 	if err := attCl.RequestAndWait(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -100,7 +100,6 @@ func TestTelemetrySmokeScrapeDuringChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, attCl := tb.AddCache(2, srv)
-	attCl.ReadmitAfter = 0
 	if err := attCl.RequestAndWait(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}

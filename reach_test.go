@@ -59,7 +59,6 @@ var reachAllow = map[string]string{
 	"internal/telemetry.FlightRecorder.Recorded": "accessor: runtime and telemetry tests",
 	"internal/chaos.TraceString":                 "accessor: chaos and testbed tests compare fired-event traces",
 	"internal/guard.Guard.Audit":                 "accessor: guard and testbed tests run the isolation audit through the guard's counters",
-	"internal/guard.Guard.Policy":                "accessor: testbed adversary test reads the thresholds it drives against",
 	"internal/guard.Guard.Port":                  "accessor: guard tests read port-attributed ledgers",
 	"internal/guard.PortLedger.Count":            "accessor: guard tests read port-attributed ledgers",
 	"internal/netsim.Port.Down":                  "accessor: chaos and netsim tests",
