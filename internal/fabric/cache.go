@@ -14,8 +14,8 @@
 //     addressed to the frontend's own MAC, so it hairpins on the host link:
 //     up to the leaf switch (where the sentinel executes), straight back to
 //     the frontend. Delivery back at the frontend IS the acknowledgement —
-//     the capsule carries a KVInval payload whose Seq correlates it to the
-//     pending write. Because the hairpin never crosses a fabric link, no
+//     the capsule carries a KVInval payload whose key and Seq name the
+//     write in flight. Because the hairpin never crosses a fabric link, no
 //     fabric fault can silently lose an invalidation; a lost hairpin (host
 //     link chaos) is retransmitted until acknowledged.
 //   - update: a populate-fwd capsule carrying the KVPut payload, addressed
@@ -74,36 +74,33 @@ type front struct {
 	ip   netip.Addr
 }
 
-// pendingOp tracks one outstanding request by sequence number. wgen records
-// the key's write generation when the request was issued, so a fill is
-// installed only if no write to the key started in between.
-type pendingOp struct {
-	leaf   int
-	op     uint8
-	k0, k1 uint32
-	wgen   uint32
-}
+// phase is how far a write has come: queued behind the key's write in
+// flight, invalidating every other leaf copy, committing (home install plus
+// server write-through), and acked by the server.
+type phase uint8
 
-// pendingWrite is one two-phase write in flight: phase 1 waits for the
-// hairpin invalidation acks in waiting; phase 2 (commit) retransmits the
-// server write-through until the KVResp arrives.
-type pendingWrite struct {
+const (
+	queued phase = iota
+	invalidating
+	committing
+	acked
+)
+
+// write is one Put: its phase, its unacknowledged hairpin invalidations, and
+// the write to the same key queued behind it.
+type write struct {
+	phase       phase
 	leaf        int
 	k0, k1      uint32
 	addr, value uint32
 	seq         uint32
-	waiting     map[uint32]int // invalidation seq -> target leaf
-	committed   bool
+	invals      map[uint32]inval // invalidation seq -> its hairpin
 	commitTries int
-	next        *pendingWrite // the write to this key queued behind this one
+	next        *write
 }
 
-// pendingInval is one unacknowledged hairpin invalidation.
-type pendingInval struct {
-	w     *pendingWrite
-	leaf  int
-	tries int
-}
+// inval is one unacknowledged hairpin invalidation toward a stale leaf.
+type inval struct{ leaf, tries int }
 
 // CoherentCache is the replicated, write-coherent tier of the fabric cache
 // exemplar.
@@ -118,18 +115,16 @@ type CoherentCache struct {
 	fronts  map[int]*front
 	dir     map[uint64]map[int]bool // key -> leaves holding a copy
 	seq     uint32
-	pending map[uint32]pendingOp
-	payload []byte // datagram scratch of the senders; the client copies from it
-
-	// Two-phase write state.
-	writing map[uint64]*pendingWrite // key -> write awaiting acks
-	wgens   map[uint64]uint32        // key -> write generation
-	invals  map[uint32]*pendingInval // inval seq -> pending inval
+	pending map[uint32]uint32 // GET seq -> the key's write generation at issue
+	writing map[uint64]*write // key -> write in flight
+	wgens   map[uint64]uint32 // key -> write generation
+	payload []byte            // datagram scratch of the senders; the client copies from it
 
 	// Degraded-mode state (failover.go).
 	health     *Health
 	degraded   bool
 	recovering bool            // degraded-exit poller active
+	probing    bool            // the poller waits on a probe of the healed link
 	homeStale  map[uint64]bool // keys whose home copy may be stale
 
 	// Stats.
@@ -139,9 +134,7 @@ type CoherentCache struct {
 	InvalRetransmits               uint64
 	CommitRetransmits              uint64
 	FillsSuppressed                uint64
-	DegradedEntries, DegradedExits uint64
 	HomeSyncs                      uint64
-	Wipes                          uint64
 	Repairs                        uint64
 	HomeEvictions                  uint64
 
@@ -168,10 +161,9 @@ func NewCoherentCache(fc *Controller, fid uint16, leaves []int, srvMAC packet.MA
 		svc:       apps.CoherentCacheService,
 		fronts:    make(map[int]*front),
 		dir:       make(map[uint64]map[int]bool),
-		pending:   make(map[uint32]pendingOp),
-		writing:   make(map[uint64]*pendingWrite),
+		pending:   make(map[uint32]uint32),
+		writing:   make(map[uint64]*write),
 		wgens:     make(map[uint64]uint32),
-		invals:    make(map[uint32]*pendingInval),
 		homeStale: make(map[uint64]bool),
 	}
 	for _, m := range set.Members {
@@ -215,7 +207,7 @@ func (c *CoherentCache) Get(leaf int, k0, k1 uint32) (uint32, error) {
 	if !ok {
 		return 0, fmt.Errorf("fabric: cache has no capacity")
 	}
-	c.pending[c.seq] = pendingOp{leaf: leaf, op: apps.KVGet, k0: k0, k1: k1, wgen: c.wgens[apps.KeyOf(k0, k1)]}
+	c.pending[c.seq] = c.wgens[apps.KeyOf(k0, k1)]
 	return c.seq, fr.cl.SendProgram("main", [4]uint32{k0, k1, addr, 0}, 0, c.payload, c.srvMAC)
 }
 
@@ -236,137 +228,96 @@ func (c *CoherentCache) Put(leaf int, k0, k1, value uint32) (uint32, error) {
 		return 0, fmt.Errorf("fabric: cache has no capacity")
 	}
 	c.seq++
-	w := &pendingWrite{
+	w := &write{
 		leaf: leaf, k0: k0, k1: k1, addr: addr, value: value,
-		seq: c.seq, waiting: make(map[uint32]int),
+		seq: c.seq, invals: make(map[uint32]inval),
 	}
-	c.pending[w.seq] = pendingOp{leaf: leaf, op: apps.KVPut, k0: k0, k1: k1}
 	if last := c.writing[apps.KeyOf(k0, k1)]; last != nil {
 		for last.next != nil {
 			last = last.next
 		}
 		last.next = w
 	} else {
-		c.startWrite(w)
+		c.step(w)
 	}
 	return w.seq, nil
 }
 
-// startWrite makes w the key's write in flight and runs its phase 1. Starting
-// a write over an uncommitted one would invalidate that writer before its
-// commit is sent and drop it from the directory, so its commit would install
-// a copy nothing ever invalidates again.
-func (c *CoherentCache) startWrite(w *pendingWrite) {
-	key := apps.KeyOf(w.k0, w.k1)
-	c.wgens[key]++ // suppress fills issued before this write
-	c.writing[key] = w
-	for l := range c.dir[key] {
-		if l == w.leaf {
-			continue
+// step moves a write forward. A queued write becomes the key's write in
+// flight: it bumps the key's write generation (suppressing fills issued
+// before it), sends a hairpin invalidation to every other leaf copy and
+// leaves its writer as the directory's only copy. An invalidating write
+// commits once no invalidation is left unacknowledged. Writes to a key queue
+// because starting one over an uncommitted write would invalidate that
+// writer before its commit is sent and drop it from the directory, so its
+// commit would install a copy nothing ever invalidates again.
+func (c *CoherentCache) step(w *write) {
+	if w.phase == queued {
+		key := apps.KeyOf(w.k0, w.k1)
+		c.wgens[key]++
+		c.writing[key] = w
+		w.phase = invalidating
+		for l := range c.dir[key] {
+			if l != w.leaf {
+				c.seq++
+				w.invals[c.seq] = inval{leaf: l}
+				c.sendInval(w, c.seq)
+			}
 		}
-		if _, ok := c.fronts[l]; !ok {
-			continue
-		}
-		c.sendInval(w, l)
+		c.dir[key] = map[int]bool{w.leaf: true}
 	}
-	c.dir[key] = map[int]bool{w.leaf: true}
-	if len(w.waiting) == 0 {
-		c.commit(w)
+	if w.phase == invalidating && len(w.invals) == 0 {
+		w.phase = committing
+		c.sendCommit(w)
 	}
 }
 
-// sendInval arms one hairpin invalidation toward a stale leaf.
-func (c *CoherentCache) sendInval(w *pendingWrite, leaf int) {
-	c.seq++
-	is := c.seq
-	w.waiting[is] = leaf
-	pi := &pendingInval{w: w, leaf: leaf}
-	c.invals[is] = pi
-	c.transmitInval(is, pi)
-}
-
-// transmitInval sends (or resends) one invalidation: a sentinel write from
-// the STALE leaf's own frontend addressed to that frontend's own MAC. The
-// capsule hairpins on the host link — executes at the stale leaf, returns
-// to the frontend — so its delivery acknowledges the eviction, and no
-// fabric fault can lose it. The KVInval payload carries the correlation
-// seq.
-func (c *CoherentCache) transmitInval(is uint32, pi *pendingInval) {
-	fr, ok := c.fronts[pi.leaf]
-	if !ok {
-		c.ackInval(is)
-		return
-	}
-	msg := apps.KVMsg{Op: apps.KVInval, Key0: pi.w.k0, Key1: pi.w.k1, Seq: is}
+// sendInval sends (or resends) invalidation is: a sentinel write from the
+// STALE leaf's own frontend addressed to that frontend's own MAC. The
+// capsule hairpins on the host link — executes at the stale leaf, returns to
+// the frontend — so its delivery acknowledges the eviction, and no fabric
+// fault can lose it. The KVInval payload carries the key and the seq. Retries
+// never give up: committing with a copy possibly live would break the
+// no-stale invariant, and a frontend whose host link is dead cannot read
+// either, so blocking the write is safe.
+func (c *CoherentCache) sendInval(w *write, is uint32) {
+	iv := w.invals[is]
+	fr := c.fronts[iv.leaf]
+	msg := apps.KVMsg{Op: apps.KVInval, Key0: w.k0, Key1: w.k1, Seq: is}
 	c.payload = apps.BuildKV(c.payload[:0], fr.ip, fr.ip, 40000, 40000, &msg)
 	_ = fr.cl.SendProgram("populate-fwd",
-		[4]uint32{InvalKey0, InvalKey1, pi.w.addr, 0},
+		[4]uint32{InvalKey0, InvalKey1, w.addr, 0},
 		packet.FlagPreload, c.payload, fr.cl.MAC())
 	c.InvalSent++
-	delay := invalRetry * (1 << uint(min(pi.tries, 4)))
-	c.fc.F.Eng.Schedule(delay, func() { c.checkInval(is) })
+	c.fc.F.Eng.Schedule(invalRetry*(1<<uint(min(iv.tries, 4))), func() {
+		if iv, ok := w.invals[is]; ok {
+			iv.tries++
+			w.invals[is] = iv
+			c.InvalRetransmits++
+			c.sendInval(w, is)
+		}
+	})
 }
 
-// checkInval retransmits an invalidation still unacknowledged. Retries never
-// give up: committing with a copy possibly live would break the no-stale
-// invariant, and a frontend whose host link is dead cannot read either, so
-// blocking the write is safe.
-func (c *CoherentCache) checkInval(is uint32) {
-	pi, ok := c.invals[is]
-	if !ok {
-		return // acked
-	}
-	pi.tries++
-	c.InvalRetransmits++
-	c.transmitInval(is, pi)
-}
-
-// ackInval scores one invalidation delivery; the last ack releases the
-// commit.
-func (c *CoherentCache) ackInval(is uint32) {
-	pi, ok := c.invals[is]
-	if !ok {
-		return
-	}
-	delete(c.invals, is)
-	delete(pi.w.waiting, is)
-	if len(pi.w.waiting) == 0 && !pi.w.committed {
-		c.commit(pi.w)
-	}
-}
-
-// commit runs phase 2: home install plus server write-through, retransmitted
-// until the server's KVResp lands.
-func (c *CoherentCache) commit(w *pendingWrite) {
-	w.committed = true
-	c.transmitCommit(w)
-}
-
-func (c *CoherentCache) transmitCommit(w *pendingWrite) {
-	fr, ok := c.fronts[w.leaf]
-	if !ok {
-		return
-	}
+// sendCommit sends (or resends) a write's commit — home install plus server
+// write-through — until the server's KVResp lands: the capsule or its ack can
+// die on a faulted path, and the server applies repeated PUTs of the same
+// value idempotently.
+func (c *CoherentCache) sendCommit(w *write) {
+	fr := c.fronts[w.leaf]
 	_ = c.updateHome(fr, w.k0, w.k1, w.addr, w.value)
 	msg := apps.KVMsg{Op: apps.KVPut, Key0: w.k0, Key1: w.k1, Value: w.value, Seq: w.seq}
 	c.payload = apps.BuildKV(c.payload[:0], fr.ip, c.srvIP, 40000, apps.KVPort, &msg)
 	_ = fr.cl.SendProgram("populate-fwd",
 		[4]uint32{w.k0, w.k1, w.addr, w.value},
 		packet.FlagPreload, c.payload, c.srvMAC)
-	delay := commitRetry * (1 << uint(min(w.commitTries, 4)))
-	c.fc.F.Eng.Schedule(delay, func() { c.checkCommit(w) })
-}
-
-// checkCommit retransmits a commit whose server ack has not arrived (the
-// capsule or its ack died on a faulted path). The server applies repeated
-// PUTs of the same value idempotently.
-func (c *CoherentCache) checkCommit(w *pendingWrite) {
-	if _, ok := c.pending[w.seq]; !ok {
-		return // acked
-	}
-	w.commitTries++
-	c.CommitRetransmits++
-	c.transmitCommit(w)
+	c.fc.F.Eng.Schedule(commitRetry*(1<<uint(min(w.commitTries, 4))), func() {
+		if w.phase == committing {
+			w.commitTries++
+			c.CommitRetransmits++
+			c.sendCommit(w)
+		}
+	})
 }
 
 // updateHome installs a value at the home spine replica with a capsule
@@ -432,12 +383,14 @@ func (c *CoherentCache) handlerFor(fr *front) func(*client.Client, *packet.Frame
 			if h.Flags&packet.FlagRTS == 0 {
 				// A populate-fwd capsule that terminated here: an
 				// invalidation (or update echo) that traversed its path. A
-				// KVInval payload correlates it to a pending write — its
-				// return completes the hairpin and acknowledges the
-				// eviction.
+				// KVInval payload names the write in flight — its return
+				// completes the hairpin and acknowledges the eviction.
 				c.InvalDelivered++
 				if msg, ok := apps.ReplyKV(f); ok && msg.Op == apps.KVInval {
-					c.ackInval(msg.Seq)
+					if w := c.writing[apps.KeyOf(msg.Key0, msg.Key1)]; w != nil {
+						delete(w.invals, msg.Seq)
+						c.step(w)
+					}
 				}
 				return
 			}
@@ -455,42 +408,39 @@ func (c *CoherentCache) handlerFor(fr *front) func(*client.Client, *packet.Frame
 			}
 			return
 		}
+		// A KVResp: the server echoes the key, so it answers a pending GET or
+		// acknowledges the commit of the key's write in flight.
 		msg, ok := apps.ReplyKV(f)
 		if !ok || msg.Op != apps.KVResp {
 			return
 		}
-		p, ok := c.pending[msg.Seq]
-		if !ok {
-			return
-		}
-		delete(c.pending, msg.Seq)
-		switch p.op {
-		case apps.KVGet:
+		key := apps.KeyOf(msg.Key0, msg.Key1)
+		if wgen, ok := c.pending[msg.Seq]; ok {
+			delete(c.pending, msg.Seq)
 			c.Misses++
 			// Install the miss-fetched value only if no write to the key
 			// started since this read was issued: a fill racing a write
 			// must not resurrect the value the write just killed.
-			key := apps.KeyOf(p.k0, p.k1)
-			if c.writing[key] == nil && p.wgen == c.wgens[key] {
-				c.fill(fr, p.k0, p.k1, msg.Value)
+			if c.writing[key] == nil && wgen == c.wgens[key] {
+				c.fill(fr, msg.Key0, msg.Key1, msg.Value)
 			} else {
 				c.FillsSuppressed++
 			}
 			if c.OnResponse != nil {
 				c.OnResponse(fr.leaf, msg.Seq, msg.Value, false)
 			}
-		case apps.KVPut:
+			return
+		}
+		if w := c.writing[key]; w != nil && w.seq == msg.Seq {
+			w.phase = acked
 			c.WriteAcks++
-			key := apps.KeyOf(p.k0, p.k1)
-			if w := c.writing[key]; w != nil && w.seq == msg.Seq {
-				delete(c.writing, key)
-				c.settleHome(p.leaf, p.k0, p.k1)
-				if w.next != nil {
-					c.startWrite(w.next)
-				}
+			delete(c.writing, key)
+			c.settleHome(w.leaf, w.k0, w.k1)
+			if w.next != nil {
+				c.step(w.next)
 			}
 			if c.OnWriteAck != nil {
-				c.OnWriteAck(p.leaf, msg.Seq, msg.Value)
+				c.OnWriteAck(w.leaf, msg.Seq, msg.Value)
 			}
 		}
 	}

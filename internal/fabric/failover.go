@@ -66,7 +66,9 @@ func (c *CoherentCache) frontHomeLinkDown() bool {
 	return false
 }
 
-// onLinkEvent reacts to health transitions of frontend<->home links.
+// onLinkEvent reacts to health transitions of frontend<->home links: a
+// Down enters degraded mode, an Up starts the recovery poller unless one
+// runs already.
 func (c *CoherentCache) onLinkEvent(ev LinkEvent) {
 	if ev.Spine != c.home {
 		return
@@ -82,56 +84,42 @@ func (c *CoherentCache) onLinkEvent(ev LinkEvent) {
 		}
 		if !c.degraded {
 			c.degraded = true
-			c.DegradedEntries++
 			c.fc.DegradedEntries++
 			c.fc.F.SetSpineDrain(c.home, true)
 		}
 		return
 	}
-	// A frontend's home link healed: start (or kick) the recovery poller.
-	c.recoverHome(ev.Leaf)
-}
-
-// recoverHome drives the degraded-exit state machine. Only one poller runs
-// at a time; a Down event in any step aborts it (the next Up restarts it).
-func (c *CoherentCache) recoverHome(leaf int) {
-	if c.recovering {
-		return
+	if !c.recovering {
+		c.recovering = true
+		c.stepRecovery(ev.Leaf, false)
 	}
-	c.recovering = true
-	c.stepRecovery(leaf)
 }
 
-func (c *CoherentCache) stepRecovery(leaf int) {
-	if c.frontHomeLinkDown() {
+// stepRecovery moves the degraded-exit poller one step. A home link down
+// aborts it (the next Up restarts it). A confirmed link leaves degraded mode
+// and starts the undrain countdown. A failed scrub (the home controller is
+// down) or an unanswered probe retries after RestoreDelay; the home stays
+// drained meanwhile. Otherwise the home is scrubbed clean, so probe the
+// healed link before trusting it.
+func (c *CoherentCache) stepRecovery(leaf int, confirmed bool) {
+	probed := c.probing
+	c.probing = false
+	switch {
+	case c.frontHomeLinkDown():
 		c.recovering = false
-		return
-	}
-	if !c.scrubHome() {
-		// Home controller is down: retry once the restart window has had a
-		// chance to pass. The home stays drained until the scrub lands.
-		c.fc.F.Eng.Schedule(c.health.RestoreDelay, func() { c.stepRecovery(leaf) })
-		return
-	}
-	// Scrubbed clean. Confirm the healed link with a fresh probe echo before
-	// trusting it for the undrain countdown.
-	c.health.Confirm(leaf, c.home, func(ok bool) {
-		if c.frontHomeLinkDown() {
-			c.recovering = false
-			return
-		}
-		if !ok {
-			c.fc.F.Eng.Schedule(c.health.RestoreDelay, func() { c.stepRecovery(leaf) })
-			return
-		}
+	case confirmed:
 		c.recovering = false
 		if c.degraded {
 			c.degraded = false
-			c.DegradedExits++
 			c.fc.DegradedExits++
 		}
 		c.fc.F.Eng.Schedule(c.health.RestoreDelay, c.tryUndrain)
-	})
+	case probed || !c.scrubHome():
+		c.fc.F.Eng.Schedule(c.health.RestoreDelay, func() { c.stepRecovery(leaf, false) })
+	default:
+		c.probing = true
+		c.health.Confirm(leaf, c.home, func(ok bool) { c.stepRecovery(leaf, ok) })
+	}
 }
 
 // tryUndrain lifts the home drain once the cache is out of degraded mode and
@@ -155,11 +143,9 @@ func (c *CoherentCache) tryUndrain() {
 // loss that could silently eat a wipe capsule. Returns false (leaving the
 // stale marks in place) when the home controller is crashed.
 func (c *CoherentCache) scrubHome() bool {
-	words, ok := c.fc.F.Spines[c.home].Ctrl.ScrubFID(c.set.FID)
-	if !ok {
+	if _, ok := c.fc.F.Spines[c.home].Ctrl.ScrubFID(c.set.FID); !ok {
 		return false
 	}
-	c.Wipes += uint64(words)
 	c.homeStale = make(map[uint64]bool)
 	c.HomeSyncs++
 	return true
@@ -186,9 +172,9 @@ func (c *CoherentCache) SetConsistent() bool {
 // VerifyAndRepair checks replica consistency and, on divergence, re-places
 // the whole set under newFID: the old members are released, a fresh set is
 // admitted on the same leaves, the frontends rebound, and every member
-// device scrubbed (WipeAll). Epochs cannot be reconciled in place — they
-// are per-device monotone counters — so a fresh FID with freshly aligned
-// epochs is the only sound repair. Returns whether a repair ran. Must be
+// device scrubbed. Epochs cannot be reconciled in place — they are
+// per-device monotone counters — so a fresh FID with freshly aligned epochs
+// is the only sound repair. Returns whether a repair ran. Must be
 // called from outside engine callbacks (it drives the simulation).
 func (c *CoherentCache) VerifyAndRepair(newFID uint16) (bool, error) {
 	if c.SetConsistent() {
@@ -218,23 +204,14 @@ func (c *CoherentCache) VerifyAndRepair(newFID uint16) (bool, error) {
 		fr.cl = m.Client
 		m.Client.Handler = c.handlerFor(fr)
 	}
-	c.WipeAll()
-	c.Repairs++
-	c.fc.RePlacements++
-	return true, nil
-}
-
-// WipeAll scrubs the replica set's registers on every member device through
-// each member's controller and forgets the copy directory. Used after a
-// repair: the runtime zeroes regions at grant time, but the directory and
-// stale marks describe the previous incarnation and must not survive into
-// the new one.
-func (c *CoherentCache) WipeAll() {
+	// Scrub every member and forget the directory and stale marks: they
+	// describe the previous incarnation.
 	for _, m := range c.set.Members {
-		if words, ok := m.Node.Ctrl.ScrubFID(c.set.FID); ok {
-			c.Wipes += uint64(words)
-		}
+		m.Node.Ctrl.ScrubFID(c.set.FID)
 	}
 	c.dir = make(map[uint64]map[int]bool)
 	c.homeStale = make(map[uint64]bool)
+	c.Repairs++
+	c.fc.RePlacements++
+	return true, nil
 }

@@ -10,8 +10,8 @@
 // the fabric controller) are notified. The first reply after death declares
 // the link alive again; subscribers are notified first and the routes are
 // restored RestoreDelay later, giving a subscriber a synchronization window
-// (e.g. re-invalidating a stale home replica) before traffic crosses the
-// healed link again.
+// (e.g. scrubbing a stale home replica through its controller) before traffic
+// crosses the healed link again.
 //
 // Detection latency — MissThreshold*ProbeInterval — is the staleness
 // deadline of the degraded-mode coherence protocol: it bounds how long the
@@ -147,11 +147,10 @@ func (h *Health) tick() {
 }
 
 // Confirm sends one immediate probe on a link and reports whether it is
-// answered within ProbeInterval. Because frames on one link deliver in
-// order, a positive confirmation proves that best-effort frames sent on the
-// same link just before the probe were delivered too — the barrier the
-// coherent cache uses to know its home-resync sentinels landed before it
-// lets traffic cross the healed link again.
+// answered within ProbeInterval: a fresh echo that the healed link carries
+// traffic now, not just when the probe loop last looked. The coherent cache
+// waits for it before it starts the undrain countdown that lets traffic
+// cross the link again.
 func (h *Health) Confirm(leaf, spine int, fn func(ok bool)) {
 	if leaf < 0 || leaf >= len(h.F.Leaves) || spine < 0 || spine >= len(h.F.Spines) {
 		fn(false)
