@@ -177,18 +177,9 @@ func runCache(o *options) error {
 	return nil
 }
 
-// parseTopology resolves the fabric row's -topology/-switches to a leaf and
-// spine count.
-func parseTopology(topology string, switches int) (leaves, spines int, err error) {
-	if switches != 0 {
-		if topology != "single" {
-			return 0, 0, usageError("-switches and -topology are mutually exclusive")
-		}
-		if switches < 2 {
-			return 0, 0, usageError(fmt.Sprintf("-switches %d: a fabric needs at least 2 switches", switches))
-		}
-		return switches - 1, 1, nil
-	}
+// parseTopology resolves the fabric row's -topology to a leaf and spine
+// count.
+func parseTopology(topology string) (leaves, spines int, err error) {
 	spec, _ := strings.CutPrefix(topology, "leafspine:")
 	l, s, ok := strings.Cut(spec, "x")
 	if ok {
@@ -209,7 +200,7 @@ func parseTopology(topology string, switches int) (leaves, spines int, err error
 // write burst mid-run to exercise the invalidation protocol. Exits with a
 // per-switch occupancy summary.
 func runFabricCache(o *options) error {
-	leaves, spines, err := parseTopology(o.topology, o.switches)
+	leaves, spines, err := parseTopology(o.topology)
 	if err != nil {
 		return err
 	}

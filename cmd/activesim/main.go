@@ -39,7 +39,6 @@ type options struct {
 	adversary   bool
 	telemetry   string
 	topology    string
-	switches    int
 	soak        time.Duration
 	soakCSV     string
 	soakSecapps bool
@@ -83,9 +82,9 @@ var table = []scenario{
 			"-scenario cache -adversary -seed 3",
 			"-scenario cache -chaos controller-outage -telemetry 127.0.0.1:0 -seed 3",
 			"-scenario cache -adversary -telemetry 127.0.0.1:0 -seed 3"}},
-	{name: "fabric", by: "topology switches", of: "cache", flags: "seed", run: runFabricCache,
-		summary: "the coherent replicated cache across a leaf-spine fabric (leafspine:LxS, or N switches as (N-1)x1)",
-		smoke:   []string{"-scenario cache -topology leafspine:3x2 -seed 3", "-scenario cache -switches 4 -seed 3"}},
+	{name: "fabric", by: "topology", of: "cache", flags: "seed", run: runFabricCache,
+		summary: "the coherent replicated cache across a leaf-spine fabric (leafspine:LxS)",
+		smoke:   []string{"-scenario cache -topology leafspine:3x2 -seed 3", "-scenario cache -topology leafspine:3x1 -seed 3"}},
 	{name: "lb", flags: "seed", run: runLB,
 		summary: "Cheetah load balancing across 4 servers", smoke: []string{"-scenario lb -seed 3"}},
 	{name: "defrag", flags: "seed", run: runDefragDemo,
@@ -165,7 +164,6 @@ func newFlags(o *options) *flag.FlagSet {
 	fs.BoolVar(&o.adversary, "adversary", false, "co-schedule an adversarial tenant attacking the cache")
 	fs.StringVar(&o.telemetry, "telemetry", "", "serve Prometheus/JSON telemetry on this address during the run (e.g. 127.0.0.1:9464)")
 	fs.StringVar(&o.topology, "topology", "single", `"single" or "leafspine:<leaves>x<spines>"`)
-	fs.IntVar(&o.switches, "switches", 0, "shorthand for -topology leafspine:(N-1)x1")
 	fs.DurationVar(&o.soak, "soak", 0, "run the long-soak invariant harness for this much virtual time (overrides -scenario)")
 	fs.StringVar(&o.soakCSV, "soak-csv", "", "with -soak: write per-epoch metrics CSV to this file")
 	fs.BoolVar(&o.soakSecapps, "soak-secapps", false, "with -soak: run the three security-app workload families alongside the cache load")

@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
@@ -102,7 +104,7 @@ func checkPaperCSVs(t *testing.T, ids []string) {
 // A non-default value for every flag a row can reject.
 var sampleValue = map[string]string{
 	"seed": "2", "chaos": "flaky-link", "adversary": "", "telemetry": "127.0.0.1:0",
-	"topology": "leafspine:2x1", "switches": "3", "soak": "1m", "soak-csv": "x.csv", "soak-secapps": "",
+	"topology": "leafspine:2x1", "soak": "1m", "soak-csv": "x.csv", "soak-secapps": "",
 	"quick": "", "out": "x",
 }
 
@@ -156,5 +158,39 @@ func TestFlagMisuse(t *testing.T) {
 		if stdout, stderr, code := invoke(args); code != 2 || stdout != "" || stderr == "" {
 			t.Errorf("activesim %s: exit %d, stdout %q, stderr %q; want exit 2 and a message", args, code, stdout, stderr)
 		}
+	}
+}
+
+// TestDocInvocationsParse parses every `go run ./cmd/activesim …` line of
+// README.md and docs/*.md with the command's own flag set, so a flag the
+// docs show but the command no longer has fails here, not in a reader's
+// shell. A line ends at a shell comment or a closing backtick.
+func TestDocInvocationsParse(t *testing.T) {
+	docs, _ := filepath.Glob("../../docs/*.md")
+	docs = append(docs, "../../README.md")
+	const cmd = "go run ./cmd/activesim"
+	n := 0
+	for _, doc := range docs {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(b), "\n") {
+			_, rest, ok := strings.Cut(line, cmd)
+			if !ok {
+				continue
+			}
+			rest, _, _ = strings.Cut(rest, "#")
+			rest, _, _ = strings.Cut(rest, "`")
+			fs := newFlags(&options{})
+			fs.SetOutput(io.Discard)
+			if err := fs.Parse(strings.Fields(rest)); err != nil {
+				t.Errorf("%s:%d: %s%s: %v", filepath.Base(doc), i+1, cmd, rest, err)
+			}
+			n++
+		}
+	}
+	if n < 10 {
+		t.Fatalf("found %d invocations in README.md and docs/*.md: the docs moved under the test", n)
 	}
 }

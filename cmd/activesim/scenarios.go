@@ -195,8 +195,8 @@ func runDefragDemo(o *options) error {
 			}
 		}
 	}
-	if err := al.AuditBooks(); err != nil {
-		return fmt.Errorf("allocator books: %w", err)
+	if vs := tb.Check(); len(vs) > 0 {
+		return fmt.Errorf("invariant %s: %s", vs[0].Row, vs[0].Detail)
 	}
 	say("audit: books clean, %d/%d survivor words verified (%d bad)",
 		len(survivors)*words-bad, len(survivors)*words, bad)

@@ -28,9 +28,7 @@ type Adversary struct {
 	fid   uint16 // armed tenant identity (0 = unarmed)
 	epoch uint8  // armed grant epoch echoed in capsules
 
-	// Counters.
-	Sent    uint64
-	Replies uint64
+	Sent uint64 // capsules sent
 }
 
 // NewAdversary builds an adversary host. Attach it to a switch port before
@@ -52,8 +50,8 @@ func (a *Adversary) Arm(fid uint16, epoch uint8) {
 	a.epoch = epoch
 }
 
-// Receive implements netsim.Endpoint; the adversary only counts replies.
-func (a *Adversary) Receive(frame []byte, port *netsim.Port) { a.Replies++ }
+// Receive implements netsim.Endpoint; the adversary ignores replies.
+func (a *Adversary) Receive(frame []byte, port *netsim.Port) {}
 
 func (a *Adversary) send(act *packet.Active) {
 	if a.port == nil {

@@ -72,11 +72,9 @@ type Controller struct {
 	F *Fabric
 
 	// Counters (also exported through AttachTelemetry).
-	Placements       uint64 // PlaceTenant calls that placed at least one shard
-	Spills           uint64 // placements that engaged more than one device
-	SpillDevices     uint64 // devices engaged beyond the first, summed
-	FailedPlacements uint64 // placements that could not place all demand
-	ReplicaMismatch  uint64 // replica admissions torn down for placement/epoch skew
+	Spills          uint64 // placements that engaged more than one device
+	SpillDevices    uint64 // devices engaged beyond the first, summed
+	ReplicaMismatch uint64 // replica admissions torn down for placement/epoch skew
 
 	// Failure-domain counters (also exported through AttachTelemetry).
 	LinkFlaps       uint64 // link down-transitions declared by the health monitor
@@ -250,12 +248,7 @@ func (c *Controller) ObserveFailures(h *Health) {
 // recordPlacement updates the spill/stretch accounting for one placement.
 func (c *Controller) recordPlacement(t *Tenant) {
 	if len(t.Shards) == 0 {
-		c.FailedPlacements++
 		return
-	}
-	c.Placements++
-	if t.Unplaced > 0 {
-		c.FailedPlacements++
 	}
 	if len(t.Shards) > 1 {
 		c.Spills++

@@ -53,9 +53,9 @@ type Health struct {
 	confirm map[uint32]func(bool)
 
 	// Counters.
-	ProbesSent, ProbesMissed uint64
-	FlapsObserved            uint64 // down transitions declared
-	Recoveries               uint64 // up transitions declared
+	ProbesSent    uint64
+	FlapsObserved uint64 // down transitions declared
+	Recoveries    uint64 // up transitions declared
 }
 
 type linkHealth struct {
@@ -130,7 +130,6 @@ func (h *Health) tick() {
 	for _, lh := range h.links {
 		if lh.outstanding {
 			lh.misses++
-			h.ProbesMissed++
 			if !lh.down && lh.misses >= h.MissThreshold {
 				h.declareDown(lh)
 			}

@@ -9,7 +9,6 @@ import (
 	"activermt/internal/chaos"
 	"activermt/internal/client"
 	"activermt/internal/fabric"
-	"activermt/internal/guard"
 )
 
 // smallConfig shrinks every pipeline to 96 blocks per stage so a modest
@@ -81,8 +80,8 @@ func TestPlacementSpillsAcrossPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range f.Nodes() {
-		if findings := guard.AuditRuntime(n.RT); len(findings) > 0 {
-			t.Fatalf("isolation audit on %s: %v", n.Name, findings)
+		if vs := n.Check(); len(vs) > 0 {
+			t.Fatalf("check on %s: %v", n.Name, vs)
 		}
 	}
 }
@@ -153,8 +152,8 @@ func TestPlacementSurvivesSwitchRestart(t *testing.T) {
 	// Epoch alignment still holds against the untouched second shard's
 	// device, and the audit stays clean everywhere.
 	for _, n := range f.Nodes() {
-		if findings := guard.AuditRuntime(n.RT); len(findings) > 0 {
-			t.Fatalf("isolation audit on %s after restart: %v", n.Name, findings)
+		if vs := n.Check(); len(vs) > 0 {
+			t.Fatalf("check on %s after restart: %v", n.Name, vs)
 		}
 	}
 	if cl := shard.Client; cl.State() != client.Operational {

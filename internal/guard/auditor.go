@@ -10,8 +10,8 @@ import (
 // cannot see: per-packet enforcement shows one access stayed inside one
 // region, but only a whole-table walk shows the regions themselves are
 // disjoint, owned, and consistent with the translation entries that steer
-// addresses into them. The controller (or an operator) runs it after every
-// reallocation wave or on demand.
+// addresses into them. switchd.Node.Check runs it, as row P1 of
+// docs/invariants.md.
 
 // FindingKind classifies one audit finding.
 type FindingKind int
@@ -55,14 +55,6 @@ type Finding struct {
 // String renders the finding.
 func (f Finding) String() string {
 	return fmt.Sprintf("stage %d fid %d: %s (%s)", f.Stage, f.FID, f.Kind, f.Detail)
-}
-
-// Audit runs the auditor over the guard's runtime and accumulates counters.
-func (g *Guard) Audit() []Finding {
-	g.auditsRun++
-	fs := AuditRuntime(g.rt)
-	g.findingsTotal += uint64(len(fs))
-	return fs
 }
 
 // AuditRuntime walks every stage's protection TCAM and translation table and

@@ -81,7 +81,6 @@ type Guard struct {
 	// PortViolations read them, and so does a registry (AttachTelemetry).
 	checked, ingressDrops            uint64
 	tenantViolations, portViolations uint64
-	auditsRun, findingsTotal         uint64
 	byKind                           [numKinds]uint64 // violations per Kind
 }
 
@@ -92,8 +91,6 @@ func (g *Guard) AttachTelemetry(reg *telemetry.Registry) {
 	reg.Counter("activermt_guard_ingress_drops_total", "capsules refused by the ingress gate", &g.ingressDrops)
 	reg.Counter("activermt_guard_tenant_violations_total", "authenticated violations charged to tenants", &g.tenantViolations)
 	reg.Counter("activermt_guard_port_violations_total", "unauthenticated violations charged to ingress ports", &g.portViolations)
-	reg.Counter("activermt_guard_audits_total", "isolation audits run", &g.auditsRun)
-	reg.Counter("activermt_guard_findings_total", "isolation audit findings", &g.findingsTotal)
 	reg.Vec("activermt_guard_violations_total", "violations by class (port- and tenant-attributed)",
 		telemetry.KindCounter, "kind", func(add func(string, float64)) {
 			for k := Kind(0); int(k) < numKinds; k++ {

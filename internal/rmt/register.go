@@ -27,8 +27,6 @@ type RegisterArray struct {
 	// Access counters (data-plane operations only); Faults is counted by the
 	// protection check in front of the array.
 	Reads, Writes, Faults uint64
-	// CorruptionsInjected counts CorruptBit calls (fault-injection audit).
-	CorruptionsInjected uint64
 }
 
 // NewRegisterArray returns an array of n zeroed words.
@@ -75,7 +73,6 @@ func (r *RegisterArray) CorruptBit(addr uint32, bit uint) error {
 		return fmt.Errorf("rmt: corrupt target %d bit %d out of range", addr, bit)
 	}
 	r.words[addr] ^= 1 << bit
-	r.CorruptionsInjected++
 	return nil
 }
 

@@ -2,7 +2,8 @@ package soak
 
 // The security-app workload families (Config.Secapps): the soak runs the
 // internal/secapps exemplars continuously against the churning fabric and
-// holds them to their own per-epoch invariants.
+// holds them to their own per-epoch invariants, together row R13a of
+// docs/invariants.md; a violation's detail opens with its clause's name.
 //
 //   - SYN-flood detection, replicated on both ingress leaves through the
 //     fabric's replica placement path. Benign sources complete handshakes,
@@ -301,12 +302,13 @@ func (h *harness) secappsEpoch() {
 	h.res.RLDelivered = delivered
 }
 
-// secappsInvariants evaluates the three families' per-epoch invariants;
-// the first breach is returned for the harness's fail path.
-func (h *harness) secappsInvariants() (kind, detail string, bad bool) {
+// secappsInvariants evaluates the three families' per-epoch invariants (row
+// R13a); the first breach is returned for the harness's fail path, its
+// detail led by the clause that broke.
+func (h *harness) secappsInvariants() (detail string, bad bool) {
 	s := h.sec
 	if s == nil {
-		return "", "", false
+		return "", false
 	}
 
 	// No false negative above 2x threshold, with a short grace window for
@@ -315,8 +317,8 @@ func (h *harness) secappsInvariants() (kind, detail string, bad bool) {
 		if s.attackSyns[src] >= 2*uint64(s.det.Threshold) && !s.det.Alarmed[src] {
 			s.missGrace[src]++
 			if s.missGrace[src] > synMissGrace {
-				return "synflood-miss", fmt.Sprintf(
-					"attacker %#x sent %d SYNs (threshold %d) yet stayed un-alarmed for %d epochs",
+				return fmt.Sprintf(
+					"synflood-miss: attacker %#x sent %d SYNs (threshold %d) yet stayed un-alarmed for %d epochs",
 					src, s.attackSyns[src], s.det.Threshold, s.missGrace[src]), true
 			}
 		} else {
@@ -329,8 +331,8 @@ func (h *harness) secappsInvariants() (kind, detail string, bad bool) {
 	// windows x limit. Loss (chaos, lost refills) only under-delivers.
 	for _, t := range s.rlTenants {
 		if got, cap := s.sink.Delivered[t], s.rlWindows*uint64(s.rl.Limit); got > cap {
-			return "ratelimit-enforce", fmt.Sprintf(
-				"tenant %#x delivered %d capsules over %d windows of %d",
+			return fmt.Sprintf(
+				"ratelimit-enforce: tenant %#x delivered %d capsules over %d windows of %d",
 				t, got, s.rlWindows, s.rl.Limit), true
 		}
 	}
@@ -339,15 +341,15 @@ func (h *harness) secappsInvariants() (kind, detail string, bad bool) {
 	// cover, so the limiter must never fire and the guard ledger must stay
 	// clean.
 	if n := s.hhNode.RT.RecircThrottled; n != 0 {
-		return "recirc-budget", fmt.Sprintf(
-			"%s throttled %d recirculating capsules (claims=%d deferred=%d budget=%d/epoch)",
+		return fmt.Sprintf(
+			"recirc-budget: %s throttled %d recirculating capsules (claims=%d deferred=%d budget=%d/epoch)",
 			s.hhNode.Name, n, s.hh.Claims, s.hh.ClaimsDeferred, recircBudget), true
 	}
 	if led := s.hhNode.Guard.Tenant(hxClaimFID); led != nil {
 		if n := led.Count(guard.KindRecircThrottled); n != 0 {
-			return "recirc-budget", fmt.Sprintf(
-				"guard ledger holds %d recirc-throttled entries for fid %d", n, hxClaimFID), true
+			return fmt.Sprintf(
+				"recirc-budget: guard ledger holds %d recirc-throttled entries for fid %d", n, hxClaimFID), true
 		}
 	}
-	return "", "", false
+	return "", false
 }

@@ -2,17 +2,20 @@
 // leaf-spine fabric (internal/fabric) with a coherent cache, a key-value
 // server, link-health monitoring, and a churning tenant population, then
 // runs hours of virtual time under a seeded chaos schedule while checking
-// the system's safety invariants after every virtual epoch:
+// the system's safety invariants after every virtual epoch. Each violation
+// names its row of docs/invariants.md:
 //
-//   - No stale read. Every write's acknowledged value becomes the key's
+//   - R1a, no stale read. Every write's acknowledged value becomes the key's
 //     floor; a read issued after the ack that returns an older value is a
 //     coherence violation, no matter which replica served it.
-//   - Isolation audit clean. guard.AuditRuntime on every switch must report
-//     no orphan regions, overlaps, or translation escapes.
-//   - No allocation leak. alloc.AuditBooks on every switch: thousands of
-//     admit/release cycles must never bleed blocks.
-//   - Bounded tail latency. The p99 of completed reads, computed from the
-//     telemetry registry's histogram, must stay under a configured bound —
+//   - P1 and P4, from switchd.Node.Check on every switch: no orphan region,
+//     overlap or translation escape, and books that never bleed blocks over
+//     thousands of admit/release cycles.
+//   - R14, bounded fragmentation: no switch stays above fragBound for
+//     fragEpochs consecutive epochs.
+//   - R13a, with Config.Secapps: the security apps' contracts (secapps.go).
+//   - R15, bounded tail latency. The p99 of completed reads, computed from
+//     the telemetry registry's histogram, must stay under a configured bound —
 //     chaos may LOSE reads (they are counted, not latency-sampled) but must
 //     not silently stretch the ones that complete.
 //
@@ -35,7 +38,6 @@ import (
 	"activermt/internal/apps"
 	"activermt/internal/chaos"
 	"activermt/internal/fabric"
-	"activermt/internal/guard"
 	"activermt/internal/telemetry"
 )
 
@@ -53,10 +55,7 @@ type Config struct {
 	// internal/secapps — SYN-flood detection (replicated on the two ingress
 	// leaves), per-tenant rate limiting, and the recirculating heavy hitter
 	// — each with its own per-epoch invariant. Default off: the baseline
-	// soak's PRNG streams, placements, and CSV stay bit-identical. Enabling
-	// it also switches the fabric allocators to the least-constrained
-	// policy, the only one whose bounds admit the heavy hitter's two-pass
-	// claim program.
+	// soak's PRNG streams, placements, and CSV stay bit-identical.
 	Secapps bool
 
 	CSV      io.Writer                        // optional per-epoch CSV rows
@@ -89,13 +88,13 @@ const (
 type Violation struct {
 	At     time.Duration // virtual time
 	Epoch  int
-	Kind   string // "stale-read" | "guard-audit" | "alloc-books" | "latency-p99" | "frag-bound" | "synflood-miss" | "ratelimit-enforce" | "recirc-budget"
+	Row    string // the docs/invariants.md row: R1a, P1, P4, R14, R13a or R15
 	Detail string
 	Trace  []string // recent fault/recovery events, oldest first
 }
 
 func (v Violation) String() string {
-	return fmt.Sprintf("[epoch %d @%v] %s: %s", v.Epoch, v.At, v.Kind, v.Detail)
+	return fmt.Sprintf("[epoch %d @%v] %s: %s", v.Epoch, v.At, v.Row, v.Detail)
 }
 
 // SpineKillReport records what the mid-soak home-spine kill exercised.
@@ -112,16 +111,11 @@ type Result struct {
 	Epochs  int
 	Elapsed time.Duration // virtual
 
-	Reads, ReadsDone uint64 // issued / completed
-	Writes, Acked    uint64
+	ReadsDone, Acked uint64 // completed reads, acknowledged writes
 	Hits, Lost       uint64
-	StaleChecks      uint64
 
 	TenantsPlaced, TenantsReleased int
-	PlaceErrors                    int
-	RetriedBlocks                  int // demand recovered by RetryUnplaced
 	Reconciles                     int // ReconcileTenant runs
-	Repairs                        uint64
 
 	ChaosInstalled int
 	Reroutes       uint64
@@ -316,33 +310,28 @@ func (h *harness) checkInvariants() {
 		h.res.Violations = append(h.res.Violations, *h.failed)
 		return
 	}
-	fail := func(kind, detail string) {
-		v := Violation{At: now, Epoch: h.res.Epochs, Kind: kind, Detail: detail,
-			Trace: h.ring.dump(h.reg)}
+	fail := func(v Violation) {
+		v.At, v.Epoch, v.Trace = now, h.res.Epochs, h.ring.dump(h.reg)
 		h.res.Violations = append(h.res.Violations, v)
 		h.failed = &v
 	}
 	for _, n := range h.f.Nodes() {
-		if fs := guard.AuditRuntime(n.RT); len(fs) > 0 {
-			fail("guard-audit", fmt.Sprintf("%s: %v", n.Name, fs[0]))
-			return
-		}
-		if err := n.Ctrl.Allocator().AuditBooks(); err != nil {
-			fail("alloc-books", fmt.Sprintf("%s: %v", n.Name, err))
+		if vs := n.Check(); len(vs) > 0 {
+			fail(Violation{Row: vs[0].Row, Detail: n.Name + ": " + vs[0].Detail})
 			return
 		}
 	}
 	if name, frag, bad := h.fragSweep(); bad {
-		fail("frag-bound", fmt.Sprintf("%s: fragmentation %.3f above %.3f for %d consecutive epochs",
-			name, frag, fragBound, fragEpochs))
+		fail(Violation{Row: "R14", Detail: fmt.Sprintf("%s: fragmentation %.3f above %.3f for %d consecutive epochs",
+			name, frag, fragBound, fragEpochs)})
 		return
 	}
-	if kind, detail, bad := h.secappsInvariants(); bad {
-		fail(kind, detail)
+	if detail, bad := h.secappsInvariants(); bad {
+		fail(Violation{Row: "R13a", Detail: detail})
 		return
 	}
 	if p99, n := h.readP99(); n >= 100 && p99 > p99Bound {
-		fail("latency-p99", fmt.Sprintf("read p99 %v exceeds bound %v over %d reads", p99, p99Bound, n))
+		fail(Violation{Row: "R15", Detail: fmt.Sprintf("read p99 %v exceeds bound %v over %d reads", p99, p99Bound, n)})
 	}
 }
 
@@ -383,7 +372,6 @@ func (h *harness) readP99() (time.Duration, uint64) {
 
 func (h *harness) finish() {
 	h.res.Elapsed = h.f.Eng.Now()
-	h.res.Repairs = h.cc.Repairs
 	h.res.Reroutes = h.f.Reroutes
 	h.res.P99, _ = h.readP99()
 	h.res.HitRate = h.cc.HitRate()

@@ -100,7 +100,6 @@ func (h *harness) issueRead() {
 	if err != nil {
 		return
 	}
-	h.res.Reads++
 	h.pendingReads[seq] = readState{key: i, at: h.f.Eng.Now(), floor: k.floor}
 }
 
@@ -120,7 +119,6 @@ func (h *harness) issueWrite() {
 			return
 		}
 		k.busy = true
-		h.res.Writes++
 		h.pendingPuts[seq] = putState{key: i, value: h.nextVal}
 		return
 	}
@@ -147,7 +145,6 @@ func (h *harness) onReadResponse(leaf int, seq, value uint32, hit bool) {
 	}
 	delete(h.pendingReads, seq)
 	h.res.ReadsDone++
-	h.res.StaleChecks++
 	if hit {
 		h.res.Hits++
 	}
@@ -156,7 +153,7 @@ func (h *harness) onReadResponse(leaf int, seq, value uint32, hit bool) {
 		now := h.f.Eng.Now()
 		k := h.keys[rd.key]
 		h.failed = &Violation{
-			At: now, Epoch: h.res.Epochs, Kind: "stale-read",
+			At: now, Epoch: h.res.Epochs, Row: "R1a",
 			Detail: fmt.Sprintf("leaf %d read key (%#x,%#x) = %d, but %d was acknowledged before the read was issued (hit=%v, consistent=%v, degraded=%v, home=%d)",
 				leaf, k.k0, k.k1, value, rd.floor, hit, h.cc.SetConsistent(), h.cc.Degraded(), h.cc.Home().Index),
 			Trace: h.ring.dump(h.reg),
@@ -218,7 +215,6 @@ func (h *harness) churnTenants() {
 		demand := tenantDemandMin + h.rng.Intn(tenantDemandMax-tenantDemandMin+1)
 		t, err := h.fc.PlaceTenant(slab, leaf, h.srv.MAC(), demand, apps.CoherentCacheService)
 		if err != nil {
-			h.res.PlaceErrors++
 			h.slabFree = append(h.slabFree, slab)
 			continue
 		}
@@ -229,10 +225,7 @@ func (h *harness) churnTenants() {
 
 	for _, lt := range h.tenants {
 		if lt.t.Unplaced > 0 {
-			placed, err := h.fc.RetryUnplaced(lt.t, apps.CoherentCacheService)
-			if err == nil {
-				h.res.RetriedBlocks += placed
-			}
+			_, _ = h.fc.RetryUnplaced(lt.t, apps.CoherentCacheService)
 			break // one retry pass per epoch keeps the epoch bounded
 		}
 	}

@@ -8,7 +8,6 @@ import (
 
 	"activermt/internal/apps"
 	"activermt/internal/client"
-	"activermt/internal/guard"
 	"activermt/internal/switchd"
 	"activermt/internal/testbed"
 )
@@ -206,11 +205,8 @@ func TestCrashAtEveryPhase(t *testing.T) {
 				if al.NumApps() != operational {
 					t.Errorf("books hold %d tenants, %d clients are operational", al.NumApps(), operational)
 				}
-				if err := al.AuditBooks(); err != nil {
-					t.Errorf("books: %v", err)
-				}
-				if fs := guard.AuditRuntime(tb.RT); len(fs) > 0 {
-					t.Errorf("isolation audit: %v", fs)
+				if vs := tb.Check(); len(vs) > 0 {
+					t.Errorf("check: %v", vs)
 				}
 				t.Logf("crashed %v into the job; %d clients operational; lost: %s", crashedAt, operational, cc.loss(tb, t0))
 			})

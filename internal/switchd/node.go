@@ -83,6 +83,26 @@ func (n *Node) AttachTelemetry(reg *telemetry.Registry) {
 	n.Switch.ProgCache().AttachTelemetry(reg)
 }
 
+// Violation is one breach of a row of docs/invariants.md found on a switch.
+type Violation struct {
+	Row    string // the table's ID, e.g. "P1"
+	Detail string
+}
+
+// Check audits a settled switch against the rows its tables can show: the
+// isolation audit's findings (P1) first, then the allocator's books (P4).
+// It returns nil when both hold.
+func (n *Node) Check() []Violation {
+	var out []Violation
+	for _, f := range guard.AuditRuntime(n.RT) {
+		out = append(out, Violation{Row: "P1", Detail: f.String()})
+	}
+	if err := n.Ctrl.Allocator().AuditBooks(); err != nil {
+		out = append(out, Violation{Row: "P4", Detail: err.Error()})
+	}
+	return out
+}
+
 // SnapshotFn exposes the controller-side register read API for apps that
 // extract state via the control plane.
 func (n *Node) SnapshotFn() func(fid uint16, phys int) ([]uint32, error) {

@@ -580,3 +580,23 @@ func TestAllocFamiliesFollowTheLiveBooks(t *testing.T) {
 		t.Fatal("recovered books not read after the restart")
 	}
 }
+
+// TestNodeCheck: a fresh node holds every row Check audits, and a region
+// installed behind the allocator's back for a FID that was never admitted
+// is reported under row P1 (the isolation audit's orphan region).
+func TestNodeCheck(t *testing.T) {
+	n, err := NewNode(netsim.NewEngine(), DefaultNodeConfig(), packet.MAC{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vs := n.Check(); vs != nil {
+		t.Fatalf("fresh node: %v", vs)
+	}
+	if err := n.RT.Device().Stage(2).Prot.Install(rmt.Region{FID: 99, Lo: 0, Hi: 16}); err != nil {
+		t.Fatal(err)
+	}
+	vs := n.Check()
+	if len(vs) != 1 || vs[0].Row != "P1" || !strings.Contains(vs[0].Detail, "orphan-region") {
+		t.Fatalf("orphan region: %v, want one P1 orphan-region violation", vs)
+	}
+}

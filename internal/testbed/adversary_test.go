@@ -239,8 +239,8 @@ func TestAdversaryQuarantinedThenEvicted(t *testing.T) {
 	}
 
 	// No isolation invariant was violated anywhere in the pipeline.
-	if fs := tb.Guard.Audit(); len(fs) != 0 {
-		t.Errorf("audit findings after attack: %v", fs)
+	if vs := tb.Check(); len(vs) != 0 {
+		t.Errorf("check after attack: %v", vs)
 	}
 }
 

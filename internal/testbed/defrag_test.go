@@ -9,7 +9,6 @@ import (
 	"activermt/internal/apps"
 	"activermt/internal/chaos"
 	"activermt/internal/client"
-	"activermt/internal/guard"
 	"activermt/internal/switchd"
 	"activermt/internal/telemetry"
 )
@@ -50,8 +49,8 @@ func defragBed(t *testing.T, n, nRelease, demand, words int) (*Testbed, map[uint
 		delete(drivers, fid)
 	}
 	tb.RunFor(time.Second)
-	if err := tb.Ctrl.Allocator().AuditBooks(); err != nil {
-		t.Fatalf("books after churn: %v", err)
+	if vs := tb.Check(); len(vs) > 0 {
+		t.Fatalf("check after churn: %v", vs)
 	}
 	return tb, drivers
 }
@@ -88,11 +87,8 @@ func TestDefragLiveMigration(t *testing.T) {
 	if fragAfter >= fragBefore {
 		t.Fatalf("fragmentation %v -> %v, want a decrease", fragBefore, fragAfter)
 	}
-	if err := al.AuditBooks(); err != nil {
-		t.Fatalf("books after migration: %v", err)
-	}
-	if fs := guard.AuditRuntime(tb.RT); len(fs) > 0 {
-		t.Fatalf("isolation audit after migration: %v", fs)
+	if vs := tb.Check(); len(vs) > 0 {
+		t.Fatalf("check after migration: %v", vs)
 	}
 
 	// Every pre-migration word must read back at the new placement.
@@ -127,7 +123,6 @@ func TestDefragAuditsDuringMigration(t *testing.T) {
 	const n, nRelease, demand, words = 30, 12, 16, 2
 	tb, _ := defragBed(t, n, nRelease, demand, words)
 	reg := tb.EnableTelemetry()
-	al := tb.Ctrl.Allocator()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -148,11 +143,8 @@ func TestDefragAuditsDuringMigration(t *testing.T) {
 	audit := func() {
 		audits++
 		reg.Publish()
-		if err := al.AuditBooks(); err != nil {
-			t.Errorf("mid-migration books: %v", err)
-		}
-		if fs := guard.AuditRuntime(tb.RT); len(fs) > 0 {
-			t.Errorf("mid-migration isolation: %v", fs)
+		if vs := tb.Check(); len(vs) > 0 {
+			t.Errorf("mid-migration check: %v", vs)
 		}
 	}
 	// Straddle the deactivate/snapshot/update/reactivate window: the defrag
@@ -243,8 +235,8 @@ func TestAttachPolicyDefragmentsOnlyWhatCanMove(t *testing.T) {
 		if n := defragRecords(t, tb); n == 0 || uint64(n) != tb.Ctrl.DefragPasses {
 			t.Fatalf("%d defrag records, %d passes counted", n, tb.Ctrl.DefragPasses)
 		}
-		if err := tb.Ctrl.Allocator().AuditBooks(); err != nil {
-			t.Fatalf("books after migration: %v", err)
+		if vs := tb.Check(); len(vs) > 0 {
+			t.Fatalf("check after migration: %v", vs)
 		}
 	})
 }

@@ -58,7 +58,6 @@ var reachAllow = map[string]string{
 	"internal/rmt.TCAM.Used":                     "accessor: rmt and runtime tests balance TCAM accounting",
 	"internal/telemetry.FlightRecorder.Recorded": "accessor: runtime and telemetry tests",
 	"internal/chaos.TraceString":                 "accessor: chaos and testbed tests compare fired-event traces",
-	"internal/guard.Guard.Audit":                 "accessor: guard and testbed tests run the isolation audit through the guard's counters",
 	"internal/guard.Guard.Port":                  "accessor: guard tests read port-attributed ledgers",
 	"internal/guard.PortLedger.Count":            "accessor: guard tests read port-attributed ledgers",
 	"internal/netsim.Port.Down":                  "accessor: chaos and netsim tests",
