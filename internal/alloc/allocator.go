@@ -180,6 +180,7 @@ type Allocator struct {
 	order    []egroup          // a lay order
 	setBuf   []*intervalSet    // sets
 	perStage [2][]int          // fairShares' room and contention, then realiseInPlace's unrealised share
+	moved    []*App            // changedPlacements' apps
 }
 
 // New returns an empty allocator.
@@ -521,6 +522,7 @@ func (a *Allocator) Allocate(fid uint16, cons *Constraints) (*Result, error) {
 		}
 		app.groups = buildGroups(nil, cons, app.Mut, a.cfg.NumStages)
 		if a.tryCommit(app, before) {
+			app.Mut = slices.Clone(app.Mut) // the resident keeps the winner, not the enumeration
 			res.New = a.placementFor(app)
 			res.Reallocated = a.changedPlacements(before, fid)
 			return res, nil
@@ -950,7 +952,7 @@ func (a *Allocator) restoreElastic(saved []heldRegion) {
 // whose regions differ from it, excluding skip (the newly admitted or
 // released fid).
 func (a *Allocator) changedPlacements(before []heldRegion, skip uint16) []*Placement {
-	var out []*Placement
+	changed := a.moved[:0]
 	for i := 0; i < len(before); {
 		app, moved := before[i].app, false
 		for ; i < len(before) && before[i].app == app; i++ {
@@ -961,15 +963,22 @@ func (a *Allocator) changedPlacements(before []heldRegion, skip uint16) []*Place
 			}
 		}
 		if moved && app.FID != skip && a.apps[app.FID] == app {
-			out = append(out, a.placementFor(app))
+			changed = append(changed, app)
 		}
 	}
+	out := make([]*Placement, len(changed))
+	for i, app := range changed {
+		out[i] = a.placementFor(app)
+	}
+	clear(changed)
+	a.moved = changed
 	return out
 }
 
-// placementFor materializes an app's word-level placement.
+// placementFor materializes an app's word-level placement. It shares the
+// app's mutant, which nothing writes to.
 func (a *Allocator) placementFor(app *App) *Placement {
-	p := &Placement{FID: app.FID, Policy: app.Policy, MutantIdx: app.MutantIdx, Mutant: app.Mut.clone(),
+	p := &Placement{FID: app.FID, Policy: app.Policy, MutantIdx: app.MutantIdx, Mutant: app.Mut,
 		Accesses: make([]AccessPlacement, 0, len(app.Mut))}
 	for _, logical := range app.Mut {
 		s := a.cfg.Physical(logical)

@@ -106,7 +106,8 @@ func ComputeBounds(c *Constraints, pol Policy, numStages, numIngress, maxPasses 
 	if m == 0 {
 		return nil, fmt.Errorf("alloc: no memory accesses to bound")
 	}
-	b := &Bounds{LB: make([]int, m), UB: make([]int, m), Gap: make([]int, m)}
+	v := make([]int, 3*m)
+	b := &Bounds{LB: v[:m:m], UB: v[m : 2*m : 2*m], Gap: v[2*m:]}
 
 	passes := 1
 	if pol == LeastConstrained {

@@ -37,13 +37,6 @@ func (s Shape) Mutants(c *Constraints, pol Policy) ([]Mutant, *Bounds, error) {
 // differ only in inserted NOPs (Section 4.1, Figure 4).
 type Mutant []int
 
-// clone copies the mutant.
-func (m Mutant) clone() Mutant {
-	out := make(Mutant, len(m))
-	copy(out, m)
-	return out
-}
-
 // MaxMutants caps enumeration as a safety valve against pathological
 // constraint sets; the paper's applications stay in the hundreds-to-
 // thousands range.
@@ -58,16 +51,22 @@ const MaxMutants = 1 << 20
 // The shared, deterministic order is load-bearing: allocation responses name
 // the chosen mutant by its index in this order, and client and switch
 // enumerate independently (Section 3.3).
+//
+// The mutants are capacity-capped windows of one backing array: appending to
+// one copies it, and a caller that keeps a mutant past the enumeration clones
+// it so as not to pin the rest.
 func EnumerateMutants(b *Bounds, numStages int) []Mutant {
 	m := len(b.LB)
-	var out []Mutant
-	x := make(Mutant, m)
+	var flat []int
+	x := make([]int, m)
+	n := 0
 
 	var rec func(i int) bool
 	rec = func(i int) bool {
 		if i == m {
-			out = append(out, x.clone())
-			return len(out) < MaxMutants
+			flat = append(flat, x...)
+			n++
+			return n < MaxMutants
 		}
 		lo := b.LB[i]
 		if i > 0 {
@@ -87,6 +86,10 @@ func EnumerateMutants(b *Bounds, numStages int) []Mutant {
 		return true
 	}
 	rec(0)
+	out := make([]Mutant, n)
+	for k := range out {
+		out[k] = flat[k*m : (k+1)*m : (k+1)*m]
+	}
 	return out
 }
 

@@ -102,7 +102,7 @@ func (a *Allocator) Readmit(fid uint16, cons *Constraints) (*Result, error) {
 
 	app.Cons = cons
 	app.Policy = pol
-	app.Mut = mutants[match]
+	app.Mut = slices.Clone(mutants[match])
 	app.MutantIdx = match
 	app.Elastic = cons.Elastic
 	app.groups = buildGroups(nil, cons, app.Mut, a.cfg.NumStages)

@@ -69,8 +69,8 @@ func (p *Placement) ToResponse(epoch uint8) *packet.AllocResponse {
 // FromResponse reconstructs, from the response alone, the placement the
 // switch granted fid for constraints c over shape s, and the grant epoch
 // (announced even when the placement does not decode). mutants is
-// s.Mutants(c, policy), which callers memoise; placements share its slices —
-// nothing writes to one.
+// s.Mutants(c, policy), which callers memoise; placements share its slices,
+// as the allocator's share their resident app's — nothing writes to one.
 func FromResponse(fid uint16, r *packet.AllocResponse, c *Constraints, s Shape, mutants func(Policy) ([]Mutant, error)) (*Placement, uint8, error) {
 	pl := &Placement{FID: fid, MutantIdx: int(r.MutantIndex & packet.MutantIndexMask)}
 	if r.MutantIndex&packet.PolicyBitLC != 0 {
@@ -88,6 +88,7 @@ func FromResponse(fid uint16, r *packet.AllocResponse, c *Constraints, s Shape, 
 		return nil, epoch, fmt.Errorf("%w: mutant index %d out of range (%d mutants)", ErrBadResponse, pl.MutantIdx, len(ms))
 	}
 	pl.Mutant = ms[pl.MutantIdx]
+	pl.Accesses = make([]AccessPlacement, 0, len(pl.Mutant))
 	for i, logical := range pl.Mutant {
 		phys := s.Physical(logical)
 		g := r.Grants[phys]

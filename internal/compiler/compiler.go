@@ -81,10 +81,13 @@ func Synthesize(p *isa.Program, mutant alloc.Mutant) (*isa.Program, error) {
 	}
 	out.Instrs = append(out.Instrs, p.Instrs[from:]...)
 	// Post-condition: the mutant's accesses are exactly where asked.
-	got := out.MemoryAccessIndices()
-	for i, target := range mutant {
-		if got[i] != target {
-			return nil, fmt.Errorf("compiler: synthesis mismatch at access %d: %d != %d", i, got[i], target)
+	k := 0
+	for i, in := range out.Instrs {
+		if in.Op.AccessesMemory() {
+			if i != mutant[k] {
+				return nil, fmt.Errorf("compiler: synthesis mismatch at access %d: %d != %d", k, i, mutant[k])
+			}
+			k++
 		}
 	}
 	return out, nil

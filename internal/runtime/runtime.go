@@ -29,7 +29,7 @@ type Grant struct {
 
 // GrantOf converts an allocator placement to the install form.
 func GrantOf(pl *alloc.Placement) Grant {
-	g := Grant{FID: pl.FID}
+	g := Grant{FID: pl.FID, Accesses: make([]AccessGrant, 0, len(pl.Accesses))}
 	for _, ap := range pl.Accesses {
 		g.Accesses = append(g.Accesses, AccessGrant{Logical: ap.Logical, Lo: ap.Range.Lo, Hi: ap.Range.Hi})
 	}

@@ -114,6 +114,11 @@ type Controller struct {
 	queue   []*job
 	cur     *job // the job in progress
 
+	// resp is the scratch responseFor frames into; SendToHost encodes it
+	// before it returns.
+	resp      packet.Active
+	respAlloc packet.AllocResponse
+
 	// alive models control-plane failure: a dead controller drops digests,
 	// and its in-flight protocol continuations die with it (keyed by life).
 	alive bool
@@ -205,19 +210,6 @@ func (c *Controller) GuardEvict(fid uint16) {
 	c.enqueue(&job{rec: ProvisionRecord{FID: fid, Kind: JobEvict}})
 }
 
-// after schedules fn on the engine, cancelled implicitly if the controller
-// crashes in the meantime (a dead controller's protocol continuations must
-// not mutate the rebuilt state).
-func (c *Controller) after(d time.Duration, fn func()) {
-	life := c.life
-	c.eng.Schedule(d, func() {
-		if c.life != life || !c.alive {
-			return
-		}
-		fn()
-	})
-}
-
 // Crash kills the control plane: the job queue, the client directory, and
 // the allocation books are lost, and every in-flight protocol continuation
 // dies. The data plane (switch tables, register state) is untouched and
@@ -267,26 +259,34 @@ func (c *Controller) Restart() {
 
 // Digest delivers a control packet from the data plane after the digest
 // latency (the switch CPU path): an allocation request or a release becomes
-// a job, and a snapshot completion goes to the job whose window is open.
-func (c *Controller) Digest(f *packet.Frame) {
+// a job, and a snapshot completion goes to the job whose window is open. It
+// takes the sender and the header by value, and the request (nil unless h is
+// an allocation request) as decoded afresh for this frame, so nothing of the
+// switch's decode scratch is retained. A controller that crashes in the
+// meantime drops the digest: a dead controller's continuations must not
+// mutate the rebuilt state.
+func (c *Controller) Digest(src packet.MAC, h packet.ActiveHeader, req *packet.AllocRequest) {
 	if !c.alive {
 		c.DigestsDropped++
 		return
 	}
-	c.after(digestLatency, func() {
-		h := f.Active.Header
+	life, fid, typ, flags := c.life, h.FID, h.Type(), h.Flags
+	c.eng.Schedule(digestLatency, func() {
+		if c.life != life || !c.alive {
+			return
+		}
 		switch {
-		case h.Type() == packet.TypeControl && h.Flags&packet.FlagSnapDone != 0:
-			if j := c.cur; j != nil && j.phase == phaseInstall && j.pending[h.FID] {
-				delete(j.pending, h.FID)
+		case typ == packet.TypeControl && flags&packet.FlagSnapDone != 0:
+			if j := c.cur; j != nil && j.phase == phaseInstall && j.pending[fid] {
+				delete(j.pending, fid)
 				if len(j.pending) == 0 {
 					c.step(j)
 				}
 			}
-		case h.Type() == packet.TypeAllocReq:
-			c.enqueue(&job{rec: ProvisionRecord{FID: h.FID, Kind: JobAdmit}, req: f.Active.AllocReq, mac: f.Eth.Src})
-		case h.Type() == packet.TypeControl && h.Flags&packet.FlagRelease != 0:
-			c.enqueue(&job{rec: ProvisionRecord{FID: h.FID, Kind: JobRelease}, mac: f.Eth.Src})
+		case typ == packet.TypeAllocReq:
+			c.enqueue(&job{rec: ProvisionRecord{FID: fid, Kind: JobAdmit}, req: req, mac: src})
+		case typ == packet.TypeControl && flags&packet.FlagRelease != 0:
+			c.enqueue(&job{rec: ProvisionRecord{FID: fid, Kind: JobRelease}, mac: src})
 		}
 	})
 }
@@ -325,15 +325,17 @@ func (c *Controller) step(j *job) {
 }
 
 // next moves j to phase p and steps it after d, or at once when d is
-// atOnce. A step that finds its job over or moved on does nothing.
+// atOnce. A step that finds its job over or moved on, or its controller
+// crashed in the meantime, does nothing.
 func (c *Controller) next(j *job, p phase, d time.Duration) {
 	j.phase = p
 	if d == atOnce {
 		c.step(j)
 		return
 	}
-	c.after(d, func() {
-		if c.cur == j && j.phase == p {
+	life := c.life
+	c.eng.Schedule(d, func() {
+		if c.life == life && c.alive && c.cur == j && j.phase == p {
 			c.step(j)
 		}
 	})
@@ -393,15 +395,18 @@ func (c *Controller) respondFailure(fid uint16) {
 // responseFor frames a placement's wire response (alloc.Placement.ToResponse)
 // with the grant epoch the client must echo on its capsules. Reallocation
 // notices go out before the table update lands, so they carry the epoch the
-// pending install will assign.
+// pending install will assign. The frame is the controller's scratch, valid
+// until the next call.
 func (c *Controller) responseFor(pl *alloc.Placement, realloc bool) *packet.Active {
 	epoch := c.rt.Epoch(pl.FID)
 	if realloc {
 		epoch = c.rt.NextEpoch(pl.FID)
 	}
-	a := &packet.Active{
+	c.respAlloc = *pl.ToResponse(epoch)
+	a := &c.resp
+	*a = packet.Active{
 		Header:    packet.ActiveHeader{FID: pl.FID, Flags: packet.FlagFromSwch},
-		AllocResp: pl.ToResponse(epoch),
+		AllocResp: &c.respAlloc,
 	}
 	if realloc {
 		a.Header.Flags |= packet.FlagRealloc

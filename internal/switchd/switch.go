@@ -173,51 +173,59 @@ func (s *Switch) Receive(frame []byte, port *netsim.Port) {
 		s.execute(eth, a, port)
 		return
 	}
-	// Control traffic is rare and its consumers (controller digests, the
-	// probe sink) retain the frame: it gets its own copy.
-	ca := *a
-	f := &packet.Frame{Eth: eth, Active: &ca, Inner: ca.Payload}
-	switch ca.Header.Type() {
+	s.control(eth, a, port)
+}
+
+// control handles a control frame (a, in switch scratch). Control traffic is
+// rare. A digest takes what the controller needs by value; a frame that
+// travels on or reaches the probe sink gets its own copy, since the decode
+// scratch a aliases is reused by the next frame.
+func (s *Switch) control(eth packet.EthHeader, a *packet.Active, port *netsim.Port) {
+	own := func() *packet.Frame {
+		ca := *a
+		return &packet.Frame{Eth: eth, Active: &ca, Inner: ca.Payload}
+	}
+	switch a.Header.Type() {
 	case packet.TypeAllocReq, packet.TypeControl:
 		// Control traffic reaches the controller as a digest. In a fabric,
 		// only the switch a control frame addresses consumes it; a transit
 		// node passes it along like plain traffic.
-		if s.relay && f.Eth.Dst != s.mac {
+		if s.relay && eth.Dst != s.mac {
 			s.ControlTransit++
-			s.forward(f, s.rt.Device().Config().PassLatency)
+			s.forward(own(), s.rt.Device().Config().PassLatency)
 			return
 		}
-		if f.Active.Header.Flags&packet.FlagProbe != 0 {
+		if a.Header.Flags&packet.FlagProbe != 0 {
 			// Link-health probes never reach the controller: a probe is
 			// answered by the data plane (so a crashed control plane does
 			// not read as a dead link), and a reply goes to the probe sink.
-			if f.Active.Header.Flags&packet.FlagFromSwch != 0 {
+			if a.Header.Flags&packet.FlagFromSwch != 0 {
 				s.ProbeReplies++
 				if s.probeSink != nil {
-					s.probeSink(f, port)
+					s.probeSink(own(), port)
 				}
 				return
 			}
 			s.ProbesEchoed++
-			reply := *f.Active
+			reply := *a
 			reply.Header.Flags |= packet.FlagFromSwch
 			of := &packet.Frame{
-				Eth:    packet.EthHeader{Dst: f.Eth.Src, Src: s.mac, EtherType: packet.EtherTypeActive},
+				Eth:    packet.EthHeader{Dst: eth.Src, Src: s.mac, EtherType: packet.EtherTypeActive},
 				Active: &reply,
 			}
 			s.sendOut(port.Num, of, s.rt.Device().Config().PassLatency/2)
 			return
 		}
 		if s.ctrl != nil {
-			s.ctrl.Digest(f)
+			s.ctrl.Digest(eth.Src, a.Header, a.AllocReq)
 		}
 	case packet.TypeAllocResp:
 		// Allocation responses originate at switches; a standalone switch
 		// drops one arriving on a port, but a fabric transit node carries
 		// responses from an upstream switch toward the client host.
-		if s.relay && f.Eth.Dst != s.mac {
+		if s.relay && eth.Dst != s.mac {
 			s.ControlTransit++
-			s.forward(f, s.rt.Device().Config().PassLatency)
+			s.forward(own(), s.rt.Device().Config().PassLatency)
 			return
 		}
 		s.FramesDropped++

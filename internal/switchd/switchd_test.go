@@ -504,6 +504,56 @@ func TestSwitchReceiveAllocs(t *testing.T) {
 	}
 }
 
+// tally counts the frames it receives without decoding them.
+type tally struct{ frames int }
+
+func (t *tally) Receive([]byte, *netsim.Port) { t.frames++ }
+
+// TestDigestAllocs gates the control frames the controller digests: Receive
+// hands Controller.Digest the sender, the header and the decoded request by
+// value, and Digest schedules one continuation that checks the controller's
+// life itself. A client control frame allocates only that continuation; an
+// allocation request adds only its decoded request and access list. A heap
+// copy of the frame, or a second closure per digest, shows here.
+func TestDigestAllocs(t *testing.T) {
+	r := newRig(t)
+	r.a.send(t, allocRequest(5, 2), r.sw.MAC())
+	r.eng.Run()
+	if _, ok := r.sw.Runtime().RegionFor(5, 2); !ok {
+		t.Fatal("no region installed")
+	}
+	// Re-home the client's link on an endpoint that counts the answers.
+	answers := &tally{}
+	in, _ := netsim.Connect(r.eng, r.sw, 1, answers, 0, time.Microsecond, 0)
+	r.sw.AddPort(in, r.a.mac)
+
+	snapDone := &packet.Active{Header: packet.ActiveHeader{FID: 5, Flags: packet.FlagSnapDone}}
+	snapDone.Header.SetType(packet.TypeControl)
+	const runs = 100
+	for _, tc := range []struct {
+		name string
+		a    *packet.Active
+		want float64
+	}{
+		{"client control frame", snapDone, 1},         // the continuation
+		{"allocation request", allocRequest(5, 2), 3}, // + the request and its accesses
+	} {
+		raw, err := packet.EncodeFrame(&packet.Frame{Eth: packet.EthHeader{Dst: r.sw.MAC(), Src: r.a.mac, EtherType: packet.EtherTypeActive}, Active: tc.a})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(runs, func() { r.sw.Receive(raw, in) }); n > tc.want {
+			t.Errorf("%s: %v allocs per digest, want <= %v", tc.name, n, tc.want)
+		}
+		r.eng.Run()
+	}
+	// Every digest reached the controller: each retransmitted request (and
+	// AllocsPerRun's warm-up call) is answered from the books.
+	if r.ctrl.DigestsDropped != 0 || answers.frames != runs+1 {
+		t.Errorf("digests dropped %d, requests answered %d, want 0 and %d", r.ctrl.DigestsDropped, answers.frames, runs+1)
+	}
+}
+
 // TestNewNodeRejectsPipelineMismatch: an allocator configured for another
 // pipeline than the device's would grant stages or words the device lacks;
 // assembly refuses the pair, naming both values. A configuration one
