@@ -75,11 +75,8 @@ func BuildUDP(src, dst netip.Addr, sport, dport uint16, payload []byte) []byte {
 	return append(appendUDPHeaders(make([]byte, 0, n), src, dst, sport, dport, len(payload)), payload...)
 }
 
-// kvDatagramSize is the size of the IPv4+UDP datagram carrying a KV message.
-const kvDatagramSize = packet.IPv4HeaderSize + packet.UDPHeaderSize + KVMsgSize
-
-// BuildKV appends the IPv4+UDP datagram of a KV message to buf (a sender's
-// reusable scratch, or the wire buffer itself).
+// BuildKV appends the IPv4+UDP datagram of a KV message to buf, a sender's
+// reusable scratch.
 func BuildKV(buf []byte, src, dst netip.Addr, sport, dport uint16, m *KVMsg) []byte {
 	return m.AppendTo(appendUDPHeaders(buf, src, dst, sport, dport, KVMsgSize))
 }
@@ -133,6 +130,7 @@ type KVServer struct {
 	// at the Active, which would move a local to the heap per frame).
 	rx    packet.Frame
 	rxAct packet.Active
+	tx    []byte // the reply being sent; the port copies it
 
 	Store map[uint64]uint32
 
@@ -202,8 +200,8 @@ func (s *KVServer) Receive(frame []byte, port *netsim.Port) {
 		return
 	}
 	eth := packet.EthHeader{Dst: f.Eth.Src, Src: s.mac, EtherType: packet.EtherTypeIPv4}
-	raw := eth.Encode(make([]byte, 0, packet.EthHeaderSize+kvDatagramSize))
+	s.tx = BuildKV(eth.Encode(s.tx[:0]), s.ip, ip.Src, KVPort, udp.SrcPort, &resp)
 	// The reply is an engine event even with no service time: event order
 	// depends on it.
-	s.port.SendAfter(0, BuildKV(raw, s.ip, ip.Src, KVPort, udp.SrcPort, &resp))
+	s.port.SendAfter(0, s.tx)
 }

@@ -157,10 +157,11 @@ type Client struct {
 	placement *alloc.Placement
 	progs     map[string]mutant // synthesized for the current placement's mutant
 
-	// Receive decodes into rx and rxAct; a Handler sees them for the
-	// duration of its call.
+	// Receive decodes into rx and rxAct, which a Handler sees for the
+	// duration of its call; sends build their frame in tx.
 	rx    packet.Frame
 	rxAct packet.Active
+	tx    []byte
 
 	// cons is the service's constraints — skeleton checked and extracted
 	// once by New (consErr if that failed), demands as of the latest
@@ -355,13 +356,14 @@ func (c *Client) sendControl(a *packet.Active) error {
 	if c.port == nil {
 		return fmt.Errorf("client: fid %d not attached", c.fid)
 	}
-	raw, err := packet.EncodeFrame(&packet.Frame{
+	raw, err := packet.AppendFrame(c.tx[:0], &packet.Frame{
 		Eth:    packet.EthHeader{Dst: c.switchMAC, Src: c.mac, EtherType: packet.EtherTypeActive},
 		Active: a,
 	})
 	if err != nil {
 		return err
 	}
+	c.tx = raw
 	c.Sent++
 	c.port.Send(raw)
 	return nil
@@ -386,12 +388,10 @@ func (c *Client) SendProgram(name string, args [4]uint32, extraFlags uint16, pay
 	// changes at reactivation, after the templates were rendered.
 	h := packet.ActiveHeader{FID: c.fid, Flags: extraFlags, Opaque: uint32(c.grantEpoch)}
 	h.SetType(packet.TypeProgram)
-	raw := make([]byte, len(wire)+len(payload))
-	copy(raw, wire)
-	copy(raw[len(wire):], payload)
-	packet.PatchProgram(raw, dst, h, &args)
+	c.tx = append(append(c.tx[:0], wire...), payload...)
+	packet.PatchProgram(c.tx, dst, h, &args)
 	c.Sent++
-	c.port.Send(raw)
+	c.port.Send(c.tx)
 	return nil
 }
 
@@ -401,10 +401,10 @@ func (c *Client) SendPlain(payload []byte, dst packet.MAC) error {
 		return fmt.Errorf("client: fid %d not attached", c.fid)
 	}
 	eth := packet.EthHeader{Dst: dst, Src: c.mac, EtherType: packet.EtherTypeIPv4}
-	raw := append(eth.Encode(make([]byte, 0, packet.EthHeaderSize+len(payload))), payload...)
+	c.tx = append(eth.Encode(c.tx[:0]), payload...)
 	c.Sent++
 	c.SentUnactivated++
-	c.port.Send(raw)
+	c.port.Send(c.tx)
 	return nil
 }
 

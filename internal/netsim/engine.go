@@ -4,6 +4,10 @@
 // testbed (Section 6): the time-series experiments depend on request mixes,
 // allocation timelines, and disruption windows — which the virtual clock
 // reproduces exactly — not on NIC microarchitecture.
+//
+// A send copies its frame into the engine's arena of never-reused 32 KiB
+// slabs, so a kept frame stays byte-exact; a receiver sending on the frame it
+// is handed, unchanged, passes it through uncopied.
 package netsim
 
 import "time"
@@ -24,7 +28,7 @@ type eventKind uint8
 
 const (
 	eventCall    eventKind = iota // run payload.fn (Schedule, At)
-	eventSend                     // payload.port transmits the frame (Port.SendAfter)
+	eventSend                     // payload.port transmits the owned frame (Port.SendAfter)
 	eventDeliver                  // payload.port's owner receives the frame (Port.Send)
 )
 
@@ -109,6 +113,28 @@ type Engine struct {
 	// slots, so steady-state traffic reuses them without allocating.
 	payloads []payload
 	free     []int32
+
+	// arena is the slab frames are copied into; rx is the frame being
+	// delivered, which its receiver may send on once without a copy.
+	arena, rx []byte
+}
+
+const slabSize = 32 << 10 // a few hundred frames per arena allocation
+
+// own returns an engine-owned copy of frame (capacity capped at its length,
+// so a receiver's append cannot reach the next frame in the slab), or frame
+// itself on its first send by the receiver it is being delivered to.
+func (e *Engine) own(frame []byte) []byte {
+	if len(frame) > 0 && len(frame) == len(e.rx) && &frame[0] == &e.rx[0] {
+		e.rx = nil
+		return frame
+	}
+	if cap(e.arena)-len(e.arena) < len(frame) {
+		e.arena = make([]byte, 0, max(slabSize, len(frame)))
+	}
+	n := len(e.arena)
+	e.arena = append(e.arena, frame...)
+	return e.arena[n:len(e.arena):len(e.arena)]
 }
 
 // NewEngine returns an engine at virtual time zero.
@@ -165,9 +191,11 @@ func (e *Engine) Step() bool {
 	case eventCall:
 		p.fn()
 	case eventSend:
-		p.port.Send(p.frame)
+		p.port.transmit(p.frame)
 	case eventDeliver:
+		e.rx = p.frame
 		p.port.deliver(p.frame, p.gen)
+		e.rx = nil
 	}
 	return true
 }

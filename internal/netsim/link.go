@@ -111,9 +111,12 @@ func (p *Port) Down() bool { return p.down }
 // count a link-flap injector or a health monitor can audit against.
 func (p *Port) DownTransitions() uint64 { return p.downGen }
 
-// Send transmits a frame toward the peer endpoint. The frame slice is owned
-// by the receiver after the call.
-func (p *Port) Send(frame []byte) {
+// Send transmits a copy of frame toward the peer endpoint; the caller keeps
+// its buffer. The receiver gets engine-owned bytes that no one writes again.
+func (p *Port) Send(frame []byte) { p.transmit(p.eng.own(frame)) }
+
+// transmit puts an engine-owned frame on the link.
+func (p *Port) transmit(frame []byte) {
 	p.TxFrames++
 	p.TxBytes += uint64(len(frame))
 	if p.down {
@@ -143,14 +146,14 @@ func (p *Port) Send(frame []byte) {
 	p.eng.enqueue(deliverAt, eventDeliver, payload{port: p.peer, frame: frame, gen: p.peer.downGen})
 }
 
-// SendAfter transmits the frame after delay (clamped to now for non-positive
-// delays) — Engine.Schedule of a Send, without the closure. Pipeline and
-// service latencies in front of a link use it.
+// SendAfter is Send after delay (clamped to now for non-positive delays),
+// without a closure; the copy is taken now. Pipeline and service latencies in
+// front of a link use it.
 func (p *Port) SendAfter(delay time.Duration, frame []byte) {
 	if delay < 0 {
 		delay = 0
 	}
-	p.eng.enqueue(p.eng.now+delay, eventSend, payload{port: p, frame: frame})
+	p.eng.enqueue(p.eng.now+delay, eventSend, payload{port: p, frame: p.eng.own(frame)})
 }
 
 // deliver hands an arriving frame to the port's owner, unless the port went

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bytes"
 	"testing"
 	"time"
 )
@@ -307,4 +308,129 @@ func TestLinkLoss(t *testing.T) {
 	if pa2.Lost != pa.Lost {
 		t.Errorf("loss not deterministic: %d vs %d", pa2.Lost, pa.Lost)
 	}
+}
+
+// forwarder sends every frame it receives on out, times times, unchanged,
+// and remembers the latest.
+type forwarder struct {
+	out   *Port
+	times int
+	got   []byte
+}
+
+func (f *forwarder) Receive(frame []byte, _ *Port) {
+	f.got = frame
+	for range f.times {
+		f.out.Send(frame)
+	}
+}
+
+// recorder keeps the first two frames since its count was last reset,
+// without allocating.
+type recorder struct {
+	frames [2][]byte
+	n      int
+}
+
+func (r *recorder) Receive(frame []byte, _ *Port) {
+	r.frames[r.n%2] = frame
+	r.n++
+}
+
+// appender appends to every frame it receives, as a careless receiver
+// might, and keeps what it was handed.
+type appender struct{ frames [][]byte }
+
+func (a *appender) Receive(frame []byte, _ *Port) {
+	a.frames = append(a.frames, frame)
+	_ = append(frame, 0xEE, 0xEE, 0xEE, 0xEE)
+}
+
+func filled(n int, b byte) []byte {
+	f := make([]byte, n)
+	for i := range f {
+		f[i] = b + byte(i)
+	}
+	return f
+}
+
+// TestArenaContract pins what the engine's frame arena promises: a send
+// copies, so the caller keeps its buffer; a delivered frame's capacity ends
+// at its length; a delivered frame stays byte-exact however long it is kept,
+// because slabs are never reused; and a receiver forwarding the frame it is
+// handed passes it through once without a copy.
+func TestArenaContract(t *testing.T) {
+	t.Run("caller keeps its buffer", func(t *testing.T) {
+		e := NewEngine()
+		s := &sink{eng: e}
+		a, _ := Connect(e, discard{}, 0, s, 0, time.Microsecond, 0)
+		buf := filled(128, 1)
+		a.Send(buf)
+		clear(buf)
+		buf = filled(128, 2)
+		a.SendAfter(time.Microsecond, buf)
+		clear(buf) // before the SendAfter event fires
+		e.Run()
+		if len(s.frames) != 2 || !bytes.Equal(s.frames[0], filled(128, 1)) || !bytes.Equal(s.frames[1], filled(128, 2)) {
+			t.Fatalf("delivered %x, want the bytes as sent", s.frames)
+		}
+	})
+	t.Run("append cannot reach the neighbour", func(t *testing.T) {
+		e := NewEngine()
+		r := &appender{}
+		a, _ := Connect(e, discard{}, 0, r, 0, time.Microsecond, 0)
+		a.Send(filled(64, 1))
+		a.Send(filled(64, 2))
+		e.Run()
+		for i, f := range r.frames {
+			if cap(f) != len(f) {
+				t.Errorf("frame %d: cap %d, len %d", i, cap(f), len(f))
+			}
+		}
+		if !bytes.Equal(r.frames[1], filled(64, 2)) {
+			t.Fatalf("next frame after an append: %x", r.frames[1])
+		}
+	})
+	t.Run("a kept frame outlives slab turnovers", func(t *testing.T) {
+		e := NewEngine()
+		s := &sink{eng: e}
+		a, _ := Connect(e, discard{}, 0, s, 0, time.Microsecond, 0)
+		a.Send(filled(128, 7))
+		e.Run()
+		kept := s.frames[0]
+		for i := range 1000 { // 125 KiB: several 32 KiB slabs
+			a.Send(filled(128, byte(i)))
+			e.Run()
+		}
+		if !bytes.Equal(kept, filled(128, 7)) {
+			t.Fatalf("kept frame changed: %x", kept)
+		}
+	})
+	t.Run("a forward passes through once", func(t *testing.T) {
+		// Frames larger than a slab get a slab each, so every copy is one
+		// allocation and AllocsPerRun counts copies.
+		big := filled(2*slabSize, 3)
+		for _, times := range []int{1, 2} {
+			e := NewEngine()
+			r := &recorder{}
+			fw := &forwarder{times: times}
+			a, _ := Connect(e, discard{}, 0, fw, 0, time.Microsecond, 0)
+			fw.out, _ = Connect(e, discard{}, 0, r, 0, time.Microsecond, 0)
+			if n := testing.AllocsPerRun(50, func() { r.n = 0; a.Send(big); e.Run() }); n != float64(times) {
+				t.Errorf("forwarding %d times: %v allocs per frame, want %d (the sender's copy, then one per extra send)", times, n, times)
+			}
+			got, out := fw.got, r.frames[:times]
+			if &out[0][0] != &got[0] {
+				t.Errorf("forwarding %d times: the first send copied the delivered frame", times)
+			}
+			if times == 2 && &out[1][0] == &got[0] {
+				t.Error("the second send of a delivered frame was not copied")
+			}
+			for i, f := range out {
+				if !bytes.Equal(f, big) {
+					t.Errorf("forwarding %d times: send %d delivered other bytes", times, i)
+				}
+			}
+		}
+	})
 }

@@ -2,6 +2,7 @@ package packet
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net/netip"
 )
@@ -82,17 +83,25 @@ func (h *IPv4Header) Encode(dst []byte) []byte {
 	return append(dst, b[:]...)
 }
 
+// Sentinels: payloads are parsed per packet, and a rejection builds nothing.
+var (
+	errShortIPv4    = errors.New("packet: short ipv4 header")
+	errIPv4Version  = errors.New("packet: unsupported ipv4 version/IHL")
+	errIPv4Checksum = errors.New("packet: ipv4 checksum mismatch")
+	errShortUDP     = errors.New("packet: short udp header")
+)
+
 // DecodeIPv4 parses an options-free IPv4 header, verifying its checksum.
 func DecodeIPv4(b []byte) (IPv4Header, []byte, error) {
 	var h IPv4Header
 	if len(b) < IPv4HeaderSize {
-		return h, nil, fmt.Errorf("packet: short ipv4 header: %d bytes", len(b))
+		return h, nil, errShortIPv4
 	}
 	if b[0] != 0x45 {
-		return h, nil, fmt.Errorf("packet: unsupported ipv4 version/IHL %#x", b[0])
+		return h, nil, errIPv4Version
 	}
 	if ipChecksum(b[:IPv4HeaderSize]) != 0 {
-		return h, nil, fmt.Errorf("packet: ipv4 checksum mismatch")
+		return h, nil, errIPv4Checksum
 	}
 	h.TotalLen = binary.BigEndian.Uint16(b[2:])
 	h.TTL = b[8]
@@ -141,7 +150,7 @@ func (h *UDPHeader) Encode(dst []byte) []byte {
 func DecodeUDP(b []byte) (UDPHeader, []byte, error) {
 	var h UDPHeader
 	if len(b) < UDPHeaderSize {
-		return h, nil, fmt.Errorf("packet: short udp header: %d bytes", len(b))
+		return h, nil, errShortUDP
 	}
 	h.SrcPort = binary.BigEndian.Uint16(b[0:])
 	h.DstPort = binary.BigEndian.Uint16(b[2:])
@@ -194,21 +203,12 @@ func (t FiveTuple) WordsArray() [4]uint32 {
 }
 
 // ParseFiveTuple extracts the 5-tuple from an IPv4/UDP (or TCP-like)
-// payload; ok is false for anything else. It runs on the per-packet hot
-// path, so rejection is a boolean, never a constructed error: DecodeIPv4's
-// fmt.Errorf paths would otherwise allocate for every non-IP payload.
+// payload; ok is false for anything else.
 func ParseFiveTuple(b []byte) (FiveTuple, bool) {
-	if len(b) < IPv4HeaderSize || b[0] != 0x45 || ipChecksum(b[:IPv4HeaderSize]) != 0 {
+	ip, rest, err := DecodeIPv4(b)
+	if err != nil {
 		return FiveTuple{}, false
 	}
-	ip := IPv4Header{
-		TotalLen: binary.BigEndian.Uint16(b[2:]),
-		TTL:      b[8],
-		Protocol: b[9],
-		Src:      netip.AddrFrom4([4]byte(b[12:16])),
-		Dst:      netip.AddrFrom4([4]byte(b[16:20])),
-	}
-	rest := b[IPv4HeaderSize:]
 	t := FiveTuple{Src: ip.Src, Dst: ip.Dst, Protocol: ip.Protocol}
 	if ip.Protocol != ProtoUDP && ip.Protocol != ProtoTCP {
 		return t, true
@@ -229,15 +229,21 @@ type Frame struct {
 	Inner  []byte  // bytes after the Ethernet (and active) headers
 }
 
-// EncodeFrame serializes a frame into a buffer of exactly its wire size:
-// Ethernet header, active headers, then Inner. It only reads f — Inner, not
-// Active.Payload, is what follows the headers.
+// EncodeFrame is AppendFrame into a buffer of exactly the frame's wire size.
 func EncodeFrame(f *Frame) ([]byte, error) {
 	n := EthHeaderSize + len(f.Inner)
 	if f.Active != nil {
 		n += f.Active.headerLen()
 	}
-	out := f.Eth.Encode(make([]byte, 0, n))
+	return AppendFrame(make([]byte, 0, n), f)
+}
+
+// AppendFrame appends a frame's wire form to dst: Ethernet header, active
+// headers, then Inner. It only reads f — Inner, not Active.Payload, is what
+// follows the headers. Senders append into their own scratch; netsim copies
+// what it puts on a link.
+func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
+	out := f.Eth.Encode(dst)
 	if f.Active != nil {
 		var err error
 		if out, err = f.Active.encodeHeaders(out); err != nil {

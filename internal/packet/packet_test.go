@@ -3,7 +3,9 @@ package packet
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -287,6 +289,39 @@ func TestUDPRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHeaderRejectionsDoNotAllocate: the layer-3 and layer-4 decoders reject
+// with sentinels, so a payload that is not an IPv4/UDP datagram costs no
+// allocation on the packet path.
+func TestHeaderRejectionsDoNotAllocate(t *testing.T) {
+	ip := IPv4Header{TTL: 64, Protocol: ProtoUDP, Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.0.2")}
+	good := ip.Encode(nil)
+	badVersion := append([]byte{0x46}, good[1:]...)
+	badSum := slices.Clone(good)
+	badSum[15] ^= 0xFF
+	for _, c := range []struct {
+		name string
+		b    []byte
+		want error
+	}{
+		{"empty", nil, errShortIPv4},
+		{"short", good[:10], errShortIPv4},
+		{"version", badVersion, errIPv4Version},
+		{"checksum", badSum, errIPv4Checksum},
+	} {
+		var err error
+		if n := testing.AllocsPerRun(100, func() { _, _, err = DecodeIPv4(c.b) }); n != 0 {
+			t.Errorf("DecodeIPv4 %s: %v allocs, want 0", c.name, n)
+		}
+		if !errors.Is(err, c.want) {
+			t.Errorf("DecodeIPv4 %s: error %v, want %v", c.name, err, c.want)
+		}
+	}
+	var err error
+	if n := testing.AllocsPerRun(100, func() { _, _, err = DecodeUDP(good[:4]) }); n != 0 || !errors.Is(err, errShortUDP) {
+		t.Errorf("DecodeUDP short: %v allocs, error %v; want 0, %v", n, err, errShortUDP)
+	}
+}
+
 func TestParseFiveTuple(t *testing.T) {
 	ip := IPv4Header{
 		TotalLen: IPv4HeaderSize + UDPHeaderSize, TTL: 64, Protocol: ProtoUDP,
@@ -380,9 +415,11 @@ func TestEncodeFrameDoesNotMutate(t *testing.T) {
 	}
 }
 
-// TestEncodeFrameExactSize: the wire buffer is the one allocation a hop
-// makes, so EncodeFrame sizes it from the frame — no slack, no regrowth —
-// for every packet type.
+// TestEncodeFrameExactSize: EncodeFrame is the exact-size wrapper for callers
+// that keep the bytes, so it sizes its buffer from the frame — no slack, no
+// regrowth — for every packet type; AppendFrame, which senders call with
+// their scratch, appends the same bytes behind what dst holds and, with room
+// in dst, allocates nothing.
 func TestEncodeFrameExactSize(t *testing.T) {
 	prog := &Active{Program: sampleProgram(t)}
 	prog.Header.SetType(TypeProgram)
@@ -407,6 +444,14 @@ func TestEncodeFrameExactSize(t *testing.T) {
 			}
 			if n := testing.AllocsPerRun(10, func() { _, _ = EncodeFrame(f) }); n != 1 {
 				t.Errorf("active=%v inner=%d: %v allocs, want 1", a != nil, len(inner), n)
+			}
+			scratch := append(make([]byte, 0, 1+len(wire)), 0xAA)
+			app, err := AppendFrame(scratch, f)
+			if err != nil || app[0] != 0xAA || !bytes.Equal(app[1:], wire) {
+				t.Errorf("active=%v inner=%d: AppendFrame wrote %x, want aa%x", a != nil, len(inner), app, wire)
+			}
+			if n := testing.AllocsPerRun(10, func() { _, _ = AppendFrame(scratch[:1], f) }); n != 0 {
+				t.Errorf("active=%v inner=%d: AppendFrame into scratch: %v allocs, want 0", a != nil, len(inner), n)
 			}
 		}
 	}

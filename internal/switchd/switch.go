@@ -41,6 +41,7 @@ type Switch struct {
 	// outlives the frame that filled them.
 	inAct, restored packet.Active
 	outFrame        packet.Frame
+	tx              []byte // every frame the switch encodes; the port copies it
 
 	// probeSink receives link-health probe replies (FlagProbe|FlagFromSwch
 	// control frames addressed to this switch) — the fabric health monitor
@@ -126,10 +127,11 @@ func (s *Switch) SendProbe(pnum int, dst packet.MAC, token uint32) error {
 		Eth:    packet.EthHeader{Dst: dst, Src: s.mac, EtherType: packet.EtherTypeActive},
 		Active: a,
 	}
-	raw, err := packet.EncodeFrame(f)
+	raw, err := packet.AppendFrame(s.tx[:0], f)
 	if err != nil {
 		return err
 	}
+	s.tx = raw
 	p.Send(raw)
 	return nil
 }
@@ -317,11 +319,12 @@ func (s *Switch) sendOut(pnum int, f *packet.Frame, latency time.Duration) bool 
 	if p == nil {
 		return false
 	}
-	raw, err := packet.EncodeFrame(f)
+	raw, err := packet.AppendFrame(s.tx[:0], f)
 	if err != nil {
 		s.FramesDropped++
 		return false
 	}
+	s.tx = raw
 	p.SendAfter(latency, raw)
 	return true
 }
@@ -338,10 +341,11 @@ func (s *Switch) SendToHost(dst packet.MAC, a *packet.Active) error {
 		Active: a,
 		Inner:  a.Payload,
 	}
-	raw, err := packet.EncodeFrame(f)
+	raw, err := packet.AppendFrame(s.tx[:0], f)
 	if err != nil {
 		return err
 	}
+	s.tx = raw
 	s.ports[pnum].Send(raw)
 	return nil
 }
