@@ -44,7 +44,9 @@ package fabric
 
 import (
 	"fmt"
+	"math/bits"
 	"net/netip"
+	"slices"
 	"time"
 
 	"activermt/internal/apps"
@@ -87,20 +89,32 @@ const (
 )
 
 // write is one Put: its phase, its unacknowledged hairpin invalidations, and
-// the write to the same key queued behind it.
+// the write to the same key queued behind it. Records are recycled: one goes
+// back to the cache's free list at its server ack and its gen moves on, so a
+// retry armed for an earlier Put (its arg carries the gen it was armed
+// under) never acts on the record's next one.
 type write struct {
+	c           *CoherentCache
+	gen         uint64
 	phase       phase
 	leaf        int
 	k0, k1      uint32
 	addr, value uint32
 	seq         uint32
-	invals      map[uint32]inval // invalidation seq -> its hairpin
+	invals      []inval // at most one per other leaf
 	commitTries int
 	next        *write
 }
 
 // inval is one unacknowledged hairpin invalidation toward a stale leaf.
-type inval struct{ leaf, tries int }
+type inval struct {
+	seq         uint32
+	leaf, tries int
+}
+
+// A retry timer's arg: the record's gen above retryGenShift, retryCommit for
+// a commit retry, and an invalidation retry's seq in the low word.
+const retryCommit, retryGenShift = 1 << 32, 33
 
 // CoherentCache is the replicated, write-coherent tier of the fabric cache
 // exemplar.
@@ -113,7 +127,8 @@ type CoherentCache struct {
 	svc    func() *client.Service
 
 	fronts  map[int]*front
-	dir     map[uint64]map[int]bool // key -> leaves holding a copy
+	dir     map[uint64]uint64 // key -> mask of the leaves holding a copy
+	free    []*write          // acked write records, for the next Puts
 	seq     uint32
 	pending map[uint32]uint32 // GET seq -> the key's write generation at issue
 	writing map[uint64]*write // key -> write in flight
@@ -148,6 +163,9 @@ type CoherentCache struct {
 // NewCoherentCache places the replica set (reader leaves + home spine for
 // the server) and wires a frontend on every reader leaf.
 func NewCoherentCache(fc *Controller, fid uint16, leaves []int, srvMAC packet.MAC, srvIP netip.Addr) (*CoherentCache, error) {
+	if slices.ContainsFunc(leaves, func(l int) bool { return l >= 64 }) {
+		return nil, fmt.Errorf("fabric: cache reader leaves %v: the directory holds leaves 0-63", leaves)
+	}
 	set, err := fc.PlaceReplicas(fid, leaves, srvMAC, apps.CoherentCacheService)
 	if err != nil {
 		return nil, err
@@ -160,7 +178,7 @@ func NewCoherentCache(fc *Controller, fid uint16, leaves []int, srvMAC packet.MA
 		home:      fc.F.spineForMAC(srvMAC),
 		svc:       apps.CoherentCacheService,
 		fronts:    make(map[int]*front),
-		dir:       make(map[uint64]map[int]bool),
+		dir:       make(map[uint64]uint64),
 		pending:   make(map[uint32]uint32),
 		writing:   make(map[uint64]*write),
 		wgens:     make(map[uint64]uint32),
@@ -228,10 +246,13 @@ func (c *CoherentCache) Put(leaf int, k0, k1, value uint32) (uint32, error) {
 		return 0, fmt.Errorf("fabric: cache has no capacity")
 	}
 	c.seq++
-	w := &write{
-		leaf: leaf, k0: k0, k1: k1, addr: addr, value: value,
-		seq: c.seq, invals: make(map[uint32]inval),
+	var w *write
+	if n := len(c.free); n > 0 {
+		w, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		w = &write{c: c}
 	}
+	w.leaf, w.k0, w.k1, w.addr, w.value, w.seq = leaf, k0, k1, addr, value, c.seq
 	if last := c.writing[apps.KeyOf(k0, k1)]; last != nil {
 		for last.next != nil {
 			last = last.next
@@ -257,14 +278,13 @@ func (c *CoherentCache) step(w *write) {
 		c.wgens[key]++
 		c.writing[key] = w
 		w.phase = invalidating
-		for l := range c.dir[key] {
-			if l != w.leaf {
-				c.seq++
-				w.invals[c.seq] = inval{leaf: l}
-				c.sendInval(w, c.seq)
-			}
+		for m := c.dir[key] &^ (1 << w.leaf); m != 0; m &= m - 1 {
+			c.seq++
+			iv := inval{seq: c.seq, leaf: bits.TrailingZeros64(m)}
+			w.invals = append(w.invals, iv)
+			c.sendInval(w, iv)
 		}
-		c.dir[key] = map[int]bool{w.leaf: true}
+		c.dir[key] = 1 << w.leaf
 	}
 	if w.phase == invalidating && len(w.invals) == 0 {
 		w.phase = committing
@@ -272,31 +292,23 @@ func (c *CoherentCache) step(w *write) {
 	}
 }
 
-// sendInval sends (or resends) invalidation is: a sentinel write from the
+// sendInval sends (or resends) invalidation iv: a sentinel write from the
 // STALE leaf's own frontend addressed to that frontend's own MAC. The
 // capsule hairpins on the host link — executes at the stale leaf, returns to
 // the frontend — so its delivery acknowledges the eviction, and no fabric
-// fault can lose it. The KVInval payload carries the key and the seq. Retries
-// never give up: committing with a copy possibly live would break the
-// no-stale invariant, and a frontend whose host link is dead cannot read
+// fault can lose it. The KVInval payload carries the key and iv's seq.
+// Retries never give up: committing with a copy possibly live would break
+// the no-stale invariant, and a frontend whose host link is dead cannot read
 // either, so blocking the write is safe.
-func (c *CoherentCache) sendInval(w *write, is uint32) {
-	iv := w.invals[is]
+func (c *CoherentCache) sendInval(w *write, iv inval) {
 	fr := c.fronts[iv.leaf]
-	msg := apps.KVMsg{Op: apps.KVInval, Key0: w.k0, Key1: w.k1, Seq: is}
+	msg := apps.KVMsg{Op: apps.KVInval, Key0: w.k0, Key1: w.k1, Seq: iv.seq}
 	c.payload = apps.BuildKV(c.payload[:0], fr.ip, fr.ip, 40000, 40000, &msg)
 	_ = fr.cl.SendProgram("populate-fwd",
 		[4]uint32{InvalKey0, InvalKey1, w.addr, 0},
 		packet.FlagPreload, c.payload, fr.cl.MAC())
 	c.InvalSent++
-	c.fc.F.Eng.Schedule(invalRetry*(1<<uint(min(iv.tries, 4))), func() {
-		if iv, ok := w.invals[is]; ok {
-			iv.tries++
-			w.invals[is] = iv
-			c.InvalRetransmits++
-			c.sendInval(w, is)
-		}
-	})
+	c.fc.F.Eng.ScheduleTimer(invalRetry*(1<<uint(min(iv.tries, 4))), w, w.gen<<retryGenShift|uint64(iv.seq))
 }
 
 // sendCommit sends (or resends) a write's commit — home install plus server
@@ -311,13 +323,33 @@ func (c *CoherentCache) sendCommit(w *write) {
 	_ = fr.cl.SendProgram("populate-fwd",
 		[4]uint32{w.k0, w.k1, w.addr, w.value},
 		packet.FlagPreload, c.payload, c.srvMAC)
-	c.fc.F.Eng.Schedule(commitRetry*(1<<uint(min(w.commitTries, 4))), func() {
+	c.fc.F.Eng.ScheduleTimer(commitRetry*(1<<uint(min(w.commitTries, 4))), w, w.gen<<retryGenShift|retryCommit)
+}
+
+// Fire is a write's retry timer: it resends the hairpin its arg names while
+// that is unacknowledged, or the commit while the write is committing. A
+// retry armed under an earlier gen was for a Put the record has since
+// finished, and does nothing.
+func (w *write) Fire(arg uint64) {
+	if arg>>retryGenShift != w.gen {
+		return
+	}
+	if arg&retryCommit != 0 {
 		if w.phase == committing {
 			w.commitTries++
-			c.CommitRetransmits++
-			c.sendCommit(w)
+			w.c.CommitRetransmits++
+			w.c.sendCommit(w)
 		}
-	})
+		return
+	}
+	for i := range w.invals {
+		if iv := &w.invals[i]; iv.seq == uint32(arg) {
+			iv.tries++
+			w.c.InvalRetransmits++
+			w.c.sendInval(w, *iv)
+			return
+		}
+	}
 }
 
 // updateHome installs a value at the home spine replica with a capsule
@@ -367,12 +399,7 @@ func (c *CoherentCache) Warm(leaf int, objs []apps.KVMsg) error {
 
 // recordCopy marks a leaf as holding a key.
 func (c *CoherentCache) recordCopy(key uint64, leaf int) {
-	m := c.dir[key]
-	if m == nil {
-		m = make(map[int]bool)
-		c.dir[key] = m
-	}
-	m[leaf] = true
+	c.dir[key] |= 1 << leaf
 }
 
 // handlerFor builds the per-frontend reply dispatcher.
@@ -388,7 +415,7 @@ func (c *CoherentCache) handlerFor(fr *front) func(*client.Client, *packet.Frame
 				c.InvalDelivered++
 				if msg, ok := apps.ReplyKV(f); ok && msg.Op == apps.KVInval {
 					if w := c.writing[apps.KeyOf(msg.Key0, msg.Key1)]; w != nil {
-						delete(w.invals, msg.Seq)
+						w.invals = slices.DeleteFunc(w.invals, func(iv inval) bool { return iv.seq == msg.Seq })
 						c.step(w)
 					}
 				}
@@ -442,6 +469,9 @@ func (c *CoherentCache) handlerFor(fr *front) func(*client.Client, *packet.Frame
 			if c.OnWriteAck != nil {
 				c.OnWriteAck(w.leaf, msg.Seq, msg.Value)
 			}
+			// Recycle the record under a new gen: retries still armed for it are stale.
+			*w = write{c: c, gen: (w.gen + 1) % (1 << (64 - retryGenShift)), invals: w.invals[:0]}
+			c.free = append(c.free, w)
 		}
 	}
 }

@@ -209,7 +209,7 @@ func (c *CoherentCache) VerifyAndRepair(newFID uint16) (bool, error) {
 	for _, m := range c.set.Members {
 		m.Node.Ctrl.ScrubFID(c.set.FID)
 	}
-	c.dir = make(map[uint64]map[int]bool)
+	c.dir = make(map[uint64]uint64)
 	c.homeStale = make(map[uint64]bool)
 	c.Repairs++
 	c.fc.RePlacements++

@@ -206,3 +206,43 @@ func TestPlaceReplicasRejectsBadLeafBeforeAdmitting(t *testing.T) {
 		}
 	}
 }
+
+// TestCoherentCacheLeafLimit: the cache's directory is a 64-bit leaf mask,
+// so a reader on leaf 64 is refused before anything is placed, and one on
+// leaf 63 is served.
+func TestCoherentCacheLeafLimit(t *testing.T) {
+	f, err := fabric.New(smallConfig(65, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := fabric.NewController(f)
+	srv, srvIP := addServer(t, f, 0)
+	if _, err := fabric.NewCoherentCache(fc, 31, []int{0, 64}, srv.MAC(), srvIP); err == nil {
+		t.Fatal("cache with a reader on leaf 64 placed")
+	}
+	for _, n := range f.Nodes() {
+		if _, ok := n.Ctrl.Allocator().PlacementFor(31); ok {
+			t.Fatalf("%s holds fid 31 after the refused cache", n.Name)
+		}
+	}
+	cc, err := fabric.NewCoherentCache(fc, 32, []int{0, 63}, srv.MAC(), srvIP)
+	if err != nil {
+		t.Fatalf("cache with a reader on leaf 63: %v", err)
+	}
+	const k0, k1 = 0x63, 0x64
+	srv.Store[apps.KeyOf(k0, k1)] = 5
+	if err := cc.Warm(63, []apps.KVMsg{{Key0: k0, Key1: k1, Value: 5}}); err != nil {
+		t.Fatal(err)
+	}
+	f.RunFor(10 * time.Millisecond)
+	seq, err := cc.Put(0, k0, k1, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := false
+	cc.OnWriteAck = func(leaf int, s, value uint32) { acked = acked || s == seq }
+	runUntil(t, f, time.Second, "write from leaf 0 acked", func() bool { return acked })
+	if cc.InvalDelivered == 0 {
+		t.Error("the write from leaf 0 did not invalidate leaf 63's copy")
+	}
+}

@@ -220,3 +220,98 @@ func TestWriteSurvivesHomeFaultAtEveryPhase(t *testing.T) {
 		r.settle(restart)
 	})
 }
+
+// TestPutAllocatesNothing pins a steady-state write at zero allocations: on a
+// warmed 2-leaf cache each iteration writes one key from leaf 0 and then
+// from leaf 1, each to its ack, so every write invalidates the other leaf's
+// copy, reuses an acked write record and arms its retries as typed timers.
+func TestPutAllocatesNothing(t *testing.T) {
+	f, err := fabric.New(fabric.DefaultConfig(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := fabric.NewController(f)
+	srv, srvIP := addServer(t, f, 1)
+	srv.Store[apps.KeyOf(rigK0, rigK1)] = rigOld
+	cc, err := fabric.NewCoherentCache(fc, 21, []int{0, 1}, srv.MAC(), srvIP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last, want uint32
+	cc.OnWriteAck = func(leaf int, seq, value uint32) { last = seq }
+	done := func() bool { return last == want }
+	put := func(leaf int) {
+		if want, err = cc.Put(leaf, rigK0, rigK1, rigOld+uint32(leaf)); err != nil {
+			t.Fatal(err)
+		}
+		f.Eng.StepUntil(f.Eng.Now()+time.Second, done)
+		if last != want {
+			t.Fatalf("write %d from leaf %d not acked", want, leaf)
+		}
+	}
+	round := func() { put(0); put(1) }
+	if err := cc.Warm(0, []apps.KVMsg{{Key0: rigK0, Key1: rigK1, Value: rigOld}}); err != nil {
+		t.Fatal(err)
+	}
+	f.RunFor(50 * time.Millisecond)
+	for range 20 { // grow the event queue and the maps to their working sizes
+		round()
+	}
+	sent := cc.InvalSent
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("two acked writes allocated %v times, want 0", n)
+	}
+	if cc.InvalSent < sent+200 {
+		t.Errorf("InvalSent grew by %d over 101 rounds, want one per write", cc.InvalSent-sent)
+	}
+}
+
+// TestStaleRetrySparesRecycledRecord pins row R1c: write A is acked before
+// its commit retry fires, and write B, reusing A's record, is still
+// committing when that retry fires (the server's leaf is cut off, so B's
+// commit is never acked). A's retry must not resend B's commit: the first
+// commit retransmit is B's own, one commit retry interval (2 ms) after B.
+func TestStaleRetrySparesRecycledRecord(t *testing.T) {
+	f, err := fabric.New(fabric.DefaultConfig(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := fabric.NewController(f)
+	srv, srvIP := addServer(t, f, 1)
+	cc, err := fabric.NewCoherentCache(fc, 21, []int{0, 1}, srv.MAC(), srvIP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const commitRetry = 2 * time.Millisecond
+	acked := false
+	cc.OnWriteAck = func(leaf int, seq, value uint32) { acked = true }
+	tA := f.Eng.Now()
+	if _, err := cc.Put(0, rigK0, rigK1, 1); err != nil { // no copy to invalidate: A commits at once
+		t.Fatal(err)
+	}
+	runUntil(t, f, commitRetry, "write A acked", func() bool { return acked })
+	link, err := f.UplinkPort(1, cc.Home().Index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	(&chaos.Partition{Ports: []*netsim.Port{link, link.Peer()}}).Apply(nil)
+	tB := f.Eng.Now()
+	if tB >= tA+commitRetry || cc.CommitRetransmits != 0 {
+		t.Fatalf("write A took %v and %d commit retransmits, want under %v and none", tB-tA, cc.CommitRetransmits, commitRetry)
+	}
+	seqB, err := cc.Put(0, rigK0, rigK1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Eng.RunUntil(tB + commitRetry - time.Nanosecond) // A's retry fires in here
+	if got := cc.WritePhase(seqB); got != fabric.PhaseCommitting {
+		t.Fatalf("write B is %v, want committing", got)
+	}
+	if cc.CommitRetransmits != 0 {
+		t.Errorf("%d commit retransmits before write B's own retry: write A's retry acted on B", cc.CommitRetransmits)
+	}
+	f.Eng.RunUntil(tB + commitRetry)
+	if cc.CommitRetransmits != 1 {
+		t.Errorf("%d commit retransmits at write B's retry, want 1", cc.CommitRetransmits)
+	}
+}

@@ -8,6 +8,9 @@
 // A send copies its frame into the engine's arena of never-reused 32 KiB
 // slabs, so a kept frame stays byte-exact; a receiver sending on the frame it
 // is handed, unchanged, passes it through uncopied.
+//
+// Timers and callbacks are one typed event (a Timer fired with the arg it was
+// armed with; Schedule arms a func as one), frames the other two.
 package netsim
 
 import "time"
@@ -22,23 +25,34 @@ type event struct {
 	kind eventKind
 }
 
-// eventKind says what an event does when it fires. Frames are most of what a
-// simulation schedules; typing them spares a closure allocation per hop.
+// eventKind says what an event does when it fires: one typed timer kind for
+// timers and callbacks, and two for frames. Typing them spares a closure
+// allocation per hop and per armed timer.
 type eventKind uint8
 
 const (
-	eventCall    eventKind = iota // run payload.fn (Schedule, At)
+	eventTimer   eventKind = iota // payload.timer fires with payload.gen (ScheduleTimer, Schedule)
 	eventSend                     // payload.port transmits the owned frame (Port.SendAfter)
 	eventDeliver                  // payload.port's owner receives the frame (Port.Send)
 )
 
 // payload is what one queued event carries.
 type payload struct {
-	fn    func()
+	timer Timer
 	port  *Port
 	frame []byte
-	gen   uint64 // eventDeliver: port's down-generation when the frame left
+	gen   uint64 // eventDeliver: port's down-generation when the frame left; eventTimer: the timer's arg
 }
+
+// Timer is what a timer event runs: Fire gets the arg the timer was armed
+// with, so one Timer can tell its armings apart.
+type Timer interface{ Fire(arg uint64) }
+
+// call is a func armed as a Timer. A func value sits in an interface
+// unboxed, so arming one allocates nothing beyond the closure itself.
+type call func()
+
+func (f call) Fire(uint64) { f() }
 
 // eventHeap is a hand-rolled binary min-heap over (at, seq). It replaces
 // container/heap, whose interface{}-typed Push/Pop box every event onto the
@@ -145,17 +159,15 @@ func NewEngine() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Schedule runs fn after delay (clamped to now for non-positive delays).
-func (e *Engine) Schedule(delay time.Duration, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	e.At(e.now+delay, fn)
+// ScheduleTimer fires t with arg after delay (clamped to now for
+// non-positive delays).
+func (e *Engine) ScheduleTimer(delay time.Duration, t Timer, arg uint64) {
+	e.enqueue(e.now+max(delay, 0), eventTimer, payload{timer: t, gen: arg})
 }
 
-// At runs fn at absolute virtual time t (clamped to now).
-func (e *Engine) At(t time.Duration, fn func()) {
-	e.enqueue(t, eventCall, payload{fn: fn})
+// Schedule runs fn after delay (clamped to now for non-positive delays).
+func (e *Engine) Schedule(delay time.Duration, fn func()) {
+	e.ScheduleTimer(delay, call(fn), 0)
 }
 
 // enqueue queues an event at absolute virtual time t (clamped to now).
@@ -185,11 +197,11 @@ func (e *Engine) Step() bool {
 	ev := e.events.pop()
 	e.now = ev.at
 	p := e.payloads[ev.slot]
-	e.payloads[ev.slot] = payload{} // do not pin the closure or the frame
+	e.payloads[ev.slot] = payload{} // do not pin the timer or the frame
 	e.free = append(e.free, ev.slot)
 	switch ev.kind {
-	case eventCall:
-		p.fn()
+	case eventTimer:
+		p.timer.Fire(p.gen)
 	case eventSend:
 		p.port.transmit(p.frame)
 	case eventDeliver:

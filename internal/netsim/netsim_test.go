@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 )
@@ -431,6 +432,69 @@ func TestArenaContract(t *testing.T) {
 					t.Errorf("forwarding %d times: send %d delivered other bytes", times, i)
 				}
 			}
+		}
+	})
+}
+
+// tally is a Timer that records the args it fires with.
+type tally struct{ args []uint64 }
+
+func (c *tally) Fire(arg uint64) { c.args = append(c.args, arg) }
+
+// logger is a receiver that appends a mark to a shared log per frame.
+type logger struct {
+	log  *[]string
+	mark string
+}
+
+func (l logger) Receive([]byte, *Port) { *l.log = append(*l.log, l.mark) }
+
+// TestTimerContract pins the typed timer event: a timer, a callback and a
+// frame due at one instant fire in the order they were armed (the FIFO tie
+// rule of every event kind), a timer fires with the arg it was armed with,
+// arming a kept Timer or a prebuilt func allocates nothing, and a negative
+// delay clamps to now.
+func TestTimerContract(t *testing.T) {
+	t.Run("one FIFO order across kinds", func(t *testing.T) {
+		e := NewEngine()
+		var log []string
+		a, _ := Connect(e, discard{}, 0, logger{&log, "send"}, 0, time.Microsecond, 0)
+		tm := &tally{}
+		e.ScheduleTimer(time.Microsecond, call(func() { log = append(log, "timer") }), 0)
+		a.Send([]byte{1})
+		e.Schedule(time.Microsecond, func() { log = append(log, "schedule") })
+		e.ScheduleTimer(time.Microsecond, tm, 42)
+		e.Run()
+		if got := strings.Join(log, " "); got != "timer send schedule" {
+			t.Errorf("fired %q, want %q", got, "timer send schedule")
+		}
+		if len(tm.args) != 1 || tm.args[0] != 42 {
+			t.Errorf("timer fired with %v, want [42]", tm.args)
+		}
+	})
+	t.Run("arming allocates nothing", func(t *testing.T) {
+		e := NewEngine()
+		tm := &tally{args: make([]uint64, 0, 1024)}
+		if n := testing.AllocsPerRun(100, func() { e.ScheduleTimer(time.Microsecond, tm, 7); e.Step() }); n != 0 {
+			t.Errorf("ScheduleTimer+Step of a pointer Timer: %v allocs, want 0", n)
+		}
+		fired := 0
+		fn := func() { fired++ }
+		if n := testing.AllocsPerRun(100, func() { e.Schedule(time.Microsecond, fn); e.Step() }); n != 0 {
+			t.Errorf("Schedule+Step of a prebuilt func: %v allocs, want 0", n)
+		}
+		if len(tm.args) != 101 || fired != 101 {
+			t.Errorf("fired %d timers and %d funcs, want 101 each", len(tm.args), fired)
+		}
+	})
+	t.Run("negative delay clamps to now", func(t *testing.T) {
+		e := NewEngine()
+		tm := &tally{}
+		e.RunUntil(time.Second)
+		e.ScheduleTimer(-time.Second, tm, 1)
+		e.Run()
+		if e.Now() != time.Second || len(tm.args) != 1 {
+			t.Errorf("fired %d times, clock at %v; want once at 1s", len(tm.args), e.Now())
 		}
 	})
 }

@@ -375,8 +375,8 @@ func TestEvictionSnapshotOrdering(t *testing.T) {
 		wrote    bool
 	}
 	var burst []obs
-	sendAt := func(at time.Duration, v uint32) {
-		tb.Eng.At(at, func() {
+	sendAfter := func(d time.Duration, v uint32) {
+		tb.Eng.Schedule(d, func() {
 			before := word()
 			a := &packet.Active{
 				Header:  packet.ActiveHeader{FID: 2, Flags: packet.FlagPreload},
@@ -390,12 +390,11 @@ func TestEvictionSnapshotOrdering(t *testing.T) {
 			burst = append(burst, obs{gen: gen, tableHas: tableHas, wrote: word() != before})
 		})
 	}
-	base := tb.Eng.Now()
 	for i := 0; i < 12; i++ {
-		sendAt(base+time.Duration(i+1)*time.Millisecond, uint32(0x100+i))
+		sendAfter(time.Duration(i+1)*time.Millisecond, uint32(0x100+i))
 	}
 	// The eviction lands mid-burst, between capsules 6 and 7.
-	tb.Eng.At(base+6500*time.Microsecond, func() { tb.Ctrl.GuardEvict(2) })
+	tb.Eng.Schedule(6500*time.Microsecond, func() { tb.Ctrl.GuardEvict(2) })
 	tb.RunFor(3 * time.Second)
 
 	if len(burst) != 12 {
