@@ -232,9 +232,6 @@ func New(eng *netsim.Engine, fid uint16, mac, switchMAC packet.MAC, svc *Service
 		Pipeline:  alloc.DefaultShape(),
 		progs:     map[string]mutant{},
 		mutants:   map[enumKey][]alloc.Mutant{},
-		// Deterministic per-FID jitter source: same topology, same seed,
-		// same retry trace.
-		rng: rand.New(rand.NewSource(int64(fid)*2654435761 + 1)),
 	}
 	c.cons, c.consErr = svc.Constraints()
 	return c
@@ -297,6 +294,11 @@ func (c *Client) RequestAllocation() error {
 		rearm = func() {
 			d := interval
 			if j := int64(float64(d) * retryJitterFrac); j > 0 {
+				if c.rng == nil {
+					// Deterministic per-FID jitter source, seeded at its
+					// first draw: same topology, same seed, same retry trace.
+					c.rng = rand.New(rand.NewSource(int64(c.fid)*2654435761 + 1))
+				}
 				d += time.Duration(c.rng.Int63n(2*j+1) - j)
 			}
 			c.eng.Schedule(d, func() {

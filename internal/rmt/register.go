@@ -19,19 +19,30 @@ import (
 // SRAM ECC: CorruptBit flips stored bits without updating the parity (a
 // soft error), and SweepParity is the control-plane scrub pass that finds
 // such words. Detection is sweep-only — data-plane reads return corrupted
-// values unchecked, as a register extern would.
+// values unchecked, as a register extern would. A chunk whose written bit
+// is clear holds only zero words and zero parity: every method that can make
+// either nonzero sets its chunk's bit, and Zero skips the clear chunks.
 type RegisterArray struct {
-	words  []uint32
-	parity []uint8 // one parity bit per word, maintained on writes
+	words   []uint32
+	parity  []uint8  // one parity bit per word, maintained on writes
+	written []uint64 // one bit per chunk of 1<<chunkShift = 256 words
 
 	// Access counters (data-plane operations only); Faults is counted by the
 	// protection check in front of the array.
 	Reads, Writes, Faults uint64
 }
 
+const chunkShift = 8
+
 // NewRegisterArray returns an array of n zeroed words.
 func NewRegisterArray(n int) *RegisterArray {
-	return &RegisterArray{words: make([]uint32, n), parity: make([]uint8, n)}
+	return &RegisterArray{words: make([]uint32, n), parity: make([]uint8, n), written: make([]uint64, n>>chunkShift/64+1)}
+}
+
+// mark sets the written bit of addr's chunk.
+func (r *RegisterArray) mark(addr uint32) {
+	c := addr >> chunkShift
+	r.written[c/64] |= 1 << (c % 64)
 }
 
 // Len returns the array size in words.
@@ -53,6 +64,7 @@ func (r *RegisterArray) Write(addr uint32, v uint32) {
 	r.Writes++
 	r.words[addr] = v
 	r.parity[addr] = parityOf(v)
+	r.mark(addr)
 }
 
 // Add adds delta to the word at addr and returns the new value — the
@@ -62,6 +74,7 @@ func (r *RegisterArray) Add(addr uint32, delta uint32) uint32 {
 	r.Writes++
 	r.words[addr] += delta
 	r.parity[addr] = parityOf(r.words[addr])
+	r.mark(addr)
 	return r.words[addr]
 }
 
@@ -73,6 +86,7 @@ func (r *RegisterArray) CorruptBit(addr uint32, bit uint) error {
 		return fmt.Errorf("rmt: corrupt target %d bit %d out of range", addr, bit)
 	}
 	r.words[addr] ^= 1 << bit
+	r.mark(addr)
 	return nil
 }
 
@@ -119,17 +133,30 @@ func (r *RegisterArray) Restore(lo uint32, vals []uint32) error {
 	copy(r.words[lo:], vals)
 	for i := range vals {
 		r.parity[int(lo)+i] = parityOf(vals[i])
+		r.mark(lo + uint32(i))
 	}
 	return nil
 }
 
 // Zero clears the words in [lo, hi); used when handing a region to a new
-// application so no state leaks between tenants.
+// application so no state leaks between tenants. It skips chunks whose
+// written bit is clear and clears a bit only when [lo, hi) covers its chunk.
 func (r *RegisterArray) Zero(lo, hi uint32) error {
 	if lo > hi || int(hi) > len(r.words) {
 		return fmt.Errorf("rmt: zero range [%d,%d) out of bounds (len %d)", lo, hi, len(r.words))
 	}
-	clear(r.words[lo:hi])
-	clear(r.parity[lo:hi])
+	for c := lo >> chunkShift; c<<chunkShift < hi; c++ {
+		bit := uint64(1) << (c % 64)
+		if r.written[c/64]&bit == 0 {
+			continue
+		}
+		first, end := c<<chunkShift, min((c+1)<<chunkShift, uint32(len(r.words)))
+		clo, chi := max(lo, first), min(hi, end)
+		clear(r.words[clo:chi])
+		clear(r.parity[clo:chi])
+		if clo == first && chi == end {
+			r.written[c/64] &^= bit
+		}
+	}
 	return nil
 }

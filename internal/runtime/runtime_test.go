@@ -171,6 +171,39 @@ func TestInstallGrantZeroesRegion(t *testing.T) {
 	if got := r.Device().Stage(1).Registers.Read(10); got != 0 {
 		t.Errorf("stale word %#x survived grant install", got)
 	}
+
+	// A region whose edges fall mid-chunk: the words just inside each edge
+	// are cleared, the words just outside it in the same chunk keep their
+	// value, and a corrupted cell inside leaves no parity error behind.
+	r = testRuntime(t)
+	regs := r.Device().Stage(1).Registers
+	const lo, hi = 100, 700
+	for _, a := range []uint32{lo - 1, lo, hi - 1, hi} {
+		regs.Write(a, a)
+	}
+	if err := regs.CorruptBit(400, 7); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		for a, want := range map[uint32]uint32{lo - 1: lo - 1, lo: 0, hi - 1: 0, hi: hi} {
+			if got := regs.Read(a); got != want {
+				t.Errorf("%s: word %d = %d, want %d", when, a, got, want)
+			}
+		}
+		if bad := regs.SweepParity(0, uint32(regs.Len())); len(bad) != 0 {
+			t.Errorf("%s: parity errors at %v", when, bad)
+		}
+	}
+	installCacheGrant(t, r, 4, lo, hi)
+	check("install")
+
+	// A write after the install is cleared again by a reinstall: the
+	// chunk's written bit re-arms.
+	regs.Write(lo, 1)
+	regs.Write(hi-1, 1)
+	installCacheGrant(t, r, 4, lo, hi)
+	check("reinstall")
 }
 
 func TestInstallGrantReplaceAndRemove(t *testing.T) {
