@@ -17,7 +17,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Packet-path microbenchmarks of the execute loop (specialized / interpreter /
-# telemetry attached). Component figures: not comparable with bench/'s op_ns.
+# Packet-path microbenchmarks of the execute loop (compiled plans, with and
+# without telemetry attached). Component figures: not comparable with bench/'s op_ns.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkPacketPath' -benchmem .

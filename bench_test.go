@@ -119,8 +119,8 @@ func BenchmarkSec62CompileComparison(b *testing.B) {
 
 // --- Microbenchmarks of the hot substrates ---
 
-// BenchmarkPipelineExec measures one cache-query execution through the full
-// 20-stage interpreter (the per-packet dataplane cost of the simulator).
+// BenchmarkPipelineExec measures one counter execution through the full
+// 20-stage pipeline (the per-packet dataplane cost of the simulator).
 func BenchmarkPipelineExec(b *testing.B) {
 	prog := isa.MustAssemble("bench-counter", `
 MAR_LOAD 2
@@ -217,9 +217,8 @@ func buildPacketPathWorkload(tenants, perTenant int) (*testbed.Testbed, []*packe
 }
 
 // BenchmarkPacketPath measures the allocation-free capsule hot path: one
-// cache-query execution through ExecuteProgram with pooled scratch state
-// and specialization on (the default), so steady-state iterations run
-// through the compiled plan. The allocs/op figure is the regression gate —
+// cache-query execution through ExecuteProgram with pooled scratch state,
+// so steady-state iterations run through the cached compiled plan. The allocs/op figure is the regression gate —
 // it must be 0 in steady state (TestExecuteProgramZeroAlloc enforces it;
 // this benchmark tracks the ns/op trajectory alongside).
 func BenchmarkPacketPath(b *testing.B) {
@@ -227,26 +226,6 @@ func BenchmarkPacketPath(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < len(ring); i++ { // warm scratch buffers
-		tb.RT.ExecuteProgram(ring[i])
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tb.RT.ExecuteProgram(ring[i%len(ring)])
-	}
-}
-
-// BenchmarkPacketPathInterpreter is BenchmarkPacketPath with specialization
-// forced off: every capsule runs through the interpreter. This is the
-// continuity series for the pre-specialization numbers and the denominator
-// of the specialized speedup.
-func BenchmarkPacketPathInterpreter(b *testing.B) {
-	tb, ring, err := buildPacketPathWorkload(8, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tb.RT.SetSpecialization(false)
 	for i := 0; i < len(ring); i++ { // warm scratch buffers
 		tb.RT.ExecuteProgram(ring[i])
 	}

@@ -17,6 +17,7 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -76,7 +77,7 @@ func main() {
 		}
 	case *trace != "":
 		p := load(*trace)
-		runTrace(p, *argsFlag, *elastic)
+		runTrace(os.Stdout, p, *argsFlag, *elastic)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -85,8 +86,8 @@ func main() {
 
 // runTrace admits the program on a scratch switch through its controller
 // (memory demands default to one block per access unless elastic) and
-// prints each stage slot as the linked mutant executes.
-func runTrace(p *isa.Program, argsCSV string, elastic bool) {
+// prints to w each stage slot as the linked mutant executes.
+func runTrace(w io.Writer, p *isa.Program, argsCSV string, elastic bool) {
 	tb, err := testbed.New(testbed.DefaultConfig())
 	die(err)
 	svc := &client.Service{Name: p.Name, Templates: map[string]*isa.Program{"main": p}, Elastic: elastic}
@@ -98,9 +99,9 @@ func runTrace(p *isa.Program, argsCSV string, elastic bool) {
 	cl := tb.AddClient(1, svc)
 	die(cl.RequestAndWait(5 * time.Second))
 	pl := cl.Placement()
-	fmt.Printf("deployed: mutant %v\n", pl.Mutant)
+	fmt.Fprintf(w, "deployed: mutant %v\n", pl.Mutant)
 	for i, ap := range pl.Accesses {
-		fmt.Printf("  access %d: logical stage %d, region [%d,%d)\n", i, ap.Logical, ap.Range.Lo, ap.Range.Hi)
+		fmt.Fprintf(w, "  access %d: logical stage %d, region [%d,%d)\n", i, ap.Logical, ap.Range.Lo, ap.Range.Hi)
 	}
 
 	var args [4]uint32
@@ -115,8 +116,8 @@ func runTrace(p *isa.Program, argsCSV string, elastic bool) {
 		args[2] += pl.Accesses[0].Range.Lo
 	}
 
-	fmt.Printf("\nexecuting with data=%v\n", args)
-	fmt.Println(" slot stage  instruction            MAR        MBR        MBR2   state")
+	fmt.Fprintf(w, "\nexecuting with data=%v\n", args)
+	fmt.Fprintln(w, " slot stage  instruction            MAR        MBR        MBR2   state")
 	tb.RT.Device().SetTrace(func(ev rmt.TraceEvent) {
 		state := ""
 		if ev.Skipped {
@@ -128,13 +129,13 @@ func runTrace(p *isa.Program, argsCSV string, elastic bool) {
 		if ev.Dropped {
 			state = "DROPPED"
 		}
-		fmt.Printf("  %3d   %2d   %-20s %10d %10d %10d   %s\n",
+		fmt.Fprintf(w, "  %3d   %2d   %-20s %10d %10d %10d   %s\n",
 			ev.Logical, ev.Stage, ev.In.String(), ev.MAR, ev.MBR, ev.MBR2, state)
 	})
 	a := &packet.Active{Header: packet.ActiveHeader{FID: cl.FID()}, Args: args, Program: cl.Program("main")}
 	a.Header.SetType(packet.TypeProgram)
 	for i, out := range tb.RT.ExecuteProgram(a) {
-		fmt.Printf("\noutput %d: data=%v to-sender=%v dropped=%v latency=%v passes=%d\n",
+		fmt.Fprintf(w, "\noutput %d: data=%v to-sender=%v dropped=%v latency=%v passes=%d\n",
 			i, out.Active.Args, out.ToSender, out.Dropped, out.Latency, out.Passes)
 	}
 }

@@ -33,7 +33,9 @@ func FuzzAssemble(f *testing.F) {
 // corpus the capsule guard must survive: truncated streams, missing EOF
 // terminators, invalid opcodes, and saturated operand/label bits. The
 // contract is no panic anywhere — including Validate on whatever decodes —
-// consumption bounded by the input, and encode/decode as a fixed point.
+// consumption bounded by the input, encode/decode as a fixed point, and no
+// decoded instruction outside the defined set or EOF: the plan compiler
+// relies on that, so it has no refusal path.
 func FuzzDecodeProgram(f *testing.F) {
 	p := MustAssemble("seed", "NOP\nRETURN")
 	wire := p.Encode(nil)
@@ -59,6 +61,11 @@ func FuzzDecodeProgram(f *testing.F) {
 			t.Fatalf("consumed %d of %d bytes", n, len(b))
 		}
 		_ = q.Validate() // must not panic on any decodable program
+		for i, in := range q.Instrs {
+			if !in.Op.Valid() || in.Op == OpEOF {
+				t.Fatalf("instr %d decoded as %v", i, in.Op)
+			}
+		}
 		if q.Len() != (n-WireSize)/WireSize {
 			t.Fatalf("decoded %d instrs from %d bytes", q.Len(), n)
 		}

@@ -186,26 +186,10 @@ func testDevice(t *testing.T) *Device {
 	return d
 }
 
-// installTestActions wires a minimal interpreter sufficient for device
-// mechanics tests (the full interpreter lives in package runtime).
-func installTestActions(d *Device) {
-	d.SetAction(isa.OpNop, func(ctx *Ctx, in isa.Instruction) {})
-	d.SetAction(isa.OpReturn, func(ctx *Ctx, in isa.Instruction) { ctx.PHV.Complete = true })
-	d.SetAction(isa.OpDrop, func(ctx *Ctx, in isa.Instruction) { ctx.PHV.Dropped = true })
-	d.SetAction(isa.OpMbrLoad, func(ctx *Ctx, in isa.Instruction) { ctx.PHV.MBR = ctx.PHV.Data[in.Operand] })
-	d.SetAction(isa.OpCJump, func(ctx *Ctx, in isa.Instruction) {
-		if ctx.PHV.MBR != 0 {
-			ctx.PHV.DisabledUntil = in.Operand
-		}
-	})
-	d.SetAction(isa.OpFork, func(ctx *Ctx, in isa.Instruction) { ctx.PHV.RequestFork() })
-	d.SetAction(isa.OpRts, func(ctx *Ctx, in isa.Instruction) {
-		ctx.PHV.ToSender = true
-		if ctx.StageIdx >= ctx.Dev.NumIngress() {
-			ctx.PHV.MarkRTSAtEgress()
-		}
-	})
-	d.SetAction(isa.OpMbrNot, func(ctx *Ctx, in isa.Instruction) { ctx.PHV.MBR = ^ctx.PHV.MBR })
+// execPlan compiles p's program for its FID against d's tables, with no
+// mirror sessions, and runs p through the plan.
+func execPlan(d *Device, p *PHV, instrs []isa.Instruction) []*PHV {
+	return d.ExecPlan(d.CompilePlan(p.FID, instrs, nil), p, nil)
 }
 
 func nops(n int) []isa.Instruction {
@@ -218,11 +202,10 @@ func nops(n int) []isa.Instruction {
 
 func TestExecLatencyLinear(t *testing.T) {
 	d := testDevice(t)
-	installTestActions(d)
 	var prev time.Duration
 	for _, n := range []int{10, 20, 30, 40} {
-		p := &PHV{Instrs: append(nops(n-1), isa.Instruction{Op: isa.OpReturn})}
-		outs := d.Exec(p)
+		p := &PHV{}
+		outs := execPlan(d, p, append(nops(n-1), isa.Instruction{Op: isa.OpReturn}))
 		if len(outs) != 1 || !p.Complete || p.Dropped {
 			t.Fatalf("n=%d: outs=%d complete=%v dropped=%v", n, len(outs), p.Complete, p.Dropped)
 		}
@@ -235,8 +218,8 @@ func TestExecLatencyLinear(t *testing.T) {
 		prev = p.Latency
 	}
 	// 20 instructions = exactly one pass = PassLatency.
-	p := &PHV{Instrs: nops(20)}
-	d.Exec(p)
+	p := &PHV{}
+	execPlan(d, p, nops(20))
 	if p.Latency != DefaultPassLatency {
 		t.Errorf("one-pass latency = %v, want %v", p.Latency, DefaultPassLatency)
 	}
@@ -247,9 +230,8 @@ func TestExecLatencyLinear(t *testing.T) {
 
 func TestExecRecirculation(t *testing.T) {
 	d := testDevice(t)
-	installTestActions(d)
-	p := &PHV{Instrs: nops(45)} // 3 passes
-	d.Exec(p)
+	p := &PHV{}
+	execPlan(d, p, nops(45)) // 3 passes
 	if p.Passes != 3 {
 		t.Errorf("Passes = %d, want 3", p.Passes)
 	}
@@ -269,14 +251,13 @@ func TestExecRecirculationLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	installTestActions(d)
-	p := &PHV{Instrs: nops(100)} // needs 5 passes > 2 allowed
-	d.Exec(p)
+	p := &PHV{}
+	execPlan(d, p, nops(100)) // needs 5 passes > 2 allowed
 	if !p.Dropped {
 		t.Fatal("runaway program not dropped")
 	}
-	if p.StagesRun != 40 {
-		t.Errorf("StagesRun = %d, want 40", p.StagesRun)
+	if p.StagesRun != 40 || p.Exit != 40 {
+		t.Errorf("StagesRun = %d, Exit = %d, want 40", p.StagesRun, p.Exit)
 	}
 	if d.PacketsDropped != 1 {
 		t.Errorf("PacketsDropped = %d", d.PacketsDropped)
@@ -285,9 +266,8 @@ func TestExecRecirculationLimit(t *testing.T) {
 
 func TestExecDropInstruction(t *testing.T) {
 	d := testDevice(t)
-	installTestActions(d)
-	p := &PHV{Instrs: append(nops(4), isa.Instruction{Op: isa.OpDrop})}
-	outs := d.Exec(p)
+	p := &PHV{}
+	outs := execPlan(d, p, append(nops(4), isa.Instruction{Op: isa.OpDrop}))
 	if !p.Dropped || len(outs) != 1 {
 		t.Fatal("DROP did not drop")
 	}
@@ -298,7 +278,6 @@ func TestExecDropInstruction(t *testing.T) {
 
 func TestExecBranchSkipsUntilLabel(t *testing.T) {
 	d := testDevice(t)
-	installTestActions(d)
 	// MBR=1 -> CJUMP taken -> the MBR_NOT in the skipped arm must not run;
 	// execution resumes at the labeled instruction.
 	prog := []isa.Instruction{
@@ -309,14 +288,17 @@ func TestExecBranchSkipsUntilLabel(t *testing.T) {
 		{Op: isa.OpMbrNot, Label: 1},    // L1: executes
 		{Op: isa.OpReturn},
 	}
-	p := &PHV{Data: [4]uint32{1}, Instrs: prog}
-	d.Exec(p)
+	p := &PHV{Data: [4]uint32{1}}
+	execPlan(d, p, prog)
 	if p.MBR != ^uint32(1) {
 		t.Errorf("MBR = %#x, want %#x (exactly one NOT)", p.MBR, ^uint32(1))
 	}
+	if d.Stage(2).Executed != 0 || d.Stage(4).Executed != 1 {
+		t.Errorf("stage counts %d/%d: a skipped slot counted or the label did not", d.Stage(2).Executed, d.Stage(4).Executed)
+	}
 	// Branch not taken: all three NOTs run.
-	p2 := &PHV{Data: [4]uint32{0}, Instrs: append([]isa.Instruction(nil), prog...)}
-	d.Exec(p2)
+	p2 := &PHV{Data: [4]uint32{0}}
+	execPlan(d, p2, prog)
 	if p2.MBR != ^uint32(0) { // three NOTs of 0 toggle thrice
 		t.Errorf("untaken branch: MBR = %#x, want %#x", p2.MBR, ^uint32(0))
 	}
@@ -324,15 +306,14 @@ func TestExecBranchSkipsUntilLabel(t *testing.T) {
 
 func TestExecBranchAcrossPasses(t *testing.T) {
 	d := testDevice(t)
-	installTestActions(d)
 	// Jump from pass 0 to a label in pass 1.
 	prog := append([]isa.Instruction{
 		{Op: isa.OpMbrLoad, Operand: 0}, // MBR <- 1
 		{Op: isa.OpCJump, Operand: 2},
 	}, nops(25)...)
 	prog = append(prog, isa.Instruction{Op: isa.OpMbrNot, Label: 2}, isa.Instruction{Op: isa.OpReturn})
-	p := &PHV{Data: [4]uint32{1}, Instrs: prog}
-	d.Exec(p)
+	p := &PHV{Data: [4]uint32{1}}
+	execPlan(d, p, prog)
 	if !p.Complete || p.Dropped {
 		t.Fatal("cross-pass branch did not complete")
 	}
@@ -344,46 +325,71 @@ func TestExecBranchAcrossPasses(t *testing.T) {
 	}
 }
 
+// TestExecFork pins FORK's order: the clone resumes at the slot after the
+// FORK, one recirculation later, and runs to completion before the primary
+// continues, so its register effects land first; a clone's own clones come
+// right after it in the outputs.
 func TestExecFork(t *testing.T) {
 	d := testDevice(t)
-	installTestActions(d)
-	prog := []isa.Instruction{
+	if err := d.Stage(2).Prot.Install(Region{FID: 1, Lo: 0, Hi: 16}); err != nil {
+		t.Fatal(err)
+	}
+	pl := d.CompilePlan(1, []isa.Instruction{
 		{Op: isa.OpFork},
-		{Op: isa.OpMbrNot},
+		{Op: isa.OpFork},
+		{Op: isa.OpMemIncrement}, // stage 2, MAR 0
+		{Op: isa.OpMbrStore, Operand: 0},
 		{Op: isa.OpReturn},
+	}, nil)
+	p := &PHV{FID: 1}
+	outs := d.ExecPlan(pl, p, nil)
+	if len(outs) != 4 {
+		t.Fatalf("outputs = %d, want 4", len(outs))
 	}
-	p := &PHV{Instrs: prog}
-	outs := d.Exec(p)
-	if len(outs) != 2 {
-		t.Fatalf("outputs = %d, want 2", len(outs))
+	// The primary's first clone forks again at slot 1, and that clone
+	// increments first; then the first clone, the primary's second clone and
+	// the primary. Every clone is charged one extra pass, however deep.
+	for i, w := range []struct {
+		clone bool
+		count uint32
+		slots int
+	}{{false, 4, 5}, {true, 2, 25}, {true, 1, 25}, {true, 3, 25}} {
+		o := outs[i]
+		if o.IsClone != w.clone || o.Data[0] != w.count || o.Exit != 5 || o.StagesRun != w.slots || o.Dropped {
+			t.Errorf("output %d: clone %v count %d exit %d slots %d dropped %v, want %+v",
+				i, o.IsClone, o.Data[0], o.Exit, o.StagesRun, o.Dropped, w)
+		}
 	}
+	if outs[1].Latency <= p.Latency {
+		t.Errorf("clone latency %v should exceed primary %v (recirculation)", outs[1].Latency, p.Latency)
+	}
+	if d.Recirculations != 3 || d.PacketsIn != 1 {
+		t.Errorf("Recirculations %d PacketsIn %d, want 3 (one per clone) and 1", d.Recirculations, d.PacketsIn)
+	}
+	// Passing the buffer back reuses the clones' PHVs.
 	clone := outs[1]
-	if !clone.IsClone || clone.Dropped {
-		t.Error("clone flags wrong")
+	if avg := testing.AllocsPerRun(20, func() {
+		*p = PHV{FID: 1}
+		outs = d.ExecPlan(pl, p, outs[:0])
+	}); avg != 0 {
+		t.Errorf("ExecPlan with a warm output buffer allocates %.1f/run, want 0", avg)
 	}
-	if clone.MBR != ^uint32(0) {
-		t.Errorf("clone did not continue execution: MBR = %#x", clone.MBR)
-	}
-	if p.MBR != ^uint32(0) {
-		t.Errorf("primary did not continue execution: MBR = %#x", p.MBR)
-	}
-	if clone.Latency <= p.Latency {
-		t.Errorf("clone latency %v should exceed primary %v (recirculation)", clone.Latency, p.Latency)
+	if outs[1] != clone {
+		t.Error("clone PHV not reused from the output buffer")
 	}
 }
 
 func TestExecRTSAtEgressCostsExtraPass(t *testing.T) {
 	d := testDevice(t)
-	installTestActions(d)
 	// RTS in ingress: no penalty.
-	pIn := &PHV{Instrs: append(nops(5), isa.Instruction{Op: isa.OpRts}, isa.Instruction{Op: isa.OpReturn})}
-	d.Exec(pIn)
+	pIn := &PHV{}
+	execPlan(d, pIn, append(nops(5), isa.Instruction{Op: isa.OpRts}, isa.Instruction{Op: isa.OpReturn}))
 	if pIn.StagesRun != 7 {
 		t.Errorf("ingress RTS StagesRun = %d, want 7", pIn.StagesRun)
 	}
 	// RTS at egress (stage 15): one extra pass.
-	pEg := &PHV{Instrs: append(nops(15), isa.Instruction{Op: isa.OpRts}, isa.Instruction{Op: isa.OpReturn})}
-	d.Exec(pEg)
+	pEg := &PHV{}
+	execPlan(d, pEg, append(nops(15), isa.Instruction{Op: isa.OpRts}, isa.Instruction{Op: isa.OpReturn}))
 	if pEg.StagesRun != 17+20 {
 		t.Errorf("egress RTS StagesRun = %d, want %d", pEg.StagesRun, 37)
 	}
@@ -394,39 +400,38 @@ func TestExecRTSAtEgressCostsExtraPass(t *testing.T) {
 
 func TestExecEmptyProgram(t *testing.T) {
 	d := testDevice(t)
-	installTestActions(d)
 	p := &PHV{}
-	outs := d.Exec(p)
+	outs := execPlan(d, p, nil)
 	if len(outs) != 1 || !p.Complete {
 		t.Fatal("empty program mishandled")
 	}
-	if p.StagesRun != 1 || p.Passes != 1 {
-		t.Errorf("StagesRun=%d Passes=%d, want 1/1", p.StagesRun, p.Passes)
+	if p.StagesRun != 1 || p.Passes != 1 || p.Exit != 0 {
+		t.Errorf("StagesRun=%d Passes=%d Exit=%d, want 1/1/0", p.StagesRun, p.Passes, p.Exit)
 	}
 }
 
+// TestExecMarksExecutedFlags: Exit counts the headers traversed, RETURN's
+// included, so the deparser shrinks exactly those.
 func TestExecMarksExecutedFlags(t *testing.T) {
 	d := testDevice(t)
-	installTestActions(d)
-	p := &PHV{Instrs: append(nops(3), isa.Instruction{Op: isa.OpReturn}, isa.Instruction{Op: isa.OpNop})}
-	d.Exec(p)
-	for i := 0; i < 4; i++ {
-		if !p.Instrs[i].Executed {
-			t.Errorf("instr %d not marked executed", i)
-		}
-	}
-	if p.Instrs[4].Executed {
-		t.Error("post-RETURN instruction marked executed")
+	p := &PHV{}
+	execPlan(d, p, append(nops(3), isa.Instruction{Op: isa.OpReturn}, isa.Instruction{Op: isa.OpNop}))
+	if p.Exit != 4 {
+		t.Errorf("Exit = %d, want 4 (the post-RETURN header untraversed)", p.Exit)
 	}
 }
 
+// TestExecUninstalledOpcodeIsNoop: an opcode with no action (EOF in a
+// malformed body) misses the stage's table: no effect and no count.
 func TestExecUninstalledOpcodeIsNoop(t *testing.T) {
 	d := testDevice(t)
-	// No actions installed at all.
-	p := &PHV{Instrs: nops(5)}
-	d.Exec(p)
-	if !p.Complete || p.Dropped {
-		t.Error("uninstalled opcodes should pass through")
+	p := &PHV{}
+	execPlan(d, p, []isa.Instruction{{Op: isa.OpEOF}, {Op: isa.OpEOF}, {Op: isa.OpNop}})
+	if !p.Complete || p.Dropped || p.Exit != 3 {
+		t.Error("opcodes without an action should pass through")
+	}
+	if d.Stage(0).Executed != 0 || d.Stage(1).Executed != 0 || d.Stage(2).Executed != 1 {
+		t.Errorf("stage counts %d/%d/%d, want 0/0/1", d.Stage(0).Executed, d.Stage(1).Executed, d.Stage(2).Executed)
 	}
 }
 
@@ -446,25 +451,27 @@ func TestNewRejectsBadConfig(t *testing.T) {
 }
 
 func TestHashStageIndependence(t *testing.T) {
-	d := testDevice(t)
 	words := [NumHashWords]uint32{1, 2, 3, 4}
-	h0 := d.Hash(0, 0, words)
-	h1 := d.Hash(1, 0, words)
-	if h0 == h1 {
+	h0 := StageHash(0, words)
+	if h0 == StageHash(1, words) {
 		t.Error("hash units in different stages should be independent")
 	}
-	if d.Hash(0, 0, words) != h0 {
+	if StageHash(0, words) != h0 {
 		t.Error("hash not deterministic")
 	}
-	// A nonzero selector picks a stage-independent fixed function.
-	if d.Hash(0, 1, words) != d.Hash(5, 1, words) {
-		t.Error("fixed hash unit varies by stage")
-	}
-	if d.Hash(0, 1, words) != FixedHash(1, words) {
-		t.Error("fixed hash mismatch")
-	}
-	if StageHash(3, words) != d.Hash(3, 0, words) {
-		t.Error("StageHash mismatch")
+	// A zero HASH selector picks the stage's unit, a nonzero one the fixed
+	// function, whatever the stage.
+	d := testDevice(t)
+	for _, c := range []struct {
+		selector uint8
+		stage    int
+		want     uint32
+	}{{0, 3, StageHash(3, words)}, {1, 3, FixedHash(1, words)}, {1, 5, FixedHash(1, words)}} {
+		p := &PHV{HashData: words}
+		execPlan(d, p, append(nops(c.stage), isa.Instruction{Op: isa.OpHash, Operand: c.selector}))
+		if p.MAR != c.want {
+			t.Errorf("HASH %d in stage %d = %#x, want %#x", c.selector, c.stage, p.MAR, c.want)
+		}
 	}
 }
 
@@ -496,7 +503,6 @@ func TestPhysicalStage(t *testing.T) {
 
 func TestTraceHook(t *testing.T) {
 	d := testDevice(t)
-	installTestActions(d)
 	var evs []TraceEvent
 	d.SetTrace(func(ev TraceEvent) { evs = append(evs, ev) })
 	prog := []isa.Instruction{
@@ -504,11 +510,19 @@ func TestTraceHook(t *testing.T) {
 		{Op: isa.OpCJump, Operand: 1},   // taken
 		{Op: isa.OpMbrNot},              // skipped
 		{Op: isa.OpMbrNot, Label: 1},    // resumes
+		{Op: isa.OpFork},                // the clone's slots come first
 		{Op: isa.OpReturn},
 	}
-	d.Exec(&PHV{Data: [4]uint32{1}, Instrs: prog})
-	if len(evs) != 5 {
-		t.Fatalf("events = %d, want 5", len(evs))
+	execPlan(d, &PHV{Data: [4]uint32{1}}, prog)
+	// Primary 0-3, the clone's RETURN (5), then the primary's FORK and
+	// RETURN.
+	if len(evs) != 7 {
+		t.Fatalf("events = %d, want 7", len(evs))
+	}
+	for i, want := range []int{0, 1, 2, 3, 5, 4, 5} {
+		if evs[i].Logical != want || evs[i].In != prog[want] {
+			t.Errorf("event %d: slot %d %v, want slot %d", i, evs[i].Logical, evs[i].In, want)
+		}
 	}
 	if !evs[2].Skipped {
 		t.Error("skipped instruction not flagged")
@@ -516,8 +530,8 @@ func TestTraceHook(t *testing.T) {
 	if evs[3].Skipped {
 		t.Error("label-resumed instruction flagged as skipped")
 	}
-	if !evs[4].Complete {
-		t.Error("final event not complete")
+	if !evs[4].Complete || evs[5].Complete || !evs[6].Complete {
+		t.Error("completion flags wrong: the clone's RETURN and the primary's")
 	}
 	if evs[0].MBR != 1 {
 		t.Errorf("trace MBR = %d", evs[0].MBR)
@@ -527,24 +541,25 @@ func TestTraceHook(t *testing.T) {
 		t.Errorf("event 3 stage/logical = %d/%d", evs[3].Stage, evs[3].Logical)
 	}
 	d.SetTrace(nil) // disable: no panic on next exec
-	d.Exec(&PHV{Instrs: nops(3)})
+	execPlan(d, &PHV{}, nops(3))
 }
 
 func TestForkMirrorDst(t *testing.T) {
 	d := testDevice(t)
-	installTestActions(d)
-	d.SetAction(isa.OpFork, func(ctx *Ctx, in isa.Instruction) {
-		ctx.PHV.RequestFork()
-		ctx.PHV.SetForkDst(42)
-	})
-	outs := d.Exec(&PHV{Instrs: []isa.Instruction{{Op: isa.OpFork}, {Op: isa.OpReturn}}})
-	if len(outs) != 2 {
+	sessions := func(session uint8) (uint32, bool) { return 42, session == 1 }
+	prog := []isa.Instruction{{Op: isa.OpFork, Operand: 1}, {Op: isa.OpFork, Operand: 2}, {Op: isa.OpReturn}}
+	outs := d.ExecPlan(d.CompilePlan(0, prog, sessions), &PHV{}, nil)
+	if len(outs) != 4 {
 		t.Fatalf("outputs = %d", len(outs))
 	}
 	if outs[0].DstSet {
 		t.Error("original steered to mirror port")
 	}
-	if !outs[1].DstSet || outs[1].Dst != 42 {
-		t.Errorf("clone dst = %v/%d, want 42", outs[1].DstSet, outs[1].Dst)
+	// The session-1 clone and its own unmirrored clone inherit the port; the
+	// primary's session-2 clone has no session.
+	for i, want := range []bool{false, true, true, false} {
+		if outs[i].DstSet != want || (want && outs[i].Dst != 42) {
+			t.Errorf("output %d dst = %v/%d, want set %v to 42", i, outs[i].DstSet, outs[i].Dst, want)
+		}
 	}
 }

@@ -8,121 +8,15 @@ import (
 	"activermt/internal/apps"
 	"activermt/internal/isa"
 	"activermt/internal/packet"
-	"activermt/internal/rmt"
 	"activermt/internal/secapps"
 )
 
-// Differential testing: a reference interpreter with independently written
-// semantics executes random straight-line programs (including forward
-// branches and hashing), and its final register/data state must match the
-// pipeline's. This pins the stage-sequential execution model — including
-// branch skipping across stages and per-stage hash seeding — against an
-// oracle.
-
-// refState mirrors the PHV registers.
-type refState struct {
-	mar, mbr, mbr2 uint32
-	data           [4]uint32
-	hash           [rmt.NumHashWords]uint32
-	complete       bool
-	disabledUntil  uint8
-}
-
-// refStep executes one instruction at logical stage idx.
-func refStep(s *refState, in isa.Instruction, idx, numStages int) {
-	if s.complete {
-		return
-	}
-	if s.disabledUntil != 0 {
-		if in.Label != s.disabledUntil {
-			return
-		}
-		s.disabledUntil = 0
-	}
-	switch in.Op {
-	case isa.OpNop:
-	case isa.OpMbrLoad:
-		s.mbr = s.data[in.Operand%4]
-	case isa.OpMbrStore:
-		s.data[in.Operand%4] = s.mbr
-	case isa.OpMbr2Load:
-		s.mbr2 = s.data[in.Operand%4]
-	case isa.OpMarLoad:
-		s.mar = s.data[in.Operand%4]
-	case isa.OpCopyMbr2Mbr:
-		s.mbr2 = s.mbr
-	case isa.OpCopyMbrMbr2:
-		s.mbr = s.mbr2
-	case isa.OpCopyMarMbr:
-		s.mar = s.mbr
-	case isa.OpCopyMbrMar:
-		s.mbr = s.mar
-	case isa.OpCopyHashdataMbr:
-		s.hash[in.Operand%rmt.NumHashWords] = s.mbr
-	case isa.OpCopyHashdataMbr2:
-		s.hash[in.Operand%rmt.NumHashWords] = s.mbr2
-	case isa.OpMbrAddMbr2:
-		s.mbr += s.mbr2
-	case isa.OpMarAddMbr:
-		s.mar += s.mbr
-	case isa.OpMarAddMbr2:
-		s.mar += s.mbr2
-	case isa.OpMarMbrAddMbr2:
-		s.mar = s.mbr + s.mbr2
-	case isa.OpMbrSubMbr2:
-		s.mbr -= s.mbr2
-	case isa.OpBitAndMarMbr:
-		s.mar &= s.mbr
-	case isa.OpBitOrMbrMbr2:
-		s.mbr |= s.mbr2
-	case isa.OpMbrEqualsMbr2:
-		s.mbr ^= s.mbr2
-	case isa.OpMbrEqualsData:
-		s.mbr ^= s.data[in.Operand%4]
-	case isa.OpMax:
-		if s.mbr2 > s.mbr {
-			s.mbr = s.mbr2
-		}
-	case isa.OpMin:
-		if s.mbr2 < s.mbr {
-			s.mbr = s.mbr2
-		}
-	case isa.OpRevMin:
-		if s.mbr < s.mbr2 {
-			s.mbr2 = s.mbr
-		}
-	case isa.OpSwapMbrMbr2:
-		s.mbr, s.mbr2 = s.mbr2, s.mbr
-	case isa.OpMbrNot:
-		s.mbr = ^s.mbr
-	case isa.OpReturn:
-		s.complete = true
-	case isa.OpCRet:
-		if s.mbr != 0 {
-			s.complete = true
-		}
-	case isa.OpCRetI:
-		if s.mbr == 0 {
-			s.complete = true
-		}
-	case isa.OpCJump:
-		if s.mbr != 0 {
-			s.disabledUntil = in.Operand
-		}
-	case isa.OpCJumpI:
-		if s.mbr == 0 {
-			s.disabledUntil = in.Operand
-		}
-	case isa.OpUJump:
-		s.disabledUntil = in.Operand
-	case isa.OpHash:
-		if in.Operand != 0 {
-			s.mar = rmt.FixedHash(uint32(in.Operand), s.hash)
-		} else {
-			s.mar = rmt.StageHash(idx%numStages, s.hash)
-		}
-	}
-}
+// Differential testing: the reference interpreter (reference_test.go)
+// executes the same capsules as the compiled plan, and outputs, memory and
+// counters must match bit for bit. This pins the stage-sequential execution
+// model — branch skipping across stages, per-stage hash seeding, folded
+// protection and translation, FORK order — against an oracle that reads the
+// live tables per slot.
 
 // safeOps are the opcodes the generator draws from: everything except
 // memory access, forwarding, EOF, and translation (those need switch
@@ -174,47 +68,20 @@ func genProgram(rng *rand.Rand) *isa.Program {
 }
 
 func TestDifferentialInterpreter(t *testing.T) {
-	r := testRuntime(t)
-	r.AdmitStateless(1)
-	numStages := r.Device().NumStages()
-	maxSlots := r.Device().Config().MaxPasses * numStages
+	e := newEnginePair(t, testConfig())
+	e.both(func(r *Runtime) { r.AdmitStateless(1) })
 	rng := rand.New(rand.NewSource(20230910))
 
 	for trial := 0; trial < 3000; trial++ {
 		p := genProgram(rng)
 		args := [4]uint32{rng.Uint32(), rng.Uint32(), rng.Uint32(), rng.Uint32()}
-
-		// Reference execution.
-		ref := &refState{data: args}
-		for idx, in := range p.Instrs {
-			if idx >= maxSlots {
-				break
-			}
-			refStep(ref, in, idx, numStages)
-			if ref.complete {
-				break
-			}
-		}
-
-		// Pipeline execution.
-		a := &packet.Active{Header: packet.ActiveHeader{FID: 1}, Args: args, Program: p}
-		a.Header.SetType(packet.TypeProgram)
+		a := progPacket(1, p, args)
 		a.Header.Flags |= packet.FlagNoShrink
-		outs := r.ExecuteProgram(a)
-		if len(outs) != 1 {
+		if outs := e.run(t, fmt.Sprintf("trial %d", trial), a); len(outs) != 1 {
 			t.Fatalf("trial %d: %d outputs", trial, len(outs))
 		}
-		out := outs[0]
-		if out.Dropped {
-			// Programs longer than the recirculation limit drop; the
-			// reference stops at maxSlots, so only compare data below.
-			continue
-		}
-		if out.Active.Args != ref.data {
-			t.Fatalf("trial %d: data mismatch\nprogram:\n%s\npipeline: %#v\nreference: %#v",
-				trial, isa.Disassemble(p), out.Active.Args, ref.data)
-		}
 	}
+	e.check(t)
 }
 
 // specOps extends safeOps with the switch-state opcodes the plan compiler
@@ -226,9 +93,9 @@ var specOps = append(append([]isa.Opcode{}, safeOps...),
 	isa.OpRts, isa.OpCRts, isa.OpSetDst, isa.OpDrop, isa.OpReturn,
 )
 
-// genSpecProgram builds a random valid program over the full specializable
-// surface, with occasional FORKs (uncompilable — exercises the
-// cached-negative interpreter fallback) and forward branches.
+// genSpecProgram builds a random valid program over the full instruction
+// surface, with occasional FORKs (plan FORK: clones run at the fork point,
+// FORK 1 under a mirror session when one is set) and forward branches.
 func genSpecProgram(rng *rand.Rand) *isa.Program {
 	n := 3 + rng.Intn(30)
 	p := &isa.Program{Name: "spec-fuzz"}
@@ -264,22 +131,39 @@ func genSpecProgram(rng *rand.Rand) *isa.Program {
 	return p
 }
 
-// TestDifferentialSpecializedVsInterpreter drives two identical runtimes —
-// one with specialization forced off (the interpreter oracle), one with it
-// on — through the same random stream of programs, grant reinstalls (epoch
-// bumps, moved regions), quarantine flips, privilege changes, revocations,
-// and unadmitted FIDs, and requires bit-identical wire outputs plus
-// identical runtime and device counters. Each capsule runs twice so both
-// the compile-inline and the cached-plan entries are exercised.
-func TestDifferentialSpecializedVsInterpreter(t *testing.T) {
-	ri := testRuntime(t) // interpreter oracle
-	rs := testRuntime(t) // specialized
-	ri.SetSpecialization(false)
+// forkCapsules are FORK shapes the random stream draws rarely, run against
+// fid with args: nested clones, a FORK followed by register writes at
+// args[2] in stages 4 and 8 (the clone's effects must land first), and a
+// mirrored FORK.
+func forkCapsules(fid uint16, args [4]uint32) []*packet.Active {
+	progs := []*isa.Program{
+		isa.MustAssemble("nested-fork", "FORK\nFORK 1\nFORK\nMBR_NOT\nMBR_STORE 0\nRETURN"),
+		isa.MustAssemble("fork-write", "MAR_LOAD 2\nFORK\nMBR_LOAD 1\nNOP\nMEM_INCREMENT\nMBR_STORE 0\nNOP\nNOP\nMEM_WRITE\nRTS\nRETURN"),
+		isa.MustAssemble("mirror-fork", "MBR_LOAD 0\nFORK 1\nSET_DST\nRETURN"),
+	}
+	var as []*packet.Active
+	for _, p := range progs {
+		as = append(as, progPacket(fid, p, args))
+	}
+	return as
+}
 
+// TestDifferentialSpecializedVsInterpreter drives two identical runtimes —
+// one executing through compiled plans, one through the reference
+// interpreter — through the same random stream of programs, grant
+// reinstalls (epoch bumps, moved regions), quarantine flips, privilege
+// changes, mirror sessions set and cleared, revocations, and unadmitted
+// FIDs, and requires bit-identical wire outputs, memory and counters. Each
+// capsule runs twice so both the compile-inline and the cached-plan entries
+// are exercised.
+func TestDifferentialSpecializedVsInterpreter(t *testing.T) {
+	e := newEnginePair(t, testConfig())
 	rng := rand.New(rand.NewSource(0xA11CE))
 
+	base := map[uint16]uint32{} // each FID's region base, for FORK capsules that hit it
 	grant := func(fid uint16, lo, hi uint32) {
-		for _, r := range []*Runtime{ri, rs} {
+		base[fid] = lo
+		e.both(func(r *Runtime) {
 			g := Grant{FID: fid}
 			for l := 0; l < 10; l++ {
 				g.Accesses = append(g.Accesses, AccessGrant{Logical: l, Lo: lo, Hi: hi})
@@ -287,7 +171,7 @@ func TestDifferentialSpecializedVsInterpreter(t *testing.T) {
 			if _, err := r.InstallGrant(g); err != nil {
 				t.Fatal(err)
 			}
-		}
+		})
 	}
 	grant(1, 0, 512)
 	grant(2, 512, 1024)
@@ -295,38 +179,46 @@ func TestDifferentialSpecializedVsInterpreter(t *testing.T) {
 
 	for trial := 0; trial < 2000; trial++ {
 		// Occasionally commit control-plane changes, identically on both:
-		// each one republishes the snapshots and invalidates rs's plans.
+		// each one invalidates the plan runtime's plans.
+		fid := uint16(1 + rng.Intn(3))
 		switch rng.Intn(20) {
 		case 0: // epoch bump + region move
-			fid := uint16(1 + rng.Intn(3))
 			base := uint32(rng.Intn(6)) * 512
 			grant(fid, base, base+512)
 		case 1: // quarantine flip
-			fid := uint16(1 + rng.Intn(3))
-			if ri.Quarantined(fid) {
-				ri.Reactivate(fid)
-				rs.Reactivate(fid)
-			} else {
-				ri.Deactivate(fid)
-				rs.Deactivate(fid)
-			}
-		case 2: // privilege change
-			fid := uint16(1 + rng.Intn(3))
+			q := e.ref.Quarantined(fid)
+			e.both(func(r *Runtime) {
+				if q {
+					r.Reactivate(fid)
+				} else {
+					r.Deactivate(fid)
+				}
+			})
+		case 2: // privilege change: an unprivileged FORK is a NOP
 			mask := uint8(0)
 			if rng.Intn(2) == 0 {
 				mask = PrivForwarding
 			}
-			ri.SetPrivilege(fid, mask)
-			rs.SetPrivilege(fid, mask)
+			e.both(func(r *Runtime) { r.SetPrivilege(fid, mask) })
 		case 3: // revocation (a later grant() re-admits)
-			fid := uint16(1 + rng.Intn(3))
-			ri.RemoveGrant(fid)
-			rs.RemoveGrant(fid)
+			e.both(func(r *Runtime) { r.RemoveGrant(fid) })
+		case 4: // mirror session 1 set or cleared
+			if _, ok := e.ref.MirrorSession(fid, 1); ok {
+				e.both(func(r *Runtime) { r.ClearMirrorSession(fid, 1) })
+			} else {
+				port := rng.Uint32()
+				e.both(func(r *Runtime) { r.SetMirrorSession(fid, 1, port) })
+			}
 		}
 
-		p := genSpecProgram(rng)
-		fid := uint16(1 + rng.Intn(4)) // FID 4 is never admitted: passthrough
+		fid = uint16(1 + rng.Intn(4)) // FID 4 is never admitted: passthrough
 		args := [4]uint32{rng.Uint32(), rng.Uint32(), uint32(rng.Intn(2048)), rng.Uint32()}
+		capsules := []*packet.Active{progPacket(fid, genSpecProgram(rng), args)}
+		if trial%5 == 0 {
+			fargs := args
+			fargs[2] = base[fid] + uint32(rng.Intn(512))
+			capsules = append(capsules, forkCapsules(fid, fargs)...)
+		}
 		var flags uint16
 		if rng.Intn(2) == 0 {
 			flags |= packet.FlagPreload
@@ -334,47 +226,17 @@ func TestDifferentialSpecializedVsInterpreter(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			flags |= packet.FlagNoShrink
 		}
-
-		for rep := 0; rep < 2; rep++ {
-			ai := progPacket(fid, p, args)
-			as := progPacket(fid, p, args)
-			ai.Header.Flags |= flags
-			as.Header.Flags |= flags
-			want := ri.ExecuteProgram(ai)
-			got := rs.ExecuteProgram(as)
-			compareOutputs(t, fmt.Sprintf("trial %d rep %d", trial, rep), want, got)
+		for _, a := range capsules {
+			a.Header.Flags |= flags
+			for rep := 0; rep < 2; rep++ {
+				e.run(t, fmt.Sprintf("trial %d %s rep %d", trial, a.Program.Name, rep), a)
+			}
 		}
 	}
-
-	if rs.SpecializedRuns == 0 {
-		t.Fatal("specialized path never ran")
+	if e.plan.ProgramsRun == 0 || e.plan.Device().Recirculations == 0 {
+		t.Fatal("stream too tame: nothing executed or nothing forked")
 	}
-	if ri.SpecializedRuns != 0 {
-		t.Fatal("interpreter oracle ran a specialized packet")
-	}
-	if ri.ProgramsRun != rs.ProgramsRun || ri.Passthrough != rs.Passthrough ||
-		ri.Faults != rs.Faults || ri.QuarantineDrops != rs.QuarantineDrops ||
-		ri.RevokedDrops != rs.RevokedDrops || ri.PrivSuppressed != rs.PrivSuppressed {
-		t.Fatalf("runtime counters diverged:\ninterp %d/%d/%d/%d/%d/%d\nspec   %d/%d/%d/%d/%d/%d",
-			ri.ProgramsRun, ri.Passthrough, ri.Faults, ri.QuarantineDrops, ri.RevokedDrops, ri.PrivSuppressed,
-			rs.ProgramsRun, rs.Passthrough, rs.Faults, rs.QuarantineDrops, rs.RevokedDrops, rs.PrivSuppressed)
-	}
-	di, ds := ri.Device(), rs.Device()
-	if di.PacketsIn != ds.PacketsIn || di.PacketsDropped != ds.PacketsDropped || di.Recirculations != ds.Recirculations {
-		t.Fatalf("device counters diverged: %d/%d/%d vs %d/%d/%d",
-			di.PacketsIn, di.PacketsDropped, di.Recirculations,
-			ds.PacketsIn, ds.PacketsDropped, ds.Recirculations)
-	}
-	for s := 0; s < di.NumStages(); s++ {
-		si, ss := di.Stage(s), ds.Stage(s)
-		if si.Executed != ss.Executed {
-			t.Fatalf("stage %d executed %d vs %d", s, si.Executed, ss.Executed)
-		}
-		if si.Registers.Reads != ss.Registers.Reads || si.Registers.Writes != ss.Registers.Writes ||
-			si.Registers.Faults != ss.Registers.Faults {
-			t.Fatalf("stage %d register counters diverged", s)
-		}
-	}
+	e.check(t)
 }
 
 // TestDifferentialRegisteredApps pins every registered exemplar program —
@@ -384,10 +246,7 @@ func TestDifferentialSpecializedVsInterpreter(t *testing.T) {
 // we actually ship (including the multi-pass claim arm and the DROP-bearing
 // rate limiter) never diverge between the two paths.
 func TestDifferentialRegisteredApps(t *testing.T) {
-	ri := testRuntime(t) // interpreter oracle
-	rs := testRuntime(t) // specialized
-	ri.SetSpecialization(false)
-
+	e := newEnginePair(t, testConfig())
 	rng := rand.New(rand.NewSource(0x5ECA))
 
 	progs := append(apps.Programs(), secapps.Programs()...)
@@ -398,10 +257,10 @@ func TestDifferentialRegisteredApps(t *testing.T) {
 		fid := uint16(100 + pi)
 		acc := tmpl.MemoryAccessIndices()
 		lo := uint32((pi % 8) * 512)
-		for _, r := range []*Runtime{ri, rs} {
+		e.both(func(r *Runtime) {
 			if len(acc) == 0 {
 				r.AdmitStateless(fid)
-				continue
+				return
 			}
 			g := Grant{FID: fid}
 			for _, idx := range acc {
@@ -410,56 +269,31 @@ func TestDifferentialRegisteredApps(t *testing.T) {
 			if _, err := r.InstallGrant(g); err != nil {
 				t.Fatalf("%s: grant: %v", tmpl.Name, err)
 			}
-		}
+		})
 		for trial := 0; trial < 200; trial++ {
 			args := [4]uint32{rng.Uint32(), rng.Uint32(), lo + uint32(rng.Intn(600)), rng.Uint32()}
-			var flags uint16
+			a := progPacket(fid, tmpl, args)
 			if rng.Intn(3) == 0 {
-				flags |= packet.FlagNoShrink
+				a.Header.Flags |= packet.FlagNoShrink
 			}
 			// Each capsule runs twice so both the compile-inline and the
 			// cached-plan entries are exercised.
 			for rep := 0; rep < 2; rep++ {
-				ai := progPacket(fid, tmpl, args)
-				as := progPacket(fid, tmpl, args)
-				ai.Header.Flags |= flags
-				as.Header.Flags |= flags
-				want := ri.ExecuteProgram(ai)
-				got := rs.ExecuteProgram(as)
-				compareOutputs(t, fmt.Sprintf("%s trial %d rep %d", tmpl.Name, trial, rep), want, got)
+				e.run(t, fmt.Sprintf("%s trial %d rep %d", tmpl.Name, trial, rep), a)
 			}
 		}
 	}
-
-	if rs.SpecializedRuns == 0 {
-		t.Fatal("specialized path never ran")
+	if e.plan.ProgramsRun == 0 {
+		t.Fatal("nothing executed")
 	}
-	if ri.ProgramsRun != rs.ProgramsRun || ri.Faults != rs.Faults {
-		t.Fatalf("runtime counters diverged: %d/%d vs %d/%d",
-			ri.ProgramsRun, ri.Faults, rs.ProgramsRun, rs.Faults)
-	}
-	di, ds := ri.Device(), rs.Device()
-	if di.PacketsIn != ds.PacketsIn || di.PacketsDropped != ds.PacketsDropped || di.Recirculations != ds.Recirculations {
-		t.Fatalf("device counters diverged: %d/%d/%d vs %d/%d/%d",
-			di.PacketsIn, di.PacketsDropped, di.Recirculations,
-			ds.PacketsIn, ds.PacketsDropped, ds.Recirculations)
-	}
-	for s := 0; s < di.NumStages(); s++ {
-		si, ss := di.Stage(s), ds.Stage(s)
-		if si.Executed != ss.Executed ||
-			si.Registers.Reads != ss.Registers.Reads || si.Registers.Writes != ss.Registers.Writes ||
-			si.Registers.Faults != ss.Registers.Faults {
-			t.Fatalf("stage %d counters diverged", s)
-		}
-	}
+	e.check(t)
 }
 
 func TestDifferentialBranchDense(t *testing.T) {
 	// Branch-heavy programs: stress the disabled-until-label machinery.
-	r := testRuntime(t)
-	r.AdmitStateless(1)
+	e := newEnginePair(t, testConfig())
+	e.both(func(r *Runtime) { r.AdmitStateless(1) })
 	rng := rand.New(rand.NewSource(42))
-	numStages := r.Device().NumStages()
 
 	for trial := 0; trial < 1500; trial++ {
 		p := &isa.Program{Name: "branchy"}
@@ -490,18 +324,7 @@ func TestDifferentialBranchDense(t *testing.T) {
 			continue
 		}
 		args := [4]uint32{rng.Uint32() & 1, rng.Uint32(), rng.Uint32(), rng.Uint32()}
-		ref := &refState{data: args}
-		for idx, in := range p.Instrs {
-			refStep(ref, in, idx, numStages)
-			if ref.complete {
-				break
-			}
-		}
-		a := &packet.Active{Header: packet.ActiveHeader{FID: 1}, Args: args, Program: p}
-		a.Header.SetType(packet.TypeProgram)
-		out := r.ExecuteProgram(a)[0]
-		if out.Active.Args != ref.data {
-			t.Fatalf("trial %d mismatch\n%s\npipeline %#v\nref %#v", trial, isa.Disassemble(p), out.Active.Args, ref.data)
-		}
+		e.run(t, fmt.Sprintf("trial %d", trial), progPacket(1, p, args))
 	}
+	e.check(t)
 }

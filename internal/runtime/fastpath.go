@@ -12,13 +12,13 @@ import (
 // This file is the packet path — the one engine every caller runs, through
 // the one entry ExecuteProgram (switchd, and so the testbed, fabric and soak;
 // the ablations; tests and microbenchmarks). executeOne performs the
-// admission checks, PHV construction, pipeline execution (a compiled plan when
-// one exists, the interpreter otherwise — see specialize.go), and output
-// encoding such that:
+// admission checks, PHV construction, pipeline execution (the program's
+// compiled plan — see specialize.go), and output encoding such that:
 //
 //   - all per-packet state lives in the runtime's reusable scratch (pooled
-//     PHV, pooled output capsules, reusable device-output buffer), so the
-//     steady-state loop performs zero heap allocations;
+//     PHVs, FORK clones included, pooled output capsules, reusable
+//     device-output buffer), so the steady-state loop performs zero heap
+//     allocations;
 //   - control state is read where the control plane keeps it — the
 //     admission rows and the device tables — and compiled plans are checked
 //     against their generations (see specialize.go);
@@ -79,9 +79,10 @@ type outSlot struct {
 }
 
 // scratch holds every piece of per-packet state the packet path needs: a
-// pooled PHV, the device output buffer, and reusable output capsules. Outputs
-// are valid until the next ExecuteProgram call; callers that need to retain an
-// output must copy it.
+// pooled PHV, the device output buffer (whose backing array also pools the
+// PHVs of FORK clones, see rmt.Device.ExecPlan), and reusable output
+// capsules. Outputs are valid until the next ExecuteProgram call; callers
+// that need to retain an output must copy it.
 type scratch struct {
 	outputs []*Output
 
@@ -105,8 +106,8 @@ func (res *scratch) addOutput(s *outSlot) { res.outputs = append(res.outputs, &s
 // entry point, for the system path (switchd, the ablations), tests and
 // microbenchmarks alike. Admission checks read the admission rows, the PHV
 // and output capsules are reused, and admitted programs execute through
-// their compiled plan when one is (or can be) cached under the current
-// generations; everything else takes the interpreter (see specialize.go).
+// their compiled plan, cached under the current generations (see
+// specialize.go).
 // When it returns, the capsule's counts are in the exported runtime and
 // device fields — where telemetry reads them — and its buffered guard events
 // have been delivered to the hook: counters read, and escalations land,
@@ -141,17 +142,14 @@ func (r *Runtime) executeOne(a *packet.Active) {
 		return
 	}
 	fid := a.Header.FID
-	spec := !r.specOff && !r.dev.TraceEnabled()
-	var pl *compiledPlan
-	if spec {
-		pl = r.currentPlans().plans[planKey{prog: a.Program, fid: fid}]
-	}
+	key := planKey{prog: a.Program, fid: fid}
+	pl := r.currentPlans().plans[key]
 
-	// The admission gate. A cached plan (compiled or a cached refusal to
-	// compile) exists only for a FID that passed the identity checks since
-	// the last commit, so a hit skips the revoked/admitted lookups and reads
-	// the quarantine mark folded into the plan; only the packet-dependent
-	// checks (FlagMemSync, recirculation budget) remain.
+	// The admission gate. A cached plan exists only for a FID that passed
+	// the identity checks since the last commit, so a hit skips the
+	// revoked/admitted lookups and reads the quarantine mark folded into the
+	// plan; only the packet-dependent checks (FlagMemSync, recirculation
+	// budget) remain.
 	quarantined := false
 	if pl != nil {
 		quarantined = pl.quarantined
@@ -187,41 +185,12 @@ func (r *Runtime) executeOne(a *packet.Active) {
 		res.hardDrop(a, lat)
 		return
 	}
-
-	if spec && pl == nil {
+	if pl == nil {
 		// First sighting of this program version since the last commit,
-		// past the gate: compile (cached for every subsequent packet; a FORK
-		// program caches its refusal).
-		pl = r.compilePlan(planKey{prog: a.Program, fid: fid})
+		// past the gate: compile, cached for every subsequent packet.
+		pl = r.compilePlan(key)
 	}
-	if pl != nil && pl.rp != nil {
-		r.execSpecialized(a, pl, fid)
-		return
-	}
-	r.ProgramsRun++
-
-	phv := res.fillPHV(a, fid, true)
-	phv.Instrs = append(phv.Instrs[:0], a.Program.Instrs...)
-	r.PrivSuppressed += maskPrivileged(r.rowOf(fid), phv.Instrs)
-
-	res.devOuts = r.dev.ExecInto(phv, res.devOuts[:0])
-	for i, p := range res.devOuts {
-		r.noteFault(fid, p)
-		s := res.slot(i)
-		// Shrink executed instruction headers unless the program opted out
-		// (Section 3.1's packet-shrinking optimization).
-		s.prog.Instrs = s.prog.Instrs[:0]
-		noShrink := a.Header.Flags&packet.FlagNoShrink != 0
-		for _, instr := range p.Instrs {
-			if instr.Executed && !noShrink {
-				continue
-			}
-			s.prog.Instrs = append(s.prog.Instrs, instr)
-		}
-		s.finish(a, p)
-		res.addOutput(s)
-	}
-	r.flightExecuted(fid, res.devOuts[0]) // the primary PHV describes the traversal
+	r.execute(a, pl, fid)
 }
 
 // fillPHV resets the pooled PHV and loads the capsule's parsed fields; the

@@ -3,13 +3,14 @@ package runtime
 import (
 	"testing"
 
+	"activermt/internal/isa"
 	"activermt/internal/packet"
 	"activermt/internal/telemetry"
 )
 
 // compareOutputs asserts the observable wire content of two output sets is
 // identical: flags, args, surviving instructions, and routing verdicts.
-func compareOutputs(t *testing.T, step string, want, got []*Output) {
+func compareOutputs(t testing.TB, step string, want, got []*Output) {
 	t.Helper()
 	if len(want) != len(got) {
 		t.Fatalf("%s: %d outputs vs %d", step, len(want), len(got))
@@ -47,11 +48,11 @@ func compareOutputs(t *testing.T, step string, want, got []*Output) {
 
 // TestExecuteProgramZeroAlloc is the allocation gate for the packet hot
 // path: once scratch buffers are warm, ExecuteProgram must not allocate — on
-// the clean path and on the fault path (buffered events reuse their capacity
-// after delivery), through a compiled plan and through the interpreter. The
-// gate holds with telemetry both disabled and enabled: the per-capsule
-// counter publish, histogram observes, and flight-ring records are all
-// allocation-free by construction.
+// the clean path, on the fault path (buffered events reuse their capacity
+// after delivery) and for a FORK capsule (the clones' PHVs and output slots
+// are pooled). The gate holds with telemetry both disabled and enabled: the
+// per-capsule counter publish, histogram observes, and flight-ring records
+// are all allocation-free by construction.
 func TestExecuteProgramZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -61,39 +62,40 @@ func TestExecuteProgramZeroAlloc(t *testing.T) {
 		{name: "telemetry", telemetry: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, specialized := range []bool{true, false} {
-				r := testRuntime(t)
-				r.SetSpecialization(specialized)
-				if tc.telemetry {
-					r.AttachTelemetry(telemetry.NewRegistry())
-				}
-				installCacheGrant(t, r, 1, 0, 1024)
+			r := testRuntime(t)
+			if tc.telemetry {
+				r.AttachTelemetry(telemetry.NewRegistry())
+			}
+			installCacheGrant(t, r, 1, 0, 1024)
+			r.SetMirrorSession(1, 1, 9)
 
-				clean := progPacket(1, cacheQuery, [4]uint32{7, 9, 100, 0})
-				clean.Header.Flags |= packet.FlagPreload
-				faulty := progPacket(1, cacheQuery, [4]uint32{7, 9, 4000, 0})
-				faulty.Header.Flags |= packet.FlagPreload
+			clean := progPacket(1, cacheQuery, [4]uint32{7, 9, 100, 0})
+			clean.Header.Flags |= packet.FlagPreload
+			faulty := progPacket(1, cacheQuery, [4]uint32{7, 9, 4000, 0})
+			faulty.Header.Flags |= packet.FlagPreload
+			fork := progPacket(1, isa.MustAssemble("fork", "MAR_LOAD 2\nFORK 1\nFORK\nNOP\nMEM_INCREMENT\nRTS\nRETURN"), [4]uint32{0, 0, 100, 0})
 
-				for i := 0; i < 64; i++ { // warm scratch buffers and event capacity
-					r.ExecuteProgram(clean)
-					r.ExecuteProgram(faulty)
+			for i := 0; i < 64; i++ { // warm scratch buffers and event capacity
+				r.ExecuteProgram(clean)
+				r.ExecuteProgram(faulty)
+				r.ExecuteProgram(fork)
+			}
+			for _, c := range []struct {
+				name string
+				a    *packet.Active
+			}{{"clean", clean}, {"fault", faulty}, {"fork", fork}} {
+				if avg := testing.AllocsPerRun(200, func() { r.ExecuteProgram(c.a) }); avg != 0 {
+					t.Fatalf("%s path allocates %.2f/op, want 0", c.name, avg)
 				}
-				if avg := testing.AllocsPerRun(200, func() {
-					r.ExecuteProgram(clean)
-				}); avg != 0 {
-					t.Fatalf("specialized=%v: clean path allocates %.2f/op, want 0", specialized, avg)
-				}
-				if avg := testing.AllocsPerRun(200, func() {
-					r.ExecuteProgram(faulty)
-				}); avg != 0 {
-					t.Fatalf("specialized=%v: fault path allocates %.2f/op, want 0", specialized, avg)
-				}
-				if specialized != (r.SpecializedRuns != 0) {
-					t.Fatalf("specialized=%v but %d of %d capsules ran a compiled plan", specialized, r.SpecializedRuns, r.ProgramsRun)
-				}
-				if tc.telemetry && r.fr.Recorded() == 0 {
-					t.Fatal("telemetry enabled but the flight recorder saw no samples")
-				}
+			}
+			if outs := r.ExecuteProgram(fork); len(outs) != 4 || !outs[1].DstSet || outs[1].Dst != 9 {
+				t.Fatalf("fork capsule: %d outputs, want 4 with the first clone mirrored to port 9", len(outs))
+			}
+			if r.SpecializedRuns != r.ProgramsRun {
+				t.Fatalf("%d of %d capsules ran a compiled plan", r.SpecializedRuns, r.ProgramsRun)
+			}
+			if tc.telemetry && r.fr.Recorded() == 0 {
+				t.Fatal("telemetry enabled but the flight recorder saw no samples")
 			}
 		})
 	}

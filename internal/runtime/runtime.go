@@ -1,3 +1,10 @@
+// Package runtime implements the ActiveRMT switch runtime: the shared
+// "P4 program" that turns a generic RMT device into an active-packet
+// processor (Section 3 of the paper). It compiles each admitted program into
+// a device plan that makes the full instruction set available in every stage,
+// enforces per-FID memory protection through the stage TCAMs, applies
+// runtime address translation (ADDR_MASK/ADDR_OFFSET), manages FID admission
+// and quarantine state, and converts between active packets and PHVs.
 package runtime
 
 import (
@@ -64,10 +71,8 @@ type Runtime struct {
 	// copy the whole Config struct per packet. Immutable after New.
 	passLat time.Duration
 
-	// Specialization state (see specialize.go): plans is the compiled-plan
-	// table and specOff disables the specialized path.
-	plans   planTable
-	specOff bool
+	// plans is the compiled-plan table (see specialize.go).
+	plans planTable
 
 	// wants is fillTables' per-stage scratch.
 	wants []stageWant
@@ -86,7 +91,7 @@ type Runtime struct {
 	ProgramsRun, Passthrough, Faults uint64
 	RecircThrottled, PrivSuppressed  uint64
 	QuarantineDrops, RevokedDrops    uint64
-	SpecializedRuns                  uint64 // capsules executed through a compiled plan
+	SpecializedRuns                  uint64 // capsules executed through a compiled plan: always ProgramsRun
 	PlanCompiles                     uint64 // program-to-plan compilations performed
 	TableOps                         uint64 // cumulative table update operations
 }
@@ -151,7 +156,7 @@ type GuardHook interface {
 // SetGuardHook installs the isolation-event sink (nil disables reporting).
 func (r *Runtime) SetGuardHook(h GuardHook) { r.guard = h }
 
-// New builds a device from cfg and installs the interpreter in it.
+// New builds a device from cfg with nothing admitted.
 func New(cfg rmt.Config) (*Runtime, error) {
 	dev, err := rmt.New(cfg)
 	if err != nil {
@@ -159,7 +164,6 @@ func New(cfg rmt.Config) (*Runtime, error) {
 	}
 	r := &Runtime{dev: dev, passLat: dev.Config().PassLatency, res: &scratch{phv: &rmt.PHV{}},
 		wants: make([]stageWant, dev.NumStages())}
-	r.installActions(dev)
 	r.commit()
 	return r, nil
 }

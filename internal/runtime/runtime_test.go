@@ -9,11 +9,16 @@ import (
 	"activermt/internal/rmt"
 )
 
-func testRuntime(t *testing.T) *Runtime {
-	t.Helper()
+// testConfig is the default device with small register arrays.
+func testConfig() rmt.Config {
 	cfg := rmt.DefaultConfig()
 	cfg.StageWords = 4096
-	r, err := New(cfg)
+	return cfg
+}
+
+func testRuntime(t *testing.T) *Runtime {
+	t.Helper()
+	r, err := New(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,8 +363,8 @@ func TestArithmeticAndCopyOps(t *testing.T) {
 	run := func(src string, args [4]uint32) *rmt.PHV {
 		t.Helper()
 		prog := isa.MustAssemble("t", src)
-		phv := &rmt.PHV{FID: 6, Data: args, Instrs: prog.Instrs}
-		r.Device().Exec(phv)
+		phv := &rmt.PHV{FID: 6, Data: args}
+		r.Device().ExecPlan(r.Device().CompilePlan(6, prog.Instrs, nil), phv, nil)
 		return phv
 	}
 

@@ -6,24 +6,21 @@ import (
 	"activermt/internal/rmt"
 )
 
-// This file is the specialization layer of the packet hot path. The decoded-
-// program cache already canonicalizes programs by their bytes: every capsule
+// This file is the compilation layer of the packet path. The decoded-program
+// cache already canonicalizes programs by their bytes: every capsule
 // carrying the same program resolves to one shared *isa.Program, whichever
 // tenant sent it. The runtime exploits that identity to compile each
-// (program, FID) pair once — against that FID's admission row and device
-// table entries as they stand — into a straight-line rmt.Plan, then executes
-// packets through the plan instead of the interpreter.
+// (program, FID) pair once — against that FID's admission row, mirror
+// sessions and device table entries as they stand — into a straight-line
+// rmt.Plan, and executes every admitted capsule through its plan.
 //
 // Validity is two generation counters: the plan table remembers the runtime
 // generation (bumped by every commit) and the device generation (bumped by
 // every TCAM or translation edit) its plans were compiled under, and the
-// packet path empties it the first time either has moved. A grant install, epoch bump, quarantine flip, privilege change,
+// packet path empties it the first time either has moved. A grant install,
+// epoch bump, quarantine flip, privilege change, mirror-session edit,
 // revocation, or a table edited directly all move one of them, so a stale
 // plan never executes.
-//
-// The interpreter remains the always-correct fallback: unknown or unadmitted
-// FIDs, programs the compiler refuses (FORK), trace-hook sessions, and a full
-// plan table all run through the unchanged interpreter path.
 
 // planKey identifies one compiled plan: the canonical decoded-program
 // pointer (one per distinct program bytes — see packet.ProgCache) plus the
@@ -36,26 +33,24 @@ type planKey struct {
 
 // compiledPlan is the runtime-side wrapper of one compiled program: the
 // privilege-rewritten instruction image the output encoder slices from, the
-// device plan (nil when the program is not specializable — cached so the hot
-// path stops retrying), and the admission facts folded at compile time.
+// device plan, and the admission facts folded at compile time.
 type compiledPlan struct {
 	rp     *rmt.Plan
 	instrs []isa.Instruction
 	// suppressed is the number of privileged instructions rewritten to NOP
-	// at compile time; the interpreter counts suppressions per packet, so
-	// the specialized path adds the same amount for every packet executed.
+	// at compile time, counted again for every packet executed.
 	suppressed uint64
 	// quarantined is the FID's quarantine mark at compile time: plans exist
 	// only for admitted, unrevoked FIDs (compilation runs after the
 	// admission checks), so this is the only per-FID admission flag the
-	// specialized entry still has to consult.
+	// packet path still has to consult.
 	quarantined bool
 	// readsTuple notes a HASHDATA_5TUPLE in the image: only then does a
 	// packet's payload need parsing for its transport 5-tuple.
 	readsTuple bool
 	// preMarked notes that the wire image arrived with Executed bits already
 	// set on some headers, forcing the output encoder onto its filtering
-	// slow path to reproduce the interpreter's shrink exactly.
+	// slow path: the deparser shrinks those headers too.
 	preMarked bool
 }
 
@@ -81,11 +76,6 @@ func (r *Runtime) currentPlans() *planTable {
 	return t
 }
 
-// SetSpecialization enables or disables compiled-plan execution (enabled by
-// default). Disabling it forces every packet through the interpreter — the
-// honest baseline for benchmarks and differential tests.
-func (r *Runtime) SetSpecialization(on bool) { r.specOff = !on }
-
 // compilePlan folds privilege into key's program, compiles the device plan
 // under the current state and caches it in the plan table (the caller has
 // passed the admission checks for key.fid).
@@ -100,7 +90,9 @@ func (r *Runtime) compilePlan(key planKey) *compiledPlan {
 		cp.preMarked = cp.preMarked || cp.instrs[i].Executed
 		cp.readsTuple = cp.readsTuple || cp.instrs[i].Op == isa.OpHashdata5Tuple
 	}
-	cp.rp = r.dev.CompilePlan(key.fid, cp.instrs)
+	cp.rp = r.dev.CompilePlan(key.fid, cp.instrs, func(session uint8) (uint32, bool) {
+		return r.MirrorSession(key.fid, session)
+	})
 	r.PlanCompiles++
 	if t := &r.plans; len(t.plans) < maxPlans {
 		if t.plans == nil {
@@ -111,48 +103,52 @@ func (r *Runtime) compilePlan(key planKey) *compiledPlan {
 	return cp
 }
 
-// execSpecialized runs one admitted capsule through its compiled plan. The
-// caller has performed the admission checks; this mirrors the interpreter
-// tail of executeOne with the plan executor in place of ExecInto. The
-// instruction image never enters the PHV: the plan carries it, and the
-// output body is rebuilt from the image plus the exit index — the
-// interpreter marks exactly the first exit headers Executed, so the shrunk
-// body is the image's tail, one append of a slice instead of a
+// execute runs one admitted capsule through its compiled plan; the caller
+// has performed the admission checks. The instruction image never enters the
+// PHV: the plan carries it, and each output's body is rebuilt from the image
+// plus that output's exit index — the headers before it were traversed, so
+// the shrunk body is the image's tail, one append of a slice instead of a
 // per-instruction filter loop.
-func (r *Runtime) execSpecialized(a *packet.Active, pl *compiledPlan, fid uint16) {
+func (r *Runtime) execute(a *packet.Active, pl *compiledPlan, fid uint16) {
 	res := r.res
 	phv := res.fillPHV(a, fid, pl.readsTuple)
-	exit := r.dev.ExecPlan(pl.rp, phv)
+	res.devOuts = r.dev.ExecPlan(pl.rp, phv, res.devOuts[:0])
 	r.ProgramsRun++
 	r.SpecializedRuns++
 	r.PrivSuppressed += pl.suppressed
-	r.noteFault(fid, phv)
+	noShrink := a.Header.Flags&packet.FlagNoShrink != 0
+	for i, p := range res.devOuts {
+		r.noteFault(fid, p)
+		s := res.slot(i)
+		s.prog.Instrs = pl.body(s.prog.Instrs[:0], p.Exit, noShrink)
+		s.finish(a, p)
+		res.addOutput(s)
+	}
+	r.flightExecuted(fid, phv) // the primary PHV describes the traversal
+}
 
-	s := res.slot(0)
-	instrs := pl.instrs
+// body appends to dst the instruction headers an output leaves the switch
+// with, exit of them having been traversed.
+func (pl *compiledPlan) body(dst []isa.Instruction, exit int, noShrink bool) []isa.Instruction {
 	switch {
-	case a.Header.Flags&packet.FlagNoShrink != 0:
+	case noShrink:
 		// Keep every header, the traversed prefix marked Executed; marks
-		// pre-set on the wire image survive the copy, as they survive the
-		// interpreter's per-slot OR.
-		s.prog.Instrs = append(s.prog.Instrs[:0], instrs...)
+		// pre-set on the wire image survive the copy.
+		dst = append(dst, pl.instrs...)
 		for i := 0; i < exit; i++ {
-			s.prog.Instrs[i].Executed = true
+			dst[i].Executed = true
 		}
 	case !pl.preMarked:
-		s.prog.Instrs = append(s.prog.Instrs[:0], instrs[exit:]...)
+		dst = append(dst, pl.instrs[exit:]...)
 	default:
 		// Rare: the wire image arrived with Executed bits already set; the
-		// interpreter's shrink drops those headers too.
-		s.prog.Instrs = s.prog.Instrs[:0]
-		for i, instr := range instrs {
+		// shrink drops those headers too.
+		for i, instr := range pl.instrs {
 			if i < exit || instr.Executed {
 				continue
 			}
-			s.prog.Instrs = append(s.prog.Instrs, instr)
+			dst = append(dst, instr)
 		}
 	}
-	s.finish(a, phv)
-	res.addOutput(s)
-	r.flightExecuted(fid, phv)
+	return dst
 }

@@ -12,24 +12,17 @@ import (
 // TestEveryCommitIsSeenByTheNextCapsule pins what the plan generations
 // promise: whatever a control-plane commit changes, the next capsule runs
 // against it. Two runtimes take the same commits, one executing through
-// compiled plans and one through the interpreter. Before each commit every
-// capsule runs once, so the specialized runtime holds a plan for it; after
-// the commit every capsule runs again and the two must agree on fate and
-// outputs, and every capsule the specialized runtime executes must have been
-// compiled anew. Each capsule is one a stale plan would answer differently.
+// compiled plans and one through the reference interpreter, which reads the
+// live tables per slot. Before each commit every capsule runs once, so the
+// plan runtime holds a plan for it; after the commit every capsule runs
+// again and the two must agree on fate, outputs, memory and counters, and
+// every capsule the plan runtime executes must have been compiled anew. Each
+// capsule is one a stale plan would answer differently.
 func TestEveryCommitIsSeenByTheNextCapsule(t *testing.T) {
 	cfg := rmt.DefaultConfig()
 	cfg.StageWords = 4096
 	cfg.TCAMEntries = 6 // three 1-prefix regions fit a stage; [1,100) does not
-	var rs, ri *Runtime
-	for _, r := range []**Runtime{&rs, &ri} {
-		var err error
-		if *r, err = New(cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ri.SetSpecialization(false)
-	both := func(fn func(r *Runtime)) { fn(rs); fn(ri) }
+	e := newEnginePair(t, cfg)
 	grant := func(lo, hi uint32) Grant {
 		return Grant{FID: 1, Accesses: []AccessGrant{{Logical: 1, Lo: lo, Hi: hi}, {Logical: 4, Lo: lo, Hi: hi}, {Logical: 8, Lo: lo, Hi: hi}}}
 	}
@@ -40,26 +33,30 @@ func TestEveryCommitIsSeenByTheNextCapsule(t *testing.T) {
 			}
 		}
 	}
-	both(install(grant(0, 1024), false))
+	e.both(install(grant(0, 1024), false))
 
 	query := progPacket(1, cacheQuery, [4]uint32{7, 9, 100, 0}) // reads word 100
 	query.Header.Flags |= packet.FlagPreload
 	steer := progPacket(1, isa.MustAssemble("steer", "MBR_LOAD 0\nSET_DST\nRETURN"), [4]uint32{5, 0, 0, 0})
 	mirror := progPacket(1, &isa.Program{Name: "mirror", Instrs: []isa.Instruction{{Op: isa.OpFork, Operand: 1}, {Op: isa.OpReturn}}}, [4]uint32{})
+	// A nested, mirrored FORK whose clones and primary each bump word 100 of
+	// stage 4 and write the count to stage 8: the order of their register
+	// effects shows in every output and in memory.
+	forkWrite := progPacket(1, isa.MustAssemble("fork-write",
+		"MAR_LOAD 2\nFORK 1\nFORK\nNOP\nMEM_INCREMENT\nMBR_STORE 0\nNOP\nNOP\nMEM_WRITE\nRETURN"), [4]uint32{0, 0, 100, 0})
 	stateless := progPacket(2, isa.MustAssemble("probe", "RTS\nRETURN"), [4]uint32{})
-	capsules := []*packet.Active{query, steer, mirror, stateless}
+	capsules := []*packet.Active{query, steer, mirror, forkWrite, stateless}
 
 	run := func(step string, fresh bool) {
 		for _, a := range capsules {
-			compiles := rs.PlanCompiles
-			want := ri.ExecuteProgram(a)
-			got := rs.ExecuteProgram(a)
+			compiles := e.plan.PlanCompiles
 			name := fmt.Sprintf("%s, fid %d %s", step, a.Header.FID, a.Program.Name)
-			compareOutputs(t, name, want, got)
-			if fresh && got[0].Executed && rs.PlanCompiles == compiles {
+			got := e.run(t, name, a)
+			if fresh && got[0].Executed && e.plan.PlanCompiles == compiles {
 				t.Fatalf("%s: executed under a plan compiled before the commit", name)
 			}
 		}
+		e.check(t)
 	}
 	for _, c := range []struct {
 		name   string
@@ -74,6 +71,7 @@ func TestEveryCommitIsSeenByTheNextCapsule(t *testing.T) {
 		{"SetPrivilege drops forwarding", func(r *Runtime) { r.SetPrivilege(1, 0) }},
 		{"SetPrivilege restores it", func(r *Runtime) { r.SetPrivilege(1, PrivForwarding) }},
 		{"SetMirrorSession", func(r *Runtime) { r.SetMirrorSession(1, 1, 9) }},
+		{"SetMirrorSession moves the port", func(r *Runtime) { r.SetMirrorSession(1, 1, 10) }},
 		{"ClearMirrorSession", func(r *Runtime) { r.ClearMirrorSession(1, 1) }},
 		{"AdmitStateless", func(r *Runtime) { r.AdmitStateless(2) }},
 		{"TCAM.Install moves stage 1's region directly", func(r *Runtime) {
@@ -84,11 +82,11 @@ func TestEveryCommitIsSeenByTheNextCapsule(t *testing.T) {
 		{"RemoveGrant", func(r *Runtime) { r.RemoveGrant(1) }},
 	} {
 		run(c.name+" (before)", false)
-		both(c.commit)
+		e.both(c.commit)
 		run(c.name, true)
 	}
-	if rs.SpecializedRuns == 0 || ri.SpecializedRuns != 0 {
-		t.Fatalf("specialized runs: %d on the plan runtime, %d on the interpreter", rs.SpecializedRuns, ri.SpecializedRuns)
+	if e.plan.ProgramsRun == 0 {
+		t.Fatal("nothing executed")
 	}
 }
 
@@ -182,34 +180,5 @@ func TestPlanInvalidationOnQuarantineAndPrivilege(t *testing.T) {
 		if r.PlanCompiles != compiles+1 {
 			t.Fatalf("%s: PlanCompiles = %d after the commit, want %d", c.name, r.PlanCompiles, compiles+1)
 		}
-	}
-}
-
-// TestSpecializationToggle proves SetSpecialization(false) forces the
-// interpreter (the benchmark baseline) and that re-enabling resumes plan
-// execution without a recompile.
-func TestSpecializationToggle(t *testing.T) {
-	r := testRuntime(t)
-	installCacheGrant(t, r, 1, 0, 1024)
-	a := progPacket(1, cacheQuery, [4]uint32{7, 9, 100, 0})
-	a.Header.Flags |= packet.FlagPreload
-
-	r.ExecuteProgram(a)
-	if r.SpecializedRuns != 1 {
-		t.Fatal("specialization not on by default")
-	}
-	r.SetSpecialization(false)
-	r.ExecuteProgram(a)
-	if r.SpecializedRuns != 1 {
-		t.Fatal("disabled specialization still ran a plan")
-	}
-	r.SetSpecialization(true)
-	compiles := r.PlanCompiles
-	r.ExecuteProgram(a)
-	if r.SpecializedRuns != 2 {
-		t.Fatal("re-enabled specialization did not run the cached plan")
-	}
-	if r.PlanCompiles != compiles {
-		t.Fatal("toggle recompiled an unchanged plan")
 	}
 }

@@ -257,7 +257,7 @@ func HXClaimService() *client.Service {
 }
 
 // Programs returns every secapps program template, for harnesses that
-// iterate all registered exemplars (the interpreter-vs-specialized
+// iterate all registered exemplars (the plan-vs-reference
 // differential suite).
 func Programs() []*isa.Program {
 	return []*isa.Program{sfSynProg, sfAckProg, rlCheckProg, rlRefillProg, hxSketchProg, hxClaimProg}

@@ -267,47 +267,3 @@ func TestSoakLong(t *testing.T) {
 		res.Epochs, res.ReadsDone, res.Lost, res.Acked, res.TenantsPlaced,
 		res.ChaosInstalled, res.Reconciles, res.P99)
 }
-
-// TestSoakSpecializationDifferential is the whole-system differential on the
-// soak: one seed — chaos rotation, spine kill, tenant churn and the security
-// apps' multi-pass programs included — run with compiled plans and with the
-// interpreter forced on every switch must write the same per-epoch CSV.
-func TestSoakSpecializationDifferential(t *testing.T) {
-	run := func(specialize bool) (string, uint64) {
-		var csv bytes.Buffer
-		h, err := newHarness(Config{Duration: 20 * time.Second, Seed: 5, Secapps: true, CSV: &csv}.withDefaults())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var specialized uint64 // counted from here: building the harness already placed and warmed the cache
-		for _, n := range h.f.Nodes() {
-			n.RT.SetSpecialization(specialize)
-			specialized -= n.RT.SpecializedRuns
-		}
-		res, err := h.run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range res.Violations {
-			t.Errorf("specialize=%v: invariant violation: %v", specialize, v)
-		}
-		for _, n := range h.f.Nodes() {
-			specialized += n.RT.SpecializedRuns
-		}
-		return csv.String(), specialized
-	}
-	on, nOn := run(true)
-	off, nOff := run(false)
-	if nOn == 0 || nOff != 0 {
-		t.Fatalf("SpecializedRuns on/off = %d/%d: the two runs did not use different engines", nOn, nOff)
-	}
-	if on != off {
-		a, b := strings.Split(on, "\n"), strings.Split(off, "\n")
-		for i := range a {
-			if i >= len(b) || a[i] != b[i] {
-				t.Fatalf("per-epoch CSV diverges at row %d:\n  specialized: %s\n  interpreted: %s", i, a[i], b[min(i, len(b)-1)])
-			}
-		}
-		t.Fatalf("per-epoch CSV differs in length: %d vs %d rows", len(a), len(b))
-	}
-}

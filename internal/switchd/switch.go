@@ -1,5 +1,5 @@
 // Package switchd implements the ActiveRMT switch: the data-plane node that
-// executes active programs at its ports (wrapping the runtime interpreter)
+// executes active programs at its ports (wrapping the runtime)
 // and the control-plane controller that serializes admissions, computes
 // allocations, orchestrates reallocation (deactivate -> snapshot window ->
 // table update -> reactivate, Section 4.3), and answers clients with

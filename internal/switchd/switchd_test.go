@@ -444,8 +444,9 @@ func (discard) Receive([]byte, *netsim.Port) {}
 // TestSwitchReceiveAllocs gates the traversal the system path runs: a program
 // capsule through Receive (cached decode, guard, compiled plan, output
 // encode into the switch's wire buffer) and the two steps that put it on the
-// wire and deliver it allocate nothing, and neither does a plain L2 frame,
-// forwarded as received. The engine's arena slabs come once per few hundred
+// wire and deliver it allocate nothing — nor does a FORK capsule, whose
+// clone comes from the runtime's PHV pool — and neither does a plain L2
+// frame, forwarded as received. The engine's arena slabs come once per few hundred
 // frames, below AllocsPerRun's whole-allocation resolution.
 func TestSwitchReceiveAllocs(t *testing.T) {
 	r := newRig(t)
@@ -481,6 +482,9 @@ func TestSwitchReceiveAllocs(t *testing.T) {
 	}
 	a.Header.SetType(packet.TypeProgram)
 	capsule, plain := encode(a, packet.EtherTypeActive), encode(nil, packet.EtherTypeIPv4)
+	fa := *a
+	fa.Program = isa.MustAssemble("f", "MBR_LOAD 0\nMAR_LOAD 2\nMEM_WRITE\nFORK\nRTS\nRETURN")
+	forked := encode(&fa, packet.EtherTypeActive)
 
 	traverse := func(raw []byte) func() {
 		return func() {
@@ -495,6 +499,14 @@ func TestSwitchReceiveAllocs(t *testing.T) {
 	if r.sw.FramesReturned == returned || rt.SpecializedRuns == 0 || r.sw.GuardDropped != 0 {
 		t.Fatalf("capsule did not take the measured path: returned %d -> %d, specialized %d, guard-dropped %d",
 			returned, r.sw.FramesReturned, rt.SpecializedRuns, r.sw.GuardDropped)
+	}
+	returned, recirc := r.sw.FramesReturned, rt.Device().Recirculations
+	if n := testing.AllocsPerRun(200, traverse(forked)); n != 0 {
+		t.Errorf("FORK capsule: %v allocs per traversal, want 0", n)
+	}
+	if r.sw.FramesReturned-returned != 2*201 || rt.Device().Recirculations == recirc || r.sw.GuardDropped != 0 {
+		t.Fatalf("FORK capsule did not take the measured path: returned %d -> %d, recirculations %d -> %d, guard-dropped %d",
+			returned, r.sw.FramesReturned, recirc, rt.Device().Recirculations, r.sw.GuardDropped)
 	}
 	forwarded := r.sw.FramesForwarded
 	if n := testing.AllocsPerRun(200, traverse(plain)); n != 0 {

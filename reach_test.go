@@ -35,12 +35,11 @@ import (
 // what only they call needs no entry of its own.
 var reachAllow = map[string]string{
 	// Reference implementations, the switches that select them, and test oracles.
-	"internal/runtime.Runtime.SetSpecialization": "reference switch: forces the interpreter the differentials compare the compiled plan against",
-	"internal/rmt.Device.Exec":                   "reference implementation: the allocating interpreter that rmt and runtime tests pin instruction semantics with (incl. FORK)",
-	"internal/apps.Programs":                     "reference catalogue: TestDifferentialRegisteredApps runs every shipped template through interpreter and plan",
-	"internal/secapps.Programs":                  "reference catalogue: TestDifferentialRegisteredApps and TestProgramShapes",
-	"internal/packet.Active.Encode":              "reference encoder: packet round-trip and fuzz tests and the root codec benchmark compare decode against it",
-	"internal/alloc.BlockRange.overlaps":         "test oracle: TestNoOverlapProperty and assertNoOverlap check region disjointness with it",
+	"internal/rmt.TCAM.Lookup":           "reference implementation: the protection match the test-only reference interpreter reads per slot (runtime and rmt tests)",
+	"internal/apps.Programs":             "reference catalogue: TestDifferentialRegisteredApps runs every shipped template through the plan and the reference interpreter",
+	"internal/secapps.Programs":          "reference catalogue: TestDifferentialRegisteredApps and TestProgramShapes",
+	"internal/packet.Active.Encode":      "reference encoder: packet round-trip and fuzz tests and the root codec benchmark compare decode against it",
+	"internal/alloc.BlockRange.overlaps": "test oracle: TestNoOverlapProperty and assertNoOverlap check region disjointness with it",
 
 	// Paper ISA and hardening features that only tests exercise.
 	"internal/runtime.Runtime.SetMirrorSession":   "paper ISA: FORK's clone session table (runtime and testbed tests)",
