@@ -287,20 +287,16 @@ func BenchmarkAllocate(b *testing.B) {
 }
 
 // BenchmarkMutantEnumeration measures the least-constrained feasibility
-// sweep for the cache program.
+// sweep for the cache program, its bounds included.
 func BenchmarkMutantEnumeration(b *testing.B) {
 	cons := &alloc.Constraints{
 		Name: "cache", ProgLen: 11, IngressIdx: 7, Elastic: true,
 		Accesses: []alloc.Access{{Index: 1}, {Index: 4}, {Index: 8}},
 	}
-	bounds, err := alloc.ComputeBounds(cons, alloc.LeastConstrained, 20, 10, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
+	shape := alloc.DefaultShape()
 	for i := 0; i < b.N; i++ {
-		if len(alloc.EnumerateMutants(bounds, 20)) == 0 {
-			b.Fatal("no mutants")
+		if ms, _, err := shape.Mutants(cons, alloc.LeastConstrained); err != nil || len(ms) == 0 {
+			b.Fatal("no mutants", err)
 		}
 	}
 }
@@ -346,10 +342,10 @@ MEM_READ
 MBR_STORE
 RETURN
 `)
-	m := alloc.Mutant{3, 6, 10}
+	m, accIdx := alloc.Mutant{3, 6, 10}, prog.MemoryAccessIndices()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := compiler.Synthesize(prog, m); err != nil {
+		if _, err := compiler.Synthesize(prog, accIdx, m); err != nil {
 			b.Fatal(err)
 		}
 	}

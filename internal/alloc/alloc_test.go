@@ -66,8 +66,20 @@ func newAllocator(t *testing.T, cfg Config) *Allocator {
 	return a
 }
 
+// computeBounds is Bounds.compute over the paper's pipeline.
+func computeBounds(c *Constraints, pol Policy) (*Bounds, error) {
+	b := &Bounds{}
+	return b, b.compute(c, pol, 20, 10, 2)
+}
+
+// enumerate is appendMutants over the paper's pipeline, into fresh storage.
+func enumerate(b *Bounds) []Mutant {
+	ms, _ := appendMutants(nil, nil, b, 20)
+	return ms
+}
+
 func TestComputeBoundsListing1MostConstrained(t *testing.T) {
-	b, err := ComputeBounds(cacheCons(), MostConstrained, 20, 10, 2)
+	b, err := computeBounds(cacheCons(), MostConstrained)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +97,7 @@ func TestComputeBoundsListing1MostConstrained(t *testing.T) {
 func TestComputeBoundsListing1NoIngress(t *testing.T) {
 	c := cacheCons()
 	c.IngressIdx = -1
-	b, err := ComputeBounds(c, MostConstrained, 20, 10, 2)
+	b, err := computeBounds(c, MostConstrained)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +110,7 @@ func TestComputeBoundsListing1NoIngress(t *testing.T) {
 }
 
 func TestComputeBoundsLeastConstrained(t *testing.T) {
-	b, err := ComputeBounds(cacheCons(), LeastConstrained, 20, 10, 2)
+	b, err := computeBounds(cacheCons(), LeastConstrained)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +129,7 @@ func TestComputeBoundsInfeasible(t *testing.T) {
 		IngressIdx: 24, // an ingress-only instruction that can never reach ingress
 		Accesses:   []Access{{Index: 1, Demand: 1}},
 	}
-	if _, err := ComputeBounds(c, MostConstrained, 20, 10, 2); err == nil {
+	if _, err := computeBounds(c, MostConstrained); err == nil {
 		t.Error("infeasible constraints accepted")
 	}
 }
@@ -162,11 +174,11 @@ func TestConstraintsRequestRoundTrip(t *testing.T) {
 }
 
 func TestEnumerateMutantsCacheMostConstrained(t *testing.T) {
-	b, err := ComputeBounds(cacheCons(), MostConstrained, 20, 10, 2)
+	b, err := computeBounds(cacheCons(), MostConstrained)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := EnumerateMutants(b, 20)
+	ms := enumerate(b)
 	// x1 in [1,3], x2 >= x1+3 <= 6, x3 >= x2+4 <= 10: 6+3+1 = 10 mutants.
 	if len(ms) != 10 {
 		t.Fatalf("mutant count = %d, want 10", len(ms))
@@ -198,7 +210,7 @@ func TestEnumerateMutantsLCLargerThanMC(t *testing.T) {
 func TestEnumerateMutantsPhysicalCollision(t *testing.T) {
 	// Two accesses 20 logical stages apart would share a physical stage.
 	b := &Bounds{LB: []int{0, 20}, UB: []int{0, 20}, Gap: []int{1, 20}, MaxStages: 40}
-	if got := len(EnumerateMutants(b, 20)); got != 0 {
+	if got := len(enumerate(b)); got != 0 {
 		t.Errorf("colliding mutants = %d, want 0", got)
 	}
 }
@@ -934,12 +946,13 @@ func TestAllocatorChurnAllocs(t *testing.T) {
 			t.Fatalf("fid %d: %v %+v", fid, err, res)
 		}
 	})
-	// The pair allocates 50 (52 under -race): the enumeration's one flat
-	// array and its window headers, the winner's copy, and per moved tenant
-	// a placement and its accesses. The ceiling leaves room for the
-	// runtime's map and slice growth, not for a copy per mutant or books
-	// rebuilt per call.
-	if n > 57 {
-		t.Errorf("%.0f allocations per Release + Allocate, want <= 57: the enumeration or the books allocate per mutant or per call again", n)
+	// The pair allocates 41 (42 under -race): the newcomer's App, groups and
+	// constraints-derived books, the winner's mutant copy, each call's
+	// snapshot and result, and per moved tenant a placement and its
+	// accesses. The enumeration and its bounds fill the allocator's working
+	// storage. The old ceiling, 57, allowed the enumeration's own arrays
+	// per call (50 measured then).
+	if n > 42 {
+		t.Errorf("%.0f allocations per Release + Allocate, want <= 42: the enumeration or the books allocate per mutant or per call again", n)
 	}
 }

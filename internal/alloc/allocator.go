@@ -181,6 +181,7 @@ type Allocator struct {
 	setBuf   []*intervalSet    // sets
 	perStage [2][]int          // fairShares' room and contention, then realiseInPlace's unrealised share
 	moved    []*App            // changedPlacements' apps
+	enum     enumeration       // mutants: a resident clones the one it keeps
 }
 
 // New returns an empty allocator.
@@ -439,10 +440,10 @@ type cand struct {
 // keeps the configured policy's placements.
 func (a *Allocator) mutants(cons *Constraints) ([]Mutant, Policy, error) {
 	pol := a.cfg.Policy
-	ms, _, err := a.cfg.Mutants(cons, pol)
+	ms, err := a.enum.mutants(a.cfg.Shape, cons, pol)
 	if (err != nil || len(ms) == 0) && pol != LeastConstrained {
 		pol = LeastConstrained
-		ms, _, err = a.cfg.Mutants(cons, pol)
+		ms, err = a.enum.mutants(a.cfg.Shape, cons, pol)
 	}
 	return ms, pol, err
 }

@@ -11,6 +11,7 @@ package alloc
 
 import (
 	"fmt"
+	"slices"
 
 	"activermt/internal/packet"
 )
@@ -93,21 +94,23 @@ func (c *Constraints) Validate() error {
 type Bounds struct {
 	LB, UB, Gap []int
 	MaxStages   int // logical stages available (passes * pipeline depth)
+
+	buf []int // backs LB, UB and Gap
 }
 
-// ComputeBounds derives the bounds for a policy over a pipeline of numStages
-// stages (numIngress of them ingress), allowing maxPasses passes under the
-// least-constrained policy.
-func ComputeBounds(c *Constraints, pol Policy, numStages, numIngress, maxPasses int) (*Bounds, error) {
+// compute derives into b, reusing its storage, the bounds for a policy over
+// a pipeline of numStages stages (numIngress of them ingress), allowing
+// maxPasses passes under the least-constrained policy.
+func (b *Bounds) compute(c *Constraints, pol Policy, numStages, numIngress, maxPasses int) error {
 	if err := c.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	m := len(c.Accesses)
 	if m == 0 {
-		return nil, fmt.Errorf("alloc: no memory accesses to bound")
+		return fmt.Errorf("alloc: no memory accesses to bound")
 	}
-	v := make([]int, 3*m)
-	b := &Bounds{LB: v[:m:m], UB: v[m : 2*m : 2*m], Gap: v[2*m:]}
+	v := slices.Grow(b.buf[:0], 3*m)[:3*m]
+	*b = Bounds{LB: v[:m:m], UB: v[m : 2*m : 2*m], Gap: v[2*m:], buf: v}
 
 	passes := 1
 	if pol == LeastConstrained {
@@ -151,9 +154,9 @@ func ComputeBounds(c *Constraints, pol Policy, numStages, numIngress, maxPasses 
 	}
 	for i := range b.LB {
 		if b.LB[i] > b.UB[i] {
-			return nil, fmt.Errorf("alloc: infeasible constraints under %s: access %d LB %d > UB %d",
+			return fmt.Errorf("alloc: infeasible constraints under %s: access %d LB %d > UB %d",
 				pol, i, b.LB[i], b.UB[i])
 		}
 	}
-	return b, nil
+	return nil
 }

@@ -1,6 +1,10 @@
 package alloc
 
-import "activermt/internal/packet"
+import (
+	"slices"
+
+	"activermt/internal/packet"
+)
 
 // Shape is the pipeline shape of the switch↔client contract (Section 3.3):
 // both sides enumerate the same mutants in the same order only over the same
@@ -25,11 +29,29 @@ func (s Shape) Physical(logical int) int { return logical % s.NumStages }
 // in the order allocation responses index — and the bounds it was made from.
 // Allocator, client and tools all enumerate here.
 func (s Shape) Mutants(c *Constraints, pol Policy) ([]Mutant, *Bounds, error) {
-	b, err := ComputeBounds(c, pol, s.NumStages, s.NumIngress, s.MaxPasses)
+	var e enumeration
+	ms, err := e.mutants(s, c, pol)
 	if err != nil {
 		return nil, nil, err
 	}
-	return EnumerateMutants(b, s.NumStages), b, nil
+	return ms, &e.b, nil
+}
+
+// enumeration is the storage one enumeration fills; an allocator keeps one
+// and reuses it.
+type enumeration struct {
+	b    Bounds
+	flat []int
+	ms   []Mutant
+}
+
+// mutants is Shape.Mutants into e's storage, valid until its next call.
+func (e *enumeration) mutants(s Shape, c *Constraints, pol Policy) ([]Mutant, error) {
+	if err := e.b.compute(c, pol, s.NumStages, s.NumIngress, s.MaxPasses); err != nil {
+		return nil, err
+	}
+	e.ms, e.flat = appendMutants(e.ms[:0], e.flat[:0], &e.b, s.NumStages)
+	return e.ms, nil
 }
 
 // Mutant is one placement of a program's memory accesses: the logical stage
@@ -42,7 +64,7 @@ type Mutant []int
 // thousands range.
 const MaxMutants = 1 << 20
 
-// EnumerateMutants lists, in deterministic lexicographic order, every
+// appendMutants appends to out, in deterministic lexicographic order, every
 // placement vector x with LB <= x <= UB and x[i]-x[i-1] >= Gap[i], whose
 // accesses land in distinct physical stages of a numStages-deep pipeline
 // (two accesses cannot share one stage's single register port, even across
@@ -52,14 +74,17 @@ const MaxMutants = 1 << 20
 // the chosen mutant by its index in this order, and client and switch
 // enumerate independently (Section 3.3).
 //
-// The mutants are capacity-capped windows of one backing array: appending to
-// one copies it, and a caller that keeps a mutant past the enumeration clones
-// it so as not to pin the rest.
-func EnumerateMutants(b *Bounds, numStages int) []Mutant {
+// The mutants are capacity-capped windows of one backing array, flat, which
+// the caller may reuse: appending to one copies it, and a caller that keeps a
+// mutant past the enumeration clones it so as not to pin the rest.
+func appendMutants(out []Mutant, flat []int, b *Bounds, numStages int) ([]Mutant, []int) {
 	m := len(b.LB)
-	var flat []int
-	x := make([]int, m)
-	n := 0
+	var xs [packet.MaxAccesses]int // the vector being built, on the stack
+	x := xs[:]
+	if m > len(x) {
+		x = make([]int, m)
+	}
+	x, n := x[:m], 0
 
 	var rec func(i int) bool
 	rec = func(i int) bool {
@@ -86,11 +111,11 @@ func EnumerateMutants(b *Bounds, numStages int) []Mutant {
 		return true
 	}
 	rec(0)
-	out := make([]Mutant, n)
-	for k := range out {
-		out[k] = flat[k*m : (k+1)*m : (k+1)*m]
+	out = slices.Grow(out, n)
+	for k := range n {
+		out = append(out, flat[k*m:(k+1)*m:(k+1)*m])
 	}
-	return out
+	return out, flat
 }
 
 func collides(prefix []int, v, numStages int) bool {

@@ -3,6 +3,7 @@ package alloc
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"activermt/internal/packet"
 )
@@ -16,6 +17,7 @@ func (c *Constraints) ToRequest() (*packet.AllocRequest, error) {
 		ProgLen:    uint8(c.ProgLen),
 		IngressIdx: int8(c.IngressIdx),
 		Elastic:    c.Elastic,
+		Accesses:   make([]packet.AccessReq, 0, len(c.Accesses)),
 	}
 	for _, a := range c.Accesses {
 		r.Accesses = append(r.Accesses, packet.AccessReq{
@@ -33,6 +35,7 @@ func FromRequest(r *packet.AllocRequest) (*Constraints, error) {
 		ProgLen:    int(r.ProgLen),
 		IngressIdx: int(r.IngressIdx),
 		Elastic:    r.Elastic,
+		Accesses:   make([]Access, 0, len(r.Accesses)),
 	}
 	for _, a := range r.Accesses {
 		c.Accesses = append(c.Accesses, Access{
@@ -66,13 +69,16 @@ func (p *Placement) ToResponse(epoch uint8) *packet.AllocResponse {
 	return r
 }
 
-// FromResponse reconstructs, from the response alone, the placement the
-// switch granted fid for constraints c over shape s, and the grant epoch
-// (announced even when the placement does not decode). mutants is
-// s.Mutants(c, policy), which callers memoise; placements share its slices,
-// as the allocator's share their resident app's — nothing writes to one.
-func FromResponse(fid uint16, r *packet.AllocResponse, c *Constraints, s Shape, mutants func(Policy) ([]Mutant, error)) (*Placement, uint8, error) {
-	pl := &Placement{FID: fid, MutantIdx: int(r.MutantIndex & packet.MutantIndexMask)}
+// FromResponse reconstructs into dst, from the response alone, the
+// placement the switch granted fid for constraints c over shape s, and the
+// grant epoch (announced even when the placement does not decode). dst's
+// access storage is reused; on an error dst is left partly written and nil
+// is returned. mutants is s.Mutants(c, policy), which callers memoise;
+// placements share its slices, as the allocator's share their resident
+// app's — nothing writes to one.
+func FromResponse(dst *Placement, fid uint16, r *packet.AllocResponse, c *Constraints, s Shape, mutants func(Policy) ([]Mutant, error)) (*Placement, uint8, error) {
+	pl := dst
+	*pl = Placement{FID: fid, MutantIdx: int(r.MutantIndex & packet.MutantIndexMask), Accesses: slices.Grow(dst.Accesses[:0], len(c.Accesses))}
 	if r.MutantIndex&packet.PolicyBitLC != 0 {
 		pl.Policy = LeastConstrained
 	}
@@ -88,7 +94,6 @@ func FromResponse(fid uint16, r *packet.AllocResponse, c *Constraints, s Shape, 
 		return nil, epoch, fmt.Errorf("%w: mutant index %d out of range (%d mutants)", ErrBadResponse, pl.MutantIdx, len(ms))
 	}
 	pl.Mutant = ms[pl.MutantIdx]
-	pl.Accesses = make([]AccessPlacement, 0, len(pl.Mutant))
 	for i, logical := range pl.Mutant {
 		phys := s.Physical(logical)
 		g := r.Grants[phys]

@@ -66,7 +66,8 @@ type Service struct {
 	// OnReallocate runs during the snapshot window: the old regions are
 	// still installed (and FlagMemSync programs still execute), so the
 	// handler can extract state; it must call done() to release the
-	// switch. newPl is the placement that will apply afterward.
+	// switch. newPl is the placement that will apply afterward; both are
+	// the client's buffers (see Placement).
 	OnReallocate func(c *Client, oldPl, newPl *alloc.Placement, done func())
 	// OnFailed fires when an allocation request is rejected.
 	OnFailed func(c *Client)
@@ -155,13 +156,27 @@ type Client struct {
 
 	state     State
 	placement *alloc.Placement
-	progs     map[string]mutant // synthesized for the current placement's mutant
+	pls       [2]alloc.Placement // decode buffers: a response fills the one placement does not name
+	// progs are linked for (linkPol, linkMut), the templates' access
+	// skeleton accIdx; they outlive a release (see link).
+	progs   map[string]mutant
+	linkPol alloc.Policy
+	linkMut alloc.Mutant
+	accIdx  []int
 
-	// Receive decodes into rx and rxAct, which a Handler sees for the
-	// duration of its call; sends build their frame in tx.
-	rx    packet.Frame
-	rxAct packet.Active
-	tx    []byte
+	// Receive decodes into rx, rxAct and rxResp, which a Handler sees for
+	// the duration of its call; sends build their frame in tx.
+	rx     packet.Frame
+	rxAct  packet.Active
+	rxResp packet.AllocResponse
+	tx     []byte
+
+	// Fire's state: the request a retry re-sends after retryIn, and the
+	// placement done (finishRealloc, bound once) applies.
+	req     packet.Active
+	retryIn time.Duration
+	newPl   *alloc.Placement
+	done    func()
 
 	// cons is the service's constraints — skeleton checked and extracted
 	// once by New (consErr if that failed), demands as of the latest
@@ -230,10 +245,13 @@ func New(eng *netsim.Engine, fid uint16, mac, switchMAC packet.MAC, svc *Service
 		fid:       fid,
 		svc:       svc,
 		Pipeline:  alloc.DefaultShape(),
-		progs:     map[string]mutant{},
 		mutants:   map[enumKey][]alloc.Mutant{},
 	}
 	c.cons, c.consErr = svc.Constraints()
+	if c.consErr == nil {
+		c.accIdx = svc.Templates[svc.Main].MemoryAccessIndices()
+	}
+	c.done = c.finishRealloc
 	return c
 }
 
@@ -255,7 +273,9 @@ func (c *Client) State() State { return c.state }
 // Operational reports whether active transmissions are enabled.
 func (c *Client) Operational() bool { return c.state == Operational }
 
-// Placement returns the current allocation (nil before admission).
+// Placement returns the current allocation (nil before admission): one of
+// two buffers, unchanged until the next grant; a caller keeping it longer
+// copies it.
 func (c *Client) Placement() *alloc.Placement { return c.placement }
 
 // Engine returns the simulation engine (for app timers).
@@ -265,7 +285,12 @@ func (c *Client) Engine() *netsim.Engine { return c.eng }
 func (c *Client) Service() *Service { return c.svc }
 
 // Program returns the synthesized template by name (nil before admission).
-func (c *Client) Program(name string) *isa.Program { return c.progs[name].prog }
+func (c *Client) Program(name string) *isa.Program {
+	if c.placement == nil {
+		return nil // progs outlive a release
+	}
+	return c.progs[name].prog
+}
 
 // Epoch returns the grant epoch the client currently stamps on capsules
 // (0 before first admission).
@@ -282,39 +307,50 @@ func (c *Client) RequestAllocation() error {
 	if err != nil {
 		return err
 	}
-	a := &packet.Active{Header: packet.ActiveHeader{FID: c.fid}, AllocReq: req}
-	a.Header.SetType(packet.TypeAllocReq)
+	c.req = packet.Active{Header: packet.ActiveHeader{FID: c.fid}, AllocReq: req}
+	c.req.Header.SetType(packet.TypeAllocReq)
 	c.state = Negotiating
 	c.reqEpoch++
 	c.PhaseRetries = 0
 	if c.RetryAfter > 0 {
-		epoch := c.reqEpoch
-		interval := c.RetryAfter
-		var rearm func()
-		rearm = func() {
-			d := interval
-			if j := int64(float64(d) * retryJitterFrac); j > 0 {
-				if c.rng == nil {
-					// Deterministic per-FID jitter source, seeded at its
-					// first draw: same topology, same seed, same retry trace.
-					c.rng = rand.New(rand.NewSource(int64(c.fid)*2654435761 + 1))
-				}
-				d += time.Duration(c.rng.Int63n(2*j+1) - j)
-			}
-			c.eng.Schedule(d, func() {
-				if c.state != Negotiating || c.reqEpoch != epoch {
-					return
-				}
-				c.Retries++
-				c.PhaseRetries++
-				_ = c.sendControl(a)
-				interval = min(retryBackoff*interval, retryCapFactor*c.RetryAfter)
-				rearm()
-			})
-		}
-		rearm()
+		c.retryIn = c.RetryAfter
+		c.armRetry()
 	}
-	return c.sendControl(a)
+	return c.sendControl(&c.req)
+}
+
+// armRetry arms the current request's retry timer after retryIn, jittered.
+func (c *Client) armRetry() {
+	d := c.retryIn
+	if j := int64(float64(d) * retryJitterFrac); j > 0 {
+		if c.rng == nil {
+			// Deterministic per-FID jitter source, seeded at its first
+			// draw: same topology, same seed, same retry trace.
+			c.rng = rand.New(rand.NewSource(int64(c.fid)*2654435761 + 1))
+		}
+		d += time.Duration(c.rng.Int63n(2*j+1) - j)
+	}
+	c.eng.ScheduleTimer(d, c, c.reqEpoch<<1)
+}
+
+// Fire implements netsim.Timer: an even arg is the retry timer of request
+// epoch arg>>1, an odd one the realloc timeout of memory-management window
+// arg>>1. Either does nothing once its request or window is over.
+func (c *Client) Fire(arg uint64) {
+	switch epoch := arg >> 1; {
+	case arg&1 == 0 && c.state == Negotiating && c.reqEpoch == epoch:
+		c.Retries++
+		c.PhaseRetries++
+		_ = c.sendControl(&c.req)
+		c.retryIn = min(retryBackoff*c.retryIn, retryCapFactor*c.RetryAfter)
+		c.armRetry()
+	case arg&1 == 1 && c.state == MemMgmt && c.mmEpoch == epoch:
+		// The reactivation notice never came (lost frame or a controller
+		// that died mid-window): fall back to a fresh allocation request,
+		// which the controller answers idempotently.
+		c.ReallocTimeouts++
+		_ = c.RequestAllocation()
+	}
 }
 
 // WaitOperational runs the simulation until the client is operational or
@@ -379,7 +415,7 @@ func (c *Client) sendControl(a *packet.Active) error {
 func (c *Client) SendProgram(name string, args [4]uint32, extraFlags uint16, payload []byte, dst packet.MAC) error {
 	memsync := extraFlags&packet.FlagMemSync != 0
 	wire := c.progs[name].wire
-	if (c.state != Operational && !memsync) || wire == nil {
+	if (c.state != Operational && !memsync) || wire == nil || c.placement == nil {
 		return c.SendPlain(payload, dst)
 	}
 	if c.port == nil {
@@ -414,6 +450,7 @@ func (c *Client) SendPlain(payload []byte, dst packet.MAC) error {
 func (c *Client) Receive(frame []byte, port *netsim.Port) {
 	c.Received++
 	f := &c.rx
+	c.rxAct.AllocResp = &c.rxResp
 	if packet.DecodeEndpoint(frame, f, &c.rxAct) != nil {
 		return
 	}
@@ -450,7 +487,6 @@ func (c *Client) Receive(frame []byte, port *netsim.Port) {
 	case h.Type() == packet.TypeControl && h.Flags&packet.FlagRelease != 0 && h.Flags&packet.FlagDone != 0:
 		c.state = Idle
 		c.placement = nil
-		c.progs = map[string]mutant{}
 		c.grantEpoch, c.pendingEpoch = 0, 0
 	case h.Type() == packet.TypeControl && h.Flags&packet.FlagEvicted != 0:
 		// Guard eviction: the allocation is gone; restart from Idle. A
@@ -458,7 +494,6 @@ func (c *Client) Receive(frame []byte, port *netsim.Port) {
 		c.Evictions++
 		c.state = Idle
 		c.placement = nil
-		c.progs = map[string]mutant{}
 		c.grantEpoch, c.pendingEpoch = 0, 0
 		switch {
 		case c.svc.OnEvicted != nil:
@@ -480,12 +515,17 @@ func (c *Client) deliver(f *packet.Frame) {
 // decode reads an allocation response or reallocation notice against the
 // client's side of the contract (alloc.FromResponse): its constraints, its
 // pipeline shape and the shared enumeration, made exactly as the switch makes
-// it, once per policy and shape.
+// it, once per policy and shape. It decodes into the placement buffer the
+// current placement is not in.
 func (c *Client) decode(resp *packet.AllocResponse) (*alloc.Placement, uint8, error) {
 	if c.consErr != nil {
 		return nil, 0, c.consErr
 	}
-	return alloc.FromResponse(c.fid, resp, c.cons, c.Pipeline, func(pol alloc.Policy) (ms []alloc.Mutant, err error) {
+	dst := &c.pls[0]
+	if dst == c.placement {
+		dst = &c.pls[1]
+	}
+	return alloc.FromResponse(dst, c.fid, resp, c.cons, c.Pipeline, func(pol alloc.Policy) (ms []alloc.Mutant, err error) {
 		key := enumKey{c.Pipeline, pol}
 		if ms = c.mutants[key]; ms == nil {
 			ms, _, err = c.Pipeline.Mutants(c.cons, pol)
@@ -526,51 +566,43 @@ func (c *Client) beginRealloc(resp *packet.AllocResponse) {
 	// the reactivation notice arrives.
 	c.pendingEpoch = announced
 	if c.ReallocTimeout > 0 {
-		epoch := c.mmEpoch
-		c.eng.Schedule(c.ReallocTimeout, func() {
-			if c.state != MemMgmt || c.mmEpoch != epoch {
-				return
-			}
-			// The reactivation notice never came (lost frame or a controller
-			// that died mid-window): fall back to a fresh allocation request,
-			// which the controller answers idempotently.
-			c.ReallocTimeouts++
-			_ = c.RequestAllocation()
-		})
+		c.eng.ScheduleTimer(c.ReallocTimeout, c, c.mmEpoch<<1|1)
 	}
 	if err != nil {
 		// Cannot interpret the new placement: release the switch anyway.
 		c.sendSnapDone()
 		return
 	}
-	old := c.placement
-	finish := func() {
-		// Regions move, the mutant normally does not: link checks the new
-		// placement (re-linking only a changed mutant); then signal the
-		// controller.
-		if err := c.link(newPl); err == nil {
-			c.placement = newPl
-		}
-		c.sendSnapDone()
-	}
+	c.newPl = newPl
 	if c.svc.OnReallocate != nil {
-		c.svc.OnReallocate(c, old, newPl, finish)
+		c.svc.OnReallocate(c, c.placement, newPl, c.done)
 	} else {
-		finish()
+		c.finishRealloc()
 	}
 }
 
-// link checks the placement and, unless the current placement already has its
+// finishRealloc is a reallocation's done. Regions move, the mutant normally
+// does not: link checks the new placement (re-linking only a changed
+// mutant); then it signals the controller.
+func (c *Client) finishRealloc() {
+	if err := c.link(c.newPl); err == nil {
+		c.placement = c.newPl
+	}
+	c.sendSnapDone()
+}
+
+// link checks the placement and, unless the last linked programs have its
 // policy and mutant, synthesizes every template's mutant and renders the frame
 // that carries it. Programs and frames depend on the templates, the mutant,
 // the FID and the MAC, never on the ranges: a reallocation that only moved
-// regions keeps them. c.placement is set only after link succeeds, so it
-// names the mutant c.progs holds.
+// regions, or a re-admission on the mutant held before a release, keeps
+// them. c.placement is set only after link succeeds, so it names the mutant
+// c.progs holds.
 func (c *Client) link(pl *alloc.Placement) error {
-	if cur := c.placement; cur != nil && cur.Policy == pl.Policy && slices.Equal(cur.Mutant, pl.Mutant) {
+	if len(c.progs) > 0 && c.linkPol == pl.Policy && slices.Equal(c.linkMut, pl.Mutant) {
 		return compiler.CheckPlacement(pl)
 	}
-	linked, err := compiler.Link(c.svc.Templates, pl)
+	linked, err := compiler.Link(c.svc.Templates, c.accIdx, pl)
 	if err != nil {
 		return err
 	}
@@ -587,6 +619,6 @@ func (c *Client) link(pl *alloc.Placement) error {
 		}
 		progs[n] = mutant{prog: p, wire: wire}
 	}
-	c.progs = progs
+	c.progs, c.linkPol, c.linkMut = progs, pl.Policy, pl.Mutant
 	return nil
 }

@@ -323,8 +323,9 @@ func control(t *testing.T, cl *Client, flags uint16) {
 // TestReallocKeepsLinkedProgramsWhenMutantUnchanged: a reallocation notice
 // that moves the regions under the same mutant keeps the synthesized programs
 // and their rendered frames — only the placement is new; a notice with an
-// empty grant is still refused, the placement kept and the switch released;
-// a release followed by a re-admission synthesizes afresh.
+// empty grant is still refused, the placement kept and the switch released.
+// The programs outlive a release: a re-admission on the same mutant keeps
+// them, one on another mutant synthesizes afresh.
 func TestReallocKeepsLinkedProgramsWhenMutantUnchanged(t *testing.T) {
 	cl, cap, eng := newTestClient(t, cacheService())
 	_ = cl.RequestAllocation()
@@ -365,10 +366,23 @@ func TestReallocKeepsLinkedProgramsWhenMutantUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	control(t, cl, packet.FlagDone|packet.FlagRelease)
+	if cl.Program("main") != nil {
+		t.Error("a released client still names a program")
+	}
 	_ = cl.RequestAllocation()
 	respond(t, cl, eng, cap, 2, 0, 512, 0)
+	if !cl.Operational() || cl.Program("main") != prog {
+		t.Errorf("re-admission on the released mutant re-synthesized the programs (state %v)", cl.State())
+	}
+
+	if err := cl.Release(); err != nil {
+		t.Fatal(err)
+	}
+	control(t, cl, packet.FlagDone|packet.FlagRelease)
+	_ = cl.RequestAllocation()
+	respond(t, cl, eng, cap, 3, 0, 512, 0)
 	if !cl.Operational() || cl.Program("main") == prog {
-		t.Errorf("re-admission after a release kept the old programs (state %v)", cl.State())
+		t.Errorf("re-admission on another mutant kept the old programs (state %v)", cl.State())
 	}
 }
 

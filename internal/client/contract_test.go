@@ -109,7 +109,7 @@ func TestSwitchAndClientAgreeOnEveryPlacement(t *testing.T) {
 					if lc := resp.MutantIndex&packet.PolicyBitLC != 0; lc != (pl.Policy == alloc.LeastConstrained) {
 						t.Errorf("%s: policy bit %v for %s", name, lc, pl.Policy)
 					}
-					got, gotEpoch, err := alloc.FromResponse(pl.FID, resp, cons, shape, mutants)
+					got, gotEpoch, err := alloc.FromResponse(new(alloc.Placement), pl.FID, resp, cons, shape, mutants)
 					if err != nil {
 						t.Errorf("%s: placement %+v does not decode: %v", name, pl, err)
 						continue
@@ -122,7 +122,7 @@ func TestSwitchAndClientAgreeOnEveryPlacement(t *testing.T) {
 							t.Errorf("%s: access %d at logical %d physical %d, mutant %v", name, j, ap.Logical, ap.Physical, got.Mutant)
 						}
 					}
-					linked, err := compiler.Link(svc.Templates, got)
+					linked, err := compiler.Link(svc.Templates, svc.Templates[svc.Main].MemoryAccessIndices(), got)
 					if err != nil {
 						t.Errorf("%s: link: %v", name, err)
 						continue
@@ -177,7 +177,7 @@ func TestSwitchAndClientAgreeOnEveryPlacement(t *testing.T) {
 			fmt.Sprintf("access 0 (stage %d)", lc[secondPass][0]%merged.NumStages)},
 	} {
 		t.Run(bad.name, func(t *testing.T) {
-			_, _, err := alloc.FromResponse(7, &bad.resp, cons, merged, func(alloc.Policy) ([]alloc.Mutant, error) { return lc, nil })
+			_, _, err := alloc.FromResponse(new(alloc.Placement), 7, &bad.resp, cons, merged, func(alloc.Policy) ([]alloc.Mutant, error) { return lc, nil })
 			if !errors.Is(err, alloc.ErrBadResponse) || !strings.Contains(err.Error(), bad.want) {
 				t.Fatalf("err = %v, want ErrBadResponse naming %q", err, bad.want)
 			}

@@ -56,9 +56,10 @@ func Extract(p *isa.Program, elastic bool, specs []AccessSpec) (*alloc.Constrain
 // given logical stages, by inserting NOPs immediately before access
 // instructions (Figure 4), in one pass into one new instruction slice; the
 // template is never written. The mutant must dominate the program's compact
-// placement: mutant[i] >= access index i, gaps non-decreasing.
-func Synthesize(p *isa.Program, mutant alloc.Mutant) (*isa.Program, error) {
-	accIdx := p.MemoryAccessIndices()
+// placement: mutant[i] >= access index i, gaps non-decreasing. accIdx is
+// p.MemoryAccessIndices(), which callers compute once per template (a wrong
+// one fails the post-condition).
+func Synthesize(p *isa.Program, accIdx []int, mutant alloc.Mutant) (*isa.Program, error) {
 	if len(mutant) != len(accIdx) {
 		return nil, fmt.Errorf("compiler: mutant arity %d != %d accesses", len(mutant), len(accIdx))
 	}
@@ -115,16 +116,16 @@ func CheckPlacement(pl *alloc.Placement) error {
 // Link is the step clients take on receipt of an allocation response whose
 // mutant they have not linked yet: rebuild, for every template of a service,
 // the exact mutant the switch selected. The templates share one access
-// skeleton (client.New checks it), so the placement is checked once
+// skeleton, accIdx (client.New checks it), so the placement is checked once
 // (CheckPlacement) and Synthesize's post-condition then puts each template's
 // accesses exactly there.
-func Link(templates map[string]*isa.Program, pl *alloc.Placement) (map[string]*isa.Program, error) {
+func Link(templates map[string]*isa.Program, accIdx []int, pl *alloc.Placement) (map[string]*isa.Program, error) {
 	if err := CheckPlacement(pl); err != nil {
 		return nil, err
 	}
 	out := make(map[string]*isa.Program, len(templates))
 	for name, p := range templates {
-		m, err := Synthesize(p, pl.Mutant)
+		m, err := Synthesize(p, accIdx, pl.Mutant)
 		if err != nil {
 			return nil, err // the templates share a skeleton: they fail alike
 		}

@@ -75,7 +75,7 @@ func TestExtractErrors(t *testing.T) {
 
 func TestSynthesizeIdentity(t *testing.T) {
 	m := alloc.Mutant{1, 4, 8}
-	out, err := Synthesize(listing1, m)
+	out, err := Synthesize(listing1, listing1.MemoryAccessIndices(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestSynthesizeIdentity(t *testing.T) {
 
 func TestSynthesizeShifts(t *testing.T) {
 	m := alloc.Mutant{2, 5, 10}
-	out, err := Synthesize(listing1, m)
+	out, err := Synthesize(listing1, listing1.MemoryAccessIndices(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestSynthesizeShifts(t *testing.T) {
 // instructions.
 func TestSynthesizeNeverWritesTemplate(t *testing.T) {
 	before := slices.Clone(listing1.Instrs)
-	out, err := Synthesize(listing1, alloc.Mutant{3, 6, 10})
+	out, err := Synthesize(listing1, listing1.MemoryAccessIndices(), alloc.Mutant{3, 6, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestSynthesizeNeverWritesTemplate(t *testing.T) {
 	if !slices.Equal(listing1.Instrs, before) {
 		t.Fatal("Synthesize wrote the template")
 	}
-	same, err := Synthesize(listing1, alloc.Mutant{1, 4, 8})
+	same, err := Synthesize(listing1, listing1.MemoryAccessIndices(), alloc.Mutant{1, 4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,14 +141,14 @@ func TestSynthesizeNeverWritesTemplate(t *testing.T) {
 }
 
 func TestSynthesizeBackwardRejected(t *testing.T) {
-	if _, err := Synthesize(listing1, alloc.Mutant{0, 4, 8}); err == nil {
+	if _, err := Synthesize(listing1, listing1.MemoryAccessIndices(), alloc.Mutant{0, 4, 8}); err == nil {
 		t.Error("backward move accepted")
 	}
-	if _, err := Synthesize(listing1, alloc.Mutant{1, 4}); err == nil {
+	if _, err := Synthesize(listing1, listing1.MemoryAccessIndices(), alloc.Mutant{1, 4}); err == nil {
 		t.Error("arity mismatch accepted")
 	}
 	// Gap shrink: access 1 target closer to access 0 than original gap.
-	if _, err := Synthesize(listing1, alloc.Mutant{3, 5, 10}); err == nil {
+	if _, err := Synthesize(listing1, listing1.MemoryAccessIndices(), alloc.Mutant{3, 5, 10}); err == nil {
 		t.Error("gap shrink accepted")
 	}
 }
@@ -160,7 +160,7 @@ func TestSynthesizeProperty(t *testing.T) {
 		m := alloc.Mutant{1 + int(d0%5), 0, 0}
 		m[1] = m[0] + 3 + int(d1%5)
 		m[2] = m[1] + 4 + int(d2%5)
-		out, err := Synthesize(listing1, m)
+		out, err := Synthesize(listing1, listing1.MemoryAccessIndices(), m)
 		if err != nil {
 			return false
 		}
@@ -188,7 +188,7 @@ func TestVerify(t *testing.T) {
 			{Logical: 8, Range: alloc.WordRange{Lo: 0, Hi: 256}},
 		},
 	}
-	linked, err := Link(tmpl, pl)
+	linked, err := Link(tmpl, listing1.MemoryAccessIndices(), pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,18 +199,18 @@ func TestVerify(t *testing.T) {
 	pl2 := *pl
 	pl2.Accesses = append([]alloc.AccessPlacement(nil), pl.Accesses...)
 	pl2.Accesses[1].Logical = 5
-	if _, err := Link(tmpl, &pl2); err == nil {
+	if _, err := Link(tmpl, listing1.MemoryAccessIndices(), &pl2); err == nil {
 		t.Error("stage mismatch accepted")
 	}
 	// Empty grant.
 	pl3 := *pl
 	pl3.Accesses = append([]alloc.AccessPlacement(nil), pl.Accesses...)
 	pl3.Accesses[2].Range = alloc.WordRange{}
-	if _, err := Link(tmpl, &pl3); err == nil {
+	if _, err := Link(tmpl, listing1.MemoryAccessIndices(), &pl3); err == nil {
 		t.Error("empty grant accepted")
 	}
 	// Arity.
-	if _, err := Link(tmpl, &alloc.Placement{}); err == nil {
+	if _, err := Link(tmpl, listing1.MemoryAccessIndices(), &alloc.Placement{}); err == nil {
 		t.Error("arity mismatch accepted")
 	}
 }

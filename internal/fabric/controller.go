@@ -308,8 +308,11 @@ func (c *Controller) PlaceReplicas(fid uint16, leaves []int, server packet.MAC, 
 	}
 
 	ref := set.Members[0]
-	set.Placement = ref.Client.Placement()
-	set.Epoch = ref.Client.Epoch()
+	// The set keeps its placement past the client's next grant, which
+	// reuses the client's buffer: it keeps a copy.
+	pl := *ref.Client.Placement()
+	pl.Accesses = slices.Clone(pl.Accesses)
+	set.Placement, set.Epoch = &pl, ref.Client.Epoch()
 	for _, m := range set.Members[1:] {
 		if !samePlacement(set.Placement, m.Client.Placement()) || m.Client.Epoch() != set.Epoch {
 			c.ReplicaMismatch++

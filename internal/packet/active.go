@@ -230,13 +230,14 @@ func (r *AllocRequest) opaque() uint32 {
 	return binary.BigEndian.Uint32(b[:])
 }
 
-func allocRequestFromWire(opaque uint32, b []byte) (*AllocRequest, error) {
+// allocRequestFromWire decodes a request into r, reusing its access storage.
+func allocRequestFromWire(r *AllocRequest, opaque uint32, b []byte) error {
 	if len(b) < AllocReqSize {
-		return nil, fmt.Errorf("packet: short allocation request: %d bytes", len(b))
+		return fmt.Errorf("packet: short allocation request: %d bytes", len(b))
 	}
 	var ob [4]byte
 	binary.BigEndian.PutUint32(ob[:], opaque)
-	r := &AllocRequest{ProgLen: ob[0], IngressIdx: int8(ob[1]) - 1, Elastic: ob[2]&1 != 0}
+	*r = AllocRequest{ProgLen: ob[0], IngressIdx: int8(ob[1]) - 1, Elastic: ob[2]&1 != 0, Accesses: r.Accesses[:0]}
 	for i := 0; i < MaxAccesses; i++ {
 		e := b[i*AllocReqEntrySize:]
 		if e[2]&0x80 == 0 {
@@ -244,7 +245,7 @@ func allocRequestFromWire(opaque uint32, b []byte) (*AllocRequest, error) {
 		}
 		r.Accesses = append(r.Accesses, AccessReq{Index: e[0], Demand: e[1], AlignGroup: e[2] & 0x07})
 	}
-	return r, nil
+	return nil
 }
 
 func (r *AllocRequest) encode(dst []byte) error {
@@ -302,11 +303,11 @@ func (r *AllocResponse) encode(dst []byte) {
 	}
 }
 
-func allocResponseFromWire(opaque uint32, b []byte) (*AllocResponse, error) {
+func allocResponseFromWire(r *AllocResponse, opaque uint32, b []byte) error {
 	if len(b) < AllocRespSize {
-		return nil, fmt.Errorf("packet: short allocation response: %d bytes", len(b))
+		return fmt.Errorf("packet: short allocation response: %d bytes", len(b))
 	}
-	r := &AllocResponse{MutantIndex: opaque}
+	r.MutantIndex = opaque
 	for i := 0; i < NumStages; i++ {
 		e := b[i*AllocRespEntrySize:]
 		r.Grants[i] = StageGrant{
@@ -314,7 +315,7 @@ func allocResponseFromWire(opaque uint32, b []byte) (*AllocResponse, error) {
 			End:   binary.BigEndian.Uint32(e[4:]),
 		}
 	}
-	return r, nil
+	return nil
 }
 
 // Active is a fully decoded active packet. Exactly one of Program, AllocReq,
@@ -421,12 +422,15 @@ func Decode(b []byte) (*Active, error) {
 // decodeActive parses an active packet from b into a; a.Payload aliases b.
 // The instruction headers of a program capsule are decoded through the
 // cache c when there is one, stepped over (validated, a.Program left nil)
-// when skipProgram is set, and decoded afresh otherwise.
+// when skipProgram is set, and decoded afresh otherwise. An allocation
+// request or response decodes into the AllocReq or AllocResp a holds on
+// entry (the caller's scratch), or into a fresh one when that is nil.
 func decodeActive(b []byte, a *Active, c *ProgCache, skipProgram bool) error {
 	h, err := decodeActiveHeader(b)
 	if err != nil {
 		return err
 	}
+	req, resp := a.AllocReq, a.AllocResp
 	*a = Active{Header: h}
 	rest := b[InitialHeaderSize:]
 	switch h.Type() {
@@ -452,18 +456,20 @@ func decodeActive(b []byte, a *Active, c *ProgCache, skipProgram bool) error {
 		}
 		rest = rest[n:]
 	case TypeAllocReq:
-		req, err := allocRequestFromWire(h.Opaque, rest)
-		if err != nil {
+		if a.AllocReq = req; req == nil {
+			a.AllocReq = new(AllocRequest)
+		}
+		if err := allocRequestFromWire(a.AllocReq, h.Opaque, rest); err != nil {
 			return err
 		}
-		a.AllocReq = req
 		rest = rest[AllocReqSize:]
 	case TypeAllocResp:
-		resp, err := allocResponseFromWire(h.Opaque, rest)
-		if err != nil {
+		if a.AllocResp = resp; resp == nil {
+			a.AllocResp = new(AllocResponse)
+		}
+		if err := allocResponseFromWire(a.AllocResp, h.Opaque, rest); err != nil {
 			return err
 		}
-		a.AllocResp = resp
 		rest = rest[AllocRespSize:]
 	case TypeControl:
 		// Initial header only.

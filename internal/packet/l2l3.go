@@ -278,7 +278,9 @@ func DecodeFrame(b []byte) (*Frame, error) {
 // frames DecodeFrame accepts and copies nothing: Inner aliases b, which is
 // only read, and the instruction headers of a program capsule are validated
 // but not decoded (Program stays nil — an end host reads flags and data
-// fields, never code). The result is valid until b or the scratch is reused.
+// fields, never code); an allocation message decodes into the AllocReq or
+// AllocResp a points at (see DecodeInto). The result is valid until b or the
+// scratch is reused.
 func DecodeEndpoint(b []byte, f *Frame, a *Active) error {
 	eth, rest, err := DecodeEth(b)
 	if err != nil {

@@ -139,8 +139,8 @@ func (c *ProgCache) lookupOrDecode(raw []byte) (*isa.Program, int, uint8, error)
 // allocated — a.Program aliases the immutable cached program and a.Payload
 // aliases b, so the Active is only valid while b is.
 //
-// Control traffic (allocation requests/responses) still allocates its
-// decoded structures; it is not on the packet hot path.
+// An allocation request or response decodes into a.AllocReq or a.AllocResp
+// when the caller points it at scratch, and allocates one otherwise.
 func DecodeInto(b []byte, a *Active, c *ProgCache) error {
 	return decodeActive(b, a, c, false)
 }

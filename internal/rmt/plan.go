@@ -1,6 +1,7 @@
 package rmt
 
 import (
+	"slices"
 	"time"
 
 	"activermt/internal/isa"
@@ -67,19 +68,17 @@ type Plan struct {
 func (pl *Plan) Len() int { return len(pl.ops) }
 
 // CompilePlan compiles instrs (already privilege-rewritten by the caller)
-// for fid against the current tables. mirror resolves a FORK operand to its
-// mirror session's egress port (nil: no sessions). The plan keeps instrs for
-// its trace events, so the caller must not modify it afterwards.
-func (d *Device) CompilePlan(fid uint16, instrs []isa.Instruction, mirror func(session uint8) (port uint32, ok bool)) *Plan {
+// for fid against the current tables into pl, rewriting every slot in pl's
+// storage, and returns pl. mirror resolves a FORK operand to its mirror
+// session's egress port (nil: no sessions). The plan keeps instrs for its
+// trace events, so the caller must not modify it afterwards.
+func (d *Device) CompilePlan(pl *Plan, fid uint16, instrs []isa.Instruction, mirror func(session uint8) (port uint32, ok bool)) *Plan {
 	n := d.cfg.NumStages
-	pl := &Plan{ops: make([]planOp, len(instrs)), instrs: instrs}
+	pl.ops, pl.instrs = slices.Grow(pl.ops[:0], len(instrs))[:len(instrs)], instrs
 	for idx, in := range instrs {
 		stage := idx % n
 		o := &pl.ops[idx]
-		o.op = in.Op
-		o.label = in.Label
-		o.st = d.stages[stage]
-		o.egress = stage >= d.cfg.NumIngress
+		*o = planOp{op: in.Op, label: in.Label, st: d.stages[stage], egress: stage >= d.cfg.NumIngress}
 		switch in.Op {
 		case isa.OpHashdata5Tuple, isa.OpCopyMbr2Mbr, isa.OpCopyMbrMbr2,
 			isa.OpCopyMarMbr, isa.OpCopyMbrMar, isa.OpMbrAddMbr2, isa.OpMarAddMbr,

@@ -189,7 +189,7 @@ func testDevice(t *testing.T) *Device {
 // execPlan compiles p's program for its FID against d's tables, with no
 // mirror sessions, and runs p through the plan.
 func execPlan(d *Device, p *PHV, instrs []isa.Instruction) []*PHV {
-	return d.ExecPlan(d.CompilePlan(p.FID, instrs, nil), p, nil)
+	return d.ExecPlan(d.CompilePlan(new(Plan), p.FID, instrs, nil), p, nil)
 }
 
 func nops(n int) []isa.Instruction {
@@ -334,7 +334,7 @@ func TestExecFork(t *testing.T) {
 	if err := d.Stage(2).Prot.Install(Region{FID: 1, Lo: 0, Hi: 16}); err != nil {
 		t.Fatal(err)
 	}
-	pl := d.CompilePlan(1, []isa.Instruction{
+	pl := d.CompilePlan(new(Plan), 1, []isa.Instruction{
 		{Op: isa.OpFork},
 		{Op: isa.OpFork},
 		{Op: isa.OpMemIncrement}, // stage 2, MAR 0
@@ -548,7 +548,7 @@ func TestForkMirrorDst(t *testing.T) {
 	d := testDevice(t)
 	sessions := func(session uint8) (uint32, bool) { return 42, session == 1 }
 	prog := []isa.Instruction{{Op: isa.OpFork, Operand: 1}, {Op: isa.OpFork, Operand: 2}, {Op: isa.OpReturn}}
-	outs := d.ExecPlan(d.CompilePlan(0, prog, sessions), &PHV{}, nil)
+	outs := d.ExecPlan(d.CompilePlan(new(Plan), 0, prog, sessions), &PHV{}, nil)
 	if len(outs) != 4 {
 		t.Fatalf("outputs = %d", len(outs))
 	}

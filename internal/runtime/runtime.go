@@ -34,13 +34,13 @@ type Grant struct {
 	Accesses []AccessGrant
 }
 
-// GrantOf converts an allocator placement to the install form.
-func GrantOf(pl *alloc.Placement) Grant {
-	g := Grant{FID: pl.FID, Accesses: make([]AccessGrant, 0, len(pl.Accesses))}
+// Set makes g the install form of an allocator placement, reusing g's
+// access storage.
+func (g *Grant) Set(pl *alloc.Placement) {
+	g.FID, g.Accesses = pl.FID, g.Accesses[:0]
 	for _, ap := range pl.Accesses {
 		g.Accesses = append(g.Accesses, AccessGrant{Logical: ap.Logical, Lo: ap.Range.Lo, Hi: ap.Range.Hi})
 	}
-	return g
 }
 
 // Runtime is the ActiveRMT switch runtime: a configured RMT device plus the

@@ -364,7 +364,7 @@ func TestArithmeticAndCopyOps(t *testing.T) {
 		t.Helper()
 		prog := isa.MustAssemble("t", src)
 		phv := &rmt.PHV{FID: 6, Data: args}
-		r.Device().ExecPlan(r.Device().CompilePlan(6, prog.Instrs, nil), phv, nil)
+		r.Device().ExecPlan(r.Device().CompilePlan(new(rmt.Plan), 6, prog.Instrs, nil), phv, nil)
 		return phv
 	}
 

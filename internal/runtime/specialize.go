@@ -35,7 +35,7 @@ type planKey struct {
 // privilege-rewritten instruction image the output encoder slices from, the
 // device plan, and the admission facts folded at compile time.
 type compiledPlan struct {
-	rp     *rmt.Plan
+	rp     rmt.Plan
 	instrs []isa.Instruction
 	// suppressed is the number of privileged instructions rewritten to NOP
 	// at compile time, counted again for every packet executed.
@@ -59,6 +59,7 @@ type compiledPlan struct {
 type planTable struct {
 	gen, devGen uint64 // the runtime and device generations the plans were compiled under
 	plans       map[planKey]*compiledPlan
+	free        []*compiledPlan // emptied out of plans: storage compilePlan reuses
 }
 
 // maxPlans bounds a plan table. Overflowing compiles still execute their
@@ -70,6 +71,9 @@ const maxPlans = 4096
 func (r *Runtime) currentPlans() *planTable {
 	t := &r.plans
 	if t.gen != r.gen || t.devGen != r.dev.Gen() {
+		for _, cp := range t.plans {
+			t.free = append(t.free, cp)
+		}
 		clear(t.plans)
 		t.gen, t.devGen = r.gen, r.dev.Gen()
 	}
@@ -81,8 +85,16 @@ func (r *Runtime) currentPlans() *planTable {
 // passed the admission checks for key.fid).
 func (r *Runtime) compilePlan(key planKey) *compiledPlan {
 	row := r.rowOf(key.fid)
-	cp := &compiledPlan{
-		instrs:      append([]isa.Instruction(nil), key.prog.Instrs...),
+	t := &r.plans
+	var cp *compiledPlan
+	if n := len(t.free); n > 0 {
+		cp, t.free = t.free[n-1], t.free[:n-1]
+	} else {
+		cp = new(compiledPlan)
+	}
+	*cp = compiledPlan{
+		rp:          cp.rp,
+		instrs:      append(cp.instrs[:0], key.prog.Instrs...),
 		quarantined: row.quarantined,
 	}
 	cp.suppressed = maskPrivileged(row, cp.instrs)
@@ -90,11 +102,11 @@ func (r *Runtime) compilePlan(key planKey) *compiledPlan {
 		cp.preMarked = cp.preMarked || cp.instrs[i].Executed
 		cp.readsTuple = cp.readsTuple || cp.instrs[i].Op == isa.OpHashdata5Tuple
 	}
-	cp.rp = r.dev.CompilePlan(key.fid, cp.instrs, func(session uint8) (uint32, bool) {
+	r.dev.CompilePlan(&cp.rp, key.fid, cp.instrs, func(session uint8) (uint32, bool) {
 		return r.MirrorSession(key.fid, session)
 	})
 	r.PlanCompiles++
-	if t := &r.plans; len(t.plans) < maxPlans {
+	if len(t.plans) < maxPlans {
 		if t.plans == nil {
 			t.plans = make(map[planKey]*compiledPlan)
 		}
@@ -112,7 +124,7 @@ func (r *Runtime) compilePlan(key planKey) *compiledPlan {
 func (r *Runtime) execute(a *packet.Active, pl *compiledPlan, fid uint16) {
 	res := r.res
 	phv := res.fillPHV(a, fid, pl.readsTuple)
-	res.devOuts = r.dev.ExecPlan(pl.rp, phv, res.devOuts[:0])
+	res.devOuts = r.dev.ExecPlan(&pl.rp, phv, res.devOuts[:0])
 	r.ProgramsRun++
 	r.SpecializedRuns++
 	r.PrivSuppressed += pl.suppressed

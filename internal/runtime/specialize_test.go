@@ -90,6 +90,69 @@ func TestEveryCommitIsSeenByTheNextCapsule(t *testing.T) {
 	}
 }
 
+// TestRecycledPlansMatchReference: emptying the plan table hands its plans'
+// storage to the next compiles, and a recompiled plan must not keep anything
+// of the program, FID or tables it last held. Every round commits — the
+// grant moves, the mirror port moves — and runs the capsules in a rotated
+// order, so plans come back for other programs (FORK ones included) and
+// other bounds; each output, every register word and every counter is
+// diffed against the reference interpreter. Then, on the plan engine alone,
+// a commit plus the recompiles it forces allocates nothing.
+func TestRecycledPlansMatchReference(t *testing.T) {
+	cfg := rmt.DefaultConfig()
+	cfg.StageWords = 4096
+	e := newEnginePair(t, cfg)
+	grant := func(fid uint16, lo, hi uint32) Grant {
+		return Grant{FID: fid, Accesses: []AccessGrant{{Logical: 1, Lo: lo, Hi: hi}, {Logical: 4, Lo: lo, Hi: hi}, {Logical: 8, Lo: lo, Hi: hi}}}
+	}
+	install := func(r *Runtime, round int) {
+		lo := uint32(round%2) * 1024
+		for _, g := range []Grant{grant(1, lo, lo+1024), grant(3, 2048+lo/2, 2560+lo/2)} {
+			if _, err := r.InstallGrant(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.SetMirrorSession(1, 1, uint32(5+round%3))
+	}
+	query := progPacket(1, cacheQuery, [4]uint32{7, 9, 100, 0})
+	query.Header.Flags |= packet.FlagPreload
+	capsules := []*packet.Active{
+		query,
+		progPacket(3, cacheQuery, [4]uint32{7, 9, 2100, 0}),
+		progPacket(1, isa.MustAssemble("steer", "MBR_LOAD 0\nSET_DST\nRETURN"), [4]uint32{5, 0, 0, 0}),
+		progPacket(1, &isa.Program{Name: "mirror", Instrs: []isa.Instruction{{Op: isa.OpFork, Operand: 1}, {Op: isa.OpReturn}}}, [4]uint32{}),
+		progPacket(1, isa.MustAssemble("fork-write",
+			"MAR_LOAD 2\nFORK 1\nFORK\nNOP\nMEM_INCREMENT\nMBR_STORE 0\nNOP\nNOP\nMEM_WRITE\nRETURN"), [4]uint32{0, 0, 100, 0}),
+		progPacket(3, isa.MustAssemble("fork-write-3",
+			"MAR_LOAD 2\nFORK\nNOP\nNOP\nMEM_INCREMENT\nMBR_STORE 0\nNOP\nNOP\nMEM_WRITE\nRETURN"), [4]uint32{0, 0, 2100, 0}),
+	}
+	const rounds = 24
+	for round := range rounds {
+		e.both(func(r *Runtime) { install(r, round) })
+		for i := range capsules {
+			a := capsules[(i+round)%len(capsules)]
+			e.run(t, fmt.Sprintf("round %d, fid %d %s", round, a.Header.FID, a.Program.Name), a)
+		}
+		e.check(t)
+	}
+	if want := uint64(rounds * len(capsules)); e.plan.PlanCompiles != want {
+		t.Fatalf("%d plan compiles over %d rounds, want %d: a commit did not empty the table", e.plan.PlanCompiles, rounds, want)
+	}
+
+	r, round := e.plan, rounds
+	compiles := r.PlanCompiles
+	n := testing.AllocsPerRun(20, func() {
+		install(r, round)
+		round++
+		for _, a := range capsules {
+			r.ExecuteProgram(a)
+		}
+	})
+	if n != 0 || r.PlanCompiles != compiles+21*uint64(len(capsules)) {
+		t.Errorf("commit + recompiles: %v allocs, %d compiles, want 0 and %d", n, r.PlanCompiles-compiles, 21*len(capsules))
+	}
+}
+
 // planStale reports whether the next capsule will empty r's plan table: a
 // commit or a table edit has happened since its plans were compiled.
 func planStale(r *Runtime) bool {

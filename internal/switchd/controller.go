@@ -1,6 +1,7 @@
 package switchd
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -73,16 +74,20 @@ const (
 const atOnce time.Duration = -1
 
 // job is one serialized control-plane job and everything its phases hand
-// each other.
+// each other. A concluded job is recycled with its storage (newJob); its
+// serial, handed out when it starts and never repeated, crashes included,
+// tells its continuations from those of the job that held it before.
 type job struct {
-	rec   ProvisionRecord // FID, Kind and the Figure 8a breakdown
-	phase phase
-	req   *packet.AllocRequest // admit: the request
-	mac   packet.MAC           // admit, release: the sender
+	c      *Controller
+	rec    ProvisionRecord // FID, Kind and the Figure 8a breakdown
+	serial uint64
+	phase  phase
+	req    packet.AllocRequest // admit: the request, its accesses in the job's storage
+	mac    packet.MAC          // admit, release: the sender
 
 	grant     *alloc.Placement   // admit: the newcomer's placement
 	moved     []*alloc.Placement // residents whose regions changed, in FID order
-	pending   map[uint16]bool    // moved tenants whose snapshot ack is outstanding
+	pending   []uint16           // moved tenants whose snapshot ack is outstanding, in FID order
 	escalated bool               // the half-window re-send has run
 
 	// images are the register images a defrag migration captured, fid ->
@@ -112,7 +117,10 @@ type Controller struct {
 
 	clients map[uint16]packet.MAC // fid -> client MAC
 	queue   []*job
-	cur     *job // the job in progress
+	cur     *job          // the job in progress
+	spare   []*job        // concluded jobs, recycled by newJob
+	serial  uint64        // the last job serial handed out
+	grant   runtime.Grant // scratch: the install form of the placement being installed
 
 	// resp is the scratch responseFor frames into; SendToHost encodes it
 	// before it returns.
@@ -207,7 +215,7 @@ func (c *Controller) GuardEvict(fid uint16) {
 	if !c.alive {
 		return
 	}
-	c.enqueue(&job{rec: ProvisionRecord{FID: fid, Kind: JobEvict}})
+	c.enqueue(c.newJob(JobEvict, fid))
 }
 
 // Crash kills the control plane: the job queue, the client directory, and
@@ -260,35 +268,74 @@ func (c *Controller) Restart() {
 // Digest delivers a control packet from the data plane after the digest
 // latency (the switch CPU path): an allocation request or a release becomes
 // a job, and a snapshot completion goes to the job whose window is open. It
-// takes the sender and the header by value, and the request (nil unless h is
-// an allocation request) as decoded afresh for this frame, so nothing of the
-// switch's decode scratch is retained. A controller that crashes in the
-// meantime drops the digest: a dead controller's continuations must not
-// mutate the rebuilt state.
+// copies the sender, the header and the request (nil unless h is an
+// allocation request) into a job, so nothing of the switch's decode scratch
+// is retained; the job is the timer that queues it. A controller that
+// crashes in the meantime drops the digest: a dead controller's
+// continuations must not mutate the rebuilt state.
 func (c *Controller) Digest(src packet.MAC, h packet.ActiveHeader, req *packet.AllocRequest) {
 	if !c.alive {
 		c.DigestsDropped++
 		return
 	}
-	life, fid, typ, flags := c.life, h.FID, h.Type(), h.Flags
-	c.eng.Schedule(digestLatency, func() {
-		if c.life != life || !c.alive {
-			return
+	var j *job
+	switch typ, flags := h.Type(), h.Flags; {
+	case typ == packet.TypeControl && flags&packet.FlagSnapDone != 0:
+		c.eng.ScheduleTimer(digestLatency, c, c.life<<18|uint64(h.FID)<<2|2)
+		return
+	case typ == packet.TypeAllocReq:
+		j = c.newJob(JobAdmit, h.FID)
+		j.req, j.req.Accesses = *req, append(j.req.Accesses, req.Accesses...) // into the job's storage
+	case typ == packet.TypeControl && flags&packet.FlagRelease != 0:
+		j = c.newJob(JobRelease, h.FID)
+	default:
+		c.eng.ScheduleTimer(digestLatency, c, 0) // a digest that asks nothing
+		return
+	}
+	j.mac = src
+	c.eng.ScheduleTimer(digestLatency, j, c.life)
+}
+
+// Fire implements netsim.Timer for a job's digest: the job joins the queue
+// unless its controller crashed while the digest was on its way.
+func (j *job) Fire(life uint64) {
+	if c := j.c; c.life == life && c.alive {
+		c.enqueue(j)
+	}
+}
+
+// Fire implements netsim.Timer for the controller's own continuations. An
+// odd arg steps the job in progress if it still has the serial and phase
+// the arg carries (next). An even one with bit 1 set is a snapshot-done
+// digest from FID arg>>2&0xffff sent in life arg>>18.
+func (c *Controller) Fire(arg uint64) {
+	j := c.cur
+	switch {
+	case !c.alive || j == nil:
+	case arg&1 != 0:
+		if j.serial == arg>>3 && j.phase == phase(arg>>1&3) {
+			c.step(j)
 		}
-		switch {
-		case typ == packet.TypeControl && flags&packet.FlagSnapDone != 0:
-			if j := c.cur; j != nil && j.phase == phaseInstall && j.pending[fid] {
-				delete(j.pending, fid)
-				if len(j.pending) == 0 {
-					c.step(j)
-				}
+	case arg&2 != 0 && arg>>18 == c.life && j.phase == phaseInstall:
+		if i := slices.Index(j.pending, uint16(arg>>2)); i >= 0 {
+			if j.pending = slices.Delete(j.pending, i, i+1); len(j.pending) == 0 {
+				c.step(j)
 			}
-		case typ == packet.TypeAllocReq:
-			c.enqueue(&job{rec: ProvisionRecord{FID: fid, Kind: JobAdmit}, req: req, mac: src})
-		case typ == packet.TypeControl && flags&packet.FlagRelease != 0:
-			c.enqueue(&job{rec: ProvisionRecord{FID: fid, Kind: JobRelease}, mac: src})
 		}
-	})
+	}
+}
+
+// newJob returns a job of kind for fid, recycling a concluded job and its
+// storage when there is one.
+func (c *Controller) newJob(kind JobKind, fid uint16) *job {
+	var j *job
+	if n := len(c.spare); n > 0 {
+		j, c.spare = c.spare[n-1], c.spare[:n-1]
+	} else {
+		j = new(job)
+	}
+	*j = job{c: c, rec: ProvisionRecord{FID: fid, Kind: kind}, req: packet.AllocRequest{Accesses: j.req.Accesses[:0]}, pending: j.pending[:0]}
+	return j
 }
 
 // enqueue adds a job to the queue. Jobs run one at a time (Section 4.3).
@@ -303,8 +350,10 @@ func (c *Controller) pump() {
 		return
 	}
 	j := c.queue[0]
-	c.queue = c.queue[1:]
+	c.queue = c.queue[:copy(c.queue, c.queue[1:])]
 	c.cur = j
+	c.serial++
+	j.serial = c.serial
 	j.rec.Start = c.eng.Now()
 	c.step(j)
 }
@@ -333,12 +382,7 @@ func (c *Controller) next(j *job, p phase, d time.Duration) {
 		c.step(j)
 		return
 	}
-	life := c.life
-	c.eng.Schedule(d, func() {
-		if c.life == life && c.alive && c.cur == j && j.phase == p {
-			c.step(j)
-		}
-	})
+	c.eng.ScheduleTimer(d, c, j.serial<<3|uint64(p)<<1|1)
 }
 
 // conclude ends the job in progress — recorded unless it was a retransmitted
@@ -350,6 +394,7 @@ func (c *Controller) conclude(j *job, record bool) {
 		c.Records = append(c.Records, j.rec)
 	}
 	c.cur = nil
+	c.spare = append(c.spare, j)
 	c.pump()
 }
 
@@ -479,7 +524,7 @@ func (c *Controller) admit(j *job) {
 	if c.al.Recovered(fid) {
 		j.rec.Kind, allocate = JobReadmit, c.al.Readmit
 	}
-	cons, err := alloc.FromRequest(j.req)
+	cons, err := alloc.FromRequest(&j.req)
 	if err != nil {
 		j.rec.Failed = true
 		c.next(j, phaseFinish, atOnce)
@@ -523,13 +568,12 @@ func (c *Controller) admit(j *job) {
 // first copy crosses a lossy data plane); at its end it times out.
 func (c *Controller) open(j *job) {
 	j.rec.Reallocated = len(j.moved)
-	j.pending = make(map[uint16]bool, len(j.moved))
 	for _, pl := range j.moved {
 		c.rt.Deactivate(pl.FID)
 		j.rec.TableOps++
 		if mac, ok := c.clients[pl.FID]; ok {
 			_ = c.sw.SendToHost(mac, c.responseFor(pl, true))
-			j.pending[pl.FID] = true
+			j.pending = append(j.pending, pl.FID)
 		}
 	}
 	if len(j.pending) == 0 {
@@ -548,7 +592,7 @@ func (c *Controller) install(j *job) {
 		if !j.escalated {
 			j.escalated = true
 			for _, pl := range j.moved {
-				if j.pending[pl.FID] {
+				if slices.Contains(j.pending, pl.FID) {
 					_ = c.sw.SendToHost(c.clients[pl.FID], c.responseFor(pl, true))
 					c.SnapshotEscalations++
 				}
@@ -561,7 +605,8 @@ func (c *Controller) install(j *job) {
 	j.rec.SnapshotWait = c.eng.Now() - j.rec.Start - j.rec.Compute
 	ops := j.rec.TableOps
 	for _, pl := range j.moved {
-		n, err := c.rt.InstallGrant(runtime.GrantOf(pl))
+		c.grant.Set(pl)
+		n, err := c.rt.InstallGrant(c.grant)
 		ops += n
 		if err != nil {
 			// TCAM exhaustion mid-update: surface as failure for the
@@ -575,7 +620,8 @@ func (c *Controller) install(j *job) {
 		}
 	}
 	if j.grant != nil {
-		n, err := c.rt.InstallGrant(runtime.GrantOf(j.grant))
+		c.grant.Set(j.grant)
+		n, err := c.rt.InstallGrant(c.grant)
 		ops += n
 		j.rec.Failed = err != nil
 	}
@@ -630,7 +676,7 @@ func (c *Controller) SweepAndRepair() {
 	if !c.alive {
 		return
 	}
-	c.enqueue(&job{rec: ProvisionRecord{Kind: JobSweep}})
+	c.enqueue(c.newJob(JobSweep, 0))
 }
 
 // sweep runs one sweep-and-repair pass, handing j the placements it moved;

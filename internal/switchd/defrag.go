@@ -32,7 +32,7 @@ const defragMoves = 4
 // nothing to move. Safe to call as often as the caller likes.
 func (c *Controller) Defragment() {
 	if c.alive && len(c.compactionCandidates()) > 0 {
-		c.enqueue(&job{rec: ProvisionRecord{Kind: JobDefrag}})
+		c.enqueue(c.newJob(JobDefrag, 0))
 	}
 }
 

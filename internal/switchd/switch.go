@@ -40,6 +40,7 @@ type Switch struct {
 	// capsule. Every output is encoded before Receive returns, so nothing
 	// outlives the frame that filled them.
 	inAct, restored packet.Active
+	req             packet.AllocRequest // inAct's allocation request; Digest copies it
 	outFrame        packet.Frame
 	tx              []byte // every frame the switch encodes; the port copies it
 
@@ -50,6 +51,7 @@ type Switch struct {
 
 	// Counters.
 	FramesIn, FramesForwarded, FramesReturned, FramesDropped uint64
+	FramesConsumed                                           uint64 // outputs addressed to this switch: ended here, not dropped
 	UnknownMAC, GuardDropped                                 uint64
 	ControlTransit, RelayedPrograms                          uint64
 	ProbesEchoed, ProbeReplies                               uint64
@@ -167,6 +169,7 @@ func (s *Switch) Receive(frame []byte, port *netsim.Port) {
 	// Program capsules decode through the cache: one ISA decode + structural
 	// validation per program version, parse-once for the guard downstream.
 	a := &s.inAct
+	a.AllocReq = &s.req
 	if err := packet.DecodeInto(rest, a, s.cache); err != nil {
 		s.FramesDropped++
 		return
@@ -303,8 +306,12 @@ func (s *Switch) egress(pnum int) *netsim.Port {
 }
 
 // forward sends a frame toward its destination MAC after the pipeline
-// latency.
+// latency. A frame addressed to the switch itself ends here, consumed.
 func (s *Switch) forward(f *packet.Frame, latency time.Duration) {
+	if f.Eth.Dst == s.mac {
+		s.FramesConsumed++
+		return
+	}
 	if pnum, ok := s.route(f.Eth.Dst); ok && s.sendOut(pnum, f, latency) {
 		s.FramesForwarded++
 	}

@@ -104,6 +104,39 @@ func TestUnknownMACDropped(t *testing.T) {
 	}
 }
 
+// TestCapsuleToOwnMACConsumed: a capsule that writes memory and forwards
+// (a fabric home's populate-fwd shape: no RTS) to the switch's own MAC ends
+// at the switch. It is counted once, as consumed — not as an unknown MAC and
+// not as a drop — after its writes have landed.
+func TestCapsuleToOwnMACConsumed(t *testing.T) {
+	r := newRig(t)
+	r.a.send(t, allocRequest(5, 2), r.sw.MAC())
+	r.eng.Run()
+	grant, ok := r.sw.Runtime().RegionFor(5, 2)
+	if !ok {
+		t.Fatal("no region installed")
+	}
+	a := &packet.Active{
+		Header:  packet.ActiveHeader{FID: 5},
+		Args:    [4]uint32{0xFEED, 0, grant.Lo, 0},
+		Program: isa.MustAssemble("populate-fwd", "MBR_LOAD 0\nMAR_LOAD 2\nMEM_WRITE\nNOP\nRETURN"),
+	}
+	a.Header.SetType(packet.TypeProgram)
+	in, fwd := r.sw.FramesIn, r.sw.FramesForwarded
+	r.a.send(t, a, r.sw.MAC())
+	r.eng.Run()
+	if got := r.sw.Runtime().Device().Stage(2).Registers.Read(grant.Lo); got != 0xFEED {
+		t.Errorf("memory = %#x, want the capsule's write", got)
+	}
+	if r.sw.FramesIn != in+1 || r.sw.FramesConsumed != 1 || r.sw.UnknownMAC != 0 || r.sw.FramesDropped != 0 || r.sw.FramesForwarded != fwd {
+		t.Errorf("in +%d consumed %d unknown %d dropped %d forwarded +%d, want +1, 1, 0, 0, +0",
+			r.sw.FramesIn-in, r.sw.FramesConsumed, r.sw.UnknownMAC, r.sw.FramesDropped, r.sw.FramesForwarded-fwd)
+	}
+	if len(r.b.frames) != 0 {
+		t.Errorf("host b received %d frames", len(r.b.frames))
+	}
+}
+
 func TestHairpinLatencyHalved(t *testing.T) {
 	r := newRig(t)
 	start := r.eng.Now()
@@ -522,12 +555,14 @@ type tally struct{ frames int }
 
 func (t *tally) Receive([]byte, *netsim.Port) { t.frames++ }
 
-// TestDigestAllocs gates the control frames the controller digests: Receive
-// hands Controller.Digest the sender, the header and the decoded request by
-// value, and Digest schedules one continuation that checks the controller's
-// life itself. A client control frame allocates only that continuation; an
-// allocation request adds only its decoded request and access list. A heap
-// copy of the frame, or a second closure per digest, shows here.
+// TestDigestAllocs gates a control frame's whole digest cycle, from Receive
+// to the controller acting on it: the switch decodes a request into its
+// scratch, Digest copies it into a recycled job that is its own timer, and a
+// snapshot-done digest is a typed timer on the controller. A client control
+// frame allocates nothing; a retransmitted request allocates only the
+// placement it is answered with (Allocator.PlacementFor's placement and
+// access list). A heap copy of the frame, a closure per digest or a fresh job
+// per request shows here.
 func TestDigestAllocs(t *testing.T) {
 	r := newRig(t)
 	r.a.send(t, allocRequest(5, 2), r.sw.MAC())
@@ -548,17 +583,18 @@ func TestDigestAllocs(t *testing.T) {
 		a    *packet.Active
 		want float64
 	}{
-		{"client control frame", snapDone, 1},         // the continuation
-		{"allocation request", allocRequest(5, 2), 3}, // + the request and its accesses
+		{"client control frame", snapDone, 0},         // was 1: the continuation's closure
+		{"allocation request", allocRequest(5, 2), 2}, // was 3 (request, accesses, closure): now the answer's placement and accesses
 	} {
 		raw, err := packet.EncodeFrame(&packet.Frame{Eth: packet.EthHeader{Dst: r.sw.MAC(), Src: r.a.mac, EtherType: packet.EtherTypeActive}, Active: tc.a})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := testing.AllocsPerRun(runs, func() { r.sw.Receive(raw, in) }); n > tc.want {
+		n := testing.AllocsPerRun(runs, func() { r.sw.Receive(raw, in); r.eng.Run() })
+		if n > tc.want {
 			t.Errorf("%s: %v allocs per digest, want <= %v", tc.name, n, tc.want)
 		}
-		r.eng.Run()
+		t.Logf("%s: %v allocs per digest", tc.name, n)
 	}
 	// Every digest reached the controller: each retransmitted request (and
 	// AllocsPerRun's warm-up call) is answered from the books.
