@@ -181,6 +181,7 @@ type Allocator struct {
 	setBuf   []*intervalSet    // sets
 	perStage [2][]int          // fairShares' room and contention, then realiseInPlace's unrealised share
 	moved    []*App            // changedPlacements' apps
+	held     [2][]heldRegion   // snapshotElasticRegions' two slots
 	enum     enumeration       // mutants: a resident clones the one it keeps
 }
 
@@ -233,10 +234,10 @@ func (a *Allocator) FIDs() []uint16 {
 	return out
 }
 
-// buildGroups derives the app's alignment groups for a mutant placement, in
-// order of first access, reusing dst's storage (nil for groups an App keeps).
-func buildGroups(dst []appGroup, cons *Constraints, mut Mutant, numStages int) []appGroup {
-	dst = dst[:0]
+// buildGroups derives the alignment groups of a mutant placement, in order
+// of first access, into the working a.groups.
+func (a *Allocator) buildGroups(cons *Constraints, mut Mutant) []appGroup {
+	dst := a.groups[:0]
 	for i, acc := range cons.Accesses {
 		id := acc.AlignGroup
 		if id == 0 {
@@ -252,9 +253,21 @@ func buildGroups(dst []appGroup, cons *Constraints, mut Mutant, numStages int) [
 		}
 		g := &dst[gi]
 		g.demand = max(g.demand, acc.Demand)
-		g.stages = append(g.stages, mut[i]%numStages)
+		g.stages = append(g.stages, mut[i]%a.cfg.NumStages)
 	}
+	a.groups = dst
 	return dst
+}
+
+// appGroups is buildGroups into storage an App keeps: one slice of groups
+// and one of all their stages, one per access.
+func (a *Allocator) appGroups(cons *Constraints, mut Mutant) []appGroup {
+	out, stages := slices.Clone(a.buildGroups(cons, mut)), make([]int, 0, len(mut))
+	for i, g := range out {
+		stages = append(stages, g.stages...)
+		out[i].stages = stages[len(stages)-len(g.stages) : len(stages) : len(stages)]
+	}
+	return out
 }
 
 // stageStats is a per-stage census used for feasibility and cost.
@@ -477,11 +490,11 @@ func (a *Allocator) Allocate(fid uint16, cons *Constraints) (*Result, error) {
 	sigs := a.elasticSignatures()
 	cands := a.cands[:0]
 	for idx, x := range mutants {
-		a.groups = buildGroups(a.groups, cons, x, a.cfg.NumStages)
-		if !a.feasible(a.groups, cons.Elastic, st) {
+		groups := a.buildGroups(cons, x)
+		if !a.feasible(groups, cons.Elastic, st) {
 			continue
 		}
-		cands = append(cands, cand{idx: idx, cost: a.cost(a.groups, st, sigs)})
+		cands = append(cands, cand{idx: idx, cost: a.cost(groups, st, sigs)})
 	}
 	a.cands = cands
 	res := &Result{MutantsTotal: len(mutants), MutantsFeasible: len(cands)}
@@ -494,7 +507,7 @@ func (a *Allocator) Allocate(fid uint16, cons *Constraints) (*Result, error) {
 		return cmp.Or(slices.Compare(x.cost[:], y.cost[:]), cmp.Compare(x.idx, y.idx))
 	})
 
-	before := a.snapshotElasticRegions()
+	before := a.snapshotElasticRegions(0)
 	// Bound the commit walk, but keep it diverse: consecutive candidates
 	// under a tied cost share nearly identical stage sets and fail the
 	// same way, so after the best few, sample the remainder evenly (in
@@ -520,8 +533,8 @@ func (a *Allocator) Allocate(fid uint16, cons *Constraints) (*Result, error) {
 			MutantIdx: c.idx,
 			Elastic:   cons.Elastic,
 			regions:   map[int]BlockRange{},
+			groups:    a.appGroups(cons, mutants[c.idx]),
 		}
-		app.groups = buildGroups(nil, cons, app.Mut, a.cfg.NumStages)
 		if a.tryCommit(app, before) {
 			app.Mut = slices.Clone(app.Mut) // the resident keeps the winner, not the enumeration
 			res.New = a.placementFor(app)
@@ -595,7 +608,7 @@ func (a *Allocator) Release(fid uint16) ([]*Placement, error) {
 	if _, ok := a.apps[fid]; !ok {
 		return nil, fmt.Errorf("alloc: fid %d not resident", fid)
 	}
-	before := a.snapshotElasticRegions()
+	before := a.snapshotElasticRegions(0)
 	for _, s := range a.pinned {
 		s.removeOwner(fid)
 	}
@@ -909,16 +922,10 @@ type heldRegion struct {
 }
 
 // snapshotElasticRegions captures the elastic apps' regions, by FID and
-// group, for change detection and rollback: a flat slice of its own per call,
-// since Evacuate allocates while its snapshot is live.
-func (a *Allocator) snapshotElasticRegions() []heldRegion {
-	n := 0
-	for _, app := range a.apps {
-		if app.Elastic {
-			n += len(app.groups)
-		}
-	}
-	out := make([]heldRegion, 0, n)
+// group, for change detection and rollback, into working slot 0, or 1 for
+// Evacuate: its snapshot is live across the Allocate it calls.
+func (a *Allocator) snapshotElasticRegions(slot int) []heldRegion {
+	out := a.held[slot][:0]
 	for _, app := range a.apps {
 		if app.Elastic {
 			for gi, g := range app.groups {
@@ -929,6 +936,7 @@ func (a *Allocator) snapshotElasticRegions() []heldRegion {
 	slices.SortFunc(out, func(x, y heldRegion) int {
 		return cmp.Or(cmp.Compare(x.app.FID, y.app.FID), cmp.Compare(x.gi, y.gi))
 	})
+	a.held[slot] = out
 	return out
 }
 

@@ -178,7 +178,7 @@ func (a *Allocator) CompactApp(fid uint16) (res *CompactResult, ok bool) {
 	if !ok {
 		return nil, false
 	}
-	before := a.snapshotElasticRegions()
+	before := a.snapshotElasticRegions(0)
 
 	// place puts the app's groups at the planned offsets, or back.
 	place := func(planned bool) {

@@ -24,7 +24,8 @@ const QuarantineFID uint16 = 0xFFFF
 // regions, as read back from the switch tables after a controller restart.
 // The app is held pinned at exactly those regions (even if it was elastic
 // before the crash) until Readmit restores its constraints — conservative,
-// but guarantees the data plane stays consistent with the books.
+// but guarantees the data plane stays consistent with the books. Every
+// region is checked before any is booked, so a rejected call books nothing.
 func (a *Allocator) Recover(fid uint16, regions map[int]BlockRange) error {
 	if fid == QuarantineFID {
 		return fmt.Errorf("alloc: fid %d is reserved", fid)
@@ -46,8 +47,10 @@ func (a *Allocator) Recover(fid uint16, regions map[int]BlockRange) error {
 		if iv, clash := a.pinned[s].conflict(r); clash {
 			return fmt.Errorf("alloc: recovered region %+v at stage %d overlaps fid %d", r, s, iv.fid)
 		}
-		a.pinned[s].insert(interval{BlockRange: r, fid: fid})
-		app.regions[s] = r
+	}
+	for _, s := range stages {
+		a.pinned[s].insert(interval{BlockRange: regions[s], fid: fid})
+		app.regions[s] = regions[s]
 	}
 	a.apps[fid] = app
 	a.recomputeElastic()
@@ -105,13 +108,13 @@ func (a *Allocator) Readmit(fid uint16, cons *Constraints) (*Result, error) {
 	app.Mut = slices.Clone(mutants[match])
 	app.MutantIdx = match
 	app.Elastic = cons.Elastic
-	app.groups = buildGroups(nil, cons, app.Mut, a.cfg.NumStages)
+	app.groups = a.appGroups(cons, app.Mut)
 	res := &Result{MutantsTotal: len(mutants), MutantsFeasible: 1}
 	if cons.Elastic {
 		// Restore elasticity: drop the pinned placeholder and let the
 		// shared waterfill resize the app where it stands (its regions may
 		// still move — the normal reallocation protocol informs the client).
-		before := a.snapshotElasticRegions()
+		before := a.snapshotElasticRegions(0)
 		for _, s := range a.pinned {
 			s.removeOwner(fid)
 		}
@@ -141,9 +144,8 @@ func (a *Allocator) Readmit(fid uint16, cons *Constraints) (*Result, error) {
 // per installed region.
 func (a *Allocator) matchMutant(cons *Constraints, mutants []Mutant, regions map[int]BlockRange) int {
 	for idx, m := range mutants {
-		a.groups = buildGroups(a.groups, cons, m, a.cfg.NumStages)
 		ok := true
-		for _, g := range a.groups {
+		for _, g := range a.buildGroups(cons, m) {
 			var common BlockRange
 			for i, s := range g.stages {
 				r, has := regions[s]
@@ -184,7 +186,7 @@ func (a *Allocator) Quarantine(stage int, r BlockRange) ([]*Placement, error) {
 		}
 		return nil, fmt.Errorf("alloc: quarantine %+v at stage %d overlaps pinned fid %d", r, stage, iv.fid)
 	}
-	before := a.snapshotElasticRegions()
+	before := a.snapshotElasticRegions(0)
 	fence := interval{BlockRange: r, fid: QuarantineFID}
 	a.pinned[stage].insert(fence)
 	a.recomputeElastic()
@@ -231,7 +233,7 @@ func (a *Allocator) Evacuate(fid uint16, quar map[int][]BlockRange) (*Result, er
 	if !ok {
 		return nil, fmt.Errorf("alloc: fid %d not resident", fid)
 	}
-	before := a.snapshotElasticRegions()
+	before := a.snapshotElasticRegions(1)
 	cons := app.Cons
 	for _, s := range a.pinned {
 		s.removeOwner(fid)

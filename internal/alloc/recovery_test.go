@@ -64,6 +64,13 @@ func TestRecoverRejectsConflicts(t *testing.T) {
 	if err := a.Recover(2, map[int]BlockRange{3: {Lo: 2, Hi: 6}}); err == nil {
 		t.Error("overlapping recovery accepted")
 	}
+	// The clash is at the later stage: the earlier one must not stay booked.
+	if err := a.Recover(2, map[int]BlockRange{1: {Lo: 0, Hi: 4}, 3: {Lo: 2, Hi: 6}}); err == nil {
+		t.Error("recovery overlapping at its second stage accepted")
+	}
+	if err := a.AuditBooks(); err != nil {
+		t.Errorf("after the rejected recoveries: %v", err)
+	}
 	if err := a.Recover(1, map[int]BlockRange{5: {Lo: 0, Hi: 1}}); err == nil {
 		t.Error("duplicate fid recovery accepted")
 	}

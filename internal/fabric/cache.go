@@ -136,11 +136,12 @@ type CoherentCache struct {
 	payload []byte            // datagram scratch of the senders; the client copies from it
 
 	// Degraded-mode state (failover.go).
-	health     *Health
-	degraded   bool
-	recovering bool            // degraded-exit poller active
-	probing    bool            // the poller waits on a probe of the healed link
-	homeStale  map[uint64]bool // keys whose home copy may be stale
+	health       *Health
+	homeState    homeState
+	recoveryGen  uint64          // bumped as each recovery starts; its timers carry it
+	recoveryLeaf int             // the leaf whose healed home link a recovery confirms
+	linksDown    int             // frontends' home links the health monitor holds dead
+	homeStale    map[uint64]bool // keys whose home copy may be stale
 
 	// Stats.
 	Hits, Misses, Fills, WriteAcks uint64

@@ -77,7 +77,6 @@ type Controller struct {
 	ReplicaMismatch uint64 // replica admissions torn down for placement/epoch skew
 
 	// Failure-domain counters (also exported through AttachTelemetry).
-	LinkFlaps       uint64 // link down-transitions declared by the health monitor
 	DegradedEntries uint64 // coherent caches entering degraded (home-drained) mode
 	DegradedExits   uint64 // coherent caches leaving degraded mode
 	RePlacements    uint64 // orphaned placements re-placed on surviving devices
@@ -235,16 +234,6 @@ func (c *Controller) ReconcileTenant(t *Tenant, dead *Node, newService func() *c
 	return placed, nil
 }
 
-// ObserveFailures bridges the health monitor into the controller's
-// failure-domain counters: link flaps declared. Call once after NewHealth.
-func (c *Controller) ObserveFailures(h *Health) {
-	h.Subscribe(func(ev LinkEvent) {
-		if ev.Down {
-			c.LinkFlaps++
-		}
-	})
-}
-
 // recordPlacement updates the spill/stretch accounting for one placement.
 func (c *Controller) recordPlacement(t *Tenant) {
 	if len(t.Shards) == 0 {
@@ -362,7 +351,12 @@ func (c *Controller) AttachTelemetry(reg *telemetry.Registry) {
 	reg.Counter("activermt_fabric_placement_unplaced_blocks_total", "demand blocks no on-path device could hold", &c.unplacedBlocks)
 	reg.Histogram("activermt_fabric_path_stretch_devices", "devices engaged per tenant placement (1 = no stretch)",
 		func() *telemetry.Histogram { return &c.stretch })
-	reg.Counter("activermt_fabric_link_flaps_total", "leaf-spine link down-transitions declared by the health monitor", &c.LinkFlaps)
+	reg.CounterFunc("activermt_fabric_link_flaps_total", "leaf-spine link down-transitions declared by the health monitor", func() uint64 {
+		if h := c.F.health; h != nil {
+			return h.FlapsObserved
+		}
+		return 0
+	})
 	reg.Counter("activermt_fabric_reroutes_total", "spine-hashed routes repointed around dead links or drained spines", &c.F.Reroutes)
 	reg.Counter("activermt_fabric_cache_degraded_entries_total", "coherent caches entering degraded (home-drained) mode", &c.DegradedEntries)
 	reg.Counter("activermt_fabric_cache_degraded_exits_total", "coherent caches leaving degraded mode after home resync", &c.DegradedExits)

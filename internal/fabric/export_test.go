@@ -27,5 +27,7 @@ func (c *CoherentCache) WritePhase(seq uint32) Phase {
 	return acked
 }
 
-// Recovering reports whether the degraded-exit poller is running.
-func (c *CoherentCache) Recovering() bool { return c.recovering }
+// HomeState names the state of the home link's recovery.
+func (c *CoherentCache) HomeState() string {
+	return [...]string{"healthy", "degraded", "scrubbing", "confirming", "undraining"}[c.homeState]
+}

@@ -142,6 +142,8 @@ type Fabric struct {
 	// Reroutes counts route repoints performed by recomputeRoutes; the fabric
 	// controller's telemetry and the soak read it.
 	Reroutes uint64
+
+	health *Health // the link-health monitor, if one was built (NewHealth)
 }
 
 // New builds the fabric: every switch a switchd.Node like the single-switch

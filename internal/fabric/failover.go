@@ -25,9 +25,8 @@
 //     from the server. The drain lifts only once the scrub has run against
 //     a live controller, the health monitor has Confirmed the healed link
 //     with a fresh probe echo, and the RestoreDelay window has passed with
-//     no further home-link failure. A crashed home controller defers the
-//     scrub — the poller retries until the controller restarts, and the
-//     home stays drained (correct, merely colder) in the meantime.
+//     no further home-link failure; the home stays drained (correct, merely
+//     colder) meanwhile.
 //
 //   - Repair. If the replica set itself has diverged (a member lost its
 //     grant, epochs skewed after a controller recovery), per-switch grant
@@ -44,98 +43,97 @@ import (
 	"time"
 )
 
+// homeState is how far the home link's recovery has come; docs/fabric.md §5
+// has the table of its transitions.
+type homeState uint8
+
+const (
+	healthy    homeState = iota // the home is trusted and routes cross it
+	degraded                    // a frontend's home link is dead: the home is drained
+	scrubbing                   // a link came back: scrub the home, retrying while its controller is down
+	confirming                  // scrubbed: waiting on a fresh probe echo of the healed link
+	undraining                  // confirmed: the drain lifts RestoreDelay later
+)
+
 // WatchHealth subscribes the cache to the fabric health monitor: home-link
 // failures enter degraded mode, recoveries resynchronize the home replica.
+// Call it before h.Start: the cache counts dead home links from the events.
 func (c *CoherentCache) WatchHealth(h *Health) {
 	c.health = h
-	h.Subscribe(c.onLinkEvent)
-}
-
-// Degraded reports whether the cache currently operates with the home
-// spine drained.
-func (c *CoherentCache) Degraded() bool { return c.degraded }
-
-// frontHomeLinkDown reports whether any frontend leaf's link to the home is
-// currently declared dead.
-func (c *CoherentCache) frontHomeLinkDown() bool {
-	for l := range c.fronts {
-		if c.health.LinkDown(l, c.home) {
-			return true
+	h.Subscribe(func(ev LinkEvent) {
+		if _, ok := c.fronts[ev.Leaf]; ok && ev.Spine == c.home {
+			c.stepHome(&ev, false)
 		}
-	}
-	return false
+	})
 }
 
-// onLinkEvent reacts to health transitions of frontend<->home links: a
-// Down enters degraded mode, an Up starts the recovery poller unless one
-// runs already.
-func (c *CoherentCache) onLinkEvent(ev LinkEvent) {
-	if ev.Spine != c.home {
-		return
+// Degraded reports whether the cache operates degraded: from a home-link
+// failure until the healed link is confirmed (the drain lifts later).
+func (c *CoherentCache) Degraded() bool { return c.homeState != healthy && c.homeState != undraining }
+
+// Fire runs a recovery timer: a scrub retry, a Confirm's report or the
+// undrain countdown. One armed under an earlier recovery, or in a state the
+// cache has since left, does nothing.
+func (c *CoherentCache) Fire(arg uint64) {
+	if arg&^answered == c.timerArg() {
+		c.stepHome(nil, arg&answered != 0)
 	}
-	if _, ok := c.fronts[ev.Leaf]; !ok {
-		return
+}
+
+// timerArg is the arg of the timer the current state arms: the recovery gen
+// above bit 8, the state above bit 0 (Health's answered).
+func (c *CoherentCache) timerArg() uint64 { return c.recoveryGen<<8 | uint64(c.homeState)<<1 }
+
+// stepHome makes every transition of the home link's recovery
+// (docs/fabric.md §5), on a frontend's home-link event ev or, with ev nil,
+// on the timer the current state armed; echoed reports a Confirm's probe
+// answered. A Down in scrubbing or confirming leaves the recovery to abort
+// at its next step. Writes committed during the drain leave home-stale keys
+// (their home installs are suppressed), so the countdown scrubs once more.
+func (c *CoherentCache) stepHome(ev *LinkEvent, echoed bool) {
+	st := c.homeState
+	if ev != nil && !ev.Down {
+		c.linksDown--
+		if st != degraded { // an Up during a recovery starts nothing new
+			return
+		}
+		c.recoveryGen++
+		c.recoveryLeaf = ev.Leaf
+		st = scrubbing
 	}
-	if ev.Down {
-		// Conservative staleness: any install sent toward the home in the
-		// detection window may have died on the link — mark every known key.
+	switch {
+	case ev != nil && ev.Down:
+		// Any install sent toward the home in the detection window may have
+		// died on the link.
+		c.linksDown++
 		for key := range c.dir {
 			c.homeStale[key] = true
 		}
-		if !c.degraded {
-			c.degraded = true
+		if !c.Degraded() {
+			c.homeState = degraded
 			c.fc.DegradedEntries++
 			c.fc.F.SetSpineDrain(c.home, true)
 		}
 		return
-	}
-	if !c.recovering {
-		c.recovering = true
-		c.stepRecovery(ev.Leaf, false)
-	}
-}
-
-// stepRecovery moves the degraded-exit poller one step. A home link down
-// aborts it (the next Up restarts it). A confirmed link leaves degraded mode
-// and starts the undrain countdown. A failed scrub (the home controller is
-// down) or an unanswered probe retries after RestoreDelay; the home stays
-// drained meanwhile. Otherwise the home is scrubbed clean, so probe the
-// healed link before trusting it.
-func (c *CoherentCache) stepRecovery(leaf int, confirmed bool) {
-	probed := c.probing
-	c.probing = false
-	switch {
-	case c.frontHomeLinkDown():
-		c.recovering = false
-	case confirmed:
-		c.recovering = false
-		if c.degraded {
-			c.degraded = false
-			c.fc.DegradedExits++
-		}
-		c.fc.F.Eng.Schedule(c.health.RestoreDelay, c.tryUndrain)
-	case probed || !c.scrubHome():
-		c.fc.F.Eng.Schedule(c.health.RestoreDelay, func() { c.stepRecovery(leaf, false) })
+	case st == undraining && (len(c.homeStale) == 0 || c.scrubHome()):
+		c.homeState = healthy
+		c.fc.F.SetSpineDrain(c.home, false)
+		return
+	case st == undraining: // the home controller is down: retry the scrub
+	case c.linksDown > 0:
+		c.homeState = degraded
+		return
+	case st == confirming && echoed:
+		c.homeState = undraining
+		c.fc.DegradedExits++
+	case st == confirming || !c.scrubHome():
+		c.homeState = scrubbing
 	default:
-		c.probing = true
-		c.health.Confirm(leaf, c.home, func(ok bool) { c.stepRecovery(leaf, ok) })
-	}
-}
-
-// tryUndrain lifts the home drain once the cache is out of degraded mode and
-// the home holds no stale words. Writes committed during the drain window
-// mark homeStale (their direct home installs are suppressed while the spine
-// is drained), so a final scrub may be needed right before routes start
-// crossing the home again.
-func (c *CoherentCache) tryUndrain() {
-	if c.degraded || c.frontHomeLinkDown() {
+		c.homeState = confirming
+		c.health.Confirm(c.recoveryLeaf, c.home, c, c.timerArg())
 		return
 	}
-	if len(c.homeStale) > 0 && !c.scrubHome() {
-		c.fc.F.Eng.Schedule(c.health.RestoreDelay, c.tryUndrain)
-		return
-	}
-	c.fc.F.SetSpineDrain(c.home, false)
+	c.fc.F.Eng.ScheduleTimer(RestoreDelay, c, c.timerArg())
 }
 
 // scrubHome zeroes the cache's registers on the home device through the

@@ -30,7 +30,6 @@ func TestCacheDegradedHomeOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := fabric.NewHealth(f)
-	fc.ObserveFailures(h)
 	cc.WatchHealth(h)
 	h.Start()
 
@@ -110,7 +109,7 @@ func TestCacheDegradedHomeOutage(t *testing.T) {
 	if fc.DegradedExits != 1 {
 		t.Fatalf("controller counted %d degraded exits, want 1", fc.DegradedExits)
 	}
-	f.RunFor(h.RestoreDelay + 10*time.Millisecond)
+	f.RunFor(fabric.RestoreDelay + 10*time.Millisecond)
 	if f.Drained(home) {
 		t.Fatal("home still drained after recovery")
 	}

@@ -7,7 +7,7 @@
 // health are different failure domains). A link whose probe goes unanswered
 // for MissThreshold consecutive ticks is declared dead: the fabric repoints
 // every spine-hashed route around it, and subscribers (the coherent cache,
-// the fabric controller) are notified. The first reply after death declares
+// the soak's event ring) are notified. The first reply after death declares
 // the link alive again; subscribers are notified first and the routes are
 // restored RestoreDelay later, giving a subscriber a synchronization window
 // (e.g. scrubbing a stale home replica through its controller) before traffic
@@ -25,24 +25,28 @@ import (
 	"activermt/internal/packet"
 )
 
+// The monitor's timers: a 5 ms probe cadence, so a dead link is declared
+// within MissThreshold × ProbeInterval = 15 ms, and an 8 ms re-trust delay.
+// Fast detection with slow re-trust loses fewer reads under the soak's link
+// faults: across the 5-minute soak's seeds 1–20 these timers lost 1 969
+// reads, against 2 768 with the 10 ms / 2 ms pair they replace
+// (docs/soak.md).
+const (
+	ProbeInterval = 5 * time.Millisecond
+	MissThreshold = 3
+	RestoreDelay  = 8 * time.Millisecond
+)
+
 // LinkEvent is one health-state transition of a leaf<->spine link.
 type LinkEvent struct {
 	Leaf, Spine int
 	Down        bool
 }
 
-// Health is the fabric's link-health monitor.
+// Health is the fabric's link-health monitor, and the netsim.Timer of its
+// own continuations.
 type Health struct {
 	F *Fabric
-
-	// ProbeInterval is the per-link probe cadence (default 5ms).
-	ProbeInterval time.Duration
-	// MissThreshold is how many consecutive unanswered probes declare a
-	// link dead (default 3).
-	MissThreshold int
-	// RestoreDelay is how long after a link is declared alive its routes
-	// are restored — the subscribers' synchronization window (default 8ms).
-	RestoreDelay time.Duration
 
 	links   []*linkHealth // leaf-major: links[leaf*spines+spine]
 	byMAC   map[packet.MAC]int
@@ -50,7 +54,7 @@ type Health struct {
 	started bool
 	stopped bool
 	seq     uint32
-	confirm map[uint32]func(bool)
+	confirm map[uint32]confirmation // probe token -> the Confirm waiting on its echo
 
 	// Counters.
 	ProbesSent    uint64
@@ -65,20 +69,21 @@ type linkHealth struct {
 	down        bool
 }
 
-// NewHealth builds a monitor over the fabric with default thresholds: a 5 ms
-// probe cadence, so a dead link is declared within 3 × 5 = 15 ms, and an
-// 8 ms re-trust delay. Fast detection with slow re-trust loses fewer reads
-// under the soak's link faults: across the 5-minute soak's seeds 1–20 these
-// timers lost 1 969 reads, against 2 768 with the 10 ms / 2 ms pair they
-// replace (docs/soak.md).
+type confirmation struct {
+	t   netsim.Timer
+	arg uint64
+}
+
+// answered is the bit a Confirm sets in its arg when the probe was echoed.
+const answered = 1
+
+// NewHealth builds a monitor over the fabric; the fabric controller's
+// link-flap telemetry reads its FlapsObserved.
 func NewHealth(f *Fabric) *Health {
 	h := &Health{
-		F:             f,
-		ProbeInterval: 5 * time.Millisecond,
-		MissThreshold: 3,
-		RestoreDelay:  8 * time.Millisecond,
-		byMAC:         make(map[packet.MAC]int),
-		confirm:       make(map[uint32]func(bool)),
+		F:       f,
+		byMAC:   make(map[packet.MAC]int),
+		confirm: make(map[uint32]confirmation),
 	}
 	for i := range f.Leaves {
 		for j, s := range f.Spines {
@@ -86,6 +91,7 @@ func NewHealth(f *Fabric) *Health {
 			h.byMAC[s.MAC] = j
 		}
 	}
+	f.health = h
 	return h
 }
 
@@ -120,6 +126,23 @@ func (h *Health) link(leaf, spine int) *linkHealth {
 	return h.links[leaf*len(h.F.Spines)+spine]
 }
 
+// Fire implements netsim.Timer for the monitor's own continuations. An odd
+// arg times out the Confirm of probe token arg>>2. One with bit 1 set
+// restores the routes of link arg>>2, unless it died again in the window.
+// Arg 0 runs the next probe round.
+func (h *Health) Fire(arg uint64) {
+	switch {
+	case arg&1 != 0:
+		h.report(uint32(arg>>2), 0)
+	case arg&2 != 0:
+		if lh := h.links[arg>>2]; !lh.down {
+			h.F.SetLinkState(lh.leaf, lh.spine, false)
+		}
+	default:
+		h.tick()
+	}
+}
+
 // tick sends one probe per link and scores the previous round: a probe
 // still outstanding is a miss, and MissThreshold consecutive misses kill
 // the link.
@@ -130,7 +153,7 @@ func (h *Health) tick() {
 	for _, lh := range h.links {
 		if lh.outstanding {
 			lh.misses++
-			if !lh.down && lh.misses >= h.MissThreshold {
+			if !lh.down && lh.misses >= MissThreshold {
 				h.declareDown(lh)
 			}
 		}
@@ -142,44 +165,37 @@ func (h *Health) tick() {
 			h.ProbesSent++
 		}
 	}
-	h.F.Eng.Schedule(h.ProbeInterval, h.tick)
+	h.F.Eng.ScheduleTimer(ProbeInterval, h, 0)
 }
 
-// Confirm sends one immediate probe on a link and reports whether it is
-// answered within ProbeInterval: a fresh echo that the healed link carries
-// traffic now, not just when the probe loop last looked. The coherent cache
-// waits for it before it starts the undrain countdown that lets traffic
-// cross the link again.
-func (h *Health) Confirm(leaf, spine int, fn func(ok bool)) {
-	if leaf < 0 || leaf >= len(h.F.Leaves) || spine < 0 || spine >= len(h.F.Spines) {
-		fn(false)
-		return
-	}
+// Confirm sends one immediate probe on a link and fires t with arg, plus the
+// answered bit if the probe is echoed within ProbeInterval: a fresh echo that
+// the healed link carries traffic now, not just when the probe loop last
+// looked. The coherent cache waits for it before it starts the undrain
+// countdown that lets traffic cross the link again. A probe that could not
+// be sent is unanswered.
+func (h *Health) Confirm(leaf, spine int, t netsim.Timer, arg uint64) {
 	l := h.F.Leaves[leaf]
-	s := h.F.Spines[spine]
 	h.seq++
-	token := h.seq
-	h.confirm[token] = fn
-	if err := l.Switch.SendProbe(l.up[spine], s.MAC, token); err != nil {
-		delete(h.confirm, token)
-		fn(false)
-		return
+	h.confirm[h.seq] = confirmation{t, arg}
+	if l.Switch.SendProbe(l.up[spine], h.F.Spines[spine].MAC, h.seq) == nil {
+		h.ProbesSent++
 	}
-	h.ProbesSent++
-	h.F.Eng.Schedule(h.ProbeInterval, func() {
-		if cb, ok := h.confirm[token]; ok {
-			delete(h.confirm, token)
-			cb(false)
-		}
-	})
+	h.F.Eng.ScheduleTimer(ProbeInterval, h, uint64(h.seq)<<2|1)
+}
+
+// report fires the Confirm waiting on probe token, unless its echo or its
+// timeout already did.
+func (h *Health) report(token uint32, ok uint64) {
+	if c, found := h.confirm[token]; found {
+		delete(h.confirm, token)
+		c.t.Fire(c.arg | ok)
+	}
 }
 
 // onReply scores a probe echo arriving at a leaf.
 func (h *Health) onReply(leaf int, f *packet.Frame) {
-	if cb, ok := h.confirm[f.Active.Header.Opaque]; ok {
-		delete(h.confirm, f.Active.Header.Opaque)
-		cb(true)
-	}
+	h.report(f.Active.Header.Opaque, answered)
 	spine, ok := h.byMAC[f.Eth.Src]
 	if !ok {
 		return
@@ -199,19 +215,13 @@ func (h *Health) declareDown(lh *linkHealth) {
 	h.notify(LinkEvent{Leaf: lh.leaf, Spine: lh.spine, Down: true})
 }
 
+// declareUp notifies the subscribers first, so they sync over paths that do
+// not need the restored routes; the routes come back RestoreDelay later.
 func (h *Health) declareUp(lh *linkHealth) {
 	lh.down = false
 	h.Recoveries++
-	// Subscribers sync first (over paths that do not need the restored
-	// routes); the routes come back RestoreDelay later — unless the link
-	// died again in the window.
 	h.notify(LinkEvent{Leaf: lh.leaf, Spine: lh.spine, Down: false})
-	leaf, spine := lh.leaf, lh.spine
-	h.F.Eng.Schedule(h.RestoreDelay, func() {
-		if !h.link(leaf, spine).down {
-			h.F.SetLinkState(leaf, spine, false)
-		}
-	})
+	h.F.Eng.ScheduleTimer(RestoreDelay, h, uint64(lh.leaf*len(h.F.Spines)+lh.spine)<<2|2)
 }
 
 func (h *Health) notify(ev LinkEvent) {

@@ -7,6 +7,7 @@ import (
 	"activermt/internal/chaos"
 	"activermt/internal/fabric"
 	"activermt/internal/netsim"
+	"activermt/internal/telemetry"
 )
 
 // TestHealthDetectsOutageAndReroutes kills one leaf<->spine link and checks
@@ -102,7 +103,7 @@ func TestHealthSurvivesCrashedController(t *testing.T) {
 	h := fabric.NewHealth(f)
 	h.Start()
 	f.Spines[0].Ctrl.Crash()
-	f.RunFor(time.Duration(h.MissThreshold+3) * h.ProbeInterval)
+	f.RunFor(time.Duration(fabric.MissThreshold+3) * fabric.ProbeInterval)
 	if h.LinkDown(0, 0) || h.LinkDown(1, 0) {
 		t.Fatal("crashed controller misread as dead link")
 	}
@@ -113,13 +114,32 @@ func TestHealthSurvivesCrashedController(t *testing.T) {
 	h.Stop()
 }
 
+// linkFlaps reads activermt_fabric_link_flaps_total from a registry.
+func linkFlaps(t *testing.T, reg *telemetry.Registry) float64 {
+	t.Helper()
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name == "activermt_fabric_link_flaps_total" {
+			return m.Samples[0].Value
+		}
+	}
+	t.Fatal("activermt_fabric_link_flaps_total not registered")
+	return 0
+}
+
 // TestHealthLinkFlap drives the flap injector against the monitor: the link
 // must be declared dead at least once, recover after the flapping stops, and
-// the fabric's routing state must end consistent (link trusted again).
+// the fabric's routing state must end consistent (link trusted again). The
+// fabric controller's link-flap counter reads the monitor's count, and 0
+// before a monitor exists.
 func TestHealthLinkFlap(t *testing.T) {
 	f, err := fabric.New(fabric.DefaultConfig(2, 2))
 	if err != nil {
 		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	fabric.NewController(f).AttachTelemetry(reg)
+	if n := linkFlaps(t, reg); n != 0 {
+		t.Fatalf("link flaps = %v with no monitor, want 0", n)
 	}
 	h := fabric.NewHealth(f)
 	h.Start()
@@ -138,10 +158,13 @@ func TestHealthLinkFlap(t *testing.T) {
 	if h.FlapsObserved == 0 {
 		t.Fatal("monitor observed no flaps")
 	}
+	if n := linkFlaps(t, reg); n != float64(h.FlapsObserved) {
+		t.Fatalf("link flaps telemetry = %v, monitor declared %d", n, h.FlapsObserved)
+	}
 	runUntil(t, f, 200*time.Millisecond, "link stabilizes up", func() bool {
 		return !h.LinkDown(0, 1)
 	})
-	f.RunFor(h.RestoreDelay + time.Millisecond)
+	f.RunFor(fabric.RestoreDelay + time.Millisecond)
 	if !f.LinkUp(0, 1) {
 		t.Fatal("routing did not restore after flapping stopped")
 	}

@@ -27,6 +27,7 @@ type writeRig struct {
 	stale []uint32        // values those GETs returned other than want
 	last  map[int]uint32  // the last answer on each leaf after the ack
 	stop  bool
+	down  bool // the home spine's controller is crashed
 }
 
 const (
@@ -50,7 +51,6 @@ func newWriteRig(t *testing.T) *writeRig {
 		t.Fatal(err)
 	}
 	h := fabric.NewHealth(f)
-	fc.ObserveFailures(h)
 	cc.WatchHealth(h)
 	h.Start()
 	t.Cleanup(h.Stop)
@@ -131,11 +131,32 @@ func (r *writeRig) partition() (heal func()) {
 	return func() { p.Revert(nil) }
 }
 
-// crash kills the home spine's controller.
+// crash kills the home spine's controller, unless it is down already.
 func (r *writeRig) crash() (heal func()) {
 	ctrl := r.cc.Home().Ctrl
-	ctrl.Crash()
+	if !r.down {
+		ctrl.Crash()
+		r.down = true
+	}
 	return ctrl.Restart
+}
+
+// reach drives the cache into home state st: it cuts leaf 0's home link
+// and, unless st is degraded, heals it again. For scrubbing it also crashes
+// the home controller first, so the scrub fails and retries. It returns the
+// heal of what is still broken.
+func (r *writeRig) reach(st string) (heal func()) {
+	r.t.Helper()
+	healLink, restart := r.partition(), func() {}
+	if st == "scrubbing" {
+		restart = r.crash()
+	}
+	runUntil(r.t, r.f, time.Second, "degraded entry", r.cc.Degraded)
+	if st != "degraded" {
+		healLink()
+	}
+	runUntil(r.t, r.f, time.Second, "home state "+st, func() bool { return r.cc.HomeState() == st })
+	return func() { healLink(); restart() }
 }
 
 // settle heals the fault outage later, reading from both leaves right after
@@ -169,8 +190,8 @@ func (r *writeRig) settle(heal func()) {
 
 // TestWriteSurvivesHomeFaultAtEveryPhase cuts the writer's link to the home
 // spine, or crashes the home spine's controller, at every phase a write
-// waits in, and issues a write while the cache is degraded and while it is
-// recovering; each must keep row R1 (docs/invariants.md). One more case
+// waits in, and issues a write and takes either fault in every home state
+// but healthy; each must keep row R1 (docs/invariants.md). One more case
 // writes from the server's leaf, whose commit never crosses leaf 0, while
 // leaf 0's host link is down: the write must wait for the hairpin that
 // evicts leaf 0's copy, or the first read leaf 0 issues after the heal hits
@@ -203,22 +224,19 @@ func TestWriteSurvivesHomeFaultAtEveryPhase(t *testing.T) {
 		r.put(1, rigOld+2) // its commit never crosses leaf 0
 		r.settle(func() { p.Revert(nil) })
 	})
-	t.Run("degraded", func(t *testing.T) {
-		r := newWriteRig(t)
-		heal := r.partition()
-		runUntil(t, r.f, time.Second, "degraded entry", r.cc.Degraded)
-		r.put(0, rigOld+2)
-		r.settle(heal)
-	})
-	t.Run("recovering", func(t *testing.T) {
-		r := newWriteRig(t)
-		healLink, restart := r.partition(), r.crash()
-		runUntil(t, r.f, time.Second, "degraded entry", r.cc.Degraded)
-		healLink()
-		runUntil(t, r.f, time.Second, "recovery poller", r.cc.Recovering)
-		r.put(0, rigOld+2)
-		r.settle(restart)
-	})
+	for _, st := range []string{"degraded", "scrubbing", "confirming", "undraining"} {
+		t.Run(st, func(t *testing.T) {
+			for _, fl := range faults {
+				t.Run(fl.name, func(t *testing.T) {
+					r := newWriteRig(t)
+					healSetup := r.reach(st)
+					r.put(0, rigOld+2)
+					heal := fl.inject(r)
+					r.settle(func() { heal(); healSetup() })
+				})
+			}
+		})
+	}
 }
 
 // TestPutAllocatesNothing pins a steady-state write at zero allocations: on a

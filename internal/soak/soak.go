@@ -243,7 +243,6 @@ func newHarness(cfg Config) (*harness, error) {
 	h.cc = cc
 
 	h.hm = fabric.NewHealth(f)
-	h.fc.ObserveFailures(h.hm)
 	cc.WatchHealth(h.hm)
 	h.hm.Subscribe(func(ev fabric.LinkEvent) {
 		h.ring.note(f.Eng.Now(), "link leaf%d<->spine%d down=%v", ev.Leaf, ev.Spine, ev.Down)
