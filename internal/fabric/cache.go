@@ -32,10 +32,11 @@
 // commit capsule traversed its whole path — so at WriteAck time every leaf
 // copy of the old value is gone and every replica the commit crossed holds
 // the new one, which is the protocol's linearization point: a read issued
-// after a WriteAck can never return the overwritten value. Fills racing a
-// write are suppressed (a read response only installs if no write to the
-// key started since the read was issued), so a slow miss cannot resurrect
-// a dead value either.
+// after a WriteAck can never return the overwritten value. The fill rule: a
+// read answered beyond its own leaf (a miss, or a hit at the home or another
+// leaf) refills that leaf only if no write to the key overlapped it — none in
+// flight when it was issued, none started before its answer — so a slow read
+// cannot resurrect a dead value either.
 //
 // Degraded-mode operation when the home spine becomes unreachable — drain,
 // stale-key tracking, resynchronization, and whole-set repair — lives in
@@ -130,7 +131,7 @@ type CoherentCache struct {
 	dir     map[uint64]uint64 // key -> mask of the leaves holding a copy
 	free    []*write          // acked write records, for the next Puts
 	seq     uint32
-	pending map[uint32]uint32 // GET seq -> the key's write generation at issue
+	pending map[uint32]uint32 // GET seq -> the key's write generation at issue (see Get)
 	writing map[uint64]*write // key -> write in flight
 	wgens   map[uint64]uint32 // key -> write generation
 	payload []byte            // datagram scratch of the senders; the client copies from it
@@ -226,7 +227,11 @@ func (c *CoherentCache) Get(leaf int, k0, k1 uint32) (uint32, error) {
 	if !ok {
 		return 0, fmt.Errorf("fabric: cache has no capacity")
 	}
-	c.pending[c.seq] = c.wgens[apps.KeyOf(k0, k1)]
+	if key := apps.KeyOf(k0, k1); c.writing[key] != nil {
+		c.pending[c.seq] = c.wgens[key] - 1 // one the key has passed: a read over a write never fills
+	} else {
+		c.pending[c.seq] = c.wgens[key]
+	}
 	return c.seq, fr.cl.SendProgram("main", [4]uint32{k0, k1, addr, 0}, 0, c.payload, c.srvMAC)
 }
 
@@ -410,11 +415,11 @@ func (c *CoherentCache) handlerFor(fr *front) func(*client.Client, *packet.Frame
 			h := f.Active.Header
 			if h.Flags&packet.FlagRTS == 0 {
 				// A populate-fwd capsule that terminated here: an
-				// invalidation (or update echo) that traversed its path. A
-				// KVInval payload names the write in flight — its return
-				// completes the hairpin and acknowledges the eviction.
-				c.InvalDelivered++
+				// invalidation, fill or update echo that traversed its path.
+				// Only an invalidation carries a KVInval payload: it names the
+				// write in flight, and its return acknowledges the eviction.
 				if msg, ok := apps.ReplyKV(f); ok && msg.Op == apps.KVInval {
+					c.InvalDelivered++
 					if w := c.writing[apps.KeyOf(msg.Key0, msg.Key1)]; w != nil {
 						w.invals = slices.DeleteFunc(w.invals, func(iv inval) bool { return iv.seq == msg.Seq })
 						c.step(w)
@@ -426,11 +431,16 @@ func (c *CoherentCache) handlerFor(fr *front) func(*client.Client, *packet.Frame
 				c.PopAcks++
 				return
 			}
-			// Query hit: served by this leaf's replica or the home spine.
+			// Query hit: served by this leaf's replica or, if another switch
+			// set its MAC as the source at RTS, beyond it — then it fills.
 			c.Hits++
 			msg, _ := apps.ReplyKV(f) // the query rode back under the reply
-			c.recordCopy(apps.KeyOf(msg.Key0, msg.Key1), fr.leaf)
-			delete(c.pending, msg.Seq)
+			if f.Eth.Src == c.fc.F.Leaves[fr.leaf].MAC {
+				c.recordCopy(apps.KeyOf(msg.Key0, msg.Key1), fr.leaf)
+				delete(c.pending, msg.Seq)
+			} else {
+				c.fill(fr, msg.Seq, msg.Key0, msg.Key1, f.Active.Args[0])
+			}
 			if c.OnResponse != nil {
 				c.OnResponse(fr.leaf, msg.Seq, f.Active.Args[0], true)
 			}
@@ -442,23 +452,14 @@ func (c *CoherentCache) handlerFor(fr *front) func(*client.Client, *packet.Frame
 		if !ok || msg.Op != apps.KVResp {
 			return
 		}
-		key := apps.KeyOf(msg.Key0, msg.Key1)
-		if wgen, ok := c.pending[msg.Seq]; ok {
-			delete(c.pending, msg.Seq)
+		if c.fill(fr, msg.Seq, msg.Key0, msg.Key1, msg.Value) {
 			c.Misses++
-			// Install the miss-fetched value only if no write to the key
-			// started since this read was issued: a fill racing a write
-			// must not resurrect the value the write just killed.
-			if c.writing[key] == nil && wgen == c.wgens[key] {
-				c.fill(fr, msg.Key0, msg.Key1, msg.Value)
-			} else {
-				c.FillsSuppressed++
-			}
 			if c.OnResponse != nil {
 				c.OnResponse(fr.leaf, msg.Seq, msg.Value, false)
 			}
 			return
 		}
+		key := apps.KeyOf(msg.Key0, msg.Key1)
 		if w := c.writing[key]; w != nil && w.seq == msg.Seq {
 			w.phase = acked
 			c.WriteAcks++
@@ -508,25 +509,25 @@ func (c *CoherentCache) settleHome(leaf int, k0, k1 uint32) {
 	c.homeStale[key] = true
 }
 
-// fill installs a miss-fetched value at the reading leaf: the read-triggered
-// re-fill of the coherence protocol. The install hairpins on the frontend's
-// own host link, so it is FIFO-ordered against this frontend's later
-// invalidations and never touches the home — the home is populated only by
-// commit traffic, whose installs the server ack confirms (settleHome). A
-// fill capsule crossing the fabric could land at the home after a
-// concurrent write finished and resurrect the value that write killed.
-func (c *CoherentCache) fill(fr *front, k0, k1, value uint32) {
-	addr, ok := c.bucket(k0, k1)
-	if !ok {
-		return
+// fill ends the pending GET seq, answered with value from beyond the reading
+// leaf, and installs the value at that leaf if the fill rule (package
+// comment) allows. The install hairpins on the frontend's own host link, so it
+// is FIFO-ordered against this frontend's later invalidations and never
+// touches the home, which only commit traffic populates (settleHome). It
+// reports whether seq was a pending GET.
+func (c *CoherentCache) fill(fr *front, seq, k0, k1, value uint32) bool {
+	wgen, ok := c.pending[seq]
+	delete(c.pending, seq)
+	addr, fits := c.bucket(k0, k1)
+	switch {
+	case !ok || !fits:
+	case wgen != c.wgens[apps.KeyOf(k0, k1)]:
+		c.FillsSuppressed++
+	case fr.cl.SendProgram("populate-fwd", [4]uint32{k0, k1, addr, value}, packet.FlagPreload, nil, fr.cl.MAC()) == nil:
+		c.Fills++
+		c.recordCopy(apps.KeyOf(k0, k1), fr.leaf)
 	}
-	if err := fr.cl.SendProgram("populate-fwd",
-		[4]uint32{k0, k1, addr, value},
-		packet.FlagPreload, nil, fr.cl.MAC()); err != nil {
-		return
-	}
-	c.Fills++
-	c.recordCopy(apps.KeyOf(k0, k1), fr.leaf)
+	return ok
 }
 
 // HitRate returns hits / (hits + misses).

@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"activermt/internal/apps"
+	"activermt/internal/client"
 	"activermt/internal/fabric"
+	"activermt/internal/packet"
 )
 
 // TestCoherenceNoStaleHit drives the write-invalidate protocol end to end
@@ -306,5 +308,131 @@ func TestConcurrentWritersSerialisePerKey(t *testing.T) {
 		runUntil(t, f, time.Second, "single write ack", func() bool { return acked[seq] })
 		f.RunFor(50 * time.Millisecond)
 		everyLeafReads(fmt.Sprintf("after a single write from leaf %d", writer), want)
+	}
+}
+
+// remoteHitRig is a 2×1 fabric with the KV server on leaf 1, cache frontends
+// on leaves 0 and 1, and one key warmed from leaf 0. It records each GET's
+// answer, the Ethernet source of the last reply leaf 0's frontend received,
+// and the write acks.
+type remoteHitRig struct {
+	t      *testing.T
+	f      *fabric.Fabric
+	cc     *fabric.CoherentCache
+	got    map[uint32]uint32
+	at     map[uint32]time.Duration // when each GET was answered
+	src    packet.MAC               // source of leaf 0's last reply
+	acked  map[uint32]time.Duration // when each write was acked
+	k0, k1 uint32
+}
+
+func newRemoteHitRig(t *testing.T, old uint32) *remoteHitRig {
+	t.Helper()
+	f, err := fabric.New(fabric.DefaultConfig(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, srvIP := addServer(t, f, 1)
+	r := &remoteHitRig{t: t, f: f, got: map[uint32]uint32{}, at: map[uint32]time.Duration{},
+		acked: map[uint32]time.Duration{}, k0: 0x3C, k1: 0x4D}
+	srv.Store[apps.KeyOf(r.k0, r.k1)] = old
+	if r.cc, err = fabric.NewCoherentCache(fabric.NewController(f), 9, []int{0, 1}, srv.MAC(), srvIP); err != nil {
+		t.Fatal(err)
+	}
+	r.cc.OnResponse = func(leaf int, seq, value uint32, hit bool) { r.got[seq], r.at[seq] = value, f.Eng.Now() }
+	r.cc.OnWriteAck = func(leaf int, seq, value uint32) { r.acked[seq] = f.Eng.Now() }
+	for _, m := range r.cc.Set().Members {
+		if m.Node.Leaf && m.Leaf == 0 {
+			inner := m.Client.Handler
+			m.Client.Handler = func(cl *client.Client, fr *packet.Frame) { r.src = fr.Eth.Src; inner(cl, fr) }
+		}
+	}
+	if err := r.cc.Warm(0, []apps.KVMsg{{Key0: r.k0, Key1: r.k1, Value: old}}); err != nil {
+		t.Fatal(err)
+	}
+	f.RunFor(50 * time.Millisecond)
+	return r
+}
+
+// get issues a GET from leaf and runs until it is answered: it returns the
+// value and the virtual time the answer took.
+func (r *remoteHitRig) get(leaf int) (uint32, time.Duration) {
+	r.t.Helper()
+	start := r.f.Eng.Now()
+	seq, err := r.cc.Get(leaf, r.k0, r.k1)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	runUntil(r.t, r.f, time.Second, "GET answered", func() bool { _, ok := r.got[seq]; return ok })
+	return r.got[seq], r.at[seq] - start
+}
+
+// TestRemoteHitRefillsLeaf: a Put from the server's leaf invalidates leaf 0's
+// copy and, committing without crossing the home, evicts the home's. Leaf 0's
+// next read is answered beyond its leaf; that answer refills leaf 0, so the
+// read after it is a hit at leaf 0 that never crosses the fabric.
+func TestRemoteHitRefillsLeaf(t *testing.T) {
+	const v1, v2 = 51, 52
+	r := newRemoteHitRig(t, v1)
+	if v, _ := r.get(0); v != v1 {
+		t.Fatalf("warm read on leaf0 = %d, want %d", v, v1)
+	}
+	seq, err := r.cc.Put(1, r.k0, r.k1, v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runUntil(t, r.f, time.Second, "write ack", func() bool { _, ok := r.acked[seq]; return ok })
+
+	leaf0 := r.f.Leaves[0].MAC
+	fills := r.cc.Fills
+	if v, _ := r.get(0); v != v2 || r.src == leaf0 {
+		t.Fatalf("read after the write = %d from %v, want %d from beyond leaf0 (%v)", v, r.src, v2, leaf0)
+	}
+	if r.cc.Fills != fills+1 {
+		t.Fatalf("remote hit made %d fills, want 1", r.cc.Fills-fills)
+	}
+	cfg := r.f.Config()
+	v, lat := r.get(0)
+	if v != v2 || r.src != leaf0 {
+		t.Fatalf("read after the refill = %d from %v, want %d from leaf0 (%v)", v, r.src, v2, leaf0)
+	}
+	if lat >= 2*cfg.HostLinkDelay+cfg.FabricLinkDelay {
+		t.Fatalf("leaf-0 hit took %v: more than one host round trip (%v each way)", lat, cfg.HostLinkDelay)
+	}
+}
+
+// TestRemoteHitFillNeverResurrects: leaf 1's Put reaches the home late (its
+// uplink is slowed), so a leaf-0 read issued while the write commits hits the
+// home's pre-write value and is answered after the write's ack. That answer
+// is fine for the read, which overlapped the write, but it must not refill
+// leaf 0: the next leaf-0 read must return the acknowledged value (row R1).
+func TestRemoteHitFillNeverResurrects(t *testing.T) {
+	const v1, v2 = 61, 62
+	r := newRemoteHitRig(t, v1)
+	up, err := r.f.UplinkPort(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up.SetExtraDelay(500*time.Microsecond, 0, 0)
+
+	put, err := r.cc.Put(1, r.k0, r.k1, v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runUntil(t, r.f, time.Second, "write committing", func() bool { return r.cc.WritePhase(put) == fabric.PhaseCommitting })
+	seq, err := r.cc.Get(0, r.k0, r.k1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runUntil(t, r.f, time.Second, "racing GET answered", func() bool { _, ok := r.got[seq]; return ok })
+	ack, ok := r.acked[put]
+	if !ok || ack > r.at[seq] || r.got[seq] != v1 || r.src == r.f.Leaves[0].MAC {
+		t.Fatalf("race not staged: read answered %d from %v at %v, write acked %v (%v)", r.got[seq], r.src, r.at[seq], ok, ack)
+	}
+	r.f.RunFor(10 * time.Millisecond) // the delayed home install lands
+	for i := 0; i < 2; i++ {
+		if v, _ := r.get(0); v != v2 {
+			t.Fatalf("leaf-0 read %d after the race = %d, want the acknowledged %d", i, v, v2)
+		}
 	}
 }

@@ -314,7 +314,8 @@ func (c *Controller) PlaceReplicas(fid uint16, leaves []int, server packet.MAC, 
 	return set, nil
 }
 
-// releaseSet relinquishes every admitted member of a torn-down replica set.
+// releaseSet relinquishes every admitted member of a torn-down replica set
+// and lifts the set's migration pins.
 func (c *Controller) releaseSet(set *ReplicaSet) {
 	for _, m := range set.Members {
 		m.Node.Ctrl.UnpinPlacement(set.FID)

@@ -40,7 +40,6 @@ package fabric
 import (
 	"fmt"
 	"sort"
-	"time"
 )
 
 // homeState is how far the home link's recovery has come; docs/fabric.md §5
@@ -168,12 +167,13 @@ func (c *CoherentCache) SetConsistent() bool {
 }
 
 // VerifyAndRepair checks replica consistency and, on divergence, re-places
-// the whole set under newFID: the old members are released, a fresh set is
-// admitted on the same leaves, the frontends rebound, and every member
-// device scrubbed. Epochs cannot be reconciled in place — they are
-// per-device monotone counters — so a fresh FID with freshly aligned epochs
-// is the only sound repair. Returns whether a repair ran. Must be
-// called from outside engine callbacks (it drives the simulation).
+// the whole set under newFID: the old members are released and unpinned
+// (releaseSet), a fresh set is admitted on the same leaves, the frontends
+// rebound, and every member device scrubbed. Epochs cannot be reconciled in
+// place — they are per-device monotone counters — so a fresh FID with
+// freshly aligned epochs is the only sound repair. Returns whether a repair
+// ran. Must be called from outside engine callbacks (it drives the
+// simulation).
 func (c *CoherentCache) VerifyAndRepair(newFID uint16) (bool, error) {
 	if c.SetConsistent() {
 		return false, nil
@@ -183,12 +183,7 @@ func (c *CoherentCache) VerifyAndRepair(newFID uint16) (bool, error) {
 		leaves = append(leaves, l)
 	}
 	sort.Ints(leaves)
-	for _, m := range c.set.Members {
-		if m.Client.Placement() != nil {
-			_ = m.Client.Release()
-		}
-	}
-	c.fc.F.RunFor(500 * time.Millisecond)
+	c.fc.releaseSet(c.set)
 	set, err := c.fc.PlaceReplicas(newFID, leaves, c.srvMAC, c.svc)
 	if err != nil {
 		return false, fmt.Errorf("fabric: cache repair: %w", err)

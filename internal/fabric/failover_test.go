@@ -128,8 +128,8 @@ func TestCacheDegradedHomeOutage(t *testing.T) {
 
 // TestCacheVerifyAndRepair forces replica divergence (one member loses its
 // grant) and checks the repair: the set is re-placed under a fresh FID, the
-// frontends rebound, old SRAM wiped, and the cache serves correct values
-// again.
+// old FID unpinned on every member, the frontends rebound, old SRAM wiped,
+// and the cache serves correct values again.
 func TestCacheVerifyAndRepair(t *testing.T) {
 	f, err := fabric.New(fabric.DefaultConfig(2, 2))
 	if err != nil {
@@ -181,6 +181,13 @@ func TestCacheVerifyAndRepair(t *testing.T) {
 	}
 	if cc.Repairs != 1 || fc.RePlacements == 0 {
 		t.Fatalf("repair accounting: repairs=%d replacements=%d", cc.Repairs, fc.RePlacements)
+	}
+	// The old members were released and unpinned: a tenant later admitted
+	// under FID 31 on any of them may be defragmented again.
+	for _, m := range cc.Set().Members {
+		if m.Node.Ctrl.Pinned(31) || !m.Node.Ctrl.Pinned(41) {
+			t.Errorf("%s pins FID 31: %v, FID 41: %v; want only 41", m.Node.Name, m.Node.Ctrl.Pinned(31), m.Node.Ctrl.Pinned(41))
+		}
 	}
 	f.RunFor(50 * time.Millisecond) // let the wipes land
 

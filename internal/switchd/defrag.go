@@ -22,6 +22,9 @@ func (c *Controller) PinPlacement(fid uint16) { c.noMigrate[fid] = true }
 // down).
 func (c *Controller) UnpinPlacement(fid uint16) { delete(c.noMigrate, fid) }
 
+// Pinned reports whether fid is pinned against defragmentation migration.
+func (c *Controller) Pinned(fid uint16) bool { return c.noMigrate[fid] }
+
 // defragMoves bounds the tenants one defrag pass migrates, so one pass
 // cannot monopolize the control plane.
 const defragMoves = 4

@@ -62,6 +62,7 @@ var reachAllow = map[string]string{
 	"internal/netsim.Port.Down":                  "accessor: chaos and netsim tests",
 	"internal/netsim.Port.DownTransitions":       "accessor: fabric health test counts link flaps",
 	"internal/fabric.Fabric.LinkUp":              "accessor: fabric health tests read the routing verdict",
+	"internal/switchd.Controller.Pinned":         "accessor: the fabric repair test checks a released replica set leaves no migration pin",
 	"internal/apps.MemSync.Outstanding":          "accessor: testbed memsync tests wait on it",
 	"internal/baseline.NetVRMAllocator.Release":  "accessor: the page model's free path, exercised by its no-overlap and coalescing properties",
 	"internal/alloc.Allocator.ElasticTotals":     "accessor: the fairness population, read by TestElasticSharingAndFairness and TestReleaseExpandsNeighbors",
