@@ -797,9 +797,10 @@ func (a *Allocator) room(g *appGroup, r BlockRange, limit int) (below, above int
 // realiseInPlace realises the shares against the current layout, touching
 // only what has to change: a resident group keeps its region, cut at the
 // edge that borders the larger free hole when it is above its share; a
-// newcomer takes the lowest common offset that holds its share; a group
-// below its share grows into the free space next to it, never into the slack
-// at the top of a stage. It reports false — leaving a half-edited layout for
+// newcomer takes the lowest common offset that holds its share; once some
+// stage owes more unrealised share than the slack, a group below its share
+// grows into the free space next to it, never into the slack at the top of a
+// stage. It reports false — leaving a half-edited layout for
 // relay to overwrite — when a resident collides with a pinned interval, a
 // newcomer cannot get its share, or some stage is left with more unrealised
 // share than the slack the waterfill already holds back.
@@ -842,7 +843,19 @@ func (a *Allocator) realiseInPlace(groups []egroup) bool {
 		}
 		a.setRegion(eg, BlockRange{Lo: off, Hi: off + eg.share})
 	}
+	// Growth waits until some stage owes more than the slack: the blocks a
+	// departure frees stay free for the next arrival instead of growing the
+	// neighbours that arrival would cut back.
 	unrealised := a.perStage[0]
+	clear(unrealised)
+	for _, eg := range groups {
+		for _, s := range eg.g.stages {
+			unrealised[s] += max(eg.share-eg.region().Size(), 0)
+		}
+	}
+	if slices.Max(unrealised) <= a.slack() {
+		return true
+	}
 	clear(unrealised)
 	for _, eg := range groups {
 		r := eg.region()

@@ -17,7 +17,8 @@ import (
 // placements alone equal the books (and rebuild them through Recover), a
 // layout realised in place leaves no stage with more unrealised fair share
 // than the waterfill's slack (the full re-lay is best effort: aligned groups
-// strand holes), and a refused Allocate leaves the books exactly as they
+// strand holes) and grew nobody unless some stage owed more than that slack
+// before growth, and a refused Allocate leaves the books exactly as they
 // were.
 func FuzzAllocatorOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 0, 2, 3, 0, 0, 3, 3, 1})                // admit a mix, release two
@@ -99,13 +100,16 @@ func (m *opsModel) pick(arg byte) (uint16, bool) {
 
 func (m *opsModel) step(b byte) {
 	a, arg := m.a, b/9
-	defer func(was [2]uint64) {
+	defer func(was [2]uint64, held map[uint16]map[int]BlockRange) {
 		if now := m.a.relayouts; m.a != a || now[1] != was[1] {
 			m.bounded = false
 		} else if now[0] != was[0] {
 			m.bounded = true
+			if now[0] == was[0]+1 {
+				m.grewOnlyBeyondSlack(b, held)
+			}
 		}
-	}(a.relayouts)
+	}(a.relayouts, regionsNow(a))
 	before := dumpBooks(a)
 	switch b % 9 {
 	case 0, 1, 2, 3: // admit: elastic cache, heavy hitter, load balancer, unaligned elastic
@@ -189,6 +193,36 @@ func (m *opsModel) step(b byte) {
 			m.install(res.Reallocated...)
 			m.check(b)
 		}
+	}
+}
+
+// grewOnlyBeyondSlack fails if the one layout an op realised in place grew
+// a resident elastic group although, before anyone grew, no stage owed more
+// unrealised share than the slack: blocks a departure frees wait for the
+// next arrival. held is every app's regions before the op; a group that held
+// nothing was placed at its share and owed nothing.
+func (m *opsModel) grewOnlyBeyondSlack(op byte, held map[uint16]map[int]BlockRange) {
+	a := m.a
+	groups := a.elasticGroups()
+	a.fairShares(groups)
+	owed := make([]int, a.cfg.NumStages)
+	grew := -1
+	for i, eg := range groups {
+		was := held[eg.app.FID][eg.g.stages[0]].Size()
+		if was < 1 {
+			continue
+		}
+		if eg.region().Size() > was {
+			grew = i
+		}
+		for _, s := range eg.g.stages {
+			owed[s] += max(eg.share-was, 0)
+		}
+	}
+	if grew >= 0 && slices.Max(owed) <= a.slack() {
+		eg := groups[grew]
+		m.t.Fatalf("after op %d (kind %d): fid %d group %d grew from %+v to %+v, yet the most any stage owed was %d of slack %d\n%s",
+			op, op%9, eg.app.FID, eg.g.id, held[eg.app.FID][eg.g.stages[0]], eg.region(), slices.Max(owed), a.slack(), dumpBooks(a))
 	}
 }
 

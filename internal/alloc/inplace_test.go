@@ -49,16 +49,24 @@ func TestInPlaceAdmissionShrinksVictimsWhereTheyStand(t *testing.T) {
 	assertNoOverlap(t, a)
 }
 
-// TestReleaseInPlaceGrowsOnlyNeighbors: a departure from a deep stack leaves
-// a hole that only groups next to free space grow into, where they stand;
-// nobody else's region changes.
-func TestReleaseInPlaceGrowsOnlyNeighbors(t *testing.T) {
+// stackCaches admits n elastic caches, FIDs 1..n, into a fresh allocator.
+func stackCaches(t *testing.T, n uint16) *Allocator {
+	t.Helper()
 	a := newAllocator(t, testConfig())
-	for fid := uint16(1); fid <= 96; fid++ {
+	for fid := uint16(1); fid <= n; fid++ {
 		if res, err := a.Allocate(fid, cacheCons()); err != nil || res.Failed {
 			t.Fatalf("fid %d: %v %+v", fid, err, res)
 		}
 	}
+	return a
+}
+
+// TestReleaseWithinSlackMovesNobody: a departure from a deep stack frees
+// less share than the slack in every stage, so its neighbours stay where
+// they are, and the next arrival of the same kind takes the freed blocks
+// without cutting anyone.
+func TestReleaseWithinSlackMovesNobody(t *testing.T) {
+	a := stackCaches(t, 96)
 	old := regionsNow(a)
 	was := a.relayouts
 	changed, err := a.Release(7)
@@ -68,8 +76,42 @@ func TestReleaseInPlaceGrowsOnlyNeighbors(t *testing.T) {
 	if a.relayouts != [2]uint64{was[0] + 1, was[1]} {
 		t.Fatalf("release was not realised in place: %v -> %v", was, a.relayouts)
 	}
-	if len(changed) == 0 || 4*len(changed) > a.NumApps() {
-		t.Errorf("release of one stacked cache changed %d of %d neighbors, want a few", len(changed), a.NumApps())
+	for _, pl := range changed {
+		t.Errorf("release of one of 96 stacked caches moved fid %d: %v -> %v", pl.FID, old[pl.FID], a.apps[pl.FID].regions)
+	}
+	res, err := a.Allocate(7, cacheCons())
+	if err != nil || res.Failed {
+		t.Fatalf("re-admit: %v %+v", err, res)
+	}
+	for _, pl := range res.Reallocated {
+		t.Errorf("re-admission into the freed blocks reallocated fid %d, held %v before the release", pl.FID, old[pl.FID])
+	}
+	for s, r := range a.apps[7].regions {
+		if o, ok := old[7][s]; !ok || r.Lo < o.Lo || r.Hi > o.Hi {
+			t.Errorf("newcomer stage %d: %+v, outside the freed %+v", s, r, o)
+		}
+	}
+	if err := a.AuditBooks(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReleaseInPlaceGrowsOnlyNeighbors: a departure from a shallow stack
+// frees more share than the slack, and only groups next to free space grow
+// into it, where they stand; nobody else's region changes.
+func TestReleaseInPlaceGrowsOnlyNeighbors(t *testing.T) {
+	a := stackCaches(t, 8)
+	old := regionsNow(a)
+	was := a.relayouts
+	changed, err := a.Release(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.relayouts != [2]uint64{was[0] + 1, was[1]} {
+		t.Fatalf("release was not realised in place: %v -> %v", was, a.relayouts)
+	}
+	if len(changed) == 0 || 2*len(changed) > a.NumApps() {
+		t.Errorf("release of one of 8 stacked caches changed %d of %d neighbors, want a few", len(changed), a.NumApps())
 	}
 	for _, pl := range changed {
 		for s, r := range a.apps[pl.FID].regions {

@@ -58,3 +58,53 @@ func TestGrantCycleAllocs(t *testing.T) {
 		t.Errorf("%.0f allocations per departure + arrival, want <= 28", n)
 	}
 }
+
+// TestChurnCycleWithinSlackMovesNobody: with 48 cache residents, sixteen in
+// each of the stage sets their mutants take, one departure frees less than
+// the allocator's slack in every stage, and a departure followed by an
+// arrival of the same kind moves no resident — no
+// reallocation notice reaches any client and neither grant record counts a
+// reallocated tenant — where growing the neighbours into the hole would move
+// each of them twice.
+func TestChurnCycleWithinSlackMovesNobody(t *testing.T) {
+	tb := newBed(t)
+	srv := tb.AddKVServer()
+	var cls []*client.Client
+	for fid := uint16(1); fid <= 48; fid++ {
+		_, cl := tb.AddCache(fid, srv)
+		if err := cl.RequestAndWait(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		cls = append(cls, cl)
+	}
+	notices := func() (n uint64) {
+		for _, cl := range cls {
+			n += cl.Reallocations
+		}
+		return n
+	}
+	was := notices()
+	cl := cls[11]
+	if err := cl.Release(); err != nil {
+		t.Fatal(err)
+	}
+	tb.Eng.Run()
+	if err := cl.RequestAndWait(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	recs := tb.Ctrl.Records[len(tb.Ctrl.Records)-2:]
+	if recs[0].Kind != switchd.JobRelease || recs[1].Kind != switchd.JobAdmit {
+		t.Fatalf("last two records %+v, want a release then an admission", recs)
+	}
+	for _, rec := range recs {
+		if rec.Failed || rec.Reallocated != 0 {
+			t.Errorf("%s: %+v, want granted with no tenant reallocated", rec.Kind, rec)
+		}
+	}
+	if n := notices() - was; n != 0 {
+		t.Errorf("the cycle sent %d reallocation notices, want none", n)
+	}
+	if err := tb.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
