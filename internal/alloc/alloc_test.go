@@ -141,7 +141,14 @@ func TestConstraintsValidate(t *testing.T) {
 		{ProgLen: 5, Accesses: []Access{{Index: 7}}},             // beyond program
 		{ProgLen: 5, IngressIdx: 9, Accesses: []Access{{Index: 1}}},
 		{ProgLen: 5, Accesses: []Access{{Index: 1, Demand: -1}}},
-		{ProgLen: 20, Accesses: make([]Access, 9)}, // too many slots
+		{ProgLen: 20, Accesses: make([]Access, 9)},                                   // too many slots
+		{ProgLen: 5, Accesses: []Access{{Index: 1, Translate: 0b0010}}},              // translates before slot 0
+		{ProgLen: 9, Accesses: []Access{{Index: 2}, {Index: 4, Translate: 0b0010}}},  // translates at the previous access
+		{ProgLen: 9, Accesses: []Access{{Index: 2}, {Index: 8, Translate: 0b10000}}}, // beyond the four slots a request names
+	}
+	good := &Constraints{ProgLen: 9, Accesses: []Access{{Index: 2, Translate: 0b0011}, {Index: 7, Translate: 0b1001}}}
+	if err := good.Validate(); err != nil {
+		t.Errorf("translations inside their windows rejected: %v", err)
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

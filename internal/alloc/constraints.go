@@ -11,6 +11,7 @@ package alloc
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"activermt/internal/packet"
@@ -41,9 +42,10 @@ func (p Policy) String() string {
 
 // Access describes one memory access of a program, in program order.
 type Access struct {
-	Index      int // instruction index in the most-compact program
-	Demand     int // blocks; 0 = elastic ("as much as possible")
-	AlignGroup int // accesses sharing a nonzero group need identical block ranges
+	Index      int   // instruction index in the most-compact program
+	Demand     int   // blocks; 0 = elastic ("as much as possible")
+	AlignGroup int   // accesses sharing a nonzero group need identical block ranges
+	Translate  uint8 // bit k-1: slot Index-k executes ADDR_MASK/ADDR_OFFSET (k ≤ packet.MaxTranslateReach)
 }
 
 // Constraints characterize a program's memory footprint for the allocator:
@@ -75,6 +77,9 @@ func (c *Constraints) Validate() error {
 		}
 		if a.Demand < 0 || a.Demand > 255 {
 			return fmt.Errorf("alloc: access %d demand %d out of range", i, a.Demand)
+		}
+		if k := bits.Len8(a.Translate); k > packet.MaxTranslateReach || k > 0 && a.Index-k <= prev {
+			return fmt.Errorf("alloc: access %d translates in slots %04b outside (%d, %d)", i, a.Translate, prev, a.Index)
 		}
 		prev = a.Index
 	}

@@ -24,6 +24,7 @@ func (c *Constraints) ToRequest() (*packet.AllocRequest, error) {
 			Index:      uint8(a.Index),
 			Demand:     uint8(a.Demand),
 			AlignGroup: uint8(a.AlignGroup),
+			Translate:  a.Translate,
 		})
 	}
 	return r, nil
@@ -42,6 +43,7 @@ func FromRequest(r *packet.AllocRequest) (*Constraints, error) {
 			Index:      int(a.Index),
 			Demand:     int(a.Demand),
 			AlignGroup: int(a.AlignGroup),
+			Translate:  a.Translate,
 		})
 	}
 	if err := c.Validate(); err != nil {

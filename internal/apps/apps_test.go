@@ -350,11 +350,3 @@ func TestHHDemandsMatchPaper(t *testing.T) {
 		t.Errorf("LB pool = %d blocks (paper: 2 blocks = 512 VIPs)", LBPoolBlocks)
 	}
 }
-
-func TestMaskFor(t *testing.T) {
-	for n, want := range map[int]uint32{256: 255, 300: 255, 4096: 4095, 1: 0} {
-		if got := maskFor(n); got != want {
-			t.Errorf("maskFor(%d) = %d, want %d", n, got, want)
-		}
-	}
-}

@@ -134,7 +134,7 @@ func (h *HeavyHitter) HotKeys() ([]KVMsg, error) {
 	row1Stage := pl.Accesses[0].Physical
 	row1, err := h.SnapshotFn(h.Client.FID(), row1Stage)
 	if err == nil {
-		mask := maskFor(len(row1))
+		mask := rmt.TranslateRegion(0, uint32(len(row1))).Mask
 		counts := func(kv KVMsg) uint32 {
 			idx := h.rowIndex(kv.Key0, row1Stage) & mask
 			return row1[idx]
@@ -148,14 +148,6 @@ func (h *HeavyHitter) HotKeys() ([]KVMsg, error) {
 // because the hash unit is deterministic per stage).
 func (h *HeavyHitter) rowIndex(k0 uint32, stage int) uint32 {
 	return rmt.StageHash(stage, [rmt.NumHashWords]uint32{k0})
-}
-
-func maskFor(n int) uint32 {
-	m := uint32(1)
-	for int(m<<1) <= n {
-		m <<= 1
-	}
-	return m - 1
 }
 
 // Programs returns every exemplar program template in this package, for

@@ -101,6 +101,9 @@ func (s *Service) Constraints() (*alloc.Constraints, error) {
 		if got := p.MemoryAccessIndices(); !slices.Equal(got, want) {
 			return nil, fmt.Errorf("client: template %q accesses at %v, main's at %v", n, got, want)
 		}
+		if err := compiler.Translations(p, cons); err != nil {
+			return nil, err
+		}
 		cons.ProgLen = max(cons.ProgLen, p.Len())
 		if ing := p.IngressOnlyIndices(); len(ing) > 0 {
 			cons.IngressIdx = max(cons.IngressIdx, ing[len(ing)-1])

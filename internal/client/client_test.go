@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"errors"
 	"slices"
 	"testing"
 	"time"
@@ -88,6 +89,46 @@ func TestServiceConstraintsMergesTemplates(t *testing.T) {
 	// ProgLen is the max across templates (query: 11, write: 10).
 	if cons.ProgLen != 11 {
 		t.Errorf("ProgLen = %d", cons.ProgLen)
+	}
+}
+
+// TestServiceConstraintsFoldsTranslations: a service's translate slots are
+// the union over its templates, and they reach the switch in the request.
+func TestServiceConstraintsFoldsTranslations(t *testing.T) {
+	svc := cacheService()
+	svc.Templates["xlate"] = isa.MustAssemble("xlate", `
+MAR_LOAD 2
+MEM_READ
+NOP
+ADDR_OFFSET
+MEM_READ
+NOP
+ADDR_MASK
+NOP
+MEM_WRITE
+RETURN
+`)
+	cons, err := svc.Constraints()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []uint8{0, 0b0001, 0b0010} {
+		if got := cons.Accesses[i].Translate; got != want {
+			t.Errorf("access %d: translate %04b, want %04b", i, got, want)
+		}
+	}
+	req, err := cons.ToRequest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := alloc.FromRequest(req)
+	if err != nil || !slices.Equal(back.Accesses, cons.Accesses) {
+		t.Errorf("request carries %+v (%v), want %+v", back.Accesses, err, cons.Accesses)
+	}
+
+	svc.Templates["far"] = isa.MustAssemble("far", "ADDR_MASK\nMEM_READ\nNOP\nNOP\nMEM_READ\nNOP\nNOP\nNOP\nMEM_WRITE\nADDR_OFFSET\nRETURN")
+	if _, err := svc.Constraints(); !errors.Is(err, compiler.ErrTranslateReach) {
+		t.Errorf("template translating after its last access: %v, want ErrTranslateReach", err)
 	}
 }
 

@@ -8,10 +8,12 @@
 package compiler
 
 import (
+	"errors"
 	"fmt"
 
 	"activermt/internal/alloc"
 	"activermt/internal/isa"
+	"activermt/internal/packet"
 )
 
 // AccessSpec annotates one memory access of a program, in program order:
@@ -49,7 +51,34 @@ func Extract(p *isa.Program, elastic bool, specs []AccessSpec) (*alloc.Constrain
 		}
 		c.Accesses = append(c.Accesses, a)
 	}
+	if err := Translations(p, c); err != nil {
+		return nil, err
+	}
 	return c, nil
+}
+
+// ErrTranslateReach marks an ADDR_MASK or ADDR_OFFSET a request cannot name,
+// which would never translate: too far before its access, or after the last.
+var ErrTranslateReach = errors.New("compiler: address translation out of its access's reach")
+
+// Translations marks in c, for each access, the template slots before it
+// where p executes ADDR_MASK or ADDR_OFFSET (alloc.Access.Translate). p must
+// have c's access skeleton; a service's templates are folded one by one.
+func Translations(p *isa.Program, c *alloc.Constraints) error {
+	i := 0
+	for idx, in := range p.Instrs {
+		for i < len(c.Accesses) && c.Accesses[i].Index < idx {
+			i++
+		}
+		if in.Op != isa.OpAddrMask && in.Op != isa.OpAddrOffset {
+			continue
+		}
+		if i == len(c.Accesses) || c.Accesses[i].Index-idx > packet.MaxTranslateReach {
+			return fmt.Errorf("%w: %s at slot %d of %s", ErrTranslateReach, in.Op, idx, p.Name)
+		}
+		c.Accesses[i].Translate |= 1 << (c.Accesses[i].Index - idx - 1)
+	}
+	return nil
 }
 
 // Synthesize builds the program mutant whose memory accesses land on the

@@ -117,6 +117,12 @@ type inval struct {
 // a commit retry, and an invalidation retry's seq in the low word.
 const retryCommit, retryGenShift = 1 << 32, 33
 
+// pendingGet is what a GET found at issue (see Get).
+type pendingGet struct {
+	wgen      uint32
+	homeStale bool
+}
+
 // CoherentCache is the replicated, write-coherent tier of the fabric cache
 // exemplar.
 type CoherentCache struct {
@@ -131,10 +137,10 @@ type CoherentCache struct {
 	dir     map[uint64]uint64 // key -> mask of the leaves holding a copy
 	free    []*write          // acked write records, for the next Puts
 	seq     uint32
-	pending map[uint32]uint32 // GET seq -> the key's write generation at issue (see Get)
-	writing map[uint64]*write // key -> write in flight
-	wgens   map[uint64]uint32 // key -> write generation
-	payload []byte            // datagram scratch of the senders; the client copies from it
+	pending map[uint32]pendingGet // GET seq -> what the read found at issue
+	writing map[uint64]*write     // key -> write in flight
+	wgens   map[uint64]uint32     // key -> write generation
+	payload []byte                // datagram scratch of the senders; the client copies from it
 
 	// Degraded-mode state (failover.go).
 	health       *Health
@@ -181,7 +187,7 @@ func NewCoherentCache(fc *Controller, fid uint16, leaves []int, srvMAC packet.MA
 		svc:       apps.CoherentCacheService,
 		fronts:    make(map[int]*front),
 		dir:       make(map[uint64]uint64),
-		pending:   make(map[uint32]uint32),
+		pending:   make(map[uint32]pendingGet),
 		writing:   make(map[uint64]*write),
 		wgens:     make(map[uint64]uint32),
 		homeStale: make(map[uint64]bool),
@@ -227,11 +233,12 @@ func (c *CoherentCache) Get(leaf int, k0, k1 uint32) (uint32, error) {
 	if !ok {
 		return 0, fmt.Errorf("fabric: cache has no capacity")
 	}
-	if key := apps.KeyOf(k0, k1); c.writing[key] != nil {
-		c.pending[c.seq] = c.wgens[key] - 1 // one the key has passed: a read over a write never fills
-	} else {
-		c.pending[c.seq] = c.wgens[key]
+	key := apps.KeyOf(k0, k1)
+	p := pendingGet{wgen: c.wgens[key], homeStale: c.homeStale[key]}
+	if c.writing[key] != nil {
+		p.wgen-- // one the key has passed: a read over a write never fills
 	}
+	c.pending[c.seq] = p
 	return c.seq, fr.cl.SendProgram("main", [4]uint32{k0, k1, addr, 0}, 0, c.payload, c.srvMAC)
 }
 
@@ -433,8 +440,15 @@ func (c *CoherentCache) handlerFor(fr *front) func(*client.Client, *packet.Frame
 			}
 			// Query hit: served by this leaf's replica or, if another switch
 			// set its MAC as the source at RTS, beyond it — then it fills.
-			c.Hits++
 			msg, _ := apps.ReplyKV(f) // the query rode back under the reply
+			if f.Eth.Src == c.fc.F.Spines[c.home].MAC && c.pending[msg.Seq].homeStale {
+				// A drained home is still crossed when it is the reader's only
+				// path: its copy may be stale, so the server answers instead.
+				c.payload = apps.BuildKV(c.payload[:0], fr.ip, c.srvIP, 40000, apps.KVPort, &msg)
+				_ = fr.cl.SendPlain(c.payload, c.srvMAC)
+				return
+			}
+			c.Hits++
 			if f.Eth.Src == c.fc.F.Leaves[fr.leaf].MAC {
 				c.recordCopy(apps.KeyOf(msg.Key0, msg.Key1), fr.leaf)
 				delete(c.pending, msg.Seq)
@@ -516,12 +530,12 @@ func (c *CoherentCache) settleHome(leaf int, k0, k1 uint32) {
 // touches the home, which only commit traffic populates (settleHome). It
 // reports whether seq was a pending GET.
 func (c *CoherentCache) fill(fr *front, seq, k0, k1, value uint32) bool {
-	wgen, ok := c.pending[seq]
+	p, ok := c.pending[seq]
 	delete(c.pending, seq)
 	addr, fits := c.bucket(k0, k1)
 	switch {
 	case !ok || !fits:
-	case wgen != c.wgens[apps.KeyOf(k0, k1)]:
+	case p.wgen != c.wgens[apps.KeyOf(k0, k1)]:
 		c.FillsSuppressed++
 	case fr.cl.SendProgram("populate-fwd", [4]uint32{k0, k1, addr, value}, packet.FlagPreload, nil, fr.cl.MAC()) == nil:
 		c.Fills++

@@ -205,3 +205,67 @@ func TestCacheVerifyAndRepair(t *testing.T) {
 		t.Fatalf("post-repair read = %d, want %d", last.value, v1)
 	}
 }
+
+// TestDrainedHomeOnlyPathAnswersNoStaleRead is the soak's stale read at the
+// home spine's revival (row R1a). A write commits around the drained home
+// while its controller is down, so the home keeps the old value and the key
+// stays home-stale. Then the reader's other uplink dies: the drained home is
+// its only path to the server, and routing takes it. The read must return
+// the acknowledged value, not the home's copy.
+func TestDrainedHomeOnlyPathAnswersNoStaleRead(t *testing.T) {
+	f, err := fabric.New(fabric.DefaultConfig(3, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := fabric.NewController(f)
+	srv, srvIP := addServer(t, f, 2)
+
+	const k0, k1 = 0x71, 0x72
+	const v1, v2 = 100, 200
+	srv.Store[apps.KeyOf(k0, k1)] = v1
+	cc, err := fabric.NewCoherentCache(fc, 23, []int{0, 1}, srv.MAC(), srvIP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[uint32]uint32)
+	cc.OnResponse = func(leaf int, seq, value uint32, hit bool) { got[seq] = value }
+	get := func(leaf int) uint32 {
+		t.Helper()
+		seq, err := cc.Get(leaf, k0, k1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runUntil(t, f, time.Second, "GET answered", func() bool {
+			_, ok := got[seq]
+			return ok
+		})
+		return got[seq]
+	}
+	if err := cc.Warm(0, []apps.KVMsg{{Key0: k0, Key1: k1, Value: v1}}); err != nil {
+		t.Fatal(err)
+	}
+	f.RunFor(50 * time.Millisecond)
+	if v := get(1); v != v1 {
+		t.Fatalf("warm read leaf1 = %d, want %d", v, v1)
+	}
+
+	// The home is drained with its controller down: the write's home
+	// install is skipped and the eviction that would follow it cannot run.
+	home := cc.Home()
+	home.Ctrl.Crash()
+	f.SetSpineDrain(home.Index, true)
+	before := cc.WriteAcks
+	if _, err := cc.Put(0, k0, k1, v2); err != nil {
+		t.Fatal(err)
+	}
+	runUntil(t, f, time.Second, "write acked", func() bool { return cc.WriteAcks > before })
+
+	// Leaf 1's uplink to the other spine dies: connectivity beats drain.
+	f.SetLinkState(1, 1-home.Index, true)
+	if f.CurrentSpineFor(1, srv.MAC()) != home {
+		t.Fatal("leaf1's route to the server does not cross the drained home")
+	}
+	if v := get(1); v != v2 {
+		t.Fatalf("read over the drained home = %d, want the acknowledged %d", v, v2)
+	}
+}

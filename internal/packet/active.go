@@ -195,12 +195,18 @@ const (
 //
 //	byte 0  instruction index of the access in the unmutated program
 //	byte 1  demand in blocks (0 = elastic: "as much as possible")
-//	byte 2  flags: bit 7 valid, bits 0-2 alignment group (0 = none)
+//	byte 2  flags: bit 7 valid, bits 3-6 translate slots, bits 0-2
+//	        alignment group (0 = none)
 type AccessReq struct {
 	Index      uint8 // instruction index in the most-compact program
 	Demand     uint8 // blocks; 0 means elastic
 	AlignGroup uint8 // accesses sharing a group get identical block ranges
+	Translate  uint8 // bit k-1: the slot k before the access translates
 }
+
+// MaxTranslateReach is how many slots before its access a translation can
+// sit: the four bits an access entry has for them.
+const MaxTranslateReach = 4
 
 // AllocRequest describes a program's memory footprint (Section 3.3: program
 // length, the stages where it accesses memory, and per-stage demands). The
@@ -243,7 +249,7 @@ func allocRequestFromWire(r *AllocRequest, opaque uint32, b []byte) error {
 		if e[2]&0x80 == 0 {
 			continue
 		}
-		r.Accesses = append(r.Accesses, AccessReq{Index: e[0], Demand: e[1], AlignGroup: e[2] & 0x07})
+		r.Accesses = append(r.Accesses, AccessReq{Index: e[0], Demand: e[1], AlignGroup: e[2] & 0x07, Translate: e[2] >> 3 & 0x0f})
 	}
 	return nil
 }
@@ -256,7 +262,7 @@ func (r *AllocRequest) encode(dst []byte) error {
 		e := dst[i*AllocReqEntrySize:]
 		e[0] = a.Index
 		e[1] = a.Demand
-		e[2] = 0x80 | a.AlignGroup&0x07
+		e[2] = 0x80 | a.Translate&0x0f<<3 | a.AlignGroup&0x07
 	}
 	return nil
 }

@@ -50,7 +50,7 @@ func FuzzParseActive(f *testing.F) {
 
 	req := &Active{Header: ActiveHeader{FID: 7}, AllocReq: &AllocRequest{
 		ProgLen: 11, IngressIdx: 2, Elastic: true,
-		Accesses: []AccessReq{{Index: 1, Demand: 0, AlignGroup: 1}, {Index: 4, Demand: 2}},
+		Accesses: []AccessReq{{Index: 1, Demand: 0, AlignGroup: 1}, {Index: 4, Demand: 2, Translate: 0b0110}},
 	}}
 	req.Header.SetType(TypeAllocReq)
 	reqWire, _ := req.Encode(nil)

@@ -65,9 +65,9 @@ func TestAllocRequestRoundTrip(t *testing.T) {
 		IngressIdx: 7,
 		Elastic:    true,
 		Accesses: []AccessReq{
-			{Index: 1, Demand: 0, AlignGroup: 1},
-			{Index: 4, Demand: 0, AlignGroup: 1},
-			{Index: 8, Demand: 0, AlignGroup: 1},
+			{Index: 1, Demand: 0, AlignGroup: 1, Translate: 0b0001},
+			{Index: 4, Demand: 0, AlignGroup: 1, Translate: 0b1010},
+			{Index: 8, Demand: 0, AlignGroup: 7, Translate: 0b1111},
 		},
 	}
 	a := &Active{Header: ActiveHeader{FID: 9}, AllocReq: req}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"slices"
 
 	"activermt/internal/isa"
@@ -17,6 +18,17 @@ import (
 type Translate struct {
 	Mask   uint32
 	Offset uint32
+}
+
+// TranslateRegion is the entry for the word region [lo, hi): the largest
+// power-of-two window that fits it (mask-based translation needs
+// power-of-two windows), based at lo. Clients mirror its mask to reproduce
+// switch slot indices.
+func TranslateRegion(lo, hi uint32) Translate {
+	if hi <= lo {
+		return Translate{}
+	}
+	return Translate{Mask: 1<<(bits.Len32(hi-lo)-1) - 1, Offset: lo}
 }
 
 // Stage is one physical match-action stage: instruction decoding is modeled

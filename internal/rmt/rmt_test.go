@@ -494,6 +494,19 @@ func TestTranslateEntries(t *testing.T) {
 	}
 }
 
+// TestTranslateRegion: a region's entry masks to the largest power-of-two
+// window that fits it and offsets to its base.
+func TestTranslateRegion(t *testing.T) {
+	for n, want := range map[uint32]uint32{256: 255, 300: 255, 4096: 4095, 1: 0} {
+		if got := TranslateRegion(64, 64+n); got != (Translate{Mask: want, Offset: 64}) {
+			t.Errorf("TranslateRegion(64, %d) = %+v, want mask %d", 64+n, got, want)
+		}
+	}
+	if got := TranslateRegion(5, 5); got != (Translate{}) {
+		t.Errorf("empty region: %+v, want no entry", got)
+	}
+}
+
 func TestPhysicalStage(t *testing.T) {
 	d := testDevice(t)
 	if d.PhysicalStage(25) != 5 || d.PhysicalStage(5) != 5 || d.PhysicalStage(40) != 0 {

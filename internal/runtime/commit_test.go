@@ -49,13 +49,11 @@ func (m *tableModel) admitFID(fid uint16) {
 
 func (m *tableModel) install(g Grant) {
 	m.clear(g.FID)
-	prev := -1
 	for _, a := range g.Accesses {
 		m.prot[a.Logical%m.n][g.FID] = rmt.Region{FID: g.FID, Lo: a.Lo, Hi: a.Hi}
-		for l := prev + 1; l < a.Logical; l++ {
-			m.xlate[l%m.n][g.FID] = translateFor(a)
+		for _, l := range a.Xlate {
+			m.xlate[l%m.n][g.FID] = rmt.TranslateRegion(a.Lo, a.Hi)
 		}
-		prev = a.Logical
 	}
 	m.admitFID(g.FID)
 }
@@ -185,9 +183,11 @@ func TestIncrementalViewMatchesRebuild(t *testing.T) {
 			g := Grant{FID: fid}
 			logical := -1
 			for a := 1 + rng.Intn(3); a > 0; a-- {
+				prev := logical
 				logical += 1 + rng.Intn(9) // up to 27: second-pass accesses wrap onto used stages
 				lo := uint32(rng.Intn(cfg.StageWords - 1))
-				g.Accesses = append(g.Accesses, AccessGrant{Logical: logical, Lo: lo, Hi: lo + 1 + uint32(rng.Intn(cfg.StageWords-int(lo)))})
+				g.Accesses = append(g.Accesses, AccessGrant{Logical: logical, Lo: lo, Hi: lo + 1 + uint32(rng.Intn(cfg.StageWords-int(lo))),
+					Xlate: randomXlate(rng, prev, logical)})
 			}
 			if _, err := r.InstallGrant(g); err != nil {
 				t.Fatalf("step %d: %v", step, err)
@@ -216,7 +216,7 @@ func TestIncrementalViewMatchesRebuild(t *testing.T) {
 }
 
 // residentRuntime returns a runtime with the given number of tenants
-// installed, each holding three regions and the translate windows between.
+// installed, each holding the three regions of a cache grant.
 func residentRuntime(t *testing.T, residents int) *Runtime {
 	t.Helper()
 	r := testRuntime(t)
@@ -269,7 +269,7 @@ func TestInstallGrantFailureCountsTableOps(t *testing.T) {
 		v, _ := snapGauge(reg.Snapshot(), "activermt_runtime_table_ops_total", "")
 		return uint64(v)
 	}
-	fits := Grant{FID: 9, Accesses: []AccessGrant{{Logical: 2, Lo: 0, Hi: 64}, {Logical: 5, Lo: 0, Hi: 64}}}
+	fits := Grant{FID: 9, Accesses: []AccessGrant{{Logical: 2, Lo: 0, Hi: 64, Xlate: []int{0, 1}}, {Logical: 5, Lo: 0, Hi: 64, Xlate: []int{3, 4}}}}
 	installed, err := r.InstallGrant(fits)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +280,7 @@ func TestInstallGrantFailureCountsTableOps(t *testing.T) {
 	epoch := r.Epoch(9)
 
 	// [1, 100) expands to 8 prefixes: more than stage 5's whole TCAM.
-	tooBig := Grant{FID: 9, Accesses: []AccessGrant{{Logical: 2, Lo: 64, Hi: 128}, {Logical: 5, Lo: 1, Hi: 100}}}
+	tooBig := Grant{FID: 9, Accesses: []AccessGrant{{Logical: 2, Lo: 64, Hi: 128, Xlate: []int{0, 1}}, {Logical: 5, Lo: 1, Hi: 100, Xlate: []int{3, 4}}}}
 	failed, err := r.InstallGrant(tooBig)
 	if err == nil {
 		t.Fatal("oversized region installed")

@@ -73,24 +73,46 @@ func editCost(a, b installedTables, stages int) int {
 }
 
 // randomGrant draws a grant of one to three accesses in distinct physical
-// stages.
+// stages, each translating in a random subset of the stages before it.
 func randomGrant(rng *rand.Rand, fid uint16, stages, words int) Grant {
 	g := Grant{FID: fid}
-	logical := rng.Intn(4)
+	prev, logical := -1, rng.Intn(4)
 	for i, n := 0, 1+rng.Intn(3); i < n && logical < stages; i++ {
 		lo := uint32(rng.Intn(words - 64))
-		g.Accesses = append(g.Accesses, AccessGrant{Logical: logical, Lo: lo, Hi: lo + 1 + uint32(rng.Intn(min(2048, words-int(lo)-1)))})
-		logical += 1 + rng.Intn(5)
+		g.Accesses = append(g.Accesses, AccessGrant{Logical: logical, Lo: lo, Hi: lo + 1 + uint32(rng.Intn(min(2048, words-int(lo)-1))),
+			Xlate: randomXlate(rng, prev, logical)})
+		prev, logical = logical, logical+1+rng.Intn(5)
 	}
 	return g
+}
+
+// randomXlate draws translate stages for an access at logical that follows
+// one at prev: a random subset of the four stages before it, none at or
+// before prev.
+func randomXlate(rng *rand.Rand, prev, logical int) []int {
+	var out []int
+	for l := max(prev+1, logical-4); l < logical; l++ {
+		if rng.Intn(2) == 0 {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// sameAccesses reports whether two grants place and translate alike.
+func sameAccesses(a, b []AccessGrant) bool {
+	return slices.EqualFunc(a, b, func(x, y AccessGrant) bool {
+		return x.Logical == y.Logical && x.Lo == y.Lo && x.Hi == y.Hi && slices.Equal(x.Xlate, y.Xlate)
+	})
 }
 
 // editGrant derives the next grant of a FID from the one it holds: the
 // shapes a reallocation produces.
 func editGrant(rng *rand.Rand, g Grant, stages, words int) Grant {
 	next := Grant{FID: g.FID, Accesses: slices.Clone(g.Accesses)}
-	a := &next.Accesses[rng.Intn(len(next.Accesses))]
-	switch rng.Intn(7) {
+	i := rng.Intn(len(next.Accesses))
+	a := &next.Accesses[i]
+	switch rng.Intn(8) {
 	case 0: // identical reinstall
 	case 1: // grow at the top
 		a.Hi = min(a.Hi+1+uint32(rng.Intn(512)), uint32(words))
@@ -106,14 +128,21 @@ func editGrant(rng *rand.Rand, g Grant, stages, words int) Grant {
 			lo := uint32(rng.Intn(words - int(size)))
 			next.Accesses[i].Lo, next.Accesses[i].Hi = lo, lo+size
 		}
-	case 6: // another mutant: other stages, other windows
+	case 6: // another mutant: other stages, other translations
 		return randomGrant(rng, g.FID, stages, words)
+	case 7: // same regions, another program's translations
+		prev := -1
+		if i > 0 {
+			prev = next.Accesses[i-1].Logical
+		}
+		a.Xlate = randomXlate(rng, prev, a.Logical)
 	}
 	return next
 }
 
 // TestInstallGrantDeltaEqualsRebuild drives seeded grant sequences (grow,
-// shrink at either edge, move, mutant change, identical reinstall) through
+// shrink at either edge, move, mutant change, new translate stages,
+// identical reinstall) through
 // two runtimes: one reinstalls over what is there, the other removes the
 // grant first. The tables (regions, TCAM budget, translate entries), every
 // register word and the epochs must stay identical, and the delta side must
@@ -170,7 +199,7 @@ func TestInstallGrantDeltaEqualsRebuild(t *testing.T) {
 					if ops != want {
 						t.Fatalf("tcam %d seed %d step %d: install of %+v over %+v returned %d ops, want %d", tcam, seed, step, g, held[fid], ops, want)
 					}
-					if resident && slices.Equal(g.Accesses, held[fid].Accesses) {
+					if resident && sameAccesses(g.Accesses, held[fid].Accesses) {
 						identical++
 						if ops != 1 {
 							t.Fatalf("tcam %d seed %d step %d: identical reinstall cost %d ops, want 1", tcam, seed, step, ops)

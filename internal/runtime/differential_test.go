@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"activermt/internal/alloc"
 	"activermt/internal/apps"
+	"activermt/internal/compiler"
 	"activermt/internal/isa"
 	"activermt/internal/packet"
 	"activermt/internal/secapps"
@@ -262,10 +264,16 @@ func TestDifferentialRegisteredApps(t *testing.T) {
 				r.AdmitStateless(fid)
 				return
 			}
-			g := Grant{FID: fid}
-			for _, idx := range acc {
-				g.Accesses = append(g.Accesses, AccessGrant{Logical: idx, Lo: lo, Hi: lo + 512})
+			cons, err := compiler.Extract(tmpl, false, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", tmpl.Name, err)
 			}
+			pl := &alloc.Placement{FID: fid, Mutant: acc}
+			for _, idx := range acc {
+				pl.Accesses = append(pl.Accesses, alloc.AccessPlacement{Logical: idx, Range: alloc.WordRange{Lo: lo, Hi: lo + 512}})
+			}
+			var g Grant
+			g.Set(pl, cons)
 			if _, err := r.InstallGrant(g); err != nil {
 				t.Fatalf("%s: grant: %v", tmpl.Name, err)
 			}

@@ -409,11 +409,11 @@ func FuzzPlanMatchesReference(f *testing.F) {
 		cfg := rmt.DefaultConfig()
 		cfg.StageWords = 1024
 		e := newEnginePair(t, cfg)
-		// Memory in four stages; translation entries cover the slots before
-		// each, and none the slots after the last.
+		// Memory in four stages; translation entries in some of the slots
+		// before each, none in the others or after the last.
 		g := Grant{FID: 1, Accesses: []AccessGrant{
-			{Logical: 2, Lo: 256, Hi: 768}, {Logical: 5, Lo: 0, Hi: 1024},
-			{Logical: 9, Lo: 512, Hi: 544}, {Logical: 14, Lo: 300, Hi: 1000},
+			{Logical: 2, Lo: 256, Hi: 768, Xlate: []int{0, 1}}, {Logical: 5, Lo: 0, Hi: 1024, Xlate: []int{3, 4}},
+			{Logical: 9, Lo: 512, Hi: 544, Xlate: []int{6, 8}}, {Logical: 14, Lo: 300, Hi: 1000, Xlate: []int{10, 13}},
 		}}
 		e.both(func(r *Runtime) {
 			if _, err := r.InstallGrant(g); err != nil {

@@ -20,11 +20,13 @@ import (
 )
 
 // AccessGrant places one memory access of an admitted program: the logical
-// stage the access executes in (which fixes the physical stage) and the
-// granted word region [Lo, Hi) in that stage's register array.
+// stage the access executes in (which fixes the physical stage), the
+// granted word region [Lo, Hi) in that stage's register array, and the
+// logical stages whose ADDR_MASK/ADDR_OFFSET translate into that region.
 type AccessGrant struct {
 	Logical int
 	Lo, Hi  uint32
+	Xlate   []int
 }
 
 // Grant is the full data-plane footprint of one admitted application
@@ -34,12 +36,20 @@ type Grant struct {
 	Accesses []AccessGrant
 }
 
-// Set makes g the install form of an allocator placement, reusing g's
-// access storage.
-func (g *Grant) Set(pl *alloc.Placement) {
-	g.FID, g.Accesses = pl.FID, g.Accesses[:0]
-	for _, ap := range pl.Accesses {
-		g.Accesses = append(g.Accesses, AccessGrant{Logical: ap.Logical, Lo: ap.Range.Lo, Hi: ap.Range.Hi})
+// Set makes g the install form of an allocator placement of a program with
+// constraints c, reusing g's storage. Synthesis pads with NOPs right before
+// each access, so template slot p after access i-1 runs at logical stage
+// Mutant[i-1] + p - Index[i-1] (both -1 before the first access).
+func (g *Grant) Set(pl *alloc.Placement, c *alloc.Constraints) {
+	g.FID, g.Accesses = pl.FID, slices.Grow(g.Accesses[:0], len(pl.Accesses))[:len(pl.Accesses)]
+	prevLogical, prevIndex := -1, -1
+	for i, ap := range pl.Accesses {
+		a, ac := &g.Accesses[i], c.Accesses[i]
+		*a = AccessGrant{Logical: ap.Logical, Lo: ap.Range.Lo, Hi: ap.Range.Hi, Xlate: a.Xlate[:0]}
+		for m := ac.Translate; m != 0; m &= m - 1 {
+			a.Xlate = append(a.Xlate, prevLogical+ac.Index-1-bits.TrailingZeros8(m)-prevIndex)
+		}
+		prevLogical, prevIndex = ap.Logical, ac.Index
 	}
 }
 
@@ -265,7 +275,6 @@ func (r *Runtime) fillTables(g Grant) (int, error) {
 	wants := r.wants
 	clear(wants)
 	ops := 0
-	prevLogical := -1
 	for _, a := range g.Accesses {
 		if a.Lo >= a.Hi {
 			return ops, fmt.Errorf("runtime: empty grant region [%d,%d)", a.Lo, a.Hi)
@@ -287,15 +296,12 @@ func (r *Runtime) fillTables(g Grant) (int, error) {
 			return ops, err
 		}
 
-		// Translation entries for this access cover the logical window
-		// between the previous access and this one, so any
-		// ADDR_MASK/ADDR_OFFSET the program executes there targets this
-		// access's region (Section 3.2).
-		for l := prevLogical + 1; l < a.Logical; l++ {
+		// A translation entry goes only where the program translates into
+		// this access's region (Section 3.2); elsewhere MAR stays as it is.
+		for _, l := range a.Xlate {
 			w := &wants[r.dev.PhysicalStage(l)]
-			w.xlate, w.tr = true, translateFor(a)
+			w.xlate, w.tr = true, rmt.TranslateRegion(a.Lo, a.Hi)
 		}
-		prevLogical = a.Logical
 	}
 	for s, w := range wants {
 		st := r.dev.Stage(s)
@@ -316,19 +322,6 @@ func (r *Runtime) fillTables(g Grant) (int, error) {
 type stageWant struct {
 	region, xlate bool
 	tr            rmt.Translate
-}
-
-// translateFor derives the mask/offset pair for a region: the mask is the
-// largest power-of-two window that fits the region (mask-based translation
-// needs power-of-two windows; arbitrary-size regions use the floor), the
-// offset is the region base.
-func translateFor(a AccessGrant) rmt.Translate {
-	size := a.Hi - a.Lo
-	if size == 0 {
-		return rmt.Translate{}
-	}
-	k := bits.Len32(size) - 1
-	return rmt.Translate{Mask: 1<<k - 1, Offset: a.Lo}
 }
 
 // AdmitStateless admits a FID with no memory grant — for programs that keep

@@ -275,10 +275,11 @@ func TestSketchWithRuntimeTranslation(t *testing.T) {
 	r := testRuntime(t)
 	const fid = 11
 	// Two sketch rows of 256 words each, at different offsets in stages 7
-	// and 12 (the two MEM_MINREADINC logical positions).
+	// and 12 (the two MEM_MINREADINC logical positions), each translated by
+	// the ADDR_MASK/ADDR_OFFSET pair right before it.
 	g := Grant{FID: fid, Accesses: []AccessGrant{
-		{Logical: 7, Lo: 512, Hi: 768},
-		{Logical: 12, Lo: 1024, Hi: 1280},
+		{Logical: 7, Lo: 512, Hi: 768, Xlate: []int{5, 6}},
+		{Logical: 12, Lo: 1024, Hi: 1280, Xlate: []int{10, 11}},
 	}}
 	if _, err := r.InstallGrant(g); err != nil {
 		t.Fatal(err)

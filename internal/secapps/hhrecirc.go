@@ -182,7 +182,7 @@ func (h *RecircHH) HotKeys() ([]KeyCount, error) {
 		return nil, err
 	}
 	hashStage := h.Claim.Pipeline.Physical(hxClaim2ndHashIdx)
-	mask := maskFor(len(words))
+	mask := rmt.TranslateRegion(0, uint32(len(words))).Mask
 	var out []KeyCount
 	for key := range h.claimed {
 		slot := rmt.StageHash(hashStage, [rmt.NumHashWords]uint32{key}) & mask

@@ -262,14 +262,3 @@ func HXClaimService() *client.Service {
 func Programs() []*isa.Program {
 	return []*isa.Program{sfSynProg, sfAckProg, rlCheckProg, rlRefillProg, hxSketchProg, hxClaimProg}
 }
-
-// maskFor returns the largest 2^k-1 mask that fits an n-word region — the
-// client-side mirror of the runtime's translate-mask derivation, used to
-// reproduce switch slot indices.
-func maskFor(n int) uint32 {
-	m := uint32(1)
-	for int(m<<1) <= n {
-		m <<= 1
-	}
-	return m - 1
-}

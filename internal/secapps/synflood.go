@@ -127,8 +127,7 @@ func (d *SynDetector) CounterSlot(src uint32) (uint32, bool) {
 		return 0, false
 	}
 	h := rmt.StageHash(d.Client.Pipeline.Physical(sfHashIdx), [rmt.NumHashWords]uint32{src})
-	size := int(pl.Accesses[0].Range.Hi - pl.Accesses[0].Range.Lo)
-	return h & maskFor(size), true
+	return h & rmt.TranslateRegion(pl.Accesses[0].Range.Lo, pl.Accesses[0].Range.Hi).Mask, true
 }
 
 // Score compares the sticky alarm set against attacker ground truth.

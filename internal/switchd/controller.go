@@ -605,7 +605,8 @@ func (c *Controller) install(j *job) {
 	j.rec.SnapshotWait = c.eng.Now() - j.rec.Start - j.rec.Compute
 	ops := j.rec.TableOps
 	for _, pl := range j.moved {
-		c.grant.Set(pl)
+		app, _ := c.al.App(pl.FID)
+		c.grant.Set(pl, app.Cons)
 		n, err := c.rt.InstallGrant(c.grant)
 		ops += n
 		if err != nil {
@@ -620,7 +621,8 @@ func (c *Controller) install(j *job) {
 		}
 	}
 	if j.grant != nil {
-		c.grant.Set(j.grant)
+		app, _ := c.al.App(j.grant.FID)
+		c.grant.Set(j.grant, app.Cons)
 		n, err := c.rt.InstallGrant(c.grant)
 		ops += n
 		j.rec.Failed = err != nil

@@ -2,12 +2,14 @@ package switchd_test
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"testing"
 	"time"
 
 	"activermt/internal/apps"
 	"activermt/internal/client"
+	"activermt/internal/rmt"
 	"activermt/internal/switchd"
 	"activermt/internal/testbed"
 )
@@ -212,4 +214,60 @@ func TestCrashAtEveryPhase(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestRecoveredResidentKeepsTranslation: a restarted controller holds a
+// resident in recovered form, with no constraints on file to say where its
+// programs translate. Its translation entries stay as the tables hold them —
+// through the restart, through a neighbour's admission, and through its own
+// readmission, which names the same stages.
+func TestRecoveredResidentKeepsTranslation(t *testing.T) {
+	tb := newBed(t)
+	hh := apps.NewHeavyHitter(20)
+	cl := tb.AddClient(7, apps.HeavyHitterService(hh))
+	faultTolerant(cl)
+	if err := cl.RequestAndWait(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	dev := tb.Switch.Runtime().Device()
+	entries := func() map[int]rmt.Translate {
+		out := map[int]rmt.Translate{}
+		for s := 0; s < dev.NumStages(); s++ {
+			if tr, ok := dev.Stage(s).TranslateFor(7); ok {
+				out[s] = tr
+			}
+		}
+		return out
+	}
+	want := entries()
+	if len(want) != 6 {
+		t.Fatalf("hh-monitor holds translation entries in %d stages, want its 6 ADDR slots", len(want))
+	}
+	check := func(when string) {
+		t.Helper()
+		if got := entries(); !maps.Equal(got, want) {
+			t.Fatalf("%s: translation entries %v, want %v", when, got, want)
+		}
+	}
+
+	tb.Ctrl.Crash()
+	tb.Ctrl.Restart()
+	if !tb.Ctrl.Allocator().Recovered(7) {
+		t.Fatal("fid 7 not in recovered form after the restart")
+	}
+	check("after the restart")
+
+	srv := tb.AddKVServer()
+	if _, ccl := tb.AddCache(8, srv); ccl.RequestAndWait(5*time.Second) != nil {
+		t.Fatal("neighbour not admitted")
+	}
+	check("after a neighbour's admission")
+
+	if err := cl.RequestAndWait(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if tb.Ctrl.Allocator().Recovered(7) {
+		t.Fatal("fid 7 still in recovered form after its readmission")
+	}
+	check("after the readmission")
 }
