@@ -271,7 +271,7 @@ func runFabricCache(o *options) error {
 		o.printf("    %-8s %4d blocks (util %.3f)\n",
 			n.Name, n.OccupiedBlocks(), n.Ctrl.Allocator().Utilization())
 	}
-	o.printf("    spills=%d replica-mismatches=%d\n", fc.Spills, fc.ReplicaMismatch)
+	o.printf("    replica-mismatches=%d\n", fc.ReplicaMismatch)
 	return nil
 }
 

@@ -39,12 +39,12 @@ func runSoak(o *options) error {
 	if err != nil {
 		return err
 	}
-	o.printf("soak: %d epochs over %v virtual: %d reads (%d lost, %.0f%% hit), %d writes acked, %d tenants placed, %d chaos scenarios, %d reconciles, p99=%v\n",
+	o.printf("soak: %d epochs over %v virtual: %d reads (%d lost, %.0f%% hit), %d writes acked, %d tenants placed, %d chaos scenarios, p99=%v\n",
 		res.Epochs, res.Elapsed, res.ReadsDone, res.Lost, 100*res.HitRate,
-		res.Acked, res.TenantsPlaced, res.ChaosInstalled, res.Reconciles, res.P99)
+		res.Acked, res.TenantsPlaced, res.ChaosInstalled, res.P99)
 	k := res.SpineKill
-	o.printf("soak: spine-kill arc: fired=%v degraded=%v rerouted=%v reconciled=%v recovered=%v\n",
-		k.Fired, k.Degraded, k.Rerouted, k.Reconciled, k.Recovered)
+	o.printf("soak: spine-kill arc: fired=%v degraded=%v rerouted=%v recovered=%v\n",
+		k.Fired, k.Degraded, k.Rerouted, k.Recovered)
 	o.printf("soak: defrag: %d passes, %d migrations, max frag %.3f\n",
 		res.DefragPasses, res.DefragMigrations, res.MaxFragmentation)
 	if o.soakSecapps {

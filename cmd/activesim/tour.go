@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -161,6 +162,13 @@ func runHeavyHitter(o *options) error {
 	}
 	o.printf("ground truth: %d hot flows; detected %d of them, missed %d, false-flagged %d\n",
 		trueHot, hits, trueHot-hits, len(hot)-hits)
+	precision, recall := 0.0, float64(hits)/float64(trueHot)
+	if len(hot) > 0 {
+		precision = float64(hits) / float64(len(hot))
+	}
+	if precision < 0.9 || recall < 0.8 {
+		return fmt.Errorf("detection quality: precision=%.3f (want >= 0.9) recall=%.3f (want >= 0.8)", precision, recall)
+	}
 
 	// Show the top detections with their true counts.
 	sort.Slice(hot, func(i, j int) bool { return truth[hot[i].Key0] > truth[hot[j].Key0] })

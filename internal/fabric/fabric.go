@@ -15,12 +15,10 @@
 //     top. PHV state never crosses devices — a capsule executes a partial
 //     program per device per pass, exactly one fresh execution per hop.
 //
-//   - Path-aware placement. A tenant's traffic path is host -> leaf ->
-//     spine -> leaf -> host; the fabric controller places the tenant's
-//     memory demand on the devices of that path only, preferring the leaf
-//     nearest the tenant's hosts and spilling to the next on-path device
-//     when a pipeline fills (Controller.PlaceTenant). Per-device admission
-//     still runs the paper's cost/utility allocation.
+//   - Per-device admission. The fabric controller admits a tenant on one
+//     device through a client on the tenant's leaf (Controller.Admit); that
+//     device's allocator runs the paper's cost/utility allocation and owns
+//     the tenant's memory. No tenant's demand is split across devices.
 //
 //   - Replicated placement with aligned epochs. A tenant can admit the
 //     same FID on several on-path devices with identical placements and
@@ -436,23 +434,6 @@ func (f *Fabric) AddKVServer(leaf int) (*apps.KVServer, error) {
 	mac, ip := f.NewHostID()
 	srv := apps.NewKVServer(f.Eng, mac, ip)
 	return srv, f.AddHost(leaf, srv)
-}
-
-// PathBetween returns the switches a frame from a host on srcLeaf traverses
-// toward dst, in traversal order: source leaf, then (for remote
-// destinations) the destination's spine and the destination leaf.
-func (f *Fabric) PathBetween(srcLeaf int, dst packet.MAC) ([]*Node, error) {
-	if srcLeaf < 0 || srcLeaf >= len(f.Leaves) {
-		return nil, fmt.Errorf("fabric: leaf %d out of range", srcLeaf)
-	}
-	dstLeaf, ok := f.hostLeaf[dst]
-	if !ok {
-		return nil, fmt.Errorf("fabric: unknown destination %s", dst)
-	}
-	if dstLeaf == srcLeaf {
-		return []*Node{f.Leaves[srcLeaf]}, nil
-	}
-	return []*Node{f.Leaves[srcLeaf], f.SpineFor(dst), f.Leaves[dstLeaf]}, nil
 }
 
 // Fabric control-frame retry policy: a relayed control frame crosses up to

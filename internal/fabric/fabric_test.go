@@ -119,9 +119,31 @@ func TestFabricCacheEndToEnd(t *testing.T) {
 		t.Fatalf("hit rate %.2f, want >= 0.9 (hits=%d misses=%d)", hr, cc.Hits, cc.Misses)
 	}
 
+	// Set-only placement: a switch outside the replica set holds the FID
+	// neither in its allocator books nor in its TCAM.
+	inSet := make(map[*fabric.Node]bool)
+	for _, m := range cc.Set().Members {
+		inSet[m.Node] = true
+	}
+	outside := 0
+	for _, n := range f.Nodes() {
+		if inSet[n] {
+			continue
+		}
+		outside++
+		if _, ok := n.Ctrl.Allocator().App(7); ok {
+			t.Fatalf("%s outside the replica set holds fid 7 in its allocator", n.Name)
+		}
+		if regions := n.RT.InstalledRegions(7); len(regions) > 0 {
+			t.Fatalf("%s outside the replica set has TCAM regions for fid 7: %v", n.Name, regions)
+		}
+	}
+	if outside != 2 {
+		t.Fatalf("%d switches outside the replica set, want 2 (leaf2 and the other spine)", outside)
+	}
+
 	// Fabric telemetry: occupancy gauges exist per switch, read from the
-	// allocators at collection, and the replica placement registered a
-	// stretch observation.
+	// allocators at collection.
 	var buf bytes.Buffer
 	telemetry.WritePrometheus(&buf, reg.Snapshot())
 	text := buf.String()
@@ -130,9 +152,6 @@ func TestFabricCacheEndToEnd(t *testing.T) {
 		if !strings.Contains(text, needle) {
 			t.Fatalf("occupancy gauge for %s missing from exposition:\n%s", name, text)
 		}
-	}
-	if !strings.Contains(text, "activermt_fabric_path_stretch_devices") {
-		t.Fatal("path-stretch histogram missing from exposition")
 	}
 }
 

@@ -205,6 +205,5 @@ func (c *CoherentCache) VerifyAndRepair(newFID uint16) (bool, error) {
 	c.dir = make(map[uint64]uint64)
 	c.homeStale = make(map[uint64]bool)
 	c.Repairs++
-	c.fc.RePlacements++
 	return true, nil
 }

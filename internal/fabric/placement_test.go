@@ -11,8 +11,8 @@ import (
 	"activermt/internal/fabric"
 )
 
-// smallConfig shrinks every pipeline to 96 blocks per stage so a modest
-// demand overflows one device and must spill along the path.
+// smallConfig shrinks every pipeline to 96 blocks per stage, the stage size
+// the soak runs on.
 func smallConfig(leaves, spines int) fabric.Config {
 	cfg := fabric.DefaultConfig(leaves, spines)
 	cfg.RMT.StageWords = 96 * 256
@@ -20,76 +20,11 @@ func smallConfig(leaves, spines int) fabric.Config {
 	return cfg
 }
 
-// TestPlacementSpillsAcrossPath places a tenant whose demand exceeds one
-// pipeline and checks the fabric invariants: the demand spills across >= 2
-// on-path switches, every block lives on the tenant's traffic path only,
-// and the per-switch isolation audit stays clean with multiple tenants.
-func TestPlacementSpillsAcrossPath(t *testing.T) {
-	f, err := fabric.New(smallConfig(3, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc := fabric.NewController(f)
-	srv, _ := addServer(t, f, 1)
-
-	// 150 blocks per access vs a 96-block stage: no single device can hold
-	// it, so the placement must engage at least two on-path switches.
-	ten, err := fc.PlaceTenant(100, 0, srv.MAC(), 150, apps.CoherentCacheService)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ten.Shards) < 2 {
-		t.Fatalf("demand of 150 blocks placed on %d device(s), want >= 2 (spill)", len(ten.Shards))
-	}
-	if ten.Unplaced != 0 {
-		t.Fatalf("%d blocks left unplaced", ten.Unplaced)
-	}
-	if fc.Spills == 0 {
-		t.Fatal("spill counter not incremented")
-	}
-
-	// Path-only invariant: no off-path switch holds any of the tenant's
-	// FIDs — not in its allocator books, not in its TCAM.
-	onPath := make(map[*fabric.Node]bool)
-	for _, n := range ten.Path {
-		onPath[n] = true
-	}
-	offPath := 0
-	for _, n := range f.Nodes() {
-		if onPath[n] {
-			continue
-		}
-		offPath++
-		for _, sh := range ten.Shards {
-			fid := sh.FID
-			if _, ok := n.Ctrl.Allocator().App(fid); ok {
-				t.Fatalf("off-path switch %s holds fid %d in its allocator", n.Name, fid)
-			}
-			if regions := n.RT.InstalledRegions(fid); len(regions) > 0 {
-				t.Fatalf("off-path switch %s has TCAM regions for fid %d: %v", n.Name, fid, regions)
-			}
-		}
-	}
-	if offPath == 0 {
-		t.Fatal("test topology has no off-path switch to check")
-	}
-
-	// A second spilled tenant from another leaf shares the path's spine and
-	// far leaf; the guard's isolation auditor must stay clean per switch.
-	if _, err := fc.PlaceTenant(200, 2, srv.MAC(), 150, apps.CoherentCacheService); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range f.Nodes() {
-		if vs := n.Check(); len(vs) > 0 {
-			t.Fatalf("check on %s: %v", n.Name, vs)
-		}
-	}
-}
-
-// TestPlacementSurvivesSwitchRestart crashes one shard-holding switch's
-// controller and verifies the placement survives: the restarted controller
+// TestPlacementSurvivesSwitchRestart crashes one replica-set member's
+// controller and verifies its placement survives: the restarted controller
 // rebuilds its books from the switch tables via alloc.Recover, and the
-// shard's client re-admits idempotently at the same placement and epoch.
+// member's client re-admits idempotently at the same placement, with an
+// epoch the switch tables agree with.
 func TestPlacementSurvivesSwitchRestart(t *testing.T) {
 	f, err := fabric.New(smallConfig(2, 1))
 	if err != nil {
@@ -98,22 +33,20 @@ func TestPlacementSurvivesSwitchRestart(t *testing.T) {
 	fc := fabric.NewController(f)
 	srv, _ := addServer(t, f, 1)
 
-	ten, err := fc.PlaceTenant(300, 0, srv.MAC(), 150, apps.CoherentCacheService)
+	const fid = 300
+	set, err := fc.PlaceReplicas(fid, []int{0}, srv.MAC(), apps.CoherentCacheService)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ten.Shards) < 2 {
-		t.Fatalf("placed on %d device(s), want spill across >= 2", len(ten.Shards))
-	}
-	shard := ten.Shards[0]
-	node := shard.Node
-	prePl, ok := node.Ctrl.Allocator().PlacementFor(shard.FID)
+	m := set.Members[0]
+	node := m.Node
+	prePl, ok := node.Ctrl.Allocator().PlacementFor(fid)
 	if !ok {
-		t.Fatalf("no placement for fid %d before crash", shard.FID)
+		t.Fatalf("no placement for fid %d before crash", fid)
 	}
 	preRanges := rangesOf(prePl)
-	if shard.Client.Epoch() == 0 {
-		t.Fatal("shard has no grant epoch before crash")
+	if m.Client.Epoch() == 0 {
+		t.Fatal("member has no grant epoch before crash")
 	}
 
 	scen := chaos.Outage("switch-outage", chaos.ControllerCrash{}, 10*time.Millisecond, 50*time.Millisecond, 1)
@@ -124,18 +57,18 @@ func TestPlacementSurvivesSwitchRestart(t *testing.T) {
 	if node.Ctrl.Crashes != 1 || node.Ctrl.Restarts != 1 {
 		t.Fatalf("controller crashed %d and restarted %d times, want once each", node.Ctrl.Crashes, node.Ctrl.Restarts)
 	}
-	if !node.Ctrl.Allocator().Recovered(shard.FID) {
-		t.Fatalf("fid %d not recovered after restart", shard.FID)
+	if !node.Ctrl.Allocator().Recovered(fid) {
+		t.Fatalf("fid %d not recovered after restart", fid)
 	}
 
 	// The client's retransmitted request upgrades the recovered entry via
-	// Readmit and is answered idempotently: same placement, same epoch.
-	if err := shard.Client.RequestAndWait(5 * time.Second); err != nil {
+	// Readmit and is answered idempotently: same placement.
+	if err := m.Client.RequestAndWait(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	postPl, ok := node.Ctrl.Allocator().PlacementFor(shard.FID)
+	postPl, ok := node.Ctrl.Allocator().PlacementFor(fid)
 	if !ok {
-		t.Fatalf("placement for fid %d lost across restart", shard.FID)
+		t.Fatalf("placement for fid %d lost across restart", fid)
 	}
 	if got := rangesOf(postPl); !sameRanges(preRanges, got) {
 		t.Fatalf("placement moved across restart: %v -> %v", preRanges, got)
@@ -143,21 +76,20 @@ func TestPlacementSurvivesSwitchRestart(t *testing.T) {
 	// The readmission reinstalls the grant, which may advance the 7-bit
 	// epoch; what matters is that the client's echoed epoch and the switch
 	// tables agree so capsules keep authenticating.
-	if got, want := shard.Client.Epoch(), node.RT.Epoch(shard.FID); got == 0 || got != want {
+	if got, want := m.Client.Epoch(), node.RT.Epoch(fid); got == 0 || got != want {
 		t.Fatalf("client epoch %d disagrees with switch epoch %d after readmission", got, want)
 	}
-	if got := rangesOf(shard.Client.Placement()); !sameRanges(preRanges, got) {
+	if got := rangesOf(m.Client.Placement()); !sameRanges(preRanges, got) {
 		t.Fatalf("client placement changed across restart: %v -> %v", preRanges, got)
 	}
-	// Epoch alignment still holds against the untouched second shard's
-	// device, and the audit stays clean everywhere.
+	// The audit stays clean everywhere, the untouched member included.
 	for _, n := range f.Nodes() {
 		if vs := n.Check(); len(vs) > 0 {
 			t.Fatalf("check on %s after restart: %v", n.Name, vs)
 		}
 	}
-	if cl := shard.Client; cl.State() != client.Operational {
-		t.Fatalf("shard client in %v after readmission", cl.State())
+	if cl := m.Client; cl.State() != client.Operational {
+		t.Fatalf("member client in %v after readmission", cl.State())
 	}
 }
 

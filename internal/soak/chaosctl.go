@@ -3,7 +3,6 @@ package soak
 import (
 	"time"
 
-	"activermt/internal/apps"
 	"activermt/internal/chaos"
 	"activermt/internal/fabric"
 	"activermt/internal/netsim"
@@ -20,7 +19,7 @@ import (
 // the home spine). Corrupted cache words are indistinguishable from a
 // coherence bug to the staleness oracle, and the sweep-and-repair pass that
 // accompanies the corruption is exercised just as well on a device holding
-// only tenant shards.
+// only churned tenants.
 
 // scenarioNames is the rotation the background scheduler draws from.
 var scenarioNames = []string{
@@ -142,8 +141,8 @@ func (h *harness) corruptibleNode() *fabric.Node {
 // maybeSpineKill fires the milestone: partition the cache's HOME spine and
 // crash its controller mid-soak. This is the run's hardest event — the only
 // replica with unacknowledged installs goes dark along with its control
-// plane — and the recovery arc (detect, drain, degrade, reroute, reconcile,
-// scrub, undrain) is verified by observeKillProgress.
+// plane — and the recovery arc (detect, drain, degrade, reroute, scrub,
+// undrain) is verified by observeKillProgress.
 func (h *harness) maybeSpineKill() {
 	if h.killed || h.cfg.SpineKillAt < 0 || h.f.Eng.Now() < h.cfg.SpineKillAt {
 		return
@@ -159,68 +158,27 @@ func (h *harness) maybeSpineKill() {
 		return
 	}
 	h.res.SpineKill.Fired = true
+	h.killEntries, h.killExits, h.killReroutes = h.fc.DegradedEntries, h.fc.DegradedExits, h.f.Reroutes
 	h.res.ChaosInstalled++
 	h.ring.note(h.f.Eng.Now(), "spine-kill fired against %s for %v", node.Name, spineKillFor)
 }
 
-// observeKillProgress samples the recovery arc at epoch boundaries.
+// observeKillProgress reads the recovery arc from the fabric's counters,
+// which see a degraded episode however short; a sample of the cache's state
+// at the epoch edge misses one that opens and closes between two edges. The
+// cache went degraded once a degraded entry followed the kill, routes were
+// repointed once a reroute followed it, and the cache recovered once as many
+// exits as entries followed it, the home's drain is lifted and the cache is
+// not degraded now.
 func (h *harness) observeKillProgress() {
 	if !h.res.SpineKill.Fired {
 		return
 	}
 	k := &h.res.SpineKill
-	if h.cc.Degraded() {
-		k.Degraded = true
-	}
-	if h.f.Reroutes > 0 {
-		k.Rerouted = true
-	}
-	home := h.cc.Home().Index
-	if k.Degraded && !h.cc.Degraded() && !h.f.Drained(home) {
+	entries, exits := h.fc.DegradedEntries-h.killEntries, h.fc.DegradedExits-h.killExits
+	k.Degraded = entries > 0
+	k.Rerouted = h.f.Reroutes > h.killReroutes
+	if k.Degraded && exits >= entries && !h.cc.Degraded() && !h.f.Drained(h.cc.Home().Index) {
 		k.Recovered = true
 	}
-}
-
-// reconcileDeadSpines is the orphan detector: a spine whose every
-// leaf-facing link the health monitor has declared dead is unreachable, and
-// tenants with shards on it are running blind. Each such tenant is
-// reconciled — stranded demand re-placed on surviving path devices, the
-// stranded shards remembered for release after the spine returns.
-func (h *harness) reconcileDeadSpines() {
-	for s := range h.f.Spines {
-		if !h.spineDead(s) {
-			continue
-		}
-		dead := h.f.Spines[s]
-		for _, lt := range h.tenants {
-			var stranded []*fabric.Shard
-			for _, sh := range lt.t.Shards {
-				if sh.Node == dead {
-					stranded = append(stranded, sh)
-				}
-			}
-			if len(stranded) == 0 {
-				continue
-			}
-			if _, err := h.fc.ReconcileTenant(lt.t, dead, apps.CoherentCacheService); err != nil {
-				continue
-			}
-			lt.orphans = append(lt.orphans, stranded...)
-			h.res.Reconciles++
-			if h.res.SpineKill.Fired {
-				h.res.SpineKill.Reconciled++
-			}
-			h.ring.note(h.f.Eng.Now(), "reconciled tenant fid %d off dead %s (%d shards stranded)",
-				lt.t.BaseFID, dead.Name, len(stranded))
-		}
-	}
-}
-
-func (h *harness) spineDead(s int) bool {
-	for l := 0; l < numLeaves; l++ {
-		if !h.hm.LinkDown(l, s) {
-			return false
-		}
-	}
-	return true
 }

@@ -88,7 +88,7 @@ func (c *csvWriter) header() {
 	if c.w == nil {
 		return
 	}
-	fmt.Fprint(c.w, "epoch,t_ms,reads_done,writes_acked,hits,lost,p99_ns,degraded,tenants,reroutes,chaos,reconciles,violations,max_frag,defrag_migrations")
+	fmt.Fprint(c.w, "epoch,t_ms,reads_done,writes_acked,hits,lost,p99_ns,degraded,tenants,reroutes,chaos,violations,max_frag,defrag_migrations")
 	if c.secapps {
 		fmt.Fprint(c.w, ",syn_sent,syn_alarms,rl_offered,rl_delivered,hh_observed,hh_claims,hh_deferred")
 	}
@@ -112,11 +112,11 @@ func (c *csvWriter) row(h *harness) {
 		}
 		migrations += n.Ctrl.DefragMigrations
 	}
-	fmt.Fprintf(c.w, "%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.4f,%d",
+	fmt.Fprintf(c.w, "%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.4f,%d",
 		h.res.Epochs, h.f.Eng.Now().Milliseconds(),
 		h.res.ReadsDone, h.res.Acked, h.res.Hits, h.res.Lost,
 		p99.Nanoseconds(), degraded, len(h.tenants),
-		h.f.Reroutes, h.res.ChaosInstalled, h.res.Reconciles,
+		h.f.Reroutes, h.res.ChaosInstalled,
 		len(h.res.Violations), frag, migrations)
 	if c.secapps {
 		fmt.Fprintf(c.w, ",%d,%d,%d,%d,%d,%d,%d",

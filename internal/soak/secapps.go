@@ -37,7 +37,7 @@ import (
 	"activermt/internal/secapps"
 )
 
-// Security-app FIDs live above the tenant slab ceiling (tenantFIDMax), so
+// Security-app FIDs live above the tenant FID ceiling (tenantFIDMax), so
 // neither tenant churn nor the repair-FID walk can collide with them.
 const (
 	synFID      = 60001

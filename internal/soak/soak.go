@@ -1,6 +1,7 @@
 // Package soak is the long-horizon invariant harness: it assembles a full
 // leaf-spine fabric (internal/fabric) with a coherent cache, a key-value
-// server, link-health monitoring, and a churning tenant population, then
+// server, link-health monitoring, and a churning tenant population (one
+// inelastic admission per tenant on its own leaf's switch), then
 // runs hours of virtual time under a seeded chaos schedule while checking
 // the system's safety invariants after every virtual epoch. Each violation
 // names its row of docs/invariants.md:
@@ -20,13 +21,14 @@
 //     not silently stretch the ones that complete.
 //
 // The harness drives the simulation from a plain loop — never from inside
-// engine callbacks — because placement, repair, and reconciliation run the
-// engine internally. On the first violation it stops and attaches a
+// engine callbacks — because admission and repair run the engine
+// internally. On the first violation it stops and attaches a
 // flight-recorder dump (the most recent fault injections, link transitions,
 // and recovery actions) so the failure is diagnosable from the report
 // alone. A mid-soak "spine kill" milestone partitions the cache's home
-// spine and crashes its controller, then verifies the fleet detected it,
-// rerouted, served degraded, re-placed orphaned tenants, and recovered.
+// spine and crashes its controller, then verifies from the fabric's
+// counters that the cache went degraded, routes were repointed, and the
+// cache recovered.
 package soak
 
 import (
@@ -99,11 +101,10 @@ func (v Violation) String() string {
 
 // SpineKillReport records what the mid-soak home-spine kill exercised.
 type SpineKillReport struct {
-	Fired      bool
-	Degraded   bool // cache entered degraded mode
-	Rerouted   bool // routes repointed around the dead spine
-	Reconciled int  // tenants re-placed off the dead spine
-	Recovered  bool // degraded exited and drain lifted after heal
+	Fired     bool
+	Degraded  bool // cache entered degraded mode
+	Rerouted  bool // routes repointed around the dead spine
+	Recovered bool // degraded exited and drain lifted after heal
 }
 
 // Result is one soak run's ledger.
@@ -115,7 +116,6 @@ type Result struct {
 	Hits, Lost       uint64
 
 	TenantsPlaced, TenantsReleased int
-	Reconciles                     int // ReconcileTenant runs
 
 	ChaosInstalled int
 	Reroutes       uint64
@@ -174,8 +174,8 @@ type harness struct {
 	nextVal      uint32
 
 	tenants   []*liveTenant
-	slabFree  []uint16
-	nextSlab  uint16
+	fidFree   []uint16
+	nextFID   uint16
 	arrivalCr float64 // fractional tenant arrivals carried across epochs
 
 	repairFID uint16
@@ -183,6 +183,10 @@ type harness struct {
 	killed    bool
 	failed    *Violation // set by callbacks, harvested by the driver
 	csv       *csvWriter
+
+	// The fabric's degraded entry, exit and reroute counts when the spine
+	// kill fired; the kill's arc is read from how far they have moved since.
+	killEntries, killExits, killReroutes uint64
 
 	fragOver map[string]int // consecutive epochs over fragBound, per node
 
@@ -193,14 +197,13 @@ const (
 	cacheFID      = 400
 	repairFIDBase = 401
 	tenantFIDBase = 1000
-	tenantFIDSlab = 16
 	tenantFIDMax  = 60000
 )
 
 func newHarness(cfg Config) (*harness, error) {
 	fcfg := fabric.DefaultConfig(numLeaves, numSpines)
 	// Shrink the stages so tenant churn creates genuine capacity pressure
-	// (spills, rejections, RetryUnplaced work) at soak-sized demands.
+	// (halved asks, refusals, fragmentation) at soak-sized demands.
 	fcfg.RMT.StageWords = 96 * 256
 	fcfg.Alloc.StageWords = 96 * 256
 	f, err := fabric.New(fcfg)
@@ -217,7 +220,7 @@ func newHarness(cfg Config) (*harness, error) {
 		ring:         newFlightRing(256),
 		pendingReads: make(map[uint32]readState),
 		pendingPuts:  make(map[uint32]putState),
-		nextSlab:     tenantFIDBase,
+		nextFID:      tenantFIDBase,
 		repairFID:    repairFIDBase,
 		nextChaos:    chaosEvery,
 		fragOver:     make(map[string]int),
@@ -276,12 +279,10 @@ func (h *harness) run() (*Result, error) {
 		h.res.Epochs++
 
 		// Control actions run from the driver, outside engine callbacks:
-		// placement / repair / reconciliation all step the engine
-		// internally.
+		// admission and repair step the engine internally.
 		h.churnTenants()
 		h.maybeChaos()
 		h.maybeSpineKill()
-		h.reconcileDeadSpines()
 		h.maybeRepair()
 		h.secappsEpoch()
 

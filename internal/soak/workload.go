@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"activermt/internal/apps"
-	"activermt/internal/fabric"
+	"activermt/internal/client"
 )
 
 // The cache workload and its staleness oracle.
@@ -173,17 +173,17 @@ func (h *harness) expireReads() {
 	}
 }
 
-// liveTenant is one placed tenant and its scheduled departure.
+// liveTenant is one admitted tenant: one client under one FID, admitted on
+// its own leaf's switch, and its scheduled departure.
 type liveTenant struct {
-	t       *fabric.Tenant
-	slab    uint16 // FID slab base, returned on release
-	dies    time.Duration
-	orphans []*fabric.Shard // shards stranded by a reconcile, released at death
+	cl   *client.Client
+	dies time.Duration
 }
 
-// churnTenants advances the tenant population: arrivals at tenantRate,
-// departures past their lifetime, and one RetryUnplaced pass per epoch for
-// a tenant carrying unplaced demand.
+// churnTenants advances the tenant population: departures past their
+// lifetime, then arrivals at tenantRate. Each arrival asks its own leaf's
+// switch for its demand per access (inelastic), halving the ask on each
+// refusal; a switch that admits nothing refuses the tenant.
 func (h *harness) churnTenants() {
 	now := h.f.Eng.Now()
 
@@ -194,55 +194,42 @@ func (h *harness) churnTenants() {
 			kept = append(kept, lt)
 			continue
 		}
-		for _, sh := range lt.t.Shards {
-			_ = sh.Client.Release()
-		}
-		for _, sh := range lt.orphans {
-			_ = sh.Client.Release()
-		}
-		h.slabFree = append(h.slabFree, lt.slab)
+		_ = lt.cl.Release()
+		h.fidFree = append(h.fidFree, lt.cl.FID())
 		h.res.TenantsReleased++
 	}
 	h.tenants = kept
 
 	h.arrivalCr += tenantRate * epoch.Seconds()
 	for ; h.arrivalCr >= 1; h.arrivalCr-- {
-		slab, ok := h.takeSlab()
+		fid, ok := h.takeFID()
 		if !ok {
 			break
 		}
 		leaf := h.rng.Intn(numLeaves)
 		demand := tenantDemandMin + h.rng.Intn(tenantDemandMax-tenantDemandMin+1)
-		t, err := h.fc.PlaceTenant(slab, leaf, h.srv.MAC(), demand, apps.CoherentCacheService)
-		if err != nil {
-			h.slabFree = append(h.slabFree, slab)
+		cl, won, err := h.fc.Admit(h.f.Leaves[leaf], leaf, fid, demand, 1, apps.CoherentCacheService)
+		if err != nil || won == 0 {
+			h.fidFree = append(h.fidFree, fid)
 			continue
 		}
 		h.res.TenantsPlaced++
 		life := time.Duration(float64(tenantLife) * (0.5 + h.rng.Float64()))
-		h.tenants = append(h.tenants, &liveTenant{t: t, slab: slab, dies: now + life})
-	}
-
-	for _, lt := range h.tenants {
-		if lt.t.Unplaced > 0 {
-			_, _ = h.fc.RetryUnplaced(lt.t, apps.CoherentCacheService)
-			break // one retry pass per epoch keeps the epoch bounded
-		}
+		h.tenants = append(h.tenants, &liveTenant{cl: cl, dies: now + life})
 	}
 }
 
-func (h *harness) takeSlab() (uint16, bool) {
-	if n := len(h.slabFree); n > 0 {
-		s := h.slabFree[n-1]
-		h.slabFree = h.slabFree[:n-1]
-		return s, true
+func (h *harness) takeFID() (uint16, bool) {
+	if n := len(h.fidFree); n > 0 {
+		fid := h.fidFree[n-1]
+		h.fidFree = h.fidFree[:n-1]
+		return fid, true
 	}
-	if h.nextSlab+tenantFIDSlab >= tenantFIDMax {
+	if h.nextFID >= tenantFIDMax {
 		return 0, false
 	}
-	s := h.nextSlab
-	h.nextSlab += tenantFIDSlab
-	return s, true
+	h.nextFID++
+	return h.nextFID - 1, true
 }
 
 // maybeRepair runs the replica-set verifier occasionally; a diverged set is
