@@ -197,7 +197,7 @@ func (c *Controller) AttachTelemetry(reg *telemetry.Registry) {
 		}
 		return 0
 	})
-	reg.Counter("activermt_fabric_reroutes_total", "spine-hashed routes repointed around dead links or drained spines", &c.F.Reroutes)
+	reg.Counter("activermt_fabric_reroutes_total", "(source leaf, destination leaf, hashed spine) paths moved to another spine by link or drain changes", &c.F.Reroutes)
 	reg.Counter("activermt_fabric_cache_degraded_entries_total", "coherent caches entering degraded (home-drained) mode", &c.DegradedEntries)
 	reg.Counter("activermt_fabric_cache_degraded_exits_total", "coherent caches leaving degraded mode after home resync", &c.DegradedExits)
 }

@@ -8,12 +8,14 @@
 // single-switch guarantee (TCAM isolation, grant epochs, crash recovery)
 // holds per device. What the fabric adds on top:
 //
-//   - Destination-based routing. Every switch runs in relay mode
-//     (switchd.SetRelay): control traffic transits toward the switch it
-//     addresses, and program capsules forwarded onward carry their full
-//     original program so the next on-path device re-executes from the
-//     top. PHV state never crosses devices — a capsule executes a partial
-//     program per device per pass, exactly one fresh execution per hop.
+//   - Destination-based routing, with no route tables. A switch asks the
+//     fabric for a destination its own ports do not reach
+//     (switchd.SetUplink), which makes it a transit node: control traffic
+//     transits toward the switch it addresses, and program capsules
+//     forwarded onward carry their full original program so the next
+//     on-path device re-executes from the top. PHV state never crosses
+//     devices — a capsule executes a partial program per device per pass,
+//     exactly one fresh execution per hop.
 //
 //   - Per-device admission. The fabric controller admits a tenant on one
 //     device through a client on the tenant's leaf (Controller.Admit); that
@@ -28,11 +30,9 @@
 package fabric
 
 import (
-	"bytes"
 	"fmt"
 	"hash/fnv"
 	"net/netip"
-	"sort"
 	"time"
 
 	"activermt/internal/apps"
@@ -81,9 +81,9 @@ type Node struct {
 	*switchd.Node
 
 	nextPort int
-	// up maps spine index -> local port (on leaves); down maps leaf
-	// index -> local port (on spines).
-	up, down map[int]int
+	// up[spine] is a leaf's port toward that spine; down[leaf] is a spine's
+	// port toward that leaf.
+	up, down []int
 }
 
 // OccupiedBlocks sums the allocator's per-stage usage — the node's occupancy
@@ -123,43 +123,44 @@ type Fabric struct {
 	Spines []*Node
 
 	cfg      Config
-	hostLeaf map[packet.MAC]int // host MAC -> leaf index
+	at       map[packet.MAC]location // every host and leaf-switch MAC
 	nextHost int
 
 	// linkDown[leaf][spine] marks a leaf<->spine link the routing layer must
 	// avoid (set by the health monitor on detection, not by the physical
 	// port state — detection lag is part of the model). drained[spine] marks
 	// a spine all host-bound routes should avoid even where its links are
-	// up (the coherent cache drains a stale home). route records the spine
-	// each leaf currently uses per remote destination, so recomputation can
-	// count actual repoints.
+	// up (the coherent cache drains a stale home).
 	linkDown [][]bool
 	drained  []bool
-	route    []map[packet.MAC]int
 
-	// Reroutes counts route repoints performed by recomputeRoutes; the fabric
+	// Reroutes counts the (source leaf, destination leaf, hashed spine)
+	// paths whose chosen spine a link or drain change moved; the fabric
 	// controller's telemetry and the soak read it.
 	Reroutes uint64
 
 	health *Health // the link-health monitor, if one was built (NewHealth)
 }
 
+// location is where a MAC sits: its leaf, and the spine its MAC hashes to
+// (computed once, so no frame pays the hash).
+type location struct{ leaf, spine int }
+
 // New builds the fabric: every switch a switchd.Node like the single-switch
-// testbed's, every leaf linked to every spine, and all switches in relay
-// mode.
+// testbed's, every leaf linked to every spine, and every switch routing
+// beyond its own ports through the fabric.
 func New(cfg Config) (*Fabric, error) {
 	if cfg.Leaves < 1 || cfg.Spines < 1 {
 		return nil, fmt.Errorf("fabric: need at least 1 leaf and 1 spine, got %dx%d", cfg.Leaves, cfg.Spines)
 	}
 	f := &Fabric{
-		Eng:      netsim.NewEngine(),
-		cfg:      cfg,
-		hostLeaf: make(map[packet.MAC]int),
-		drained:  make([]bool, cfg.Spines),
+		Eng:     netsim.NewEngine(),
+		cfg:     cfg,
+		at:      make(map[packet.MAC]location),
+		drained: make([]bool, cfg.Spines),
 	}
 	for i := 0; i < cfg.Leaves; i++ {
 		f.linkDown = append(f.linkDown, make([]bool, cfg.Spines))
-		f.route = append(f.route, make(map[packet.MAC]int))
 	}
 	build := func(leaf bool, idx int) (*Node, error) {
 		mac := SwitchMAC(leaf, idx)
@@ -167,13 +168,13 @@ func New(cfg Config) (*Fabric, error) {
 		if err != nil {
 			return nil, err
 		}
-		sn.Switch.SetRelay(true)
 		name := fmt.Sprintf("spine%d", idx)
 		if leaf {
 			name = fmt.Sprintf("leaf%d", idx)
 		}
-		return &Node{Name: name, Leaf: leaf, Index: idx, MAC: mac, Node: sn,
-			nextPort: 1, up: make(map[int]int), down: make(map[int]int)}, nil
+		n := &Node{Name: name, Leaf: leaf, Index: idx, MAC: mac, Node: sn, nextPort: 1}
+		sn.Switch.SetUplink(func(dst packet.MAC) (int, bool) { return f.uplink(n, dst) })
+		return n, nil
 	}
 	for i := 0; i < cfg.Leaves; i++ {
 		n, err := build(true, i)
@@ -190,31 +191,20 @@ func New(cfg Config) (*Fabric, error) {
 		f.Spines = append(f.Spines, n)
 	}
 
-	// Full-mesh leaf<->spine links, with the switch MACs routed directly so
-	// control traffic can address any device from any host.
+	// Full-mesh leaf<->spine links, each switch reaching its peers' MACs
+	// directly, and every leaf MAC placed so a remote leaf reaches it through
+	// a spine: control traffic can address any device from any host.
 	for i, l := range f.Leaves {
-		for j, s := range f.Spines {
+		f.place(l.MAC, i)
+		for _, s := range f.Spines {
 			lp, sp := l.nextPort, s.nextPort
 			l.nextPort++
 			s.nextPort++
 			lPort, sPort := netsim.Connect(f.Eng, l.Switch, lp, s.Switch, sp, cfg.FabricLinkDelay, cfg.LinkBW)
 			l.Switch.AddPort(lPort, s.MAC)
 			s.Switch.AddPort(sPort, l.MAC)
-			l.up[j] = lp
-			s.down[i] = sp
-		}
-	}
-	// Leaf-to-remote-leaf switch MACs route via the destination leaf's
-	// deterministic spine, so a host can negotiate with any leaf's
-	// controller, not only its own.
-	for i, l := range f.Leaves {
-		for k, other := range f.Leaves {
-			if i == k {
-				continue
-			}
-			spine := f.spineForMAC(other.MAC)
-			l.Switch.AddRoute(other.MAC, l.up[spine])
-			f.route[i][other.MAC] = spine
+			l.up = append(l.up, lp)
+			s.down = append(s.down, sp)
 		}
 	}
 	return f, nil
@@ -272,20 +262,41 @@ func (f *Fabric) chooseSpine(srcLeaf, dstLeaf, nominal int) int {
 // CurrentSpineFor returns the spine traffic from srcLeaf toward dst actually
 // crosses under the current link state (nil for same-leaf destinations).
 func (f *Fabric) CurrentSpineFor(srcLeaf int, dst packet.MAC) *Node {
-	dstLeaf, ok := f.hostLeaf[dst]
-	if !ok || dstLeaf == srcLeaf {
+	at, ok := f.at[dst]
+	if !ok || at.leaf == srcLeaf {
 		return nil
 	}
-	return f.Spines[f.chooseSpine(srcLeaf, dstLeaf, f.spineForMAC(dst))]
+	return f.Spines[f.chooseSpine(srcLeaf, at.leaf, at.spine)]
+}
+
+// uplink is switch n's route to a destination its own ports do not reach: a
+// leaf crosses the spine chooseSpine picks now, a spine goes down to the
+// destination's leaf.
+func (f *Fabric) uplink(n *Node, dst packet.MAC) (int, bool) {
+	at, ok := f.at[dst]
+	switch {
+	case !ok:
+		return 0, false
+	case !n.Leaf:
+		return n.down[at.leaf], true
+	case at.leaf == n.Index:
+		return 0, false
+	}
+	return n.up[f.chooseSpine(n.Index, at.leaf, at.spine)], true
+}
+
+// place records which leaf a MAC sits on.
+func (f *Fabric) place(mac packet.MAC, leaf int) {
+	f.at[mac] = location{leaf: leaf, spine: f.spineForMAC(mac)}
 }
 
 // LinkUp reports whether the routing layer considers the leaf<->spine link
 // usable (health-monitor verdict, not physical port state).
 func (f *Fabric) LinkUp(leaf, spine int) bool { return !f.linkDown[leaf][spine] }
 
-// SetLinkState marks one leaf<->spine link down or up for routing and
-// repoints every affected route. The health monitor drives this from its
-// probe verdicts; tests may drive it directly.
+// SetLinkState marks one leaf<->spine link down or up for routing, which
+// moves every path that chose it or avoided it. The health monitor drives
+// this from its probe verdicts; tests may drive it directly.
 func (f *Fabric) SetLinkState(leaf, spine int, down bool) {
 	if leaf < 0 || leaf >= len(f.Leaves) || spine < 0 || spine >= len(f.Spines) {
 		return
@@ -293,8 +304,7 @@ func (f *Fabric) SetLinkState(leaf, spine int, down bool) {
 	if f.linkDown[leaf][spine] == down {
 		return
 	}
-	f.linkDown[leaf][spine] = down
-	f.recomputeRoutes()
+	f.reroute(func() { f.linkDown[leaf][spine] = down })
 }
 
 // SetSpineDrain marks a spine to be avoided by all host-bound routes even
@@ -304,54 +314,39 @@ func (f *Fabric) SetSpineDrain(spine int, on bool) {
 	if spine < 0 || spine >= len(f.Spines) || f.drained[spine] == on {
 		return
 	}
-	f.drained[spine] = on
-	f.recomputeRoutes()
+	f.reroute(func() { f.drained[spine] = on })
 }
 
 // Drained reports whether a spine is currently drained.
 func (f *Fabric) Drained(spine int) bool { return f.drained[spine] }
 
-// recomputeRoutes re-resolves the spine choice of every leaf's remote
-// destinations (host MACs and remote leaf switch MACs) against the current
-// link-down/drain state, repointing only the routes that changed. Iteration
-// order is deterministic (sorted MACs), so a replay reroutes identically.
-func (f *Fabric) recomputeRoutes() {
-	dsts := make([]packet.MAC, 0, len(f.hostLeaf)+len(f.Leaves))
-	for mac := range f.hostLeaf {
-		dsts = append(dsts, mac)
-	}
-	sort.Slice(dsts, func(a, b int) bool {
-		return bytes.Compare(dsts[a][:], dsts[b][:]) < 0
-	})
-	for _, l := range f.Leaves {
-		dsts = append(dsts, l.MAC)
-	}
-	changed := 0
-	for i, l := range f.Leaves {
-		for _, mac := range dsts {
-			dstLeaf, ok := f.hostLeaf[mac]
-			if !ok {
-				// A leaf switch MAC: its "leaf" is itself.
-				for k, other := range f.Leaves {
-					if other.MAC == mac {
-						dstLeaf = k
-						break
-					}
-				}
-			}
-			if dstLeaf == i {
-				continue // local delivery, never via a spine
-			}
-			j := f.chooseSpine(i, dstLeaf, f.spineForMAC(mac))
-			if cur, ok := f.route[i][mac]; ok && cur == j {
+// paths returns the spine chosen for every (source leaf, destination leaf,
+// hashed spine) triple under the current link and drain state.
+func (f *Fabric) paths() []int {
+	out := make([]int, 0, len(f.Leaves)*len(f.Leaves)*len(f.Spines))
+	for src := range f.Leaves {
+		for dst := range f.Leaves {
+			if dst == src {
 				continue
 			}
-			l.Switch.AddRoute(mac, l.up[j])
-			f.route[i][mac] = j
-			changed++
+			for nominal := range f.Spines {
+				out = append(out, f.chooseSpine(src, dst, nominal))
+			}
 		}
 	}
-	f.Reroutes += uint64(changed)
+	return out
+}
+
+// reroute applies one link or drain change and adds to Reroutes the paths
+// whose chosen spine it moved.
+func (f *Fabric) reroute(change func()) {
+	before := f.paths()
+	change()
+	for k, j := range f.paths() {
+		if j != before[k] {
+			f.Reroutes++
+		}
+	}
 }
 
 // UplinkPort returns the leaf-side port of the leaf<->spine link (the
@@ -385,9 +380,8 @@ func (f *Fabric) SpinePorts(spine int) []*netsim.Port {
 	return out
 }
 
-// AttachHost connects an endpoint to a leaf and installs routes for its MAC
-// fabric-wide (local leaf direct, spines via their downlink, remote leaves
-// via the host's deterministic spine). Returns the endpoint's NIC port.
+// AttachHost connects an endpoint to a leaf and places its MAC there, where
+// every other switch's uplink finds it. Returns the endpoint's NIC port.
 func (f *Fabric) AttachHost(leaf int, ep netsim.Endpoint, mac packet.MAC) (*netsim.Port, error) {
 	if leaf < 0 || leaf >= len(f.Leaves) {
 		return nil, fmt.Errorf("fabric: leaf %d out of range", leaf)
@@ -397,18 +391,7 @@ func (f *Fabric) AttachHost(leaf int, ep netsim.Endpoint, mac packet.MAC) (*nets
 	l.nextPort++
 	swPort, epPort := netsim.Connect(f.Eng, l.Switch, pnum, ep, 0, f.cfg.HostLinkDelay, f.cfg.LinkBW)
 	l.Switch.AddPort(swPort, mac)
-	nominal := f.spineForMAC(mac)
-	for i, other := range f.Leaves {
-		if i != leaf {
-			spine := f.chooseSpine(i, leaf, nominal)
-			other.Switch.AddRoute(mac, other.up[spine])
-			f.route[i][mac] = spine
-		}
-	}
-	for _, s := range f.Spines {
-		s.Switch.AddRoute(mac, s.down[leaf])
-	}
-	f.hostLeaf[mac] = leaf
+	f.place(mac, leaf)
 	return epPort, nil
 }
 

@@ -5,8 +5,8 @@
 // uplink toward the spine, and the spine echoes it back purely in the data
 // plane (a crashed spine controller still answers — link health and control
 // health are different failure domains). A link whose probe goes unanswered
-// for MissThreshold consecutive ticks is declared dead: the fabric repoints
-// every spine-hashed route around it, and subscribers (the coherent cache,
+// for MissThreshold consecutive ticks is declared dead: the fabric's routing
+// avoids it from the next frame on, and subscribers (the coherent cache,
 // the soak's event ring) are notified. The first reply after death declares
 // the link alive again; subscribers are notified first and the routes are
 // restored RestoreDelay later, giving a subscriber a synchronization window

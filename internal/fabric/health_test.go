@@ -13,7 +13,7 @@ import (
 // TestHealthDetectsOutageAndReroutes kills one leaf<->spine link and checks
 // the monitor's full arc: probes miss, the link is declared dead within
 // 20 ms of the cut (the default timers detect in 3 × 5 ms), the affected
-// routes repoint to the surviving spine, and on revert the link is declared
+// paths move to the surviving spine, and on revert the link is declared
 // alive at the first echo while its routes stay away for the 8 ms re-trust
 // delay before they restore.
 func TestHealthDetectsOutageAndReroutes(t *testing.T) {
@@ -23,7 +23,7 @@ func TestHealthDetectsOutageAndReroutes(t *testing.T) {
 	}
 	// A destination host on leaf 2 gives leaf 0 a spine-hashed route to
 	// watch.
-	_, _ = addServer(t, f, 2)
+	srv, _ := addServer(t, f, 2)
 	h := fabric.NewHealth(f)
 	var events []fabric.LinkEvent
 	h.Subscribe(func(ev fabric.LinkEvent) { events = append(events, ev) })
@@ -67,9 +67,12 @@ func TestHealthDetectsOutageAndReroutes(t *testing.T) {
 		if l.Index == 0 {
 			continue
 		}
-		if sp := f.CurrentSpineFor(0, l.MAC); sp != nil && sp.Index == 0 {
-			t.Fatalf("leaf0 route to %s still crosses dead spine 0", l.Name)
+		if sp := f.CurrentSpineFor(0, l.MAC); sp == nil || sp.Index == 0 {
+			t.Fatalf("leaf0 route to %s does not cross live spine 1", l.Name)
 		}
+	}
+	if sp := f.CurrentSpineFor(0, srv.MAC()); sp == nil || sp.Index == 0 {
+		t.Fatal("leaf0 route to the server does not cross live spine 1")
 	}
 
 	// Revert: the next answered probe declares the link alive, and the
@@ -90,6 +93,30 @@ func TestHealthDetectsOutageAndReroutes(t *testing.T) {
 		t.Fatal("recovery not counted")
 	}
 	h.Stop()
+}
+
+// TestReroutesCountPathsNotHosts: a link or drain change counts the
+// (source leaf, destination leaf, hashed spine) paths whose spine moved, so
+// the count is the same however many hosts are attached. On a 3x2 fabric,
+// downing link 0-0 moves the four leaf-0 paths hashed to spine 0; draining
+// spine 1 then moves the two leaf-1<->leaf-2 paths hashed to it, while the
+// leaf-0 paths keep spine 1, their only live one.
+func TestReroutesCountPathsNotHosts(t *testing.T) {
+	for _, hosts := range []int{0, 40} {
+		f, err := fabric.New(fabric.DefaultConfig(3, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < hosts; i++ {
+			addServer(t, f, i%3)
+		}
+		f.SetLinkState(0, 0, true)
+		link := f.Reroutes
+		f.SetSpineDrain(1, true)
+		if drain := f.Reroutes - link; link != 4 || drain != 2 {
+			t.Errorf("%d hosts: link down rerouted %d, drain %d; want 4 and 2", hosts, link, drain)
+		}
+	}
 }
 
 // TestHealthSurvivesCrashedController pins the failure-domain split: a

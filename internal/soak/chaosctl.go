@@ -166,8 +166,8 @@ func (h *harness) maybeSpineKill() {
 // observeKillProgress reads the recovery arc from the fabric's counters,
 // which see a degraded episode however short; a sample of the cache's state
 // at the epoch edge misses one that opens and closes between two edges. The
-// cache went degraded once a degraded entry followed the kill, routes were
-// repointed once a reroute followed it, and the cache recovered once as many
+// cache went degraded once a degraded entry followed the kill, paths moved
+// once a reroute followed it, and the cache recovered once as many
 // exits as entries followed it, the home's drain is lifted and the cache is
 // not degraded now.
 func (h *harness) observeKillProgress() {

@@ -27,7 +27,7 @@
 // and recovery actions) so the failure is diagnosable from the report
 // alone. A mid-soak "spine kill" milestone partitions the cache's home
 // spine and crashes its controller, then verifies from the fabric's
-// counters that the cache went degraded, routes were repointed, and the
+// counters that the cache went degraded, paths moved off the spine, and the
 // cache recovered.
 package soak
 
@@ -103,7 +103,7 @@ func (v Violation) String() string {
 type SpineKillReport struct {
 	Fired     bool
 	Degraded  bool // cache entered degraded mode
-	Rerouted  bool // routes repointed around the dead spine
+	Rerouted  bool // some leaf-to-leaf path moved off its spine after the kill
 	Recovered bool // degraded exited and drain lifted after heal
 }
 

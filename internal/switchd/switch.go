@@ -27,13 +27,14 @@ type Switch struct {
 	ports map[int]*netsim.Port
 	hosts map[packet.MAC]int // L2 table: MAC -> port
 
-	// relay marks the switch as a fabric transit node: control traffic not
-	// addressed to this switch is forwarded toward its destination instead of
-	// being consumed, and program capsules forwarded onward carry the full
-	// original program so the next on-path device re-executes from the top
-	// (PHV state does not cross devices). Off by default — a standalone
-	// switch behaves exactly as before.
-	relay bool
+	// uplink resolves a destination the switch's own ports do not reach:
+	// the fabric's routing, a pure function of its link state. A switch
+	// with an uplink is a fabric transit node: control traffic not
+	// addressed to this switch is forwarded toward its destination instead
+	// of being consumed, and program capsules forwarded onward carry the
+	// full original program so the next on-path device re-executes from the
+	// top (PHV state does not cross devices). Nil on a standalone switch.
+	uplink func(dst packet.MAC) (int, bool)
 
 	// Per-frame scratch of the program-capsule path: the decoded ingress
 	// capsule, the output frame being encoded, and the relay-restored
@@ -93,15 +94,9 @@ func (s *Switch) AddPort(p *netsim.Port, host packet.MAC) {
 	s.hosts[host] = p.Num
 }
 
-// AddRoute maps an additional destination MAC to an already-registered port
-// — the fabric's static routing table entries (remote hosts reached via an
-// uplink).
-func (s *Switch) AddRoute(dst packet.MAC, pnum int) {
-	s.hosts[dst] = pnum
-}
-
-// SetRelay switches fabric transit behavior on or off (see the relay field).
-func (s *Switch) SetRelay(on bool) { s.relay = on }
+// SetUplink makes the switch a fabric transit node whose routes to
+// destinations beyond its own ports come from fn (see the uplink field).
+func (s *Switch) SetUplink(fn func(dst packet.MAC) (int, bool)) { s.uplink = fn }
 
 // SetProbeSink registers the receiver for link-health probe replies.
 func (s *Switch) SetProbeSink(fn func(f *packet.Frame, port *netsim.Port)) { s.probeSink = fn }
@@ -195,7 +190,7 @@ func (s *Switch) control(eth packet.EthHeader, a *packet.Active, port *netsim.Po
 		// Control traffic reaches the controller as a digest. In a fabric,
 		// only the switch a control frame addresses consumes it; a transit
 		// node passes it along like plain traffic.
-		if s.relay && eth.Dst != s.mac {
+		if s.uplink != nil && eth.Dst != s.mac {
 			s.ControlTransit++
 			s.forward(own(), s.rt.Device().Config().PassLatency)
 			return
@@ -228,7 +223,7 @@ func (s *Switch) control(eth packet.EthHeader, a *packet.Active, port *netsim.Po
 		// Allocation responses originate at switches; a standalone switch
 		// drops one arriving on a port, but a fabric transit node carries
 		// responses from an upstream switch toward the client host.
-		if s.relay && eth.Dst != s.mac {
+		if s.uplink != nil && eth.Dst != s.mac {
 			s.ControlTransit++
 			s.forward(own(), s.rt.Device().Config().PassLatency)
 			return
@@ -255,7 +250,7 @@ func (s *Switch) execute(eth packet.EthHeader, a *packet.Active, in *netsim.Port
 		of := &s.outFrame
 		*of = packet.Frame{Eth: eth, Active: out.Active, Inner: out.Active.Payload}
 		lat := out.Latency
-		if s.relay && !out.ToSender && out.Active.Program != nil && out.Active != a {
+		if s.uplink != nil && !out.ToSender && out.Active.Program != nil && out.Active != a {
 			// Fabric relay: a capsule forwarded onward re-executes from the
 			// top at the next on-path device — PHV state does not cross
 			// switches, so the executed prefix must ride along un-stripped.
@@ -284,10 +279,21 @@ func (s *Switch) execute(eth packet.EthHeader, a *packet.Active, in *netsim.Port
 	}
 }
 
-// route resolves the egress port number for a destination MAC, counting a
-// drop when the MAC is unknown.
+// lookup resolves the egress port number for a destination MAC: its own
+// ports first, then the uplink.
+func (s *Switch) lookup(dst packet.MAC) (int, bool) {
+	if pnum, ok := s.hosts[dst]; ok {
+		return pnum, true
+	}
+	if s.uplink != nil {
+		return s.uplink(dst)
+	}
+	return 0, false
+}
+
+// route is lookup counting a drop when the MAC is unknown.
 func (s *Switch) route(dst packet.MAC) (int, bool) {
-	pnum, ok := s.hosts[dst]
+	pnum, ok := s.lookup(dst)
 	if !ok {
 		s.UnknownMAC++
 		s.FramesDropped++
@@ -339,7 +345,7 @@ func (s *Switch) sendOut(pnum int, f *packet.Frame, latency time.Duration) bool 
 // SendToHost lets the controller emit a frame toward a host MAC (allocation
 // responses and reactivation notices).
 func (s *Switch) SendToHost(dst packet.MAC, a *packet.Active) error {
-	pnum, ok := s.hosts[dst]
+	pnum, ok := s.lookup(dst)
 	if !ok {
 		return fmt.Errorf("switchd: no port for host %s", dst)
 	}
