@@ -548,7 +548,7 @@ func assertNoOverlap(t *testing.T, a *Allocator) {
 	perStage := map[int][]owned{}
 	for _, fid := range a.FIDs() {
 		app, _ := a.App(fid)
-		for s, r := range app.regions {
+		for s, r := range regionsOf(app) {
 			if r.Lo < 0 || r.Hi > a.Config().BlocksPerStage() || r.Lo >= r.Hi {
 				t.Fatalf("fid %d stage %d bad range %+v", fid, s, r)
 			}
@@ -610,7 +610,7 @@ func TestNoOverlapProperty(t *testing.T) {
 			if app.Elastic && app.TotalBlocks() == 0 {
 				return false
 			}
-			for s, r := range app.regions {
+			for s, r := range regionsOf(app) {
 				for _, o := range seen[s] {
 					if r.overlaps(o) {
 						return false
@@ -705,7 +705,7 @@ func TestMaxRegionsPerStageCap(t *testing.T) {
 	counts := map[int]int{}
 	for _, fid := range a.FIDs() {
 		app, _ := a.App(fid)
-		for s := range app.regions {
+		for s := range regionsOf(app) {
 			counts[s]++
 		}
 	}
@@ -953,15 +953,17 @@ func TestAllocatorChurnAllocs(t *testing.T) {
 			t.Fatalf("fid %d: %v %+v", fid, err, res)
 		}
 	})
-	// The pair allocates 37, under -race too: the newcomer's App, its two
-	// group copies and constraints-derived books, the winner's mutant copy,
-	// each call's result, and per moved tenant a placement and its accesses.
-	// The enumeration, its bounds and the elastic snapshots fill the
-	// allocator's working storage. Earlier ceilings: 57, when the
-	// enumeration allocated its own arrays per call (50 measured then), and
-	// 42, when every call made its snapshot and the App's groups grew by
-	// append (41 measured then).
-	if n > 37 {
-		t.Errorf("%.0f allocations per Release + Allocate, want <= 37: the enumeration, the snapshots or the books allocate per mutant or per call again", n)
+	// The pair allocates 35, under -race too: the newcomer's App and its
+	// two group copies (the groups and their stages), the winner's mutant
+	// copy, each call's result, and per moved tenant a placement and its
+	// accesses. The enumeration, its bounds and the elastic snapshots fill
+	// the allocator's working storage. Earlier ceilings: 57, when the
+	// enumeration allocated its own arrays per call (50 measured then), 42,
+	// when every call made its snapshot and the App's groups grew by append
+	// (41 measured then), and 37, when every candidate App kept its regions
+	// in a map of its own.
+	t.Logf("%.0f allocations per Release + Allocate", n)
+	if n > 35 {
+		t.Errorf("%.0f allocations per Release + Allocate, want <= 35: the enumeration, the snapshots or the books allocate per mutant or per call again", n)
 	}
 }

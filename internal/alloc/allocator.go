@@ -86,11 +86,13 @@ func (c Config) CheckPipeline(numStages, numIngress, stageWords int) error {
 func (c Config) BlocksPerStage() int { return c.StageWords / c.BlockWords }
 
 // appGroup is a set of accesses that must receive identical block ranges
-// (alignment group), placed across a set of distinct physical stages.
+// (alignment group), placed across a set of distinct physical stages. Its r
+// is the one record of what those stages hold: an empty range means nothing.
 type appGroup struct {
 	id     int
 	demand int   // blocks; 0 = elastic
 	stages []int // physical stages, access order
+	r      BlockRange
 }
 
 // App is one admitted application instance.
@@ -102,17 +104,27 @@ type App struct {
 	MutantIdx int
 	Elastic   bool
 
-	groups  []appGroup
-	regions map[int]BlockRange // physical stage -> granted blocks
+	groups []appGroup
 }
 
 // TotalBlocks returns the blocks held across all stages.
 func (a *App) TotalBlocks() int {
 	t := 0
-	for _, r := range a.regions {
-		t += r.Size()
+	for _, g := range a.groups {
+		t += g.r.Size() * len(g.stages)
 	}
 	return t
+}
+
+// region returns the range the app holds in physical stage s: its accesses
+// land in distinct stages, so at most one group holds s.
+func (a *App) region(s int) BlockRange {
+	for _, g := range a.groups {
+		if slices.Contains(g.stages, s) {
+			return g.r
+		}
+	}
+	return BlockRange{}
 }
 
 // WordRange is a half-open range of register word indices.
@@ -284,15 +296,14 @@ func (a *Allocator) census() []stageStats {
 		st[s] = stageStats{pinnedUsed: a.pinned[s].used()}
 	}
 	for _, app := range a.apps {
-		for s := range app.regions {
-			st[s].regionApps++
-		}
-		if !app.Elastic {
-			continue
-		}
 		for _, g := range app.groups {
 			for _, s := range g.stages {
-				st[s].elasticGroups++
+				if g.r.Size() > 0 {
+					st[s].regionApps++
+				}
+				if app.Elastic {
+					st[s].elasticGroups++
+				}
 			}
 		}
 	}
@@ -532,7 +543,6 @@ func (a *Allocator) Allocate(fid uint16, cons *Constraints) (*Result, error) {
 			Mut:       mutants[c.idx],
 			MutantIdx: c.idx,
 			Elastic:   cons.Elastic,
-			regions:   map[int]BlockRange{},
 			groups:    a.appGroups(cons, mutants[c.idx]),
 		}
 		if a.tryCommit(app, before) {
@@ -552,9 +562,7 @@ func (a *Allocator) Allocate(fid uint16, cons *Constraints) (*Result, error) {
 func (a *Allocator) tryCommit(app *App, before []heldRegion) bool {
 	rollback := func() {
 		if !app.Elastic {
-			for s := range app.regions {
-				a.pinned[s].removeOwner(app.FID) // the intervals inserted so far
-			}
+			a.unpin(app) // the intervals inserted so far
 		}
 		delete(a.apps, app.FID)
 		a.restoreElastic(before)
@@ -568,11 +576,8 @@ func (a *Allocator) tryCommit(app *App, before []heldRegion) bool {
 				rollback()
 				return false
 			}
-			r := BlockRange{Lo: off, Hi: off + g.demand}
-			for _, s := range g.stages {
-				a.pinned[s].insert(interval{BlockRange: r, fid: app.FID, group: g.id})
-				app.regions[s] = r
-			}
+			g.r = BlockRange{Lo: off, Hi: off + g.demand}
+			a.pin(app.FID, g)
 		}
 	}
 	a.apps[app.FID] = app
@@ -592,26 +597,39 @@ func (a *Allocator) starved() bool {
 			continue
 		}
 		for _, g := range app.groups {
-			for _, s := range g.stages {
-				if app.regions[s].Size() < 1 {
-					return true
-				}
+			if g.r.Size() < 1 {
+				return true
 			}
 		}
 	}
 	return false
 }
 
+// pin books g's range in the pinned sets of its stages.
+func (a *Allocator) pin(fid uint16, g *appGroup) {
+	for _, s := range g.stages {
+		a.pinned[s].insert(interval{BlockRange: g.r, fid: fid})
+	}
+}
+
+// unpin drops app's intervals from the pinned sets of its stages.
+func (a *Allocator) unpin(app *App) {
+	for _, g := range app.groups {
+		for _, s := range g.stages {
+			a.pinned[s].removeOwner(app.FID)
+		}
+	}
+}
+
 // Release removes fid and lets elastic neighbors expand into the freed
 // space. It returns the placements of apps whose regions changed.
 func (a *Allocator) Release(fid uint16) ([]*Placement, error) {
-	if _, ok := a.apps[fid]; !ok {
+	app, ok := a.apps[fid]
+	if !ok {
 		return nil, fmt.Errorf("alloc: fid %d not resident", fid)
 	}
 	before := a.snapshotElasticRegions(0)
-	for _, s := range a.pinned {
-		s.removeOwner(fid)
-	}
+	a.unpin(app)
 	delete(a.apps, fid)
 	a.recomputeFreed(before)
 	return a.changedPlacements(before, fid), nil
@@ -634,10 +652,6 @@ type egroup struct {
 	share int
 	full  bool // the waterfill can grow it no more
 }
-
-// region returns the range the group holds now: its stages share one range
-// by construction (accesses of an app land in distinct physical stages).
-func (eg egroup) region() BlockRange { return eg.app.regions[eg.g.stages[0]] }
 
 // recomputeElastic brings the elastic layout up to date after any mutation
 // of the books: progressive-filling shares (approximate max-min fairness,
@@ -776,10 +790,10 @@ func (a *Allocator) sets(g *appGroup, elastic bool) []*intervalSet {
 
 // setRegion moves the group to r in every one of its stages.
 func (a *Allocator) setRegion(eg egroup, r BlockRange) {
+	eg.g.r = r
 	for _, s := range eg.g.stages {
 		a.elastic[s].removeOwner(eg.app.FID)
-		a.elastic[s].insert(interval{BlockRange: r, fid: eg.app.FID, group: eg.g.id})
-		eg.app.regions[s] = r
+		a.elastic[s].insert(interval{BlockRange: r, fid: eg.app.FID})
 	}
 }
 
@@ -808,7 +822,7 @@ func (a *Allocator) realiseInPlace(groups []egroup) bool {
 	a.clearElastic()
 	newcomers := a.order[:0]
 	for _, eg := range groups {
-		r := eg.region()
+		r := eg.g.r
 		if r.Size() < 1 {
 			newcomers = append(newcomers, eg)
 			continue
@@ -824,7 +838,7 @@ func (a *Allocator) realiseInPlace(groups []egroup) bool {
 		a.setRegion(eg, r)
 	}
 	for _, eg := range groups {
-		r := eg.region()
+		r := eg.g.r
 		if over := r.Size() - eg.share; over > 0 {
 			if below, above := a.room(eg.g, r, a.blocks); below > above {
 				r.Lo += over
@@ -850,7 +864,7 @@ func (a *Allocator) realiseInPlace(groups []egroup) bool {
 	clear(unrealised)
 	for _, eg := range groups {
 		for _, s := range eg.g.stages {
-			unrealised[s] += max(eg.share-eg.region().Size(), 0)
+			unrealised[s] += max(eg.share-eg.g.r.Size(), 0)
 		}
 	}
 	if slices.Max(unrealised) <= a.slack() {
@@ -858,7 +872,7 @@ func (a *Allocator) realiseInPlace(groups []egroup) bool {
 	}
 	clear(unrealised)
 	for _, eg := range groups {
-		r := eg.region()
+		r := eg.g.r
 		if want := eg.share - r.Size(); want > 0 {
 			below, above := a.room(eg.g, r, a.blocks-a.slack())
 			up := min(want, above)
@@ -881,7 +895,7 @@ func (a *Allocator) realiseInPlace(groups []egroup) bool {
 func (a *Allocator) relay(groups []egroup) {
 	a.clearElastic()
 	for _, eg := range groups {
-		clear(eg.app.regions)
+		eg.g.r = BlockRange{}
 	}
 	order := append(a.order[:0], groups...)
 	a.order = order
@@ -942,7 +956,7 @@ func (a *Allocator) snapshotElasticRegions(slot int) []heldRegion {
 	for _, app := range a.apps {
 		if app.Elastic {
 			for gi, g := range app.groups {
-				out = append(out, heldRegion{app: app, gi: gi, BlockRange: app.regions[g.stages[0]]})
+				out = append(out, heldRegion{app: app, gi: gi, BlockRange: g.r})
 			}
 		}
 	}
@@ -961,11 +975,10 @@ func (a *Allocator) restoreElastic(saved []heldRegion) {
 		if a.apps[h.app.FID] != h.app {
 			continue // gone (or replaced) since the snapshot
 		}
-		if h.gi == 0 {
-			clear(h.app.regions)
-		}
+		g := &h.app.groups[h.gi]
+		g.r = BlockRange{}
 		if h.Size() > 0 {
-			a.setRegion(egroup{app: h.app, g: &h.app.groups[h.gi]}, h.BlockRange)
+			a.setRegion(egroup{app: h.app, g: g}, h.BlockRange)
 		}
 	}
 }
@@ -978,11 +991,7 @@ func (a *Allocator) changedPlacements(before []heldRegion, skip uint16) []*Place
 	for i := 0; i < len(before); {
 		app, moved := before[i].app, false
 		for ; i < len(before) && before[i].app == app; i++ {
-			for _, s := range app.groups[before[i].gi].stages {
-				if app.regions[s] != before[i].BlockRange {
-					moved = true
-				}
-			}
+			moved = moved || app.groups[before[i].gi].r != before[i].BlockRange
 		}
 		if moved && app.FID != skip && a.apps[app.FID] == app {
 			changed = append(changed, app)
@@ -1004,7 +1013,7 @@ func (a *Allocator) placementFor(app *App) *Placement {
 		Accesses: make([]AccessPlacement, 0, len(app.Mut))}
 	for _, logical := range app.Mut {
 		s := a.cfg.Physical(logical)
-		r := app.regions[s]
+		r := app.region(s)
 		p.Accesses = append(p.Accesses, AccessPlacement{
 			Logical:  logical,
 			Physical: s,

@@ -62,66 +62,28 @@ type groupMove struct {
 }
 
 // compactPlan simulates compacting app and returns the per-group moves and
-// the gain (block·stages slid downward). The books are restored exactly
-// before returning. ok is false when any group would land at or above its
-// current offset (compaction must only ever move state down) or when the
-// app's intervals cannot be located.
+// the gain (block·stages slid downward). The app's groups hold distinct
+// stages, so each group's lowest offset is found with the app unpinned and
+// the others where they are; the app is pinned back before returning. ok is
+// false when any group would land at or above its current offset
+// (compaction must only ever move state down).
 func (a *Allocator) compactPlan(app *App) (moves []groupMove, gain int, ok bool) {
-	// Locate each group's current interval before touching the sets;
-	// app.regions is not authoritative for multi-group apps sharing a
-	// physical stage.
-	old := make([]BlockRange, len(app.groups))
-	for gi, g := range app.groups {
-		found := false
-		for _, iv := range a.pinned[g.stages[0]].ivs {
-			if iv.fid == app.FID && iv.group == g.id {
-				old[gi] = iv.BlockRange
-				found = true
-				break
-			}
+	a.unpin(app)
+	defer func() {
+		for gi := range app.groups {
+			a.pin(app.FID, &app.groups[gi])
 		}
-		if !found {
+	}()
+	for gi := range app.groups {
+		g := &app.groups[gi]
+		off, found := lowestCommonOffset(a.sets(g, false), g.demand, a.blocks)
+		if !found || off > g.r.Lo {
 			return nil, 0, false
 		}
+		gain += (g.r.Lo - off) * len(g.stages)
+		moves = append(moves, groupMove{gi: gi, from: g.r, to: BlockRange{Lo: off, Hi: off + g.demand}})
 	}
-
-	for _, s := range a.pinned {
-		s.removeOwner(app.FID)
-	}
-	restore := func() {
-		for _, s := range a.pinned {
-			s.removeOwner(app.FID)
-		}
-		for gi, g := range app.groups {
-			for _, s := range g.stages {
-				a.pinned[s].insert(interval{BlockRange: old[gi], fid: app.FID, group: g.id})
-			}
-		}
-	}
-
-	ok = true
-	improved := false
-	for gi, g := range app.groups {
-		off, found := lowestCommonOffset(a.sets(&app.groups[gi], false), g.demand, a.blocks)
-		if !found || off > old[gi].Lo {
-			ok = false
-			break
-		}
-		to := BlockRange{Lo: off, Hi: off + g.demand}
-		if off < old[gi].Lo {
-			improved = true
-			gain += (old[gi].Lo - off) * len(g.stages)
-		}
-		moves = append(moves, groupMove{gi: gi, from: old[gi], to: to})
-		for _, s := range g.stages {
-			a.pinned[s].insert(interval{BlockRange: to, fid: app.FID, group: g.id})
-		}
-	}
-	restore()
-	if !ok || !improved {
-		return nil, 0, false
-	}
-	return moves, gain, true
+	return moves, gain, gain > 0
 }
 
 // CompactionCandidates returns the FIDs of inelastic resident apps that a
@@ -182,19 +144,14 @@ func (a *Allocator) CompactApp(fid uint16) (res *CompactResult, ok bool) {
 
 	// place puts the app's groups at the planned offsets, or back.
 	place := func(planned bool) {
-		for _, s := range a.pinned {
-			s.removeOwner(fid)
-		}
-		clear(app.regions)
+		a.unpin(app)
 		for _, mv := range moves {
-			r, g := mv.from, app.groups[mv.gi]
+			g := &app.groups[mv.gi]
+			g.r = mv.from
 			if planned {
-				r = mv.to
+				g.r = mv.to
 			}
-			for _, s := range g.stages {
-				a.pinned[s].insert(interval{BlockRange: r, fid: fid, group: g.id})
-				app.regions[s] = r
-			}
+			a.pin(fid, g)
 		}
 	}
 	place(true)

@@ -87,7 +87,7 @@ func TestCompactAppMovesDownAndBalancesBooks(t *testing.T) {
 	moved := 0
 	for _, fid := range cands {
 		before := make(map[int]BlockRange)
-		for s, r := range a.apps[fid].regions {
+		for s, r := range regionsOf(a.apps[fid]) {
 			before[s] = r
 		}
 		res, ok := a.CompactApp(fid)
@@ -103,13 +103,13 @@ func TestCompactAppMovesDownAndBalancesBooks(t *testing.T) {
 			t.Fatalf("fid %d: committed compaction moved %d blocks", fid, res.BlocksMoved)
 		}
 		worse := false
-		for s, r := range a.apps[fid].regions {
+		for s, r := range regionsOf(a.apps[fid]) {
 			if old, ok := before[s]; ok && r.Lo > old.Lo {
 				worse = true
 			}
 		}
 		if worse {
-			t.Fatalf("fid %d: a region moved upward: %v -> %v", fid, before, a.apps[fid].regions)
+			t.Fatalf("fid %d: a region moved upward: %v -> %v", fid, before, regionsOf(a.apps[fid]))
 		}
 		if err := a.AuditBooks(); err != nil {
 			t.Fatalf("books after compacting fid %d: %v", fid, err)

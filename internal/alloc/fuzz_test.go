@@ -1,11 +1,12 @@
 package alloc
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"maps"
 	"slices"
-	"strings"
+	"strconv"
 	"testing"
 )
 
@@ -48,6 +49,13 @@ type opsModel struct {
 	next   uint16
 	// bounded: the layout in the books came from realiseInPlace.
 	bounded bool
+
+	// Working storage of step and check, reused across ops; rec is the
+	// tables recovered into books, until the tables or fences change.
+	rec    *Allocator
+	held   map[uint16]map[int]BlockRange // the tables before the op
+	books  [2][]byte                     // appendBooks before and after a refusable op
+	ranges [][]BlockRange                // check's ranges per stage
 }
 
 func newOpsModel(t *testing.T, shape byte) *opsModel {
@@ -60,10 +68,11 @@ func newOpsModel(t *testing.T, shape byte) *opsModel {
 		t.Fatal(err)
 	}
 	return &opsModel{t: t, a: a, cons: map[uint16]*Constraints{}, tables: map[uint16]map[int]BlockRange{},
-		fences: map[int][]BlockRange{}, next: 1}
+		fences: map[int][]BlockRange{}, next: 1, held: map[uint16]map[int]BlockRange{}, ranges: make([][]BlockRange, cfg.NumStages)}
 }
 
-// install records a reported placement in the model's tables.
+// install records a reported placement in the model's tables, in a new map:
+// step's copy of the tables before the op shares the old ones.
 func (m *opsModel) install(pls ...*Placement) {
 	cfg := m.a.Config()
 	for _, pl := range pls {
@@ -71,11 +80,14 @@ func (m *opsModel) install(pls ...*Placement) {
 		for _, ap := range pl.Accesses {
 			regions[ap.Logical%cfg.NumStages] = BlockRange{Lo: int(ap.Range.Lo) / cfg.BlockWords, Hi: int(ap.Range.Hi) / cfg.BlockWords}
 		}
-		m.tables[pl.FID] = regions
+		if old, ok := m.tables[pl.FID]; !ok || !maps.Equal(old, regions) {
+			m.tables[pl.FID] = regions
+			m.rec = nil
+		}
 	}
 }
 
-func (m *opsModel) evict(fid uint16) { delete(m.cons, fid); delete(m.tables, fid) }
+func (m *opsModel) evict(fid uint16) { delete(m.cons, fid); delete(m.tables, fid); m.rec = nil }
 
 func (m *opsModel) fence(stage int, r BlockRange) {
 	if !m.a.QuarantinedIn(stage, r.Lo) {
@@ -87,6 +99,7 @@ func (m *opsModel) fence(stage int, r BlockRange) {
 		}
 	}
 	m.fences[stage] = append(m.fences[stage], r)
+	m.rec = nil
 }
 
 // pick returns the arg-th resident FID in ascending order.
@@ -100,17 +113,24 @@ func (m *opsModel) pick(arg byte) (uint16, bool) {
 
 func (m *opsModel) step(b byte) {
 	a, arg := m.a, b/9
-	defer func(was [2]uint64, held map[uint16]map[int]BlockRange) {
+	// check holds the tables equal to the books between ops, so a copy of
+	// the tables is what every app held before this one.
+	clear(m.held)
+	maps.Copy(m.held, m.tables)
+	defer func(was [2]uint64) {
 		if now := m.a.relayouts; m.a != a || now[1] != was[1] {
 			m.bounded = false
 		} else if now[0] != was[0] {
 			m.bounded = true
 			if now[0] == was[0]+1 {
-				m.grewOnlyBeyondSlack(b, held)
+				m.grewOnlyBeyondSlack(b, m.held)
 			}
 		}
-	}(a.relayouts, regionsNow(a))
-	before := dumpBooks(a)
+	}(a.relayouts)
+	switch b % 9 {
+	case 0, 1, 2, 3, 5, 7: // ops that may be refused, leaving the books untouched
+		m.books[0] = appendBooks(m.books[0][:0], a)
+	}
 	switch b % 9 {
 	case 0, 1, 2, 3: // admit: elastic cache, heavy hitter, load balancer, unaligned elastic
 		cons := []*Constraints{cacheCons(), hhCons(), lbCons(), selectCons()}[b%9]
@@ -121,7 +141,7 @@ func (m *opsModel) step(b byte) {
 			m.t.Fatalf("allocate %d: %v", fid, err)
 		}
 		if res.Failed {
-			m.untouched(before, "refused allocate")
+			m.untouched("refused allocate")
 			return
 		}
 		m.cons[fid] = cons
@@ -142,7 +162,7 @@ func (m *opsModel) step(b byte) {
 		stage, r := int(arg)%a.cfg.NumStages, BlockRange{Lo: int(arg) % a.blocks, Hi: int(arg)%a.blocks + 1}
 		changed, err := a.Quarantine(stage, r)
 		if err != nil {
-			m.untouched(before, "refused quarantine")
+			m.untouched("refused quarantine")
 			return
 		}
 		m.fence(stage, r)
@@ -169,14 +189,17 @@ func (m *opsModel) step(b byte) {
 		if cands := a.CompactionCandidates(nil); len(cands) > 0 {
 			res, ok := a.CompactApp(cands[0])
 			if !ok {
-				m.untouched(before, "refused compaction")
+				m.untouched("refused compaction")
 				return
 			}
 			m.install(res.Placement)
 			m.install(res.Reallocated...)
 		}
 	case 8: // crash: rebuild the books from the tables, then readmit most tenants
-		m.a, m.bounded = m.recovered(), false
+		if m.rec == nil {
+			m.rec = m.recovered()
+		}
+		m.a, m.rec, m.bounded = m.rec, nil, false
 		for _, fid := range sortedKeys(m.tables) {
 			if (int(fid)+int(arg))%4 == 0 {
 				continue // stays pinned in recovered form until the next crash
@@ -212,7 +235,7 @@ func (m *opsModel) grewOnlyBeyondSlack(op byte, held map[uint16]map[int]BlockRan
 		if was < 1 {
 			continue
 		}
-		if eg.region().Size() > was {
+		if eg.g.r.Size() > was {
 			grew = i
 		}
 		for _, s := range eg.g.stages {
@@ -222,7 +245,7 @@ func (m *opsModel) grewOnlyBeyondSlack(op byte, held map[uint16]map[int]BlockRan
 	if grew >= 0 && slices.Max(owed) <= a.slack() {
 		eg := groups[grew]
 		m.t.Fatalf("after op %d (kind %d): fid %d group %d grew from %+v to %+v, yet the most any stage owed was %d of slack %d\n%s",
-			op, op%9, eg.app.FID, eg.g.id, held[eg.app.FID][eg.g.stages[0]], eg.region(), slices.Max(owed), a.slack(), dumpBooks(a))
+			op, op%9, eg.app.FID, eg.g.id, held[eg.app.FID][eg.g.stages[0]], eg.g.r, slices.Max(owed), a.slack(), dumpBooks(a))
 	}
 }
 
@@ -236,10 +259,10 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 }
 
 // untouched fails unless the books are what they were before a refused op.
-func (m *opsModel) untouched(before, what string) {
+func (m *opsModel) untouched(what string) {
 	m.t.Helper()
-	if after := dumpBooks(m.a); after != before {
-		m.t.Fatalf("%s changed the books:\n%s\nwas:\n%s", what, after, before)
+	if m.books[1] = appendBooks(m.books[1][:0], m.a); !bytes.Equal(m.books[1], m.books[0]) {
+		m.t.Fatalf("%s changed the books:\n%s\nwas:\n%s", what, m.books[1], m.books[0])
 	}
 }
 
@@ -273,32 +296,43 @@ func (m *opsModel) check(op byte) {
 		fail("%v", err)
 	}
 	// The model's tables are the books, and rebuild them.
-	if got, want := a.FIDs(), sortedKeys(m.tables); !slices.Equal(got, want) {
-		fail("resident %v, model %v", got, want)
+	if len(a.apps) != len(m.tables) {
+		fail("resident %v, model %v", a.FIDs(), sortedKeys(m.tables))
 	}
-	rec := m.recovered()
+	if m.rec == nil {
+		m.rec = m.recovered()
+	}
+	rec := m.rec
 	for fid, regions := range m.tables {
-		if !maps.Equal(a.apps[fid].regions, regions) {
-			fail("fid %d: books %v, tables %v (a move went unreported)", fid, a.apps[fid].regions, regions)
+		app, ok := a.apps[fid]
+		if !ok {
+			fail("resident %v, model %v", a.FIDs(), sortedKeys(m.tables))
 		}
-		if !maps.Equal(rec.apps[fid].regions, regions) {
-			fail("fid %d: recovered books %v, tables %v", fid, rec.apps[fid].regions, regions)
+		if !holds(app, regions) {
+			fail("fid %d: books %v, tables %v (a move went unreported)", fid, regionsOf(app), regions)
+		}
+		if !holds(rec.apps[fid], regions) {
+			fail("fid %d: recovered books %v, tables %v", fid, regionsOf(rec.apps[fid]), regions)
 		}
 	}
 	if err := rec.AuditBooks(); err != nil || rec.Utilization() != a.Utilization() {
 		fail("recovered books: audit %v, utilization %v vs %v", err, rec.Utilization(), a.Utilization())
 	}
 	// Disjoint, in bounds, and every group of an elastic app holds a block.
-	for s := 0; s < a.cfg.NumStages; s++ {
-		var held []BlockRange
-		for _, r := range m.fences[s] {
-			held = append(held, r)
-		}
-		for _, fid := range a.FIDs() {
-			if r, ok := a.apps[fid].regions[s]; ok {
-				held = append(held, r)
+	ranges := m.ranges
+	for s := range ranges {
+		ranges[s] = append(ranges[s][:0], m.fences[s]...)
+	}
+	for _, app := range a.apps {
+		for _, g := range app.groups {
+			for _, s := range g.stages {
+				if g.r.Size() > 0 || app.Elastic {
+					ranges[s] = append(ranges[s], g.r)
+				}
 			}
 		}
+	}
+	for s, held := range ranges {
 		for i, r := range held {
 			if r.Lo < 0 || r.Hi > a.blocks || r.Size() < 1 {
 				fail("stage %d: bad range %+v", s, r)
@@ -315,10 +349,7 @@ func (m *opsModel) check(op byte) {
 	unrealised := make([]int, a.cfg.NumStages)
 	for _, eg := range groups {
 		for _, s := range eg.g.stages {
-			if eg.app.regions[s] != eg.region() || eg.region().Size() < 1 {
-				fail("fid %d group %d: stage %d holds %+v, the group %+v", eg.app.FID, eg.g.id, s, eg.app.regions[s], eg.region())
-			}
-			unrealised[s] += max(eg.share-eg.region().Size(), 0)
+			unrealised[s] += max(eg.share-eg.g.r.Size(), 0)
 		}
 	}
 	for s, n := range unrealised {
@@ -328,19 +359,67 @@ func (m *opsModel) check(op byte) {
 	}
 }
 
+// holds reports whether app's groups hold exactly the regions of tables.
+func holds(app *App, tables map[int]BlockRange) bool {
+	n := 0
+	for _, g := range app.groups {
+		for _, s := range g.stages {
+			if g.r.Size() > 0 {
+				n++
+				if r, ok := tables[s]; !ok || r != g.r {
+					return false
+				}
+			}
+		}
+	}
+	return n == len(tables)
+}
+
 // dumpBooks renders everything the allocator keeps, deterministically.
-func dumpBooks(a *Allocator) string {
-	var b strings.Builder
+func dumpBooks(a *Allocator) string { return string(appendBooks(nil, a)) }
+
+// appendBooks is dumpBooks into dst: the interval sets of every stage, then
+// every resident's mutant and the range of each of its groups, by stage.
+func appendBooks(dst []byte, a *Allocator) []byte {
+	num := func(n int) { dst = strconv.AppendInt(append(dst, ' '), int64(n), 10) }
+	ivs := func(name string, set *intervalSet) {
+		dst = append(dst, name...)
+		for _, iv := range set.ivs {
+			num(int(iv.fid))
+			dst = append(dst, ':')
+			dst = strconv.AppendInt(dst, int64(iv.Lo), 10)
+			dst = append(dst, '-')
+			dst = strconv.AppendInt(dst, int64(iv.Hi), 10)
+		}
+	}
 	for s := 0; s < a.cfg.NumStages; s++ {
-		fmt.Fprintf(&b, "stage %d pinned %v elastic %v\n", s, a.pinned[s].ivs, a.elastic[s].ivs)
+		dst = append(dst, "stage"...)
+		num(s)
+		ivs(" pinned", a.pinned[s])
+		ivs(" elastic", a.elastic[s])
+		dst = append(dst, '\n')
 	}
 	for _, fid := range a.FIDs() {
 		app := a.apps[fid]
-		fmt.Fprintf(&b, "fid %d elastic %v mutant %d %v:", fid, app.Elastic, app.MutantIdx, app.Mut)
-		for _, s := range sortedKeys(app.regions) {
-			fmt.Fprintf(&b, " %d:%v", s, app.regions[s])
+		dst = append(dst, "fid"...)
+		num(int(fid))
+		dst = strconv.AppendBool(append(dst, " elastic "...), app.Elastic)
+		dst = append(dst, " mutant"...)
+		num(app.MutantIdx)
+		for _, l := range app.Mut {
+			num(l)
 		}
-		b.WriteByte('\n')
+		dst = append(dst, " groups"...)
+		for _, g := range app.groups {
+			for _, s := range g.stages {
+				num(s)
+			}
+			dst = append(dst, ':')
+			dst = strconv.AppendInt(dst, int64(g.r.Lo), 10)
+			dst = append(dst, '-')
+			dst = strconv.AppendInt(dst, int64(g.r.Hi), 10)
+		}
+		dst = append(dst, '\n')
 	}
-	return b.String()
+	return dst
 }

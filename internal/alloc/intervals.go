@@ -16,8 +16,7 @@ func (r BlockRange) overlaps(o BlockRange) bool { return r.Lo < o.Hi && o.Lo < r
 // interval is an owned range within a stage pool.
 type interval struct {
 	BlockRange
-	fid   uint16
-	group int
+	fid uint16
 }
 
 // intervalSet is the per-stage bookkeeping of owned ranges, kept sorted by

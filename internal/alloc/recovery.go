@@ -21,11 +21,12 @@ import (
 const QuarantineFID uint16 = 0xFFFF
 
 // Recover re-registers fid as resident at the given per-stage block
-// regions, as read back from the switch tables after a controller restart.
-// The app is held pinned at exactly those regions (even if it was elastic
-// before the crash) until Readmit restores its constraints — conservative,
-// but guarantees the data plane stays consistent with the books. Every
-// region is checked before any is booked, so a rejected call books nothing.
+// regions, as read back from the switch tables after a controller restart,
+// booked as one single-stage group per region. The app is held pinned at
+// exactly those regions (even if it was elastic before the crash) until
+// Readmit restores its constraints — conservative, but guarantees the data
+// plane stays consistent with the books. Every region is checked before any
+// is booked, so a rejected call books nothing.
 func (a *Allocator) Recover(fid uint16, regions map[int]BlockRange) error {
 	if fid == QuarantineFID {
 		return fmt.Errorf("alloc: fid %d is reserved", fid)
@@ -33,7 +34,6 @@ func (a *Allocator) Recover(fid uint16, regions map[int]BlockRange) error {
 	if _, dup := a.apps[fid]; dup {
 		return fmt.Errorf("alloc: fid %d already resident", fid)
 	}
-	app := &App{FID: fid, regions: map[int]BlockRange{}}
 	stages := make([]int, 0, len(regions))
 	for s := range regions {
 		stages = append(stages, s)
@@ -48,9 +48,10 @@ func (a *Allocator) Recover(fid uint16, regions map[int]BlockRange) error {
 			return fmt.Errorf("alloc: recovered region %+v at stage %d overlaps fid %d", r, s, iv.fid)
 		}
 	}
-	for _, s := range stages {
-		a.pinned[s].insert(interval{BlockRange: regions[s], fid: fid})
-		app.regions[s] = regions[s]
+	app := &App{FID: fid, groups: make([]appGroup, len(stages))}
+	for i, s := range stages {
+		app.groups[i] = appGroup{demand: regions[s].Size(), stages: stages[i : i+1 : i+1], r: regions[s]}
+		a.pin(fid, &app.groups[i])
 	}
 	a.apps[fid] = app
 	a.recomputeElastic()
@@ -79,9 +80,7 @@ func (a *Allocator) Readmit(fid uint16, cons *Constraints) (*Result, error) {
 		return nil, err
 	}
 	evict := func() {
-		for _, s := range a.pinned {
-			s.removeOwner(fid)
-		}
+		a.unpin(app)
 		delete(a.apps, fid)
 	}
 	if len(cons.Accesses) == 0 {
@@ -95,7 +94,7 @@ func (a *Allocator) Readmit(fid uint16, cons *Constraints) (*Result, error) {
 		evict()
 		return &Result{Failed: true, Reason: "infeasible-constraints"}, nil
 	}
-	match := a.matchMutant(cons, mutants, app.regions)
+	match := a.matchMutant(cons, mutants, app)
 	if match < 0 {
 		// No mutant projects onto the installed stages: re-place from
 		// scratch (the recovered regions are freed first).
@@ -108,16 +107,18 @@ func (a *Allocator) Readmit(fid uint16, cons *Constraints) (*Result, error) {
 	app.Mut = slices.Clone(mutants[match])
 	app.MutantIdx = match
 	app.Elastic = cons.Elastic
-	app.groups = a.appGroups(cons, app.Mut)
+	groups := a.appGroups(cons, app.Mut)
+	for gi := range groups {
+		groups[gi].r = app.region(groups[gi].stages[0]) // matchMutant: every stage of the group holds it
+	}
+	app.groups = groups
 	res := &Result{MutantsTotal: len(mutants), MutantsFeasible: 1}
 	if cons.Elastic {
 		// Restore elasticity: drop the pinned placeholder and let the
 		// shared waterfill resize the app where it stands (its regions may
 		// still move — the normal reallocation protocol informs the client).
 		before := a.snapshotElasticRegions(0)
-		for _, s := range a.pinned {
-			s.removeOwner(fid)
-		}
+		a.unpin(app)
 		a.recomputeElastic()
 		if a.starved() {
 			// Could not re-place elastically (quarantine or new tenants
@@ -138,18 +139,18 @@ func (a *Allocator) Readmit(fid uint16, cons *Constraints) (*Result, error) {
 }
 
 // matchMutant returns the index of the first mutant whose physical stage
-// projection and alignment structure are consistent with the installed
-// regions, or -1. A mutant's accesses land in distinct physical stages, so
-// one whose every access finds its region matches when it has one access
-// per installed region.
-func (a *Allocator) matchMutant(cons *Constraints, mutants []Mutant, regions map[int]BlockRange) int {
+// projection and alignment structure are consistent with the regions the
+// recovered app holds, one per group, or -1. A mutant's accesses land in
+// distinct physical stages, so one whose every access finds its region
+// matches when it has one access per installed region.
+func (a *Allocator) matchMutant(cons *Constraints, mutants []Mutant, rec *App) int {
 	for idx, m := range mutants {
 		ok := true
 		for _, g := range a.buildGroups(cons, m) {
 			var common BlockRange
 			for i, s := range g.stages {
-				r, has := regions[s]
-				if !has || (g.demand > 0 && r.Size() < g.demand) {
+				r := rec.region(s)
+				if r.Size() < max(g.demand, 1) {
 					ok = false
 					break
 				}
@@ -164,7 +165,7 @@ func (a *Allocator) matchMutant(cons *Constraints, mutants []Mutant, regions map
 				break
 			}
 		}
-		if ok && len(m) == len(regions) {
+		if ok && len(m) == len(rec.groups) {
 			return idx
 		}
 	}
@@ -235,9 +236,7 @@ func (a *Allocator) Evacuate(fid uint16, quar map[int][]BlockRange) (*Result, er
 	}
 	before := a.snapshotElasticRegions(1)
 	cons := app.Cons
-	for _, s := range a.pinned {
-		s.removeOwner(fid)
-	}
+	a.unpin(app)
 	delete(a.apps, fid)
 	stages := make([]int, 0, len(quar))
 	for s := range quar {

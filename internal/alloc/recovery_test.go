@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -208,5 +209,33 @@ func TestEvacuateRecoveredAppIsEvicted(t *testing.T) {
 	}
 	if !a.QuarantinedIn(2, 10) {
 		t.Error("block not fenced after eviction")
+	}
+}
+
+// TestRecoveredBooksStayCompactable: books rebuilt from the tables and
+// readmitted tenant by tenant offer the compaction candidates the books
+// offered before the crash — a recovered grant is booked like any other.
+func TestRecoveredBooksStayCompactable(t *testing.T) {
+	a, live := fragment(t, 12)
+	want := a.CompactionCandidates(nil)
+	if len(want) == 0 {
+		t.Fatal("the fragmented books offer no candidate")
+	}
+	b := newAllocator(t, testConfig())
+	for _, fid := range live {
+		if err := b.Recover(fid, blocksOf(t, a, fid)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, fid := range live {
+		if res, err := b.Readmit(fid, hhCons()); err != nil || res.Failed {
+			t.Fatalf("readmit %d: %v %+v", fid, err, res)
+		}
+	}
+	if got := b.CompactionCandidates(nil); !slices.Equal(got, want) {
+		t.Errorf("candidates after crash and readmission %v, before %v", got, want)
+	}
+	if err := b.AuditBooks(); err != nil {
+		t.Error(err)
 	}
 }

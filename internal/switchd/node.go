@@ -1,6 +1,8 @@
 package switchd
 
 import (
+	"fmt"
+
 	"activermt/internal/alloc"
 	"activermt/internal/guard"
 	"activermt/internal/netsim"
@@ -90,15 +92,37 @@ type Violation struct {
 }
 
 // Check audits a settled switch against the rows its tables can show: the
-// isolation audit's findings (P1) first, then the allocator's books (P4).
-// It returns nil when both hold.
+// isolation audit's findings (P1) first, then the allocator's books (P4),
+// then — while the controller is alive and no job is in progress — the
+// books against the protection tables (P4b): every resident with
+// constraints on file is installed at exactly its placement's stages and
+// word ranges. It returns nil when all hold.
 func (n *Node) Check() []Violation {
 	var out []Violation
 	for _, f := range guard.AuditRuntime(n.RT) {
 		out = append(out, Violation{Row: "P1", Detail: f.String()})
 	}
-	if err := n.Ctrl.Allocator().AuditBooks(); err != nil {
+	al := n.Ctrl.Allocator()
+	if err := al.AuditBooks(); err != nil {
 		out = append(out, Violation{Row: "P4", Detail: err.Error()})
+	}
+	if !n.Ctrl.alive || n.Ctrl.cur != nil {
+		return out
+	}
+	for _, fid := range al.FIDs() {
+		pl, ok := al.PlacementFor(fid)
+		if !ok {
+			continue // recovered form: the tables are its only record
+		}
+		installed := n.RT.InstalledRegions(fid)
+		same := len(installed) == len(pl.Accesses)
+		for _, ap := range pl.Accesses {
+			reg, ok := installed[ap.Physical]
+			same = same && ok && reg.Lo == ap.Range.Lo && reg.Hi == ap.Range.Hi
+		}
+		if !same {
+			out = append(out, Violation{Row: "P4b", Detail: fmt.Sprintf("fid %d: books %v, tables %v", fid, pl.Accesses, installed)})
+		}
 	}
 	return out
 }

@@ -53,8 +53,7 @@ func (v *Verdict) UnmarshalText(b []byte) error {
 // tenant's packet did — or why it was refused — when debugging an eviction
 // or a guard escalation after the fact.
 type FlightEntry struct {
-	Seq       uint64  `json:"seq"`  // recorder-local sequence number
-	Lane      int     `json:"lane"` // always 0: the one execution path (kept for JSON consumers)
+	Seq       uint64  `json:"seq"` // recorder-local sequence number
 	FID       uint16  `json:"fid"`
 	Epoch     uint8   `json:"epoch"` // grant epoch the capsule executed against
 	Verdict   Verdict `json:"verdict"`

@@ -189,9 +189,9 @@ func TestFlightRecorderRing(t *testing.T) {
 	if len(got) != 4 {
 		t.Fatalf("%d entries, want 4 (ring size)", len(got))
 	}
-	// Oldest-first: FIDs 3,4,5,6 with sequence numbers 3..6, lane 0.
+	// Oldest-first: FIDs 3,4,5,6 with sequence numbers 3..6.
 	for i, e := range got {
-		if e.FID != uint16(3+i) || e.Seq != uint64(3+i) || e.Lane != 0 {
+		if e.FID != uint16(3+i) || e.Seq != uint64(3+i) {
 			t.Fatalf("entry %d: %+v", i, e)
 		}
 	}

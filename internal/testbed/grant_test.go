@@ -48,14 +48,14 @@ func TestGrantCycleAllocs(t *testing.T) {
 			t.Fatalf("re-admitted client is %v", cl.State())
 		}
 	})
-	// The cycle allocates 27 (28 under -race), 111 before controller and
-	// client timers were typed, grants and responses decoded into scratch
-	// and plans recycled: five placements, the newcomer's App, groups and
-	// constraints, the client's request, each allocator call's snapshot and
-	// result.
+	// The cycle allocates 21, under -race too (23 while an App kept its
+	// regions in a map besides its groups, 111 before controller and client
+	// timers were typed, grants and responses decoded into scratch and plans
+	// recycled): five placements, the newcomer's App, groups and
+	// constraints, the client's request, each allocator call's result.
 	t.Logf("%.0f allocations per departure + arrival", n)
-	if n > 28 {
-		t.Errorf("%.0f allocations per departure + arrival, want <= 28", n)
+	if n > 21 {
+		t.Errorf("%.0f allocations per departure + arrival, want <= 21", n)
 	}
 }
 

@@ -600,3 +600,28 @@ func TestMirrorService(t *testing.T) {
 		t.Error("FORK clones should recirculate")
 	}
 }
+
+// TestCheckComparesBooksWithTables: a settled switch's books and protection
+// tables agree, and a TCAM region edited behind the controller's back — the
+// tenant's range in one stage cut by a block — is reported under row P4b.
+func TestCheckComparesBooksWithTables(t *testing.T) {
+	tb := newBed(t)
+	_, cl := tb.AddCache(1, tb.AddKVServer())
+	if err := cl.RequestAndWait(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if vs := tb.Check(); vs != nil {
+		t.Fatalf("settled switch: %v", vs)
+	}
+	stage := cl.Placement().Accesses[0].Physical
+	prot := tb.RT.Device().Stage(stage).Prot
+	reg, _ := prot.Region(1)
+	reg.Hi -= uint32(tb.Ctrl.Allocator().Config().BlockWords)
+	if err := prot.Install(reg); err != nil {
+		t.Fatal(err)
+	}
+	vs := tb.Check()
+	if len(vs) != 1 || vs[0].Row != "P4b" {
+		t.Fatalf("edited region: %v, want one P4b violation", vs)
+	}
+}
