@@ -170,7 +170,7 @@ type Allocator struct {
 	cfg    Config
 	blocks int
 
-	apps    map[uint16]*App
+	apps    []*App         // the residents, in FID order
 	pinned  []*intervalSet // per stage: inelastic intervals (persistent)
 	elastic []*intervalSet // per stage: elastic intervals (mirror the elastic apps' regions)
 
@@ -189,6 +189,7 @@ type Allocator struct {
 	cands    []cand            // Allocate's feasible mutants
 	groups   []appGroup        // one candidate mutant's alignment groups
 	egroups  []egroup          // elasticGroups
+	owners   []uint16          // disturbed
 	order    []egroup          // a lay order
 	setBuf   []*intervalSet    // sets
 	perStage [2][]int          // fairShares' room and contention, then realiseInPlace's unrealised share
@@ -208,7 +209,6 @@ func New(cfg Config) (*Allocator, error) {
 	a := &Allocator{
 		cfg:     cfg,
 		blocks:  cfg.BlocksPerStage(),
-		apps:    make(map[uint16]*App),
 		pinned:  make([]*intervalSet, cfg.NumStages),
 		elastic: make([]*intervalSet, cfg.NumStages),
 		stats:   make([]stageStats, cfg.NumStages),
@@ -230,19 +230,38 @@ func (a *Allocator) Config() Config { return a.cfg }
 // NumApps returns the number of resident applications.
 func (a *Allocator) NumApps() int { return len(a.apps) }
 
-// App returns the admitted app for fid.
-func (a *Allocator) App(fid uint16) (*App, bool) {
-	app, ok := a.apps[fid]
-	return app, ok
+// find returns the index fid has, or would take, among the residents.
+func (a *Allocator) find(fid uint16) (int, bool) {
+	return slices.BinarySearchFunc(a.apps, fid, func(app *App, fid uint16) int { return cmp.Compare(app.FID, fid) })
 }
 
-// FIDs returns all resident FIDs in ascending order.
-func (a *Allocator) FIDs() []uint16 {
-	out := make([]uint16, 0, len(a.apps))
-	for fid := range a.apps {
-		out = append(out, fid)
+// App returns the admitted app for fid.
+func (a *Allocator) App(fid uint16) (*App, bool) {
+	if i, ok := a.find(fid); ok {
+		return a.apps[i], true
 	}
-	slices.Sort(out)
+	return nil, false
+}
+
+// admit books app as resident, in FID order.
+func (a *Allocator) admit(app *App) {
+	i, _ := a.find(app.FID)
+	a.apps = slices.Insert(a.apps, i, app)
+}
+
+// drop removes fid from the residents, if it is one.
+func (a *Allocator) drop(fid uint16) {
+	if i, ok := a.find(fid); ok {
+		a.apps = slices.Delete(a.apps, i, i+1)
+	}
+}
+
+// FIDs returns all resident FIDs in ascending order, in a new slice.
+func (a *Allocator) FIDs() []uint16 {
+	out := make([]uint16, len(a.apps))
+	for i, app := range a.apps {
+		out[i] = app.FID
+	}
 	return out
 }
 
@@ -289,21 +308,19 @@ type stageStats struct {
 	regionApps    int
 }
 
-// census counts every stage's occupancy into storage the next call reuses.
+// census counts every stage's occupancy from its interval sets, into storage
+// the next call reuses. Between mutations every elastic group holds a block
+// in each of its stages, so a stage's elastic intervals are its elastic
+// groups, and its intervals but the quarantine fences are its regions.
 func (a *Allocator) census() []stageStats {
 	st := a.stats
 	for s := range st {
-		st[s] = stageStats{pinnedUsed: a.pinned[s].used()}
-	}
-	for _, app := range a.apps {
-		for _, g := range app.groups {
-			for _, s := range g.stages {
-				if g.r.Size() > 0 {
-					st[s].regionApps++
-				}
-				if app.Elastic {
-					st[s].elasticGroups++
-				}
+		elastic := len(a.elastic[s].ivs)
+		st[s] = stageStats{elasticGroups: elastic, regionApps: elastic}
+		for _, iv := range a.pinned[s].ivs {
+			st[s].pinnedUsed += iv.Size()
+			if iv.fid != QuarantineFID {
+				st[s].regionApps++
 			}
 		}
 	}
@@ -398,29 +415,21 @@ func (a *Allocator) cost(groups []appGroup, st []stageStats, sigs map[stageSet]b
 }
 
 // disturbed counts the resident elastic apps holding a group in a stage one
-// of groups would occupy: the apps an admission there may move.
+// of groups would occupy: the apps an admission there may move. Between
+// mutations every elastic group holds a block in each of its stages, so they
+// are the distinct owners of those stages' elastic intervals.
 func (a *Allocator) disturbed(groups []appGroup) int {
-	n := 0
-	for _, app := range a.apps {
-		if app.Elastic && shareStage(app.groups, groups) {
-			n++
-		}
-	}
-	return n
-}
-
-// shareStage reports whether two sets of groups occupy a common stage.
-func shareStage(x, y []appGroup) bool {
-	for _, gx := range x {
-		for _, gy := range y {
-			for _, s := range gx.stages {
-				if slices.Contains(gy.stages, s) {
-					return true
-				}
+	owners := a.owners[:0]
+	for _, g := range groups {
+		for _, s := range g.stages {
+			for _, iv := range a.elastic[s].ivs {
+				owners = append(owners, iv.fid)
 			}
 		}
 	}
-	return false
+	slices.Sort(owners)
+	a.owners = owners
+	return len(slices.Compact(owners))
 }
 
 // stageSet is a stage-set signature used for placement-affinity ranking: a
@@ -477,7 +486,7 @@ func (a *Allocator) mutants(cons *Constraints) ([]Mutant, Policy, error) {
 // with Result.Failed set means the request was well-formed but could not be
 // placed (the paper's "failed allocation" — a fast path).
 func (a *Allocator) Allocate(fid uint16, cons *Constraints) (*Result, error) {
-	if _, dup := a.apps[fid]; dup {
+	if _, dup := a.find(fid); dup {
 		return nil, fmt.Errorf("alloc: fid %d already resident", fid)
 	}
 	if err := cons.Validate(); err != nil {
@@ -564,7 +573,7 @@ func (a *Allocator) tryCommit(app *App, before []heldRegion) bool {
 		if !app.Elastic {
 			a.unpin(app) // the intervals inserted so far
 		}
-		delete(a.apps, app.FID)
+		a.drop(app.FID)
 		a.restoreElastic(before)
 	}
 
@@ -580,29 +589,12 @@ func (a *Allocator) tryCommit(app *App, before []heldRegion) bool {
 			a.pin(app.FID, g)
 		}
 	}
-	a.apps[app.FID] = app
-	a.recomputeElastic()
-	if a.starved() {
+	a.admit(app)
+	if !a.recomputeElastic() {
 		rollback()
 		return false
 	}
 	return true
-}
-
-// starved reports whether some elastic group holds no block in one of its
-// stages: the layout squeezed a tenant out.
-func (a *Allocator) starved() bool {
-	for _, app := range a.apps {
-		if !app.Elastic {
-			continue
-		}
-		for _, g := range app.groups {
-			if g.r.Size() < 1 {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // pin books g's range in the pinned sets of its stages.
@@ -624,13 +616,13 @@ func (a *Allocator) unpin(app *App) {
 // Release removes fid and lets elastic neighbors expand into the freed
 // space. It returns the placements of apps whose regions changed.
 func (a *Allocator) Release(fid uint16) ([]*Placement, error) {
-	app, ok := a.apps[fid]
+	app, ok := a.App(fid)
 	if !ok {
 		return nil, fmt.Errorf("alloc: fid %d not resident", fid)
 	}
 	before := a.snapshotElasticRegions(0)
 	a.unpin(app)
-	delete(a.apps, fid)
+	a.drop(fid)
 	a.recomputeFreed(before)
 	return a.changedPlacements(before, fid), nil
 }
@@ -639,7 +631,7 @@ func (a *Allocator) Release(fid uint16) ([]*Placement, error) {
 // squeezes a neighbor out is no way to use the freed space, so everyone then
 // stays where before has them.
 func (a *Allocator) recomputeFreed(before []heldRegion) {
-	if a.recomputeElastic(); a.starved() {
+	if !a.recomputeElastic() {
 		a.restoreElastic(before)
 	}
 }
@@ -658,16 +650,18 @@ type egroup struct {
 // Section 4.2), realised against the current layout where that is possible
 // (realiseInPlace) and by a full re-lay, largest shares first, where it is
 // not. The layout is therefore history-dependent: a caller that must undo a
-// mutation restores a saved copy (restoreElastic) instead of recomputing.
-func (a *Allocator) recomputeElastic() {
+// mutation restores a saved copy (restoreElastic) instead of recomputing. It
+// reports whether every elastic group holds a block: false means the layout
+// squeezed a tenant out.
+func (a *Allocator) recomputeElastic() bool {
 	groups := a.elasticGroups()
 	a.fairShares(groups)
 	if !a.relayOnly && a.realiseInPlace(groups) {
 		a.relayouts[0]++
-		return
+		return true
 	}
 	a.relayouts[1]++
-	a.relay(groups)
+	return a.relay(groups)
 }
 
 // elasticGroups lists the alignment groups of the resident elastic apps, by
@@ -681,8 +675,6 @@ func (a *Allocator) elasticGroups() []egroup {
 			}
 		}
 	}
-	// Stable: an app's groups stay in order.
-	slices.SortStableFunc(groups, func(x, y egroup) int { return cmp.Compare(x.app.FID, y.app.FID) })
 	a.egroups = groups
 	return groups
 }
@@ -814,10 +806,10 @@ func (a *Allocator) room(g *appGroup, r BlockRange, limit int) (below, above int
 // newcomer takes the lowest common offset that holds its share; once some
 // stage owes more unrealised share than the slack, a group below its share
 // grows into the free space next to it, never into the slack at the top of a
-// stage. It reports false — leaving a half-edited layout for
-// relay to overwrite — when a resident collides with a pinned interval, a
-// newcomer cannot get its share, or some stage is left with more unrealised
-// share than the slack the waterfill already holds back.
+// stage. It reports true only with every group placed, and false — leaving a
+// half-edited layout for relay to overwrite — when a resident collides with a
+// pinned interval, a newcomer cannot get its share, or some stage is left with
+// more unrealised share than the slack the waterfill already holds back.
 func (a *Allocator) realiseInPlace(groups []egroup) bool {
 	a.clearElastic()
 	newcomers := a.order[:0]
@@ -891,8 +883,9 @@ func (a *Allocator) realiseInPlace(groups []egroup) bool {
 
 // relay lays the whole elastic set out afresh, in layOrder; aligned groups
 // need one common offset across all their stages, and a group that cannot be
-// placed at its share shrinks until it fits.
-func (a *Allocator) relay(groups []egroup) {
+// placed at its share shrinks until it fits. It reports whether every group
+// got a block.
+func (a *Allocator) relay(groups []egroup) bool {
 	a.clearElastic()
 	for _, eg := range groups {
 		eg.g.r = BlockRange{}
@@ -900,6 +893,7 @@ func (a *Allocator) relay(groups []egroup) {
 	order := append(a.order[:0], groups...)
 	a.order = order
 	layOrder(order)
+	placed := true
 	for _, eg := range order {
 		sets := a.sets(eg.g, true)
 		// Fit the largest placeable size <= the fair share. Placeability
@@ -937,7 +931,9 @@ func (a *Allocator) relay(groups []egroup) {
 		if ok {
 			a.setRegion(eg, BlockRange{Lo: off, Hi: off + size})
 		}
+		placed = placed && ok
 	}
+	return placed
 }
 
 // heldRegion is what one alignment group of an elastic app holds: an empty
@@ -960,9 +956,6 @@ func (a *Allocator) snapshotElasticRegions(slot int) []heldRegion {
 			}
 		}
 	}
-	slices.SortFunc(out, func(x, y heldRegion) int {
-		return cmp.Or(cmp.Compare(x.app.FID, y.app.FID), cmp.Compare(x.gi, y.gi))
-	})
 	a.held[slot] = out
 	return out
 }
@@ -972,7 +965,7 @@ func (a *Allocator) snapshotElasticRegions(slot int) []heldRegion {
 func (a *Allocator) restoreElastic(saved []heldRegion) {
 	a.clearElastic()
 	for _, h := range saved {
-		if a.apps[h.app.FID] != h.app {
+		if cur, _ := a.App(h.app.FID); cur != h.app {
 			continue // gone (or replaced) since the snapshot
 		}
 		g := &h.app.groups[h.gi]
@@ -993,7 +986,7 @@ func (a *Allocator) changedPlacements(before []heldRegion, skip uint16) []*Place
 		for ; i < len(before) && before[i].app == app; i++ {
 			moved = moved || app.groups[before[i].gi].r != before[i].BlockRange
 		}
-		if moved && app.FID != skip && a.apps[app.FID] == app {
+		if cur, _ := a.App(app.FID); moved && app.FID != skip && cur == app {
 			changed = append(changed, app)
 		}
 	}
@@ -1030,7 +1023,7 @@ func (a *Allocator) placementFor(app *App) *Placement {
 // recovered form (no constraints on file after a controller restart) have
 // no materializable placement and report false; see Readmit.
 func (a *Allocator) PlacementFor(fid uint16) (*Placement, bool) {
-	app, ok := a.apps[fid]
+	app, ok := a.App(fid)
 	if !ok || app.Cons == nil {
 		return nil, false
 	}
@@ -1051,9 +1044,9 @@ func (a *Allocator) Utilization() float64 {
 // population of Figure 7d).
 func (a *Allocator) ElasticTotals() map[uint16]int {
 	out := map[uint16]int{}
-	for fid, app := range a.apps {
+	for _, app := range a.apps {
 		if app.Elastic {
-			out[fid] = app.TotalBlocks()
+			out[app.FID] = app.TotalBlocks()
 		}
 	}
 	return out

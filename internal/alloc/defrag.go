@@ -96,16 +96,15 @@ func (a *Allocator) CompactionCandidates(eligible func(uint16) bool) []uint16 {
 		gain int
 	}
 	var cands []cand
-	for _, fid := range a.FIDs() {
-		app := a.apps[fid]
+	for _, app := range a.apps {
 		if app.Elastic || app.Cons == nil || len(app.groups) == 0 {
 			continue
 		}
-		if eligible != nil && !eligible(fid) {
+		if eligible != nil && !eligible(app.FID) {
 			continue
 		}
 		if _, gain, ok := a.compactPlan(app); ok {
-			cands = append(cands, cand{fid: fid, gain: gain})
+			cands = append(cands, cand{fid: app.FID, gain: gain})
 		}
 	}
 	slices.SortFunc(cands, func(x, y cand) int {
@@ -132,7 +131,7 @@ type CompactResult struct {
 // the data-plane half of the migration: snapshotting the old regions and
 // restoring into the new ones around the reallocation protocol.
 func (a *Allocator) CompactApp(fid uint16) (res *CompactResult, ok bool) {
-	app, resident := a.apps[fid]
+	app, resident := a.App(fid)
 	if !resident || app.Elastic || app.Cons == nil || len(app.groups) == 0 {
 		return nil, false
 	}
@@ -155,8 +154,7 @@ func (a *Allocator) CompactApp(fid uint16) (res *CompactResult, ok bool) {
 		}
 	}
 	place(true)
-	a.recomputeElastic()
-	if a.starved() {
+	if !a.recomputeElastic() {
 		// Sliding down squeezed an elastic neighbor out: no improvement.
 		place(false)
 		a.restoreElastic(before)

@@ -58,7 +58,7 @@ func TestCompactionCandidatesAfterChurn(t *testing.T) {
 	// plan a strict improvement.
 	prevGain := int(^uint(0) >> 1)
 	for _, fid := range cands {
-		moves, gain, ok := a.compactPlan(a.apps[fid])
+		moves, gain, ok := a.compactPlan(appOf(a, fid))
 		if !ok || len(moves) == 0 {
 			t.Fatalf("candidate fid %d has no plan", fid)
 		}
@@ -87,7 +87,7 @@ func TestCompactAppMovesDownAndBalancesBooks(t *testing.T) {
 	moved := 0
 	for _, fid := range cands {
 		before := make(map[int]BlockRange)
-		for s, r := range regionsOf(a.apps[fid]) {
+		for s, r := range regionsOf(appOf(a, fid)) {
 			before[s] = r
 		}
 		res, ok := a.CompactApp(fid)
@@ -103,13 +103,13 @@ func TestCompactAppMovesDownAndBalancesBooks(t *testing.T) {
 			t.Fatalf("fid %d: committed compaction moved %d blocks", fid, res.BlocksMoved)
 		}
 		worse := false
-		for s, r := range regionsOf(a.apps[fid]) {
+		for s, r := range regionsOf(appOf(a, fid)) {
 			if old, ok := before[s]; ok && r.Lo > old.Lo {
 				worse = true
 			}
 		}
 		if worse {
-			t.Fatalf("fid %d: a region moved upward: %v -> %v", fid, before, regionsOf(a.apps[fid]))
+			t.Fatalf("fid %d: a region moved upward: %v -> %v", fid, before, regionsOf(appOf(a, fid)))
 		}
 		if err := a.AuditBooks(); err != nil {
 			t.Fatalf("books after compacting fid %d: %v", fid, err)

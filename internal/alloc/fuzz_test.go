@@ -304,15 +304,15 @@ func (m *opsModel) check(op byte) {
 	}
 	rec := m.rec
 	for fid, regions := range m.tables {
-		app, ok := a.apps[fid]
+		app, ok := a.App(fid)
 		if !ok {
 			fail("resident %v, model %v", a.FIDs(), sortedKeys(m.tables))
 		}
 		if !holds(app, regions) {
 			fail("fid %d: books %v, tables %v (a move went unreported)", fid, regionsOf(app), regions)
 		}
-		if !holds(rec.apps[fid], regions) {
-			fail("fid %d: recovered books %v, tables %v", fid, regionsOf(rec.apps[fid]), regions)
+		if !holds(appOf(rec, fid), regions) {
+			fail("fid %d: recovered books %v, tables %v", fid, regionsOf(appOf(rec, fid)), regions)
 		}
 	}
 	if err := rec.AuditBooks(); err != nil || rec.Utilization() != a.Utilization() {
@@ -344,6 +344,7 @@ func (m *opsModel) check(op byte) {
 			}
 		}
 	}
+	m.walkedCounts(fail)
 	groups := a.elasticGroups()
 	a.fairShares(groups)
 	unrealised := make([]int, a.cfg.NumStages)
@@ -357,6 +358,65 @@ func (m *opsModel) check(op byte) {
 			fail("stage %d: %d blocks of fair share unrealised, slack is %d", s, n, a.slack())
 		}
 	}
+}
+
+// walkedCounts fails unless the residents are in strictly ascending FID
+// order and census and disturbed, which read the interval sets, give the
+// counts a walk of the residents' groups gives: a stage's elastic groups,
+// its groups holding a region, and, for each resident's groups as a
+// candidate, the elastic apps sharing a stage with it.
+func (m *opsModel) walkedCounts(fail func(string, ...any)) {
+	a := m.a
+	fids := a.FIDs()
+	for i := 1; i < len(fids); i++ {
+		if fids[i-1] >= fids[i] {
+			fail("FIDs %v not strictly ascending", fids)
+		}
+	}
+	want := make([]stageStats, a.cfg.NumStages)
+	for s := range want {
+		want[s].pinnedUsed = a.pinned[s].used()
+	}
+	for _, app := range a.apps {
+		for _, g := range app.groups {
+			for _, s := range g.stages {
+				if g.r.Size() > 0 {
+					want[s].regionApps++
+				}
+				if app.Elastic {
+					want[s].elasticGroups++
+				}
+			}
+		}
+	}
+	if got := a.census(); !slices.Equal(got, want) {
+		fail("census %v, the residents' groups give %v", got, want)
+	}
+	for _, cand := range a.apps {
+		n := 0
+		for _, app := range a.apps {
+			if app.Elastic && shareStage(app.groups, cand.groups) {
+				n++
+			}
+		}
+		if got := a.disturbed(cand.groups); got != n {
+			fail("disturbed by fid %d's groups: %d, the residents' groups give %d", cand.FID, got, n)
+		}
+	}
+}
+
+// shareStage reports whether two sets of groups occupy a common stage.
+func shareStage(x, y []appGroup) bool {
+	for _, gx := range x {
+		for _, gy := range y {
+			for _, s := range gx.stages {
+				if slices.Contains(gy.stages, s) {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // holds reports whether app's groups hold exactly the regions of tables.
@@ -399,10 +459,9 @@ func appendBooks(dst []byte, a *Allocator) []byte {
 		ivs(" elastic", a.elastic[s])
 		dst = append(dst, '\n')
 	}
-	for _, fid := range a.FIDs() {
-		app := a.apps[fid]
+	for _, app := range a.apps {
 		dst = append(dst, "fid"...)
-		num(int(fid))
+		num(int(app.FID))
 		dst = strconv.AppendBool(append(dst, " elastic "...), app.Elastic)
 		dst = append(dst, " mutant"...)
 		num(app.MutantIdx)

@@ -18,11 +18,17 @@ func regionsOf(app *App) map[int]BlockRange {
 	return out
 }
 
+// appOf returns fid's resident app, or nil.
+func appOf(a *Allocator, fid uint16) *App {
+	app, _ := a.App(fid)
+	return app
+}
+
 // regionsNow copies every resident app's regions, by FID.
 func regionsNow(a *Allocator) map[uint16]map[int]BlockRange {
 	out := map[uint16]map[int]BlockRange{}
-	for fid, app := range a.apps {
-		out[fid] = regionsOf(app)
+	for _, app := range a.apps {
+		out[app.FID] = regionsOf(app)
 	}
 	return out
 }
@@ -48,7 +54,7 @@ func TestInPlaceAdmissionShrinksVictimsWhereTheyStand(t *testing.T) {
 			continue // a full re-lay may move anyone
 		}
 		for _, pl := range res.Reallocated {
-			for s, r := range regionsOf(a.apps[pl.FID]) {
+			for s, r := range regionsOf(appOf(a, pl.FID)) {
 				if o := old[pl.FID][s]; r.Lo < o.Lo || r.Hi > o.Hi {
 					t.Fatalf("admitting %d in place moved fid %d in stage %d: %+v -> %+v", fid, pl.FID, s, o, r)
 				}
@@ -89,7 +95,7 @@ func TestReleaseWithinSlackMovesNobody(t *testing.T) {
 		t.Fatalf("release was not realised in place: %v -> %v", was, a.relayouts)
 	}
 	for _, pl := range changed {
-		t.Errorf("release of one of 96 stacked caches moved fid %d: %v -> %v", pl.FID, old[pl.FID], regionsOf(a.apps[pl.FID]))
+		t.Errorf("release of one of 96 stacked caches moved fid %d: %v -> %v", pl.FID, old[pl.FID], regionsOf(appOf(a, pl.FID)))
 	}
 	res, err := a.Allocate(7, cacheCons())
 	if err != nil || res.Failed {
@@ -98,7 +104,7 @@ func TestReleaseWithinSlackMovesNobody(t *testing.T) {
 	for _, pl := range res.Reallocated {
 		t.Errorf("re-admission into the freed blocks reallocated fid %d, held %v before the release", pl.FID, old[pl.FID])
 	}
-	for s, r := range regionsOf(a.apps[7]) {
+	for s, r := range regionsOf(appOf(a, 7)) {
 		if o, ok := old[7][s]; !ok || r.Lo < o.Lo || r.Hi > o.Hi {
 			t.Errorf("newcomer stage %d: %+v, outside the freed %+v", s, r, o)
 		}
@@ -126,7 +132,7 @@ func TestReleaseInPlaceGrowsOnlyNeighbors(t *testing.T) {
 		t.Errorf("release of one of 8 stacked caches changed %d of %d neighbors, want a few", len(changed), a.NumApps())
 	}
 	for _, pl := range changed {
-		for s, r := range regionsOf(a.apps[pl.FID]) {
+		for s, r := range regionsOf(appOf(a, pl.FID)) {
 			if o := old[pl.FID][s]; r.Lo > o.Lo || r.Hi < o.Hi {
 				t.Errorf("fid %d stage %d: %+v -> %+v does not contain the old region", pl.FID, s, o, r)
 			}

@@ -25,13 +25,15 @@ const QuarantineFID uint16 = 0xFFFF
 // booked as one single-stage group per region. The app is held pinned at
 // exactly those regions (even if it was elastic before the crash) until
 // Readmit restores its constraints — conservative, but guarantees the data
-// plane stays consistent with the books. Every region is checked before any
-// is booked, so a rejected call books nothing.
+// plane stays consistent with the books. Booking a region moves nobody, so a
+// region overlapping any booked interval, pinned or elastic, is refused;
+// every region is checked before any is booked, so a rejected call books
+// nothing.
 func (a *Allocator) Recover(fid uint16, regions map[int]BlockRange) error {
 	if fid == QuarantineFID {
 		return fmt.Errorf("alloc: fid %d is reserved", fid)
 	}
-	if _, dup := a.apps[fid]; dup {
+	if _, dup := a.find(fid); dup {
 		return fmt.Errorf("alloc: fid %d already resident", fid)
 	}
 	stages := make([]int, 0, len(regions))
@@ -44,8 +46,10 @@ func (a *Allocator) Recover(fid uint16, regions map[int]BlockRange) error {
 		if s < 0 || s >= a.cfg.NumStages || r.Lo < 0 || r.Hi > a.blocks || r.Size() < 1 {
 			return fmt.Errorf("alloc: recovered region %+v at stage %d out of range", r, s)
 		}
-		if iv, clash := a.pinned[s].conflict(r); clash {
-			return fmt.Errorf("alloc: recovered region %+v at stage %d overlaps fid %d", r, s, iv.fid)
+		for _, set := range []*intervalSet{a.pinned[s], a.elastic[s]} {
+			if iv, clash := set.conflict(r); clash {
+				return fmt.Errorf("alloc: recovered region %+v at stage %d overlaps fid %d", r, s, iv.fid)
+			}
 		}
 	}
 	app := &App{FID: fid, groups: make([]appGroup, len(stages))}
@@ -53,15 +57,14 @@ func (a *Allocator) Recover(fid uint16, regions map[int]BlockRange) error {
 		app.groups[i] = appGroup{demand: regions[s].Size(), stages: stages[i : i+1 : i+1], r: regions[s]}
 		a.pin(fid, &app.groups[i])
 	}
-	a.apps[fid] = app
-	a.recomputeElastic()
+	a.admit(app)
 	return nil
 }
 
 // Recovered reports whether fid is resident in recovered form: pinned at
 // its pre-crash regions with no constraints on file.
 func (a *Allocator) Recovered(fid uint16) bool {
-	app, ok := a.apps[fid]
+	app, ok := a.App(fid)
 	return ok && app.Cons == nil
 }
 
@@ -72,7 +75,7 @@ func (a *Allocator) Recovered(fid uint16) bool {
 // disagree), the recovered placement is discarded and a fresh allocation is
 // attempted.
 func (a *Allocator) Readmit(fid uint16, cons *Constraints) (*Result, error) {
-	app, ok := a.apps[fid]
+	app, ok := a.App(fid)
 	if !ok || app.Cons != nil {
 		return nil, fmt.Errorf("alloc: fid %d not in recovered state", fid)
 	}
@@ -81,7 +84,7 @@ func (a *Allocator) Readmit(fid uint16, cons *Constraints) (*Result, error) {
 	}
 	evict := func() {
 		a.unpin(app)
-		delete(a.apps, fid)
+		a.drop(fid)
 	}
 	if len(cons.Accesses) == 0 {
 		// Stateless request against a stateful recovered entry: the tables
@@ -119,8 +122,7 @@ func (a *Allocator) Readmit(fid uint16, cons *Constraints) (*Result, error) {
 		// still move — the normal reallocation protocol informs the client).
 		before := a.snapshotElasticRegions(0)
 		a.unpin(app)
-		a.recomputeElastic()
-		if a.starved() {
+		if !a.recomputeElastic() {
 			// Could not re-place elastically (quarantine or new tenants
 			// squeezed it out); evict and report failure, the neighbors
 			// back where the tables have them.
@@ -190,8 +192,7 @@ func (a *Allocator) Quarantine(stage int, r BlockRange) ([]*Placement, error) {
 	before := a.snapshotElasticRegions(0)
 	fence := interval{BlockRange: r, fid: QuarantineFID}
 	a.pinned[stage].insert(fence)
-	a.recomputeElastic()
-	if a.starved() {
+	if !a.recomputeElastic() {
 		a.pinned[stage].ivs = slices.DeleteFunc(a.pinned[stage].ivs, func(iv interval) bool { return iv == fence })
 		a.restoreElastic(before)
 		return nil, fmt.Errorf("alloc: quarantine %+v at stage %d leaves an elastic tenant no block (evacuate one first)", r, stage)
@@ -230,14 +231,14 @@ func (a *Allocator) QuarantinedBlocks() int {
 // evicted and the result marked failed; Reallocated still lists the
 // neighbors that took its space.
 func (a *Allocator) Evacuate(fid uint16, quar map[int][]BlockRange) (*Result, error) {
-	app, ok := a.apps[fid]
+	app, ok := a.App(fid)
 	if !ok {
 		return nil, fmt.Errorf("alloc: fid %d not resident", fid)
 	}
 	before := a.snapshotElasticRegions(1)
 	cons := app.Cons
 	a.unpin(app)
-	delete(a.apps, fid)
+	a.drop(fid)
 	stages := make([]int, 0, len(quar))
 	for s := range quar {
 		stages = append(stages, s)

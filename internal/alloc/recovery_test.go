@@ -239,3 +239,33 @@ func TestRecoveredBooksStayCompactable(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRecoverMovesNobody: rebuilding books from the tables books every
+// region where the tables have it and lays nothing out, so n recoveries
+// leave the re-layout counters at zero; and a region over an elastic
+// tenant's is refused with the books untouched, where re-laying around it
+// would move the tenant in the books and report no placement for the move.
+func TestRecoverMovesNobody(t *testing.T) {
+	a := newAllocator(t, testConfig())
+	const n = 8
+	for fid := uint16(1); fid <= n; fid++ {
+		if err := a.Recover(fid, map[int]BlockRange{int(fid): {Lo: 0, Hi: 4}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if inplace, full := a.Relayouts(); inplace != 0 || full != 0 {
+		t.Errorf("%d recoveries: %d layouts in place, %d full re-lays; want none", n, inplace, full)
+	}
+
+	b := newAllocator(t, testConfig())
+	if res, err := b.Allocate(1, cacheCons()); err != nil || res.Failed {
+		t.Fatalf("allocate: %v %+v", err, res)
+	}
+	was := dumpBooks(b)
+	if err := b.Recover(2, blocksOf(t, b, 1)); err == nil {
+		t.Error("recovery over an elastic tenant's region accepted")
+	}
+	if now := dumpBooks(b); now != was {
+		t.Errorf("refused recovery changed the books:\n%s\nwas:\n%s", now, was)
+	}
+}

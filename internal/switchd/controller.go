@@ -2,7 +2,6 @@ package switchd
 
 import (
 	"slices"
-	"sort"
 	"time"
 
 	"activermt/internal/alloc"
@@ -414,13 +413,11 @@ func (c *Controller) notify(fid uint16, flags uint16) {
 // FID order: the victims a sweep or defrag pass hands the reallocation
 // protocol.
 func (c *Controller) placementsOf(affected map[uint16]bool) []*alloc.Placement {
-	fids := make([]uint16, 0, len(affected))
-	for fid := range affected {
-		fids = append(fids, fid)
-	}
-	sort.Slice(fids, func(i, j int) bool { return fids[i] < fids[j] })
 	var changed []*alloc.Placement
-	for _, fid := range fids {
+	for _, fid := range c.al.FIDs() {
+		if !affected[fid] {
+			continue
+		}
 		if pl, ok := c.al.PlacementFor(fid); ok {
 			changed = append(changed, pl)
 		}
@@ -716,13 +713,11 @@ func (c *Controller) sweep(j *job) bool {
 		return false
 	}
 
-	victims := make([]uint16, 0, len(perFID))
-	for fid := range perFID {
-		victims = append(victims, fid)
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
 	var evicted []uint16
-	for _, fid := range victims {
+	for _, fid := range c.al.FIDs() { // a copy: Evacuate re-books fid
+		if perFID[fid] == nil {
+			continue
+		}
 		res, err := c.al.Evacuate(fid, perFID[fid])
 		c.Evacuations++
 		if err != nil || res.Failed {
