@@ -376,11 +376,14 @@ func (c *Client) RequestAndWait(deadline time.Duration) error {
 	return c.WaitOperational(deadline)
 }
 
-// Release relinquishes the allocation.
+// Release relinquishes the allocation. It ends the allocation request too:
+// a retry still armed for it must not resend the request while the release
+// is negotiated.
 func (c *Client) Release() error {
 	a := &packet.Active{Header: packet.ActiveHeader{FID: c.fid, Flags: packet.FlagRelease}}
 	a.Header.SetType(packet.TypeControl)
 	c.state = Negotiating
+	c.reqEpoch++
 	return c.sendControl(a)
 }
 

@@ -122,19 +122,17 @@ func (g *Guard) TenantViolations() uint64 { return g.tenantViolations }
 func (g *Guard) PortViolations() uint64 { return g.portViolations }
 
 // New builds a guard over the runtime. now is the virtual-clock source; it
-// must be the same clock the escalator's controller runs on.
-func New(rt *runtime.Runtime, now func() time.Duration) *Guard {
+// must be the same clock esc, the control-plane sink for quarantine and evict
+// decisions, runs on.
+func New(rt *runtime.Runtime, now func() time.Duration, esc Escalator) *Guard {
 	return &Guard{
 		rt:      rt,
 		now:     now,
+		esc:     esc,
 		tenants: make(map[uint16]*Ledger),
 		ports:   make(map[int]*PortLedger),
 	}
 }
-
-// SetEscalator installs the control-plane sink for quarantine/evict
-// decisions (nil: record-only mode).
-func (g *Guard) SetEscalator(e Escalator) { g.esc = e }
 
 // Tenant returns fid's ledger, or nil if the guard has never recorded
 // anything for it.
@@ -306,12 +304,8 @@ func (g *Guard) transition(led *Ledger, to TenantState, k Kind, score int, now t
 	led.state = to
 	switch to {
 	case Quarantined:
-		if g.esc != nil {
-			g.esc.GuardQuarantine(led.FID)
-		}
+		g.esc.GuardQuarantine(led.FID)
 	case Evicted:
-		if g.esc != nil {
-			g.esc.GuardEvict(led.FID)
-		}
+		g.esc.GuardEvict(led.FID)
 	}
 }

@@ -34,8 +34,7 @@ func newTestGuard(t *testing.T) (*Guard, *runtime.Runtime, *fakeClock, *fakeEsca
 	}
 	clk := &fakeClock{}
 	esc := &fakeEscalator{}
-	g := New(rt, clk.Now)
-	g.SetEscalator(esc)
+	g := New(rt, clk.Now, esc)
 	return g, rt, clk, esc
 }
 

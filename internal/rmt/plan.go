@@ -67,11 +67,11 @@ type Plan struct {
 // Len returns the number of instruction slots in the plan.
 func (pl *Plan) Len() int { return len(pl.ops) }
 
-// CompilePlan compiles instrs (already privilege-rewritten by the caller)
-// for fid against the current tables into pl, rewriting every slot in pl's
-// storage, and returns pl. mirror resolves a FORK operand to its mirror
-// session's egress port (nil: no sessions). The plan keeps instrs for its
-// trace events, so the caller must not modify it afterwards.
+// CompilePlan compiles instrs for fid against the current tables into pl,
+// rewriting every slot in pl's storage, and returns pl. mirror resolves a
+// FORK operand to its mirror session's egress port (nil: no sessions). The
+// plan keeps instrs for its trace events, so nobody may modify it
+// afterwards: the runtime passes the decoded program's own image.
 func (d *Device) CompilePlan(pl *Plan, fid uint16, instrs []isa.Instruction, mirror func(session uint8) (port uint32, ok bool)) *Plan {
 	n := d.cfg.NumStages
 	pl.ops, pl.instrs = slices.Grow(pl.ops[:0], len(instrs))[:len(instrs)], instrs

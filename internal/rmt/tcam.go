@@ -1,10 +1,8 @@
 package rmt
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // prefixSize returns the size of the first entry of [lo, hi)'s range-to-
@@ -66,15 +64,13 @@ type Region struct {
 // Cost returns the TCAM entries the region consumes.
 func (r Region) Cost() int { return PrefixCount(r.Lo, r.Hi) }
 
-// regionSet is one stage's protected regions in the two orders they are read
-// in: by FID for the per-access protection lookup and by (Lo, FID) for owner
-// attribution. The TCAM keeps one, sorted incrementally. Lookups are binary
-// searches over the compact slices: FIDs are sparse 16-bit names (the soak
-// admits 1 000-60 004), so a dense index would cost hundreds of kilobytes
-// per stage.
+// regionSet is one stage's protected regions, sorted by FID for the
+// per-access protection lookup and kept sorted incrementally. Lookups are
+// binary searches over the compact slice: FIDs are sparse 16-bit names (the
+// soak admits 1 000-60 004), so a dense index would cost hundreds of
+// kilobytes per stage.
 type regionSet struct {
 	byFID []Region
-	byLo  []Region
 }
 
 // find returns fid's position in byFID and whether a region is there.
@@ -105,25 +101,18 @@ func (s regionSet) Allowed(fid uint16, addr uint32) bool {
 }
 
 // Owner returns the FID whose region covers addr, if any — the fault
-// attribution lookup.
-func (s regionSet) Owner(addr uint32) (uint16, bool) {
-	i := sort.Search(len(s.byLo), func(i int) bool { return s.byLo[i].Lo > addr })
-	// Regions are disjoint under the allocator's invariants, but the set
-	// tolerates overlap: scan leftward until a covering region is found.
-	for j := i - 1; j >= 0; j-- {
-		if r := s.byLo[j]; addr >= r.Lo && addr < r.Hi {
-			return r.FID, true
+// attribution lookup, which only the corrupted-memory sweep asks, so it
+// scans. Regions are disjoint under the allocator's invariants, but the set
+// tolerates overlap: of the regions covering addr, the last in (Lo, FID)
+// order owns it.
+func (s regionSet) Owner(addr uint32) (fid uint16, found bool) {
+	var lo uint32
+	for _, r := range s.byFID {
+		if addr >= r.Lo && addr < r.Hi && (!found || r.Lo >= lo) {
+			fid, lo, found = r.FID, r.Lo, true
 		}
 	}
-	return 0, false
-}
-
-// loIndex returns r's position in byLo (where it is, or where it belongs).
-func (s regionSet) loIndex(r Region) int {
-	i, _ := slices.BinarySearchFunc(s.byLo, r, func(a, b Region) int {
-		return cmp.Or(cmp.Compare(a.Lo, b.Lo), cmp.Compare(a.FID, b.FID))
-	})
-	return i
+	return fid, found
 }
 
 // TCAM models one stage's ternary match memory as used by ActiveRMT: one
@@ -166,7 +155,6 @@ func (t *TCAM) Install(r Region) error {
 	}
 	t.Remove(r.FID) // frees the old entries; a no-op when there are none
 	t.used += need
-	t.set.byLo = slices.Insert(t.set.byLo, t.set.loIndex(r), r)
 	t.set.byFID = slices.Insert(t.set.byFID, i, r)
 	*t.gen++
 	return nil
@@ -182,8 +170,6 @@ func (t *TCAM) Remove(fid uint16) int {
 	}
 	cost := t.set.byFID[i].Cost()
 	t.used -= cost
-	j := t.set.loIndex(t.set.byFID[i])
-	t.set.byLo = slices.Delete(t.set.byLo, j, j+1)
 	t.set.byFID = slices.Delete(t.set.byFID, i, i+1)
 	*t.gen++
 	return cost

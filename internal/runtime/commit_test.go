@@ -22,11 +22,10 @@ type tableModel struct {
 	quar   map[uint16]bool
 	revoke map[uint16]bool
 	epoch  map[uint16]uint8
-	priv   map[uint16]uint8
 }
 
 func newTableModel(n int) *tableModel {
-	m := &tableModel{n: n, admit: map[uint16]bool{}, quar: map[uint16]bool{}, revoke: map[uint16]bool{}, epoch: map[uint16]uint8{}, priv: map[uint16]uint8{}}
+	m := &tableModel{n: n, admit: map[uint16]bool{}, quar: map[uint16]bool{}, revoke: map[uint16]bool{}, epoch: map[uint16]uint8{}}
 	for i := 0; i < n; i++ {
 		m.prot = append(m.prot, map[uint16]rmt.Region{})
 		m.xlate = append(m.xlate, map[uint16]rmt.Translate{})
@@ -144,10 +143,6 @@ func (m *tableModel) check(t *testing.T, r *Runtime, fids []uint16) {
 				r.Admitted(fid), r.Quarantined(fid), r.Revoked(fid), r.Epoch(fid),
 				m.admit[fid], m.quar[fid], m.revoke[fid], m.epoch[fid])
 		}
-		wantPriv, wantSet := m.priv[fid]
-		if row := r.rowOf(fid); row.privSet != wantSet || row.privilege != wantPriv {
-			t.Fatalf("fid %d: privilege %d (set %v), want %d (set %v)", fid, row.privilege, row.privSet, wantPriv, wantSet)
-		}
 		if m.admit[fid] {
 			admitted = append(admitted, fid)
 		}
@@ -178,7 +173,7 @@ func TestIncrementalViewMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for step := 0; step < 2000; step++ {
 		fid := fids[rng.Intn(len(fids))]
-		switch op := rng.Intn(10); {
+		switch op := rng.Intn(9); {
 		case op < 4:
 			g := Grant{FID: fid}
 			logical := -1
@@ -202,14 +197,11 @@ func TestIncrementalViewMatchesRebuild(t *testing.T) {
 		case op == 7:
 			r.Reactivate(fid)
 			delete(m.quar, fid)
-		case op == 8:
+		default:
 			r.AdmitStateless(fid)
 			if !m.admit[fid] {
 				m.admitFID(fid)
 			}
-		default:
-			m.priv[fid] = uint8(rng.Intn(2))
-			r.SetPrivilege(fid, m.priv[fid])
 		}
 		m.check(t, r, fids)
 	}
@@ -303,16 +295,15 @@ func TestInstallGrantFailureCountsTableOps(t *testing.T) {
 		t.Errorf("failed reinstall changed admission: admitted %v, epoch %d (was %d)", r.Admitted(9), r.Epoch(9), epoch)
 	}
 
-	// The privilege and mirror-session mutators are one table update each,
-	// counted in both places like every other.
+	// The mirror-session mutators are one table update each, counted in
+	// both places like every other.
 	before := r.TableOps
-	r.SetPrivilege(9, 0)
 	r.SetMirrorSession(9, 1, 7)
 	r.ClearMirrorSession(9, 1)
-	if got := r.TableOps - before; got != 3 {
-		t.Errorf("privilege set + mirror set/clear = %d table ops, want 3", got)
+	if got := r.TableOps - before; got != 2 {
+		t.Errorf("mirror set/clear = %d table ops, want 2", got)
 	}
 	if got := scraped(); got != r.TableOps {
-		t.Errorf("after privilege/mirror updates: telemetry table ops = %d, Runtime.TableOps = %d", got, r.TableOps)
+		t.Errorf("after mirror updates: telemetry table ops = %d, Runtime.TableOps = %d", got, r.TableOps)
 	}
 }

@@ -153,11 +153,10 @@ func forkCapsules(fid uint16, args [4]uint32) []*packet.Active {
 // TestDifferentialSpecializedVsInterpreter drives two identical runtimes —
 // one executing through compiled plans, one through the reference
 // interpreter — through the same random stream of programs, grant
-// reinstalls (epoch bumps, moved regions), quarantine flips, privilege
-// changes, mirror sessions set and cleared, revocations, and unadmitted
-// FIDs, and requires bit-identical wire outputs, memory and counters. Each
-// capsule runs twice so both the compile-inline and the cached-plan entries
-// are exercised.
+// reinstalls (epoch bumps, moved regions), quarantine flips, mirror sessions
+// set and cleared, revocations, and unadmitted FIDs, and requires
+// bit-identical wire outputs, memory and counters. Each capsule runs twice so
+// both the compile-inline and the cached-plan entries are exercised.
 func TestDifferentialSpecializedVsInterpreter(t *testing.T) {
 	e := newEnginePair(t, testConfig())
 	rng := rand.New(rand.NewSource(0xA11CE))
@@ -196,15 +195,9 @@ func TestDifferentialSpecializedVsInterpreter(t *testing.T) {
 					r.Deactivate(fid)
 				}
 			})
-		case 2: // privilege change: an unprivileged FORK is a NOP
-			mask := uint8(0)
-			if rng.Intn(2) == 0 {
-				mask = PrivForwarding
-			}
-			e.both(func(r *Runtime) { r.SetPrivilege(fid, mask) })
-		case 3: // revocation (a later grant() re-admits)
+		case 2: // revocation (a later grant() re-admits)
 			e.both(func(r *Runtime) { r.RemoveGrant(fid) })
-		case 4: // mirror session 1 set or cleared
+		case 3: // mirror session 1 set or cleared
 			if _, ok := e.ref.MirrorSession(fid, 1); ok {
 				e.both(func(r *Runtime) { r.ClearMirrorSession(fid, 1) })
 			} else {

@@ -14,10 +14,6 @@ import (
 //     inflation due to recirculations and rate-limited services
 //     appropriately", Section 7.2), realized as a per-FID token bucket
 //     charged one token per extra pipeline pass;
-//   - privilege levels for active programs ("adding a notion of privilege
-//     levels to active programs; we are exploring the latter in ongoing
-//     work", Section 7.2), realized as a per-FID privilege bit gating the
-//     forwarding-affecting instructions (SET_DST, FORK, DROP);
 //   - the extended runtime with baseline L2 protocol support merged in
 //     ("we integrated a subset of L2-forwarding functionality from
 //     switch.p4, but were forced to remove one stage from active program
@@ -91,21 +87,6 @@ func (r *Runtime) RecircBudgetRemaining(fid uint16) int {
 		return r.recircPolicy.Budget
 	}
 	return st.tokens
-}
-
-// Privilege levels: unprivileged programs may compute and access their own
-// memory but cannot affect forwarding beyond returning to their sender.
-const (
-	// PrivForwarding permits SET_DST, FORK, and DROP.
-	PrivForwarding uint8 = 1 << 0
-)
-
-// SetPrivilege assigns a FID's privilege mask (counts as one table update).
-func (r *Runtime) SetPrivilege(fid uint16, mask uint8) {
-	row := r.row(fid)
-	row.privSet, row.privilege = true, mask
-	r.TableOps++
-	r.commit()
 }
 
 // Mirror sessions: the FORK instruction's operand names a clone session

@@ -130,50 +130,6 @@ func TestRecircBudgetRemainingBoundary(t *testing.T) {
 	}
 }
 
-func TestPrivilegeGatesForwarding(t *testing.T) {
-	r := testRuntime(t)
-	const fid = 9
-	r.AdmitStateless(fid)
-	prog := isa.MustAssemble("route", "MBR_LOAD 0\nSET_DST\nRETURN")
-
-	// Fully privileged by default.
-	outs := r.ExecuteProgram(progPacket(fid, prog, [4]uint32{42}))
-	if !outs[0].DstSet || outs[0].Dst != 42 {
-		t.Fatal("privileged SET_DST suppressed")
-	}
-
-	// Revoke forwarding privilege: SET_DST becomes a NOP.
-	r.SetPrivilege(fid, 0)
-	outs = r.ExecuteProgram(progPacket(fid, prog, [4]uint32{42}))
-	if outs[0].DstSet {
-		t.Fatal("unprivileged SET_DST took effect")
-	}
-	if r.PrivSuppressed == 0 {
-		t.Error("suppression not counted")
-	}
-
-	// DROP and FORK are gated too; RTS (reply to own sender) is not.
-	dropper := isa.MustAssemble("d", "DROP")
-	if outs := r.ExecuteProgram(progPacket(fid, dropper, [4]uint32{})); outs[0].Dropped {
-		t.Error("unprivileged DROP executed")
-	}
-	forker := isa.MustAssemble("f", "FORK\nRETURN")
-	if outs := r.ExecuteProgram(progPacket(fid, forker, [4]uint32{})); len(outs) != 1 {
-		t.Error("unprivileged FORK cloned")
-	}
-	rts := isa.MustAssemble("r", "RTS\nRETURN")
-	if outs := r.ExecuteProgram(progPacket(fid, rts, [4]uint32{})); !outs[0].ToSender {
-		t.Error("RTS should remain available to unprivileged programs")
-	}
-
-	// Restoring privilege restores the instruction.
-	r.SetPrivilege(fid, PrivForwarding)
-	outs = r.ExecuteProgram(progPacket(fid, prog, [4]uint32{42}))
-	if !outs[0].DstSet {
-		t.Error("restored privilege ineffective")
-	}
-}
-
 func TestExtendedForwardingConfig(t *testing.T) {
 	base := rmt.DefaultConfig()
 	ext := ExtendedForwardingConfig(base)

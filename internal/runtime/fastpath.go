@@ -262,27 +262,6 @@ func (res *scratch) hardDrop(a *packet.Active, lat time.Duration) {
 	res.addOutput(s)
 }
 
-// maskPrivileged applies privilege gating to an instruction image before
-// execution: the forwarding-affecting opcodes are rewritten to NOPs for
-// unprivileged FIDs, exactly as a match-table privilege qualifier would
-// suppress the actions. FIDs without an explicit assignment are fully
-// privileged (the paper's deployments assume authenticated edges; privilege
-// levels are the hardening extension). row is the FID's admission row. It
-// returns the number suppressed.
-func maskPrivileged(row fidRow, instrs []isa.Instruction) (suppressed uint64) {
-	if !row.privSet || row.privilege&PrivForwarding != 0 {
-		return 0
-	}
-	for i := range instrs {
-		switch instrs[i].Op {
-		case isa.OpSetDst, isa.OpFork, isa.OpDrop:
-			instrs[i].Op = isa.OpNop
-			suppressed++
-		}
-	}
-	return suppressed
-}
-
 // finish rebuilds the slot's output capsule from a post-execution PHV around
 // the instruction body the caller has already placed in s.prog.Instrs.
 func (s *outSlot) finish(in *packet.Active, p *rmt.PHV) {

@@ -64,15 +64,6 @@ func refExecute(r *Runtime, a *packet.Active) []*Output {
 
 	r.ProgramsRun++
 	p := &refPacket{instrs: slices.Clone(a.Program.Instrs)}
-	if row.privSet && row.privilege&PrivForwarding == 0 {
-		for i := range p.instrs {
-			switch p.instrs[i].Op {
-			case isa.OpSetDst, isa.OpFork, isa.OpDrop:
-				p.instrs[i].Op = isa.OpNop
-				r.PrivSuppressed++
-			}
-		}
-	}
 	p.phv.FID = fid
 	p.phv.Data = a.Args
 	if a.Header.Flags&packet.FlagPreload != 0 {
@@ -351,7 +342,7 @@ func (e enginePair) check(t testing.TB) {
 	}
 	counters := func(r *Runtime) string {
 		d := r.Device()
-		s := fmt.Sprint("runtime ", r.ProgramsRun, r.Passthrough, r.Faults, r.RecircThrottled, r.PrivSuppressed,
+		s := fmt.Sprint("runtime ", r.ProgramsRun, r.Passthrough, r.Faults, r.RecircThrottled,
 			r.QuarantineDrops, r.RevokedDrops, r.TableOps, " device ", d.PacketsIn, d.PacketsDropped, d.Recirculations)
 		for i := 0; i < d.NumStages(); i++ {
 			st := d.Stage(i)
@@ -381,8 +372,7 @@ func (e enginePair) check(t testing.TB) {
 // carries included — and runs it under a grant through ExecuteProgram and
 // through the reference interpreter, twice so the cached plan runs too:
 // outputs, every register word and every runtime, device and stage counter
-// must match. Bit 15 of flags strips the FID's forwarding privilege; the
-// rest are the capsule's header flags.
+// must match. flags are the capsule's header flags.
 func FuzzPlanMatchesReference(f *testing.F) {
 	for _, p := range []*isa.Program{
 		isa.MustAssemble("counter", "MAR_LOAD 2\nMEM_INCREMENT\nMBR_STORE 0\nRTS\nRETURN"),
@@ -399,7 +389,7 @@ func FuzzPlanMatchesReference(f *testing.F) {
 			}
 		}
 		f.Add(p.Encode(nil), uint32(300), uint32(1), uint16(0))
-		f.Add(p.Encode(nil), uint32(5000), uint32(0), uint16(packet.FlagPreload|packet.FlagNoShrink|0x8000))
+		f.Add(p.Encode(nil), uint32(5000), uint32(0), uint16(packet.FlagPreload|packet.FlagNoShrink))
 	}
 	f.Fuzz(func(t *testing.T, code []byte, mar, mbr uint32, flags uint16) {
 		prog, _, err := isa.DecodeProgram(code)
@@ -420,12 +410,9 @@ func FuzzPlanMatchesReference(f *testing.F) {
 				t.Fatal(err)
 			}
 			r.SetMirrorSession(1, 1, 7)
-			if flags&0x8000 != 0 {
-				r.SetPrivilege(1, 0)
-			}
 		})
 		a := progPacket(1, prog, [4]uint32{mbr, mar ^ mbr, mar, ^mar})
-		a.Header.Flags |= flags &^ 0x8000
+		a.Header.Flags |= flags
 		for rep := 0; rep < 2; rep++ {
 			e.run(t, fmt.Sprintf("rep %d", rep), a)
 		}

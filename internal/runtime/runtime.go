@@ -99,7 +99,7 @@ type Runtime struct {
 
 	// Stats for the experiment harness and telemetry, counted in place.
 	ProgramsRun, Passthrough, Faults uint64
-	RecircThrottled, PrivSuppressed  uint64
+	RecircThrottled                  uint64
 	QuarantineDrops, RevokedDrops    uint64
 	SpecializedRuns                  uint64 // capsules executed through a compiled plan: always ProgramsRun
 	PlanCompiles                     uint64 // program-to-plan compilations performed
@@ -118,10 +118,6 @@ type fidRow struct {
 	// epoch is bumped on every grant install so capsules stamped against
 	// an older grant are detectably stale (0: never granted).
 	epoch uint8
-	// privilege applies once privSet; FIDs without an explicit assignment
-	// are fully privileged.
-	privSet   bool
-	privilege uint8
 }
 
 // findRow returns fid's position in rows and whether a row is there.
@@ -147,7 +143,7 @@ func (r *Runtime) rowOf(fid uint16) fidRow {
 
 // commit ends one control-plane edit of admission state: every mutator calls
 // it once, after its full edit. The generation it bumps empties the plan
-// table before the next capsule, because plans fold admission, privilege,
+// table before the next capsule, because plans fold admission, mirror,
 // protection and translation state (see specialize.go).
 func (r *Runtime) commit() { r.gen++ }
 

@@ -18,9 +18,8 @@ import (
 // generation (bumped by every commit) and the device generation (bumped by
 // every TCAM or translation edit) its plans were compiled under, and the
 // packet path empties it the first time either has moved. A grant install,
-// epoch bump, quarantine flip, privilege change, mirror-session edit,
-// revocation, or a table edited directly all move one of them, so a stale
-// plan never executes.
+// epoch bump, quarantine flip, mirror-session edit, revocation, or a table
+// edited directly all move one of them, so a stale plan never executes.
 
 // planKey identifies one compiled plan: the canonical decoded-program
 // pointer (one per distinct program bytes — see packet.ProgCache) plus the
@@ -32,14 +31,13 @@ type planKey struct {
 }
 
 // compiledPlan is the runtime-side wrapper of one compiled program: the
-// privilege-rewritten instruction image the output encoder slices from, the
-// device plan, and the admission facts folded at compile time.
+// instruction image the output encoder slices from, the device plan, and the
+// admission facts folded at compile time.
 type compiledPlan struct {
-	rp     rmt.Plan
+	rp rmt.Plan
+	// instrs is the decoded program's own image, never written: the
+	// canonical program is immutable and outlives every plan keyed by it.
 	instrs []isa.Instruction
-	// suppressed is the number of privileged instructions rewritten to NOP
-	// at compile time, counted again for every packet executed.
-	suppressed uint64
 	// quarantined is the FID's quarantine mark at compile time: plans exist
 	// only for admitted, unrevoked FIDs (compilation runs after the
 	// admission checks), so this is the only per-FID admission flag the
@@ -80,11 +78,10 @@ func (r *Runtime) currentPlans() *planTable {
 	return t
 }
 
-// compilePlan folds privilege into key's program, compiles the device plan
-// under the current state and caches it in the plan table (the caller has
-// passed the admission checks for key.fid).
+// compilePlan compiles the device plan of key's program under the current
+// state and caches it in the plan table (the caller has passed the admission
+// checks for key.fid).
 func (r *Runtime) compilePlan(key planKey) *compiledPlan {
-	row := r.rowOf(key.fid)
 	t := &r.plans
 	var cp *compiledPlan
 	if n := len(t.free); n > 0 {
@@ -92,12 +89,7 @@ func (r *Runtime) compilePlan(key planKey) *compiledPlan {
 	} else {
 		cp = new(compiledPlan)
 	}
-	*cp = compiledPlan{
-		rp:          cp.rp,
-		instrs:      append(cp.instrs[:0], key.prog.Instrs...),
-		quarantined: row.quarantined,
-	}
-	cp.suppressed = maskPrivileged(row, cp.instrs)
+	*cp = compiledPlan{rp: cp.rp, instrs: key.prog.Instrs, quarantined: r.rowOf(key.fid).quarantined}
 	for i := range cp.instrs {
 		cp.preMarked = cp.preMarked || cp.instrs[i].Executed
 		cp.readsTuple = cp.readsTuple || cp.instrs[i].Op == isa.OpHashdata5Tuple
@@ -127,7 +119,6 @@ func (r *Runtime) execute(a *packet.Active, pl *compiledPlan, fid uint16) {
 	res.devOuts = r.dev.ExecPlan(&pl.rp, phv, res.devOuts[:0])
 	r.ProgramsRun++
 	r.SpecializedRuns++
-	r.PrivSuppressed += pl.suppressed
 	noShrink := a.Header.Flags&packet.FlagNoShrink != 0
 	for i, p := range res.devOuts {
 		r.noteFault(fid, p)

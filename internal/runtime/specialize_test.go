@@ -68,8 +68,6 @@ func TestEveryCommitIsSeenByTheNextCapsule(t *testing.T) {
 		{"InstallGrant after the rollback", install(grant(0, 1024), false)},
 		{"Deactivate", func(r *Runtime) { r.Deactivate(1) }},
 		{"Reactivate", func(r *Runtime) { r.Reactivate(1) }},
-		{"SetPrivilege drops forwarding", func(r *Runtime) { r.SetPrivilege(1, 0) }},
-		{"SetPrivilege restores it", func(r *Runtime) { r.SetPrivilege(1, PrivForwarding) }},
 		{"SetMirrorSession", func(r *Runtime) { r.SetMirrorSession(1, 1, 9) }},
 		{"SetMirrorSession moves the port", func(r *Runtime) { r.SetMirrorSession(1, 1, 10) }},
 		{"ClearMirrorSession", func(r *Runtime) { r.ClearMirrorSession(1, 1) }},
@@ -96,8 +94,9 @@ func TestEveryCommitIsSeenByTheNextCapsule(t *testing.T) {
 // grant moves, the mirror port moves — and runs the capsules in a rotated
 // order, so plans come back for other programs (FORK ones included) and
 // other bounds; each output, every register word and every counter is
-// diffed against the reference interpreter. Then, on the plan engine alone,
-// a commit plus the recompiles it forces allocates nothing.
+// diffed against the reference interpreter, and each plan's image must be
+// its decoded program's own slice. Then, on the plan engine alone, a commit
+// plus the recompiles it forces allocates nothing.
 func TestRecycledPlansMatchReference(t *testing.T) {
 	cfg := rmt.DefaultConfig()
 	cfg.StageWords = 4096
@@ -137,6 +136,13 @@ func TestRecycledPlansMatchReference(t *testing.T) {
 	}
 	if want := uint64(rounds * len(capsules)); e.plan.PlanCompiles != want {
 		t.Fatalf("%d plan compiles over %d rounds, want %d: a commit did not empty the table", e.plan.PlanCompiles, rounds, want)
+	}
+	// A plan runs the decoded program itself: its image is the program's
+	// own slice, not a copy.
+	for key, cp := range e.plan.plans.plans {
+		if len(cp.instrs) != len(key.prog.Instrs) || &cp.instrs[0] != &key.prog.Instrs[0] {
+			t.Fatalf("fid %d %s: the plan's image is a copy of the decoded program", key.fid, key.prog.Name)
+		}
 	}
 
 	r, round := e.plan, rounds
@@ -214,34 +220,26 @@ func TestPlanInvalidationOnGrantCommit(t *testing.T) {
 	}
 }
 
-// TestPlanInvalidationOnQuarantineAndPrivilege pins the other two commit
-// kinds the plan folds state from: a quarantine flip and a privilege change
-// must both leave the plan table stale, so the next capsule recompiles.
-func TestPlanInvalidationOnQuarantineAndPrivilege(t *testing.T) {
+// TestPlanInvalidationOnQuarantine pins the other commit kind the plan folds
+// state from: a quarantine flip must leave the plan table stale, so the next
+// capsule recompiles.
+func TestPlanInvalidationOnQuarantine(t *testing.T) {
 	r := testRuntime(t)
 	installCacheGrant(t, r, 1, 0, 1024)
 	a := progPacket(1, cacheQuery, [4]uint32{7, 9, 100, 0})
 	a.Header.Flags |= packet.FlagPreload
 	r.ExecuteProgram(a)
-
-	for _, c := range []struct {
-		name   string
-		commit func()
-	}{
-		{"quarantine", func() { r.Deactivate(1); r.Reactivate(1) }},
-		{"privilege", func() { r.SetPrivilege(1, 0) }},
-	} {
-		if planStale(r) {
-			t.Fatalf("%s: plan table stale before the commit", c.name)
-		}
-		compiles := r.PlanCompiles
-		c.commit()
-		if !planStale(r) {
-			t.Fatalf("%s commit left the plan table current", c.name)
-		}
-		r.ExecuteProgram(a)
-		if r.PlanCompiles != compiles+1 {
-			t.Fatalf("%s: PlanCompiles = %d after the commit, want %d", c.name, r.PlanCompiles, compiles+1)
-		}
+	if planStale(r) {
+		t.Fatal("plan table stale before the commit")
+	}
+	compiles := r.PlanCompiles
+	r.Deactivate(1)
+	r.Reactivate(1)
+	if !planStale(r) {
+		t.Fatal("quarantine commit left the plan table current")
+	}
+	r.ExecuteProgram(a)
+	if r.PlanCompiles != compiles+1 {
+		t.Fatalf("PlanCompiles = %d after the commit, want %d", r.PlanCompiles, compiles+1)
 	}
 }

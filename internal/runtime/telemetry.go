@@ -18,7 +18,6 @@ func (r *Runtime) AttachTelemetry(reg *telemetry.Registry) {
 	reg.Counter("activermt_runtime_passthrough_total", "capsules of unadmitted FIDs forwarded unexecuted", &r.Passthrough)
 	reg.Counter("activermt_runtime_faults_total", "capsules that raised a protection fault", &r.Faults)
 	reg.Counter("activermt_runtime_recirc_throttled_total", "capsules dropped by the recirculation fairness controller", &r.RecircThrottled)
-	reg.Counter("activermt_runtime_priv_suppressed_total", "privileged instructions suppressed by the privilege table", &r.PrivSuppressed)
 	reg.Counter("activermt_runtime_quarantine_drops_total", "capsules dropped while their FID was deactivated", &r.QuarantineDrops)
 	reg.Counter("activermt_runtime_revoked_drops_total", "capsules dropped because their grant was revoked", &r.RevokedDrops)
 	reg.Counter("activermt_runtime_specialized_total", "capsules executed through a compiled plan", &r.SpecializedRuns)

@@ -140,8 +140,8 @@ type Controller struct {
 	// and phase-time families from them.
 	Records []ProvisionRecord
 
-	// guard, when attached, receives Reinstate calls as tenants are granted
-	// fresh allocations; the controller is its Escalator.
+	// guard receives Reinstate calls as tenants are granted fresh
+	// allocations; the controller is its Escalator.
 	guard *guard.Guard
 
 	// relayoutsLost carries the elastic re-layouts counted by the books
@@ -167,31 +167,8 @@ type Controller struct {
 	DefragWordsRestored uint64 // register words copied via snapshot->restore
 }
 
-// NewController wires a controller to its switch, runtime, and allocator.
-func NewController(eng *netsim.Engine, sw *Switch, al *alloc.Allocator) *Controller {
-	c := &Controller{
-		eng:       eng,
-		sw:        sw,
-		rt:        sw.Runtime(),
-		al:        al,
-		clients:   make(map[uint16]packet.MAC),
-		noMigrate: make(map[uint16]bool),
-		alive:     true,
-	}
-	sw.SetController(c)
-	return c
-}
-
 // Allocator exposes the allocation state (for experiments).
 func (c *Controller) Allocator() *alloc.Allocator { return c.al }
-
-// AttachGuard wires the capsule guard to the control plane: the controller
-// becomes the guard's escalator (quarantine and evict decisions land here)
-// and reinstates ledgers when it grants fresh allocations.
-func (c *Controller) AttachGuard(g *guard.Guard) {
-	c.guard = g
-	g.SetEscalator(c)
-}
 
 // GuardQuarantine implements guard.Escalator: deactivate the tenant so its
 // packets stop executing. The table write is immediate — quarantine is the
@@ -533,9 +510,7 @@ func (c *Controller) admit(j *job) {
 	// the FID and answer after the compute time and its one table write.
 	if len(cons.Accesses) == 0 && j.rec.Kind == JobAdmit {
 		c.rt.AdmitStateless(fid)
-		if c.guard != nil {
-			c.guard.Reinstate(fid)
-		}
+		c.guard.Reinstate(fid)
 		j.rec.TableOps = 1
 		j.rec.TableTime = tableOpCost
 		c.next(j, phaseFinish, computeBase+j.rec.TableTime)
@@ -652,9 +627,7 @@ func (c *Controller) finish(j *job) {
 		}
 		// A fresh grant wipes any guard history: re-admission after an
 		// eviction starts a clean escalation ladder.
-		if c.guard != nil {
-			c.guard.Reinstate(fid)
-		}
+		c.guard.Reinstate(fid)
 		_ = c.sw.SendToHost(c.clients[fid], c.responseFor(j.grant, false))
 	case j.rec.Kind == JobRelease:
 		c.notify(fid, packet.FlagDone|packet.FlagRelease)

@@ -60,17 +60,29 @@ func NewNode(eng *netsim.Engine, cfg NodeConfig, mac packet.MAC) (*Node, error) 
 	if err != nil {
 		return nil, err
 	}
-	sw := NewSwitch(rt, mac)
-	n := &Node{
-		RT:     rt,
-		Switch: sw,
-		Ctrl:   NewController(eng, sw, al),
-		Guard:  guard.New(rt, eng.Now),
+	sw := &Switch{
+		rt:    rt,
+		mac:   mac,
+		cache: packet.NewProgCache(),
+		ports: make(map[int]*netsim.Port),
+		hosts: make(map[packet.MAC]int),
 	}
-	sw.SetGuard(n.Guard)
-	rt.SetGuardHook(n.Guard)
-	n.Ctrl.AttachGuard(n.Guard)
-	return n, nil
+	ctrl := &Controller{
+		eng:       eng,
+		sw:        sw,
+		rt:        rt,
+		al:        al,
+		clients:   make(map[uint16]packet.MAC),
+		noMigrate: make(map[uint16]bool),
+		alive:     true,
+	}
+	// The controller is the guard's escalator (quarantine and evict
+	// decisions land there) and reinstates ledgers as it grants fresh
+	// allocations; the runtime reports faults to the guard.
+	g := guard.New(rt, eng.Now, ctrl)
+	sw.ctrl, sw.guard, ctrl.guard = ctrl, g, g
+	rt.SetGuardHook(g)
+	return &Node{RT: rt, Switch: sw, Ctrl: ctrl, Guard: g}, nil
 }
 
 // AttachTelemetry instruments every layer of the switch with reg: runtime +

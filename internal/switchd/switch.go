@@ -58,24 +58,6 @@ type Switch struct {
 	ProbesEchoed, ProbeReplies                               uint64
 }
 
-// NewSwitch builds a switch around a runtime. Attach the controller with
-// SetController and wire ports with AddPort (the ports carry the engine).
-func NewSwitch(rt *runtime.Runtime, mac packet.MAC) *Switch {
-	return &Switch{
-		rt:    rt,
-		mac:   mac,
-		cache: packet.NewProgCache(),
-		ports: make(map[int]*netsim.Port),
-		hosts: make(map[packet.MAC]int),
-	}
-}
-
-// SetController attaches the control plane.
-func (s *Switch) SetController(c *Controller) { s.ctrl = c }
-
-// SetGuard installs the ingress capsule guard (nil disables it).
-func (s *Switch) SetGuard(g *guard.Guard) { s.guard = g }
-
 // ProgCache returns the switch's decoded-program cache, keyed by program
 // bytes: a grant change needs no invalidation, because the runtime drops its
 // compiled per-FID plans on every commit.
@@ -216,9 +198,7 @@ func (s *Switch) control(eth packet.EthHeader, a *packet.Active, port *netsim.Po
 			s.sendOut(port.Num, of, s.rt.Device().Config().PassLatency/2)
 			return
 		}
-		if s.ctrl != nil {
-			s.ctrl.Digest(eth.Src, a.Header, a.AllocReq)
-		}
+		s.ctrl.Digest(eth.Src, a.Header, a.AllocReq)
 	case packet.TypeAllocResp:
 		// Allocation responses originate at switches; a standalone switch
 		// drops one arriving on a port, but a fabric transit node carries
@@ -237,7 +217,7 @@ func (s *Switch) control(eth packet.EthHeader, a *packet.Active, port *netsim.Po
 // execute runs one program capsule (a, in switch scratch) through the guard
 // and the runtime and emits its outputs.
 func (s *Switch) execute(eth packet.EthHeader, a *packet.Active, in *netsim.Port) {
-	if s.guard != nil && !s.guard.CheckProgram(a, in.Num) {
+	if !s.guard.CheckProgram(a, in.Num) {
 		s.FramesDropped++
 		s.GuardDropped++
 		return

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"activermt/internal/alloc"
-	"activermt/internal/guard"
 	"activermt/internal/isa"
 	"activermt/internal/netsim"
 	"activermt/internal/packet"
@@ -59,20 +58,15 @@ func newRig(t *testing.T) *rig {
 	eng := netsim.NewEngine()
 	cfg := rmt.DefaultConfig()
 	cfg.StageWords = 8192
-	rt, err := runtime.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	acfg := alloc.DefaultConfig()
 	acfg.StageWords = 8192
-	al, err := alloc.New(acfg)
+	n, err := NewNode(eng, NodeConfig{RMT: cfg, Alloc: acfg}, packet.MAC{0xFF})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := NewSwitch(rt, packet.MAC{0xFF})
-	ctrl := NewController(eng, sw, al)
+	sw := n.Switch
 
-	r := &rig{eng: eng, sw: sw, ctrl: ctrl}
+	r := &rig{eng: eng, sw: sw, ctrl: n.Ctrl}
 	r.a = &host{mac: packet.MAC{0xA}}
 	r.b = &host{mac: packet.MAC{0xB}}
 	for i, h := range []*host{r.a, r.b} {
@@ -117,7 +111,7 @@ func TestCapsuleToOwnMACConsumed(t *testing.T) {
 		t.Fatal("no region installed")
 	}
 	a := &packet.Active{
-		Header:  packet.ActiveHeader{FID: 5},
+		Header:  packet.ActiveHeader{FID: 5, Opaque: uint32(r.sw.Runtime().Epoch(5))},
 		Args:    [4]uint32{0xFEED, 0, grant.Lo, 0},
 		Program: isa.MustAssemble("populate-fwd", "MBR_LOAD 0\nMAR_LOAD 2\nMEM_WRITE\nNOP\nRETURN"),
 	}
@@ -322,7 +316,7 @@ func TestProgramExecutionThroughSwitch(t *testing.T) {
 	// A program writing then returning to sender.
 	prog := isa.MustAssemble("w", "MBR_LOAD 0\nMAR_LOAD 2\nMEM_WRITE\nRTS\nRETURN")
 	a := &packet.Active{
-		Header:  packet.ActiveHeader{FID: 5},
+		Header:  packet.ActiveHeader{FID: 5, Opaque: uint32(r.sw.Runtime().Epoch(5))},
 		Args:    [4]uint32{0xFEED, 0, grant.Lo, 0},
 		Program: prog,
 	}
@@ -351,16 +345,21 @@ func TestFaultingProgramDropped(t *testing.T) {
 	r.eng.Run()
 	prog := isa.MustAssemble("w", "MBR_LOAD 0\nMAR_LOAD 2\nMEM_WRITE\nRTS\nRETURN")
 	a := &packet.Active{
-		Header:  packet.ActiveHeader{FID: 5},
+		Header:  packet.ActiveHeader{FID: 5, Opaque: uint32(r.sw.Runtime().Epoch(5))},
 		Args:    [4]uint32{1, 0, 7000, 0}, // out of region
 		Program: prog,
 	}
 	a.Header.SetType(packet.TypeProgram)
-	before := r.sw.FramesDropped
+	before, guarded, faults := r.sw.FramesDropped, r.sw.GuardDropped, r.sw.Runtime().Faults
 	r.a.send(t, a, r.b.mac)
 	r.eng.Run()
 	if r.sw.FramesDropped != before+1 {
 		t.Errorf("dropped = %d, want %d", r.sw.FramesDropped, before+1)
+	}
+	// The drop is the runtime's protection fault, not the guard's.
+	if r.sw.GuardDropped != guarded || r.sw.Runtime().Faults != faults+1 {
+		t.Errorf("guard dropped +%d, faults +%d, want +0 +1",
+			r.sw.GuardDropped-guarded, r.sw.Runtime().Faults-faults)
 	}
 	if len(r.b.frames) != 0 {
 		t.Error("faulted packet leaked to destination")
@@ -375,17 +374,24 @@ func TestFrameHasOneFate(t *testing.T) {
 	r.a.send(t, allocRequest(5, 2), r.sw.MAC())
 	r.eng.Run()
 	a := &packet.Active{
-		Header:  packet.ActiveHeader{FID: 5},
+		Header:  packet.ActiveHeader{FID: 5, Opaque: uint32(r.sw.Runtime().Epoch(5))},
 		Args:    [4]uint32{99, 0, 0, 0}, // no port 99
 		Program: isa.MustAssemble("d", "MBR_LOAD 0\nSET_DST\nRETURN"),
 	}
 	a.Header.SetType(packet.TypeProgram)
 	dropped, forwarded, returned := r.sw.FramesDropped, r.sw.FramesForwarded, r.sw.FramesReturned
+	guarded, faults := r.sw.GuardDropped, r.sw.Runtime().Faults
 	r.a.send(t, a, r.b.mac)
 	r.eng.Run()
 	if r.sw.FramesDropped != dropped+1 || r.sw.FramesForwarded != forwarded || r.sw.FramesReturned != returned {
 		t.Errorf("dropped +%d forwarded +%d returned +%d, want +1 +0 +0",
 			r.sw.FramesDropped-dropped, r.sw.FramesForwarded-forwarded, r.sw.FramesReturned-returned)
+	}
+	// The drop is at egress, after the guard passed the capsule and the
+	// runtime ran it without a fault.
+	if r.sw.GuardDropped != guarded || r.sw.Runtime().Faults != faults {
+		t.Errorf("guard dropped +%d, faults +%d, want +0 +0",
+			r.sw.GuardDropped-guarded, r.sw.Runtime().Faults-faults)
 	}
 	if len(r.b.frames) != 0 {
 		t.Error("frame for a missing port reached host b")
@@ -480,7 +486,6 @@ func (discard) Receive([]byte, *netsim.Port) {}
 // frames, below AllocsPerRun's whole-allocation resolution.
 func TestSwitchReceiveAllocs(t *testing.T) {
 	r := newRig(t)
-	r.sw.SetGuard(guard.New(r.sw.Runtime(), r.eng.Now))
 	r.a.send(t, allocRequest(5, 2), r.sw.MAC())
 	r.eng.Run()
 	rt := r.sw.Runtime()

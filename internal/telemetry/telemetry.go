@@ -10,7 +10,7 @@ import (
 // Consistency model: everything but the published pointer belongs to the
 // simulation goroutine. Families are registered and collected there, between
 // events, where every control-plane commit (a grant install, a quarantine, a
-// privilege change) is either complete or not begun — so a snapshot is
+// mirror-session edit) is either complete or not begun — so a snapshot is
 // commit-consistent by construction, with no commit windows to fence. The
 // HTTP endpoint reads only what Publish last stored.
 type Registry struct {

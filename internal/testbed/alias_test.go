@@ -66,7 +66,7 @@ func counterLine(sw *switchd.Switch, g *guard.Guard) string {
 	d := rt.Device()
 	s := fmt.Sprintln("switch", sw.FramesIn, sw.FramesForwarded, sw.FramesReturned, sw.FramesDropped,
 		sw.UnknownMAC, sw.GuardDropped, sw.ControlTransit, sw.RelayedPrograms, sw.ProbesEchoed, sw.ProbeReplies,
-		"runtime", rt.ProgramsRun, rt.Passthrough, rt.Faults, rt.RecircThrottled, rt.PrivSuppressed,
+		"runtime", rt.ProgramsRun, rt.Passthrough, rt.Faults, rt.RecircThrottled,
 		rt.QuarantineDrops, rt.RevokedDrops, rt.TableOps,
 		"device", d.PacketsIn, d.PacketsDropped, d.Recirculations)
 	for i := 0; i < d.NumStages(); i++ {

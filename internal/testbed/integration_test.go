@@ -204,6 +204,43 @@ func TestReleaseExpandsAndAcks(t *testing.T) {
 	_ = grew // growth depends on which stages the released app held
 }
 
+// TestReleaseOutlivesTheRequestsRetry: a tenant admitted before its
+// request's retry timer fires, and released at once, stays released. The
+// release grows three elastic neighbours, which takes long enough for the
+// still-armed retry to fire while it runs; a retry that still counted as the
+// live request would resend the allocation request and admit the tenant
+// again after it asked to leave.
+func TestReleaseOutlivesTheRequestsRetry(t *testing.T) {
+	tb := newBed(t)
+	srv := tb.AddKVServer()
+	for fid := uint16(1); fid <= 3; fid++ {
+		_, cl := tb.AddCache(fid, srv)
+		if err := cl.RequestAndWait(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, cl := tb.AddMemSync(9, 0)
+	cl.RetryAfter = 30 * time.Millisecond
+	start := tb.Eng.Now()
+	if err := cl.RequestAndWait(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if took := tb.Eng.Now() - start; took >= cl.RetryAfter*9/10 {
+		t.Fatalf("admission took %v: the retry (%v ± 10%%) is no longer pending", took, cl.RetryAfter)
+	}
+	if err := cl.Release(); err != nil {
+		t.Fatal(err)
+	}
+	tb.RunFor(3 * time.Second)
+	if cl.State() != client.Idle || cl.Retries != 0 || tb.RT.Admitted(9) || tb.Ctrl.Allocator().NumApps() != 3 {
+		t.Fatalf("after release: state %v, %d retries, admitted %v, %d residents; want idle, 0, false, 3",
+			cl.State(), cl.Retries, tb.RT.Admitted(9), tb.Ctrl.Allocator().NumApps())
+	}
+	if err := tb.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestHeavyHitterEndToEnd(t *testing.T) {
 	tb := newBed(t)
 	srv := tb.AddKVServer()

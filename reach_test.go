@@ -44,7 +44,6 @@ var reachAllow = map[string]string{
 	// Paper ISA and hardening features that only tests exercise.
 	"internal/runtime.Runtime.SetMirrorSession":   "paper ISA: FORK's clone session table (runtime and testbed tests)",
 	"internal/runtime.Runtime.ClearMirrorSession": "paper ISA: FORK's clone session table (runtime commit tests)",
-	"internal/runtime.Runtime.SetPrivilege":       "hardening: per-FID privilege mask over forwarding opcodes (runtime tests)",
 
 	// The delay + jitter injector the link-fault model's reordering builds on
 	// (Apply reaches netsim.Port.SetExtraDelay); no library scenario arms it
