@@ -946,7 +946,7 @@ type heldRegion struct {
 
 // snapshotElasticRegions captures the elastic apps' regions, by FID and
 // group, for change detection and rollback, into working slot 0, or 1 for
-// Evacuate: its snapshot is live across the Allocate it calls.
+// Fence: its snapshot is live across the Allocate it calls.
 func (a *Allocator) snapshotElasticRegions(slot int) []heldRegion {
 	out := a.held[slot][:0]
 	for _, app := range a.apps {

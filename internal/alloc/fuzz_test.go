@@ -10,10 +10,11 @@ import (
 	"testing"
 )
 
-// FuzzAllocatorOps drives random admit / release / quarantine / evacuate /
-// compact / crash-recover / readmit sequences through the allocator beside
-// a reference model (opsModel) and checks, after every operation, that
-// regions are disjoint in every stage, the books balance, every elastic
+// FuzzAllocatorOps drives random admit / release / fence / compact /
+// crash-recover / readmit sequences through the allocator beside a
+// reference model (opsModel) and checks, after every operation, that every
+// block a Fence was given is fenced, regions and fences are disjoint in
+// every stage, the books balance, every elastic
 // group holds a block, the tables the model keeps from the reported
 // placements alone equal the books (and rebuild them through Recover), a
 // layout realised in place leaves no stage with more unrealised fair share
@@ -89,17 +90,25 @@ func (m *opsModel) install(pls ...*Placement) {
 
 func (m *opsModel) evict(fid uint16) { delete(m.cons, fid); delete(m.tables, fid); m.rec = nil }
 
-func (m *opsModel) fence(stage int, r BlockRange) {
-	if !m.a.QuarantinedIn(stage, r.Lo) {
-		return
-	}
-	for _, have := range m.fences[stage] {
-		if have == r {
-			return
+// fence runs one Fence of single blocks, fails unless it fenced every one,
+// and records its fences, evictions and moves.
+func (m *opsModel) fence(bad map[int][]BlockRange) {
+	f := m.a.Fence(bad)
+	for stage, rs := range bad {
+		for _, r := range rs {
+			if !m.a.QuarantinedIn(stage, r.Lo) {
+				m.t.Fatalf("fence %v left stage %d block %d unfenced\n%s", bad, stage, r.Lo, dumpBooks(m.a))
+			}
+			if !slices.Contains(m.fences[stage], r) {
+				m.fences[stage] = append(m.fences[stage], r)
+				m.rec = nil
+			}
 		}
 	}
-	m.fences[stage] = append(m.fences[stage], r)
-	m.rec = nil
+	for _, fid := range f.Evicted {
+		m.evict(fid)
+	}
+	m.install(f.Moved...)
 }
 
 // pick returns the arg-th resident FID in ascending order.
@@ -128,7 +137,7 @@ func (m *opsModel) step(b byte) {
 		}
 	}(a.relayouts)
 	switch b % 9 {
-	case 0, 1, 2, 3, 5, 7: // ops that may be refused, leaving the books untouched
+	case 0, 1, 2, 3, 7: // ops that may be refused, leaving the books untouched
 		m.books[0] = appendBooks(m.books[0][:0], a)
 	}
 	switch b % 9 {
@@ -158,33 +167,20 @@ func (m *opsModel) step(b byte) {
 		}
 		m.evict(fid)
 		m.install(changed...)
-	case 5: // quarantine one block anywhere
-		stage, r := int(arg)%a.cfg.NumStages, BlockRange{Lo: int(arg) % a.blocks, Hi: int(arg)%a.blocks + 1}
-		changed, err := a.Quarantine(stage, r)
-		if err != nil {
-			m.untouched("refused quarantine")
-			return
-		}
-		m.fence(stage, r)
-		m.install(changed...)
-	case 6: // evacuate a resident app around its first block
+	case 5: // fence one block anywhere, free or held
+		m.fence(map[int][]BlockRange{int(arg) % a.cfg.NumStages: {{Lo: int(arg) % a.blocks, Hi: int(arg)%a.blocks + 1}}})
+	case 6: // fence a resident's first block and one more block anywhere
 		fid, ok := m.pick(arg)
 		if !ok {
 			return
 		}
 		stage := sortedKeys(m.tables[fid])[0]
-		r := BlockRange{Lo: m.tables[fid][stage].Lo, Hi: m.tables[fid][stage].Lo + 1}
-		res, err := a.Evacuate(fid, map[int][]BlockRange{stage: {r}})
-		if err != nil {
-			m.t.Fatalf("evacuate %d: %v", fid, err)
+		lo, s2, lo2 := m.tables[fid][stage].Lo, int(arg)*7%a.cfg.NumStages, int(arg)*13%a.blocks
+		bad := map[int][]BlockRange{stage: {{Lo: lo, Hi: lo + 1}}}
+		if s2 != stage || lo2 != lo {
+			bad[s2] = append(bad[s2], BlockRange{Lo: lo2, Hi: lo2 + 1})
 		}
-		m.fence(stage, r)
-		if res.Failed {
-			m.evict(fid)
-		} else {
-			m.install(res.New)
-		}
-		m.install(res.Reallocated...)
+		m.fence(bad)
 	case 7: // compact the best candidate
 		if cands := a.CompactionCandidates(nil); len(cands) > 0 {
 			res, ok := a.CompactApp(cands[0])
@@ -275,12 +271,8 @@ func (m *opsModel) recovered() *Allocator {
 			m.t.Fatalf("recover %d: %v", fid, err)
 		}
 	}
-	for stage, rs := range m.fences {
-		for _, r := range rs {
-			if _, err := a.Quarantine(stage, r); err != nil {
-				m.t.Fatalf("re-fence stage %d %+v: %v", stage, r, err)
-			}
-		}
+	if f := a.Fence(m.fences); f.Fenced != a.QuarantinedBlocks() || f.Evacuated != 0 {
+		m.t.Fatalf("re-fence %v over the recovered tables: %+v", m.fences, f)
 	}
 	return a
 }

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -12,9 +13,9 @@ import (
 // place and without constraints (those live client-side). When the client's
 // retransmitted allocation request arrives, Readmit upgrades the recovered
 // entry to full state by matching the constraints against the installed
-// placement. Quarantine/Evacuate implement graceful degradation when a
-// stage's SRAM is corrupted: the bad blocks are fenced off under a reserved
-// owner and the victim application is re-placed around them.
+// placement. Fence implements graceful degradation when a stage's SRAM is
+// corrupted: the bad blocks are fenced off under a reserved owner and the
+// applications that held them are re-placed around them.
 
 // QuarantineFID is the reserved interval owner of quarantined blocks; it is
 // never a valid application FID.
@@ -174,32 +175,6 @@ func (a *Allocator) matchMutant(cons *Constraints, mutants []Mutant, rec *App) i
 	return -1
 }
 
-// Quarantine fences off the blocks of r in stage under the reserved owner
-// so no future placement uses them. The blocks must not be pinned to a
-// resident app (evacuate the owner first); elastic neighbors make room for
-// the fence and their changed placements are returned. A fence that would
-// leave an elastic tenant without a block is refused, the books untouched.
-func (a *Allocator) Quarantine(stage int, r BlockRange) ([]*Placement, error) {
-	if stage < 0 || stage >= a.cfg.NumStages || r.Lo < 0 || r.Hi > a.blocks || r.Size() < 1 {
-		return nil, fmt.Errorf("alloc: quarantine %+v at stage %d out of range", r, stage)
-	}
-	if iv, clash := a.pinned[stage].conflict(r); clash {
-		if iv.fid == QuarantineFID {
-			return nil, nil // already fenced
-		}
-		return nil, fmt.Errorf("alloc: quarantine %+v at stage %d overlaps pinned fid %d", r, stage, iv.fid)
-	}
-	before := a.snapshotElasticRegions(0)
-	fence := interval{BlockRange: r, fid: QuarantineFID}
-	a.pinned[stage].insert(fence)
-	if !a.recomputeElastic() {
-		a.pinned[stage].ivs = slices.DeleteFunc(a.pinned[stage].ivs, func(iv interval) bool { return iv == fence })
-		a.restoreElastic(before)
-		return nil, fmt.Errorf("alloc: quarantine %+v at stage %d leaves an elastic tenant no block (evacuate one first)", r, stage)
-	}
-	return a.changedPlacements(before, QuarantineFID), nil
-}
-
 // QuarantinedIn reports whether the given block of a stage is quarantined.
 func (a *Allocator) QuarantinedIn(stage, block int) bool {
 	if stage < 0 || stage >= a.cfg.NumStages {
@@ -222,44 +197,105 @@ func (a *Allocator) QuarantinedBlocks() int {
 	return total
 }
 
-// Evacuate quarantines the given per-stage block ranges (disjoint within a
-// stage — typically individual corrupted blocks, so healthy blocks between
-// them stay usable) and re-places fid around them, keeping its FID and
-// constraints. The result's Reallocated list covers every app whose regions
-// moved (including elastic neighbors). If the app cannot be re-placed — or
-// was only in recovered form, with no constraints to re-place from — it is
-// evicted and the result marked failed; Reallocated still lists the
-// neighbors that took its space.
-func (a *Allocator) Evacuate(fid uint16, quar map[int][]BlockRange) (*Result, error) {
-	app, ok := a.App(fid)
-	if !ok {
-		return nil, fmt.Errorf("alloc: fid %d not resident", fid)
-	}
-	before := a.snapshotElasticRegions(1)
-	cons := app.Cons
-	a.unpin(app)
-	a.drop(fid)
-	stages := make([]int, 0, len(quar))
-	for s := range quar {
-		stages = append(stages, s)
-	}
-	slices.Sort(stages)
-	for _, s := range stages {
-		for _, r := range quar[s] {
-			if _, clash := a.pinned[s].conflict(r); clash {
-				continue // already fenced (or raced with another pin)
+// Fencing reports one Fence call.
+type Fencing struct {
+	Fenced    int          // blocks newly fenced
+	Evacuated int          // residents displaced from a bad block: re-placed or evicted
+	Moved     []*Placement // the final placement of every resident moved, in FID order
+	Evicted   []uint16     // residents that could not be re-placed, in FID order
+}
+
+// stageBlock is one block of one stage.
+type stageBlock struct{ stage, block int }
+
+// Fence fences off every block of bad (per stage; a sweep's corrupted
+// blocks) under the reserved owner, one interval per block so healthy blocks
+// between bad ones stay usable, and re-places whoever held one. One loop
+// decides it, until every bad block is fenced: each bad block no interval
+// holds is fenced where it lies, moving nobody; then the lowest-FID resident
+// still holding one is evacuated — dropped, the bad blocks it held fenced,
+// the freed space re-laid (recomputeFreed) and the resident re-placed
+// through Allocate with its constraints, or evicted when it is in recovered
+// form or no longer fits. Free bad blocks are fenced before anyone is
+// re-placed, so no evacuee lands on a block of the same call, and every
+// pass fences at least one block. Fence never refuses.
+func (a *Allocator) Fence(bad map[int][]BlockRange) Fencing {
+	var pending []stageBlock
+	for s, rs := range bad {
+		for _, r := range rs {
+			for b := r.Lo; b < r.Hi; b++ {
+				pending = append(pending, stageBlock{s, b})
 			}
-			a.pinned[s].insert(interval{BlockRange: r, fid: QuarantineFID})
 		}
 	}
-	a.recomputeFreed(before)
-	if cons == nil {
-		return &Result{Failed: true, Reason: "recovered-app-evicted", Reallocated: a.changedPlacements(before, fid)}, nil
+	slices.SortFunc(pending, func(x, y stageBlock) int {
+		return cmp.Or(cmp.Compare(x.stage, y.stage), cmp.Compare(x.block, y.block))
+	})
+	pending = slices.Compact(pending)
+
+	var out Fencing
+	moved := map[uint16]bool{}
+	fence := func(p stageBlock) {
+		a.pinned[p.stage].insert(interval{BlockRange: BlockRange{Lo: p.block, Hi: p.block + 1}, fid: QuarantineFID})
+		out.Fenced++
 	}
-	res, err := a.Allocate(fid, cons)
-	if err != nil {
-		return res, err
+	for {
+		held := pending[:0]
+		for _, p := range pending {
+			r := BlockRange{Lo: p.block, Hi: p.block + 1}
+			if iv, ok := a.pinned[p.stage].conflict(r); ok {
+				if iv.fid != QuarantineFID {
+					held = append(held, p)
+				}
+			} else if _, ok := a.elastic[p.stage].conflict(r); ok {
+				held = append(held, p)
+			} else {
+				fence(p)
+			}
+		}
+		if pending = held; len(pending) == 0 {
+			break
+		}
+		i := slices.IndexFunc(a.apps, func(app *App) bool {
+			return slices.ContainsFunc(pending, app.holds)
+		})
+		app := a.apps[i]
+		before := a.snapshotElasticRegions(1)
+		a.unpin(app)
+		a.drop(app.FID)
+		pending = slices.DeleteFunc(pending, func(p stageBlock) bool {
+			if app.holds(p) {
+				fence(p)
+				return true
+			}
+			return false
+		})
+		a.recomputeFreed(before)
+		out.Evacuated++
+		placed := false
+		if app.Cons != nil {
+			res, err := a.Allocate(app.FID, app.Cons)
+			placed = err == nil && !res.Failed
+		}
+		for _, pl := range a.changedPlacements(before, app.FID) {
+			moved[pl.FID] = true
+		}
+		moved[app.FID] = placed
+		if !placed {
+			out.Evicted = append(out.Evicted, app.FID)
+		}
 	}
-	res.Reallocated = a.changedPlacements(before, fid)
-	return res, nil
+	for _, app := range a.apps {
+		if moved[app.FID] {
+			out.Moved = append(out.Moved, a.placementFor(app))
+		}
+	}
+	slices.Sort(out.Evicted)
+	return out
+}
+
+// holds reports whether the app's region in the block's stage covers it.
+func (a *App) holds(p stageBlock) bool {
+	r := a.region(p.stage)
+	return r.Lo <= p.block && p.block < r.Hi
 }

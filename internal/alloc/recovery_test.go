@@ -110,6 +110,9 @@ func TestReadmitStatelessAgainstRecoveredEvicts(t *testing.T) {
 	}
 }
 
+// TestQuarantineFencesBlocksAndMovesElastic: fencing a block an elastic
+// tenant holds fences it and re-places the tenant around it; fencing it again
+// fences and moves nothing.
 func TestQuarantineFencesBlocksAndMovesElastic(t *testing.T) {
 	a := newAllocator(t, testConfig())
 	res, err := a.Allocate(1, cacheCons())
@@ -117,15 +120,12 @@ func TestQuarantineFencesBlocksAndMovesElastic(t *testing.T) {
 		t.Fatal(err)
 	}
 	regions := blocksOf(t, a, 1)
-	var stage int
-	var r BlockRange
-	for s, br := range regions {
-		stage, r = s, br
-		break
-	}
-	target := BlockRange{Lo: r.Lo, Hi: r.Lo + 1}
-	if _, err := a.Quarantine(stage, target); err != nil {
-		t.Fatal(err)
+	stage := sortedKeys(regions)[0]
+	target := BlockRange{Lo: regions[stage].Lo, Hi: regions[stage].Lo + 1}
+	bad := map[int][]BlockRange{stage: {target}}
+	f := a.Fence(bad)
+	if f.Fenced != 1 || f.Evacuated != 1 || len(f.Evicted) != 0 || len(f.Moved) != 1 || f.Moved[0].FID != 1 {
+		t.Fatalf("fence = %+v, want 1 block fenced and fid 1 moved", f)
 	}
 	if !a.QuarantinedIn(stage, target.Lo) {
 		t.Error("block not quarantined")
@@ -135,29 +135,69 @@ func TestQuarantineFencesBlocksAndMovesElastic(t *testing.T) {
 	}
 	// The elastic tenant was re-placed around the fence.
 	after := blocksOf(t, a, 1)
-	if got := after[stage]; got.Lo < target.Hi && target.Lo < got.Hi {
+	if got := after[stage]; got.overlaps(target) {
 		t.Errorf("stage %d region %+v still overlaps quarantined %+v", stage, got, target)
 	}
-	// Re-fencing the same block reports nothing to move and no error.
-	pls, err := a.Quarantine(stage, target)
-	if err != nil || pls != nil {
-		t.Errorf("re-quarantine: %v %v", pls, err)
+	// Re-fencing the same block fences and moves nothing.
+	if f := a.Fence(bad); f.Fenced != 0 || f.Evacuated != 0 || f.Moved != nil || f.Evicted != nil {
+		t.Errorf("re-fence = %+v, want nothing done", f)
 	}
 	assertNoOverlap(t, a)
 }
 
-func TestQuarantineRefusesPinnedOverlap(t *testing.T) {
+// TestFenceFencesFreeBlocksBeforeReplacing: one call reports a block an
+// inelastic tenant holds and the free block its re-placement would take if
+// only the first were fenced (found on an identical dry-run allocator). Both
+// are fenced, and the tenant lands clear of both.
+func TestFenceFencesFreeBlocksBeforeReplacing(t *testing.T) {
+	dry := newAllocator(t, testConfig())
 	a := newAllocator(t, testConfig())
-	res, err := a.Allocate(1, hhCons()) // inelastic, pinned at the bottom
-	if err != nil || res.Failed {
-		t.Fatal(err)
-	}
-	regions := blocksOf(t, a, 1)
-	for s, r := range regions {
-		if _, err := a.Quarantine(s, BlockRange{Lo: r.Lo, Hi: r.Lo + 1}); err == nil {
-			t.Errorf("stage %d: quarantine overlapping pinned app accepted", s)
+	for _, x := range []*Allocator{dry, a} {
+		if res, err := x.Allocate(1, hhCons()); err != nil || res.Failed {
+			t.Fatalf("allocate: %v %+v", err, res)
 		}
-		break
+	}
+	was := blocksOf(t, a, 1)
+	s := sortedKeys(was)[0]
+	if f := dry.Fence(map[int][]BlockRange{s: {{Lo: was[s].Lo, Hi: was[s].Lo + 1}}}); len(f.Moved) != 1 {
+		t.Fatalf("dry run: %+v", f)
+	}
+	// Add the first block of the dry-run placement the tenant did not hold.
+	bad := map[int][]BlockRange{s: {{Lo: was[s].Lo, Hi: was[s].Lo + 1}}}
+	lands := blocksOf(t, dry, 1)
+	found := false
+	for _, ls := range sortedKeys(lands) {
+		for b := lands[ls].Lo; b < lands[ls].Hi && !found; b++ {
+			if r := (BlockRange{Lo: b, Hi: b + 1}); !r.overlaps(was[ls]) {
+				bad[ls] = append(bad[ls], r)
+				found = true
+			}
+		}
+	}
+	if !found {
+		t.Fatalf("no free block in the dry-run placement %v (was %v)", lands, was)
+	}
+
+	f := a.Fence(bad)
+	if f.Fenced != 2 || f.Evacuated != 1 || len(f.Evicted) != 0 || len(f.Moved) != 1 {
+		t.Fatalf("fence = %+v, want 2 blocks fenced and fid 1 moved once", f)
+	}
+	if a.QuarantinedBlocks() != 2 {
+		t.Errorf("quarantined blocks = %d, want 2", a.QuarantinedBlocks())
+	}
+	now := blocksOf(t, a, 1)
+	for s, rs := range bad {
+		for _, r := range rs {
+			if !a.QuarantinedIn(s, r.Lo) {
+				t.Errorf("stage %d block %d not fenced", s, r.Lo)
+			}
+			if now[s].overlaps(r) {
+				t.Errorf("stage %d: tenant re-placed at %+v, over fenced %+v", s, now[s], r)
+			}
+		}
+	}
+	if err := a.AuditBooks(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -171,12 +211,9 @@ func TestEvacuateReplacesVictimAroundFence(t *testing.T) {
 	for s, r := range regions {
 		quar[s] = []BlockRange{{Lo: r.Lo, Hi: r.Lo + 1}}
 	}
-	res, err := a.Evacuate(1, quar)
-	if err != nil || res.Failed {
-		t.Fatalf("evacuate: %v %+v", err, res)
-	}
-	if res.New == nil || res.New.FID != 1 {
-		t.Fatalf("victim placement = %+v", res.New)
+	f := a.Fence(quar)
+	if f.Evacuated != 1 || len(f.Evicted) != 0 || len(f.Moved) != 1 || f.Moved[0].FID != 1 {
+		t.Fatalf("fence = %+v, want fid 1 re-placed", f)
 	}
 	after := blocksOf(t, a, 1)
 	for s, brs := range quar {
@@ -184,7 +221,7 @@ func TestEvacuateReplacesVictimAroundFence(t *testing.T) {
 			if !a.QuarantinedIn(s, br.Lo) {
 				t.Errorf("stage %d block %d not fenced", s, br.Lo)
 			}
-			if got, ok := after[s]; ok && got.Lo < br.Hi && br.Lo < got.Hi {
+			if got, ok := after[s]; ok && got.overlaps(br) {
 				t.Errorf("stage %d: new region %+v overlaps fenced %+v", s, got, br)
 			}
 		}
@@ -197,12 +234,9 @@ func TestEvacuateRecoveredAppIsEvicted(t *testing.T) {
 	if err := a.Recover(1, map[int]BlockRange{2: {Lo: 10, Hi: 14}}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.Evacuate(1, map[int][]BlockRange{2: {{Lo: 10, Hi: 11}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Failed || res.Reason != "recovered-app-evicted" {
-		t.Errorf("result = %+v", res)
+	f := a.Fence(map[int][]BlockRange{2: {{Lo: 10, Hi: 11}}})
+	if !slices.Equal(f.Evicted, []uint16{1}) || f.Moved != nil || f.Fenced != 1 {
+		t.Errorf("fence = %+v, want fid 1 evicted", f)
 	}
 	if a.NumApps() != 0 {
 		t.Errorf("apps = %d", a.NumApps())

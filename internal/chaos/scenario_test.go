@@ -172,6 +172,9 @@ func TestCorruptedMemoryQuarantineAndRealloc(t *testing.T) {
 			}
 		}
 	}
+	if got, want := tb.Ctrl.QuarantinedBlockCount, al.QuarantinedBlocks(); got != uint64(want) {
+		t.Errorf("fenced-blocks counter %d, the allocator fences %d", got, want)
+	}
 	// The sweep scrubbed everything it found: a fresh scan is clean.
 	if left := tb.RT.SweepCorruption(); len(left) != 0 {
 		t.Errorf("%d corrupted words left after repair", len(left))

@@ -100,21 +100,6 @@ func (s regionSet) Allowed(fid uint16, addr uint32) bool {
 	return ok && addr >= r.Lo && addr < r.Hi
 }
 
-// Owner returns the FID whose region covers addr, if any — the fault
-// attribution lookup, which only the corrupted-memory sweep asks, so it
-// scans. Regions are disjoint under the allocator's invariants, but the set
-// tolerates overlap: of the regions covering addr, the last in (Lo, FID)
-// order owns it.
-func (s regionSet) Owner(addr uint32) (fid uint16, found bool) {
-	var lo uint32
-	for _, r := range s.byFID {
-		if addr >= r.Lo && addr < r.Hi && (!found || r.Lo >= lo) {
-			fid, lo, found = r.FID, r.Lo, true
-		}
-	}
-	return fid, found
-}
-
 // TCAM models one stage's ternary match memory as used by ActiveRMT: one
 // protected region per FID, charged at its exact range-to-prefix expansion
 // cost against a fixed entry budget. The paper identifies this budget as the
@@ -185,9 +170,6 @@ func (t *TCAM) Region(fid uint16) (Region, bool) { return t.set.Region(fid) }
 // control-plane table-read path a restarted controller uses to rebuild
 // allocation state.
 func (t *TCAM) Regions() []Region { return slices.Clone(t.set.byFID) }
-
-// OwnerOf returns the FID whose region covers addr, if any.
-func (t *TCAM) OwnerOf(addr uint32) (uint16, bool) { return t.set.Owner(addr) }
 
 // Used returns the consumed prefix entries.
 func (t *TCAM) Used() int { return t.used }

@@ -437,13 +437,10 @@ func (r *Runtime) InstalledRegions(fid uint16) map[int]rmt.Region {
 }
 
 // Corruption is one parity-sweep hit: a word whose SRAM content no longer
-// matches its parity bit, attributed to the owning FID when the address
-// falls inside a protected region.
+// matches its parity bit. Who holds it is the allocator's to say.
 type Corruption struct {
 	Stage int
 	Addr  uint32
-	FID   uint16
-	Owned bool
 }
 
 // SweepCorruption runs the parity scrub pass over every stage's register
@@ -453,9 +450,7 @@ func (r *Runtime) SweepCorruption() []Corruption {
 	for s := 0; s < r.dev.NumStages(); s++ {
 		st := r.dev.Stage(s)
 		for _, addr := range st.Registers.SweepParity(0, uint32(st.Registers.Len())) {
-			c := Corruption{Stage: s, Addr: addr}
-			c.FID, c.Owned = st.Prot.OwnerOf(addr)
-			out = append(out, c)
+			out = append(out, Corruption{Stage: s, Addr: addr})
 		}
 	}
 	return out

@@ -60,8 +60,9 @@ type planTable struct {
 	free        []*compiledPlan // emptied out of plans: storage compilePlan reuses
 }
 
-// maxPlans bounds a plan table. Overflowing compiles still execute their
-// packet through a one-shot plan; they are just not cached.
+// maxPlans bounds a plan table. A compile that finds it full empties it
+// first, as a full program cache is flushed: plans are rebuilt in one
+// compile each, and the emptied ones are the storage the next compiles reuse.
 const maxPlans = 4096
 
 // currentPlans returns the plan table, emptied first if a commit or a table
@@ -69,13 +70,18 @@ const maxPlans = 4096
 func (r *Runtime) currentPlans() *planTable {
 	t := &r.plans
 	if t.gen != r.gen || t.devGen != r.dev.Gen() {
-		for _, cp := range t.plans {
-			t.free = append(t.free, cp)
-		}
-		clear(t.plans)
+		t.empty()
 		t.gen, t.devGen = r.gen, r.dev.Gen()
 	}
 	return t
+}
+
+// empty moves every plan to the free list.
+func (t *planTable) empty() {
+	for _, cp := range t.plans {
+		t.free = append(t.free, cp)
+	}
+	clear(t.plans)
 }
 
 // compilePlan compiles the device plan of key's program under the current
@@ -83,6 +89,9 @@ func (r *Runtime) currentPlans() *planTable {
 // checks for key.fid).
 func (r *Runtime) compilePlan(key planKey) *compiledPlan {
 	t := &r.plans
+	if len(t.plans) >= maxPlans {
+		t.empty()
+	}
 	var cp *compiledPlan
 	if n := len(t.free); n > 0 {
 		cp, t.free = t.free[n-1], t.free[:n-1]
@@ -98,12 +107,10 @@ func (r *Runtime) compilePlan(key planKey) *compiledPlan {
 		return r.MirrorSession(key.fid, session)
 	})
 	r.PlanCompiles++
-	if len(t.plans) < maxPlans {
-		if t.plans == nil {
-			t.plans = make(map[planKey]*compiledPlan)
-		}
-		t.plans[key] = cp
+	if t.plans == nil {
+		t.plans = make(map[planKey]*compiledPlan)
 	}
+	t.plans[key] = cp
 	return cp
 }
 

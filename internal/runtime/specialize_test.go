@@ -243,3 +243,26 @@ func TestPlanInvalidationOnQuarantine(t *testing.T) {
 		t.Fatalf("PlanCompiles = %d after the commit, want %d", r.PlanCompiles, compiles+1)
 	}
 }
+
+// TestFullPlanTableAllocatesNothing fills the plan table with maxPlans
+// distinct programs of one FID, then sends a program it has no room for: the
+// compile empties the table into the free list and caches the new plan, so
+// that program's later capsules hit it and allocate nothing.
+func TestFullPlanTableAllocatesNothing(t *testing.T) {
+	r := testRuntime(t)
+	installCacheGrant(t, r, 1, 0, 1024)
+	for range maxPlans {
+		r.ExecuteProgram(progPacket(1, isa.MustAssemble("ret", "RETURN"), [4]uint32{}))
+	}
+	if len(r.plans.plans) != maxPlans {
+		t.Fatalf("plan table holds %d plans, want it full at %d", len(r.plans.plans), maxPlans)
+	}
+	a := progPacket(1, cacheQuery, [4]uint32{7, 9, 100, 0})
+	compiles := r.PlanCompiles
+	if avg := testing.AllocsPerRun(50, func() { r.ExecuteProgram(a) }); avg != 0 {
+		t.Errorf("%v allocs per capsule past a full plan table, want 0", avg)
+	}
+	if got := r.PlanCompiles - compiles; got != 1 {
+		t.Errorf("%d compiles of one program past a full plan table, want 1", got)
+	}
+}

@@ -654,72 +654,27 @@ func (c *Controller) SweepAndRepair() {
 // sweep runs one sweep-and-repair pass, handing j the placements it moved;
 // it reports false when it found nothing to fence.
 func (c *Controller) sweep(j *job) bool {
-	reports := c.rt.SweepCorruption()
+	// One corrupted word condemns its whole block; Fence decides the rest.
 	bw := c.al.Config().BlockWords
-
-	// One corrupted word condemns its whole block; healthy blocks between
-	// corrupted ones stay usable, so blocks are fenced individually.
-	perFID := map[uint16]map[int][]alloc.BlockRange{}
-	type sb struct{ stage, block int }
-	var unowned []sb
-	seenBlock := map[sb]bool{}
-	affected := map[uint16]bool{}
-	for _, rep := range reports {
+	bad := map[int][]alloc.BlockRange{}
+	for _, rep := range c.rt.SweepCorruption() {
 		c.rt.ScrubWord(rep.Stage, rep.Addr)
 		block := int(rep.Addr) / bw
-		if c.al.QuarantinedIn(rep.Stage, block) || seenBlock[sb{rep.Stage, block}] {
-			continue
-		}
-		seenBlock[sb{rep.Stage, block}] = true
-		if _, resident := c.al.App(rep.FID); rep.Owned && resident {
-			if perFID[rep.FID] == nil {
-				perFID[rep.FID] = map[int][]alloc.BlockRange{}
-			}
-			perFID[rep.FID][rep.Stage] = append(perFID[rep.FID][rep.Stage],
-				alloc.BlockRange{Lo: block, Hi: block + 1})
-		} else {
-			unowned = append(unowned, sb{rep.Stage, block})
-		}
-		c.QuarantinedBlockCount++
+		bad[rep.Stage] = append(bad[rep.Stage], alloc.BlockRange{Lo: block, Hi: block + 1})
 	}
-	if len(perFID) == 0 && len(unowned) == 0 {
+	f := c.al.Fence(bad)
+	if f.Fenced == 0 {
 		return false
 	}
-
-	var evicted []uint16
-	for _, fid := range c.al.FIDs() { // a copy: Evacuate re-books fid
-		if perFID[fid] == nil {
-			continue
-		}
-		res, err := c.al.Evacuate(fid, perFID[fid])
-		c.Evacuations++
-		if err != nil || res.Failed {
-			// Cannot re-place around the damage: evict the app entirely
-			// and tell the client, which restarts its lifecycle.
-			j.rec.TableOps += c.rt.RemoveGrant(fid)
-			evicted = append(evicted, fid)
-		} else {
-			affected[fid] = true
-		}
-		if res != nil { // neighbors move into an evicted victim's space too
-			for _, pl := range res.Reallocated {
-				affected[pl.FID] = true
-			}
-		}
-	}
-	for _, q := range unowned {
-		pls, _ := c.al.Quarantine(q.stage, alloc.BlockRange{Lo: q.block, Hi: q.block + 1})
-		for _, pl := range pls {
-			affected[pl.FID] = true
-		}
-	}
-	for _, fid := range evicted {
-		delete(affected, fid)
+	c.QuarantinedBlockCount += uint64(f.Fenced)
+	c.Evacuations += uint64(f.Evacuated)
+	// An evicted tenant cannot be re-placed around the damage: its client
+	// is told and restarts its lifecycle. Everyone whose regions moved goes
+	// through the reallocation protocol with their final placement.
+	for _, fid := range f.Evicted {
+		j.rec.TableOps += c.rt.RemoveGrant(fid)
 		c.respondFailure(fid)
 	}
-
-	// Everyone whose regions moved goes through the reallocation protocol
-	// with their final placement.
-	j.moved = c.placementsOf(affected)
+	j.moved = f.Moved
 	return true
 }

@@ -65,6 +65,7 @@ var reachAllow = map[string]string{
 	"internal/apps.MemSync.Outstanding":          "accessor: testbed memsync tests wait on it",
 	"internal/baseline.NetVRMAllocator.Release":  "accessor: the page model's free path, exercised by its no-overlap and coalescing properties",
 	"internal/alloc.Allocator.ElasticTotals":     "accessor: the fairness population, read by TestElasticSharingAndFairness and TestReleaseExpandsNeighbors",
+	"internal/alloc.Allocator.QuarantinedIn":     "accessor: chaos and testbed sweep tests check no placement overlaps a fence",
 	"internal/workload.Sequence.Resident":        "accessor: workload arrival/departure and Poisson-epoch tests",
 }
 
